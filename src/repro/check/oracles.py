@@ -1229,6 +1229,7 @@ def check_crash_chaos(
     messages: int,
     scenario: str = "kill",
     transport: str = "sim",
+    batch: int = 1,
 ) -> List[Finding]:
     """Worker crashes mid-stream on a journaled, lease-guarded fabric.
 
@@ -1246,6 +1247,11 @@ def check_crash_chaos(
       or double-delivered events, quiescence); event *loss* is expected
       and is the measured difference — see ``BENCH_recovery``.
 
+    With *batch* > 1 every round publishes through ``publish_batch`` in
+    frames of up to *batch* events (a channel's share of the round), so the
+    crash lands on runs — journal groups, outbound frames, a redriven
+    frame meeting recovered ledgers — instead of single events.
+
     Journaled scenarios assert the tentpole contract: exactly-once
     delivery at every sink across the crash (journal-tail re-deliveries
     are suppressed and counted by subscriber ledgers), zero client-side
@@ -1258,7 +1264,8 @@ def check_crash_chaos(
     base_entry = {
         "kind": "crash", "scenario": scenario, "net_seed": net_seed,
         "loss_rate": loss_rate, "jitter": jitter, "messages": messages,
-        "transport": transport, "expectation": "crash_exactly_once",
+        "transport": transport, "batch": batch,
+        "expectation": "crash_exactly_once",
     }
 
     def flag(detail: str) -> None:
@@ -1320,15 +1327,30 @@ def check_crash_chaos(
 
         def publish_round(count: int, only: "Optional[str]" = None) -> None:
             nonlocal sent
+            frames: Dict[str, List[Any]] = {}
+
+            def flush(channel_id: str) -> None:
+                records = frames.pop(channel_id)
+                if batch == 1:
+                    pub.publish(channel_id, _EVT_V2, records[0])
+                else:
+                    pub.publish_batch(channel_id, _EVT_V2, records)
+
+            # Event n goes to the same channel in every arm; a channel's
+            # frame leaves when it holds *batch* events or the round ends.
             for _ in range(count):
                 channel_id = (
                     only if only is not None
                     else channels[sent % len(channels)]
                 )
-                pub.publish(channel_id, _EVT_V2, _EVT_V2.make_record(
-                    n=sent, extra=2 * sent, flag=1
-                ))
+                frames.setdefault(channel_id, []).append(
+                    _EVT_V2.make_record(n=sent, extra=2 * sent, flag=1)
+                )
                 sent += 1
+                if len(frames[channel_id]) >= batch:
+                    flush(channel_id)
+            for channel_id in list(frames):
+                flush(channel_id)
 
         pump(4)  # let subscriptions install fleet-wide
         victim_channel = channels[0]
@@ -1419,7 +1441,9 @@ def check_crash(
         scenario = "partition"
     else:
         scenario = "ablation"
+    # drawn last, so every earlier draw of a seed is what it always was
+    batch = rng.choice([1, 4])
     return check_crash_chaos(
         net_seed, loss_rate, jitter, messages,
-        scenario=scenario, transport=transport,
+        scenario=scenario, transport=transport, batch=batch,
     )

@@ -279,6 +279,7 @@ def _replay_crash(entry: Dict[str, Any]) -> List[Finding]:
         entry["net_seed"], entry["loss_rate"], entry["jitter"],
         entry["messages"], scenario=entry.get("scenario", "kill"),
         transport=entry.get("transport", "sim"),
+        batch=entry.get("batch", 1),
     )
 
 

@@ -116,6 +116,8 @@ class FabricClient:
         self.redrives = 0
         self.dropped = 0
         self.errors = 0
+        #: the most recent contained receive failure, for debugging
+        self.last_error: Optional[BaseException] = None
 
     @property
     def address(self) -> str:
@@ -341,30 +343,52 @@ class FabricClient:
     # ------------------------------------------------------------------
 
     def _on_message(self, source: str, data: bytes) -> None:
-        if is_batch(data):
+        """Transport entry point: a BATCH1 frame's messages, or one bare
+        message (a frame of one), walked once by :meth:`_on_segments`."""
+        if not is_batch(data):
+            self._on_segments([data])
+            return
+        try:
+            frame = unpack_batch(data)
+        except Exception as exc:  # noqa: BLE001 - malformed frame from a peer
+            self.errors += 1
+            self.last_error = exc
+            return
+        view = memoryview(data)
+        with activate(frame.trace):
+            self._on_segments(
+                [view[off:off + n] for off, n in frame.segments]
+            )
+
+    def _on_segments(self, segments: List[bytes]) -> None:
+        """Dispatch each segment; the envelope format is looked up when
+        it changes, not per segment, and envelope and payload are sliced
+        out of the shared buffer without a copy.  Failures are contained
+        per segment: a poisoned one counts an error and its neighbours
+        still deliver (the reliable layer acked the whole frame; nothing
+        would resend them)."""
+        format_id = fmt = None
+        for data in segments:
             try:
-                frame = unpack_batch(data)
-            except Exception:  # noqa: BLE001 - malformed frame from a peer
+                header = unpack_header(data)
+                if header.format_id != format_id:
+                    format_id = header.format_id
+                    fmt = self.registry.lookup_id(format_id)
+                if fmt is None:
+                    self.errors += 1
+                    continue
+                view = memoryview(data)
+                body_end = header.body_offset + header.payload_length
+                record = self.pbio.decode_as(fmt, view[:body_end])
+                if fmt.name == FABRIC_DELIVER.name:
+                    self._on_deliver(record, view[body_end:])
+                elif fmt.name == FABRIC_REDIRECT.name:
+                    self._on_redirect(record)
+                else:
+                    self.errors += 1
+            except Exception as exc:  # noqa: BLE001 - contained per segment
                 self.errors += 1
-                return
-            view = data if isinstance(data, memoryview) else memoryview(data)
-            with activate(frame.trace):
-                for off, length in frame.segments:
-                    self._on_message(source, view[off:off + length])
-            return
-        header = unpack_header(data)
-        fmt = self.registry.lookup_id(header.format_id)
-        if fmt is None:
-            self.errors += 1
-            return
-        body_end = header.body_offset + header.payload_length
-        record = self.pbio.decode_as(fmt, data[:body_end])
-        if fmt.name == FABRIC_DELIVER.name:
-            self._on_deliver(record, data[body_end:])
-        elif fmt.name == FABRIC_REDIRECT.name:
-            self._on_redirect(record)
-        else:
-            self.errors += 1
+                self.last_error = exc
 
     def _on_redirect(self, record: Record) -> None:
         channel_id = record["channel_id"]

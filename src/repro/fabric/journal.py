@@ -17,6 +17,9 @@ process — as per-shard append-only logs:
   be able to re-fan-out the tail of admitted-but-possibly-undelivered
   events; subscriber-side ledgers suppress (and count) the re-delivery
   duplicates this creates.
+  The admits of one run are appended inside a write :meth:`~JournalStore.
+  group`: one call (fence check, return value) per event, one file
+  write for the run.
 * ``subscribe`` entries record channel membership changes.
 * ``snapshot`` entries are compaction points: the materialized channel
   state (same shape as a handoff snapshot).  Recovery starts from the
@@ -36,9 +39,10 @@ worker — not just a successor — recover its own shards.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import JournalError
 from repro.obs import OBS
@@ -108,6 +112,8 @@ class JournalStore:
         self.path = path
         self.compact_every = compact_every
         self._shards: Dict[int, _ShardLog] = {}
+        #: lines buffered by an open write :meth:`group` (None outside)
+        self._group: Optional[List[str]] = None
         self.appends = 0
         self.fenced_appends = 0
         self.compactions = 0
@@ -139,12 +145,39 @@ class JournalStore:
         self.appends += 1
         self._count("appends")
         if self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(
-                    json.dumps({"shard": shard, **entry}, sort_keys=True)
-                    + "\n"
-                )
+            self._persist(
+                json.dumps({"shard": shard, **entry}, sort_keys=True) + "\n"
+            )
         return True
+
+    def _persist(self, line: str) -> None:
+        """Write one journal line — straight to the file, or into the
+        open write group's buffer."""
+        if self._group is not None:
+            self._group.append(line)
+            return
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(line)
+
+    @contextlib.contextmanager
+    def group(self) -> Iterator[None]:
+        """Write group: appends made inside keep their per-call fence
+        check, return value and in-memory entry, but a file-backed store
+        buffers their lines and writes them with **one** ``open`` when
+        the group closes (also when the body raises — what is in memory
+        must reach the file).  The caller's write-ahead point is
+        therefore the end of the ``with`` block, not each append."""
+        if self._group is not None or self.path is None:
+            yield  # nested, or nothing to persist
+            return
+        self._group = lines = []
+        try:
+            yield
+        finally:
+            self._group = None
+            if lines:
+                self._persist("".join(lines))
+                self._gauge_disk()
 
     def append_admit(
         self,
@@ -164,7 +197,7 @@ class JournalStore:
             "channel": channel_id,
             "publisher": publisher,
             "seq": seq,
-            "payload": bytes(payload).hex(),
+            "payload": payload.hex(),
         })
         if admitted:
             log.since_snapshot += 1
@@ -224,13 +257,10 @@ class JournalStore:
         if epoch > log.fence_epoch:
             log.fence_epoch = epoch
             if self.path is not None:
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(
-                        json.dumps(
-                            {"shard": shard, "kind": "fence", "epoch": epoch},
-                            sort_keys=True,
-                        ) + "\n"
-                    )
+                self._persist(json.dumps(
+                    {"shard": shard, "kind": "fence", "epoch": epoch},
+                    sort_keys=True,
+                ) + "\n")
 
     def fence_epoch(self, shard: int) -> int:
         log = self._shards.get(shard)
@@ -395,6 +425,9 @@ class JournalStore:
 
     def _rewrite(self) -> None:
         assert self.path is not None
+        if self._group is not None:
+            # every buffered line's entry is in memory and rewritten below
+            self._group.clear()
         tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
             for shard in sorted(self._shards):
@@ -463,7 +496,11 @@ class JournalStore:
         OBS.metrics.gauge(
             "fabric.journal.entries_since_snapshot", shard=str(shard)
         ).set(log.since_snapshot)
-        if self.path is not None:
+        if self._group is None:
+            self._gauge_disk()  # an open group gauges once, on close
+
+    def _gauge_disk(self) -> None:
+        if OBS.enabled and self.path is not None:
             OBS.metrics.gauge("fabric.journal.disk_bytes").set(
                 self.disk_size_bytes()
             )

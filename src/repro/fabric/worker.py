@@ -8,6 +8,11 @@ subscriber in the group.  Morphing happens **at the owner** so adding
 workers adds morphing capacity — the property the scaling bench
 measures.
 
+The data plane is run-oriented: whatever arrives (a bare publish is a
+frame of one) is turned into *admitted runs*, and each run is journaled
+write-ahead with one file append, morphed per format group, and sent as
+one BATCH1 frame per subscriber — see ``docs/FABRIC.md``.
+
 Exactly-once across rebalancing rests on three mechanisms:
 
 * a per-``(channel, publisher)`` :class:`SeqLedger` (contiguous
@@ -31,6 +36,8 @@ sequence number and drops it.
 from __future__ import annotations
 
 import json
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import FabricError
@@ -46,10 +53,16 @@ from repro.fabric.protocol import (
     register_fabric_protocol,
 )
 from repro.morph.receiver import MorphReceiver
-from repro.net.batch import is_batch, unpack_batch
+from repro.net.batch import (
+    BATCH_HEADER_SIZE,
+    BATCH_LENGTH_SIZE,
+    is_batch,
+    pack_batch,
+    unpack_batch,
+)
 from repro.net.reliable import ReliableEndpoint
 from repro.obs import OBS
-from repro.obs.tracectx import activate, current
+from repro.obs.tracectx import TRACE_BLOCK_SIZE, TraceContext, activate, current
 from repro.pbio.buffer import attach_trace, peek_trace, unpack_header
 from repro.pbio.context import PBIOContext
 from repro.pbio.format import IOFormat
@@ -62,10 +75,36 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Per-shard cap on messages buffered while handoff state is in flight.
 PENDING_LIMIT = 1024
 
+#: Byte ceiling of one outbound BATCH1 frame: a run larger than this
+#: leaves as several frames, each of which still fits a UDP datagram (a
+#: single message above it travels alone, as it always has).
+MAX_FRAME_BYTES = 60_000
+
+#: An admitted run: ``(publisher, seq, payload)`` of consecutive
+#: publishes of one channel that each passed their ledger.
+Run = List[Tuple[str, int, bytes]]
+
 #: Target size (JSON characters) of one FABRIC_HANDOFF part.  Channel
 #: state is split at channel granularity, so one oversized channel still
 #: travels whole — the bound is a soft target, not a hard frame limit.
 HANDOFF_CHUNK_BYTES = 8192
+
+
+def _frames(datagrams: List[bytes], ctx: Optional[TraceContext]) -> List[bytes]:
+    """Pack *datagrams*, in order, into as few BATCH1 frames as
+    :data:`MAX_FRAME_BYTES` allows (room for the frame-level trace block
+    is always reserved, so there is one constant, not two)."""
+    frames: List[bytes] = []
+    empty = BATCH_HEADER_SIZE + TRACE_BLOCK_SIZE
+    first, size = 0, empty
+    for index, datagram in enumerate(datagrams):
+        need = BATCH_LENGTH_SIZE + len(datagram)
+        if size + need > MAX_FRAME_BYTES and index > first:
+            frames.append(pack_batch(datagrams[first:index], ctx))
+            first, size = index, empty
+        size += need
+    frames.append(pack_batch(datagrams[first:], ctx))
+    return frames
 
 
 class SeqLedger:
@@ -237,8 +276,10 @@ class FabricWorker:
         self._channels: Dict[str, FabricChannel] = {}
         #: format ids already refreshed from the server fleet
         self._refreshed: Set[int] = set()
-        #: set while fanning out one publish, read by group handlers
-        self._delivering: Optional[Tuple[str, str, int, bytes]] = None
+        #: set while one event of a run is morphed, read by the group
+        #: handlers: (shared DELIVER envelope wire, trace context to
+        #: attach, contact -> the run's queued datagrams)
+        self._delivering: Optional[Tuple[Any, ...]] = None
         #: write-ahead ledger journal shared with whoever inherits our
         #: shards (None disables journaling — the crash-ablation arm)
         self.journal = journal
@@ -270,6 +311,8 @@ class FabricWorker:
         self.recovered_shards = 0
         self.tail_replayed = 0
         self.errors = 0
+        #: the most recent contained failure, for debugging
+        self.last_error: Optional[BaseException] = None
 
     @property
     def address(self) -> str:
@@ -335,16 +378,19 @@ class FabricWorker:
         except FabricError:
             self.errors += 1
             raise
-        for channel_id, publisher, seq, payload in recovery.tail:
+        # The tail replays through the run path: consecutive admits of
+        # one channel fan out (and leave) together.
+        for channel_id, entries in groupby(recovery.tail, key=itemgetter(0)):
             channel = self._channels.get(channel_id)
             if channel is None:
                 continue
-            self.tail_replayed += 1
+            run = [entry[1:] for entry in entries]
+            self.tail_replayed += len(run)
             if OBS.enabled:
                 OBS.metrics.counter(
                     "fabric.recovery.replayed", worker=self.address
-                ).inc()
-            self._fan_out(channel, publisher, seq, payload)
+                ).inc(len(run))
+            self._fan_out(channel, run)
         # The recovered state is the new baseline: compact so the next
         # crash replays from here, not from the predecessor's history.
         self.journal.snapshot(shard, epoch, self._shard_state(shard))
@@ -543,49 +589,106 @@ class FabricWorker:
         self.resolver.refresh(format_id, _done)
 
     def _on_message(self, source: str, data: bytes) -> None:
-        if is_batch(data):
-            self._on_batch(source, data)
+        """Transport entry point: a BATCH1 frame's messages, or one bare
+        message (a frame of one), walked once by :meth:`_on_segments`."""
+        if not is_batch(data):
+            self._on_segments(source, [data])
             return
-        header = unpack_header(data)
-        fmt = self.registry.lookup_id(header.format_id)
-        if fmt is None:
-            if self.resolver is not None and header.format_id not in self._refreshed:
-                self._park(header.format_id,
-                           lambda: self._on_message(source, data))
-            else:
-                self.errors += 1
-            return
-        body_end = header.body_offset + header.payload_length
-        record = self.pbio.decode_as(fmt, data[:body_end])
-        trailing = data[body_end:]
-        name = fmt.name
-        if name == FABRIC_PUBLISH.name:
-            self._on_publish(source, data, record, trailing)
-        elif name == FABRIC_SUBSCRIBE.name:
-            self._on_subscribe(source, data, record)
-        elif name == FABRIC_HANDOFF.name:
-            self._on_handoff(source, record)
-        elif name == FABRIC_HANDOFF_ACK.name:
-            self.handoffs_acked += 1
-        else:
-            self.errors += 1
-
-    def _on_batch(self, source: str, data: bytes) -> None:
-        """Decompose one BATCH1 frame element-by-element through the
-        normal dispatch: each contained message carries its own envelope
-        and sequence number, so ledger admission, reroute/forwarding and
-        the pending buffer all keep their per-message exactly-once
-        semantics — a frame that races a handoff can have some elements
-        delivered here and the rest forwarded or buffered individually."""
         try:
             frame = unpack_batch(data)
-        except Exception:  # noqa: BLE001 - malformed frame from a peer
-            self.errors += 1
+        except Exception as exc:  # noqa: BLE001 - malformed frame from a peer
+            self._contain(exc)
             return
-        view = data if isinstance(data, memoryview) else memoryview(data)
+        view = memoryview(data)
         with activate(frame.trace):
-            for off, length in frame.segments:
-                self._on_message(source, view[off:off + length])
+            self._on_segments(
+                source, [view[off:off + n] for off, n in frame.segments]
+            )
+
+    def _on_segments(self, source: str, segments: List[bytes]) -> None:
+        """Turn *segments* into **admitted runs**, each handed to
+        :meth:`_commit_run`.  A run is consecutive ``FABRIC_PUBLISH``
+        segments of one channel whose shard we own (checked, with the
+        epoch fence, when the run opens — ownership cannot change while
+        this loop runs) and that each pass their ``SeqLedger.admit``.
+        Anything else — a subscribe, a handoff, a publish for a shard we
+        do not own or whose handoff state is in flight — closes the run
+        and takes the per-message route, so a frame that races a handoff
+        can have some events delivered here and the rest forwarded.
+        Failures are contained per segment: the reliable layer acked the
+        whole frame, nothing would resend a poisoned one's neighbours."""
+        channel: Optional[FabricChannel] = None
+        shard = -1
+        run: Run = []
+        format_id = publisher = fmt = ledger = None
+        for data in segments:
+            try:
+                header = unpack_header(data)
+                if header.format_id != format_id:
+                    format_id = header.format_id
+                    fmt = self.registry.lookup_id(format_id)
+                if fmt is None:
+                    if self.resolver is None or format_id in self._refreshed:
+                        self.errors += 1
+                    else:
+                        self._park(format_id,
+                                   lambda d=data: self._on_message(source, d))
+                    continue
+                view = memoryview(data)
+                body_end = header.body_offset + header.payload_length
+                record = self.pbio.decode_as(fmt, view[:body_end])
+                name = fmt.name
+                if name != FABRIC_PUBLISH.name:
+                    self._commit_run(shard, channel, run)
+                    run, channel = [], None
+                    if name == FABRIC_SUBSCRIBE.name:
+                        self._on_subscribe(source, data, record)
+                    elif name == FABRIC_HANDOFF.name:
+                        self._on_handoff(source, record)
+                    elif name == FABRIC_HANDOFF_ACK.name:
+                        self.handoffs_acked += 1
+                    else:
+                        self.errors += 1
+                    continue
+                channel_id = record["channel_id"]
+                if channel is None or channel_id != channel.channel_id:
+                    self._commit_run(shard, channel, run)
+                    run, publisher = [], None
+                    shard = shard_of(channel_id, self.directory.num_shards)
+                    self._fence_check(shard)
+                    channel = (
+                        self._channel(channel_id) if shard in self._owned
+                        else None
+                    )
+                if channel is None:
+                    self._reroute(
+                        shard, source, data, record["publisher"], channel_id
+                    )
+                    continue
+                if record["epoch"] != self.directory.epoch:
+                    # Stale route: deliver anyway (we own it), but correct
+                    # the publisher's cache so it stops paying the extra hop.
+                    self._send_redirect(channel_id, record["publisher"])
+                if record["publisher"] != publisher:
+                    publisher = record["publisher"]
+                    ledger = channel.ledgers.get(publisher)
+                    if ledger is None:
+                        ledger = channel.ledgers[publisher] = SeqLedger()
+                if ledger.admit(record["seq"]):
+                    run.append((publisher, record["seq"], view[body_end:]))
+                else:
+                    self.duplicates += 1
+                    if OBS.enabled:
+                        OBS.metrics.counter(
+                            "fabric.duplicates", worker=self.address
+                        ).inc()
+            except Exception as exc:  # noqa: BLE001 - contained per segment
+                self._contain(exc)
+        self._commit_run(shard, channel, run)
+
+    def _contain(self, exc: BaseException) -> None:
+        self.errors += 1
+        self.last_error = exc
 
     def _reroute(
         self, shard: int, source: str, data: bytes, reply_to: str, channel_id: str
@@ -665,75 +768,92 @@ class FabricWorker:
         self._update_owned_gauge()
         return True
 
-    def _on_publish(
-        self, source: str, data: bytes, record: Any, payload: bytes
+    def _commit_run(
+        self, shard: int, channel: Optional[FabricChannel], run: Run
     ) -> None:
-        channel_id = record["channel_id"]
-        shard = shard_of(channel_id, self.directory.num_shards)
-        self._fence_check(shard)
-        if shard not in self._owned:
-            self._reroute(shard, source, data, record["publisher"], channel_id)
+        """Journal one admitted run write-ahead, then fan it out.
+        Contained: a failing run counts one error and does not take the
+        segment that closed it down too."""
+        if not run:
             return
-        if record["epoch"] != self.directory.epoch:
-            # Stale route: deliver anyway (we own it), but correct the
-            # publisher's cache so it stops paying the extra hop.
-            self._send_redirect(channel_id, record["publisher"])
-        channel = self._channel(channel_id)
-        ledger = channel.ledgers.get(record["publisher"])
-        if ledger is None:
-            ledger = channel.ledgers[record["publisher"]] = SeqLedger()
-        if not ledger.admit(record["seq"]):
-            self.duplicates += 1
+        try:
+            if self.journal is not None:
+                # Write-ahead: every admission of the run is durable (one
+                # file append) before any delivery leaves, so a crash
+                # between here and the sends loses no admitted event —
+                # the successor replays the run from the journal tail.
+                epoch = self._owned[shard]
+                with self.journal.group():
+                    for publisher, seq, payload in run:
+                        self.journal.append_admit(
+                            shard, epoch, channel.channel_id, publisher, seq,
+                            payload,
+                        )
+            self.processed += len(run)
             if OBS.enabled:
-                OBS.metrics.counter(
-                    "fabric.duplicates", worker=self.address
-                ).inc()
-            return
-        if self.journal is not None:
-            # Write-ahead: the admission is durable before any delivery
-            # leaves, so a crash between here and the fan-out loses no
-            # admitted event — the successor replays it from the tail.
-            self.journal.append_admit(
-                shard, self._owned[shard], channel_id,
-                record["publisher"], record["seq"], payload,
-            )
-            if self.journal.should_compact(shard):
+                OBS.metrics.bounded_counter(
+                    "fabric.shard.processed", shard=str(shard)
+                ).inc(len(run))
+            self._fan_out(channel, run)
+            # Compaction is checked once per run, after its deliveries left.
+            if self.journal is not None and self.journal.should_compact(shard):
                 self._compact_shard(shard)
-        self.processed += 1
-        if OBS.enabled:
-            OBS.metrics.bounded_counter(
-                "fabric.shard.processed", shard=str(shard)
-            ).inc()
-        self._fan_out(channel, record["publisher"], record["seq"], payload)
+        except Exception as exc:  # noqa: BLE001 - contained per run
+            self._contain(exc)
 
     def _compact_shard(self, shard: int) -> None:
         self.journal.snapshot(
             shard, self._owned[shard], self._shard_state(shard)
         )
 
-    def _fan_out(
-        self, channel: FabricChannel, publisher: str, seq: int, payload: bytes
-    ) -> None:
-        """Morph-at-owner: run the payload through each format group's
-        receiver; the group handler re-encodes and pushes."""
-        if not channel.groups:
+    def _fan_out(self, channel: FabricChannel, run: Run) -> None:
+        """Morph-at-owner for one run: each event goes through every
+        format group's receiver (the group handler re-encodes into the
+        per-contact outbox), then each contact gets the run as **one**
+        BATCH1 frame — split only at :data:`MAX_FRAME_BYTES` — carrying
+        the inbound frame's trace context once.  A run of one leaves
+        unframed, as a single publish always has.  Bare publishes,
+        frames and recovery replay all end here."""
+        groups = [
+            group for _format_id, group in sorted(channel.groups.items())
+            if group.contacts
+        ]
+        if not groups:
             return
-        # Batch-inner messages carry no per-message trace block — the
-        # frame-level context activated by _on_batch covers them.
-        ctx = peek_trace(payload) or current()
-        self._delivering = (channel.channel_id, publisher, seq, payload)
+        framed = len(run) > 1
+        frame_ctx = current()
+        outbox: Dict[str, List[bytes]] = {}
+        channel_id = channel.channel_id
         try:
-            with activate(ctx), OBS.tracer.span(
-                "fabric.morph",
-                channel=channel.channel_id,
-                worker=self.address,
-            ):
-                for _format_id, group in sorted(channel.groups.items()):
-                    if not group.contacts:
-                        continue
-                    group.receiver.process(payload)
+            for publisher, seq, payload in run:
+                # A publish's own trace block is re-attached to its
+                # re-encoded deliveries.  Batch-inner messages carry
+                # none: the frame-level context covers them, spliced once
+                # into the outbound frame (or the unframed message).
+                own = peek_trace(payload)
+                ctx = own if framed else own or frame_ctx
+                envelope = self.pbio.encode(
+                    FABRIC_DELIVER,
+                    FABRIC_DELIVER.make_record(
+                        channel_id=channel_id, publisher=publisher, seq=seq
+                    ),
+                )
+                if ctx is not None:
+                    envelope = attach_trace(envelope, ctx)
+                self._delivering = (envelope, ctx, outbox)
+                with activate(own), OBS.tracer.span(
+                    "fabric.morph", channel=channel_id, worker=self.address,
+                ):
+                    for group in groups:
+                        group.receiver.process(payload)
         finally:
             self._delivering = None
+        for contact, datagrams in outbox.items():
+            try:
+                for wire in _frames(datagrams, frame_ctx) if framed else datagrams:
+                    self._send(contact, wire)
+            except Exception as exc:  # noqa: BLE001 - an unreachable
+                self._contain(exc)  # contact must not starve the others
 
     def _make_group(
         self, channel: FabricChannel, fmt: IOFormat
@@ -748,25 +868,17 @@ class FabricWorker:
         return group
 
     def _deliver_group(self, group: _SubscriberGroup, morphed: Any) -> None:
+        """Re-encode one morphed event in the group's format behind the
+        event's (already encoded, shared) ``FABRIC_DELIVER`` envelope and
+        queue it for every contact of the group."""
         assert self._delivering is not None
-        channel_id, publisher, seq, original = self._delivering
+        envelope, ctx, outbox = self._delivering
         out_payload = self.pbio.encode(group.fmt, morphed)
-        envelope = FABRIC_DELIVER.make_record(
-            channel_id=channel_id, publisher=publisher, seq=seq
-        )
-        envelope_wire = self.pbio.encode(FABRIC_DELIVER, envelope)
-        # Re-attach the original publish's trace block so the delivery
-        # hop joins the same trace even though the payload was
-        # re-encoded in the subscriber's format.  Batch-published events
-        # have no per-message block; their frame-level context is the
-        # active one.
-        ctx = peek_trace(original) or current()
         if ctx is not None:
             out_payload = attach_trace(out_payload, ctx)
-            envelope_wire = attach_trace(envelope_wire, ctx)
-        datagram = envelope_wire + out_payload
+        datagram = envelope + out_payload
         for contact in group.contacts:
-            self._send(contact, datagram)
+            outbox.setdefault(contact, []).append(datagram)
             self.deliveries += 1
 
     # ------------------------------------------------------------------
@@ -878,7 +990,6 @@ class FabricWorker:
         part = record["part"]
         parts = max(1, record["parts"])
         if part >= parts:
-            self.errors += 1
             raise FabricError(
                 f"handoff part {part}/{parts} out of range for shard {shard}"
             )
@@ -926,14 +1037,12 @@ class FabricWorker:
         try:
             chunk = json.loads(record["state"])
         except ValueError:
-            self.errors += 1
             raise FabricError(
                 f"malformed handoff state for shard {shard}"
             ) from None
         if not isinstance(chunk, dict) or not isinstance(
             chunk.get("channels", {}), dict
         ):
-            self.errors += 1
             raise FabricError(
                 f"malformed handoff state for shard {shard}"
             )
@@ -950,11 +1059,7 @@ class FabricWorker:
         merged: Dict[str, Any] = {}
         for index in sorted(staging):
             merged.update(staging[index])
-        try:
-            self._install_channel_state(merged)
-        except FabricError:
-            self.errors += 1
-            raise
+        self._install_channel_state(merged)
         self._owned[shard] = epoch
         self._forwarding.pop(shard, None)
         self._update_owned_gauge()

@@ -73,6 +73,10 @@ _HEADER = struct.Struct(">6sBBI")
 BATCH_HEADER = _HEADER
 BATCH_HEADER_SIZE = _HEADER.size  # 12 bytes
 _LEN = struct.Struct(">I")
+#: Bytes of the u32 length prefix in front of every contained message —
+#: with the header (and trace block) sizes, all a sender needs to bound
+#: the frame it is about to pack.
+BATCH_LENGTH_SIZE = _LEN.size  # 4 bytes
 
 #: Smallest wire footprint of one contained message: its u32 length
 #: prefix.  The count guard budgets the declared count against this, so

@@ -31,12 +31,18 @@ import asyncio
 import random
 import socket as _socketmod
 import struct
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import TransportError
 from repro.net.link import LinkSpec
 from repro.net.scheduler import Timer
-from repro.net.transport import Delivery, MessageHandler, _sniff_trace
+from repro.net.transport import (
+    TRACE_LIMIT,
+    Delivery,
+    MessageHandler,
+    _sniff_trace,
+)
 from repro.obs import OBS
 from repro.obs.tracectx import activate
 
@@ -181,7 +187,7 @@ class SocketNetwork:
         self.handler_errors = 0
         self.socket_errors = 0
         self.last_handler_error: Optional[Tuple[str, BaseException]] = None
-        self.trace: List[Delivery] = []
+        self.trace: Deque[Delivery] = deque(maxlen=TRACE_LIMIT)
 
     # ------------------------------------------------------------------
     # Clock / timers (the Scheduler protocol)

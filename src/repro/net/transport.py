@@ -16,8 +16,9 @@ every test fully deterministic.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import TransportError
 from repro.net.link import LinkSpec
@@ -26,6 +27,11 @@ from repro.obs import OBS
 from repro.obs.tracectx import activate
 
 MessageHandler = Callable[[str, bytes], None]
+
+#: Most recent :class:`Delivery` records a network keeps in ``trace`` —
+#: a debugging window, not a log: older entries fall off the front, so a
+#: long-lived network's memory stays flat.
+TRACE_LIMIT = 4096
 
 #: Reliable-layer frame prefix (mirrors :data:`repro.net.reliable.MAGIC`
 #: without importing it — reliable sits *above* this module): a traced
@@ -153,7 +159,7 @@ class Network:
         #: the most recent contained handler failure, for debugging:
         #: ``(destination, exception)`` or None
         self.last_handler_error: Optional[Tuple[str, BaseException]] = None
-        self.trace: List[Delivery] = []
+        self.trace: Deque[Delivery] = deque(maxlen=TRACE_LIMIT)
 
     @property
     def now(self) -> float:

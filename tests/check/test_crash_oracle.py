@@ -33,6 +33,16 @@ class TestScenarios:
         )
         assert findings == [], [f.detail for f in findings]
 
+    @pytest.mark.parametrize("scenario", ["kill", "partition", "ablation"])
+    def test_publish_batch_arm_holds_the_same_contract(self, scenario):
+        """The same schedules through ``publish_batch``: the crash lands
+        on runs (journal groups, outbound frames) instead of events."""
+        findings = check_crash_chaos(
+            net_seed=12345, loss_rate=0.05, jitter=0.005, messages=6,
+            scenario=scenario, batch=4,
+        )
+        assert findings == [], [f.detail for f in findings]
+
     def test_unknown_scenario_is_rejected(self):
         with pytest.raises(ReproError):
             check_crash_chaos(0, 0.0, 0.0, 4, scenario="meteor")
@@ -79,6 +89,13 @@ class TestHarnessIntegration:
             "kind": "crash", "scenario": "kill", "net_seed": 12345,
             "loss_rate": 0.05, "jitter": 0.005, "messages": 6,
             "expectation": "crash_exactly_once",
+        }
+        assert replay_entry(entry) == []
+
+    def test_replay_carries_the_batch_arm(self):
+        entry = {
+            "kind": "crash", "scenario": "kill", "net_seed": 0,
+            "loss_rate": 0.05, "jitter": 0.005, "messages": 6, "batch": 4,
         }
         assert replay_entry(entry) == []
 

@@ -143,6 +143,76 @@ class TestPersistence:
             reloaded.recover(3)
 
 
+class TestWriteGroup:
+    """A write group buffers the lines of the appends made inside it and
+    writes them with one ``open``; nothing else about an append changes."""
+
+    def test_group_writes_once_and_loads_like_event_by_event(
+        self, tmp_path, monkeypatch
+    ):
+        one_by_one = JournalStore(path=str(tmp_path / "single.journal"))
+        grouped = JournalStore(path=str(tmp_path / "grouped.journal"))
+        for store in (one_by_one, grouped):
+            store.append_subscribe(3, 2, "chan/a", "sub-1", 1)
+        for seq in range(1, 65):
+            _admit(one_by_one, seq=seq)
+        opens = []
+        real_open = open
+        monkeypatch.setattr(
+            "builtins.open",
+            lambda *a, **k: opens.append(a[0]) or real_open(*a, **k),
+        )
+        with grouped.group():
+            for seq in range(1, 65):
+                assert grouped.append_admit(
+                    3, 2, "chan/a", "pub", seq, b"payload-%d" % seq
+                ) is True
+            # buffered: in memory at once, on disk when the group closes
+            assert grouped.entry_count(3) == 65
+            assert opens == []
+        assert opens == [grouped.path]
+        monkeypatch.undo()
+        assert (tmp_path / "grouped.journal").read_text() == (
+            tmp_path / "single.journal"
+        ).read_text()
+        loaded = [
+            JournalStore(path=store.path).recover(3)
+            for store in (grouped, one_by_one)
+        ]
+        assert loaded[0].state == loaded[1].state
+        assert loaded[0].tail == loaded[1].tail
+        assert len(loaded[0].tail) == 64
+
+    def test_fenced_append_inside_a_group_writes_nothing(self, tmp_path):
+        path = tmp_path / "fabric.journal"
+        store = JournalStore(path=str(path))
+        store.fence(3, epoch=5)
+        before = path.read_text()
+        with store.group():
+            assert store.append_admit(3, 4, "chan/a", "pub", 1, b"x") is False
+        assert path.read_text() == before
+        assert store.fenced_appends == 1
+        assert store.entry_count(3) == 0
+
+    def test_group_flushes_what_it_holds_when_the_body_raises(self, tmp_path):
+        store = JournalStore(path=str(tmp_path / "fabric.journal"))
+        with pytest.raises(RuntimeError):
+            with store.group():
+                _admit(store, seq=1)
+                raise RuntimeError("mid-run failure")
+        assert [e[2] for e in JournalStore(path=store.path).recover(3).tail] == [1]
+
+    def test_snapshot_inside_a_group_does_not_duplicate_lines(self, tmp_path):
+        store = JournalStore(path=str(tmp_path / "fabric.journal"))
+        with store.group():
+            _admit(store, seq=1)
+            store.snapshot(3, 2, {"channels": {}})
+            _admit(store, seq=2)
+        reloaded = JournalStore(path=store.path)
+        assert reloaded.entry_count(3) == 2  # snapshot + the admit after it
+        assert [e[2] for e in reloaded.recover(3).tail] == [2]
+
+
 class TestCounters:
     def test_store_counts_its_lifecycle(self):
         store = JournalStore(compact_every=2)

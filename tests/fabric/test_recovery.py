@@ -181,6 +181,38 @@ class TestKillRecovery:
         assert victim.heartbeat() is False
 
 
+class TestRunWriteAhead:
+    def test_crash_between_journal_group_and_sends_replays_the_run(
+        self, tmp_path
+    ):
+        """The write-ahead point of a run is the close of its journal
+        group.  Kill the owner right there — all 64 admissions durable,
+        not one delivery sent, the publisher's frame already acked — and
+        the successor's tail replay is the only copy left."""
+        path = tmp_path / "fabric.journal"
+        d = CrashDeployment(journal=JournalStore(path=str(path)))
+        victim_address, victim = d.victim()
+        channel_id = d.channels[0]
+        victim._fan_out = lambda channel, run: d.fabric.crash_worker(
+            victim_address
+        )
+        seqs = d.pub.publish_batch(
+            channel_id, RESPONSE_V2, [v2_record(channel_id) for _ in range(64)]
+        )
+        d.pump(2)
+        assert victim.crashed and victim.processed == 64
+        assert d.got == []
+        assert path.read_text().count('"kind": "admit"') == 64
+        d.pump(18)  # lease expiry + successor recovery
+        d.net.run()
+        # (if the frame's ack was lost the publisher redrives the whole
+        # frame; the recovered ledgers then drop all 64 as duplicates)
+        survivors = [w for w in d.workers.values() if w is not victim]
+        assert sum(w.tail_replayed for w in survivors) == 64
+        assert sorted(d.got) == [(channel_id, seq) for seq in seqs]
+        assert d.sub.delivered == 64 and d.sub.duplicates == 0
+
+
 class TestAblationContrast:
     def test_same_seed_journal_vs_no_journal(self):
         """The acceptance A/B: identical schedule and seed, only the

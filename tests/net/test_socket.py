@@ -96,6 +96,12 @@ class TestDelivery:
         ] == [("a", "b")]
 
 
+    def test_trace_is_the_same_bounded_window_as_the_sim(self, net):
+        from repro.net.transport import TRACE_LIMIT
+
+        assert net.trace.maxlen == TRACE_LIMIT
+
+
 class TestFaultInjection:
     def test_seeded_loss_is_deterministic(self):
         decisions = []

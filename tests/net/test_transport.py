@@ -141,3 +141,18 @@ class TestAccounting:
         assert len(net.trace) == 1
         entry = net.trace[0]
         assert (entry.source, entry.destination, entry.size) == ("a", "b", 5)
+
+    def test_trace_is_a_bounded_window(self):
+        """``trace`` keeps the most recent deliveries only: ten times the
+        cap of sends leaves it at the cap, newest entry last."""
+        from repro.net.transport import TRACE_LIMIT
+
+        net = Network()
+        net.add_node("a")
+        net.add_node("b")
+        for index in range(10 * TRACE_LIMIT):
+            net.send("a", "b", b"x" * (1 + index % 7))
+            net.run()
+        assert net.messages_sent == 10 * TRACE_LIMIT
+        assert len(net.trace) == TRACE_LIMIT
+        assert net.trace[-1].size == 1 + (10 * TRACE_LIMIT - 1) % 7
