@@ -39,6 +39,7 @@ from repro.net.batch import is_batch, pack_batch, unpack_batch
 from repro.net.reliable import ReliableEndpoint
 from repro.net.transport import Network, Node
 from repro.obs import OBS
+from repro.obs.metrics import Handles
 from repro.obs.tracectx import TraceContext, activate, make_context
 from repro.pbio.buffer import (
     HEADER_SIZE,
@@ -182,6 +183,17 @@ class EChoProcess:
         self._filters: Dict[str, ECodeProcedure] = {}
         self.filter_errors = 0
         self.filtered_out = 0
+        # counted per event; renegotiations and parked messages ask the
+        # registry when they happen
+        self._obs_pushed = Handles.bounded_counter(
+            "echo.channel.events_pushed", "channel")
+        self._obs_delivered = Handles.bounded_counter(
+            "echo.channel.events_delivered", "channel")
+        self._obs_filtered_out = Handles.bounded_counter(
+            "echo.channel.filtered_out", "channel")
+        self._obs_projected = Handles.counter("net.projection.messages")
+        self._obs_bytes_saved = Handles.counter(
+            "net.projection.bytes_saved_est")
         # --- projection push-down state -------------------------------
         #: sender side: negotiated projection per (channel, parent format
         #: id) — {"format", "epoch", "pending"}; "pending" holds a
@@ -568,12 +580,10 @@ class EChoProcess:
     ) -> None:
         if not OBS.enabled or not count:
             return
-        OBS.metrics.counter("net.projection.messages").inc(count)
+        self._obs_projected().inc(count)
         saved = parent.min_wire_size - projection.min_wire_size
         if saved > 0:
-            OBS.metrics.counter("net.projection.bytes_saved_est").inc(
-                saved * count
-            )
+            self._obs_bytes_saved().inc(saved * count)
 
     def _batch_encoder(self, wire_fmt: IOFormat) -> BatchEncoderFn:
         """The cached vectorized (envelope, payload) batch encoder for
@@ -640,9 +650,7 @@ class EChoProcess:
                 self._send(member.contact, datagram)
                 pushed += 1
             if OBS.enabled and pushed:
-                OBS.metrics.bounded_counter(
-                    "echo.channel.events_pushed", channel=channel_id
-                ).inc(pushed)
+                self._obs_pushed(channel_id).inc(pushed)
             if channel.is_sink and channel_id in self._event_receivers:
                 self._deliver_event(
                     channel_id, self._event_receivers[channel_id], payload
@@ -737,9 +745,7 @@ class EChoProcess:
             if OBS.enabled and pushed:
                 # same per-event accounting as the unbatched path, so
                 # the batching differential oracle sees no divergence
-                OBS.metrics.bounded_counter(
-                    "echo.channel.events_pushed", channel=channel_id
-                ).inc(pushed * len(records))
+                self._obs_pushed(channel_id).inc(pushed * len(records))
             if payloads is not None and local_sink:
                 receiver = self._event_receivers[channel_id]
                 for payload in payloads:
@@ -774,9 +780,7 @@ class EChoProcess:
             "echo.deliver", channel=channel_id, process=self.address
         ):
             receiver.process(payload)
-        OBS.metrics.bounded_counter(
-            "echo.channel.events_delivered", channel=channel_id
-        ).inc()
+        self._obs_delivered(channel_id).inc()
 
     def _submit_derived(
         self,
@@ -814,10 +818,7 @@ class EChoProcess:
             if not keep:
                 self.filtered_out += 1
                 if OBS.enabled:
-                    OBS.metrics.bounded_counter(
-                        "echo.channel.filtered_out",
-                        channel=derived.channel_id,
-                    ).inc()
+                    self._obs_filtered_out(derived.channel_id).inc()
                 continue
             envelope = EVENT_ENVELOPE.make_record(
                 channel_id=derived.channel_id, seq=derived.next_seq()

@@ -24,6 +24,7 @@ from repro.fabric.worker import SeqLedger
 from repro.net.batch import is_batch, pack_batch, unpack_batch
 from repro.net.reliable import ReliableEndpoint
 from repro.obs import OBS
+from repro.obs.metrics import Handles
 from repro.obs.tracectx import TraceContext, activate, make_context
 from repro.pbio.buffer import attach_trace, peek_trace, unpack_header
 from repro.pbio.context import PBIOContext
@@ -118,6 +119,10 @@ class FabricClient:
         self.errors = 0
         #: the most recent contained receive failure, for debugging
         self.last_error: Optional[BaseException] = None
+        self._obs_published = Handles.bounded_counter(
+            "fabric.published", "channel")
+        self._obs_delivered = Handles.bounded_counter(
+            "fabric.delivered", "channel")
 
     @property
     def address(self) -> str:
@@ -264,9 +269,7 @@ class FabricClient:
             self._send_publish(channel_id, owner, envelope_wire + payload)
         self.published += 1
         if OBS.enabled:
-            OBS.metrics.bounded_counter(
-                "fabric.published", channel=channel_id
-            ).inc()
+            self._obs_published(channel_id).inc()
         return seq
 
     def publish_batch(
@@ -312,9 +315,7 @@ class FabricClient:
             self._send_publish(channel_id, owner, frame)
         self.published += len(records)
         if OBS.enabled:
-            OBS.metrics.bounded_counter(
-                "fabric.published", channel=channel_id
-            ).inc(len(records))
+            self._obs_published(channel_id).inc(len(records))
         return seqs
 
     def subscribe(
@@ -429,6 +430,4 @@ class FabricClient:
             handler(channel_id, publisher, seq, event)
         self.delivered += 1
         if OBS.enabled:
-            OBS.metrics.bounded_counter(
-                "fabric.delivered", channel=channel_id
-            ).inc()
+            self._obs_delivered(channel_id).inc()

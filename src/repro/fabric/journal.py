@@ -46,6 +46,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import JournalError
 from repro.obs import OBS
+from repro.obs.metrics import Handles
 
 #: Appends since the last snapshot that trigger compaction (overridable
 #: per store).  Large enough that a fuzzing case never compacts unless
@@ -118,6 +119,11 @@ class JournalStore:
         self.fenced_appends = 0
         self.compactions = 0
         self.recoveries = 0
+        #: ``fabric.journal.<name>`` handles, made on a name's first count
+        self._obs_counts: Dict[str, Handles] = {}
+        self._obs_since_snapshot = Handles.gauge(
+            "fabric.journal.entries_since_snapshot", "shard")
+        self._obs_disk_bytes = Handles.gauge("fabric.journal.disk_bytes")
         if path is not None and os.path.exists(path):
             self._load(path)
 
@@ -485,7 +491,12 @@ class JournalStore:
 
     def _count(self, name: str) -> None:
         if OBS.enabled:
-            OBS.metrics.counter(f"fabric.journal.{name}").inc()
+            handles = self._obs_counts.get(name)
+            if handles is None:
+                handles = self._obs_counts[name] = Handles.counter(
+                    f"fabric.journal.{name}"
+                )
+            handles().inc()
 
     def _gauge_shard(self, shard: int, log: _ShardLog) -> None:
         """Mirror the compaction-pressure gauges: entries accumulated
@@ -493,17 +504,13 @@ class JournalStore:
         store) — the journal-lag columns ``--top`` renders."""
         if not OBS.enabled:
             return
-        OBS.metrics.gauge(
-            "fabric.journal.entries_since_snapshot", shard=str(shard)
-        ).set(log.since_snapshot)
+        self._obs_since_snapshot(shard).set(log.since_snapshot)
         if self._group is None:
             self._gauge_disk()  # an open group gauges once, on close
 
     def _gauge_disk(self) -> None:
         if OBS.enabled and self.path is not None:
-            OBS.metrics.gauge("fabric.journal.disk_bytes").set(
-                self.disk_size_bytes()
-            )
+            self._obs_disk_bytes().set(self.disk_size_bytes())
 
 
 def _subscriber_entry(entry: Any) -> Tuple[str, int]:

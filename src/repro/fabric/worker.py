@@ -62,6 +62,7 @@ from repro.net.batch import (
 )
 from repro.net.reliable import ReliableEndpoint
 from repro.obs import OBS
+from repro.obs.metrics import Handles
 from repro.obs.tracectx import TRACE_BLOCK_SIZE, TraceContext, activate, current
 from repro.pbio.buffer import attach_trace, peek_trace, unpack_header
 from repro.pbio.context import PBIOContext
@@ -313,6 +314,16 @@ class FabricWorker:
         self.errors = 0
         #: the most recent contained failure, for debugging
         self.last_error: Optional[BaseException] = None
+        # what the data plane counts per message or per run; ownership
+        # transitions ask the registry when they happen
+        self._obs_processed = Handles.bounded_counter(
+            "fabric.shard.processed", "shard")
+        self._obs_duplicates = Handles.counter(
+            "fabric.duplicates", worker=self.address)
+        self._obs_forwarded = Handles.counter(
+            "fabric.forwarded", worker=self.address)
+        self._obs_redirects = Handles.counter(
+            "fabric.redirects", worker=self.address)
 
     @property
     def address(self) -> str:
@@ -679,9 +690,7 @@ class FabricWorker:
                 else:
                     self.duplicates += 1
                     if OBS.enabled:
-                        OBS.metrics.counter(
-                            "fabric.duplicates", worker=self.address
-                        ).inc()
+                        self._obs_duplicates().inc()
             except Exception as exc:  # noqa: BLE001 - contained per segment
                 self._contain(exc)
         self._commit_run(shard, channel, run)
@@ -715,7 +724,7 @@ class FabricWorker:
             return
         self.forwarded += 1
         if OBS.enabled:
-            OBS.metrics.counter("fabric.forwarded", worker=self.address).inc()
+            self._obs_forwarded().inc()
         self._send(target, data)
         self._send_redirect(channel_id, reply_to)
 
@@ -726,7 +735,7 @@ class FabricWorker:
             return
         self.redirects_sent += 1
         if OBS.enabled:
-            OBS.metrics.counter("fabric.redirects", worker=self.address).inc()
+            self._obs_redirects().inc()
         record = FABRIC_REDIRECT.make_record(
             channel_id=channel_id, owner=owner, epoch=epoch
         )
@@ -791,9 +800,7 @@ class FabricWorker:
                         )
             self.processed += len(run)
             if OBS.enabled:
-                OBS.metrics.bounded_counter(
-                    "fabric.shard.processed", shard=str(shard)
-                ).inc(len(run))
+                self._obs_processed(shard).inc(len(run))
             self._fan_out(channel, run)
             # Compaction is checked once per run, after its deliveries left.
             if self.journal is not None and self.journal.should_compact(shard):

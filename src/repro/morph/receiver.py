@@ -27,7 +27,6 @@ paper's evaluation relies on.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -54,7 +53,7 @@ from repro.morph.compat import (
     reconcile_field_stats,
 )
 from repro.obs import OBS
-from repro.obs.metrics import COUNT_BUCKETS, RATIO_BUCKETS
+from repro.obs.metrics import COUNT_BUCKETS, RATIO_BUCKETS, Handles
 from repro.obs.metrics import Registry as MetricsRegistry
 from repro.morph.maxmatch import (
     DEFAULT_DIFF_THRESHOLD,
@@ -111,7 +110,7 @@ class ReceiverStats:
     ...) remain readable as thin properties over the counters.
     """
 
-    __slots__ = ("registry", "_counters", "_mismatch")
+    __slots__ = ("registry", "_counters", "_mismatch", "_mirror")
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -122,11 +121,16 @@ class ReceiverStats:
         self._mismatch = self.registry.histogram(
             "morph.maxmatch.mismatch_ratio", bounds=RATIO_BUCKETS
         )
+        #: the same counters in the process-wide registry, held the same way
+        self._mirror = {
+            name: Handles.counter(f"morph.receiver.{name}")
+            for name in STAT_COUNTERS
+        }
 
     def inc(self, name: str, amount: int = 1) -> None:
         self._counters[name].inc(amount)
         if OBS.enabled:
-            OBS.metrics.counter(f"morph.receiver.{name}").inc(amount)
+            self._mirror[name]().inc(amount)
 
     def observe_mismatch(self, ratio: float) -> None:
         """Record one MaxMatch decision's mismatch ratio."""
@@ -163,6 +167,28 @@ def _stat_property(name: str):
 for _name in STAT_COUNTERS:
     setattr(ReceiverStats, _name, _stat_property(_name))
 del _name
+
+
+class _ReceiverHandles:
+    """The instruments a receiver records per message (what it records
+    per planned route or per dead letter it asks the registry for)."""
+
+    def __init__(self) -> None:
+        self.staged_messages = Handles.counter("morph.receiver.staged_messages")
+        self.fused_messages = Handles.counter("morph.receiver.fused_messages")
+        self.fused_seconds = Handles.histogram("morph.fused.seconds")
+        self.transform_seconds = Handles.histogram("morph.transform.seconds")
+        self.transform_applied = Handles.bounded_counter(
+            "morph.transform.applied", "format")
+        self.dispatch_delivered = Handles.bounded_counter(
+            "morph.dispatch.delivered", "format")
+        self.fields_dropped = Handles.histogram(
+            "morph.reconcile.fields_dropped", bounds=COUNT_BUCKETS)
+        self.fields_defaulted = Handles.histogram(
+            "morph.reconcile.fields_defaulted", bounds=COUNT_BUCKETS)
+        self.widened = Handles.counter("morph.projection.widened")
+        self.quarantine_drops = Handles.counter(
+            "morph.receiver.quarantine_drops")
 
 
 @dataclass
@@ -322,6 +348,7 @@ class MorphReceiver:
             use_fusion = self.DEFAULT_USE_FUSION
         self.use_fusion = use_fusion and use_codegen and not validate_transforms
         self.stats = ReceiverStats()
+        self._obs = _ReceiverHandles()
         self._lock = threading.RLock()
         self._handlers: Dict[int, Handler] = {}
         self._handler_formats: List[IOFormat] = []
@@ -502,9 +529,7 @@ class MorphReceiver:
                     if route.pre_coercion is not None:
                         record = widen_record(*route.pre_coercion, record)
                         if OBS.enabled:
-                            OBS.metrics.counter(
-                                "morph.projection.widened"
-                            ).inc()
+                            self._obs.widened().inc()
                     if route.chain is not None:
                         record = route.chain.apply(record)
                         morphed += 1
@@ -541,9 +566,7 @@ class MorphReceiver:
         if format_id in self._quarantined and not self._retrying:
             self.containment["quarantine_drops"] += 1
             if OBS.enabled:
-                OBS.metrics.counter(
-                    "morph.receiver.quarantine_drops"
-                ).inc()
+                self._obs.quarantine_drops().inc()
             return None
         self._stage = "pipeline"
         try:
@@ -946,7 +969,7 @@ class MorphReceiver:
 
     def _run_route(self, route: _Route, data: bytes) -> Any:
         if OBS.enabled:
-            OBS.metrics.counter("morph.receiver.staged_messages").inc()
+            self._obs.staged_messages().inc()
         record = self.context.decode_as(route.wire_format, data)
         return self._deliver(route, record)
 
@@ -967,16 +990,14 @@ class MorphReceiver:
         observing = OBS.enabled
         try:
             if observing:
-                OBS.metrics.counter("morph.receiver.fused_messages").inc()
+                self._obs.fused_messages().inc()
                 with OBS.tracer.span(
                     "morph.fused",
                     format=route.wire_format.name,
                     version=route.wire_format.version,
-                ):
-                    start = time.perf_counter()
+                ) as active:
                     record, _consumed = fn(data, body, end)
-                    elapsed = time.perf_counter() - start
-                OBS.metrics.histogram("morph.fused.seconds").observe(elapsed)
+                self._obs.fused_seconds().observe(active.span.duration)
             else:
                 record, _consumed = fn(data, body, end)
         except TransformError as exc:
@@ -992,9 +1013,7 @@ class MorphReceiver:
             if observing:
                 # identical labeled counter to the staged path, so the
                 # fused/staged differential oracle sees no divergence
-                OBS.metrics.bounded_counter(
-                    "morph.transform.applied", format=route.wire_format.name
-                ).inc()
+                self._obs.transform_applied(route.wire_format.name).inc()
         if route.coercion is not None:
             self.stats.inc("reconciled")
         else:
@@ -1003,9 +1022,7 @@ class MorphReceiver:
         assert handler_format is not None
         handler = self._handlers[handler_format.format_id]
         if observing:
-            OBS.metrics.bounded_counter(
-                "morph.dispatch.delivered", format=handler_format.name
-            ).inc()
+            self._obs.dispatch_delivered(handler_format.name).inc()
             with OBS.tracer.span(
                 "morph.dispatch",
                 format=handler_format.name,
@@ -1037,7 +1054,7 @@ class MorphReceiver:
         if route.pre_coercion is not None:
             record = widen_record(*route.pre_coercion, record)
             if observing:
-                OBS.metrics.counter("morph.projection.widened").inc()
+                self._obs.widened().inc()
         if route.chain is not None:
             if observing:
                 with OBS.tracer.span(
@@ -1045,14 +1062,10 @@ class MorphReceiver:
                     source=route.wire_format.version,
                     target=route.chain.target.version,
                     steps=len(route.chain),
-                ):
-                    start = time.perf_counter()
+                ) as active:
                     record = route.chain.apply(record)
-                    elapsed = time.perf_counter() - start
-                OBS.metrics.histogram("morph.transform.seconds").observe(elapsed)
-                OBS.metrics.bounded_counter(
-                    "morph.transform.applied", format=route.wire_format.name
-                ).inc()
+                self._obs.transform_seconds().observe(active.span.duration)
+                self._obs.transform_applied(route.wire_format.name).inc()
             else:
                 record = route.chain.apply(record)
             self.stats.inc("morphed")
@@ -1064,13 +1077,8 @@ class MorphReceiver:
                     defaulted=route.fields_defaulted,
                 ):
                     record = self._reconcile(route, record)
-                metrics = OBS.metrics
-                metrics.histogram(
-                    "morph.reconcile.fields_dropped", bounds=COUNT_BUCKETS
-                ).observe(route.fields_dropped)
-                metrics.histogram(
-                    "morph.reconcile.fields_defaulted", bounds=COUNT_BUCKETS
-                ).observe(route.fields_defaulted)
+                self._obs.fields_dropped().observe(route.fields_dropped)
+                self._obs.fields_defaulted().observe(route.fields_defaulted)
             else:
                 record = self._reconcile(route, record)
             self.stats.inc("reconciled")
@@ -1080,9 +1088,7 @@ class MorphReceiver:
         assert handler_format is not None
         handler = self._handlers[handler_format.format_id]
         if observing:
-            OBS.metrics.bounded_counter(
-                "morph.dispatch.delivered", format=handler_format.name
-            ).inc()
+            self._obs.dispatch_delivered(handler_format.name).inc()
             with OBS.tracer.span(
                 "morph.dispatch",
                 format=handler_format.name,

@@ -47,12 +47,12 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import DecodeError
 from repro.obs import OBS
-from repro.obs.metrics import COUNT_BUCKETS
+from repro.obs.metrics import COUNT_BUCKETS, Handles
 from repro.obs.tracectx import (
     TRACE_BLOCK_SIZE,
     TraceContext,
-    decode_block,
     encode_block,
+    read_block,
 )
 
 Buffer = Union[bytes, bytearray, memoryview]
@@ -82,6 +82,13 @@ BATCH_LENGTH_SIZE = _LEN.size  # 4 bytes
 #: prefix.  The count guard budgets the declared count against this, so
 #: a corrupted count field can never drive a long allocation loop.
 _MIN_SEGMENT_SIZE = _LEN.size
+
+# The codec is module-level functions, so the module holds its handles.
+_OBS_PACKED_FRAMES = Handles.counter("net.batch.packed_frames")
+_OBS_PACKED_MESSAGES = Handles.counter("net.batch.packed_messages")
+_OBS_SIZE = Handles.histogram("net.batch.size", bounds=COUNT_BUCKETS)
+_OBS_UNPACKED_FRAMES = Handles.counter("net.batch.unpacked_frames")
+_OBS_UNPACKED_MESSAGES = Handles.counter("net.batch.unpacked_messages")
 
 
 @dataclass(frozen=True)
@@ -133,11 +140,9 @@ def record_batch_packed(count: int) -> None:
     encoders (:func:`repro.pbio.codegen.make_batch_encoder`), so counter
     totals stay identical whichever path built the frame."""
     if OBS.enabled:
-        OBS.metrics.counter("net.batch.packed_frames").inc()
-        OBS.metrics.counter("net.batch.packed_messages").inc(count)
-        OBS.metrics.histogram(
-            "net.batch.size", bounds=COUNT_BUCKETS
-        ).observe(count)
+        _OBS_PACKED_FRAMES().inc()
+        _OBS_PACKED_MESSAGES().inc(count)
+        _OBS_SIZE().observe(count)
 
 
 def unpack_batch(data: Buffer, offset: int = 0) -> BatchFrame:
@@ -170,7 +175,7 @@ def unpack_batch(data: Buffer, offset: int = 0) -> BatchFrame:
                 "BATCH1 trace flag set but the trace-context block is "
                 f"truncated: need {TRACE_BLOCK_SIZE} bytes, have {end - off}"
             )
-        trace = decode_block(data, off)
+        trace = read_block(data, off)
         off += TRACE_BLOCK_SIZE
     if count > (end - off) // _MIN_SEGMENT_SIZE:
         raise DecodeError(
@@ -198,8 +203,8 @@ def unpack_batch(data: Buffer, offset: int = 0) -> BatchFrame:
             f"{end - off} trailing bytes after BATCH1 frame"
         )
     if OBS.enabled:
-        OBS.metrics.counter("net.batch.unpacked_frames").inc()
-        OBS.metrics.counter("net.batch.unpacked_messages").inc(count)
+        _OBS_UNPACKED_FRAMES().inc()
+        _OBS_UNPACKED_MESSAGES().inc(count)
     return BatchFrame(count=count, trace=trace, segments=tuple(segments))
 
 
@@ -221,6 +226,6 @@ def peek_batch_trace(data: Buffer, offset: int = 0) -> Optional[TraceContext]:
         _magic, version, flags, _count = _HEADER.unpack_from(data, offset)
         if version != BATCH_VERSION or not flags & BATCH_FLAG_TRACE:
             return None
-        return decode_block(data, offset + BATCH_HEADER_SIZE)
+        return read_block(data, offset + BATCH_HEADER_SIZE)
     except Exception:  # noqa: BLE001 - sniffing is best-effort by contract
         return None

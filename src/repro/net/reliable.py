@@ -44,8 +44,9 @@ import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import TransportError
-from repro.net.transport import Network, Node
+from repro.net.transport import Network, Node, peek_frame_trace
 from repro.obs import OBS
+from repro.obs.metrics import Handles
 from repro.obs.tracectx import activate
 
 #: Frame magic: deliberately distinct from PBIO's header magic and from
@@ -61,18 +62,6 @@ HEADER_SIZE = _HEADER.size
 _SKIPPED = object()
 
 MessageHandler = Callable[[str, bytes], None]
-
-
-def _peek_any_trace(payload: bytes):
-    """Best-effort trace sniff of a reliable payload: a bare PBIO
-    message or a BATCH1 frame (one block per frame)."""
-    from repro.net.batch import peek_batch_trace  # late: module init order
-    from repro.pbio.buffer import peek_trace  # late: layering
-
-    ctx = peek_batch_trace(payload)
-    if ctx is not None:
-        return ctx
-    return peek_trace(payload)
 
 
 class CircuitBreaker:
@@ -290,6 +279,11 @@ class ReliableEndpoint:
         self.stall_skips = 0
         self.passthrough = 0
         self.breaker_opens = 0
+        #: ``net.reliable.<name>`` handles, made on a name's first count
+        self._obs_counts: Dict[str, Handles] = {}
+        self._obs_in_flight = Handles.gauge(
+            "net.reliable.in_flight", endpoint=self.node.address
+        )
 
     @property
     def address(self) -> str:
@@ -369,7 +363,7 @@ class ReliableEndpoint:
                 "net.reliable.send" if ticket.attempts == 1
                 else "net.reliable.retransmit"
             )
-            with activate(_peek_any_trace(ticket.payload)), OBS.tracer.span(
+            with activate(peek_frame_trace(ticket.payload)), OBS.tracer.span(
                 name,
                 peer=ticket.destination,
                 process=self.address,
@@ -499,7 +493,7 @@ class ReliableEndpoint:
                     # _expected each iteration keeps the drain
                     # consistent under that.
                     if OBS.enabled:
-                        with activate(_peek_any_trace(payload)), OBS.tracer.span(
+                        with activate(peek_frame_trace(payload)), OBS.tracer.span(
                             "net.reliable.deliver",
                             peer=source,
                             process=self.address,
@@ -587,17 +581,18 @@ class ReliableEndpoint:
             "breaker_opens": self.breaker_opens,
         }
 
-    def _count(self, name: str, **labels: str) -> None:
+    def _count(self, name: str, peer: str) -> None:
         if OBS.enabled:
-            OBS.metrics.counter(
-                f"net.reliable.{name}", endpoint=self.address, **labels
-            ).inc()
+            handles = self._obs_counts.get(name)
+            if handles is None:
+                handles = self._obs_counts[name] = Handles.counter(
+                    f"net.reliable.{name}", "peer", endpoint=self.address
+                )
+            handles(peer).inc()
 
     def _gauge_in_flight(self) -> None:
         if OBS.enabled:
-            OBS.metrics.gauge(
-                "net.reliable.in_flight", endpoint=self.address
-            ).set(len(self._pending))
+            self._obs_in_flight().set(len(self._pending))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ReliableEndpoint({self.address!r}, sent={self.sent}, "

@@ -41,6 +41,7 @@ from repro.net.transport import (
     TRACE_LIMIT,
     Delivery,
     MessageHandler,
+    TransportHandles,
     _sniff_trace,
 )
 from repro.obs import OBS
@@ -111,9 +112,7 @@ class SocketNode:
             self.drops += 1
             self.network.dropped += 1
             if OBS.enabled:
-                OBS.metrics.counter(
-                    "net.transport.dropped", node=self.address
-                ).inc()
+                self.network._obs.dropped(self.address).inc()
             return False
         if self._handler is not None:
             self._handler(source, data)
@@ -188,6 +187,7 @@ class SocketNetwork:
         self.socket_errors = 0
         self.last_handler_error: Optional[Tuple[str, BaseException]] = None
         self.trace: Deque[Delivery] = deque(maxlen=TRACE_LIMIT)
+        self._obs = TransportHandles()
 
     # ------------------------------------------------------------------
     # Clock / timers (the Scheduler protocol)
@@ -308,10 +308,7 @@ class SocketNetwork:
                              dropped=True)
                 )
             if OBS.enabled:
-                OBS.metrics.counter(
-                    "net.transport.lost", source=source,
-                    destination=destination,
-                ).inc()
+                self._obs.lost(source, destination).inc()
             return self.now + delay
         frame = _SRC_LEN.pack(len(source)) + source.encode("utf-8") + data
         if delay > 0:
@@ -319,14 +316,8 @@ class SocketNetwork:
         else:
             self._transmit(source, frame, target)
         if OBS.enabled:
-            metrics = OBS.metrics
-            metrics.counter(
-                "net.transport.messages", source=source,
-                destination=destination,
-            ).inc()
-            metrics.counter(
-                "net.transport.bytes", source=source, destination=destination
-            ).inc(len(data))
+            self._obs.messages(source, destination).inc()
+            self._obs.bytes(source, destination).inc(len(data))
         return self.now + delay
 
     def _transmit(self, source: str, frame: bytes,
@@ -378,9 +369,7 @@ class SocketNetwork:
             self.handler_errors += 1
             self.last_handler_error = (node.address, exc)
             if OBS.enabled:
-                OBS.metrics.counter(
-                    "net.transport.handler_errors", node=node.address
-                ).inc()
+                self._obs.handler_errors(node.address).inc()
         self.delivered_total += 1
         if self.record_trace:
             self.trace.append(

@@ -21,9 +21,11 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import TransportError
+from repro.net.batch import peek_batch_trace
 from repro.net.link import LinkSpec
 from repro.net.scheduler import Timer, VirtualScheduler
 from repro.obs import OBS
+from repro.obs.metrics import Handles
 from repro.obs.tracectx import activate
 
 MessageHandler = Callable[[str, bytes], None]
@@ -40,20 +42,51 @@ _RELIABLE_MAGIC = b"RLP1"
 _RELIABLE_HEADER_SIZE = 13
 
 
-def _sniff_trace(data: bytes):
-    """Best-effort trace-context sniff for a raw frame: a bare PBIO
-    message, a BATCH1 frame (whose trace block covers every contained
-    message), or either wrapped in a reliable-layer data frame."""
-    from repro.net.batch import peek_batch_trace  # late: avoid init cycle
-    from repro.pbio.buffer import peek_trace  # late: keep net below pbio
+#: :func:`repro.pbio.buffer.peek_trace`, bound on first use: pbio's
+#: package imports this module, so it cannot be imported at the top, and
+#: an import statement per datagram is not free either.
+_peek_trace = None
 
-    offset = 0
-    if bytes(data[:4]) == _RELIABLE_MAGIC:
-        offset = _RELIABLE_HEADER_SIZE
+
+def peek_frame_trace(data: bytes, offset: int = 0):
+    """Best-effort trace-context sniff of a frame at *offset*: a BATCH1
+    frame (whose trace block covers every contained message) or a bare
+    PBIO message.  Never raises."""
+    global _peek_trace
+    if _peek_trace is None:
+        from repro.pbio.buffer import peek_trace as _peek_trace
     ctx = peek_batch_trace(data, offset)
     if ctx is not None:
         return ctx
-    return peek_trace(data, offset)
+    return _peek_trace(data, offset)
+
+
+def _sniff_trace(data: bytes):
+    """:func:`peek_frame_trace` for a raw datagram, which may wrap the
+    frame in a reliable-layer data frame."""
+    if bytes(data[:4]) == _RELIABLE_MAGIC:
+        return peek_frame_trace(data, _RELIABLE_HEADER_SIZE)
+    return peek_frame_trace(data)
+
+
+class TransportHandles:
+    """The ``net.transport.*`` instruments one network — simulated or
+    socket — records into, held per network."""
+
+    __slots__ = ("messages", "bytes", "lost", "dropped", "handler_errors",
+                 "queue_depth")
+
+    def __init__(self) -> None:
+        self.messages = Handles.counter(
+            "net.transport.messages", "source", "destination")
+        self.bytes = Handles.counter(
+            "net.transport.bytes", "source", "destination")
+        self.lost = Handles.counter(
+            "net.transport.lost", "source", "destination")
+        self.dropped = Handles.counter("net.transport.dropped", "node")
+        self.handler_errors = Handles.counter(
+            "net.transport.handler_errors", "node")
+        self.queue_depth = Handles.gauge("net.transport.queue_depth")
 
 
 @dataclass(frozen=True)
@@ -114,9 +147,7 @@ class Node:
             self.drops += 1
             self.network.dropped += 1
             if OBS.enabled:
-                OBS.metrics.counter(
-                    "net.transport.dropped", node=self.address
-                ).inc()
+                self.network._obs.dropped(self.address).inc()
             return False
         if self._handler is not None:
             self._handler(source, data)
@@ -160,6 +191,7 @@ class Network:
         #: ``(destination, exception)`` or None
         self.last_handler_error: Optional[Tuple[str, BaseException]] = None
         self.trace: Deque[Delivery] = deque(maxlen=TRACE_LIMIT)
+        self._obs = TransportHandles()
 
     @property
     def now(self) -> float:
@@ -213,20 +245,13 @@ class Network:
                          size=len(data), dropped=True)
             )
             if OBS.enabled:
-                OBS.metrics.counter(
-                    "net.transport.lost", source=source, destination=destination
-                ).inc()
+                self._obs.lost(source, destination).inc()
             return arrival
         self._scheduler.schedule(arrival, (source, destination, data))
         if OBS.enabled:
-            metrics = OBS.metrics
-            metrics.counter(
-                "net.transport.messages", source=source, destination=destination
-            ).inc()
-            metrics.counter(
-                "net.transport.bytes", source=source, destination=destination
-            ).inc(len(data))
-            metrics.gauge("net.transport.queue_depth").set(len(self._scheduler))
+            self._obs.messages(source, destination).inc()
+            self._obs.bytes(source, destination).inc(len(data))
+            self._obs.queue_depth().set(len(self._scheduler))
         return arrival
 
     # ------------------------------------------------------------------
@@ -299,9 +324,7 @@ class Network:
                 self.handler_errors += 1
                 self.last_handler_error = (destination, exc)
                 if OBS.enabled:
-                    OBS.metrics.counter(
-                        "net.transport.handler_errors", node=destination
-                    ).inc()
+                    self._obs.handler_errors(destination).inc()
             self.trace.append(
                 Delivery(time=self.now, source=source, destination=destination,
                          size=len(data), dropped=dropped,
@@ -309,9 +332,7 @@ class Network:
             )
             delivered += 1
             if OBS.enabled:
-                OBS.metrics.gauge("net.transport.queue_depth").set(
-                    len(self._scheduler)
-                )
+                self._obs.queue_depth().set(len(self._scheduler))
         return delivered
 
     @property

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.obs.state import OBS, ObsState
 from repro.obs.metrics import (
     COUNT_BUCKETS,
     Counter,
@@ -68,7 +69,14 @@ from repro.obs.tracing import (
     SpanRecorder,
     find_spans,
 )
-from repro.obs.distributed import FlightReport, TraceStore, flight
+
+# The switchboard lives in the leaf module repro.obs.state (metrics and
+# tracing read it too); this package fills it in before anything above
+# the leaves is imported.
+OBS.metrics = Registry()
+OBS.tracer = NullRecorder()
+
+from repro.obs.distributed import FlightReport, TraceStore, flight  # noqa: E402
 
 __all__ = [
     "COUNT_BUCKETS",
@@ -141,35 +149,6 @@ def __getattr__(name: str) -> Any:
     value = getattr(importlib.import_module(module_name), name)
     globals()[name] = value
     return value
-
-
-class ObsState:
-    """The process-wide observability switchboard.
-
-    Instrumented call sites read three attributes:
-
-    ``enabled``
-        The master flag.  Hot paths check it before doing any work, so a
-        disabled system pays one attribute load and a branch per site.
-    ``metrics``
-        The active :class:`Registry`.  Always present (so cold paths may
-        record unconditionally if they want to), but conventionally only
-        written when ``enabled``.
-    ``tracer``
-        A :class:`SpanRecorder` when enabled, :class:`NullRecorder`
-        otherwise.
-    """
-
-    __slots__ = ("enabled", "metrics", "tracer")
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self.metrics = Registry()
-        self.tracer: "SpanRecorder | NullRecorder" = NullRecorder()
-
-
-#: The singleton instrumented modules import.
-OBS = ObsState()
 
 
 def enable(

@@ -6,9 +6,15 @@ cheap enough to leave compiled into the hot paths.  Every instrument is
 
 * **lock-safe** — updates take a per-instrument lock, never a global one,
   so a registry hammered from many threads serializes only same-metric
-  updates, and
-* **allocation-free on update** — ``inc``/``set``/``observe`` touch plain
-  ints and pre-sized lists; no dicts or tuples are built per event.
+  updates,
+* **fixed-price on update** — ``inc``/``set``/``observe`` touch plain
+  numbers and pre-sized lists under that lock; nothing is formatted or
+  sorted per event (an exemplar is a reference to the active trace
+  context, rendered when somebody reads it), and
+* **resolved once per site** — finding an instrument (:class:`Registry`
+  get-or-create: label sort, ``str``, hash) costs several times what
+  updating it does, so per-message code holds :class:`Handles` and pays
+  that once per owner and label-value tuple, not per event.
 
 Histograms use fixed bucket bounds chosen at creation.  Percentiles
 (p50/p95/p99) are estimated by linear interpolation inside the bucket
@@ -24,6 +30,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ObsError
 from repro.obs import tracectx
+from repro.obs.state import OBS
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
@@ -179,9 +186,12 @@ class Histogram(Instrument):
         self._sum = 0.0
         self._min: Optional[float] = None
         self._max: Optional[float] = None
-        #: last traceparent observed per bucket (exemplars): a p99 spike
-        #: links straight to a concrete distributed trace
-        self._exemplars: List[Optional[str]] = [None] * (len(bounds) + 1)
+        #: last trace context observed per bucket (exemplars): a p99 spike
+        #: links straight to a concrete distributed trace.  Kept as the
+        #: context object; ``traceparent()`` is rendered by the readers.
+        self._exemplars: List[Optional[tracectx.TraceContext]] = (
+            [None] * (len(bounds) + 1)
+        )
 
     def observe(self, value: float) -> None:
         index = bisect_left(self.bounds, value)
@@ -195,7 +205,7 @@ class Histogram(Instrument):
             if self._max is None or value > self._max:
                 self._max = value
             if ctx is not None and ctx.sampled:
-                self._exemplars[index] = ctx.traceparent()
+                self._exemplars[index] = ctx
 
     @property
     def count(self) -> int:
@@ -260,9 +270,9 @@ class Histogram(Instrument):
             samples = list(self._exemplars)
         edges = list(self.bounds) + [None]
         return [
-            (edges[i], trace)
-            for i, trace in enumerate(samples)
-            if trace is not None
+            (edges[i], ctx.traceparent())
+            for i, ctx in enumerate(samples)
+            if ctx is not None
         ]
 
     def reset(self) -> None:
@@ -279,7 +289,6 @@ class Histogram(Instrument):
             counts = list(self._bucket_counts)
             count, total = self._count, self._sum
             low, high = self._min, self._max
-            samples = list(self._exemplars)
         snap: Dict[str, Any] = {
             "count": count,
             "sum": total,
@@ -290,12 +299,10 @@ class Histogram(Instrument):
                 for i, bound in enumerate(self.bounds)
             ] + [{"le": None, "count": counts[-1]}],
         }
-        if any(trace is not None for trace in samples):
-            edges = list(self.bounds) + [None]
+        exemplars = self.exemplars()
+        if exemplars:
             snap["exemplars"] = [
-                {"le": edges[i], "trace": trace}
-                for i, trace in enumerate(samples)
-                if trace is not None
+                {"le": edge, "trace": trace} for edge, trace in exemplars
             ]
         if count:
             snap["mean"] = total / count
@@ -420,9 +427,11 @@ class Registry:
 
     ``counter``/``gauge``/``histogram`` are get-or-create: the first call
     for a ``(name, labels)`` pair creates the instrument, later calls
-    return the same object (so call sites never need to cache, though hot
-    paths may).  Requesting an existing name as a different kind raises
-    :class:`~repro.errors.ObsError` — one name, one meaning.
+    return the same object.  That is the one way to an instrument; code
+    that runs per message keeps what it got in :class:`Handles` instead
+    of asking again.  Requesting an existing name as a different kind —
+    or a histogram with other explicit bounds — raises
+    :class:`~repro.errors.ObsError`: one name, one meaning.
     """
 
     def __init__(self) -> None:
@@ -431,6 +440,9 @@ class Registry:
         #: distinct values seen per ``(metric name, label key)`` — the
         #: cardinality guard's memory
         self._label_seen: Dict[Tuple[str, str], set] = {}
+        #: identity of the current instrument population; :meth:`clear`
+        #: replaces it, so :class:`Handles` bound before know to re-resolve
+        self._generation = object()
 
     # -- label-cardinality guard ----------------------------------------
 
@@ -503,6 +515,12 @@ class Registry:
         if not isinstance(instrument, Histogram):
             raise ObsError(
                 f"{name!r} is already registered as a {instrument.kind}"
+            )
+        if bounds is not None and instrument.bounds != tuple(bounds):
+            raise ObsError(
+                f"histogram {name!r} already exists with bounds "
+                f"{instrument.bounds!r}; cannot re-request it with "
+                f"{tuple(bounds)!r}"
             )
         return instrument
 
@@ -649,6 +667,96 @@ class Registry:
             instrument.reset()  # type: ignore[attr-defined]
 
     def clear(self) -> None:
-        """Drop every instrument."""
+        """Drop every instrument, and with them the cardinality guard's
+        memory of their label values (:meth:`reset` keeps both)."""
         with self._lock:
             self._instruments.clear()
+            self._label_seen.clear()
+            self._generation = object()
+
+
+class Handles:
+    """One metric's instruments as one owner holds them: resolved from
+    the registry once per label-value tuple, then returned from a dict.
+
+    The owner (a ``Network``, a ``PBIOContext``, a ``MorphReceiver`` ...)
+    declares the metric when it is built, naming the labels that vary
+    per call and fixing the ones that do not, and calls the handle with
+    the varying values where it records::
+
+        self._obs_sends = Handles.counter(
+            "net.reliable.sends", "peer", endpoint=self.address)
+        ...
+        if OBS.enabled:
+            self._obs_sends(destination).inc()
+
+    Nothing is resolved until the first call, so an instrument appears
+    in the registry exactly when the plain ``OBS.metrics.counter(...)``
+    call would have created it.  Handles follow the live registry: when
+    ``OBS.metrics`` is another registry (``enable(registry=)``,
+    ``disable(reset=True)``) or was :meth:`Registry.clear`-ed, what was
+    held is dropped and resolved afresh.  :meth:`bounded_counter`
+    applies the cardinality guard when a value is first bound; a value
+    that collapsed to ``__other__`` is not held, so every use of it
+    still reaches the guard (and ``obs.labels.overflow``) and a site fed
+    unbounded values holds no more entries than the guard admits.
+
+    These are the registry's own instruments, cached — not a second
+    registry.  Cold paths keep calling ``OBS.metrics.counter(...)``.
+    """
+
+    __slots__ = ("_resolve", "_name", "_varying", "_fixed", "_options",
+                 "_bound")
+
+    def __init__(self, resolve: Any, name: str, varying: Tuple[str, ...],
+                 fixed: Dict[str, Any], **options: Any) -> None:
+        self._resolve = resolve
+        self._name = name
+        self._varying = varying
+        self._fixed = fixed
+        self._options = options
+        #: (registry generation, {label values: instrument}) — replaced
+        #: as one object, so a thread caught mid-call by a registry swap
+        #: can only fill the dict of the generation it resolved against
+        self._bound: Tuple[Any, Dict[Tuple[Any, ...], Any]] = (None, {})
+
+    @classmethod
+    def counter(cls, name: str, *varying: str, **fixed: Any) -> "Handles":
+        return cls(Registry.counter, name, varying, fixed)
+
+    @classmethod
+    def gauge(cls, name: str, *varying: str, **fixed: Any) -> "Handles":
+        return cls(Registry.gauge, name, varying, fixed)
+
+    @classmethod
+    def histogram(cls, name: str, *varying: str,
+                  bounds: Optional[Sequence[float]] = None,
+                  **fixed: Any) -> "Handles":
+        return cls(Registry.histogram, name, varying, fixed, bounds=bounds)
+
+    @classmethod
+    def bounded_counter(cls, name: str, *varying: str,
+                        **fixed: Any) -> "Handles":
+        return cls(Registry.bounded_counter, name, varying, fixed)
+
+    def __call__(self, *values: Any) -> Any:
+        registry = OBS.metrics
+        generation, held = self._bound
+        if registry._generation is not generation:
+            held = {}
+            self._bound = (registry._generation, held)
+        instrument = held.get(values)
+        if instrument is None:
+            if len(values) != len(self._varying):
+                raise ObsError(
+                    f"{self._name!r} varies by {self._varying!r}, "
+                    f"got {len(values)} value(s)"
+                )
+            labels = dict(self._fixed)
+            labels.update(zip(self._varying, values))
+            instrument = self._resolve(
+                registry, self._name, **self._options, **labels
+            )
+            if instrument.labels == _label_items(labels):
+                held[values] = instrument
+        return instrument

@@ -59,9 +59,14 @@ class TraceContext:
     ``span_id`` as its own distributed id.  Contexts decoded off the wire
     always have ``origin=False``, so receive-side root spans parent to
     ``span_id`` instead of claiming it.
+
+    ``trace_id`` and ``span_id`` are fixed for a context's life; its
+    26-byte wire form is kept once computed (:func:`encode_block`,
+    :func:`decode_block`), which is what lets :func:`read_block`
+    recognise the active context in a buffer by comparing bytes.
     """
 
-    __slots__ = ("trace_id", "span_id", "sampled", "origin")
+    __slots__ = ("trace_id", "span_id", "sampled", "origin", "_block")
 
     def __init__(
         self,
@@ -74,6 +79,7 @@ class TraceContext:
         self.span_id = span_id
         self.sampled = sampled
         self.origin = origin
+        self._block: Optional[bytes] = None
 
     def traceparent(self) -> str:
         """The W3C ``traceparent`` rendering: ``00-<trace>-<span>-<flags>``."""
@@ -107,30 +113,61 @@ class TraceContext:
 def encode_block(ctx: TraceContext) -> bytes:
     """The 26-byte wire form of *ctx*."""
     flags = _FLAG_SAMPLED if ctx.sampled else 0
-    return _BLOCK.pack(
-        TRACE_BLOCK_VERSION, flags, ctx.trace_id.to_bytes(16, "big"),
-        ctx.span_id,
-    )
+    block = ctx._block
+    if block is None or block[1] != flags:
+        block = ctx._block = _BLOCK.pack(
+            TRACE_BLOCK_VERSION, flags, ctx.trace_id.to_bytes(16, "big"),
+            ctx.span_id,
+        )
+    return block
 
 
-def decode_block(data: bytes, offset: int = 0) -> TraceContext:
-    """Decode a trace-context block at *offset*; raises
-    :class:`~repro.errors.DecodeError` on truncation or an unknown block
-    version (the contract every malformed-wire path shares)."""
+def check_block(data: bytes, offset: int = 0) -> None:
+    """Raise :class:`~repro.errors.DecodeError` — the contract every
+    malformed-wire path shares — when the bytes at *offset* are not a
+    readable trace-context block: truncated, or of an unknown version."""
     if len(data) - offset < TRACE_BLOCK_SIZE:
         raise DecodeError(
             f"truncated trace-context block: need {TRACE_BLOCK_SIZE} bytes "
             f"at offset {offset}, have {len(data) - offset}"
         )
-    version, flags, trace_bytes, span_id = _BLOCK.unpack_from(data, offset)
-    if version != TRACE_BLOCK_VERSION:
-        raise DecodeError(f"unsupported trace-context version {version}")
-    return TraceContext(
-        trace_id=int.from_bytes(trace_bytes, "big"),
-        span_id=span_id,
-        sampled=bool(flags & _FLAG_SAMPLED),
-        origin=False,
+    if data[offset] != TRACE_BLOCK_VERSION:
+        raise DecodeError(f"unsupported trace-context version {data[offset]}")
+
+
+def decode_block(data: bytes, offset: int = 0) -> TraceContext:
+    """Decode a trace-context block at *offset*; raises as
+    :func:`check_block` does."""
+    check_block(data, offset)
+    _version, flags, trace_bytes, span_id = _BLOCK.unpack_from(data, offset)
+    ctx = TraceContext(
+        int.from_bytes(trace_bytes, "big"), span_id,
+        bool(flags & _FLAG_SAMPLED), False,
     )
+    ctx._block = bytes(data[offset:offset + TRACE_BLOCK_SIZE])
+    return ctx
+
+
+def read_block(data: bytes, offset: int = 0) -> TraceContext:
+    """The context of the block at *offset*, decoding it only when it is
+    not the one already active.
+
+    A datagram's block is read by every layer it passes — transport,
+    reliable endpoint, fabric/ECho handler, the envelope's and the
+    payload's ``unpack_header``, ``MorphReceiver.process`` — and each
+    layer runs inside the :class:`activate` of the one below.  When the
+    26 bytes are the active context's own wire form, that context *is*
+    the decoded result (same ids, same flag, and ``origin`` false like
+    every context off the wire), so it is returned as is; any other
+    block — another trace, a child hop, a malformed block — goes through
+    :func:`decode_block` and raises as it does."""
+    active = getattr(_local, "ctx", None)
+    if active is not None and not active.origin:
+        block = active._block
+        if (block is not None and block == data[offset:offset + TRACE_BLOCK_SIZE]
+                and block[1] == active.sampled):
+            return active
+    return decode_block(data, offset)
 
 
 # ---------------------------------------------------------------------------

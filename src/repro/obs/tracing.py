@@ -23,15 +23,15 @@ import itertools
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional
 
 from repro.obs import tracectx
+from repro.obs.metrics import Handles
+from repro.obs.state import OBS
 
 DEFAULT_CAPACITY = 4096
 
 
-@dataclass
 class Span:
     """One finished (or in-flight) span.
 
@@ -42,15 +42,34 @@ class Span:
     hop id the wire block carries downstream), and ``remote_parent``
     links a receive-side root span back to the sender's hop."""
 
-    name: str
-    span_id: int
-    parent_id: Optional[int]
-    start: float  # seconds, time.perf_counter() clock
-    duration: float = 0.0
-    attrs: Dict[str, Any] = field(default_factory=dict)
-    trace_id: Optional[int] = None
-    dspan_id: Optional[int] = None
-    remote_parent: Optional[int] = None
+    __slots__ = ("name", "span_id", "parent_id", "start", "duration",
+                 "attrs", "trace_id", "dspan_id", "remote_parent")
+
+    def __init__(
+        self,
+        name: str,
+        span_id: int,
+        parent_id: Optional[int],
+        start: float,  # seconds, time.perf_counter() clock
+        duration: float = 0.0,
+        attrs: Optional[Dict[str, Any]] = None,
+        trace_id: Optional[int] = None,
+        dspan_id: Optional[int] = None,
+        remote_parent: Optional[int] = None,
+    ) -> None:
+        self.name = name
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.start = start
+        self.duration = duration
+        self.attrs = attrs if attrs is not None else {}
+        self.trace_id = trace_id
+        self.dspan_id = dspan_id
+        self.remote_parent = remote_parent
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"Span({self.name!r}, span_id={self.span_id}, "
+                f"parent_id={self.parent_id}, duration={self.duration})")
 
     def to_dict(self) -> Dict[str, Any]:
         out = {
@@ -73,18 +92,12 @@ class Span:
 class _ActiveSpan:
     """Context manager for one span; records into its recorder on exit."""
 
-    __slots__ = ("recorder", "span")
+    __slots__ = ("recorder", "span", "_stack")
 
     def __init__(self, recorder: "SpanRecorder", name: str,
                  attrs: Dict[str, Any]) -> None:
         self.recorder = recorder
-        self.span = Span(
-            name=name,
-            span_id=next(recorder._ids),
-            parent_id=None,
-            start=0.0,
-            attrs=attrs,
-        )
+        self.span = Span(name, next(recorder._ids), None, 0.0, 0.0, attrs)
 
     def set_attr(self, key: str, value: Any) -> None:
         """Attach an attribute discovered mid-span (e.g. the match score
@@ -92,9 +105,11 @@ class _ActiveSpan:
         self.span.attrs[key] = value
 
     def __enter__(self) -> "_ActiveSpan":
-        stack = self.recorder._stack()
+        # the thread's stack, fetched once for enter and exit
+        stack = self._stack = self.recorder._stack()
         span = self.span
-        span.parent_id = stack[-1] if stack else None
+        if stack:
+            span.parent_id = stack[-1]
         stack.append(span.span_id)
         ctx = tracectx.current()
         if ctx is not None and ctx.sampled:
@@ -111,27 +126,32 @@ class _ActiveSpan:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.span.duration = time.perf_counter() - self.span.start
-        stack = self.recorder._stack()
-        if stack and stack[-1] == self.span.span_id:
+        span = self.span
+        span.duration = time.perf_counter() - span.start
+        stack = self._stack
+        if stack and stack[-1] == span.span_id:
             stack.pop()
         if exc_type is not None:
             # mark the span as failed with the exception type (and a
             # bounded message) so exports and the flight recorder can
             # roll an error flag up the hop timeline
-            self.span.attrs.setdefault("error", exc_type.__name__)
+            span.attrs.setdefault("error", exc_type.__name__)
             if exc is not None:
                 message = str(exc)
                 if len(message) > 200:
                     message = message[:197] + "..."
-                self.span.attrs.setdefault("error_message", message)
-        self.recorder.record(self.span)
+                span.attrs.setdefault("error_message", message)
+        self.recorder.record(span)
 
 
 class _NullSpan:
     """Shared no-op context manager returned by :class:`NullRecorder`."""
 
     __slots__ = ()
+
+    #: what ``as active`` sites read (``active.span.duration``) when the
+    #: tracer was swapped for a NullRecorder under them: took no time
+    span = Span("", 0, None, 0.0)
 
     def set_attr(self, key: str, value: Any) -> None:
         pass
@@ -181,13 +201,15 @@ class SpanRecorder:
         #: surfaced in snapshots and as the ``obs.trace.dropped`` counter
         #: so a truncated trace is distinguishable from a complete one
         self.dropped = 0
+        # a steady-state recorder evicts on every span: hold the counter
+        self._obs_dropped = Handles.counter("obs.trace.dropped")
 
     def _stack(self) -> List[int]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
+        try:
+            return self._local.stack
+        except AttributeError:
+            stack = self._local.stack = []
+            return stack
 
     def span(self, name: str, **attrs: Any) -> _ActiveSpan:
         return _ActiveSpan(self, name, attrs)
@@ -199,11 +221,8 @@ class SpanRecorder:
             self.recorded_total += 1
             if evicting:
                 self.dropped += 1
-        if evicting:
-            from repro.obs import OBS  # late: obs.__init__ imports us
-
-            if OBS.enabled:
-                OBS.metrics.counter("obs.trace.dropped").inc()
+        if evicting and OBS.enabled:
+            self._obs_dropped().inc()
 
     def spans(self) -> List[Span]:
         """Buffered spans, oldest first (completion order)."""

@@ -23,15 +23,16 @@ Wire message layout::
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.errors import DecodeError, EncodeError
 from repro.obs.tracectx import (
     TRACE_BLOCK_SIZE,
     TraceContext,
+    check_block,
     decode_block,
     encode_block,
+    read_block,
 )
 
 MAGIC = 0x5042494F  # "PBIO"
@@ -58,21 +59,49 @@ _FLAGS_OFFSET = 5
 ORDER_PREFIX = {"little": "<", "big": ">"}
 
 
-@dataclass(frozen=True)
 class MessageHeader:
     """Decoded wire header (plus the optional trace-context block).
 
     ``body_offset`` is the absolute index where the payload starts —
     ``offset + HEADER_SIZE``, plus :data:`~repro.obs.tracectx.TRACE_BLOCK_SIZE`
     when the message carries a trace block.  Every payload-slicing site
-    must use it instead of assuming ``HEADER_SIZE``."""
+    must use it instead of assuming ``HEADER_SIZE``.
 
-    format_id: int
-    payload_length: int
-    flags: int = 0
-    version: int = WIRE_VERSION
-    trace: Optional[TraceContext] = None
-    body_offset: int = HEADER_SIZE
+    ``trace`` is read on demand: :func:`unpack_header` checks the block
+    (length, version) but most callers only want the format id and the
+    body offset, so the :class:`TraceContext` is built when asked for."""
+
+    __slots__ = ("format_id", "payload_length", "flags", "version",
+                 "body_offset", "_trace")
+
+    def __init__(
+        self,
+        format_id: int,
+        payload_length: int,
+        flags: int = 0,
+        version: int = WIRE_VERSION,
+        trace: Any = None,
+        body_offset: int = HEADER_SIZE,
+    ) -> None:
+        self.format_id = format_id
+        self.payload_length = payload_length
+        self.flags = flags
+        self.version = version
+        self.body_offset = body_offset
+        #: a TraceContext, None, or the ``(buffer, offset)`` of a block
+        #: not yet read
+        self._trace = trace
+
+    @property
+    def trace(self) -> Optional[TraceContext]:
+        trace = self._trace
+        if type(trace) is tuple:
+            trace = self._trace = read_block(*trace)
+        return trace
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"MessageHeader(format_id={self.format_id:#x}, "
+                f"payload_length={self.payload_length}, flags={self.flags})")
 
 
 def pack_header(format_id: int, payload_length: int, flags: int = 0) -> bytes:
@@ -95,20 +124,18 @@ def unpack_header(data: bytes, offset: int = 0) -> MessageHeader:
         raise DecodeError(f"bad magic {magic:#x} (expected {MAGIC:#x})")
     if version != WIRE_VERSION:
         raise DecodeError(f"unsupported wire version {version}")
-    trace: Optional[TraceContext] = None
+    trace = None
     body = offset + HEADER_SIZE
     if flags & FLAG_TRACE:
-        trace = decode_block(data, body)  # raises DecodeError when malformed
+        check_block(data, body)  # raises DecodeError when malformed
+        trace = (data, body)
         body += TRACE_BLOCK_SIZE
     if len(data) - body < length:
         raise DecodeError(
             f"truncated payload: header declares {length} bytes, "
             f"have {len(data) - body}"
         )
-    return MessageHeader(
-        format_id=format_id, payload_length=length, flags=flags,
-        trace=trace, body_offset=body,
-    )
+    return MessageHeader(format_id, length, flags, version, trace, body)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +186,7 @@ def peek_trace(data: bytes, offset: int = 0) -> Optional[TraceContext]:
     if magic != MAGIC or version != WIRE_VERSION:
         return None
     try:
-        return decode_block(data, offset + HEADER_SIZE)
+        return read_block(data, offset + HEADER_SIZE)
     except DecodeError:
         return None
 

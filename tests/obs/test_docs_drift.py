@@ -19,6 +19,11 @@ Code-side extraction handles the three emission styles in the tree:
   (``_cache_codec(..., "pbio.context.encoder_cache_size")``), pinned
   by the explicit ``INDIRECT_SITES`` list below, which also asserts
   the literal still lives in the named file so the list cannot rot.
+
+Sites that hold their instruments (``Handles.counter("x.y", ...)``) are
+literal calls to the regexes.  The half no regex can give is dynamic:
+whatever names a run actually leaves in the registry must be in the
+catalog too, however the site spelled them.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import re
 from pathlib import Path
 
 from repro.morph.receiver import STAT_COUNTERS
+from tests.obs import parity_scenario
 
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src" / "repro"
@@ -135,6 +141,29 @@ class TestMetricCatalogDrift:
             "metrics documented in docs/OBSERVABILITY.md but never "
             "emitted anywhere in src/repro/:\n  "
             + "\n  ".join(sorted(phantom))
+        )
+
+    def test_every_recorded_metric_is_documented(self, tmp_path):
+        """The dynamic half: run the observed-fabric scenario and hold
+        what the registry ends up with against the catalog."""
+        fingerprint = parity_scenario.run(str(tmp_path / "journal.jsonl"))
+        recorded = {key.split("{")[0] for key in fingerprint["instruments"]}
+        assert len(recorded) > 40
+        # the scenario's agents ship a registry of their own with this
+        # one app-side counter in it; it reaches the live registry only
+        # as telemetry payload, never as an instrument
+        assert "parity.heartbeats" not in recorded
+        undocumented = recorded - documented_metric_names()
+        assert not undocumented, (
+            "metrics recorded by tests/obs/parity_scenario.py but missing "
+            "from the docs/OBSERVABILITY.md catalog tables:\n  "
+            + "\n  ".join(sorted(undocumented))
+        )
+        unextracted = recorded - code_metric_names()
+        assert not unextracted, (
+            "metrics recorded at run time that the source extractors "
+            "above cannot see (extend CALL_RE / INDIRECT_SITES):\n  "
+            + "\n  ".join(sorted(unextracted))
         )
 
     def test_extraction_is_not_trivially_broken(self):

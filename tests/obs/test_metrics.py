@@ -11,6 +11,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     LATENCY_BUCKETS,
+    OVERFLOW_LABEL,
     RATIO_BUCKETS,
     Registry,
 )
@@ -166,6 +167,25 @@ class TestRegistry:
         assert again is hist
         assert again.bounds == (1.0, 2.0)
 
+    def test_histogram_with_other_explicit_bounds_raises(self):
+        """One name, one meaning covers the buckets too: a second site
+        must not land its observations in the first site's edges."""
+        registry = Registry()
+        registry.histogram("sized", bounds=COUNT_BUCKETS)
+        with pytest.raises(ObsError, match="bounds"):
+            registry.histogram("sized", bounds=RATIO_BUCKETS)
+        # the other direction: created with the default edges, then
+        # re-requested with explicit different ones
+        registry.histogram("timed")
+        with pytest.raises(ObsError, match="bounds"):
+            registry.histogram("timed", bounds=COUNT_BUCKETS)
+        # the same edges again (in any numeric spelling) are no clash
+        assert registry.histogram("sized", bounds=COUNT_BUCKETS).bounds == \
+            COUNT_BUCKETS
+        assert registry.histogram("timed", bounds=list(LATENCY_BUCKETS))
+        registry.histogram("small", bounds=(1, 2))
+        assert registry.histogram("small", bounds=(1.0, 2.0)).count == 0
+
     def test_get_and_len(self):
         registry = Registry()
         assert registry.get("missing") is None
@@ -191,3 +211,30 @@ class TestRegistry:
         registry.clear()
         assert len(registry) == 0
         assert registry.counter("c") is not counter
+
+    def test_clear_resets_the_cardinality_guard(self):
+        """Label values of instruments that no longer exist must not
+        keep consuming the per-(name, key) budget."""
+        registry = Registry()
+        for value in ("a", "b"):
+            registry.bounded_counter("msgs", limit=2, channel=value).inc()
+        assert registry.bounded("msgs", limit=2, channel="c") == {
+            "channel": OVERFLOW_LABEL
+        }
+        registry.clear()
+        assert registry.bounded("msgs", limit=2, channel="c") == {
+            "channel": "c"
+        }
+        assert registry.get("obs.labels.overflow", metric="msgs") is None
+
+    def test_reset_keeps_the_cardinality_guard(self):
+        registry = Registry()
+        for value in ("a", "b"):
+            registry.bounded_counter("msgs", limit=2, channel=value).inc()
+        registry.reset()
+        assert registry.bounded("msgs", limit=2, channel="c") == {
+            "channel": OVERFLOW_LABEL
+        }
+        assert registry.bounded("msgs", limit=2, channel="a") == {
+            "channel": "a"
+        }

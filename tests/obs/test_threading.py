@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.obs.metrics import Registry
+from repro import obs
+from repro.obs import OBS
+from repro.obs.metrics import Handles, Registry
 from repro.obs.tracing import SpanRecorder
 
 WORKERS = 8
@@ -89,3 +93,52 @@ def test_span_recorder_keeps_per_thread_nesting():
             assert parent.attrs["worker"] == span.attrs["worker"]
         else:
             assert span.parent_id is None
+
+
+def test_handles_survive_registry_swaps_under_fire():
+    """One shared handle, hammered while the live registry is swapped
+    under it: every increment lands in exactly one of the registries
+    that were live (none lost), and once the swapping stops the handle
+    serves the live registry only — a thread caught mid-call by a swap
+    must not leave the old registry's counter in the new cache."""
+    handle = Handles.counter("stress.hits", "worker")
+    registries = [Registry() for _ in range(50)]
+    stop = threading.Event()
+    done = [0] * WORKERS
+
+    def hammer(worker: int) -> None:
+        while not stop.is_set():
+            handle(worker % 2).inc()
+            done[worker] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        obs.enable(registry=registries[0])
+        with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+            futures = [pool.submit(hammer, w) for w in range(WORKERS)]
+            for registry in registries[1:]:
+                obs.enable(registry=registry)
+                for _ in range(200):
+                    handle(0)
+            stop.set()
+            for future in futures:
+                future.result(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+        stop.set()
+
+    def hits(registry: Registry) -> int:
+        return sum(i.value for i in registry.instruments())
+
+    assert sum(done) > 0
+    assert sum(hits(registry) for registry in registries) == sum(done)
+    live = registries[-1]
+    assert OBS.metrics is live
+    before = [hits(registry) for registry in registries]
+    for _ in range(100):
+        handle(0).inc()
+        handle(1).inc()
+    after = [hits(registry) for registry in registries]
+    assert after[:-1] == before[:-1]
+    assert after[-1] == before[-1] + 200
