@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 import struct
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.pbio.field import ArraySpec, IOField
 from repro.pbio.format import IOFormat
@@ -273,3 +273,346 @@ def random_program(rng: random.Random) -> str:
     lines.append(f"old.b = {_expr(rng, sources)};")
     lines.append(f"return old.a {rng.choice(['+', '-', '^'])} old.b;")
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# ECode transform generation (programs over records, not scalars)
+# ---------------------------------------------------------------------------
+
+_TEXT_KINDS = (TypeKind.STRING, TypeKind.CHAR)
+_INT_KINDS = (TypeKind.INTEGER, TypeKind.UNSIGNED, TypeKind.ENUMERATION)
+
+
+def _is_text(field: IOField) -> bool:
+    return field.kind in _TEXT_KINDS
+
+
+def _fits(src: IOField, dst: IOField, element: bool = False) -> bool:
+    """May a value of *src* be stored whole where *dst* is declared?
+    Only the container structure has to agree (ECode does not type
+    scalars): arrays onto arrays, records onto records that declare at
+    least the same members, scalars onto scalars of the same class."""
+    if not element and src.is_array != dst.is_array:
+        return False
+    if src.is_complex != dst.is_complex:
+        return False
+    if not dst.is_complex:
+        return _is_text(src) == _is_text(dst)
+    return all(
+        (mine := src.subformat.get_field(theirs.name)) is not None
+        and _fits(mine, theirs)
+        for theirs in dst.subformat.fields
+    )
+
+
+class _TransformWriter:
+    """Writes one ECode ``(new, old)`` body that populates a record of a
+    target format from a record of a source format, out of the operators
+    schema-evolution studies observe (PAPERS.md — Piccioni et al.:
+    attribute added / removed / renamed; Edwards et al.: move, split,
+    merge, wrap in list) plus what a typed back-end has to get right:
+    loops over arrays, conditional appends driven by a counter, a counter
+    bumped mid-block, reads of output fields, whole-record and whole-array
+    stores, a store through ``new``."""
+
+    def __init__(self, rng: random.Random) -> None:
+        self.rng = rng
+        self.lines: List[str] = []
+        self.depth = 0
+        self.locals: List[str] = []
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
+
+    def local(self, prefix: str) -> str:
+        name = f"{prefix}{len(self.locals)}"
+        self.locals.append(name)
+        return name
+
+    def insert(self, start: int, statement: str) -> None:
+        """Put *statement* between two statements of the block being
+        written at the current depth, somewhere after line *start* (or
+        at its end)."""
+        pad = "    " * self.depth
+        spots = [len(self.lines)] + [
+            at for at in range(start, len(self.lines))
+            if self.lines[at].startswith(pad)
+            and self.lines[at][len(pad)] not in " }"
+        ]
+        self.lines.insert(self.rng.choice(spots), pad + statement)
+
+    # -- expressions ---------------------------------------------------
+
+    def literal(self, text: bool) -> str:
+        if text:
+            return '"' + self.rng.choice(["", "x", "lit", "added"]) + '"'
+        return str(self.rng.choice([0, 1, 7, 255, 2.5]))
+
+    def scalars(self, path: str, fmt: IOFormat, text: bool) -> List[str]:
+        """Readable scalar paths of one class under record *path*, one
+        level of nesting included (reading those is Edwards' "move")."""
+        found = []
+        for field in fmt.fields:
+            if field.is_array:
+                continue
+            if field.is_complex:
+                found += [
+                    f"{path}.{field.name}.{inner.name}"
+                    for inner in field.subformat.fields
+                    if inner.is_basic and not inner.is_array
+                    and _is_text(inner) == text
+                ]
+            elif _is_text(field) == text:
+                found.append(f"{path}.{field.name}")
+        return found
+
+    def value(
+        self, text: bool, src: str, src_fmt: IOFormat, written: List[str]
+    ) -> str:
+        """A scalar expression of one class over the source record and
+        the output scalars of that class *written* so far."""
+        rng = self.rng
+        same = self.scalars(src, src_fmt, text)
+        other = self.scalars(src, src_fmt, not text)
+        roll = rng.random()
+        if written and roll < 0.15:  # read of an output field
+            prior = rng.choice(written)
+            return f'strcat({prior}, "+")' if text else f"({prior} + 1)"
+        if not same or roll < 0.3:  # attribute added
+            if not text and other and roll < 0.2:
+                return f"strlen({rng.choice(other)})"  # split
+            return self.literal(text)
+        first = rng.choice(same)
+        if roll < 0.6:  # attribute renamed
+            return first
+        second = rng.choice(same)
+        if text:  # merge
+            return f"strcat({first}, {second})"
+        return rng.choice([
+            f"({first} + {second})",  # merge
+            f"({first} * 2 - {second})",
+            f"({first} / 10)",  # split, with its other half
+            f"({first} % 10)",
+        ])
+
+    def condition(self, src: str, src_fmt: IOFormat) -> str:
+        numbers = self.scalars(src, src_fmt, text=False)
+        texts = self.scalars(src, src_fmt, text=True)
+        if numbers and (not texts or self.rng.random() < 0.7):
+            subject = self.rng.choice(numbers)
+            return self.rng.choice(
+                [subject, f"{subject} > 3", f"!({subject} == 0)"]
+            )
+        if texts:
+            return f"strlen({self.rng.choice(texts)}) > 3"
+        return "1"
+
+    # -- statements ----------------------------------------------------
+
+    def fill_record(
+        self, dst: str, dst_fmt: IOFormat, src: str, src_fmt: IOFormat
+    ) -> None:
+        counts = {
+            f.array.length_field
+            for f in dst_fmt.fields
+            if f.array is not None and f.array.length_field is not None
+        }
+        written: Dict[bool, List[str]] = {True: [], False: []}
+        for field in dst_fmt.fields:
+            target = f"{dst}.{field.name}"
+            if field.name in counts or self.rng.random() < 0.08:
+                continue  # stored with its array / attribute removed
+            if field.is_array:
+                self.fill_array(dst, field, src, src_fmt)
+            elif field.is_complex:
+                self.fill_subrecord(target, field, src, src_fmt)
+            else:
+                text = _is_text(field)
+                self.fill_scalar(target, text, src, src_fmt, written[text])
+                written[text].append(target)
+
+    def fill_scalar(
+        self, target: str, text: bool, src: str, src_fmt: IOFormat,
+        written: List[str],
+    ) -> None:
+        roll = self.rng.random()
+        values = [self.value(text, src, src_fmt, written) for _ in range(3)]
+        ints = [
+            f"{src}.{f.name}" for f in src_fmt.fields
+            if f.kind in _INT_KINDS and not f.is_array
+        ]
+        if roll < 0.15:
+            self.emit(f"if ({self.condition(src, src_fmt)}) {{")
+            self.emit(f"    {target} = {values[0]};")
+            self.emit("} else {")
+            self.emit(f"    {target} = {values[1]};")
+            self.emit("}")
+        elif roll < 0.22 and ints:
+            self.emit(f"switch ({self.rng.choice(ints)} % 3) {{")
+            self.emit(f"    case 0: {target} = {values[0]}; break;")
+            self.emit(f"    case 1: case 2: {target} = {values[1]}; break;")
+            self.emit(f"    default: {target} = {values[2]}; break;")
+            self.emit("}")
+        else:
+            self.emit(f"{target} = {values[0]};")
+
+    def fill_subrecord(
+        self, target: str, field: IOField, src: str, src_fmt: IOFormat
+    ) -> None:
+        records = [f for f in src_fmt.fields if f.is_complex and not f.is_array]
+        whole = [f for f in records if _fits(f, field)]
+        if whole and self.rng.random() < 0.6:
+            self.store_whole(
+                target, f"{src}.{self.rng.choice(whole).name}", field.subformat
+            )
+        elif records and self.rng.random() < 0.5:
+            chosen = self.rng.choice(records)
+            self.fill_record(
+                target, field.subformat, f"{src}.{chosen.name}", chosen.subformat
+            )
+        else:  # move: the members come from the enclosing record
+            self.fill_record(target, field.subformat, src, src_fmt)
+
+    def store_whole(self, target: str, value: str, fmt: IOFormat) -> None:
+        """``target = value`` for records of *fmt*, between two writes to
+        a member of the target: the first lands in the record the store
+        replaces, the second must reach the copy and never *value*."""
+        members = [f for f in fmt.fields if f.is_basic and not f.is_array]
+        member = self.rng.choice(members) if members else None
+
+        def write_member() -> None:
+            if member is not None:
+                self.emit(
+                    f"{target}.{member.name} = "
+                    f"{self.literal(_is_text(member))};"
+                )
+
+        if self.rng.random() < 0.5:
+            write_member()
+        self.emit(f"{target} = {value};")
+        if self.rng.random() < 0.7:
+            write_member()
+
+    def fill_array(
+        self, dst: str, field: IOField, src: str, src_fmt: IOFormat
+    ) -> None:
+        rng = self.rng
+        target = f"{dst}.{field.name}"
+        counted = field.array.length_field
+
+        def store_count(value: str) -> None:
+            if counted is not None:
+                self.emit(f"{dst}.{counted} = {value};")
+
+        def length(array: IOField) -> str:
+            if array.array.length_field is not None:
+                return f"{src}.{array.array.length_field}"
+            return str(array.array.fixed_length)
+
+        arrays = [
+            f for f in src_fmt.fields
+            if f.is_array and f.is_complex == field.is_complex
+        ]
+        whole = [f for f in arrays if _fits(f, field)]
+        roll = rng.random()
+        if whole and roll < 0.25:
+            # whole-array store; an element written before it is replaced
+            # with the array, one written after it goes to the copy
+            chosen = rng.choice(whole)
+            if rng.random() < 0.4:
+                self.fill_element(f"{target}[0]", field, src, src_fmt, None)
+            self.emit(f"{target} = {src}.{chosen.name};")
+            store_count(length(chosen))
+            if rng.random() < 0.4:
+                self.emit(f"if ({length(chosen)} > 0) {{")
+                self.depth += 1
+                self.fill_element(f"{target}[0]", field, src, src_fmt, None)
+                self.depth -= 1
+                self.emit("}")
+            return
+        if not arrays or roll < 0.35:  # wrap in list
+            self.fill_element(f"{target}[0]", field, src, src_fmt, None)
+            store_count("1")
+            return
+        chosen = rng.choice(whole or arrays)
+        i = self.local("i")
+        k = self.local("k") if rng.random() < 0.5 else None
+        if k is not None:
+            self.emit(f"{k} = 0;")
+            if rng.random() < 0.5:  # what this loads must not last into the loop
+                self.fill_element(f"{target}[{k}]", field, src, src_fmt, None)
+        self.emit(f"for ({i} = 0; {i} < {length(chosen)}; {i}++) {{")
+        self.depth += 1
+        element = f"{src}.{chosen.name}[{i}]"
+        if k is not None and chosen.is_complex and rng.random() < 0.3:
+            # a look-ahead the guard keeps inside the array
+            ahead = f"{src}.{chosen.name}[{i} + 1]"
+            self.emit(
+                f"if ({i} + 1 < {length(chosen)} && "
+                f"{self.condition(ahead, chosen.subformat)}) {{"
+            )
+        elif k is not None and chosen.is_complex:
+            self.emit(f"if ({self.condition(element, chosen.subformat)}) {{")
+        elif k is not None:
+            self.emit(f"if ({i} % 2 == 0) {{")
+        if k is not None:
+            self.depth += 1
+        start = len(self.lines)
+        self.fill_element(
+            f"{target}[{k or i}]", field, src, src_fmt,
+            (element, chosen) if chosen in whole or chosen.is_complex else None,
+        )
+        if k is not None:
+            # the append counter moves at the end of the block — or in
+            # the middle of it, perhaps only sometimes, and the stores
+            # after it land one element further on
+            self.insert(start + 1, rng.choice([f"{k}++;", f"if ({i} % 3) {k}++;"]))
+            self.depth -= 1
+            self.emit("}")
+        self.depth -= 1
+        self.emit("}")
+        store_count(k or length(chosen))
+
+    def fill_element(
+        self, target: str, field: IOField, src: str, src_fmt: IOFormat,
+        element: "Optional[tuple[str, IOField]]",
+    ) -> None:
+        """One element of array *field*: from *element* ``(path, array
+        field)`` of a source array when the loop has one, else from the
+        source record itself."""
+        if element is not None and _fits(element[1], field) and (
+            not field.is_complex or self.rng.random() < 0.4
+        ):
+            if field.is_complex:  # whole-element store
+                self.store_whole(target, element[0], field.subformat)
+            else:
+                self.emit(f"{target} = {element[0]};")
+        elif not field.is_complex:
+            self.emit(
+                f"{target} = {self.value(_is_text(field), src, src_fmt, [])};"
+            )
+        elif element is not None:
+            self.fill_record(
+                target, field.subformat, element[0], element[1].subformat
+            )
+        else:
+            self.fill_record(target, field.subformat, src, src_fmt)
+
+
+def random_transform(
+    rng: random.Random, source_fmt: IOFormat, target_fmt: IOFormat
+) -> str:
+    """A random ECode transform body from *source_fmt* (``new``) to
+    *target_fmt* (``old``); see :class:`_TransformWriter` for what it is
+    made of.  Whole stores only join values of the same container
+    structure, so any record of *source_fmt* leaves ``old`` shaped like
+    *target_fmt* — what a host that compiles against both formats relies
+    on.  Loops are bounded by array lengths: every program terminates.
+    A store through ``new``, when there is one, starts its own line."""
+    writer = _TransformWriter(rng)
+    writer.fill_record("old", target_fmt, "new", source_fmt)
+    scalars = writer.scalars("new", source_fmt, text=False)
+    if scalars and rng.random() < 0.25:
+        writer.insert(0, f"{rng.choice(scalars)} = {writer.literal(text=False)};")
+    declarations = [f"int {name};" for name in writer.locals]
+    return "\n".join(declarations + writer.lines) + "\n"

@@ -17,6 +17,7 @@ from repro.check import gen
 from repro.check.corpus import entry_for_wire
 from repro.check.mutate import mutate
 from repro.ecode import compile_procedure, interpret_procedure
+from repro.ecode.runtime import AutoList
 from repro.errors import ECodeError, ReproError
 from repro.echo.protocol import (
     RESPONSE_V0,
@@ -240,7 +241,33 @@ def check_mutation(rng: random.Random, rounds: int = 4) -> "tuple[int, List[Find
 
 
 def check_ecode(rng: random.Random) -> List[Finding]:
-    source = gen.random_program(rng)
+    """One case of either arm: a scalar program (operator semantics), or
+    a transform between two formats run by all three engines."""
+    if rng.random() < 0.5:
+        source = gen.random_program(rng)
+        inputs = {
+            "a": rng.choice(gen._EDGE_LITERALS + [rng.randint(-10**6, 10**6)]),
+            "b": rng.choice([0, 1, -1, rng.randint(-10**4, 10**4)]),
+            "c": rng.randint(-100, 100),
+        }
+        return check_ecode_scalars(source, inputs)
+    if rng.random() < 0.7:
+        source_fmt, target_fmt = gen.evolved_format_pair(rng)
+    else:
+        source_fmt, target_fmt = rng.choice([
+            (RESPONSE_V2, RESPONSE_V1),
+            (RESPONSE_V1, RESPONSE_V0),
+            (RESPONSE_V1, RESPONSE_V2),
+        ])
+    program = gen.random_transform(rng, source_fmt, target_fmt)
+    record = gen.random_record(rng, source_fmt)
+    return check_ecode_records(source_fmt, target_fmt, program, record)
+
+
+def check_ecode_scalars(source: str, inputs: Dict[str, int]) -> List[Finding]:
+    """The scalar arm, shared with corpus replay: the interpreter and the
+    generated Python accept or reject *source* alike, and run on
+    ``new = inputs`` to the same value or the same error class."""
 
     def build(factory):
         try:
@@ -264,12 +291,6 @@ def check_ecode(rng: random.Random) -> List[Finding]:
         )]
     if compiled_kind == "clean":
         return []  # both rejected the program — agreement
-
-    inputs = {
-        "a": rng.choice(gen._EDGE_LITERALS + [rng.randint(-10**6, 10**6)]),
-        "b": rng.choice([0, 1, -1, rng.randint(-10**4, 10**4)]),
-        "c": rng.randint(-100, 100),
-    }
 
     def run(proc):
         new = Record(copy.deepcopy(inputs))
@@ -307,6 +328,93 @@ def check_ecode(rng: random.Random) -> List[Finding]:
     return []
 
 
+def _containers(value: Any, found: Optional[Dict[int, Any]] = None) -> Dict[int, Any]:
+    """Every record and array inside *value*, by identity."""
+    found = {} if found is None else found
+    if isinstance(value, (dict, list)):
+        found[id(value)] = value
+        for item in (value.values() if isinstance(value, dict) else value):
+            _containers(item, found)
+    return found
+
+
+def check_ecode_records(
+    source_fmt: IOFormat, target_fmt: IOFormat, program: str, record: Record
+) -> List[Finding]:
+    """The record arm, shared with corpus replay: *program* as a
+    ``source_fmt -> target_fmt`` transform under the three engines — the
+    compiler given both formats, the compiler given none, and the
+    interpreter, which is the reference.  They must build alike, end in
+    the same outcome class, return equal records and leave equal inputs
+    (the original, unless the program stores through ``new``); and what
+    the morph layer hands on holds no growable array and shares no
+    record or array with its input."""
+    spec = TransformSpec(source_fmt, target_fmt, program)
+    findings: List[Finding] = []
+
+    def flag(detail: str) -> None:
+        findings.append(Finding(oracle="ecode", detail=detail, entry={
+            "kind": "ecode", "arm": "record", "program": program,
+            "source_format": format_to_dict(source_fmt),
+            "target_format": format_to_dict(target_fmt),
+            "record": record, "detail": detail,
+            "expectation": "engines_agree",
+        }))
+
+    def build(use_codegen: bool, typed: bool) -> Transformation:
+        xform = Transformation(spec, use_codegen, validate_output=False)
+        if not typed:
+            xform.procedure = compile_procedure(program, name="untyped")
+        return xform
+
+    engines = {
+        "typed": _outcome(lambda: build(True, True)),
+        "untyped": _outcome(lambda: build(True, False)),
+        "interpreted": _outcome(lambda: build(False, True)),
+    }
+    kinds = {name: kind for name, (kind, _xform) in engines.items()}
+    if "dirty" in kinds.values() or len(set(kinds.values())) != 1:
+        flag(f"front-end divergence: {kinds}")
+        return findings
+    if kinds["typed"] == "clean":
+        return findings  # all three rejected the program — agreement
+
+    mutates = any(
+        line.lstrip().startswith("new.") for line in program.splitlines()
+    )
+    runs = {}
+    for name, (_kind, xform) in engines.items():
+        new = record.deepcopy()
+        kind, value = _outcome(lambda: xform.apply(new))
+        runs[name] = (kind, value, new)
+        if kind == "dirty":
+            flag(f"{name} leaked {type(value).__name__}: {value!r}")
+        elif kind == "ok":
+            if any(isinstance(c, AutoList) for c in _containers(value).values()):
+                flag(f"{name} output still holds a growable array")
+            if _containers(value).keys() & _containers(new).keys():
+                flag(f"{name} output shares a record or array with its input")
+        if not mutates and kind != "dirty" and not records_equal(new, record):
+            flag(f"{name} changed its input without a store through new")
+    ref_kind, ref_value, ref_new = runs["interpreted"]
+    for name in ("typed", "untyped"):
+        kind, value, new = runs[name]
+        if "dirty" in (kind, ref_kind):
+            continue
+        if kind != ref_kind:
+            flag(f"outcome divergence: {name}={kind} interpreted={ref_kind}")
+        elif kind == "clean" and type(value) is not type(ref_value):
+            flag(f"error class divergence: {name}={type(value).__name__} "
+                 f"interpreted={type(ref_value).__name__}")
+        elif kind == "ok" and not records_equal(value, ref_value):
+            flag(f"output divergence: {name}={value!r} "
+                 f"interpreted={ref_value!r}")
+        if not records_equal(new, ref_new):
+            flag(f"input divergence after the run: {name}={new!r} "
+                 f"interpreted={ref_new!r}")
+    return findings
+
+
 # ---------------------------------------------------------------------------
 # Oracle 4: fused routes vs the staged pipeline
 # ---------------------------------------------------------------------------
@@ -319,15 +427,20 @@ def check_fusion_wires(
     entry_base: Optional[Dict[str, Any]] = None,
 ) -> List[Finding]:
     """The core fusion invariant, shared with corpus replay: every wire
-    through a ``use_fusion=True`` receiver and a ``use_fusion=False``
-    receiver must end in the same outcome class (same exception type when
-    rejecting), deliver equal records, and leave equal stats snapshots."""
-    fused_rx = MorphReceiver(registry, use_fusion=True)
-    staged_rx = MorphReceiver(registry, use_fusion=False)
-    fused_out: List[Record] = []
-    staged_out: List[Record] = []
-    fused_rx.register_handler(handler_fmt, fused_out.append)
-    staged_rx.register_handler(handler_fmt, staged_out.append)
+    through a ``use_fusion=True`` receiver, a ``use_fusion=False``
+    receiver and a ``use_codegen=False`` one must end in the same outcome
+    class (same exception type when rejecting), deliver equal records,
+    and leave equal stats snapshots.  Fused and staged run the same
+    generated transform code; the interpreted receiver is the arm that
+    shares none of it."""
+    arms: Dict[str, Any] = {
+        "fused": MorphReceiver(registry, use_fusion=True),
+        "staged": MorphReceiver(registry, use_fusion=False),
+        "interpreted": MorphReceiver(registry, use_codegen=False),
+    }
+    delivered: Dict[str, List[Record]] = {name: [] for name in arms}
+    for name, receiver in arms.items():
+        receiver.register_handler(handler_fmt, delivered[name].append)
 
     findings: List[Finding] = []
 
@@ -341,45 +454,49 @@ def check_fusion_wires(
         findings.append(Finding(oracle="fusion", detail=detail, entry=entry))
 
     for index, wire in enumerate(wires):
-        fused_kind, fused_val = _outcome(lambda: fused_rx.process(wire))
-        staged_kind, staged_val = _outcome(lambda: staged_rx.process(wire))
-        for path, kind, val in (
-            ("fused", fused_kind, fused_val),
-            ("staged", staged_kind, staged_val),
-        ):
+        outcomes = {
+            name: _outcome(lambda: receiver.process(wire))
+            for name, receiver in arms.items()
+        }
+        for name, (kind, val) in outcomes.items():
             if kind == "dirty":
-                flag(f"{path} path leaked {type(val).__name__} on wire "
+                flag(f"{name} path leaked {type(val).__name__} on wire "
                      f"{index}: {val!r}")
-        if "dirty" in (fused_kind, staged_kind):
-            continue
-        if fused_kind != staged_kind:
-            flag(f"outcome divergence on wire {index}: "
-                 f"fused={fused_kind} staged={staged_kind}")
-        elif fused_kind == "clean" and type(fused_val) is not type(staged_val):
-            flag(f"exception class divergence on wire {index}: "
-                 f"fused={type(fused_val).__name__} "
-                 f"staged={type(staged_val).__name__}")
+        fused_kind, fused_val = outcomes["fused"]
+        for name in ("staged", "interpreted"):
+            kind, val = outcomes[name]
+            if "dirty" in (fused_kind, kind):
+                continue
+            if fused_kind != kind:
+                flag(f"outcome divergence on wire {index}: "
+                     f"fused={fused_kind} {name}={kind}")
+            elif fused_kind == "clean" and type(fused_val) is not type(val):
+                flag(f"exception class divergence on wire {index}: "
+                     f"fused={type(fused_val).__name__} "
+                     f"{name}={type(val).__name__}")
 
-    if len(fused_out) != len(staged_out):
-        flag(f"delivery count divergence: fused={len(fused_out)} "
-             f"staged={len(staged_out)}")
-    else:
-        for index, (fused_rec, staged_rec) in enumerate(
-            zip(fused_out, staged_out)
+    for name in ("staged", "interpreted"):
+        if len(delivered["fused"]) != len(delivered[name]):
+            flag(f"delivery count divergence: fused={len(delivered['fused'])} "
+                 f"{name}={len(delivered[name])}")
+            continue
+        for index, (fused_rec, other_rec) in enumerate(
+            zip(delivered["fused"], delivered[name])
         ):
-            if not records_equal(fused_rec, staged_rec):
+            if not records_equal(fused_rec, other_rec):
                 flag(f"delivered record {index} diverges between fused "
-                     f"and staged paths")
-    if fused_rx.stats.snapshot() != staged_rx.stats.snapshot():
-        flag(f"stats divergence: fused={fused_rx.stats.snapshot()} "
-             f"staged={staged_rx.stats.snapshot()}")
+                     f"and {name} paths")
+        if arms["fused"].stats.snapshot() != arms[name].stats.snapshot():
+            flag(f"stats divergence: fused={arms['fused'].stats.snapshot()} "
+                 f"{name}={arms[name].stats.snapshot()}")
     return findings
 
 
 def check_fusion(rng: random.Random, messages: int = 5) -> List[Finding]:
     """Generate one evolving-format scenario (an ECho transform chain or
     a random coercion-only pair), push a mixed valid/mutated wire stream
-    through fused and staged receivers, and demand exact agreement."""
+    through fused, staged and interpreted receivers, and demand exact
+    agreement."""
     if rng.random() < 0.5:
         reader_version = rng.choice(["0.0", "1.0"])
         handler_fmt = RESPONSE_V0 if reader_version == "0.0" else RESPONSE_V1

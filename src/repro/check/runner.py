@@ -39,8 +39,8 @@ BUDGET_SPLIT = {
 #: weigh it so `--budget` approximates total work, not loop iterations.
 _MORPH_CASE_WEIGHT = 10
 
-#: Each fusion case pushes a multi-message stream through two receivers
-#: (one of which compiles a route); same weighting rationale.
+#: Each fusion case pushes a multi-message stream through three
+#: receivers (one of which compiles a route); same weighting rationale.
 _FUSION_CASE_WEIGHT = 5
 
 #: Each reliability case stands up a whole middleware deployment (format
@@ -258,7 +258,7 @@ def replay_entry(entry: Dict[str, Any]) -> List[Finding]:
             fmt, wire, mutation=entry.get("mutation", "replay")
         )
     if kind == "ecode":
-        return _replay_ecode(entry["program"], entry.get("inputs"))
+        return _replay_ecode(entry)
     if kind == "fusion":
         return _replay_fusion(entry)
     if kind == "reliability":
@@ -346,47 +346,18 @@ def _replay_fusion(entry: Dict[str, Any]) -> List[Finding]:
     return oracles.check_fusion_wires(registry, handler_fmt, wires)
 
 
-def _replay_ecode(program: str, inputs: Optional[Dict[str, int]]) -> List[Finding]:
-    import copy
+def _replay_ecode(entry: Dict[str, Any]) -> List[Finding]:
+    if entry.get("arm") == "record":
+        from repro.pbio.record import Record
 
-    from repro.check.oracles import Finding as _Finding
-    from repro.ecode import compile_procedure, interpret_procedure
-    from repro.errors import ECodeError
-    from repro.pbio.record import Record
-
-    def build(factory):
-        try:
-            return "ok", factory(program)
-        except ECodeError as exc:
-            return "clean", exc
-        except Exception as exc:  # noqa: BLE001
-            return "dirty", exc
-
-    c_kind, compiled = build(compile_procedure)
-    i_kind, interp = build(interpret_procedure)
-    if c_kind != i_kind or "dirty" in (c_kind, i_kind):
-        return [_Finding("ecode", f"front-end divergence on replay: "
-                                  f"compile={c_kind} interpret={i_kind}")]
-    if c_kind == "clean":
-        return []
-    values = inputs or {"a": 0, "b": 0, "c": 0}
-
-    def run(proc):
-        new = Record(copy.deepcopy(values))
-        old = Record({"a": 0, "b": 0, "c": 0})
-        try:
-            return "ok", (proc(new, old), dict(old))
-        except ECodeError as exc:
-            return "clean", type(exc).__name__
-        except Exception as exc:  # noqa: BLE001
-            return "dirty", exc
-
-    ck, cv = run(compiled)
-    ik, iv = run(interp)
-    if "dirty" in (ck, ik) or ck != ik or (ck == "ok" and cv != iv):
-        return [_Finding("ecode", f"replay divergence: compiled=({ck}, {cv!r}) "
-                                  f"interp=({ik}, {iv!r})")]
-    return []
+        return oracles.check_ecode_records(
+            format_from_dict(entry["source_format"]),
+            format_from_dict(entry["target_format"]),
+            entry["program"], Record(entry["record"]),
+        )
+    return oracles.check_ecode_scalars(
+        entry["program"], entry.get("inputs") or {"a": 0, "b": 0, "c": 0}
+    )
 
 
 def replay_corpus(corpus: Corpus) -> Dict[str, Any]:

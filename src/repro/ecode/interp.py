@@ -16,9 +16,15 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ecode import ast
-from repro.ecode.parser import parse
-from repro.ecode.runtime import BUILTINS, c_div, c_mod, default_for_type, sizeof
-from repro.ecode.typecheck import check
+from repro.ecode.runtime import (
+    BUILTINS,
+    c_div,
+    c_mod,
+    copy_value,
+    default_for_type,
+    sizeof,
+)
+from repro.ecode.typecheck import checked_program
 from repro.errors import ECodeRuntimeError
 
 
@@ -84,7 +90,7 @@ class Interpreter:
                     default = default_for_type(stmt.type_name)
                     env.set(decl.name, [default] * decl.array_size)
                 elif decl.init is not None:
-                    env.set(decl.name, self.eval_expr(decl.init, env))
+                    env.set(decl.name, copy_value(self.eval_expr(decl.init, env)))
                 else:
                     env.set(decl.name, default_for_type(stmt.type_name))
         elif isinstance(stmt, ast.ExprStmt):
@@ -184,11 +190,11 @@ class Interpreter:
         if expr.op == "=":
             for target in reversed(chain):
                 store, _load = self._resolve_lvalue(target, env)
-                store(rhs)
+                store(copy_value(rhs))  # assignment is by value, per target
             return
         store, load = self._resolve_lvalue(expr.target, env)
         arith = expr.op[:-1]
-        store(_binary(arith, load(), rhs))
+        store(copy_value(_binary(arith, load(), rhs)))
 
     def _resolve_lvalue(
         self, expr: ast.Expr, env: _Env
@@ -337,8 +343,7 @@ def interpret_procedure(
     """Parse and check *source*, returning an interpreted callable with the
     same calling convention as
     :func:`repro.ecode.codegen.compile_procedure`."""
-    program = parse(source)
-    check(program, params)
+    program = checked_program(source, tuple(params))
     return InterpretedProcedure(name, params, source, program)
 
 

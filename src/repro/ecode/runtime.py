@@ -1,10 +1,11 @@
 """ECode runtime support.
 
 Objects and helpers the generated Python code (and the interpreter) rely
-on: C-style integer division/modulo, the builtin function table, and
-:class:`AutoList` — the auto-growing array used for transform *output*
-records, mirroring how ECode transforms write into PBIO variable arrays
-without an explicit allocation step (paper Figure 5 assigns into
+on: C-style integer division/modulo, the copy behind by-value
+assignment, the builtin function table, and :class:`AutoList` — the
+auto-growing array used for transform *output* records, mirroring how
+ECode transforms write into PBIO variable arrays without an explicit
+allocation step (paper Figure 5 assigns into
 ``old.src_list[src_count]`` with no malloc).
 """
 
@@ -44,6 +45,31 @@ class AutoList(list):
         if isinstance(index, int) and index >= len(self):
             self._grow_to(index)
         list.__setitem__(self, index, value)
+
+
+_IMMUTABLE = frozenset({int, float, str, bool, bytes, type(None)})
+
+
+def copy_value(value: Any) -> Any:
+    """The value an ECode assignment stores: ECode is C, where ``=``
+    copies, so a record or array on the right-hand side is copied at
+    every depth and the target never shares storage with its source
+    (nor, therefore, with the caller's input record).
+
+    Scalars pass through.  A record keeps its class (``Record`` stays
+    ``Record``); any array comes back as a plain ``list``, so a copied
+    :class:`AutoList` does *not* stay growable.  Both engines call this
+    on every store whose value they cannot prove scalar."""
+    cls = value.__class__
+    if cls in _IMMUTABLE:
+        return value
+    if isinstance(value, dict):
+        out = cls.__new__(cls)
+        dict.update(out, {key: copy_value(item) for key, item in value.items()})
+        return out
+    if isinstance(value, (list, tuple)):
+        return [copy_value(item) for item in value]
+    return value
 
 
 def c_div(a: Any, b: Any) -> Any:

@@ -19,9 +19,11 @@ Raises :class:`~repro.errors.ECodeTypeError` with the offending line.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set
+from functools import lru_cache
+from typing import Iterable, List, Sequence, Set, Tuple
 
 from repro.ecode import ast
+from repro.ecode.parser import parse
 from repro.ecode.runtime import BUILTINS, C_SIZEOF
 from repro.errors import ECodeTypeError
 
@@ -293,3 +295,17 @@ def check(program: ast.Program, params: Iterable[str]) -> None:
     """Run the semantic checker over *program* with the given parameter
     names predeclared."""
     SemanticChecker(list(params)).check_program(program)
+
+
+@lru_cache(maxsize=256)
+def checked_program(source: str, params: Tuple[str, ...]) -> ast.Program:
+    """Parse and check *source* once per ``(source, params)``.
+
+    The front end is most of what building a procedure costs, and route
+    planning asks for the same transform text again for every chain that
+    contains it.  Callers share the returned AST and must not mutate it
+    (:func:`repro.ecode.analyze.prune_dead_stores` builds copies).  A
+    source that fails to parse or check raises and is not remembered."""
+    program = parse(source)
+    check(program, params)
+    return program

@@ -11,9 +11,10 @@ function and compiled once.
 
 What fusion buys over the staged path:
 
-* no per-step dispatch — the chain is straight-line code,
-* intermediate records are neither frozen nor re-frozen between hops
-  (only the final record is), and no per-step obs/error plumbing runs,
+* no per-step dispatch — the chain is straight-line code, and no
+  per-step obs/error plumbing runs (every hop's output is frozen, as on
+  the staged path: specialised by format that is a ``list()`` per array
+  field, and the next hop then reads plain lists),
 * **dead-field elimination**: a backward liveness pass over the chain
   (:func:`repro.ecode.analyze.fields_used`) determines which top-level
   wire fields anything downstream actually reads, dead stores inside
@@ -41,17 +42,13 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ecode import analyze
-from repro.ecode.codegen import generate_inline
-from repro.ecode.runtime import BUILTINS, c_div, c_mod
+from repro.ecode.codegen import ECODE_ESCAPES, generate_inline, runtime_namespace
 from repro.errors import DecodeError, ECodeError, TransformError
 from repro.morph.compat import _coerce_field
-from repro.morph.transform import Transformation, _freeze, _record_factory
+from repro.morph.transform import Transformation, _record_entry, ecode_shapes
 from repro.pbio.codegen import _Emitter, _gen_decode_format, _StructTable
 from repro.pbio.format import IOFormat
 from repro.pbio.record import Record, trusted_record
-
-
-_ECODE_ESCAPES = (KeyError, IndexError, TypeError, AttributeError, ValueError)
 
 
 def _make_fail(stage: str, label: str) -> Callable[[BaseException], None]:
@@ -156,20 +153,17 @@ class FusedRoute:
     def _emit(self, order: str) -> Tuple[str, Dict[str, Any]]:
         em = _Emitter()
         structs = _StructTable(order)
-        namespace: Dict[str, Any] = {
+        namespace = runtime_namespace()
+        namespace.update({
             "_S": structs,
             "_U32": struct.Struct(order + "I"),
             "_mk": trusted_record,
             "_DecodeError": DecodeError,
             "_struct_error": struct.error,
             "_ECodeError": ECodeError,
-            "_frz": _freeze,
+            "_ecode_escapes": ECODE_ESCAPES,
             "_Record": Record,
-            "_cdiv": c_div,
-            "_cmod": c_mod,
-        }
-        for fn_name, fn in BUILTINS.items():
-            namespace[f"_fn_{fn_name}"] = fn
+        })
 
         em.emit("def _fused_route(data, off, end):")
         em.indent += 1
@@ -227,13 +221,11 @@ class FusedRoute:
             result = self._emit_steps(
                 em, namespace, chain_steps, "_chain_fail",
                 _make_fail("chain", self.label),
-                freeze=not coercion_steps,
             )
         if coercion_steps:
             result = self._emit_steps(
                 em, namespace, coercion_steps, "_coerce_fail",
                 _make_fail("coercion", self.label),
-                freeze=True,
             )
 
         # -- structural reconcile (total: no try region needed) --------
@@ -252,7 +244,6 @@ class FusedRoute:
         steps: List[Tuple[int, Transformation, "analyze.ast.Program"]],
         fail_name: str,
         fail: Callable[[BaseException], None],
-        freeze: bool,
     ) -> str:
         """Inline a run of transform steps inside one try region whose
         failures all map to *fail* (chain vs coercion stage — the
@@ -263,25 +254,23 @@ class FusedRoute:
         em.indent += 1
         for k, step, program in steps:
             out = f"_r{k + 1}"
-            factory = f"_gr{k}"
-            namespace[factory] = _record_factory(step.target)
-            em.emit(f"{out} = {factory}()")
+            namespace[f"_gr{k}"], freeze = _record_entry(step.target)
+            em.emit(f"{out} = _gr{k}()")
             rename = {"new": f"_r{k}", "old": out}
             for local in analyze.declared_names(program):
                 rename[local] = f"_s{k}_{local}"
-            em.lines.extend(generate_inline(program, rename, indent=em.indent))
-        if freeze:
-            # only the record leaving the fused pipeline is frozen; the
-            # intermediates die here and skip the staged path's per-hop
-            # freeze walk entirely
-            em.emit(f"_frz(_r{last + 1})")
+            em.lines.extend(
+                generate_inline(program, rename, em.indent, ecode_shapes(step.spec))
+            )
+            if freeze is not None:
+                namespace[f"_frz{k}"] = freeze
+                em.emit(f"_frz{k}({out})")
         em.indent -= 1
         em.emit("except _ECodeError as exc:")
         em.indent += 1
         em.emit(f"{fail_name}(exc)")
         em.indent -= 1
-        escapes = "(KeyError, IndexError, TypeError, AttributeError, ValueError)"
-        em.emit(f"except {escapes} as exc:")
+        em.emit("except _ecode_escapes as exc:")
         em.indent += 1
         em.emit(f"{fail_name}(exc)")
         em.indent -= 1

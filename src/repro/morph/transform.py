@@ -15,9 +15,9 @@ Rev 2.0 → Rev 1.0 → Rev 0.0) compose into a single
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.ecode.codegen import compile_procedure
+from repro.ecode.codegen import SCALAR, Shape, compile_procedure
 from repro.ecode.interp import interpret_procedure
 from repro.ecode.runtime import AutoList
 from repro.errors import ECodeError, FormatError, TransformError
@@ -26,13 +26,15 @@ from repro.pbio.format import IOFormat
 from repro.pbio.record import Record
 from repro.pbio.registry import TransformSpec
 
-
-_record_factories: "dict[int, Callable[[], Record]]" = {}
+#: per format id: (factory of growable default records, freeze — or None
+#: when a record of the format holds no array at any depth)
+_RecordEntry = Tuple[Callable[[], Record], Optional[Callable[[Record], None]]]
+_record_factories: "dict[int, _RecordEntry]" = {}
 
 #: Bound on the factory memo: long-running servers with churning formats
 #: (``FormatRegistry.unregister`` + re-register) must not accumulate one
-#: closure per format id forever.  Eviction is FIFO; callers that need a
-#: factory to outlive eviction (fused routes) hold their own reference.
+#: closure per format id forever.  Eviction is FIFO; callers that need an
+#: entry to outlive eviction (fused routes) hold their own reference.
 RECORD_FACTORY_CACHE_MAX = 1024
 
 
@@ -48,8 +50,14 @@ def growable_record(fmt: IOFormat) -> Record:
 
 
 def _record_factory(fmt: IOFormat) -> Callable[[], Record]:
-    factory = _record_factories.get(fmt.format_id)
-    if factory is None:
+    return _record_entry(fmt)[0]
+
+
+def _record_entry(fmt: IOFormat) -> _RecordEntry:
+    """The memoised ``(factory, freeze)`` of *fmt* (see
+    :data:`_RecordEntry`, :func:`_freezer`)."""
+    entry = _record_factories.get(fmt.format_id)
+    if entry is None:
         while len(_record_factories) >= RECORD_FACTORY_CACHE_MAX:
             _record_factories.pop(next(iter(_record_factories)))
         if all(f.is_basic and not f.is_array for f in fmt.fields):
@@ -68,14 +76,14 @@ def _record_factory(fmt: IOFormat) -> Callable[[], Record]:
                 dict.update(rec, {name: build() for name, build in builders})
                 return rec
 
-        _record_factories[fmt.format_id] = factory
+        entry = _record_factories[fmt.format_id] = (factory, _freezer(fmt))
         from repro.obs import OBS
 
         if OBS.enabled:
             OBS.metrics.gauge("morph.transform.record_factory_cache_size").set(
                 len(_record_factories)
             )
-    return factory
+    return entry
 
 
 def _field_builder(field: IOField) -> Callable[[], Any]:
@@ -104,16 +112,51 @@ def _element_factory(field: IOField) -> Callable[[], Any]:
     return lambda: value
 
 
-def _freeze(value: Any) -> Any:
-    """Convert AutoLists back to plain lists after a transform ran (the
-    factory closure should not outlive the morph)."""
-    if isinstance(value, Record):
-        for key in value:
-            dict.__setitem__(value, key, _freeze(value[key]))
-        return value
-    if isinstance(value, list):
-        return [_freeze(item) for item in value]
-    return value
+def _freezer(fmt: IOFormat) -> Optional[Callable[[Record], None]]:
+    """What turns a transform's output of *fmt* back into plain lists
+    (the growth closures should not outlive the morph), specialised by
+    the format: it looks only where the format has arrays — at a flat
+    record's array fields that is one ``list(v)`` each, and never a call
+    per element — and leaves alone whatever does not fit the format.
+    ``None`` when *fmt* has no array at any depth."""
+    #: (field, is an array, freeze of the subrecord(s) or None)
+    plan = []
+    for field in fmt.fields:
+        inner = _record_entry(field.subformat)[1] if field.is_complex else None
+        if field.is_array or inner is not None:
+            plan.append((field.name, field.is_array, inner))
+    if not plan:
+        return None
+
+    def freeze(rec: Record) -> None:
+        for name, is_array, inner in plan:
+            value = rec.get(name)
+            if not is_array:
+                if isinstance(value, dict):
+                    inner(value)
+                continue
+            if inner is not None and isinstance(value, list):
+                for element in value:
+                    if isinstance(element, dict):
+                        inner(element)
+            if value.__class__ is AutoList:
+                dict.__setitem__(rec, name, list(value))
+
+    return freeze
+
+
+def _shape(fmt: IOFormat) -> Dict[str, Shape]:
+    """*fmt* as the ECode compiler wants to hear of it."""
+    shape: Dict[str, Shape] = {}
+    for field in fmt.fields:
+        inner = _shape(field.subformat) if field.is_complex else SCALAR
+        shape[field.name] = [inner] if field.is_array else inner
+    return shape
+
+
+def ecode_shapes(spec: TransformSpec) -> Dict[str, Shape]:
+    """The shapes of a transform's ``(new, old)`` parameters."""
+    return {"new": _shape(spec.source), "old": _shape(spec.target)}
 
 
 class Transformation:
@@ -147,7 +190,9 @@ class Transformation:
         name = f"{spec.source.name}_to_{spec.target.name}"
         try:
             if use_codegen:
-                self.procedure = compile_procedure(spec.code, ("new", "old"), name)
+                self.procedure = compile_procedure(
+                    spec.code, ("new", "old"), name, shapes=ecode_shapes(spec)
+                )
             else:
                 self.procedure = interpret_procedure(spec.code, ("new", "old"), name)
         except ECodeError as exc:
@@ -167,7 +212,8 @@ class Transformation:
     def apply(self, record: Record) -> Record:
         """Run the transform: build a growable target record, execute the
         ECode with ``(new=record, old=output)``, freeze and validate."""
-        output = growable_record(self.spec.target)
+        factory, freeze = _record_entry(self.spec.target)
+        output = factory()
         try:
             self.procedure(record, output)
         except ECodeError as exc:
@@ -175,7 +221,8 @@ class Transformation:
                 f"transform {self.spec.source.name} -> {self.spec.target.name} "
                 f"failed at runtime: {exc}"
             ) from exc
-        _freeze(output)
+        if freeze is not None:
+            freeze(output)
         if self.validate_output:
             try:
                 self.spec.target.validate_record(output)

@@ -28,6 +28,14 @@ class TestDeterminism:
             random.Random(3)
         )
 
+    def test_same_seed_same_transform(self):
+        def draw(seed):
+            rng = random.Random(seed)
+            writer, reader = gen.evolved_format_pair(rng)
+            return gen.random_transform(rng, writer, reader)
+
+        assert draw(4) == draw(4)
+
 
 class TestValidity:
     def test_generated_records_validate_and_roundtrip(self):
@@ -57,6 +65,17 @@ class TestValidity:
                     return "raised"
 
             assert run(compiled) == run(interp)
+
+    def test_generated_transforms_hold_the_three_engines_together(self):
+        from repro.check.oracles import check_ecode_records
+
+        rng = random.Random(13)
+        for _ in range(40):
+            writer, reader = gen.evolved_format_pair(rng)
+            program = gen.random_transform(rng, writer, reader)
+            record = gen.random_record(rng, writer)
+            found = check_ecode_records(writer, reader, program, record)
+            assert found == [], (program, [f.detail for f in found])
 
     def test_f32_values_are_canonical(self):
         value = gen.canonical_f32(0.1)
@@ -93,6 +112,29 @@ class TestCoverage:
                     else:
                         saw_var = True
         assert saw_fixed and saw_var and saw_complex
+
+    def test_transform_space_reaches_what_a_typed_back_end_must_get_right(self):
+        from repro.echo.protocol import RESPONSE_V1, RESPONSE_V2
+
+        rng = random.Random(0)
+        programs = []
+        for _ in range(80):
+            programs.append(gen.random_transform(rng, RESPONSE_V2, RESPONSE_V1))
+            programs.append(gen.random_transform(rng, *gen.evolved_format_pair(rng)))
+        text = "\n".join(programs)
+        for needle in (
+            "for (",                       # loops over arrays
+            "++;\n",                       # an append counter ...
+            "% 3) k",                      # ... bumped only sometimes
+            "&& ",                         # a guarded look-ahead
+            "switch (",
+            "strcat(", "strlen(",          # merge, split
+            "old.member_list = new.",      # whole-array store
+            "] = new.member_list[",        # whole-element store
+            "\nnew.",                      # a store through new
+            "(old.",                       # a read of an output field
+        ):
+            assert needle in text, needle
 
     def test_tables_are_shared_with_hypothesis_strategies(self):
         # tests/strategies.py must fuzz the same space as repro.check.gen.

@@ -6,7 +6,7 @@ implementations agreeing on a third-party expectation."""
 
 import pytest
 
-from repro.ecode.codegen import compile_procedure
+from repro.ecode.codegen import SCALAR, compile_procedure
 from repro.ecode.interp import interpret_procedure
 from repro.ecode.runtime import AutoList
 from repro.errors import ECodeRuntimeError
@@ -176,6 +176,81 @@ class TestRecordInteraction:
         assert old.a.b.c == 42
 
 
+_MEMBERS = {"count": SCALAR, "member_list": [{"info": SCALAR, "ID": SCALAR}]}
+_TYPED = {"new": _MEMBERS, "old": _MEMBERS}
+
+
+class TestAssignmentIsByValue:
+    """ECode is C: ``=`` copies structs and arrays.  The transform's
+    ``new`` is the application's own record, so an alias would let a
+    write to the output reach back into it."""
+
+    ENGINES = [
+        pytest.param(compile_procedure, id="compiled"),
+        pytest.param(
+            lambda src: compile_procedure(src, shapes=_TYPED), id="typed"
+        ),
+        pytest.param(interpret_procedure, id="interpreted"),
+    ]
+
+    @staticmethod
+    def _records():
+        new = Record(
+            count=2,
+            member_list=[{"info": "a", "ID": 1}, {"info": "b", "ID": 2}],
+        )
+        blank = lambda: Record(info="", ID=0)  # noqa: E731
+        old = Record(count=0, member_list=AutoList(blank))
+        return new, old
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "old.member_list[0] = new.member_list[0]; old.member_list[0].ID = 99;",
+            "old.member_list = new.member_list; old.member_list[0].ID = 99;",
+            "old.member_list[1] = old.member_list[0] = new.member_list[0];"
+            " old.member_list[0].ID = 99; old.member_list[1].ID = 98;",
+            "int m; m = new.member_list[0]; m.ID = 99; old.member_list[0] = m;",
+            "int m = new.member_list[0]; m.ID = 99; old.member_list[0] = m;",
+        ],
+        ids=["element", "array", "chain", "local", "initialiser"],
+    )
+    def test_a_store_never_aliases_the_input(self, engine, source):
+        new, old = self._records()
+        before = new.deepcopy()
+        engine(source)(new, old)
+        assert new == before
+        assert old["member_list"][0] == {"info": "a", "ID": 99}
+        assert old["member_list"][0] is not new["member_list"][0]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_chained_targets_get_a_copy_each(self, engine):
+        new, old = self._records()
+        engine(
+            "old.member_list[1] = old.member_list[0] = new.member_list[1];"
+            " old.member_list[0].ID = 7;"
+        )(new, old)
+        assert [m["ID"] for m in old["member_list"]] == [7, 2]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_copied_array_is_not_growable(self, engine):
+        new, old = self._records()
+        with pytest.raises(ECodeRuntimeError):
+            engine(
+                "old.member_list = new.member_list; old.member_list[2].ID = 1;"
+            )(new, old)
+
+    def test_typed_scalar_stores_pay_nothing(self):
+        source = "old.member_list[0].ID = new.member_list[0].ID; old.count = 2 * 3;"
+        text = compile_procedure(source, shapes=_TYPED).python_source
+        assert "_cp(" not in text
+        # without shapes nothing proves new.member_list[0].ID scalar
+        text = compile_procedure(source).python_source
+        assert "= _cp(new['member_list'][0]['ID'])" in text
+        assert "old['count'] = (2 * 3)" in text
+
+
 class TestRuntimeErrors:
     def test_integer_division_by_zero(self):
         with pytest.raises(ECodeRuntimeError, match="division by zero"):
@@ -192,6 +267,19 @@ class TestRuntimeErrors:
             compile_procedure("return new.nothing;")(Record(), Record())
         with pytest.raises(ECodeRuntimeError):
             interpret_procedure("return new.nothing;")(Record(), Record())
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "old.a = pow(10.0, 400);",
+            "old.a = exp(1000.0);",
+            "old.a = floor(1e308 * 10.0);",
+        ],
+    )
+    def test_float_overflow_is_an_ecode_error_in_both_engines(self, source):
+        for build in (compile_procedure, interpret_procedure):
+            with pytest.raises(ECodeRuntimeError):
+                build(source)(Record(), Record(a=0))
 
     def test_wrong_arity_call(self):
         proc = compile_procedure("return 1;")

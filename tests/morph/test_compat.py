@@ -7,7 +7,7 @@ from hypothesis import given
 from repro.ecode.codegen import compile_procedure
 from repro.errors import MorphError
 from repro.morph.compat import coerce_record, generate_coercion_ecode
-from repro.morph.transform import growable_record, _freeze
+from repro.morph.transform import growable_record
 from repro.pbio.field import ArraySpec, IOField
 from repro.pbio.format import IOFormat
 from repro.pbio.record import Record, records_equal
@@ -101,8 +101,7 @@ class TestGeneratedECodeCoercion:
         proc = compile_procedure(code)
         out = growable_record(dst)
         proc(rec, out)
-        _freeze(out)
-        return out
+        return out  # arrays still growable: they compare as the lists they are
 
     def test_agrees_with_structural_coercion(self):
         rec = SRC.make_record(shared=7, dropped="x", n=3, xs=[1, 2, 3])

@@ -13,7 +13,7 @@ from repro.morph.receiver import MorphReceiver
 from repro.pbio.context import PBIOContext
 from repro.pbio.field import IOField
 from repro.pbio.format import IOFormat
-from repro.pbio.registry import FormatRegistry
+from repro.pbio.registry import FormatRegistry, TransformSpec
 
 EVT = IOFormat("DlqEvt", [IOField("n", "integer")], version="1.0")
 EVT_WIDE = IOFormat(
@@ -70,6 +70,22 @@ class TestContainment:
         (letter,) = receiver.dead_letters
         assert letter.stage == "dispatch"
         assert "application bug" in letter.error
+
+    @pytest.mark.parametrize("use_fusion", [True, False])
+    def test_float_overflow_in_a_transform_classifies_as_transform(
+        self, use_fusion
+    ):
+        # OverflowError is one of the escapes of generated ECode: a fused
+        # route that let it through raw was dead-lettered as "decode"
+        sender, receiver = make_receiver(use_fusion=use_fusion)
+        receiver.registry.register_transform(
+            TransformSpec(EVT_WIDE, EVT, "old.n = exp(1000.0) + new.n;")
+        )
+        receiver.register_handler(EVT, lambda record: record)
+        assert receiver.process(sender.encode(EVT_WIDE, {"n": 1, "pad": 0})) is None
+        assert (receiver.route_for(EVT_WIDE).fused is not None) == use_fusion
+        (letter,) = receiver.dead_letters
+        assert letter.stage == "transform"
 
     def test_healthy_traffic_flows_around_failures(self):
         sender, receiver = make_receiver()

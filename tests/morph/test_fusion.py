@@ -69,6 +69,24 @@ class TestFusedSource:
         # cached struct table, exactly like the standalone DCG decoder
         assert "_S[" in source and ".unpack_from(" in source
 
+    def test_inlined_transforms_are_compiled_against_their_formats(
+        self, echo_registry, v0, v2
+    ):
+        got = []
+        receiver = _fused_receiver(echo_registry, v0, got)
+        sender = PBIOContext(echo_registry)
+        receiver.process(sender.encode(v2, response_v2(3)))
+        source = receiver.route_for(v2).fused.source("<")
+        # each hop loads its input and output list once, ahead of its
+        # loop, stores typed scalars straight into the dict, and freezes
+        # its output (the next hop then reads a plain list)
+        # (_r1 is hop 1's output and hop 2's input)
+        for record, loads in (("_r0", 1), ("_r1", 2), ("_r2", 1)):
+            assert source.count(f"= {record}['member_list']") == loads
+        assert "_set(_r2, 'channel_id', _r1['channel_id'])" in source
+        assert "['info'] = " not in source
+        assert "_frz0(_r1)" in source and "_frz1(_r2)" in source
+
     def test_chain2_prunes_stores_into_dead_v0_fields(
         self, echo_registry, v0, v2
     ):
@@ -179,6 +197,38 @@ class TestFusedStagedParity:
         ):
             with pytest.raises(DecodeError):
                 receiver.process(bytes(truncated))
+
+    def test_reading_past_an_intermediate_array_fails_in_both(self):
+        # every hop's output is frozen on both paths: hop 2 indexing one
+        # past what hop 1 wrote must not quietly grow a default element
+        # on one of them
+        from repro.errors import TransformError
+        from repro.pbio.field import ArraySpec
+        from repro.pbio.registry import TransformSpec
+
+        xs = IOField("xs", "integer", array=ArraySpec(length_field="n"))
+        a = IOFormat("R", [IOField("n", "integer"), xs], version="2")
+        b = IOFormat(
+            "R", [IOField("n", "integer"), xs, IOField("pad", "integer")],
+            version="1",
+        )
+        c = IOFormat("R", [IOField("last", "integer")], version="0")
+        registry = FormatRegistry()
+        registry.register_transform(TransformSpec(
+            a, b,
+            "int i; old.n = new.n;"
+            " for (i = 0; i < new.n; i++) old.xs[i] = new.xs[i];",
+        ))
+        registry.register_transform(
+            TransformSpec(b, c, "old.last = new.xs[new.n];")
+        )
+        wire = PBIOContext(registry).encode(a, {"n": 2, "xs": [4, 5]})
+        for receiver in (
+            _fused_receiver(registry, c, []),
+            _staged_receiver(registry, c, []),
+        ):
+            with pytest.raises(TransformError):
+                receiver.process(wire)
 
     def test_fused_route_survives_record_factory_eviction(
         self, echo_registry, v1, v2

@@ -11,17 +11,20 @@ from repro.echo.protocol import (
     V1_TO_V2_TRANSFORM,
     V2_TO_V1_TRANSFORM,
 )
+from repro.ecode.runtime import AutoList
 from repro.errors import TransformError
+from repro.morph.receiver import MorphReceiver
 from repro.morph.transform import (
     TransformChain,
     Transformation,
     build_chain,
     growable_record,
 )
+from repro.pbio.context import PBIOContext
 from repro.pbio.field import ArraySpec, IOField
 from repro.pbio.format import IOFormat
-from repro.pbio.record import records_equal
-from repro.pbio.registry import TransformSpec
+from repro.pbio.record import Record, records_equal
+from repro.pbio.registry import FormatRegistry, TransformSpec
 
 
 class TestGrowableRecord:
@@ -119,6 +122,128 @@ class TestTransformation:
     def test_callable_protocol(self):
         xform = Transformation(V2_TO_V1_TRANSFORM)
         assert xform(response_v2(1)) == xform.apply(response_v2(1))
+
+
+class TestAssignmentIsByValue:
+    """A transform's ``new`` is the caller's record (``process_record``
+    hands the application's own in): whole-record and whole-array stores
+    must copy, in both engines."""
+
+    WHOLE_STORES = """
+    old.channel_id = new.channel_id;
+    old.member_count = new.member_count;
+    old.member_list = new.member_list;
+    old.member_list[0].ID = 99;
+    old.src_count = 1;
+    old.src_list[0] = new.member_list[1];
+    old.src_list[0].info = "rewritten";
+    """
+
+    @pytest.mark.parametrize("use_codegen", [True, False])
+    def test_output_shares_nothing_with_the_input(self, use_codegen):
+        spec = TransformSpec(RESPONSE_V0, RESPONSE_V1, self.WHOLE_STORES)
+        xform = Transformation(spec, use_codegen=use_codegen)
+        incoming = Transformation(V1_TO_V0_TRANSFORM).apply(
+            response_v1_from_v2(response_v2(3))
+        )
+        before = incoming.deepcopy()
+        out = xform.apply(incoming)
+        assert incoming == before
+        assert out["member_list"][0]["ID"] == 99
+        assert out["src_list"] == [
+            {"info": "rewritten", "ID": before["member_list"][1]["ID"]}
+        ]
+        assert type(out["member_list"]) is list and type(out["src_list"]) is list
+
+    def test_compiled_agrees_with_interpreted(self):
+        spec = TransformSpec(RESPONSE_V0, RESPONSE_V1, self.WHOLE_STORES)
+        incoming = Transformation(V1_TO_V0_TRANSFORM).apply(
+            response_v1_from_v2(response_v2(4))
+        )
+        compiled = Transformation(spec, use_codegen=True).apply(incoming)
+        interpreted = Transformation(spec, use_codegen=False).apply(incoming)
+        assert compiled == interpreted
+
+
+class TestMorphPrice:
+    """What one V2->V1 morph may cost, counted by wrapping (never timed):
+    no Python-level ``Record.__setitem__`` (typed scalar stores go
+    straight to ``dict``), one ``AutoList.__getitem__`` per output element
+    (each output path is loaded once per iteration), and a freeze that
+    makes no call per element."""
+
+    MEMBERS = 64
+
+    @pytest.fixture
+    def census(self, monkeypatch):
+        calls = {"setitem": 0, "getitem": 0}
+        record_setitem = Record.__setitem__
+        autolist_getitem = AutoList.__getitem__
+
+        def counted_setitem(self, key, value):
+            calls["setitem"] += 1
+            record_setitem(self, key, value)
+
+        def counted_getitem(self, index):
+            calls["getitem"] += 1
+            return autolist_getitem(self, index)
+
+        monkeypatch.setattr(Record, "__setitem__", counted_setitem)
+        monkeypatch.setattr(AutoList, "__getitem__", counted_getitem)
+        return calls
+
+    def _check(self, census, out, frames):
+        elements = sum(
+            len(out[name]) for name in ("member_list", "src_list", "sink_list")
+        )
+        assert elements > self.MEMBERS  # the role lists are populated
+        assert census == {"setitem": 0, "getitem": elements}
+        for name in ("member_list", "src_list", "sink_list"):
+            assert type(out[name]) is list
+        # every freeze closure is called `freeze`: the record's own call
+        # is the only one, its flat elements get none
+        assert frames.count("freeze") == 1
+
+    @staticmethod
+    def _frames(fn):
+        """Run *fn*; the names of the Python functions entered meanwhile."""
+        import sys
+
+        names = []
+
+        def profiler(frame, event, arg):
+            if event == "call":
+                names.append(frame.f_code.co_name)
+
+        sys.setprofile(profiler)
+        try:
+            result = fn()
+        finally:
+            sys.setprofile(None)
+        return result, names
+
+    def test_staged_morph(self, census):
+        xform = Transformation(V2_TO_V1_TRANSFORM, validate_output=False)
+        incoming = response_v2(self.MEMBERS)
+        census.update(setitem=0, getitem=0)  # building the input is not the morph
+        out, frames = self._frames(lambda: xform.apply(incoming))
+        self._check(census, out, frames)
+
+    def test_fused_morph(self, census):
+        registry = FormatRegistry()
+        registry.register_transform(V2_TO_V1_TRANSFORM)
+        got = []
+        receiver = MorphReceiver(registry, use_fusion=True)
+        receiver.register_handler(RESPONSE_V1, got.append)
+        wire = PBIOContext(registry).encode(
+            RESPONSE_V2, response_v2(self.MEMBERS)
+        )
+        receiver.process(wire)  # plans and compiles the route
+        assert receiver.route_for(RESPONSE_V2).fused is not None
+        census.update(setitem=0, getitem=0)
+        got.clear()
+        _, frames = self._frames(lambda: receiver.process(wire))
+        self._check(census, got[0], frames)
 
 
 class TestTransformChain:
