@@ -377,9 +377,9 @@ class BatchRow:
     """One arm of the wire-level batching figure: the same pre-encoded
     message stream pushed through a reliable endpoint pair, either one
     datagram per message (``batch_size=1``) or packed into BATCH1 frames
-    of *batch_size* messages, decoded on the receiver by
-    :meth:`~repro.morph.receiver.MorphReceiver.process_batch`'s
-    zero-copy hot path."""
+    of *batch_size* messages, which
+    :meth:`~repro.morph.receiver.MorphReceiver.process_batch` runs
+    through the receive loop as zero-copy slices of the frame."""
 
     label: str
     batch_size: int  # 1 = the unbatched arm

@@ -17,6 +17,7 @@ only brokering membership (the ECho model, not a hub-and-spoke bus).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.echo.channel import ChannelState
@@ -893,13 +894,10 @@ class EChoProcess:
         the normal dispatch as a zero-copy ``memoryview`` slice."""
         frame = unpack_batch(data)
         view = data if isinstance(data, memoryview) else memoryview(data)
-        if not OBS.enabled:
-            for off, length in frame.segments:
-                self._on_message(source, view[off:off + length])
-            return
-        with activate(frame.trace), OBS.tracer.span(
+        span = OBS.tracer.span(
             "echo.batch.receive", process=self.address, count=frame.count
-        ):
+        ) if OBS.enabled else nullcontext()
+        with activate(frame.trace), span:
             for off, length in frame.segments:
                 self._on_message(source, view[off:off + length])
 

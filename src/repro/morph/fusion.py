@@ -51,13 +51,11 @@ from repro.pbio.format import IOFormat
 from repro.pbio.record import Record, trusted_record
 
 
-def _make_fail(stage: str, label: str) -> Callable[[BaseException], None]:
+def _make_fail(label: str) -> Callable[[BaseException], None]:
     def _fail(exc: BaseException) -> None:
-        err = TransformError(
-            f"fused route {label} failed at runtime in its {stage} stage: {exc!r}"
-        )
-        err.fused_stage = stage  # type: ignore[attr-defined]
-        raise err from exc
+        raise TransformError(
+            f"fused route {label} failed at runtime in its chain stage: {exc!r}"
+        ) from exc
 
     return _fail
 
@@ -87,7 +85,7 @@ class FusedRoute:
         wire_format: IOFormat,
         wire_live: Optional[Set[str]],
         label: str,
-        steps: List[Tuple[Transformation, "analyze.ast.Program", str]],
+        steps: List[Tuple[Transformation, "analyze.ast.Program"]],
         walker_coercion: Optional[Tuple[IOFormat, IOFormat]],
     ) -> None:
         self.wire_format = wire_format
@@ -207,26 +205,8 @@ class FusedRoute:
 
         # -- inlined transform chain -----------------------------------
         result = "_r0"
-        chain_steps = [
-            (k, step, program)
-            for k, (step, program, stage) in enumerate(self._steps)
-            if stage == "chain"
-        ]
-        coercion_steps = [
-            (k, step, program)
-            for k, (step, program, stage) in enumerate(self._steps)
-            if stage == "coercion"
-        ]
-        if chain_steps:
-            result = self._emit_steps(
-                em, namespace, chain_steps, "_chain_fail",
-                _make_fail("chain", self.label),
-            )
-        if coercion_steps:
-            result = self._emit_steps(
-                em, namespace, coercion_steps, "_coerce_fail",
-                _make_fail("coercion", self.label),
-            )
+        if self._steps:
+            result = self._emit_steps(em, namespace)
 
         # -- structural reconcile (total: no try region needed) --------
         if self._walker_coercion is not None:
@@ -237,22 +217,14 @@ class FusedRoute:
         em.emit(f"return {result}, off")
         return em.source(), namespace
 
-    def _emit_steps(
-        self,
-        em: _Emitter,
-        namespace: Dict[str, Any],
-        steps: List[Tuple[int, Transformation, "analyze.ast.Program"]],
-        fail_name: str,
-        fail: Callable[[BaseException], None],
-    ) -> str:
-        """Inline a run of transform steps inside one try region whose
-        failures all map to *fail* (chain vs coercion stage — the
-        receiver's counters distinguish the two, like the staged path)."""
-        namespace[fail_name] = fail
-        last = steps[-1][0]
+    def _emit_steps(self, em: _Emitter, namespace: Dict[str, Any]) -> str:
+        """Inline the transform chain inside one try region whose
+        failures all surface as :class:`TransformError`, like a staged
+        step's."""
+        namespace["_chain_fail"] = _make_fail(self.label)
         em.emit("try:")
         em.indent += 1
-        for k, step, program in steps:
+        for k, (step, program) in enumerate(self._steps):
             out = f"_r{k + 1}"
             namespace[f"_gr{k}"], freeze = _record_entry(step.target)
             em.emit(f"{out} = _gr{k}()")
@@ -268,13 +240,13 @@ class FusedRoute:
         em.indent -= 1
         em.emit("except _ECodeError as exc:")
         em.indent += 1
-        em.emit(f"{fail_name}(exc)")
+        em.emit("_chain_fail(exc)")
         em.indent -= 1
         em.emit("except _ecode_escapes as exc:")
         em.indent += 1
-        em.emit(f"{fail_name}(exc)")
+        em.emit("_chain_fail(exc)")
         em.indent -= 1
-        return f"_r{last + 1}"
+        return f"_r{len(self._steps)}"
 
     def _emit_walker(
         self, em: _Emitter, namespace: Dict[str, Any], rec: str
@@ -322,17 +294,13 @@ def plan_fusion(route: Any) -> Optional[FusedRoute]:
     """
     if route.is_reject or route.handler_format is None:
         return None
-    transforms: List[Tuple[Transformation, str]] = []
-    if route.chain is not None:
-        transforms.extend((step, "chain") for step in route.chain.steps)
-    if route.coercion_transform is not None:
-        transforms.append((route.coercion_transform, "coercion"))
-    walker_coercion = (
-        route.coercion if route.coercion_transform is None else None
+    transforms: List[Transformation] = (
+        list(route.chain.steps) if route.chain is not None else []
     )
+    walker_coercion = route.coercion
     if not transforms and walker_coercion is None:
         return None  # plain decode + dispatch: nothing to fuse
-    for step, _stage in transforms:
+    for step in transforms:
         program = getattr(step.procedure, "program", None)
         if program is None:  # interpreter procedure: no AST-to-inline
             return None
@@ -354,8 +322,8 @@ def plan_fusion(route: Any) -> Optional[FusedRoute]:
     else:
         live_after = None  # the handler sees the record: everything live
 
-    steps: List[Tuple[Transformation, "analyze.ast.Program", str]] = []
-    for step, stage in reversed(transforms):
+    steps: List[Tuple[Transformation, "analyze.ast.Program"]] = []
+    for step in reversed(transforms):
         program = step.procedure.program
         if live_after is not None:
             program = analyze.prune_dead_stores(
@@ -366,7 +334,7 @@ def plan_fusion(route: Any) -> Optional[FusedRoute]:
                 {f.name for f in step.source.fields},
                 {f.name for f in step.target.fields},
             )
-        steps.append((step, program, stage))
+        steps.append((step, program))
         live_after = analyze.fields_used(program, "new")
     steps.reverse()
 

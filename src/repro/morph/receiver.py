@@ -28,30 +28,23 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
     Deque,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     Optional,
     Set,
     Tuple,
 )
 
-from repro.errors import (
-    MorphError,
-    NoMatchError,
-    TransformError,
-    UnknownFormatError,
-)
-from repro.morph.compat import (
-    coerce_record,
-    generate_coercion_ecode,
-    reconcile_field_stats,
-)
+from repro.errors import NoMatchError, TransformError, UnknownFormatError
+from repro.morph.compat import coerce_record, reconcile_field_stats
 from repro.obs import OBS
 from repro.obs.metrics import COUNT_BUCKETS, RATIO_BUCKETS, Handles
 from repro.obs.metrics import Registry as MetricsRegistry
@@ -62,27 +55,24 @@ from repro.morph.maxmatch import (
     max_match,
 )
 from repro.morph.fusion import FusedRoute, plan_fusion
-from repro.morph.transform import TransformChain, Transformation, build_chain
+from repro.morph.transform import TransformChain, build_chain
 from repro.obs.tracectx import activate
-from repro.pbio.buffer import (
-    FLAG_BIG_ENDIAN,
-    HEADER_SIZE,
-    peek_trace,
-    unpack_header,
-)
-from repro.pbio.codegen import make_checked_payload_decoder
+from repro.pbio.buffer import FLAG_BIG_ENDIAN, MessageHeader, unpack_header
 from repro.pbio.context import PBIOContext
 from repro.pbio.format import IOFormat
 from repro.pbio.projection import ProjectionFormat, widen_record
 from repro.pbio.record import Record
-from repro.pbio.registry import FormatRegistry, TransformSpec
+from repro.pbio.registry import FormatRegistry
 
 Handler = Callable[[Record], Any]
 DefaultHandler = Callable[[IOFormat, Record], Any]
 
+#: what stands in for a span when ``repro.obs`` is off
+_UNOBSERVED = nullcontext()
 
-#: Counter names kept by every receiver, exposed both as legacy
-#: attributes (``stats.messages``) and as ``morph.receiver.*`` metrics.
+
+#: Counter names kept by every receiver, exposed both as attributes
+#: (``stats.messages``) and as ``morph.receiver.*`` metrics.
 STAT_COUNTERS = (
     "messages",
     "cache_hits",
@@ -106,8 +96,8 @@ class ReceiverStats:
     mirrored into the global registry as well, so exporters see the
     aggregate across all receivers.
 
-    The historical attributes (``stats.messages``, ``stats.cache_hits``,
-    ...) remain readable as thin properties over the counters.
+    Each counter is also readable as an attribute (``stats.messages``,
+    ``stats.cache_hits``, ...), a thin property over the instrument.
     """
 
     __slots__ = ("registry", "_counters", "_mismatch", "_mirror")
@@ -223,14 +213,6 @@ class _Route:
     coercion: Optional[Tuple[IOFormat, IOFormat]]  # (from, to) for reconcile
     handler_format: Optional[IOFormat]  # None -> default handler / reject
     match: Optional[MatchResult] = None
-    #: when ecode_coercion is enabled and the shapes allow it, the
-    #: reconcile step runs as a DCG-compiled generated transform instead
-    #: of the structural Python walker
-    coercion_transform: Optional[Transformation] = None
-    #: top-level fields dropped / default-filled by the reconcile step,
-    #: computed once at plan time and recorded per morph by obs
-    fields_dropped: int = 0
-    fields_defaulted: int = 0
     #: whole-route fusion plan (decode + chain + reconcile compiled into
     #: one function); None keeps the route on the staged pipeline
     fused: Optional[FusedRoute] = None
@@ -240,13 +222,13 @@ class _Route:
     #: transform chain runs, since the chain's ECode was compiled against
     #: the parent's field set
     pre_coercion: Optional[Tuple[IOFormat, IOFormat]] = None
-    #: per-byte-order checked payload decoders for the batch hot path —
-    #: identity routes are never fused (there is nothing to fuse), so the
-    #: batch loop decodes them straight from the parsed header instead of
-    #: re-entering the per-message pipeline
-    payload_decoders: Dict[str, Callable[[bytes, int, int], Tuple[Record, int]]] = field(
-        default_factory=dict
-    )
+
+    def __post_init__(self) -> None:
+        #: top-level fields dropped / default-filled by the reconcile step,
+        #: computed once at plan time and recorded per morph by obs
+        self.fields_dropped, self.fields_defaulted = (
+            reconcile_field_stats(*self.coercion) if self.coercion else (0, 0)
+        )
 
     @property
     def is_reject(self) -> bool:
@@ -287,19 +269,13 @@ class MorphReceiver:
         (:func:`repro.morph.diff.weighted_diff`) instead of field counts —
         the paper's future-work refinement.  Thresholds then bound
         importance mass.
-    ecode_coercion:
-        True routes the imperfect-match reconcile step through
-        :func:`~repro.morph.compat.generate_coercion_ecode` — the fill/
-        drop mapping is emitted as ECode and DCG-compiled like any other
-        transform (falling back to the structural Python walker for
-        shapes the generator does not support, e.g. resized fixed
-        arrays).
     contain_failures:
-        True turns :meth:`process` into a total function: instead of
-        raising, failed messages (undecodable bytes, unknown formats,
-        broken transforms, rejected matches, handler exceptions) land in
-        a bounded **dead-letter queue** with the raw bytes and error
-        attached, and :meth:`process` returns ``None``.  A format id
+        True turns :meth:`process` and :meth:`process_batch` into total
+        functions: instead of raising, a failed message (undecodable
+        bytes, unknown format, broken transform, rejected match, handler
+        exception) lands in a bounded **dead-letter queue** with the raw
+        bytes and error attached, its result is ``None``, and the rest of
+        its frame still delivers.  A format id
         failing *quarantine_threshold* consecutive times is
         **quarantined**: its messages are counted and dropped at the
         header peek, so poison traffic stops paying pipeline costs.
@@ -330,7 +306,6 @@ class MorphReceiver:
         use_codegen: bool = True,
         validate_transforms: bool = False,
         weighted: bool = False,
-        ecode_coercion: bool = False,
         use_fusion: Optional[bool] = None,
         contain_failures: bool = False,
         dlq_limit: int = 64,
@@ -343,7 +318,6 @@ class MorphReceiver:
         self.use_codegen = use_codegen
         self.validate_transforms = validate_transforms
         self.weighted = weighted
-        self.ecode_coercion = ecode_coercion
         if use_fusion is None:
             use_fusion = self.DEFAULT_USE_FUSION
         self.use_fusion = use_fusion and use_codegen and not validate_transforms
@@ -359,10 +333,6 @@ class MorphReceiver:
         self._dead_letters: Deque[DeadLetter] = deque(maxlen=dlq_limit)
         self._quarantined: Set[int] = set()
         self._failure_counts: Dict[int, int] = {}
-        #: "dispatch" while a handler runs; lets containment attribute a
-        #: generic exception to the handler rather than the pipeline
-        self._stage = "pipeline"
-        self._retrying = False
         self.containment = {
             "dead_lettered": 0,
             "evicted": 0,
@@ -403,37 +373,29 @@ class MorphReceiver:
     # ------------------------------------------------------------------
 
     def process(self, data: bytes) -> Any:
-        """Process one wire message; returns whatever the handler returns.
+        """Process one wire message — a frame of one; returns whatever
+        the handler returns.
 
         Raises :class:`UnknownFormatError` for unregistered wire ids and
         :class:`NoMatchError` for rejected messages when no default
         handler is installed — unless ``contain_failures`` is set, in
         which case failures dead-letter and ``None`` is returned."""
-        if self.contain_failures:
-            return self._process_contained(data)
-        if not OBS.enabled:
-            return self._process(data)
-        # re-activate the wire-carried trace context (a no-op for
-        # untraced messages) so standalone receivers — and replays from
-        # queues where the publishing call stack is gone — still join
-        # the message's distributed trace
-        with activate(peek_trace(data)), OBS.tracer.span("morph.process"):
-            return self._process(data)
+        return self._receive((data,))[0]
 
     def process_batch(self, data: bytes) -> List[Any]:
         """Process one BATCH1 frame (:mod:`repro.net.batch`): validate
         the frame once, activate its frame-level trace context once, then
-        run every contained message through :meth:`process` as a
-        zero-copy ``memoryview`` slice of the shared receive buffer.
+        run every contained message — a zero-copy ``memoryview`` slice of
+        the shared receive buffer — through the loop :meth:`process` runs
+        for its frame of one.
 
-        Containment is per *message*: with ``contain_failures`` set, a
-        poisoned message dead-letters alone (its raw bytes are copied out
-        of the shared buffer) and the rest of the batch still delivers.
-        A malformed *frame* dead-letters whole — there is no trustworthy
-        way to split it.  Without containment the first failure raises,
-        exactly like :meth:`process`.
+        Containment is per *message*, as it is there: a poisoned message
+        dead-letters alone and the rest of the frame still delivers.  A
+        malformed *frame* dead-letters whole — there is no trustworthy
+        way to split it.  Without containment the first failure raises.
 
         Returns the per-message handler results, in wire order."""
+        # at call time: benchmarks/e2e/trace.py counts frames by patching it
         from repro.net.batch import unpack_batch
 
         try:
@@ -443,152 +405,249 @@ class MorphReceiver:
                 self._dead_letter(data, None, "decode", exc)
                 return []
             raise
-        view = data if isinstance(data, memoryview) else memoryview(data)
-        # one trace splice per frame: activate(None) is a passthrough, so
-        # the frame context survives each message's own (trace-less)
-        # activate in process()
-        if not self.contain_failures and not OBS.enabled:
-            with activate(frame.trace):
-                return self._process_batch_fast(view, frame.segments)
-        results: List[Any] = []
+        view = memoryview(data)
+        # one trace splice per frame: a message without a block of its
+        # own keeps the frame's context (activate(None) is a passthrough)
         with activate(frame.trace):
-            for off, length in frame.segments:
-                results.append(self.process(view[off:off + length]))
-        return results
+            return self._receive(
+                [view[off:off + length] for off, length in frame.segments]
+            )
 
-    def _process_batch_fast(
-        self, view: memoryview, segments: Tuple[Tuple[int, int], ...]
+    def _receive(
+        self, segments: Iterable[bytes], retrying: bool = False
     ) -> List[Any]:
-        """The zero-copy decode hot path: successive records are decoded
-        straight out of the shared frame buffer through each format's
-        cached fused routine — or, for routes with nothing to fuse
-        (identity traffic), a cached checked payload decoder driven by
-        the already-parsed header — with the per-message wrapper work
-        (route lookup, stat increments) hoisted out of the loop.  Counter
-        totals stay identical to running :meth:`process` per message —
-        the batching differential oracle depends on that.  Segments whose
-        route is cold or rejecting, or interpretive-decode receivers
-        (``use_codegen=False``), fall back to the normal per-message
-        pipeline."""
-        results: List[Any] = []
+        """Algorithm 2 over the segments of one frame — the one receive
+        loop.  Per segment: parse the header (once), drop quarantined
+        traffic at that peek, read the cached route — planned on a miss,
+        and read per segment, never per run: a handler may register a
+        better format in the middle of a frame — run the route's one
+        decode step, dispatch.
+
+        Containment is this loop's ``except``: the failed segment is
+        dead-lettered (its bytes copied out of the shared buffer only
+        now) under the stage it had reached — a local, so a handler that
+        re-enters the receiver cannot move it — its result is ``None``
+        and the loop goes on; without ``contain_failures`` the same
+        ``except`` re-raises.  *retrying* (:meth:`retry_dead_letters`)
+        bypasses the quarantine.  Observation wraps the same calls in
+        spans and selects nothing.  The per-message counters are tallied
+        in locals and flushed when the frame ends, however it ends."""
+        contain = self.contain_failures
+        # the live set (a format quarantined mid-frame is dropped from the
+        # next segment on); nothing is quarantined for a retry
+        quarantined = self._quarantined if contain and not retrying else ()
+        observing = OBS.enabled
         routes = self._routes
-        handlers = self._handlers
-        stats = self.stats
-        use_codegen = self.use_codegen
-        fast = morphed = reconciled = perfect = 0
-        last_id = -1
-        route: Optional[_Route] = None
+        results: List[Any] = []
+        messages = hits = morphed = reconciled = perfect = 0
         try:
-            for off, length in segments:
-                seg = view[off:off + length]
+            for data in segments:
+                format_id: Optional[int] = None
+                stage = "decode"
                 try:
-                    header = unpack_header(seg)
-                except Exception:
-                    # _process counts a message before parsing its header
-                    stats.inc("messages")
-                    raise
-                if header.format_id != last_id:
-                    last_id = header.format_id
-                    route = routes.get(last_id)
-                if route is None or route.is_reject:
-                    results.append(self._process(seg))
-                    continue
-                order = ">" if header.flags & FLAG_BIG_ENDIAN else "<"
-                fused = route.fused
-                fn = fused.fn_for(order) if fused is not None else None
-                if fn is None and not use_codegen:
-                    results.append(self._process(seg))
-                    continue
-                # committed to the fast path: messages/cache_hits count
-                # even if decode fails, exactly like _process
-                fast += 1
-                body = header.body_offset
-                end = body + header.payload_length
-                if fn is not None:
-                    try:
-                        record, _consumed = fn(seg, body, end)
-                    except TransformError as exc:
-                        # mirror _run_fused: a chain that completed before
-                        # a failing reconcile still counts as morphed
-                        if (
-                            getattr(exc, "fused_stage", None) == "coercion"
-                            and route.chain is not None
-                        ):
+                    header = unpack_header(data)
+                    format_id = header.format_id
+                    if format_id in quarantined:
+                        self.containment["quarantine_drops"] += 1
+                        if observing:
+                            self._obs.quarantine_drops().inc()
+                        results.append(None)
+                        continue
+                    messages += 1
+                    if observing:
+                        # under the message's own trace context (None, a
+                        # passthrough, if untraced): a standalone receiver,
+                        # or a retry of the raw bytes, still joins its trace
+                        context = activate(header.trace)
+                        span = OBS.tracer.span("morph.process")
+                    else:
+                        context = span = _UNOBSERVED
+                    with context, span:
+                        route = routes.get(format_id)
+                        if route is not None:
+                            hits += 1
+                        else:
+                            incoming = self.registry.lookup_id(format_id)
+                            if incoming is None:
+                                raise UnknownFormatError(format_id)
+                            self.stats.inc("cache_misses")
+                            route = self._planned(incoming)
+                        record = self._decode(route, header, data, observing)
+                        if route.chain is not None:
                             morphed += 1
+                        if route.coercion is not None:
+                            reconciled += 1
+                        elif route.handler_format is not None:
+                            perfect += 1
+                        stage = "dispatch"
+                        results.append(self._dispatch(route, record, observing))
+                except Exception as exc:  # noqa: BLE001 - defined containment
+                    if not contain:
                         raise
-                    if route.chain is not None:
-                        morphed += 1
-                else:
-                    dec = route.payload_decoders.get(order)
-                    if dec is None:
-                        dec = make_checked_payload_decoder(
-                            route.wire_format, order
-                        )
-                        route.payload_decoders[order] = dec
-                    record, _consumed = dec(seg, body, end)
-                    if route.pre_coercion is not None:
-                        record = widen_record(*route.pre_coercion, record)
-                        if OBS.enabled:
-                            self._obs.widened().inc()
-                    if route.chain is not None:
-                        record = route.chain.apply(record)
-                        morphed += 1
-                    if route.coercion is not None:
-                        record = self._reconcile(route, record)
-                if route.coercion is not None:
-                    reconciled += 1
-                else:
-                    perfect += 1
-                results.append(
-                    self._invoke(handlers[route.handler_format.format_id], record)
-                )
+                    if isinstance(exc, UnknownFormatError):
+                        stage = "unknown_format"
+                    elif isinstance(exc, NoMatchError):
+                        stage = "no_match"
+                    elif isinstance(exc, TransformError):
+                        stage = "transform"
+                    self._dead_letter(data, format_id, stage, exc)
+                    results.append(None)
         finally:
-            if fast:
-                stats.inc("messages", fast)
-                stats.inc("cache_hits", fast)
-                if morphed:
-                    stats.inc("morphed", morphed)
-                if reconciled:
-                    stats.inc("reconciled", reconciled)
-                if perfect:
-                    stats.inc("perfect_matches", perfect)
+            # zeroes skipped: obs must not see a counter nothing was added to
+            inc = self.stats.inc
+            if messages:
+                inc("messages", messages)
+            if hits:
+                inc("cache_hits", hits)
+            if morphed:
+                inc("morphed", morphed)
+            if reconciled:
+                inc("reconciled", reconciled)
+            if perfect:
+                inc("perfect_matches", perfect)
         return results
 
-    def _process_contained(self, data: bytes) -> Any:
-        """Total-function variant of :meth:`process`: classify failures
-        by pipeline stage, dead-letter the message, quarantine repeat
-        offenders — and never raise into the transport."""
-        try:
-            format_id: Optional[int] = unpack_header(data).format_id
-        except Exception as exc:  # noqa: BLE001 - malformed header
-            self._dead_letter(data, None, "decode", exc)
-            return None
-        if format_id in self._quarantined and not self._retrying:
-            self.containment["quarantine_drops"] += 1
-            if OBS.enabled:
-                self._obs.quarantine_drops().inc()
-            return None
-        self._stage = "pipeline"
-        try:
-            if not OBS.enabled:
-                return self._process(data)
-            # the DLQ keeps the raw wire bytes, so a retry_dead_letters
-            # pass re-enters here with the original trace block intact —
-            # the retry's spans resume the original trace
-            with activate(peek_trace(data)), OBS.tracer.span("morph.process"):
-                return self._process(data)
-        except UnknownFormatError as exc:
-            self._dead_letter(data, format_id, "unknown_format", exc)
-        except NoMatchError as exc:
-            self._dead_letter(data, format_id, "no_match", exc)
-        except TransformError as exc:
-            self._dead_letter(data, format_id, "transform", exc)
-        except Exception as exc:  # noqa: BLE001 - defined containment
-            stage = "dispatch" if self._stage == "dispatch" else "decode"
-            self._dead_letter(data, format_id, stage, exc)
-        finally:
-            self._stage = "pipeline"
-        return None
+    def process_record(self, fmt: IOFormat, record: Record) -> Any:
+        """Process an already-decoded record (used when the transport
+        delivers in-process without a wire hop): the staged steps and the
+        dispatch tail of :meth:`process`, without its decode.  There are
+        no wire bytes to dead-letter, so a failure raises even on a
+        ``contain_failures`` receiver."""
+        self.stats.inc("messages")
+        self.registry.register(fmt)
+        route = self._routes.get(fmt.format_id)
+        if route is not None:
+            self.stats.inc("cache_hits")
+        else:
+            self.stats.inc("cache_misses")
+            route = self._planned(fmt)
+        observing = OBS.enabled
+        record = self._morph(route, record, observing)
+        if route.chain is not None:
+            self.stats.inc("morphed")
+        if route.coercion is not None:
+            self.stats.inc("reconciled")
+        elif not route.is_reject:
+            self.stats.inc("perfect_matches")
+        return self._dispatch(route, record, observing)
+
+    def _planned(self, fmt: IOFormat) -> _Route:
+        """The cached route for *fmt*, planned on a miss.  The cache
+        evicts its oldest entry once full (FIFO: route planning is cheap
+        relative to holding compiled routines for formats that stopped
+        arriving)."""
+        with self._lock:
+            route = self._routes.get(fmt.format_id)
+            if route is None:
+                route = self._plan_route(fmt)
+                while len(self._routes) >= self.MAX_ROUTES:
+                    self._routes.pop(next(iter(self._routes)))
+                self._routes[fmt.format_id] = route
+                self.stats.set_route_cache_size(len(self._routes))
+            return route
+
+    # ------------------------------------------------------------------
+    # Route execution (the cheap, per-message part)
+    # ------------------------------------------------------------------
+
+    def _decode(
+        self, route: _Route, header: MessageHeader, data: bytes, observing: bool
+    ) -> Record:
+        """The route's one decode step, from wire bytes to the record its
+        handler takes: the fused routine compiled for the payload's byte
+        order, else ``PBIOContext.decode_as`` and the staged steps."""
+        fused = route.fused
+        fn = None if fused is None else fused.fn_for(
+            ">" if header.flags & FLAG_BIG_ENDIAN else "<"
+        )
+        if fn is None:
+            if observing:
+                self._obs.staged_messages().inc()
+            record = self.context.decode_as(route.wire_format, data)
+            return self._morph(route, record, observing)
+        body = header.body_offset
+        end = body + header.payload_length
+        if not observing:
+            return fn(data, body, end)[0]
+        wire_format = route.wire_format
+        self._obs.fused_messages().inc()
+        with OBS.tracer.span(
+            "morph.fused", format=wire_format.name, version=wire_format.version
+        ) as active:
+            record = fn(data, body, end)[0]
+        self._obs.fused_seconds().observe(active.span.duration)
+        if route.chain is not None:
+            # identical labeled counter to the staged path, so the
+            # fused/staged differential oracle sees no divergence
+            self._obs.transform_applied(wire_format.name).inc()
+        return record
+
+    def _morph(self, route: _Route, record: Record, observing: bool) -> Record:
+        """The staged pipeline after decode, one pass each: widen a
+        projected record, run the transform chain, reconcile (what a
+        fused route compiles into its decode)."""
+        if route.pre_coercion is not None:
+            record = widen_record(*route.pre_coercion, record)
+            if observing:
+                self._obs.widened().inc()
+        chain = route.chain
+        if chain is not None:
+            if observing:
+                with OBS.tracer.span(
+                    "morph.transform",
+                    source=route.wire_format.version,
+                    target=chain.target.version,
+                    steps=len(chain),
+                ) as active:
+                    record = chain.apply(record)
+                self._obs.transform_seconds().observe(active.span.duration)
+                self._obs.transform_applied(route.wire_format.name).inc()
+            else:
+                record = chain.apply(record)
+        if route.coercion is not None:
+            if observing:
+                with OBS.tracer.span(
+                    "morph.reconcile",
+                    dropped=route.fields_dropped,
+                    defaulted=route.fields_defaulted,
+                ):
+                    record = coerce_record(*route.coercion, record)
+                self._obs.fields_dropped().observe(route.fields_dropped)
+                self._obs.fields_defaulted().observe(route.fields_defaulted)
+            else:
+                record = coerce_record(*route.coercion, record)
+        return record
+
+    def _dispatch(self, route: _Route, record: Record, observing: bool) -> Any:
+        """The tail every entry point ends in: hand *record* to the
+        handler of the route's matched format — or, for a message no
+        match admits, to the default handler (``NoMatchError`` without
+        one)."""
+        handler_format = route.handler_format
+        if handler_format is None:
+            self.stats.inc("rejected")
+            if self._default_handler is None:
+                raise NoMatchError(
+                    f"no acceptable match for incoming format "
+                    f"{route.wire_format.name!r} v{route.wire_format.version} "
+                    f"(diff_threshold={self.diff_threshold}, "
+                    f"mismatch_threshold={self.mismatch_threshold})"
+                )
+            return self._default_handler(route.wire_format, record)
+        handler = self._handlers[handler_format.format_id]
+        if not observing:
+            return handler(record)
+        self._obs.dispatch_delivered(handler_format.name).inc()
+        with OBS.tracer.span(
+            "morph.dispatch",
+            format=handler_format.name,
+            version=handler_format.version,
+        ):
+            return handler(record)
+
+    # ------------------------------------------------------------------
+    # Containment: dead-letter queue, quarantine, retry
+    # ------------------------------------------------------------------
 
     def _dead_letter(
         self,
@@ -639,10 +698,6 @@ class MorphReceiver:
                         "morph.receiver.quarantined_formats"
                     ).inc()
 
-    # ------------------------------------------------------------------
-    # Dead-letter queue / quarantine introspection and retry
-    # ------------------------------------------------------------------
-
     @property
     def dead_letters(self) -> List[DeadLetter]:
         """A snapshot of the dead-letter queue, oldest first."""
@@ -684,20 +739,16 @@ class MorphReceiver:
                     self._failure_counts.pop(entry.format_id, None)
         succeeded = 0
         requeued = 0
-        self._retrying = True
-        try:
-            for entry in entries:
-                depth_before = len(self._dead_letters)
-                self._process_contained(entry.data)
-                if len(self._dead_letters) > depth_before:
-                    self._dead_letters[-1].attempts = entry.attempts + 1
-                    requeued += 1
-                    self.containment["retry_failures"] += 1
-                else:
-                    succeeded += 1
-                    self.containment["retried"] += 1
-        finally:
-            self._retrying = False
+        for entry in entries:
+            depth_before = len(self._dead_letters)
+            self._receive((entry.data,), retrying=True)
+            if len(self._dead_letters) > depth_before:
+                self._dead_letters[-1].attempts = entry.attempts + 1
+                requeued += 1
+                self.containment["retry_failures"] += 1
+            else:
+                succeeded += 1
+                self.containment["retried"] += 1
         if OBS.enabled and entries:
             OBS.metrics.counter("morph.receiver.dlq_retried").inc(succeeded)
             OBS.metrics.counter("morph.receiver.dlq_requeued").inc(requeued)
@@ -717,56 +768,6 @@ class MorphReceiver:
                 if chain[-1].target.format_id in self._handlers:
                     return True
         return False
-
-    def _process(self, data: bytes) -> Any:
-        self.stats.inc("messages")
-        header = unpack_header(data)
-        format_id = header.format_id
-        route = self._routes.get(format_id)
-        if route is not None:
-            self.stats.inc("cache_hits")
-        else:
-            incoming = self.registry.lookup_id(format_id)
-            if incoming is None:
-                raise UnknownFormatError(format_id)
-            self.stats.inc("cache_misses")
-            with self._lock:
-                route = self._routes.get(format_id)
-                if route is None:
-                    route = self._plan_route(incoming)
-                    self._cache_route(format_id, route)
-        if route.fused is not None:
-            order = ">" if header.flags & FLAG_BIG_ENDIAN else "<"
-            fn = route.fused.fn_for(order)
-            if fn is not None:
-                return self._run_fused(route, fn, data, header)
-        return self._run_route(route, data)
-
-    def process_record(self, fmt: IOFormat, record: Record) -> Any:
-        """Process an already-decoded record (used when the transport
-        delivers in-process without a wire hop)."""
-        self.stats.inc("messages")
-        self.registry.register(fmt)
-        route = self._routes.get(fmt.format_id)
-        if route is not None:
-            self.stats.inc("cache_hits")
-        else:
-            self.stats.inc("cache_misses")
-            with self._lock:
-                route = self._routes.get(fmt.format_id)
-                if route is None:
-                    route = self._plan_route(fmt)
-                    self._cache_route(fmt.format_id, route)
-        return self._deliver(route, record)
-
-    def _cache_route(self, format_id: int, route: _Route) -> None:
-        """Insert under ``self._lock``, evicting the oldest entry once the
-        cache is full (FIFO: route planning is cheap relative to holding
-        compiled routines for formats that stopped arriving)."""
-        while len(self._routes) >= self.MAX_ROUTES:
-            self._routes.pop(next(iter(self._routes)))
-        self._routes[format_id] = route
-        self.stats.set_route_cache_size(len(self._routes))
 
     # ------------------------------------------------------------------
     # Route planning (the expensive, once-per-format part)
@@ -815,11 +816,7 @@ class MorphReceiver:
         parent = self.registry.lookup_id(incoming.parent_format_id)
         if parent is None or parent.format_id == incoming.format_id:
             return None
-        with self._lock:
-            parent_route = self._routes.get(parent.format_id)
-            if parent_route is None:
-                parent_route = self._plan_route(parent)
-                self._cache_route(parent.format_id, parent_route)
+        parent_route = self._planned(parent)
         if parent_route.is_reject:
             return None
         fused = parent_route.fused
@@ -841,9 +838,6 @@ class MorphReceiver:
             coercion=parent_route.coercion,
             handler_format=parent_route.handler_format,
             match=parent_route.match,
-            coercion_transform=parent_route.coercion_transform,
-            fields_dropped=parent_route.fields_dropped,
-            fields_defaulted=parent_route.fields_defaulted,
             pre_coercion=(incoming, parent),
         )
 
@@ -874,18 +868,12 @@ class MorphReceiver:
                 # perfect structural match but a different declaration
                 # (e.g. widened scalar sizes): reshape field-by-field
                 coercion = (incoming, direct.f2)
-            dropped, defaulted = (
-                reconcile_field_stats(*coercion) if coercion else (0, 0)
-            )
             return _Route(
                 wire_format=incoming,
                 chain=None,
                 coercion=coercion,
                 handler_format=direct.f2,
                 match=direct,
-                coercion_transform=self._coercion_transform(coercion),
-                fields_dropped=dropped,
-                fields_defaulted=defaulted,
             )
         # Line 16: MaxMatch(Ft, Fr) over the transform closure.  A chain
         # whose writer-supplied ECode fails to compile is dropped from the
@@ -930,178 +918,13 @@ class MorphReceiver:
             coercion = None
             if not best.is_perfect or best.f1.format_id != best.f2.format_id:
                 coercion = (best.f1, best.f2)
-            dropped, defaulted = (
-                reconcile_field_stats(*coercion) if coercion else (0, 0)
-            )
             return _Route(
                 wire_format=incoming,
                 chain=chain,
                 coercion=coercion,
                 handler_format=best.f2,
                 match=best,
-                coercion_transform=self._coercion_transform(coercion),
-                fields_dropped=dropped,
-                fields_defaulted=defaulted,
             )
-
-    def _coercion_transform(
-        self, coercion: Optional[Tuple[IOFormat, IOFormat]]
-    ) -> Optional[Transformation]:
-        """When enabled, compile the structural reconcile mapping as
-        generated ECode (None -> fall back to the Python walker)."""
-        if coercion is None or not self.ecode_coercion:
-            return None
-        src_fmt, dst_fmt = coercion
-        try:
-            code = generate_coercion_ecode(src_fmt, dst_fmt)
-            return Transformation(
-                TransformSpec(source=src_fmt, target=dst_fmt, code=code,
-                              description="auto-generated reconcile"),
-                use_codegen=self.use_codegen,
-                validate_output=self.validate_transforms,
-            )
-        except (MorphError, TransformError):
-            return None
-
-    # ------------------------------------------------------------------
-    # Route execution (the cheap, per-message part)
-    # ------------------------------------------------------------------
-
-    def _run_route(self, route: _Route, data: bytes) -> Any:
-        if OBS.enabled:
-            self._obs.staged_messages().inc()
-        record = self.context.decode_as(route.wire_format, data)
-        return self._deliver(route, record)
-
-    def _run_fused(
-        self,
-        route: _Route,
-        fn: Callable[[bytes, int, int], Tuple[Record, int]],
-        data: bytes,
-        header: Any,
-    ) -> Any:
-        """Execute one message through the fused routine, keeping counter
-        effects identical to the staged pipeline: ``morphed`` counts a
-        chain that ran to completion (including when a subsequent ecode
-        reconcile step fails), ``reconciled``/``perfect_matches`` count
-        deliveries."""
-        body = header.body_offset
-        end = body + header.payload_length
-        observing = OBS.enabled
-        try:
-            if observing:
-                self._obs.fused_messages().inc()
-                with OBS.tracer.span(
-                    "morph.fused",
-                    format=route.wire_format.name,
-                    version=route.wire_format.version,
-                ) as active:
-                    record, _consumed = fn(data, body, end)
-                self._obs.fused_seconds().observe(active.span.duration)
-            else:
-                record, _consumed = fn(data, body, end)
-        except TransformError as exc:
-            if (
-                getattr(exc, "fused_stage", None) == "coercion"
-                and route.chain is not None
-            ):
-                # the staged path counts the chain before reconciling
-                self.stats.inc("morphed")
-            raise
-        if route.chain is not None:
-            self.stats.inc("morphed")
-            if observing:
-                # identical labeled counter to the staged path, so the
-                # fused/staged differential oracle sees no divergence
-                self._obs.transform_applied(route.wire_format.name).inc()
-        if route.coercion is not None:
-            self.stats.inc("reconciled")
-        else:
-            self.stats.inc("perfect_matches")
-        handler_format = route.handler_format
-        assert handler_format is not None
-        handler = self._handlers[handler_format.format_id]
-        if observing:
-            self._obs.dispatch_delivered(handler_format.name).inc()
-            with OBS.tracer.span(
-                "morph.dispatch",
-                format=handler_format.name,
-                version=handler_format.version,
-            ):
-                return self._invoke(handler, record)
-        return self._invoke(handler, record)
-
-    def _invoke(self, handler: Handler, record: Record) -> Any:
-        """Run the application handler with the containment stage marked,
-        so a handler exception dead-letters as ``dispatch``, not as a
-        pipeline failure."""
-        self._stage = "dispatch"
-        return handler(record)
-
-    def _deliver(self, route: _Route, record: Record) -> Any:
-        if route.is_reject:
-            self.stats.inc("rejected")
-            if self._default_handler is not None:
-                self._stage = "dispatch"
-                return self._default_handler(route.wire_format, record)
-            raise NoMatchError(
-                f"no acceptable match for incoming format "
-                f"{route.wire_format.name!r} v{route.wire_format.version} "
-                f"(diff_threshold={self.diff_threshold}, "
-                f"mismatch_threshold={self.mismatch_threshold})"
-            )
-        observing = OBS.enabled
-        if route.pre_coercion is not None:
-            record = widen_record(*route.pre_coercion, record)
-            if observing:
-                self._obs.widened().inc()
-        if route.chain is not None:
-            if observing:
-                with OBS.tracer.span(
-                    "morph.transform",
-                    source=route.wire_format.version,
-                    target=route.chain.target.version,
-                    steps=len(route.chain),
-                ) as active:
-                    record = route.chain.apply(record)
-                self._obs.transform_seconds().observe(active.span.duration)
-                self._obs.transform_applied(route.wire_format.name).inc()
-            else:
-                record = route.chain.apply(record)
-            self.stats.inc("morphed")
-        if route.coercion is not None:
-            if observing:
-                with OBS.tracer.span(
-                    "morph.reconcile",
-                    dropped=route.fields_dropped,
-                    defaulted=route.fields_defaulted,
-                ):
-                    record = self._reconcile(route, record)
-                self._obs.fields_dropped().observe(route.fields_dropped)
-                self._obs.fields_defaulted().observe(route.fields_defaulted)
-            else:
-                record = self._reconcile(route, record)
-            self.stats.inc("reconciled")
-        else:
-            self.stats.inc("perfect_matches")
-        handler_format = route.handler_format
-        assert handler_format is not None
-        handler = self._handlers[handler_format.format_id]
-        if observing:
-            self._obs.dispatch_delivered(handler_format.name).inc()
-            with OBS.tracer.span(
-                "morph.dispatch",
-                format=handler_format.name,
-                version=handler_format.version,
-            ):
-                return self._invoke(handler, record)
-        return self._invoke(handler, record)
-
-    def _reconcile(self, route: _Route, record: Record) -> Record:
-        if route.coercion_transform is not None:
-            return route.coercion_transform.apply(record)
-        src_fmt, dst_fmt = route.coercion  # type: ignore[misc]
-        return coerce_record(src_fmt, dst_fmt, record)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1121,12 +944,9 @@ class MorphReceiver:
         without a provable liveness set (rejects, identity dispatch,
         interpreter chains, fusion disabled) conservatively reports
         ``None``, which negotiates full-format traffic."""
-        with self._lock:
-            route = self._routes.get(fmt.format_id)
-            if route is None:
-                self.registry.register(fmt)
-                route = self._plan_route(fmt)
-                self._cache_route(fmt.format_id, route)
+        if fmt.format_id not in self._routes:
+            self.registry.register(fmt)
+        route = self._planned(fmt)
         if route.is_reject:
             return None
         fused = route.fused

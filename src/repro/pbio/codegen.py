@@ -397,39 +397,6 @@ def make_payload_decoder(
     return namespace["_decode"]
 
 
-def make_checked_payload_decoder(
-    fmt: IOFormat, order: str = "<"
-) -> Callable[[bytes, int, int], Tuple[Record, int]]:
-    """A :func:`make_payload_decoder` routine wrapped with the full
-    decoder's error mapping and trailing-bytes validation, still taking
-    ``(data, off, end)`` and returning ``(record, consumed_offset)`` —
-    the zero-copy entry point for batch receivers that have already
-    parsed the message header themselves."""
-    payload_decoder = make_payload_decoder(fmt, order)
-
-    def decode(data: bytes, start: int, end: int) -> Tuple[Record, int]:
-        try:
-            record, off = payload_decoder(data, start, end)
-        except struct.error as exc:
-            raise DecodeError(f"truncated message for {fmt.name!r}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise DecodeError(
-                f"invalid UTF-8 in string field of {fmt.name!r}: {exc}"
-            ) from None
-        except (IndexError, KeyError, MemoryError, OverflowError) as exc:
-            raise DecodeError(
-                f"corrupt message for {fmt.name!r}: {exc!r}"
-            ) from None
-        if off != end:
-            raise DecodeError(
-                f"{end - off} trailing bytes after decoding format {fmt.name!r}"
-            )
-        return record, off
-
-    decode.__name__ = f"decode_payload_{fmt.name}"
-    return decode
-
-
 def make_decoder(fmt: IOFormat) -> DecoderFn:
     """Compile a full-message decoder: checks the header, verifies the
     format id, decodes the payload with the specialized routine.

@@ -1,12 +1,15 @@
 """The format server as a fallible network service.
 
-:mod:`repro.pbio.service` models the out-of-band meta-data channel as an
-always-up JSON service on raw nodes.  This module is its
-production-shaped sibling, built for the failure modes real deployments
-hit: requests ride a :class:`~repro.net.reliable.ReliableEndpoint`
-(retries, circuit breaking), the server can run with a **standby
-replica** it mirrors registrations to, and the client is a
-:class:`CachingFormatResolver` that
+PBIO's defining trick is that meta-data travels *out-of-band*: wire
+messages carry only an 8-byte format id, and readers resolve ids against
+a format server.  Elsewhere in this library the server is abstracted as
+a shared :class:`~repro.pbio.registry.FormatRegistry`; this module makes
+it a real networked service, built for the failure modes real
+deployments hit: requests ride a
+:class:`~repro.net.reliable.ReliableEndpoint` (retries, circuit
+breaking), the server can run with a **standby replica** it mirrors
+registrations to, and the client is a :class:`CachingFormatResolver`
+that
 
 * serves every previously seen format from its **local cache** without
   touching the network,
@@ -16,7 +19,7 @@ replica** it mirrors registrations to, and the client is a
   formats keep resolving, unknown ids report a miss instead of hanging,
   and registrations are queued for replay when a server answers again.
 
-The wire protocol stays JSON (deliberately not PBIO: the meta-data
+The wire protocol is JSON (deliberately not PBIO: the meta-data
 channel must not depend on the meta-data it serves).  Counters surface
 through ``repro.obs`` as ``pbio.format_server.*`` / ``pbio.resolver.*``.
 """

@@ -1,13 +1,20 @@
-"""MorphReceiver.process_batch — the zero-copy batch decode hot path.
+"""MorphReceiver.process_batch — a frame through the one receive loop.
 
-The conftest's autouse fixture runs every test here against both the
-fused and the staged pipeline, so each assertion doubles as a
-fused-vs-staged equivalence check on the batch path too.
+``process`` is a frame of one and ``process_batch`` the frame
+``unpack_batch`` returns; both run the same loop.  The conftest's autouse
+fixture runs every test here against both the fused and the staged
+pipeline, so each assertion doubles as a fused-vs-staged equivalence
+check.
 
 The core contracts:
 
-* batched processing is observationally identical to per-message
-  processing — records, order, and every ``morph.receiver.*`` counter;
+* a frame is observationally identical to its messages sent one by one —
+  results, records, order, every ``morph.receiver.*`` counter, every
+  dead letter — whether or not failures are contained and whether or not
+  ``repro.obs`` is watching (the parity matrix);
+* nothing is carried from one segment of a frame to the next: a route
+  replaced or a format quarantined mid-frame takes effect at the next
+  segment, as it does between two ``process`` calls;
 * records decoded from a shared frame buffer never alias it — mutating
   the buffer after decode must not change a delivered record;
 * hostile frames are clean :class:`~repro.errors.DecodeError`\\ s;
@@ -15,12 +22,15 @@ The core contracts:
   its own copy of the bytes) while the rest of the batch delivers.
 """
 
+import sys
+
 import pytest
 
 from repro import obs
 from repro.errors import DecodeError
 from repro.morph.receiver import MorphReceiver
 from repro.net.batch import pack_batch
+from repro.pbio import buffer as pbio_buffer
 from repro.pbio.context import PBIOContext
 from repro.pbio.field import IOField
 from repro.pbio.format import IOFormat
@@ -39,10 +49,18 @@ EVT_V2 = IOFormat(
 EVT_V1 = IOFormat(
     "ChainEvt", [IOField("n", "integer")], version="1.0"
 )
+EVT_V0 = IOFormat(
+    "ChainEvt", [IOField("m", "integer")], version="0.0"
+)
 V2_TO_V1 = TransformSpec(
     source=EVT_V2, target=EVT_V1, code="old.n = new.n;",
     description="ChainEvt 2.0 -> 1.0",
 )
+V1_TO_V0 = TransformSpec(
+    source=EVT_V1, target=EVT_V0, code="old.m = new.n * 2;",
+    description="ChainEvt 1.0 -> 0.0",
+)
+STRANGER = IOFormat("Stranger", [IOField("x", "integer")], version="1.0")
 
 
 def make_receiver(fmt, got, **kwargs):
@@ -54,6 +72,201 @@ def make_receiver(fmt, got, **kwargs):
 def encode_all(registry, fmt, records):
     ctx = PBIOContext(registry)
     return [ctx.encode(fmt, r) for r in records]
+
+
+# ---------------------------------------------------------------------------
+# The parity matrix: one frame == its messages one by one
+# ---------------------------------------------------------------------------
+
+
+def _matrix_wires(contain):
+    """Identity traffic, a V2 -> V1 -> V0 chain, the two interleaved, a
+    big-endian wire — and, when failures are contained, a truncated
+    segment, a format nobody registered and a record whose handler
+    raises."""
+    registry = FormatRegistry()
+    little = PBIOContext(registry)
+    big = PBIOContext(registry, byte_order="big")
+    wires = []
+    for i in range(4):
+        wires.append(little.encode(EVT, EVT.make_record(n=i, tag=f"t{i}")))
+        wires.append(little.encode(EVT_V2, EVT_V2.make_record(n=i, extra=7)))
+    wires.append(big.encode(EVT_V2, EVT_V2.make_record(n=40, extra=1)))
+    wires.append(big.encode(EVT, EVT.make_record(n=41, tag="big")))
+    wires.append(little.encode(EVT_V1, EVT_V1.make_record(n=50)))
+    if contain:
+        wires.insert(3, wires[2][:-2])
+        wires.insert(6, little.encode(STRANGER, {"x": 1}))
+        wires.insert(9, little.encode(EVT, EVT.make_record(n=13, tag="bad")))
+    return wires
+
+
+def _matrix_arm(contain, wires, batched):
+    """A fresh receiver (identity handler + the end of the chain) fed
+    *wires* one ``process`` at a time or as one ``process_batch`` frame
+    whose buffer is overwritten afterwards."""
+    receiver = MorphReceiver(FormatRegistry(), contain_failures=contain)
+    receiver.registry.register_transform(V2_TO_V1)
+    receiver.registry.register_transform(V1_TO_V0)
+    delivered = []
+
+    def on_evt(record):
+        if record["n"] == 13:
+            raise ValueError("handler bug")
+        delivered.append(record)
+        return ("evt", record["n"])
+
+    def on_v0(record):
+        delivered.append(record)
+        return ("v0", record["m"])
+
+    receiver.register_handler(EVT, on_evt)
+    receiver.register_handler(EVT_V0, on_v0)
+    if batched:
+        frame = bytearray(pack_batch(wires))
+        results = receiver.process_batch(frame)
+        frame[:] = b"\xee" * len(frame)
+    else:
+        results = [receiver.process(wire) for wire in wires]
+    spans = sorted(span.name for span in obs.get_tracer().spans())
+    obs.get_tracer().clear()
+    return {
+        "results": results,
+        "delivered": delivered,
+        "stats": receiver.stats.snapshot(),
+        "containment": dict(receiver.containment),
+        "dead_letters": [
+            (letter.stage, letter.format_id, letter.data)
+            for letter in receiver.dead_letters
+        ],
+        "spans": spans,
+    }
+
+
+class TestFrameEqualsOneByOne:
+    @pytest.mark.parametrize("observe", [False, True], ids=["unobserved", "observed"])
+    @pytest.mark.parametrize("contain", [False, True], ids=["raising", "contained"])
+    def test_parity_matrix(self, contain, observe):
+        wires = _matrix_wires(contain)
+        if observe:
+            obs.enable(registry=obs.Registry(), capacity=4096)
+        try:
+            single = _matrix_arm(contain, wires, batched=False)
+            batch = _matrix_arm(contain, wires, batched=True)
+        finally:
+            obs.disable(reset=True)
+        assert batch == single
+        # ... and the arms did what the wire list says, not nothing twice
+        assert single["stats"]["messages"] == len(wires) - (1 if contain else 0)
+        assert single["stats"]["morphed"] == 6
+        assert [r["m"] for r in single["delivered"] if "m" in r] == [
+            0, 2, 4, 6, 80, 100,
+        ]
+        assert bool(single["spans"]) == observe
+        if contain:
+            assert [stage for stage, _id, _data in single["dead_letters"]] == [
+                "decode", "unknown_format", "dispatch",
+            ]
+            # the letters own their bytes: the frame buffer is gone
+            assert [data for _stage, _id, data in batch["dead_letters"]] == [
+                wires[3], wires[6], wires[9],
+            ]
+            assert single["results"].count(None) == 3
+
+    def test_a_route_replaced_mid_frame_serves_the_next_segment(self):
+        """A handler that registers a better format on its first event
+        clears the route cache; the rest of the *same frame* must reach
+        the new handler intact, as the rest of a per-message stream
+        does — a route hoisted across the run delivered all of it to the
+        stale handler with a field dropped."""
+
+        def arm(batched):
+            receiver = MorphReceiver(FormatRegistry())
+            receiver.registry.register(EVT_V2)
+            seen = []
+
+            def on_v2(record):
+                seen.append(("v2", dict(record)))
+
+            def on_v1(record):
+                seen.append(("v1", dict(record)))
+                if len(seen) == 2:  # the first event of the frame
+                    receiver.register_handler(EVT_V2, on_v2)
+
+            receiver.register_handler(EVT_V1, on_v1)
+            wires = encode_all(
+                FormatRegistry(), EVT_V2,
+                [EVT_V2.make_record(n=i, extra=i * 7) for i in range(5)],
+            )
+            receiver.process(wires[0])  # warm the V2 -> V1 reconcile route
+            if batched:
+                receiver.process_batch(pack_batch(wires[1:]))
+            else:
+                for wire in wires[1:]:
+                    receiver.process(wire)
+            return seen, receiver.stats.snapshot()
+
+        seen, stats = arm(batched=True)
+        assert (seen, stats) == arm(batched=False)
+        assert [who for who, _record in seen] == ["v1", "v1", "v2", "v2", "v2"]
+        assert seen[2][1] == {"n": 2, "extra": 14}
+        assert stats["perfect_matches"] == 3
+        assert stats["reconciled"] == 2
+        assert stats["cache_misses"] == 2
+
+    def test_a_format_quarantined_mid_frame_is_dropped_from_the_next_segment(self):
+        def arm(batched):
+            receiver = make_receiver(
+                EVT, [], contain_failures=True, quarantine_threshold=2
+            )
+            wires = encode_all(FormatRegistry(), STRANGER, [{"x": i} for i in range(5)])
+            if batched:
+                receiver.process_batch(pack_batch(wires))
+            else:
+                for wire in wires:
+                    receiver.process(wire)
+            return dict(receiver.containment), receiver.stats.snapshot()
+
+        containment, stats = arm(batched=True)
+        assert (containment, stats) == arm(batched=False)
+        assert containment["dead_lettered"] == 2
+        assert containment["quarantined_formats"] == 1
+        assert containment["quarantine_drops"] == 3
+        assert stats["messages"] == 2  # drops stop at the header peek
+
+    @pytest.mark.parametrize("use_fusion, parses", [(True, 1), (False, 2)])
+    def test_a_message_parses_its_header_once(
+        self, monkeypatch, use_fusion, parses
+    ):
+        """The loop parses a segment's header once and hands it on; a
+        staged route's ``decode_as`` parses it a second time."""
+        registry = FormatRegistry()
+        registry.register_transform(V2_TO_V1)
+        receiver = MorphReceiver(
+            registry, use_fusion=use_fusion, contain_failures=True
+        )
+        receiver.register_handler(EVT_V1, lambda record: None)
+        (wire,) = encode_all(registry, EVT_V2, [EVT_V2.make_record(n=1, extra=2)])
+        receiver.process(wire)  # plan and compile off the count
+        original = pbio_buffer.unpack_header
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):  # ``from ... import`` copies
+            if getattr(module, "unpack_header", None) is original:
+                monkeypatch.setattr(module, "unpack_header", counted)
+        receiver.process(wire)
+        assert len(calls) == parses
+        receiver.process_batch(pack_batch([wire] * 8))
+        assert len(calls) == parses * 9
+
+
+# ---------------------------------------------------------------------------
+# Single-shape checks with absolute expectations
+# ---------------------------------------------------------------------------
 
 
 class TestParityWithPerMessageProcessing:
@@ -94,8 +307,7 @@ class TestParityWithPerMessageProcessing:
         assert batched.stats.morphed == 9
 
     def test_mixed_formats_inside_one_frame(self):
-        """Alternating format ids defeat the hoisted route lookup's
-        last-format cache — it must re-resolve on every switch."""
+        """Alternating format ids: the route is read per segment."""
         registry = FormatRegistry()
         registry.register_transform(V2_TO_V1)
         got = []
@@ -131,6 +343,8 @@ class TestParityWithPerMessageProcessing:
             obs.disable(reset=True)
 
     def test_interpretive_receiver_takes_the_fallback_path(self):
+        """``use_codegen=False`` (generic decode, interpreted transforms)
+        is a route property, not a second loop."""
         records = [EVT.make_record(n=i, tag="i") for i in range(6)]
         got = []
         receiver = make_receiver(EVT, got, use_codegen=False)

@@ -71,6 +71,25 @@ class TestContainment:
         assert letter.stage == "dispatch"
         assert "application bug" in letter.error
 
+    def test_stage_survives_a_handler_that_re_enters_the_receiver(self):
+        # the stage is a local of the receive loop: the inner process()
+        # call (which succeeds) cannot reset it for the outer message
+        sender, receiver = make_receiver()
+        inner = []
+        receiver.register_handler(OTHER, lambda record: inner.append(record.s))
+        other_wire = sender.encode(OTHER, {"s": "nested"})
+
+        def re_entrant_handler(record):
+            receiver.process(other_wire)
+            raise ValueError("application bug")
+
+        receiver.register_handler(EVT, re_entrant_handler)
+        assert receiver.process(sender.encode(EVT, {"n": 1})) is None
+        assert inner == ["nested"]
+        (letter,) = receiver.dead_letters
+        assert letter.stage == "dispatch"
+        assert letter.format_id == EVT.format_id
+
     @pytest.mark.parametrize("use_fusion", [True, False])
     def test_float_overflow_in_a_transform_classifies_as_transform(
         self, use_fusion
@@ -191,6 +210,31 @@ class TestRetry:
         (letter,) = receiver.dead_letters
         assert letter.attempts == 2
         assert receiver.containment["retry_failures"] == 1
+
+    def test_retry_bypasses_quarantine_for_the_retried_entries_only(self):
+        # "retrying" is an argument of the loop, not receiver state: a
+        # handler that re-enters process() during a retry pass is live
+        # traffic, and a quarantined format is still dropped at its peek
+        sender, receiver = make_receiver(quarantine_threshold=2, dlq_limit=1)
+        poison = PBIOContext().encode(OTHER, {"s": "x"})  # never registered
+        receiver.process(poison)
+        receiver.process(poison)
+        assert receiver.is_quarantined(OTHER.format_id)
+        broken = [True]
+
+        def handler(record):
+            if broken[0]:
+                raise ValueError("not deployed yet")
+            return receiver.process(poison)
+
+        receiver.register_handler(EVT, handler)
+        receiver.process(sender.encode(EVT, {"n": 1}))  # evicts the poison
+        assert [l.format_id for l in receiver.dead_letters] == [EVT.format_id]
+        broken[0] = False
+        assert receiver.retry_dead_letters() == (1, 0)
+        assert receiver.dead_letters == []
+        assert receiver.is_quarantined(OTHER.format_id)
+        assert receiver.containment["quarantine_drops"] == 1
 
     def test_obs_counters_record_the_dlq_lifecycle(self):
         prior = (obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer)

@@ -240,72 +240,3 @@ class TestInterpretiveAblation:
             receiver.register_handler(v1, lambda rec: rec)
             outputs.append(receiver.process(wire))
         assert records_equal(outputs[0], outputs[1])
-
-
-class TestECodeCoercion:
-    """The reconcile step can run as DCG-compiled generated ECode."""
-
-    def _formats(self):
-        src = IOFormat(
-            "T",
-            [IOField("x", "integer"), IOField("extra", "string")],
-            version="new",
-        )
-        dst = IOFormat(
-            "T",
-            [IOField("x", "integer"), IOField("fresh", "float")],
-            version="old",
-        )
-        return src, dst
-
-    def test_agrees_with_python_walker(self):
-        src, dst = self._formats()
-        registry = FormatRegistry()
-        sender = PBIOContext(registry)
-        wire = sender.encode(src, {"x": 9, "extra": "drop"})
-        outputs = []
-        for ecode_coercion in (False, True):
-            receiver = MorphReceiver(registry, ecode_coercion=ecode_coercion)
-            receiver.register_handler(dst, lambda rec: rec)
-            out = receiver.process(wire)
-            # generated ECode uses scalar zero defaults, the walker uses
-            # field defaults; normalize for the comparison
-            out = dict(out)
-            out.pop("fresh")
-            outputs.append(out)
-        assert outputs[0] == outputs[1] == {"x": 9}
-
-    def test_route_carries_compiled_coercion(self):
-        src, dst = self._formats()
-        registry = FormatRegistry()
-        sender = PBIOContext(registry)
-        receiver = MorphReceiver(registry, ecode_coercion=True)
-        receiver.register_handler(dst, lambda rec: rec)
-        receiver.process(sender.encode(src, {"x": 1, "extra": ""}))
-        route = receiver.route_for(src)
-        assert route.coercion_transform is not None
-        # compiled against both formats: a typed scalar copy is a direct store
-        source = route.coercion_transform.procedure.python_source
-        assert "_set(old, 'x', new['x'])" in source
-
-    def test_unsupported_shapes_fall_back_to_walker(self):
-        from repro.pbio.field import ArraySpec
-
-        src = IOFormat(
-            "T", [IOField("xs", "integer", array=ArraySpec(fixed_length=2))],
-            version="a",
-        )
-        dst = IOFormat(
-            "T", [IOField("xs", "integer", array=ArraySpec(fixed_length=3))],
-            version="b",
-        )
-        registry = FormatRegistry()
-        sender = PBIOContext(registry)
-        receiver = MorphReceiver(
-            registry, ecode_coercion=True, mismatch_threshold=1.0
-        )
-        receiver.register_handler(dst, lambda rec: rec)
-        out = receiver.process(sender.encode(src, {"xs": [4, 5]}))
-        route = receiver.route_for(src)
-        assert route.coercion_transform is None  # generator refused
-        assert out == {"xs": [4, 5, 0]}  # the walker padded
