@@ -40,8 +40,9 @@ from repro.fabric.protocol import (
     FABRIC_SUBSCRIBE,
     register_fabric_protocol,
 )
-from repro.fabric.worker import FabricChannel, FabricWorker, SeqLedger
+from repro.fabric.worker import FabricChannel, FabricWorker
 from repro.fabric.client import FabricClient
+from repro.net.ledger import SeqLedger
 
 __all__ = [
     "DEFAULT_NUM_SHARDS",

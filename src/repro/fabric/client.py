@@ -20,8 +20,8 @@ from repro.fabric.protocol import (
     FABRIC_SUBSCRIBE,
     register_fabric_protocol,
 )
-from repro.fabric.worker import SeqLedger
 from repro.net.batch import is_batch, pack_batch, unpack_batch
+from repro.net.ledger import SeqLedger
 from repro.net.reliable import ReliableEndpoint
 from repro.obs import OBS
 from repro.obs.metrics import Handles

@@ -3,7 +3,7 @@
 A graceful leave moves a shard's exactly-once state in a
 :data:`~repro.fabric.protocol.FABRIC_HANDOFF` snapshot — but a crashed
 worker never gets to snapshot anything, and before this module existed
-its successors restarted the :class:`~repro.fabric.worker.SeqLedger`\\ s
+its successors restarted the :class:`~repro.net.ledger.SeqLedger`\\ s
 empty (re-admitting publisher retries as fresh events, and losing every
 admitted event whose delivery had not settled).
 
@@ -22,7 +22,8 @@ process — as per-shard append-only logs:
   write for the run.
 * ``subscribe`` entries record channel membership changes.
 * ``snapshot`` entries are compaction points: the materialized channel
-  state (same shape as a handoff snapshot).  Recovery starts from the
+  state (the shape, and the reader, of :mod:`repro.fabric.state` — the
+  same as a handoff part).  Recovery starts from the
   last snapshot and replays only the entries behind it, so the re-fan-out
   tail — and the in-memory log — stay bounded.
 * Every append carries the **ownership epoch** it was made under and is
@@ -42,9 +43,11 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from repro.errors import JournalError
+from repro.errors import FabricError, JournalError
+from repro.fabric.state import Channels, dump_state, load_state
+from repro.net.ledger import SeqLedger
 from repro.obs import OBS
 from repro.obs.metrics import Handles
 
@@ -52,6 +55,12 @@ from repro.obs.metrics import Handles
 #: per store).  Large enough that a fuzzing case never compacts unless
 #: the scenario asks to, small enough that long-lived shards stay cheap.
 DEFAULT_COMPACT_EVERY = 256
+
+
+def _line(shard: int, entry: Dict[str, Any]) -> str:
+    """The on-disk form of one entry (what :meth:`JournalStore._load`
+    reads back)."""
+    return json.dumps({"shard": shard, **entry}, sort_keys=True) + "\n"
 
 
 class _ShardLog:
@@ -67,23 +76,21 @@ class _ShardLog:
         self.since_snapshot = 0
 
 
-class JournalRecovery:
-    """What :meth:`JournalStore.recover` hands a worker: the materialized
-    channel state and the tail of admits to re-fan-out."""
+class JournalRecovery(NamedTuple):
+    """What :meth:`JournalStore.recover` hands a worker."""
 
-    __slots__ = ("state", "tail")
+    #: ``{channel_id: (subscribers, {publisher: SeqLedger})}`` — parsed
+    #: and validated; the worker installs these objects as they are
+    channels: Channels
+    #: ``(channel_id, publisher, seq, payload)`` admits since the last
+    #: snapshot, in admission order, to re-fan-out
+    tail: List[Tuple[str, str, int, bytes]]
 
-    def __init__(
-        self,
-        state: Dict[str, Any],
-        tail: List[Tuple[str, str, int, bytes]],
-    ) -> None:
-        #: ``{"channels": {cid: {"subscribers": [...], "ledgers": {...}}}}``
-        #: — the handoff-snapshot shape, directly installable
-        self.state = state
-        #: ``(channel_id, publisher, seq, payload)`` admits since the
-        #: last snapshot, in admission order
-        self.tail = tail
+    @property
+    def state(self) -> Dict[str, Any]:
+        """:attr:`channels` in the shape :meth:`JournalStore.snapshot`
+        takes."""
+        return dump_state(self.channels)
 
 
 class JournalStore:
@@ -119,6 +126,8 @@ class JournalStore:
         self.fenced_appends = 0
         self.compactions = 0
         self.recoveries = 0
+        #: torn final lines cut off at load (see :meth:`_load`)
+        self.torn_tail = 0
         #: ``fabric.journal.<name>`` handles, made on a name's first count
         self._obs_counts: Dict[str, Handles] = {}
         self._obs_since_snapshot = Handles.gauge(
@@ -137,23 +146,21 @@ class JournalStore:
             log = self._shards[shard] = _ShardLog()
         return log
 
-    def _admit_entry(
-        self, log: _ShardLog, shard: int, entry: Dict[str, Any]
-    ) -> bool:
+    def _admit_entry(self, shard: int, entry: Dict[str, Any]) -> bool:
         """Fence-check and append one entry (persisting it when
         file-backed).  Returns whether the entry was admitted."""
-        epoch = entry["epoch"]
-        if epoch < log.fence_epoch:
+        log = self._shard(shard)
+        if entry["epoch"] < log.fence_epoch:
             self.fenced_appends += 1
             self._count("fenced_appends")
             return False
         log.entries.append(entry)
+        log.since_snapshot += 1
         self.appends += 1
         self._count("appends")
         if self.path is not None:
-            self._persist(
-                json.dumps({"shard": shard, **entry}, sort_keys=True) + "\n"
-            )
+            self._persist(_line(shard, entry))
+        self._gauge_shard(shard, log)
         return True
 
     def _persist(self, line: str) -> None:
@@ -196,8 +203,7 @@ class JournalStore:
     ) -> bool:
         """Journal one ledger admission, payload included (hex on disk so
         the log stays line-oriented JSON)."""
-        log = self._shard(shard)
-        admitted = self._admit_entry(log, shard, {
+        return self._admit_entry(shard, {
             "kind": "admit",
             "epoch": epoch,
             "channel": channel_id,
@@ -205,10 +211,6 @@ class JournalStore:
             "seq": seq,
             "payload": payload.hex(),
         })
-        if admitted:
-            log.since_snapshot += 1
-            self._gauge_shard(shard, log)
-        return admitted
 
     def append_subscribe(
         self,
@@ -219,18 +221,13 @@ class JournalStore:
         format_id: int,
     ) -> bool:
         """Journal one subscriber installation."""
-        log = self._shard(shard)
-        admitted = self._admit_entry(log, shard, {
+        return self._admit_entry(shard, {
             "kind": "subscribe",
             "epoch": epoch,
             "channel": channel_id,
             "contact": contact,
             "format_id": format_id,
         })
-        if admitted:
-            log.since_snapshot += 1
-            self._gauge_shard(shard, log)
-        return admitted
 
     def snapshot(self, shard: int, epoch: int, state: Dict[str, Any]) -> bool:
         """Compaction point: record the shard's materialized channel
@@ -263,10 +260,7 @@ class JournalStore:
         if epoch > log.fence_epoch:
             log.fence_epoch = epoch
             if self.path is not None:
-                self._persist(json.dumps(
-                    {"shard": shard, "kind": "fence", "epoch": epoch},
-                    sort_keys=True,
-                ) + "\n")
+                self._persist(_line(shard, {"kind": "fence", "epoch": epoch}))
 
     def fence_epoch(self, shard: int) -> int:
         log = self._shards.get(shard)
@@ -291,8 +285,6 @@ class JournalStore:
         epoch older than a later fence are skipped — they were written
         by an owner that had already been superseded.  Returns ``None``
         for a shard with no journal (a genuinely fresh grant)."""
-        from repro.fabric.worker import SeqLedger
-
         log = self._shards.get(shard)
         if log is None or not log.entries:
             return None
@@ -303,20 +295,9 @@ class JournalStore:
             if log.entries[index].get("kind") == "snapshot":
                 start = index
                 break
-        channels: Dict[str, Dict[str, Any]] = {}
-        ledgers: Dict[str, Dict[str, SeqLedger]] = {}
+        channels: Channels = {}
         tail: List[Tuple[str, str, int, bytes]] = []
         floor = 0  # highest epoch seen; later entries must not regress
-
-        def channel_state(channel_id: str) -> Dict[str, Any]:
-            state = channels.get(channel_id)
-            if state is None:
-                state = channels[channel_id] = {
-                    "subscribers": [], "ledgers": {},
-                }
-                ledgers[channel_id] = {}
-            return state
-
         for entry in log.entries[start:]:
             kind = entry.get("kind")
             try:
@@ -335,32 +316,13 @@ class JournalStore:
                 continue
             floor = epoch
             if kind == "snapshot":
-                state = entry.get("state")
-                if not isinstance(state, dict):
+                try:
+                    channels = load_state(entry.get("state"))
+                except FabricError as exc:
                     raise JournalError(
-                        f"journal snapshot for shard {shard} is not a mapping"
-                    )
-                channels.clear()
-                ledgers.clear()
+                        f"journal snapshot for shard {shard}: {exc}"
+                    ) from None
                 tail = []
-                for channel_id, channel in (
-                    state.get("channels") or {}
-                ).items():
-                    if not isinstance(channel, dict):
-                        raise JournalError(
-                            f"journal snapshot channel {channel_id!r} is "
-                            "not a mapping"
-                        )
-                    installed = channel_state(channel_id)
-                    for contact_entry in channel.get("subscribers", ()):
-                        contact, format_id = _subscriber_entry(contact_entry)
-                        installed["subscribers"].append([contact, format_id])
-                    for publisher, ledger_state in (
-                        channel.get("ledgers") or {}
-                    ).items():
-                        ledgers[channel_id][publisher] = SeqLedger.from_state(
-                            ledger_state
-                        )
             elif kind == "admit":
                 channel_id = entry.get("channel")
                 publisher = entry.get("publisher")
@@ -384,10 +346,10 @@ class JournalStore:
                         f"journal admit for shard {shard} has undecodable "
                         "payload"
                     ) from None
-                channel_state(channel_id)
-                ledger = ledgers[channel_id].get(publisher)
+                ledgers = channels.setdefault(channel_id, ([], {}))[1]
+                ledger = ledgers.get(publisher)
                 if ledger is None:
-                    ledger = ledgers[channel_id][publisher] = SeqLedger()
+                    ledger = ledgers[publisher] = SeqLedger()
                 if ledger.admit(seq):
                     tail.append((channel_id, publisher, seq, payload))
             elif kind == "subscribe":
@@ -400,7 +362,6 @@ class JournalStore:
                         f"journal subscribe for shard {shard} lacks a "
                         "channel or contact"
                     )
-                state = channel_state(channel_id)
                 format_id = entry.get("format_id")
                 if not isinstance(format_id, int) or isinstance(
                     format_id, bool
@@ -409,21 +370,16 @@ class JournalStore:
                         f"journal subscribe for shard {shard} has bad "
                         f"format id {format_id!r}"
                     )
-                pair = [contact, format_id]
-                if pair not in state["subscribers"]:
-                    state["subscribers"].append(pair)
+                subscribers = channels.setdefault(channel_id, ([], {}))[0]
+                if (contact, format_id) not in subscribers:
+                    subscribers.append((contact, format_id))
             elif kind == "fence":
                 continue
             else:
                 raise JournalError(
                     f"unknown journal entry kind {kind!r} for shard {shard}"
                 )
-        for channel_id, per_publisher in ledgers.items():
-            channels[channel_id]["ledgers"] = {
-                publisher: ledger.to_state()
-                for publisher, ledger in sorted(per_publisher.items())
-            }
-        return JournalRecovery({"channels": channels}, tail)
+        return JournalRecovery(channels, tail)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -439,23 +395,27 @@ class JournalStore:
             for shard in sorted(self._shards):
                 log = self._shards[shard]
                 if log.fence_epoch:
-                    handle.write(json.dumps(
-                        {"shard": shard, "kind": "fence",
-                         "epoch": log.fence_epoch},
-                        sort_keys=True,
-                    ) + "\n")
+                    handle.write(_line(
+                        shard, {"kind": "fence", "epoch": log.fence_epoch}
+                    ))
                 for entry in log.entries:
-                    handle.write(json.dumps(
-                        {"shard": shard, **entry}, sort_keys=True
-                    ) + "\n")
+                    handle.write(_line(shard, entry))
         os.replace(tmp, self.path)
 
     def _load(self, path: str) -> None:
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
+            with open(path, "rb") as handle:
+                data = handle.read()
         except OSError as exc:
             raise JournalError(f"cannot read journal {path}: {exc}") from None
+        # Every write ends in a newline, so bytes after the last one are
+        # a write the process died in (its group never closed, nothing
+        # it covers was delivered): cut them off so the next append
+        # starts a line.  An unparsable line *before* that is corruption.
+        *lines, torn = data.split(b"\n")
+        if torn:
+            self.torn_tail += 1
+            os.truncate(path, len(data) - len(torn))
         for number, line in enumerate(lines, 1):
             line = line.strip()
             if not line:
@@ -463,7 +423,7 @@ class JournalStore:
             try:
                 record = json.loads(line)
                 shard = int(record.pop("shard"))
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, AttributeError):
                 raise JournalError(
                     f"corrupt journal line {number} in {path}"
                 ) from None
@@ -511,16 +471,3 @@ class JournalStore:
     def _gauge_disk(self) -> None:
         if OBS.enabled and self.path is not None:
             self._obs_disk_bytes().set(self.disk_size_bytes())
-
-
-def _subscriber_entry(entry: Any) -> Tuple[str, int]:
-    """Validate one journaled/snapshotted subscriber entry."""
-    if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 2
-        or not isinstance(entry[0], str)
-        or isinstance(entry[1], bool)
-        or not isinstance(entry[1], int)
-    ):
-        raise JournalError(f"malformed subscriber entry {entry!r}")
-    return entry[0], entry[1]

@@ -35,7 +35,6 @@ sequence number and drops it.
 
 from __future__ import annotations
 
-import json
 from itertools import groupby
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
@@ -52,6 +51,13 @@ from repro.fabric.protocol import (
     FABRIC_SUBSCRIBE,
     register_fabric_protocol,
 )
+from repro.fabric.state import (
+    Channels,
+    dump_state,
+    load_part,
+    load_state,
+    split_state,
+)
 from repro.morph.receiver import MorphReceiver
 from repro.net.batch import (
     BATCH_HEADER_SIZE,
@@ -60,6 +66,7 @@ from repro.net.batch import (
     pack_batch,
     unpack_batch,
 )
+from repro.net.ledger import SeqLedger
 from repro.net.reliable import ReliableEndpoint
 from repro.obs import OBS
 from repro.obs.metrics import Handles
@@ -106,75 +113,6 @@ def _frames(datagrams: List[bytes], ctx: Optional[TraceContext]) -> List[bytes]:
         size += need
     frames.append(pack_batch(datagrams[first:], ctx))
     return frames
-
-
-class SeqLedger:
-    """Exactly-once admission for one ``(channel, publisher)`` stream.
-
-    ``high`` is the highest *contiguous* sequence admitted (all of
-    ``1..high`` seen); ``sparse`` holds admitted numbers beyond the gap.
-    The pair serializes to a couple of integers for most workloads,
-    which is what keeps handoff state small.
-    """
-
-    __slots__ = ("high", "sparse")
-
-    def __init__(self, high: int = 0, sparse: Optional[Set[int]] = None) -> None:
-        self.high = high
-        self.sparse: Set[int] = set(sparse or ())
-
-    def admit(self, seq: int) -> bool:
-        """True exactly once per sequence number."""
-        if seq <= self.high or seq in self.sparse:
-            return False
-        self.sparse.add(seq)
-        while self.high + 1 in self.sparse:
-            self.high += 1
-            self.sparse.discard(self.high)
-        return True
-
-    @property
-    def admitted(self) -> int:
-        return self.high + len(self.sparse)
-
-    def to_state(self) -> Dict[str, Any]:
-        return {"high": self.high, "sparse": sorted(self.sparse)}
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "SeqLedger":
-        """Rebuild a ledger from :meth:`to_state` output.
-
-        Handoff snapshots and journal recoveries both funnel through
-        here, so the input is network- or disk-derived: validate it and
-        raise a clean :class:`FabricError` instead of letting a
-        ``KeyError``/``TypeError`` escape or silently admitting bogus
-        sequence numbers."""
-        if not isinstance(state, dict):
-            raise FabricError(
-                f"ledger state must be a mapping, got {type(state).__name__}"
-            )
-        high = state.get("high", 0)
-        if isinstance(high, bool) or not isinstance(high, int) or high < 0:
-            raise FabricError(f"ledger state has invalid high mark {high!r}")
-        sparse = state.get("sparse", ())
-        if not isinstance(sparse, (list, tuple, set, frozenset)):
-            raise FabricError(
-                "ledger state sparse set must be a sequence, got "
-                f"{type(sparse).__name__}"
-            )
-        cleaned: Set[int] = set()
-        for seq in sparse:
-            if isinstance(seq, bool) or not isinstance(seq, int) or seq <= 0:
-                raise FabricError(
-                    f"ledger state has invalid sparse entry {seq!r}"
-                )
-            if seq <= high:
-                raise FabricError(
-                    f"ledger state sparse entry {seq} is below high mark "
-                    f"{high}"
-                )
-            cleaned.add(seq)
-        return cls(high, cleaned)
 
 
 class _SubscriberGroup:
@@ -285,9 +223,9 @@ class FabricWorker:
         #: shards (None disables journaling — the crash-ablation arm)
         self.journal = journal
         self.handoff_chunk_bytes = handoff_chunk_bytes
-        #: (shard, epoch) -> {part index -> channels dict} for multi-part
+        #: (shard, epoch) -> {part index -> parsed channels} for multi-part
         #: handoff snapshots still being assembled
-        self._handoff_staging: Dict[Tuple[int, int], Dict[int, Dict[str, Any]]] = {}
+        self._handoff_staging: Dict[Tuple[int, int], Dict[int, Channels]] = {}
         #: (shard, epoch) -> part indices already relayed onward
         self._relay_seen: Dict[Tuple[int, int], Set[int]] = {}
         self._crashed = False
@@ -368,13 +306,13 @@ class FabricWorker:
 
         Fencing first: any stale owner that resurrects and tries to
         journal under its old epoch is rejected at the store.  Then the
-        journaled snapshot + admissions are installed through the same
-        validated path as a handoff, and the *tail* — admissions after
-        the last snapshot, whose deliveries may have died with the old
-        owner — is fanned out again.  Subscriber-side ledgers suppress
-        and count the re-deliveries that did land the first time, which
-        is the "explicitly-counted duplicates at the journal tail"
-        contract."""
+        journaled snapshot + admissions, which the journal parsed with
+        the reader a handoff part goes through, are installed, and the
+        *tail* — admissions after the last snapshot, whose deliveries
+        may have died with the old owner — is fanned out again.
+        Subscriber-side ledgers suppress and count the re-deliveries
+        that did land the first time, which is the "explicitly-counted
+        duplicates at the journal tail" contract."""
         recovery = self.journal.recover(shard)
         self.journal.fence(shard, epoch)
         if recovery is None:
@@ -384,11 +322,7 @@ class FabricWorker:
             OBS.metrics.counter(
                 "fabric.recovery.shards", worker=self.address
             ).inc()
-        try:
-            self._install_channel_state(recovery.state.get("channels", {}))
-        except FabricError:
-            self.errors += 1
-            raise
+        self._install_channels(recovery.channels)
         # The tail replays through the run path: consecutive admits of
         # one channel fan out (and leave) together.
         for channel_id, entries in groupby(recovery.tail, key=itemgetter(0)):
@@ -507,42 +441,16 @@ class FabricWorker:
     def _shard_state(self, shard: int) -> Dict[str, Any]:
         """Non-destructive snapshot of *shard*'s channel state, in the
         shape shared by handoffs and journal snapshots."""
-        state: Dict[str, Any] = {"channels": {}}
-        for channel_id in sorted(self._channels):
-            if shard_of(channel_id, self.directory.num_shards) != shard:
-                continue
-            channel = self._channels[channel_id]
-            state["channels"][channel_id] = {
-                "subscribers": channel.subscribers(),
-                "ledgers": {
-                    publisher: ledger.to_state()
-                    for publisher, ledger in sorted(channel.ledgers.items())
-                },
-            }
-        return state
+        num_shards = self.directory.num_shards
+        return dump_state({
+            channel_id: (channel.subscribers(), channel.ledgers)
+            for channel_id, channel in self._channels.items()
+            if shard_of(channel_id, num_shards) == shard
+        })
 
     def _chunk_state(self, state: Dict[str, Any]) -> List[str]:
-        """Split a shard snapshot into bounded-size JSON parts at
-        channel granularity.  A single channel larger than the target
-        still travels whole; an empty shard yields one empty part so
-        the successor always sees a complete handoff."""
-        channels = state.get("channels", {})
-        if not channels:
-            return [json.dumps(state, sort_keys=True)]
-        parts: List[str] = []
-        current: Dict[str, Any] = {}
-        size = 0
-        for channel_id in sorted(channels):
-            piece = len(json.dumps(
-                {channel_id: channels[channel_id]}, sort_keys=True
-            ))
-            if current and size + piece > self.handoff_chunk_bytes:
-                parts.append(json.dumps({"channels": current}, sort_keys=True))
-                current, size = {}, 0
-            current[channel_id] = channels[channel_id]
-            size += piece
-        parts.append(json.dumps({"channels": current}, sort_keys=True))
-        return parts
+        """*state* as bounded-size JSON handoff parts."""
+        return split_state(state, self.handoff_chunk_bytes)
 
     def begin_handoff(self, shard: int, successor: str, epoch: int) -> None:
         """Drain-and-forward handoff of *shard* to *successor*: snapshot
@@ -936,60 +844,23 @@ class FabricWorker:
     # Handoff receive side
     # ------------------------------------------------------------------
 
-    def _install_channel_state(
-        self, channels_state: Dict[str, Any]
-    ) -> None:
-        """Install handoff/recovery channel state, validating shape as
-        we go.  Network- and disk-derived input both land here, so
-        every structural surprise becomes a :class:`FabricError`."""
-        if not isinstance(channels_state, dict):
-            raise FabricError(
-                "channel state must be a mapping, got "
-                f"{type(channels_state).__name__}"
-            )
-        for channel_id, channel_state in channels_state.items():
-            if not isinstance(channel_id, str) or not isinstance(
-                channel_state, dict
-            ):
-                raise FabricError(
-                    f"malformed channel entry {channel_id!r}"
+    def _install_channel_state(self, channels_state: Dict[str, Any]) -> None:
+        """Validate a raw ``channels`` mapping and install it."""
+        self._install_channels(load_state({"channels": channels_state}))
+
+    def _install_channels(self, channels: Channels) -> None:
+        """Install parsed handoff/recovery state.  A ledger we already
+        hold is merged, never replaced (a shard lives in one place, so
+        this should not happen — but merging cannot un-admit)."""
+        for channel_id, (subscribers, ledgers) in channels.items():
+            for publisher, restored in ledgers.items():
+                held = self._channel(channel_id).ledgers.setdefault(
+                    publisher, restored
                 )
-            ledgers = channel_state.get("ledgers", {})
-            if not isinstance(ledgers, dict):
-                raise FabricError(
-                    f"channel {channel_id!r} ledgers must be a mapping"
-                )
-            for publisher, ledger_state in ledgers.items():
-                channel = self._channel(channel_id)
-                merged = channel.ledgers.get(publisher)
-                restored = SeqLedger.from_state(ledger_state)
-                if merged is None:
-                    channel.ledgers[publisher] = restored
-                else:
-                    # Shouldn't happen (a shard lives in one place), but
-                    # merging is strictly safer than replacing.
-                    for seq in range(1, restored.high + 1):
-                        merged.admit(seq)
-                    for seq in restored.sparse:
-                        merged.admit(seq)
-            subscribers = channel_state.get("subscribers", ())
-            if not isinstance(subscribers, (list, tuple)):
-                raise FabricError(
-                    f"channel {channel_id!r} subscribers must be a list"
-                )
-            for entry in subscribers:
-                if (
-                    not isinstance(entry, (list, tuple))
-                    or len(entry) != 2
-                    or not isinstance(entry[0], str)
-                    or isinstance(entry[1], bool)
-                    or not isinstance(entry[1], int)
-                ):
-                    raise FabricError(
-                        f"channel {channel_id!r} has malformed subscriber "
-                        f"entry {entry!r}"
-                    )
-                self._install_subscriber(channel_id, entry[0], entry[1])
+                if held is not restored:
+                    held.merge(restored)
+            for contact, format_id in subscribers:
+                self._install_subscriber(channel_id, contact, format_id)
 
     def _on_handoff(self, source: str, record: Any) -> None:
         shard = record["shard"]
@@ -1041,20 +912,9 @@ class FabricWorker:
                     "fabric.fence.snapshots", worker=self.address
                 ).inc()
             return
-        try:
-            chunk = json.loads(record["state"])
-        except ValueError:
-            raise FabricError(
-                f"malformed handoff state for shard {shard}"
-            ) from None
-        if not isinstance(chunk, dict) or not isinstance(
-            chunk.get("channels", {}), dict
-        ):
-            raise FabricError(
-                f"malformed handoff state for shard {shard}"
-            )
+        channels = load_part(record["state"])
         staging = self._handoff_staging.setdefault((shard, epoch), {})
-        staging[part] = chunk.get("channels", {})
+        staging[part] = channels
         if len(staging) < parts:
             return
         del self._handoff_staging[(shard, epoch)]
@@ -1063,10 +923,8 @@ class FabricWorker:
             if k[0] == shard and k[1] < epoch
         ]:
             del self._handoff_staging[key]
-        merged: Dict[str, Any] = {}
         for index in sorted(staging):
-            merged.update(staging[index])
-        self._install_channel_state(merged)
+            self._install_channels(staging[index])
         self._owned[shard] = epoch
         self._forwarding.pop(shard, None)
         self._update_owned_gauge()

@@ -8,7 +8,9 @@ that for PBIO-encoded vs XML-encoded traffic.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.errors import TransportError
 
@@ -55,6 +57,19 @@ class LinkSpec:
         serialization = size / self.bandwidth if self.bandwidth else 0.0
         return self.latency + serialization
 
+    def draw(
+        self, size: int, rng: random.Random, start: float = 0.0
+    ) -> Tuple[float, bool]:
+        """One message's fate — the fault model of both transports:
+        ``(arrival, lost)``, the arrival counted from *start* (a clock
+        reading; 0 gives a delay).  *rng* is drawn from for jitter, then
+        for loss, only by a link that has them, and the sum keeps this
+        order: seeded schedules depend on both to the bit."""
+        arrival = start + self.transmission_time(size)
+        if self.jitter:
+            arrival += rng.uniform(0.0, self.jitter)
+        lost = bool(self.loss_rate) and rng.random() < self.loss_rate
+        return arrival, lost
 
 #: Handy presets used by examples and benchmarks.
 GIGABIT_LAN = LinkSpec(latency=0.0001, bandwidth=125_000_000.0)

@@ -32,20 +32,13 @@ import random
 import socket as _socketmod
 import struct
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.errors import TransportError
 from repro.net.link import LinkSpec
 from repro.net.scheduler import Timer
-from repro.net.transport import (
-    TRACE_LIMIT,
-    Delivery,
-    MessageHandler,
-    TransportHandles,
-    _sniff_trace,
-)
+from repro.net.transport import TRACE_LIMIT, Delivery, Node, TransportHandles
 from repro.obs import OBS
-from repro.obs.tracectx import activate
 
 #: Source-address frame prefix: u16 length + utf-8 address bytes.
 _SRC_LEN = struct.Struct(">H")
@@ -74,58 +67,8 @@ class SocketTimer(Timer):
         self._network._armed.discard(self)
 
 
-class SocketNode:
-    """One UDP endpoint; mirrors :class:`~repro.net.transport.Node`."""
-
-    def __init__(self, network: "SocketNetwork", address: str) -> None:
-        self.network = network
-        self.address = address
-        self._handler: Optional[MessageHandler] = None
-        self.received: List[Tuple[str, bytes]] = []
-        self.closed = False
-        self.drops = 0
-        self.handler_errors = 0
-        self._transport: Optional[asyncio.DatagramTransport] = None
-        #: the bound UDP port (loopback); the address book entry peers
-        #: in other processes need to reach this node
-        self.port: int = 0
-
-    def set_handler(self, handler: MessageHandler) -> None:
-        """Install the receive callback ``handler(source, data)``.
-        Without one, messages accumulate in :attr:`received`."""
-        self._handler = handler
-
-    def send(self, destination: str, data: bytes) -> float:
-        return self.network.send(self.address, destination, data)
-
-    def close(self) -> None:
-        """Drop (and count) incoming datagrams — failure injection with
-        the same semantics as the simulated node; the socket stays
-        bound so :meth:`reopen` recovers without re-binding."""
-        self.closed = True
-
-    def reopen(self) -> None:
-        self.closed = False
-
-    def _deliver(self, source: str, data: bytes) -> bool:
-        if self.closed:
-            self.drops += 1
-            self.network.dropped += 1
-            if OBS.enabled:
-                self.network._obs.dropped(self.address).inc()
-            return False
-        if self._handler is not None:
-            self._handler(source, data)
-        else:
-            self.received.append((source, data))
-        return True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SocketNode({self.address!r}, port={self.port})"
-
-
 class _NodeProtocol(asyncio.DatagramProtocol):
-    def __init__(self, network: "SocketNetwork", node: SocketNode) -> None:
+    def __init__(self, network: "SocketNetwork", node: Node) -> None:
         self.network = network
         self.node = node
 
@@ -172,7 +115,7 @@ class SocketNetwork:
         self._rng = random.Random(seed)
         self._loop = asyncio.new_event_loop()
         self._t0 = self._loop.time()
-        self._nodes: Dict[str, SocketNode] = {}
+        self._nodes: Dict[str, Node] = {}
         self._peers: Dict[str, Tuple[str, int]] = {}
         self._links: Dict[Tuple[str, str], LinkSpec] = {}
         self._armed: set = set()
@@ -223,7 +166,7 @@ class SocketNetwork:
     # Topology
     # ------------------------------------------------------------------
 
-    def add_node(self, address: str, port: int = 0) -> SocketNode:
+    def add_node(self, address: str, port: int = 0) -> Node:
         """Bind a UDP socket for *address* (ephemeral port by default)
         and return its node.  The chosen port is on ``node.port`` — ship
         it to other processes via :meth:`register_peer` over whatever
@@ -232,7 +175,7 @@ class SocketNetwork:
             raise TransportError("network is closed")
         if address in self._nodes:
             raise TransportError(f"address {address!r} already in use")
-        node = SocketNode(self, address)
+        node = Node(self, address)
         transport, _proto = self._loop.run_until_complete(
             self._loop.create_datagram_endpoint(
                 lambda: _NodeProtocol(self, node),
@@ -252,7 +195,7 @@ class SocketNetwork:
         self._nodes[address] = node
         return node
 
-    def node(self, address: str) -> SocketNode:
+    def node(self, address: str) -> Node:
         try:
             return self._nodes[address]
         except KeyError:
@@ -292,14 +235,10 @@ class SocketNetwork:
         the kernel and wire add whatever they add on top."""
         target = self._resolve(destination)
         link = self.link_between(source, destination)
-        delay = 0.0
-        if link.latency or link.bandwidth:
-            delay += link.transmission_time(len(data))
-        if link.jitter:
-            delay += self._rng.uniform(0.0, link.jitter)
+        delay, lost = link.draw(len(data), self._rng)
         self.bytes_sent += len(data)
         self.messages_sent += 1
-        if link.loss_rate and self._rng.random() < link.loss_rate:
+        if lost:
             self.lost += 1
             if self.record_trace:
                 self.trace.append(
@@ -335,7 +274,7 @@ class SocketNetwork:
             raise TransportError("no bound socket to send from")
         transport.sendto(frame, target)
 
-    def _on_datagram(self, node: SocketNode, frame: bytes) -> None:
+    def _on_datagram(self, node: Node, frame: bytes) -> None:
         self._activity += 1
         if len(frame) < _SRC_LEN.size:
             self.socket_errors += 1
@@ -349,27 +288,7 @@ class SocketNetwork:
         )
         data = frame[_SRC_LEN.size + src_len:]
         dropped = node.closed
-        handler_error = False
-        try:
-            if OBS.enabled:
-                with activate(_sniff_trace(data)), OBS.tracer.span(
-                    "net.deliver",
-                    source=source,
-                    destination=node.address,
-                    process=node.address,
-                    size=len(data),
-                    vtime=self.now,
-                ):
-                    node._deliver(source, data)
-            else:
-                node._deliver(source, data)
-        except Exception as exc:  # noqa: BLE001 - defined containment
-            handler_error = True
-            node.handler_errors += 1
-            self.handler_errors += 1
-            self.last_handler_error = (node.address, exc)
-            if OBS.enabled:
-                self._obs.handler_errors(node.address).inc()
+        handler_error = node.deliver(source, data)
         self.delivered_total += 1
         if self.record_trace:
             self.trace.append(

@@ -141,19 +141,48 @@ class Node:
         scenarios: a format server coming back after a crash)."""
         self.closed = False
 
-    def _deliver(self, source: str, data: bytes) -> bool:
-        """Deliver one message; returns False when it was dropped."""
+    def _deliver(self, source: str, data: bytes) -> None:
+        """Hand one message to the handler, or drop it when closed."""
         if self.closed:
             self.drops += 1
             self.network.dropped += 1
             if OBS.enabled:
                 self.network._obs.dropped(self.address).inc()
-            return False
-        if self._handler is not None:
+        elif self._handler is not None:
             self._handler(source, data)
         else:
             self.received.append((source, data))
-        return True
+
+    def deliver(self, source: str, data: bytes) -> bool:
+        """What a network, simulated or socket, does with an arrived
+        datagram: :meth:`_deliver` it (under a ``net.deliver`` span when
+        observed) and **contain** an exception escaping the handler.
+        Returns whether the handler raised."""
+        network = self.network
+        try:
+            if OBS.enabled:
+                # every physical delivery of a traced message becomes a
+                # child span of that message's trace — including each
+                # retransmission of the same payload
+                with activate(_sniff_trace(data)), OBS.tracer.span(
+                    "net.deliver",
+                    source=source,
+                    destination=self.address,
+                    process=self.address,
+                    size=len(data),
+                    vtime=network.now,
+                ):
+                    self._deliver(source, data)
+            else:
+                self._deliver(source, data)
+        except Exception as exc:  # noqa: BLE001 - defined containment
+            self.handler_errors += 1
+            network.handler_errors += 1
+            network.last_handler_error = (self.address, exc)
+            if OBS.enabled:
+                network._obs.handler_errors(self.address).inc()
+            return True
+        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.address!r})"
@@ -231,12 +260,10 @@ class Network:
         if destination not in self._nodes:
             raise TransportError(f"no node at address {destination!r}")
         link = self.link_between(source, destination)
-        arrival = self.now + link.transmission_time(len(data))
-        if link.jitter:
-            arrival += self._rng.uniform(0.0, link.jitter)
+        arrival, lost = link.draw(len(data), self._rng, self.now)
         self.bytes_sent += len(data)
         self.messages_sent += 1
-        if link.loss_rate and self._rng.random() < link.loss_rate:
+        if lost:
             # Lost in flight: never enqueued, but counted and traced so
             # fault-injection harnesses can reconcile sends vs deliveries.
             self.lost += 1
@@ -301,30 +328,7 @@ class Network:
             source, destination, data = payload
             node = self._nodes[destination]
             dropped = node.closed
-            handler_error = False
-            try:
-                if OBS.enabled:
-                    # every physical delivery of a traced message becomes
-                    # a child span of that message's trace — including
-                    # each retransmission of the same payload
-                    with activate(_sniff_trace(data)), OBS.tracer.span(
-                        "net.deliver",
-                        source=source,
-                        destination=destination,
-                        process=destination,
-                        size=len(data),
-                        vtime=self.now,
-                    ):
-                        node._deliver(source, data)
-                else:
-                    node._deliver(source, data)
-            except Exception as exc:  # noqa: BLE001 - defined containment
-                handler_error = True
-                node.handler_errors += 1
-                self.handler_errors += 1
-                self.last_handler_error = (destination, exc)
-                if OBS.enabled:
-                    self._obs.handler_errors(destination).inc()
+            handler_error = node.deliver(source, data)
             self.trace.append(
                 Delivery(time=self.now, source=source, destination=destination,
                          size=len(data), dropped=dropped,

@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.net.ledger import SeqLedger
 from repro.obs import OBS
 from repro.obs.metrics import merge_snapshot_entries
 from repro.obs.protocol import (
@@ -46,35 +47,11 @@ from repro.obs.protocol import (
     TELEMETRY_V2,
     register_telemetry_protocol,
 )
-from repro.obs.timeseries import DEFAULT_ROLLUPS, SeriesStore
+from repro.obs.timeseries import SeriesStore
 
 #: Default staleness horizon: a source quiet for this many seconds is
 #: marked stale (agents at a 1 s interval get three missed scrapes).
 DEFAULT_STALE_AFTER = 3.0
-
-
-class _SeqLedger:
-    """Tiny exactly-once admission set: high-water mark + sparse tail.
-    (A local twin of the fabric's SeqLedger — the obs layer must not
-    import from repro.fabric.)"""
-
-    __slots__ = ("high", "sparse")
-
-    def __init__(self) -> None:
-        self.high = 0
-        self.sparse: set = set()
-
-    def admit(self, seq: int) -> bool:
-        if seq <= self.high or seq in self.sparse:
-            return False
-        if seq == self.high + 1:
-            self.high = seq
-            while self.high + 1 in self.sparse:
-                self.high += 1
-                self.sparse.remove(self.high)
-        else:
-            self.sparse.add(seq)
-        return True
 
 
 class SourceState:
@@ -105,23 +82,15 @@ class TelemetryCollector:
         self,
         clock: Optional[Any] = None,
         stale_after: float = DEFAULT_STALE_AFTER,
-        series_limit: int = 4096,
-        series_capacity: int = 240,
-        rollups: Tuple[Tuple[float, int], ...] = DEFAULT_ROLLUPS,
-        directory: Optional[Any] = None,
     ) -> None:
         self.clock = clock
         self.stale_after = stale_after
-        self.directory = directory
-        self.store = SeriesStore(
-            limit=series_limit,
-            capacity=series_capacity,
-            rollups=rollups,
-            on_overflow=self._on_series_overflow,
-        )
+        #: set by :meth:`attach_directory`
+        self.directory: Optional[Any] = None
+        self.store = SeriesStore(on_overflow=self._on_series_overflow)
         self.sources: Dict[str, SourceState] = {}
         #: (process, boot) -> admission ledger
-        self._ledgers: Dict[Tuple[str, int], _SeqLedger] = {}
+        self._ledgers: Dict[Tuple[str, int], SeqLedger] = {}
         #: (process, metric key) -> (metric name, labels, kind)
         self._meta: Dict[Tuple[str, str], Tuple[str, Dict[str, str], str]] = {}
         self.ingested = 0
@@ -191,7 +160,7 @@ class TelemetryCollector:
             source.worker = worker
         ledger = self._ledgers.get((process, boot))
         if ledger is None:
-            ledger = self._ledgers[(process, boot)] = _SeqLedger()
+            ledger = self._ledgers[(process, boot)] = SeqLedger()
         if not ledger.admit(seq):
             source.duplicates += 1
             self.duplicates += 1

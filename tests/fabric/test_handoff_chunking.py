@@ -8,31 +8,33 @@ when all parts of the epoch have landed.  The ingestion side
 (``SeqLedger.from_state`` and ``_install_channel_state``) turns every
 structural surprise in network- or disk-derived state into a clean
 :class:`~repro.errors.FabricError` rather than a ``KeyError`` or a
-silently-merged bogus ledger.
+silently-merged bogus ledger — and no field of that state bounds a loop:
+a ledger the worker already holds is merged in O(|sparse|).
 """
 
 from __future__ import annotations
 
 import json
+import random
+import threading
 
 import pytest
 
-from repro.echo.protocol import RESPONSE_V0, RESPONSE_V2, register_protocol
+from repro.echo.protocol import RESPONSE_V0, RESPONSE_V2
 from repro.errors import FabricError
 from repro.fabric import EventFabric
 from repro.fabric.hashing import shard_of
+from repro.fabric.protocol import FABRIC_HANDOFF
 from repro.fabric.worker import SeqLedger
 from repro.net.link import LinkSpec
 from repro.net.transport import Network
-from repro.pbio.registry import FormatRegistry
 
 from tests.fabric.test_fabric import v2_record
-
-
-def make_registry():
-    registry = FormatRegistry()
-    register_protocol(registry, "2.0")
-    return registry
+from tests.fabric.test_shard_state import (
+    MALFORMED_CHANNELS,
+    MALFORMED_LEDGERS,
+    make_registry,
+)
 
 
 def colliding_channels(count, num_shards):
@@ -147,18 +149,7 @@ class TestChunkedHandoff:
 
 
 class TestLedgerStateHardening:
-    @pytest.mark.parametrize("state", [
-        "not a dict",
-        ["high", 3],
-        {"high": "3"},
-        {"high": True},
-        {"high": -1},
-        {"high": 2, "sparse": 5},
-        {"high": 2, "sparse": ["4"]},
-        {"high": 2, "sparse": [0]},
-        {"high": 2, "sparse": [True]},
-        {"high": 2, "sparse": [2]},  # sparse entry not beyond high
-    ])
+    @pytest.mark.parametrize("state", MALFORMED_LEDGERS)
     def test_malformed_state_raises_fabric_error(self, state):
         with pytest.raises(FabricError):
             SeqLedger.from_state(state)
@@ -180,20 +171,15 @@ class TestSnapshotIngestionHardening:
         fabric = EventFabric(net, registry=make_registry())
         return fabric.add_worker("w1")
 
-    @pytest.mark.parametrize("channels_state", [
-        "nope",
+    @pytest.mark.parametrize("channels_state", MALFORMED_CHANNELS + [
+        # a key JSON cannot carry, so not in the three-door table
         {42: {"subscribers": [], "ledgers": {}}},
-        {"c/0": "nope"},
-        {"c/0": {"subscribers": "nope", "ledgers": {}}},
-        {"c/0": {"subscribers": [["sub", "7"]], "ledgers": {}}},
-        {"c/0": {"subscribers": [["sub", True]], "ledgers": {}}},
-        {"c/0": {"subscribers": [], "ledgers": "nope"}},
-        {"c/0": {"subscribers": [], "ledgers": {"pub": {"high": -3}}}},
     ])
     def test_malformed_snapshot_raises_fabric_error(self, channels_state):
         worker = self._worker()
         with pytest.raises(FabricError):
             worker._install_channel_state(channels_state)
+        assert worker._channels == {}
 
     def test_wellformed_snapshot_installs_and_merges(self):
         worker = self._worker()
@@ -210,3 +196,75 @@ class TestSnapshotIngestionHardening:
         assert not ledger.admit(2)   # already admitted
         assert not ledger.admit(4)   # sparse entry preserved
         assert ledger.admit(3)       # the gap is genuinely open
+
+
+class TestLedgerMerge:
+    """``SeqLedger.merge`` is "admit everything the other admitted"
+    without counting up to anybody's high-water mark."""
+
+    @staticmethod
+    def _by_admitting(held, other):
+        reference = SeqLedger(held.high, held.sparse)
+        for seq in list(range(1, other.high + 1)) + sorted(other.sparse):
+            reference.admit(seq)
+        return reference.to_state()
+
+    def test_merge_equals_admitting_everything_the_other_admitted(self):
+        rng = random.Random(19)
+        table = [
+            # the other's sparse run closes the gap above our high mark
+            ((3, {7}), (0, {4, 5, 6})),
+            ((3, {5, 6}), (4, set())),
+            ((0, set()), (0, set())),
+            ((9, set()), (2, {4, 11})),
+        ]
+        for _ in range(200):
+            pair = []
+            for _side in range(2):
+                high = rng.randrange(0, 12)
+                sparse = {
+                    seq for seq in rng.sample(range(1, 24), rng.randrange(6))
+                    if seq > high + 1
+                }
+                pair.append((high, sparse))
+            table.append(tuple(pair))
+        for (high, sparse), (other_high, other_sparse) in table:
+            held = SeqLedger(high, sparse)
+            other = SeqLedger(other_high, other_sparse)
+            expected = self._by_admitting(held, other)
+            held.merge(other)
+            assert held.to_state() == expected, (high, sparse, other.to_state())
+            assert other.to_state() == {
+                "high": other_high, "sparse": sorted(other_sparse),
+            }
+
+    def test_a_high_mark_off_the_network_bounds_no_loop(self, monkeypatch):
+        """Regression: merging onto a held ledger used to ``admit`` every
+        number up to the incoming high-water mark, so a 60-byte handoff
+        part saying ``10**15`` stalled the worker for good."""
+        net = Network(seed=1)
+        fabric = EventFabric(net, registry=make_registry())
+        worker = fabric.add_worker("w1")
+        shard = shard_of("c/0", fabric.directory.num_shards)
+        worker._channel("c/0").ledgers["pub"] = SeqLedger(5)
+        admits = []
+        real_admit = SeqLedger.admit
+        monkeypatch.setattr(
+            SeqLedger, "admit",
+            lambda self, seq: admits.append(seq) or real_admit(self, seq),
+        )
+        record = FABRIC_HANDOFF.make_record(
+            shard=shard, epoch=fabric.directory.epoch + 1, part=0, parts=1,
+            state=json.dumps({"channels": {"c/0": {"ledgers": {
+                "pub": {"high": 10 ** 15, "sparse": []},
+            }}}}),
+        )
+        install = threading.Thread(
+            target=worker._on_handoff, args=("peer", record), daemon=True
+        )
+        net.add_node("peer")
+        install.start()
+        install.join(5)
+        assert not install.is_alive(), "the install is counting to 10**15"
+        assert worker._channels["c/0"].ledgers["pub"].high == 10 ** 15
+        assert admits == []

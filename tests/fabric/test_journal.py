@@ -143,6 +143,43 @@ class TestPersistence:
             reloaded.recover(3)
 
 
+    def test_torn_final_write_is_cut_off_not_fatal(self, tmp_path):
+        """A SIGKILL inside a group's write leaves a last line with no
+        newline.  That line was never durable; the ones before it were,
+        and must still load."""
+        path = tmp_path / "fabric.journal"
+        store = JournalStore(path=str(path))
+        with store.group():
+            for seq in (1, 2, 3):
+                store.append_admit(3, 2, "chan/a", "pub", seq, b"x" * 30_000)
+        whole = path.read_bytes()
+        path.write_bytes(whole[:-20_000])
+        reloaded = JournalStore(path=str(path))
+        assert reloaded.torn_tail == 1
+        assert [e[2] for e in reloaded.recover(3).tail] == [1, 2]
+        # the file ends on a line again, so the next append starts one
+        assert path.read_bytes() == b"".join(whole.splitlines(True)[:2])
+        _admit(reloaded, seq=4)
+        again = JournalStore(path=str(path))
+        assert again.torn_tail == 0
+        assert [e[2] for e in again.recover(3).tail] == [1, 2, 4]
+
+    @pytest.mark.parametrize("bad", ["this is not jsonl {{{", "42"])
+    def test_an_unparsable_line_before_the_last_is_corruption(
+        self, tmp_path, bad
+    ):
+        path = tmp_path / "fabric.journal"
+        store = JournalStore(path=str(path))
+        for seq in (1, 2, 3):
+            _admit(store, seq=seq)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = bad
+        # no final newline either: the torn tail does not excuse line 2
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(JournalError, match="corrupt journal line 2"):
+            JournalStore(path=str(path))
+
+
 class TestWriteGroup:
     """A write group buffers the lines of the appends made inside it and
     writes them with one ``open``; nothing else about an append changes."""
