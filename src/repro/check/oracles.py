@@ -432,15 +432,34 @@ def check_fusion_wires(
     class (same exception type when rejecting), deliver equal records,
     and leave equal stats snapshots.  Fused and staged run the same
     generated transform code; the interpreted receiver is the arm that
-    shares none of it."""
+    shares none of it.  The ``shared`` arm is a reader at a fabric owner:
+    it takes each wire through one memo (``process(wire, shared)``) in a
+    queue of sibling readers — one for the wire's own format and one for
+    every other format its transforms reach — and must not be able to
+    tell."""
     arms: Dict[str, Any] = {
         "fused": MorphReceiver(registry, use_fusion=True),
         "staged": MorphReceiver(registry, use_fusion=False),
         "interpreted": MorphReceiver(registry, use_codegen=False),
+        "shared": MorphReceiver(registry),
     }
     delivered: Dict[str, List[Record]] = {name: [] for name in arms}
     for name, receiver in arms.items():
         receiver.register_handler(handler_fmt, delivered[name].append)
+    siblings: Dict[int, MorphReceiver] = {}
+    for wire in wires:
+        try:
+            fmt = arms["shared"].context.peek_format(wire)
+        except ReproError:
+            continue
+        if fmt is not None and fmt.format_id not in siblings:
+            for other in [fmt] + [
+                chain[-1].target for chain in registry.transform_closure(fmt)
+            ]:
+                siblings[other.format_id] = MorphReceiver(registry)
+                siblings[other.format_id].register_handler(other, id)
+    siblings.pop(handler_fmt.format_id, None)
+    queue = [arms["shared"], *siblings.values()]
 
     findings: List[Finding] = []
 
@@ -456,14 +475,22 @@ def check_fusion_wires(
     for index, wire in enumerate(wires):
         outcomes = {
             name: _outcome(lambda: receiver.process(wire))
-            for name, receiver in arms.items()
+            for name, receiver in arms.items() if name != "shared"
         }
+        # the arm's place in the queue moves: it fills the memo on some
+        # wires and is served from it on others
+        memo: Dict[Any, Record] = {}
+        turn = index % len(queue)
+        for receiver in queue[turn:] + queue[:turn]:
+            outcome = _outcome(lambda: receiver.process(wire, memo))
+            if receiver is arms["shared"]:
+                outcomes["shared"] = outcome
         for name, (kind, val) in outcomes.items():
             if kind == "dirty":
                 flag(f"{name} path leaked {type(val).__name__} on wire "
                      f"{index}: {val!r}")
         fused_kind, fused_val = outcomes["fused"]
-        for name in ("staged", "interpreted"):
+        for name in ("staged", "interpreted", "shared"):
             kind, val = outcomes[name]
             if "dirty" in (fused_kind, kind):
                 continue
@@ -475,7 +502,7 @@ def check_fusion_wires(
                      f"fused={type(fused_val).__name__} "
                      f"{name}={type(val).__name__}")
 
-    for name in ("staged", "interpreted"):
+    for name in ("staged", "interpreted", "shared"):
         if len(delivered["fused"]) != len(delivered[name]):
             flag(f"delivery count divergence: fused={len(delivered['fused'])} "
                  f"{name}={len(delivered[name])}")

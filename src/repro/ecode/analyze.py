@@ -3,7 +3,8 @@
 The morph layer's route compiler (:mod:`repro.morph.fusion`) inlines
 transform bodies into one generated function.  Before it can do that it
 needs three facts about each program, all derivable from the AST the
-compiler keeps on every :class:`~repro.ecode.codegen.ECodeProcedure`:
+compiler keeps on every :class:`~repro.ecode.codegen.ECodeProcedure`
+(:func:`writes_param` is the receiver's: may readers share an input?):
 
 * :func:`has_return` — a transform with an explicit ``return`` cannot be
   spliced into a larger function body,
@@ -70,6 +71,21 @@ def fields_used(program: ast.Program, param: str) -> Optional[Set[str]]:
     if total != len(base_ids):
         return None
     return names
+
+
+def writes_param(program: Optional[ast.Program], param: str) -> bool:
+    """Whether running *program* may change the record passed as
+    *param*: true for any assignment, ``++`` or ``--`` rooted at it and,
+    conservatively, without an AST or when *param* is shadowed or leaves
+    field-access-base position (what :func:`fields_used` cannot account
+    for).  False: the record is only read, and readers may share it."""
+    if program is None or fields_used(program, param) is None:
+        return True
+    return any(
+        isinstance(node, (ast.Assignment, ast.IncDec))
+        and _access_root(node.target)[0] == param
+        for node in ast.walk(program)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -120,15 +120,19 @@ class _SubscriberGroup:
 
     Each group owns a :class:`MorphReceiver` whose single handler
     re-encodes the morphed record in the group format and pushes it to
-    every contact — one decode+transform per *format group*, not per
-    subscriber."""
+    every contact — one re-encode per *format group*, not per
+    subscriber (the decode and the transforms are paid per *event*:
+    :meth:`FabricWorker._fan_out`)."""
 
-    __slots__ = ("fmt", "contacts", "receiver")
+    __slots__ = ("fmt", "contacts", "receiver", "failed")
 
     def __init__(self, fmt: IOFormat, receiver: MorphReceiver) -> None:
         self.fmt = fmt
         self.contacts: List[str] = []
         self.receiver = receiver
+        #: what the receiver had dead-lettered or dropped in quarantine
+        #: when the last run ended (the advance is the worker's errors)
+        self.failed = 0
 
 
 class FabricChannel:
@@ -728,7 +732,14 @@ class FabricWorker:
         BATCH1 frame — split only at :data:`MAX_FRAME_BYTES` — carrying
         the inbound frame's trace context once.  A run of one leaves
         unframed, as a single publish always has.  Bare publishes,
-        frames and recovery replay all end here."""
+        frames and recovery replay all end here.
+
+        The groups are readers of one wire and Figure 1's ladder is a
+        tree they share: with more than one, each event carries a memo
+        (:meth:`MorphReceiver.process`) through which its payload is
+        decoded once and each retro-transform runs once; a lone group
+        keeps its fused route.  What a group's receiver dead-letters or
+        drops in quarantine is counted in ``errors`` as the run ends."""
         groups = [
             group for _format_id, group in sorted(channel.groups.items())
             if group.contacts
@@ -736,6 +747,7 @@ class FabricWorker:
         if not groups:
             return
         framed = len(run) > 1
+        sharing = len(groups) > 1
         frame_ctx = current()
         outbox: Dict[str, List[bytes]] = {}
         channel_id = channel.channel_id
@@ -759,10 +771,16 @@ class FabricWorker:
                 with activate(own), OBS.tracer.span(
                     "fabric.morph", channel=channel_id, worker=self.address,
                 ):
+                    shared = {} if sharing else None
                     for group in groups:
-                        group.receiver.process(payload)
+                        group.receiver.process(payload, shared)
         finally:
             self._delivering = None
+            for group in groups:
+                tally = group.receiver.containment
+                failed = tally["dead_lettered"] + tally["quarantine_drops"]
+                self.errors += failed - group.failed
+                group.failed = failed
         for contact, datagrams in outbox.items():
             try:
                 for wire in _frames(datagrams, frame_ctx) if framed else datagrams:

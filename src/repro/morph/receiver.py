@@ -30,6 +30,7 @@ import threading
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     Any,
     Callable,
@@ -43,6 +44,8 @@ from typing import (
     Tuple,
 )
 
+from repro.ecode.analyze import writes_param
+from repro.ecode.runtime import copy_value
 from repro.errors import NoMatchError, TransformError, UnknownFormatError
 from repro.morph.compat import coerce_record, reconcile_field_stats
 from repro.obs import OBS
@@ -55,7 +58,7 @@ from repro.morph.maxmatch import (
     max_match,
 )
 from repro.morph.fusion import FusedRoute, plan_fusion
-from repro.morph.transform import TransformChain, build_chain
+from repro.morph.transform import TransformChain, Transformation, build_chain
 from repro.obs.tracectx import activate
 from repro.pbio.buffer import FLAG_BIG_ENDIAN, MessageHeader, unpack_header
 from repro.pbio.context import PBIOContext
@@ -66,6 +69,8 @@ from repro.pbio.registry import FormatRegistry
 
 Handler = Callable[[Record], Any]
 DefaultHandler = Callable[[IOFormat, Record], Any]
+#: one event's memo of stage results (see :meth:`MorphReceiver.process`)
+Shared = Optional[Dict[Any, Record]]
 
 #: what stands in for a span when ``repro.obs`` is off
 _UNOBSERVED = nullcontext()
@@ -234,6 +239,41 @@ class _Route:
     def is_reject(self) -> bool:
         return self.handler_format is None
 
+    @cached_property
+    def stages(self) -> List[Tuple[Any, Transformation, bool]]:
+        """The chain as ``(memo key, step, may it write its input)``,
+        made when the route first meets a memo (a lone reader never pays
+        for the analysis).  A key names a value — the record under the
+        input's key run through this code into this target, from the
+        wire format id down (a ``pre_coercion``-widened record is not
+        the raw decode) — so routes agree on keys as far as their chains
+        agree.  Ids and the code string: no spec is hashed per event."""
+        stages = []
+        key: Any = self.wire_format.format_id
+        if self.pre_coercion is not None:
+            key = (key, self.pre_coercion[1].format_id)
+        for step in self.chain.steps:
+            key = (key, step.target.format_id, step.spec.code)
+            program = getattr(step.procedure, "program", None)
+            stages.append((key, step, writes_param(program, "new")))
+        return stages
+
+    def run_chain(self, record: Record, shared: Shared) -> Record:
+        """The transform chain — through one event's memo if there is
+        one: a step some reader has run is looked up, the others run and
+        are stored, unless they raise.  A step that may write its input
+        gets a copy of it (the input is in the memo too)."""
+        if shared is None:
+            return self.chain.apply(record)
+        for key, step, writes_input in self.stages:
+            result = shared.get(key)
+            if result is None:
+                result = shared[key] = step.apply(
+                    copy_value(record) if writes_input else record
+                )
+            record = result
+        return record
+
 
 class MorphReceiver:
     """Morphing-aware message receiver for one endpoint.
@@ -372,15 +412,25 @@ class MorphReceiver:
     # Processing
     # ------------------------------------------------------------------
 
-    def process(self, data: bytes) -> Any:
+    def process(self, data: bytes, shared: Shared = None) -> Any:
         """Process one wire message — a frame of one; returns whatever
         the handler returns.
 
         Raises :class:`UnknownFormatError` for unregistered wire ids and
         :class:`NoMatchError` for rejected messages when no default
         handler is installed — unless ``contain_failures`` is set, in
-        which case failures dead-letter and ``None`` is returned."""
-        return self._receive((data,))[0]
+        which case failures dead-letter and ``None`` is returned.
+
+        *shared* is a memo the caller makes (``{}``) for **one** event
+        and passes to every receiver it feeds that event's bytes: a route
+        then runs its staged steps and looks each result up first — the
+        payload decode, each transform of the chain — so the readers of
+        one wire pay once for what they have in common.  Everything else
+        stays per reader, and a failing step stores nothing: each reader
+        runs it, and fails, itself.  Handlers fed from one memo must not
+        write their record, and the receivers must be configured alike
+        (registry, ``use_codegen``, ``validate_transforms``)."""
+        return self._receive((data,), shared=shared)[0]
 
     def process_batch(self, data: bytes) -> List[Any]:
         """Process one BATCH1 frame (:mod:`repro.net.batch`): validate
@@ -414,7 +464,8 @@ class MorphReceiver:
             )
 
     def _receive(
-        self, segments: Iterable[bytes], retrying: bool = False
+        self, segments: Iterable[bytes], retrying: bool = False,
+        shared: Shared = None,
     ) -> List[Any]:
         """Algorithm 2 over the segments of one frame — the one receive
         loop.  Per segment: parse the header (once), drop quarantined
@@ -472,7 +523,9 @@ class MorphReceiver:
                                 raise UnknownFormatError(format_id)
                             self.stats.inc("cache_misses")
                             route = self._planned(incoming)
-                        record = self._decode(route, header, data, observing)
+                        record = self._decode(
+                            route, header, data, observing, shared
+                        )
                         if route.chain is not None:
                             morphed += 1
                         if route.coercion is not None:
@@ -481,6 +534,9 @@ class MorphReceiver:
                             perfect += 1
                         stage = "dispatch"
                         results.append(self._dispatch(route, record, observing))
+                    if self._failure_counts:
+                        # quarantine counts *consecutive* failures
+                        self._failure_counts.pop(format_id, None)
                 except Exception as exc:  # noqa: BLE001 - defined containment
                     if not contain:
                         raise
@@ -551,20 +607,27 @@ class MorphReceiver:
     # ------------------------------------------------------------------
 
     def _decode(
-        self, route: _Route, header: MessageHeader, data: bytes, observing: bool
+        self, route: _Route, header: MessageHeader, data: bytes,
+        observing: bool, shared: Shared,
     ) -> Record:
         """The route's one decode step, from wire bytes to the record its
         handler takes: the fused routine compiled for the payload's byte
-        order, else ``PBIOContext.decode_as`` and the staged steps."""
+        order, else ``PBIOContext.decode_as`` and the staged steps.  A
+        fused routine has nothing to share: with a *shared* memo the
+        route runs staged, and decodes only if no reader has."""
         fused = route.fused
-        fn = None if fused is None else fused.fn_for(
+        fn = None if fused is None or shared is not None else fused.fn_for(
             ">" if header.flags & FLAG_BIG_ENDIAN else "<"
         )
         if fn is None:
             if observing:
                 self._obs.staged_messages().inc()
-            record = self.context.decode_as(route.wire_format, data)
-            return self._morph(route, record, observing)
+            record = None if shared is None else shared.get(header.format_id)
+            if record is None:
+                record = self.context.decode_as(route.wire_format, data)
+                if shared is not None:
+                    shared[header.format_id] = record
+            return self._morph(route, record, observing, shared)
         body = header.body_offset
         end = body + header.payload_length
         if not observing:
@@ -582,7 +645,10 @@ class MorphReceiver:
             self._obs.transform_applied(wire_format.name).inc()
         return record
 
-    def _morph(self, route: _Route, record: Record, observing: bool) -> Record:
+    def _morph(
+        self, route: _Route, record: Record, observing: bool,
+        shared: Shared = None,
+    ) -> Record:
         """The staged pipeline after decode, one pass each: widen a
         projected record, run the transform chain, reconcile (what a
         fused route compiles into its decode)."""
@@ -599,11 +665,11 @@ class MorphReceiver:
                     target=chain.target.version,
                     steps=len(chain),
                 ) as active:
-                    record = chain.apply(record)
+                    record = route.run_chain(record, shared)
                 self._obs.transform_seconds().observe(active.span.duration)
                 self._obs.transform_applied(route.wire_format.name).inc()
             else:
-                record = chain.apply(record)
+                record = route.run_chain(record, shared)
         if route.coercion is not None:
             if observing:
                 with OBS.tracer.span(

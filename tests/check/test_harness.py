@@ -9,8 +9,12 @@ import sys
 
 import pytest
 
+from repro.bench.workloads import response_v2
+from repro.check.oracles import check_fusion_wires
 from repro.check.runner import CheckRunner, run_check
+from repro.echo.protocol import RESPONSE_V0, RESPONSE_V2
 from repro.errors import DecodeError
+from repro.morph.receiver import _Route
 from repro.pbio import codegen
 from repro.pbio.buffer import HEADER_SIZE
 from repro.pbio.decode import decode_record
@@ -53,6 +57,31 @@ class TestCLI:
         summary = json.loads(proc.stdout)
         assert summary["ok"] is True
         assert summary["seed"] == 0
+
+
+class TestFusionOracleSharedArm:
+    """The fusion oracle's fourth arm reads each wire through a memo it
+    shares with sibling readers, and is held to the fused arm."""
+
+    def wires(self):
+        return [
+            encode_record(RESPONSE_V2, response_v2(members), byte_order=order)
+            for members, order in ((3, "little"), (5, "big"), (1, "little"))
+        ]
+
+    def test_a_memo_that_changes_a_delivery_is_a_finding(
+        self, echo_registry, monkeypatch
+    ):
+        assert check_fusion_wires(echo_registry, RESPONSE_V0, self.wires()) == []
+        run_chain = _Route.run_chain
+        # a memo that forgets the last hop: invisible to the other arms
+        monkeypatch.setattr(
+            _Route, "run_chain",
+            lambda route, record, shared: run_chain(route, record, None)
+            if shared is None else route.stages[0][1].apply(record),
+        )
+        findings = check_fusion_wires(echo_registry, RESPONSE_V0, self.wires())
+        assert findings and all("shared" in f.detail for f in findings)
 
 
 @pytest.fixture

@@ -7,6 +7,11 @@ that nothing observable but the framing differs from publishing the
 same events one at a time, and that what ends a run (another channel, a
 subscribe, a shard we do not own, a poisoned segment) keeps its
 per-message grain.
+
+The format groups of a channel are readers of one wire: an event is
+decoded once and each retro-transform runs once at the owner, however
+many groups need it (counted, never timed), and what a group's receiver
+could not convert is counted in the worker's ``errors``.
 """
 
 from __future__ import annotations
@@ -17,9 +22,14 @@ from repro.echo.protocol import RESPONSE_V0, RESPONSE_V1, RESPONSE_V2
 from repro.fabric import EventFabric, JournalStore, shard_of
 from repro.fabric import worker as worker_module
 from repro.fabric.protocol import FABRIC_PUBLISH, FABRIC_SUBSCRIBE
+from repro.morph.transform import Transformation
 from repro.net.batch import is_batch, pack_batch, unpack_batch
 from repro.net.reliable import HEADER_SIZE as RELIABLE_HEADER_SIZE
 from repro.net.transport import Network
+from repro.pbio.context import PBIOContext
+from repro.pbio.field import IOField
+from repro.pbio.format import IOFormat
+from repro.pbio.registry import TransformSpec
 
 from tests.fabric.test_fabric import v2_record
 from tests.fabric.test_recovery import make_registry
@@ -44,11 +54,12 @@ class Fleet:
     """2 reliable workers on a file-backed journal, 2 publishers and one
     subscriber per reader format on 8 channels."""
 
-    def __init__(self, journal_path=None, workers=2):
+    def __init__(self, journal_path=None, workers=2, readers=READERS,
+                 registry=None):
         self.net = Network(seed=3)
         self.journal = JournalStore(path=journal_path)
         self.fabric = EventFabric(
-            self.net, registry=make_registry(), reliable=True,
+            self.net, registry=registry or make_registry(), reliable=True,
             journal=self.journal,
         )
         self.workers = [self.fabric.add_worker(f"w{i}") for i in range(workers)]
@@ -56,7 +67,7 @@ class Fleet:
         self.channels = [f"run/{i}" for i in range(8)]
         self.logs = {}
         self.subs = {}
-        for name, fmt in READERS:
+        for name, fmt in readers:
             log = self.logs[name] = []
             sub = self.subs[name] = self.fabric.client(f"sub-{name}")
             for channel_id in self.channels:
@@ -375,3 +386,101 @@ class TestPoisonedSegments:
             assert "nobody-home" in str(owner.last_error)
         assert [len(log) for log in fleet.logs.values()] == [9, 9, 9]
         assert fleet.net.handler_errors == 0
+
+
+class TestReadersOfOneWire:
+    """What one event costs at the owner, in calls: the payload is
+    decoded once and each transform of Figure 1's ladder runs once,
+    shared by the groups through the event's memo; a channel with one
+    group keeps its fused route."""
+
+    def count_at_the_owner(self, fleet, monkeypatch):
+        """(payload decodes by group receivers, ``Transformation.apply``
+        calls) while 64 events go through ``run/0``: 32 single publishes
+        and one frame of 32."""
+        decodes, applies = [], []
+        decode_as, apply = PBIOContext.decode_as, Transformation.apply
+        monkeypatch.setattr(
+            PBIOContext, "decode_as",
+            lambda ctx, fmt, data: decodes.append(ctx)
+            or decode_as(ctx, fmt, data),
+        )
+        monkeypatch.setattr(
+            Transformation, "apply",
+            lambda step, record: applies.append(step) or apply(step, record),
+        )
+        channel_id = fleet.channels[0]
+        records = [seeded_record(random.Random(n), channel_id) for n in range(64)]
+        for record in records[:32]:
+            fleet.pubs[0].publish(channel_id, RESPONSE_V2, record)
+        fleet.pubs[1].publish_batch(channel_id, RESPONSE_V2, records[32:])
+        fleet.net.run()
+        owner = fleet.fabric.directory.worker(
+            fleet.fabric.directory.owner(channel_id)
+        )
+        groups = owner._channels[channel_id].groups.values()
+        contexts = {id(group.receiver.context) for group in groups}
+        return sum(id(ctx) in contexts for ctx in decodes), len(applies)
+
+    def test_three_groups_one_decode_and_each_transform_once(
+        self, tmp_path, monkeypatch
+    ):
+        fleet = Fleet(str(tmp_path / "j.jsonl"))
+        assert self.count_at_the_owner(fleet, monkeypatch) == (64, 128)
+        assert [len(log) for log in fleet.logs.values()] == [64, 64, 64]
+
+    def test_a_lone_group_stays_fused(self, tmp_path, monkeypatch):
+        fleet = Fleet(str(tmp_path / "j.jsonl"), readers=READERS[2:])
+        assert self.count_at_the_owner(fleet, monkeypatch) == (0, 0)
+        assert [len(log) for log in fleet.logs.values()] == [64]
+
+
+class TestGroupFailuresReachTheWorker:
+    """An admitted, journaled event a group's receiver could not convert
+    used to vanish into that receiver's dead-letter queue (which nothing
+    in the fabric reads), and after three in a row the group's format was
+    quarantined — with ``worker.errors`` still 0."""
+
+    WIDE = IOFormat(
+        "Reading", [IOField("x", "integer"), IOField("d", "integer")],
+        version="2.0",
+    )
+    NARROW = IOFormat("Reading", [IOField("q", "integer")], version="1.0")
+
+    def fleet(self, tmp_path, name):
+        registry = make_registry()
+        registry.register_transform(
+            TransformSpec(self.WIDE, self.NARROW, "old.q = new.x / new.d;")
+        )
+        return Fleet(
+            str(tmp_path / name), workers=1, registry=registry,
+            readers=(("v2", self.WIDE), ("v1", self.NARROW)),
+        )
+
+    def check(self, fleet, publish):
+        (worker,) = fleet.workers
+        channel_id = fleet.channels[0]
+        records = [{"x": 6, "d": d} for d in (1, 0, 0, 0, 1, 1, 1)]
+        publish(fleet.pubs[0], channel_id, records)
+        fleet.net.run()
+        assert [r for _c, _p, _s, r in fleet.logs["v2"]] == records
+        # one delivered, three dead-lettered in a row, and then the
+        # quarantine drops three events the group *could* have converted
+        assert [r for _c, _p, _s, r in fleet.logs["v1"]] == [{"q": 6}]
+        assert worker.errors == len(records) - len(fleet.logs["v1"]) == 6
+        assert worker.processed == 7
+
+    def test_single_publishes(self, tmp_path):
+        def publish(pub, channel_id, records):
+            for record in records:
+                pub.publish(channel_id, self.WIDE, record)
+
+        self.check(self.fleet(tmp_path, "single.jsonl"), publish)
+
+    def test_one_frame(self, tmp_path):
+        self.check(
+            self.fleet(tmp_path, "frame.jsonl"),
+            lambda pub, channel_id, records: pub.publish_batch(
+                channel_id, self.WIDE, records
+            ),
+        )

@@ -153,6 +153,31 @@ class TestQuarantine:
         assert receiver.containment["quarantine_drops"] == 10
         assert receiver.containment["dead_lettered"] == dead_before
 
+    def test_a_success_resets_the_count_failures_must_be_consecutive(self):
+        # three bad events in a reader's *lifetime* used to cut its
+        # format off for good: the count was never reset by a success
+        wide = IOFormat(
+            "Ratio", [IOField("x", "integer"), IOField("d", "integer")],
+            version="2.0",
+        )
+        narrow = IOFormat("Ratio", [IOField("q", "integer")], version="1.0")
+        sender, receiver = make_receiver(quarantine_threshold=3)
+        receiver.registry.register_transform(
+            TransformSpec(wide, narrow, "old.q = new.x / new.d;")
+        )
+        seen = []
+        receiver.register_handler(narrow, lambda record: seen.append(record.q))
+        for d in (0, 1, 1, 0, 1, 1, 0, 1, 1):
+            receiver.process(sender.encode(wide, {"x": 6, "d": d}))
+        assert seen == [6] * 6
+        assert [l.stage for l in receiver.dead_letters] == ["transform"] * 3
+        assert receiver.containment["quarantined_formats"] == 0
+        assert receiver.containment["quarantine_drops"] == 0
+        # three in a row still quarantine
+        for _ in range(3):
+            receiver.process(sender.encode(wide, {"x": 6, "d": 0}))
+        assert receiver.is_quarantined(wide.format_id)
+
     def test_quarantine_does_not_disturb_healthy_formats(self):
         sender, receiver = make_receiver(quarantine_threshold=2)
         seen = []

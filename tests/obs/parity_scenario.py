@@ -10,7 +10,9 @@ used, so the same file runs against any commit::
 
 writes the fingerprint of that checkout.  ``cost_parity_golden.json``
 was written this way on the parent of the PR that made observation
-cheaper, and is the referee for "same counters, same spans".
+cheaper (and once more when the owner's groups began to share stage
+results and so to record the staged names instead of the fused ones),
+and is the referee for "same counters, same spans".
 """
 
 from __future__ import annotations

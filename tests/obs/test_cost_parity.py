@@ -5,9 +5,14 @@ instruments once per site and decode a datagram's trace block once:
 
 * **golden parity** — the fixed scenario of ``parity_scenario.py``
   records exactly what it recorded on the parent commit
-  (``cost_parity_golden.json`` was written there and is committed
-  unchanged): every instrument, every counter value and histogram count,
-  every span by name, parent, trace membership and remote parent;
+  (``cost_parity_golden.json`` was written there): every instrument,
+  every counter value and histogram count, every span by name, parent,
+  trace membership and remote parent.  The golden was rewritten once
+  since, by the change that lets an owner's format groups share their
+  stage results: its readers run staged, so 576 ``morph.fused`` spans /
+  ``morph.fused.seconds`` / ``fused_messages`` became ``morph.transform``
+  / ``morph.transform.seconds`` / ``staged_messages`` and the eight
+  ``morph.fusion.compiles`` went — those keys and nothing else;
 * **price guard** — in steady state an observed event asks the registry
   nothing and decodes each traced datagram's block at most three times
   (counted by wrapping, never timed);
@@ -209,7 +214,7 @@ class TestHandlesFollowTheRegistry:
         # records — codec generation, route planning — is not re-run)
         steady = {i.name for i in OBS.metrics.instruments()}
         assert steady <= names_before
-        assert {"pbio.encode.seconds", "morph.fused.seconds",
+        assert {"pbio.encode.seconds", "morph.transform.seconds",
                 "net.transport.queue_depth", "fabric.shard.processed",
                 "morph.dispatch.delivered"} <= steady
 
