@@ -948,7 +948,7 @@ def check_batching_parity(
         """Stand up one deployment and push the stream; returns
         ``(source, sinks, got-lists, span-tree, network)``."""
         prior = (obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer)
-        obs.enable(registry=Registry())
+        obs.enable(registry=Registry(), sample_every=1)  # every frame traced
         net = make_network(transport, net_seed, loss_rate, jitter)
         try:
             registry = FormatRegistry()

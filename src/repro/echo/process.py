@@ -17,7 +17,6 @@ only brokering membership (the ECho model, not a hub-and-spoke bus).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.echo.channel import ChannelState
@@ -41,7 +40,14 @@ from repro.net.reliable import ReliableEndpoint
 from repro.net.transport import Network, Node
 from repro.obs import OBS
 from repro.obs.metrics import Handles
-from repro.obs.tracectx import TraceContext, activate, make_context
+from repro.obs.tracectx import (
+    UNRECORDED,
+    TraceContext,
+    activate,
+    current,
+    mint,
+    recording,
+)
 from repro.pbio.buffer import (
     HEADER_SIZE,
     MessageHeader,
@@ -612,15 +618,13 @@ class EChoProcess:
             raise ChannelError(
                 f"{self.address} did not open channel {channel_id!r} as a source"
             )
-        # A fresh distributed trace per published event.  Both the
+        # A fresh distributed trace per sampled event.  Both the
         # envelope and the payload wires carry the 26-byte context block,
         # so a payload parked in the DLQ or replayed after a format fetch
-        # still knows which trace it belongs to.  With tracing off, no
-        # block is attached and the wire is byte-identical to an
-        # untraced build.
-        ctx: Optional[TraceContext] = None
-        if OBS.enabled:
-            ctx = make_context()
+        # still knows which trace it belongs to.  With tracing off, or
+        # for an event the sampler passed over, no block is attached and
+        # the wire is byte-identical to an untraced build.
+        ctx = mint() if OBS.enabled else None
         # Encode to the channel's negotiated projection when one is
         # active — the projection's generated encoder reads only its own
         # (live) fields straight out of the full record.
@@ -633,17 +637,20 @@ class EChoProcess:
             channel_id=channel_id, seq=channel.next_seq()
         )
         envelope_wire = self.pbio.encode(EVENT_ENVELOPE, envelope)
+        context = span = UNRECORDED
         if ctx is not None:
             payload = attach_trace(payload, ctx)
             envelope_wire = attach_trace(envelope_wire, ctx)
+            context = activate(ctx)
+            span = OBS.tracer.span(
+                "echo.publish",
+                channel=channel_id,
+                process=self.address,
+                format=fmt.name,
+                vtime=self.network.now,
+            )
         datagram = envelope_wire + payload
-        with activate(ctx), OBS.tracer.span(
-            "echo.publish",
-            channel=channel_id,
-            process=self.address,
-            format=fmt.name,
-            vtime=self.network.now,
-        ):
+        with context, span:
             pushed = 0
             for member in channel.sinks():
                 if member.contact == self.address:
@@ -691,9 +698,7 @@ class EChoProcess:
             raise ChannelError(
                 f"{self.address} did not open channel {channel_id!r} as a source"
             )
-        ctx: Optional[TraceContext] = None
-        if OBS.enabled:
-            ctx = make_context()
+        ctx = mint() if OBS.enabled else None
         projection = self._projection_for(channel_id, fmt)
         wire_fmt = projection if projection is not None else fmt
         local_sink = channel.is_sink and channel_id in self._event_receivers
@@ -729,14 +734,18 @@ class EChoProcess:
             frame = pack_batch(datagrams, ctx)
         if projection is not None:
             self._record_projected_send(fmt, projection, len(records))
-        with activate(ctx), OBS.tracer.span(
-            "echo.publish_batch",
-            channel=channel_id,
-            process=self.address,
-            format=fmt.name,
-            count=len(records),
-            vtime=self.network.now,
-        ):
+        context = span = UNRECORDED
+        if ctx is not None:
+            context = activate(ctx)
+            span = OBS.tracer.span(
+                "echo.publish_batch",
+                channel=channel_id,
+                process=self.address,
+                format=fmt.name,
+                count=len(records),
+                vtime=self.network.now,
+            )
+        with context, span:
             pushed = 0
             for member in channel.sinks():
                 if member.contact == self.address:
@@ -773,13 +782,17 @@ class EChoProcess:
         if not OBS.enabled:
             receiver.process(payload)
             return
-        # The payload carries its own trace block (attached at submit),
-        # so delivery resumed from a DLQ retry or a format-fetch replay
-        # re-joins the original trace even though the publishing call
-        # stack is long gone.
-        with activate(peek_trace(payload)), OBS.tracer.span(
-            "echo.deliver", channel=channel_id, process=self.address
-        ):
+        # A sampled payload carries its own trace block (attached at
+        # submit), so delivery resumed from a DLQ retry or a format-fetch
+        # replay re-joins the original trace even though the publishing
+        # call stack is long gone.
+        own = peek_trace(payload)
+        if recording(own or current()):
+            with activate(own), OBS.tracer.span(
+                "echo.deliver", channel=channel_id, process=self.address
+            ):
+                receiver.process(payload)
+        else:
             receiver.process(payload)
         self._obs_delivered(channel_id).inc()
 
@@ -882,9 +895,13 @@ class EChoProcess:
         # every span recorded while dispatching — decode, MaxMatch, the
         # transform chain, handlers — joins the publisher's trace.
         body_end = header.body_offset + header.payload_length
+        own = header.trace
         try:
-            with activate(header.trace):
+            if own is None:
                 self._dispatch_message(source, data, header, fmt, body_end)
+            else:
+                with activate(own):
+                    self._dispatch_message(source, data, header, fmt, body_end)
         finally:
             self._current_peer = None
 
@@ -894,9 +911,11 @@ class EChoProcess:
         the normal dispatch as a zero-copy ``memoryview`` slice."""
         frame = unpack_batch(data)
         view = data if isinstance(data, memoryview) else memoryview(data)
-        span = OBS.tracer.span(
-            "echo.batch.receive", process=self.address, count=frame.count
-        ) if OBS.enabled else nullcontext()
+        span = UNRECORDED
+        if OBS.enabled and recording(frame.trace or current()):
+            span = OBS.tracer.span(
+                "echo.batch.receive", process=self.address, count=frame.count
+            )
         with activate(frame.trace), span:
             for off, length in frame.segments:
                 self._on_message(source, view[off:off + length])

@@ -25,7 +25,7 @@ from repro.net.ledger import SeqLedger
 from repro.net.reliable import ReliableEndpoint
 from repro.obs import OBS
 from repro.obs.metrics import Handles
-from repro.obs.tracectx import TraceContext, activate, make_context
+from repro.obs.tracectx import UNRECORDED, activate, current, mint, recording
 from repro.pbio.buffer import attach_trace, peek_trace, unpack_header
 from repro.pbio.context import PBIOContext
 from repro.pbio.format import IOFormat
@@ -246,9 +246,7 @@ class FabricClient:
         owner, epoch = self._route(channel_id)
         seq = self._next_seq.get(channel_id, 0) + 1
         self._next_seq[channel_id] = seq
-        ctx: Optional[TraceContext] = None
-        if OBS.enabled:
-            ctx = make_context()
+        ctx = mint() if OBS.enabled else None
         payload = self.pbio.encode(fmt, record)
         envelope = FABRIC_PUBLISH.make_record(
             channel_id=channel_id,
@@ -257,16 +255,18 @@ class FabricClient:
             epoch=epoch,
         )
         envelope_wire = self.pbio.encode(FABRIC_PUBLISH, envelope)
-        if ctx is not None:
+        if ctx is None:  # obs off, or not the sampled one: a bare wire
+            self._send_publish(channel_id, owner, envelope_wire + payload)
+        else:
             payload = attach_trace(payload, ctx)
             envelope_wire = attach_trace(envelope_wire, ctx)
-        with activate(ctx), OBS.tracer.span(
-            "fabric.publish",
-            channel=channel_id,
-            publisher=self.address,
-            format=fmt.name,
-        ):
-            self._send_publish(channel_id, owner, envelope_wire + payload)
+            with activate(ctx), OBS.tracer.span(
+                "fabric.publish",
+                channel=channel_id,
+                publisher=self.address,
+                format=fmt.name,
+            ):
+                self._send_publish(channel_id, owner, envelope_wire + payload)
         self.published += 1
         if OBS.enabled:
             self._obs_published(channel_id).inc()
@@ -285,9 +285,7 @@ class FabricClient:
         if not records:
             return []
         owner, epoch = self._route(channel_id)
-        ctx: Optional[TraceContext] = None
-        if OBS.enabled:
-            ctx = make_context()
+        ctx = mint() if OBS.enabled else None
         seqs: List[int] = []
         datagrams: List[bytes] = []
         for record in records:
@@ -305,14 +303,17 @@ class FabricClient:
                 + self.pbio.encode(fmt, record)
             )
         frame = pack_batch(datagrams, ctx)
-        with activate(ctx), OBS.tracer.span(
-            "fabric.publish_batch",
-            channel=channel_id,
-            publisher=self.address,
-            format=fmt.name,
-            count=len(records),
-        ):
+        if ctx is None:
             self._send_publish(channel_id, owner, frame)
+        else:
+            with activate(ctx), OBS.tracer.span(
+                "fabric.publish_batch",
+                channel=channel_id,
+                publisher=self.address,
+                format=fmt.name,
+                count=len(records),
+            ):
+                self._send_publish(channel_id, owner, frame)
         self.published += len(records)
         if OBS.enabled:
             self._obs_published(channel_id).inc(len(records))
@@ -417,11 +418,17 @@ class FabricClient:
             self.duplicates += 1
             return
         fmt, handler = subscription
-        with activate(peek_trace(payload)), OBS.tracer.span(
-            "fabric.deliver",
-            channel=channel_id,
-            subscriber=self.address,
-        ):
+        context = span = UNRECORDED
+        if OBS.enabled:
+            own = peek_trace(payload)
+            if recording(own or current()):
+                context = activate(own)
+                span = OBS.tracer.span(
+                    "fabric.deliver",
+                    channel=channel_id,
+                    subscriber=self.address,
+                )
+        with context, span:
             payload_header = unpack_header(payload)
             body_end = (
                 payload_header.body_offset + payload_header.payload_length

@@ -70,7 +70,14 @@ from repro.net.ledger import SeqLedger
 from repro.net.reliable import ReliableEndpoint
 from repro.obs import OBS
 from repro.obs.metrics import Handles
-from repro.obs.tracectx import TRACE_BLOCK_SIZE, TraceContext, activate, current
+from repro.obs.tracectx import (
+    TRACE_BLOCK_SIZE,
+    UNRECORDED,
+    TraceContext,
+    activate,
+    current,
+    recording,
+)
 from repro.pbio.buffer import attach_trace, peek_trace, unpack_header
 from repro.pbio.context import PBIOContext
 from repro.pbio.format import IOFormat
@@ -768,9 +775,14 @@ class FabricWorker:
                 if ctx is not None:
                     envelope = attach_trace(envelope, ctx)
                 self._delivering = (envelope, ctx, outbox)
-                with activate(own), OBS.tracer.span(
-                    "fabric.morph", channel=channel_id, worker=self.address,
-                ):
+                context = span = UNRECORDED
+                if OBS.enabled and recording(own or frame_ctx):
+                    context = activate(own)
+                    span = OBS.tracer.span(
+                        "fabric.morph", channel=channel_id,
+                        worker=self.address,
+                    )
+                with context, span:
                     shared = {} if sharing else None
                     for group in groups:
                         group.receiver.process(payload, shared)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (
@@ -59,7 +58,7 @@ from repro.morph.maxmatch import (
 )
 from repro.morph.fusion import FusedRoute, plan_fusion
 from repro.morph.transform import TransformChain, Transformation, build_chain
-from repro.obs.tracectx import activate
+from repro.obs.tracectx import UNRECORDED, activate, current, recording
 from repro.pbio.buffer import FLAG_BIG_ENDIAN, MessageHeader, unpack_header
 from repro.pbio.context import PBIOContext
 from repro.pbio.format import IOFormat
@@ -71,9 +70,6 @@ Handler = Callable[[Record], Any]
 DefaultHandler = Callable[[IOFormat, Record], Any]
 #: one event's memo of stage results (see :meth:`MorphReceiver.process`)
 Shared = Optional[Dict[Any, Record]]
-
-#: what stands in for a span when ``repro.obs`` is off
-_UNOBSERVED = nullcontext()
 
 
 #: Counter names kept by every receiver, exposed both as attributes
@@ -505,14 +501,17 @@ class MorphReceiver:
                         results.append(None)
                         continue
                     messages += 1
+                    context = span = UNRECORDED
+                    tracing = False
                     if observing:
                         # under the message's own trace context (None, a
                         # passthrough, if untraced): a standalone receiver,
                         # or a retry of the raw bytes, still joins its trace
-                        context = activate(header.trace)
-                        span = OBS.tracer.span("morph.process")
-                    else:
-                        context = span = _UNOBSERVED
+                        own = header.trace
+                        tracing = recording(own or current())
+                        if tracing:
+                            context = activate(own)
+                            span = OBS.tracer.span("morph.process")
                     with context, span:
                         route = routes.get(format_id)
                         if route is not None:
@@ -524,7 +523,7 @@ class MorphReceiver:
                             self.stats.inc("cache_misses")
                             route = self._planned(incoming)
                         record = self._decode(
-                            route, header, data, observing, shared
+                            route, header, data, observing, tracing, shared
                         )
                         if route.chain is not None:
                             morphed += 1
@@ -533,7 +532,9 @@ class MorphReceiver:
                         elif route.handler_format is not None:
                             perfect += 1
                         stage = "dispatch"
-                        results.append(self._dispatch(route, record, observing))
+                        results.append(
+                            self._dispatch(route, record, observing, tracing)
+                        )
                     if self._failure_counts:
                         # quarantine counts *consecutive* failures
                         self._failure_counts.pop(format_id, None)
@@ -578,14 +579,15 @@ class MorphReceiver:
             self.stats.inc("cache_misses")
             route = self._planned(fmt)
         observing = OBS.enabled
-        record = self._morph(route, record, observing)
+        tracing = observing and recording(current())
+        record = self._morph(route, record, observing, tracing)
         if route.chain is not None:
             self.stats.inc("morphed")
         if route.coercion is not None:
             self.stats.inc("reconciled")
         elif not route.is_reject:
             self.stats.inc("perfect_matches")
-        return self._dispatch(route, record, observing)
+        return self._dispatch(route, record, observing, tracing)
 
     def _planned(self, fmt: IOFormat) -> _Route:
         """The cached route for *fmt*, planned on a miss.  The cache
@@ -608,13 +610,17 @@ class MorphReceiver:
 
     def _decode(
         self, route: _Route, header: MessageHeader, data: bytes,
-        observing: bool, shared: Shared,
+        observing: bool, tracing: bool, shared: Shared,
     ) -> Record:
         """The route's one decode step, from wire bytes to the record its
         handler takes: the fused routine compiled for the payload's byte
         order, else ``PBIOContext.decode_as`` and the staged steps.  A
         fused routine has nothing to share: with a *shared* memo the
-        route runs staged, and decodes only if no reader has."""
+        route runs staged, and decodes only if no reader has.
+
+        Here and down the route *observing* (``repro.obs`` is on) counts
+        every message; *tracing* (:func:`~repro.obs.tracectx.recording`)
+        adds the spans and durations of a sampled one."""
         fused = route.fused
         fn = None if fused is None or shared is not None else fused.fn_for(
             ">" if header.flags & FLAG_BIG_ENDIAN else "<"
@@ -627,18 +633,22 @@ class MorphReceiver:
                 record = self.context.decode_as(route.wire_format, data)
                 if shared is not None:
                     shared[header.format_id] = record
-            return self._morph(route, record, observing, shared)
+            return self._morph(route, record, observing, tracing, shared)
         body = header.body_offset
         end = body + header.payload_length
         if not observing:
             return fn(data, body, end)[0]
         wire_format = route.wire_format
         self._obs.fused_messages().inc()
-        with OBS.tracer.span(
-            "morph.fused", format=wire_format.name, version=wire_format.version
-        ) as active:
+        if tracing:
+            with OBS.tracer.span(
+                "morph.fused", format=wire_format.name,
+                version=wire_format.version,
+            ) as active:
+                record = fn(data, body, end)[0]
+            self._obs.fused_seconds().observe(active.span.duration)
+        else:
             record = fn(data, body, end)[0]
-        self._obs.fused_seconds().observe(active.span.duration)
         if route.chain is not None:
             # identical labeled counter to the staged path, so the
             # fused/staged differential oracle sees no divergence
@@ -646,7 +656,7 @@ class MorphReceiver:
         return record
 
     def _morph(
-        self, route: _Route, record: Record, observing: bool,
+        self, route: _Route, record: Record, observing: bool, tracing: bool,
         shared: Shared = None,
     ) -> Record:
         """The staged pipeline after decode, one pass each: widen a
@@ -658,7 +668,7 @@ class MorphReceiver:
                 self._obs.widened().inc()
         chain = route.chain
         if chain is not None:
-            if observing:
+            if tracing:
                 with OBS.tracer.span(
                     "morph.transform",
                     source=route.wire_format.version,
@@ -667,24 +677,28 @@ class MorphReceiver:
                 ) as active:
                     record = route.run_chain(record, shared)
                 self._obs.transform_seconds().observe(active.span.duration)
-                self._obs.transform_applied(route.wire_format.name).inc()
             else:
                 record = route.run_chain(record, shared)
-        if route.coercion is not None:
             if observing:
+                self._obs.transform_applied(route.wire_format.name).inc()
+        if route.coercion is not None:
+            if tracing:
                 with OBS.tracer.span(
                     "morph.reconcile",
                     dropped=route.fields_dropped,
                     defaulted=route.fields_defaulted,
                 ):
                     record = coerce_record(*route.coercion, record)
-                self._obs.fields_dropped().observe(route.fields_dropped)
-                self._obs.fields_defaulted().observe(route.fields_defaulted)
             else:
                 record = coerce_record(*route.coercion, record)
+            if observing:
+                self._obs.fields_dropped().observe(route.fields_dropped)
+                self._obs.fields_defaulted().observe(route.fields_defaulted)
         return record
 
-    def _dispatch(self, route: _Route, record: Record, observing: bool) -> Any:
+    def _dispatch(
+        self, route: _Route, record: Record, observing: bool, tracing: bool,
+    ) -> Any:
         """The tail every entry point ends in: hand *record* to the
         handler of the route's matched format — or, for a message no
         match admits, to the default handler (``NoMatchError`` without
@@ -701,9 +715,10 @@ class MorphReceiver:
                 )
             return self._default_handler(route.wire_format, record)
         handler = self._handlers[handler_format.format_id]
-        if not observing:
+        if observing:
+            self._obs.dispatch_delivered(handler_format.name).inc()
+        if not tracing:
             return handler(record)
-        self._obs.dispatch_delivered(handler_format.name).inc()
         with OBS.tracer.span(
             "morph.dispatch",
             format=handler_format.name,

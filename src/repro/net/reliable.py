@@ -47,7 +47,7 @@ from repro.errors import TransportError
 from repro.net.transport import Network, Node, peek_frame_trace
 from repro.obs import OBS
 from repro.obs.metrics import Handles
-from repro.obs.tracectx import activate
+from repro.obs.tracectx import activate, current, isolate, recording
 
 #: Frame magic: deliberately distinct from PBIO's header magic and from
 #: the ``{``-prefixed JSON of the meta-data plane.
@@ -354,7 +354,7 @@ class ReliableEndpoint:
                 ticket.destination, _HEADER.pack(MAGIC, _FRAME_GAP, hole)
             )
         frame = _HEADER.pack(MAGIC, _FRAME_DATA, ticket.seq) + ticket.payload
-        if OBS.enabled:
+        if OBS.enabled and recording(ctx := peek_frame_trace(ticket.payload)):
             # A traced payload makes every (re)transmission a span of its
             # trace, so the flight recorder can show loss recovery and
             # backoff as part of the message's journey.  A BATCH1 payload
@@ -363,7 +363,7 @@ class ReliableEndpoint:
                 "net.reliable.send" if ticket.attempts == 1
                 else "net.reliable.retransmit"
             )
-            with activate(peek_frame_trace(ticket.payload)), OBS.tracer.span(
+            with activate(ctx), OBS.tracer.span(
                 name,
                 peer=ticket.destination,
                 process=self.address,
@@ -492,14 +492,22 @@ class ReliableEndpoint:
                     # zero-delay deliveries) reentrantly; re-reading
                     # _expected each iteration keeps the drain
                     # consistent under that.
-                    if OBS.enabled:
-                        with activate(peek_frame_trace(payload)), OBS.tracer.span(
+                    # Under the payload's own context, None included:
+                    # it need not be the datagram whose arrival (and
+                    # active context) started this drain.
+                    if OBS.enabled and recording(
+                        ctx := peek_frame_trace(payload)
+                    ):
+                        with isolate(ctx), OBS.tracer.span(
                             "net.reliable.deliver",
                             peer=source,
                             process=self.address,
                             seq=expected,
                             vtime=self.network.now,
                         ):
+                            self._handler(source, payload)
+                    elif OBS.enabled and current() is not None:
+                        with isolate(None):
                             self._handler(source, payload)
                     else:
                         self._handler(source, payload)

@@ -26,7 +26,7 @@ from repro.net.link import LinkSpec
 from repro.net.scheduler import Timer, VirtualScheduler
 from repro.obs import OBS
 from repro.obs.metrics import Handles
-from repro.obs.tracectx import activate
+from repro.obs.tracectx import activate, recording
 
 MessageHandler = Callable[[str, bytes], None]
 
@@ -160,11 +160,11 @@ class Node:
         Returns whether the handler raised."""
         network = self.network
         try:
-            if OBS.enabled:
+            if OBS.enabled and recording(ctx := _sniff_trace(data)):
                 # every physical delivery of a traced message becomes a
                 # child span of that message's trace — including each
                 # retransmission of the same payload
-                with activate(_sniff_trace(data)), OBS.tracer.span(
+                with activate(ctx), OBS.tracer.span(
                     "net.deliver",
                     source=source,
                     destination=self.address,
@@ -278,7 +278,6 @@ class Network:
         if OBS.enabled:
             self._obs.messages(source, destination).inc()
             self._obs.bytes(source, destination).inc(len(data))
-            self._obs.queue_depth().set(len(self._scheduler))
         return arrival
 
     # ------------------------------------------------------------------
@@ -335,8 +334,8 @@ class Network:
                          handler_error=handler_error)
             )
             delivered += 1
-            if OBS.enabled:
-                self._obs.queue_depth().set(len(self._scheduler))
+        if OBS.enabled:
+            self._obs.queue_depth().set(len(self._scheduler))
         return delivered
 
     @property

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.errors import ObsError
 from repro.obs.state import OBS, ObsState
 from repro.obs.metrics import (
     COUNT_BUCKETS,
@@ -70,6 +71,10 @@ from repro.obs.tracing import (
     find_spans,
 )
 
+#: Head-sampling rate :func:`enable` defaults to — chosen from the
+#: measured N-curve in docs/OBSERVABILITY.md ("Cost when on").
+DEFAULT_SAMPLE_EVERY = 64
+
 # The switchboard lives in the leaf module repro.obs.state (metrics and
 # tracing read it too); this package fills it in before anything above
 # the leaves is imported.
@@ -82,6 +87,7 @@ __all__ = [
     "COUNT_BUCKETS",
     "Counter",
     "DEFAULT_LABEL_LIMIT",
+    "DEFAULT_SAMPLE_EVERY",
     "FlightReport",
     "Gauge",
     "Histogram",
@@ -154,10 +160,20 @@ def __getattr__(name: str) -> Any:
 def enable(
     registry: Optional[Registry] = None,
     capacity: int = DEFAULT_CAPACITY,
+    sample_every: int = DEFAULT_SAMPLE_EVERY,
 ) -> ObsState:
     """Turn observability on, optionally attaching an external *registry*
     (the bench harness passes its own so each figure can be snapshotted
-    and reset in isolation).  Returns the active state."""
+    and reset in isolation).  Returns the active state.
+
+    One of every *sample_every* published messages — the first after
+    this call included — is traced and timed end to end
+    (:func:`repro.obs.tracectx.mint`); counters and gauges count every
+    message.  ``sample_every=1`` traces them all."""
+    if sample_every < 1:
+        raise ObsError(f"sample_every must be >= 1, got {sample_every}")
+    OBS.sample_every = sample_every
+    OBS.minted = 0
     if registry is not None:
         OBS.metrics = registry
     if not isinstance(OBS.tracer, SpanRecorder) or OBS.tracer.capacity != capacity:

@@ -16,13 +16,17 @@ Usage::
                                           # traced lossy demo -> Chrome
                                           # trace-event JSON (load the
                                           # file at https://ui.perfetto.dev)
-    python -m repro.obs --flight          # traced lossy demo -> per-message
-                                          # flight-recorder hop timelines
+    python -m repro.obs --flight          # traced lossy demo -> the hop
+                                          # timeline of the most recent
+                                          # sampled message (or of the
+                                          # trace id given)
     python -m repro.obs --trace-smoke --out trace.json
                                           # CI gate: V2->V1->V0 morph chain
-                                          # over a 10% lossy link; asserts
-                                          # every delivered message produced
-                                          # one complete trace, writes the
+                                          # over a 10% lossy link at the
+                                          # default sampling rate; asserts
+                                          # every sampled message produced
+                                          # one complete trace, every other
+                                          # one counters only, writes the
                                           # Chrome export, exits 1 on failure
     python -m repro.obs --top             # live cluster view: a 3-worker
                                           # fabric with telemetry agents,
@@ -46,73 +50,17 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro import obs
 from repro.obs.distributed import TraceStore
 from repro.obs.export import build_snapshot, render_text, to_prometheus
 
 
-def _demo_workload(messages: int = 25) -> None:
-    """One evolving-format ECho exchange: a v2 producer, a v1 consumer,
-    morphing in between — enough traffic to populate every layer's
-    instruments (net, pbio, ecode, morph, echo)."""
-    from repro.echo.process import EChoProcess
-    from repro.net.transport import Network
-    from repro.pbio.field import IOField
-    from repro.pbio.format import IOFormat
-    from repro.pbio.registry import FormatRegistry
-
-    reading_v1 = IOFormat(
-        "Reading",
-        [IOField("celsius", "float"), IOField("station", "string")],
-        version="1",
-    )
-    reading_v2 = IOFormat(
-        "Reading",
-        [
-            IOField("kelvin", "float"),
-            IOField("station", "string"),
-            IOField("sensor_id", "integer"),
-        ],
-        version="2",
-    )
-    registry = FormatRegistry()
-    registry.add_transform(
-        reading_v2,
-        reading_v1,
-        "old.celsius = new.kelvin - 273.15;\nold.station = new.station;",
-        description="Reading v2 -> v1",
-    )
-    network = Network()
-    producer = EChoProcess(network, "producer", registry, version="2.0")
-    consumer = EChoProcess(network, "consumer", registry, version="1.0")
-    producer.create_channel("readings")
-    consumer.open_channel("readings", "producer", as_sink=True)
-    network.run()
-    consumer.subscribe("readings", reading_v1, lambda rec: rec)
-    for i in range(messages):
-        producer.submit(
-            "readings",
-            reading_v2,
-            reading_v2.make_record(
-                kelvin=290.0 + i, station=f"st-{i % 3}", sensor_id=i
-            ),
-        )
-    network.run()
-
-
-def _traced_chain_workload(
-    messages: int = 20, loss_rate: float = 0.10, seed: int = 7
-) -> Tuple[int, int]:
-    """The distributed-tracing demo: a V2 producer publishing to a V0
-    consumer over a *lossy* link with reliable endpoints — every message
-    crosses the wire (possibly several times), morphs V2→V1→V0 through
-    the writer-supplied transform chain, and dispatches.  Returns
-    ``(delivered, messages)``."""
-    from repro.echo.process import EChoProcess
-    from repro.net.link import LinkSpec
-    from repro.net.transport import Network
+def _reading_formats() -> Tuple[Any, Any, Any, Any]:
+    """The quickstart's evolving ``Reading`` format, three revisions, in
+    a registry holding the writer's V2→V1 and V1→V0 transforms:
+    ``(registry, v0, v1, v2)``."""
     from repro.pbio.field import IOField
     from repro.pbio.format import IOFormat
     from repro.pbio.registry import FormatRegistry
@@ -147,19 +95,24 @@ def _traced_chain_workload(
         "old.celsius = new.celsius;",
         description="Reading v1 -> v0",
     )
-    network = Network(
-        seed=seed,
-        default_link=LinkSpec(latency=0.001, loss_rate=loss_rate),
-    )
-    producer = EChoProcess(network, "producer", registry, version="2.0",
-                           reliable=True)
-    consumer = EChoProcess(network, "consumer", registry, version="0.0",
-                           reliable=True)
+    return registry, reading_v0, reading_v1, reading_v2
+
+
+def _demo_workload(messages: int = 25) -> None:
+    """One evolving-format ECho exchange: a v2 producer, a v1 consumer,
+    morphing in between — enough traffic to populate every layer's
+    instruments (net, pbio, ecode, morph, echo)."""
+    from repro.echo.process import EChoProcess
+    from repro.net.transport import Network
+
+    registry, _v0, reading_v1, reading_v2 = _reading_formats()
+    network = Network()
+    producer = EChoProcess(network, "producer", registry, version="2.0")
+    consumer = EChoProcess(network, "consumer", registry, version="1.0")
     producer.create_channel("readings")
     consumer.open_channel("readings", "producer", as_sink=True)
     network.run()
-    delivered: List[object] = []
-    consumer.subscribe("readings", reading_v0, delivered.append)
+    consumer.subscribe("readings", reading_v1, lambda rec: rec)
     for i in range(messages):
         producer.submit(
             "readings",
@@ -169,7 +122,53 @@ def _traced_chain_workload(
             ),
         )
     network.run()
-    return len(delivered), messages
+
+
+def _traced_chain_workload(
+    messages: Optional[int] = None, loss_rate: float = 0.10, seed: int = 7,
+    tap: Optional[Callable[[bytes], None]] = None,
+) -> Tuple[List[float], int]:
+    """The distributed-tracing demo: a V2 producer publishing to a V0
+    consumer over a *lossy* link with reliable endpoints — every message
+    crosses the wire (possibly several times), morphs V2→V1→V0 through
+    the writer-supplied transform chain, and dispatches.  By default
+    enough messages that the head sampler picks three; *tap* sees every
+    datagram sent.  Returns ``(delivered values, messages)``."""
+    from repro.echo.process import EChoProcess
+    from repro.net.link import LinkSpec
+    from repro.net.transport import Network
+
+    registry, reading_v0, _v1, reading_v2 = _reading_formats()
+    if messages is None:
+        messages = 3 * obs.OBS.sample_every
+    network = Network(
+        seed=seed,
+        default_link=LinkSpec(latency=0.001, loss_rate=loss_rate),
+    )
+    if tap is not None:
+        send = network.send
+        network.send = lambda src, dst, data: tap(data) or send(src, dst, data)
+    producer = EChoProcess(network, "producer", registry, version="2.0",
+                           reliable=True)
+    consumer = EChoProcess(network, "consumer", registry, version="0.0",
+                           reliable=True)
+    producer.create_channel("readings")
+    consumer.open_channel("readings", "producer", as_sink=True)
+    network.run()
+    delivered: List[float] = []
+    consumer.subscribe(
+        "readings", reading_v0, lambda rec: delivered.append(rec["celsius"])
+    )
+    for i in range(messages):
+        producer.submit(
+            "readings",
+            reading_v2,
+            reading_v2.make_record(
+                kelvin=290.0 + i, station=f"st-{i % 3}", sensor_id=i
+            ),
+        )
+    network.run()
+    return delivered, messages
 
 
 #: Span names every complete traced delivery must contain (the morph
@@ -220,32 +219,51 @@ def _run_flight(trace_id: Optional[str]) -> int:
     if not ids:
         print("no traces recorded", file=sys.stderr)
         return 1
-    targets = [trace_id] if trace_id is not None else ids[:3]
-    for tid in targets:
-        print(store.flight(tid).hop_report())
-        print()
+    # no id given: the most recent message the head sampler picked
+    print(store.flight(trace_id if trace_id is not None else ids[-1])
+          .hop_report())
     total = sum(store.flight(t).retransmits for t in ids)
-    print(f"{len(ids)} trace(s) recorded, {total} retransmit(s) across all")
+    print(f"\n{len(ids)} sampled trace(s) recorded (1 message in "
+          f"{obs.OBS.sample_every}), {total} retransmit(s) across them")
     obs.disable(reset=True)
     return 0
 
 
+#: Planning spans: recorded for whichever message first needs the route,
+#: sampled or not.
+_PLANNING_SPANS = {"morph.maxmatch", "ecode.codegen"}
+
+
 def _run_trace_smoke(out_path: Optional[str]) -> int:
-    """The CI smoke gate: run the lossy V2→V1→V0 chain traced, assert
-    trace completeness for every delivered message, export Chrome JSON."""
+    """The CI smoke gate: run the lossy V2→V1→V0 chain at the default
+    sampling rate; every sampled message must have left one complete
+    trace (retransmits included), every other one nothing but exact
+    counters — no span, no trace block on the wire.  Exports the traces
+    as Chrome JSON."""
+    from repro.net.transport import _sniff_trace
+
     obs.disable(reset=True)
     obs.enable(capacity=65536)
     obs.seed_ids(42)
-    delivered, sent = _traced_chain_workload(messages=30)
+    every = obs.OBS.sample_every
+    blocks: List[bool] = []
+    delivered, sent = _traced_chain_workload(
+        tap=lambda data: blocks.append(_sniff_trace(data) is not None)
+    )
     store = _collect_store()
     failures: List[str] = []
-    if delivered != sent:
-        failures.append(f"delivered {delivered}/{sent} messages")
+    if sorted(set(delivered)) != sorted(delivered) or len(delivered) != sent:
+        failures.append(
+            f"delivered {len(set(delivered))} distinct of {sent} messages "
+            f"in {len(delivered)} deliveries"
+        )
     ids = store.trace_ids()
-    # the channel-open handshake is untraced; every published message
-    # must have produced exactly one trace
-    if len(ids) != sent:
-        failures.append(f"{len(ids)} trace(s) for {sent} published messages")
+    # the channel-open handshake is untraced; one published message in
+    # `every` must have produced exactly one trace
+    if len(ids) != -(-sent // every) or len(ids) < 3:
+        failures.append(
+            f"{len(ids)} trace(s) for {sent} messages sampled 1 in {every}"
+        )
     incomplete = 0
     for tid in ids:
         report = store.flight(tid)
@@ -253,12 +271,39 @@ def _run_trace_smoke(out_path: Optional[str]) -> int:
         missing = [n for n in _REQUIRED_SPANS if n not in names]
         if "morph.transform" not in names and "morph.fused" not in names:
             missing.append("morph.transform|morph.fused")
-        if missing:
+        if missing or not report.hop_report():
             incomplete += 1
             if incomplete <= 3:
                 failures.append(f"trace {tid} missing spans: {missing}")
     if incomplete:
         failures.append(f"{incomplete} incomplete trace(s)")
+    spans = obs.get_tracer().spans()
+    stray = {s.name for s in spans if s.trace_id is None} - _PLANNING_SPANS
+    if stray:
+        failures.append(f"spans outside every sampled trace: {sorted(stray)}")
+    transmissions = sum(
+        s.name in ("net.reliable.send", "net.reliable.retransmit")
+        for s in spans
+    )
+    if sum(blocks) != transmissions:
+        failures.append(
+            f"{sum(blocks)} datagram(s) carried a trace block, the sampled "
+            f"traces account for {transmissions} transmission(s)"
+        )
+    retransmits = sum(store.flight(t).retransmits for t in ids)
+
+    def total(name: str) -> int:
+        return sum(i.value for i in obs.get_registry().instruments()
+                   if i.name == name)
+
+    # counters are exact for every message, sampled or not
+    retries = total("net.reliable.retries")
+    if not (total("echo.channel.events_pushed") == sent
+            == total("echo.channel.events_delivered")
+            and total("net.reliable.sends") == total("net.reliable.acked")
+            and retries > retransmits):
+        failures.append("pushed / delivered / sends / acked / retries "
+                        "counters do not reconcile")
     snapshot = build_snapshot(obs.get_registry(), obs.get_tracer())
     if snapshot["spans"]["dropped"]:
         failures.append(
@@ -271,15 +316,16 @@ def _run_trace_smoke(out_path: Optional[str]) -> int:
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as handle:
             json.dump(chrome, handle, indent=2)
-    retransmits = sum(store.flight(t).retransmits for t in ids)
     obs.disable(reset=True)
     if failures:
         for failure in failures:
             print(f"trace-smoke FAIL: {failure}", file=sys.stderr)
         return 1
     print(
-        f"trace-smoke OK: {delivered}/{sent} delivered, {len(ids)} complete "
-        f"trace(s), {retransmits} retransmit(s) recovered"
+        f"trace-smoke OK: {sent}/{sent} delivered exactly once, {len(ids)} "
+        f"complete trace(s) (1 in {every}) with {retransmits} of "
+        f"{retries} retransmit(s), "
+        f"{sent - len(ids)} message(s) left counters only"
         + (f", Chrome export at {out_path}" if out_path else "")
     )
     return 0

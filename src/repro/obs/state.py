@@ -12,7 +12,7 @@ from typing import Any
 
 
 class ObsState:
-    """Instrumented call sites read three attributes:
+    """Instrumented call sites read four attributes:
 
     ``enabled``
         The master flag.  Hot paths check it before doing any work, so a
@@ -24,12 +24,19 @@ class ObsState:
     ``tracer``
         A :class:`~repro.obs.tracing.SpanRecorder` when enabled,
         :class:`~repro.obs.tracing.NullRecorder` otherwise.
+    ``sample_every``
+        The head-sampling rate N set by :func:`repro.obs.enable`: one of
+        every N messages is minted a trace context
+        (:func:`repro.obs.tracectx.mint`, which keeps its count in
+        ``minted``) and only that one is traced and timed; 1 samples all.
     """
 
-    __slots__ = ("enabled", "metrics", "tracer")
+    __slots__ = ("enabled", "metrics", "tracer", "sample_every", "minted")
 
     def __init__(self) -> None:
         self.enabled = False
+        self.sample_every = 1
+        self.minted = 0
         # repro.obs installs a Registry and a NullRecorder on import
         self.metrics: Any = None
         self.tracer: Any = None

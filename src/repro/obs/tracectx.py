@@ -6,9 +6,10 @@ middleware threads through a message's whole cross-process journey:
 * a **128-bit trace id** naming the journey (one per published event),
 * a **64-bit span id** naming the hop that forwarded it (the sender's
   publish span), and
-* a **sampled** flag (reserved — every context the middleware creates
-  today is sampled; the bit is carried so a future head-sampling policy
-  needs no wire change).
+* a **sampled** flag: the head-sampling decision, taken once where the
+  context is minted (:func:`mint` gives one message in every
+  ``OBS.sample_every`` a context and the rest none) and read by every
+  per-message span site through :func:`recording`.
 
 On the wire the context travels as a fixed 26-byte block between the
 PBIO header and the payload, announced by a header flag
@@ -27,9 +28,9 @@ every span recorded while a context is active with its trace id, and
 :class:`repro.obs.metrics.Histogram` keeps the latest traceparent per
 bucket as an exemplar.
 
-This module is a leaf (stdlib + :mod:`repro.errors` only) so the wire
-layer, the metrics registry and the tracer can all import it without
-cycles.
+This module is a leaf (stdlib, :mod:`repro.errors` and the switchboard
+:mod:`repro.obs.state` only) so the wire layer, the metrics registry and
+the tracer can all import it without cycles.
 """
 
 from __future__ import annotations
@@ -37,9 +38,11 @@ from __future__ import annotations
 import random
 import struct
 import threading
+from contextlib import nullcontext
 from typing import Optional
 
 from repro.errors import DecodeError
+from repro.obs.state import OBS
 
 #: Trace-context block layout: version u8, flags u8, trace_id 16 bytes,
 #: span_id u64 — all big-endian (the W3C traceparent convention).
@@ -201,6 +204,34 @@ def make_context(sampled: bool = True) -> TraceContext:
     return TraceContext(new_trace_id(), new_span_id(), sampled, origin=True)
 
 
+def mint() -> Optional[TraceContext]:
+    """The head-sampling decision, taken where a message is published: a
+    fresh sampled context for one of every ``OBS.sample_every``
+    consecutive calls (the first after :func:`repro.obs.enable`
+    included), ``None`` for the rest — those messages carry no trace
+    block and no per-message site records a span or a duration for them.
+    A plain count: a lost update between threads moves which message is
+    sampled, never what an unsampled one costs."""
+    count = OBS.minted
+    OBS.minted = count + 1
+    if count % OBS.sample_every:
+        return None
+    return make_context()
+
+
+def recording(ctx: Optional[TraceContext]) -> bool:
+    """Whether a per-message site should trace and time the message
+    whose context (its own, else the active one) is *ctx* — the one test
+    such a site makes before it builds a span, its attributes or an
+    :class:`activate`.  Counters and gauges are not behind it."""
+    return OBS.sample_every == 1 or (ctx is not None and ctx.sampled)
+
+
+#: what a site enters in place of an :class:`activate` and a span when it
+#: is not recording
+UNRECORDED = nullcontext()
+
+
 # ---------------------------------------------------------------------------
 # In-process propagation (per-thread current context)
 # ---------------------------------------------------------------------------
@@ -233,3 +264,20 @@ class activate:
     def __exit__(self, exc_type, exc, tb) -> None:
         if self.ctx is not None:
             _local.ctx = self._prev
+
+
+class isolate(activate):
+    """:class:`activate` that installs ``None`` too.  The reliable
+    layer's reorder buffer hands up payloads that are not the datagram
+    whose arrival is the active context; an untraced one among them must
+    run under no context, not under that neighbour's."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> Optional[TraceContext]:
+        self._prev = getattr(_local, "ctx", None)
+        _local.ctx = self.ctx
+        return self.ctx
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        _local.ctx = self._prev

@@ -14,6 +14,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from repro.errors import UnknownFormatError
 from repro.obs import OBS
 from repro.obs.metrics import Handles
+from repro.obs.tracectx import current, recording
 from repro.pbio import codegen
 from repro.pbio.buffer import unpack_header
 from repro.pbio.decode import decode_record as generic_decode_record
@@ -87,14 +88,17 @@ class PBIOContext:
         if not OBS.enabled:
             return self._encode(fmt, rec)
         path = "specialized" if self.use_codegen else "generic"
-        with OBS.tracer.span(
-            "pbio.encode", format=fmt.name, path=path
-        ) as active:
+        if recording(current()):
+            with OBS.tracer.span(
+                "pbio.encode", format=fmt.name, path=path
+            ) as active:
+                wire = self._encode(fmt, rec)
+            # the span already timed the call: one pair of clock reads
+            self._obs_encode_seconds().observe(active.span.duration)
+        else:
             wire = self._encode(fmt, rec)
         self._obs_encode_messages(path).inc()
         self._obs_encode_bytes().inc(len(wire))
-        # the span already timed the call: one pair of clock reads, not two
-        self._obs_encode_seconds().observe(active.span.duration)
         return wire
 
     def _encode(self, fmt: IOFormat, rec: Mapping[str, Any]) -> bytes:
@@ -138,13 +142,16 @@ class PBIOContext:
         if not OBS.enabled:
             return self._decode_as(fmt, data)
         path = "specialized" if self.use_codegen else "generic"
-        with OBS.tracer.span(
-            "pbio.decode", format=fmt.name, path=path
-        ) as active:
+        if recording(current()):
+            with OBS.tracer.span(
+                "pbio.decode", format=fmt.name, path=path
+            ) as active:
+                record = self._decode_as(fmt, data)
+            self._obs_decode_seconds().observe(active.span.duration)
+        else:
             record = self._decode_as(fmt, data)
         self._obs_decode_messages(path).inc()
         self._obs_decode_bytes().inc(len(data))
-        self._obs_decode_seconds().observe(active.span.duration)
         return record
 
     def _decode_as(self, fmt: IOFormat, data: bytes) -> Record:

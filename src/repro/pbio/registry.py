@@ -83,7 +83,7 @@ class FormatRegistry:
         with self._lock:
             existing = self._by_id.get(fmt.format_id)
             if existing is not None:
-                if existing != fmt:
+                if existing is not fmt and existing != fmt:
                     raise FormatError(
                         f"format id collision between {existing!r} and {fmt!r}"
                     )

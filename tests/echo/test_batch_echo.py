@@ -112,7 +112,7 @@ class TestBatchedLossyChain:
 
 class TestBatchTraceContinuity:
     def test_one_frame_level_trace_covers_every_delivery(self):
-        obs.enable(registry=obs.Registry())
+        obs.enable(registry=obs.Registry(), sample_every=1)
         try:
             run_batch_chain(
                 messages=8, batch_size=4, loss_rate=0.0, jitter=0.0

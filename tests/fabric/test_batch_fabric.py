@@ -122,7 +122,7 @@ class TestBatchedPublishExactlyOnce:
 
 class TestBatchedPublishTraceContinuity:
     def test_frame_level_trace_reaches_every_delivery_span(self):
-        obs.enable(registry=obs.Registry())
+        obs.enable(registry=obs.Registry(), sample_every=1)
         try:
             net, _fabric, pub, _, _ = batched_fleet(loss_rate=0.0)
             pub.publish_batch(

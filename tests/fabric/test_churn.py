@@ -162,7 +162,7 @@ class TestTraceContinuityAcrossHandoff:
         """A message published against a stale route crosses three
         transport hops (publisher -> old owner -> new owner ->
         subscriber); every span lands on the publish's single trace."""
-        obs.enable(capacity=16384)
+        obs.enable(capacity=16384, sample_every=1)
         seed_ids(21)
         net = Network(seed=2, default_link=LinkSpec(latency=0.001))
         fabric = EventFabric(net, registry=make_registry(), reliable=True)

@@ -435,6 +435,32 @@ class TestReadersOfOneWire:
         assert [len(log) for log in fleet.logs.values()] == [64]
 
 
+class TestEncodeRegistersByIdentity:
+    """Every ``PBIOContext.encode`` registers its format; for the format
+    already registered that is an identity test, not a structural
+    comparison (two recursive ``signature()`` walks per encode, six
+    encodes per event).  Counted, never timed."""
+
+    def test_steady_state_events_walk_no_format(self, tmp_path, monkeypatch):
+        fleet = Fleet(str(tmp_path / "j.jsonl"))
+        channel_id = fleet.channels[0]
+        records = [seeded_record(random.Random(n), channel_id) for n in range(72)]
+        for record in records[:8]:  # codecs generated, routes planned
+            fleet.pubs[0].publish(channel_id, RESPONSE_V2, record)
+        fleet.net.run()
+        walks = []
+        signature = IOField.signature
+        monkeypatch.setattr(
+            IOField, "signature",
+            lambda field: walks.append(field) or signature(field),
+        )
+        for record in records[8:]:
+            fleet.pubs[0].publish(channel_id, RESPONSE_V2, record)
+        fleet.net.run()
+        assert [len(log) for log in fleet.logs.values()] == [72, 72, 72]
+        assert len(walks) == 0
+
+
 class TestGroupFailuresReachTheWorker:
     """An admitted, journaled event a group's receiver could not convert
     used to vanish into that receiver's dead-letter queue (which nothing

@@ -12,7 +12,11 @@ writes the fingerprint of that checkout.  ``cost_parity_golden.json``
 was written this way on the parent of the PR that made observation
 cheaper (and once more when the owner's groups began to share stage
 results and so to record the staged names instead of the fused ones),
-and is the referee for "same counters, same spans".
+and is the referee for "same counters, same spans".  It predates head
+sampling, so it is what ``sample_every=1`` must reproduce: a second
+argument sets the rate (``... OUT.json 1``; without one ``obs.enable()``
+is called bare, which is all an older checkout understands), a third
+adds the per-trace detail the sampled run is compared on.
 """
 
 from __future__ import annotations
@@ -161,6 +165,10 @@ def fingerprint(registry: Registry, spans: List[Any]) -> Dict[str, Any]:
         else:
             instruments[key] = ["gauge", None]
     names = {span.span_id: span.name for span in spans}
+    return {"instruments": instruments, "spans": _shapes(spans, names)}
+
+
+def _shapes(spans: List[Any], names: Dict[int, str]) -> Dict[str, int]:
     shapes = Counter(
         "|".join((
             span.name,
@@ -170,13 +178,39 @@ def fingerprint(registry: Registry, spans: List[Any]) -> Dict[str, Any]:
         ))
         for span in spans
     )
-    return {"instruments": instruments, "spans": dict(sorted(shapes.items()))}
+    return dict(sorted(shapes.items()))
 
 
-def run(journal_path: str) -> Dict[str, Any]:
-    """The golden run: 256 single publishes, 2 batches of 16, one scrape."""
+def by_trace(registry: Registry, spans: List[Any]) -> Dict[str, Any]:
+    """The same shapes one trace at a time — traces in the order they
+    were first seen, which is the order their messages were published —
+    and the traces the histogram exemplars point at."""
+    names = {span.span_id: span.name for span in spans}
+    members: Dict[int, List[Any]] = {}
+    for span in spans:
+        if span.trace_id is not None:
+            members.setdefault(span.trace_id, []).append(span)
+    exemplars = {
+        traceparent.split("-")[1]
+        for instrument in registry.instruments()
+        if instrument.kind == "histogram"
+        for _edge, traceparent in instrument.exemplars()
+    }
+    return {
+        "traces": [
+            {"trace_id": f"{trace_id:032x}", "spans": _shapes(own, names)}
+            for trace_id, own in members.items()
+        ],
+        "exemplar_traces": sorted(exemplars),
+    }
+
+
+def run(journal_path: str, detail: bool = False,
+        **enable: Any) -> Dict[str, Any]:
+    """The golden run: 256 single publishes, 2 batches of 16, one scrape
+    — observed as ``obs.enable(**enable)`` says."""
     obs.disable(reset=True)
-    obs.enable()
+    obs.enable(**enable)
     try:
         spans = record_all_spans(obs.OBS.tracer)
         scenario = Scenario(journal_path)
@@ -187,6 +221,8 @@ def run(journal_path: str) -> Dict[str, Any]:
         out["delivered"] = scenario.delivered
         out["recorded_total"] = obs.OBS.tracer.recorded_total
         out["dropped"] = obs.OBS.tracer.dropped
+        if detail:
+            out.update(by_trace(obs.OBS.metrics, spans))
         return out
     finally:
         obs.disable(reset=True)
@@ -195,8 +231,10 @@ def run(journal_path: str) -> Dict[str, Any]:
 if __name__ == "__main__":
     import tempfile
 
+    enable = {"sample_every": int(sys.argv[2])} if len(sys.argv) > 2 else {}
     with tempfile.TemporaryDirectory() as work:
-        result = run(work + "/journal.jsonl")
+        result = run(work + "/journal.jsonl", detail=len(sys.argv) > 3,
+                     **enable)
     with open(sys.argv[1], "w") as handle:
         json.dump(result, handle, indent=1, sort_keys=True)
         handle.write("\n")

@@ -1,27 +1,36 @@
-"""Observation got cheaper, not thinner.
+"""Observation at a stated price.
 
-Three referees for the change that made ``repro.obs`` resolve its
-instruments once per site and decode a datagram's trace block once:
+Referees for what ``repro.obs`` records and what recording costs, all
+counted and none timed:
 
-* **golden parity** — the fixed scenario of ``parity_scenario.py``
-  records exactly what it recorded on the parent commit
-  (``cost_parity_golden.json`` was written there): every instrument,
-  every counter value and histogram count, every span by name, parent,
-  trace membership and remote parent.  The golden was rewritten once
+* **golden parity** — the fixed scenario of ``parity_scenario.py`` run
+  with ``sample_every=1`` records exactly what it recorded before head
+  sampling existed (``cost_parity_golden.json`` was written on the
+  parent of the change that made observation cheaper, and rewritten once
   since, by the change that lets an owner's format groups share their
   stage results: its readers run staged, so 576 ``morph.fused`` spans /
   ``morph.fused.seconds`` / ``fused_messages`` became ``morph.transform``
   / ``morph.transform.seconds`` / ``staged_messages`` and the eight
-  ``morph.fusion.compiles`` went — those keys and nothing else;
+  ``morph.fusion.compiles`` went — those keys and nothing else).
+  Sampling is a test on the one path, not a fork of it;
+* **sampled parity** — the same scenario at the default rate: every
+  counter and gauge is the golden's (byte counters less the 26-byte
+  blocks that were not sent), every sampled trace is span for span the
+  trace the same message left at ``sample_every=1``, durations were
+  observed once per such span, and nothing — span, exemplar, block —
+  belongs to a message the sampler passed over;
 * **price guard** — in steady state an observed event asks the registry
-  nothing and decodes each traced datagram's block at most three times
-  (counted by wrapping, never timed);
+  nothing and decodes each traced datagram's block at most three times;
+  an *unsampled* event builds no span, no ``activate``, touches no trace
+  block and no histogram, updates a bounded number of counters, and its
+  wire is the obs-off wire byte for byte;
 * **handles follow the registry** — what a site holds is the live
   registry's instrument, whichever registry is live.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import os
 import subprocess
@@ -32,10 +41,12 @@ import pytest
 
 import repro
 from repro import obs
-from repro.net.transport import Network
-from repro.obs import OBS, tracectx
-from repro.obs.metrics import Registry
+from repro.net.transport import Network, _sniff_trace
+from repro.obs import OBS, tracectx, tracing
+from repro.obs.metrics import Counter, Gauge, Histogram, Registry
+from repro.pbio import buffer
 from repro.pbio.context import PBIOContext
+from repro.pbio.registry import FormatRegistry
 from tests.obs import parity_scenario
 from tests.obs.parity_scenario import Scenario, record_all_spans
 
@@ -48,12 +59,11 @@ def journal(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# (a) golden parity
+# (a) golden parity: sample_every=1 is the path the golden was written on
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def golden_run(tmp_path_factory):
+def _scenario_run(tmp_path_factory, *argv: str):
     """The scenario's fingerprint from a fresh interpreter — the command
     the golden was written with — so nothing an earlier test left in a
     process-wide memo (record factories, compiled transforms) decides
@@ -61,11 +71,16 @@ def golden_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("parity") / "now.json"
     src = Path(repro.__file__).resolve().parents[1]
     subprocess.run(
-        [sys.executable, parity_scenario.__file__, str(out)],
+        [sys.executable, parity_scenario.__file__, str(out), *argv],
         check=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     return json.loads(out.read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    return _scenario_run(tmp_path_factory, "1", "detail")
 
 
 @pytest.fixture(scope="module")
@@ -103,19 +118,118 @@ class TestGoldenParity:
 
 
 # ---------------------------------------------------------------------------
-# (b) price guard
+# (b) sampled parity: the default rate records the same story about fewer
+# messages, and nothing about the rest
+# ---------------------------------------------------------------------------
+
+#: what times its own span (the histogram takes the span's duration)
+TIMED = {"pbio.encode.seconds": "pbio.encode",
+         "pbio.decode.seconds": "pbio.decode",
+         "morph.transform.seconds": "morph.transform"}
+#: planning: recorded whichever message first needs the route
+SET_UP = {"morph.maxmatch", "ecode.codegen"}
+
+
+@pytest.fixture(scope="module")
+def sampled_run(tmp_path_factory):
+    return _scenario_run(
+        tmp_path_factory, str(obs.DEFAULT_SAMPLE_EVERY), "detail"
+    )
+
+
+def _span_counts(run) -> collections.Counter:
+    """Recorded spans by name (a run's ``spans`` are keyed by shape)."""
+    counts: collections.Counter = collections.Counter()
+    for shape, count in run["spans"].items():
+        counts[shape.split("|")[0]] += count
+    return counts
+
+
+class TestSampledParity:
+    def test_counters_and_gauges_are_exact(self, sampled_run, golden):
+        now, then = sampled_run["instruments"], golden["instruments"]
+        # nothing was evicted, so the eviction counter was never made
+        assert sampled_run["dropped"] == 0
+        assert set(then) - set(now) == {"obs.trace.dropped"}
+        assert set(now) - set(then) == set()
+        moved = {k for k in now
+                 if now[k] != then[k] and k not in TIMED}
+        # ... except that a byte counter which sees the datagram sees the
+        # 26-byte blocks too, and most were never sent
+        assert all(k.startswith(("net.transport.bytes{", "pbio.decode.bytes"))
+                   for k in moved), sorted(moved)
+        for key in moved:
+            saved = then[key][1] - now[key][1]
+            assert saved > 0 and saved % tracectx.TRACE_BLOCK_SIZE == 0, key
+
+    def test_sampled_traces_are_the_traces_those_messages_always_left(
+        self, sampled_run, golden_run
+    ):
+        every = obs.DEFAULT_SAMPLE_EVERY
+        full, sampled = golden_run["traces"], sampled_run["traces"]
+        # 256 singles, 2 frames and 2 telemetry publishes were minted
+        assert len(full) == 260
+        assert len(sampled) == len(full[::every]) == 5
+        for then, now in zip(full[::every], sampled):
+            assert now["spans"] == then["spans"]
+
+    def test_unsampled_messages_left_only_their_route_planning(
+        self, sampled_run, golden
+    ):
+        untraced = {
+            shape.split("|")[0] for shape in sampled_run["spans"]
+            if "|untraced|" in shape
+        }
+        assert untraced <= SET_UP
+        now, then = _span_counts(sampled_run), _span_counts(golden)
+        for name in SET_UP:
+            assert now[name] == then[name]
+        kept = {t["trace_id"] for t in sampled_run["traces"]}
+        assert set(sampled_run["exemplar_traces"]) <= kept
+
+    def test_durations_are_observed_once_per_recorded_span(self, sampled_run):
+        spans = _span_counts(sampled_run)
+        for histogram, span in TIMED.items():
+            assert sampled_run["instruments"][histogram] == [
+                "histogram", spans[span]
+            ]
+
+    def test_same_deliveries(self, sampled_run, golden):
+        assert sampled_run["delivered"] == golden["delivered"]
+
+
+# ---------------------------------------------------------------------------
+# (c) price guard
 # ---------------------------------------------------------------------------
 
 
-def _count_calls(monkeypatch, owner, name, tally):
+def _count_calls(monkeypatch, owner, name, tally, key=None):
+    """Count calls of ``owner.name`` into *tally*, also through every
+    ``from ... import`` copy of a module-level function."""
     original = getattr(owner, name)
+    key = key or name
 
     def counted(*args, **kwargs):
-        tally[name] = tally.get(name, 0) + 1
+        tally[key] = tally.get(key, 0) + 1
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
-    return original
+    if not isinstance(owner, type):
+        for module in list(sys.modules.values()):
+            if (module is not owner
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, counted)
+
+
+def _count_built(monkeypatch, cls, tally):
+    """Count instances of *cls* (and its subclasses) built."""
+    init = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        tally[cls.__name__] = tally.get(cls.__name__, 0) + 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
 
 
 class TestPriceGuard:
@@ -124,8 +238,8 @@ class TestPriceGuard:
 
     def test_steady_state_asks_the_registry_nothing(self, monkeypatch, journal):
         # a ring this small is evicting before the warm-up ends, as the
-        # default one is after ~100 events of any real run
-        obs.enable(capacity=256)
+        # default one is after ~100 events of any sample_every=1 run
+        obs.enable(capacity=256, sample_every=1)
         spans = record_all_spans(OBS.tracer)
         scenario = Scenario(journal)
         scenario.publish(self.WARM_UP)
@@ -134,11 +248,7 @@ class TestPriceGuard:
         tally = {}
         _count_calls(monkeypatch, Registry, "_get_or_create", tally)
         _count_calls(monkeypatch, Registry, "histogram", tally)
-        decode_block = _count_calls(monkeypatch, tracectx, "decode_block", tally)
-        for module in list(sys.modules.values()):  # ``from ... import`` copies
-            if (module is not tracectx
-                    and getattr(module, "decode_block", None) is decode_block):
-                monkeypatch.setattr(module, "decode_block", tracectx.decode_block)
+        _count_calls(monkeypatch, tracectx, "decode_block", tally)
         before = len(spans)
         instruments = len(OBS.metrics)
         scenario.publish(self.MEASURED)
@@ -156,9 +266,110 @@ class TestPriceGuard:
         assert traced_datagrams == 4 * self.MEASURED
         assert 0 < tally["decode_block"] <= 3 * traced_datagrams
 
+    #: instrument updates (``inc`` + ``set``) one unsampled event of the
+    #: scenario may make — 175 when every event was sampled and the queue
+    #: gauge was set per datagram.  Raise it only with a reason.
+    UPDATES_PER_EVENT = 104
+
+    def test_an_unsampled_event_pays_for_its_counters_only(
+        self, monkeypatch, journal
+    ):
+        obs.enable(sample_every=1 << 20)
+        spans = record_all_spans(OBS.tracer)
+        scenario = Scenario(journal)
+        scenario.publish(self.WARM_UP)  # the first of them is the sampled one
+        assert any(span.name == "fabric.publish" for span in spans)
+
+        tally = {}
+        _count_built(monkeypatch, tracing._ActiveSpan, tally)
+        _count_built(monkeypatch, tracectx.activate, tally)
+        _count_calls(monkeypatch, tracectx, "decode_block", tally)
+        _count_calls(monkeypatch, buffer, "attach_trace", tally)
+        _count_calls(monkeypatch, Histogram, "observe", tally)
+        _count_calls(monkeypatch, Counter, "inc", tally, "update")
+        _count_calls(monkeypatch, Gauge, "set", tally, "update")
+        before = len(spans)
+        published = _total(OBS.metrics, "fabric.published")
+        scenario.publish(self.MEASURED)
+        monkeypatch.undo()
+
+        assert scenario.delivered == 3 * (self.WARM_UP + self.MEASURED)
+        assert len(spans) == before
+        assert {k: v for k, v in tally.items() if k != "update"} == {}
+        # ... while the counters went on counting every one of them
+        assert _total(OBS.metrics, "fabric.published") == (
+            published + self.MEASURED
+        )
+        assert 0 < tally["update"] <= self.UPDATES_PER_EVENT * self.MEASURED
+
+    @pytest.mark.parametrize("call", ["publish", "publish_batch",
+                                      "submit", "submit_batch"])
+    def test_an_unsampled_wire_is_the_obs_off_wire(
+        self, monkeypatch, journal, call
+    ):
+        sent = []
+        send = Network.send
+
+        def tapped(self, source, destination, data):
+            sent.append((source, destination, bytes(data)))
+            return send(self, source, destination, data)
+
+        monkeypatch.setattr(Network, "send", tapped)
+
+        def wires(observed: bool):
+            obs.disable(reset=True)
+            if observed:
+                obs.enable()
+            drive = _fabric_calls if call.startswith("publish") else _echo_calls
+            publish = drive(journal + str(observed), call)
+            del sent[:]
+            publish()  # the sampled one, when observed
+            first = list(sent)
+            del sent[:]
+            publish()
+            return first, list(sent)
+
+        (_, plain), (sampled, unsampled) = wires(False), wires(True)
+        assert any(_sniff_trace(data) for _s, _d, data in sampled)
+        assert len(plain) >= 2  # at least a data frame and its ack
+        assert unsampled == plain
+
+
+def _fabric_calls(journal_path: str, call: str):
+    scenario = Scenario(journal_path)
+    if call == "publish":
+        return lambda: scenario.publish(1)
+    return lambda: scenario.publish_batches(1, size=4)
+
+
+def _echo_calls(_journal_path: str, call: str):
+    from repro.echo.process import EChoProcess
+    from repro.echo.protocol import RESPONSE_V1, RESPONSE_V2
+
+    net = Network()
+    registry = FormatRegistry()
+    registry.register_transform(parity_scenario.V2_TO_V1_TRANSFORM)
+    source = EChoProcess(net, "source", registry, version="2.0",
+                         reliable=True)
+    sink = EChoProcess(net, "sink", registry, version="1.0", reliable=True)
+    source.create_channel("ch")
+    sink.open_channel("ch", "source", as_sink=True)
+    net.run()
+    sink.subscribe("ch", RESPONSE_V1, lambda record: None)
+    pool = parity_scenario._records(parity_scenario.random.Random(0), 4)
+
+    def publish():
+        if call == "submit":
+            source.submit("ch", RESPONSE_V2, pool[0])
+        else:
+            source.submit_batch("ch", RESPONSE_V2, pool)
+        net.run()
+
+    return publish
+
 
 # ---------------------------------------------------------------------------
-# (c) handles follow the registry
+# (d) handles follow the registry
 # ---------------------------------------------------------------------------
 
 
@@ -196,7 +407,7 @@ class TestHandlesFollowTheRegistry:
     def test_a_cleared_registry_repopulates_with_post_clear_counts(
         self, journal
     ):
-        obs.enable()
+        obs.enable(sample_every=1)  # durations of every event, not of one
         scenario = Scenario(journal)
         scenario.publish(8)
         names_before = {i.name for i in OBS.metrics.instruments()}

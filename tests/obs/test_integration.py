@@ -67,7 +67,7 @@ def test_single_morphed_delivery_produces_full_span_tree(evolving_reading):
     # path collapses decode+transform into one morph.fused span, asserted
     # separately below)
     registry, v1, v2 = evolving_reading
-    obs.enable()
+    obs.enable(sample_every=1)
     receiver, received = _morphed_wire_delivery(
         registry, v1, v2, messages=1, use_fusion=False
     )
@@ -97,7 +97,7 @@ def test_single_morphed_delivery_produces_full_span_tree(evolving_reading):
 
 def test_fused_delivery_produces_collapsed_span_tree(evolving_reading):
     registry, v1, v2 = evolving_reading
-    obs.enable()
+    obs.enable(sample_every=1)
     receiver, received = _morphed_wire_delivery(registry, v1, v2, messages=1)
 
     assert len(received) == 1
@@ -118,7 +118,7 @@ def test_cache_counters_and_exporters(evolving_reading):
     # counter assertions below (morph.transform.seconds) are staged-path
     # specific; the fused equivalents are asserted in the fused span test
     registry, v1, v2 = evolving_reading
-    obs.enable()
+    obs.enable(sample_every=1)
     receiver, _ = _morphed_wire_delivery(
         registry, v1, v2, messages=3, use_fusion=False
     )
@@ -147,7 +147,7 @@ def test_echo_channel_delivery_spans_and_counters(evolving_reading):
     from repro.net.transport import Network
 
     registry, v1, v2 = evolving_reading
-    obs.enable()
+    obs.enable(sample_every=1)
 
     network = Network()
     producer = EChoProcess(network, "producer", registry, version="2.0")

@@ -1,8 +1,9 @@
 """Trace-continuity tests (ISSUE 5 satellites + acceptance).
 
 A trace must survive everything the middleware does to a message:
-retransmission after loss, dead-letter parking and later retry, and the
-fused-vs-staged execution choice.  The final class is the PR's
+retransmission after loss, dead-letter parking and later retry, the
+fused-vs-staged execution choice — and must not spread to the message
+the reorder buffer hands up beside it.  The final class is the PR's
 acceptance scenario: a two-process morphing chain over a 10% lossy
 fabric where every delivered message yields exactly one trace spanning
 publish → (retransmits) → decode → transform chain → dispatch.
@@ -16,8 +17,8 @@ from repro.morph.receiver import MorphReceiver
 from repro.net.link import LinkSpec
 from repro.net.transport import Network
 from repro.obs.distributed import TraceStore
-from repro.obs.tracectx import TraceContext, make_context, seed_ids
-from repro.pbio.buffer import attach_trace
+from repro.obs.tracectx import TraceContext, current, make_context, seed_ids
+from repro.pbio.buffer import FLAG_TRACE, attach_trace, unpack_header
 from repro.pbio.context import PBIOContext
 from repro.pbio.field import IOField
 from repro.pbio.format import IOFormat
@@ -53,7 +54,7 @@ class TestReliableRetransmitContinuity:
         publish span."""
         registry = FormatRegistry()
         registry.register(EVT_V0)
-        obs.enable(capacity=16384)
+        obs.enable(capacity=16384, sample_every=1)
         seed_ids(11)
         net = Network(
             seed=3, default_link=LinkSpec(latency=0.001, loss_rate=0.25)
@@ -201,6 +202,107 @@ class TestFusedStagedParity:
             assert report.hops[0].root.remote_parent is not None
 
 
+class TestReorderBufferIsolation:
+    """A payload the reliable layer hands up from its reorder buffer is
+    not the datagram whose arrival is the active context: it runs under
+    its own, or under none."""
+
+    def _overtaken(self, sample_every):
+        """One fabric owner, V2/V1/V0 subscribers, a link on which size
+        decides arrival: a long event is published, then a short one that
+        overtakes it and waits in the owner's reorder buffer.  Returns
+        (owner, delivered datagrams per publish seq, contexts the
+        subscribers' handlers ran under per seq)."""
+        from repro.echo.protocol import (
+            RESPONSE_V0, RESPONSE_V1, RESPONSE_V2,
+            V1_TO_V0_TRANSFORM, V2_TO_V1_TRANSFORM,
+        )
+        from repro.fabric import EventFabric
+        from repro.fabric.protocol import FABRIC_DELIVER
+        from repro.net.reliable import HEADER_SIZE as RELIABLE_HEADER_SIZE
+
+        registry = FormatRegistry()
+        registry.register_transform(V2_TO_V1_TRANSFORM)
+        registry.register_transform(V1_TO_V0_TRANSFORM)
+        net = Network(default_link=LinkSpec(latency=0.001, bandwidth=1e5))
+        fabric = EventFabric(net, registry=registry, reliable=True)
+        owner = fabric.add_worker("w0")
+        net.run()
+        pub = fabric.client("pub")
+        seen = {}
+        for index, fmt in enumerate((RESPONSE_V2, RESPONSE_V1, RESPONSE_V0)):
+            fabric.client(f"sub{index}").subscribe(
+                "ch", fmt,
+                lambda c, p, seq, r: seen.setdefault(seq, []).append(current()),
+            )
+        net.run()
+        obs.enable(sample_every=sample_every)
+        seed_ids(16)
+        delivered = {}
+        send = net.send
+
+        def tap(source, destination, data):
+            if source == "w0" and destination.startswith("sub"):
+                wire = data[RELIABLE_HEADER_SIZE:]
+                header = unpack_header(wire)
+                end = header.body_offset + header.payload_length
+                seq = PBIOContext(registry).decode_as(
+                    FABRIC_DELIVER, wire[:end])["seq"]
+                delivered.setdefault(seq, []).append(
+                    (header, unpack_header(wire, end)))
+            return send(source, destination, data)
+
+        net.send = tap
+
+        def event(members):
+            return RESPONSE_V2.make_record(
+                channel_id="ch", member_count=members,
+                member_list=[
+                    {"info": f"host-{i}", "ID": i, "is_Source": True,
+                     "is_Sink": False} for i in range(members)
+                ])
+
+        assert pub.publish("ch", RESPONSE_V2, event(40)) == 1
+        assert pub.publish("ch", RESPONSE_V2, event(0)) == 2
+        net.run()
+        assert owner.reliable.reordered == 1
+        assert sorted(delivered) == sorted(seen) == [1, 2]
+        assert all(len(v) == 3 for v in (*delivered.values(), *seen.values()))
+        return owner, delivered, seen
+
+    def test_an_unsampled_neighbour_stays_untraced(self):
+        _owner, delivered, seen = self._overtaken(sample_every=64)
+        for envelope, payload in delivered[1]:
+            assert envelope.flags & payload.flags & FLAG_TRACE
+        for envelope, payload in delivered[2]:
+            assert not (envelope.flags | payload.flags) & FLAG_TRACE
+        assert seen[2] == [None, None, None]
+        spans = obs.get_tracer().spans()
+        (trace_id,) = {s.trace_id for s in spans if s.trace_id is not None}
+        assert {ctx.trace_id for ctx in seen[1]} == {trace_id}
+        # the short event was reliable seq 1 of pub's stream to the owner
+        assert [s.attrs["seq"] for s in spans
+                if s.name == "net.reliable.deliver"
+                and s.attrs["peer"] == "pub"] == [0]
+        assert sum(s.name == "fabric.morph" for s in spans) == 1
+
+    def test_a_sampled_neighbour_keeps_its_own_trace(self):
+        _owner, delivered, seen = self._overtaken(sample_every=1)
+        traces = {
+            seq: {h.trace.trace_id for pair in pairs for h in pair}
+            for seq, pairs in delivered.items()
+        }
+        assert len(traces[1]) == len(traces[2]) == 1
+        assert traces[1] != traces[2]
+        for seq in (1, 2):
+            assert {ctx.trace_id for ctx in seen[seq]} == traces[seq]
+        handed_up = {
+            s.attrs["seq"]: s.trace_id for s in obs.get_tracer().spans()
+            if s.name == "net.reliable.deliver" and s.attrs["peer"] == "pub"
+        }
+        assert {handed_up[0]} == traces[1] and {handed_up[1]} == traces[2]
+
+
 class TestEndToEndAcceptance:
     def test_lossy_two_process_chain_one_trace_per_message(self):
         """The acceptance scenario: V1 writer → V0 sink over a 10% lossy
@@ -211,7 +313,7 @@ class TestEndToEndAcceptance:
         registry.register(EVT_V1)
         registry.register(EVT_V0)
         registry.register_transform(V1_TO_V0)
-        obs.enable(capacity=65536)
+        obs.enable(capacity=65536, sample_every=1)
         seed_ids(15)
         net = Network(
             seed=5, default_link=LinkSpec(latency=0.001, loss_rate=0.10)

@@ -4,7 +4,8 @@ import threading
 
 import pytest
 
-from repro.errors import DecodeError
+from repro import obs
+from repro.errors import DecodeError, ObsError
 from repro.obs import tracectx
 from repro.obs.tracectx import (
     TRACE_BLOCK_SIZE,
@@ -13,7 +14,10 @@ from repro.obs.tracectx import (
     current,
     decode_block,
     encode_block,
+    isolate,
     make_context,
+    mint,
+    recording,
     seed_ids,
 )
 
@@ -104,6 +108,16 @@ class TestActivation:
                 assert current() is ctx
             assert current() is ctx
 
+    def test_isolate_installs_none_too(self):
+        outer, inner = make_context(), make_context()
+        with activate(outer):
+            with isolate(None):
+                assert current() is None
+            assert current() is outer
+            with isolate(inner):
+                assert current() is inner
+            assert current() is outer
+
     def test_context_is_thread_local(self):
         ctx = make_context()
         seen = []
@@ -112,3 +126,49 @@ class TestActivation:
             thread.start()
             thread.join()
         assert seen == [None]
+
+
+class TestHeadSampling:
+    def test_exactly_one_of_any_n_consecutive_mints_is_sampled(self):
+        obs.enable(sample_every=5)
+        minted = [mint() for _ in range(23)]
+        for start in range(len(minted) - 4):
+            window = minted[start:start + 5]
+            assert sum(ctx is not None for ctx in window) == 1
+        for ctx in minted:
+            if ctx is not None:
+                assert ctx.sampled and ctx.origin
+
+    def test_the_first_mint_after_enable_is_sampled(self):
+        obs.enable(sample_every=7)
+        assert mint() is not None
+        assert [mint() for _ in range(3)] == [None] * 3
+        obs.enable(sample_every=7)  # restarts the count
+        assert mint() is not None
+
+    def test_sample_every_one_samples_all(self):
+        obs.enable(sample_every=1)
+        assert all(mint() is not None for _ in range(10))
+
+    def test_the_default_rate_is_the_documented_one(self):
+        assert obs.enable().sample_every == obs.DEFAULT_SAMPLE_EVERY == 64
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_a_rate_below_one_is_refused(self, bad):
+        with pytest.raises(ObsError, match="sample_every"):
+            obs.enable(sample_every=bad)
+        assert not obs.is_enabled()
+
+    def test_make_context_does_not_sample(self):
+        obs.enable(sample_every=9)
+        assert all(make_context().sampled for _ in range(20))
+        assert mint() is not None  # nor does it consume the count
+
+    def test_recording_is_the_sampled_bit_unless_every_message_is(self):
+        sampled, unsampled = TraceContext(1, 2), TraceContext(1, 2, False)
+        obs.enable(sample_every=4)
+        assert recording(sampled)
+        assert not recording(unsampled)
+        assert not recording(None)
+        obs.enable(sample_every=1)
+        assert recording(sampled) and recording(unsampled) and recording(None)

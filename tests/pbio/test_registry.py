@@ -37,6 +37,38 @@ class TestRegistration:
         reg.register(fmt("A", "1.0"))  # structurally identical
         assert len(reg) == 1
 
+    def test_reregistering_the_registered_instance_compares_nothing(
+        self, monkeypatch
+    ):
+        """What ``PBIOContext.encode`` does per message: the registered
+        instance is recognised by identity; only another instance — an
+        equal copy fetched from a format server, say — is compared."""
+        walks = []
+        signature = IOField.signature
+        monkeypatch.setattr(
+            IOField, "signature",
+            lambda field: walks.append(field) or signature(field),
+        )
+        reg = FormatRegistry()
+        first, copy = fmt("A", "1.0", extra=3), fmt("A", "1.0", extra=3)
+        reg.register(first)
+        del walks[:]
+        for _ in range(5):
+            assert reg.register(first) == first.format_id
+        assert walks == []
+        assert reg.register(copy) == first.format_id
+        assert walks != []
+        assert reg.lookup_id(copy.format_id) is first
+
+    def test_same_id_different_content_still_raises(self):
+        reg = FormatRegistry()
+        reg.register(A1)
+        forged = fmt("A", "1.0", extra=1)
+        forged._format_id = A1.format_id
+        with pytest.raises(FormatError, match="collision"):
+            reg.register(forged)
+        assert reg.lookup_id(A1.format_id) is A1
+
     def test_lookup_by_name_returns_all_revisions(self):
         reg = FormatRegistry()
         for f in (A1, A2, B1):
