@@ -1,9 +1,8 @@
 """Figure/table data generators — one function per evaluation artifact.
 
 Each function regenerates the data series behind one figure or table of
-the paper's Section 5, returning plain rows that the pytest benches
-assert shape properties on and that ``python -m repro.bench`` prints as
-paper-style tables.
+the paper's Section 5 (or one of this repo's own ablations), returning
+plain rows that ``python -m repro.bench`` prints, records and gates.
 """
 
 from __future__ import annotations
@@ -29,13 +28,16 @@ from repro.echo.protocol import (
     V2_TO_V1_TRANSFORM,
 )
 from repro.errors import ReproError
+from repro.morph.diff import _diff_cached, diff
+from repro.morph.maxmatch import max_match
 from repro.morph.receiver import MorphReceiver
-from repro.net.batch import pack_batch
 from repro.net.link import LinkSpec
 from repro.net.reliable import ReliableEndpoint
 from repro.net.transport import Network
+from repro.pbio.codegen import make_decoder, make_encoder
 from repro.pbio.context import PBIOContext
-from repro.pbio.encode import native_size
+from repro.pbio.decode import decode_record
+from repro.pbio.encode import encode_record, native_size
 from repro.pbio.field import ArraySpec, IOField
 from repro.pbio.format import IOFormat
 from repro.pbio.projection import project_format
@@ -230,6 +232,114 @@ def fig_fusion_ablation(
 
 
 # ---------------------------------------------------------------------------
+# Design ablations — the choices no other figure times both ways
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DesignAblationRow:
+    """One design choice timed both ways, back to back in one run."""
+
+    label: str
+    base: Measurement
+    other: Measurement
+
+    @property
+    def ratio(self) -> float:
+        """Other time / base time — what the label's comparison costs."""
+        return self.other.best / self.base.best if self.base.best else float("inf")
+
+
+def _evolving_revision(revision: int, width: int) -> IOFormat:
+    """A *width*-field format of which two fields vary per revision."""
+    fields = [IOField(f"stable_{i}", "integer") for i in range(width - 2)]
+    fields += [
+        IOField(f"rev{revision}_a", "integer"),
+        IOField(f"rev{revision}_b", "string"),
+    ]
+    return IOFormat("Evolving", fields, version=str(revision))
+
+
+def fig_design_ablations(rounds: int = 5) -> List[DesignAblationRow]:
+    """The design choices the paper argues for and no other figure
+    isolates (DCG against interpretation is the fusion ablation's third
+    arm), each as an in-run ratio:
+
+    * the Algorithm 2 route cache: a receiver forced to re-plan
+      (MaxMatch + closure walk + ECode compile) on every message over
+      the cached per-message path;
+    * PBIO's generated coders over a generic field-walking coder, the
+      choice behind Figure 9's gap;
+    * MaxMatch planning cost against candidate population and ``diff``
+      against format weight, uncached — the paper's future-work note on
+      larger protocol-evolution trials.
+    """
+
+    def timed(label: str, base: Callable, other: Callable) -> DesignAblationRow:
+        return DesignAblationRow(
+            label, measure(base, rounds=rounds), measure(other, rounds=rounds)
+        )
+
+    registry = FormatRegistry()
+    registry.register_transform(V2_TO_V1_TRANSFORM)
+    receiver = MorphReceiver(registry)
+    receiver.register_handler(RESPONSE_V1, lambda rec: rec)
+    small_wire = PBIOContext(registry).encode(
+        RESPONSE_V2, response_v2_of_size(1_000)
+    )
+    receiver.process(small_wire)
+
+    def replan_and_process() -> Record:
+        receiver.invalidate_route(RESPONSE_V2.format_id)
+        return receiver.process(small_wire)
+
+    record = response_v2_of_size(10_000)
+    wire = encode_record(RESPONSE_V2, record)
+    generated_decode = make_decoder(RESPONSE_V2)
+    generated_encode = make_encoder(RESPONSE_V2)
+
+    def uncached(fn: Callable, *args) -> Callable[[], object]:
+        def run():
+            _diff_cached.cache_clear()
+            return fn(*args)
+
+        return run
+
+    incoming = _evolving_revision(999, 12)
+    populations = {
+        count: [_evolving_revision(r, 12) for r in range(count)]
+        for count in (2, 32)
+    }
+    return [
+        timed(
+            "route cache, 1KB: replan every message / cached route",
+            lambda: receiver.process(small_wire),
+            replan_and_process,
+        ),
+        timed(
+            "decode, 10KB: generic field walker / generated",
+            lambda: generated_decode(wire),
+            lambda: decode_record(RESPONSE_V2, wire),
+        ),
+        timed(
+            "encode, 10KB: generic field walker / generated",
+            lambda: generated_encode(record),
+            lambda: encode_record(RESPONSE_V2, record),
+        ),
+        timed(
+            "MaxMatch: 32 / 2 candidate revisions",
+            uncached(max_match, incoming, populations[2]),
+            uncached(max_match, incoming, populations[32]),
+        ),
+        timed(
+            "diff: 128 / 4 fields",
+            uncached(diff, _evolving_revision(1, 4), _evolving_revision(2, 4)),
+            uncached(diff, _evolving_revision(1, 128), _evolving_revision(2, 128)),
+        ),
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Reliability figure — goodput and delivery latency under loss
 # ---------------------------------------------------------------------------
 
@@ -353,122 +463,6 @@ def fig_reliability(
                 retries=retries,
             )
         )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Table 1 — message sizes
-# ---------------------------------------------------------------------------
-# Wire-level batching: BATCH1 frames vs one datagram per message
-# ---------------------------------------------------------------------------
-
-
-#: The small, fixed-shape event the batching bench streams — batching
-#: pays off exactly when per-message framing/ack/dispatch overhead
-#: rivals the payload decode cost, i.e. for small events.
-_BATCH_EVENT = IOFormat(
-    "BatchBenchEvent",
-    [IOField("seq", "integer"), IOField("value", "integer")],
-)
-
-
-@dataclass(frozen=True)
-class BatchRow:
-    """One arm of the wire-level batching figure: the same pre-encoded
-    message stream pushed through a reliable endpoint pair, either one
-    datagram per message (``batch_size=1``) or packed into BATCH1 frames
-    of *batch_size* messages, which
-    :meth:`~repro.morph.receiver.MorphReceiver.process_batch` runs
-    through the receive loop as zero-copy slices of the frame."""
-
-    label: str
-    batch_size: int  # 1 = the unbatched arm
-    messages: int
-    frames: int  # reliable sends issued (== messages when unbatched)
-    wall: Measurement  # wall seconds for the whole stream, best/mean
-
-    @property
-    def per_message_seconds(self) -> float:
-        return self.wall.best / self.messages if self.messages else 0.0
-
-
-def _batching_arm(
-    batch_size: int, messages: int, rounds: int
-) -> BatchRow:
-    """Time one arm: fresh network + endpoints + receiver per round (the
-    reliable layer's sequence space and the route cache must not leak
-    across rounds), route warmed before the clock starts, framing cost
-    (``pack_batch``) *inside* the timed region — it is part of the
-    batched pipeline's sender-side work."""
-    registry = FormatRegistry()
-    ctx = PBIOContext(registry)
-    wires = [
-        ctx.encode(_BATCH_EVENT, {"seq": i, "value": i * 3})
-        for i in range(messages)
-    ]
-    expected = list(range(messages))
-    timings: List[float] = []
-    for _ in range(rounds):
-        net = Network(seed=29)
-        sender = ReliableEndpoint(net, "bench-src")
-        sink = ReliableEndpoint(net, "bench-dst")
-        receiver = MorphReceiver(registry=FormatRegistry())
-        got: List[int] = []
-        receiver.register_handler(
-            _BATCH_EVENT, lambda r, got=got: got.append(r["seq"])
-        )
-        if batch_size > 1:
-            sink.set_handler(
-                lambda _src, data, r=receiver: r.process_batch(data)
-            )
-        else:
-            sink.set_handler(lambda _src, data, r=receiver: r.process(data))
-        receiver.process(wires[0])  # plan + warm the route off the clock
-        got.clear()
-        start = time.perf_counter()
-        if batch_size > 1:
-            for i in range(0, messages, batch_size):
-                sender.send(
-                    "bench-dst", pack_batch(wires[i:i + batch_size])
-                )
-        else:
-            for wire in wires:
-                sender.send("bench-dst", wire)
-        net.run()
-        timings.append(time.perf_counter() - start)
-        if got != expected:
-            raise ReproError(
-                f"batching bench arm batch_size={batch_size} delivered "
-                f"{len(got)}/{messages} messages (or out of order)"
-            )
-    return BatchRow(
-        label="single" if batch_size == 1 else f"batch{batch_size}",
-        batch_size=batch_size,
-        messages=messages,
-        frames=math.ceil(messages / batch_size),
-        wall=Measurement(
-            best=min(timings),
-            mean=sum(timings) / len(timings),
-            rounds=rounds,
-            number=1,
-        ),
-    )
-
-
-def fig_batching(
-    messages: int = 4096,
-    batch_sizes: Tuple[int, ...] = (16, 64, 256),
-    rounds: int = 3,
-) -> List[BatchRow]:
-    """The wire-level batching figure: per-message cost of the same
-    event stream, unbatched vs BATCH1 frames of increasing size.  The
-    first row is always the unbatched arm — it anchors the
-    self-normalized ``batch_relative_cost`` the regression gate tracks
-    (both arms share one run's host regime, so machine-speed drift
-    cancels)."""
-    rows = [_batching_arm(1, messages, rounds)]
-    for size in batch_sizes:
-        rows.append(_batching_arm(size, messages, rounds))
     return rows
 
 
@@ -605,6 +599,8 @@ def fig_projection(
     ]
 
 
+# ---------------------------------------------------------------------------
+# Table 1 — message sizes
 # ---------------------------------------------------------------------------
 
 

@@ -1,10 +1,6 @@
-"""Timing helpers for the standalone benchmark harness.
-
-``pytest-benchmark`` drives the benches under ``benchmarks/``; these
-helpers serve the table-printing harness functions that regenerate the
-paper's figures as text (so `python -m repro.bench` works without
-pytest).
-"""
+"""Timing helpers for the figure functions of ``python -m repro.bench``:
+a ``timeit``-style best-of-rounds loop with no dependency beyond the
+standard library."""
 
 from __future__ import annotations
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import copy
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro import obs
 from repro.check import gen
@@ -48,6 +49,23 @@ class Finding:
     oracle: str
     detail: str
     entry: Optional[Dict[str, Any]] = None
+
+
+@contextmanager
+def _observed(**enable_options: Any) -> Iterator[Registry]:
+    """Run a scenario with ``repro.obs`` on over a registry and a span
+    recorder of its own, then hand the caller back the obs state it came
+    with — every field, the sampling rate and its count included."""
+    state = obs.OBS
+    prior = [getattr(state, name) for name in state.__slots__]
+    registry = Registry()
+    state.tracer = obs.NullRecorder()  # enable() replaces it with a fresh one
+    obs.enable(registry=registry, **enable_options)
+    try:
+        yield registry
+    finally:
+        for name, value in zip(state.__slots__, prior):
+            setattr(state, name, value)
 
 
 def make_network(
@@ -585,10 +603,7 @@ def check_morph(rng: random.Random, messages: int = 6) -> List[Finding]:
     delivered: List[Record] = []
     receiver.register_handler(reader_fmt, delivered.append)
 
-    prior = (obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer)
-    metrics = Registry()
-    obs.enable(registry=metrics)
-    try:
+    with _observed() as metrics:
         net = Network(seed=rng.randrange(2**31), default_link=LinkSpec(
             loss_rate=rng.choice([0.0, 0.2, 0.5]),
             jitter=rng.choice([0.0, 0.01]),
@@ -607,8 +622,6 @@ def check_morph(rng: random.Random, messages: int = 6) -> List[Finding]:
         lost_counter = metrics.counter(
             "net.transport.lost", source="writer", destination="reader"
         ).value
-    finally:
-        obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer = prior
 
     findings: List[Finding] = []
 
@@ -747,10 +760,8 @@ def check_reliability_chain(
         findings.append(Finding(oracle="reliability", detail=detail,
                                 entry=entry))
 
-    prior = (obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer)
-    obs.enable(registry=Registry())
-    net = make_network(transport, net_seed, loss_rate, jitter)
-    try:
+    with _observed():
+        net = make_network(transport, net_seed, loss_rate, jitter)
         registry = FormatRegistry()
         registry.register_transform(_EVT_V2_TO_V1)
         registry.register_transform(_EVT_V1_TO_V0)
@@ -777,8 +788,6 @@ def check_reliability_chain(
                 "ch", _EVT_V2, _EVT_V2.make_record(n=n, extra=2 * n, flag=1)
             )
         net.run()
-    finally:
-        obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer = prior
 
     if not source.channel("ch").ready:
         flag("source membership never became ready")
@@ -831,10 +840,8 @@ def check_reliability_failover(
         findings.append(Finding(oracle="reliability", detail=detail,
                                 entry=entry))
 
-    prior = (obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer)
-    obs.enable(registry=Registry())
-    net = make_network(transport, net_seed, loss_rate, jitter)
-    try:
+    with _observed():
+        net = make_network(transport, net_seed, loss_rate, jitter)
         big = 1_000_000  # lossy-link timeouts must not trip server breakers
         primary = FormatServer(net, "fs-a", peer="fs-b", seed=1,
                                breaker_threshold=big)
@@ -868,8 +875,6 @@ def check_reliability_failover(
                 "ch", _EVT_V2, _EVT_V2.make_record(n=n, extra=2 * n, flag=1)
             )
         net.run()
-    finally:
-        obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer = prior
 
     _assert_exactly_once(flag, "sink", got, messages)
     for proc in (creator, source, sink):
@@ -947,10 +952,8 @@ def check_batching_parity(
     def run_arm(batched: bool):
         """Stand up one deployment and push the stream; returns
         ``(source, sinks, got-lists, span-tree, network)``."""
-        prior = (obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer)
-        obs.enable(registry=Registry(), sample_every=1)  # every frame traced
-        net = make_network(transport, net_seed, loss_rate, jitter)
-        try:
+        with _observed(sample_every=1):  # every frame traced
+            net = make_network(transport, net_seed, loss_rate, jitter)
             registry = FormatRegistry()
             registry.register_transform(_EVT_V2_TO_V1)
             registry.register_transform(_EVT_V1_TO_V0)
@@ -986,8 +989,6 @@ def check_batching_parity(
                     source.submit("ch", _EVT_V2, rec)
             net.run()
             tree = obs.get_tracer().tree()
-        finally:
-            obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer = prior
         return (creator, source, sink1, sink0), (got1, got0), tree, net
 
     single_procs, single_got, _tree, single_net = run_arm(batched=False)
@@ -1168,10 +1169,8 @@ def check_projection_pushdown(
     def run_arm(negotiated: bool):
         """Stand up one deployment and run the churn script; returns
         ``(procs, got-lists, projection-counters, network)``."""
-        prior = (obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer)
-        obs.enable(registry=Registry())
-        net = make_network(transport, net_seed, loss_rate, jitter)
-        try:
+        with _observed():
+            net = make_network(transport, net_seed, loss_rate, jitter)
             if negotiated:
                 big = 1_000_000  # lossy links must not trip server breakers
                 FormatServer(net, "fs-a", peer="fs-b", seed=1,
@@ -1266,8 +1265,6 @@ def check_projection_pushdown(
                 "routes": obs.OBS.metrics.counter(
                     "morph.projection.routes").value,
             }
-        finally:
-            obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer = prior
         return (creator, source, sink0, sink1), (got0, got1), counters, net
 
     full_procs, full_got, full_counters, full_net = run_arm(negotiated=False)
@@ -1417,10 +1414,8 @@ def check_crash_chaos(
         entry["detail"] = detail
         findings.append(Finding(oracle="crash", detail=detail, entry=entry))
 
-    prior = (obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer)
-    obs.enable(registry=Registry())
-    net = make_network(transport, net_seed, loss_rate, jitter)
-    try:
+    with _observed():
+        net = make_network(transport, net_seed, loss_rate, jitter)
         registry = FormatRegistry()
         registry.register_transform(_EVT_V2_TO_V1)
         registry.register_transform(_EVT_V1_TO_V0)
@@ -1523,8 +1518,6 @@ def check_crash_chaos(
         publish_round(messages)          # post-rejoin traffic
         pump(10)
         net.run()                        # full drain (redrives, stalls)
-    finally:
-        obs.OBS.enabled, obs.OBS.metrics, obs.OBS.tracer = prior
 
     expected = set(range(sent))
     if scenario == "ablation":

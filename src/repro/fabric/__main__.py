@@ -19,6 +19,7 @@ subsystem end to end.
 
 from __future__ import annotations
 
+import argparse
 import sys
 from typing import List, Optional
 
@@ -29,22 +30,22 @@ from repro.bench.fabric import (
 )
 
 
-def _flag_value(args: List[str], flag: str, default: int) -> int:
-    if flag in args:
-        index = args.index(flag)
-        if index + 1 >= len(args):
-            raise SystemExit(f"error: {flag} requires an integer")
-        return int(args[index + 1])
-    return default
-
-
 def main(argv: "Optional[List[str]]" = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if "--smoke" not in args:
-        print(__doc__)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.fabric", allow_abbrev=False, description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("--smoke", action="store_true",
+                        help="run the smoke check (the only mode)")
+    parser.add_argument("--workers", type=int, default=2, metavar="N",
+                        help="worker processes to spawn (default 2)")
+    parser.add_argument("--messages", type=int, default=240, metavar="M",
+                        help="events to publish (default 240)")
+    args = parser.parse_args(argv)
+    if not args.smoke:
+        parser.print_help()
         return 2
-    workers = _flag_value(args, "--workers", 2)
-    messages = _flag_value(args, "--messages", 240)
+    workers, messages = args.workers, args.messages
 
     failures: List[str] = []
     [row] = bench_fabric_scaling(

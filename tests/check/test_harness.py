@@ -3,18 +3,21 @@ the acceptance regression — a length field pointing past the payload end
 must raise DecodeError on *both* decode paths."""
 
 import json
+import random
 import struct
 import subprocess
 import sys
 
 import pytest
 
+from repro import obs
 from repro.bench.workloads import response_v2
-from repro.check.oracles import check_fusion_wires
+from repro.check.oracles import check_fusion_wires, check_morph
 from repro.check.runner import CheckRunner, run_check
 from repro.echo.protocol import RESPONSE_V0, RESPONSE_V2
 from repro.errors import DecodeError
 from repro.morph.receiver import _Route
+from repro.obs import tracectx
 from repro.pbio import codegen
 from repro.pbio.buffer import HEADER_SIZE
 from repro.pbio.decode import decode_record
@@ -82,6 +85,29 @@ class TestFusionOracleSharedArm:
         )
         findings = check_fusion_wires(echo_registry, RESPONSE_V0, self.wires())
         assert findings and all("shared" in f.detail for f in findings)
+
+
+class TestOraclesRestoreObsState:
+    """An oracle that turns ``repro.obs`` on for its scenario hands the
+    caller back the state it came with — sampling rate included."""
+
+    def test_caller_keeps_its_rate_registry_and_recorder(self):
+        registry = obs.Registry()
+        obs.enable(registry=registry, sample_every=7)
+        try:
+            recorder = obs.get_tracer()
+            tracectx.mint()  # the caller is one message into its window
+            assert check_morph(random.Random(0), messages=2) == []
+            assert obs.is_enabled()
+            assert obs.OBS.sample_every == 7
+            assert obs.OBS.minted == 1
+            assert obs.get_registry() is registry
+            assert obs.get_tracer() is recorder
+            # the scenario recorded into its own registry and recorder
+            assert len(registry) == 0
+            assert recorder.spans() == []
+        finally:
+            obs.disable(reset=True)
 
 
 @pytest.fixture

@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 
 from repro import obs
-from repro.bench.__main__ import _rows_record, _stage_breakdown
+from repro.bench.__main__ import FIGURES, _record
+from repro.bench.reporting import stage_breakdown
 from repro.bench.timing import Measurement
 from repro.obs.__main__ import main as obs_main
 
@@ -25,7 +26,8 @@ class _Row:
 
 
 def test_rows_record_shape():
-    record = _rows_record("fig9_decoding", [_Row()])
+    (fig9,) = [figure for figure in FIGURES if figure.key == "BENCH_fig9"]
+    record = _record(fig9, [_Row()])
     assert record["figure"] == "fig9_decoding"
     (workload,) = record["workloads"]
     assert workload["label"] == "1KB"
@@ -34,6 +36,7 @@ def test_rows_record_shape():
     assert timings["pbio_seconds"] == 0.001
     assert timings["xml_seconds"] == 0.010
     assert timings["ratio"] == 10.0
+    assert timings[fig9.gate.metric] == 0.1
 
 
 def test_stage_breakdown_splits_timings_counters_distributions():
@@ -45,7 +48,7 @@ def test_stage_breakdown_splits_timings_counters_distributions():
     registry.histogram(
         "morph.maxmatch.mismatch_ratio", bounds=obs.RATIO_BUCKETS
     ).observe(0.25)
-    stages = _stage_breakdown(registry)
+    stages = stage_breakdown(registry)
     assert stages["counters"] == {"morph.receiver.cache_hits": 5}
     assert list(stages["timings"]) == ["pbio.decode.seconds"]
     assert stages["timings"]["pbio.decode.seconds"]["count"] == 1
