@@ -36,8 +36,8 @@ from repro.morph.maxmatch import (
 )
 from repro.morph.receiver import MorphReceiver
 from repro.net.batch import is_batch, pack_batch, unpack_batch
-from repro.net.reliable import ReliableEndpoint
-from repro.net.transport import Network, Node
+from repro.net.reliable import EndpointMixin
+from repro.net.transport import Network
 from repro.obs import OBS
 from repro.obs.metrics import Handles
 from repro.obs.tracectx import (
@@ -56,9 +56,8 @@ from repro.pbio.buffer import (
     unpack_header,
 )
 from repro.pbio.codegen import BatchEncoderFn, make_batch_encoder
-from repro.pbio.context import PBIOContext
 from repro.pbio.format import IOFormat
-from repro.pbio.projection import ProjectionFormat, projection_ratio
+from repro.pbio.projection import ProjectionFormat
 from repro.pbio.record import Record
 from repro.pbio.registry import FormatRegistry
 from repro.pbio.server import CachingFormatResolver, ProjectionState
@@ -66,7 +65,7 @@ from repro.pbio.server import CachingFormatResolver, ProjectionState
 EventHandler = Callable[[Record], Any]
 
 
-class EChoProcess:
+class EChoProcess(EndpointMixin):
     """One ECho endpoint.
 
     Parameters
@@ -124,35 +123,11 @@ class EChoProcess:
     ) -> None:
         if version not in RESPONSE_BY_VERSION:
             raise ChannelError(f"unknown ECho version {version!r}")
-        self.network = network
-        self.node: Node = network.add_node(address)
-        if resolver is None and format_servers:
-            options = dict(resolver_options or {})
-            options.setdefault("breaker_threshold", 1_000_000)
-            resolver = CachingFormatResolver(
-                network, f"{address}:meta", servers=format_servers,
-                registry=registry, **options,
-            )
-        self.resolver = resolver
-        if registry is None:
-            if resolver is None:
-                raise ChannelError(
-                    "EChoProcess needs a registry, a resolver, or "
-                    "format_servers"
-                )
-            registry = resolver.registry
-        self.registry = registry
-        self.reliable: Optional[ReliableEndpoint] = None
-        if reliable:
-            options = dict(reliable_options or {})
-            # Event bursts over lossy links produce consecutive timeouts
-            # that are retried successfully; don't let them trip the
-            # breaker into rejecting publishes unless explicitly tuned.
-            options.setdefault("breaker_threshold", 1_000_000)
-            self.reliable = ReliableEndpoint(network, node=self.node, **options)
-            self.reliable.set_handler(self._on_message)
-        else:
-            self.node.set_handler(self._on_message)
+        self._open_endpoint(
+            network, address, registry, reliable, reliable_options,
+            resolver, format_servers, resolver_options, ChannelError,
+        )
+        registry = self.registry
         self.version = version
         self.directory = directory
         self.contain_failures = contain_failures
@@ -164,7 +139,6 @@ class EChoProcess:
         #: server fleet (refresh once, then live with what we got)
         self._refreshed: set = set()
         self.channels: Dict[str, ChannelState] = {}
-        self.pbio = PBIOContext(registry)
         self._current_peer: Optional[str] = None
         register_protocol(registry, version)
         if self.resolver is not None:
@@ -190,14 +164,11 @@ class EChoProcess:
         self._filters: Dict[str, ECodeProcedure] = {}
         self.filter_errors = 0
         self.filtered_out = 0
-        # counted per event; renegotiations and parked messages ask the
-        # registry when they happen
+        # counted per event; renegotiations ask the registry when they happen
         self._obs_pushed = Handles.bounded_counter(
             "echo.channel.events_pushed", "channel")
         self._obs_delivered = Handles.bounded_counter(
             "echo.channel.events_delivered", "channel")
-        self._obs_filtered_out = Handles.bounded_counter(
-            "echo.channel.filtered_out", "channel")
         self._obs_projected = Handles.counter("net.projection.messages")
         self._obs_bytes_saved = Handles.counter(
             "net.projection.bytes_saved_est")
@@ -227,18 +198,6 @@ class EChoProcess:
                 self._invalidate_routes(format_id)
 
             self.resolver.on_invalidate = _on_invalidate
-
-    @property
-    def address(self) -> str:
-        return self.node.address
-
-    def _send(self, destination: str, data: bytes) -> None:
-        """Send through the reliable endpoint when configured, raw
-        otherwise — every control and event message goes through here."""
-        if self.reliable is not None:
-            self.reliable.send(destination, data)
-        else:
-            self.node.send(destination, data)
 
     # ------------------------------------------------------------------
     # Channel lifecycle
@@ -524,7 +483,7 @@ class EChoProcess:
             state["format"] = pending["format"]
             state["epoch"] = pending["epoch"]
             state["pending"] = None
-            self._note_renegotiation(fmt, state["format"], "narrowed")
+            self._note_renegotiation("narrowed")
         return state["format"]
 
     def _on_projection_update(
@@ -561,26 +520,15 @@ class EChoProcess:
             state["format"] = new_fmt
             state["epoch"] = epoch
             state["pending"] = None
-            self._note_renegotiation(parent, new_fmt, "widened")
+            self._note_renegotiation("widened")
         else:
             state["pending"] = {"format": new_fmt, "epoch": epoch}
 
-    def _note_renegotiation(
-        self,
-        parent: IOFormat,
-        projection: Optional[ProjectionFormat],
-        kind: str,
-    ) -> None:
-        if not OBS.enabled:
-            return
-        OBS.metrics.counter(
-            "net.projection.renegotiations", kind=kind
-        ).inc()
-        ratio = (
-            1.0 if projection is None
-            else projection_ratio(projection, parent)
-        )
-        OBS.metrics.histogram("net.projection.field_ratio").observe(ratio)
+    def _note_renegotiation(self, kind: str) -> None:
+        if OBS.enabled:
+            OBS.metrics.counter(
+                "net.projection.renegotiations", kind=kind
+            ).inc()
 
     def _record_projected_send(
         self, parent: IOFormat, projection: ProjectionFormat, count: int
@@ -831,8 +779,6 @@ class EChoProcess:
                 continue
             if not keep:
                 self.filtered_out += 1
-                if OBS.enabled:
-                    self._obs_filtered_out(derived.channel_id).inc()
                 continue
             envelope = EVENT_ENVELOPE.make_record(
                 channel_id=derived.channel_id, seq=derived.next_seq()
@@ -858,18 +804,10 @@ class EChoProcess:
         *replay*.  Messages whose format no server knows either are
         counted as unresolved and dropped."""
         self.parked += 1
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "echo.process.parked", process=self.address
-            ).inc()
 
         def _done(found: Optional[IOFormat]) -> None:
             if found is None:
                 self.unresolved += 1
-                if OBS.enabled:
-                    OBS.metrics.counter(
-                        "echo.process.unresolved", process=self.address
-                    ).inc()
                 return
             # Processed with whatever meta-data the fetch yielded —
             # never re-parked, so a server missing the transforms

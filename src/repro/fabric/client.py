@@ -22,12 +22,11 @@ from repro.fabric.protocol import (
 )
 from repro.net.batch import is_batch, pack_batch, unpack_batch
 from repro.net.ledger import SeqLedger
-from repro.net.reliable import ReliableEndpoint
+from repro.net.reliable import EndpointMixin
 from repro.obs import OBS
 from repro.obs.metrics import Handles
 from repro.obs.tracectx import UNRECORDED, activate, current, mint, recording
 from repro.pbio.buffer import attach_trace, peek_trace, unpack_header
-from repro.pbio.context import PBIOContext
 from repro.pbio.format import IOFormat
 from repro.pbio.record import Record
 from repro.pbio.registry import FormatRegistry
@@ -39,7 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 EventHandler = Callable[[str, str, int, Record], Any]
 
 
-class FabricClient:
+#: first redrive delay after a failed publish; doubles per attempt
+REDRIVE_BASE_DELAY = 0.05
+
+
+class FabricClient(EndpointMixin):
     """One application endpoint on the fabric.
 
     *handler* signature: ``handler(channel_id, publisher, seq, record)``
@@ -59,38 +62,14 @@ class FabricClient:
         format_servers: Optional[List[str]] = None,
         resolver_options: Optional[Dict[str, Any]] = None,
         publish_buffer_limit: int = 256,
-        redrive_base_delay: float = 0.05,
         redrive_max_attempts: int = 8,
     ) -> None:
         self.directory = directory
-        self.network = network
-        self.node = network.add_node(address)
-        if resolver is None and format_servers:
-            options = dict(resolver_options or {})
-            options.setdefault("breaker_threshold", 1_000_000)
-            resolver = CachingFormatResolver(
-                network, f"{address}:meta", servers=format_servers,
-                registry=registry, **options,
-            )
-        self.resolver = resolver
-        if registry is None:
-            if resolver is None:
-                raise FabricError(
-                    "FabricClient needs a registry, a resolver, or "
-                    "format_servers"
-                )
-            registry = resolver.registry
-        self.registry = registry
-        register_fabric_protocol(registry)
-        self.pbio = PBIOContext(registry)
-        self.reliable: Optional[ReliableEndpoint] = None
-        if reliable:
-            options = dict(reliable_options or {})
-            options.setdefault("breaker_threshold", 1_000_000)
-            self.reliable = ReliableEndpoint(network, node=self.node, **options)
-            self.reliable.set_handler(self._on_message)
-        else:
-            self.node.set_handler(self._on_message)
+        self._open_endpoint(
+            network, address, registry, reliable, reliable_options,
+            resolver, format_servers, resolver_options, FabricError,
+        )
+        register_fabric_protocol(self.registry)
         if self.resolver is not None:
             self.resolver.publish()
         #: channel -> (owner, epoch) route cache
@@ -105,7 +84,6 @@ class FabricClient:
         #: breaker) awaiting redrive once the successor is live
         self._publish_buffer: List[Tuple[str, bytes]] = []
         self.publish_buffer_limit = publish_buffer_limit
-        self.redrive_base_delay = redrive_base_delay
         self.redrive_max_attempts = redrive_max_attempts
         self._redrive_timer: Optional[Any] = None
         self._redrive_attempts = 0
@@ -123,16 +101,6 @@ class FabricClient:
             "fabric.published", "channel")
         self._obs_delivered = Handles.bounded_counter(
             "fabric.delivered", "channel")
-
-    @property
-    def address(self) -> str:
-        return self.node.address
-
-    def _send(self, destination: str, data: bytes) -> None:
-        if self.reliable is not None:
-            self.reliable.send(destination, data)
-        else:
-            self.node.send(destination, data)
 
     # ------------------------------------------------------------------
     # Graceful degradation across an ownership gap
@@ -165,30 +133,15 @@ class FabricClient:
         self._routes.pop(channel_id, None)
         if len(self._publish_buffer) >= self.publish_buffer_limit:
             self.dropped += 1
-            if OBS.enabled:
-                OBS.metrics.counter(
-                    "fabric.recovery.dropped", client=self.address
-                ).inc()
             return
         self._publish_buffer.append((channel_id, data))
         self.buffered += 1
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "fabric.recovery.buffered", client=self.address
-            ).inc()
-        self._gauge_buffer_depth()
         self._schedule_redrive()
-
-    def _gauge_buffer_depth(self) -> None:
-        if OBS.enabled:
-            OBS.metrics.gauge(
-                "fabric.recovery.buffer_depth", client=self.address
-            ).set(len(self._publish_buffer))
 
     def _schedule_redrive(self) -> None:
         if self._redrive_timer is not None:
             return
-        delay = self.redrive_base_delay * (2 ** self._redrive_attempts)
+        delay = REDRIVE_BASE_DELAY * (2 ** self._redrive_attempts)
         self._redrive_timer = self.network.call_later(delay, self._redrive)
 
     def _redrive(self) -> None:
@@ -200,20 +153,11 @@ class FabricClient:
             # The fleet never came back within the backoff budget:
             # surface the loss explicitly rather than buffering forever.
             self.dropped += len(self._publish_buffer)
-            if OBS.enabled:
-                OBS.metrics.counter(
-                    "fabric.recovery.dropped", client=self.address
-                ).inc(len(self._publish_buffer))
             self._publish_buffer.clear()
             self._redrive_attempts = 0
-            self._gauge_buffer_depth()
             return
         batch, self._publish_buffer = self._publish_buffer, []
         self.redrives += 1
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "fabric.recovery.redrives", client=self.address
-            ).inc()
         for channel_id, data in batch:
             try:
                 owner, _epoch = self._route(channel_id)
@@ -223,7 +167,6 @@ class FabricClient:
             # Failures re-buffer through _on_result and reschedule with
             # the next (longer) backoff step.
             self._send_publish(channel_id, owner, data)
-        self._gauge_buffer_depth()
         if self._publish_buffer:
             self._schedule_redrive()
 

@@ -30,7 +30,7 @@ process — as per-shard append-only logs:
   checked against the shard's *fence*: when a successor recovers a shard
   it fences the journal at the takeover epoch, so a resurrected stale
   owner that somehow still admits traffic cannot corrupt the log
-  (``fabric.journal.fenced_appends`` counts the attempts).
+  (``JournalStore.fenced_appends`` counts the attempts).
 
 The default store is in-memory (shared by reference between the workers
 of one simulated deployment).  Passing ``path=`` makes it file-backed
@@ -128,8 +128,8 @@ class JournalStore:
         self.recoveries = 0
         #: torn final lines cut off at load (see :meth:`_load`)
         self.torn_tail = 0
-        #: ``fabric.journal.<name>`` handles, made on a name's first count
-        self._obs_counts: Dict[str, Handles] = {}
+        self._obs_appends = Handles.counter("fabric.journal.appends")
+        self._obs_compactions = Handles.counter("fabric.journal.compactions")
         self._obs_since_snapshot = Handles.gauge(
             "fabric.journal.entries_since_snapshot", "shard")
         self._obs_disk_bytes = Handles.gauge("fabric.journal.disk_bytes")
@@ -152,12 +152,12 @@ class JournalStore:
         log = self._shard(shard)
         if entry["epoch"] < log.fence_epoch:
             self.fenced_appends += 1
-            self._count("fenced_appends")
             return False
         log.entries.append(entry)
         log.since_snapshot += 1
         self.appends += 1
-        self._count("appends")
+        if OBS.enabled:
+            self._obs_appends().inc()
         if self.path is not None:
             self._persist(_line(shard, entry))
         self._gauge_shard(shard, log)
@@ -237,7 +237,6 @@ class JournalStore:
         log = self._shard(shard)
         if epoch < log.fence_epoch:
             self.fenced_appends += 1
-            self._count("fenced_appends")
             return False
         log.entries = [{
             "kind": "snapshot",
@@ -246,7 +245,8 @@ class JournalStore:
         }]
         log.since_snapshot = 0
         self.compactions += 1
-        self._count("compactions")
+        if OBS.enabled:
+            self._obs_compactions().inc()
         if self.path is not None:
             self._rewrite()
         self._gauge_shard(shard, log)
@@ -289,7 +289,6 @@ class JournalStore:
         if log is None or not log.entries:
             return None
         self.recoveries += 1
-        self._count("recoveries")
         start = 0
         for index in range(len(log.entries) - 1, -1, -1):
             if log.entries[index].get("kind") == "snapshot":
@@ -312,7 +311,6 @@ class JournalStore:
                 # landed: position says "after takeover", epoch says
                 # "before" — recovery must not resurrect it.
                 self.fenced_appends += 1
-                self._count("fenced_appends")
                 continue
             floor = epoch
             if kind == "snapshot":
@@ -448,15 +446,6 @@ class JournalStore:
             return os.path.getsize(self.path)
         except OSError:
             return 0
-
-    def _count(self, name: str) -> None:
-        if OBS.enabled:
-            handles = self._obs_counts.get(name)
-            if handles is None:
-                handles = self._obs_counts[name] = Handles.counter(
-                    f"fabric.journal.{name}"
-                )
-            handles().inc()
 
     def _gauge_shard(self, shard: int, log: _ShardLog) -> None:
         """Mirror the compaction-pressure gauges: entries accumulated

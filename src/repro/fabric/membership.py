@@ -203,18 +203,11 @@ class FabricDirectory:
         must never resurrect a fenced-out corpse; it has to re-join."""
         if address not in self._ring:
             self.lease_rejections += 1
-            if OBS.enabled:
-                OBS.metrics.counter("fabric.lease.rejected").inc()
             return False
         self._leases[address] = self._now()
         self.lease_renewals += 1
         if OBS.enabled:
             OBS.metrics.counter("fabric.lease.renewals").inc()
-            remaining = self.lease_remaining(address)
-            if remaining is not None:
-                OBS.metrics.gauge(
-                    "fabric.lease.ttl", worker=address
-                ).set(remaining)
         return True
 
     def lease_remaining(self, address: str) -> Optional[float]:
@@ -253,13 +246,6 @@ class FabricDirectory:
             self.lease_expirations += 1
             if OBS.enabled:
                 OBS.metrics.counter("fabric.lease.expired").inc()
-        if OBS.enabled:
-            for address in self._ring.members:
-                remaining = self.lease_remaining(address)
-                if remaining is not None:
-                    OBS.metrics.gauge(
-                        "fabric.lease.ttl", worker=address
-                    ).set(remaining)
         return dead
 
     def _rebalance(self) -> List[int]:

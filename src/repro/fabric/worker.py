@@ -67,7 +67,7 @@ from repro.net.batch import (
     unpack_batch,
 )
 from repro.net.ledger import SeqLedger
-from repro.net.reliable import ReliableEndpoint
+from repro.net.reliable import EndpointMixin
 from repro.obs import OBS
 from repro.obs.metrics import Handles
 from repro.obs.tracectx import (
@@ -79,7 +79,6 @@ from repro.obs.tracectx import (
     recording,
 )
 from repro.pbio.buffer import attach_trace, peek_trace, unpack_header
-from repro.pbio.context import PBIOContext
 from repro.pbio.format import IOFormat
 from repro.pbio.registry import FormatRegistry
 from repro.pbio.server import CachingFormatResolver
@@ -162,7 +161,7 @@ class FabricChannel:
         ]
 
 
-class FabricWorker:
+class FabricWorker(EndpointMixin):
     """One sharded-fabric worker process.
 
     Parameters mirror :class:`~repro.echo.process.EChoProcess`: the
@@ -187,34 +186,11 @@ class FabricWorker:
         handoff_chunk_bytes: int = HANDOFF_CHUNK_BYTES,
     ) -> None:
         self.directory = directory
-        self.network = network
-        self.node = network.add_node(address)
-        if resolver is None and format_servers:
-            options = dict(resolver_options or {})
-            options.setdefault("breaker_threshold", 1_000_000)
-            resolver = CachingFormatResolver(
-                network, f"{address}:meta", servers=format_servers,
-                registry=registry, **options,
-            )
-        self.resolver = resolver
-        if registry is None:
-            if resolver is None:
-                raise FabricError(
-                    "FabricWorker needs a registry, a resolver, or "
-                    "format_servers"
-                )
-            registry = resolver.registry
-        self.registry = registry
-        register_fabric_protocol(registry)
-        self.pbio = PBIOContext(registry)
-        self.reliable: Optional[ReliableEndpoint] = None
-        if reliable:
-            options = dict(reliable_options or {})
-            options.setdefault("breaker_threshold", 1_000_000)
-            self.reliable = ReliableEndpoint(network, node=self.node, **options)
-            self.reliable.set_handler(self._on_message)
-        else:
-            self.node.set_handler(self._on_message)
+        self._open_endpoint(
+            network, address, registry, reliable, reliable_options,
+            resolver, format_servers, resolver_options, FabricError,
+        )
+        register_fabric_protocol(self.registry)
         if self.resolver is not None:
             self.resolver.publish()
         #: shard -> ownership epoch
@@ -267,28 +243,12 @@ class FabricWorker:
         # transitions ask the registry when they happen
         self._obs_processed = Handles.bounded_counter(
             "fabric.shard.processed", "shard")
-        self._obs_duplicates = Handles.counter(
-            "fabric.duplicates", worker=self.address)
-        self._obs_forwarded = Handles.counter(
-            "fabric.forwarded", worker=self.address)
-        self._obs_redirects = Handles.counter(
-            "fabric.redirects", worker=self.address)
-
-    @property
-    def address(self) -> str:
-        return self.node.address
 
     def owned_shards(self) -> List[int]:
         return sorted(self._owned)
 
     def owns(self, channel_id: str) -> bool:
         return shard_of(channel_id, self.directory.num_shards) in self._owned
-
-    def _send(self, destination: str, data: bytes) -> None:
-        if self.reliable is not None:
-            self.reliable.send(destination, data)
-        else:
-            self.node.send(destination, data)
 
     def _update_owned_gauge(self) -> None:
         if OBS.enabled:
@@ -342,10 +302,6 @@ class FabricWorker:
                 continue
             run = [entry[1:] for entry in entries]
             self.tail_replayed += len(run)
-            if OBS.enabled:
-                OBS.metrics.counter(
-                    "fabric.recovery.replayed", worker=self.address
-                ).inc(len(run))
             self._fan_out(channel, run)
         # The recovered state is the new baseline: compact so the next
         # crash replays from here, not from the predecessor's history.
@@ -608,8 +564,6 @@ class FabricWorker:
                     run.append((publisher, record["seq"], view[body_end:]))
                 else:
                     self.duplicates += 1
-                    if OBS.enabled:
-                        self._obs_duplicates().inc()
             except Exception as exc:  # noqa: BLE001 - contained per segment
                 self._contain(exc)
         self._commit_run(shard, channel, run)
@@ -642,8 +596,6 @@ class FabricWorker:
             self.errors += 1
             return
         self.forwarded += 1
-        if OBS.enabled:
-            self._obs_forwarded().inc()
         self._send(target, data)
         self._send_redirect(channel_id, reply_to)
 
@@ -653,8 +605,6 @@ class FabricWorker:
         except FabricError:
             return
         self.redirects_sent += 1
-        if OBS.enabled:
-            self._obs_redirects().inc()
         record = FABRIC_REDIRECT.make_record(
             channel_id=channel_id, owner=owner, epoch=epoch
         )
@@ -689,10 +639,6 @@ class FabricWorker:
         ]:
             del self._channels[channel_id]
         self.fenced += 1
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "fabric.fence.rejected", worker=self.address
-            ).inc()
         self._update_owned_gauge()
         return True
 
@@ -937,10 +883,6 @@ class FabricWorker:
             # fresher handoff already landed).  Installing it would
             # resurrect dead ownership — refuse.
             self.handoffs_rejected += 1
-            if OBS.enabled:
-                OBS.metrics.counter(
-                    "fabric.fence.snapshots", worker=self.address
-                ).inc()
             return
         channels = load_part(record["state"])
         staging = self._handoff_staging.setdefault((shard, epoch), {})

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import struct
 import threading
-import time
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -130,7 +129,6 @@ class FusedRoute:
     ) -> Optional[Callable[[bytes, int, int], Tuple[Record, int]]]:
         from repro.obs import OBS
 
-        start = time.perf_counter()
         try:
             source, namespace = self._emit(order)
             self._sources[order] = source
@@ -138,14 +136,9 @@ class FusedRoute:
             exec(code, namespace)
             fn = namespace["_fused_route"]
         except Exception:
-            if OBS.enabled:
-                OBS.metrics.counter("morph.fusion.fallbacks").inc()
             return None
         if OBS.enabled:
             OBS.metrics.counter("morph.fusion.compiles").inc()
-            OBS.metrics.histogram("morph.fusion.compile_seconds").observe(
-                time.perf_counter() - start
-            )
         return fn
 
     def _emit(self, order: str) -> Tuple[str, Dict[str, Any]]:

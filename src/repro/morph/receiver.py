@@ -48,8 +48,7 @@ from repro.ecode.runtime import copy_value
 from repro.errors import NoMatchError, TransformError, UnknownFormatError
 from repro.morph.compat import coerce_record, reconcile_field_stats
 from repro.obs import OBS
-from repro.obs.metrics import COUNT_BUCKETS, RATIO_BUCKETS, Handles
-from repro.obs.metrics import Registry as MetricsRegistry
+from repro.obs.metrics import RATIO_BUCKETS, Handles, Histogram
 from repro.morph.maxmatch import (
     DEFAULT_DIFF_THRESHOLD,
     DEFAULT_MISMATCH_THRESHOLD,
@@ -72,8 +71,8 @@ DefaultHandler = Callable[[IOFormat, Record], Any]
 Shared = Optional[Dict[Any, Record]]
 
 
-#: Counter names kept by every receiver, exposed both as attributes
-#: (``stats.messages``) and as ``morph.receiver.*`` metrics.
+#: The tallies every receiver keeps, read as ``stats.<name>`` and
+#: together through ``stats.snapshot()``.
 STAT_COUNTERS = (
     "messages",
     "cache_hits",
@@ -88,76 +87,52 @@ STAT_COUNTERS = (
 
 
 class ReceiverStats:
-    """Per-receiver counters, backed by the observability registry.
+    """Per-receiver tallies: nine plain integers (``stats.messages``,
+    ``stats.cache_hits``, ...) and the receiver's own
+    ``mismatch_ratios`` histogram of its MaxMatch decisions.
 
-    Each receiver owns a private :class:`repro.obs.metrics.Registry`
-    holding its ``morph.receiver.*`` counters and the
-    ``morph.maxmatch.mismatch_ratio`` histogram; when process-wide
-    observability is enabled (:func:`repro.obs.enable`) every update is
-    mirrored into the global registry as well, so exporters see the
-    aggregate across all receivers.
-
-    Each counter is also readable as an attribute (``stats.messages``,
-    ``stats.cache_hits``, ...), a thin property over the instrument.
+    With process-wide observability on (:func:`repro.obs.enable`) the
+    tallies something reads as metrics are also added to the global
+    ``morph.receiver.*`` counters, the aggregate across all receivers;
+    with it off an update is one integer add.
     """
 
-    __slots__ = ("registry", "_counters", "_mismatch", "_mirror")
+    __slots__ = STAT_COUNTERS + ("mismatch_ratios", "_mirror")
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters = {
-            name: self.registry.counter(f"morph.receiver.{name}")
-            for name in STAT_COUNTERS
-        }
-        self._mismatch = self.registry.histogram(
+    def __init__(self) -> None:
+        for name in STAT_COUNTERS:
+            setattr(self, name, 0)
+        self.mismatch_ratios = Histogram(
             "morph.maxmatch.mismatch_ratio", bounds=RATIO_BUCKETS
         )
-        #: the same counters in the process-wide registry, held the same way
         self._mirror = {
-            name: Handles.counter(f"morph.receiver.{name}")
-            for name in STAT_COUNTERS
+            "messages": Handles.counter("morph.receiver.messages"),
+            "cache_hits": Handles.counter("morph.receiver.cache_hits"),
+            "cache_misses": Handles.counter("morph.receiver.cache_misses"),
+            "perfect_matches": Handles.counter(
+                "morph.receiver.perfect_matches"),
+            "morphed": Handles.counter("morph.receiver.morphed"),
+            "compiled_chains": Handles.counter(
+                "morph.receiver.compiled_chains"),
         }
 
     def inc(self, name: str, amount: int = 1) -> None:
-        self._counters[name].inc(amount)
+        setattr(self, name, getattr(self, name) + amount)
         if OBS.enabled:
-            self._mirror[name]().inc(amount)
+            mirror = self._mirror.get(name)
+            if mirror is not None:
+                mirror().inc(amount)
 
     def observe_mismatch(self, ratio: float) -> None:
         """Record one MaxMatch decision's mismatch ratio."""
-        self._mismatch.observe(ratio)
+        self.mismatch_ratios.observe(ratio)
         if OBS.enabled:
             OBS.metrics.histogram(
                 "morph.maxmatch.mismatch_ratio", bounds=RATIO_BUCKETS
             ).observe(ratio)
 
-    @property
-    def mismatch_ratios(self):
-        """The per-receiver mismatch-ratio histogram."""
-        return self._mismatch
-
     def snapshot(self) -> Dict[str, int]:
-        return {name: counter.value for name, counter in self._counters.items()}
-
-    def set_route_cache_size(self, size: int) -> None:
-        """Track the bounded route cache's occupancy (a gauge, so it is
-        *not* part of :meth:`snapshot` — fused and staged receivers plan
-        identical routes but the comparison is over counters)."""
-        self.registry.gauge("morph.receiver.route_cache_size").set(size)
-        if OBS.enabled:
-            OBS.metrics.gauge("morph.receiver.route_cache_size").set(size)
-
-
-def _stat_property(name: str):
-    return property(
-        lambda self: self._counters[name].value,
-        doc=f"Value of the morph.receiver.{name} counter.",
-    )
-
-
-for _name in STAT_COUNTERS:
-    setattr(ReceiverStats, _name, _stat_property(_name))
-del _name
+        return {name: getattr(self, name) for name in STAT_COUNTERS}
 
 
 class _ReceiverHandles:
@@ -173,13 +148,6 @@ class _ReceiverHandles:
             "morph.transform.applied", "format")
         self.dispatch_delivered = Handles.bounded_counter(
             "morph.dispatch.delivered", "format")
-        self.fields_dropped = Handles.histogram(
-            "morph.reconcile.fields_dropped", bounds=COUNT_BUCKETS)
-        self.fields_defaulted = Handles.histogram(
-            "morph.reconcile.fields_defaulted", bounds=COUNT_BUCKETS)
-        self.widened = Handles.counter("morph.projection.widened")
-        self.quarantine_drops = Handles.counter(
-            "morph.receiver.quarantine_drops")
 
 
 @dataclass
@@ -496,8 +464,6 @@ class MorphReceiver:
                     format_id = header.format_id
                     if format_id in quarantined:
                         self.containment["quarantine_drops"] += 1
-                        if observing:
-                            self._obs.quarantine_drops().inc()
                         results.append(None)
                         continue
                     messages += 1
@@ -601,8 +567,14 @@ class MorphReceiver:
                 while len(self._routes) >= self.MAX_ROUTES:
                     self._routes.pop(next(iter(self._routes)))
                 self._routes[fmt.format_id] = route
-                self.stats.set_route_cache_size(len(self._routes))
+                self._note_route_cache_size()
             return route
+
+    def _note_route_cache_size(self) -> None:
+        if OBS.enabled:
+            OBS.metrics.gauge("morph.receiver.route_cache_size").set(
+                len(self._routes)
+            )
 
     # ------------------------------------------------------------------
     # Route execution (the cheap, per-message part)
@@ -664,8 +636,6 @@ class MorphReceiver:
         fused route compiles into its decode)."""
         if route.pre_coercion is not None:
             record = widen_record(*route.pre_coercion, record)
-            if observing:
-                self._obs.widened().inc()
         chain = route.chain
         if chain is not None:
             if tracing:
@@ -691,9 +661,6 @@ class MorphReceiver:
                     record = coerce_record(*route.coercion, record)
             else:
                 record = coerce_record(*route.coercion, record)
-            if observing:
-                self._obs.fields_dropped().observe(route.fields_dropped)
-                self._obs.fields_defaulted().observe(route.fields_defaulted)
         return record
 
     def _dispatch(
@@ -743,8 +710,6 @@ class MorphReceiver:
                 and len(self._dead_letters) == self._dead_letters.maxlen
             ):
                 self.containment["evicted"] += 1
-                if OBS.enabled:
-                    OBS.metrics.counter("morph.receiver.dlq_evicted").inc()
             self._dead_letters.append(
                 DeadLetter(
                     # copy: batch receivers hand memoryview slices into a
@@ -774,10 +739,6 @@ class MorphReceiver:
                 # lifted, the route is replanned against fresh meta-data
                 self._routes.pop(format_id, None)
                 self.containment["quarantined_formats"] += 1
-                if OBS.enabled:
-                    OBS.metrics.counter(
-                        "morph.receiver.quarantined_formats"
-                    ).inc()
 
     @property
     def dead_letters(self) -> List[DeadLetter]:
@@ -832,7 +793,6 @@ class MorphReceiver:
                 self.containment["retried"] += 1
         if OBS.enabled and entries:
             OBS.metrics.counter("morph.receiver.dlq_retried").inc(succeeded)
-            OBS.metrics.counter("morph.receiver.dlq_requeued").inc(requeued)
         return succeeded, requeued
 
     def has_exact_route(self, fmt: IOFormat) -> bool:
@@ -1044,7 +1004,7 @@ class MorphReceiver:
         with self._lock:
             removed = self._routes.pop(format_id, None) is not None
             if removed:
-                self.stats.set_route_cache_size(len(self._routes))
+                self._note_route_cache_size()
             return removed
 
     def compatibility_space(self) -> List[IOFormat]:

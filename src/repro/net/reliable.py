@@ -33,8 +33,10 @@ through to the application handler, so reliable and raw traffic can
 share one node.
 
 Observability: every endpoint counts retries, duplicate drops, breaker
-openings and the rest locally (plain attributes, always on) and mirrors
-them into ``repro.obs`` as ``net.reliable.*`` counters when enabled.
+openings and the rest locally (plain attributes, always on,
+:meth:`ReliableEndpoint.counters`); the four something reads as metrics
+(sends, acked, retries, dup_drops) and the in-flight gauge are mirrored
+into ``repro.obs`` as ``net.reliable.*`` when it is enabled.
 """
 
 from __future__ import annotations
@@ -266,7 +268,7 @@ class ReliableEndpoint:
         #: waiting out its stall timeout
         self._holes: Dict[str, set] = {}
         self._breakers: Dict[str, CircuitBreaker] = {}
-        # -- counters (always-on attributes, mirrored to repro.obs) -----
+        # -- counters (always-on attributes; repro.obs mirrors four) ----
         self.sent = 0
         self.acked = 0
         self.failed = 0
@@ -333,7 +335,6 @@ class ReliableEndpoint:
                 on_result,
             )
             self.rejected += 1
-            self._count("breaker_rejects", peer=destination)
             ticket._finish("rejected")
             return ticket
         seq = self._next_seq.get(destination, 0)
@@ -395,7 +396,6 @@ class ReliableEndpoint:
                 continue
             aborted += 1
             self.failed += 1
-            self._count("aborted", peer=ticket.destination)
             ticket._finish("failed")
         self._pending.clear()
         self._gauge_in_flight()
@@ -407,12 +407,10 @@ class ReliableEndpoint:
         breaker = self.breaker(ticket.destination)
         if breaker.record_failure(self.network.now):
             self.breaker_opens += 1
-            self._count("breaker_open", peer=ticket.destination)
         if ticket.attempts > self.max_retries:
             self._pending.pop((ticket.destination, ticket.seq), None)
             self._gauge_in_flight()
             self.failed += 1
-            self._count("give_ups", peer=ticket.destination)
             # Tell the peer to deliver around this seq so its in-order
             # pipeline doesn't stall on the hole; the hole is remembered
             # and re-advertised with every later transmit until acked.
@@ -458,7 +456,6 @@ class ReliableEndpoint:
             return
         if seq != self._expected.get(source, 0):
             self.reordered += 1
-            self._count("reordered", peer=source)
         buffered[seq] = payload
         self._drain(source)
 
@@ -470,7 +467,6 @@ class ReliableEndpoint:
         if seq < self._expected.get(source, 0) or seq in buffered:
             return  # already delivered or already buffered (stale gap)
         self.gap_skips += 1
-        self._count("gap_skips", peer=source)
         buffered[seq] = _SKIPPED
         self._drain(source)
 
@@ -542,7 +538,6 @@ class ReliableEndpoint:
             # the oldest buffered frame and deliver from there.
             target = min(buffered)
             self.stall_skips += target - expected
-            self._count("stall_skips", peer=source)
             self._expected[source] = target
         self._drain(source)
 
@@ -605,3 +600,66 @@ class ReliableEndpoint:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ReliableEndpoint({self.address!r}, sent={self.sent}, "
                 f"acked={self.acked}, in_flight={self.in_flight})")
+
+
+class EndpointMixin:
+    """The prologue ``EChoProcess``, ``FabricClient`` and ``FabricWorker``
+    share: one transport node, meta-data from a shared registry or a
+    resolver over the format-server fleet, a ``PBIOContext`` over it, and
+    ``_on_message`` receiving either straight from the node or through a
+    :class:`ReliableEndpoint` wrapped around it."""
+
+    def _open_endpoint(
+        self, network, address, registry, reliable, reliable_options,
+        resolver, format_servers, resolver_options, error,
+    ) -> None:
+        """Set ``network``, ``node``, ``resolver``, ``registry``,
+        ``pbio`` and ``reliable`` (``None`` when raw); *error* is the
+        caller's exception class for "no source of meta-data"."""
+        # late: importing the pbio package imports pbio.server, which
+        # builds its own endpoints from this module
+        from repro.pbio.context import PBIOContext
+        from repro.pbio.server import CachingFormatResolver
+
+        self.network = network
+        self.node = network.add_node(address)
+        if resolver is None and format_servers:
+            options = dict(resolver_options or {})
+            options.setdefault("breaker_threshold", 1_000_000)
+            resolver = CachingFormatResolver(
+                network, f"{address}:meta", servers=format_servers,
+                registry=registry, **options,
+            )
+        self.resolver = resolver
+        if registry is None:
+            if resolver is None:
+                raise error(
+                    f"{type(self).__name__} needs a registry, a resolver, "
+                    "or format_servers"
+                )
+            registry = resolver.registry
+        self.registry = registry
+        self.pbio = PBIOContext(registry)
+        self.reliable: Optional[ReliableEndpoint] = None
+        if reliable:
+            options = dict(reliable_options or {})
+            # Event bursts over lossy links produce consecutive timeouts
+            # that are retried successfully; don't let them trip the
+            # breaker into rejecting publishes unless explicitly tuned.
+            options.setdefault("breaker_threshold", 1_000_000)
+            self.reliable = ReliableEndpoint(network, node=self.node, **options)
+            self.reliable.set_handler(self._on_message)
+        else:
+            self.node.set_handler(self._on_message)
+
+    @property
+    def address(self) -> str:
+        return self.node.address
+
+    def _send(self, destination: str, data: bytes) -> None:
+        """Send through the reliable endpoint when configured, raw
+        otherwise."""
+        if self.reliable is not None:
+            self.reliable.send(destination, data)
+        else:
+            self.node.send(destination, data)

@@ -1,53 +1,17 @@
-"""``python -m repro.obs`` — snapshots, flight recordings, Perfetto export.
+"""``python -m repro.obs`` — snapshots, flight recordings, Perfetto
+export, the live cluster view and the two CI smoke gates.
 
-With no arguments, runs a small live demo — the quickstart's evolving
+With no mode flag, runs a small live demo — the quickstart's evolving
 ``Reading`` format pushed through an ECho channel to a sink one revision
 behind — with observability enabled, then renders the resulting metrics,
 histograms and span tree as text tables.  Useful both as a smoke test of
 the instrumentation and as documentation of what the subsystem records.
-
-Usage::
-
-    python -m repro.obs                   # live demo snapshot, as tables
-    python -m repro.obs --prometheus      # same, Prometheus text format
-    python -m repro.obs --json out.json   # also write the JSON snapshot
-    python -m repro.obs --load snap.json  # pretty-print a saved snapshot
-    python -m repro.obs --format chrome --out trace.json
-                                          # traced lossy demo -> Chrome
-                                          # trace-event JSON (load the
-                                          # file at https://ui.perfetto.dev)
-    python -m repro.obs --flight          # traced lossy demo -> the hop
-                                          # timeline of the most recent
-                                          # sampled message (or of the
-                                          # trace id given)
-    python -m repro.obs --trace-smoke --out trace.json
-                                          # CI gate: V2->V1->V0 morph chain
-                                          # over a 10% lossy link at the
-                                          # default sampling rate; asserts
-                                          # every sampled message produced
-                                          # one complete trace, every other
-                                          # one counters only, writes the
-                                          # Chrome export, exits 1 on failure
-    python -m repro.obs --top             # live cluster view: a 3-worker
-                                          # fabric with telemetry agents,
-                                          # rendered as tables (sources,
-                                          # per-channel totals, route hit
-                                          # ratio, retransmit %, journal
-                                          # lag, SLO states)
-    python -m repro.obs --top --watch 5   # same, re-rendered every demo
-                                          # second for 5 frames
-    python -m repro.obs --cluster-export --out state.json
-                                          # run the demo fleet and write
-                                          # the collector's cluster_state()
-                                          # JSON contract
-    python -m repro.obs --telemetry-smoke # CI gate: agent/collector
-                                          # convergence under loss, SLO
-                                          # fire->resolve, schema check,
-                                          # byte-identical disabled wire
+At most one mode flag per run; ``--help`` lists them.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from typing import Any, Callable, List, Optional, Tuple
@@ -411,63 +375,93 @@ def _run_telemetry_smoke(out_path: Optional[str]) -> int:
     return 0
 
 
-def _option(args: List[str], flag: str) -> Optional[str]:
-    """The value following *flag*, or None when the flag is absent.
-    Exits with status 2 (via SystemExit) when the value is missing."""
-    if flag not in args:
-        return None
-    index = args.index(flag)
-    if index + 1 >= len(args) or args[index + 1].startswith("--"):
-        print(f"error: {flag} requires a value", file=sys.stderr)
-        raise SystemExit(2)
-    return args[index + 1]
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.obs", allow_abbrev=False, description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--load", metavar="PATH",
+        help="pretty-print a snapshot saved with --json")
+    mode.add_argument(
+        "--format", choices=["chrome"],
+        help="traced lossy demo -> Chrome trace-event JSON on stdout or "
+             "--out (load the file at https://ui.perfetto.dev)")
+    mode.add_argument(
+        "--flight", nargs="?", const="", metavar="TRACE_ID",
+        help="traced lossy demo -> the hop timeline of the trace id "
+             "given, else of the most recent sampled message")
+    mode.add_argument(
+        "--trace-smoke", action="store_true",
+        help="CI gate: V2->V1->V0 morph chain over a 10%% lossy link at "
+             "the default sampling rate; every sampled message must have "
+             "left one complete trace, every other one counters only; "
+             "writes the Chrome export to --out; exit 1 on failure")
+    mode.add_argument(
+        "--telemetry-smoke", action="store_true",
+        help="CI gate: agent/collector convergence under loss, SLO "
+             "fire->resolve, schema check, byte-identical disabled wire; "
+             "exit 1 on failure")
+    mode.add_argument(
+        "--top", action="store_true",
+        help="live cluster view: a 3-worker fabric with telemetry agents, "
+             "rendered as tables (sources, per-channel totals, route hit "
+             "ratio, retransmit %%, journal lag, SLO states)")
+    mode.add_argument(
+        "--cluster-export", action="store_true",
+        help="run the demo fleet and write the collector's "
+             "cluster_state() JSON contract to stdout or --out")
+    parser.add_argument(
+        "--watch", type=int, metavar="N",
+        help="with --top: re-render every demo second for N frames")
+    parser.add_argument(
+        "--out", metavar="PATH",
+        help="where --format / --trace-smoke / --telemetry-smoke / "
+             "--cluster-export write their JSON")
+    parser.add_argument(
+        "--prometheus", action="store_true",
+        help="live demo snapshot in Prometheus text format")
+    parser.add_argument(
+        "--json", metavar="PATH",
+        help="live demo: also write the JSON snapshot")
+    return parser
 
 
 def main(argv: "Optional[List[str]]" = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    load_path = _option(args, "--load")
-    if load_path is not None:
-        return _print_loaded(load_path)
-    out_path = _option(args, "--out")
-    if "--trace-smoke" in args:
-        return _run_trace_smoke(out_path)
-    if "--telemetry-smoke" in args:
-        return _run_telemetry_smoke(out_path)
-    if "--top" in args:
-        watch = _option(args, "--watch")
-        return _run_top(int(watch) if watch is not None else 1)
-    if "--cluster-export" in args:
-        return _run_cluster_export(out_path)
-    fmt = _option(args, "--format")
-    if fmt is not None:
-        if fmt != "chrome":
-            print(f"error: unknown --format {fmt!r} (expected 'chrome')",
-                  file=sys.stderr)
-            return 2
-        return _run_chrome(out_path)
-    if "--flight" in args:
-        # optional positional trace id after the flag
-        index = args.index("--flight")
-        trace_id = None
-        if index + 1 < len(args) and not args[index + 1].startswith("--"):
-            trace_id = args[index + 1]
-        return _run_flight(trace_id)
-    json_path = _option(args, "--json")
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.watch is not None and not args.top:
+        parser.error("--watch needs --top")
+    if args.load is not None:
+        return _print_loaded(args.load)
+    if args.trace_smoke:
+        return _run_trace_smoke(args.out)
+    if args.telemetry_smoke:
+        return _run_telemetry_smoke(args.out)
+    if args.top:
+        return _run_top(args.watch or 1)
+    if args.cluster_export:
+        return _run_cluster_export(args.out)
+    if args.format is not None:
+        return _run_chrome(args.out)
+    if args.flight is not None:
+        return _run_flight(args.flight or None)
 
     obs.disable(reset=True)
     obs.enable()
     _demo_workload()
     state = obs.OBS
-    if "--prometheus" in args:
+    if args.prometheus:
         print(to_prometheus(state.metrics), end="")
     else:
         print("live snapshot of the quickstart ECho evolution demo\n")
         print(render_text(state.metrics, state.tracer))
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as handle:
+    if args.json is not None:
+        with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(build_snapshot(state.metrics, state.tracer), handle,
                       indent=2)
-        print(f"\nwrote JSON snapshot to {json_path}")
+        print(f"\nwrote JSON snapshot to {args.json}")
     obs.disable(reset=True)
     return 0
 

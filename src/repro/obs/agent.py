@@ -197,10 +197,6 @@ class TelemetryAgent:
             OBS.metrics.counter(
                 "obs.telemetry.agent.scrapes", process=self.process
             ).inc()
-            if dropped:
-                OBS.metrics.counter(
-                    "obs.telemetry.agent.dropped", process=self.process
-                ).inc(dropped)
         return record
 
     def _bound(

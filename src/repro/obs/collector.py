@@ -87,7 +87,7 @@ class TelemetryCollector:
         self.stale_after = stale_after
         #: set by :meth:`attach_directory`
         self.directory: Optional[Any] = None
-        self.store = SeriesStore(on_overflow=self._on_series_overflow)
+        self.store = SeriesStore()
         self.sources: Dict[str, SourceState] = {}
         #: (process, boot) -> admission ledger
         self._ledgers: Dict[Tuple[str, int], SeqLedger] = {}
@@ -164,8 +164,6 @@ class TelemetryCollector:
         if not ledger.admit(seq):
             source.duplicates += 1
             self.duplicates += 1
-            if OBS.enabled:
-                OBS.metrics.counter("obs.telemetry.collector.duplicates").inc()
             return False
         try:
             delta = json.loads(payload) if payload else {}
@@ -214,10 +212,6 @@ class TelemetryCollector:
                 self.rejected += 1
         return True
 
-    def _on_series_overflow(self) -> None:
-        if OBS.enabled:
-            OBS.metrics.counter("obs.telemetry.collector.overflow").inc()
-
     # -- staleness ------------------------------------------------------
 
     def _worker_dead(self, worker: str) -> bool:
@@ -256,10 +250,6 @@ class TelemetryCollector:
                 source.stale = True
                 source.stale_marks += 1
                 newly.append(source.process)
-                if OBS.enabled:
-                    OBS.metrics.counter(
-                        "obs.telemetry.collector.stale_marks"
-                    ).inc()
         return newly
 
     # -- aggregate queries ----------------------------------------------

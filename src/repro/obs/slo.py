@@ -11,7 +11,7 @@ instantaneous condition into a stable firing/resolved alert:
     engine.add({
         "name": "retransmit-ratio",
         "signal": {"kind": "ratio",
-                   "numerator": "net.reliable.retransmits",
+                   "numerator": "net.reliable.retries",
                    "denominator": "net.reliable.sends",
                    "window": 10.0},
         "op": ">", "threshold": 0.20,
@@ -54,7 +54,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ObsError
-from repro.obs import OBS
 
 #: rule states
 OK = "ok"
@@ -250,16 +249,6 @@ class SloEngine:
             transition = rule.step(value, now)
             if transition is not None:
                 transitions.append(transition)
-                if OBS.enabled:
-                    OBS.metrics.counter(
-                        "obs.slo.transitions", rule=rule.name,
-                        to=transition["to"],
-                    ).inc()
-        if OBS.enabled:
-            OBS.metrics.counter("obs.slo.evaluations").inc()
-            OBS.metrics.gauge("obs.slo.firing").set(
-                sum(1 for rule in self.rules if rule.firing)
-            )
         return transitions
 
     def firing(self) -> List[str]:

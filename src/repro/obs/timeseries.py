@@ -30,7 +30,7 @@ scrapes the window spans.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ObsError
 from repro.obs.metrics import (
@@ -314,13 +314,11 @@ class SeriesStore:
         limit: int = 4096,
         capacity: int = DEFAULT_CAPACITY,
         rollups: Tuple[Tuple[float, int], ...] = DEFAULT_ROLLUPS,
-        on_overflow: Optional[Callable[[], None]] = None,
     ) -> None:
         self.limit = limit
         self.capacity = capacity
         self.rollups = rollups
         self._series: Dict[Any, TimeSeries] = {}
-        self._on_overflow = on_overflow
         self.overflowed = 0
 
     def series(self, key: Any, kind: str) -> TimeSeries:
@@ -329,8 +327,6 @@ class SeriesStore:
             return found
         if len(self._series) >= self.limit:
             self.overflowed += 1
-            if self._on_overflow is not None:
-                self._on_overflow()
             key = (OVERFLOW_LABEL, kind)
             found = self._series.get(key)
             if found is not None:

@@ -162,6 +162,5 @@ def widen_record(
 
 
 def projection_ratio(projection: IOFormat, parent: IOFormat) -> float:
-    """Negotiated-field ratio ``len(projection)/len(parent)`` — the
-    number the ``net.projection.field_ratio`` histogram records."""
+    """Negotiated-field ratio ``len(projection)/len(parent)``."""
     return len(projection.fields) / max(1, len(parent.fields))

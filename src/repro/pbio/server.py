@@ -20,8 +20,8 @@ that
   and registrations are queued for replay when a server answers again.
 
 The wire protocol is JSON (deliberately not PBIO: the meta-data
-channel must not depend on the meta-data it serves).  Counters surface
-through ``repro.obs`` as ``pbio.format_server.*`` / ``pbio.resolver.*``.
+channel must not depend on the meta-data it serves).  Both sides count
+what they do in a plain ``stats`` dict.
 """
 
 from __future__ import annotations
@@ -159,7 +159,6 @@ class FormatServer:
         if op == "register":
             self._ingest(message)
             self.stats["registers"] += 1
-            self._count("registers")
             self.endpoint.send(
                 source,
                 _encode({"op": "register_ok", "id": message.get("id")}),
@@ -191,7 +190,6 @@ class FormatServer:
 
     def _handle_lookup(self, source: str, message: Dict[str, Any]) -> None:
         self.stats["lookups"] += 1
-        self._count("lookups")
         format_id = int(message["format_id"])
         fmt = self.registry.lookup_id(format_id)
         reply: Dict[str, Any] = {
@@ -202,7 +200,6 @@ class FormatServer:
         }
         if fmt is None:
             self.stats["misses"] += 1
-            self._count("misses")
         else:
             chains = self.registry.transform_closure(fmt)
             specs = {id(s): s for chain in chains for s in chain}
@@ -225,7 +222,6 @@ class FormatServer:
 
     def _handle_interest(self, source: str, message: Dict[str, Any]) -> None:
         self.stats["interests"] += 1
-        self._count("interests")
         group = str(message.get("group", ""))
         try:
             parent = format_from_dict(message.get("parent") or {})
@@ -260,7 +256,6 @@ class FormatServer:
         self, source: str, message: Dict[str, Any]
     ) -> None:
         self.stats["interest_lookups"] += 1
-        self._count("interest_lookups")
         group = str(message.get("group", ""))
         try:
             parent = format_from_dict(message.get("parent") or {})
@@ -302,7 +297,6 @@ class FormatServer:
             renewed.pop(source, None)
             interests.pop(source, None)
             self.stats["interest_expirations"] += 1
-            self._count("interest_expirations")
         return bool(expired)
 
     def sweep_interests(self) -> int:
@@ -376,7 +370,6 @@ class FormatServer:
             "epoch": epoch, "fields": fields_list, "format": fmt,
         }
         self.stats["renegotiations"] += 1
-        self._count("renegotiations")
         self._push_update(key, parent)
 
     def _state_reply(
@@ -408,12 +401,6 @@ class FormatServer:
         # fault-injection harness
         for watcher in sorted(watchers):
             self.endpoint.send(watcher, wire)
-
-    def _count(self, name: str) -> None:
-        if OBS.enabled:
-            OBS.metrics.counter(
-                f"pbio.format_server.{name}", server=self.address
-            ).inc()
 
 
 class _Request:
@@ -584,8 +571,7 @@ class CachingFormatResolver:
     def _queue_registration(self, payload: Dict[str, Any]) -> None:
         self._pending_registrations.append(payload)
         self.stats["queued_registrations"] += 1
-        self._count("queued_registrations")
-        self._enter_degraded()
+        self.degraded = True
 
     # ------------------------------------------------------------------
     # Resolution (reader side)
@@ -605,17 +591,14 @@ class CachingFormatResolver:
         fmt = self.registry.lookup_id(format_id)
         if fmt is not None:
             self.stats["cache_hits"] += 1
-            self._count("cache_hits")
             if on_done is not None:
                 on_done(fmt)
             return fmt
         self.stats["cache_misses"] += 1
-        self._count("cache_misses")
         if self.degraded:
             # Degraded mode serves only the cache; report the miss
             # instead of hanging on a fleet we know is down.
             self.stats["degraded_misses"] += 1
-            self._count("degraded_misses")
             if on_done is not None:
                 on_done(None)
             return None
@@ -660,7 +643,6 @@ class CachingFormatResolver:
     ) -> None:
         self._inflight[format_id] = [on_done] if on_done is not None else []
         self.stats["lookups_sent"] += 1
-        self._count("lookups_sent")
         if OBS.enabled:
             # Initiation marker only: the reply arrives asynchronously,
             # and the parked message's replay re-joins the trace from its
@@ -708,7 +690,6 @@ class CachingFormatResolver:
         entry."""
         if self.registry.replace(fmt):
             self.stats["invalidations"] += 1
-            self._count("invalidations")
             if self.on_invalidate is not None:
                 self.on_invalidate(fmt.format_id)
 
@@ -733,7 +714,6 @@ class CachingFormatResolver:
         mode simply keeps full-format traffic)."""
         self.registry.register(parent)
         self.stats["interests_sent"] += 1
-        self._count("interests_sent")
         if retract:
             self._announced_interests.pop((group, parent.format_id), None)
         else:
@@ -776,7 +756,6 @@ class CachingFormatResolver:
         ):
             sent += 1
             self.stats["interest_reannounces"] += 1
-            self._count("interest_reannounces")
             self._request(
                 {
                     "op": "interest",
@@ -804,7 +783,6 @@ class CachingFormatResolver:
             self._projection_watches.setdefault(key, []).append(on_update)
         self.registry.register(parent)
         self.stats["interest_lookups_sent"] += 1
-        self._count("interest_lookups_sent")
         if self.degraded:
             return
         self._request(
@@ -858,7 +836,6 @@ class CachingFormatResolver:
         if state is not None and key is not None:
             self._projection_states[key] = state
             self.stats["projection_updates"] += 1
-            self._count("projection_updates")
             for callback in list(self._projection_watches.get(key, ())):
                 callback(state)
         if on_state is not None:
@@ -889,13 +866,12 @@ class CachingFormatResolver:
         if not request.servers_left:
             request.done = True
             self._requests.pop(request.message["id"], None)
-            self._enter_degraded()
+            self.degraded = True
             request.on_fail()
             return
         server = request.servers_left.pop(0)
         if not first:
             self.stats["failovers"] += 1
-            self._count("failovers")
             self.active_server = self.servers.index(server)
         if request.timer is not None:
             request.timer.cancel()
@@ -943,22 +919,8 @@ class CachingFormatResolver:
     # Degraded mode
     # ------------------------------------------------------------------
 
-    def _enter_degraded(self) -> None:
-        if not self.degraded:
-            self.degraded = True
-            self._count("degraded_entries")
-            if OBS.enabled:
-                OBS.metrics.gauge(
-                    "pbio.resolver.degraded", resolver=self.address
-                ).set(1)
-
     def _exit_degraded(self) -> None:
-        if self.degraded:
-            self.degraded = False
-            if OBS.enabled:
-                OBS.metrics.gauge(
-                    "pbio.resolver.degraded", resolver=self.address
-                ).set(0)
+        self.degraded = False
         self._flush_pending()
 
     def _flush_pending(self) -> None:
@@ -966,7 +928,6 @@ class CachingFormatResolver:
         pending, self._pending_registrations = self._pending_registrations, []
         for payload in pending:
             self.stats["replayed_registrations"] += 1
-            self._count("replayed_registrations")
             self._send_registration(payload)
 
     def retry_pending(self) -> int:
@@ -980,9 +941,3 @@ class CachingFormatResolver:
         # failure re-enters it, success is confirmed by the reply path.
         self._exit_degraded()
         return count
-
-    def _count(self, name: str) -> None:
-        if OBS.enabled:
-            OBS.metrics.counter(
-                f"pbio.resolver.{name}", resolver=self.address
-            ).inc()

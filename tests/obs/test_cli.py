@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro import obs
 from repro.bench.__main__ import FIGURES, _record
 from repro.bench.reporting import stage_breakdown
@@ -89,3 +91,15 @@ def test_obs_cli_prometheus(capsys):
     assert "# TYPE morph_receiver_cache_hits counter" in stdout
     assert "# TYPE pbio_decode_seconds histogram" in stdout
     assert 'echo_channel_events_delivered{channel="readings"} 25' in stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["--topp"],                   # an unknown flag is not the default demo
+    ["--watch", "5"],             # --watch without --top
+    ["--top", "--trace-smoke"],   # two modes at once
+])
+def test_obs_cli_rejects_what_it_would_have_ignored(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        obs_main(argv)
+    assert exit_info.value.code == 2
+    assert "usage: python -m repro.obs" in capsys.readouterr().err

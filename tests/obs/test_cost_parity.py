@@ -24,6 +24,9 @@ counted and none timed:
   an *unsampled* event builds no span, no ``activate``, touches no trace
   block and no histogram, updates a bounded number of counters, and its
   wire is the obs-off wire byte for byte;
+* **receiver tallies** — a ``MorphReceiver`` counts in plain integers:
+  with obs off a frame updates no instrument at all, with it on the
+  ``morph.receiver.*`` totals are the sum of the receivers' tallies;
 * **handles follow the registry** — what a site holds is the live
   registry's instrument, whichever registry is live.
 """
@@ -41,6 +44,8 @@ import pytest
 
 import repro
 from repro import obs
+from repro.morph.receiver import MorphReceiver
+from repro.net.batch import pack_batch
 from repro.net.transport import Network, _sniff_trace
 from repro.obs import OBS, tracectx, tracing
 from repro.obs.metrics import Counter, Gauge, Histogram, Registry
@@ -267,9 +272,11 @@ class TestPriceGuard:
         assert 0 < tally["decode_block"] <= 3 * traced_datagrams
 
     #: instrument updates (``inc`` + ``set``) one unsampled event of the
-    #: scenario may make — 175 when every event was sampled and the queue
-    #: gauge was set per datagram.  Raise it only with a reason.
-    UPDATES_PER_EVENT = 104
+    #: scenario may make: 88 measured (77 ``inc``, 11 ``set``) + 5 — 175
+    #: when every event was sampled and the queue gauge was set per
+    #: datagram, 99 while each receiver also kept its tallies in a
+    #: registry of its own.  Raise it only with a reason.
+    UPDATES_PER_EVENT = 93
 
     def test_an_unsampled_event_pays_for_its_counters_only(
         self, monkeypatch, journal
@@ -369,7 +376,83 @@ def _echo_calls(_journal_path: str, call: str):
 
 
 # ---------------------------------------------------------------------------
-# (d) handles follow the registry
+# (d) a receiver's tallies are plain integers; obs mirrors the read ones
+# ---------------------------------------------------------------------------
+
+
+class TestReceiverTallies:
+    FRAME = 8
+    #: the ``stats`` names with a ``morph.receiver.*`` reader
+    #: (``docs/OBSERVABILITY.md``); the other three are attributes only
+    MIRRORED = ("messages", "cache_hits", "cache_misses", "perfect_matches",
+                "morphed", "compiled_chains")
+
+    def _drive(self):
+        """A V2 frame through four readers: V0 over the two-step chain
+        fused and staged, V2 itself, and one that rejects everything."""
+        registry = FormatRegistry()
+        registry.register_transform(parity_scenario.V2_TO_V1_TRANSFORM)
+        registry.register_transform(parity_scenario.V1_TO_V0_TRANSFORM)
+        record = parity_scenario._records(parity_scenario.random.Random(0), 1)
+        wire = PBIOContext(registry).encode(
+            parity_scenario.RESPONSE_V2, record[0]
+        )
+        receivers = []
+        for fmt, fused in ((parity_scenario.RESPONSE_V0, True),
+                           (parity_scenario.RESPONSE_V0, False),
+                           (parity_scenario.RESPONSE_V2, True),
+                           (None, True)):
+            receiver = MorphReceiver(registry, use_fusion=fused)
+            if fmt is None:
+                receiver.register_default_handler(lambda fmt, record: None)
+            else:
+                receiver.register_handler(fmt, lambda record: None)
+            receivers.append(receiver)
+        frame = pack_batch([wire] * self.FRAME)
+        for receiver in receivers:
+            assert receiver.process_batch(frame) == [None] * self.FRAME
+        return receivers
+
+    def test_obs_off_a_frame_updates_no_instrument(self, monkeypatch):
+        tally = {}
+        _count_calls(monkeypatch, Counter, "inc", tally)
+        _count_calls(monkeypatch, Gauge, "set", tally)
+        fused, staged, same, rejecting = self._drive()
+        monkeypatch.undo()
+        assert tally == {}
+        assert len(OBS.metrics) == 0
+        routed = {"messages": 8, "cache_hits": 7, "cache_misses": 1,
+                  "perfect_matches": 8, "reconciled": 0, "rejected": 0,
+                  "broken_transforms": 0}
+        assert fused.stats.snapshot() == staged.stats.snapshot() == {
+            **routed, "morphed": 8, "compiled_chains": 1}
+        assert same.stats.snapshot() == {
+            **routed, "morphed": 0, "compiled_chains": 0}
+        assert rejecting.stats.snapshot() == {
+            **routed, "perfect_matches": 0, "rejected": 8,
+            "morphed": 0, "compiled_chains": 0}
+        assert fused.stats.messages == 8 and fused.stats.cache_hits == 7
+        # one MaxMatch decision each; the rejecting reader accepted none
+        assert [r.stats.mismatch_ratios.count
+                for r in (fused, staged, same, rejecting)] == [1, 1, 1, 0]
+
+    def test_obs_on_totals_are_the_sum_of_the_plain_tallies(self):
+        obs.enable()
+        receivers = self._drive()
+        snapshots = [receiver.stats.snapshot() for receiver in receivers]
+        for name in self.MIRRORED:
+            assert _total(OBS.metrics, f"morph.receiver.{name}") == sum(
+                snapshot[name] for snapshot in snapshots
+            ), name
+        assert sum(snapshot["rejected"] for snapshot in snapshots) == 8
+        recorded = {i.name for i in OBS.metrics.instruments()}
+        assert not recorded & {"morph.receiver.rejected",
+                               "morph.receiver.reconciled",
+                               "morph.receiver.broken_transforms"}
+
+
+# ---------------------------------------------------------------------------
+# (e) handles follow the registry
 # ---------------------------------------------------------------------------
 
 
