@@ -24,7 +24,7 @@ from typing import Any, List, Optional, Tuple
 from repro.ecode.codegen import compile_procedure
 from repro.ecode.interp import interpret_procedure
 from repro.errors import ECodeError, TransformError
-from repro.morph.transform import growable_record
+from repro.morph.transform import _record_factory
 from repro.pbio.format import IOFormat
 from repro.pbio.record import Record
 
@@ -53,6 +53,11 @@ class ECodeHandler:
         use_codegen: bool = True,
     ) -> None:
         self.reply_format = reply_format
+        #: resolved once: the memo is keyed by the format's content, which
+        #: is not something to rebuild per message
+        self._new_reply = (
+            Record if reply_format is None else _record_factory(reply_format)
+        )
         self.use_codegen = use_codegen
         self._lock = threading.Lock()
         self._procedure = self._compile(code)
@@ -98,10 +103,7 @@ class ECodeHandler:
         with self._lock:
             procedure = self._procedure
         self.invocations += 1
-        if self.reply_format is not None:
-            reply = growable_record(self.reply_format)
-        else:
-            reply = Record()
+        reply = self._new_reply()
         try:
             result = procedure(record, reply)
         except ECodeError as exc:

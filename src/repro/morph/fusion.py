@@ -38,13 +38,15 @@ from __future__ import annotations
 import struct
 import threading
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple,
+)
 
 from repro.ecode import analyze
 from repro.ecode.codegen import ECODE_ESCAPES, generate_inline, runtime_namespace
 from repro.errors import DecodeError, ECodeError, TransformError
 from repro.morph.compat import _coerce_field
-from repro.morph.transform import Transformation, _record_entry, ecode_shapes
+from repro.morph.transform import Transformation, ecode_shapes
 from repro.pbio.codegen import _Emitter, _gen_decode_format, _StructTable
 from repro.pbio.format import IOFormat
 from repro.pbio.record import Record, trusted_record
@@ -59,10 +61,78 @@ def _make_fail(label: str) -> Callable[[BaseException], None]:
     return _fail
 
 
+#: what a step's consumer reads of its output: top-level field names, or
+#: None when it sees the whole record
+Live = Optional[FrozenSet[str]]
+
+
+class _StepFacts(NamedTuple):
+    """A step's program as one consumer needs it (see :func:`_facts`)."""
+
+    program: "analyze.ast.Program"  # stores nothing downstream reads pruned
+    declared: FrozenSet[str]  # the locals it declares
+    reads: Live  # the fields of ``new`` it touches
+
+
+def _facts(step: Transformation, live: Live) -> _StepFacts:
+    """The analyses of *step* under *live*, made once per shared step
+    (:meth:`Transformation.fact`) however many routes contain it."""
+
+    def analyse() -> _StepFacts:
+        program = step.procedure.program
+        if live is not None:
+            program = analyze.prune_dead_stores(
+                program,
+                "old",
+                live,
+                "new",
+                {f.name for f in step.source.fields},
+                {f.name for f in step.target.fields},
+            )
+        reads = analyze.fields_used(program, "new")
+        return _StepFacts(
+            program,
+            frozenset(analyze.declared_names(program)),
+            None if reads is None else frozenset(reads),
+        )
+
+    return step.fact(("facts", live), analyse)
+
+
+def _inlinable(step: Transformation) -> bool:
+    """Whether *step* can be spliced into a larger function at all."""
+    if not step.use_codegen:  # interpreter procedure: no AST-to-inline
+        return False
+    if step.validate_output:
+        return False
+    return step.fact(
+        "inlinable",
+        lambda: not analyze.has_return(step.procedure.program)
+        # shadowed parameters defeat the rename map
+        and not {"new", "old"} & _facts(step, None).declared,
+    )
+
+
+def _inlined(step: Transformation, live: Live, k: int, indent: int) -> List[str]:
+    """*step*'s body as the *k*-th of a fused chain: ``_r{k}`` in,
+    ``_r{k+1}`` out, its locals prefixed so steps cannot collide."""
+
+    def generate() -> List[str]:
+        facts = _facts(step, live)
+        rename = {"new": f"_r{k}", "old": f"_r{k + 1}"}
+        for local in facts.declared:
+            rename[local] = f"_s{k}_{local}"
+        return generate_inline(
+            facts.program, rename, indent, ecode_shapes(step.spec)
+        )
+
+    return step.fact(("inlined", live, k, indent), generate)
+
+
 class FusedRoute:
     """The compiled form of one receiver route.
 
-    Sources and function objects are generated lazily per byte order
+    Function objects are generated lazily per byte order
     (receiver-makes-right: most receivers only ever see their native
     order).  A compile failure marks the order as fallen back — the
     receiver keeps using the staged path for it.
@@ -75,16 +145,15 @@ class FusedRoute:
         "_steps",
         "_walker_coercion",
         "_fns",
-        "_sources",
         "_lock",
     )
 
     def __init__(
         self,
         wire_format: IOFormat,
-        wire_live: Optional[Set[str]],
+        wire_live: Live,
         label: str,
-        steps: List[Tuple[Transformation, "analyze.ast.Program"]],
+        steps: List[Tuple[Transformation, Live]],
         walker_coercion: Optional[Tuple[IOFormat, IOFormat]],
     ) -> None:
         self.wire_format = wire_format
@@ -95,7 +164,6 @@ class FusedRoute:
         self._fns: Dict[
             str, Optional[Callable[[bytes, int, int], Tuple[Record, int]]]
         ] = {}
-        self._sources: Dict[str, str] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -118,9 +186,10 @@ class FusedRoute:
             return self._fns[order]
 
     def source(self, order: str = "<") -> str:
-        """The generated Python source for *order* (audited by tests)."""
-        self.fn_for(order)
-        return self._sources[order]
+        """The generated Python source for *order* (audited by tests):
+        emitted again on request — emission is deterministic — so that a
+        route does not hold its text for life."""
+        return self._emit(order)[0]
 
     # ------------------------------------------------------------------
 
@@ -131,7 +200,6 @@ class FusedRoute:
 
         try:
             source, namespace = self._emit(order)
-            self._sources[order] = source
             code = compile(source, f"<fused-route:{self.label}:{order}>", "exec")
             exec(code, namespace)
             fn = namespace["_fused_route"]
@@ -217,18 +285,13 @@ class FusedRoute:
         namespace["_chain_fail"] = _make_fail(self.label)
         em.emit("try:")
         em.indent += 1
-        for k, (step, program) in enumerate(self._steps):
+        for k, (step, live) in enumerate(self._steps):
             out = f"_r{k + 1}"
-            namespace[f"_gr{k}"], freeze = _record_entry(step.target)
+            namespace[f"_gr{k}"] = step.new_output
             em.emit(f"{out} = _gr{k}()")
-            rename = {"new": f"_r{k}", "old": out}
-            for local in analyze.declared_names(program):
-                rename[local] = f"_s{k}_{local}"
-            em.lines.extend(
-                generate_inline(program, rename, em.indent, ecode_shapes(step.spec))
-            )
-            if freeze is not None:
-                namespace[f"_frz{k}"] = freeze
+            em.lines.extend(_inlined(step, live, k, em.indent))
+            if step.freeze is not None:
+                namespace[f"_frz{k}"] = step.freeze
                 em.emit(f"_frz{k}({out})")
         em.indent -= 1
         em.emit("except _ECodeError as exc:")
@@ -281,8 +344,9 @@ def plan_fusion(route: Any) -> Optional[FusedRoute]:
     """Build the fusion plan for a freshly planned ``_Route``, or ``None``
     when the route must stay staged.
 
-    Runs the backward liveness pass here (cheap AST work); actual source
-    emission and ``compile()`` happen lazily per byte order in
+    Runs the backward liveness pass here, over analyses each step keeps
+    (:func:`_facts`: AST work done once per shared step, not per route);
+    source emission and ``compile()`` happen lazily per byte order in
     :meth:`FusedRoute.fn_for`.
     """
     if route.is_reject or route.handler_format is None:
@@ -293,42 +357,24 @@ def plan_fusion(route: Any) -> Optional[FusedRoute]:
     walker_coercion = route.coercion
     if not transforms and walker_coercion is None:
         return None  # plain decode + dispatch: nothing to fuse
-    for step in transforms:
-        program = getattr(step.procedure, "program", None)
-        if program is None:  # interpreter procedure: no AST-to-inline
-            return None
-        if step.validate_output:
-            return None
-        if analyze.has_return(program):
-            return None
-        if {"new", "old"} & analyze.declared_names(program):
-            return None  # shadowed parameters defeat the rename map
+    if not all(_inlinable(step) for step in transforms):
+        return None
 
     # backward liveness: what does each stage's consumer actually read?
     if walker_coercion is not None:
         src_fmt, dst_fmt = walker_coercion
-        live_after: Optional[Set[str]] = {
+        live_after: Live = frozenset(
             f.name
             for f in dst_fmt.fields
             if (sf := src_fmt.get_field(f.name)) is not None and f.matches(sf)
-        }
+        )
     else:
         live_after = None  # the handler sees the record: everything live
 
-    steps: List[Tuple[Transformation, "analyze.ast.Program"]] = []
+    steps: List[Tuple[Transformation, Live]] = []
     for step in reversed(transforms):
-        program = step.procedure.program
-        if live_after is not None:
-            program = analyze.prune_dead_stores(
-                program,
-                "old",
-                live_after,
-                "new",
-                {f.name for f in step.source.fields},
-                {f.name for f in step.target.fields},
-            )
-        steps.append((step, program))
-        live_after = analyze.fields_used(program, "new")
+        steps.append((step, live_after))
+        live_after = _facts(step, live_after).reads
     steps.reverse()
 
     wire_live = live_after

@@ -15,6 +15,7 @@ Rev 2.0 → Rev 1.0 → Rev 0.0) compose into a single
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ecode.codegen import SCALAR, Shape, compile_procedure
@@ -26,16 +27,33 @@ from repro.pbio.format import IOFormat
 from repro.pbio.record import Record
 from repro.pbio.registry import TransformSpec
 
-#: per format id: (factory of growable default records, freeze — or None
-#: when a record of the format holds no array at any depth)
+#: per format *content* (``IOFormat.content_key()`` — a wire id leaves out
+#: the declared defaults a default record is made of): (factory of
+#: growable default records, freeze — or None when a record of the format
+#: holds no array at any depth)
 _RecordEntry = Tuple[Callable[[], Record], Optional[Callable[[Record], None]]]
-_record_factories: "dict[int, _RecordEntry]" = {}
+_record_factories: "dict[tuple, _RecordEntry]" = {}
 
 #: Bound on the factory memo: long-running servers with churning formats
 #: (``FormatRegistry.unregister`` + re-register) must not accumulate one
-#: closure per format id forever.  Eviction is FIFO; callers that need an
-#: entry to outlive eviction (fused routes) hold their own reference.
+#: closure per format forever.  Eviction is FIFO; what needs an entry to
+#: outlive eviction (a :class:`Transformation`) holds its own reference.
 RECORD_FACTORY_CACHE_MAX = 1024
+
+#: The process-wide memo :func:`build_chain` draws every step from: one
+#: compiled :class:`Transformation` per distinct spec, keyed by all the
+#: compiled object depends on, shared by every receiver, route and
+#: subscriber group.  FIFO like the factory memo; an evicted spec
+#: compiles again when next planned.
+_transformations: "dict[tuple, Transformation]" = {}
+TRANSFORMATION_CACHE_MAX = 256
+#: bound on what one step remembers for fusion (a few entries per
+#: distinct set of fields some consumer reads of its output)
+STEP_FACTS_MAX = 64
+
+#: guards both memos and the fusion facts of the steps they share
+#: (re-entrant: a factory is built from its subformats' factories)
+_memo_lock = threading.RLock()
 
 
 def growable_record(fmt: IOFormat) -> Record:
@@ -55,9 +73,13 @@ def _record_factory(fmt: IOFormat) -> Callable[[], Record]:
 
 def _record_entry(fmt: IOFormat) -> _RecordEntry:
     """The memoised ``(factory, freeze)`` of *fmt* (see
-    :data:`_RecordEntry`, :func:`_freezer`)."""
-    entry = _record_factories.get(fmt.format_id)
-    if entry is None:
+    :data:`_RecordEntry`, :func:`_freezer`).  Builds the format's content
+    key: for plan time and construction, not for a per-message path."""
+    key = fmt.content_key()
+    with _memo_lock:
+        entry = _record_factories.get(key)
+        if entry is not None:
+            return entry
         while len(_record_factories) >= RECORD_FACTORY_CACHE_MAX:
             _record_factories.pop(next(iter(_record_factories)))
         if all(f.is_basic and not f.is_array for f in fmt.fields):
@@ -76,14 +98,14 @@ def _record_entry(fmt: IOFormat) -> _RecordEntry:
                 dict.update(rec, {name: build() for name, build in builders})
                 return rec
 
-        entry = _record_factories[fmt.format_id] = (factory, _freezer(fmt))
+        entry = _record_factories[key] = (factory, _freezer(fmt))
         from repro.obs import OBS
 
         if OBS.enabled:
             OBS.metrics.gauge("morph.transform.record_factory_cache_size").set(
                 len(_record_factories)
             )
-    return entry
+        return entry
 
 
 def _field_builder(field: IOField) -> Callable[[], Any]:
@@ -162,6 +184,10 @@ def ecode_shapes(spec: TransformSpec) -> Dict[str, Shape]:
 class Transformation:
     """One compiled format-to-format conversion.
 
+    :func:`build_chain` hands every caller in the process the same
+    instance for the same spec; one constructed directly is private to
+    its caller.
+
     Parameters
     ----------
     spec:
@@ -176,7 +202,8 @@ class Transformation:
         morph layer instead of corrupting the application.
     """
 
-    __slots__ = ("spec", "procedure", "use_codegen", "validate_output")
+    __slots__ = ("spec", "procedure", "use_codegen", "validate_output",
+                 "new_output", "freeze", "_facts")
 
     def __init__(
         self,
@@ -200,6 +227,25 @@ class Transformation:
                 f"transform {spec.source.name} -> {spec.target.name} failed to "
                 f"compile: {exc}"
             ) from exc
+        #: the target's ``(factory, freeze)``, resolved once: no lookup
+        #: per message, and fused routes inline these same two
+        self.new_output, self.freeze = _record_entry(spec.target)
+        self._facts: Dict[Any, Any] = {}
+
+    def fact(self, key: Any, compute: Callable[[], Any]) -> Any:
+        """``compute()``, once per *key* for as long as this step lives:
+        where whole-route fusion keeps what it derives from the step's
+        program (:mod:`repro.morph.fusion` names the keys), so a shared
+        step is analysed once per process, and forgotten with it."""
+        with _memo_lock:
+            try:
+                return self._facts[key]
+            except KeyError:
+                pass
+            while len(self._facts) >= STEP_FACTS_MAX:
+                self._facts.pop(next(iter(self._facts)))
+            value = self._facts[key] = compute()
+            return value
 
     @property
     def source(self) -> IOFormat:
@@ -212,8 +258,7 @@ class Transformation:
     def apply(self, record: Record) -> Record:
         """Run the transform: build a growable target record, execute the
         ECode with ``(new=record, old=output)``, freeze and validate."""
-        factory, freeze = _record_entry(self.spec.target)
-        output = factory()
+        output = self.new_output()
         try:
             self.procedure(record, output)
         except ECodeError as exc:
@@ -221,8 +266,8 @@ class Transformation:
                 f"transform {self.spec.source.name} -> {self.spec.target.name} "
                 f"failed at runtime: {exc}"
             ) from exc
-        if freeze is not None:
-            freeze(output)
+        if self.freeze is not None:
+            self.freeze(output)
         if self.validate_output:
             try:
                 self.spec.target.validate_record(output)
@@ -291,7 +336,24 @@ def build_chain(
     validate_output: bool = True,
 ) -> TransformChain:
     """Compile a spec sequence (as returned by
-    :meth:`FormatRegistry.transform_closure`) into a TransformChain."""
-    return TransformChain(
-        [Transformation(spec, use_codegen, validate_output) for spec in specs]
-    )
+    :meth:`FormatRegistry.transform_closure`) into a TransformChain.
+
+    Each step is the process's one :class:`Transformation` for its spec
+    (:data:`_transformations`), compiled on first request.  A spec that
+    does not compile raises :class:`TransformError` and is not
+    remembered: every plan that meets it fails, and counts, itself."""
+    steps = []
+    for spec in specs:
+        # everything the compiled object depends on: the formats by
+        # content (their ids leave out the defaults an output is made of)
+        key = (spec.code, spec.source.content_key(), spec.target.content_key(),
+               use_codegen, validate_output)
+        with _memo_lock:
+            step = _transformations.get(key)
+            if step is None:
+                step = Transformation(spec, use_codegen, validate_output)
+                while len(_transformations) >= TRANSFORMATION_CACHE_MAX:
+                    _transformations.pop(next(iter(_transformations)))
+                _transformations[key] = step
+        steps.append(step)
+    return TransformChain(steps)

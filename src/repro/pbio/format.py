@@ -209,13 +209,41 @@ class IOFormat:
             self._format_id = int.from_bytes(digest[:8], "big")
         return self._format_id
 
+    def content_key(self) -> tuple:
+        """The signature plus what it deliberately leaves out and
+        morphing consumes: every field's declared default and importance,
+        at every depth.  Two declarations can share a wire id and differ
+        here, so what is built from a format's *content* — a default
+        record, a compiled transform — is remembered under this key, not
+        under ``format_id``.  Defaults enter by ``repr`` (``1``, ``1.0``
+        and ``True`` fill differently; any default is hashable so)."""
+        return (self.signature(), self._declared_extras())
+
+    def _declared_extras(self) -> tuple:
+        return tuple(
+            (
+                repr(field._default),
+                field.importance,
+                field.subformat._declared_extras()
+                if field.subformat is not None else None,
+            )
+            for field in self.fields
+        )
+
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, IOFormat):
             return NotImplemented
+        if self.format_id != other.format_id:
+            return False
         return self.signature() == other.signature()
 
     def __hash__(self) -> int:
-        return hash(self.signature())
+        # formats are dict keys and set members on every planning path:
+        # the memoised fingerprint of the signature, not the signature
+        # rebuilt (≈ 2 KB a format to keep)
+        return self.format_id
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         ver = f" v{self.version}" if self.version else ""

@@ -47,20 +47,18 @@ def _content_key(fmt: IOFormat) -> tuple:
     The 64-bit fingerprint (and ``IOFormat.__eq__``) deliberately hash
     only the structural signature, so two declarations can share a wire
     id while disagreeing on the attributes morphing actually consumes:
-    per-field defaults and importance weights, and a projection's
-    provenance (parent id + epoch).  An authoritative refresh that
-    changes only those must still displace the stale cached entry."""
+    per-field defaults and importance weights
+    (:meth:`IOFormat.content_key`), and a projection's provenance
+    (parent id + epoch).  An authoritative refresh that changes only
+    those must still displace the stale cached entry."""
     from repro.pbio.projection import ProjectionFormat
 
-    extras = tuple(
-        (field._default, field.importance) for field in fmt.fields
-    )
     provenance = (
         (fmt.parent_format_id, fmt.projection_epoch)
         if isinstance(fmt, ProjectionFormat)
         else None
     )
-    return (type(fmt).__qualname__, fmt.signature(), extras, provenance)
+    return (type(fmt).__qualname__, fmt.content_key(), provenance)
 
 
 class FormatRegistry:

@@ -1,5 +1,8 @@
 """Unit tests for compiled Transformations and TransformChains."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.bench.workloads import response_v1_from_v2, response_v2
@@ -11,8 +14,10 @@ from repro.echo.protocol import (
     V1_TO_V2_TRANSFORM,
     V2_TO_V1_TRANSFORM,
 )
+from repro.ecode import analyze
 from repro.ecode.runtime import AutoList
 from repro.errors import TransformError
+from repro.morph import transform as transform_mod
 from repro.morph.receiver import MorphReceiver
 from repro.morph.transform import (
     TransformChain,
@@ -25,6 +30,7 @@ from repro.pbio.field import ArraySpec, IOField
 from repro.pbio.format import IOFormat
 from repro.pbio.record import Record, records_equal
 from repro.pbio.registry import FormatRegistry, TransformSpec
+from repro.pbio.serialization import format_from_dict, format_to_dict
 
 
 class TestGrowableRecord:
@@ -64,6 +70,20 @@ class TestGrowableRecord:
     def test_fixed_arrays_prefilled(self):
         fmt = IOFormat("F", [IOField("xs", "integer", array=ArraySpec(fixed_length=2))])
         assert growable_record(fmt)["xs"] == [0, 0]
+
+    def test_declarations_that_share_a_wire_id_keep_their_own_defaults(self):
+        """The fingerprint leaves declared defaults out, so two
+        declarations of one id differ exactly where a default record is
+        made: the memo is keyed by content, not by id."""
+        def declared(default):
+            return IOFormat(
+                "T", [IOField("x", "integer", 4, default=default)], version="1.0"
+            )
+
+        assert declared(1).format_id == declared(7).format_id
+        assert growable_record(declared(1)) == {"x": 1}
+        assert growable_record(declared(7)) == {"x": 7}
+        assert growable_record(declared(1)) == {"x": 1}
 
 
 class TestTransformation:
@@ -244,6 +264,296 @@ class TestMorphPrice:
         got.clear()
         _, frames = self._frames(lambda: receiver.process(wire))
         self._check(census, got[0], frames)
+
+
+def _ext_revision(k):
+    """v2.0 plus one trailing integer ("attribute added"), with the
+    writer's one-hop retro-transform back to v2.0."""
+    fmt = IOFormat(
+        "ChannelOpenResponse",
+        list(RESPONSE_V2.fields) + [IOField(f"ext_{k}", "integer")],
+        version=f"2.{k}",
+    )
+    return fmt, TransformSpec(fmt, RESPONSE_V2, """
+        int i;
+        old.channel_id = new.channel_id;
+        old.member_count = new.member_count;
+        for (i = 0; i < new.member_count; i++) {
+            old.member_list[i].info = new.member_list[i].info;
+            old.member_list[i].ID = new.member_list[i].ID;
+            old.member_list[i].is_Source = new.member_list[i].is_Source;
+            old.member_list[i].is_Sink = new.member_list[i].is_Sink;
+        }
+    """)
+
+
+def _own_copy(spec):
+    """*spec* as another endpoint holds it: equal formats, fetched from a
+    format server, that share no object with anyone else's."""
+    def fetched(fmt):
+        return format_from_dict(format_to_dict(fmt))
+
+    return TransformSpec(fetched(spec.source), fetched(spec.target), spec.code)
+
+
+NARROW = IOFormat(
+    "ChannelOpenResponse",
+    [IOField("channel_id", "string"), IOField("member_count", "integer")],
+    version="0.1",
+)
+
+
+class TestCompilePrice:
+    """What planning may cost, counted by wrapping (never timed): one
+    ECode compile per distinct spec *per process* and each fusion
+    analysis once per (program, live-set), however many receivers and
+    routes ask — ``build_chain`` draws every step from one memo."""
+
+    @pytest.fixture
+    def census(self, monkeypatch):
+        """Calls of ``transform.compile_procedure`` and of the four
+        analyses fusion runs (outermost calls: ``fields_used`` asks
+        ``declared_names`` itself), from empty memos."""
+        transform_mod._transformations.clear()
+        transform_mod._record_factories.clear()
+        calls = {"compile": [], "has_return": [], "declared_names": [],
+                 "fields_used": [], "prune_dead_stores": []}
+        compile_procedure = transform_mod.compile_procedure
+
+        def counted_compile(source, *args, **kwargs):
+            calls["compile"].append(source)
+            return compile_procedure(source, *args, **kwargs)
+
+        monkeypatch.setattr(transform_mod, "compile_procedure", counted_compile)
+        depth = [0]
+
+        def counted(name, live_at=None):
+            analysis = getattr(analyze, name)
+
+            def wrapper(program, *args):
+                if not depth[0]:
+                    live = frozenset(args[live_at]) if live_at is not None else None
+                    calls[name].append((id(program), live))
+                depth[0] += 1
+                try:
+                    return analysis(program, *args)
+                finally:
+                    depth[0] -= 1
+
+            monkeypatch.setattr(analyze, name, wrapper)
+
+        for name in ("has_return", "declared_names", "fields_used"):
+            counted(name)
+        counted("prune_dead_stores", live_at=1)
+        return calls
+
+    @staticmethod
+    def _analyses(census):
+        return {name: seen for name, seen in census.items() if name != "compile"}
+
+    @staticmethod
+    def _reader(registry, fmt, **kwargs):
+        got = []
+        receiver = MorphReceiver(registry, use_fusion=True, **kwargs)
+        receiver.register_handler(fmt, got.append)
+        return receiver, got
+
+    @staticmethod
+    def _registry(*specs):
+        registry = FormatRegistry()
+        for spec in specs:
+            registry.register_transform(_own_copy(spec))
+        return registry
+
+    def test_eight_receivers_compile_a_chain_once(self, census):
+        wire = PBIOContext().encode(RESPONSE_V2, response_v2(3))
+        delivered = []
+        for _ in range(8):
+            receiver, got = self._reader(
+                self._registry(V2_TO_V1_TRANSFORM, V1_TO_V0_TRANSFORM),
+                RESPONSE_V0,
+            )
+            receiver.process(wire)
+            assert receiver.stats.compiled_chains == 1  # per receiver, as ever
+            assert receiver.route_for(RESPONSE_V2).fused is not None
+            delivered.extend(got)
+        assert sorted(census["compile"]) == sorted(
+            [V2_TO_V1_TRANSFORM.code, V1_TO_V0_TRANSFORM.code]
+        )
+        assert len(transform_mod._transformations) == 2
+        for name, seen in self._analyses(census).items():
+            assert seen and len(seen) == len(set(seen)), name
+        assert len(delivered) == 8
+        assert all(record == delivered[0] for record in delivered)
+
+    def test_a_never_seen_revision_costs_one_compile(self, census):
+        specs = (V2_TO_V1_TRANSFORM, V1_TO_V0_TRANSFORM)
+        readers = [
+            self._reader(self._registry(*specs), fmt)
+            for fmt in (RESPONSE_V2, RESPONSE_V1, RESPONSE_V0, NARROW)
+        ]
+        sender = PBIOContext()
+        wire = sender.encode(RESPONSE_V2, response_v2(3))
+        for receiver, _got in readers:
+            receiver.process(wire)
+        for k in (1, 2):
+            fmt, spec = _ext_revision(k)
+            record = response_v2(3)
+            record[f"ext_{k}"] = k
+            wire = sender.encode(fmt, record)
+            before = len(census["compile"])
+            for receiver, got in readers:
+                receiver.registry.register_transform(_own_copy(spec))
+                got.clear()
+                receiver.process(wire)
+                assert got[0]["member_count"] == 3 and f"ext_{k}" not in got[0]
+                assert receiver.route_for(fmt).chain.steps[0].spec.code == spec.code
+            assert census["compile"][before:] == [spec.code]
+
+    def test_a_second_plan_of_a_known_chain_walks_nothing(self, census):
+        receiver, got = self._reader(
+            self._registry(V2_TO_V1_TRANSFORM, V1_TO_V0_TRANSFORM), RESPONSE_V0
+        )
+        wire = PBIOContext().encode(RESPONSE_V2, response_v2(2))
+        receiver.process(wire)
+        first = receiver.route_for(RESPONSE_V2)
+        text = first.fused.source("<")
+        for seen in census.values():
+            seen.clear()
+        assert receiver.invalidate_route(RESPONSE_V2.format_id)
+        receiver.process(wire)
+        second = receiver.route_for(RESPONSE_V2)
+        assert second is not first and second.chain.steps == first.chain.steps
+        assert census == {name: [] for name in census}
+        assert got[0] == got[1] and receiver.stats.compiled_chains == 2
+        # the generated text is emitted on request, not kept by the route
+        assert second.fused.source("<") == text
+        assert not hasattr(second.fused, "_sources")
+
+    def test_each_engine_and_each_validation_has_its_own_entry(self, census):
+        registry = self._registry(V2_TO_V1_TRANSFORM)
+        wire = PBIOContext().encode(RESPONSE_V2, response_v2(2))
+        steps, delivered = [], []
+        for kwargs in ({}, {}, {"use_codegen": False},
+                       {"validate_transforms": True}):
+            receiver, got = self._reader(registry, RESPONSE_V1, **kwargs)
+            receiver.process(wire)
+            route = receiver.route_for(RESPONSE_V2)
+            assert (route.fused is not None) == (not kwargs)
+            steps.append(route.chain.steps[0])
+            delivered.append(got[0])
+        assert steps[0] is steps[1]
+        assert len({id(step) for step in steps}) == 3
+        assert len(transform_mod._transformations) == 3
+        assert len(census["compile"]) == 2  # the interpreted one compiles nothing
+        assert (steps[2].use_codegen, steps[3].validate_output) == (False, True)
+        assert all(record == delivered[0] for record in delivered)
+
+    def test_a_spec_that_does_not_compile_is_not_remembered(self, census):
+        broken = TransformSpec(RESPONSE_V2, RESPONSE_V1, "not a transform ;;;")
+        for _ in range(2):
+            with pytest.raises(TransformError, match="failed to compile"):
+                build_chain([broken])
+        assert transform_mod._transformations == {}
+        registry = self._registry(broken)
+        wire = PBIOContext().encode(RESPONSE_V2, response_v2(2))
+        for _ in range(2):
+            receiver, got = self._reader(registry, RESPONSE_V1)
+            receiver.process(wire)  # reconciled from the raw v2.0 instead
+            assert receiver.stats.broken_transforms == 1
+            assert receiver.invalidate_route(RESPONSE_V2.format_id)
+            receiver.process(wire)
+            assert receiver.stats.broken_transforms == 2
+            assert got[0]["src_list"] == [] and got[0] == got[1]
+        assert transform_mod._transformations == {}
+
+    def test_the_memo_is_bounded_and_an_evicted_spec_compiles_again(
+        self, census, monkeypatch
+    ):
+        monkeypatch.setattr(transform_mod, "TRANSFORMATION_CACHE_MAX", 4)
+        specs = [_ext_revision(k)[1] for k in range(10)]
+        for spec in specs:
+            build_chain([spec])
+            assert len(transform_mod._transformations) <= 4
+        assert len(census["compile"]) == 10
+        assert build_chain([specs[-1]]).steps == build_chain([specs[-1]]).steps
+        assert len(census["compile"]) == 10
+        record = response_v2(2)
+        record["ext_0"] = 5
+        assert build_chain([specs[0]]).apply(record)["member_count"] == 2
+        assert len(census["compile"]) == 11
+        assert len(transform_mod._transformations) == 4
+
+    def test_threads_planning_one_route_share_one_entry(self, census):
+        registry = self._registry(V2_TO_V1_TRANSFORM, V1_TO_V0_TRANSFORM)
+        wire = PBIOContext().encode(RESPONSE_V2, response_v2(3))
+        readers = [self._reader(registry, RESPONSE_V0) for _ in range(8)]
+        barrier = threading.Barrier(len(readers))
+        failures = []
+
+        def plan(receiver):
+            try:
+                barrier.wait(timeout=10)
+                receiver.process(wire)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        threads = [
+            threading.Thread(target=plan, args=(receiver,))
+            for receiver, _got in readers
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures and not any(t.is_alive() for t in threads)
+        assert len(transform_mod._transformations) == 2
+        assert len(census["compile"]) == 2
+        chains = {
+            tuple(map(id, receiver.route_for(RESPONSE_V2).chain.steps))
+            for receiver, _got in readers
+        }
+        assert len(chains) == 1
+        records = [got[0] for _receiver, got in readers]
+        assert all(record == records[0] for record in records)
+        for name, seen in self._analyses(census).items():
+            assert len(seen) == len(set(seen)), name
+
+    def test_a_refreshed_default_reaches_the_next_plan(self):
+        """``FormatRegistry.replace`` ships new defaults under a cached
+        id: after ``invalidate_route`` a field the transform does not
+        assign is filled with the new one."""
+        def reading(default):
+            return IOFormat(
+                "Reading",
+                [IOField("x", "integer", 4),
+                 IOField("unit", "integer", 4, default=default)],
+                version="1",
+            )
+
+        wide = IOFormat(
+            "Reading",
+            [IOField("x", "integer", 4), IOField("junk", "float")],
+            version="2",
+        )
+        registry = FormatRegistry()
+        registry.add_transform(wide, reading(1), "old.x = new.x;")
+        got = []
+        receiver = MorphReceiver(registry)  # fused and staged: see conftest
+        receiver.register_handler(reading(1), got.append)
+        wire = PBIOContext(registry).encode(wide, {"x": 3, "junk": 0.5})
+        receiver.process(wire)
+        assert got == [{"x": 3, "unit": 1}]
+        assert registry.replace(reading(7)) is True
+        registry.add_transform(wide, reading(7), "old.x = new.x;")
+        assert receiver.invalidate_route(wide.format_id)
+        receiver.process(wire)
+        assert got[1] == {"x": 3, "unit": 7}
 
 
 class TestTransformChain:

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.morph import transform as transform_mod
 from repro.morph.receiver import MorphReceiver
 from repro.obs.export import build_snapshot, to_prometheus
 from repro.obs.tracing import find_spans
@@ -67,6 +68,9 @@ def test_single_morphed_delivery_produces_full_span_tree(evolving_reading):
     # path collapses decode+transform into one morph.fused span, asserted
     # separately below)
     registry, v1, v2 = evolving_reading
+    # a compile is traced where it happens: the first plan in the process
+    # to need the spec, which an earlier test may have been
+    transform_mod._transformations.clear()
     obs.enable(sample_every=1)
     receiver, received = _morphed_wire_delivery(
         registry, v1, v2, messages=1, use_fusion=False

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import FormatError
 from repro.pbio.field import ArraySpec, IOField
 from repro.pbio.format import IOFormat
+from repro.pbio.registry import FormatRegistry, TransformSpec
 
 
 def point():
@@ -132,6 +133,38 @@ class TestFingerprint:
     def test_equality_is_structural(self):
         assert point() == point()
         assert hash(point()) == hash(point())
+
+    def test_a_format_is_walked_once_however_often_it_is_looked_up(
+        self, monkeypatch
+    ):
+        """Counted, not timed: ``signature()`` rebuilds a recursive tuple
+        of every field, and hashing, comparing with itself or with a
+        format of another hash, and the registry's lookups must not pay
+        for it again."""
+        fmt, other = nested(), point()
+        calls = []
+        signature = IOFormat.signature
+
+        def counted(self):
+            calls.append(id(self))
+            return signature(self)
+
+        monkeypatch.setattr(IOFormat, "signature", counted)
+        registry = FormatRegistry()
+        registry.register(fmt)
+        registry.register(other)
+        spec = TransformSpec(fmt, other, "old.x = new.n;")
+        table, members = {fmt: 1, other: 2}, {fmt, other}
+        for _ in range(1000):
+            assert table[fmt] == 1 and fmt in members
+            assert fmt == fmt and fmt != other
+            assert fmt in registry and registry.register(fmt) == fmt.format_id
+            assert registry.lookup_id(fmt.format_id) is fmt
+            assert hash(spec) == hash(spec)
+        # once per instance, the nested one through its parent
+        assert sorted(calls) == sorted(
+            {id(fmt), id(other), id(fmt.field("inners").subformat)}
+        )
 
 
 class TestRecords:
