@@ -33,6 +33,7 @@ from repro.net.link import LinkSpec
 from repro.net.transport import Network
 from repro.obs.metrics import Registry
 from repro.pbio import codegen
+from repro.pbio.buffer import FLAG_BIG_ENDIAN, unpack_header
 from repro.pbio.decode import decode_record
 from repro.pbio.encode import encode_record
 from repro.pbio.field import IOField
@@ -454,7 +455,10 @@ def check_fusion_wires(
     it takes each wire through one memo (``process(wire, shared)``) in a
     queue of sibling readers — one for the wire's own format and one for
     every other format its transforms reach — and must not be able to
-    tell."""
+    tell.  A fused route runs staged on the first message of a byte
+    order, so the ``fused`` arm's fused runs are counted: every wire it
+    delivers through a fused route after the first of that route and
+    order must have run the fused routine."""
     arms: Dict[str, Any] = {
         "fused": MorphReceiver(registry, use_fusion=True),
         "staged": MorphReceiver(registry, use_fusion=False),
@@ -490,11 +494,27 @@ def check_fusion_wires(
             entry["expectation"] = "fused_matches_staged"
         findings.append(Finding(oracle="fusion", detail=detail, entry=entry))
 
+    fused = arms["fused"]
+    #: wires the fused arm delivered, per (fused route, byte order)
+    delivered_by_route: Dict[Any, int] = {}
     for index, wire in enumerate(wires):
-        outcomes = {
-            name: _outcome(lambda: receiver.process(wire))
-            for name, receiver in arms.items() if name != "shared"
-        }
+        with _observed() as metrics:  # counts the fused arm's fused runs
+            outcomes = {"fused": _outcome(lambda: fused.process(wire))}
+        outcomes.update(
+            (name, _outcome(lambda: receiver.process(wire)))
+            for name, receiver in arms.items()
+            if name not in ("fused", "shared")
+        )
+        route = None
+        if outcomes["fused"][0] == "ok":
+            route = fused.route_for(fused.context.peek_format(wire))
+        if route is not None and route.fused is not None:
+            key = (route.fused, unpack_header(wire).flags & FLAG_BIG_ENDIAN)
+            delivered_by_route[key] = delivered_by_route.get(key, 0) + 1
+            ran = metrics.counter("morph.receiver.fused_messages").value
+            if delivered_by_route[key] > 1 and not ran:
+                flag(f"fused arm ran staged on wire {index}, valid and "
+                     f"not the first of its route and byte order")
         # the arm's place in the queue moves: it fills the memo on some
         # wires and is served from it on others
         memo: Dict[Any, Record] = {}

@@ -5,9 +5,10 @@ The staged receiver pipeline decodes a full :class:`Record`, walks the
 freezing an intermediate record per hop), then runs reconciliation as yet
 another pass.  This module extends the paper's dynamic-code-generation
 idea from single conversions to the *complete* retro-transformation
-chain: at route-plan time the decode fragment, every transform body and
-the reconcile logic are emitted into a single specialized Python
-function and compiled once.
+chain: the decode fragment, every transform body and the reconcile
+logic are emitted into a single specialized Python function and
+compiled once — planned with the route, compiled when the route carries
+its second message of a byte order.
 
 What fusion buys over the staged path:
 
@@ -129,13 +130,23 @@ def _inlined(step: Transformation, live: Live, k: int, indent: int) -> List[str]
     return step.fact(("inlined", live, k, indent), generate)
 
 
+#: what ``FusedRoute._fns`` holds for a byte order the route has carried
+#: one message of: the next one compiles
+_SEEN_ONCE: Any = object()
+
+#: a fused routine: ``(data, body offset, end) -> (record, consumed offset)``
+FusedFn = Callable[[bytes, int, int], Tuple[Record, int]]
+
+
 class FusedRoute:
     """The compiled form of one receiver route.
 
     Function objects are generated lazily per byte order
     (receiver-makes-right: most receivers only ever see their native
-    order).  A compile failure marks the order as fallen back — the
-    receiver keeps using the staged path for it.
+    order), on the order's *second* message: the first runs the staged
+    path, which costs a fraction of a ``compile()`` and is all a format
+    sent once ever needs.  A compile failure marks the order as fallen
+    back — the receiver keeps using the staged path for it.
     """
 
     __slots__ = (
@@ -161,29 +172,31 @@ class FusedRoute:
         self.label = label
         self._steps = steps
         self._walker_coercion = walker_coercion
-        self._fns: Dict[
-            str, Optional[Callable[[bytes, int, int], Tuple[Record, int]]]
-        ] = {}
+        #: per byte order: the compiled routine, ``None`` when the compile
+        #: failed, or ``_SEEN_ONCE``
+        self._fns: Dict[str, Any] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
 
-    def fn_for(
-        self, order: str
-    ) -> Optional[Callable[[bytes, int, int], Tuple[Record, int]]]:
+    def fn_for(self, order: str) -> Optional[FusedFn]:
         """The fused routine for payloads in *order* (``"<"``/``">"``),
-        compiling it on first use; ``None`` when compilation failed and
-        the staged path must run instead.  The routine returns
-        ``(record, consumed_offset)`` — the offset lets batch receivers
-        walk successive records through one shared buffer."""
+        compiled on the order's second message; ``None`` — run the staged
+        path — on its first, and for good when compilation failed.  The
+        routine returns ``(record, consumed_offset)`` — the offset lets
+        batch receivers walk successive records through one shared
+        buffer."""
         try:
-            return self._fns[order]
+            fn = self._fns[order]
         except KeyError:
-            pass
-        with self._lock:
-            if order not in self._fns:
-                self._fns[order] = self._compile(order)
-            return self._fns[order]
+            self._fns.setdefault(order, _SEEN_ONCE)
+            return None
+        if fn is _SEEN_ONCE:
+            with self._lock:
+                if self._fns[order] is _SEEN_ONCE:
+                    self._fns[order] = self._compile(order)
+                fn = self._fns[order]
+        return fn
 
     def source(self, order: str = "<") -> str:
         """The generated Python source for *order* (audited by tests):
@@ -193,9 +206,7 @@ class FusedRoute:
 
     # ------------------------------------------------------------------
 
-    def _compile(
-        self, order: str
-    ) -> Optional[Callable[[bytes, int, int], Tuple[Record, int]]]:
+    def _compile(self, order: str) -> Optional[FusedFn]:
         from repro.obs import OBS
 
         try:
@@ -346,8 +357,8 @@ def plan_fusion(route: Any) -> Optional[FusedRoute]:
 
     Runs the backward liveness pass here, over analyses each step keeps
     (:func:`_facts`: AST work done once per shared step, not per route);
-    source emission and ``compile()`` happen lazily per byte order in
-    :meth:`FusedRoute.fn_for`.
+    source emission and ``compile()`` happen lazily per byte order, on
+    its second message, in :meth:`FusedRoute.fn_for`.
     """
     if route.is_reject or route.handler_format is None:
         return None

@@ -1,10 +1,11 @@
 """Dynamic code generation of specialized PBIO encode/decode routines.
 
 This is the Python analogue of PBIO's dynamic binary code generation
-(Section 1 and [12] of the paper): on first contact with a format, the
-library *generates source code* for a conversion routine specialized to
-that exact format, compiles it, and caches the resulting callable.  All
-subsequent messages of the format run the specialized routine.
+(Section 1 and [12] of the paper): for a format, the library *generates
+source code* for a conversion routine specialized to that exact format,
+compiles it, and caches the resulting callable.  All subsequent messages
+of the format run the specialized routine.  (``PBIOContext`` asks for one
+on a format's second use: the first runs the interpretive coder.)
 
 Key specializations performed (mirroring what PBIO's DCG buys over a
 field-walking interpreter):

@@ -1,15 +1,21 @@
 """PBIOContext — one endpoint's encode/decode state.
 
 Ties together the format registry (out-of-band meta-data), the generated
-specialized encoders/decoders (cached per format, created on first use —
-the DCG behaviour the paper measures), and the generic fallback paths.
+specialized encoders/decoders (cached per format — the DCG behaviour the
+paper measures), and the generic interpretive paths.
+
+A coder is generated the *second* time this context encodes or decodes a
+format; the first use runs the interpretive routine.  Generating one
+costs several conversions (about five decodes of a small ECho record),
+so a format seen once — an evolving writer's one-shot revision — would
+never repay it, while a format seen twice is one that repeats.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import UnknownFormatError
 from repro.obs import OBS
@@ -31,6 +37,10 @@ from repro.pbio.registry import FormatRegistry
 #: at two entries — "<" and ">".)
 CODEC_CACHE_MAX = 1024
 
+#: what a codec table holds for a format used once here: its next use
+#: generates the coder (it shares the table's bound and its FIFO)
+_SEEN_ONCE: Any = object()
+
 
 class PBIOContext:
     """Encode and decode wire messages for one endpoint.
@@ -49,6 +59,11 @@ class PBIOContext:
         outgoing header.  Decoding always honours the *incoming* header's
         flag — PBIO's receiver-makes-right rule — generating an
         opposite-order decoder on first need.
+
+    With ``use_codegen`` a format's first encode (decode) here runs the
+    interpretive routine and its second generates the specialized one;
+    both produce the same bytes (records), which the ``roundtrip`` and
+    ``mutation`` oracles hold them to.
     """
 
     def __init__(
@@ -61,8 +76,9 @@ class PBIOContext:
         self.use_codegen = use_codegen
         self.byte_order = byte_order
         self._lock = threading.Lock()
-        self._encoders: Dict[int, codegen.EncoderFn] = {}
-        self._decoders: Dict[int, codegen.DecoderFn] = {}
+        #: per format id: the generated coder, or ``_SEEN_ONCE``
+        self._encoders: Dict[int, Any] = {}
+        self._decoders: Dict[int, Any] = {}
         self._obs_encode_messages = Handles.counter(
             "pbio.encode.messages", "path")
         self._obs_encode_bytes = Handles.counter("pbio.encode.bytes")
@@ -87,7 +103,8 @@ class PBIOContext:
         """Encode *rec* as a wire message of *fmt* (registering it)."""
         if not OBS.enabled:
             return self._encode(fmt, rec)
-        path = "specialized" if self.use_codegen else "generic"
+        # a format this context has not seen runs the interpretive path
+        path = "specialized" if fmt.format_id in self._encoders else "generic"
         if recording(current()):
             with OBS.tracer.span(
                 "pbio.encode", format=fmt.name, path=path
@@ -103,23 +120,18 @@ class PBIOContext:
 
     def _encode(self, fmt: IOFormat, rec: Mapping[str, Any]) -> bytes:
         self.registry.register(fmt)
-        if not self.use_codegen:
-            return generic_encode_record(fmt, rec, byte_order=self.byte_order)
         encoder = self._encoders.get(fmt.format_id)
-        if encoder is None:
-            with self._lock:
-                encoder = self._encoders.get(fmt.format_id)
-                if encoder is None:
-                    start = time.perf_counter()
-                    encoder = codegen.make_encoder(fmt, byte_order=self.byte_order)
-                    if OBS.enabled:
-                        metrics = OBS.metrics
-                        metrics.counter("pbio.codegen.encoders").inc()
-                        metrics.histogram("pbio.codegen.seconds").observe(
-                            time.perf_counter() - start
-                        )
-                    self._cache_codec(self._encoders, fmt.format_id, encoder,
-                                      "pbio.context.encoder_cache_size")
+        if encoder is None or encoder is _SEEN_ONCE:
+            encoder = self._second_sight(
+                self._encoders, fmt,
+                # through the module: instrumentation patches it there
+                lambda: codegen.make_encoder(fmt, byte_order=self.byte_order),
+                "pbio.codegen.encoders", "pbio.context.encoder_cache_size",
+            )
+            if encoder is None:
+                return generic_encode_record(
+                    fmt, rec, byte_order=self.byte_order
+                )
         return encoder(rec)
 
     # ------------------------------------------------------------------
@@ -141,7 +153,7 @@ class PBIOContext:
         """Decode *data* with the (possibly generated) decoder for *fmt*."""
         if not OBS.enabled:
             return self._decode_as(fmt, data)
-        path = "specialized" if self.use_codegen else "generic"
+        path = "specialized" if fmt.format_id in self._decoders else "generic"
         if recording(current()):
             with OBS.tracer.span(
                 "pbio.decode", format=fmt.name, path=path
@@ -155,36 +167,46 @@ class PBIOContext:
         return record
 
     def _decode_as(self, fmt: IOFormat, data: bytes) -> Record:
-        if not self.use_codegen:
-            return generic_decode_record(fmt, data)
         decoder = self._decoders.get(fmt.format_id)
-        if decoder is None:
-            with self._lock:
-                decoder = self._decoders.get(fmt.format_id)
-                if decoder is None:
-                    start = time.perf_counter()
-                    decoder = codegen.make_decoder(fmt)
-                    if OBS.enabled:
-                        metrics = OBS.metrics
-                        metrics.counter("pbio.codegen.decoders").inc()
-                        metrics.histogram("pbio.codegen.seconds").observe(
-                            time.perf_counter() - start
-                        )
-                    self._cache_codec(self._decoders, fmt.format_id, decoder,
-                                      "pbio.context.decoder_cache_size")
+        if decoder is None or decoder is _SEEN_ONCE:
+            decoder = self._second_sight(
+                self._decoders, fmt, lambda: codegen.make_decoder(fmt),
+                "pbio.codegen.decoders", "pbio.context.decoder_cache_size",
+            )
+            if decoder is None:
+                return generic_decode_record(fmt, data)
         return decoder(data)
 
-    def _cache_codec(
-        self, cache: Dict[int, Any], format_id: int, codec: Any, gauge: str
-    ) -> None:
-        """Insert a generated routine under ``self._lock``, evicting FIFO
-        at :data:`CODEC_CACHE_MAX` so format churn cannot leak compiled
-        code; the cache size is exported as an obs gauge."""
-        while len(cache) >= CODEC_CACHE_MAX:
-            cache.pop(next(iter(cache)))
-        cache[format_id] = codec
-        if OBS.enabled:
-            OBS.metrics.gauge(gauge).set(len(cache))
+    def _second_sight(
+        self, cache: Dict[int, Any], fmt: IOFormat,
+        generate: Callable[[], Any], counter: str, gauge: str,
+    ) -> Any:
+        """The generated coder for a format's second use here (counted
+        in *counter*), or ``None`` — run the interpretive one — for its
+        first (marked in *cache*) and always without ``use_codegen``.  A
+        new entry evicts FIFO at :data:`CODEC_CACHE_MAX`, so format churn
+        cannot leak marks or compiled code; the size is the *gauge*."""
+        if not self.use_codegen:
+            return None
+        format_id = fmt.format_id
+        with self._lock:
+            codec = cache.get(format_id)
+            if codec is _SEEN_ONCE:
+                start = time.perf_counter()
+                codec = cache[format_id] = generate()
+                if OBS.enabled:
+                    metrics = OBS.metrics
+                    metrics.counter(counter).inc()
+                    metrics.histogram("pbio.codegen.seconds").observe(
+                        time.perf_counter() - start
+                    )
+            elif codec is None:
+                while len(cache) >= CODEC_CACHE_MAX:
+                    cache.pop(next(iter(cache)))
+                cache[format_id] = _SEEN_ONCE
+                if OBS.enabled:
+                    OBS.metrics.gauge(gauge).set(len(cache))
+            return codec
 
     def peek_format(self, data: bytes) -> Optional[IOFormat]:
         """Resolve the format of a wire message without decoding it."""
@@ -196,8 +218,12 @@ class PBIOContext:
 
     @property
     def generated_decoder_count(self) -> int:
-        return len(self._decoders)
+        return _generated(self._decoders)
 
     @property
     def generated_encoder_count(self) -> int:
-        return len(self._encoders)
+        return _generated(self._encoders)
+
+
+def _generated(cache: Dict[int, Any]) -> int:
+    return sum(codec is not _SEEN_ONCE for codec in cache.values())

@@ -54,10 +54,14 @@ class IOFormat:
         if not fields:
             raise FormatError(f"format {name!r} must declare at least one field")
         by_name: Dict[str, IOField] = {}
-        for field in fields:
+        #: declared positions by name: comparing fields themselves would
+        #: walk their signatures
+        position: Dict[str, int] = {}
+        for index, field in enumerate(fields):
             if field.name in by_name:
                 raise FormatError(f"duplicate field {field.name!r} in format {name!r}")
             by_name[field.name] = field
+            position[field.name] = index
         for field in fields:
             spec = field.array
             if spec is not None and spec.length_field is not None:
@@ -71,7 +75,7 @@ class IOFormat:
                     raise FormatError(
                         f"count field {spec.length_field!r} must be an integer kind"
                     )
-                if fields.index(counter) >= fields.index(field):
+                if position[counter.name] >= position[field.name]:
                     raise FormatError(
                         f"count field {spec.length_field!r} must precede array "
                         f"{field.name!r} in format {name!r}"

@@ -9,12 +9,19 @@ JSON-compatible dictionaries.
 
 The encoding is self-describing and versioned, so a registry snapshot
 written today can be re-hydrated by a later release.
+
+Rebuilding is interned: :func:`format_from_dict` and
+:func:`transform_from_dict` hand every caller in the process the object
+already built from the same content, so every resolver, format server
+and receiver holds one :class:`IOFormat` / :class:`TransformSpec` per
+distinct declaration, however often it is fetched.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+import threading
+from typing import Any, Callable, Dict, List
 
 from repro.errors import FormatError
 from repro.pbio.field import ArraySpec, IOField
@@ -24,6 +31,39 @@ from repro.pbio.registry import FormatRegistry, TransformSpec
 from repro.pbio.types import TypeKind
 
 SCHEMA_VERSION = 1
+
+#: The process-wide intern table of rebuilt meta-data, keyed by kind and
+#: the description's whole canonical JSON text (a wire id would leave out
+#: the defaults and importances a declaration also carries).  FIFO at
+#: :data:`DECLARATION_CACHE_MAX`; what outlives eviction is rebuilt, as a
+#: distinct but equal object, on its next fetch.
+_declarations: "dict[tuple, Any]" = {}
+DECLARATION_CACHE_MAX = 1024
+_declarations_lock = threading.Lock()
+
+
+def _interned(kind: str, data: Any, build: Callable[[Any], Any]) -> Any:
+    """``build(data)``, or the object already built from the same
+    content.  A description that does not build (``FormatError``) is
+    never remembered; one JSON cannot render is built unshared."""
+    try:
+        key = (kind, json.dumps(data, sort_keys=True))
+    except (TypeError, ValueError):
+        return build(data)
+    with _declarations_lock:
+        built = _declarations.get(key)
+    if built is not None:
+        return built
+    built = build(data)
+    with _declarations_lock:
+        # a thread that built the same content first wins: one object
+        first = _declarations.get(key)
+        if first is not None:
+            return first
+        while len(_declarations) >= DECLARATION_CACHE_MAX:
+            _declarations.pop(next(iter(_declarations)))
+        _declarations[key] = built
+    return built
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +108,14 @@ def _field_to_dict(field: IOField) -> Dict[str, Any]:
 
 
 def format_from_dict(data: Dict[str, Any]) -> IOFormat:
-    """Rebuild an :class:`IOFormat` from :func:`format_to_dict` output.
+    """Rebuild an :class:`IOFormat` from :func:`format_to_dict` output —
+    the process's one instance for that content (see :func:`_interned`).
 
     Raises :class:`FormatError` on malformed input."""
+    return _interned("format", data, _build_format)
+
+
+def _build_format(data: Dict[str, Any]) -> IOFormat:
     try:
         name = data["name"]
         field_dicts = data["fields"]
@@ -104,7 +149,7 @@ def _field_from_dict(data: Dict[str, Any]) -> IOField:
         raise FormatError(f"malformed field description: {exc!r}") from None
     subformat = None
     if "subformat" in data:
-        subformat = format_from_dict(data["subformat"])
+        subformat = _build_format(data["subformat"])
     array = None
     if "array" in data:
         spec = data["array"]
@@ -138,6 +183,13 @@ def transform_to_dict(spec: TransformSpec) -> Dict[str, Any]:
 
 
 def transform_from_dict(data: Dict[str, Any]) -> TransformSpec:
+    """Rebuild a :class:`TransformSpec` from :func:`transform_to_dict`
+    output — the process's one instance for that content, its formats
+    the ones :func:`format_from_dict` gives for theirs."""
+    return _interned("transform", data, _build_transform)
+
+
+def _build_transform(data: Dict[str, Any]) -> TransformSpec:
     try:
         return TransformSpec(
             source=format_from_dict(data["source"]),

@@ -131,8 +131,13 @@ class TestFigureFunctions:
         for row in rows:
             assert row.ratio == row.other.best / row.base.best
         cache, decode, encode = rows[:3]
-        # the choices the paper argues for: every ablated arm costs more
-        assert cache.ratio > 2 and decode.ratio > 2 and encode.ratio > 2
+        # the choices the paper argues for: every ablated arm costs more.
+        # A re-plan compiles nothing (one Transformation per spec per
+        # process, and the first message of a route runs staged), so it
+        # costs MaxMatch, the closure walk and one staged message: 1.71 -
+        # 1.79x the cached route in seven runs (10 - 17x while every
+        # re-plan compiled a fused route)
+        assert cache.ratio > 1.3 and decode.ratio > 2 and encode.ratio > 2
 
 
 def _measured(seconds):

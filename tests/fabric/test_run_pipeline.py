@@ -430,8 +430,11 @@ class TestReadersOfOneWire:
         assert [len(log) for log in fleet.logs.values()] == [64, 64, 64]
 
     def test_a_lone_group_stays_fused(self, tmp_path, monkeypatch):
+        # fused from the route's second event: its first runs staged —
+        # one payload decode and the ladder's two steps — so that a
+        # format sent once never pays a compile()
         fleet = Fleet(str(tmp_path / "j.jsonl"), readers=READERS[2:])
-        assert self.count_at_the_owner(fleet, monkeypatch) == (0, 0)
+        assert self.count_at_the_owner(fleet, monkeypatch) == (1, 2)
         assert [len(log) for log in fleet.logs.values()] == [64]
 
 

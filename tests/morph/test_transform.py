@@ -16,7 +16,7 @@ from repro.echo.protocol import (
 )
 from repro.ecode import analyze
 from repro.ecode.runtime import AutoList
-from repro.errors import TransformError
+from repro.errors import FormatError, TransformError
 from repro.morph import transform as transform_mod
 from repro.morph.receiver import MorphReceiver
 from repro.morph.transform import (
@@ -25,7 +25,8 @@ from repro.morph.transform import (
     build_chain,
     growable_record,
 )
-from repro.pbio.context import PBIOContext
+from repro.pbio import serialization
+from repro.pbio.context import CODEC_CACHE_MAX, PBIOContext
 from repro.pbio.field import ArraySpec, IOField
 from repro.pbio.format import IOFormat
 from repro.pbio.record import Record, records_equal
@@ -288,10 +289,11 @@ def _ext_revision(k):
 
 
 def _own_copy(spec):
-    """*spec* as another endpoint holds it: equal formats, fetched from a
-    format server, that share no object with anyone else's."""
+    """*spec* as another endpoint holds it: equal formats, rebuilt from
+    their descriptions, that share no object with anyone else's (built
+    past the intern table ``format_from_dict`` keeps)."""
     def fetched(fmt):
-        return format_from_dict(format_to_dict(fmt))
+        return serialization._build_format(format_to_dict(fmt))
 
     return TransformSpec(fetched(spec.source), fetched(spec.target), spec.code)
 
@@ -554,6 +556,193 @@ class TestCompilePrice:
         assert receiver.invalidate_route(wide.format_id)
         receiver.process(wire)
         assert got[1] == {"x": 3, "unit": 7}
+
+
+class TestSecondSightPrice:
+    """What a format seen once may cost, counted by wrapping (never
+    timed): no generated coder, no fused ``compile()`` and no rebuild of
+    meta-data already fetched — a routine is generated the second time
+    it is needed, and fetched descriptions are interned by content."""
+
+    @pytest.fixture
+    def census(self, monkeypatch):
+        """Calls of ``codegen.make_decoder``, ``FusedRoute._compile`` and
+        the two meta-data builders (outermost: a format builds its
+        subformats itself), from an empty intern table."""
+        from repro.morph.fusion import FusedRoute
+        from repro.pbio import codegen
+
+        monkeypatch.setattr(serialization, "_declarations", {})
+        calls = {"make_decoder": [], "compile": [], "format": [],
+                 "transform": []}
+        depth = [0]
+
+        def counted(owner, name, key):
+            original = getattr(owner, name)
+
+            def wrapper(first, *args, **kwargs):
+                if not depth[0]:
+                    calls[key].append(first)
+                depth[0] += key == "format"
+                try:
+                    return original(first, *args, **kwargs)
+                finally:
+                    depth[0] -= key == "format"
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(codegen, "make_decoder", "make_decoder")
+        counted(FusedRoute, "_compile", "compile")
+        counted(serialization, "_build_format", "format")
+        counted(serialization, "_build_transform", "transform")
+        return calls
+
+    @staticmethod
+    def _fetched(registry, spec):
+        """*spec* as a resolver ingests a lookup reply."""
+        reply = serialization.transform_to_dict(spec)
+        registry.register(format_from_dict(reply["source"]))
+        registry.register_transform(serialization.transform_from_dict(reply))
+
+    def _readers(self):
+        """Four sinks in fresh contexts — the paper's V2 / V1 / V0
+        readers and a narrow one, each fused — plus one registered for
+        the revision itself (a plain decode, nothing to fuse), warmed
+        on v2.0 traffic until their steady routines exist."""
+        readers = []
+        for fmt in (RESPONSE_V2, RESPONSE_V1, RESPONSE_V0, NARROW, None):
+            registry = FormatRegistry()
+            for spec in (V2_TO_V1_TRANSFORM, V1_TO_V0_TRANSFORM):
+                self._fetched(registry, spec)
+            got = []
+            receiver = MorphReceiver(registry, use_fusion=True)
+            if fmt is not None:
+                receiver.register_handler(fmt, got.append)
+            readers.append((receiver, got))
+        wire = PBIOContext().encode(RESPONSE_V2, response_v2(3))
+        for receiver, _got in readers[:4]:
+            for _ in range(2):
+                receiver.process(wire)
+        return readers
+
+    def _revision(self, readers, k):
+        """Revision *k*, fetched by every reader (the last registers it
+        as its own format), and one wire of it."""
+        fmt, spec = _ext_revision(k)
+        for receiver, _got in readers:
+            self._fetched(receiver.registry, spec)
+        readers[4][0].register_handler(fmt, readers[4][1].append)
+        record = response_v2(3)
+        record[f"ext_{k}"] = k
+        return fmt, PBIOContext().encode(fmt, record)
+
+    @staticmethod
+    def _cleared(census):
+        for calls in census.values():
+            calls.clear()
+
+    def test_a_never_seen_revision_generates_nothing(self, census):
+        readers = self._readers()
+        self._cleared(census)
+        fmt, wire = self._revision(readers, 7)
+        for receiver, got in readers:
+            receiver.process(wire)
+            assert got[-1]["member_count"] == 3
+        assert census["make_decoder"] == [] and census["compile"] == []
+        # the revision is built once for the process; v2.0 never again
+        assert [f["version"] for f in census["format"]] == [fmt.version]
+        assert len(census["transform"]) == 1
+        held = {id(r.registry.lookup_id(fmt.format_id)) for r, _got in readers}
+        assert len(held) == 1
+
+    def test_its_second_message_generates_one_routine_per_reader(
+        self, census
+    ):
+        readers = self._readers()
+        fmt, wire = self._revision(readers, 8)
+        for receiver, _got in readers:
+            receiver.process(wire)
+        self._cleared(census)
+        for receiver, got in readers:
+            receiver.process(wire)
+            assert got[-1] == got[-2]
+        # one fused compile per fused route, one decoder for the context
+        # that decodes the revision plainly
+        fused = [r.route_for(fmt).fused for r, _got in readers[:4]]
+        assert census["compile"] == fused and None not in fused
+        assert census["make_decoder"] == [fmt]
+        assert readers[4][0].route_for(fmt).fused is None
+
+    def test_one_shot_formats_keep_the_codec_tables_bounded(self):
+        ctx = PBIOContext()
+        for k in range(5000):
+            fmt = IOFormat("OneShot", [IOField("x", "integer")],
+                           version=str(k))
+            ctx.decode(ctx.encode(fmt, {"x": k}))
+        assert len(ctx._encoders) <= CODEC_CACHE_MAX
+        assert len(ctx._decoders) <= CODEC_CACHE_MAX
+        assert ctx.generated_encoder_count == ctx.generated_decoder_count == 0
+
+    def test_the_meta_data_memo_is_bounded(self, census, monkeypatch):
+        monkeypatch.setattr(serialization, "DECLARATION_CACHE_MAX", 4)
+        for k in range(10):
+            format_from_dict(format_to_dict(_ext_revision(k)[0]))
+            assert len(serialization._declarations) <= 4
+        description = format_to_dict(_ext_revision(9)[0])
+        assert format_from_dict(description) is format_from_dict(description)
+        assert len(census["format"]) == 10
+        format_from_dict(format_to_dict(_ext_revision(0)[0]))  # evicted
+        assert len(census["format"]) == 11
+
+    def test_a_default_or_an_importance_is_content(self, census):
+        def reading(**extras):
+            return format_to_dict(IOFormat("Reading", [
+                IOField("x", "integer"), IOField("unit", "integer", **extras),
+            ]))
+
+        built = [format_from_dict(reading(**extras)) for extras in (
+            {}, {"default": 7}, {"importance": 2.0},
+        )]
+        assert built[0] == built[1] == built[2]  # one wire id ...
+        assert len({id(fmt) for fmt in built}) == 3  # ... three contents
+        assert [f.field("unit")._default for f in built] == [None, 7, None]
+        assert built[2].field("unit").importance == 2.0
+
+    def test_a_malformed_description_raises_every_time(self, census):
+        bad = {"name": "F", "fields": [
+            {"name": "xs", "kind": "integer", "array": {"length_field": "n"}},
+        ]}
+        for _ in range(3):
+            with pytest.raises(FormatError, match="missing field"):
+                format_from_dict(bad)
+        assert len(census["format"]) == 3
+        assert serialization._declarations == {}
+
+    def test_threads_deserialising_one_reply_share_one_entry(self, census):
+        reply = format_to_dict(_ext_revision(11)[0])
+        barrier = threading.Barrier(8)
+        built, failures = [], []
+
+        def fetch():
+            try:
+                barrier.wait(timeout=10)
+                built.append(format_from_dict(reply))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=fetch) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures and len(built) == 8
+        assert len(serialization._declarations) == 1
+        assert len({id(fmt) for fmt in built}) == 1
 
 
 class TestTransformChain:

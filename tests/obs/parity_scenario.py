@@ -11,7 +11,8 @@ used, so the same file runs against any commit::
 writes the fingerprint of that checkout.  ``cost_parity_golden.json``
 was written this way on the parent of the PR that made observation
 cheaper (and once more when the owner's groups began to share stage
-results and so to record the staged names instead of the fused ones),
+results and so to record the staged names instead of the fused ones,
+and again when coders began to be generated on a format's second use),
 and is the referee for "same counters, same spans".  It predates head
 sampling, so it is what ``sample_every=1`` must reproduce: a second
 argument sets the rate (``... OUT.json 1``; without one ``obs.enable()``

@@ -11,7 +11,13 @@ counted and none timed:
   stage results: its readers run staged, so 576 ``morph.fused`` spans /
   ``morph.fused.seconds`` / ``fused_messages`` became ``morph.transform``
   / ``morph.transform.seconds`` / ``staged_messages`` and the eight
-  ``morph.fusion.compiles`` went — those keys and nothing else).
+  ``morph.fusion.compiles`` went — those keys and nothing else; and once
+  more by the change that generates a coder on a format's second use in
+  a context: the first encode (decode) of each of the 23 (19) context and
+  format pairs moved from ``path="specialized"`` to ``path="generic"``,
+  and the five pairs encoded only once generate nothing —
+  ``pbio.codegen.encoders`` 23 → 18, ``pbio.codegen.seconds`` 42 → 37;
+  no span moved).
   Sampling is a test on the one path, not a fork of it;
 * **sampled parity** — the same scenario at the default rate: every
   counter and gauge is the golden's (byte counters less the 26-byte

@@ -70,6 +70,8 @@ SPAN_RE = re.compile(r'\.span\(\s*["\']([a-z0-9_.]+)["\']')
 #: (path under src/repro, metric name) for names that reach their
 #: instrument call through a helper argument the regexes cannot see
 INDIRECT_SITES = [
+    ("pbio/context.py", "pbio.codegen.encoders"),
+    ("pbio/context.py", "pbio.codegen.decoders"),
     ("pbio/context.py", "pbio.context.encoder_cache_size"),
     ("pbio/context.py", "pbio.context.decoder_cache_size"),
 ]

@@ -102,17 +102,24 @@ def test_single_morphed_delivery_produces_full_span_tree(evolving_reading):
 def test_fused_delivery_produces_collapsed_span_tree(evolving_reading):
     registry, v1, v2 = evolving_reading
     obs.enable(sample_every=1)
-    receiver, received = _morphed_wire_delivery(registry, v1, v2, messages=1)
+    receiver, received = _morphed_wire_delivery(registry, v1, v2, messages=2)
 
-    assert len(received) == 1
-    assert received[0]["celsius"] == pytest.approx(16.85)
+    assert len(received) == 2
+    assert received[1]["celsius"] == pytest.approx(17.85)
 
     tree = obs.get_tracer().tree()
-    (process,) = find_spans(tree, "morph.process")
-    # decode + transform collapse into one specialized routine
-    stages = [c["name"] for c in process["children"]]
-    assert stages == ["morph.maxmatch", "morph.fused", "morph.dispatch"]
+    first, second = find_spans(tree, "morph.process")
+    # a route's first message runs staged (a format sent once never pays
+    # a compile); from its second, decode + transform collapse into one
+    # specialized routine
+    assert [c["name"] for c in first["children"]] == [
+        "morph.maxmatch", "pbio.decode", "morph.transform", "morph.dispatch",
+    ]
+    assert [c["name"] for c in second["children"]] == [
+        "morph.fused", "morph.dispatch",
+    ]
     metrics = obs.get_registry()
+    assert metrics.counter("morph.receiver.staged_messages").value == 1
     assert metrics.counter("morph.receiver.fused_messages").value == 1
     assert metrics.histogram("morph.fused.seconds").count == 1
     assert metrics.counter("morph.fusion.compiles").value == 1

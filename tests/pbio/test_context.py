@@ -1,9 +1,14 @@
 """Unit tests for PBIOContext (per-endpoint encode/decode state)."""
 
+import random
+
 import pytest
 
+from repro.check import gen
+from repro.check.mutate import mutate
 from repro.errors import UnknownFormatError
 from repro.pbio.context import PBIOContext
+from repro.pbio.encode import encode_record
 from repro.pbio.field import IOField
 from repro.pbio.format import IOFormat
 from repro.pbio.record import records_equal
@@ -59,12 +64,64 @@ class TestCodegenCaching:
         assert ctx.generated_decoder_count == 1
 
     def test_one_coder_pair_per_format(self):
+        # a format's first use here is interpretive and its second
+        # generates: one pair per format seen twice, none for one seen once
         ctx = PBIOContext()
         other = IOFormat("Other", [IOField("x", "float")])
-        ctx.decode(ctx.encode(FMT, REC))
-        ctx.decode(ctx.encode(other, other.make_record(x=1.0)))
+        once = IOFormat("Once", [IOField("y", "integer")])
+        for _ in range(2):
+            ctx.decode(ctx.encode(FMT, REC))
+            ctx.decode(ctx.encode(other, other.make_record(x=1.0)))
+        ctx.decode(ctx.encode(once, once.make_record(y=3)))
         assert ctx.generated_encoder_count == 2
         assert ctx.generated_decoder_count == 2
+
+
+class TestFirstUseIsGenerated:
+    """A context's first use of a format runs the interpretive coder and
+    its second the generated one: the two are one path to a caller, held
+    here as a property over seeded formats, records, byte orders and
+    corrupted wires."""
+
+    CASES = 120
+
+    @staticmethod
+    def _outcome(fn):
+        try:
+            return "ok", fn()
+        except Exception as exc:  # noqa: BLE001 - compared by class
+            return "raised", type(exc)
+
+    def test_first_and_second_encode_give_the_same_bytes(self):
+        for seed in range(self.CASES):
+            rng = random.Random(seed)
+            fmt = gen.random_format(rng)
+            rec = gen.random_record(rng, fmt)
+            ctx = PBIOContext(byte_order=("little", "big")[seed % 2])
+            first = ctx.encode(fmt, rec)
+            assert ctx.generated_encoder_count == 0
+            assert ctx.encode(fmt, rec) == first, seed
+            assert ctx.generated_encoder_count == 1
+
+    def test_first_and_second_decode_agree_on_every_wire(self):
+        decoded = 0
+        for seed in range(self.CASES):
+            rng = random.Random(seed)
+            fmt = gen.random_format(rng)
+            wire = encode_record(fmt, gen.random_record(rng, fmt),
+                                 byte_order=rng.choice(["little", "big"]))
+            for mutated in [wire] + [mutate(wire, rng)[1] for _ in range(3)]:
+                ctx = PBIOContext()
+                first = self._outcome(lambda: ctx.decode_as(fmt, mutated))
+                second = self._outcome(lambda: ctx.decode_as(fmt, mutated))
+                assert ctx.generated_decoder_count == 1
+                assert first[0] == second[0], (seed, first, second)
+                if first[0] == "ok":
+                    decoded += 1
+                    assert records_equal(first[1], second[1]), seed
+                else:
+                    assert first[1] is second[1], (seed, first, second)
+        assert decoded > self.CASES  # the valid wires, and some mutants
 
 
 class TestInterpretiveMode:

@@ -66,6 +66,26 @@ class TestConstruction:
                 ],
             )
 
+    def test_building_walks_no_field_signature(self, monkeypatch):
+        """Counted arrays are checked against their counters by declared
+        position, not by comparing ``IOField``s (``__eq__`` walks two
+        signatures): a fetched declaration costs none."""
+        from repro.echo.protocol import RESPONSE_V1
+        from repro.pbio import serialization
+
+        description = serialization.format_to_dict(RESPONSE_V1)
+        monkeypatch.setattr(serialization, "_declarations", {})
+        walks = []
+        signature = IOField.signature
+        monkeypatch.setattr(
+            IOField, "signature",
+            lambda field: walks.append(field) or signature(field),
+        )
+        built = serialization.format_from_dict(description)
+        monkeypatch.undo()
+        assert walks == []
+        assert built == RESPONSE_V1 and built is not RESPONSE_V1
+
 
 class TestLookup:
     def test_field_lookup(self):
