@@ -65,7 +65,9 @@ def _observed(**enable_options: Any) -> Iterator[Registry]:
     try:
         yield registry
     finally:
-        for name, value in zip(state.__slots__, prior):
+        was = dict(zip(state.__slots__, prior))
+        registry.hand_over(was["metrics"] if was["enabled"] else None)
+        for name, value in was.items():
             setattr(state, name, value)
 
 

@@ -39,7 +39,7 @@ from repro.net.batch import is_batch, pack_batch, unpack_batch
 from repro.net.reliable import EndpointMixin
 from repro.net.transport import Network
 from repro.obs import OBS
-from repro.obs.metrics import Handles
+from repro.obs.metrics import Tallies, collect, counter
 from repro.obs.tracectx import (
     UNRECORDED,
     TraceContext,
@@ -63,6 +63,15 @@ from repro.pbio.registry import FormatRegistry
 from repro.pbio.server import CachingFormatResolver, ProjectionState
 
 EventHandler = Callable[[Record], Any]
+
+_COLLECTED = (
+    counter("echo.channel.events_pushed", "pushed", "channel", bounded=True),
+    counter("echo.channel.events_delivered", "delivered", "channel",
+            bounded=True),
+    counter("net.projection.messages", "projected"),
+    counter("net.projection.bytes_saved_est", "bytes_saved"),
+    counter("net.projection.renegotiations", "renegotiations", "kind"),
+)
 
 
 class EChoProcess(EndpointMixin):
@@ -164,14 +173,11 @@ class EChoProcess(EndpointMixin):
         self._filters: Dict[str, ECodeProcedure] = {}
         self.filter_errors = 0
         self.filtered_out = 0
-        # counted per event; renegotiations ask the registry when they happen
-        self._obs_pushed = Handles.bounded_counter(
-            "echo.channel.events_pushed", "channel")
-        self._obs_delivered = Handles.bounded_counter(
-            "echo.channel.events_delivered", "channel")
-        self._obs_projected = Handles.counter("net.projection.messages")
-        self._obs_bytes_saved = Handles.counter(
-            "net.projection.bytes_saved_est")
+        #: per channel: events pushed to sinks / delivered here; events
+        #: sent projected, the wire bytes that saved, and renegotiations
+        self._tally = Tallies("pushed", "delivered", "renegotiations",
+                              projected=0, bytes_saved=0)
+        collect(self, self._tally, _COLLECTED)
         # --- projection push-down state -------------------------------
         #: sender side: negotiated projection per (channel, parent format
         #: id) — {"format", "epoch", "pending"}; "pending" holds a
@@ -483,7 +489,7 @@ class EChoProcess(EndpointMixin):
             state["format"] = pending["format"]
             state["epoch"] = pending["epoch"]
             state["pending"] = None
-            self._note_renegotiation("narrowed")
+            self._tally.renegotiations["narrowed"] += 1
         return state["format"]
 
     def _on_projection_update(
@@ -520,25 +526,16 @@ class EChoProcess(EndpointMixin):
             state["format"] = new_fmt
             state["epoch"] = epoch
             state["pending"] = None
-            self._note_renegotiation("widened")
+            self._tally.renegotiations["widened"] += 1
         else:
             state["pending"] = {"format": new_fmt, "epoch": epoch}
-
-    def _note_renegotiation(self, kind: str) -> None:
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "net.projection.renegotiations", kind=kind
-            ).inc()
 
     def _record_projected_send(
         self, parent: IOFormat, projection: ProjectionFormat, count: int
     ) -> None:
-        if not OBS.enabled or not count:
-            return
-        self._obs_projected().inc(count)
-        saved = parent.min_wire_size - projection.min_wire_size
-        if saved > 0:
-            self._obs_bytes_saved().inc(saved * count)
+        self._tally.projected += count
+        self._tally.bytes_saved += count * max(
+            0, parent.min_wire_size - projection.min_wire_size)
 
     def _batch_encoder(self, wire_fmt: IOFormat) -> BatchEncoderFn:
         """The cached vectorized (envelope, payload) batch encoder for
@@ -605,8 +602,7 @@ class EChoProcess(EndpointMixin):
                     continue
                 self._send(member.contact, datagram)
                 pushed += 1
-            if OBS.enabled and pushed:
-                self._obs_pushed(channel_id).inc(pushed)
+            self._tally.pushed[channel_id] += pushed
             if channel.is_sink and channel_id in self._event_receivers:
                 self._deliver_event(
                     channel_id, self._event_receivers[channel_id], payload
@@ -700,10 +696,9 @@ class EChoProcess(EndpointMixin):
                     continue
                 self._send(member.contact, frame)
                 pushed += 1
-            if OBS.enabled and pushed:
-                # same per-event accounting as the unbatched path, so
-                # the batching differential oracle sees no divergence
-                self._obs_pushed(channel_id).inc(pushed * len(records))
+            # same per-event accounting as the unbatched path, so the
+            # batching differential oracle sees no divergence
+            self._tally.pushed[channel_id] += pushed * len(records)
             if payloads is not None and local_sink:
                 receiver = self._event_receivers[channel_id]
                 for payload in payloads:
@@ -723,26 +718,22 @@ class EChoProcess(EndpointMixin):
     def _deliver_event(
         self, channel_id: str, receiver: MorphReceiver, payload: bytes
     ) -> None:
-        """Hand one event payload to the channel's morphing receiver,
-        recording per-channel delivery metrics when observability is on."""
+        """Hand one event payload to the channel's morphing receiver and
+        count the delivery per channel."""
         if self.resolver is not None:
             self._maybe_announce(channel_id, payload)
-        if not OBS.enabled:
-            receiver.process(payload)
-            return
         # A sampled payload carries its own trace block (attached at
         # submit), so delivery resumed from a DLQ retry or a format-fetch
         # replay re-joins the original trace even though the publishing
         # call stack is long gone.
-        own = peek_trace(payload)
-        if recording(own or current()):
+        if OBS.enabled and recording((own := peek_trace(payload)) or current()):
             with activate(own), OBS.tracer.span(
                 "echo.deliver", channel=channel_id, process=self.address
             ):
                 receiver.process(payload)
         else:
             receiver.process(payload)
-        self._obs_delivered(channel_id).inc()
+        self._tally.delivered[channel_id] += 1
 
     def _submit_derived(
         self,

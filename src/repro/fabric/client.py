@@ -24,7 +24,7 @@ from repro.net.batch import is_batch, pack_batch, unpack_batch
 from repro.net.ledger import SeqLedger
 from repro.net.reliable import EndpointMixin
 from repro.obs import OBS
-from repro.obs.metrics import Handles
+from repro.obs.metrics import Tallies, collect, counter
 from repro.obs.tracectx import UNRECORDED, activate, current, mint, recording
 from repro.pbio.buffer import attach_trace, peek_trace, unpack_header
 from repro.pbio.format import IOFormat
@@ -40,6 +40,11 @@ EventHandler = Callable[[str, str, int, Record], Any]
 
 #: first redrive delay after a failed publish; doubles per attempt
 REDRIVE_BASE_DELAY = 0.05
+
+_COLLECTED = (
+    counter("fabric.published", "published", "channel", bounded=True),
+    counter("fabric.delivered", "delivered", "channel", bounded=True),
+)
 
 
 class FabricClient(EndpointMixin):
@@ -87,8 +92,9 @@ class FabricClient(EndpointMixin):
         self.redrive_max_attempts = redrive_max_attempts
         self._redrive_timer: Optional[Any] = None
         self._redrive_attempts = 0
-        self.published = 0
-        self.delivered = 0
+        #: events published / delivered here, per channel
+        self._tally = Tallies("published", "delivered")
+        collect(self, self._tally, _COLLECTED)
         self.duplicates = 0
         self.redirects = 0
         self.buffered = 0
@@ -97,10 +103,9 @@ class FabricClient(EndpointMixin):
         self.errors = 0
         #: the most recent contained receive failure, for debugging
         self.last_error: Optional[BaseException] = None
-        self._obs_published = Handles.bounded_counter(
-            "fabric.published", "channel")
-        self._obs_delivered = Handles.bounded_counter(
-            "fabric.delivered", "channel")
+
+    published = property(lambda self: sum(self._tally.published.values()))
+    delivered = property(lambda self: sum(self._tally.delivered.values()))
 
     # ------------------------------------------------------------------
     # Graceful degradation across an ownership gap
@@ -210,9 +215,7 @@ class FabricClient(EndpointMixin):
                 format=fmt.name,
             ):
                 self._send_publish(channel_id, owner, envelope_wire + payload)
-        self.published += 1
-        if OBS.enabled:
-            self._obs_published(channel_id).inc()
+        self._tally.published[channel_id] += 1
         return seq
 
     def publish_batch(
@@ -257,9 +260,7 @@ class FabricClient(EndpointMixin):
                 count=len(records),
             ):
                 self._send_publish(channel_id, owner, frame)
-        self.published += len(records)
-        if OBS.enabled:
-            self._obs_published(channel_id).inc(len(records))
+        self._tally.published[channel_id] += len(records)
         return seqs
 
     def subscribe(
@@ -378,6 +379,4 @@ class FabricClient(EndpointMixin):
             )
             event = self.pbio.decode_as(fmt, payload[:body_end])
             handler(channel_id, publisher, seq, event)
-        self.delivered += 1
-        if OBS.enabled:
-            self._obs_delivered(channel_id).inc()
+        self._tally.delivered[channel_id] += 1

@@ -48,8 +48,7 @@ from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 from repro.errors import FabricError, JournalError
 from repro.fabric.state import Channels, dump_state, load_state
 from repro.net.ledger import SeqLedger
-from repro.obs import OBS
-from repro.obs.metrics import Handles
+from repro.obs.metrics import Tallies, collect, counter, gauge
 
 #: Appends since the last snapshot that trigger compaction (overridable
 #: per store).  Large enough that a fuzzing case never compacts unless
@@ -93,6 +92,19 @@ class JournalRecovery(NamedTuple):
         return dump_state(self.channels)
 
 
+#: the tallies, and the journal lag ``--top`` renders (per shard; file size)
+_COLLECTED = (
+    counter("fabric.journal.appends", "appends"),
+    counter("fabric.journal.compactions", "compactions"),
+    gauge("fabric.journal.entries_since_snapshot", lambda store: {
+        shard: log.since_snapshot
+        for shard, log in list(store._shards.items()) if log.entries
+    }, "shard"),
+    gauge("fabric.journal.disk_bytes",
+          lambda store: store.path and store.disk_size_bytes()),
+)
+
+
 class JournalStore:
     """Append-only, epoch-fenced, per-shard ledger journal.
 
@@ -122,19 +134,17 @@ class JournalStore:
         self._shards: Dict[int, _ShardLog] = {}
         #: lines buffered by an open write :meth:`group` (None outside)
         self._group: Optional[List[str]] = None
-        self.appends = 0
+        self._tally = Tallies(appends=0, compactions=0)
+        collect(self, self._tally, _COLLECTED)
         self.fenced_appends = 0
-        self.compactions = 0
         self.recoveries = 0
         #: torn final lines cut off at load (see :meth:`_load`)
         self.torn_tail = 0
-        self._obs_appends = Handles.counter("fabric.journal.appends")
-        self._obs_compactions = Handles.counter("fabric.journal.compactions")
-        self._obs_since_snapshot = Handles.gauge(
-            "fabric.journal.entries_since_snapshot", "shard")
-        self._obs_disk_bytes = Handles.gauge("fabric.journal.disk_bytes")
         if path is not None and os.path.exists(path):
             self._load(path)
+
+    appends = property(lambda self: self._tally.appends)
+    compactions = property(lambda self: self._tally.compactions)
 
     # ------------------------------------------------------------------
     # Appending
@@ -155,12 +165,9 @@ class JournalStore:
             return False
         log.entries.append(entry)
         log.since_snapshot += 1
-        self.appends += 1
-        if OBS.enabled:
-            self._obs_appends().inc()
+        self._tally.appends += 1
         if self.path is not None:
             self._persist(_line(shard, entry))
-        self._gauge_shard(shard, log)
         return True
 
     def _persist(self, line: str) -> None:
@@ -190,7 +197,6 @@ class JournalStore:
             self._group = None
             if lines:
                 self._persist("".join(lines))
-                self._gauge_disk()
 
     def append_admit(
         self,
@@ -244,12 +250,9 @@ class JournalStore:
             "state": state,
         }]
         log.since_snapshot = 0
-        self.compactions += 1
-        if OBS.enabled:
-            self._obs_compactions().inc()
+        self._tally.compactions += 1
         if self.path is not None:
             self._rewrite()
-        self._gauge_shard(shard, log)
         return True
 
     def fence(self, shard: int, epoch: int) -> None:
@@ -446,17 +449,3 @@ class JournalStore:
             return os.path.getsize(self.path)
         except OSError:
             return 0
-
-    def _gauge_shard(self, shard: int, log: _ShardLog) -> None:
-        """Mirror the compaction-pressure gauges: entries accumulated
-        behind the last snapshot (per shard) and the file size (per
-        store) — the journal-lag columns ``--top`` renders."""
-        if not OBS.enabled:
-            return
-        self._obs_since_snapshot(shard).set(log.since_snapshot)
-        if self._group is None:
-            self._gauge_disk()  # an open group gauges once, on close
-
-    def _gauge_disk(self) -> None:
-        if OBS.enabled and self.path is not None:
-            self._obs_disk_bytes().set(self.disk_size_bytes())

@@ -69,7 +69,7 @@ from repro.net.batch import (
 from repro.net.ledger import SeqLedger
 from repro.net.reliable import EndpointMixin
 from repro.obs import OBS
-from repro.obs.metrics import Handles
+from repro.obs.metrics import Tallies, collect, counter, gauge
 from repro.obs.tracectx import (
     TRACE_BLOCK_SIZE,
     UNRECORDED,
@@ -102,6 +102,17 @@ Run = List[Tuple[str, int, bytes]]
 #: state is split at channel granularity, so one oversized channel still
 #: travels whole — the bound is a soft target, not a hard frame limit.
 HANDOFF_CHUNK_BYTES = 8192
+
+_COLLECTED = (
+    counter("fabric.shard.processed", "processed", "shard", bounded=True),
+    gauge("fabric.shards_owned", lambda w: {w.address: len(w._owned)},
+          "worker"),
+)
+#: ... and those labelled with the worker's address
+_PER_WORKER = (
+    counter("fabric.handoff", "handoffs", "role"),
+    counter("fabric.recovery.shards", "recovered"),
+)
 
 
 def _frames(datagrams: List[bytes], ctx: Optional[TraceContext]) -> List[bytes]:
@@ -223,38 +234,34 @@ class FabricWorker(EndpointMixin):
         self._heartbeat_timer: Optional[Any] = None
         #: optional TelemetryAgent whose scrapes piggy-back on heartbeats
         self.telemetry: Optional[Any] = None
-        self.processed = 0
+        #: publishes admitted per shard, handoffs by role, shards recovered
+        self._tally = Tallies("processed", "handoffs", recovered=0)
+        collect(self, self._tally, _COLLECTED)
+        collect(self, self._tally, _PER_WORKER, worker=self.address)
         self.duplicates = 0
         self.forwarded = 0
         self.deliveries = 0
-        self.handoffs_sent = 0
-        self.handoffs_received = 0
         self.handoffs_acked = 0
         self.handoffs_rejected = 0
         self.handoff_parts_sent = 0
         self.redirects_sent = 0
         self.fenced = 0
-        self.recovered_shards = 0
         self.tail_replayed = 0
         self.errors = 0
         #: the most recent contained failure, for debugging
         self.last_error: Optional[BaseException] = None
-        # what the data plane counts per message or per run; ownership
-        # transitions ask the registry when they happen
-        self._obs_processed = Handles.bounded_counter(
-            "fabric.shard.processed", "shard")
+
+    processed = property(lambda self: sum(self._tally.processed.values()))
+    handoffs_sent = property(lambda self: self._tally.handoffs["source"]
+                             + self._tally.handoffs["relay"])
+    handoffs_received = property(lambda self: self._tally.handoffs["target"])
+    recovered_shards = property(lambda self: self._tally.recovered)
 
     def owned_shards(self) -> List[int]:
         return sorted(self._owned)
 
     def owns(self, channel_id: str) -> bool:
         return shard_of(channel_id, self.directory.num_shards) in self._owned
-
-    def _update_owned_gauge(self) -> None:
-        if OBS.enabled:
-            OBS.metrics.gauge(
-                "fabric.shards_owned", worker=self.address
-            ).set(len(self._owned))
 
     # ------------------------------------------------------------------
     # Ownership transitions (driven by the directory)
@@ -269,7 +276,6 @@ class FabricWorker(EndpointMixin):
         self._forwarding.pop(shard, None)
         if self.journal is not None:
             self._recover_shard(shard, epoch)
-        self._update_owned_gauge()
         self._replay_pending(shard)
 
     def _recover_shard(self, shard: int, epoch: int) -> None:
@@ -288,11 +294,7 @@ class FabricWorker(EndpointMixin):
         self.journal.fence(shard, epoch)
         if recovery is None:
             return
-        self.recovered_shards += 1
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "fabric.recovery.shards", worker=self.address
-            ).inc()
+        self._tally.recovered += 1
         self._install_channels(recovery.channels)
         # The tail replays through the run path: consecutive admits of
         # one channel fan out (and leave) together.
@@ -343,7 +345,6 @@ class FabricWorker(EndpointMixin):
         self._handoff_staging.clear()
         self._relay_seen.clear()
         self._delivering = None
-        self._update_owned_gauge()
 
     def restart(self) -> None:
         """Reopen the transport after a crash.  Shard state stays empty
@@ -436,12 +437,7 @@ class FabricWorker(EndpointMixin):
             self._channels.pop(channel_id, None)
         del self._owned[shard]
         self._forwarding[shard] = (successor, epoch)
-        self._update_owned_gauge()
-        self.handoffs_sent += 1
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "fabric.handoff", worker=self.address, role="source"
-            ).inc()
+        self._tally.handoffs["source"] += 1
         chunks = self._chunk_state(state)
         total = len(chunks)
         for index, chunk in enumerate(chunks):
@@ -639,7 +635,6 @@ class FabricWorker(EndpointMixin):
         ]:
             del self._channels[channel_id]
         self.fenced += 1
-        self._update_owned_gauge()
         return True
 
     def _commit_run(
@@ -663,9 +658,7 @@ class FabricWorker(EndpointMixin):
                             shard, epoch, channel.channel_id, publisher, seq,
                             payload,
                         )
-            self.processed += len(run)
-            if OBS.enabled:
-                self._obs_processed(shard).inc(len(run))
+            self._tally.processed[shard] += len(run)
             self._fan_out(channel, run)
             # Compaction is checked once per run, after its deliveries left.
             if self.journal is not None and self.journal.should_compact(shard):
@@ -857,11 +850,7 @@ class FabricWorker(EndpointMixin):
             target, relay_epoch = relay
             seen = self._relay_seen.setdefault((shard, epoch), set())
             if not seen:
-                self.handoffs_sent += 1
-                if OBS.enabled:
-                    OBS.metrics.counter(
-                        "fabric.handoff", worker=self.address, role="relay"
-                    ).inc()
+                self._tally.handoffs["relay"] += 1
             seen.add(part)
             relayed = FABRIC_HANDOFF.make_record(
                 shard=shard, epoch=relay_epoch, part=part, parts=parts,
@@ -899,12 +888,7 @@ class FabricWorker(EndpointMixin):
             self._install_channels(staging[index])
         self._owned[shard] = epoch
         self._forwarding.pop(shard, None)
-        self._update_owned_gauge()
-        self.handoffs_received += 1
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "fabric.handoff", worker=self.address, role="target"
-            ).inc()
+        self._tally.handoffs["target"] += 1
         if self.journal is not None:
             # Graceful moves fence + snapshot too: the journal always
             # reflects the newest owner's view of the shard.

@@ -27,7 +27,7 @@ paper's evaluation relies on.
 from __future__ import annotations
 
 import threading
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (
@@ -48,7 +48,9 @@ from repro.ecode.runtime import copy_value
 from repro.errors import NoMatchError, TransformError, UnknownFormatError
 from repro.morph.compat import coerce_record, reconcile_field_stats
 from repro.obs import OBS
-from repro.obs.metrics import RATIO_BUCKETS, Handles, Histogram
+from repro.obs.metrics import (
+    RATIO_BUCKETS, Handles, Histogram, collect, counter, gauge,
+)
 from repro.morph.maxmatch import (
     DEFAULT_DIFF_THRESHOLD,
     DEFAULT_MISMATCH_THRESHOLD,
@@ -88,40 +90,25 @@ STAT_COUNTERS = (
 
 class ReceiverStats:
     """Per-receiver tallies: nine plain integers (``stats.messages``,
-    ``stats.cache_hits``, ...) and the receiver's own
-    ``mismatch_ratios`` histogram of its MaxMatch decisions.
+    ``stats.cache_hits``, ...), messages fused / staged, morphs and
+    deliveries per format, and the receiver's own ``mismatch_ratios``
+    histogram of its MaxMatch decisions.  An update is one integer add,
+    observed or not: a registry reads them (``_COLLECTED``)."""
 
-    With process-wide observability on (:func:`repro.obs.enable`) the
-    tallies something reads as metrics are also added to the global
-    ``morph.receiver.*`` counters, the aggregate across all receivers;
-    with it off an update is one integer add.
-    """
-
-    __slots__ = STAT_COUNTERS + ("mismatch_ratios", "_mirror")
+    __slots__ = STAT_COUNTERS + ("staged_messages", "fused_messages",
+                                 "applied", "delivered", "mismatch_ratios")
 
     def __init__(self) -> None:
         for name in STAT_COUNTERS:
             setattr(self, name, 0)
+        self.staged_messages = self.fused_messages = 0
+        #: transform chains applied, by wire format name
+        self.applied: Dict[str, int] = defaultdict(int)
+        #: records handed to a handler, by handler format name
+        self.delivered: Dict[str, int] = defaultdict(int)
         self.mismatch_ratios = Histogram(
             "morph.maxmatch.mismatch_ratio", bounds=RATIO_BUCKETS
         )
-        self._mirror = {
-            "messages": Handles.counter("morph.receiver.messages"),
-            "cache_hits": Handles.counter("morph.receiver.cache_hits"),
-            "cache_misses": Handles.counter("morph.receiver.cache_misses"),
-            "perfect_matches": Handles.counter(
-                "morph.receiver.perfect_matches"),
-            "morphed": Handles.counter("morph.receiver.morphed"),
-            "compiled_chains": Handles.counter(
-                "morph.receiver.compiled_chains"),
-        }
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        setattr(self, name, getattr(self, name) + amount)
-        if OBS.enabled:
-            mirror = self._mirror.get(name)
-            if mirror is not None:
-                mirror().inc(amount)
 
     def observe_mismatch(self, ratio: float) -> None:
         """Record one MaxMatch decision's mismatch ratio."""
@@ -135,19 +122,21 @@ class ReceiverStats:
         return {name: getattr(self, name) for name in STAT_COUNTERS}
 
 
-class _ReceiverHandles:
-    """The instruments a receiver records per message (what it records
-    per planned route or per dead letter it asks the registry for)."""
-
-    def __init__(self) -> None:
-        self.staged_messages = Handles.counter("morph.receiver.staged_messages")
-        self.fused_messages = Handles.counter("morph.receiver.fused_messages")
-        self.fused_seconds = Handles.histogram("morph.fused.seconds")
-        self.transform_seconds = Handles.histogram("morph.transform.seconds")
-        self.transform_applied = Handles.bounded_counter(
-            "morph.transform.applied", "format")
-        self.dispatch_delivered = Handles.bounded_counter(
-            "morph.dispatch.delivered", "format")
+#: a receiver's stats, and its route cache's size
+_COLLECTED = (
+    counter("morph.receiver.messages", "messages"),
+    counter("morph.receiver.cache_hits", "cache_hits"),
+    counter("morph.receiver.cache_misses", "cache_misses"),
+    counter("morph.receiver.perfect_matches", "perfect_matches"),
+    counter("morph.receiver.morphed", "morphed"),
+    counter("morph.receiver.compiled_chains", "compiled_chains"),
+    counter("morph.receiver.staged_messages", "staged_messages"),
+    counter("morph.receiver.fused_messages", "fused_messages"),
+    counter("morph.transform.applied", "applied", "format", bounded=True),
+    counter("morph.dispatch.delivered", "delivered", "format", bounded=True),
+    gauge("morph.receiver.route_cache_size",
+          lambda receiver: len(receiver._routes)),
+)
 
 
 @dataclass
@@ -326,7 +315,9 @@ class MorphReceiver:
             use_fusion = self.DEFAULT_USE_FUSION
         self.use_fusion = use_fusion and use_codegen and not validate_transforms
         self.stats = ReceiverStats()
-        self._obs = _ReceiverHandles()
+        collect(self, self.stats, _COLLECTED)
+        self._fused_seconds = Handles.histogram("morph.fused.seconds")
+        self._transform_seconds = Handles.histogram("morph.transform.seconds")
         self._lock = threading.RLock()
         self._handlers: Dict[int, Handler] = {}
         self._handler_formats: List[IOFormat] = []
@@ -445,89 +436,70 @@ class MorphReceiver:
         and the loop goes on; without ``contain_failures`` the same
         ``except`` re-raises.  *retrying* (:meth:`retry_dead_letters`)
         bypasses the quarantine.  Observation wraps the same calls in
-        spans and selects nothing.  The per-message counters are tallied
-        in locals and flushed when the frame ends, however it ends."""
+        spans and selects nothing."""
         contain = self.contain_failures
         # the live set (a format quarantined mid-frame is dropped from the
         # next segment on); nothing is quarantined for a retry
         quarantined = self._quarantined if contain and not retrying else ()
         observing = OBS.enabled
         routes = self._routes
+        stats = self.stats
         results: List[Any] = []
-        messages = hits = morphed = reconciled = perfect = 0
-        try:
-            for data in segments:
-                format_id: Optional[int] = None
-                stage = "decode"
-                try:
-                    header = unpack_header(data)
-                    format_id = header.format_id
-                    if format_id in quarantined:
-                        self.containment["quarantine_drops"] += 1
-                        results.append(None)
-                        continue
-                    messages += 1
-                    context = span = UNRECORDED
-                    tracing = False
-                    if observing:
-                        # under the message's own trace context (None, a
-                        # passthrough, if untraced): a standalone receiver,
-                        # or a retry of the raw bytes, still joins its trace
-                        own = header.trace
-                        tracing = recording(own or current())
-                        if tracing:
-                            context = activate(own)
-                            span = OBS.tracer.span("morph.process")
-                    with context, span:
-                        route = routes.get(format_id)
-                        if route is not None:
-                            hits += 1
-                        else:
-                            incoming = self.registry.lookup_id(format_id)
-                            if incoming is None:
-                                raise UnknownFormatError(format_id)
-                            self.stats.inc("cache_misses")
-                            route = self._planned(incoming)
-                        record = self._decode(
-                            route, header, data, observing, tracing, shared
-                        )
-                        if route.chain is not None:
-                            morphed += 1
-                        if route.coercion is not None:
-                            reconciled += 1
-                        elif route.handler_format is not None:
-                            perfect += 1
-                        stage = "dispatch"
-                        results.append(
-                            self._dispatch(route, record, observing, tracing)
-                        )
-                    if self._failure_counts:
-                        # quarantine counts *consecutive* failures
-                        self._failure_counts.pop(format_id, None)
-                except Exception as exc:  # noqa: BLE001 - defined containment
-                    if not contain:
-                        raise
-                    if isinstance(exc, UnknownFormatError):
-                        stage = "unknown_format"
-                    elif isinstance(exc, NoMatchError):
-                        stage = "no_match"
-                    elif isinstance(exc, TransformError):
-                        stage = "transform"
-                    self._dead_letter(data, format_id, stage, exc)
+        for data in segments:
+            format_id: Optional[int] = None
+            stage = "decode"
+            try:
+                header = unpack_header(data)
+                format_id = header.format_id
+                if format_id in quarantined:
+                    self.containment["quarantine_drops"] += 1
                     results.append(None)
-        finally:
-            # zeroes skipped: obs must not see a counter nothing was added to
-            inc = self.stats.inc
-            if messages:
-                inc("messages", messages)
-            if hits:
-                inc("cache_hits", hits)
-            if morphed:
-                inc("morphed", morphed)
-            if reconciled:
-                inc("reconciled", reconciled)
-            if perfect:
-                inc("perfect_matches", perfect)
+                    continue
+                stats.messages += 1
+                context = span = UNRECORDED
+                tracing = False
+                if observing:
+                    # under the message's own trace context (None, a
+                    # passthrough, if untraced): a standalone receiver,
+                    # or a retry of the raw bytes, still joins its trace
+                    own = header.trace
+                    tracing = recording(own or current())
+                    if tracing:
+                        context = activate(own)
+                        span = OBS.tracer.span("morph.process")
+                with context, span:
+                    route = routes.get(format_id)
+                    if route is not None:
+                        stats.cache_hits += 1
+                    else:
+                        incoming = self.registry.lookup_id(format_id)
+                        if incoming is None:
+                            raise UnknownFormatError(format_id)
+                        stats.cache_misses += 1
+                        route = self._planned(incoming)
+                    record = self._decode(route, header, data, tracing, shared)
+                    if route.chain is not None:
+                        stats.morphed += 1
+                    if route.coercion is not None:
+                        stats.reconciled += 1
+                    elif route.handler_format is not None:
+                        stats.perfect_matches += 1
+                    stage = "dispatch"
+                    results.append(self._dispatch(route, record, tracing))
+                if self._failure_counts:
+                    # quarantine counts *consecutive* failures
+                    self._failure_counts.pop(format_id, None)
+            except Exception as exc:  # noqa: BLE001 - defined containment
+                if not contain:
+                    raise
+                if isinstance(exc, UnknownFormatError):
+                    stage = "unknown_format"
+                elif isinstance(exc, NoMatchError):
+                    stage = "no_match"
+                elif isinstance(exc, TransformError):
+                    stage = "transform"
+                self._dead_letter(data, format_id, stage, exc)
+                results.append(None)
         return results
 
     def process_record(self, fmt: IOFormat, record: Record) -> Any:
@@ -536,24 +508,24 @@ class MorphReceiver:
         dispatch tail of :meth:`process`, without its decode.  There are
         no wire bytes to dead-letter, so a failure raises even on a
         ``contain_failures`` receiver."""
-        self.stats.inc("messages")
+        stats = self.stats
+        stats.messages += 1
         self.registry.register(fmt)
         route = self._routes.get(fmt.format_id)
         if route is not None:
-            self.stats.inc("cache_hits")
+            stats.cache_hits += 1
         else:
-            self.stats.inc("cache_misses")
+            stats.cache_misses += 1
             route = self._planned(fmt)
-        observing = OBS.enabled
-        tracing = observing and recording(current())
-        record = self._morph(route, record, observing, tracing)
+        tracing = OBS.enabled and recording(current())
+        record = self._morph(route, record, tracing)
         if route.chain is not None:
-            self.stats.inc("morphed")
+            stats.morphed += 1
         if route.coercion is not None:
-            self.stats.inc("reconciled")
+            stats.reconciled += 1
         elif not route.is_reject:
-            self.stats.inc("perfect_matches")
-        return self._dispatch(route, record, observing, tracing)
+            stats.perfect_matches += 1
+        return self._dispatch(route, record, tracing)
 
     def _planned(self, fmt: IOFormat) -> _Route:
         """The cached route for *fmt*, planned on a miss.  The cache
@@ -567,14 +539,7 @@ class MorphReceiver:
                 while len(self._routes) >= self.MAX_ROUTES:
                     self._routes.pop(next(iter(self._routes)))
                 self._routes[fmt.format_id] = route
-                self._note_route_cache_size()
             return route
-
-    def _note_route_cache_size(self) -> None:
-        if OBS.enabled:
-            OBS.metrics.gauge("morph.receiver.route_cache_size").set(
-                len(self._routes)
-            )
 
     # ------------------------------------------------------------------
     # Route execution (the cheap, per-message part)
@@ -582,7 +547,7 @@ class MorphReceiver:
 
     def _decode(
         self, route: _Route, header: MessageHeader, data: bytes,
-        observing: bool, tracing: bool, shared: Shared,
+        tracing: bool, shared: Shared,
     ) -> Record:
         """The route's one decode step, from wire bytes to the record its
         handler takes: the fused routine compiled for the payload's byte
@@ -590,45 +555,42 @@ class MorphReceiver:
         fused routine has nothing to share: with a *shared* memo the
         route runs staged, and decodes only if no reader has.
 
-        Here and down the route *observing* (``repro.obs`` is on) counts
-        every message; *tracing* (:func:`~repro.obs.tracectx.recording`)
-        adds the spans and durations of a sampled one."""
+        *tracing* (:func:`~repro.obs.tracectx.recording`) adds, here and
+        down the route, the spans and durations of a sampled message."""
         fused = route.fused
         fn = None if fused is None or shared is not None else fused.fn_for(
             ">" if header.flags & FLAG_BIG_ENDIAN else "<"
         )
         if fn is None:
-            if observing:
-                self._obs.staged_messages().inc()
+            self.stats.staged_messages += 1
             record = None if shared is None else shared.get(header.format_id)
             if record is None:
                 record = self.context.decode_as(route.wire_format, data)
                 if shared is not None:
                     shared[header.format_id] = record
-            return self._morph(route, record, observing, tracing, shared)
+            return self._morph(route, record, tracing, shared)
         body = header.body_offset
         end = body + header.payload_length
-        if not observing:
-            return fn(data, body, end)[0]
+        stats = self.stats
+        stats.fused_messages += 1
         wire_format = route.wire_format
-        self._obs.fused_messages().inc()
         if tracing:
             with OBS.tracer.span(
                 "morph.fused", format=wire_format.name,
                 version=wire_format.version,
             ) as active:
                 record = fn(data, body, end)[0]
-            self._obs.fused_seconds().observe(active.span.duration)
+            self._fused_seconds().observe(active.span.duration)
         else:
             record = fn(data, body, end)[0]
         if route.chain is not None:
-            # identical labeled counter to the staged path, so the
-            # fused/staged differential oracle sees no divergence
-            self._obs.transform_applied(wire_format.name).inc()
+            # the staged path's tally too, so the fused/staged
+            # differential oracle sees no divergence
+            stats.applied[wire_format.name] += 1
         return record
 
     def _morph(
-        self, route: _Route, record: Record, observing: bool, tracing: bool,
+        self, route: _Route, record: Record, tracing: bool,
         shared: Shared = None,
     ) -> Record:
         """The staged pipeline after decode, one pass each: widen a
@@ -646,11 +608,10 @@ class MorphReceiver:
                     steps=len(chain),
                 ) as active:
                     record = route.run_chain(record, shared)
-                self._obs.transform_seconds().observe(active.span.duration)
+                self._transform_seconds().observe(active.span.duration)
             else:
                 record = route.run_chain(record, shared)
-            if observing:
-                self._obs.transform_applied(route.wire_format.name).inc()
+            self.stats.applied[route.wire_format.name] += 1
         if route.coercion is not None:
             if tracing:
                 with OBS.tracer.span(
@@ -663,16 +624,14 @@ class MorphReceiver:
                 record = coerce_record(*route.coercion, record)
         return record
 
-    def _dispatch(
-        self, route: _Route, record: Record, observing: bool, tracing: bool,
-    ) -> Any:
+    def _dispatch(self, route: _Route, record: Record, tracing: bool) -> Any:
         """The tail every entry point ends in: hand *record* to the
         handler of the route's matched format — or, for a message no
         match admits, to the default handler (``NoMatchError`` without
         one)."""
         handler_format = route.handler_format
         if handler_format is None:
-            self.stats.inc("rejected")
+            self.stats.rejected += 1
             if self._default_handler is None:
                 raise NoMatchError(
                     f"no acceptable match for incoming format "
@@ -682,8 +641,7 @@ class MorphReceiver:
                 )
             return self._default_handler(route.wire_format, record)
         handler = self._handlers[handler_format.format_id]
-        if observing:
-            self._obs.dispatch_delivered(handler_format.name).inc()
+        self.stats.delivered[handler_format.name] += 1
         if not tracing:
             return handler(record)
         with OBS.tracer.span(
@@ -948,13 +906,13 @@ class MorphReceiver:
                         validate_output=self.validate_transforms,
                     )
                 except TransformError:
-                    self.stats.inc("broken_transforms")
+                    self.stats.broken_transforms += 1
                     chains = [
                         c for c in chains
                         if c[-1].target.format_id != best.f1.format_id
                     ]
                     continue
-                self.stats.inc("compiled_chains")
+                self.stats.compiled_chains += 1
             self.stats.observe_mismatch(best.mismatch)
             coercion = None
             if not best.is_perfect or best.f1.format_id != best.f2.format_id:
@@ -1002,10 +960,7 @@ class MorphReceiver:
         next message of that id replans against the fresh meta-data.
         Returns whether a route was dropped."""
         with self._lock:
-            removed = self._routes.pop(format_id, None) is not None
-            if removed:
-                self._note_route_cache_size()
-            return removed
+            return self._routes.pop(format_id, None) is not None
 
     def compatibility_space(self) -> List[IOFormat]:
         """Every registered format this receiver would accept — its

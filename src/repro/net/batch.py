@@ -47,7 +47,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import DecodeError
 from repro.obs import OBS
-from repro.obs.metrics import COUNT_BUCKETS, Handles
+from repro.obs.metrics import COUNT_BUCKETS, Handles, Tallies, collect, counter
 from repro.obs.tracectx import (
     TRACE_BLOCK_SIZE,
     TraceContext,
@@ -83,12 +83,16 @@ BATCH_LENGTH_SIZE = _LEN.size  # 4 bytes
 #: a corrupted count field can never drive a long allocation loop.
 _MIN_SEGMENT_SIZE = _LEN.size
 
-# The codec is module-level functions, so the module holds its handles.
-_OBS_PACKED_FRAMES = Handles.counter("net.batch.packed_frames")
-_OBS_PACKED_MESSAGES = Handles.counter("net.batch.packed_messages")
+# The codec is module-level functions, so the module keeps the tallies.
+_TALLY = Tallies(packed_frames=0, packed_messages=0, unpacked_frames=0,
+                 unpacked_messages=0)
+collect(None, _TALLY, (
+    counter("net.batch.packed_frames", "packed_frames"),
+    counter("net.batch.packed_messages", "packed_messages"),
+    counter("net.batch.unpacked_frames", "unpacked_frames"),
+    counter("net.batch.unpacked_messages", "unpacked_messages"),
+))
 _OBS_SIZE = Handles.histogram("net.batch.size", bounds=COUNT_BUCKETS)
-_OBS_UNPACKED_FRAMES = Handles.counter("net.batch.unpacked_frames")
-_OBS_UNPACKED_MESSAGES = Handles.counter("net.batch.unpacked_messages")
 
 
 @dataclass(frozen=True)
@@ -134,14 +138,14 @@ def pack_batch(
 
 
 def record_batch_packed(count: int) -> None:
-    """Record one packed frame of *count* messages in the obs counters.
+    """Tally one packed frame of *count* messages.
 
     Shared by :func:`pack_batch` and the generated vectorized batch
-    encoders (:func:`repro.pbio.codegen.make_batch_encoder`), so counter
+    encoders (:func:`repro.pbio.codegen.make_batch_encoder`), so the
     totals stay identical whichever path built the frame."""
+    _TALLY.packed_frames += 1
+    _TALLY.packed_messages += count
     if OBS.enabled:
-        _OBS_PACKED_FRAMES().inc()
-        _OBS_PACKED_MESSAGES().inc(count)
         _OBS_SIZE().observe(count)
 
 
@@ -202,9 +206,8 @@ def unpack_batch(data: Buffer, offset: int = 0) -> BatchFrame:
         raise DecodeError(
             f"{end - off} trailing bytes after BATCH1 frame"
         )
-    if OBS.enabled:
-        _OBS_UNPACKED_FRAMES().inc()
-        _OBS_UNPACKED_MESSAGES().inc(count)
+    _TALLY.unpacked_frames += 1
+    _TALLY.unpacked_messages += count
     return BatchFrame(count=count, trace=trace, segments=tuple(segments))
 
 

@@ -35,8 +35,9 @@ share one node.
 Observability: every endpoint counts retries, duplicate drops, breaker
 openings and the rest locally (plain attributes, always on,
 :meth:`ReliableEndpoint.counters`); the four something reads as metrics
-(sends, acked, retries, dup_drops) and the in-flight gauge are mirrored
-into ``repro.obs`` as ``net.reliable.*`` when it is enabled.
+(sends, acked, retries, dup_drops) are kept per peer and read — with
+the in-flight gauge, ``len`` of the pending sends — as
+``net.reliable.*`` by whichever registry is read.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import TransportError
 from repro.net.transport import Network, Node, peek_frame_trace
 from repro.obs import OBS
-from repro.obs.metrics import Handles
+from repro.obs.metrics import Tallies, collect, counter, gauge
 from repro.obs.tracectx import activate, current, isolate, recording
 
 #: Frame magic: deliberately distinct from PBIO's header magic and from
@@ -64,6 +65,14 @@ HEADER_SIZE = _HEADER.size
 _SKIPPED = object()
 
 MessageHandler = Callable[[str, bytes], None]
+
+_COLLECTED = (
+    counter("net.reliable.sends", "sends", "peer"),
+    counter("net.reliable.acked", "acked", "peer"),
+    counter("net.reliable.retries", "retries", "peer"),
+    counter("net.reliable.dup_drops", "dup_drops", "peer"),
+    gauge("net.reliable.in_flight", "in_flight"),
+)
 
 
 class CircuitBreaker:
@@ -268,28 +277,26 @@ class ReliableEndpoint:
         #: waiting out its stall timeout
         self._holes: Dict[str, set] = {}
         self._breakers: Dict[str, CircuitBreaker] = {}
-        # -- counters (always-on attributes; repro.obs mirrors four) ----
-        self.sent = 0
-        self.acked = 0
+        # -- counters (always-on attributes; four of them per peer) -----
+        self._tally = Tallies("sends", "acked", "retries", "dup_drops")
+        collect(self, self._tally, _COLLECTED, endpoint=self.node.address)
         self.failed = 0
         self.rejected = 0
-        self.retries = 0
-        self.dup_drops = 0
         self.delivered = 0
         self.reordered = 0
         self.gap_skips = 0
         self.stall_skips = 0
         self.passthrough = 0
         self.breaker_opens = 0
-        #: ``net.reliable.<name>`` handles, made on a name's first count
-        self._obs_counts: Dict[str, Handles] = {}
-        self._obs_in_flight = Handles.gauge(
-            "net.reliable.in_flight", endpoint=self.node.address
-        )
 
     @property
     def address(self) -> str:
         return self.node.address
+
+    sent = property(lambda self: sum(self._tally.sends.values()))
+    acked = property(lambda self: sum(self._tally.acked.values()))
+    retries = property(lambda self: sum(self._tally.retries.values()))
+    dup_drops = property(lambda self: sum(self._tally.dup_drops.values()))
 
     # ------------------------------------------------------------------
     # Sending
@@ -340,10 +347,8 @@ class ReliableEndpoint:
         seq = self._next_seq.get(destination, 0)
         self._next_seq[destination] = seq + 1
         ticket = SendTicket(destination, seq, payload, on_result)
-        self.sent += 1
-        self._count("sends", peer=destination)
+        self._tally.sends[destination] += 1
         self._pending[(destination, seq)] = ticket
-        self._gauge_in_flight()
         self._transmit(ticket)
         return ticket
 
@@ -398,7 +403,6 @@ class ReliableEndpoint:
             self.failed += 1
             ticket._finish("failed")
         self._pending.clear()
-        self._gauge_in_flight()
         return aborted
 
     def _on_timeout(self, ticket: SendTicket) -> None:
@@ -409,7 +413,6 @@ class ReliableEndpoint:
             self.breaker_opens += 1
         if ticket.attempts > self.max_retries:
             self._pending.pop((ticket.destination, ticket.seq), None)
-            self._gauge_in_flight()
             self.failed += 1
             # Tell the peer to deliver around this seq so its in-order
             # pipeline doesn't stall on the hole; the hole is remembered
@@ -421,8 +424,7 @@ class ReliableEndpoint:
             )
             ticket._finish("failed")
             return
-        self.retries += 1
-        self._count("retries", peer=ticket.destination)
+        self._tally.retries[ticket.destination] += 1
         self._transmit(ticket)
 
     # ------------------------------------------------------------------
@@ -451,8 +453,7 @@ class ReliableEndpoint:
         self.node.send(source, _HEADER.pack(MAGIC, _FRAME_ACK, seq))
         buffered = self._reorder.setdefault(source, {})
         if seq < self._expected.get(source, 0) or seq in buffered:
-            self.dup_drops += 1
-            self._count("dup_drops", peer=source)
+            self._tally.dup_drops[source] += 1
             return
         if seq != self._expected.get(source, 0):
             self.reordered += 1
@@ -552,9 +553,7 @@ class ReliableEndpoint:
         ticket = self._pending.pop((source, seq), None)
         if ticket is None or ticket.final:
             return  # duplicate or stale ack
-        self._gauge_in_flight()
-        self.acked += 1
-        self._count("acked", peer=source)
+        self._tally.acked[source] += 1
         self.breaker(source).record_success()
         ticket._finish("acked")
 
@@ -569,33 +568,11 @@ class ReliableEndpoint:
 
     def counters(self) -> Dict[str, int]:
         """Snapshot of the endpoint's reliability counters."""
-        return {
-            "sent": self.sent,
-            "acked": self.acked,
-            "failed": self.failed,
-            "rejected": self.rejected,
-            "retries": self.retries,
-            "dup_drops": self.dup_drops,
-            "delivered": self.delivered,
-            "reordered": self.reordered,
-            "gap_skips": self.gap_skips,
-            "stall_skips": self.stall_skips,
-            "passthrough": self.passthrough,
-            "breaker_opens": self.breaker_opens,
-        }
-
-    def _count(self, name: str, peer: str) -> None:
-        if OBS.enabled:
-            handles = self._obs_counts.get(name)
-            if handles is None:
-                handles = self._obs_counts[name] = Handles.counter(
-                    f"net.reliable.{name}", "peer", endpoint=self.address
-                )
-            handles(peer).inc()
-
-    def _gauge_in_flight(self) -> None:
-        if OBS.enabled:
-            self._obs_in_flight().set(len(self._pending))
+        return {name: getattr(self, name) for name in (
+            "sent", "acked", "failed", "rejected", "retries", "dup_drops",
+            "delivered", "reordered", "gap_skips", "stall_skips",
+            "passthrough", "breaker_opens",
+        )}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ReliableEndpoint({self.address!r}, sent={self.sent}, "

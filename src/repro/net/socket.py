@@ -31,14 +31,12 @@ import asyncio
 import random
 import socket as _socketmod
 import struct
-from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import TransportError
 from repro.net.link import LinkSpec
 from repro.net.scheduler import Timer
-from repro.net.transport import TRACE_LIMIT, Delivery, Node, TransportHandles
-from repro.obs import OBS
+from repro.net.transport import Node, NodeTable
 
 #: Source-address frame prefix: u16 length + utf-8 address bytes.
 _SRC_LEN = struct.Struct(">H")
@@ -79,7 +77,7 @@ class _NodeProtocol(asyncio.DatagramProtocol):
         self.network.socket_errors += 1
 
 
-class SocketNetwork:
+class SocketNetwork(NodeTable):
     """UDP-on-loopback fabric with the simulated network's interface.
 
     Parameters
@@ -106,7 +104,7 @@ class SocketNetwork:
     ) -> None:
         # Distinct from the sim default: no modeled latency on top of a
         # real wire unless the caller asks for one.
-        self.default_link = (
+        self._open_tables(
             default_link if default_link is not None
             else LinkSpec(latency=0.0, bandwidth=0.0)
         )
@@ -115,22 +113,12 @@ class SocketNetwork:
         self._rng = random.Random(seed)
         self._loop = asyncio.new_event_loop()
         self._t0 = self._loop.time()
-        self._nodes: Dict[str, Node] = {}
         self._peers: Dict[str, Tuple[str, int]] = {}
-        self._links: Dict[Tuple[str, str], LinkSpec] = {}
         self._armed: set = set()
         self._activity = 0
         self._closed = False
-        self.bytes_sent = 0
-        self.messages_sent = 0
-        self.dropped = 0
-        self.lost = 0
         self.delivered_total = 0
-        self.handler_errors = 0
         self.socket_errors = 0
-        self.last_handler_error: Optional[Tuple[str, BaseException]] = None
-        self.trace: Deque[Delivery] = deque(maxlen=TRACE_LIMIT)
-        self._obs = TransportHandles()
 
     # ------------------------------------------------------------------
     # Clock / timers (the Scheduler protocol)
@@ -195,25 +183,11 @@ class SocketNetwork:
         self._nodes[address] = node
         return node
 
-    def node(self, address: str) -> Node:
-        try:
-            return self._nodes[address]
-        except KeyError:
-            raise TransportError(f"no node at address {address!r}") from None
-
     def register_peer(self, address: str, host: str, port: int) -> None:
         """Teach this process where a remote node lives — the static
         address book a multi-process deployment distributes after every
         worker has bound its socket."""
         self._peers[address] = (host, port)
-
-    def set_link(self, a: str, b: str, link: LinkSpec) -> None:
-        """Configure the fault model between *a* and *b* (both ways)."""
-        self._links[(a, b)] = link
-        self._links[(b, a)] = link
-
-    def link_between(self, a: str, b: str) -> LinkSpec:
-        return self._links.get((a, b), self.default_link)
 
     # ------------------------------------------------------------------
     # Messaging
@@ -236,27 +210,15 @@ class SocketNetwork:
         target = self._resolve(destination)
         link = self.link_between(source, destination)
         delay, lost = link.draw(len(data), self._rng)
-        self.bytes_sent += len(data)
-        self.messages_sent += 1
+        self._sent(source, destination, len(data),
+                   self.now + delay if lost else None)
         if lost:
-            self.lost += 1
-            if self.record_trace:
-                self.trace.append(
-                    Delivery(time=self.now + delay, source=source,
-                             destination=destination, size=len(data),
-                             dropped=True)
-                )
-            if OBS.enabled:
-                self._obs.lost(source, destination).inc()
             return self.now + delay
         frame = _SRC_LEN.pack(len(source)) + source.encode("utf-8") + data
         if delay > 0:
             self.call_later(delay, lambda: self._transmit(source, frame, target))
         else:
             self._transmit(source, frame, target)
-        if OBS.enabled:
-            self._obs.messages(source, destination).inc()
-            self._obs.bytes(source, destination).inc(len(data))
         return self.now + delay
 
     def _transmit(self, source: str, frame: bytes,
@@ -286,16 +248,8 @@ class SocketNetwork:
         source = frame[_SRC_LEN.size:_SRC_LEN.size + src_len].decode(
             "utf-8", "replace"
         )
-        data = frame[_SRC_LEN.size + src_len:]
-        dropped = node.closed
-        handler_error = node.deliver(source, data)
+        self._arrived(node, source, frame[_SRC_LEN.size + src_len:])
         self.delivered_total += 1
-        if self.record_trace:
-            self.trace.append(
-                Delivery(time=self.now, source=source,
-                         destination=node.address, size=len(data),
-                         dropped=dropped, handler_error=handler_error)
-            )
 
     # ------------------------------------------------------------------
     # Loop driving
@@ -352,13 +306,6 @@ class SocketNetwork:
         """Armed timers (in-flight datagrams are invisible to user
         space; quiesce detection in :meth:`run` covers them)."""
         return len(self._armed)
-
-    def drops_by_node(self) -> Dict[str, int]:
-        return {
-            address: node.drops
-            for address, node in self._nodes.items()
-            if node.drops
-        }
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -16,7 +16,7 @@ every test fully deterministic.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -25,7 +25,7 @@ from repro.net.batch import peek_batch_trace
 from repro.net.link import LinkSpec
 from repro.net.scheduler import Timer, VirtualScheduler
 from repro.obs import OBS
-from repro.obs.metrics import Handles
+from repro.obs.metrics import Tallies, collect, counter, gauge
 from repro.obs.tracectx import activate, recording
 
 MessageHandler = Callable[[str, bytes], None]
@@ -69,26 +69,6 @@ def _sniff_trace(data: bytes):
     return peek_frame_trace(data)
 
 
-class TransportHandles:
-    """The ``net.transport.*`` instruments one network — simulated or
-    socket — records into, held per network."""
-
-    __slots__ = ("messages", "bytes", "lost", "dropped", "handler_errors",
-                 "queue_depth")
-
-    def __init__(self) -> None:
-        self.messages = Handles.counter(
-            "net.transport.messages", "source", "destination")
-        self.bytes = Handles.counter(
-            "net.transport.bytes", "source", "destination")
-        self.lost = Handles.counter(
-            "net.transport.lost", "source", "destination")
-        self.dropped = Handles.counter("net.transport.dropped", "node")
-        self.handler_errors = Handles.counter(
-            "net.transport.handler_errors", "node")
-        self.queue_depth = Handles.gauge("net.transport.queue_depth")
-
-
 @dataclass(frozen=True)
 class Delivery:
     """One message outcome, as recorded in the network trace.  Messages
@@ -109,16 +89,19 @@ class Delivery:
 class Node:
     """One endpoint of the simulated network."""
 
-    def __init__(self, network: "Network", address: str) -> None:
+    def __init__(self, network: "NodeTable", address: str) -> None:
         self.network = network
         self.address = address
         self._handler: Optional[MessageHandler] = None
         self.received: List[Tuple[str, bytes]] = []
         self.closed = False
-        #: messages this node dropped because it was closed
-        self.drops = 0
-        #: deliveries whose handler raised (contained by Network.run)
-        self.handler_errors = 0
+
+    #: messages this node dropped because it was closed
+    drops = property(lambda self: self.network._tally.drops[self.address])
+    #: deliveries whose handler raised (contained by the network)
+    handler_errors = property(
+        lambda self: self.network._tally.handler_errors[self.address]
+    )
 
     def set_handler(self, handler: MessageHandler) -> None:
         """Install the receive callback ``handler(source, data)``.  Without
@@ -132,8 +115,8 @@ class Node:
 
     def close(self) -> None:
         """Closed nodes drop incoming messages (failure injection).  Every
-        drop is counted per node (:attr:`drops`), tallied on the network
-        (:attr:`Network.dropped`), and recorded in the trace."""
+        drop is counted per node (:attr:`drops`, summed by
+        :attr:`Network.dropped`) and recorded in the trace."""
         self.closed = True
 
     def reopen(self) -> None:
@@ -144,10 +127,7 @@ class Node:
     def _deliver(self, source: str, data: bytes) -> None:
         """Hand one message to the handler, or drop it when closed."""
         if self.closed:
-            self.drops += 1
-            self.network.dropped += 1
-            if OBS.enabled:
-                self.network._obs.dropped(self.address).inc()
+            self.network._tally.drops[self.address] += 1
         elif self._handler is not None:
             self._handler(source, data)
         else:
@@ -176,11 +156,8 @@ class Node:
             else:
                 self._deliver(source, data)
         except Exception as exc:  # noqa: BLE001 - defined containment
-            self.handler_errors += 1
-            network.handler_errors += 1
+            network._tally.handler_errors[self.address] += 1
             network.last_handler_error = (self.address, exc)
-            if OBS.enabled:
-                network._obs.handler_errors(self.address).inc()
             return True
         return False
 
@@ -188,7 +165,105 @@ class Node:
         return f"Node({self.address!r})"
 
 
-class Network:
+def _column(index: int) -> Callable[[Tallies], Dict]:
+    """One column of the per-link rows, by (source, destination)."""
+    return lambda tally: {
+        link: row[index] for link, row in list(tally.links.items())
+    }
+
+
+_COLLECTED = (
+    counter("net.transport.messages", _column(0), "source", "destination"),
+    counter("net.transport.bytes", _column(1), "source", "destination"),
+    counter("net.transport.lost", _column(2), "source", "destination"),
+    counter("net.transport.dropped", "drops", "node"),
+    counter("net.transport.handler_errors", "handler_errors", "node"),
+    gauge("net.transport.queue_depth", "pending"),
+)
+
+
+class NodeTable:
+    """What the simulated :class:`Network` and the
+    :class:`~repro.net.socket.SocketNetwork` keep alike: the nodes, the
+    links and the tallies — per (source, destination) a row of datagrams
+    and bytes handed on, then lost; drops and handler errors per node."""
+
+    def _open_tables(self, default_link: LinkSpec) -> None:
+        self.default_link = default_link
+        self._nodes: Dict[str, Node] = {}
+        self._links: Dict[Tuple[str, str], LinkSpec] = {}
+        self._tally = Tallies("drops", "handler_errors",
+                              links=defaultdict(lambda: [0, 0, 0, 0]))
+        collect(self, self._tally, _COLLECTED)
+        #: the most recent contained handler failure, for debugging:
+        #: ``(destination, exception)`` or None
+        self.last_handler_error: Optional[Tuple[str, BaseException]] = None
+        self.trace: Deque[Delivery] = deque(maxlen=TRACE_LIMIT)
+
+    #: whether :attr:`trace` records anything
+    record_trace = True
+
+    def _sent(self, source: str, destination: str, size: int,
+              lost_at: Optional[float]) -> None:
+        """Tally a datagram handed to its link; trace one lost in flight
+        (at *lost_at*), so fault-injection harnesses can reconcile sends
+        with deliveries."""
+        row = self._tally.links[source, destination]
+        if lost_at is None:
+            row[0] += 1
+            row[1] += size
+            return
+        row[2] += 1
+        row[3] += size
+        if self.record_trace:
+            self.trace.append(Delivery(time=lost_at, source=source,
+                                       destination=destination, size=size,
+                                       dropped=True))
+
+    def _arrived(self, node: Node, source: str, data: bytes) -> None:
+        """Hand an arrived datagram to *node* and trace the outcome."""
+        dropped = node.closed
+        handler_error = node.deliver(source, data)
+        if self.record_trace:
+            self.trace.append(Delivery(
+                time=self.now, source=source, destination=node.address,
+                size=len(data), dropped=dropped, handler_error=handler_error,
+            ))
+
+    def _total(self, *columns: int) -> int:
+        rows = list(self._tally.links.values())
+        return sum(row[column] for row in rows for column in columns)
+
+    messages_sent = property(lambda self: self._total(0, 2))
+    bytes_sent = property(lambda self: self._total(1, 3))
+    #: datagrams lost in flight by link ``loss_rate`` injection
+    lost = property(lambda self: self._total(2))
+    #: datagrams that arrived at a closed node
+    dropped = property(lambda self: sum(self._tally.drops.values()))
+    #: deliveries whose handler raised (contained, never re-raised)
+    handler_errors = property(
+        lambda self: sum(self._tally.handler_errors.values()))
+
+    def node(self, address: str) -> Node:
+        try:
+            return self._nodes[address]
+        except KeyError:
+            raise TransportError(f"no node at address {address!r}") from None
+
+    def set_link(self, a: str, b: str, link: LinkSpec) -> None:
+        """Configure the link between *a* and *b* (both directions)."""
+        self._links[(a, b)] = link
+        self._links[(b, a)] = link
+
+    def link_between(self, a: str, b: str) -> LinkSpec:
+        return self._links.get((a, b), self.default_link)
+
+    def drops_by_node(self) -> Dict[str, int]:
+        """Per-node drop counts (only nodes that dropped something)."""
+        return {node: n for node, n in self._tally.drops.items() if n}
+
+
+class Network(NodeTable):
     """The simulated network fabric.
 
     Parameters
@@ -204,23 +279,11 @@ class Network:
     def __init__(
         self, default_link: Optional[LinkSpec] = None, seed: int = 0
     ) -> None:
-        self.default_link = default_link if default_link is not None else LinkSpec()
-        self._nodes: Dict[str, Node] = {}
-        self._links: Dict[Tuple[str, str], LinkSpec] = {}
+        self._open_tables(
+            default_link if default_link is not None else LinkSpec()
+        )
         self._scheduler = VirtualScheduler()
         self._rng = random.Random(seed)
-        self.bytes_sent = 0
-        self.messages_sent = 0
-        self.dropped = 0
-        #: messages lost in flight by link ``loss_rate`` fault injection
-        self.lost = 0
-        #: deliveries whose handler raised (contained, never re-raised)
-        self.handler_errors = 0
-        #: the most recent contained handler failure, for debugging:
-        #: ``(destination, exception)`` or None
-        self.last_handler_error: Optional[Tuple[str, BaseException]] = None
-        self.trace: Deque[Delivery] = deque(maxlen=TRACE_LIMIT)
-        self._obs = TransportHandles()
 
     @property
     def now(self) -> float:
@@ -238,20 +301,6 @@ class Network:
         self._nodes[address] = node
         return node
 
-    def node(self, address: str) -> Node:
-        try:
-            return self._nodes[address]
-        except KeyError:
-            raise TransportError(f"no node at address {address!r}") from None
-
-    def set_link(self, a: str, b: str, link: LinkSpec) -> None:
-        """Configure the link between *a* and *b* (both directions)."""
-        self._links[(a, b)] = link
-        self._links[(b, a)] = link
-
-    def link_between(self, a: str, b: str) -> LinkSpec:
-        return self._links.get((a, b), self.default_link)
-
     # ------------------------------------------------------------------
     # Messaging
     # ------------------------------------------------------------------
@@ -261,23 +310,9 @@ class Network:
             raise TransportError(f"no node at address {destination!r}")
         link = self.link_between(source, destination)
         arrival, lost = link.draw(len(data), self._rng, self.now)
-        self.bytes_sent += len(data)
-        self.messages_sent += 1
-        if lost:
-            # Lost in flight: never enqueued, but counted and traced so
-            # fault-injection harnesses can reconcile sends vs deliveries.
-            self.lost += 1
-            self.trace.append(
-                Delivery(time=arrival, source=source, destination=destination,
-                         size=len(data), dropped=True)
-            )
-            if OBS.enabled:
-                self._obs.lost(source, destination).inc()
-            return arrival
-        self._scheduler.schedule(arrival, (source, destination, data))
-        if OBS.enabled:
-            self._obs.messages(source, destination).inc()
-            self._obs.bytes(source, destination).inc(len(data))
+        self._sent(source, destination, len(data), arrival if lost else None)
+        if not lost:  # a lost datagram is never enqueued
+            self._scheduler.schedule(arrival, (source, destination, data))
         return arrival
 
     # ------------------------------------------------------------------
@@ -301,9 +336,9 @@ class Network:
         hit).  Returns the number of message deliveries performed.
 
         Handler-failure semantics: an exception escaping a node's handler
-        is **contained** — counted on the node and the network, recorded
-        in the trace as ``handler_error=True``, surfaced to ``repro.obs``
-        as ``net.transport.handler_errors`` — and never propagates out of
+        is **contained** — counted on the node, recorded in the trace as
+        ``handler_error=True``, read by ``repro.obs`` as
+        ``net.transport.handler_errors`` — and never propagates out of
         ``run``.  A crashing receiver is an endpoint failure, not a
         fabric failure; subsequent traffic keeps flowing.
         """
@@ -325,27 +360,10 @@ class Network:
                     payload.callback()
                 continue
             source, destination, data = payload
-            node = self._nodes[destination]
-            dropped = node.closed
-            handler_error = node.deliver(source, data)
-            self.trace.append(
-                Delivery(time=self.now, source=source, destination=destination,
-                         size=len(data), dropped=dropped,
-                         handler_error=handler_error)
-            )
+            self._arrived(self._nodes[destination], source, data)
             delivered += 1
-        if OBS.enabled:
-            self._obs.queue_depth().set(len(self._scheduler))
         return delivered
 
     @property
     def pending(self) -> int:
         return len(self._scheduler)
-
-    def drops_by_node(self) -> Dict[str, int]:
-        """Per-node drop counts (only nodes that dropped something)."""
-        return {
-            address: node.drops
-            for address, node in self._nodes.items()
-            if node.drops
-        }

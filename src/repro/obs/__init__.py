@@ -23,8 +23,8 @@ breakdown available at runtime:
   cluster view).
 
 Observability is **off by default** and built to cost almost nothing
-when off: every instrumentation site in the hot paths guards on
-``OBS.enabled`` (one attribute load and a branch), and the default
+when off: counts are plain tallies a registry reads when it is read,
+every span and timing site guards on ``OBS.enabled``, and the default
 tracer is a :class:`~repro.obs.tracing.NullRecorder` whose spans are a
 shared no-op object.  Typical use::
 
@@ -172,10 +172,11 @@ def enable(
     message.  ``sample_every=1`` traces them all."""
     if sample_every < 1:
         raise ObsError(f"sample_every must be >= 1, got {sample_every}")
+    registry = registry if registry is not None else OBS.metrics
+    OBS.metrics.hand_over(registry)
     OBS.sample_every = sample_every
     OBS.minted = 0
-    if registry is not None:
-        OBS.metrics = registry
+    OBS.metrics = registry
     if not isinstance(OBS.tracer, SpanRecorder) or OBS.tracer.capacity != capacity:
         OBS.tracer = SpanRecorder(capacity=capacity)
     OBS.enabled = True
@@ -185,6 +186,7 @@ def enable(
 def disable(reset: bool = False) -> None:
     """Turn observability off.  With ``reset=True`` also drop all
     recorded metrics and spans (a fresh registry and a NullRecorder)."""
+    OBS.metrics.hand_over()
     OBS.enabled = False
     if reset:
         OBS.metrics = Registry()

@@ -11,10 +11,12 @@ cheap enough to leave compiled into the hot paths.  Every instrument is
   numbers and pre-sized lists under that lock; nothing is formatted or
   sorted per event (an exemplar is a reference to the active trace
   context, rendered when somebody reads it), and
-* **resolved once per site** — finding an instrument (:class:`Registry`
-  get-or-create: label sort, ``str``, hash) costs several times what
-  updating it does, so per-message code holds :class:`Handles` and pays
-  that once per owner and label-value tuple, not per event.
+* **read, not pushed, on a per-message path** — a layer's counts
+  (``stats.messages``, sends per peer) are plain tallies it keeps
+  always and declares once as metrics (:func:`collect`); a
+  :class:`Registry` reads them when it is read, so a message pays one
+  integer add, watched or not.  A sampled message's durations go to a
+  histogram held in :class:`Handles`.
 
 Histograms use fixed bucket bounds chosen at creation.  Percentiles
 (p50/p95/p99) are estimated by linear interpolation inside the bucket
@@ -24,8 +26,12 @@ exact enough to compare encode vs. decode vs. transform stages.
 
 from __future__ import annotations
 
+import itertools
 import threading
+import weakref
 from bisect import bisect_left
+from collections import defaultdict
+from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ObsError
@@ -33,6 +39,7 @@ from repro.obs import tracectx
 from repro.obs.state import OBS
 
 LabelItems = Tuple[Tuple[str, str], ...]
+Key = Tuple[str, LabelItems]
 
 #: Default bound on distinct values per (metric, label key) enforced by
 #: :meth:`Registry.bounded` — past it, new values collapse to
@@ -222,34 +229,9 @@ class Histogram(Instrument):
     def percentile(self, q: float) -> float:
         """Estimate the *q*-quantile (``0 < q <= 1``) by interpolating
         within the bucket holding the requested rank."""
-        if not 0 < q <= 1:
-            raise ObsError(f"quantile must be in (0, 1], got {q}")
-        with self._lock:
-            total = self._count
-            if total == 0:
-                return 0.0
-            if self._min == self._max:  # degenerate: every observation equal
-                return self._min if self._min is not None else 0.0
-            rank = q * total
-            cumulative = 0
-            for index, bucket_count in enumerate(self._bucket_counts):
-                if bucket_count == 0:
-                    continue
-                previous = cumulative
-                cumulative += bucket_count
-                if cumulative < rank:
-                    continue
-                lower = self.bounds[index - 1] if index > 0 else (
-                    self._min if self._min is not None else 0.0
-                )
-                if index < len(self.bounds):
-                    upper = self.bounds[index]
-                else:  # overflow bucket: cap at the observed maximum
-                    upper = self._max if self._max is not None else self.bounds[-1]
-                lower = min(lower, upper)
-                fraction = (rank - previous) / bucket_count
-                return lower + (upper - lower) * fraction
-            return self._max if self._max is not None else 0.0
+        snap = self.snapshot()
+        return percentile_from_buckets(
+            snap["buckets"], q, minimum=snap["min"], maximum=snap["max"])
 
     @property
     def p50(self) -> float:
@@ -306,9 +288,7 @@ class Histogram(Instrument):
             ]
         if count:
             snap["mean"] = total / count
-            snap["p50"] = self.percentile(0.50)
-            snap["p95"] = self.percentile(0.95)
-            snap["p99"] = self.percentile(0.99)
+            _add_percentiles(snap, low, high)
         return snap
 
 
@@ -354,11 +334,7 @@ def merge_histogram_snapshots(
         merged["exemplars"] = [dict(e) for e in exemplars]
     if merged["count"]:
         merged["mean"] = merged["sum"] / merged["count"]
-        for label, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
-            merged[label] = percentile_from_buckets(
-                merged["buckets"], q,
-                minimum=merged["min"], maximum=merged["max"],
-            )
+        _add_percentiles(merged, merged["min"], merged["max"])
     for extra in ("kind", "labels"):
         if extra in newest:
             merged[extra] = newest[extra]
@@ -408,6 +384,12 @@ def percentile_from_buckets(
     return maximum if maximum is not None else 0.0
 
 
+def _add_percentiles(entry: Dict[str, Any], low: Any, high: Any) -> None:
+    """Fill *entry*'s p50 / p95 / p99 in from its buckets."""
+    for label, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
+        entry[label] = percentile_from_buckets(entry["buckets"], q, low, high)
+
+
 def merge_snapshot_entries(
     base: Dict[str, Any], newest: Dict[str, Any]
 ) -> Dict[str, Any]:
@@ -422,16 +404,146 @@ def merge_snapshot_entries(
     return merged
 
 
+# -- collected tallies ---------------------------------------------------
+
+#: one declared metric of an owner class: (name, read, varying labels)
+Reading = Tuple[str, Any, Tuple[str, ...]]
+
+#: every collected metric: name -> (instrument class, label-guarded?)
+COLLECTED: Dict[str, Tuple[type, bool]] = {}
+
+
+def _declare(cls: type, bounded: bool, name: str, read: Any,
+             varying: Tuple[str, ...]) -> Reading:
+    if COLLECTED.setdefault(name, (cls, bounded)) != (cls, bounded):
+        raise ObsError(f"{name!r} is already collected as another kind")
+    return name, attrgetter(read) if isinstance(read, str) else read, varying
+
+
+def counter(name: str, read: Any, *varying: str,
+            bounded: bool = False) -> Reading:
+    """Declare a collected counter: *read* (an attribute name, or a
+    function) takes an owner's tallies to its count — with *varying*
+    label names, to a dict from label value (a tuple, for several) to
+    count; *bounded* label values pass :meth:`Registry.bounded`."""
+    return _declare(Counter, bounded, name, read, varying)
+
+
+def gauge(name: str, read: Any, *varying: str) -> Reading:
+    """A collected gauge: *read* takes the owner itself to its value
+    (``None``: nothing to gauge), computed when a registry is read."""
+    return _declare(Gauge, False, name, read, varying)
+
+
+class Tallies:
+    """An owner's plain counts, kept apart from it (see :func:`collect`):
+    ``Tallies("sends", appends=0)`` — a name alone is a per-label count,
+    a dict from label value to count."""
+
+    def __init__(self, *per_label: str, **counts: Any) -> None:
+        self.__dict__.update(counts)
+        for name in per_label:
+            setattr(self, name, defaultdict(int))
+
+
+#: live registrations: number -> (owner ref, tallies, readings, labels, keys)
+_owners: Dict[int, Tuple[Any, Any, Sequence[Reading], Dict, Dict]] = {}
+#: what retired owners counted; owners collected since the last fold
+_retired: Dict[Key, int] = {}
+_dying: List[int] = []
+_owners_lock = threading.Lock()
+_numbers = itertools.count()
+
+
+def collect(owner: Any, tallies: Any, readings: Sequence[Reading],
+            **fixed: Any) -> None:
+    """Let every registry read *tallies* — *owner*'s plain counts, in an
+    object of their own — as *readings* declare, with *fixed* labels on
+    each.  The owner is held weakly; once it is collected its counts join
+    a process-wide retired sum (a counter never goes backwards because an
+    owner went away) and its gauges go.  ``owner=None``: for the process."""
+    number = next(_numbers)
+    ref = None if owner is None else weakref.ref(owner)
+    with _owners_lock:
+        _fold()
+        _owners[number] = (ref, tallies, readings, fixed, {})
+    if owner is not None:
+        # the finalizer only queues: it may run inside a reading
+        weakref.finalize(owner, _dying.append, number).atexit = False
+
+
+def _fold() -> None:
+    """Retire the owners collected since the last fold (lock held)."""
+    while _dying:
+        entry = _owners.pop(_dying.pop(), None)
+        if entry is not None:
+            for key, amount in _items(Counter, *entry[1:]):
+                _retired[key] = _retired.get(key, 0) + amount
+
+
+def _items(cls: type, source: Any, readings: Sequence[Reading],
+           fixed: Dict[str, Any], keys: Dict) -> Iterable[Tuple[Key, Any]]:
+    for name, read, varying in readings:
+        value = read(source) if COLLECTED[name][0] is cls else None
+        if value is None:
+            continue
+        # a copy: another thread may be adding a label value
+        for values, n in list(value.items()) if varying else [((), value)]:
+            key = keys.get((name, values))
+            if key is None:
+                row = values if isinstance(values, tuple) else (values,)
+                labels = dict(zip(varying, row), **fixed)
+                key = keys[name, values] = (name, _label_items(labels))
+            yield key, n
+
+
+def read_tallies() -> Dict[Key, Any]:
+    """One reading of every collected metric: a counter's total (the
+    retired sum plus each live owner's tallies) and a gauge's ``[value,
+    {owner: activity}]`` — activity, all the owner has counted, tells a
+    registry whether it acted since the registry's zero point."""
+    with _owners_lock:
+        _fold()
+        totals: Dict[Key, Any] = dict(_retired)
+        entries = list(_owners.items())
+    for number, (ref, tallies, readings, fixed, keys) in entries:
+        activity = 0
+        for key, amount in _items(Counter, tallies, readings, fixed, keys):
+            activity += amount
+            totals[key] = totals.get(key, 0) + amount
+        if activity and ref is not None and (owner := ref()) is not None:
+            for key, value in _items(Gauge, owner, readings, fixed, keys):
+                total = totals.setdefault(key, [0, {}])
+                total[0] += value
+                total[1][number] = activity
+    return totals
+
+
 class Registry:
     """A named collection of instruments.
 
     ``counter``/``gauge``/``histogram`` are get-or-create: the first call
     for a ``(name, labels)`` pair creates the instrument, later calls
-    return the same object.  That is the one way to an instrument; code
-    that runs per message keeps what it got in :class:`Handles` instead
-    of asking again.  Requesting an existing name as a different kind —
-    or a histogram with other explicit bounds — raises
+    return the same object.  Requesting an existing name as a different
+    kind — or a histogram with other explicit bounds — raises
     :class:`~repro.errors.ObsError`: one name, one meaning.
+
+    **Collected** metrics (:func:`collect`) are instruments brought up
+    to the owners' tallies when the registry is read — :meth:`snapshot`,
+    :meth:`diff_snapshot`, :meth:`get`, :meth:`instruments`, ``len()``,
+    ``counter``/``gauge`` of a collected name — never pushed to.  So:
+
+    * a registry reports what happened while it was the live, enabled
+      one.  ``obs.enable()``, ``disable()``, ``enable(registry=)``,
+      :meth:`reset` and :meth:`clear` each take **one** reading, a
+      registry's zero point or its frozen final state; traffic while
+      disabled is not reported;
+    * a counter appears once its reading is non-zero, a gauge once its
+      owner has done what it gauges; derived gauges (in-flight sends,
+      queue depth, journal lag) are computed when read;
+    * counters never go backwards: a collected owner's counts join a
+      retired sum, so an aggregate never shrinks into a ``reset``;
+    * a labelled family passes :meth:`bounded` as it is read.
     """
 
     def __init__(self) -> None:
@@ -443,6 +555,11 @@ class Registry:
         #: identity of the current instrument population; :meth:`clear`
         #: replaces it, so :class:`Handles` bound before know to re-resolve
         self._generation = object()
+        self._collect_lock = threading.Lock()
+        #: the reading last landed (the zero point at first); None unless live
+        self._last: Optional[Dict[Key, Any]] = None
+        #: collected key -> the instrument it lands in (label-guarded)
+        self._landing: Dict[Key, Instrument] = {}
 
     # -- label-cardinality guard ----------------------------------------
 
@@ -490,9 +607,13 @@ class Registry:
     # -- get-or-create -------------------------------------------------
 
     def counter(self, name: str, **labels: Any) -> Counter:
+        if name in COLLECTED:
+            self._collect()
         return self._get_or_create(Counter, name, labels)
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
+        if name in COLLECTED:
+            self._collect()
         return self._get_or_create(Gauge, name, labels)
 
     def histogram(
@@ -539,17 +660,67 @@ class Registry:
             )
         return instrument
 
+    # -- collection -----------------------------------------------------
+
+    def hand_over(self, successor: "Optional[Registry]" = None) -> None:
+        """Land one reading, if live, and stop being the live registry;
+        *successor* becomes it from that same reading (taken under the
+        lock: a swap under traffic loses and repeats no count)."""
+        with self._collect_lock:
+            reading = read_tallies()
+            self._take(reading)
+            self._last = None
+        if successor is not None:
+            successor._last = reading
+
+    def _collect(self) -> None:
+        if self._last is not None:
+            with self._collect_lock:
+                self._take(read_tallies())
+
+    def _take(self, reading: Dict[Key, Any]) -> None:
+        """Land what *reading* adds to the last one, if live (lock held).
+        Values are written, not ``inc``-ed: a read is not an update."""
+        last = self._last
+        if last is None:
+            return
+        self._last = reading
+        for key, value in reading.items():
+            before = last.get(key)
+            if COLLECTED[key[0]][0] is Counter:
+                if value != (before or 0):
+                    instrument = self._landing_for(key)
+                    with instrument._lock:
+                        instrument._value += value - (before or 0)
+            # a gauge lands once one of its owners acted since the zero
+            elif key in self._landing or (
+                value[1].items() - (before or (0, {}))[1].items()
+            ):
+                self._landing_for(key)._value = value[0]
+
+    def _landing_for(self, key: Key) -> Any:
+        if key not in self._landing:
+            name, labels = key[0], dict(key[1])
+            cls, bounded = COLLECTED[name]
+            if bounded:
+                labels = self.bounded(name, **labels)
+            self._landing[key] = self._get_or_create(cls, name, labels)
+        return self._landing[key]
+
     # -- views ----------------------------------------------------------
 
     def get(self, name: str, **labels: Any) -> Optional[Instrument]:
         """The instrument at ``(name, labels)``, or None."""
+        self._collect()
         return self._instruments.get((name, _label_items(labels)))
 
     def instruments(self) -> List[Instrument]:
+        self._collect()
         with self._lock:
             return sorted(self._instruments.values(), key=lambda i: i.key)
 
     def __len__(self) -> int:
+        self._collect()
         return len(self._instruments)
 
     def __iter__(self) -> "Iterable[Instrument]":
@@ -652,111 +823,68 @@ class Registry:
                 for a, b in zip(before["buckets"], entry["buckets"])
             ]
             delta["mean"] = delta["sum"] / dcount
-            for label, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
-                delta[label] = percentile_from_buckets(
-                    delta["buckets"], q,
-                    minimum=entry.get("min"), maximum=entry.get("max"),
-                )
+            _add_percentiles(delta, entry.get("min"), entry.get("max"))
             out[key] = delta
         return out
 
     def reset(self) -> None:
         """Zero every instrument (keeps the instrument objects, so cached
-        references at call sites stay valid)."""
+        references at call sites stay valid); collected ones count from
+        here."""
         for instrument in self.instruments():
             instrument.reset()  # type: ignore[attr-defined]
+        self._rezero()
 
     def clear(self) -> None:
         """Drop every instrument, and with them the cardinality guard's
-        memory of their label values (:meth:`reset` keeps both)."""
+        memory of their label values (:meth:`reset` keeps both);
+        collected ones count from here."""
         with self._lock:
             self._instruments.clear()
             self._label_seen.clear()
             self._generation = object()
+        self._rezero()
+
+    def _rezero(self) -> None:
+        with self._collect_lock:
+            self._landing.clear()
+            if self._last is not None:
+                self._last = read_tallies()
 
 
 class Handles:
-    """One metric's instruments as one owner holds them: resolved from
-    the registry once per label-value tuple, then returned from a dict.
+    """A histogram as one owner holds it: resolved from the live
+    registry on first use, then returned as held::
 
-    The owner (a ``Network``, a ``PBIOContext``, a ``MorphReceiver`` ...)
-    declares the metric when it is built, naming the labels that vary
-    per call and fixing the ones that do not, and calls the handle with
-    the varying values where it records::
-
-        self._obs_sends = Handles.counter(
-            "net.reliable.sends", "peer", endpoint=self.address)
+        self._encode_seconds = Handles.histogram("pbio.encode.seconds")
         ...
-        if OBS.enabled:
-            self._obs_sends(destination).inc()
+        self._encode_seconds().observe(active.span.duration)
 
-    Nothing is resolved until the first call, so an instrument appears
-    in the registry exactly when the plain ``OBS.metrics.counter(...)``
-    call would have created it.  Handles follow the live registry: when
-    ``OBS.metrics`` is another registry (``enable(registry=)``,
-    ``disable(reset=True)``) or was :meth:`Registry.clear`-ed, what was
-    held is dropped and resolved afresh.  :meth:`bounded_counter`
-    applies the cardinality guard when a value is first bound; a value
-    that collapsed to ``__other__`` is not held, so every use of it
-    still reaches the guard (and ``obs.labels.overflow``) and a site fed
-    unbounded values holds no more entries than the guard admits.
-
-    These are the registry's own instruments, cached — not a second
-    registry.  Cold paths keep calling ``OBS.metrics.counter(...)``.
+    The handle follows the live registry: when ``OBS.metrics`` is
+    another registry or was :meth:`Registry.clear`-ed, it resolves
+    afresh.  (Counts are collected, not held: :func:`collect`.)
     """
 
-    __slots__ = ("_resolve", "_name", "_varying", "_fixed", "_options",
-                 "_bound")
+    __slots__ = ("_name", "_bounds", "_bound")
 
-    def __init__(self, resolve: Any, name: str, varying: Tuple[str, ...],
-                 fixed: Dict[str, Any], **options: Any) -> None:
-        self._resolve = resolve
+    def __init__(self, name: str,
+                 bounds: Optional[Sequence[float]] = None) -> None:
         self._name = name
-        self._varying = varying
-        self._fixed = fixed
-        self._options = options
-        #: (registry generation, {label values: instrument}) — replaced
-        #: as one object, so a thread caught mid-call by a registry swap
-        #: can only fill the dict of the generation it resolved against
-        self._bound: Tuple[Any, Dict[Tuple[Any, ...], Any]] = (None, {})
+        self._bounds = bounds
+        #: (registry generation, its histogram) — replaced as one object,
+        #: so a thread caught mid-call by a registry swap can only hold
+        #: the histogram of the generation it resolved against
+        self._bound: Tuple[Any, Optional[Histogram]] = (None, None)
 
     @classmethod
-    def counter(cls, name: str, *varying: str, **fixed: Any) -> "Handles":
-        return cls(Registry.counter, name, varying, fixed)
+    def histogram(cls, name: str,
+                  bounds: Optional[Sequence[float]] = None) -> "Handles":
+        return cls(name, bounds)
 
-    @classmethod
-    def gauge(cls, name: str, *varying: str, **fixed: Any) -> "Handles":
-        return cls(Registry.gauge, name, varying, fixed)
-
-    @classmethod
-    def histogram(cls, name: str, *varying: str,
-                  bounds: Optional[Sequence[float]] = None,
-                  **fixed: Any) -> "Handles":
-        return cls(Registry.histogram, name, varying, fixed, bounds=bounds)
-
-    @classmethod
-    def bounded_counter(cls, name: str, *varying: str,
-                        **fixed: Any) -> "Handles":
-        return cls(Registry.bounded_counter, name, varying, fixed)
-
-    def __call__(self, *values: Any) -> Any:
+    def __call__(self) -> Histogram:
         registry = OBS.metrics
-        generation, held = self._bound
-        if registry._generation is not generation:
-            held = {}
-            self._bound = (registry._generation, held)
-        instrument = held.get(values)
-        if instrument is None:
-            if len(values) != len(self._varying):
-                raise ObsError(
-                    f"{self._name!r} varies by {self._varying!r}, "
-                    f"got {len(values)} value(s)"
-                )
-            labels = dict(self._fixed)
-            labels.update(zip(self._varying, values))
-            instrument = self._resolve(
-                registry, self._name, **self._options, **labels
-            )
-            if instrument.labels == _label_items(labels):
-                held[values] = instrument
+        generation, instrument = self._bound
+        if registry._generation is not generation or instrument is None:
+            instrument = registry.histogram(self._name, bounds=self._bounds)
+            self._bound = (registry._generation, instrument)
         return instrument

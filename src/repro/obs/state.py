@@ -1,9 +1,8 @@
 """The process-wide observability switchboard.
 
-A leaf module: :mod:`repro.obs.metrics` (instrument handles re-resolve
-when ``OBS.metrics`` changes) and :mod:`repro.obs.tracing` (the recorder
-counts its own evictions) both read the singleton, and
-:mod:`repro.obs` — which imports both — fills it in.
+A leaf module: :mod:`repro.obs.metrics` reads the singleton (held
+histograms re-resolve when ``OBS.metrics`` changes), and
+:mod:`repro.obs` — which imports it — fills it in.
 """
 
 from __future__ import annotations

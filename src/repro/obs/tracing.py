@@ -26,8 +26,7 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
 from repro.obs import tracectx
-from repro.obs.metrics import Handles
-from repro.obs.state import OBS
+from repro.obs.metrics import Tallies, collect, counter
 
 DEFAULT_CAPACITY = 4096
 
@@ -197,12 +196,8 @@ class SpanRecorder:
         self._local = threading.local()
         self._lock = threading.Lock()
         self.recorded_total = 0  # includes spans already evicted
-        #: spans silently evicted from the ring by newer recordings —
-        #: surfaced in snapshots and as the ``obs.trace.dropped`` counter
-        #: so a truncated trace is distinguishable from a complete one
-        self.dropped = 0
-        # a steady-state recorder evicts on every span: hold the counter
-        self._obs_dropped = Handles.counter("obs.trace.dropped")
+        self._tally = Tallies(dropped=0)
+        collect(self, self._tally, (counter("obs.trace.dropped", "dropped"),))
 
     def _stack(self) -> List[int]:
         try:
@@ -211,18 +206,20 @@ class SpanRecorder:
             stack = self._local.stack = []
             return stack
 
+    #: spans silently evicted from the ring by newer recordings —
+    #: surfaced in snapshots and as the ``obs.trace.dropped`` counter so
+    #: a truncated trace is distinguishable from a complete one
+    dropped = property(lambda self: self._tally.dropped)
+
     def span(self, name: str, **attrs: Any) -> _ActiveSpan:
         return _ActiveSpan(self, name, attrs)
 
     def record(self, span: Span) -> None:
         with self._lock:
-            evicting = len(self._ring) == self.capacity
+            if len(self._ring) == self.capacity:
+                self._tally.dropped += 1
             self._ring.append(span)
             self.recorded_total += 1
-            if evicting:
-                self.dropped += 1
-        if evicting and OBS.enabled:
-            self._obs_dropped().inc()
 
     def spans(self) -> List[Span]:
         """Buffered spans, oldest first (completion order)."""

@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import UnknownFormatError
 from repro.obs import OBS
-from repro.obs.metrics import Handles
+from repro.obs.metrics import Handles, Tallies, collect, counter
 from repro.obs.tracectx import current, recording
 from repro.pbio import codegen
 from repro.pbio.buffer import unpack_header
@@ -40,6 +40,16 @@ CODEC_CACHE_MAX = 1024
 #: what a codec table holds for a format used once here: its next use
 #: generates the coder (it shares the table's bound and its FIFO)
 _SEEN_ONCE: Any = object()
+
+#: by path: a generated coder's, or ("generic") the first use's fallback
+_COLLECTED = (
+    counter("pbio.encode.messages", lambda t: {"generic": t.encoded_generic,
+            "specialized": t.encoded - t.encoded_generic}, "path"),
+    counter("pbio.encode.bytes", "encoded_bytes"),
+    counter("pbio.decode.messages", lambda t: {"generic": t.decoded_generic,
+            "specialized": t.decoded - t.decoded_generic}, "path"),
+    counter("pbio.decode.bytes", "decoded_bytes"),
+)
 
 
 class PBIOContext:
@@ -79,14 +89,11 @@ class PBIOContext:
         #: per format id: the generated coder, or ``_SEEN_ONCE``
         self._encoders: Dict[int, Any] = {}
         self._decoders: Dict[int, Any] = {}
-        self._obs_encode_messages = Handles.counter(
-            "pbio.encode.messages", "path")
-        self._obs_encode_bytes = Handles.counter("pbio.encode.bytes")
-        self._obs_encode_seconds = Handles.histogram("pbio.encode.seconds")
-        self._obs_decode_messages = Handles.counter(
-            "pbio.decode.messages", "path")
-        self._obs_decode_bytes = Handles.counter("pbio.decode.bytes")
-        self._obs_decode_seconds = Handles.histogram("pbio.decode.seconds")
+        self._tally = Tallies(encoded=0, encoded_generic=0, encoded_bytes=0,
+                              decoded=0, decoded_generic=0, decoded_bytes=0)
+        collect(self, self._tally, _COLLECTED)
+        self._encode_seconds = Handles.histogram("pbio.encode.seconds")
+        self._decode_seconds = Handles.histogram("pbio.decode.seconds")
 
     # ------------------------------------------------------------------
     # Registration
@@ -101,21 +108,19 @@ class PBIOContext:
 
     def encode(self, fmt: IOFormat, rec: Mapping[str, Any]) -> bytes:
         """Encode *rec* as a wire message of *fmt* (registering it)."""
-        if not OBS.enabled:
-            return self._encode(fmt, rec)
-        # a format this context has not seen runs the interpretive path
-        path = "specialized" if fmt.format_id in self._encoders else "generic"
-        if recording(current()):
-            with OBS.tracer.span(
-                "pbio.encode", format=fmt.name, path=path
-            ) as active:
+        if OBS.enabled and recording(current()):
+            # a format this context has not seen runs the interpretive path
+            seen = fmt.format_id in self._encoders
+            with OBS.tracer.span("pbio.encode", format=fmt.name, path=(
+                "specialized" if seen else "generic"
+            )) as active:
                 wire = self._encode(fmt, rec)
             # the span already timed the call: one pair of clock reads
-            self._obs_encode_seconds().observe(active.span.duration)
+            self._encode_seconds().observe(active.span.duration)
         else:
             wire = self._encode(fmt, rec)
-        self._obs_encode_messages(path).inc()
-        self._obs_encode_bytes().inc(len(wire))
+        self._tally.encoded += 1
+        self._tally.encoded_bytes += len(wire)
         return wire
 
     def _encode(self, fmt: IOFormat, rec: Mapping[str, Any]) -> bytes:
@@ -129,9 +134,11 @@ class PBIOContext:
                 "pbio.codegen.encoders", "pbio.context.encoder_cache_size",
             )
             if encoder is None:
-                return generic_encode_record(
+                wire = generic_encode_record(
                     fmt, rec, byte_order=self.byte_order
                 )
+                self._tally.encoded_generic += 1
+                return wire
         return encoder(rec)
 
     # ------------------------------------------------------------------
@@ -151,19 +158,17 @@ class PBIOContext:
 
     def decode_as(self, fmt: IOFormat, data: bytes) -> Record:
         """Decode *data* with the (possibly generated) decoder for *fmt*."""
-        if not OBS.enabled:
-            return self._decode_as(fmt, data)
-        path = "specialized" if fmt.format_id in self._decoders else "generic"
-        if recording(current()):
-            with OBS.tracer.span(
-                "pbio.decode", format=fmt.name, path=path
-            ) as active:
+        if OBS.enabled and recording(current()):
+            seen = fmt.format_id in self._decoders
+            with OBS.tracer.span("pbio.decode", format=fmt.name, path=(
+                "specialized" if seen else "generic"
+            )) as active:
                 record = self._decode_as(fmt, data)
-            self._obs_decode_seconds().observe(active.span.duration)
+            self._decode_seconds().observe(active.span.duration)
         else:
             record = self._decode_as(fmt, data)
-        self._obs_decode_messages(path).inc()
-        self._obs_decode_bytes().inc(len(data))
+        self._tally.decoded += 1
+        self._tally.decoded_bytes += len(data)
         return record
 
     def _decode_as(self, fmt: IOFormat, data: bytes) -> Record:
@@ -174,7 +179,9 @@ class PBIOContext:
                 "pbio.codegen.decoders", "pbio.context.decoder_cache_size",
             )
             if decoder is None:
-                return generic_decode_record(fmt, data)
+                record = generic_decode_record(fmt, data)
+                self._tally.decoded_generic += 1
+                return record
         return decoder(data)
 
     def _second_sight(

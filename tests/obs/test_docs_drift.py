@@ -18,14 +18,11 @@ The catalog is a contract with three sides:
   catalogued metric or a span some site records (a ``ratio`` over a
   series that does not exist reads 0 for ever and never fires).
 
-Code-side extraction handles the three emission styles in the tree:
+Code-side extraction handles the two emission styles in the tree:
 
-* literal calls — ``counter("pbio.encode.bytes")``,
-  ``Handles.bounded_counter("morph.transform.applied", ...)``, plus the
+* literal calls — ``counter("pbio.encode.bytes")``, a collected
+  ``counter("morph.transform.applied", ..., bounded=True)``, plus the
   registry-internal ``_get_or_create(Counter, "obs.labels.overflow")``;
-* one dynamic family — ``self._count("sends")`` routed through a helper
-  that prepends an f-string prefix (``f"net.reliable.{name}"``), prefix
-  and call sites associated per file;
 * indirection — names passed as plain string arguments to a helper
   (``_cache_codec(..., "pbio.context.encoder_cache_size")``), pinned
   by the explicit ``INDIRECT_SITES`` list below, which also asserts
@@ -60,10 +57,6 @@ CALL_RE = re.compile(
 GET_OR_CREATE_RE = re.compile(
     r'_get_or_create\(\s*[A-Za-z]+,\s*["\']([a-z0-9_.]+)["\']'
 )
-#: a dynamic family's prefix: ``f"net.reliable.{name}"``
-DYNAMIC_PREFIX_RE = re.compile(r'f["\']([a-z0-9_.]+)\.\{name\}["\']')
-#: ...and the names fed into it: ``self._count("sends", ...)``
-DYNAMIC_ARG_RE = re.compile(r'self\._count\(\s*["\']([a-z0-9_]+)["\']')
 #: span sites: ``OBS.tracer.span("morph.process", ...)``
 SPAN_RE = re.compile(r'\.span\(\s*["\']([a-z0-9_.]+)["\']')
 
@@ -123,11 +116,6 @@ def metric_emitters() -> Dict[str, Set[str]]:
             for match in regex.finditer(text)
             if "." in match.group(1)
         }
-        names.update(
-            f"{prefix}.{argument}"
-            for prefix in DYNAMIC_PREFIX_RE.findall(text)
-            for argument in DYNAMIC_ARG_RE.findall(text)
-        )
         for name in names:
             emitters.setdefault(name, set()).add(
                 path.relative_to(REPO).as_posix()
@@ -320,11 +308,11 @@ class TestMetricCatalogDrift:
         assert 60 < len(documented) <= 75
         assert len(span_names()) > 20
         for tricky in (
-            "net.reliable.retries",           # the dynamic family
-            "fabric.journal.compactions",     # Handles, one per name
-            "morph.receiver.cache_hits",      # ReceiverStats mirror
+            "net.reliable.retries",           # collected, per peer
+            "fabric.journal.compactions",     # collected, one per name
+            "morph.receiver.cache_hits",      # collected from ReceiverStats
             "morph.receiver.dlq_retried",     # cold path, asks the registry
-            "fabric.shard.processed",         # bounded_counter
+            "fabric.shard.processed",         # collected, label-guarded
             "obs.labels.overflow",            # _get_or_create path
             "pbio.context.encoder_cache_size",  # INDIRECT_SITES
             "obs.telemetry.collector.deltas",   # literal

@@ -1,7 +1,9 @@
-"""Thread-safety: hammer a registry and a recorder from worker threads."""
+"""Thread-safety: hammer a registry, a recorder, a held histogram and a
+shared receiver's tallies from worker threads."""
 
 from __future__ import annotations
 
+import contextlib
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -9,9 +11,13 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import obs
+from repro.morph.receiver import MorphReceiver
 from repro.obs import OBS
 from repro.obs.metrics import Handles, Registry
 from repro.obs.tracing import SpanRecorder
+from repro.pbio.context import PBIOContext
+from repro.pbio.field import IOField
+from repro.pbio.format import IOFormat
 
 WORKERS = 8
 ITERATIONS = 2_000
@@ -95,41 +101,50 @@ def test_span_recorder_keeps_per_thread_nesting():
             assert span.parent_id is None
 
 
-def test_handles_survive_registry_swaps_under_fire():
-    """One shared handle, hammered while the live registry is swapped
-    under it: every increment lands in exactly one of the registries
-    that were live (none lost), and once the swapping stops the handle
-    serves the live registry only — a thread caught mid-call by a swap
-    must not leave the old registry's counter in the new cache."""
-    handle = Handles.counter("stress.hits", "worker")
-    registries = [Registry() for _ in range(50)]
+@contextlib.contextmanager
+def _swapping_registries(count: int = 50):
+    """Swap *count* enabled registries in, one after another, at a
+    switch interval that preempts the threads the caller starts inside;
+    yields the registries and the event that stops the threads."""
+    registries = [Registry() for _ in range(count)]
     stop = threading.Event()
-    done = [0] * WORKERS
-
-    def hammer(worker: int) -> None:
-        while not stop.is_set():
-            handle(worker % 2).inc()
-            done[worker] += 1
-
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         obs.enable(registry=registries[0])
+        yield registries, stop
+    finally:
+        sys.setswitchinterval(interval)
+        stop.set()
+
+
+def test_handles_survive_registry_swaps_under_fire():
+    """One shared histogram handle, hammered while the live registry is
+    swapped under it: every observation lands in exactly one of the
+    registries that were live (none lost), and once the swapping stops
+    the handle serves the live registry only — a thread caught mid-call
+    by a swap must not leave the old registry's histogram held."""
+    handle = Handles.histogram("stress.seconds")
+    done = [0] * WORKERS
+
+    def hammer(worker: int) -> None:
+        while not stop.is_set():
+            handle().observe(1.0)
+            done[worker] += 1
+
+    with _swapping_registries() as (registries, stop):
         with ThreadPoolExecutor(max_workers=WORKERS) as pool:
             futures = [pool.submit(hammer, w) for w in range(WORKERS)]
             for registry in registries[1:]:
                 obs.enable(registry=registry)
                 for _ in range(200):
-                    handle(0)
+                    handle()
             stop.set()
             for future in futures:
                 future.result(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-        stop.set()
 
     def hits(registry: Registry) -> int:
-        return sum(i.value for i in registry.instruments())
+        return sum(i.count for i in registry.instruments())
 
     assert sum(done) > 0
     assert sum(hits(registry) for registry in registries) == sum(done)
@@ -137,8 +152,42 @@ def test_handles_survive_registry_swaps_under_fire():
     assert OBS.metrics is live
     before = [hits(registry) for registry in registries]
     for _ in range(100):
-        handle(0).inc()
-        handle(1).inc()
+        handle().observe(1.0)
+        handle().observe(1.0)
     after = [hits(registry) for registry in registries]
     assert after[:-1] == before[:-1]
     assert after[-1] == before[-1] + 200
+
+
+def test_a_shared_receivers_tallies_split_exactly_across_registry_swaps():
+    """One receiver, eight threads, 50 enabled registries swapped in
+    under them: each swap takes one reading, which is both the outgoing
+    registry's final state and the incoming one's zero point, so the
+    registries' ``morph.receiver.messages`` add up to the receiver's
+    own tally — whatever the threads did to it meanwhile."""
+    fmt = IOFormat("Tick", [IOField("n", "integer")])
+    receiver = MorphReceiver()
+    receiver.register_handler(fmt, lambda record: None)
+    wire = PBIOContext(receiver.registry).encode(fmt, {"n": 1})
+
+    def hammer(worker: int) -> None:
+        while not stop.is_set():
+            receiver.process(wire)
+
+    with _swapping_registries() as (registries, stop):
+        with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+            futures = [pool.submit(hammer, w) for w in range(WORKERS)]
+            for registry in registries[1:]:
+                obs.enable(registry=registry)
+            stop.set()
+            for future in futures:
+                future.result(timeout=30)
+
+    def messages(registry: Registry) -> int:
+        instrument = registry.get("morph.receiver.messages")
+        return 0 if instrument is None else instrument.value
+
+    assert receiver.stats.messages > 0
+    assert sum(messages(registry) for registry in registries) == (
+        receiver.stats.messages
+    )
