@@ -33,9 +33,16 @@ process — as per-shard append-only logs:
   (``JournalStore.fenced_appends`` counts the attempts).
 
 The default store is in-memory (shared by reference between the workers
-of one simulated deployment).  Passing ``path=`` makes it file-backed
-(JSON lines, rewritten on compaction), which is what lets a *restarted*
-worker — not just a successor — recover its own shards.
+of one simulated deployment).  Passing ``path=`` makes it file-backed,
+which is what lets a *restarted* worker — not just a successor — recover
+its own shards.  The file is a sequence of records, each a one-line JSON
+header (``shard``, ``kind``, ``epoch``, the entry's fields).  An admit's
+header also carries ``size``: the payload's raw bytes follow the header
+line, then one ``\\n``.  A header is serialised once, when its entry is
+appended, and kept beside the entry with the payload, so a compaction
+writes bytes the store already holds.  The loader reads by length, not
+by lines (a raw payload may contain ``\\n``), and still accepts the older
+admit line that carried its payload as hex in a ``payload`` field.
 """
 
 from __future__ import annotations
@@ -43,7 +50,9 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
+)
 
 from repro.errors import FabricError, JournalError
 from repro.fabric.state import Channels, dump_state, load_state
@@ -56,21 +65,79 @@ from repro.obs.metrics import Tallies, collect, counter, gauge
 DEFAULT_COMPACT_EVERY = 256
 
 
-def _line(shard: int, entry: Dict[str, Any]) -> str:
-    """The on-disk form of one entry (what :meth:`JournalStore._load`
-    reads back)."""
-    return json.dumps({"shard": shard, **entry}, sort_keys=True) + "\n"
+_NEWLINE = b"\n"
+
+
+def _header(fields: Dict[str, Any]) -> bytes:
+    """The on-disk header line of one record (ASCII: ``json.dumps``
+    escapes everything else, so the line holds no raw ``\\n``)."""
+    return (json.dumps(fields) + "\n").encode()
+
+
+class _Entry(NamedTuple):
+    """One journaled entry, held once in the form each reader wants."""
+
+    #: the header's fields (``kind``, ``epoch``, ...), read by recovery
+    fields: Dict[str, Any]
+    #: the record's serialised header line; None in an in-memory store
+    header: Optional[bytes]
+    #: an admit's payload (raw bytes on disk after the header), else None
+    payload: Optional[bytes]
+
+    def parts(self) -> Tuple[bytes, ...]:
+        """The record's bytes on disk, in order."""
+        if self.payload is None:
+            return (self.header,)
+        return (self.header, self.payload, _NEWLINE)
+
+
+def _parse_record(
+    data: bytes, start: int, body: int
+) -> Optional[Tuple[_Entry, int]]:
+    """The record whose header line is ``data[start:body]``, with the
+    offset just past it; ``None`` when its payload is cut short.  Raises
+    ``ValueError`` saying what is malformed."""
+    header = data[start:body]
+    fields = json.loads(header)
+    if not isinstance(fields, dict):
+        raise ValueError("header is not an object")
+    if type(fields.get("shard")) is not int:
+        raise ValueError(f"bad shard {fields.get('shard')!r}")
+    kind = fields.get("kind")
+    if kind == "fence" and type(fields.get("epoch")) is not int:
+        raise ValueError(f"fence has bad epoch {fields.get('epoch')!r}")
+    if "size" in fields:
+        size = fields["size"]
+        if type(size) is not int or size < 0:
+            raise ValueError(f"bad payload size {size!r}")
+        end = body + size
+        if end >= len(data):
+            return None
+        if data[end:end + 1] != _NEWLINE:
+            raise ValueError(f"payload is not {size} bytes")
+        return _Entry(fields, header, data[body:end]), end + 1
+    if kind != "admit":
+        return _Entry(fields, header, None), body
+    # the older admit line: its payload as hex inside the header
+    hexed = fields.pop("payload", "")
+    if not isinstance(hexed, str):
+        raise ValueError("undecodable payload")
+    payload = bytes.fromhex(hexed)
+    fields["size"] = len(payload)
+    return _Entry(fields, _header(fields), payload), body
 
 
 class _ShardLog:
     """One shard's journal: ordered entries plus fencing metadata."""
 
-    __slots__ = ("entries", "fence_epoch", "since_snapshot")
+    __slots__ = ("entries", "fence_epoch", "fence_header", "since_snapshot")
 
     def __init__(self) -> None:
-        self.entries: List[Dict[str, Any]] = []
+        self.entries: List[_Entry] = []
         #: appends under epochs below this are rejected
         self.fence_epoch = 0
+        #: the header of the fence record a compaction writes (file only)
+        self.fence_header: Optional[bytes] = None
         #: appends since the last ``snapshot`` entry
         self.since_snapshot = 0
 
@@ -111,8 +178,9 @@ class JournalStore:
     Parameters
     ----------
     path:
-        Optional file to persist the journal to (JSON lines; loaded on
-        construction when it exists, rewritten on compaction).  Without
+        Optional file to persist the journal to (JSON header records,
+        raw payloads; loaded on construction when it exists, rewritten
+        on compaction).  Without
         it the store is purely in-memory — the shared-medium model for
         single-process deployments and the simulator.
     compact_every:
@@ -132,13 +200,14 @@ class JournalStore:
         self.path = path
         self.compact_every = compact_every
         self._shards: Dict[int, _ShardLog] = {}
-        #: lines buffered by an open write :meth:`group` (None outside)
-        self._group: Optional[List[str]] = None
+        #: record bytes buffered by an open write :meth:`group` (None
+        #: outside)
+        self._group: Optional[List[bytes]] = None
         self._tally = Tallies(appends=0, compactions=0)
         collect(self, self._tally, _COLLECTED)
         self.fenced_appends = 0
         self.recoveries = 0
-        #: torn final lines cut off at load (see :meth:`_load`)
+        #: torn final records cut off at load (see :meth:`_load`)
         self.torn_tail = 0
         if path is not None and os.path.exists(path):
             self._load(path)
@@ -156,47 +225,51 @@ class JournalStore:
             log = self._shards[shard] = _ShardLog()
         return log
 
-    def _admit_entry(self, shard: int, entry: Dict[str, Any]) -> bool:
+    def _admit_entry(
+        self, shard: int, fields: Dict[str, Any], payload: Optional[bytes] = None
+    ) -> bool:
         """Fence-check and append one entry (persisting it when
         file-backed).  Returns whether the entry was admitted."""
         log = self._shard(shard)
-        if entry["epoch"] < log.fence_epoch:
+        if fields["epoch"] < log.fence_epoch:
             self.fenced_appends += 1
             return False
+        header = None if self.path is None else _header(fields)
+        entry = _Entry(fields, header, payload)
         log.entries.append(entry)
         log.since_snapshot += 1
         self._tally.appends += 1
-        if self.path is not None:
-            self._persist(_line(shard, entry))
+        if header is not None:
+            self._persist(entry.parts())
         return True
 
-    def _persist(self, line: str) -> None:
-        """Write one journal line — straight to the file, or into the
+    def _persist(self, parts: Iterable[bytes]) -> None:
+        """Write one record's parts — straight to the file, or into the
         open write group's buffer."""
         if self._group is not None:
-            self._group.append(line)
+            self._group.extend(parts)
             return
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
+        with open(self.path, "ab") as handle:
+            handle.writelines(parts)
 
     @contextlib.contextmanager
     def group(self) -> Iterator[None]:
         """Write group: appends made inside keep their per-call fence
         check, return value and in-memory entry, but a file-backed store
-        buffers their lines and writes them with **one** ``open`` when
+        buffers their records and writes them with **one** ``open`` when
         the group closes (also when the body raises — what is in memory
         must reach the file).  The caller's write-ahead point is
         therefore the end of the ``with`` block, not each append."""
         if self._group is not None or self.path is None:
             yield  # nested, or nothing to persist
             return
-        self._group = lines = []
+        self._group = parts = []
         try:
             yield
         finally:
             self._group = None
-            if lines:
-                self._persist("".join(lines))
+            if parts:
+                self._persist(parts)
 
     def append_admit(
         self,
@@ -207,16 +280,20 @@ class JournalStore:
         seq: int,
         payload: bytes,
     ) -> bool:
-        """Journal one ledger admission, payload included (hex on disk so
-        the log stays line-oriented JSON)."""
+        """Journal one ledger admission, payload included (its raw bytes
+        follow the record's header on disk).  The store keeps its own
+        ``bytes`` of the payload: a view into a received frame would pin
+        the whole frame for as long as the entry lives."""
+        payload = bytes(payload)
         return self._admit_entry(shard, {
+            "shard": shard,
             "kind": "admit",
             "epoch": epoch,
             "channel": channel_id,
             "publisher": publisher,
             "seq": seq,
-            "payload": payload.hex(),
-        })
+            "size": len(payload),
+        }, payload)
 
     def append_subscribe(
         self,
@@ -228,6 +305,7 @@ class JournalStore:
     ) -> bool:
         """Journal one subscriber installation."""
         return self._admit_entry(shard, {
+            "shard": shard,
             "kind": "subscribe",
             "epoch": epoch,
             "channel": channel_id,
@@ -244,11 +322,10 @@ class JournalStore:
         if epoch < log.fence_epoch:
             self.fenced_appends += 1
             return False
-        log.entries = [{
-            "kind": "snapshot",
-            "epoch": epoch,
-            "state": state,
-        }]
+        fields = {"shard": shard, "kind": "snapshot", "epoch": epoch,
+                  "state": state}
+        header = None if self.path is None else _header(fields)
+        log.entries = [_Entry(fields, header, None)]
         log.since_snapshot = 0
         self._tally.compactions += 1
         if self.path is not None:
@@ -263,7 +340,10 @@ class JournalStore:
         if epoch > log.fence_epoch:
             log.fence_epoch = epoch
             if self.path is not None:
-                self._persist(_line(shard, {"kind": "fence", "epoch": epoch}))
+                log.fence_header = _header(
+                    {"shard": shard, "kind": "fence", "epoch": epoch}
+                )
+                self._persist((log.fence_header,))
 
     def fence_epoch(self, shard: int) -> int:
         log = self._shards.get(shard)
@@ -294,13 +374,13 @@ class JournalStore:
         self.recoveries += 1
         start = 0
         for index in range(len(log.entries) - 1, -1, -1):
-            if log.entries[index].get("kind") == "snapshot":
+            if log.entries[index].fields.get("kind") == "snapshot":
                 start = index
                 break
         channels: Channels = {}
         tail: List[Tuple[str, str, int, bytes]] = []
         floor = 0  # highest epoch seen; later entries must not regress
-        for entry in log.entries[start:]:
+        for entry, _, payload in log.entries[start:]:
             kind = entry.get("kind")
             try:
                 epoch = int(entry["epoch"])
@@ -340,13 +420,6 @@ class JournalStore:
                         f"journal admit for shard {shard} has bad seq "
                         f"{seq!r}"
                     )
-                try:
-                    payload = bytes.fromhex(entry.get("payload", ""))
-                except ValueError:
-                    raise JournalError(
-                        f"journal admit for shard {shard} has undecodable "
-                        "payload"
-                    ) from None
                 ledgers = channels.setdefault(channel_id, ([], {}))[1]
                 ledger = ledgers.get(publisher)
                 if ledger is None:
@@ -389,19 +462,22 @@ class JournalStore:
     def _rewrite(self) -> None:
         assert self.path is not None
         if self._group is not None:
-            # every buffered line's entry is in memory and rewritten below
+            # every buffered record's entry is in memory and rewritten below
             self._group.clear()
         tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for shard in sorted(self._shards):
-                log = self._shards[shard]
-                if log.fence_epoch:
-                    handle.write(_line(
-                        shard, {"kind": "fence", "epoch": log.fence_epoch}
-                    ))
-                for entry in log.entries:
-                    handle.write(_line(shard, entry))
+        with open(tmp, "wb") as handle:
+            handle.writelines(self._records())
         os.replace(tmp, self.path)
+
+    def _records(self) -> Iterator[bytes]:
+        """The file's bytes, part by part, from what the entries hold:
+        a compaction serialises nothing but its own snapshot."""
+        for shard in sorted(self._shards):
+            log = self._shards[shard]
+            if log.fence_header is not None:
+                yield log.fence_header
+            for entry in log.entries:
+                yield from entry.parts()
 
     def _load(self, path: str) -> None:
         try:
@@ -409,36 +485,44 @@ class JournalStore:
                 data = handle.read()
         except OSError as exc:
             raise JournalError(f"cannot read journal {path}: {exc}") from None
-        # Every write ends in a newline, so bytes after the last one are
-        # a write the process died in (its group never closed, nothing
-        # it covers was delivered): cut them off so the next append
-        # starts a line.  An unparsable line *before* that is corruption.
-        *lines, torn = data.split(b"\n")
-        if torn:
-            self.torn_tail += 1
-            os.truncate(path, len(data) - len(torn))
-        for number, line in enumerate(lines, 1):
-            line = line.strip()
-            if not line:
+        # Records are read by length.  A final record cut short — in its
+        # header or in its payload — is a write the process died in (its
+        # group never closed, nothing it covers was delivered): cut it
+        # off so the next append starts a record.  A bad record *before*
+        # that is corruption.
+        pos = number = 0
+        while pos < len(data):
+            newline = data.find(b"\n", pos)
+            if newline < 0:
+                break  # torn header
+            if not data[pos:newline].strip():
+                pos = newline + 1
                 continue
+            number += 1
             try:
-                record = json.loads(line)
-                shard = int(record.pop("shard"))
-            except (ValueError, KeyError, TypeError, AttributeError):
+                record = _parse_record(data, pos, newline + 1)
+            except ValueError as exc:
                 raise JournalError(
-                    f"corrupt journal line {number} in {path}"
+                    f"corrupt journal record {number} in {path}: {exc}"
                 ) from None
-            log = self._shard(shard)
-            if record.get("kind") == "fence":
-                epoch = record.get("epoch")
-                if isinstance(epoch, int) and epoch > log.fence_epoch:
-                    log.fence_epoch = epoch
+            if record is None:
+                break  # torn payload
+            entry, pos = record
+            log = self._shard(entry.fields["shard"])
+            kind = entry.fields.get("kind")
+            if kind == "fence":
+                if entry.fields["epoch"] > log.fence_epoch:
+                    log.fence_epoch = entry.fields["epoch"]
+                    log.fence_header = entry.header
                 continue
-            log.entries.append(record)
-            if record.get("kind") == "snapshot":
+            log.entries.append(entry)
+            if kind == "snapshot":
                 log.since_snapshot = 0
             else:
                 log.since_snapshot += 1
+        if pos < len(data):
+            self.torn_tail += 1
+            os.truncate(path, pos)
 
     def disk_size_bytes(self) -> int:
         """On-disk size of the journal file (0 for in-memory stores or

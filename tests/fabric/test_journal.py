@@ -1,5 +1,6 @@
 """JournalStore unit tests: append/recover round trips, epoch fencing,
-compaction, on-disk persistence and corruption handling.
+compaction, on-disk persistence (records read by length, older hex
+lines still loaded) and corruption handling.
 
 The journal is the crash-durability half of the fabric tentpole: a
 worker appends every ledger admission and channel-state change *before*
@@ -21,6 +22,19 @@ from repro.fabric.journal import JournalRecovery, JournalStore
 
 def _admit(store, shard=3, epoch=2, seq=1, channel="chan/a", pub="pub"):
     store.append_admit(shard, epoch, channel, pub, seq, b"payload-%d" % seq)
+
+
+def _split(data):
+    """A journal file's records as ``(header line, payload + newline)``
+    byte pairs (the second empty for a record without a payload)."""
+    records, pos = [], 0
+    while pos < len(data):
+        body = data.index(b"\n", pos) + 1
+        size = json.loads(data[pos:body]).get("size")
+        end = body if size is None else body + size + 1
+        records.append((data[pos:body], data[body:end]))
+        pos = end
+    return records
 
 
 class TestAppendRecover:
@@ -52,6 +66,19 @@ class TestAppendRecover:
         assert ["sub-1", 1] in [
             list(entry) for entry in channel["subscribers"]
         ]
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_a_payload_view_is_copied_not_pinned(self, tmp_path, on_disk):
+        """The worker hands over a view into the received frame; the
+        journal must not depend on that buffer staying as it was."""
+        store = JournalStore(
+            path=str(tmp_path / "fabric.journal") if on_disk else None
+        )
+        frame = bytearray(b"header|payload-1")
+        store.append_admit(3, 2, "chan/a", "pub", 1, memoryview(frame)[7:])
+        frame[7:] = b"reused-buf"
+        assert store.recover(3).tail[0][3] == b"payload-1"
+        assert type(store.recover(3).tail[0][3]) is bytes
 
     def test_shards_are_independent(self):
         store = JournalStore()
@@ -134,18 +161,17 @@ class TestPersistence:
         path = tmp_path / "fabric.journal"
         store = JournalStore(path=str(path))
         _admit(store, seq=1)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        entry = json.loads(lines[-1])
+        (header, payload), = _split(path.read_bytes())
+        entry = json.loads(header)
         del entry["seq"]
-        path.write_text(json.dumps(entry) + "\n", encoding="utf-8")
+        path.write_bytes(json.dumps(entry).encode() + b"\n" + payload)
         reloaded = JournalStore(path=str(path))
         with pytest.raises(JournalError):
             reloaded.recover(3)
 
-
     def test_torn_final_write_is_cut_off_not_fatal(self, tmp_path):
-        """A SIGKILL inside a group's write leaves a last line with no
-        newline.  That line was never durable; the ones before it were,
+        """A SIGKILL inside a group's write leaves a last record cut
+        short.  That record was never durable; the ones before it were,
         and must still load."""
         path = tmp_path / "fabric.journal"
         store = JournalStore(path=str(path))
@@ -157,14 +183,16 @@ class TestPersistence:
         reloaded = JournalStore(path=str(path))
         assert reloaded.torn_tail == 1
         assert [e[2] for e in reloaded.recover(3).tail] == [1, 2]
-        # the file ends on a line again, so the next append starts one
-        assert path.read_bytes() == b"".join(whole.splitlines(True)[:2])
+        # the file ends on a record again, so the next append starts one
+        assert path.read_bytes() == b"".join(
+            b"".join(record) for record in _split(whole)[:2]
+        )
         _admit(reloaded, seq=4)
         again = JournalStore(path=str(path))
         assert again.torn_tail == 0
         assert [e[2] for e in again.recover(3).tail] == [1, 2, 4]
 
-    @pytest.mark.parametrize("bad", ["this is not jsonl {{{", "42"])
+    @pytest.mark.parametrize("bad", [b"this is not jsonl {{{", b"42"])
     def test_an_unparsable_line_before_the_last_is_corruption(
         self, tmp_path, bad
     ):
@@ -172,16 +200,265 @@ class TestPersistence:
         store = JournalStore(path=str(path))
         for seq in (1, 2, 3):
             _admit(store, seq=seq)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        lines[1] = bad
-        # no final newline either: the torn tail does not excuse line 2
-        path.write_text("\n".join(lines), encoding="utf-8")
-        with pytest.raises(JournalError, match="corrupt journal line 2"):
+        records = _split(path.read_bytes())
+        records[1] = (bad + b"\n", b"")
+        # no final newline either: the torn tail does not excuse record 2
+        path.write_bytes(b"".join(b"".join(r) for r in records)[:-1])
+        with pytest.raises(JournalError, match="corrupt journal record 2"):
+            JournalStore(path=str(path))
+
+    def test_a_payload_is_read_by_length_not_by_line(self, tmp_path):
+        path = tmp_path / "fabric.journal"
+        store = JournalStore(path=str(path))
+        payloads = [b"\n", b"a\nb\n\n", b"{\"shard\": 1}\n", b"\xff\xfe\x00"]
+        for seq, payload in enumerate(payloads, 1):
+            store.append_admit(3, 2, "chan/a", "pub", seq, payload)
+        # raw bytes on disk, not hex: each payload appears as written
+        assert all(payload in path.read_bytes() for payload in payloads)
+        reloaded = JournalStore(path=str(path))
+        assert reloaded.torn_tail == 0
+        assert [e[3] for e in reloaded.recover(3).tail] == payloads
+
+
+class TestFenceRecords:
+    """A fence is what keeps a stale owner's later entries out of
+    recovery, so a fence record the loader cannot read is corruption,
+    never a record to skip."""
+
+    @pytest.mark.parametrize("epoch", ['"5"', "5.5", "true", "null"])
+    def test_a_fence_with_a_bad_epoch_is_a_journal_error(
+        self, tmp_path, epoch
+    ):
+        path = tmp_path / "fabric.journal"
+        path.write_bytes(
+            b'{"shard": 3, "kind": "fence", "epoch": 5}\n'
+            + b'{"shard": 3, "kind": "fence", "epoch": %s}\n' % epoch.encode()
+        )
+        with pytest.raises(JournalError, match="record 2 .*fence"):
+            JournalStore(path=str(path))
+
+    @pytest.mark.parametrize("shard", ['"3"', "3.7", "true", "null", "[3]"])
+    def test_a_record_with_a_non_int_shard_is_a_journal_error(
+        self, tmp_path, shard
+    ):
+        path = tmp_path / "fabric.journal"
+        path.write_bytes(
+            b'{"shard": %s, "kind": "fence", "epoch": 5}\n' % shard.encode()
+            + b'{"shard": 3, "kind": "fence", "epoch": 6}\n'
+        )
+        with pytest.raises(JournalError, match="record 1 .*shard"):
+            JournalStore(path=str(path))
+
+    def test_a_loaded_fence_still_keeps_stale_entries_out(self, tmp_path):
+        path = tmp_path / "fabric.journal"
+        path.write_bytes(b'{"shard": 3, "kind": "fence", "epoch": 5}\n')
+        store = JournalStore(path=str(path))
+        assert store.fence_epoch(3) == 5
+        _admit(store, epoch=4, seq=1)
+        assert store.fenced_appends == 1
+        assert JournalStore(path=str(path)).recover(3) is None
+
+
+def _every_kind_journal(path):
+    """A file holding every record kind and awkward payload bytes: a
+    fence, a subscribe, admits with ``\\n``, ``{`` and non-UTF-8 bytes,
+    a snapshot, and admits appended after the compaction."""
+    store = JournalStore(path=str(path))
+    store.fence(3, epoch=2)
+    store.append_subscribe(3, 2, "chan/a", "sub-1", 1)
+    store.append_admit(3, 2, "chan/a", "pub", 1, b"line\none\n")
+    store.append_admit(5, 2, "chan/b", "pub", 1, b"{")
+    store.snapshot(5, 2, store.recover(5).state)
+    store.append_admit(3, 2, "chan/a", "pub", 2, b"\xff\xfe\x80\n{")
+    store.append_admit(5, 2, "chan/b", "pub", 2, b"")
+    return store
+
+
+def _recovered(store):
+    return {
+        shard: (recovery.state, recovery.tail)
+        for shard in (3, 5)
+        for recovery in [store.recover(shard)]
+        if recovery is not None
+    }
+
+
+class TestEveryPrefixAndRecord:
+    def test_every_truncation_loads_the_complete_records(self, tmp_path):
+        path = tmp_path / "fabric.journal"
+        written = _every_kind_journal(path)
+        data = path.read_bytes()
+        records = [b"".join(record) for record in _split(data)]
+        # shard 3: fence, subscribe, admit; shard 5: the snapshot that
+        # replaced its admit; then the two admits appended after it
+        assert len(records) == 6
+        boundaries = [sum(map(len, records[:k])) for k in range(7)]
+        expected = []
+        for k in range(7):
+            path.write_bytes(data[:boundaries[k]])
+            expected.append(_recovered(JournalStore(path=str(path))))
+        assert expected[-1] == _recovered(written)
+        for cut in range(len(data) + 1):
+            k = max(k for k, end in enumerate(boundaries) if end <= cut)
+            path.write_bytes(data[:cut])
+            store = JournalStore(path=str(path))
+            assert store.torn_tail == (cut != boundaries[k]), cut
+            assert path.read_bytes() == data[:boundaries[k]], cut
+            assert _recovered(store) == expected[k], cut
+            store.append_admit(3, 9, "chan/a", "pub", 99, b"\n{\xff")
+            reloaded = JournalStore(path=str(path))
+            assert reloaded.torn_tail == 0, cut
+            assert reloaded.recover(3).tail[-1] == (
+                "chan/a", "pub", 99, b"\n{\xff"
+            ), cut
+
+    @pytest.mark.parametrize("damage", [
+        lambda header: b"#" + header[1:],          # not JSON
+        lambda header: header[:-1] + b" ",          # newline lost
+        lambda header: header[:-2] + b",\n",        # cut inside the object
+        lambda header: b"[]\n",                     # not an object
+        lambda header: header.replace(b'"shard": ', b'"shard": 0.5, "x": '),
+    ])
+    def test_a_damaged_header_before_the_last_is_a_journal_error(
+        self, tmp_path, damage
+    ):
+        path = tmp_path / "fabric.journal"
+        _every_kind_journal(path)
+        records = _split(path.read_bytes())
+        for index in range(len(records) - 1):
+            damaged = list(records)
+            header, rest = damaged[index]
+            damaged[index] = (damage(header), rest)
+            path.write_bytes(b"".join(b"".join(r) for r in damaged))
+            with pytest.raises(JournalError, match=f"record {index + 1}"):
+                JournalStore(path=str(path))
+
+
+def _legacy_line(shard, entry):
+    """One record as the hex JSON-lines journal wrote it."""
+    return json.dumps({"shard": shard, **entry}, sort_keys=True) + "\n"
+
+
+class TestHexLinesCompatibility:
+    """Files written before admits carried raw payloads still load."""
+
+    PAYLOADS = [b"line\none", b"{", b"\xff\xfe\x80", b""]
+
+    def test_a_hex_journal_recovers_like_the_same_admits_written_now(
+        self, tmp_path
+    ):
+        legacy = tmp_path / "legacy.journal"
+        legacy.write_text("".join([
+            _legacy_line(3, {"kind": "fence", "epoch": 2}),
+            _legacy_line(3, {"kind": "subscribe", "epoch": 2,
+                             "channel": "chan/a", "contact": "sub-1",
+                             "format_id": 1}),
+            *(_legacy_line(3, {"kind": "admit", "epoch": 2,
+                               "channel": "chan/a", "publisher": "pub",
+                               "seq": seq, "payload": payload.hex()})
+              for seq, payload in enumerate(self.PAYLOADS, 1)),
+        ]), encoding="utf-8")
+        current = JournalStore(path=str(tmp_path / "current.journal"))
+        current.fence(3, epoch=2)
+        current.append_subscribe(3, 2, "chan/a", "sub-1", 1)
+        for seq, payload in enumerate(self.PAYLOADS, 1):
+            current.append_admit(3, 2, "chan/a", "pub", seq, payload)
+
+        old = JournalStore(path=str(legacy))
+        new = JournalStore(path=current.path)
+        assert old.torn_tail == new.torn_tail == 0
+        assert old.fence_epoch(3) == new.fence_epoch(3) == 2
+        assert old.recover(3).state == new.recover(3).state
+        assert old.recover(3).tail == new.recover(3).tail
+        assert [e[3] for e in old.recover(3).tail] == self.PAYLOADS
+
+        # appends after the hex lines, then a compaction that rewrites
+        # the whole file in today's records
+        old.append_admit(3, 2, "chan/a", "pub", 5, b"\n\n")
+        reopened = JournalStore(path=str(legacy))
+        assert [e[2] for e in reopened.recover(3).tail] == [1, 2, 3, 4, 5]
+        reopened.snapshot(5, 2, {"channels": {}})
+        assert legacy.read_bytes() == b"".join(
+            b"".join(r) for r in _split(legacy.read_bytes())
+        )
+        assert b"payload" not in legacy.read_bytes()
+        rewritten = JournalStore(path=str(legacy))
+        assert rewritten.recover(3).tail == reopened.recover(3).tail
+        assert rewritten.recover(3).state == reopened.recover(3).state
+
+    def test_an_undecodable_hex_payload_is_a_journal_error(self, tmp_path):
+        path = tmp_path / "legacy.journal"
+        path.write_text(_legacy_line(3, {
+            "kind": "admit", "epoch": 2, "channel": "chan/a",
+            "publisher": "pub", "seq": 1, "payload": "zz",
+        }), encoding="utf-8")
+        with pytest.raises(JournalError, match="record 1"):
             JournalStore(path=str(path))
 
 
+class _CountedBytes(bytes):
+    """A payload that counts how often it is hex-encoded."""
+
+    hexed = 0
+
+    def hex(self, *args):
+        type(self).hexed += 1
+        return super().hex(*args)
+
+
+class TestPriceGuard:
+    """Counts, never times: a record is serialised once, when it is
+    appended; a compaction writes the bytes the store already holds."""
+
+    @staticmethod
+    def _counting_dumps(monkeypatch):
+        calls = []
+        real = json.dumps
+        monkeypatch.setattr(
+            json, "dumps", lambda *a, **k: calls.append(a[0]) or real(*a, **k)
+        )
+        return calls
+
+    @pytest.mark.parametrize("live", [8, 200])
+    def test_a_snapshot_serialises_only_its_own_entry(
+        self, tmp_path, monkeypatch, live
+    ):
+        store = JournalStore(path=str(tmp_path / "fabric.journal"))
+        for shard in range(4):
+            store.fence(shard, epoch=2)
+            store.append_subscribe(shard, 2, f"chan/{shard}", "sub-1", 1)
+        for seq in range(1, live + 1):
+            store.append_admit(seq % 4, 2, f"chan/{seq % 4}", "pub", seq,
+                               b"\n{" * 50)
+        state = store.recover(0).state
+        calls = self._counting_dumps(monkeypatch)
+        assert store.snapshot(0, 2, state)
+        assert [call["kind"] for call in calls] == ["snapshot"]
+        monkeypatch.undo()
+        reloaded = JournalStore(path=store.path)
+        assert reloaded.recover(0).state == state
+        for shard in (1, 2, 3):
+            assert reloaded.recover(shard).tail == store.recover(shard).tail
+
+    def test_an_append_serialises_its_header_once_and_never_hexes(
+        self, tmp_path, monkeypatch
+    ):
+        store = JournalStore(path=str(tmp_path / "fabric.journal"))
+        payload = _CountedBytes(b"\x00\xff" * 150)
+        calls = self._counting_dumps(monkeypatch)
+        _CountedBytes.hexed = 0
+        assert store.append_admit(3, 2, "chan/a", "pub", 1, payload)
+        with store.group():
+            assert store.append_admit(3, 2, "chan/a", "pub", 2, payload)
+        assert [call["kind"] for call in calls] == ["admit", "admit"]
+        assert _CountedBytes.hexed == 0
+        monkeypatch.undo()
+        tail = JournalStore(path=store.path).recover(3).tail
+        assert [e[3] for e in tail] == [payload, payload]
+
+
 class TestWriteGroup:
-    """A write group buffers the lines of the appends made inside it and
+    """A write group buffers the records of the appends made inside it and
     writes them with one ``open``; nothing else about an append changes."""
 
     def test_group_writes_once_and_loads_like_event_by_event(
@@ -209,9 +486,9 @@ class TestWriteGroup:
             assert opens == []
         assert opens == [grouped.path]
         monkeypatch.undo()
-        assert (tmp_path / "grouped.journal").read_text() == (
+        assert (tmp_path / "grouped.journal").read_bytes() == (
             tmp_path / "single.journal"
-        ).read_text()
+        ).read_bytes()
         loaded = [
             JournalStore(path=store.path).recover(3)
             for store in (grouped, one_by_one)
@@ -224,10 +501,10 @@ class TestWriteGroup:
         path = tmp_path / "fabric.journal"
         store = JournalStore(path=str(path))
         store.fence(3, epoch=5)
-        before = path.read_text()
+        before = path.read_bytes()
         with store.group():
             assert store.append_admit(3, 4, "chan/a", "pub", 1, b"x") is False
-        assert path.read_text() == before
+        assert path.read_bytes() == before
         assert store.fenced_appends == 1
         assert store.entry_count(3) == 0
 
