@@ -64,6 +64,9 @@ from repro.pbio.server import CachingFormatResolver, ProjectionState
 
 EventHandler = Callable[[Record], Any]
 
+#: formats the endpoint decodes itself (the rest go to ``control``)
+_PLUMBING = (DERIVED_INFO.name, EVENT_ENVELOPE.name)
+
 _COLLECTED = (
     counter("echo.channel.events_pushed", "pushed", "channel", bounded=True),
     counter("echo.channel.events_delivered", "delivered", "channel",
@@ -102,9 +105,10 @@ class EChoProcess(EndpointMixin):
     resolver / format_servers:
         Either an existing :class:`CachingFormatResolver` or a server
         address list from which the process builds one (at
-        ``<address>:meta``).  Messages whose format id is not locally
-        known are parked, the format fetched out-of-band, and the
-        message replayed when the meta-data arrives.
+        ``<address>:meta``).  A message whose format id is not locally
+        known is held, the format fetched out-of-band, and the message
+        replayed when the meta-data arrives; the peer's later messages
+        wait behind it (:meth:`~repro.net.reliable.EndpointMixin._hold`).
     directory:
         A fabric :class:`~repro.fabric.membership.FabricDirectory` (or
         anything with its ``owner_contact``/``register_echo_channel``
@@ -140,15 +144,7 @@ class EChoProcess(EndpointMixin):
         self.version = version
         self.directory = directory
         self.contain_failures = contain_failures
-        #: messages parked while their format is fetched out-of-band
-        self.parked = 0
-        #: parked messages dropped because no server knew the format
-        self.unresolved = 0
-        #: format ids whose meta-data was already refreshed from the
-        #: server fleet (refresh once, then live with what we got)
-        self._refreshed: set = set()
         self.channels: Dict[str, ChannelState] = {}
-        self._current_peer: Optional[str] = None
         register_protocol(registry, version)
         if self.resolver is not None:
             # Upload the protocol formats (and anything pre-registered)
@@ -789,50 +785,31 @@ class EChoProcess(EndpointMixin):
     # Message dispatch
     # ------------------------------------------------------------------
 
-    def _park(self, format_id: int, replay: Callable[[], None]) -> None:
-        """Park a message whose meta-data (format or transform closure)
-        is missing locally: fetch it from the format-server fleet, then
-        *replay*.  Messages whose format no server knows either are
-        counted as unresolved and dropped."""
-        self.parked += 1
-
-        def _done(found: Optional[IOFormat]) -> None:
-            if found is None:
-                self.unresolved += 1
-                return
-            # Processed with whatever meta-data the fetch yielded —
-            # never re-parked, so a server missing the transforms
-            # degrades to reconciliation instead of looping.
-            self._refreshed.add(format_id)
-            replay()
-
-        assert self.resolver is not None
-        self.resolver.refresh(format_id, _done)
-
     def _on_message(self, source: str, data: bytes) -> None:
+        if source in self._holds:
+            self._hold(source, lambda: self._on_message(source, data))
+            return
         if is_batch(data):
             self._on_batch(source, data)
             return
         header = unpack_header(data)
         fmt = self.registry.lookup_id(header.format_id)
-        if fmt is None and self.resolver is not None:
-            self._park(header.format_id,
-                       lambda: self._on_message(source, data))
+        name = fmt.name if fmt is not None else None
+        if name not in _PLUMBING and self._needs_meta(
+                header.format_id, fmt, self.control):
+            # Unknown, or with no handler and no transform chain reaching
+            # one: pull it and the writer's transform closure first.
+            self._hold(source, lambda: self._on_message(source, data),
+                       header.format_id)
             return
-        self._current_peer = source
         # Restore the wire-carried trace context (None when untraced) so
         # every span recorded while dispatching — decode, MaxMatch, the
         # transform chain, handlers — joins the publisher's trace.
-        body_end = header.body_offset + header.payload_length
-        own = header.trace
-        try:
-            if own is None:
-                self._dispatch_message(source, data, header, fmt, body_end)
-            else:
-                with activate(own):
-                    self._dispatch_message(source, data, header, fmt, body_end)
-        finally:
-            self._current_peer = None
+        if header.trace is None:
+            self._dispatch_message(source, data, header, fmt, name)
+        else:
+            with activate(header.trace):
+                self._dispatch_message(source, data, header, fmt, name)
 
     def _on_batch(self, source: str, data: bytes) -> None:
         """Decompose one BATCH1 frame: validate it once, activate its
@@ -855,47 +832,29 @@ class EChoProcess(EndpointMixin):
         data: bytes,
         header: MessageHeader,
         fmt: Optional[IOFormat],
-        body_end: int,
+        name: Optional[str],
     ) -> None:
-        if fmt is not None and fmt.name == DERIVED_INFO.name:
+        body_end = header.body_offset + header.payload_length
+        if name == DERIVED_INFO.name:
             info = self.pbio.decode_as(fmt, data[:body_end])
-            trailing = data[body_end:]
-            self._handle_derived_info(source, info, trailing)
-        elif fmt is not None and fmt.name == EVENT_ENVELOPE.name:
-            envelope = self.pbio.decode_as(fmt, data[:body_end])
-            payload = data[body_end:]
-            channel_id = envelope["channel_id"]
-            receiver = self._event_receivers.get(channel_id)
-            if receiver is not None:
-                if self.resolver is not None and len(payload) > HEADER_SIZE:
-                    payload_id = unpack_header(payload).format_id
-                    payload_fmt = self.registry.lookup_id(payload_id)
-                    if payload_id not in self._refreshed and (
-                        payload_fmt is None
-                        or not receiver.has_exact_route(payload_fmt)
-                    ):
-                        self._park(
-                            payload_id,
-                            lambda: self._deliver_event(
-                                channel_id, receiver, payload
-                            ),
-                        )
-                        return
-                self._deliver_event(channel_id, receiver, payload)
-        else:
-            if (
-                self.resolver is not None
-                and fmt is not None
-                and header.format_id not in self._refreshed
-                and not self.control.has_exact_route(fmt)
-            ):
-                # Known format, but no handler and no transform
-                # chain reaching one: pull the writer's transform
-                # closure from the server before reconciling.
-                self._park(header.format_id,
-                           lambda: self._on_message(source, data))
-                return
+            self._handle_derived_info(source, info, data[body_end:])
+            return
+        if name != EVENT_ENVELOPE.name:
             self.control.process(data)
+            return
+        envelope = self.pbio.decode_as(fmt, data[:body_end])
+        payload = data[body_end:]
+        channel_id = envelope["channel_id"]
+        receiver = self._event_receivers.get(channel_id)
+        if receiver is None:
+            return
+        if self.resolver is not None and len(payload) > HEADER_SIZE:
+            pid = unpack_header(payload).format_id
+            if self._needs_meta(pid, self.registry.lookup_id(pid), receiver):
+                self._hold(source, lambda: self._deliver_event(
+                    channel_id, receiver, payload), pid)
+                return
+        self._deliver_event(channel_id, receiver, payload)
 
     # ------------------------------------------------------------------
     # Control handlers

@@ -23,9 +23,9 @@ Exactly-once across rebalancing rests on three mechanisms:
   :data:`FABRIC_HANDOFF` message, stops owning, and forwards any
   late-arriving traffic raw to the successor — forwarded bytes are
   untouched, so trace blocks survive the extra hop,
-* a **pending buffer** on the successor for traffic that outruns the
-  handoff state message (reordering under jitter), replayed once the
-  state lands.
+* a **hold** (:meth:`~repro.net.reliable.EndpointMixin._hold`) keyed
+  by the shard on the successor for traffic that outruns the handoff
+  state message (reordering under jitter), replayed once it lands.
 
 Duplicate paths all converge on the ledger: a publisher retry absorbed
 by the reliable layer never reaches us; a retry that raced a handoff is
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from itertools import groupby
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import FabricError
 from repro.fabric.hashing import shard_of
@@ -85,9 +85,6 @@ from repro.pbio.server import CachingFormatResolver
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fabric.membership import FabricDirectory
-
-#: Per-shard cap on messages buffered while handoff state is in flight.
-PENDING_LIMIT = 1024
 
 #: Byte ceiling of one outbound BATCH1 frame: a run larger than this
 #: leaves as several frames, each of which still fits a UDP datagram (a
@@ -208,11 +205,7 @@ class FabricWorker(EndpointMixin):
         self._owned: Dict[int, int] = {}
         #: shard -> (successor address, epoch it moved under)
         self._forwarding: Dict[int, Tuple[str, int]] = {}
-        #: shard -> raw datagrams that outran the handoff state message
-        self._pending: Dict[int, List[Tuple[str, bytes]]] = {}
         self._channels: Dict[str, FabricChannel] = {}
-        #: format ids already refreshed from the server fleet
-        self._refreshed: Set[int] = set()
         #: set while one event of a run is morphed, read by the group
         #: handlers: (shared DELIVER envelope wire, trace context to
         #: attach, contact -> the run's queued datagrams)
@@ -272,11 +265,12 @@ class FabricWorker(EndpointMixin):
         predecessor's process crashed before it could hand off).  With a
         journal attached, crash-granted shards are rebuilt from the
         predecessor's journaled admissions before we serve traffic."""
+        outran = self._holds.pop(shard, None)
         self._owned[shard] = epoch
         self._forwarding.pop(shard, None)
         if self.journal is not None:
             self._recover_shard(shard, epoch)
-        self._replay_pending(shard)
+        self._release(shard, outran)
 
     def _recover_shard(self, shard: int, epoch: int) -> None:
         """Rebuild *shard* from the journal and fence out its past.
@@ -340,7 +334,7 @@ class FabricWorker(EndpointMixin):
             self.reliable.abort_in_flight()
         self._owned.clear()
         self._forwarding.clear()
-        self._pending.clear()
+        self._holds.clear()  # a fetch reply landing later replays nothing
         self._channels.clear()
         self._handoff_staging.clear()
         self._relay_seen.clear()
@@ -448,27 +442,9 @@ class FabricWorker(EndpointMixin):
             )
             self._send(successor, self.pbio.encode(FABRIC_HANDOFF, record))
 
-    def _replay_pending(self, shard: int) -> None:
-        for source, data in self._pending.pop(shard, ()):
-            self._on_message(source, data)
-
     # ------------------------------------------------------------------
     # Message dispatch
     # ------------------------------------------------------------------
-
-    def _park(self, format_id: int, replay: Callable[[], None]) -> None:
-        """Fetch missing meta-data from the format-server fleet, then
-        replay (mirrors :meth:`EChoProcess._park`)."""
-
-        def _done(found: Optional[IOFormat]) -> None:
-            self._refreshed.add(format_id)
-            if found is None:
-                self.errors += 1
-                return
-            replay()
-
-        assert self.resolver is not None
-        self.resolver.refresh(format_id, _done)
 
     def _on_message(self, source: str, data: bytes) -> None:
         """Transport entry point: a BATCH1 frame's messages, or one bare
@@ -496,7 +472,9 @@ class FabricWorker(EndpointMixin):
         Anything else — a subscribe, a handoff, a publish for a shard we
         do not own or whose handoff state is in flight — closes the run
         and takes the per-message route, so a frame that races a handoff
-        can have some events delivered here and the rest forwarded.
+        can have some events delivered here and the rest forwarded.  A
+        segment whose meta-data must be fetched holds *source* before its
+        ledger sees it.
         Failures are contained per segment: the reliable layer acked the
         whole frame, nothing would resend a poisoned one's neighbours."""
         channel: Optional[FabricChannel] = None
@@ -504,17 +482,22 @@ class FabricWorker(EndpointMixin):
         run: Run = []
         format_id = publisher = fmt = ledger = None
         for data in segments:
+            if source in self._holds:
+                self._hold(source, lambda d=data: self._on_message(source, d))
+                continue
             try:
                 header = unpack_header(data)
                 if header.format_id != format_id:
                     format_id = header.format_id
                     fmt = self.registry.lookup_id(format_id)
                 if fmt is None:
-                    if self.resolver is None or format_id in self._refreshed:
-                        self.errors += 1
+                    if self._needs_meta(format_id, fmt):
+                        self._commit_run(shard, channel, run)
+                        run = []
+                        self._hold(source, lambda d=data: self._on_message(
+                            source, d), format_id)
                     else:
-                        self._park(format_id,
-                                   lambda d=data: self._on_message(source, d))
+                        self.errors += 1
                     continue
                 view = memoryview(data)
                 body_end = header.body_offset + header.payload_length
@@ -539,7 +522,8 @@ class FabricWorker(EndpointMixin):
                     shard = shard_of(channel_id, self.directory.num_shards)
                     self._fence_check(shard)
                     channel = (
-                        self._channel(channel_id) if shard in self._owned
+                        self._channel(channel_id)
+                        if shard in self._owned and shard not in self._holds
                         else None
                     )
                 if channel is None:
@@ -547,6 +531,16 @@ class FabricWorker(EndpointMixin):
                         shard, source, data, record["publisher"], channel_id
                     )
                     continue
+                if self.resolver is not None:
+                    pid = unpack_header(view[body_end:]).format_id
+                    pfmt = self.registry.lookup_id(pid)
+                    if any(self._needs_meta(pid, pfmt, g.receiver)
+                           for g in channel.groups.values() if g.contacts):
+                        self._commit_run(shard, channel, run)
+                        run = []
+                        self._hold(source, lambda d=data: self._on_message(
+                            source, d), pid)
+                        continue
                 if record["epoch"] != self.directory.epoch:
                     # Stale route: deliver anyway (we own it), but correct
                     # the publisher's cache so it stops paying the extra hop.
@@ -573,16 +567,10 @@ class FabricWorker(EndpointMixin):
     ) -> None:
         """A channel message for a shard we do not own: forward it raw
         (drain-and-forward — payload bytes, trace block included, pass
-        untouched) or buffer it if our own handoff state is in flight."""
+        untouched) or hold it while the shard's own state is in flight."""
         owner = self.directory.assignment.get(shard)
-        if owner == self.address:
-            # We are the new owner but the FABRIC_HANDOFF snapshot has
-            # not landed yet — hold the message, replay on arrival.
-            pending = self._pending.setdefault(shard, [])
-            if len(pending) >= PENDING_LIMIT:
-                self.errors += 1
-                return
-            pending.append((source, data))
+        if owner == self.address or shard in self._holds:
+            self._hold(shard, lambda: self._on_message(source, data))
             return
         if shard in self._forwarding:
             target = self._forwarding[shard][0]
@@ -777,7 +765,7 @@ class FabricWorker(EndpointMixin):
             self._reroute(shard, source, data, record["contact"], channel_id)
             return
         self._install_subscriber(
-            channel_id, record["contact"], record["format_id"]
+            source, channel_id, record["contact"], record["format_id"]
         )
         if self.journal is not None:
             self.journal.append_subscribe(
@@ -788,19 +776,18 @@ class FabricWorker(EndpointMixin):
                 self._compact_shard(shard)
 
     def _install_subscriber(
-        self, channel_id: str, contact: str, format_id: int
+        self, key: Any, channel_id: str, contact: str, format_id: int
     ) -> None:
+        """Add *contact* to the channel's group for *format_id*; *key*
+        (the subscribing peer, or the shard for state) waits on a fetch."""
         fmt = self.registry.lookup_id(format_id)
+        if key in self._holds or fmt is None and self._needs_meta(
+                format_id, fmt):
+            self._hold(key, lambda: self._install_subscriber(
+                key, channel_id, contact, format_id), format_id)
+            return
         if fmt is None:
-            if self.resolver is not None and format_id not in self._refreshed:
-                self._park(
-                    format_id,
-                    lambda: self._install_subscriber(
-                        channel_id, contact, format_id
-                    ),
-                )
-            else:
-                self.errors += 1
+            self.errors += 1
             return
         channel = self._channel(channel_id)
         group = channel.groups.get(format_id)
@@ -828,8 +815,9 @@ class FabricWorker(EndpointMixin):
                 )
                 if held is not restored:
                     held.merge(restored)
+            shard = shard_of(channel_id, self.directory.num_shards)
             for contact, format_id in subscribers:
-                self._install_subscriber(channel_id, contact, format_id)
+                self._install_subscriber(shard, channel_id, contact, format_id)
 
     def _on_handoff(self, source: str, record: Any) -> None:
         shard = record["shard"]
@@ -862,7 +850,7 @@ class FabricWorker(EndpointMixin):
             del self._relay_seen[(shard, epoch)]
             ack = FABRIC_HANDOFF_ACK.make_record(shard=shard, epoch=epoch)
             self._send(source, self.pbio.encode(FABRIC_HANDOFF_ACK, ack))
-            self._replay_pending(shard)
+            self._release(shard, self._holds.pop(shard, None))
             return
         if epoch < self.directory.shard_epoch(shard) or (
             self._owned.get(shard, -1) >= epoch
@@ -884,6 +872,8 @@ class FabricWorker(EndpointMixin):
             if k[0] == shard and k[1] < epoch
         ]:
             del self._handoff_staging[key]
+        # Traffic that outran the state waits behind its subscribers.
+        outran = self._holds.pop(shard, None)
         for index in sorted(staging):
             self._install_channels(staging[index])
         self._owned[shard] = epoch
@@ -896,4 +886,4 @@ class FabricWorker(EndpointMixin):
             self.journal.snapshot(shard, epoch, self._shard_state(shard))
         ack = FABRIC_HANDOFF_ACK.make_record(shard=shard, epoch=epoch)
         self._send(source, self.pbio.encode(FABRIC_HANDOFF_ACK, ack))
-        self._replay_pending(shard)
+        self._release(shard, outran)

@@ -44,7 +44,8 @@ from __future__ import annotations
 
 import random
 import struct
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import TransportError
 from repro.net.transport import Network, Node, peek_frame_trace
@@ -65,6 +66,9 @@ HEADER_SIZE = _HEADER.size
 _SKIPPED = object()
 
 MessageHandler = Callable[[str, bytes], None]
+
+#: Per-key cap on messages an endpoint holds (:meth:`EndpointMixin._hold`).
+PENDING_LIMIT = 1024
 
 _COLLECTED = (
     counter("net.reliable.sends", "sends", "peer"),
@@ -584,7 +588,30 @@ class EndpointMixin:
     share: one transport node, meta-data from a shared registry or a
     resolver over the format-server fleet, a ``PBIOContext`` over it, and
     ``_on_message`` receiving either straight from the node or through a
-    :class:`ReliableEndpoint` wrapped around it."""
+    :class:`ReliableEndpoint` wrapped around it.
+
+    It is also the one place traffic waits (:meth:`_hold`): on a shard's
+    handoff state, or on meta-data fetched from the format-server fleet
+    for a message that *needs* it — a fleet to ask, its format id not
+    refreshed yet, and its format unknown or without an exact route in
+    the receiver that will take it (:meth:`_needs_meta`, the one rule).
+
+    * **Per-stream order.**  A hold is per key — the peer for anything
+      that arrived from one; the shard for traffic that outran a handoff
+      and for a subscriber installed from handoff or journal state.
+      While a key is held every later message of it queues behind the
+      head (the rest of a BATCH1 frame too; in the fabric before
+      ``SeqLedger.admit``, so admit and journal order are stream order).
+    * **Bound.**  :data:`PENDING_LIMIT` messages per key; one more is
+      dropped and counted ``unresolved``, once.
+    * **Fetch reply.**  The head replays, then the queue in order; a
+      replay that holds the key again keeps the rest behind it.  A format
+      no server knows drops the head (``unresolved``) and releases the
+      queue.  A hold cleared from ``_holds`` (a crash) replays nothing.
+
+    ``parked`` counts messages held; a format is refreshed once a fetch
+    brought it back.  With no hold open, traffic pays one dict
+    membership test per message and no call into the hold."""
 
     def _open_endpoint(
         self, network, address, registry, reliable, reliable_options,
@@ -628,10 +655,64 @@ class EndpointMixin:
             self.reliable.set_handler(self._on_message)
         else:
             self.node.set_handler(self._on_message)
+        #: key -> replays held in stream order, the head first
+        self._holds: Dict[Any, Deque[Any]] = {}
+        #: format ids a fetch brought back: never fetched again
+        self._refreshed: Set[int] = set()
+        #: messages held; held messages dropped unprocessed
+        self.parked = 0
+        self.unresolved = 0
 
     @property
     def address(self) -> str:
         return self.node.address
+
+    def _needs_meta(self, format_id: int, fmt, receiver=None) -> bool:
+        """The one rule for holding a message to fetch its meta-data."""
+        return (
+            self.resolver is not None
+            and format_id not in self._refreshed
+            and (fmt is None or (
+                receiver is not None and not receiver.has_exact_route(fmt)
+            ))
+        )
+
+    def _hold(self, key: Any, replay: Callable[[], None],
+              format_id: Optional[int] = None) -> None:
+        """Queue *replay* on *key*, or make it the head of a new hold
+        that fetches *format_id* (without one: until :meth:`_release`)."""
+        queue = self._holds.setdefault(key, deque())
+        if len(queue) >= PENDING_LIMIT:
+            self.unresolved += 1
+            return
+        queue.append(replay)
+        self.parked += 1
+        if len(queue) == 1 and format_id is not None:
+            # last: a degraded resolver answers synchronously
+            self.resolver.refresh(format_id, lambda found: self._fetched(
+                key, queue, format_id, found))
+
+    def _fetched(self, key: Any, queue: Deque[Any], format_id: int,
+                 found: Any) -> None:
+        if self._holds.get(key) is not queue:
+            return  # cleared (a crash) while the fetch was in flight
+        del self._holds[key]
+        if found is None:
+            self.unresolved += 1
+            queue.popleft()
+        else:
+            self._refreshed.add(format_id)
+        self._release(key, queue)
+
+    def _release(self, key: Any, queue: Optional[Deque[Any]]) -> None:
+        """Replay *queue*, a hold taken off *key*, in order; once a
+        replay holds *key* again, the rest waits behind that head."""
+        while queue:
+            held = self._holds.get(key)
+            if held is not None:
+                held.extend(queue)
+                return
+            queue.popleft()()
 
     def _send(self, destination: str, data: bytes) -> None:
         """Send through the reliable endpoint when configured, raw
