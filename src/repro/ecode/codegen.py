@@ -32,11 +32,18 @@ cover is translated exactly as without them):
   whole (``old.src_list``) is loaded once, ahead of the body,
 * **direct scalar stores** — ``X.f = v`` with ``X`` a typed record and
   ``v`` statically scalar becomes ``dict.__setitem__(X, 'f', v)``, which
-  is what ``Record.__setitem__`` does once its class test has passed.
+  is what ``Record.__setitem__`` does once its class test has passed,
+* **inline growth** — loading an element of an array the host says
+  grows (:class:`Grows`: a transform's output array) reads it with
+  ``list.__getitem__`` and, past the end, appends new elements built in
+  place (``dict.__new__`` + ``dict.update`` of a literal prototype):
+  the growth :class:`~repro.ecode.runtime.AutoList` would run, without
+  entering a Python frame.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from typing import (
     Any,
@@ -73,12 +80,35 @@ from repro.errors import ECodeRuntimeError, ECodeTypeError
 SCALAR = "scalar"
 Shape = Union[str, Dict[str, Any], List[Any], None]
 
+
+class Grows(list):
+    """The shape of an array that grows when an index past its end is
+    read, as a transform's output arrays do
+    (:class:`~repro.ecode.runtime.AutoList`): ``[element shape]``, plus
+    *prototype*, the scalars a new element holds — a record of the class
+    of the record the array is a field of.  The typed back-end grows it
+    inline where it can prove the array is the one the host built (a
+    field of a parameter the program never assigns whole) and every
+    prototype value is a literal; anywhere else it reads as ``[element
+    shape]`` and the array grows itself."""
+
+    __slots__ = ("prototype",)
+
+    def __init__(self, element: Shape, prototype: Mapping[str, Any]) -> None:
+        super().__init__([element])
+        self.prototype = dict(prototype)
+
+
 #: The Python exceptions a faulty program (or a record that does not fit
 #: it) can raise out of generated code; every host of generated code maps
 #: exactly these to its ECode error.
 ECODE_ESCAPES = (
     KeyError, IndexError, TypeError, AttributeError, ValueError, OverflowError,
 )
+
+#: the scalar types whose ``repr`` is a literal of the same value (a
+#: float's only when it is finite)
+_LITERAL_TYPES = frozenset((int, float, str, bool, bytes))
 
 _NO_VARS: FrozenSet[str] = frozenset()
 _A_SCALAR = ast.IntLiteral(0)
@@ -93,6 +123,9 @@ def runtime_namespace() -> Dict[str, Any]:
         "_cmod": c_mod,
         "_cp": copy_value,
         "_set": dict.__setitem__,
+        "_lget": list.__getitem__,
+        "_upd": dict.update,
+        "_new": dict.__new__,
     }
     for fn_name, fn in BUILTINS.items():
         namespace[f"_fn_{fn_name}"] = fn
@@ -176,6 +209,12 @@ def _index_vars(expr: ast.Expr) -> Optional[FrozenSet[str]]:
         left, right = _index_vars(expr.left), _index_vars(expr.right)
         return None if left is None or right is None else left | right
     return None
+
+
+def _literal(value: Any) -> bool:
+    """Is ``repr(value)`` a Python literal of *value*?"""
+    cls = value.__class__
+    return cls in _LITERAL_TYPES and (cls is not float or math.isfinite(value))
 
 
 def _arith(op: str, left: str, right: str) -> str:
@@ -278,6 +317,9 @@ class _CodeGenerator:
         #: depth-1 container fields never assigned as a whole -> the
         #: local ``self.entry`` loads once, ahead of the body
         self.pinned: Dict[str, str] = {}
+        #: a prototype literal, or a parameter for its class -> the local
+        #: ``self.entry`` binds it to, once
+        self.constants: Dict[str, str] = {}
         self.entry: List[str] = []
         self._entry_indent = "    " * indent
         #: > 0 while emitting an expression that is not evaluated exactly
@@ -349,9 +391,12 @@ class _CodeGenerator:
             base, shape, deps = self._gen_path(expr.base)
             text = f"{base}[{expr.name!r}]"
             shape = shape.get(expr.name) if isinstance(shape, dict) else None
+            growth = None
         elif isinstance(expr, ast.IndexAccess):
             base, shape, deps = self._gen_path(expr.base)
-            text = f"{base}[{self.gen_expr(expr.index)}]"
+            index = self.gen_expr(expr.index)
+            text = f"{base}[{index}]"
+            growth = self._growth(expr, shape, base, index)
             shape = shape[0] if isinstance(shape, list) else None
             index_vars = _index_vars(expr.index)
             deps = (
@@ -361,15 +406,57 @@ class _CodeGenerator:
         else:
             return self.gen_expr(expr), None, None
         if isinstance(shape, (dict, list)):
-            text = self._bind(expr, text, deps)
+            text = self._bind(expr, text, deps, growth)
         return text, shape, deps
 
+    def _growth(
+        self, expr: ast.IndexAccess, shape: Shape, container: str, index: str
+    ) -> Optional[Tuple[str, ...]]:
+        """``(container, index, class, prototype)`` — the last two the
+        locals holding a new element's class and prototype, bound ahead
+        of the body — when the element *expr* loads may be grown inline
+        (see :class:`Grows`), else ``None``: the container then grows
+        itself."""
+        array = expr.base
+        if not (
+            not self._conditional
+            and isinstance(shape, Grows)
+            and isinstance(shape[0], dict)
+            and isinstance(array, ast.FieldAccess)
+            and isinstance(array.base, ast.Identifier)
+            and (array.base.name, array.name) not in self.replaced
+            and all(_literal(value) for value in shape.prototype.values())
+        ):
+            return None
+        literal = ", ".join(
+            f"{name!r}: {value!r}" for name, value in shape.prototype.items()
+        )
+        return (
+            container,
+            index,
+            self._constant(f"{self._name(array.base.name)}.__class__"),
+            self._constant(f"{{{literal}}}"),
+        )
+
+    def _constant(self, text: str) -> str:
+        """A local bound to *text* once, ahead of the body."""
+        local = self.constants.get(text)
+        if local is None:
+            local = self.constants[text] = self.em.fresh("g")
+            self.entry.append(f"{self._entry_indent}{local} = {text}")
+        return local
+
     def _bind(
-        self, expr: ast.Expr, text: str, deps: Optional[FrozenSet[str]]
+        self,
+        expr: ast.Expr,
+        text: str,
+        deps: Optional[FrozenSet[str]],
+        growth: Optional[Tuple[str, ...]] = None,
     ) -> str:
         """The local holding container-typed path *text*, loading it here
-        (or ahead of the body) on first use; *text* itself where the path
-        cannot be held."""
+        (or ahead of the body) on first use — growing its array first,
+        given a *growth* — and *text* itself where the path cannot be
+        held."""
         local = self.pinned.get(text)
         if local is not None:
             return local
@@ -383,12 +470,34 @@ class _CodeGenerator:
             local = self.pinned[text] = self.em.fresh("p")
             self.entry.append(f"{self._entry_indent}{local} = {text}")
             return local
-        if deps is None or self._conditional:
+        if self._conditional or deps is None and growth is None:
             return text
         local = self.em.fresh("p")
-        self.em.emit(f"{local} = {text}")
-        self.paths[text] = (local, deps)
+        if growth is None:
+            self.em.emit(f"{local} = {text}")
+        else:
+            self._grow(local, *growth)
+        if deps is not None:
+            self.paths[text] = (local, deps)
         return local
+
+    def _grow(
+        self, local: str, array: str, index: str, cls: str, prototype: str
+    ) -> None:
+        """``local = array[index]``, appending *cls* records filled from
+        *prototype* while *index* is past the end: ``AutoList`` growth,
+        in C calls only."""
+        if not (index.isidentifier() or index.isdigit()):
+            temp = self.em.fresh("t")
+            self.em.emit(f"{temp} = {index}")
+            index = temp
+        self.em.emit(f"while len({array}) <= {index}:")
+        self.em.indent += 1
+        self.em.emit(f"{local} = _new({cls})")
+        self.em.emit(f"_upd({local}, {prototype})")
+        self.em.emit(f"{array}.append({local})")
+        self.em.indent -= 1
+        self.em.emit(f"{local} = _lget({array}, {index})")
 
     def _invalidate(self, target: Any) -> None:
         """Forget every bound path a store into *target* may leave stale:

@@ -4,9 +4,12 @@ A :class:`FabricWorker` is one member of the sharded fleet.  For every
 shard it owns it runs the full morphing data plane: decode the published
 payload, run the ECode transform chain to each subscriber format group,
 reconcile, re-encode, and push a :data:`FABRIC_DELIVER` to every
-subscriber in the group.  Morphing happens **at the owner** so adding
-workers adds morphing capacity — the property the scaling bench
-measures.
+subscriber in the group.  A group in the publisher's own format is
+Algorithm 2's perfect match: it gets the publisher's payload bytes,
+which are what a re-encode would write
+(:func:`~repro.pbio.buffer.canonical_format_id`).  Morphing
+happens **at the owner** so adding workers adds morphing capacity — the
+property the scaling bench measures.
 
 The data plane is run-oriented: whatever arrives (a bare publish is a
 frame of one) is turned into *admitted runs*, and each run is journaled
@@ -78,7 +81,12 @@ from repro.obs.tracectx import (
     current,
     recording,
 )
-from repro.pbio.buffer import attach_trace, peek_trace, unpack_header
+from repro.pbio.buffer import (
+    attach_trace,
+    canonical_format_id,
+    peek_trace,
+    unpack_header,
+)
 from repro.pbio.format import IOFormat
 from repro.pbio.registry import FormatRegistry
 from repro.pbio.server import CachingFormatResolver
@@ -133,10 +141,11 @@ class _SubscriberGroup:
     """Subscribers of one channel sharing one event format.
 
     Each group owns a :class:`MorphReceiver` whose single handler
-    re-encodes the morphed record in the group format and pushes it to
-    every contact — one re-encode per *format group*, not per
-    subscriber (the decode and the transforms are paid per *event*:
-    :meth:`FabricWorker._fan_out`)."""
+    forwards or re-encodes the morphed record in the group format and
+    pushes it to every contact — one re-encode per *format group*, not
+    per subscriber, and none for the group in the publisher's own
+    format when the payload is native (the decode and the transforms are
+    paid per *event*: :meth:`FabricWorker._fan_out`)."""
 
     __slots__ = ("fmt", "contacts", "receiver", "failed")
 
@@ -208,7 +217,8 @@ class FabricWorker(EndpointMixin):
         self._channels: Dict[str, FabricChannel] = {}
         #: set while one event of a run is morphed, read by the group
         #: handlers: (shared DELIVER envelope wire, trace context to
-        #: attach, contact -> the run's queued datagrams)
+        #: attach, the payload's own one, contact -> the run's queued
+        #: datagrams, the payload)
         self._delivering: Optional[Tuple[Any, ...]] = None
         #: write-ahead ledger journal shared with whoever inherits our
         #: shards (None disables journaling — the crash-ablation arm)
@@ -661,10 +671,11 @@ class FabricWorker(EndpointMixin):
 
     def _fan_out(self, channel: FabricChannel, run: Run) -> None:
         """Morph-at-owner for one run: each event goes through every
-        format group's receiver (the group handler re-encodes into the
-        per-contact outbox), then each contact gets the run as **one**
-        BATCH1 frame — split only at :data:`MAX_FRAME_BYTES` — carrying
-        the inbound frame's trace context once.  A run of one leaves
+        format group's receiver (the group handler forwards or
+        re-encodes into the per-contact outbox), then each contact gets
+        the run as **one** BATCH1 frame — split only at
+        :data:`MAX_FRAME_BYTES` — carrying the inbound frame's trace
+        context once.  A run of one leaves
         unframed, as a single publish always has.  Bare publishes,
         frames and recovery replay all end here.
 
@@ -688,9 +699,10 @@ class FabricWorker(EndpointMixin):
         try:
             for publisher, seq, payload in run:
                 # A publish's own trace block is re-attached to its
-                # re-encoded deliveries.  Batch-inner messages carry
-                # none: the frame-level context covers them, spliced once
-                # into the outbound frame (or the unframed message).
+                # re-encoded deliveries (a forwarded payload still has
+                # it).  Batch-inner messages carry none: the frame-level
+                # context covers them, spliced once into the outbound
+                # frame (or the unframed message).
                 own = peek_trace(payload)
                 ctx = own if framed else own or frame_ctx
                 envelope = self.pbio.encode(
@@ -701,7 +713,7 @@ class FabricWorker(EndpointMixin):
                 )
                 if ctx is not None:
                     envelope = attach_trace(envelope, ctx)
-                self._delivering = (envelope, ctx, outbox)
+                self._delivering = (envelope, ctx, own, outbox, payload)
                 context = span = UNRECORDED
                 if OBS.enabled and recording(own or frame_ctx):
                     context = activate(own)
@@ -740,14 +752,25 @@ class FabricWorker(EndpointMixin):
         return group
 
     def _deliver_group(self, group: _SubscriberGroup, morphed: Any) -> None:
-        """Re-encode one morphed event in the group's format behind the
-        event's (already encoded, shared) ``FABRIC_DELIVER`` envelope and
-        queue it for every contact of the group."""
+        """Queue one morphed event in the group's format, behind the
+        event's (already encoded, shared) ``FABRIC_DELIVER`` envelope,
+        for every contact of the group: the publisher's payload bytes
+        when they are in the group's format and canonical
+        (:func:`~repro.pbio.buffer.canonical_format_id`), otherwise a
+        re-encode of *morphed*.  The event's trace context goes on
+        either, unless the payload already carries its own block.  Runs
+        only on a payload the group decoded, inside its receiver's
+        per-message containment."""
         assert self._delivering is not None
-        envelope, ctx, outbox = self._delivering
-        out_payload = self.pbio.encode(group.fmt, morphed)
-        if ctx is not None:
-            out_payload = attach_trace(out_payload, ctx)
+        envelope, ctx, own, outbox, payload = self._delivering
+        if canonical_format_id(payload) == group.fmt.format_id:
+            out_payload = payload
+            if ctx is not own:  # the payload carries no block of its own
+                out_payload = attach_trace(payload, ctx)
+        else:
+            out_payload = self.pbio.encode(group.fmt, morphed)
+            if ctx is not None:
+                out_payload = attach_trace(out_payload, ctx)
         datagram = envelope + out_payload
         for contact in group.contacts:
             outbox.setdefault(contact, []).append(datagram)

@@ -6,7 +6,9 @@ the ECode (dynamic code generation) and wiring up a *growable* output
 record of the target format — ECode transforms assign into variable
 arrays without explicit allocation (paper Figure 5 writes
 ``old.src_list[src_count].info = ...``), which
-:class:`~repro.ecode.runtime.AutoList` supports by growing on demand.
+:class:`~repro.ecode.runtime.AutoList` supports by growing on demand —
+and the typed back-end, told how an output array grows
+(:class:`~repro.ecode.codegen.Grows`), grows inline.
 
 Chains of transformations (Figure 1's retro-transformation ladder
 Rev 2.0 → Rev 1.0 → Rev 0.0) compose into a single
@@ -18,7 +20,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.ecode.codegen import SCALAR, Shape, compile_procedure
+from repro.ecode.codegen import SCALAR, Grows, Shape, compile_procedure
 from repro.ecode.interp import interpret_procedure
 from repro.ecode.runtime import AutoList
 from repro.errors import ECodeError, FormatError, TransformError
@@ -82,8 +84,8 @@ def _record_entry(fmt: IOFormat) -> _RecordEntry:
             return entry
         while len(_record_factories) >= RECORD_FACTORY_CACHE_MAX:
             _record_factories.pop(next(iter(_record_factories)))
-        if all(f.is_basic and not f.is_array for f in fmt.fields):
-            prototype = {f.name: f.default_instance() for f in fmt.fields}
+        prototype = _prototype(fmt)
+        if prototype is not None:
 
             def factory() -> Record:
                 rec = Record.__new__(Record)
@@ -106,6 +108,14 @@ def _record_entry(fmt: IOFormat) -> _RecordEntry:
                 len(_record_factories)
             )
         return entry
+
+
+def _prototype(fmt: IOFormat) -> Optional[Dict[str, Any]]:
+    """What a default record of a flat *fmt* (scalars only) holds, or
+    ``None`` for any other format."""
+    if all(f.is_basic and not f.is_array for f in fmt.fields):
+        return {f.name: f.default_instance() for f in fmt.fields}
+    return None
 
 
 def _field_builder(field: IOField) -> Callable[[], Any]:
@@ -167,18 +177,27 @@ def _freezer(fmt: IOFormat) -> Optional[Callable[[Record], None]]:
     return freeze
 
 
-def _shape(fmt: IOFormat) -> Dict[str, Shape]:
-    """*fmt* as the ECode compiler wants to hear of it."""
+def _shape(fmt: IOFormat, output: bool = False) -> Dict[str, Shape]:
+    """*fmt* as the ECode compiler wants to hear of it; an *output*
+    record's (:func:`growable_record`'s) arrays of flat records say how
+    they grow."""
     shape: Dict[str, Shape] = {}
     for field in fmt.fields:
         inner = _shape(field.subformat) if field.is_complex else SCALAR
-        shape[field.name] = [inner] if field.is_array else inner
+        prototype = (
+            _prototype(field.subformat)
+            if output and field.is_array and field.is_complex else None
+        )
+        if prototype is not None:
+            shape[field.name] = Grows(inner, prototype)
+        else:
+            shape[field.name] = [inner] if field.is_array else inner
     return shape
 
 
 def ecode_shapes(spec: TransformSpec) -> Dict[str, Shape]:
     """The shapes of a transform's ``(new, old)`` parameters."""
-    return {"new": _shape(spec.source), "old": _shape(spec.target)}
+    return {"new": _shape(spec.source), "old": _shape(spec.target, True)}
 
 
 class Transformation:

@@ -138,6 +138,29 @@ def unpack_header(data: bytes, offset: int = 0) -> MessageHeader:
     return MessageHeader(format_id, length, flags, version, trace, body)
 
 
+def canonical_format_id(wire: bytes) -> Optional[int]:
+    """The format id of *wire* when its bytes are what a repro encoder
+    writes for it in native order (before a trace block is attached),
+    else None.  Never raises.
+
+    That asks for a well-formed header in little-endian order (flags at
+    most :data:`FLAG_TRACE`), zero reserved bytes and no byte past the
+    declared payload end: the 64-bit id fingerprints the layout, so
+    re-encoding the decoded record in that format writes the same body.
+    A hand-made body may still differ from its re-encode where the
+    decoder maps two byte patterns to one value — a boolean byte other
+    than 0/1, a 4-byte signalling NaN — but both decode to the same
+    record (docs/PERFORMANCE.md, "Identity pass-through")."""
+    if len(wire) < HEADER_SIZE:
+        return None
+    magic, version, flags, reserved, format_id, length = HEADER.unpack_from(wire)
+    if (magic != MAGIC or version != WIRE_VERSION or reserved
+            or flags | FLAG_TRACE != FLAG_TRACE):
+        return None
+    body = HEADER_SIZE + TRACE_BLOCK_SIZE if flags else HEADER_SIZE
+    return format_id if len(wire) == body + length else None
+
+
 # ---------------------------------------------------------------------------
 # Trace-context block attachment (the morphing layer's send path calls
 # these; encoders themselves never emit the block, keeping every encode

@@ -477,8 +477,6 @@ def _coerced_load(rec: str, field: IOField) -> str:
     expr = f"{rec}[{field.name!r}]"
     if field.kind is TypeKind.BOOLEAN:
         return f"bool({expr})"
-    if field.kind is TypeKind.FLOAT:
-        return expr
     return expr
 
 

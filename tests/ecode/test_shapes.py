@@ -10,7 +10,7 @@ error class and the same input."""
 
 import pytest
 
-from repro.ecode.codegen import SCALAR, compile_procedure
+from repro.ecode.codegen import SCALAR, Grows, compile_procedure
 from repro.ecode.interp import interpret_procedure
 from repro.ecode.runtime import AutoList
 from repro.errors import ECodeError
@@ -19,6 +19,9 @@ from repro.pbio.record import Record
 ROW = {"a": SCALAR, "b": SCALAR}
 TABLE = {"n": SCALAR, "rows": [ROW], "head": ROW, "xs": [SCALAR]}
 SHAPES = {"new": TABLE, "old": TABLE}
+#: ``old`` as a transform's output: its rows grow (records() builds them
+#: with blank_row, which is this prototype)
+GROWN = {"new": TABLE, "old": dict(TABLE, rows=Grows(ROW, {"a": 0, "b": 0}))}
 
 
 def blank_row():
@@ -177,6 +180,20 @@ PROGRAMS = {
     "undeclared member raises alike": """
         old.rows[0].a = new.rows[0].zzz;
     """,
+    "grown by leaps, read back": """
+        int i; int k = 0;
+        for (i = 0; i < new.n; i++) {
+            old.rows[k].a = new.rows[i].a;
+            k = k + i;
+        }
+        old.rows[new.n * 2].b = old.rows[k - 1].a + old.rows[1].b;
+        old.n = k;
+    """,
+    "grown array replaced, then read past its end": """
+        old.rows[0].a = 1;
+        old.rows = new.rows;
+        old.rows[6].b = 2;
+    """,
 }
 
 
@@ -186,8 +203,23 @@ def test_typed_untyped_and_interpreted_agree(name):
     reference = run(interpret_procedure, source)
     untyped = run(compile_procedure, source)
     typed = run(lambda src: compile_procedure(src, shapes=SHAPES), source)
+    grown = run(lambda src: compile_procedure(src, shapes=GROWN), source)
     assert typed == reference
+    assert grown == reference
     assert untyped == reference
+
+
+def test_a_growing_array_grows_inline(monkeypatch):
+    """The typed loads of "grown by leaps" grow ``old.rows`` themselves:
+    the array's own growth is never asked for."""
+    proc = compile_procedure(PROGRAMS["grown by leaps, read back"], shapes=GROWN)
+    assert "_lget(" in proc.python_source
+    reads = []
+    monkeypatch.setattr(AutoList, "__getitem__", lambda self, index: (
+        reads.append(index), list.__getitem__(self, index))[1])
+    new, old = records()
+    proc(new, old)
+    assert reads == [] and len(old["rows"]) == 9
 
 
 def test_the_programs_above_do_reuse_paths():

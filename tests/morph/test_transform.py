@@ -189,9 +189,9 @@ class TestAssignmentIsByValue:
 class TestMorphPrice:
     """What one V2->V1 morph may cost, counted by wrapping (never timed):
     no Python-level ``Record.__setitem__`` (typed scalar stores go
-    straight to ``dict``), one ``AutoList.__getitem__`` per output element
-    (each output path is loaded once per iteration), and a freeze that
-    makes no call per element."""
+    straight to ``dict``), no ``AutoList.__getitem__`` (output elements
+    are grown inline), and a freeze that makes no call per element — so
+    the Python frames a morph enters do not depend on its size."""
 
     MEMBERS = 64
 
@@ -218,7 +218,7 @@ class TestMorphPrice:
             len(out[name]) for name in ("member_list", "src_list", "sink_list")
         )
         assert elements > self.MEMBERS  # the role lists are populated
-        assert census == {"setitem": 0, "getitem": elements}
+        assert census == {"setitem": 0, "getitem": 0}
         for name in ("member_list", "src_list", "sink_list"):
             assert type(out[name]) is list
         # every freeze closure is called `freeze`: the record's own call
@@ -227,7 +227,9 @@ class TestMorphPrice:
 
     @staticmethod
     def _frames(fn):
-        """Run *fn*; the names of the Python functions entered meanwhile."""
+        """Run *fn*; the names of the Python functions entered meanwhile
+        (with the collector off: its callbacks are nobody's price)."""
+        import gc
         import sys
 
         names = []
@@ -236,35 +238,48 @@ class TestMorphPrice:
             if event == "call":
                 names.append(frame.f_code.co_name)
 
+        gc.collect()
+        gc.disable()
         sys.setprofile(profiler)
         try:
             result = fn()
         finally:
             sys.setprofile(None)
+            gc.enable()
         return result, names
 
-    def test_staged_morph(self, census):
+    def _staged(self, members, census):
         xform = Transformation(V2_TO_V1_TRANSFORM, validate_output=False)
-        incoming = response_v2(self.MEMBERS)
+        incoming = response_v2(members)
         census.update(setitem=0, getitem=0)  # building the input is not the morph
-        out, frames = self._frames(lambda: xform.apply(incoming))
-        self._check(census, out, frames)
+        return self._frames(lambda: xform.apply(incoming))
 
-    def test_fused_morph(self, census):
+    def _fused(self, members, census):
         registry = FormatRegistry()
         registry.register_transform(V2_TO_V1_TRANSFORM)
         got = []
         receiver = MorphReceiver(registry, use_fusion=True)
         receiver.register_handler(RESPONSE_V1, got.append)
-        wire = PBIOContext(registry).encode(
-            RESPONSE_V2, response_v2(self.MEMBERS)
-        )
-        receiver.process(wire)  # plans and compiles the route
-        assert receiver.route_for(RESPONSE_V2).fused is not None
+        wire = PBIOContext(registry).encode(RESPONSE_V2, response_v2(members))
+        receiver.process(wire)  # plans the route
+        receiver.process(wire)  # compiles it: its second message
+        assert receiver.route_for(RESPONSE_V2).fused.fn_for("<") is not None
         census.update(setitem=0, getitem=0)
         got.clear()
         _, frames = self._frames(lambda: receiver.process(wire))
-        self._check(census, got[0], frames)
+        # the route's decode builds each *input* record with one
+        # trusted_record call: the decoder's price, not the morph's
+        return got[0], [name for name in frames if name != "trusted_record"]
+
+    def test_staged_morph(self, census):
+        out, frames = self._staged(self.MEMBERS, census)
+        self._check(census, out, frames)
+        assert self._staged(2 * self.MEMBERS, census)[1] == frames
+
+    def test_fused_morph(self, census):
+        out, frames = self._fused(self.MEMBERS, census)
+        self._check(census, out, frames)
+        assert self._fused(2 * self.MEMBERS, census)[1] == frames
 
 
 def _ext_revision(k):

@@ -10,9 +10,12 @@ from repro.pbio.buffer import (
     MAGIC,
     WireReader,
     WireWriter,
+    attach_trace,
+    canonical_format_id,
     pack_header,
     unpack_header,
 )
+from repro.obs.tracectx import TraceContext
 
 
 class TestHeader:
@@ -57,6 +60,22 @@ class TestHeader:
 
     def test_magic_spells_pbio(self):
         assert struct.pack(">I", MAGIC) == b"PBIO"
+
+    def test_canonical_format_id(self):
+        wire = pack_header(42, 3) + b"abc"
+        assert canonical_format_id(wire) == 42
+        assert canonical_format_id(memoryview(wire)) == 42
+        ctx = TraceContext(trace_id=1, span_id=2)
+        assert canonical_format_id(attach_trace(wire, ctx)) == 42
+        for other in (
+            wire[:HEADER_SIZE - 1],  # too short for a header: no raise
+            wire + b"\x00",  # a byte past the declared end
+            wire[:-1],  # truncated
+            pack_header(42, 3, flags=1) + b"abc",  # big-endian
+            wire[:6] + b"\x80" + wire[7:],  # reserved bits
+            b"\x00" + wire[1:],  # bad magic
+        ):
+            assert canonical_format_id(other) is None
 
 
 class TestWireWriter:
