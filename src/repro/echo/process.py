@@ -169,6 +169,9 @@ class EChoProcess(EndpointMixin):
         self._filters: Dict[str, ECodeProcedure] = {}
         self.filter_errors = 0
         self.filtered_out = 0
+        #: segments of a received frame that failed, and the last failure
+        self.errors = 0
+        self.last_error: Optional[BaseException] = None
         #: per channel: events pushed to sinks / delivered here; events
         #: sent projected, the wire bytes that saved, and renegotiations
         self._tally = Tallies("pushed", "delivered", "renegotiations",
@@ -814,7 +817,10 @@ class EChoProcess(EndpointMixin):
     def _on_batch(self, source: str, data: bytes) -> None:
         """Decompose one BATCH1 frame: validate it once, activate its
         frame-level trace once, then run every contained message through
-        the normal dispatch as a zero-copy ``memoryview`` slice."""
+        the normal dispatch as a zero-copy ``memoryview`` slice.
+        Failures are contained per segment: a poisoned one counts an
+        error and its neighbours still deliver (the reliable layer acked
+        the whole frame; nothing would resend them)."""
         frame = unpack_batch(data)
         view = data if isinstance(data, memoryview) else memoryview(data)
         span = UNRECORDED
@@ -824,7 +830,11 @@ class EChoProcess(EndpointMixin):
             )
         with activate(frame.trace), span:
             for off, length in frame.segments:
-                self._on_message(source, view[off:off + length])
+                try:
+                    self._on_message(source, view[off:off + length])
+                except Exception as exc:  # noqa: BLE001 - per segment
+                    self.errors += 1
+                    self.last_error = exc
 
     def _dispatch_message(
         self,

@@ -45,12 +45,14 @@ from typing import (
 
 from repro.ecode import analyze
 from repro.ecode.codegen import ECODE_ESCAPES, generate_inline, runtime_namespace
-from repro.errors import DecodeError, ECodeError, TransformError
+from repro.errors import ECodeError, TransformError
 from repro.morph.compat import _coerce_field
 from repro.morph.transform import Transformation, ecode_shapes
-from repro.pbio.codegen import _Emitter, _gen_decode_format, _StructTable
+from repro.pbio.codegen import (
+    _Emitter, _gen_decode_message, _StructTable, decode_namespace,
+)
 from repro.pbio.format import IOFormat
-from repro.pbio.record import Record, trusted_record
+from repro.pbio.record import Record
 
 
 def _make_fail(label: str) -> Callable[[BaseException], None]:
@@ -224,15 +226,11 @@ class FusedRoute:
         em = _Emitter()
         structs = _StructTable(order)
         namespace = runtime_namespace()
+        namespace.update(decode_namespace(structs))
         namespace.update({
-            "_S": structs,
-            "_U32": struct.Struct(order + "I"),
-            "_mk": trusted_record,
-            "_DecodeError": DecodeError,
             "_struct_error": struct.error,
             "_ECodeError": ECodeError,
             "_ecode_escapes": ECODE_ESCAPES,
-            "_Record": Record,
         })
 
         em.emit("def _fused_route(data, off, end):")
@@ -242,9 +240,8 @@ class FusedRoute:
         # -- decode (dead fields skipped) ------------------------------
         em.emit("try:")
         em.indent += 1
-        _gen_decode_format(
-            em, self.wire_format, structs, "data", "end", "_r0",
-            live=self.wire_live,
+        _gen_decode_message(
+            em, self.wire_format, structs, "_r0", live=self.wire_live
         )
         em.emit("if off != end:")
         em.indent += 1
@@ -323,7 +320,7 @@ class FusedRoute:
         decisions are taken at compile time, the per-value coercions stay
         the exact same (total) helpers the walker uses."""
         src_fmt, dst_fmt = self._walker_coercion  # type: ignore[misc]
-        em.emit("_out = _Record()")
+        em.emit("_out = _R()")
         for i, field in enumerate(dst_fmt.fields):
             default = f"_df{i}"
             namespace[default] = field.default_instance

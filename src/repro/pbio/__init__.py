@@ -31,7 +31,7 @@ from repro.pbio.decode import decode_message, decode_record, peek_format_id
 from repro.pbio.encode import encode_record, encoded_size, native_size
 from repro.pbio.field import ArraySpec, IOField
 from repro.pbio.format import IOFormat
-from repro.pbio.record import Record, make_record, records_equal, trusted_record
+from repro.pbio.record import Record, make_record, records_equal
 from repro.pbio.registry import FormatRegistry, TransformSpec
 from repro.pbio.server import CachingFormatResolver, FormatServer
 from repro.pbio.serialization import (
@@ -73,6 +73,5 @@ __all__ = [
     "pack_header",
     "peek_format_id",
     "records_equal",
-    "trusted_record",
     "unpack_header",
 ]

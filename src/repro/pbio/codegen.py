@@ -13,7 +13,10 @@ field-walking interpreter):
 * consecutive fixed-width scalar fields are fused into a single
   ``struct`` pack/unpack call with a precompiled ``Struct`` object,
 * the format tree is fully inlined — no per-field dispatch, no recursion,
-* records are built through a trusted constructor that skips conversion.
+* records are built frame-free: ``dict.__new__(Record)`` and one
+  ``dict.update`` from a literal, two C calls and no conversion, and
+  strings decode from ``bytes`` (a decoder copies a non-``bytes`` message
+  once, on entry).
 
 The generated source for any format can be inspected via
 :func:`decoder_source` / :func:`encoder_source`, which is also how the
@@ -37,7 +40,7 @@ from repro.pbio.buffer import (
 )
 from repro.pbio.field import IOField
 from repro.pbio.format import IOFormat
-from repro.pbio.record import Record, trusted_record
+from repro.pbio.record import Record
 from repro.pbio.types import STRUCT_CODES, TypeKind
 
 DecoderFn = Callable[[bytes], Record]
@@ -194,7 +197,47 @@ def _gen_decode_format(
         for f in fmt.fields
         if f.name in value_vars and (live is None or f.name in live)
     )
-    em.emit(f"{out_var} = _mk({{{items}}})")
+    em.emit(f"{out_var} = _new(_R)")
+    em.emit(f"_upd({out_var}, {{{items}}})")
+
+
+def _gen_decode_message(
+    em: _Emitter,
+    fmt: IOFormat,
+    structs: "_StructTable",
+    out_var: str,
+    live: Optional[Set[str]] = None,
+) -> None:
+    """Emit the decode of the record of *fmt* that the message ``data``
+    carries between ``off`` and ``end`` into *out_var*: the one entry to
+    :func:`_gen_decode_format`, for :func:`decoder_source` and the fused
+    route's decode fragment alike.
+
+    Its prologue turns a non-``bytes`` message (a ``memoryview`` slice of
+    a receive buffer, a ``bytearray``) into ``bytes``, so each string is
+    a ``bytes.decode`` rather than a ``str`` of a view.  Every caller
+    hands over one message — ``PBIOContext.decode_as`` one wire, a
+    receiver one segment or the payload slice after an envelope — never
+    a whole frame, so the copy is O(message).  The names the emitted
+    code uses are :func:`decode_namespace`'s."""
+    em.emit("if data.__class__ is not _bytes:")
+    em.indent += 1
+    em.emit("data = _bytes(data)")
+    em.indent -= 1
+    _gen_decode_format(em, fmt, structs, "data", "end", out_var, live=live)
+
+
+def decode_namespace(structs: "_StructTable") -> Dict[str, Any]:
+    """The globals :func:`_gen_decode_message`'s code runs against."""
+    return {
+        "_S": structs,
+        "_U32": struct.Struct(structs.order + "I"),
+        "_bytes": bytes,
+        "_new": dict.__new__,
+        "_upd": dict.update,
+        "_R": Record,
+        "_DecodeError": DecodeError,
+    }
 
 
 def _arith_skippable(field: IOField) -> bool:
@@ -336,10 +379,7 @@ def _gen_decode_single(
         em.indent += 1
         em.emit(f"raise _DecodeError('truncated string field {field.name}')")
         em.indent -= 1
-        # str(buf, 'utf-8') instead of buf.decode so the generated code
-        # accepts memoryview slices (the zero-copy batch path) as well as
-        # bytes; both raise UnicodeDecodeError on invalid input
-        em.emit(f"{var} = str({data}[off:off + {length}], 'utf-8')")
+        em.emit(f"{var} = {data}[off:off + {length}].decode()")
         em.emit(f"off += {length}")
         return
     if kind is TypeKind.CHAR:
@@ -376,7 +416,7 @@ def decoder_source(
     em.indent += 1
     em.emit(f'"""Specialized decoder for format {fmt.name!r} '
             f"(id {fmt.format_id:#x}).\"\"\"")
-    _gen_decode_format(em, fmt, structs, "data", "end", "_result", live=live)
+    _gen_decode_message(em, fmt, structs, "_result", live=live)
     em.emit("return _result, off")
     return em.source(), structs
 
@@ -387,12 +427,7 @@ def make_payload_decoder(
     """Compile and return ``decode(data, off, end) -> (record, new_off)``
     specialized for payloads in *order*."""
     source, structs = decoder_source(fmt, order)
-    namespace: Dict[str, Any] = {
-        "_S": structs,
-        "_U32": struct.Struct(order + "I"),
-        "_mk": trusted_record,
-        "_DecodeError": DecodeError,
-    }
+    namespace = decode_namespace(structs)
     code = compile(source, f"<pbio-decoder:{fmt.name}:{order}>", "exec")
     exec(code, namespace)
     return namespace["_decode"]

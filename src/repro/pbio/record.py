@@ -95,18 +95,6 @@ def _deepcopy(value: Any) -> Any:
     return value
 
 
-def trusted_record(mapping: Mapping[str, Any]) -> Record:
-    """Build a :class:`Record` without recursive conversion.
-
-    Used by generated (DCG) decode routines whose nested values are already
-    Records/lists; skipping ``__setitem__`` conversion is a measurable part
-    of the specialized decoder's advantage.
-    """
-    rec = Record.__new__(Record)
-    dict.update(rec, mapping)
-    return rec
-
-
 def records_equal(a: Any, b: Any) -> bool:
     """Structural equality that tolerates Record-vs-dict differences and
     int/float identity (4-byte float round-trips compare approximately)."""

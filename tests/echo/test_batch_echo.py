@@ -4,13 +4,19 @@ The batched publish path must be observationally identical to the
 per-event path: exactly-once, in-order, morphed-per-revision delivery
 over a lossy reliable fabric — including when whole BATCH1 frames are
 retransmitted — plus one frame-level trace context threading every
-contained event's delivery spans.
+contained event's delivery spans.  A poisoned segment costs one
+contained failure and its neighbours still deliver.
 """
 
+import pytest
+
 from repro import obs
+from repro.echo.protocol import EVENT_ENVELOPE
+from repro.net.batch import pack_batch
 from repro.net.link import LinkSpec
 from repro.net.transport import Network
 from repro.obs.tracing import find_spans
+from repro.pbio.buffer import HEADER_SIZE, pack_header, unpack_header
 from repro.pbio.registry import FormatRegistry
 
 from repro.echo.process import EChoProcess
@@ -22,6 +28,7 @@ from tests.echo.test_reliable_echo import (
     V1_TO_V0,
     V2_TO_V1,
 )
+from tests.integration.test_hold import settle, transport
 
 
 def run_batch_chain(
@@ -127,3 +134,62 @@ class TestBatchTraceContinuity:
             assert {span.get("trace_id") for span in receives} <= minted
         finally:
             obs.disable(reset=True)
+
+
+def _short(segment):
+    return segment[:HEADER_SIZE - 1]
+
+
+def _corrupt_header(segment):
+    return b"\xde\xad\xbe\xef" + segment[4:]
+
+
+def _cut_envelope(segment):
+    """The envelope alone, its body cut three bytes short and its header
+    declaring the shorter length: the header reads, the envelope does
+    not decode."""
+    header = unpack_header(segment)
+    body = segment[header.body_offset:][:header.payload_length - 3]
+    return pack_header(header.format_id, len(body)) + body
+
+
+class TestPoisonedSegment:
+    """``EChoProcess._on_batch`` contains each segment, as the fabric's
+    worker and client do: the reliable layer acked the whole frame, so
+    a segment that raised out of the loop would take its neighbours with
+    it for good."""
+
+    @pytest.mark.parametrize(
+        "poison", [_short, _corrupt_header, _cut_envelope],
+        ids=["shorter_than_a_header", "corrupt_header", "cut_envelope"],
+    )
+    @pytest.mark.parametrize("kind", ["sim", "socket"])
+    def test_neighbours_of_a_poisoned_segment_deliver_in_order(
+        self, kind, poison
+    ):
+        with transport(kind) as net:
+            registry = FormatRegistry()
+            registry.register_transform(V2_TO_V1)
+            creator = EChoProcess(net, "creator", registry, version="2.0",
+                                  reliable=True)
+            sink = EChoProcess(net, "sink", registry, version="1.0",
+                               reliable=True)
+            creator.create_channel("ch")
+            sink.open_channel("ch", "creator", as_sink=True)
+            settle(net)
+            got = []
+            sink.subscribe("ch", EVT_V1, lambda r: got.append(r["n"]))
+
+            def segment(n):
+                envelope = EVENT_ENVELOPE.make_record(channel_id="ch", seq=n)
+                event = EVT_V2.make_record(n=n, extra=2 * n, flag=1)
+                return (creator.pbio.encode(EVENT_ENVELOPE, envelope)
+                        + creator.pbio.encode(EVT_V2, event))
+
+            segments = [segment(n) for n in range(5)]
+            segments[2] = poison(segments[2])
+            creator.reliable.send("sink", pack_batch(segments))
+            settle(net)
+            assert got == [0, 1, 3, 4]
+            assert sink.errors == 1
+            assert net.handler_errors == 0

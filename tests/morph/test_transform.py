@@ -18,6 +18,7 @@ from repro.ecode import analyze
 from repro.ecode.runtime import AutoList
 from repro.errors import FormatError, TransformError
 from repro.morph import transform as transform_mod
+from repro.morph.fusion import FusedRoute
 from repro.morph.receiver import MorphReceiver
 from repro.morph.transform import (
     TransformChain,
@@ -26,6 +27,7 @@ from repro.morph.transform import (
     growable_record,
 )
 from repro.pbio import serialization
+from repro.pbio.buffer import unpack_header
 from repro.pbio.context import CODEC_CACHE_MAX, PBIOContext
 from repro.pbio.field import ArraySpec, IOField
 from repro.pbio.format import IOFormat
@@ -267,9 +269,7 @@ class TestMorphPrice:
         census.update(setitem=0, getitem=0)
         got.clear()
         _, frames = self._frames(lambda: receiver.process(wire))
-        # the route's decode builds each *input* record with one
-        # trusted_record call: the decoder's price, not the morph's
-        return got[0], [name for name in frames if name != "trusted_record"]
+        return got[0], frames
 
     def test_staged_morph(self, census):
         out, frames = self._staged(self.MEMBERS, census)
@@ -280,6 +280,53 @@ class TestMorphPrice:
         out, frames = self._fused(self.MEMBERS, census)
         self._check(census, out, frames)
         assert self._fused(2 * self.MEMBERS, census)[1] == frames
+
+
+@pytest.mark.parametrize("buffer", [bytes, memoryview])
+class TestDecodePrice:
+    """What one decode may cost, counted by wrapping (never timed): a
+    generated decoder builds each record with two C calls and no Python
+    frame, so the frames a decode enters do not depend on how many
+    records it builds — through ``PBIOContext.decode_as`` and through a
+    fused route's decode fragment alike, on ``bytes`` and on a view."""
+
+    MEMBERS = 64
+
+    def _staged(self, members, buffer):
+        ctx = PBIOContext()
+        data = buffer(ctx.encode(RESPONSE_V2, response_v2(members)))
+        ctx.decode_as(RESPONSE_V2, data)  # first use: interpretive
+        ctx.decode_as(RESPONSE_V2, data)  # second: generates the decoder
+        assert ctx.generated_decoder_count == 1
+        return TestMorphPrice._frames(lambda: ctx.decode_as(RESPONSE_V2, data))
+
+    def _fused(self, members, buffer):
+        # a route with no chain and no reconcile: its decode fragment alone
+        route = FusedRoute(RESPONSE_V2, None, "decode", [], None)
+        assert route.fn_for("<") is None  # first message: staged
+        fn = route.fn_for("<")
+        wire = PBIOContext().encode(RESPONSE_V2, response_v2(members))
+        header = unpack_header(wire)
+        end = header.body_offset + header.payload_length
+        return TestMorphPrice._frames(
+            lambda: fn(buffer(wire), header.body_offset, end)[0])
+
+    @staticmethod
+    def _check(rec, members):
+        assert type(rec) is Record
+        assert len(rec["member_list"]) == members
+        assert all(type(m) is Record for m in rec["member_list"])
+
+    def test_staged_decode(self, buffer):
+        rec, frames = self._staged(self.MEMBERS, buffer)
+        self._check(rec, self.MEMBERS)
+        assert self._staged(2 * self.MEMBERS, buffer)[1] == frames
+
+    def test_fused_decode(self, buffer):
+        rec, frames = self._fused(self.MEMBERS, buffer)
+        self._check(rec, self.MEMBERS)
+        assert frames == ["<lambda>", "_fused_route"]
+        assert self._fused(2 * self.MEMBERS, buffer)[1] == frames
 
 
 def _ext_revision(k):

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.ecode.runtime import AutoList
-from repro.pbio.record import Record, make_record, records_equal, trusted_record
+from repro.pbio.codegen import make_decoder
+from repro.pbio.encode import encode_record
+from repro.pbio.field import ArraySpec, IOField
+from repro.pbio.format import IOFormat
+from repro.pbio.record import Record, make_record, records_equal
 
 
 class TestAttributeAccess:
@@ -82,14 +86,42 @@ class TestCopy:
 
 
 class TestTrustedRecord:
-    def test_builds_without_conversion(self):
-        inner = {"x": 1}
-        rec = trusted_record({"inner": inner})
-        assert rec["inner"] is inner  # no conversion happened
-        assert isinstance(rec, Record)
+    """Generated decoders build trusted records: each record, nested ones
+    too, is a plain ``Record`` whose values are what the decoder produced,
+    with no ``Record.__init__`` and no ``__setitem__`` conversion."""
+
+    ORIGINAL = {"inner": {"x": 1}, "n": 2, "items": [{"x": 2}, {"x": 3}]}
+
+    @staticmethod
+    def _decode_original():
+        inner = IOFormat("Inner", [IOField("x", "integer")])
+        fmt = IOFormat("Outer", [
+            IOField("inner", "complex", subformat=inner),
+            IOField("n", "integer"),
+            IOField("items", "complex", subformat=inner,
+                    array=ArraySpec(length_field="n")),
+        ])
+        wire = encode_record(fmt, TestTrustedRecord.ORIGINAL)
+        return make_decoder(fmt), wire
+
+    def test_builds_without_conversion(self, monkeypatch):
+        decode, wire = self._decode_original()
+        conversions = []
+        monkeypatch.setattr(
+            Record, "__init__", lambda *a, **k: conversions.append("init"))
+        monkeypatch.setattr(
+            Record, "__setitem__", lambda *a: conversions.append("setitem"))
+        rec = decode(wire)
+        assert conversions == []
+        monkeypatch.undo()
+        assert type(rec) is Record
+        assert type(rec["inner"]) is Record
+        assert type(rec["items"]) is list
+        assert all(type(item) is Record for item in rec["items"])
 
     def test_equal_to_converted(self):
-        assert trusted_record({"a": 1}) == Record(a=1)
+        decode, wire = self._decode_original()
+        assert decode(wire) == Record(self.ORIGINAL)
 
 
 class TestRecordsEqual:
