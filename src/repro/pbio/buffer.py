@@ -262,7 +262,7 @@ class WireWriter:
         self._reserve(size)
         try:
             struct.pack_into(fmt, self._buffer, self._size, value)
-        except struct.error as exc:
+        except (struct.error, OverflowError) as exc:
             raise EncodeError(f"cannot pack {value!r} as {code!r}: {exc}") from None
         self._size += size
 

@@ -12,6 +12,10 @@ field-walking interpreter):
 
 * consecutive fixed-width scalar fields are fused into a single
   ``struct`` pack/unpack call with a precompiled ``Struct`` object,
+* the runs cross array-element boundaries: an element's trailing scalars
+  and the next element's leading fixed-width field (a string's length,
+  or a scalar run) are one ``Struct`` call, so an array of
+  ``[string, scalars]`` records costs one call per element each way,
 * the format tree is fully inlined — no per-field dispatch, no recursion,
 * records are built frame-free: ``dict.__new__(Record)`` and one
   ``dict.update`` from a literal, two C calls and no conversion, and
@@ -66,22 +70,24 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
+def _fusable(field: IOField) -> bool:
+    """A non-array basic scalar with a fixed struct code: everything
+    except strings and chars (chars decode to str, so they stay
+    singletons)."""
+    return (
+        field.is_basic
+        and not field.is_array
+        and field.kind not in (TypeKind.STRING, TypeKind.CHAR)
+    )
+
+
 def _scalar_runs(fields: Tuple[IOField, ...]) -> List[List[IOField]]:
     """Group the top-level fields into runs of fuse-able scalars and
-    singleton non-fusable fields, preserving order.
-
-    A field is fuse-able when it is a non-array basic scalar with a fixed
-    struct code (everything except strings and chars; chars decode to str
-    so they stay singletons)."""
+    singleton non-fusable fields, preserving order."""
     runs: List[List[IOField]] = []
     current: List[IOField] = []
     for field in fields:
-        fusable = (
-            field.is_basic
-            and not field.is_array
-            and field.kind not in (TypeKind.STRING, TypeKind.CHAR)
-        )
-        if fusable:
+        if _fusable(field):
             current.append(field)
         else:
             if current:
@@ -93,15 +99,33 @@ def _scalar_runs(fields: Tuple[IOField, ...]) -> List[List[IOField]]:
     return runs
 
 
-def _struct_for_run(
-    run: List[IOField], structs: "_StructTable"
-) -> Tuple[int, int]:
-    """Register a precompiled Struct for a scalar run; returns its index in
+def _run_codes(run: List[IOField]) -> str:
+    return "".join(STRUCT_CODES[(f.kind, f.size)] for f in run)
+
+
+def _struct_for(codes: str, structs: "_StructTable") -> Tuple[int, int]:
+    """Register a precompiled Struct for *codes*; returns its index in
     *structs* and its packed size."""
-    codes = "".join(STRUCT_CODES[(f.kind, f.size)] for f in run)
     packer = struct.Struct(structs.order + codes)
     structs.append(packer)
     return len(structs) - 1, packer.size
+
+
+def _head_codes(fmt: IOFormat) -> Optional[str]:
+    """The struct codes of the leading fixed-width read of a record of
+    *fmt* — its first string's u32 length, or its first scalar run —
+    when the record before it in an array can carry that read in its own
+    trailing scalar run; ``None`` when *fmt* does not end in a scalar run
+    or is one run (the carry would merge nothing)."""
+    runs = _scalar_runs(fmt.fields)
+    if len(runs) < 2 or not _fusable(runs[-1][0]):
+        return None
+    first = runs[0][0]
+    if _fusable(first):
+        return _run_codes(runs[0])
+    if first.kind is TypeKind.STRING and not first.is_array:
+        return "I"
+    return None
 
 
 class _StructTable(list):
@@ -126,6 +150,8 @@ def _gen_decode_format(
     end: str,
     out_var: str,
     live: Optional[Set[str]] = None,
+    held: Optional[List[str]] = None,
+    carry: bool = False,
 ) -> None:
     """Emit code decoding one record of *fmt* into dict var *out_var*.
 
@@ -141,6 +167,12 @@ def _gen_decode_format(
     is where the win comes from.  Variable-array count fields are always
     unpacked (the skip arithmetic needs them) but stay out of the record
     unless live themselves.
+
+    *held* and *carry* serve an array element (see
+    :func:`_gen_decode_array`): *held* names the locals the record's
+    leading fixed-width read (:func:`_head_codes`) already landed in, so
+    it is not read again; *carry* appends the next element's leading read
+    to the trailing scalar run's ``unpack_from``, into the same locals.
     """
     value_vars: Dict[str, str] = {}
     count_fields = {
@@ -152,28 +184,34 @@ def _gen_decode_format(
     def _needed(f: IOField) -> bool:
         return live is None or f.name in live or f.name in count_fields
 
-    for run in _scalar_runs(fmt.fields):
+    runs = _scalar_runs(fmt.fields)
+    for position, run in enumerate(runs):
         field = run[0]
-        if len(run) > 1 or (
-            field.is_basic
-            and not field.is_array
-            and field.kind not in (TypeKind.STRING, TypeKind.CHAR)
-        ):
-            if live is not None and not any(_needed(f) for f in run):
-                codes = "".join(STRUCT_CODES[(f.kind, f.size)] for f in run)
-                size = struct.calcsize(structs.order + codes)
-                _gen_skip_bytes(em, str(size), data, end,
-                                f"truncated message in format {fmt.name}")
-                continue
-            idx, size = _struct_for_run(run, structs)
+        if held is not None and position == 0:
             targets = [em.fresh("v") for _ in run]
             for f, var in zip(run, targets):
                 value_vars[f.name] = var
-            lhs = ", ".join(targets)
-            if len(targets) == 1:
-                lhs += ","
-            em.emit(f"{lhs} = _S[{idx}].unpack_from({data}, off)")
-            em.emit(f"off += {size}")
+            if _fusable(field):
+                # the carry overwrites *held* before this record is built
+                em.emit(f"{', '.join(targets)} = {', '.join(held)}")
+            else:
+                _gen_string_body(em, field, data, end, held[0], targets[0])
+            continue
+        if _fusable(field):
+            if live is not None and not any(_needed(f) for f in run):
+                size = struct.calcsize(structs.order + _run_codes(run))
+                _gen_skip_bytes(em, str(size), data, end,
+                                f"truncated message in format {fmt.name}")
+                continue
+            targets = [em.fresh("v") for _ in run]
+            for f, var in zip(run, targets):
+                value_vars[f.name] = var
+            codes = _run_codes(run)
+            if carry and position == len(runs) - 1:
+                assert held is not None
+                codes += _head_codes(fmt) or ""
+                targets += held
+            _gen_unpack(em, codes, targets, structs, data)
             continue
         dead = live is not None and not _needed(field)
         var = em.fresh("v")
@@ -199,6 +237,22 @@ def _gen_decode_format(
     )
     em.emit(f"{out_var} = _new(_R)")
     em.emit(f"_upd({out_var}, {{{items}}})")
+
+
+def _gen_unpack(
+    em: _Emitter,
+    codes: str,
+    targets: List[str],
+    structs: "_StructTable",
+    data: str,
+) -> None:
+    """One ``unpack_from`` of *codes* at the cursor into *targets*."""
+    idx, size = _struct_for(codes, structs)
+    lhs = ", ".join(targets)
+    if len(targets) == 1:
+        lhs += ","
+    em.emit(f"{lhs} = _S[{idx}].unpack_from({data}, off)")
+    em.emit(f"off += {size}")
 
 
 def _gen_decode_message(
@@ -349,13 +403,44 @@ def _gen_decode_array(
     em.emit(f"{var} = []")
     append = em.fresh("app")
     em.emit(f"{append} = {var}.append")
+    sub = field.subformat
+    codes = _head_codes(sub) if sub is not None else None
+    if codes is None or spec.fixed_length == 0:
+        loop = em.fresh("i")
+        em.emit(f"for {loop} in range({count_expr}):")
+        em.indent += 1
+        element = em.fresh("e")
+        _gen_decode_single(em, field, structs, data, end, element)
+        em.emit(f"{append}({element})")
+        em.indent -= 1
+        return
+    # A struct run across element boundaries: each element's trailing
+    # scalars and the next element's leading read are one unpack_from.
+    # The first element's lead is read on its own, after the count guard
+    # and only for a non-empty array; the last element's tail reads
+    # nothing past itself.
+    assert sub is not None
+    held = [em.fresh("h") for _ in codes]
+    guarded = spec.fixed_length is None
+    if guarded:
+        em.emit(f"if {count_expr}:")
+        em.indent += 1
+    _gen_unpack(em, codes, held, structs, data)
+
+    def element(carry: bool) -> None:
+        out = em.fresh("e")
+        _gen_decode_format(em, sub, structs, data, end, out,
+                           held=held, carry=carry)
+        em.emit(f"{append}({out})")
+
     loop = em.fresh("i")
-    em.emit(f"for {loop} in range({count_expr}):")
+    em.emit(f"for {loop} in range({count_expr} - 1):")
     em.indent += 1
-    element = em.fresh("e")
-    _gen_decode_single(em, field, structs, data, end, element)
-    em.emit(f"{append}({element})")
+    element(carry=True)
     em.indent -= 1
+    element(carry=False)
+    if guarded:
+        em.indent -= 1
 
 
 def _gen_decode_single(
@@ -375,12 +460,7 @@ def _gen_decode_single(
         length = em.fresh("n")
         em.emit(f"({length},) = _U32.unpack_from({data}, off)")
         em.emit("off += 4")
-        em.emit(f"if off + {length} > {end}:")
-        em.indent += 1
-        em.emit(f"raise _DecodeError('truncated string field {field.name}')")
-        em.indent -= 1
-        em.emit(f"{var} = {data}[off:off + {length}].decode()")
-        em.emit(f"off += {length}")
+        _gen_string_body(em, field, data, end, length, var)
         return
     if kind is TypeKind.CHAR:
         em.emit(f"if off >= {end}:")
@@ -391,9 +471,19 @@ def _gen_decode_single(
         em.emit("off += 1")
         return
     # lone scalar (inside an array loop)
-    idx, size = _struct_for_run([field], structs)
-    em.emit(f"({var},) = _S[{idx}].unpack_from({data}, off)")
-    em.emit(f"off += {size}")
+    _gen_unpack(em, _run_codes([field]), [var], structs, data)
+
+
+def _gen_string_body(
+    em: _Emitter, field: IOField, data: str, end: str, length: str, var: str
+) -> None:
+    """A string's bytes, once its u32 *length* is read."""
+    em.emit(f"if off + {length} > {end}:")
+    em.indent += 1
+    em.emit(f"raise _DecodeError('truncated string field {field.name}')")
+    em.indent -= 1
+    em.emit(f"{var} = {data}[off:off + {length}].decode()")
+    em.emit(f"off += {length}")
 
 
 def decoder_source(
@@ -490,22 +580,51 @@ def _gen_encode_format(
     fmt: IOFormat,
     structs: List[struct.Struct],
     rec: str,
+    held: Optional[str] = None,
+    carry: Optional[str] = None,
 ) -> None:
-    for run in _scalar_runs(fmt.fields):
+    """Emit code appending record *rec* of *fmt* to ``buf``.
+
+    *held* and *carry* serve an array element (see
+    :func:`_gen_encode_array`): given *held*, the record's leading
+    fixed-width write (:func:`_head_codes`) is already made, and *held*
+    names the local holding its leading string's bytes; *carry* names the
+    next element, whose leading write joins the trailing scalar run's
+    ``pack``."""
+    runs = _scalar_runs(fmt.fields)
+    for position, run in enumerate(runs):
         field = run[0]
-        if len(run) > 1 or (
-            field.is_basic
-            and not field.is_array
-            and field.kind not in (TypeKind.STRING, TypeKind.CHAR)
-        ):
-            idx, _size = _struct_for_run(run, structs)
-            args = ", ".join(_coerced_load(rec, f) for f in run)
-            em.emit(f"_ext(_S[{idx}].pack({args}))")
+        if held is not None and position == 0:
+            if not _fusable(field):
+                em.emit(f"_ext({held})")
+            continue
+        if _fusable(field):
+            codes = _run_codes(run)
+            args = [_coerced_load(rec, f) for f in run]
+            if carry is not None and position == len(runs) - 1:
+                assert held is not None
+                next_codes, next_args = _gen_encode_head(em, fmt, carry, held)
+                codes += next_codes
+                args += next_args
+            idx, _size = _struct_for(codes, structs)
+            em.emit(f"_ext(_S[{idx}].pack({', '.join(args)}))")
             continue
         if field.is_array:
             _gen_encode_array(em, field, structs, rec)
         else:
             _gen_encode_single(em, field, structs, f"{rec}[{field.name!r}]")
+
+
+def _gen_encode_head(
+    em: _Emitter, fmt: IOFormat, rec: str, held: str
+) -> Tuple[str, List[str]]:
+    """The struct codes and ``pack`` arguments of record *rec*'s leading
+    fixed-width write; a leading string is encoded into *held* first."""
+    run = _scalar_runs(fmt.fields)[0]
+    if _fusable(run[0]):
+        return _run_codes(run), [_coerced_load(rec, f) for f in run]
+    em.emit(f"{held} = {rec}[{run[0].name!r}].encode('utf-8')")
+    return "I", [f"len({held})"]
 
 
 def _coerced_load(rec: str, field: IOField) -> str:
@@ -538,11 +657,35 @@ def _gen_encode_array(
             f"not match count field {spec.length_field}')"
         )
         em.indent -= 1
-    element = em.fresh("el")
-    em.emit(f"for {element} in {lst}:")
+    sub = field.subformat
+    if sub is None or _head_codes(sub) is None or spec.fixed_length == 0:
+        element = em.fresh("el")
+        em.emit(f"for {element} in {lst}:")
+        em.indent += 1
+        _gen_encode_single(em, field, structs, element)
+        em.indent -= 1
+        return
+    # the struct run across element boundaries, as the decoder reads it
+    # (_gen_decode_array): the first element's lead on its own, each
+    # element's tail with the next one's lead, the last tail alone
+    guarded = spec.fixed_length is None
+    if guarded:
+        em.emit(f"if {lst}:")
+        em.indent += 1
+    it, cur, nxt, held = (em.fresh(p) for p in ("it", "cur", "nx", "b"))
+    em.emit(f"{it} = iter({lst})")
+    em.emit(f"{cur} = next({it})")
+    codes, args = _gen_encode_head(em, sub, cur, held)
+    idx, _size = _struct_for(codes, structs)
+    em.emit(f"_ext(_S[{idx}].pack({', '.join(args)}))")
+    em.emit(f"for {nxt} in {it}:")
     em.indent += 1
-    _gen_encode_single(em, field, structs, element)
+    _gen_encode_format(em, sub, structs, cur, held=held, carry=nxt)
+    em.emit(f"{cur} = {nxt}")
     em.indent -= 1
+    _gen_encode_format(em, sub, structs, cur, held=held)
+    if guarded:
+        em.indent -= 1
 
 
 def _gen_encode_single(
@@ -570,7 +713,7 @@ def _gen_encode_single(
         em.indent -= 1
         em.emit(f"_ext({raw})")
         return
-    idx, _size = _struct_for_run([field], structs)
+    idx, _size = _struct_for(_run_codes([field]), structs)
     if kind is TypeKind.BOOLEAN:
         em.emit(f"_ext(_S[{idx}].pack(bool({expr})))")
     else:
@@ -624,7 +767,7 @@ def make_encoder(fmt: IOFormat, byte_order: str = "little") -> EncoderFn:
             raise EncodeError(
                 f"record does not conform to format {fmt.name!r}: {exc!r}"
             ) from None
-        except AttributeError as exc:
+        except (AttributeError, UnicodeEncodeError, OverflowError) as exc:
             raise EncodeError(
                 f"bad field value for format {fmt.name!r}: {exc}"
             ) from None
@@ -767,7 +910,7 @@ def make_batch_encoder(
             raise EncodeError(
                 f"batch row does not conform to ({label}): {exc!r}"
             ) from None
-        except AttributeError as exc:
+        except (AttributeError, OverflowError) as exc:
             raise EncodeError(
                 f"bad field value in batch of {label!r}: {exc}"
             ) from None

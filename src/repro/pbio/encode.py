@@ -8,6 +8,7 @@ is property-tested against, and the baseline for the DCG ablation bench.
 
 from __future__ import annotations
 
+import operator
 import struct
 from typing import Any, Mapping
 
@@ -91,27 +92,42 @@ def _encode_element(writer: WireWriter, field: IOField, value: Any) -> None:
     if kind is TypeKind.STRING:
         if not isinstance(value, str):
             raise EncodeError(f"string field {field.name!r} got {type(value).__name__}")
-        writer.write_string(value)
+        try:
+            writer.write_string(value)
+        except UnicodeEncodeError as exc:  # a lone surrogate
+            raise EncodeError(f"string field {field.name!r}: {exc}") from None
         return
     if kind is TypeKind.CHAR:
-        text = value if isinstance(value, str) else str(value)
-        if len(text) != 1:
+        if not isinstance(value, str):
+            raise EncodeError(f"char field {field.name!r} got {type(value).__name__}")
+        try:
+            raw = value.encode("latin-1")
+        except UnicodeEncodeError as exc:
+            raise EncodeError(f"char field {field.name!r}: {exc}") from None
+        if len(raw) != 1:
             raise EncodeError(f"char field {field.name!r} needs 1 character")
-        writer.write_bytes(text.encode("latin-1", errors="replace")[:1])
+        writer.write_bytes(raw)
         return
+    # The generated encoder's rule, which is what ``struct.pack`` takes:
+    # integer codes an ``int`` or an ``__index__`` (never ``int("7")``
+    # nor ``int(7.9)``), floats whatever it packs as a float.
     code = STRUCT_CODES[(kind, field.size)]
     if kind is TypeKind.INTEGER:
-        value = _check_range(field, int(value), SIGNED_RANGES[field.size])
+        value = _check_range(field, value, SIGNED_RANGES[field.size])
     elif kind in (TypeKind.UNSIGNED, TypeKind.ENUMERATION):
-        value = _check_range(field, int(value), UNSIGNED_RANGES[field.size])
-    elif kind is TypeKind.FLOAT:
-        value = float(value)
+        value = _check_range(field, value, UNSIGNED_RANGES[field.size])
     elif kind is TypeKind.BOOLEAN:
         value = bool(value)
     writer.write_scalar(code, value)
 
 
-def _check_range(field: IOField, value: int, bounds: "tuple[int, int]") -> int:
+def _check_range(field: IOField, value: Any, bounds: "tuple[int, int]") -> int:
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise EncodeError(
+            f"field {field.name!r} needs an integer, got {type(value).__name__}"
+        ) from None
     low, high = bounds
     if not low <= value <= high:
         raise EncodeError(
