@@ -234,11 +234,9 @@ def _check_batch_hostility(fmt, wire: bytes, mutation: str) -> List[Finding]:
             ),
         ))
     elif kind == "ok":
-        view = memoryview(wire)
-        for off, length in val.segments:
+        for segment in val.views(wire):
             findings.extend(check_wire_hostility(
-                fmt, bytes(view[off:off + length]),
-                mutation=f"{mutation}/batch-inner",
+                fmt, bytes(segment), mutation=f"{mutation}/batch-inner",
             ))
     return findings
 
@@ -741,9 +739,18 @@ def _assert_exactly_once(
         flag(f"{name} delivered unpublished events {sorted(extra)[:5]}")
 
 
+def _check_no_receive_failures(flag: Callable[[str], None], proc) -> None:
+    if proc.errors:
+        flag(f"{proc.address} contained {proc.errors} receive failures, "
+             f"the last {proc.last_error!r}")
+
+
 def _reconcile_endpoint(flag: Callable[[str], None], proc) -> None:
     """Counters of a quiesced reliable endpoint must balance: every send
-    acked, none failed or fail-fast rejected, nothing in flight."""
+    acked, none failed or fail-fast rejected, nothing in flight — and no
+    received message failed (the endpoint contains such a failure, so
+    the transport never counts it)."""
+    _check_no_receive_failures(flag, proc)
     counters = proc.reliable.counters()
     name = proc.address
     if counters["failed"]:
@@ -1573,6 +1580,8 @@ def check_crash_chaos(
         if scenario == "partition" and victim.fenced == 0:
             flag("partitioned stale owner was never epoch-fenced "
                  "despite post-expiry traffic on its channel")
+    for proc in (*workers.values(), pub, sub1, sub0):
+        _check_no_receive_failures(flag, proc)
     if net.pending:
         flag(f"network did not quiesce: {net.pending} events still queued")
     if net.handler_errors:

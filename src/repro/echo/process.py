@@ -35,7 +35,8 @@ from repro.morph.maxmatch import (
     DEFAULT_MISMATCH_THRESHOLD,
 )
 from repro.morph.receiver import MorphReceiver
-from repro.net.batch import is_batch, pack_batch, unpack_batch
+# unpack_batch stays for benchmarks/e2e/trace.py's patch list
+from repro.net.batch import BatchFrame, pack_batch, unpack_batch
 from repro.net.reliable import EndpointMixin
 from repro.net.transport import Network
 from repro.obs import OBS
@@ -169,9 +170,6 @@ class EChoProcess(EndpointMixin):
         self._filters: Dict[str, ECodeProcedure] = {}
         self.filter_errors = 0
         self.filtered_out = 0
-        #: segments of a received frame that failed, and the last failure
-        self.errors = 0
-        self.last_error: Optional[BaseException] = None
         #: per channel: events pushed to sinks / delivered here; events
         #: sent projected, the wire bytes that saved, and renegotiations
         self._tally = Tallies("pushed", "delivered", "renegotiations",
@@ -788,53 +786,46 @@ class EChoProcess(EndpointMixin):
     # Message dispatch
     # ------------------------------------------------------------------
 
-    def _on_message(self, source: str, data: bytes) -> None:
-        if source in self._holds:
-            self._hold(source, lambda: self._on_message(source, data))
-            return
-        if is_batch(data):
-            self._on_batch(source, data)
-            return
-        header = unpack_header(data)
-        fmt = self.registry.lookup_id(header.format_id)
-        name = fmt.name if fmt is not None else None
-        if name not in _PLUMBING and self._needs_meta(
-                header.format_id, fmt, self.control):
-            # Unknown, or with no handler and no transform chain reaching
-            # one: pull it and the writer's transform closure first.
-            self._hold(source, lambda: self._on_message(source, data),
-                       header.format_id)
-            return
-        # Restore the wire-carried trace context (None when untraced) so
-        # every span recorded while dispatching — decode, MaxMatch, the
-        # transform chain, handlers — joins the publisher's trace.
-        if header.trace is None:
-            self._dispatch_message(source, data, header, fmt, name)
-        else:
-            with activate(header.trace):
-                self._dispatch_message(source, data, header, fmt, name)
+    def _on_segments(self, source: str, segments: List[bytes]) -> None:
+        """Dispatch each message of a frame (a bare message is a frame of
+        one) as a control message, a derived-channel announcement or an
+        event, each contained on its own."""
+        for data in segments:
+            try:
+                if source in self._holds:
+                    self._hold(source, lambda d=data: self._on_segments(
+                        source, [d]))
+                    continue
+                header = unpack_header(data)
+                fmt = self.registry.lookup_id(header.format_id)
+                name = fmt.name if fmt is not None else None
+                if name not in _PLUMBING and self._needs_meta(
+                        header.format_id, fmt, self.control):
+                    # Unknown, or with no handler and no transform chain
+                    # reaching one: pull it and the writer's transform
+                    # closure first.
+                    self._hold(source, lambda d=data: self._on_segments(
+                        source, [d]), header.format_id)
+                    continue
+                # Restore the wire-carried trace context (None when
+                # untraced) so every span recorded while dispatching —
+                # decode, MaxMatch, the transform chain, handlers — joins
+                # the publisher's trace.
+                if header.trace is None:
+                    self._dispatch_message(source, data, header, fmt, name)
+                else:
+                    with activate(header.trace):
+                        self._dispatch_message(
+                            source, data, header, fmt, name)
+            except Exception as exc:  # noqa: BLE001 - contained per message
+                self._contain(exc)
 
-    def _on_batch(self, source: str, data: bytes) -> None:
-        """Decompose one BATCH1 frame: validate it once, activate its
-        frame-level trace once, then run every contained message through
-        the normal dispatch as a zero-copy ``memoryview`` slice.
-        Failures are contained per segment: a poisoned one counts an
-        error and its neighbours still deliver (the reliable layer acked
-        the whole frame; nothing would resend them)."""
-        frame = unpack_batch(data)
-        view = data if isinstance(data, memoryview) else memoryview(data)
-        span = UNRECORDED
+    def _frame_span(self, frame: BatchFrame) -> Any:
         if OBS.enabled and recording(frame.trace or current()):
-            span = OBS.tracer.span(
+            return OBS.tracer.span(
                 "echo.batch.receive", process=self.address, count=frame.count
             )
-        with activate(frame.trace), span:
-            for off, length in frame.segments:
-                try:
-                    self._on_message(source, view[off:off + length])
-                except Exception as exc:  # noqa: BLE001 - per segment
-                    self.errors += 1
-                    self.last_error = exc
+        return UNRECORDED
 
     def _dispatch_message(
         self,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import FabricError
+from repro.errors import DecodeError, FabricError
 from repro.fabric.protocol import (
     FABRIC_DELIVER,
     FABRIC_PUBLISH,
@@ -20,7 +20,8 @@ from repro.fabric.protocol import (
     FABRIC_SUBSCRIBE,
     register_fabric_protocol,
 )
-from repro.net.batch import is_batch, pack_batch, unpack_batch
+# unpack_batch stays for benchmarks/e2e/trace.py's patch list
+from repro.net.batch import pack_batch, unpack_batch
 from repro.net.ledger import SeqLedger
 from repro.net.reliable import EndpointMixin
 from repro.obs import OBS
@@ -100,9 +101,6 @@ class FabricClient(EndpointMixin):
         self.buffered = 0
         self.redrives = 0
         self.dropped = 0
-        self.errors = 0
-        #: the most recent contained receive failure, for debugging
-        self.last_error: Optional[BaseException] = None
 
     published = property(lambda self: sum(self._tally.published.values()))
     delivered = property(lambda self: sum(self._tally.delivered.values()))
@@ -288,31 +286,10 @@ class FabricClient(EndpointMixin):
     # Message dispatch
     # ------------------------------------------------------------------
 
-    def _on_message(self, source: str, data: bytes) -> None:
-        """Transport entry point: a BATCH1 frame's messages, or one bare
-        message (a frame of one), walked once by :meth:`_on_segments`."""
-        if not is_batch(data):
-            self._on_segments([data])
-            return
-        try:
-            frame = unpack_batch(data)
-        except Exception as exc:  # noqa: BLE001 - malformed frame from a peer
-            self.errors += 1
-            self.last_error = exc
-            return
-        view = memoryview(data)
-        with activate(frame.trace):
-            self._on_segments(
-                [view[off:off + n] for off, n in frame.segments]
-            )
-
-    def _on_segments(self, segments: List[bytes]) -> None:
-        """Dispatch each segment; the envelope format is looked up when
-        it changes, not per segment, and envelope and payload are sliced
-        out of the shared buffer without a copy.  Failures are contained
-        per segment: a poisoned one counts an error and its neighbours
-        still deliver (the reliable layer acked the whole frame; nothing
-        would resend them)."""
+    def _on_segments(self, source: str, segments: List[bytes]) -> None:
+        """Dispatch each message of a frame; the envelope format is
+        looked up when it changes, not per message, and envelope and
+        payload are sliced out of the shared buffer without a copy."""
         format_id = fmt = None
         for data in segments:
             try:
@@ -321,8 +298,8 @@ class FabricClient(EndpointMixin):
                     format_id = header.format_id
                     fmt = self.registry.lookup_id(format_id)
                 if fmt is None:
-                    self.errors += 1
-                    continue
+                    raise DecodeError(
+                        f"unknown envelope format id {format_id:#x}")
                 view = memoryview(data)
                 body_end = header.body_offset + header.payload_length
                 record = self.pbio.decode_as(fmt, view[:body_end])
@@ -331,10 +308,10 @@ class FabricClient(EndpointMixin):
                 elif fmt.name == FABRIC_REDIRECT.name:
                     self._on_redirect(record)
                 else:
-                    self.errors += 1
+                    raise FabricError(
+                        f"unexpected {fmt.name!r} message at a client")
             except Exception as exc:  # noqa: BLE001 - contained per segment
-                self.errors += 1
-                self.last_error = exc
+                self._contain(exc)
 
     def _on_redirect(self, record: Record) -> None:
         channel_id = record["channel_id"]
@@ -352,8 +329,8 @@ class FabricClient(EndpointMixin):
         seq = record["seq"]
         subscription = self._subscriptions.get(channel_id)
         if subscription is None:
-            self.errors += 1
-            return
+            raise FabricError(f"delivery on {channel_id!r} without a "
+                              "subscription")
         key = (channel_id, publisher)
         ledger = self.received.get(key)
         if ledger is None:

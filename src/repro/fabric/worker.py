@@ -42,7 +42,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
-from repro.errors import FabricError
+from repro.errors import DecodeError, FabricError
 from repro.fabric.hashing import shard_of
 from repro.fabric.journal import JournalStore
 from repro.fabric.protocol import (
@@ -62,10 +62,10 @@ from repro.fabric.state import (
     split_state,
 )
 from repro.morph.receiver import MorphReceiver
+# unpack_batch stays for benchmarks/e2e/trace.py's patch list
 from repro.net.batch import (
     BATCH_HEADER_SIZE,
     BATCH_LENGTH_SIZE,
-    is_batch,
     pack_batch,
     unpack_batch,
 )
@@ -250,9 +250,6 @@ class FabricWorker(EndpointMixin):
         self.redirects_sent = 0
         self.fenced = 0
         self.tail_replayed = 0
-        self.errors = 0
-        #: the most recent contained failure, for debugging
-        self.last_error: Optional[BaseException] = None
 
     processed = property(lambda self: sum(self._tally.processed.values()))
     handoffs_sent = property(lambda self: self._tally.handoffs["source"]
@@ -456,23 +453,6 @@ class FabricWorker(EndpointMixin):
     # Message dispatch
     # ------------------------------------------------------------------
 
-    def _on_message(self, source: str, data: bytes) -> None:
-        """Transport entry point: a BATCH1 frame's messages, or one bare
-        message (a frame of one), walked once by :meth:`_on_segments`."""
-        if not is_batch(data):
-            self._on_segments(source, [data])
-            return
-        try:
-            frame = unpack_batch(data)
-        except Exception as exc:  # noqa: BLE001 - malformed frame from a peer
-            self._contain(exc)
-            return
-        view = memoryview(data)
-        with activate(frame.trace):
-            self._on_segments(
-                source, [view[off:off + n] for off, n in frame.segments]
-            )
-
     def _on_segments(self, source: str, segments: List[bytes]) -> None:
         """Turn *segments* into **admitted runs**, each handed to
         :meth:`_commit_run`.  A run is consecutive ``FABRIC_PUBLISH``
@@ -484,16 +464,15 @@ class FabricWorker(EndpointMixin):
         and takes the per-message route, so a frame that races a handoff
         can have some events delivered here and the rest forwarded.  A
         segment whose meta-data must be fetched holds *source* before its
-        ledger sees it.
-        Failures are contained per segment: the reliable layer acked the
-        whole frame, nothing would resend a poisoned one's neighbours."""
+        ledger sees it."""
         channel: Optional[FabricChannel] = None
         shard = -1
         run: Run = []
         format_id = publisher = fmt = ledger = None
         for data in segments:
             if source in self._holds:
-                self._hold(source, lambda d=data: self._on_message(source, d))
+                self._hold(source, lambda d=data: self._on_segments(
+                    source, [d]))
                 continue
             try:
                 header = unpack_header(data)
@@ -504,11 +483,11 @@ class FabricWorker(EndpointMixin):
                     if self._needs_meta(format_id, fmt):
                         self._commit_run(shard, channel, run)
                         run = []
-                        self._hold(source, lambda d=data: self._on_message(
-                            source, d), format_id)
-                    else:
-                        self.errors += 1
-                    continue
+                        self._hold(source, lambda d=data: self._on_segments(
+                            source, [d]), format_id)
+                        continue
+                    raise DecodeError(
+                        f"unknown envelope format id {format_id:#x}")
                 view = memoryview(data)
                 body_end = header.body_offset + header.payload_length
                 record = self.pbio.decode_as(fmt, view[:body_end])
@@ -523,7 +502,8 @@ class FabricWorker(EndpointMixin):
                     elif name == FABRIC_HANDOFF_ACK.name:
                         self.handoffs_acked += 1
                     else:
-                        self.errors += 1
+                        raise FabricError(
+                            f"unexpected {name!r} message at a worker")
                     continue
                 channel_id = record["channel_id"]
                 if channel is None or channel_id != channel.channel_id:
@@ -548,8 +528,8 @@ class FabricWorker(EndpointMixin):
                            for g in channel.groups.values() if g.contacts):
                         self._commit_run(shard, channel, run)
                         run = []
-                        self._hold(source, lambda d=data: self._on_message(
-                            source, d), pid)
+                        self._hold(source, lambda d=data: self._on_segments(
+                            source, [d]), pid)
                         continue
                 if record["epoch"] != self.directory.epoch:
                     # Stale route: deliver anyway (we own it), but correct
@@ -568,10 +548,6 @@ class FabricWorker(EndpointMixin):
                 self._contain(exc)
         self._commit_run(shard, channel, run)
 
-    def _contain(self, exc: BaseException) -> None:
-        self.errors += 1
-        self.last_error = exc
-
     def _reroute(
         self, shard: int, source: str, data: bytes, reply_to: str, channel_id: str
     ) -> None:
@@ -580,7 +556,7 @@ class FabricWorker(EndpointMixin):
         untouched) or hold it while the shard's own state is in flight."""
         owner = self.directory.assignment.get(shard)
         if owner == self.address or shard in self._holds:
-            self._hold(shard, lambda: self._on_message(source, data))
+            self._hold(shard, lambda: self._on_segments(source, [data]))
             return
         if shard in self._forwarding:
             target = self._forwarding[shard][0]

@@ -410,13 +410,10 @@ class MorphReceiver:
                 self._dead_letter(data, None, "decode", exc)
                 return []
             raise
-        view = memoryview(data)
         # one trace splice per frame: a message without a block of its
         # own keeps the frame's context (activate(None) is a passthrough)
         with activate(frame.trace):
-            return self._receive(
-                [view[off:off + length] for off, length in frame.segments]
-            )
+            return self._receive(frame.views(data))
 
     def _receive(
         self, segments: Iterable[bytes], retrying: bool = False,

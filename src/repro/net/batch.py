@@ -105,6 +105,12 @@ class BatchFrame:
     trace: Optional[TraceContext]
     segments: Tuple[Tuple[int, int], ...]
 
+    def views(self, data: Buffer) -> List[memoryview]:
+        """Each contained message as a zero-copy ``memoryview`` slice of
+        *data*, the buffer this frame was unpacked from."""
+        view = memoryview(data)
+        return [view[off:off + length] for off, length in self.segments]
+
 
 def is_batch(data: Buffer, offset: int = 0) -> bool:
     """Whether *data* starts with the BATCH1 magic at *offset* (a cheap
@@ -214,10 +220,7 @@ def unpack_batch(data: Buffer, offset: int = 0) -> BatchFrame:
 def iter_batch(data: Buffer) -> Iterable[memoryview]:
     """Yield each contained message of a validated frame as a zero-copy
     ``memoryview`` slice of *data*."""
-    frame = unpack_batch(data)
-    view = data if isinstance(data, memoryview) else memoryview(data)
-    for off, length in frame.segments:
-        yield view[off:off + length]
+    yield from unpack_batch(data).views(data)
 
 
 def peek_batch_trace(data: Buffer, offset: int = 0) -> Optional[TraceContext]:

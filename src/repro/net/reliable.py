@@ -48,10 +48,18 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import TransportError
+from repro.net import batch
+from repro.net.batch import BatchFrame, is_batch
 from repro.net.transport import Network, Node, peek_frame_trace
 from repro.obs import OBS
 from repro.obs.metrics import Tallies, collect, counter, gauge
-from repro.obs.tracectx import activate, current, isolate, recording
+from repro.obs.tracectx import (
+    UNRECORDED,
+    activate,
+    current,
+    isolate,
+    recording,
+)
 
 #: Frame magic: deliberately distinct from PBIO's header magic and from
 #: the ``{``-prefixed JSON of the meta-data plane.
@@ -590,6 +598,16 @@ class EndpointMixin:
     ``_on_message`` receiving either straight from the node or through a
     :class:`ReliableEndpoint` wrapped around it.
 
+    * **Frame walk.**  :meth:`_on_message` is the one frame shell: a bare
+      message is a frame of one; a ``BATCH1`` frame is unpacked inside
+      containment, its trace activated once (under :meth:`_frame_span`)
+      and its messages handed to the endpoint's ``_on_segments`` as
+      zero-copy views.  ``_on_segments`` contains each message on its
+      own (the reliable layer acked the whole frame) and never tests one
+      for a frame again, so a nested frame is one failure.  A failure
+      counts one ``errors``, keeps ``last_error`` (:meth:`_contain`) and
+      never reaches the transport.
+
     It is also the one place traffic waits (:meth:`_hold`): on a shard's
     handoff state, or on meta-data fetched from the format-server fleet
     for a message that *needs* it — a fleet to ask, its format id not
@@ -600,14 +618,16 @@ class EndpointMixin:
       that arrived from one; the shard for traffic that outran a handoff
       and for a subscriber installed from handoff or journal state.
       While a key is held every later message of it queues behind the
-      head (the rest of a BATCH1 frame too; in the fabric before
-      ``SeqLedger.admit``, so admit and journal order are stream order).
+      head (the rest of a BATCH1 frame too, message by message; in the
+      fabric before ``SeqLedger.admit``, so admit and journal order are
+      stream order).
     * **Bound.**  :data:`PENDING_LIMIT` messages per key; one more is
       dropped and counted ``unresolved``, once.
     * **Fetch reply.**  The head replays, then the queue in order; a
-      replay that holds the key again keeps the rest behind it.  A format
-      no server knows drops the head (``unresolved``) and releases the
-      queue.  A hold cleared from ``_holds`` (a crash) replays nothing.
+      replay that holds the key again keeps the rest behind it, and one
+      that fails is contained.  A format no server knows drops the head
+      (``unresolved``) and releases the queue.  A hold cleared from
+      ``_holds`` (a crash) replays nothing.
 
     ``parked`` counts messages held; a format is refreshed once a fetch
     brought it back.  With no hold open, traffic pays one dict
@@ -662,10 +682,34 @@ class EndpointMixin:
         #: messages held; held messages dropped unprocessed
         self.parked = 0
         self.unresolved = 0
+        #: received messages that failed, and the last failure
+        self.errors = 0
+        self.last_error: Optional[BaseException] = None
 
     @property
     def address(self) -> str:
         return self.node.address
+
+    def _on_message(self, source: str, data: bytes) -> None:
+        if not is_batch(data):
+            self._on_segments(source, [data])
+            return
+        try:
+            # through the module: benchmarks/e2e/trace.py patches it
+            frame = batch.unpack_batch(data)
+        except Exception as exc:  # noqa: BLE001 - malformed frame from a peer
+            self._contain(exc)
+            return
+        with activate(frame.trace), self._frame_span(frame):
+            self._on_segments(source, frame.views(data))
+
+    def _frame_span(self, frame: BatchFrame) -> Any:
+        """The span a frame's walk runs under: none unless overridden."""
+        return UNRECORDED
+
+    def _contain(self, exc: BaseException) -> None:
+        self.errors += 1
+        self.last_error = exc
 
     def _needs_meta(self, format_id: int, fmt, receiver=None) -> bool:
         """The one rule for holding a message to fetch its meta-data."""
@@ -706,13 +750,17 @@ class EndpointMixin:
 
     def _release(self, key: Any, queue: Optional[Deque[Any]]) -> None:
         """Replay *queue*, a hold taken off *key*, in order; once a
-        replay holds *key* again, the rest waits behind that head."""
+        replay holds *key* again, the rest waits behind that head.  A
+        replay that fails is contained and the rest still replays."""
         while queue:
             held = self._holds.get(key)
             if held is not None:
                 held.extend(queue)
                 return
-            queue.popleft()()
+            try:
+                queue.popleft()()
+            except Exception as exc:  # noqa: BLE001 - a peer's message
+                self._contain(exc)
 
     def _send(self, destination: str, data: bytes) -> None:
         """Send through the reliable endpoint when configured, raw

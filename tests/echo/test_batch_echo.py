@@ -5,13 +5,15 @@ per-event path: exactly-once, in-order, morphed-per-revision delivery
 over a lossy reliable fabric — including when whole BATCH1 frames are
 retransmitted — plus one frame-level trace context threading every
 contained event's delivery spans.  A poisoned segment costs one
-contained failure and its neighbours still deliver.
+contained failure and its neighbours still deliver; so does a hostile
+datagram — a bare short one, a truncated frame, a nested frame.
 """
 
 import pytest
 
 from repro import obs
 from repro.echo.protocol import EVENT_ENVELOPE
+from repro.errors import ReproError
 from repro.net.batch import pack_batch
 from repro.net.link import LinkSpec
 from repro.net.transport import Network
@@ -153,19 +155,48 @@ def _cut_envelope(segment):
     return pack_header(header.format_id, len(body)) + body
 
 
+def _in_frame(poison):
+    """Segment 2 of a five-event frame, poisoned: its neighbours deliver."""
+    def datagrams(segment):
+        segments = [segment(n) for n in range(5)]
+        segments[2] = poison(segments[2])
+        return [pack_batch(segments)], [0, 1, 3, 4]
+    return datagrams
+
+
+def _bare_short(segment):
+    return [b"\x00\x01", segment(1)], [1]
+
+
+def _truncated_frame(segment):
+    return [pack_batch([segment(0), segment(1)])[:-3], segment(2)], [2]
+
+
+def _nested_frame(segment):
+    nested = pack_batch([segment(1), segment(2)])
+    return [pack_batch([segment(0), nested, segment(3)])], [0, 3]
+
+
 class TestPoisonedSegment:
-    """``EChoProcess._on_batch`` contains each segment, as the fabric's
+    """The sink's ``_on_segments`` contains each segment, as the fabric's
     worker and client do: the reliable layer acked the whole frame, so
     a segment that raised out of the loop would take its neighbours with
-    it for good."""
+    it for good.  What is hostile in a whole datagram — a bare message
+    shorter than a header, a frame cut short, a frame nested in a frame
+    — is one contained failure too, and what travels beside it or after
+    it still delivers.  None of it reaches the transport."""
 
     @pytest.mark.parametrize(
-        "poison", [_short, _corrupt_header, _cut_envelope],
-        ids=["shorter_than_a_header", "corrupt_header", "cut_envelope"],
+        "hostile",
+        [_in_frame(_short), _in_frame(_corrupt_header),
+         _in_frame(_cut_envelope), _bare_short, _truncated_frame,
+         _nested_frame],
+        ids=["shorter_than_a_header", "corrupt_header", "cut_envelope",
+             "bare_short", "truncated_frame", "nested_frame"],
     )
     @pytest.mark.parametrize("kind", ["sim", "socket"])
     def test_neighbours_of_a_poisoned_segment_deliver_in_order(
-        self, kind, poison
+        self, kind, hostile
     ):
         with transport(kind) as net:
             registry = FormatRegistry()
@@ -186,10 +217,11 @@ class TestPoisonedSegment:
                 return (creator.pbio.encode(EVENT_ENVELOPE, envelope)
                         + creator.pbio.encode(EVT_V2, event))
 
-            segments = [segment(n) for n in range(5)]
-            segments[2] = poison(segments[2])
-            creator.reliable.send("sink", pack_batch(segments))
+            datagrams, expected = hostile(segment)
+            for datagram in datagrams:
+                creator.reliable.send("sink", datagram)
             settle(net)
-            assert got == [0, 1, 3, 4]
+            assert got == expected
             assert sink.errors == 1
+            assert isinstance(sink.last_error, ReproError)
             assert net.handler_errors == 0

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.echo.protocol import RESPONSE_V0, RESPONSE_V1, RESPONSE_V2
+from repro.errors import ReproError
 from repro.fabric import EventFabric, JournalStore, shard_of
 from repro.fabric import worker as worker_module
 from repro.fabric.protocol import FABRIC_PUBLISH, FABRIC_SUBSCRIBE
@@ -26,6 +29,7 @@ from repro.morph.transform import Transformation
 from repro.net.batch import is_batch, pack_batch, unpack_batch
 from repro.net.reliable import HEADER_SIZE as RELIABLE_HEADER_SIZE
 from repro.net.transport import Network
+from repro.pbio.buffer import pack_header
 from repro.pbio.context import PBIOContext
 from repro.pbio.field import IOField
 from repro.pbio.format import IOFormat
@@ -301,6 +305,7 @@ class TestPoisonedSegments:
         for poison in (
             self.corrupted(fleet.publish_wire(pub, channel_id, 99)),
             b"\x00\x01",
+            pack_batch([fleet.publish_wire(pub, channel_id, 98)]),  # nested
         ):
             before = owner.errors
             first = pub._next_seq.get(channel_id, 0) + 1
@@ -324,6 +329,11 @@ class TestPoisonedSegments:
         fleet.pubs[0]._send("w0", b"\x00\x01")
         fleet.net.run()
         assert w0.errors == 1
+        pub = fleet.pubs[0]
+        truncated = pack_batch([fleet.publish_wire(pub, "ch", 1)])[:-3]
+        pub._send("w0", truncated)
+        fleet.net.run()
+        assert w0.errors == 2
         assert fleet.net.handler_errors == 0
 
     def test_client_contains_a_poisoned_segment(self, tmp_path):
@@ -343,6 +353,7 @@ class TestPoisonedSegments:
                 ]
                 parts[1] = self.corrupted(parts[1])
                 parts.insert(2, b"\x00\x01")
+                parts.insert(3, pack_batch([parts[0]]))  # nested
                 data = pack_batch(parts)
             send(to, data)
 
@@ -352,11 +363,34 @@ class TestPoisonedSegments:
         )
         fleet.net.run()
         sub = fleet.subs["v0"]
-        assert sub.errors == 2
+        assert sub.errors == 3
         assert [s for _c, _p, s, _r in fleet.logs["v0"]] == [1, 3, 4]
         assert [s for _c, _p, s, _r in fleet.logs["v1"]] == [1, 2, 3, 4]
         sub._on_message("w0", b"\x00\x01")  # bare garbage: counted, not raised
-        assert sub.errors == 3
+        assert sub.errors == 4
+        sub._on_message("w0", pack_batch([b"\x00\x01"])[:-3])  # truncated
+        assert sub.errors == 5
+        assert fleet.net.handler_errors == 0
+
+    @pytest.mark.parametrize("endpoint", ["worker", "client"])
+    def test_each_failure_names_its_format(self, tmp_path, endpoint):
+        """An envelope of an unregistered id, and one of a registered
+        format the endpoint has no use for, each count one error whose
+        ``last_error`` names the format."""
+        fleet = Fleet(str(tmp_path / "j.jsonl"))
+        host = fleet.workers[0] if endpoint == "worker" else fleet.subs["v0"]
+        unknown = 0x7E57
+        for wire, cause in (
+            (pack_header(unknown, 4) + bytes(4), f"{unknown:#x}"),
+            (host.pbio.encode(RESPONSE_V2, v2_record(fleet.channels[0])),
+             RESPONSE_V2.name),
+        ):
+            before = host.errors
+            fleet.pubs[0]._send(host.address, wire)
+            fleet.net.run()
+            assert host.errors == before + 1
+            assert isinstance(host.last_error, ReproError)
+            assert cause in str(host.last_error)
         assert fleet.net.handler_errors == 0
 
     def test_unreachable_contact_does_not_starve_the_others(self, tmp_path):

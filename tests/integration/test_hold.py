@@ -17,6 +17,7 @@ import pytest
 
 from repro.echo.process import EChoProcess
 from repro.echo.protocol import (
+    EVENT_ENVELOPE,
     RESPONSE_V0,
     RESPONSE_V1,
     RESPONSE_V2,
@@ -31,6 +32,7 @@ from repro.net.link import LinkSpec
 from repro.net.reliable import PENDING_LIMIT, EndpointMixin
 from repro.net.socket import SocketNetwork
 from repro.net.transport import Network
+from repro.pbio.buffer import pack_header, unpack_header
 from repro.pbio.field import IOField
 from repro.pbio.format import IOFormat
 from repro.pbio.registry import FormatRegistry, TransformSpec
@@ -373,6 +375,69 @@ def test_a_fetch_reply_after_a_crash_replays_nothing():
     net.run()
     assert not worker.resolver._inflight  # the reply did land
     assert worker._channels == {} and worker.owned_shards() == []
+
+
+def warm_echo_pair(net):
+    """A source and a sink behind the fleet: event 0 delivered, the
+    revision registered; returns both and the sink's delivery log."""
+    fleet(net)
+    source = EChoProcess(net, "source", reliable=True,
+                         format_servers=["fs-a", "fs-b"])
+    source.create_channel("ch")
+    sink = EChoProcess(net, "sink", reliable=True,
+                       format_servers=["fs-a", "fs-b"])
+    sink.open_channel("ch", "source", as_sink=True)
+    net.run()
+    got = []
+    sink.subscribe("ch", RESPONSE_V2, lambda r: got.append(r["channel_id"]))
+    source.submit("ch", *v2_event(0))
+    source.resolver.register(REVISION, transforms=[REVISION_TO_V2])
+    net.run()
+    return source, sink, got
+
+
+def test_an_echo_frame_behind_an_open_hold_parks_each_message():
+    """A frame that reaches a sink while its sender's hold is open parks
+    message by message, as a worker's does, and replays in order after
+    the fetch."""
+    net = Network(seed=7, default_link=LinkSpec(latency=0.001))
+    source, sink, got = warm_echo_pair(net)
+    for server in ("fs-a", "fs-b"):  # a slow fleet keeps the hold open
+        net.set_link("sink:meta", server, LinkSpec(latency=0.05))
+    source.submit("ch", *event(REVISED_AT))
+    step = net.now
+    while "source" not in sink._holds:
+        step += 0.001
+        net.run(max_time=step)
+    parked = sink.parked
+    source.submit_batch(
+        "ch", RESPONSE_V2, [v2_event(i)[1] for i in range(1, 5)])
+    net.run(max_time=step + 0.01)
+    assert "source" in sink._holds  # the fetch is still out
+    assert sink.parked - parked == 4
+    net.run()
+    assert got == ["e00", "e10", "e01", "e02", "e03", "e04"]
+    assert sink.errors == 0 and sink.unresolved == 0
+
+
+def test_a_replay_that_fails_is_contained_and_the_queue_replays():
+    """A held revision whose body is cut short fails when it replays
+    after the fetch: one contained failure, and the event queued behind
+    it still delivers."""
+    net = Network(seed=6, default_link=LinkSpec(latency=0.001))
+    source, sink, got = warm_echo_pair(net)
+    envelope = source.pbio.encode(EVENT_ENVELOPE, EVENT_ENVELOPE.make_record(
+        channel_id="ch", seq=1))
+    payload = source.pbio.encode(*event(REVISED_AT))
+    header = unpack_header(payload)
+    body = payload[header.body_offset:][:header.payload_length - 3]
+    source.reliable.send("sink", envelope + pack_header(
+        header.format_id, len(body)) + body)
+    source.submit("ch", *v2_event(1))
+    net.run()
+    assert got == ["e00", "e01"]
+    assert sink.errors == 1 and isinstance(sink.last_error, ReproError)
+    assert net.handler_errors == 0
 
 
 # ---------------------------------------------------------------------------
