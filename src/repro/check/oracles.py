@@ -1169,8 +1169,8 @@ def check_projection_pushdown(
     The script: a V0 sink (live set ``{n}``) subscribes alone and the
     group narrows; a V1 sink (needs ``extra``) joins mid-stream and the
     union widens; it leaves again and the union narrows back, with the
-    final phase published as BATCH1 frames so the vectorized projected
-    batch encoder is on the wire path.  Both arms must deliver identical
+    final phase published as BATCH1 frames so projected frames are on
+    the wire path.  Both arms must deliver identical
     event streams exactly once in order — morph-on-projection must equal
     morph-then-project — with one pinned, documented exception: the
     widening prime (the V1 sink's first event, which triggers its
@@ -1273,7 +1273,7 @@ def check_projection_pushdown(
             net.run()
 
             # Phase 3 — narrowing leave, published as BATCH1 frames so
-            # the vectorized projected batch encoder is on the path.
+            # projected frames are on the path.
             sink1.leave_channel("ch")
             net.run()
             stream = [

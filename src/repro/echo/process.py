@@ -36,7 +36,12 @@ from repro.morph.maxmatch import (
 )
 from repro.morph.receiver import MorphReceiver
 # unpack_batch stays for benchmarks/e2e/trace.py's patch list
-from repro.net.batch import BatchFrame, pack_batch, unpack_batch
+from repro.net.batch import (
+    BatchFrame,
+    pack_batch,
+    split_batch,
+    unpack_batch,
+)
 from repro.net.reliable import EndpointMixin
 from repro.net.transport import Network
 from repro.obs import OBS
@@ -537,7 +542,9 @@ class EChoProcess(EndpointMixin):
     def _batch_encoder(self, wire_fmt: IOFormat) -> BatchEncoderFn:
         """The cached vectorized (envelope, payload) batch encoder for
         *wire_fmt* — one generated routine packs K events straight into
-        a BATCH1 body with a single buffer reservation."""
+        a BATCH1 body with a single buffer reservation, byte-identical
+        to the frames :meth:`_submit` composes and packs.  Not on the
+        send path."""
         encoder = self._batch_encoders.get(wire_fmt.format_id)
         if encoder is None:
             encoder = make_batch_encoder(
@@ -553,160 +560,111 @@ class EChoProcess(EndpointMixin):
         )
 
     def submit(self, channel_id: str, fmt: IOFormat, record: Record) -> int:
-        """Publish an event to the channel; returns the number of remote
-        sinks it was pushed to.  Local subscription is delivered in-line."""
+        """Publish an event to the channel as a bare message; returns the
+        number of remote sinks it was pushed to.  Local subscription is
+        delivered in-line."""
+        return self._submit(channel_id, fmt, [record], "echo.publish")
+
+    def submit_batch(
+        self, channel_id: str, fmt: IOFormat, records: List[Record]
+    ) -> int:
+        """Publish *records* to each remote sink in BATCH1 frames split
+        at the ceiling (:func:`~repro.net.batch.split_batch`).
+
+        The group costs one transport send and one reliable sequence
+        number per frame and sink, and — when tracing is on — one
+        frame-level trace context instead of one per event (the frame's
+        context stays active across every contained message's delivery).
+        Each event still gets its own envelope and channel sequence
+        number, so per-message identity, ordering and exactly-once
+        accounting are unchanged from :meth:`submit`; one record leaves
+        bare, as :meth:`submit`.
+
+        Returns the number of remote pushes, like :meth:`submit`."""
+        if not records:
+            return 0
+        return self._submit(channel_id, fmt, records, "echo.publish_batch")
+
+    def _submit(
+        self, channel_id: str, fmt: IOFormat, records: List[Record], span: str
+    ) -> int:
         channel = self.channel(channel_id)
         if not (channel.is_source or channel.creator_contact == self.address):
             raise ChannelError(
                 f"{self.address} did not open channel {channel_id!r} as a source"
             )
-        # A fresh distributed trace per sampled event.  Both the
-        # envelope and the payload wires carry the 26-byte context block,
-        # so a payload parked in the DLQ or replayed after a format fetch
-        # still knows which trace it belongs to.  With tracing off, or
-        # for an event the sampler passed over, no block is attached and
+        # A fresh distributed trace per sampled call.  A lone event's
+        # envelope and payload wires both carry the 26-byte context
+        # block, so a payload parked in the DLQ or replayed after a
+        # format fetch still knows which trace it belongs to; a frame
+        # carries it once for every event inside.  With tracing off, or
+        # for a call the sampler passed over, no block is attached and
         # the wire is byte-identical to an untraced build.
         ctx = mint() if OBS.enabled else None
+        framed = len(records) > 1
+        own = None if framed else ctx
         # Encode to the channel's negotiated projection when one is
         # active — the projection's generated encoder reads only its own
         # (live) fields straight out of the full record.
         projection = self._projection_for(channel_id, fmt)
         wire_fmt = projection if projection is not None else fmt
-        payload = self.pbio.encode(wire_fmt, record)
-        if projection is not None:
-            self._record_projected_send(fmt, projection, 1)
-        envelope = EVENT_ENVELOPE.make_record(
-            channel_id=channel_id, seq=channel.next_seq()
-        )
-        envelope_wire = self.pbio.encode(EVENT_ENVELOPE, envelope)
-        context = span = UNRECORDED
-        if ctx is not None:
-            payload = attach_trace(payload, ctx)
-            envelope_wire = attach_trace(envelope_wire, ctx)
-            context = activate(ctx)
-            span = OBS.tracer.span(
-                "echo.publish",
-                channel=channel_id,
-                process=self.address,
-                format=fmt.name,
-                vtime=self.network.now,
-            )
-        datagram = envelope_wire + payload
-        with context, span:
-            pushed = 0
-            for member in channel.sinks():
-                if member.contact == self.address:
-                    continue
-                self._send(member.contact, datagram)
-                pushed += 1
-            self._tally.pushed[channel_id] += pushed
-            if channel.is_sink and channel_id in self._event_receivers:
-                self._deliver_event(
-                    channel_id, self._event_receivers[channel_id], payload
-                )
-            if self._has_derived(channel_id):
-                # Derived-channel sinks negotiate per *derived* channel,
-                # not in the parent's subscriber group: forward the full
-                # format, never the parent group's projection.
-                derived_payload = payload
-                if projection is not None:
-                    derived_payload = self.pbio.encode(fmt, record)
-                    if ctx is not None:
-                        derived_payload = attach_trace(derived_payload, ctx)
-                pushed += self._submit_derived(
-                    channel_id, record, derived_payload, ctx
-                )
-        return pushed
-
-    def submit_batch(
-        self, channel_id: str, fmt: IOFormat, records: List[Record]
-    ) -> int:
-        """Publish *records* as **one** BATCH1 frame per remote sink.
-
-        The whole group costs one transport send and one reliable
-        sequence number per sink, and — when tracing is on — one
-        frame-level trace context instead of one per event (the frame's
-        context stays active across every contained message's delivery).
-        Each event still gets its own envelope and channel sequence
-        number, so per-message identity, ordering and exactly-once
-        accounting are unchanged from :meth:`submit`.
-
-        Returns the number of remote pushes, like :meth:`submit`."""
-        if not records:
-            return 0
-        channel = self.channel(channel_id)
-        if not (channel.is_source or channel.creator_contact == self.address):
-            raise ChannelError(
-                f"{self.address} did not open channel {channel_id!r} as a source"
-            )
-        ctx = mint() if OBS.enabled else None
-        projection = self._projection_for(channel_id, fmt)
-        wire_fmt = projection if projection is not None else fmt
-        local_sink = channel.is_sink and channel_id in self._event_receivers
-        has_derived = self._has_derived(channel_id)
-        payloads: Optional[List[bytes]] = None
-        if not local_sink and not has_derived and self.pbio.use_codegen:
-            # Vectorized fast path: one generated routine packs every
-            # (envelope, payload) pair straight into the BATCH1 body
-            # with a single buffer reservation — byte-identical to the
-            # compose-then-concat path below.
-            rows = [
-                (
-                    EVENT_ENVELOPE.make_record(
-                        channel_id=channel_id, seq=channel.next_seq()
-                    ),
-                    record,
-                )
-                for record in records
-            ]
-            frame = self._batch_encoder(wire_fmt)(rows, ctx)
-        else:
-            payloads = []
-            datagrams: List[bytes] = []
-            for record in records:
-                payload = self.pbio.encode(wire_fmt, record)
-                envelope = EVENT_ENVELOPE.make_record(
+        payloads: List[bytes] = []
+        datagrams: List[bytes] = []
+        for record in records:
+            payload = self.pbio.encode(wire_fmt, record)
+            envelope_wire = self.pbio.encode(
+                EVENT_ENVELOPE,
+                EVENT_ENVELOPE.make_record(
                     channel_id=channel_id, seq=channel.next_seq()
-                )
-                payloads.append(payload)
-                datagrams.append(
-                    self.pbio.encode(EVENT_ENVELOPE, envelope) + payload
-                )
-            frame = pack_batch(datagrams, ctx)
+                ),
+            )
+            if own is not None:
+                payload = attach_trace(payload, own)
+                envelope_wire = attach_trace(envelope_wire, own)
+            payloads.append(payload)
+            datagrams.append(envelope_wire + payload)
+        wires = [
+            pack_batch(group, ctx) for group in split_batch(datagrams)
+        ] if framed else datagrams
         if projection is not None:
             self._record_projected_send(fmt, projection, len(records))
-        context = span = UNRECORDED
+        context = recorded = UNRECORDED
         if ctx is not None:
             context = activate(ctx)
-            span = OBS.tracer.span(
-                "echo.publish_batch",
+            recorded = OBS.tracer.span(
+                span,
                 channel=channel_id,
                 process=self.address,
                 format=fmt.name,
                 count=len(records),
                 vtime=self.network.now,
             )
-        with context, span:
+        with context, recorded:
             pushed = 0
             for member in channel.sinks():
                 if member.contact == self.address:
                     continue
-                self._send(member.contact, frame)
+                for wire in wires:
+                    self._send(member.contact, wire)
                 pushed += 1
-            # same per-event accounting as the unbatched path, so the
-            # batching differential oracle sees no divergence
+            # per-event accounting, so the batching differential oracle
+            # sees no divergence between the entries
             self._tally.pushed[channel_id] += pushed * len(records)
-            if payloads is not None and local_sink:
+            if channel.is_sink and channel_id in self._event_receivers:
                 receiver = self._event_receivers[channel_id]
                 for payload in payloads:
                     self._deliver_event(channel_id, receiver, payload)
-            if payloads is not None and has_derived:
-                derived_payloads = payloads
+            if self._has_derived(channel_id):
+                # Derived-channel sinks negotiate per *derived* channel,
+                # not in the parent's subscriber group: forward the full
+                # format, never the parent group's projection.
                 if projection is not None:
-                    derived_payloads = [
+                    payloads = [
                         self.pbio.encode(fmt, record) for record in records
                     ]
-                for record, payload in zip(records, derived_payloads):
+                    if own is not None:
+                        payloads = [attach_trace(p, own) for p in payloads]
+                for record, payload in zip(records, payloads):
                     pushed += self._submit_derived(
                         channel_id, record, payload, ctx
                     )

@@ -21,7 +21,7 @@ from repro.fabric.protocol import (
     register_fabric_protocol,
 )
 # unpack_batch stays for benchmarks/e2e/trace.py's patch list
-from repro.net.batch import pack_batch, unpack_batch
+from repro.net.batch import pack_batch, split_batch, unpack_batch
 from repro.net.ledger import SeqLedger
 from repro.net.reliable import EndpointMixin
 from repro.obs import OBS
@@ -188,76 +188,67 @@ class FabricClient(EndpointMixin):
     # ------------------------------------------------------------------
 
     def publish(self, channel_id: str, fmt: IOFormat, record: Record) -> int:
-        """Publish one event; returns the sequence number used."""
-        owner, epoch = self._route(channel_id)
-        seq = self._next_seq.get(channel_id, 0) + 1
-        self._next_seq[channel_id] = seq
-        ctx = mint() if OBS.enabled else None
-        payload = self.pbio.encode(fmt, record)
-        envelope = FABRIC_PUBLISH.make_record(
-            channel_id=channel_id,
-            publisher=self.address,
-            seq=seq,
-            epoch=epoch,
-        )
-        envelope_wire = self.pbio.encode(FABRIC_PUBLISH, envelope)
-        if ctx is None:  # obs off, or not the sampled one: a bare wire
-            self._send_publish(channel_id, owner, envelope_wire + payload)
-        else:
-            payload = attach_trace(payload, ctx)
-            envelope_wire = attach_trace(envelope_wire, ctx)
-            with activate(ctx), OBS.tracer.span(
-                "fabric.publish",
-                channel=channel_id,
-                publisher=self.address,
-                format=fmt.name,
-            ):
-                self._send_publish(channel_id, owner, envelope_wire + payload)
-        self._tally.published[channel_id] += 1
-        return seq
+        """Publish one event as a bare message (its envelope and payload
+        each carry the trace block when it is sampled); returns the
+        sequence number used."""
+        return self._publish(channel_id, fmt, [record], "fabric.publish")[0]
 
     def publish_batch(
         self, channel_id: str, fmt: IOFormat, records: List[Record]
     ) -> List[int]:
-        """Publish *records* as one BATCH1 frame to the channel's owner:
-        one transport send and one reliable sequence number for the whole
-        group.  Each event keeps its own ``FABRIC_PUBLISH`` envelope and
-        publish sequence number, so the owner's exactly-once ledger and
-        any reroute/handoff races stay per-message.
+        """Publish *records* to the channel's owner in BATCH1 frames split
+        at the ceiling (:func:`~repro.net.batch.split_batch`): one
+        transport send and one reliable sequence number per frame, each
+        frame carrying the call's trace context once.  Each event keeps
+        its own ``FABRIC_PUBLISH`` envelope and publish sequence number,
+        so the owner's exactly-once ledger and any reroute/handoff races
+        stay per-message.  One record leaves bare, as :meth:`publish`.
 
         Returns the publish sequence numbers used, in order."""
         if not records:
             return []
+        return self._publish(channel_id, fmt, records, "fabric.publish_batch")
+
+    def _publish(
+        self, channel_id: str, fmt: IOFormat, records: List[Record], span: str
+    ) -> List[int]:
         owner, epoch = self._route(channel_id)
         ctx = mint() if OBS.enabled else None
+        # One record leaves bare with its trace block on envelope and
+        # payload; more leave as frames carrying the block once each.
+        framed = len(records) > 1
+        own = None if framed else ctx
         seqs: List[int] = []
         datagrams: List[bytes] = []
         for record in records:
             seq = self._next_seq.get(channel_id, 0) + 1
             self._next_seq[channel_id] = seq
             seqs.append(seq)
-            envelope = FABRIC_PUBLISH.make_record(
-                channel_id=channel_id,
-                publisher=self.address,
-                seq=seq,
-                epoch=epoch,
+            envelope = self.pbio.encode(
+                FABRIC_PUBLISH,
+                FABRIC_PUBLISH.make_record(
+                    channel_id=channel_id, publisher=self.address, seq=seq,
+                    epoch=epoch,
+                ),
             )
-            datagrams.append(
-                self.pbio.encode(FABRIC_PUBLISH, envelope)
-                + self.pbio.encode(fmt, record)
+            payload = self.pbio.encode(fmt, record)
+            if own is not None:
+                envelope = attach_trace(envelope, own)
+                payload = attach_trace(payload, own)
+            datagrams.append(envelope + payload)
+        wires = [
+            pack_batch(group, ctx) for group in split_batch(datagrams)
+        ] if framed else datagrams
+        context = recorded = UNRECORDED
+        if ctx is not None:
+            context = activate(ctx)
+            recorded = OBS.tracer.span(
+                span, channel=channel_id, publisher=self.address,
+                format=fmt.name, count=len(records),
             )
-        frame = pack_batch(datagrams, ctx)
-        if ctx is None:
-            self._send_publish(channel_id, owner, frame)
-        else:
-            with activate(ctx), OBS.tracer.span(
-                "fabric.publish_batch",
-                channel=channel_id,
-                publisher=self.address,
-                format=fmt.name,
-                count=len(records),
-            ):
-                self._send_publish(channel_id, owner, frame)
+        with context, recorded:
+            for wire in wires:
+                self._send_publish(channel_id, owner, wire)
         self._tally.published[channel_id] += len(records)
         return seqs
 

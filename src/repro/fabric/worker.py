@@ -63,10 +63,11 @@ from repro.fabric.state import (
 )
 from repro.morph.receiver import MorphReceiver
 # unpack_batch stays for benchmarks/e2e/trace.py's patch list
+# MAX_FRAME_BYTES is re-exported for code that reads it from here
 from repro.net.batch import (
-    BATCH_HEADER_SIZE,
-    BATCH_LENGTH_SIZE,
+    MAX_FRAME_BYTES,
     pack_batch,
+    split_batch,
     unpack_batch,
 )
 from repro.net.ledger import SeqLedger
@@ -74,9 +75,7 @@ from repro.net.reliable import EndpointMixin
 from repro.obs import OBS
 from repro.obs.metrics import Tallies, collect, counter, gauge
 from repro.obs.tracectx import (
-    TRACE_BLOCK_SIZE,
     UNRECORDED,
-    TraceContext,
     activate,
     current,
     recording,
@@ -93,11 +92,6 @@ from repro.pbio.server import CachingFormatResolver
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fabric.membership import FabricDirectory
-
-#: Byte ceiling of one outbound BATCH1 frame: a run larger than this
-#: leaves as several frames, each of which still fits a UDP datagram (a
-#: single message above it travels alone, as it always has).
-MAX_FRAME_BYTES = 60_000
 
 #: An admitted run: ``(publisher, seq, payload)`` of consecutive
 #: publishes of one channel that each passed their ledger.
@@ -118,23 +112,6 @@ _PER_WORKER = (
     counter("fabric.handoff", "handoffs", "role"),
     counter("fabric.recovery.shards", "recovered"),
 )
-
-
-def _frames(datagrams: List[bytes], ctx: Optional[TraceContext]) -> List[bytes]:
-    """Pack *datagrams*, in order, into as few BATCH1 frames as
-    :data:`MAX_FRAME_BYTES` allows (room for the frame-level trace block
-    is always reserved, so there is one constant, not two)."""
-    frames: List[bytes] = []
-    empty = BATCH_HEADER_SIZE + TRACE_BLOCK_SIZE
-    first, size = 0, empty
-    for index, datagram in enumerate(datagrams):
-        need = BATCH_LENGTH_SIZE + len(datagram)
-        if size + need > MAX_FRAME_BYTES and index > first:
-            frames.append(pack_batch(datagrams[first:index], ctx))
-            first, size = index, empty
-        size += need
-    frames.append(pack_batch(datagrams[first:], ctx))
-    return frames
 
 
 class _SubscriberGroup:
@@ -649,10 +626,10 @@ class FabricWorker(EndpointMixin):
         """Morph-at-owner for one run: each event goes through every
         format group's receiver (the group handler forwards or
         re-encodes into the per-contact outbox), then each contact gets
-        the run as **one** BATCH1 frame — split only at
-        :data:`MAX_FRAME_BYTES` — carrying the inbound frame's trace
-        context once.  A run of one leaves
-        unframed, as a single publish always has.  Bare publishes,
+        the run as **one** BATCH1 frame — split only at the ceiling
+        (:func:`~repro.net.batch.split_batch`) — carrying the inbound
+        frame's trace context once.  A run of one leaves unframed, as a
+        single publish always has.  Bare publishes,
         frames and recovery replay all end here.
 
         The groups are readers of one wire and Figure 1's ladder is a
@@ -710,7 +687,11 @@ class FabricWorker(EndpointMixin):
                 group.failed = failed
         for contact, datagrams in outbox.items():
             try:
-                for wire in _frames(datagrams, frame_ctx) if framed else datagrams:
+                wires = [
+                    pack_batch(group, frame_ctx)
+                    for group in split_batch(datagrams)
+                ] if framed else datagrams
+                for wire in wires:
                     self._send(contact, wire)
             except Exception as exc:  # noqa: BLE001 - an unreachable
                 self._contain(exc)  # contact must not starve the others

@@ -24,6 +24,11 @@ flag; because :class:`repro.obs.tracectx.activate` treats ``None`` as a
 passthrough, the frame-level context stays active across every contained
 message's processing.
 
+Every sender bounds what it packs the same way: :func:`split_batch`
+cuts a list of messages, in order, into groups whose frames each stay
+within :data:`MAX_FRAME_BYTES`, so a batch of any size still fits a UDP
+datagram.  A single message above the ceiling travels alone.
+
 Decoding is strict: short or over-claiming frames, zero counts, counts
 that cannot fit the remaining payload, a trace flag without its block,
 unknown flag bits and trailing bytes are all clean
@@ -77,6 +82,11 @@ _LEN = struct.Struct(">I")
 #: with the header (and trace block) sizes, all a sender needs to bound
 #: the frame it is about to pack.
 BATCH_LENGTH_SIZE = _LEN.size  # 4 bytes
+
+#: Byte ceiling of one BATCH1 frame: a batch larger than this leaves as
+#: several frames, each of which still fits a UDP datagram with the
+#: reliable layer's header in front.
+MAX_FRAME_BYTES = 60_000
 
 #: Smallest wire footprint of one contained message: its u32 length
 #: prefix.  The count guard budgets the declared count against this, so
@@ -141,6 +151,25 @@ def pack_batch(
     frame = b"".join(parts)
     record_batch_packed(len(messages))
     return frame
+
+
+def split_batch(messages: Sequence[Buffer]) -> List[Sequence[Buffer]]:
+    """*messages*, in order, cut into as few groups as
+    :data:`MAX_FRAME_BYTES` allows, each to be packed as one frame.  Room
+    for the frame-level trace block is always reserved, so one ceiling
+    holds traced or not; a message too large to share a frame gets one
+    of its own."""
+    groups: List[Sequence[Buffer]] = []
+    empty = BATCH_HEADER_SIZE + TRACE_BLOCK_SIZE
+    first, size = 0, empty
+    for index, message in enumerate(messages):
+        need = BATCH_LENGTH_SIZE + len(message)
+        if size + need > MAX_FRAME_BYTES and index > first:
+            groups.append(messages[first:index])
+            first, size = index, empty
+        size += need
+    groups.append(messages[first:])
+    return groups
 
 
 def record_batch_packed(count: int) -> None:

@@ -30,7 +30,10 @@ from tests.echo.test_reliable_echo import (
     V1_TO_V0,
     V2_TO_V1,
 )
+from tests.echo import test_projection_echo as projection
+from tests.fabric.test_batch_fabric import OBS_MODES, observed
 from tests.integration.test_hold import settle, transport
+from tests.net.test_frame_ceiling import recorded_sends
 
 
 def run_batch_chain(
@@ -136,6 +139,100 @@ class TestBatchTraceContinuity:
             assert {span.get("trace_id") for span in receives} <= minted
         finally:
             obs.disable(reset=True)
+
+
+def echo_fleet(local):
+    """A V2 source and a V1 sink on one channel; with *local* the source
+    is a sink of it too."""
+    net = Network(seed=0)
+    registry = FormatRegistry()
+    registry.register_transform(V2_TO_V1)
+    creator, source, sink = (
+        EChoProcess(net, name, registry, version=version, reliable=True)
+        for name, version in (("creator", "2.0"), ("source", "2.0"),
+                              ("sink", "1.0"))
+    )
+    creator.create_channel("ch")
+    source.open_channel("ch", "creator", as_source=True, as_sink=local)
+    sink.open_channel("ch", "creator", as_sink=True)
+    net.run()
+    got = []
+    if local:
+        source.subscribe("ch", EVT_V2, lambda r: got.append(r["n"]))
+    sink.subscribe("ch", EVT_V1, lambda r: None)
+    return source, EVT_V2, got
+
+
+def projected_fleet():
+    """A source whose channel has negotiated a projection to ``n``."""
+    net, _creator, source, _sink0, _got0 = projection.build_fleet()
+    projection.send_range(net, source, 0, 2)  # negotiate
+    projection.send_range(net, source, 2, 3)  # promote the fence
+    return source, projection.EVT_V2, []
+
+
+class TestOneSendBody:
+    """``submit`` and ``submit_batch`` share one body: what each hands
+    the reliable endpoint is the wire the two bodies it replaced sent,
+    byte for byte — on a plain channel, a projected one and one with a
+    local sink — with observation off and for an unsampled event.  A
+    batch of one is the one wire that changed: it leaves as a
+    ``submit``."""
+
+    CASES = pytest.mark.parametrize("case", ["plain", "projected", "local"])
+
+    def sent(self, case, mode, call):
+        """What *call* (given the source, its event format and 5 events)
+        sends, the 5 ``envelope + payload`` wires the source would build
+        for those events, and the events delivered locally."""
+        if case == "projected":
+            source, fmt, got = projected_fleet()
+        else:
+            source, fmt, got = echo_fleet(local=case == "local")
+        events = [fmt.make_record(n=n, extra=2 * n, flag=1) for n in range(5)]
+        first = source.channel("ch").seq + 1
+        sent = recorded_sends(source.reliable)
+        with observed(mode):
+            call(source, fmt, events)
+        state = source._projection_send.get(("ch", fmt.format_id))
+        wire_fmt = state["format"] if state else fmt
+        assert (case == "projected") == (wire_fmt.field_names() == ["n"])
+        wires = [
+            source.pbio.encode(EVENT_ENVELOPE, EVENT_ENVELOPE.make_record(
+                channel_id="ch", seq=seq,
+            )) + source.pbio.encode(wire_fmt, record)
+            for seq, record in enumerate(events, first)
+        ]
+        return sent, wires, got
+
+    @CASES
+    @OBS_MODES
+    def test_submit_sends_envelope_then_payload(self, case, mode):
+        sent, wires, got = self.sent(
+            case, mode, lambda source, fmt, events: source.submit(
+                "ch", fmt, events[0]))
+        assert sent == wires[:1]
+        assert got == ([0] if case == "local" else [])
+
+    @CASES
+    @OBS_MODES
+    def test_submit_batch_sends_one_packed_frame(self, case, mode):
+        sent, wires, got = self.sent(
+            case, mode, lambda source, fmt, events: source.submit_batch(
+                "ch", fmt, events))
+        assert sent == [pack_batch(wires)]
+        assert got == (list(range(5)) if case == "local" else [])
+
+    @CASES
+    @OBS_MODES
+    def test_submit_batch_of_one_is_a_submit(self, case, mode):
+        batch, wires, _ = self.sent(
+            case, mode, lambda source, fmt, events: source.submit_batch(
+                "ch", fmt, events[:1]))
+        single, _, _ = self.sent(
+            case, mode, lambda source, fmt, events: source.submit(
+                "ch", fmt, events[0]))
+        assert batch == single == wires[:1]
 
 
 def _short(segment):

@@ -8,7 +8,10 @@ across loss, retransmitted frames and mid-flight shard handoff — is
 per *message*, never per frame.
 """
 
+import contextlib
 import random
+
+import pytest
 
 from repro import obs
 from repro.echo.protocol import (
@@ -18,12 +21,16 @@ from repro.echo.protocol import (
     register_protocol,
 )
 from repro.fabric import EventFabric
+from repro.fabric.protocol import FABRIC_PUBLISH
+from repro.net.batch import pack_batch
 from repro.net.link import LinkSpec
 from repro.net.transport import Network
+from repro.obs.tracectx import mint
 from repro.obs.tracing import find_spans
 from repro.pbio.registry import FormatRegistry
 
 from tests.fabric.test_fabric import v2_record
+from tests.net.test_frame_ceiling import recorded_sends
 
 
 def make_registry():
@@ -141,3 +148,64 @@ class TestBatchedPublishTraceContinuity:
             assert {d.get("trace_id") for d in delivers} == {trace_id}
         finally:
             obs.disable(reset=True)
+
+
+@contextlib.contextmanager
+def observed(mode):
+    """``off``: no observation; ``unsampled``: observation on, and the
+    next call's event passed over by the sampler."""
+    if mode == "off":
+        yield
+        return
+    obs.enable(registry=obs.Registry(), sample_every=1_000_000)
+    mint()  # the one sampled call
+    try:
+        yield
+    finally:
+        obs.disable(reset=True)
+
+
+OBS_MODES = pytest.mark.parametrize("mode", ["off", "unsampled"])
+
+
+class TestOneSendBody:
+    """``publish`` and ``publish_batch`` share one body: what each hands
+    the reliable endpoint is the wire the two bodies it replaced sent,
+    byte for byte, with observation off and for an unsampled event.  A
+    batch of one is the one wire that changed: it leaves as a
+    ``publish``."""
+
+    RECORDS = [v2_record(f"e{n}") for n in range(5)]
+
+    def sent(self, mode, call):
+        _net, fabric, pub, _, _ = batched_fleet(loss_rate=0.0)
+        sent = recorded_sends(pub.reliable)
+        with observed(mode):
+            call(pub)
+        return sent, [
+            pub.pbio.encode(FABRIC_PUBLISH, FABRIC_PUBLISH.make_record(
+                channel_id="batch/ch", publisher="pub", seq=seq,
+                epoch=fabric.directory.epoch,
+            )) + pub.pbio.encode(RESPONSE_V2, record)
+            for seq, record in enumerate(self.RECORDS, 1)
+        ]
+
+    @OBS_MODES
+    def test_publish_sends_envelope_then_payload(self, mode):
+        sent, wires = self.sent(mode, lambda pub: pub.publish(
+            "batch/ch", RESPONSE_V2, self.RECORDS[0]))
+        assert sent == wires[:1]
+
+    @OBS_MODES
+    def test_publish_batch_sends_one_packed_frame(self, mode):
+        sent, wires = self.sent(mode, lambda pub: pub.publish_batch(
+            "batch/ch", RESPONSE_V2, self.RECORDS))
+        assert sent == [pack_batch(wires)]
+
+    @OBS_MODES
+    def test_publish_batch_of_one_is_a_publish(self, mode):
+        batch, wires = self.sent(mode, lambda pub: pub.publish_batch(
+            "batch/ch", RESPONSE_V2, self.RECORDS[:1]))
+        single, _ = self.sent(mode, lambda pub: pub.publish(
+            "batch/ch", RESPONSE_V2, self.RECORDS[0]))
+        assert batch == single == wires[:1]

@@ -72,6 +72,10 @@ INDIRECT_SITES = [
 INDIRECT_SPANS = [
     ("net/reliable.py", "net.reliable.send"),
     ("net/reliable.py", "net.reliable.retransmit"),
+    ("fabric/client.py", "fabric.publish"),
+    ("fabric/client.py", "fabric.publish_batch"),
+    ("echo/process.py", "echo.publish"),
+    ("echo/process.py", "echo.publish_batch"),
 ]
 
 #: where a metric can be read from, relative to the repo root: files,
