@@ -23,10 +23,6 @@ class Measurement:
     def best_ms(self) -> float:
         return self.best * 1e3
 
-    @property
-    def mean_ms(self) -> float:
-        return self.mean * 1e3
-
 
 def measure(
     fn: Callable[[], Any],

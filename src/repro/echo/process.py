@@ -61,7 +61,6 @@ from repro.pbio.buffer import (
     peek_trace,
     unpack_header,
 )
-from repro.pbio.codegen import BatchEncoderFn, make_batch_encoder
 from repro.pbio.format import IOFormat
 from repro.pbio.projection import ProjectionFormat
 from repro.pbio.record import Record
@@ -191,9 +190,6 @@ class EChoProcess(EndpointMixin):
         #: parent formats whose interest this process announced, per
         #: (channel, parent format id) — retracted on leave_channel
         self._interest_parents: Dict[Tuple[str, int], IOFormat] = {}
-        #: cached vectorized (envelope, payload) batch encoders per
-        #: payload wire-format id
-        self._batch_encoders: Dict[int, BatchEncoderFn] = {}
         if self.resolver is not None:
             # Chain (don't steal) the invalidation hook: a server reply
             # displacing cached format content must drop every morph
@@ -243,7 +239,9 @@ class EChoProcess(EndpointMixin):
         if channel_id in self.channels:
             raise ChannelError(f"channel {channel_id!r} already exists here")
         try:
-            compile_procedure(filter_code, ("input",), f"filter_{channel_id}")
+            filter_proc = compile_procedure(
+                filter_code, ("input",), f"filter_{channel_id}"
+            )
         except ECodeError as exc:
             raise ChannelError(f"derived-channel filter does not compile: {exc}")
         channel = ChannelState(
@@ -254,6 +252,7 @@ class EChoProcess(EndpointMixin):
         )
         channel.ready = True
         self.channels[channel_id] = channel
+        self._filters[channel_id] = filter_proc
         self._announce_derived(channel)
         return channel
 
@@ -539,20 +538,6 @@ class EChoProcess(EndpointMixin):
         self._tally.bytes_saved += count * max(
             0, parent.min_wire_size - projection.min_wire_size)
 
-    def _batch_encoder(self, wire_fmt: IOFormat) -> BatchEncoderFn:
-        """The cached vectorized (envelope, payload) batch encoder for
-        *wire_fmt* — one generated routine packs K events straight into
-        a BATCH1 body with a single buffer reservation, byte-identical
-        to the frames :meth:`_submit` composes and packs.  Not on the
-        send path."""
-        encoder = self._batch_encoders.get(wire_fmt.format_id)
-        if encoder is None:
-            encoder = make_batch_encoder(
-                (EVENT_ENVELOPE, wire_fmt), byte_order=self.pbio.byte_order
-            )
-            self._batch_encoders[wire_fmt.format_id] = encoder
-        return encoder
-
     def _has_derived(self, channel_id: str) -> bool:
         return any(
             channel.parent_id == channel_id
@@ -706,18 +691,7 @@ class EChoProcess(EndpointMixin):
                 continue
             filter_proc = self._filters.get(derived.channel_id)
             if filter_proc is None:
-                if derived.filter_code:
-                    try:
-                        filter_proc = compile_procedure(
-                            derived.filter_code, ("input",),
-                            f"filter_{derived.channel_id}",
-                        )
-                    except ECodeError:
-                        self.filter_errors += 1
-                        continue
-                    self._filters[derived.channel_id] = filter_proc
-                else:
-                    continue
+                continue
             try:
                 keep = filter_proc(record)
             except ECodeError:

@@ -25,7 +25,6 @@ metric).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Tuple
 
 from repro.pbio.format import IOFormat
 
@@ -73,12 +72,6 @@ def mismatch_ratio(f1: IOFormat, f2: IOFormat) -> float:
 def is_perfect_match(f1: IOFormat, f2: IOFormat) -> bool:
     """True iff ``(f1, f2)`` is a perfect matching pair."""
     return diff(f1, f2) == 0 and diff(f2, f1) == 0
-
-
-def mismatch_order_key(f1: IOFormat, f2: IOFormat) -> Tuple[int, int]:
-    """Sort key implementing the paper's "less mismatch" ordering:
-    lexicographic on ``(diff(f1,f2), diff(f2,f1))``."""
-    return (diff(f1, f2), diff(f2, f1))
 
 
 # ---------------------------------------------------------------------------

@@ -359,10 +359,6 @@ class MorphReceiver:
             self._default_handler = handler
             self._routes.clear()
 
-    def known_formats(self) -> List[IOFormat]:
-        with self._lock:
-            return list(self._handler_formats)
-
     # ------------------------------------------------------------------
     # Processing
     # ------------------------------------------------------------------

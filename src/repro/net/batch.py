@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import DecodeError
 from repro.obs import OBS
@@ -73,9 +73,6 @@ BATCH_FLAG_TRACE = 0x01
 _KNOWN_FLAGS = BATCH_FLAG_TRACE
 
 _HEADER = struct.Struct(">6sBBI")
-#: Public alias of the frame-header Struct, referenced by the generated
-#: vectorized batch encoders so their frames share this exact layout.
-BATCH_HEADER = _HEADER
 BATCH_HEADER_SIZE = _HEADER.size  # 12 bytes
 _LEN = struct.Struct(">I")
 #: Bytes of the u32 length prefix in front of every contained message —
@@ -148,9 +145,11 @@ def pack_batch(
     for message in messages:
         parts.append(_LEN.pack(len(message)))
         parts.append(bytes(message))
-    frame = b"".join(parts)
-    record_batch_packed(len(messages))
-    return frame
+    _TALLY.packed_frames += 1
+    _TALLY.packed_messages += len(messages)
+    if OBS.enabled:
+        _OBS_SIZE().observe(len(messages))
+    return b"".join(parts)
 
 
 def split_batch(messages: Sequence[Buffer]) -> List[Sequence[Buffer]]:
@@ -170,18 +169,6 @@ def split_batch(messages: Sequence[Buffer]) -> List[Sequence[Buffer]]:
         size += need
     groups.append(messages[first:])
     return groups
-
-
-def record_batch_packed(count: int) -> None:
-    """Tally one packed frame of *count* messages.
-
-    Shared by :func:`pack_batch` and the generated vectorized batch
-    encoders (:func:`repro.pbio.codegen.make_batch_encoder`), so the
-    totals stay identical whichever path built the frame."""
-    _TALLY.packed_frames += 1
-    _TALLY.packed_messages += count
-    if OBS.enabled:
-        _OBS_SIZE().observe(count)
 
 
 def unpack_batch(data: Buffer, offset: int = 0) -> BatchFrame:
@@ -244,12 +231,6 @@ def unpack_batch(data: Buffer, offset: int = 0) -> BatchFrame:
     _TALLY.unpacked_frames += 1
     _TALLY.unpacked_messages += count
     return BatchFrame(count=count, trace=trace, segments=tuple(segments))
-
-
-def iter_batch(data: Buffer) -> Iterable[memoryview]:
-    """Yield each contained message of a validated frame as a zero-copy
-    ``memoryview`` slice of *data*."""
-    yield from unpack_batch(data).views(data)
 
 
 def peek_batch_trace(data: Buffer, offset: int = 0) -> Optional[TraceContext]:

@@ -30,14 +30,12 @@ test suite audits the generated code.
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import DecodeError, EncodeError
-from repro.obs.tracectx import TraceContext, encode_block
 from repro.pbio.decode import ZERO_SIZE_ELEMENT_CAP
 from repro.pbio.buffer import (
     FLAG_BIG_ENDIAN,
-    HEADER_SIZE,
     ORDER_PREFIX,
     pack_header,
     unpack_header,
@@ -775,147 +773,3 @@ def make_encoder(fmt: IOFormat, byte_order: str = "little") -> EncoderFn:
 
     encode.__name__ = f"encode_{fmt.name}"
     return encode
-
-
-# ---------------------------------------------------------------------------
-# Vectorized batch encoder generation
-# ---------------------------------------------------------------------------
-
-#: Offset of the little-endian u32 payload-length word inside a packed
-#: PBIO header (the last field of ``repro.pbio.buffer.HEADER``).
-_PAYLOAD_LEN_OFFSET = struct.calcsize("<IBBHQ")
-
-BatchEncoderFn = Callable[..., bytes]
-
-
-def batch_encoder_source(
-    fmts: Sequence[IOFormat], order: str = "<"
-) -> Tuple[str, List[struct.Struct]]:
-    """Generate the source of a vectorized BATCH1 frame encoder.
-
-    The routine takes ``(rows, trace_block)`` where every *row* is a
-    sequence holding one record per format in *fmts*, and packs all K
-    rows straight into one BATCH1 frame held in a **single** buffer: no
-    per-message ``bytes`` objects, no per-message header re-packing.
-    Each segment's u32 length prefix and each contained message's header
-    length word start as placeholders and are patched in place once the
-    segment's fields have landed, so variable-width fields (strings,
-    arrays) need no pre-measuring pass.
-    """
-    structs = _StructTable(order)
-    em = _Emitter()
-    em.emit("def _encode_batch(rows, trace_block):")
-    em.indent += 1
-    names = "+".join(f.name for f in fmts)
-    em.emit(f'"""Vectorized BATCH1 encoder for {names!r} rows."""')
-    em.emit("count = len(rows)")
-    em.emit("buf = bytearray()")
-    em.emit("_ext = buf.extend")
-    em.emit("if trace_block is None:")
-    em.indent += 1
-    em.emit("_ext(_BH.pack(_BMAGIC, _BVER, 0, count))")
-    em.indent -= 1
-    em.emit("else:")
-    em.indent += 1
-    em.emit("_ext(_BH.pack(_BMAGIC, _BVER, _BTRACE, count))")
-    em.emit("_ext(trace_block)")
-    em.indent -= 1
-    rec_vars = [f"_r{i}" for i in range(len(fmts))]
-    em.emit("for _row in rows:")
-    em.indent += 1
-    lhs = ", ".join(rec_vars)
-    if len(rec_vars) == 1:
-        lhs += ","
-    em.emit(f"{lhs} = _row")
-    em.emit("_seg = len(buf)")
-    em.emit("_ext(_ZERO4)")
-    for index, fmt in enumerate(fmts):
-        em.emit("_m = len(buf)")
-        em.emit(f"_ext(_H{index})")
-        _gen_encode_format(em, fmt, structs, rec_vars[index])
-        em.emit(
-            f"_PL.pack_into(buf, _m + {_PAYLOAD_LEN_OFFSET}, "
-            f"len(buf) - _m - {HEADER_SIZE})"
-        )
-    em.emit("_SL.pack_into(buf, _seg, len(buf) - _seg - 4)")
-    em.indent -= 1
-    em.emit("return bytes(buf)")
-    return em.source(), structs
-
-
-def make_batch_encoder(
-    fmts: Sequence[IOFormat], byte_order: str = "little"
-) -> BatchEncoderFn:
-    """Compile ``encode_batch(rows, ctx=None) -> bytes``: one call packs
-    K same-shape rows into a complete BATCH1 frame.
-
-    Each row supplies one record per format in *fmts* (the echo layer
-    uses ``(envelope, payload)`` pairs); a row's messages are
-    concatenated into a single batch segment, exactly the shape
-    :func:`repro.net.batch.pack_batch` produces from pre-encoded wires.
-    Frames are byte-identical to the compose-then-pack path, and the
-    ``net.batch.packed_*`` counters advance identically."""
-    try:
-        order = ORDER_PREFIX[byte_order]
-    except KeyError:
-        raise EncodeError(f"unknown byte order {byte_order!r}") from None
-    fmts = tuple(fmts)
-    if not fmts:
-        raise EncodeError("batch encoder needs at least one format")
-    # net.batch never imports pbio, but keep the dependency lazy anyway:
-    # codegen stays importable from the lowest layers.
-    from repro.net.batch import (
-        BATCH_FLAG_TRACE,
-        BATCH_HEADER,
-        BATCH_MAGIC,
-        BATCH_VERSION,
-        record_batch_packed,
-    )
-
-    source, structs = batch_encoder_source(fmts, order)
-    flags = FLAG_BIG_ENDIAN if byte_order == "big" else 0
-    namespace: Dict[str, Any] = {
-        "_S": structs,
-        "_U32": struct.Struct(order + "I"),
-        "_EncodeError": EncodeError,
-        "_BH": BATCH_HEADER,
-        "_BMAGIC": BATCH_MAGIC,
-        "_BVER": BATCH_VERSION,
-        "_BTRACE": BATCH_FLAG_TRACE,
-        "_ZERO4": b"\x00\x00\x00\x00",
-        "_PL": struct.Struct("<I"),
-        "_SL": struct.Struct(">I"),
-    }
-    for index, fmt in enumerate(fmts):
-        namespace[f"_H{index}"] = pack_header(fmt.format_id, 0, flags=flags)
-    label = "+".join(f.name for f in fmts)
-    code = compile(source, f"<pbio-batch-encoder:{label}:{order}>", "exec")
-    exec(code, namespace)
-    raw = namespace["_encode_batch"]
-
-    def encode_batch(
-        rows: Sequence[Sequence[Any]], ctx: Optional[TraceContext] = None
-    ) -> bytes:
-        if not rows:
-            # parity with pack_batch: an empty frame is invalid wire
-            raise DecodeError("cannot pack an empty BATCH1 frame")
-        trace_block = encode_block(ctx) if ctx is not None else None
-        try:
-            frame = raw(rows, trace_block)
-        except struct.error as exc:
-            raise EncodeError(
-                f"cannot encode batch of {label!r}: {exc}"
-            ) from None
-        except (KeyError, TypeError, ValueError) as exc:
-            raise EncodeError(
-                f"batch row does not conform to ({label}): {exc!r}"
-            ) from None
-        except (AttributeError, OverflowError) as exc:
-            raise EncodeError(
-                f"bad field value in batch of {label!r}: {exc}"
-            ) from None
-        record_batch_packed(len(rows))
-        return frame
-
-    encode_batch.__name__ = f"encode_batch_{label}"
-    return encode_batch

@@ -96,13 +96,6 @@ class PBIOContext:
         self._decode_seconds = Handles.histogram("pbio.decode.seconds")
 
     # ------------------------------------------------------------------
-    # Registration
-    # ------------------------------------------------------------------
-
-    def register_format(self, fmt: IOFormat) -> int:
-        return self.registry.register(fmt)
-
-    # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
 

@@ -31,7 +31,7 @@ Design points:
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Iterable, Mapping, Optional
+from typing import Any, Iterable, Mapping, Optional
 
 from repro.errors import FormatError
 from repro.pbio.format import IOFormat
@@ -67,11 +67,6 @@ class ProjectionFormat(IOFormat):
         super().__init__(name, fields, version=version)
         self.parent_format_id = parent_format_id
         self.projection_epoch = projection_epoch
-
-    @property
-    def live_fields(self) -> FrozenSet[str]:
-        """The field names this projection transmits."""
-        return frozenset(self.field_names())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         ver = f" v{self.version}" if self.version else ""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.echo import process as process_module
 from repro.echo.process import EChoProcess
 from repro.errors import ChannelError
 from repro.net.transport import Network
@@ -94,6 +95,26 @@ class TestFiltering:
         )
         assert [e.load for e in got["hot-sink"]] == [70]
         assert [e.load for e in got["another-hot"]] == [70]
+
+    def test_a_creator_compiles_its_filter_once(self, monkeypatch):
+        compiled = []
+        compile_procedure = process_module.compile_procedure
+        monkeypatch.setattr(
+            process_module, "compile_procedure",
+            lambda *args: compiled.append(args) or compile_procedure(*args),
+        )
+        net = Network()
+        registry = FormatRegistry()
+        creator = EChoProcess(net, "creator", registry, version="2.0")
+        hot_sink = EChoProcess(net, "hot-sink", registry, version="2.0")
+        creator.create_channel("raw")
+        creator.create_derived_channel("raw", "raw.hot", HIGH_LOAD_FILTER)
+        hot_sink.open_channel("raw.hot", "creator", as_sink=True)
+        net.run()
+        got = publish(net, creator, [(hot_sink, "raw.hot")],
+                      loads=[80, 10, 99])
+        assert [e.load for e in got["hot-sink"]] == [80, 99]
+        assert len(compiled) == 1
 
 
 class TestLifecycleErrors:

@@ -18,7 +18,6 @@ from repro.net.batch import (
     BATCH_HEADER_SIZE,
     BATCH_MAGIC,
     is_batch,
-    iter_batch,
     pack_batch,
     peek_batch_trace,
     unpack_batch,
@@ -45,7 +44,7 @@ class TestRoundtrip:
 
     def test_iter_batch_yields_zero_copy_views(self):
         frame = bytearray(make_frame())
-        views = list(iter_batch(frame))
+        views = unpack_batch(frame).views(frame)
         assert [bytes(v) for v in views] == MESSAGES
         for view in views:
             assert isinstance(view, memoryview)

@@ -203,8 +203,6 @@ class TestFirstUseIsGenerated:
             encode_record(RESPONSE_V0, rec)
         with pytest.raises(EncodeError):
             codegen.make_encoder(RESPONSE_V0)(rec)
-        with pytest.raises(EncodeError):
-            codegen.make_batch_encoder([RESPONSE_V0])([(rec,)])
 
 
 class TestInterpretiveMode:

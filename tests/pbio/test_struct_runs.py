@@ -9,8 +9,7 @@ shapes, counts 0, 1, 2 and N, both byte orders and every buffer type:
 
 * the generated decoder, ``decode_record`` and a decode-only
   ``FusedRoute`` build equal records and reject the same wires alike;
-* the generated encoder writes ``encode_record``'s bytes, and a batch
-  frame is the single encodes packed.
+* the generated encoder writes ``encode_record``'s bytes.
 """
 
 import functools
@@ -25,7 +24,6 @@ from repro.check.mutate import MUTATIONS
 from repro.echo.protocol import RESPONSE_V2
 from repro.errors import DecodeError, EncodeError
 from repro.morph.fusion import FusedRoute
-from repro.net.batch import pack_batch
 from repro.pbio import codegen
 from repro.pbio.buffer import HEADER_SIZE
 from repro.pbio.decode import decode_record
@@ -208,14 +206,6 @@ class TestDifferential:
                 encode_record(fmt, bad, byte_order=byte_order)
             with pytest.raises(EncodeError):
                 codegen.make_encoder(fmt, byte_order)(bad)
-
-    def test_a_batch_frame_is_the_single_encodes(self, byte_order):
-        for _shape, fmt, rec in CASES:
-            rows = [(rec,), (outer_record(fmt, len(rec["items"]), 99),)]
-            singles = [encode_record(fmt, row[0], byte_order=byte_order)
-                       for row in rows]
-            frame = codegen.make_batch_encoder([fmt], byte_order)(rows)
-            assert frame == pack_batch(singles), fmt.name
 
 
 class _Counted:
