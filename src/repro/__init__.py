@@ -54,7 +54,6 @@ from repro.morph import (
     Transformation,
     coerce_record,
     diff,
-    generate_coercion_ecode,
     is_perfect_match,
     max_match,
     mismatch_ratio,
@@ -107,7 +106,6 @@ __all__ = [
     "compile_procedure",
     "diff",
     "encode_record",
-    "generate_coercion_ecode",
     "interpret_procedure",
     "is_perfect_match",
     "make_record",

@@ -381,7 +381,7 @@ def check_ecode_records(
         }))
 
     def build(use_codegen: bool, typed: bool) -> Transformation:
-        xform = Transformation(spec, use_codegen, validate_output=False)
+        xform = Transformation(spec, use_codegen)
         if not typed:
             xform.procedure = compile_procedure(program, name="untyped")
         return xform
@@ -683,6 +683,7 @@ def check_morph(rng: random.Random, messages: int = 6) -> List[Finding]:
         reference = originals[channel]
         for step in chain:
             reference = step.apply(reference)
+            step.target.validate_record(reference)
         if not records_equal(record, reference):
             flag(f"morphed record for {channel!r} diverges from the "
                  f"interpreted reference chain")

@@ -65,7 +65,7 @@ from repro.pbio.format import IOFormat
 from repro.pbio.projection import ProjectionFormat
 from repro.pbio.record import Record
 from repro.pbio.registry import FormatRegistry
-from repro.pbio.server import CachingFormatResolver, ProjectionState
+from repro.pbio.server import ProjectionState
 
 EventHandler = Callable[[Record], Any]
 
@@ -92,10 +92,10 @@ class EChoProcess(EndpointMixin):
     address:
         This process's contact string (also its network address).
     registry:
-        The shared out-of-band meta-data registry.  Optional when a
-        *resolver* (or *format_servers*) is supplied — the process then
-        works against the resolver's local cache and fetches unknown
-        formats from the server fleet on demand.
+        The shared out-of-band meta-data registry.  Optional when
+        *format_servers* is supplied — the process then works against
+        its resolver's local cache and fetches unknown formats from the
+        server fleet on demand.
     version:
         The ECho release this process runs ("0.0", "1.0" or "2.0") —
         selects which ChannelOpenResponse revision it sends and
@@ -107,13 +107,14 @@ class EChoProcess(EndpointMixin):
         the endpoint constructor; the default raises the circuit-breaker
         threshold so bursty loss cannot fail-fast event publishes
         mid-run.
-    resolver / format_servers:
-        Either an existing :class:`CachingFormatResolver` or a server
-        address list from which the process builds one (at
-        ``<address>:meta``).  A message whose format id is not locally
-        known is held, the format fetched out-of-band, and the message
-        replayed when the meta-data arrives; the peer's later messages
-        wait behind it (:meth:`~repro.net.reliable.EndpointMixin._hold`).
+    format_servers:
+        A server address list from which the process builds its
+        :class:`~repro.pbio.server.CachingFormatResolver` (at
+        ``<address>:meta``, read back as ``resolver``).  A message whose
+        format id is not locally known is held, the format fetched
+        out-of-band, and the message replayed when the meta-data
+        arrives; the peer's later messages wait behind it
+        (:meth:`~repro.net.reliable.EndpointMixin._hold`).
     directory:
         A fabric :class:`~repro.fabric.membership.FabricDirectory` (or
         anything with its ``owner_contact``/``register_echo_channel``
@@ -133,7 +134,6 @@ class EChoProcess(EndpointMixin):
         mismatch_threshold: float = DEFAULT_MISMATCH_THRESHOLD,
         reliable: bool = False,
         reliable_options: Optional[Dict[str, Any]] = None,
-        resolver: Optional[CachingFormatResolver] = None,
         format_servers: Optional[List[str]] = None,
         resolver_options: Optional[Dict[str, Any]] = None,
         contain_failures: bool = False,
@@ -143,7 +143,7 @@ class EChoProcess(EndpointMixin):
             raise ChannelError(f"unknown ECho version {version!r}")
         self._open_endpoint(
             network, address, registry, reliable, reliable_options,
-            resolver, format_servers, resolver_options, ChannelError,
+            format_servers, resolver_options, ChannelError,
         )
         registry = self.registry
         self.version = version

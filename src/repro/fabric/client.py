@@ -31,7 +31,6 @@ from repro.pbio.buffer import attach_trace, peek_trace, unpack_header
 from repro.pbio.format import IOFormat
 from repro.pbio.record import Record
 from repro.pbio.registry import FormatRegistry
-from repro.pbio.server import CachingFormatResolver
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fabric.membership import FabricDirectory
@@ -64,7 +63,6 @@ class FabricClient(EndpointMixin):
         registry: Optional[FormatRegistry] = None,
         reliable: bool = False,
         reliable_options: Optional[Dict[str, Any]] = None,
-        resolver: Optional[CachingFormatResolver] = None,
         format_servers: Optional[List[str]] = None,
         resolver_options: Optional[Dict[str, Any]] = None,
         publish_buffer_limit: int = 256,
@@ -73,7 +71,7 @@ class FabricClient(EndpointMixin):
         self.directory = directory
         self._open_endpoint(
             network, address, registry, reliable, reliable_options,
-            resolver, format_servers, resolver_options, FabricError,
+            format_servers, resolver_options, FabricError,
         )
         register_fabric_protocol(self.registry)
         if self.resolver is not None:

@@ -88,7 +88,6 @@ from repro.pbio.buffer import (
 )
 from repro.pbio.format import IOFormat
 from repro.pbio.registry import FormatRegistry
-from repro.pbio.server import CachingFormatResolver
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fabric.membership import FabricDirectory
@@ -162,7 +161,7 @@ class FabricWorker(EndpointMixin):
     worker sits on one transport node (optionally wrapped in a
     :class:`~repro.net.reliable.ReliableEndpoint`), shares the format
     registry out-of-band or resolves formats through the server fleet
-    on demand (*format_servers* / *resolver*).
+    on demand (*format_servers*).
     """
 
     def __init__(
@@ -173,7 +172,6 @@ class FabricWorker(EndpointMixin):
         registry: Optional[FormatRegistry] = None,
         reliable: bool = False,
         reliable_options: Optional[Dict[str, Any]] = None,
-        resolver: Optional[CachingFormatResolver] = None,
         format_servers: Optional[List[str]] = None,
         resolver_options: Optional[Dict[str, Any]] = None,
         journal: Optional[JournalStore] = None,
@@ -182,7 +180,7 @@ class FabricWorker(EndpointMixin):
         self.directory = directory
         self._open_endpoint(
             network, address, registry, reliable, reliable_options,
-            resolver, format_servers, resolver_options, FabricError,
+            format_servers, resolver_options, FabricError,
         )
         register_fabric_protocol(self.registry)
         if self.resolver is not None:
@@ -637,7 +635,8 @@ class FabricWorker(EndpointMixin):
         (:meth:`MorphReceiver.process`) through which its payload is
         decoded once and each retro-transform runs once; a lone group
         keeps its fused route.  What a group's receiver dead-letters or
-        drops in quarantine is counted in ``errors`` as the run ends."""
+        drops in quarantine is counted in ``errors`` as the run ends, and
+        its newest dead letter's exception becomes ``last_error``."""
         groups = [
             group for _format_id, group in sorted(channel.groups.items())
             if group.contacts
@@ -683,8 +682,10 @@ class FabricWorker(EndpointMixin):
             for group in groups:
                 tally = group.receiver.containment
                 failed = tally["dead_lettered"] + tally["quarantine_drops"]
-                self.errors += failed - group.failed
-                group.failed = failed
+                if failed != group.failed:
+                    self.errors += failed - group.failed
+                    self.last_error = group.receiver.last_error
+                    group.failed = failed
         for contact, datagrams in outbox.items():
             try:
                 wires = [

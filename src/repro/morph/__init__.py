@@ -7,13 +7,13 @@ can accept message formats they were never written to understand:
 * :func:`max_match` — the MaxMatch format-pair selection,
 * :class:`Transformation` / :class:`TransformChain` — compiled
   writer-supplied conversions (retro-transformation chains, Figure 1),
-* :func:`coerce_record` / :func:`generate_coercion_ecode` — imperfect
-  match reconciliation (default fill + field drop),
+* :func:`coerce_record` — imperfect match reconciliation (default fill
+  + field drop),
 * :class:`MorphReceiver` — the Algorithm 2 receiver-side pipeline with
   per-format route caching.
 """
 
-from repro.morph.compat import coerce_record, generate_coercion_ecode
+from repro.morph.compat import coerce_record
 from repro.morph.diff import (
     diff,
     is_perfect_match,
@@ -51,7 +51,6 @@ __all__ = [
     "build_chain",
     "coerce_record",
     "diff",
-    "generate_coercion_ecode",
     "growable_record",
     "is_perfect_match",
     "max_match",

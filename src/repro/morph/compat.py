@@ -10,22 +10,18 @@ deliver a record of the format its handler expects:
 copying same-named same-typed fields (recursing through complex fields
 and arrays), dropping everything else, and filling the rest of the target
 from field defaults (XML-style name-based mapping with default values,
-Section 2 of the paper).
-
-:func:`generate_coercion_ecode` emits the equivalent ECode source, so the
-same reconciliation can ride the normal transformation pipeline; the test
-suite checks the generated ECode agrees with the structural path.
+Section 2 of the paper).  The staged receiver runs it; a fused route
+(:mod:`repro.morph.fusion`) compiles the same mapping into its routine.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping
+from typing import Any, Mapping
 
-from repro.errors import MorphError
 from repro.pbio.field import IOField
 from repro.pbio.format import IOFormat
 from repro.pbio.record import Record
-from repro.pbio.types import TypeKind, coerce_value
+from repro.pbio.types import coerce_value
 
 
 def coerce_record(src_fmt: IOFormat, dst_fmt: IOFormat, rec: Mapping[str, Any]) -> Record:
@@ -107,115 +103,3 @@ def reconcile_field_stats(src_fmt: IOFormat, dst_fmt: IOFormat) -> "tuple[int, i
             defaulted += 1
     return dropped, defaulted
 
-
-# ---------------------------------------------------------------------------
-# ECode auto-generation
-# ---------------------------------------------------------------------------
-
-
-def generate_coercion_ecode(src_fmt: IOFormat, dst_fmt: IOFormat) -> str:
-    """Emit ECode implementing ``coerce_record(src_fmt, dst_fmt, .)``.
-
-    The generated snippet reads the incoming record as ``new`` and writes
-    the receiver's record as ``old`` — the same convention as hand-written
-    transformations, so it compiles and caches through the identical DCG
-    pipeline.  Supports scalar fields, complex fields and *variable*
-    arrays; mismatched fixed arrays raise :class:`MorphError` (reshaping a
-    fixed array needs application knowledge a structural mapping cannot
-    invent).
-    """
-    gen = _ECodeCoercionGenerator()
-    gen.emit_format("new", "old", src_fmt, dst_fmt)
-    return "\n".join(gen.lines) + "\n"
-
-
-_DEFAULT_LITERALS = {
-    TypeKind.INTEGER: "0",
-    TypeKind.UNSIGNED: "0",
-    TypeKind.ENUMERATION: "0",
-    TypeKind.FLOAT: "0.0",
-    TypeKind.BOOLEAN: "0",
-    TypeKind.CHAR: "'\\0'",
-    TypeKind.STRING: '""',
-}
-
-
-class _ECodeCoercionGenerator:
-    def __init__(self) -> None:
-        self.lines: List[str] = []
-        self.indent = 0
-        self._loop_depth = 0
-
-    def _emit(self, line: str) -> None:
-        self.lines.append("    " * self.indent + line)
-
-    def _loop_var(self) -> str:
-        self._loop_depth += 1
-        name = f"i{self._loop_depth}"
-        self._emit(f"int {name};")
-        return name
-
-    def emit_format(self, src: str, dst: str, src_fmt: IOFormat, dst_fmt: IOFormat) -> None:
-        for field in dst_fmt.fields:
-            src_field = src_fmt.get_field(field.name)
-            if src_field is not None and field.matches(src_field):
-                self._emit_copy(src, dst, src_field, field)
-            else:
-                self._emit_default(dst, field)
-        for field in dst_fmt.fields:
-            spec = field.array
-            if spec is not None and spec.length_field is not None:
-                src_field = src_fmt.get_field(field.name)
-                if src_field is None or not field.matches(src_field):
-                    self._emit(f"{dst}.{spec.length_field} = 0;")
-
-    def _emit_copy(self, src: str, dst: str, src_field: IOField, field: IOField) -> None:
-        if field.is_array:
-            src_spec, dst_spec = src_field.array, field.array
-            assert src_spec is not None and dst_spec is not None
-            if dst_spec.fixed_length is not None or src_spec.fixed_length is not None:
-                if src_spec.fixed_length == dst_spec.fixed_length:
-                    count_expr = str(src_spec.fixed_length)
-                else:
-                    raise MorphError(
-                        f"cannot auto-generate ECode for mismatched fixed "
-                        f"arrays ({field.name!r})"
-                    )
-            else:
-                count_expr = f"{src}.{src_spec.length_field}"
-                self._emit(f"{dst}.{dst_spec.length_field} = {count_expr};")
-            var = self._loop_var()
-            self._emit(f"for ({var} = 0; {var} < {count_expr}; {var}++) {{")
-            self.indent += 1
-            if field.is_complex:
-                assert field.subformat is not None and src_field.subformat is not None
-                self.emit_format(
-                    f"{src}.{field.name}[{var}]",
-                    f"{dst}.{field.name}[{var}]",
-                    src_field.subformat,
-                    field.subformat,
-                )
-            else:
-                self._emit(f"{dst}.{field.name}[{var}] = {src}.{field.name}[{var}];")
-            self.indent -= 1
-            self._emit("}")
-        elif field.is_complex:
-            assert field.subformat is not None and src_field.subformat is not None
-            self.emit_format(
-                f"{src}.{field.name}",
-                f"{dst}.{field.name}",
-                src_field.subformat,
-                field.subformat,
-            )
-        else:
-            self._emit(f"{dst}.{field.name} = {src}.{field.name};")
-
-    def _emit_default(self, dst: str, field: IOField) -> None:
-        if field.is_array:
-            return  # left empty; the count field is zeroed in emit_format
-        if field.is_complex:
-            assert field.subformat is not None
-            for sub in field.subformat.fields:
-                self._emit_default(f"{dst}.{field.name}", sub)
-            return
-        self._emit(f"{dst}.{field.name} = {_DEFAULT_LITERALS[field.kind]};")

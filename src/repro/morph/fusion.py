@@ -27,9 +27,9 @@ What fusion buys over the staged path:
 The staged path remains both the ablation baseline and the runtime
 fallback: :func:`plan_fusion` returns ``None`` whenever a route uses a
 feature fusion does not support (interpreter procedures, ``return``
-inside a transform, output validation, parameter shadowing), and a
-compile failure downgrades the route to staged execution instead of
-failing the receiver.  Error *classes* and counter effects match the
+inside a transform, parameter shadowing), and a compile failure
+downgrades the route to staged execution instead of failing the
+receiver.  Error *classes* and counter effects match the
 staged path exactly — the ``fusion`` differential oracle in
 :mod:`repro.check` holds the two paths to that contract.
 """
@@ -105,8 +105,6 @@ def _facts(step: Transformation, live: Live) -> _StepFacts:
 def _inlinable(step: Transformation) -> bool:
     """Whether *step* can be spliced into a larger function at all."""
     if not step.use_codegen:  # interpreter procedure: no AST-to-inline
-        return False
-    if step.validate_output:
         return False
     return step.fact(
         "inlinable",

@@ -250,13 +250,8 @@ class MorphReceiver:
         default) follows the class attribute ``DEFAULT_USE_FUSION``;
         False keeps every route on the staged pipeline (ablation
         baseline and differential-test reference).  Fusion requires
-        ``use_codegen`` and is disabled under ``validate_transforms``
-        (fused chains skip per-step output validation by design).
-    validate_transforms:
-        Forwarded to :class:`~repro.morph.transform.Transformation`.
-        Defaults to False on this hot path — the paper's system writes
-        transform output straight into a C struct with no re-check; turn
-        it on when debugging new transformations.
+        ``use_codegen``.  Neither pipeline re-checks transform output:
+        the paper's system writes it straight into a C struct.
     weighted:
         True scores MaxMatch by field *importance*
         (:func:`repro.morph.diff.weighted_diff`) instead of field counts —
@@ -267,8 +262,9 @@ class MorphReceiver:
         functions: instead of raising, a failed message (undecodable
         bytes, unknown format, broken transform, rejected match, handler
         exception) lands in a bounded **dead-letter queue** with the raw
-        bytes and error attached, its result is ``None``, and the rest of
-        its frame still delivers.  A format id
+        bytes and error attached (the exception itself kept as
+        ``last_error``), its result is ``None``, and the rest of its
+        frame still delivers.  A format id
         failing *quarantine_threshold* consecutive times is
         **quarantined**: its messages are counted and dropped at the
         header peek, so poison traffic stops paying pipeline costs.
@@ -297,7 +293,6 @@ class MorphReceiver:
         diff_threshold: int = DEFAULT_DIFF_THRESHOLD,
         mismatch_threshold: float = DEFAULT_MISMATCH_THRESHOLD,
         use_codegen: bool = True,
-        validate_transforms: bool = False,
         weighted: bool = False,
         use_fusion: Optional[bool] = None,
         contain_failures: bool = False,
@@ -309,11 +304,10 @@ class MorphReceiver:
         self.diff_threshold = diff_threshold
         self.mismatch_threshold = mismatch_threshold
         self.use_codegen = use_codegen
-        self.validate_transforms = validate_transforms
         self.weighted = weighted
         if use_fusion is None:
             use_fusion = self.DEFAULT_USE_FUSION
-        self.use_fusion = use_fusion and use_codegen and not validate_transforms
+        self.use_fusion = use_fusion and use_codegen
         self.stats = ReceiverStats()
         collect(self, self.stats, _COLLECTED)
         self._fused_seconds = Handles.histogram("morph.fused.seconds")
@@ -328,6 +322,8 @@ class MorphReceiver:
         self._dead_letters: Deque[DeadLetter] = deque(maxlen=dlq_limit)
         self._quarantined: Set[int] = set()
         self._failure_counts: Dict[int, int] = {}
+        #: the exception of the newest dead letter
+        self.last_error: Optional[BaseException] = None
         self.containment = {
             "dead_lettered": 0,
             "evicted": 0,
@@ -380,7 +376,7 @@ class MorphReceiver:
         stays per reader, and a failing step stores nothing: each reader
         runs it, and fails, itself.  Handlers fed from one memo must not
         write their record, and the receivers must be configured alike
-        (registry, ``use_codegen``, ``validate_transforms``)."""
+        (registry, ``use_codegen``)."""
         return self._receive((data,), shared=shared)[0]
 
     def process_batch(self, data: bytes) -> List[Any]:
@@ -494,31 +490,6 @@ class MorphReceiver:
                 self._dead_letter(data, format_id, stage, exc)
                 results.append(None)
         return results
-
-    def process_record(self, fmt: IOFormat, record: Record) -> Any:
-        """Process an already-decoded record (used when the transport
-        delivers in-process without a wire hop): the staged steps and the
-        dispatch tail of :meth:`process`, without its decode.  There are
-        no wire bytes to dead-letter, so a failure raises even on a
-        ``contain_failures`` receiver."""
-        stats = self.stats
-        stats.messages += 1
-        self.registry.register(fmt)
-        route = self._routes.get(fmt.format_id)
-        if route is not None:
-            stats.cache_hits += 1
-        else:
-            stats.cache_misses += 1
-            route = self._planned(fmt)
-        tracing = OBS.enabled and recording(current())
-        record = self._morph(route, record, tracing)
-        if route.chain is not None:
-            stats.morphed += 1
-        if route.coercion is not None:
-            stats.reconciled += 1
-        elif not route.is_reject:
-            stats.perfect_matches += 1
-        return self._dispatch(route, record, tracing)
 
     def _planned(self, fmt: IOFormat) -> _Route:
         """The cached route for *fmt*, planned on a miss.  The cache
@@ -673,6 +644,7 @@ class MorphReceiver:
                 )
             )
             self.containment["dead_lettered"] += 1
+            self.last_error = exc
             if OBS.enabled:
                 OBS.metrics.counter(
                     "morph.receiver.dead_letters", stage=stage
@@ -893,11 +865,7 @@ class MorphReceiver:
                     c for c in chains if c[-1].target.format_id == best.f1.format_id
                 )
                 try:
-                    chain = build_chain(
-                        specs,
-                        use_codegen=self.use_codegen,
-                        validate_output=self.validate_transforms,
-                    )
+                    chain = build_chain(specs, use_codegen=self.use_codegen)
                 except TransformError:
                     self.stats.broken_transforms += 1
                     chains = [

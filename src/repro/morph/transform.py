@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.ecode.codegen import SCALAR, Grows, Shape, compile_procedure
 from repro.ecode.interp import interpret_procedure
 from repro.ecode.runtime import AutoList
-from repro.errors import ECodeError, FormatError, TransformError
+from repro.errors import ECodeError, TransformError
 from repro.pbio.field import IOField
 from repro.pbio.format import IOFormat
 from repro.pbio.record import Record
@@ -215,24 +215,20 @@ class Transformation:
         True (default) compiles the ECode to Python bytecode; False runs
         the AST interpreter — the ablation knob mirroring the paper's
         DCG-vs-interpretation distinction.
-    validate_output:
-        When True (default) the transformed record is validated against
-        the target format, so a buggy transform fails loudly at the
-        morph layer instead of corrupting the application.
+
+    The output is not re-checked against the target format: as in the
+    paper, a transform writes straight into the reader's struct.  A
+    record the target cannot hold is refused when it is next encoded
+    (:class:`~repro.errors.EncodeError`); a caller that wants the check
+    earlier calls ``target.validate_record``.
     """
 
-    __slots__ = ("spec", "procedure", "use_codegen", "validate_output",
+    __slots__ = ("spec", "procedure", "use_codegen",
                  "new_output", "freeze", "_facts")
 
-    def __init__(
-        self,
-        spec: TransformSpec,
-        use_codegen: bool = True,
-        validate_output: bool = True,
-    ) -> None:
+    def __init__(self, spec: TransformSpec, use_codegen: bool = True) -> None:
         self.spec = spec
         self.use_codegen = use_codegen
-        self.validate_output = validate_output
         name = f"{spec.source.name}_to_{spec.target.name}"
         try:
             if use_codegen:
@@ -276,7 +272,7 @@ class Transformation:
 
     def apply(self, record: Record) -> Record:
         """Run the transform: build a growable target record, execute the
-        ECode with ``(new=record, old=output)``, freeze and validate."""
+        ECode with ``(new=record, old=output)`` and freeze it."""
         output = self.new_output()
         try:
             self.procedure(record, output)
@@ -287,14 +283,6 @@ class Transformation:
             ) from exc
         if self.freeze is not None:
             self.freeze(output)
-        if self.validate_output:
-            try:
-                self.spec.target.validate_record(output)
-            except FormatError as exc:
-                raise TransformError(
-                    f"transform {self.spec.source.name} -> "
-                    f"{self.spec.target.name} produced an invalid record: {exc}"
-                ) from exc
         return output
 
     def __call__(self, record: Record) -> Record:
@@ -350,9 +338,7 @@ class TransformChain:
 
 
 def build_chain(
-    specs: Sequence[TransformSpec],
-    use_codegen: bool = True,
-    validate_output: bool = True,
+    specs: Sequence[TransformSpec], use_codegen: bool = True
 ) -> TransformChain:
     """Compile a spec sequence (as returned by
     :meth:`FormatRegistry.transform_closure`) into a TransformChain.
@@ -366,11 +352,11 @@ def build_chain(
         # everything the compiled object depends on: the formats by
         # content (their ids leave out the defaults an output is made of)
         key = (spec.code, spec.source.content_key(), spec.target.content_key(),
-               use_codegen, validate_output)
+               use_codegen)
         with _memo_lock:
             step = _transformations.get(key)
             if step is None:
-                step = Transformation(spec, use_codegen, validate_output)
+                step = Transformation(spec, use_codegen)
                 while len(_transformations) >= TRANSFORMATION_CACHE_MAX:
                     _transformations.pop(next(iter(_transformations)))
                 _transformations[key] = step

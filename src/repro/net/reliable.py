@@ -635,11 +635,12 @@ class EndpointMixin:
 
     def _open_endpoint(
         self, network, address, registry, reliable, reliable_options,
-        resolver, format_servers, resolver_options, error,
+        format_servers, resolver_options, error,
     ) -> None:
-        """Set ``network``, ``node``, ``resolver``, ``registry``,
-        ``pbio`` and ``reliable`` (``None`` when raw); *error* is the
-        caller's exception class for "no source of meta-data"."""
+        """Set ``network``, ``node``, ``resolver`` (``None`` without
+        *format_servers*), ``registry``, ``pbio`` and ``reliable``
+        (``None`` when raw); *error* is the caller's exception class for
+        "no source of meta-data"."""
         # late: importing the pbio package imports pbio.server, which
         # builds its own endpoints from this module
         from repro.pbio.context import PBIOContext
@@ -647,7 +648,8 @@ class EndpointMixin:
 
         self.network = network
         self.node = network.add_node(address)
-        if resolver is None and format_servers:
+        resolver = None
+        if format_servers:
             options = dict(resolver_options or {})
             options.setdefault("breaker_threshold", 1_000_000)
             resolver = CachingFormatResolver(
@@ -658,8 +660,8 @@ class EndpointMixin:
         if registry is None:
             if resolver is None:
                 raise error(
-                    f"{type(self).__name__} needs a registry, a resolver, "
-                    "or format_servers"
+                    f"{type(self).__name__} needs a registry or "
+                    "format_servers"
                 )
             registry = resolver.registry
         self.registry = registry

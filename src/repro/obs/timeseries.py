@@ -10,16 +10,11 @@ than the fine ring covers, just at coarser resolution.  That shape is
 what lets a collector watch an unbounded fleet run inside a fixed
 footprint.
 
-Ingestion is **delta-aware** in both directions:
-
-* :meth:`TimeSeries.ingest` takes *absolute* instrument snapshots (what
-  :meth:`Registry.snapshot` emits) and differences them itself, with
-  monotonic-reset detection — a counter that went backwards means the
-  source process restarted, so the full new value is the delta.
-* :meth:`TimeSeries.ingest_delta` takes pre-diffed deltas (what
-  :meth:`Registry.diff_snapshot` ships over the wire) and accumulates
-  them directly; re-applied deltas are the *caller's* problem (the
-  collector dedupes by source sequence number before calling in).
+Ingestion takes pre-diffed deltas (:meth:`TimeSeries.ingest_delta`:
+what :meth:`Registry.diff_snapshot` ships over the wire, which also
+marks a restarted source's instruments ``"reset": true``) and accumulates
+them directly; re-applied deltas are the *caller's* problem (the
+collector dedupes by source sequence number before calling in).
 
 Counter series answer windowed :meth:`~TimeSeries.rate`; histogram
 series answer :meth:`~TimeSeries.percentile` (p50/p95/p99) over the
@@ -106,8 +101,8 @@ class TimeSeries:
     """One metric's history: a fine ring plus rollup levels (see the
     module docstring for the memory/resolution contract)."""
 
-    __slots__ = ("kind", "_rings", "_spans", "_open", "_last_absolute",
-                 "_total", "_latest", "_latest_time", "resets")
+    __slots__ = ("kind", "_rings", "_spans", "_open",
+                 "_total", "_latest", "_latest_time")
 
     def __init__(
         self,
@@ -123,69 +118,11 @@ class TimeSeries:
         #: per rollup level, the open ``[bucket_start, (t, value)]`` being
         #: accumulated before it closes into that level's ring
         self._open: List[Optional[List[Any]]] = [None] * len(rollups)
-        self._last_absolute: Any = None
         self._total: Any = None
         self._latest: Any = None
         self._latest_time: Optional[float] = None
-        #: monotonic resets detected on the absolute-ingest path
-        self.resets = 0
 
     # -- ingestion ------------------------------------------------------
-
-    def ingest(self, t: float, absolute: Any) -> None:
-        """Ingest an *absolute* snapshot value: a number for counters and
-        gauges, a histogram snapshot dict for histograms.  Differences it
-        against the previous absolute, detecting monotonic resets."""
-        if self.kind == "gauge":
-            self.ingest_delta(t, float(absolute))
-            return
-        previous = self._last_absolute
-        self._last_absolute = absolute
-        if self.kind == "counter":
-            value = int(absolute)
-            if previous is None:
-                delta = value
-            elif value < previous:  # monotonic reset: source restarted
-                self.resets += 1
-                delta = value
-            else:
-                delta = value - previous
-            if delta:
-                self.ingest_delta(t, delta)
-            return
-        # histogram: per-bucket difference, any shrink ⇒ reset
-        if previous is None:
-            delta = absolute
-        else:
-            old_edges = [b["le"] for b in previous["buckets"]]
-            new_edges = [b["le"] for b in absolute["buckets"]]
-            shrank = old_edges != new_edges or any(
-                int(b["count"]) < int(a["count"])
-                for a, b in zip(previous["buckets"], absolute["buckets"])
-            )
-            if shrank:
-                self.resets += 1
-                delta = absolute
-            else:
-                delta = {
-                    "count": int(absolute["count"]) - int(previous["count"]),
-                    "sum": absolute["sum"] - previous["sum"],
-                    "min": absolute.get("min"),
-                    "max": absolute.get("max"),
-                    "buckets": [
-                        {
-                            "le": b["le"],
-                            "count": int(b["count"]) - int(a["count"]),
-                        }
-                        for a, b in zip(
-                            previous["buckets"], absolute["buckets"]
-                        )
-                    ],
-                }
-                if "exemplars" in absolute:
-                    delta["exemplars"] = absolute["exemplars"]
-        if int(delta["count"]):
-            self.ingest_delta(t, delta)
 
     def ingest_delta(self, t: float, delta: Any) -> None:
         """Ingest a pre-diffed delta (gauges: the absolute value)."""

@@ -32,7 +32,9 @@ class TestOrderTransform:
             rush=False,
         )
         rec.update(overrides)
-        return Transformation(ORDER_TRANSFORM, validate_output=True).apply(rec)
+        out = Transformation(ORDER_TRANSFORM).apply(rec)
+        SUPPLIER_PO.validate_record(out)
+        return out
 
     def test_wraps_single_line_item(self):
         out = self.run()
@@ -63,7 +65,9 @@ class TestStatusTransform:
         rec = SUPPLIER_STATUS.make_record(
             order_id="o-1", state=state, eta_days=3, carrier=carrier
         )
-        return Transformation(STATUS_TRANSFORM, validate_output=True).apply(rec)
+        out = Transformation(STATUS_TRANSFORM).apply(rec)
+        RETAILER_STATUS.validate_record(out)
+        return out
 
     def test_state_enum_explodes_into_booleans(self):
         assert self.run(0)["shipped"] == 0 and self.run(0)["backordered"] == 0

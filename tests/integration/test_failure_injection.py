@@ -5,8 +5,10 @@ import pytest
 
 from repro.bench.workloads import response_v2
 from repro.echo.protocol import RESPONSE_V0, RESPONSE_V1, RESPONSE_V2
-from repro.errors import NoMatchError, TransformError
+from repro.errors import EncodeError, NoMatchError, TransformError
+from repro.fabric import EventFabric
 from repro.morph.receiver import MorphReceiver
+from repro.net.transport import Network
 from repro.pbio.context import PBIOContext
 from repro.pbio.field import IOField
 from repro.pbio.format import IOFormat
@@ -89,17 +91,34 @@ class TestBrokenTransforms:
                 receiver.process(wire)
 
     def test_validation_mode_catches_bad_output_before_handler(self):
+        """No morph-layer re-check: a transform that sets a count but
+        never fills its list is refused where the fabric owner encodes
+        for the group.  Each event dead-letters there (the fourth drops
+        in quarantine), the subscriber sees none, and the owner's
+        ``last_error`` names the cause."""
         registry = FormatRegistry()
         registry.add_transform(
-            RESPONSE_V2, RESPONSE_V0, "old.member_count = new.member_count;"
-        )  # sets count but never fills the list
-        sender = PBIOContext(registry)
-        receiver = MorphReceiver(registry, validate_transforms=True)
+            RESPONSE_V2, RESPONSE_V1, "old.member_count = new.member_count;"
+        )
+        net = Network(seed=0)
+        fabric = EventFabric(net, registry=registry, reliable=True)
+        fabric.add_worker("w0")
         seen = []
-        receiver.register_handler(RESPONSE_V0, seen.append)
-        with pytest.raises(TransformError, match="invalid record"):
-            receiver.process(sender.encode(RESPONSE_V2, response_v2(2)))
-        assert seen == []  # the handler never saw the corrupt record
+        fabric.client("sub").subscribe(
+            "ch", RESPONSE_V1, lambda c, p, s, rec: seen.append(rec))
+        pub = fabric.client("pub")
+        net.run()
+        for _ in range(4):
+            pub.publish("ch", RESPONSE_V2, response_v2(2))
+        net.run()
+        owner = fabric.directory.worker(fabric.directory.owner("ch"))
+        group = owner._channels["ch"].groups[RESPONSE_V1.format_id]
+        assert seen == []
+        assert owner.errors == 4
+        assert group.receiver.containment["dead_lettered"] == 3
+        assert group.receiver.containment["quarantine_drops"] == 1
+        assert isinstance(owner.last_error, EncodeError)
+        assert "member_list" in str(owner.last_error)
 
 
 class TestHostileMetaData:

@@ -182,7 +182,8 @@ class Endpoint(EndpointMixin):
     def __init__(self):
         self.fetches = []
         self._open_endpoint(Network(), "e", FormatRegistry(), False, None,
-                            self, None, None, ReproError)
+                            None, None, ReproError)
+        self.resolver = self
 
     def refresh(self, format_id, on_done):
         self.fetches.append((format_id, on_done))

@@ -1,13 +1,11 @@
 """Unit + property tests for imperfect-match reconciliation
-(coerce_record) and ECode auto-generation."""
+(coerce_record), and the fused route's compiled copy of it."""
 
-import pytest
 from hypothesis import given
 
-from repro.ecode.codegen import compile_procedure
-from repro.errors import MorphError
-from repro.morph.compat import coerce_record, generate_coercion_ecode
-from repro.morph.transform import growable_record
+from repro.morph.compat import coerce_record
+from repro.morph.receiver import MorphReceiver
+from repro.pbio.context import PBIOContext
 from repro.pbio.field import ArraySpec, IOField
 from repro.pbio.format import IOFormat
 from repro.pbio.record import Record, records_equal
@@ -96,44 +94,45 @@ class TestCoerceProperties:
 
 
 class TestGeneratedECodeCoercion:
-    def _apply_generated(self, src, dst, rec):
-        code = generate_coercion_ecode(src, dst)
-        proc = compile_procedure(code)
-        out = growable_record(dst)
-        proc(rec, out)
-        return out  # arrays still growable: they compare as the lists they are
+    """The coercion as generated code: a fused route compiles the
+    reconcile into the one routine it generates for decode, ECode chain
+    and reconcile.  What it delivers must be what :func:`coerce_record`
+    builds."""
+
+    def _fused(self, src, dst, rec):
+        """*rec* sent as *src* to a fused reader of *dst*, twice (a route
+        compiles on its second message); the second delivery."""
+        got = []
+        receiver = MorphReceiver(use_fusion=True)
+        receiver.register_handler(dst, got.append)
+        wire = PBIOContext(receiver.registry).encode(src, rec)
+        for _ in range(2):
+            receiver.process(wire)
+        assert receiver.stats.fused_messages == 1
+        assert receiver.route_for(src).coercion == (src, dst)
+        return got[1]
 
     def test_agrees_with_structural_coercion(self):
         rec = SRC.make_record(shared=7, dropped="x", n=3, xs=[1, 2, 3])
-        generated = self._apply_generated(SRC, DST, rec)
-        structural = coerce_record(SRC, DST, rec)
-        # generated ECode fills scalar defaults (not field-custom defaults)
-        structural["added"] = 0.0
-        assert records_equal(generated, structural)
+        generated = self._fused(SRC, DST, rec)
+        assert generated["added"] == 1.5  # the field-custom default
+        assert records_equal(generated, coerce_record(SRC, DST, rec))
 
-    def test_complex_array_copy(self, v1):
-        from repro.bench.workloads import response_v1_from_v2, response_v2
+    def test_complex_array_copy(self, v1, v2):
+        from repro.bench.workloads import response_v2
 
-        rec = response_v1_from_v2(response_v2(3))
-        generated = self._apply_generated(v1, v1, rec)
-        assert records_equal(generated, rec)
+        rec = response_v2(3)
+        generated = self._fused(v2, v1, rec)
+        assert records_equal(generated, coerce_record(v2, v1, rec))
+        assert [m["ID"] for m in generated["member_list"]] == [
+            m["ID"] for m in rec["member_list"]
+        ]
 
     def test_echo_v2_to_v1_drop_and_default(self, v1, v2):
         from repro.bench.workloads import response_v2
 
-        rec = response_v2(2)
-        out = self._apply_generated(v2, v1, rec)
+        out = self._fused(v2, v1, response_v2(2))
         # the structural mapping keeps the member list but cannot invent
         # the src/sink lists (that needs the semantic Figure 5 transform)
         assert out["member_count"] == 2
         assert out["src_count"] == 0 and out["src_list"] == []
-
-    def test_mismatched_fixed_arrays_rejected(self):
-        a = fmt("M", IOField("xs", "integer", array=ArraySpec(fixed_length=2)))
-        b = fmt("M", IOField("xs", "integer", array=ArraySpec(fixed_length=3)))
-        with pytest.raises(MorphError, match="fixed"):
-            generate_coercion_ecode(a, b)
-
-    def test_generated_code_is_valid_ecode(self, v1, v2):
-        code = generate_coercion_ecode(v2, v1)
-        compile_procedure(code)  # must parse, check and compile

@@ -135,11 +135,7 @@ class TestFusedSource:
 
     def test_fusion_knob_requires_codegen_and_no_validation(self, echo_registry, v1, v2):
         sender = PBIOContext(echo_registry)
-        for kwargs in (
-            {"use_fusion": False},
-            {"use_codegen": False},
-            {"validate_transforms": True},
-        ):
+        for kwargs in ({"use_fusion": False}, {"use_codegen": False}):
             got = []
             receiver = MorphReceiver(echo_registry, **kwargs)
             receiver.register_handler(v1, got.append)

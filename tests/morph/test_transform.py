@@ -114,31 +114,32 @@ class TestTransformation:
 
     def test_runtime_failure_wrapped(self):
         spec = TransformSpec(RESPONSE_V2, RESPONSE_V1, "old.x = new.missing;")
-        xform = Transformation(spec, validate_output=False)
+        xform = Transformation(spec)
         with pytest.raises(TransformError, match="runtime"):
             xform.apply(response_v2(1))
 
     def test_validation_catches_inconsistent_output(self):
-        # sets a count without populating the list
+        # sets a count without populating the list: the transform hands
+        # it on unchecked, and the target's validation refuses it
         spec = TransformSpec(
             RESPONSE_V2, RESPONSE_V1, "old.member_count = new.member_count;"
         )
-        xform = Transformation(spec, validate_output=True)
-        with pytest.raises(TransformError, match="invalid record"):
-            xform.apply(response_v2(2))
+        out = Transformation(spec).apply(response_v2(2))
+        with pytest.raises(FormatError, match="member_list"):
+            RESPONSE_V1.validate_record(out)
 
     def test_validation_off_delivers_anyway(self):
         spec = TransformSpec(
             RESPONSE_V2, RESPONSE_V1, "old.member_count = new.member_count;"
         )
-        out = Transformation(spec, validate_output=False).apply(response_v2(2))
+        out = Transformation(spec).apply(response_v2(2))
         assert out["member_count"] == 2 and out["member_list"] == []
 
     def test_unwritten_fields_keep_defaults(self):
         spec = TransformSpec(
             RESPONSE_V2, RESPONSE_V0, "old.channel_id = new.channel_id;"
         )
-        out = Transformation(spec, validate_output=False).apply(response_v2(1))
+        out = Transformation(spec).apply(response_v2(1))
         assert out["member_count"] == 0
         assert out["member_list"] == []
 
@@ -148,9 +149,9 @@ class TestTransformation:
 
 
 class TestAssignmentIsByValue:
-    """A transform's ``new`` is the caller's record (``process_record``
-    hands the application's own in): whole-record and whole-array stores
-    must copy, in both engines."""
+    """A transform's ``new`` is the caller's record (one event's memo
+    hands the same decode to every reader): whole-record and whole-array
+    stores must copy, in both engines."""
 
     WHOLE_STORES = """
     old.channel_id = new.channel_id;
@@ -251,7 +252,7 @@ class TestMorphPrice:
         return result, names
 
     def _staged(self, members, census):
-        xform = Transformation(V2_TO_V1_TRANSFORM, validate_output=False)
+        xform = Transformation(V2_TO_V1_TRANSFORM)
         incoming = response_v2(members)
         census.update(setitem=0, getitem=0)  # building the input is not the morph
         return self._frames(lambda: xform.apply(incoming))
@@ -498,8 +499,8 @@ class TestCompilePrice:
         registry = self._registry(V2_TO_V1_TRANSFORM)
         wire = PBIOContext().encode(RESPONSE_V2, response_v2(2))
         steps, delivered = [], []
-        for kwargs in ({}, {}, {"use_codegen": False},
-                       {"validate_transforms": True}):
+        # the engine is the one setting a step has
+        for kwargs in ({}, {}, {"use_codegen": False}):
             receiver, got = self._reader(registry, RESPONSE_V1, **kwargs)
             receiver.process(wire)
             route = receiver.route_for(RESPONSE_V2)
@@ -507,10 +508,10 @@ class TestCompilePrice:
             steps.append(route.chain.steps[0])
             delivered.append(got[0])
         assert steps[0] is steps[1]
-        assert len({id(step) for step in steps}) == 3
-        assert len(transform_mod._transformations) == 3
-        assert len(census["compile"]) == 2  # the interpreted one compiles nothing
-        assert (steps[2].use_codegen, steps[3].validate_output) == (False, True)
+        assert len({id(step) for step in steps}) == 2
+        assert len(transform_mod._transformations) == 2
+        assert len(census["compile"]) == 1  # the interpreted one compiles nothing
+        assert steps[2].use_codegen is False
         assert all(record == delivered[0] for record in delivered)
 
     def test_a_spec_that_does_not_compile_is_not_remembered(self, census):

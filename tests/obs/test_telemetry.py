@@ -163,14 +163,6 @@ class TestTimeSeries:
         assert series.total == 50
         assert series.rate(4.0, 9.0) == pytest.approx(20 / 4.0)
 
-    def test_absolute_ingest_detects_monotonic_reset(self):
-        series = TimeSeries("counter", capacity=8, rollups=())
-        series.ingest(0.0, 100)
-        series.ingest(1.0, 120)
-        series.ingest(2.0, 15)  # restarted source
-        assert series.resets == 1
-        assert series.total == 100 + 20 + 15
-
     def test_rollup_ladder_preserves_counter_mass(self):
         series = TimeSeries("counter", capacity=4, rollups=((10.0, 8),))
         for t in range(40):
@@ -188,10 +180,11 @@ class TestTimeSeries:
         histogram = registry.histogram("h", bounds=[0.1, 1.0, 10.0])
         series = TimeSeries("histogram", capacity=8, rollups=())
         histogram.observe(0.05)
-        series.ingest(0.0, registry.snapshot()["h"])
+        first = registry.snapshot()
+        series.ingest_delta(0.0, registry.diff_snapshot({}, first)["h"])
         histogram.observe(5.0)
         histogram.observe(5.0)
-        series.ingest(1.0, registry.snapshot()["h"])
+        series.ingest_delta(1.0, registry.diff_snapshot(first)["h"])
         # window covering only the second delta: both observations in
         # the (1.0, 10.0] bucket
         p50 = series.percentile(0.5, 0.9, 1.0)
@@ -199,8 +192,8 @@ class TestTimeSeries:
 
     def test_gauge_latest_wins(self):
         series = TimeSeries("gauge", capacity=4, rollups=())
-        series.ingest(0.0, 5.0)
-        series.ingest(1.0, 3.0)
+        series.ingest_delta(0.0, 5.0)
+        series.ingest_delta(1.0, 3.0)
         assert series.total == 3.0
 
     def test_unknown_kind_rejected(self):

@@ -28,6 +28,7 @@ import pytest
 from repro.echo.process import EChoProcess
 from repro.fabric import FabricClient, FabricWorker, JournalStore, SeqLedger
 from repro.morph.receiver import MorphReceiver
+from repro.morph.transform import Transformation
 from repro.net.reliable import ReliableEndpoint
 from repro.net.socket import SocketNetwork
 from repro.net.transport import Network
@@ -41,7 +42,7 @@ CLASSES = {cls.__name__: cls for cls in (
     CachingFormatResolver, EChoProcess, FabricClient, FabricWorker,
     FormatRegistry, JournalStore, MorphReceiver, Network, PBIOContext,
     ReliableEndpoint, SeqLedger, SocketNetwork, TelemetryAgent,
-    TelemetryCollector,
+    TelemetryCollector, Transformation,
 )}
 _CLASS = "|".join(CLASSES)
 
@@ -141,6 +142,8 @@ def test_every_receiver_keyword_is_a_constructor_parameter():
     (FabricWorker, "_on_segments", True),     # on the class
     (TelemetryCollector, "_SeqLedger", False),
     (JournalStore, "torn", False),            # a prefix of torn_tail
+    (Transformation, "fact", True),
+    (Transformation, "validate", False),
 ])
 def test_the_attribute_check_tells_present_from_absent(cls, name, expected):
     assert _has_attribute(cls, name) is expected
