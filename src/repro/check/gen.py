@@ -72,15 +72,15 @@ def random_format(
     rng: random.Random, depth: int = 2, name: Optional[str] = None
 ) -> IOFormat:
     """A random IOFormat mirroring ``tests/strategies.py``: nested complex
-    fields, both array flavors, variable arrays counted by a preceding
-    integer field."""
+    fields, both array flavors of scalars and of records, variable arrays
+    counted by a preceding integer field."""
     field_count = rng.randint(1, 5)
     fields: List[IOField] = []
     for index in range(field_count):
         field_name = f"f{index}_{_name(rng, '')}"
         shapes = ["scalar", "scalar", "fixed_array", "var_array"]
         if depth > 0:
-            shapes += ["complex", "complex_var_array"]
+            shapes += ["complex", "complex_fixed_array", "complex_var_array"]
         shape = rng.choice(shapes)
         if shape == "scalar":
             kind = rng.choice(SCALAR_KINDS)
@@ -110,6 +110,16 @@ def random_format(
         elif shape == "complex":
             sub = random_format(rng, depth=depth - 1, name=f"Sub_{field_name}")
             fields.append(IOField(field_name, TypeKind.COMPLEX, subformat=sub))
+        elif shape == "complex_fixed_array":
+            sub = random_format(rng, depth=depth - 1, name=f"Sub_{field_name}")
+            fields.append(
+                IOField(
+                    field_name,
+                    TypeKind.COMPLEX,
+                    subformat=sub,
+                    array=ArraySpec(fixed_length=rng.randint(0, 3)),
+                )
+            )
         else:  # complex_var_array
             sub = random_format(rng, depth=depth - 1, name=f"Sub_{field_name}")
             count_name = f"n{index}"

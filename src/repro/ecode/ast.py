@@ -304,9 +304,11 @@ def stray_breaks(body: List[Stmt]) -> List[Break]:
 
 def walk(node: Node):
     """Yield *node* and all of its descendants (pre-order)."""
-    yield node
-    for child in _children(node):
-        yield from walk(child)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(_children(node)))
 
 
 def _children(node: Node) -> Tuple[Node, ...]:

@@ -38,7 +38,14 @@ cover is translated exactly as without them):
   ``list.__getitem__`` and, past the end, appends new elements built in
   place (``dict.__new__`` + ``dict.update`` of a literal prototype):
   the growth :class:`~repro.ecode.runtime.AutoList` would run, without
-  entering a Python frame.
+  entering a Python frame,
+* **append form** — where the host says such an array starts empty and
+  the program fills it densely (:func:`repro.ecode.analyze.append_runs`:
+  one run of stores ``A[k].f = v; A[k].g = w;`` at a cursor ``k`` that
+  counts the run's executions), the run builds each element whole —
+  ``dict.__new__``, one ``dict.update`` of the prototype literal with the
+  written values in place, and ``A.append`` bound once ahead of the
+  body — with no growth loop and no read-back.
 """
 
 from __future__ import annotations
@@ -50,7 +57,6 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -60,7 +66,7 @@ from typing import (
     Union,
 )
 
-from repro.ecode import ast
+from repro.ecode import analyze, ast
 from repro.ecode.runtime import (
     BUILTINS,
     c_div,
@@ -86,17 +92,23 @@ class Grows(list):
     read, as a transform's output arrays do
     (:class:`~repro.ecode.runtime.AutoList`): ``[element shape]``, plus
     *prototype*, the scalars a new element holds — a record of the class
-    of the record the array is a field of.  The typed back-end grows it
-    inline where it can prove the array is the one the host built (a
-    field of a parameter the program never assigns whole) and every
-    prototype value is a literal; anywhere else it reads as ``[element
-    shape]`` and the array grows itself."""
+    of the record the array is a field of — and *empty*, whether the host
+    hands the array over with no element (a fixed-length array arrives
+    holding its elements).  The typed back-end grows it inline where it
+    can prove the array is the one the host built (a field of a
+    parameter the program never assigns whole) and every prototype value
+    is a literal, and builds whole elements to append where the array
+    also starts *empty* and is filled densely; anywhere else it reads as
+    ``[element shape]`` and the array grows itself."""
 
-    __slots__ = ("prototype",)
+    __slots__ = ("prototype", "empty")
 
-    def __init__(self, element: Shape, prototype: Mapping[str, Any]) -> None:
+    def __init__(
+        self, element: Shape, prototype: Mapping[str, Any], empty: bool
+    ) -> None:
         super().__init__([element])
         self.prototype = dict(prototype)
+        self.empty = empty
 
 
 #: The Python exceptions a faulty program (or a record that does not fit
@@ -111,7 +123,6 @@ ECODE_ESCAPES = (
 _LITERAL_TYPES = frozenset((int, float, str, bool, bytes))
 
 _NO_VARS: FrozenSet[str] = frozenset()
-_A_SCALAR = ast.IntLiteral(0)
 _ONE = ast.IntLiteral(1)
 _ALWAYS_SCALAR_OPS = frozenset(("==", "!=", "<", ">", "<=", ">=", "&&", "||"))
 
@@ -130,68 +141,6 @@ def runtime_namespace() -> Dict[str, Any]:
     for fn_name, fn in BUILTINS.items():
         namespace[f"_fn_{fn_name}"] = fn
     return namespace
-
-
-def _stores(node: ast.Stmt) -> Iterator[Tuple[Any, Optional[ast.Expr]]]:
-    """Every store under statement *node*, as ``(target, value)``.
-
-    *target* is the assigned expression, or the :class:`ast.Declarator`
-    of a declaration; *value* is the expression whose result lands there
-    — compound assignment and ``++``/``--`` desugared (``x += e`` stores
-    ``x + e``) — or ``None`` for a local array declaration.  Assignments
-    only occur in statement position and ``for`` clauses, so statements
-    are all this has to walk."""
-    if isinstance(node, ast.ExprStmt):
-        yield from _expr_stores(node.expr)
-    elif isinstance(node, ast.Declaration):
-        for decl in node.declarators:
-            if decl.array_size is not None:
-                yield decl, None
-            else:
-                yield decl, decl.init if decl.init is not None else _A_SCALAR
-    elif isinstance(node, ast.Block):
-        for child in node.statements:
-            yield from _stores(child)
-    elif isinstance(node, ast.If):
-        yield from _stores(node.then_branch)
-        if node.else_branch is not None:
-            yield from _stores(node.else_branch)
-    elif isinstance(node, (ast.While, ast.DoWhile)):
-        yield from _stores(node.body)
-    elif isinstance(node, ast.For):
-        if isinstance(node.init, ast.Declaration):
-            yield from _stores(node.init)
-        elif isinstance(node.init, list):
-            for expr in node.init:
-                yield from _expr_stores(expr)
-        for expr in node.update:
-            yield from _expr_stores(expr)
-        yield from _stores(node.body)
-    elif isinstance(node, ast.Switch):
-        for case in node.cases:
-            for child in case.body:
-                yield from _stores(child)
-
-
-def _expr_stores(expr: ast.Expr) -> Iterator[Tuple[Any, Optional[ast.Expr]]]:
-    if isinstance(expr, ast.IncDec):
-        yield expr.target, ast.BinaryOp("+", expr.target, _ONE)
-    elif isinstance(expr, ast.Assignment):
-        targets, value = _flatten_chain(expr)
-        if expr.op != "=":
-            value = ast.BinaryOp(expr.op[:-1], expr.target, value)
-        for target in targets:
-            yield target, value
-
-
-def _flatten_chain(expr: ast.Assignment) -> Tuple[List[ast.Expr], ast.Expr]:
-    """``a = b = 0`` as ``([a, b], 0)``."""
-    targets = [expr.target]
-    value = expr.value
-    while isinstance(value, ast.Assignment):
-        targets.append(value.target)
-        value = value.value
-    return targets, value
 
 
 def _index_vars(expr: ast.Expr) -> Optional[FrozenSet[str]]:
@@ -265,11 +214,11 @@ class _CodeGenerator:
         self.loop_continue_hooks: List[Callable[[], None]] = []
 
         # whole-program facts, from one walk over the statements
-        stores = [store for stmt in program.body for store in _stores(stmt)]
+        stores = list(analyze.stores(program.body))
         local_writes = [
-            (target.name, value)
-            for target, value in stores
-            if isinstance(target, (ast.Identifier, ast.Declarator))
+            (store.target.name, store.value)
+            for store in stores
+            if isinstance(store.target, (ast.Identifier, ast.Declarator))
         ]
         assigned = {name for name, _value in local_writes}
         self.em = _PyEmitter(
@@ -287,9 +236,9 @@ class _CodeGenerator:
         #: locals only ever assigned scalars, to a fixpoint (``j = i + 1``
         #: is scalar while ``i`` is)
         self.scalar_locals: Set[str] = {
-            target.name
-            for target, _value in stores
-            if isinstance(target, ast.Declarator)
+            store.target.name
+            for store in stores
+            if isinstance(store.target, ast.Declarator)
         }
         while True:
             demoted = {
@@ -304,11 +253,17 @@ class _CodeGenerator:
         #: ``(parameter, field)`` the program assigns as a whole: such a
         #: field may come to hold another container mid-run
         self.replaced: Set[Tuple[str, str]] = {
-            (target.base.name, target.name)
-            for target, _value in stores
-            if isinstance(target, ast.FieldAccess)
-            and isinstance(target.base, ast.Identifier)
+            (store.target.base.name, store.target.name)
+            for store in stores
+            if isinstance(store.target, ast.FieldAccess)
+            and isinstance(store.target.base, ast.Identifier)
         }
+        #: the first statement of each run that fills an array densely
+        #: (by ``id``) -> ``(the array's path, its shape, the run)``; the
+        #: run's other statements -> ``None``: :meth:`_gen_append` emits
+        #: the whole run at its first statement
+        self.appends: Dict[int, Optional[Tuple[ast.Expr, Grows, list]]] = {}
+        self._find_appends(program, stores)
 
         #: Python text of a container-typed path -> (the local that holds
         #: it, the variables its indices read); valid for the straight-
@@ -328,6 +283,31 @@ class _CodeGenerator:
 
     def _name(self, name: str) -> str:
         return self.rename.get(name, name)
+
+    def _find_appends(
+        self, program: ast.Program, stores: List[analyze.Store]
+    ) -> None:
+        """Fill :attr:`appends`: the arrays that may grow inline and start
+        empty, where the program fills them densely with stores that
+        compile to ``_set`` — scalars into fields of the prototype."""
+        arrays = {
+            (param, name): field
+            for param, shape in self.shapes.items()
+            if isinstance(shape, dict)
+            for name, field in shape.items()
+            if self._grows_inline(param, name, field) and field.empty
+        }
+        for array, run in analyze.append_runs(program, arrays, stores).items():
+            shape = arrays[array]
+            if all(
+                stmt.expr.target.name in shape.prototype
+                and self._scalar(stmt.expr.value)
+                for stmt in run
+            ):
+                path = run[0].expr.target.base.base
+                self.appends[id(run[0])] = (path, shape, run)
+                for stmt in run[1:]:
+                    self.appends[id(stmt)] = None
 
     def generate(self) -> List[str]:
         for stmt in self.program.body:
@@ -420,12 +400,9 @@ class _CodeGenerator:
         array = expr.base
         if not (
             not self._conditional
-            and isinstance(shape, Grows)
-            and isinstance(shape[0], dict)
             and isinstance(array, ast.FieldAccess)
             and isinstance(array.base, ast.Identifier)
-            and (array.base.name, array.name) not in self.replaced
-            and all(_literal(value) for value in shape.prototype.values())
+            and self._grows_inline(array.base.name, array.name, shape)
         ):
             return None
         literal = ", ".join(
@@ -436,6 +413,17 @@ class _CodeGenerator:
             index,
             self._constant(f"{self._name(array.base.name)}.__class__"),
             self._constant(f"{{{literal}}}"),
+        )
+
+    def _grows_inline(self, param: str, name: str, shape: Shape) -> bool:
+        """Is array ``param.name``, of *shape*, one the typed code may grow
+        itself: a :class:`Grows` array of flat records the program never
+        assigns whole, whose prototype values are all literals?"""
+        return (
+            isinstance(shape, Grows)
+            and isinstance(shape[0], dict)
+            and (param, name) not in self.replaced
+            and all(_literal(value) for value in shape.prototype.values())
         )
 
     def _constant(self, text: str) -> str:
@@ -558,7 +546,11 @@ class _CodeGenerator:
     # ------------------------------------------------------------------
 
     def gen_stmt(self, stmt: ast.Stmt) -> None:
-        if isinstance(stmt, ast.Declaration):
+        if id(stmt) in self.appends:
+            append = self.appends[id(stmt)]
+            if append is not None:
+                self._gen_append(*append)
+        elif isinstance(stmt, ast.Declaration):
             for decl in stmt.declarators:
                 if decl.array_size is not None:
                     element = repr(default_for_type(stmt.type_name))
@@ -643,8 +635,8 @@ class _CodeGenerator:
         # an iteration arrives at the head from the code above and from
         # its own end: only what no store in the loop can leave stale is
         # bound there, and that is also what is bound on the way out
-        for target, _value in _stores(stmt):
-            self._invalidate(target)
+        for store in analyze.stores([stmt]):
+            self._invalidate(store.target)
         head = self.paths
         self.paths = dict(head)
         test = "True" if condition is None else self._gen_conditional(condition)
@@ -698,10 +690,36 @@ class _CodeGenerator:
             self.gen_stmt(child)
         self.em.indent -= 1
 
+    def _gen_append(
+        self, path: ast.Expr, shape: Grows, run: List[ast.ExprStmt]
+    ) -> None:
+        """The run of stores *run* into a new element of the array at
+        *path*, as one element built whole and appended: the prototype
+        literal with the written values in place.  The values are
+        evaluated in program order — in the literal when the run writes
+        the fields in the prototype's order, else into locals first."""
+        values = {
+            stmt.expr.target.name: self.gen_expr(stmt.expr.value) for stmt in run
+        }
+        if [name for name in shape.prototype if name in values] != list(values):
+            for name, text in values.items():
+                values[name] = self.em.fresh("t")
+                self.em.emit(f"{values[name]} = {text}")
+        append = self._constant(f"{self._gen_path(path)[0]}.append")
+        cls = self._constant(f"{self._name(path.base.name)}.__class__")
+        literal = ", ".join(
+            f"{name!r}: {values[name] if name in values else repr(value)}"
+            for name, value in shape.prototype.items()
+        )
+        element = self.em.fresh("e")
+        self.em.emit(f"{element} = _new({cls})")
+        self.em.emit(f"_upd({element}, {{{literal}}})")
+        self.em.emit(f"{append}({element})")
+
     def _gen_statement_expr(self, expr: ast.Expr) -> None:
         if isinstance(expr, ast.Assignment):
             if expr.op == "=":
-                self._gen_assign(*_flatten_chain(expr))
+                self._gen_assign(*analyze.flatten_chain(expr))
             else:
                 self._gen_update(expr.target, expr.op[:-1], expr.value)
         elif isinstance(expr, ast.IncDec):

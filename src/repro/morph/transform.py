@@ -189,7 +189,9 @@ def _shape(fmt: IOFormat, output: bool = False) -> Dict[str, Shape]:
             if output and field.is_array and field.is_complex else None
         )
         if prototype is not None:
-            shape[field.name] = Grows(inner, prototype)
+            shape[field.name] = Grows(
+                inner, prototype, empty=field.array.fixed_length is None
+            )
         else:
             shape[field.name] = [inner] if field.is_array else inner
     return shape

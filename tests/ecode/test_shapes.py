@@ -6,22 +6,41 @@ here is built to go wrong if one rule of that were dropped — a held path
 surviving the assignment of its index, a whole-record store, one arm of a
 branch, a loop iteration; a load hoisted out of the guard that protects
 it — and runs typed, untyped and interpreted to the same output, the same
-error class and the same input."""
+error class and the same input.  The programs that fill an output array
+almost densely — each breaking one condition of the append form — must
+keep the growth form, and agree all the same."""
 
 import pytest
 
+from repro.bench.workloads import response_v2_of_size
+from repro.echo.protocol import (
+    RESPONSE_V0,
+    RESPONSE_V1,
+    RESPONSE_V2,
+    V1_TO_V0_TRANSFORM,
+    V2_TO_V1_TRANSFORM,
+)
 from repro.ecode.codegen import SCALAR, Grows, compile_procedure
 from repro.ecode.interp import interpret_procedure
 from repro.ecode.runtime import AutoList
 from repro.errors import ECodeError
+from repro.morph.receiver import MorphReceiver
+from repro.morph.transform import Transformation
+from repro.pbio.context import PBIOContext
 from repro.pbio.record import Record
+from repro.pbio.registry import FormatRegistry
 
 ROW = {"a": SCALAR, "b": SCALAR}
-TABLE = {"n": SCALAR, "rows": [ROW], "head": ROW, "xs": [SCALAR]}
+TABLE = {"n": SCALAR, "rows": [ROW], "head": ROW, "xs": [SCALAR], "trio": [ROW]}
 SHAPES = {"new": TABLE, "old": TABLE}
-#: ``old`` as a transform's output: its rows grow (records() builds them
-#: with blank_row, which is this prototype)
-GROWN = {"new": TABLE, "old": dict(TABLE, rows=Grows(ROW, {"a": 0, "b": 0}))}
+#: ``old`` as a transform's output: its arrays grow (records() builds
+#: their elements with blank_row, which is this prototype) — ``rows``
+#: from empty, ``trio`` from three elements, as a fixed-length array does
+GROWN = {"new": TABLE, "old": dict(
+    TABLE,
+    rows=Grows(ROW, {"a": 0, "b": 0}, empty=True),
+    trio=Grows(ROW, {"a": 0, "b": 0}, empty=False),
+)}
 
 
 def blank_row():
@@ -34,9 +53,11 @@ def records():
         rows=[Record(a=i + 1, b=10 * (i + 1)) for i in range(4)],
         head=Record(a=7, b=70),
         xs=[5, 6, 7, 8],
+        trio=[Record(a=-i, b=-10 * i) for i in range(3)],
     )
     old = Record(
-        n=0, rows=AutoList(blank_row), head=blank_row(), xs=AutoList(lambda: 0)
+        n=0, rows=AutoList(blank_row), head=blank_row(), xs=AutoList(lambda: 0),
+        trio=AutoList(blank_row, [blank_row() for _ in range(3)]),
     )
     return new, old
 
@@ -194,7 +215,221 @@ PROGRAMS = {
         old.rows = new.rows;
         old.rows[6].b = 2;
     """,
+    # filled densely: the append form
+    "appended at the loop variable": """
+        int i;
+        for (i = 0; i < new.n; i++) {
+            old.rows[i].a = new.rows[i].a;
+            old.rows[i].b = new.rows[i].b;
+        }
+    """,
+    "appended at a counted cursor": """
+        int i; int k = 0;
+        for (i = 0; i < new.n; i++) {
+            if (new.rows[i].a % 2) {
+                old.rows[k].b = new.rows[i].b;
+                k++;
+            }
+        }
+        old.n = k;
+    """,
+    "appended out of the prototype's order": """
+        int i;
+        for (i = 0; i < new.n; i++) {
+            old.rows[i].b = new.rows[i].b / (5 - i);
+            old.rows[i].a = new.rows[i].a;
+        }
+    """,
+    # almost dense: one condition each breaks, the growth form stays
+    "stored one past the cursor": """
+        int i;
+        for (i = 0; i < new.n; i++) {
+            old.rows[i + 1].a = new.rows[i].a;
+            old.rows[i + 1].b = new.rows[i].b;
+        }
+    """,
+    "element read between the run's stores": """
+        int i;
+        for (i = 0; i < new.n; i++) {
+            old.rows[i].a = new.rows[i].a;
+            old.rows[i].b = old.rows[i].a + new.rows[i].b;
+        }
+    """,
+    "cursor bumped under a condition": """
+        int i; int k = 0;
+        for (i = 0; i < new.n; i++) {
+            old.rows[k].a = new.rows[i].a;
+            old.rows[k].b = new.rows[i].b;
+            if (i % 2) k++;
+        }
+        old.n = k;
+    """,
+    "loop variable written in the loop": """
+        int i;
+        for (i = 0; i < new.n; i++) {
+            old.rows[i].a = new.rows[i].a;
+            old.rows[i].b = new.rows[i].b;
+            i++;
+        }
+    """,
+    "counted cursor written elsewhere": """
+        int i; int k = 0;
+        for (i = 0; i < new.n; i++) {
+            old.rows[k].a = new.rows[i].a;
+            k++;
+            if (i == 1) k = k + 2;
+        }
+        old.n = k;
+    """,
+    "cursor bumped ahead of the stores": """
+        int i; int k = 0;
+        for (i = 0; i < new.n; i++) {
+            k++;
+            old.rows[k].a = new.rows[i].a;
+            old.rows[k].b = new.rows[i].b;
+        }
+    """,
+    "continue ahead of the run": """
+        int i;
+        for (i = 0; i < new.n; i++) {
+            if (i == 1) continue;
+            old.rows[i].a = new.rows[i].a;
+            old.rows[i].b = new.rows[i].b;
+        }
+    """,
+    "cursor loop nested in another loop": """
+        int i; int j;
+        for (j = 0; j < 2; j++) {
+            for (i = 0; i < new.n - j; i++) {
+                old.rows[i].a = new.rows[i].a + j;
+                old.rows[i].b = new.rows[i].b;
+            }
+        }
+    """,
+    "break between the run and its cursor's bump": """
+        int i; int j; int k = 0;
+        for (j = 0; j < 2; j++) {
+            for (i = 0; i < new.n; i++) {
+                old.rows[k].a = new.rows[i].a;
+                if (i == 2) break;
+                k++;
+            }
+        }
+    """,
+    "run split by an unrelated statement": """
+        int i;
+        for (i = 0; i < new.n; i++) {
+            old.rows[i].a = new.rows[i].a;
+            old.n = i;
+            old.rows[i].b = new.rows[i].b;
+        }
+    """,
+    "one array filled by two loops": """
+        int i;
+        for (i = 0; i < new.n; i++) {
+            old.rows[i].a = new.rows[i].a;
+        }
+        for (i = 0; i < 2; i++) {
+            old.rows[i].b = new.rows[i].b;
+        }
+    """,
+    "a fixed-length target": """
+        int i;
+        for (i = 0; i < new.n; i++) {
+            old.trio[i].a = new.rows[i].a;
+            old.trio[i].b = new.rows[i].b;
+        }
+    """,
+    "a field written twice in the run": """
+        int i;
+        for (i = 0; i < new.n; i++) {
+            old.rows[i].a = new.rows[i].a / (2 - i);
+            old.rows[i].a = new.rows[i].b;
+        }
+    """,
+    "run under a condition at the loop variable": """
+        int i;
+        for (i = 0; i < new.n; i++) {
+            if (new.rows[i].a % 2) {
+                old.rows[i].a = new.rows[i].a;
+                old.rows[i].b = new.rows[i].b;
+            }
+        }
+    """,
+    "cursor of the loop around the run's loop": """
+        int i; int j;
+        for (j = 0; j < 2; j++) {
+            for (i = 0; i < new.n; i++) {
+                old.rows[j].a = new.rows[i].a;
+                old.rows[j].b = new.rows[i].b;
+            }
+        }
+    """,
+    "loop variable started at 1": """
+        int i;
+        for (i = 1; i < new.n; i++) {
+            old.rows[i].a = new.rows[i].a;
+            old.rows[i].b = new.rows[i].b;
+        }
+    """,
+    "loop variable stepping by 2": """
+        int i;
+        for (i = 0; i < new.n; i += 2) {
+            old.rows[i].a = new.rows[i].a;
+            old.rows[i].b = new.rows[i].b;
+        }
+    """,
+    "counted cursor started at 1": """
+        int i; int k = 1;
+        for (i = 0; i < new.n; i++) {
+            old.rows[k].a = new.rows[i].a;
+            k++;
+        }
+    """,
+    "counted cursor moved by 2": """
+        int i; int k = 0;
+        for (i = 0; i < new.n; i++) {
+            old.rows[k].a = new.rows[i].a;
+            k += 2;
+        }
+    """,
+    "counted cursor moved down": """
+        int i; int k = 0;
+        for (i = 0; i < new.n; i++) {
+            old.rows[k].a = new.rows[i].a;
+            k--;
+        }
+    """,
+    "counted cursor reset in an outer loop": """
+        int i; int j; int k = 0;
+        for (j = 0; j < 2; j++) {
+            k = 0;
+            for (i = 0; i < new.n; i++) {
+                old.rows[k].a = new.rows[i].a + j;
+                k++;
+            }
+        }
+    """,
+    "counted cursor reset by a loop's update": """
+        int i; int k = 0;
+        for (i = 0; i < new.n; i++, k = 0) {
+            old.rows[k].a = new.rows[i].a;
+            k++;
+        }
+    """,
+    "counted cursor bumped by a loop's update": """
+        int i; int k = 0;
+        for (i = 0; i < new.n; i++) {
+            old.rows[k].a = new.rows[i].a;
+            for (; k < i; k++) { }
+        }
+    """,
 }
+
+#: the programs above that fill ``old.rows`` densely, and those that
+#: break one condition of that
+APPENDED = [name for name in PROGRAMS if name.startswith("appended")]
+ALMOST = list(PROGRAMS)[list(PROGRAMS).index("stored one past the cursor"):]
 
 
 @pytest.mark.parametrize("name", PROGRAMS)
@@ -220,6 +455,42 @@ def test_a_growing_array_grows_inline(monkeypatch):
     new, old = records()
     proc(new, old)
     assert reads == [] and len(old["rows"]) == 9
+
+
+@pytest.mark.parametrize("name", APPENDED + ALMOST)
+def test_only_a_dense_fill_takes_the_append_form(name):
+    """Agreement proves nothing about a back-end that took no new path:
+    a dense fill builds each element whole and appends it, and every
+    program that breaks one condition of that keeps reading its elements
+    back through the growth loop."""
+    text = compile_procedure(PROGRAMS[name], shapes=GROWN).python_source
+    if name in APPENDED:
+        assert "_lget(" not in text and "while len(" not in text
+        assert text.count("_upd(") == 1 and ".append\n" in text
+    else:
+        assert "_lget(" in text and "while len(" in text
+
+
+def test_figure_5_takes_the_append_form():
+    """V2->V1 and V1->V0 on the large row's event, staged and fused."""
+    sources = [
+        Transformation(spec).procedure.python_source
+        for spec in (V2_TO_V1_TRANSFORM, V1_TO_V0_TRANSFORM)
+    ]
+    registry = FormatRegistry()
+    registry.register_transform(V2_TO_V1_TRANSFORM)
+    registry.register_transform(V1_TO_V0_TRANSFORM)
+    wire = PBIOContext(registry).encode(
+        RESPONSE_V2, response_v2_of_size(10_000)
+    )
+    for reader in (RESPONSE_V1, RESPONSE_V0):
+        receiver = MorphReceiver(registry, use_fusion=True)
+        receiver.register_handler(reader, lambda record: None)
+        receiver.process(wire)
+        sources.append(receiver.route_for(RESPONSE_V2).fused.source())
+    for text in sources:
+        assert "_upd(_e" in text
+        assert "_lget(" not in text and "while len(" not in text
 
 
 def test_the_programs_above_do_reuse_paths():

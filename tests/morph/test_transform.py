@@ -193,8 +193,9 @@ class TestMorphPrice:
     """What one V2->V1 morph may cost, counted by wrapping (never timed):
     no Python-level ``Record.__setitem__`` (typed scalar stores go
     straight to ``dict``), no ``AutoList.__getitem__`` (output elements
-    are grown inline), and a freeze that makes no call per element — so
-    the Python frames a morph enters do not depend on its size."""
+    are built whole and appended: :class:`TestAppendFormPrice`), and a
+    freeze that makes no call per element — so the Python frames a morph
+    enters do not depend on its size."""
 
     MEMBERS = 64
 
@@ -281,6 +282,66 @@ class TestMorphPrice:
         out, frames = self._fused(self.MEMBERS, census)
         self._check(census, out, frames)
         assert self._fused(2 * self.MEMBERS, census)[1] == frames
+
+
+class TestAppendFormPrice:
+    """What one Figure 5 morph asks of the generated code's helpers,
+    counted by wrapping them in the generated function's globals (never
+    timed): each output element is built with one ``_new`` and one
+    ``_upd`` and appended — never grown and read back with ``_lget`` —
+    and the ``_set`` stores are the record's own scalars, the same at
+    any size.  Staged and fused alike."""
+
+    MEMBERS = (64, 128)
+    HELPERS = ("_set", "_lget", "_new", "_upd")
+
+    @classmethod
+    def _counting(cls, fn):
+        tally = dict.fromkeys(cls.HELPERS, 0)
+        names = fn.__globals__
+        for name in cls.HELPERS:
+            def counted(*args, name=name, helper=names[name]):
+                tally[name] += 1
+                return helper(*args)
+
+            names[name] = counted
+        return tally
+
+    def _staged(self, members):
+        """``(output, tally, records the decode built)``"""
+        xform = Transformation(V2_TO_V1_TRANSFORM)
+        tally = self._counting(xform.procedure._function)
+        return xform.apply(response_v2(members)), tally, 0
+
+    def _fused(self, members):
+        registry = FormatRegistry()
+        registry.register_transform(V2_TO_V1_TRANSFORM)
+        got = []
+        receiver = MorphReceiver(registry, use_fusion=True)
+        receiver.register_handler(RESPONSE_V1, got.append)
+        wire = PBIOContext(registry).encode(RESPONSE_V2, response_v2(members))
+        receiver.process(wire)  # plans the route
+        receiver.process(wire)  # compiles it: its second message
+        tally = self._counting(receiver.route_for(RESPONSE_V2).fused.fn_for("<"))
+        got.clear()
+        receiver.process(wire)
+        # the route's decode fragment builds the incoming record and its
+        # members with the same two calls
+        return got[0], tally, 1 + members
+
+    @pytest.mark.parametrize("path", ["staged", "fused"])
+    def test_each_output_element_is_built_once_and_appended(self, path):
+        sets = []
+        for members in self.MEMBERS:
+            out, tally, decoded = getattr(self, f"_{path}")(members)
+            elements = sum(
+                len(out[name]) for name in ("member_list", "src_list", "sink_list")
+            )
+            assert elements > members  # the role lists are populated
+            assert tally["_lget"] == 0
+            assert tally["_new"] == tally["_upd"] == elements + decoded
+            sets.append(tally["_set"])
+        assert sets[0] == sets[1]
 
 
 @pytest.mark.parametrize("buffer", [bytes, memoryview])

@@ -24,7 +24,8 @@ from repro.pbio.types import TypeKind
 @st.composite
 def io_formats(draw, depth: int = 2, name: "str | None" = None) -> IOFormat:
     """A random IOFormat with nested complex fields and both array
-    flavors; variable arrays always have a preceding integer count."""
+    flavors of scalars and of records; variable arrays always have a
+    preceding integer count."""
     field_count = draw(st.integers(min_value=1, max_value=5))
     fields = []
     for index in range(field_count):
@@ -33,7 +34,7 @@ def io_formats(draw, depth: int = 2, name: "str | None" = None) -> IOFormat:
         kind_pool = list(_SCALAR_KINDS)
         shapes = ["scalar", "fixed_array", "var_array"]
         if depth > 0:
-            shapes += ["complex", "complex_var_array"]
+            shapes += ["complex", "complex_fixed_array", "complex_var_array"]
         shape = draw(st.sampled_from(shapes))
         if shape == "scalar":
             kind = draw(st.sampled_from(kind_pool))
@@ -63,6 +64,16 @@ def io_formats(draw, depth: int = 2, name: "str | None" = None) -> IOFormat:
         elif shape == "complex":
             sub = draw(io_formats(depth=depth - 1, name=f"Sub_{field_name}"))
             fields.append(IOField(field_name, TypeKind.COMPLEX, subformat=sub))
+        elif shape == "complex_fixed_array":
+            sub = draw(io_formats(depth=depth - 1, name=f"Sub_{field_name}"))
+            fields.append(
+                IOField(
+                    field_name,
+                    TypeKind.COMPLEX,
+                    subformat=sub,
+                    array=ArraySpec(fixed_length=draw(st.integers(0, 3))),
+                )
+            )
         else:  # complex_var_array
             sub = draw(io_formats(depth=depth - 1, name=f"Sub_{field_name}"))
             count_name = f"n{index}"
