@@ -56,7 +56,8 @@ dashboard.subscribe("telemetry", TELEMETRY, all_events.append)
 pager.subscribe("telemetry.alerts", TELEMETRY, alerts.append)
 
 loads = [35, 92, 60, 99, 81, 12, 77]
-baseline = net.messages_sent
+# data frames the source sends (each is acked; the acks carry no event)
+baseline = source.reliable.sent
 for step, load in enumerate(loads):
     source.submit(
         "telemetry",
@@ -65,8 +66,8 @@ for step, load in enumerate(loads):
     )
 net.run()
 
-sent = net.messages_sent - baseline
-print(f"\nsubmitted {len(loads)} events -> {sent} wire messages "
+sent = source.reliable.sent - baseline
+print(f"\nsubmitted {len(loads)} events -> {sent} data frames "
       f"({len(loads)} to the dashboard + {len(alerts)} alerts)")
 print(f"dashboard saw loads: {[e.load for e in all_events]}")
 print(f"pager saw loads    : {[e.load for e in alerts]}")

@@ -56,7 +56,7 @@ class _Participant:
     def address(self) -> str:
         return self.node.address
 
-    def _send(self, fmt: IOFormat, record: Record) -> None:
+    def _send_to_broker(self, fmt: IOFormat, record: Record) -> None:
         if self.mode == "morphing":
             self.node.send(self.broker, self.pbio.encode(fmt, record))
         else:
@@ -111,7 +111,7 @@ class Retailer(_Participant):
             ship_to=ship_to,
             rush=rush,
         )
-        self._send(RETAILER_PO, record)
+        self._send_to_broker(RETAILER_PO, record)
         return order_id
 
     def _handle_status(self, record: Record) -> None:
@@ -162,7 +162,7 @@ class Supplier(_Participant):
             eta_days=eta,
             carrier=carrier,
         )
-        self._send(SUPPLIER_STATUS, status)
+        self._send_to_broker(SUPPLIER_STATUS, status)
 
     def _on_xml(self, text: str) -> None:
         self._handle_order(decode_xml(SUPPLIER_PO, text))

@@ -407,7 +407,7 @@ def bench_fabric_churn(
         seed=seed,
         default_link=LinkSpec(latency=0.002, loss_rate=0.15, jitter=0.5),
     )
-    fabric = EventFabric(net, registry=_make_registry(), reliable=True)
+    fabric = EventFabric(net, registry=_make_registry())
     fabric.add_worker("w1")
     fabric.add_worker("w2")
     workers = {
@@ -516,7 +516,6 @@ def _recovery_row(
     fabric = EventFabric(
         net,
         registry=_make_registry(),
-        reliable=True,
         journal=JournalStore() if journaled else None,
         lease_timeout=0.6,
     )

@@ -795,14 +795,10 @@ def check_reliability_chain(
         registry = FormatRegistry()
         registry.register_transform(_EVT_V2_TO_V1)
         registry.register_transform(_EVT_V1_TO_V0)
-        creator = EChoProcess(net, "creator", registry, version="2.0",
-                              reliable=True)
-        source = EChoProcess(net, "source", registry, version="2.0",
-                             reliable=True)
-        sink1 = EChoProcess(net, "sink1", registry, version="1.0",
-                            reliable=True)
-        sink0 = EChoProcess(net, "sink0", registry, version="0.0",
-                            reliable=True)
+        creator = EChoProcess(net, "creator", registry, version="2.0")
+        source = EChoProcess(net, "source", registry, version="2.0")
+        sink1 = EChoProcess(net, "sink1", registry, version="1.0")
+        sink0 = EChoProcess(net, "sink0", registry, version="0.0")
         creator.create_channel("ch")
         source.open_channel("ch", "creator", as_source=True)
         sink1.open_channel("ch", "creator", as_sink=True)
@@ -878,13 +874,13 @@ def check_reliability_failover(
         FormatServer(net, "fs-b", seed=2, breaker_threshold=big)
         servers = ["fs-a", "fs-b"]
         options = {"request_timeout": 0.5}
-        creator = EChoProcess(net, "creator", version="2.0", reliable=True,
+        creator = EChoProcess(net, "creator", version="2.0",
                               format_servers=servers,
                               resolver_options=options)
-        source = EChoProcess(net, "source", version="2.0", reliable=True,
+        source = EChoProcess(net, "source", version="2.0",
                              format_servers=servers,
                              resolver_options=options)
-        sink = EChoProcess(net, "sink", version="0.0", reliable=True,
+        sink = EChoProcess(net, "sink", version="0.0",
                            format_servers=servers, resolver_options=options)
         # the writer uploads the event formats and the retro chain
         source.resolver.register(
@@ -987,14 +983,10 @@ def check_batching_parity(
             registry = FormatRegistry()
             registry.register_transform(_EVT_V2_TO_V1)
             registry.register_transform(_EVT_V1_TO_V0)
-            creator = EChoProcess(net, "creator", registry, version="2.0",
-                                  reliable=True)
-            source = EChoProcess(net, "source", registry, version="2.0",
-                                 reliable=True)
-            sink1 = EChoProcess(net, "sink1", registry, version="1.0",
-                                reliable=True)
-            sink0 = EChoProcess(net, "sink0", registry, version="0.0",
-                                reliable=True)
+            creator = EChoProcess(net, "creator", registry, version="2.0")
+            source = EChoProcess(net, "source", registry, version="2.0")
+            sink1 = EChoProcess(net, "sink1", registry, version="1.0")
+            sink0 = EChoProcess(net, "sink0", registry, version="0.0")
             creator.create_channel("ch")
             source.open_channel("ch", "creator", as_source=True)
             sink1.open_channel("ch", "creator", as_sink=True)
@@ -1210,14 +1202,10 @@ def check_projection_pushdown(
                     "format_servers": ["fs-a", "fs-b"],
                     "resolver_options": {"request_timeout": 0.5},
                 }
-                creator = EChoProcess(net, "creator", version="2.0",
-                                      reliable=True, **kw)
-                source = EChoProcess(net, "source", version="2.0",
-                                     reliable=True, **kw)
-                sink0 = EChoProcess(net, "sink0", version="0.0",
-                                    reliable=True, **kw)
-                sink1 = EChoProcess(net, "sink1", version="1.0",
-                                    reliable=True, **kw)
+                creator = EChoProcess(net, "creator", version="2.0", **kw)
+                source = EChoProcess(net, "source", version="2.0", **kw)
+                sink0 = EChoProcess(net, "sink0", version="0.0", **kw)
+                sink1 = EChoProcess(net, "sink1", version="1.0", **kw)
                 source.resolver.register(
                     _EVT_V2, transforms=[_EVT_V2_TO_V1, _EVT_V1_TO_V0]
                 )
@@ -1225,14 +1213,10 @@ def check_projection_pushdown(
                 registry = FormatRegistry()
                 registry.register_transform(_EVT_V2_TO_V1)
                 registry.register_transform(_EVT_V1_TO_V0)
-                creator = EChoProcess(net, "creator", registry,
-                                      version="2.0", reliable=True)
-                source = EChoProcess(net, "source", registry,
-                                     version="2.0", reliable=True)
-                sink0 = EChoProcess(net, "sink0", registry,
-                                    version="0.0", reliable=True)
-                sink1 = EChoProcess(net, "sink1", registry,
-                                    version="1.0", reliable=True)
+                creator = EChoProcess(net, "creator", registry, version="2.0")
+                source = EChoProcess(net, "source", registry, version="2.0")
+                sink0 = EChoProcess(net, "sink0", registry, version="0.0")
+                sink1 = EChoProcess(net, "sink1", registry, version="1.0")
             net.run()
             creator.create_channel("ch")
             source.open_channel("ch", "creator", as_source=True)
@@ -1455,7 +1439,7 @@ def check_crash_chaos(
         # time budget on both transports.
         reliable_options = {"base_timeout": 0.02, "max_retries": 5}
         fabric = EventFabric(
-            net, registry=registry, reliable=True, journal=journal,
+            net, registry=registry, journal=journal,
             lease_timeout=0.6,
         )
         workers = {

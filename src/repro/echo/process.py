@@ -1,6 +1,7 @@
 """EChoProcess — one process participating in ECho event channels.
 
-Wraps a simulated-network node with:
+Wraps a simulated-network node, through its
+:class:`~repro.net.reliable.ReliableEndpoint`, with:
 
 * a **control plane** (`MorphReceiver`) handling ChannelOpenRequest /
   ChannelOpenResponse — each process registers only the response revision
@@ -42,7 +43,7 @@ from repro.net.batch import (
     split_batch,
     unpack_batch,
 )
-from repro.net.reliable import EndpointMixin
+from repro.net.reliable import EndpointMixin, refuse_removed_modes
 from repro.net.transport import Network
 from repro.obs import OBS
 from repro.obs.metrics import Tallies, collect, counter
@@ -100,13 +101,17 @@ class EChoProcess(EndpointMixin):
         The ECho release this process runs ("0.0", "1.0" or "2.0") —
         selects which ChannelOpenResponse revision it sends and
         understands.
-    reliable:
-        Wrap the node in a :class:`~repro.net.reliable.ReliableEndpoint`
-        so control and event traffic survives lossy links (seq/ack,
-        retries, dup suppression).  *reliable_options* is forwarded to
-        the endpoint constructor; the default raises the circuit-breaker
+    reliable_options:
+        The node always runs wrapped in a
+        :class:`~repro.net.reliable.ReliableEndpoint` (``reliable``), so
+        control and event traffic survives lossy links (seq/ack,
+        retries, dup suppression); these options are forwarded to its
+        constructor, and the default raises the circuit-breaker
         threshold so bursty loss cannot fail-fast event publishes
-        mid-run.
+        mid-run.  Its control receiver and every event receiver contain
+        their failures: a message that fails lands in that receiver's
+        dead-letter queue and counts in ``errors`` / ``last_error``.
+        ``reliable=`` and ``contain_failures=`` accept only ``True``.
     format_servers:
         A server address list from which the process builds its
         :class:`~repro.pbio.server.CachingFormatResolver` (at
@@ -132,23 +137,24 @@ class EChoProcess(EndpointMixin):
         version: str = "2.0",
         diff_threshold: int = DEFAULT_DIFF_THRESHOLD,
         mismatch_threshold: float = DEFAULT_MISMATCH_THRESHOLD,
-        reliable: bool = False,
+        reliable: bool = True,
         reliable_options: Optional[Dict[str, Any]] = None,
         format_servers: Optional[List[str]] = None,
         resolver_options: Optional[Dict[str, Any]] = None,
-        contain_failures: bool = False,
+        contain_failures: bool = True,
         directory: Optional[Any] = None,
     ) -> None:
+        refuse_removed_modes(
+            reliable=reliable, contain_failures=contain_failures)
         if version not in RESPONSE_BY_VERSION:
             raise ChannelError(f"unknown ECho version {version!r}")
         self._open_endpoint(
-            network, address, registry, reliable, reliable_options,
+            network, address, registry, reliable_options,
             format_servers, resolver_options, ChannelError,
         )
         registry = self.registry
         self.version = version
         self.directory = directory
-        self.contain_failures = contain_failures
         self.channels: Dict[str, ChannelState] = {}
         register_protocol(registry, version)
         if self.resolver is not None:
@@ -160,7 +166,7 @@ class EChoProcess(EndpointMixin):
             registry,
             diff_threshold=diff_threshold,
             mismatch_threshold=mismatch_threshold,
-            contain_failures=contain_failures,
+            contain_failures=True,
         )
         self.control.register_handler(OPEN_REQUEST, self._handle_open_request)
         self.control.register_handler(LEAVE_REQUEST, self._handle_leave_request)
@@ -168,6 +174,8 @@ class EChoProcess(EndpointMixin):
             RESPONSE_BY_VERSION[version], self._handle_open_response
         )
         self._event_receivers: Dict[str, MorphReceiver] = {}
+        #: receiver -> its failures already counted in ``errors``
+        self._failed: Dict[MorphReceiver, int] = {}
         self._diff_threshold = diff_threshold
         self._mismatch_threshold = mismatch_threshold
         #: compiled source-side filters, keyed by derived channel id
@@ -277,7 +285,7 @@ class EChoProcess(EndpointMixin):
             if member.contact != self.address
         ]
         for contact in targets:
-            self._send(contact, wire)
+            self.reliable.send(contact, wire)
 
     def open_channel(
         self,
@@ -312,7 +320,7 @@ class EChoProcess(EndpointMixin):
             is_Source=channel.is_source,
             is_Sink=channel.is_sink,
         )
-        self._send(creator, self.pbio.encode(OPEN_REQUEST, request))
+        self.reliable.send(creator, self.pbio.encode(OPEN_REQUEST, request))
         return channel
 
     def leave_channel(self, channel_id: str) -> None:
@@ -323,7 +331,7 @@ class EChoProcess(EndpointMixin):
         channel.is_source = False
         channel.is_sink = False
         channel.ready = False
-        self._event_receivers.pop(channel_id, None)
+        self._failed.pop(self._event_receivers.pop(channel_id, None), None)
         if channel.creator_contact == self.address:
             raise ChannelError("the channel creator cannot leave its channel")
         # Retract every interest this subscriber announced, so the
@@ -343,7 +351,8 @@ class EChoProcess(EndpointMixin):
         request = LEAVE_REQUEST.make_record(
             channel_id=channel_id, contact=self.address
         )
-        self._send(channel.creator_contact, self.pbio.encode(LEAVE_REQUEST, request))
+        self.reliable.send(
+            channel.creator_contact, self.pbio.encode(LEAVE_REQUEST, request))
 
     def channel(self, channel_id: str) -> ChannelState:
         try:
@@ -365,7 +374,7 @@ class EChoProcess(EndpointMixin):
                 self.registry,
                 diff_threshold=self._diff_threshold,
                 mismatch_threshold=self._mismatch_threshold,
-                contain_failures=self.contain_failures,
+                contain_failures=True,
             )
             self._event_receivers[channel_id] = receiver
         return receiver
@@ -630,7 +639,7 @@ class EChoProcess(EndpointMixin):
                 if member.contact == self.address:
                     continue
                 for wire in wires:
-                    self._send(member.contact, wire)
+                    self.reliable.send(member.contact, wire)
                 pushed += 1
             # per-event accounting, so the batching differential oracle
             # sees no divergence between the entries
@@ -670,10 +679,17 @@ class EChoProcess(EndpointMixin):
             with activate(own), OBS.tracer.span(
                 "echo.deliver", channel=channel_id, process=self.address
             ):
-                receiver.process(payload)
+                self._process(receiver, payload)
         else:
-            receiver.process(payload)
+            self._process(receiver, payload)
         self._tally.delivered[channel_id] += 1
+
+    def _process(self, receiver: MorphReceiver, data: bytes) -> None:
+        """Run *data* through the control or an event receiver; what
+        the receiver contained counts here (:meth:`_account`)."""
+        receiver.process(data)
+        self._failed[receiver] = self._account(
+            receiver, self._failed.get(receiver, 0))
 
     def _submit_derived(
         self,
@@ -710,7 +726,7 @@ class EChoProcess(EndpointMixin):
             for member in derived.sinks():
                 if member.contact == self.address:
                     continue
-                self._send(member.contact, datagram)
+                self.reliable.send(member.contact, datagram)
                 pushed += 1
         return pushed
 
@@ -773,7 +789,7 @@ class EChoProcess(EndpointMixin):
             self._handle_derived_info(source, info, data[body_end:])
             return
         if name != EVENT_ENVELOPE.name:
-            self.control.process(data)
+            self._process(self.control, data)
             return
         envelope = self.pbio.decode_as(fmt, data[:body_end])
         payload = data[body_end:]
@@ -819,7 +835,7 @@ class EChoProcess(EndpointMixin):
             self.filter_errors += 1
             return
         if response_wire:
-            self.control.process(response_wire)
+            self._process(self.control, response_wire)
 
     def _handle_open_request(self, record: Record) -> None:
         channel_id = record["channel_id"]
@@ -853,7 +869,7 @@ class EChoProcess(EndpointMixin):
             if member.contact != self.address
         )
         for contact in sorted(targets):
-            self._send(contact, wire)
+            self.reliable.send(contact, wire)
 
     def _handle_leave_request(self, record: Record) -> None:
         channel = self.channels.get(record["channel_id"])
@@ -868,7 +884,7 @@ class EChoProcess(EndpointMixin):
         )
         for member in channel.member_list():
             if member.contact != self.address:
-                self._send(member.contact, wire)
+                self.reliable.send(member.contact, wire)
 
     def _handle_open_response(self, record: Record) -> None:
         channel = self.channels.get(record["channel_id"])

@@ -40,6 +40,10 @@ EventHandler = Callable[[str, str, int, Record], Any]
 
 #: first redrive delay after a failed publish; doubles per attempt
 REDRIVE_BASE_DELAY = 0.05
+#: redrives of one buffer before its publishes are dropped
+REDRIVE_MAX_ATTEMPTS = 8
+#: failed publishes buffered for redrive; one more is dropped
+PUBLISH_BUFFER_LIMIT = 256
 
 _COLLECTED = (
     counter("fabric.published", "published", "channel", bounded=True),
@@ -61,16 +65,13 @@ class FabricClient(EndpointMixin):
         network: Any,
         address: str,
         registry: Optional[FormatRegistry] = None,
-        reliable: bool = False,
         reliable_options: Optional[Dict[str, Any]] = None,
         format_servers: Optional[List[str]] = None,
         resolver_options: Optional[Dict[str, Any]] = None,
-        publish_buffer_limit: int = 256,
-        redrive_max_attempts: int = 8,
     ) -> None:
         self.directory = directory
         self._open_endpoint(
-            network, address, registry, reliable, reliable_options,
+            network, address, registry, reliable_options,
             format_servers, resolver_options, FabricError,
         )
         register_fabric_protocol(self.registry)
@@ -87,8 +88,6 @@ class FabricClient(EndpointMixin):
         #: publishes whose reliable send failed (dead owner, open
         #: breaker) awaiting redrive once the successor is live
         self._publish_buffer: List[Tuple[str, bytes]] = []
-        self.publish_buffer_limit = publish_buffer_limit
-        self.redrive_max_attempts = redrive_max_attempts
         self._redrive_timer: Optional[Any] = None
         self._redrive_attempts = 0
         #: events published / delivered here, per channel
@@ -109,16 +108,12 @@ class FabricClient(EndpointMixin):
 
     def _send_publish(self, channel_id: str, destination: str,
                       data: bytes) -> None:
-        """Send publish traffic with crash awareness.  In reliable mode
-        a failed or breaker-rejected send parks the datagram in a
-        bounded buffer and schedules a backoff redrive that re-routes
-        through a *fresh* directory lookup — by the time the retry
-        fires, lease expiry has usually moved the shard to a live
-        successor.  Raw mode has no failure signal, so it keeps the
-        original fire-and-forget behavior."""
-        if self.reliable is None:
-            self.node.send(destination, data)
-            return
+        """Send publish traffic with crash awareness: a failed or
+        breaker-rejected send parks the datagram in a bounded buffer
+        (:data:`PUBLISH_BUFFER_LIMIT`) and schedules a backoff redrive
+        that re-routes through a *fresh* directory lookup — by the time
+        the retry fires, lease expiry has usually moved the shard to a
+        live successor."""
 
         def _on_result(ticket: Any) -> None:
             if ticket.state == "acked":
@@ -132,7 +127,7 @@ class FabricClient(EndpointMixin):
         # Drop the cached route: the owner we just failed against is
         # gone (or unreachable); the redrive must ask the directory.
         self._routes.pop(channel_id, None)
-        if len(self._publish_buffer) >= self.publish_buffer_limit:
+        if len(self._publish_buffer) >= PUBLISH_BUFFER_LIMIT:
             self.dropped += 1
             return
         self._publish_buffer.append((channel_id, data))
@@ -150,7 +145,7 @@ class FabricClient(EndpointMixin):
         if not self._publish_buffer:
             return
         self._redrive_attempts += 1
-        if self._redrive_attempts > self.redrive_max_attempts:
+        if self._redrive_attempts > REDRIVE_MAX_ATTEMPTS:
             # The fleet never came back within the backoff budget:
             # surface the loss explicitly rather than buffering forever.
             self.dropped += len(self._publish_buffer)
@@ -269,7 +264,7 @@ class FabricClient(EndpointMixin):
             format_id=fmt.format_id,
             epoch=epoch,
         )
-        self._send(owner, self.pbio.encode(FABRIC_SUBSCRIBE, record))
+        self.reliable.send(owner, self.pbio.encode(FABRIC_SUBSCRIBE, record))
 
     # ------------------------------------------------------------------
     # Message dispatch

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import FabricError
 from repro.fabric.hashing import DEFAULT_NUM_SHARDS, HashRing, shard_of
+from repro.net.reliable import refuse_removed_modes
 from repro.obs import OBS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -342,14 +343,14 @@ class EventFabric:
         registry: object = None,
         num_shards: int = DEFAULT_NUM_SHARDS,
         format_servers: "Optional[List[str]]" = None,
-        reliable: bool = False,
+        reliable: bool = True,
         journal: "Optional[JournalStore]" = None,
         lease_timeout: Optional[float] = None,
     ) -> None:
+        refuse_removed_modes(reliable=reliable)
         self.network = network
         self.registry = registry
         self.format_servers = format_servers
-        self.reliable = reliable
         self.journal = journal
         self.directory = FabricDirectory(
             num_shards=num_shards, clock=network, lease_timeout=lease_timeout,
@@ -360,7 +361,6 @@ class EventFabric:
 
         options.setdefault("registry", self.registry)
         options.setdefault("format_servers", self.format_servers)
-        options.setdefault("reliable", self.reliable)
         options.setdefault("journal", self.journal)
         worker = FabricWorker(self.directory, self.network, address, **options)
         self.directory.join(worker)
@@ -384,5 +384,4 @@ class EventFabric:
 
         options.setdefault("registry", self.registry)
         options.setdefault("format_servers", self.format_servers)
-        options.setdefault("reliable", self.reliable)
         return FabricClient(self.directory, self.network, address, **options)

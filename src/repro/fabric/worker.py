@@ -158,10 +158,10 @@ class FabricWorker(EndpointMixin):
     """One sharded-fabric worker process.
 
     Parameters mirror :class:`~repro.echo.process.EChoProcess`: the
-    worker sits on one transport node (optionally wrapped in a
-    :class:`~repro.net.reliable.ReliableEndpoint`), shares the format
-    registry out-of-band or resolves formats through the server fleet
-    on demand (*format_servers*).
+    worker sits on one transport node wrapped in a
+    :class:`~repro.net.reliable.ReliableEndpoint` (*reliable_options*),
+    shares the format registry out-of-band or resolves formats through
+    the server fleet on demand (*format_servers*).
     """
 
     def __init__(
@@ -170,7 +170,6 @@ class FabricWorker(EndpointMixin):
         network: Any,
         address: str,
         registry: Optional[FormatRegistry] = None,
-        reliable: bool = False,
         reliable_options: Optional[Dict[str, Any]] = None,
         format_servers: Optional[List[str]] = None,
         resolver_options: Optional[Dict[str, Any]] = None,
@@ -179,7 +178,7 @@ class FabricWorker(EndpointMixin):
     ) -> None:
         self.directory = directory
         self._open_endpoint(
-            network, address, registry, reliable, reliable_options,
+            network, address, registry, reliable_options,
             format_servers, resolver_options, FabricError,
         )
         register_fabric_protocol(self.registry)
@@ -312,8 +311,7 @@ class FabricWorker(EndpointMixin):
             self.telemetry.stop()
             self.telemetry = None
         self.node.close()
-        if self.reliable is not None:
-            self.reliable.abort_in_flight()
+        self.reliable.abort_in_flight()
         self._owned.clear()
         self._forwarding.clear()
         self._holds.clear()  # a fetch reply landing later replays nothing
@@ -422,7 +420,8 @@ class FabricWorker(EndpointMixin):
                 shard=shard, epoch=epoch, part=index, parts=total,
                 state=chunk,
             )
-            self._send(successor, self.pbio.encode(FABRIC_HANDOFF, record))
+            self.reliable.send(
+                successor, self.pbio.encode(FABRIC_HANDOFF, record))
 
     # ------------------------------------------------------------------
     # Message dispatch
@@ -541,7 +540,7 @@ class FabricWorker(EndpointMixin):
             self.errors += 1
             return
         self.forwarded += 1
-        self._send(target, data)
+        self.reliable.send(target, data)
         self._send_redirect(channel_id, reply_to)
 
     def _send_redirect(self, channel_id: str, contact: str) -> None:
@@ -553,7 +552,7 @@ class FabricWorker(EndpointMixin):
         record = FABRIC_REDIRECT.make_record(
             channel_id=channel_id, owner=owner, epoch=epoch
         )
-        self._send(contact, self.pbio.encode(FABRIC_REDIRECT, record))
+        self.reliable.send(contact, self.pbio.encode(FABRIC_REDIRECT, record))
 
     # ------------------------------------------------------------------
     # Data plane
@@ -635,8 +634,8 @@ class FabricWorker(EndpointMixin):
         (:meth:`MorphReceiver.process`) through which its payload is
         decoded once and each retro-transform runs once; a lone group
         keeps its fused route.  What a group's receiver dead-letters or
-        drops in quarantine is counted in ``errors`` as the run ends, and
-        its newest dead letter's exception becomes ``last_error``."""
+        drops in quarantine is counted as the run ends
+        (:meth:`~repro.net.reliable.EndpointMixin._account`)."""
         groups = [
             group for _format_id, group in sorted(channel.groups.items())
             if group.contacts
@@ -680,12 +679,7 @@ class FabricWorker(EndpointMixin):
         finally:
             self._delivering = None
             for group in groups:
-                tally = group.receiver.containment
-                failed = tally["dead_lettered"] + tally["quarantine_drops"]
-                if failed != group.failed:
-                    self.errors += failed - group.failed
-                    self.last_error = group.receiver.last_error
-                    group.failed = failed
+                group.failed = self._account(group.receiver, group.failed)
         for contact, datagrams in outbox.items():
             try:
                 wires = [
@@ -693,7 +687,7 @@ class FabricWorker(EndpointMixin):
                     for group in split_batch(datagrams)
                 ] if framed else datagrams
                 for wire in wires:
-                    self._send(contact, wire)
+                    self.reliable.send(contact, wire)
             except Exception as exc:  # noqa: BLE001 - an unreachable
                 self._contain(exc)  # contact must not starve the others
 
@@ -825,12 +819,14 @@ class FabricWorker(EndpointMixin):
                 shard=shard, epoch=relay_epoch, part=part, parts=parts,
                 state=record["state"],
             )
-            self._send(target, self.pbio.encode(FABRIC_HANDOFF, relayed))
+            self.reliable.send(
+                target, self.pbio.encode(FABRIC_HANDOFF, relayed))
             if len(seen) < parts:
                 return
             del self._relay_seen[(shard, epoch)]
             ack = FABRIC_HANDOFF_ACK.make_record(shard=shard, epoch=epoch)
-            self._send(source, self.pbio.encode(FABRIC_HANDOFF_ACK, ack))
+            self.reliable.send(
+                source, self.pbio.encode(FABRIC_HANDOFF_ACK, ack))
             self._release(shard, self._holds.pop(shard, None))
             return
         if epoch < self.directory.shard_epoch(shard) or (
@@ -866,5 +862,5 @@ class FabricWorker(EndpointMixin):
             self.journal.fence(shard, epoch)
             self.journal.snapshot(shard, epoch, self._shard_state(shard))
         ack = FABRIC_HANDOFF_ACK.make_record(shard=shard, epoch=epoch)
-        self._send(source, self.pbio.encode(FABRIC_HANDOFF_ACK, ack))
+        self.reliable.send(source, self.pbio.encode(FABRIC_HANDOFF_ACK, ack))
         self._release(shard, outran)

@@ -78,6 +78,12 @@ MessageHandler = Callable[[str, bytes], None]
 #: Per-key cap on messages an endpoint holds (:meth:`EndpointMixin._hold`).
 PENDING_LIMIT = 1024
 
+#: the endpoint modes that are gone, by the keyword that chose them
+_REMOVED_MODES = {
+    "reliable": "raw transport",
+    "contain_failures": "uncontained receive",
+}
+
 _COLLECTED = (
     counter("net.reliable.sends", "sends", "peer"),
     counter("net.reliable.acked", "acked", "peer"),
@@ -591,12 +597,26 @@ class ReliableEndpoint:
                 f"acked={self.acked}, in_flight={self.in_flight})")
 
 
+def refuse_removed_modes(**chosen: Any) -> None:
+    """Raise ``TypeError`` for a keyword that asks for a removed mode.
+    Every endpoint runs reliable and contained; ``reliable=`` and
+    ``contain_failures=`` remain on two signatures for callers that
+    still pass ``True``."""
+    for name, value in chosen.items():
+        if value is not True:
+            raise TypeError(
+                f"{name}={value!r} asks for the removed "
+                f"{_REMOVED_MODES[name]} mode: every endpoint runs "
+                "reliable and contained"
+            )
+
+
 class EndpointMixin:
     """The prologue ``EChoProcess``, ``FabricClient`` and ``FabricWorker``
-    share: one transport node, meta-data from a shared registry or a
-    resolver over the format-server fleet, a ``PBIOContext`` over it, and
-    ``_on_message`` receiving either straight from the node or through a
-    :class:`ReliableEndpoint` wrapped around it.
+    share: one transport node wrapped in a :class:`ReliableEndpoint`
+    (``reliable``, the one send path), meta-data from a shared registry
+    or a resolver over the format-server fleet, a ``PBIOContext`` over
+    it, and ``_on_message`` receiving through the endpoint.
 
     * **Frame walk.**  :meth:`_on_message` is the one frame shell: a bare
       message is a frame of one; a ``BATCH1`` frame is unpacked inside
@@ -607,6 +627,10 @@ class EndpointMixin:
       for a frame again, so a nested frame is one failure.  A failure
       counts one ``errors``, keeps ``last_error`` (:meth:`_contain`) and
       never reaches the transport.
+    * **Contained receivers.**  Every ``MorphReceiver`` an endpoint
+      feeds contains its failures; what one dead-letters or drops in
+      quarantine counts in the endpoint's ``errors`` and ``last_error``
+      too (:meth:`_account`, the one rule).
 
     It is also the one place traffic waits (:meth:`_hold`): on a shard's
     handoff state, or on meta-data fetched from the format-server fleet
@@ -634,13 +658,12 @@ class EndpointMixin:
     membership test per message and no call into the hold."""
 
     def _open_endpoint(
-        self, network, address, registry, reliable, reliable_options,
+        self, network, address, registry, reliable_options,
         format_servers, resolver_options, error,
     ) -> None:
         """Set ``network``, ``node``, ``resolver`` (``None`` without
-        *format_servers*), ``registry``, ``pbio`` and ``reliable``
-        (``None`` when raw); *error* is the caller's exception class for
-        "no source of meta-data"."""
+        *format_servers*), ``registry``, ``pbio`` and ``reliable``; *error*
+        is the caller's exception class for "no source of meta-data"."""
         # late: importing the pbio package imports pbio.server, which
         # builds its own endpoints from this module
         from repro.pbio.context import PBIOContext
@@ -666,17 +689,13 @@ class EndpointMixin:
             registry = resolver.registry
         self.registry = registry
         self.pbio = PBIOContext(registry)
-        self.reliable: Optional[ReliableEndpoint] = None
-        if reliable:
-            options = dict(reliable_options or {})
-            # Event bursts over lossy links produce consecutive timeouts
-            # that are retried successfully; don't let them trip the
-            # breaker into rejecting publishes unless explicitly tuned.
-            options.setdefault("breaker_threshold", 1_000_000)
-            self.reliable = ReliableEndpoint(network, node=self.node, **options)
-            self.reliable.set_handler(self._on_message)
-        else:
-            self.node.set_handler(self._on_message)
+        options = dict(reliable_options or {})
+        # Event bursts over lossy links produce consecutive timeouts
+        # that are retried successfully; don't let them trip the
+        # breaker into rejecting publishes unless explicitly tuned.
+        options.setdefault("breaker_threshold", 1_000_000)
+        self.reliable = ReliableEndpoint(network, node=self.node, **options)
+        self.reliable.set_handler(self._on_message)
         #: key -> replays held in stream order, the head first
         self._holds: Dict[Any, Deque[Any]] = {}
         #: format ids a fetch brought back: never fetched again
@@ -712,6 +731,18 @@ class EndpointMixin:
     def _contain(self, exc: BaseException) -> None:
         self.errors += 1
         self.last_error = exc
+
+    def _account(self, receiver: Any, seen: int) -> int:
+        """Count what *receiver* dead-lettered or dropped in quarantine
+        beyond *seen* in ``errors``, its newest dead letter's exception
+        as ``last_error``; returns the receiver's count, the next
+        *seen*."""
+        tally = receiver.containment
+        failed = tally["dead_lettered"] + tally["quarantine_drops"]
+        if failed != seen:
+            self.errors += failed - seen
+            self.last_error = receiver.last_error
+        return failed
 
     def _needs_meta(self, format_id: int, fmt, receiver=None) -> bool:
         """The one rule for holding a message to fetch its meta-data."""
@@ -763,11 +794,3 @@ class EndpointMixin:
                 queue.popleft()()
             except Exception as exc:  # noqa: BLE001 - a peer's message
                 self._contain(exc)
-
-    def _send(self, destination: str, data: bytes) -> None:
-        """Send through the reliable endpoint when configured, raw
-        otherwise."""
-        if self.reliable is not None:
-            self.reliable.send(destination, data)
-        else:
-            self.node.send(destination, data)

@@ -112,10 +112,8 @@ def _traced_chain_workload(
     if tap is not None:
         send = network.send
         network.send = lambda src, dst, data: tap(data) or send(src, dst, data)
-    producer = EChoProcess(network, "producer", registry, version="2.0",
-                           reliable=True)
-    consumer = EChoProcess(network, "consumer", registry, version="0.0",
-                           reliable=True)
+    producer = EChoProcess(network, "producer", registry, version="2.0")
+    consumer = EChoProcess(network, "consumer", registry, version="0.0")
     producer.create_channel("readings")
     consumer.open_channel("readings", "producer", as_sink=True)
     network.run()

@@ -133,7 +133,6 @@ def build_cluster(
         network,
         registry=registry,
         num_shards=8,
-        reliable=True,
         journal=JournalStore(compact_every=64),
         lease_timeout=lease_timeout,
     )

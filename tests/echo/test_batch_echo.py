@@ -49,7 +49,7 @@ def run_batch_chain(
     registry.register_transform(V2_TO_V1)
     registry.register_transform(V1_TO_V0)
     procs = [
-        EChoProcess(net, name, registry, version=version, reliable=True)
+        EChoProcess(net, name, registry, version=version)
         for name, version in (
             ("creator", "2.0"), ("source", "2.0"),
             ("sink1", "1.0"), ("sink0", "0.0"),
@@ -112,10 +112,8 @@ class TestBatchedLossyChain:
     def test_empty_submit_batch_is_a_no_op(self):
         net = Network(seed=0)
         registry = FormatRegistry()
-        creator = EChoProcess(net, "creator", registry, version="2.0",
-                              reliable=True)
-        source = EChoProcess(net, "source", registry, version="2.0",
-                             reliable=True)
+        creator = EChoProcess(net, "creator", registry, version="2.0")
+        source = EChoProcess(net, "source", registry, version="2.0")
         creator.create_channel("ch")
         source.open_channel("ch", "creator", as_source=True)
         net.run()
@@ -148,7 +146,7 @@ def echo_fleet(local):
     registry = FormatRegistry()
     registry.register_transform(V2_TO_V1)
     creator, source, sink = (
-        EChoProcess(net, name, registry, version=version, reliable=True)
+        EChoProcess(net, name, registry, version=version)
         for name, version in (("creator", "2.0"), ("source", "2.0"),
                               ("sink", "1.0"))
     )
@@ -298,10 +296,8 @@ class TestPoisonedSegment:
         with transport(kind) as net:
             registry = FormatRegistry()
             registry.register_transform(V2_TO_V1)
-            creator = EChoProcess(net, "creator", registry, version="2.0",
-                                  reliable=True)
-            sink = EChoProcess(net, "sink", registry, version="1.0",
-                               reliable=True)
+            creator = EChoProcess(net, "creator", registry, version="2.0")
+            sink = EChoProcess(net, "sink", registry, version="1.0")
             creator.create_channel("ch")
             sink.open_channel("ch", "creator", as_sink=True)
             settle(net)

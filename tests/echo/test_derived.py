@@ -64,10 +64,11 @@ class TestFiltering:
     def test_filtered_events_never_touch_the_wire(self):
         net, _creator, source, _all_sink, hot_sink = build()
         # disconnect the unfiltered sink so only derived traffic flows
-        before = net.messages_sent
+        before = source.reliable.sent
         publish(net, source, [(hot_sink, "raw.hot")], loads=[1, 2, 3, 100])
-        # 4 submits to 'all-sink' (raw member) + exactly 1 derived push
-        derived_pushes = net.messages_sent - before - 4
+        # data frames only (acks carry no event): 4 submits to
+        # 'all-sink' (raw member) + exactly 1 derived push
+        derived_pushes = source.reliable.sent - before - 4
         assert derived_pushes == 1
 
     def test_source_compiled_the_filter_via_dcg(self):

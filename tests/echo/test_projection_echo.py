@@ -66,7 +66,7 @@ def build_fleet():
 
     def process(address, version):
         return EChoProcess(
-            net, address, version=version, reliable=True,
+            net, address, version=version,
             format_servers=servers, resolver_options=options,
         )
 
@@ -126,12 +126,9 @@ class TestNegotiatedNarrowing:
         registry = FormatRegistry()
         registry.register_transform(V2_TO_V1)
         registry.register_transform(V1_TO_V0)
-        creator = EChoProcess(net, "creator", registry, version="2.0",
-                              reliable=True)
-        source = EChoProcess(net, "source", registry, version="2.0",
-                             reliable=True)
-        sink = EChoProcess(net, "sink", registry, version="0.0",
-                           reliable=True)
+        creator = EChoProcess(net, "creator", registry, version="2.0")
+        source = EChoProcess(net, "source", registry, version="2.0")
+        sink = EChoProcess(net, "sink", registry, version="0.0")
         creator.create_channel("ch")
         source.open_channel("ch", "creator", as_source=True)
         sink.open_channel("ch", "creator", as_sink=True)
@@ -153,8 +150,9 @@ class TestBatchFastPath:
         proj = source._projection_send[("ch", EVT_V2.format_id)]["format"]
         first = source.channel("ch").seq + 1
         sent = []
-        send = source._send
-        source._send = lambda to, data: sent.append(data) or send(to, data)
+        send = source.reliable.send
+        source.reliable.send = lambda to, data: sent.append(data) or send(
+            to, data)
         source.submit_batch("ch", EVT_V2, [event(n) for n in range(3, 9)])
         net.run()
         assert got0 == list(range(9))
@@ -180,7 +178,7 @@ class TestChurn:
         assert state["format"].field_names() == ["n"]
 
         sink1 = EChoProcess(
-            net, "sink1", version="1.0", reliable=True,
+            net, "sink1", version="1.0",
             format_servers=["fs-a", "fs-b"],
             resolver_options={"request_timeout": 0.5},
         )
@@ -228,7 +226,7 @@ class TestDerivedChannels:
         net, creator, source, _sink0, got0 = build_fleet()
         creator.create_derived_channel("ch", "ch.hot", "return input.extra > 6;")
         hot = EChoProcess(
-            net, "hot", version="1.0", reliable=True,
+            net, "hot", version="1.0",
             format_servers=["fs-a", "fs-b"],
             resolver_options={"request_timeout": 0.5},
         )

@@ -5,8 +5,9 @@ A mixed-version ECho event chain runs over a lossy, jittery fabric:
 * on :class:`~repro.net.reliable.ReliableEndpoint` transports every
   event arrives **exactly once**, in order, morphed down to each sink's
   revision;
-* on raw transports the same fabric (same seed) demonstrably loses
-  events — the A/B pair is what justifies the reliable layer's cost;
+* with the retry budget at zero the same fabric (same seed)
+  demonstrably loses events — the A/B pair is what justifies the
+  reliable layer's cost;
 * a poison subscription (handler that always throws) is quarantined by
   the receiver's containment layer without disturbing healthy traffic
   on the same channel.
@@ -49,7 +50,7 @@ LOSS_RATE = 0.1
 JITTER = 0.005
 
 
-def run_chain(reliable, messages=40, net_seed=0):
+def run_chain(reliable_options=None, messages=40, net_seed=0):
     """V2 writer -> V1 + V0 sinks over a faulty fabric; returns what
     each sink's handler saw."""
     net = Network(
@@ -60,13 +61,13 @@ def run_chain(reliable, messages=40, net_seed=0):
     registry.register_transform(V2_TO_V1)
     registry.register_transform(V1_TO_V0)
     creator = EChoProcess(net, "creator", registry, version="2.0",
-                          reliable=reliable)
+                          reliable_options=reliable_options)
     source = EChoProcess(net, "source", registry, version="2.0",
-                         reliable=reliable)
+                         reliable_options=reliable_options)
     sink1 = EChoProcess(net, "sink1", registry, version="1.0",
-                        reliable=reliable)
+                        reliable_options=reliable_options)
     sink0 = EChoProcess(net, "sink0", registry, version="0.0",
-                        reliable=reliable)
+                        reliable_options=reliable_options)
     creator.create_channel("ch")
     source.open_channel("ch", "creator", as_source=True)
     sink1.open_channel("ch", "creator", as_sink=True)
@@ -85,7 +86,7 @@ def run_chain(reliable, messages=40, net_seed=0):
 
 class TestLossyChainAcceptance:
     def test_reliable_chain_is_exactly_once_and_in_order(self):
-        net, got1, got0, _procs = run_chain(reliable=True)
+        net, got1, got0, _procs = run_chain()
         # exactly once, in submission order, morphed down per revision
         assert got1 == list(range(40))
         assert got0 == list(range(40))
@@ -94,19 +95,20 @@ class TestLossyChainAcceptance:
 
     def test_raw_chain_demonstrably_loses_events(self):
         # the control arm of the A/B experiment: the same fabric and
-        # seed without the reliable layer drops traffic on the floor
-        _net, got1, got0, _procs = run_chain(reliable=False)
-        lost1 = 40 - len(set(got1))
-        lost0 = 40 - len(set(got0))
+        # seed without retransmission drops traffic on the floor
+        _net, got1, got0, _procs = run_chain(
+            reliable_options={"max_retries": 0})
+        lost1 = 40 - len(got1)
+        lost0 = 40 - len(got0)
         assert lost1 + lost0 > 0, (
-            "a 10% lossy fabric should defeat raw transports"
+            "a 10% lossy fabric should defeat a zero retry budget"
         )
-        # and nothing was duplicated or invented, just lost
-        assert len(got1) == len(set(got1)) <= 40
-        assert len(got0) == len(set(got0)) <= 40
+        # and nothing was duplicated, reordered or invented, just lost
+        assert got1 == sorted(set(got1)) and set(got1) <= set(range(40))
+        assert got0 == sorted(set(got0)) and set(got0) <= set(range(40))
 
     def test_reliable_chain_paid_with_retries(self):
-        _net, _got1, _got0, procs = run_chain(reliable=True)
+        _net, _got1, _got0, procs = run_chain()
         # sanity: the loss rate actually bit; delivery was not luck
         assert sum(proc.reliable.retries for proc in procs) > 0
         # and every endpoint's ledger balances after quiesce
@@ -121,12 +123,9 @@ class TestPoisonQuarantine:
     def test_poison_handler_is_quarantined_healthy_traffic_flows(self):
         net = Network(seed=3, default_link=LinkSpec(latency=0.001))
         registry = FormatRegistry()
-        creator = EChoProcess(net, "creator", registry, version="1.0",
-                              reliable=True)
-        source = EChoProcess(net, "source", registry, version="1.0",
-                             reliable=True)
-        sink = EChoProcess(net, "sink", registry, version="1.0",
-                           reliable=True, contain_failures=True)
+        creator = EChoProcess(net, "creator", registry, version="1.0")
+        source = EChoProcess(net, "source", registry, version="1.0")
+        sink = EChoProcess(net, "sink", registry, version="1.0")
         creator.create_channel("ch")
         source.open_channel("ch", "creator", as_source=True)
         sink.open_channel("ch", "creator", as_sink=True)
@@ -155,4 +154,44 @@ class TestPoisonQuarantine:
         # ...and healthy traffic on the same channel never noticed
         assert healthy == list(range(10))
         # nothing escaped into the transport layer
+        assert net.handler_errors == 0
+
+
+class TestDeadLettersCount:
+    def test_handler_faults_count_in_errors_and_last_error(self):
+        """A contained receiver's dead letters are the process's errors:
+        two handler faults read ``errors == 2`` and the second fault as
+        ``last_error``."""
+        net = Network(seed=4, default_link=LinkSpec(latency=0.001))
+        registry = FormatRegistry()
+        # the keywords benchmarks/e2e passes, which now name the default
+        creator = EChoProcess(net, "creator", registry, version="1.0",
+                              reliable=True)
+        source = EChoProcess(net, "source", registry, version="1.0",
+                             reliable=True)
+        sink = EChoProcess(net, "sink", registry, version="1.0",
+                           reliable=True, contain_failures=True)
+        creator.create_channel("ch")
+        source.open_channel("ch", "creator", as_source=True)
+        sink.open_channel("ch", "creator", as_sink=True)
+        net.run()
+
+        healthy, raised = [], []
+
+        def handler(record):
+            if record["n"] % 2:
+                raised.append(RuntimeError(f"fault {record['n']}"))
+                raise raised[-1]
+            healthy.append(record["n"])
+
+        sink.subscribe("ch", EVT_V1, handler)
+        for n in range(4):
+            source.submit("ch", EVT_V1, EVT_V1.make_record(n=n, extra=0))
+        net.run()
+
+        assert healthy == [0, 2] and len(raised) == 2
+        assert sink.errors == 2
+        assert sink.last_error is raised[-1]
+        dead = sink.event_receiver("ch").dead_letters
+        assert [letter.stage for letter in dead] == ["dispatch"] * 2
         assert net.handler_errors == 0

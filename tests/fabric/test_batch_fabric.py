@@ -44,7 +44,7 @@ def batched_fleet(net_seed=7, loss_rate=0.15):
         seed=net_seed,
         default_link=LinkSpec(latency=0.002, loss_rate=loss_rate, jitter=0.5),
     )
-    fabric = EventFabric(net, registry=make_registry(), reliable=True)
+    fabric = EventFabric(net, registry=make_registry())
     fabric.add_worker("w1")
     fabric.add_worker("w2")
     pub = fabric.client("pub")

@@ -52,7 +52,7 @@ class TestChurnExactlyOnce:
                 latency=0.002, loss_rate=0.15, jitter=0.5
             ),
         )
-        fabric = EventFabric(net, registry=make_registry(), reliable=True)
+        fabric = EventFabric(net, registry=make_registry())
         fabric.add_worker("w1")
         fabric.add_worker("w2")
         workers = {"w1": fabric.directory.worker("w1"),
@@ -130,7 +130,7 @@ class TestChurnExactlyOnce:
         a fully lossy control path... simulated by pre-caching) still
         gets every message through via drain-and-forward."""
         net = Network(seed=5, default_link=LinkSpec(latency=0.001))
-        fabric = EventFabric(net, registry=make_registry(), reliable=True)
+        fabric = EventFabric(net, registry=make_registry())
         fabric.add_worker("w1")
         fabric.add_worker("w2")
         channel_id = moving_channel(
@@ -165,7 +165,7 @@ class TestTraceContinuityAcrossHandoff:
         obs.enable(capacity=16384, sample_every=1)
         seed_ids(21)
         net = Network(seed=2, default_link=LinkSpec(latency=0.001))
-        fabric = EventFabric(net, registry=make_registry(), reliable=True)
+        fabric = EventFabric(net, registry=make_registry())
         fabric.add_worker("w1")
         fabric.add_worker("w2")
         channel_id = moving_channel(

@@ -398,7 +398,7 @@ class TestFabricOverSockets:
         with SocketNetwork(
             seed=3, default_link=LinkSpec(loss_rate=0.1)
         ) as net:
-            fabric = EventFabric(net, registry=registry, reliable=True)
+            fabric = EventFabric(net, registry=registry)
             fabric.add_worker("w1")
             fabric.add_worker("w2")
             pub = fabric.client("pub")

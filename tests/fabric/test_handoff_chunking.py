@@ -57,7 +57,7 @@ class TestChunkedHandoff:
         """Regression: a shard with many busy channels hands off in
         bounded parts, and exactly-once still holds end to end."""
         net = Network(seed=9, default_link=LinkSpec(latency=0.001))
-        fabric = EventFabric(net, registry=make_registry(), reliable=True)
+        fabric = EventFabric(net, registry=make_registry())
         w1 = fabric.add_worker("w1", handoff_chunk_bytes=256)
         pub = fabric.client("pub")
         sub = fabric.client("sub")
@@ -95,7 +95,7 @@ class TestChunkedHandoff:
 
     def test_default_chunk_size_keeps_small_shards_single_part(self):
         net = Network(seed=3, default_link=LinkSpec(latency=0.001))
-        fabric = EventFabric(net, registry=make_registry(), reliable=True)
+        fabric = EventFabric(net, registry=make_registry())
         w1 = fabric.add_worker("w1")
         pub = fabric.client("pub")
         sub = fabric.client("sub")

@@ -21,8 +21,8 @@ from repro.check import gen
 from repro.echo.protocol import RESPONSE_V2
 from repro.fabric import EventFabric
 from repro.fabric.protocol import FABRIC_DELIVER, FABRIC_PUBLISH
-from repro.fabric.worker import FabricWorker
 from repro.net.batch import is_batch, pack_batch, unpack_batch
+from repro.net.reliable import ReliableEndpoint
 from repro.net.transport import Network
 from repro.pbio.buffer import attach_trace, strip_trace, unpack_header
 from repro.pbio.context import PBIOContext
@@ -33,13 +33,13 @@ from tests.fabric.test_run_pipeline import READERS, Fleet, seeded_record
 
 @pytest.fixture
 def sent(monkeypatch):
-    """Every ``(destination, wire)`` a worker sends."""
+    """Every ``(destination, wire)`` an endpoint sends."""
     wires = []
-    send = FabricWorker._send
+    send = ReliableEndpoint.send
     monkeypatch.setattr(
-        FabricWorker, "_send",
-        lambda self, to, data: wires.append((to, bytes(data))) or send(
-            self, to, data),
+        ReliableEndpoint, "send",
+        lambda self, to, data, on_result=None: wires.append(
+            (to, bytes(data))) or send(self, to, data, on_result),
     )
     return wires
 
@@ -106,7 +106,7 @@ def test_forwarded_bytes_are_the_reencoded_bytes(
         registry = FormatRegistry()
         registry.register(fmt)
         net = Network(seed=seed)
-        fabric = EventFabric(net, registry=registry, reliable=True)
+        fabric = EventFabric(net, registry=registry)
         for index in range(2):
             fabric.add_worker(f"w{index}")
         got = []
@@ -153,7 +153,7 @@ def publish_payload(fleet, channel_id, payload):
         channel_id=channel_id, publisher=pub.address, seq=seq,
         epoch=fleet.fabric.directory.epoch,
     )
-    pub._send(
+    pub.reliable.send(
         fleet.fabric.directory.owner(channel_id),
         pub.pbio.encode(FABRIC_PUBLISH, envelope) + payload,
     )
@@ -176,7 +176,7 @@ def test_a_payload_shorter_than_a_header_poisons_only_itself(fleet):
         epoch=fleet.fabric.directory.epoch,
     )
     before = owner.errors
-    pub._send(owner.address, pack_batch([
+    pub.reliable.send(owner.address, pack_batch([
         fleet.publish_wire(pub, channel_id, first),
         pub.pbio.encode(FABRIC_PUBLISH, envelope) + b"\x00\x01",
         fleet.publish_wire(pub, channel_id, first + 2),

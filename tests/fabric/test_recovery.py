@@ -20,6 +20,7 @@ from repro import obs
 from repro.echo.protocol import RESPONSE_V0, RESPONSE_V2, register_protocol
 from repro.errors import FabricError
 from repro.fabric import EventFabric, JournalStore, shard_of
+from repro.fabric import client as client_module
 from repro.net.link import LinkSpec
 from repro.net.transport import Network
 from repro.pbio.registry import FormatRegistry
@@ -43,8 +44,7 @@ class CrashDeployment:
 
     RELIABLE = {"base_timeout": 0.02, "max_retries": 5}
 
-    def __init__(self, seed=7, journal=None, lease_timeout=0.6,
-                 client_options=None):
+    def __init__(self, seed=7, journal=None, lease_timeout=0.6):
         self.net = Network(
             seed=seed,
             default_link=LinkSpec(
@@ -52,7 +52,7 @@ class CrashDeployment:
             ),
         )
         self.fabric = EventFabric(
-            self.net, registry=make_registry(), reliable=True,
+            self.net, registry=make_registry(),
             journal=journal, lease_timeout=lease_timeout,
         )
         self.workers = {
@@ -62,8 +62,7 @@ class CrashDeployment:
             for address in ("w1", "w2", "w3")
         }
         self.pub = self.fabric.client(
-            "pub", reliable_options=dict(self.RELIABLE),
-            **(client_options or {}),
+            "pub", reliable_options=dict(self.RELIABLE)
         )
         self.sub = self.fabric.client(
             "sub", reliable_options=dict(self.RELIABLE)
@@ -332,12 +331,12 @@ class TestRecoveryObservability:
 
 
 class TestClientDegradation:
-    def test_publish_buffer_is_bounded_and_drops_are_counted(self):
-        d = CrashDeployment(
-            journal=JournalStore(),
-            client_options={"publish_buffer_limit": 2,
-                            "redrive_max_attempts": 2},
-        )
+    def test_publish_buffer_is_bounded_and_drops_are_counted(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(client_module, "PUBLISH_BUFFER_LIMIT", 2)
+        monkeypatch.setattr(client_module, "REDRIVE_MAX_ATTEMPTS", 2)
+        d = CrashDeployment(journal=JournalStore())
         victim_address, _ = d.victim()
         # take the whole fleet down so redrive can never succeed
         for address in list(d.workers):

@@ -63,7 +63,7 @@ class Fleet:
         self.net = Network(seed=3)
         self.journal = JournalStore(path=journal_path)
         self.fabric = EventFabric(
-            self.net, registry=registry or make_registry(), reliable=True,
+            self.net, registry=registry or make_registry(),
             journal=self.journal,
         )
         self.workers = [self.fabric.add_worker(f"w{i}") for i in range(workers)]
@@ -189,7 +189,7 @@ class TestWhatEndsARun:
             [fleet.publish_wire(pub, stays, seq) for seq in range(1, 9)]
             + [fleet.publish_wire(pub, moved, seq) for seq in range(1, 9)]
         )
-        pub._send("w0", frame)  # the handoff snapshot is still in flight
+        pub.reliable.send("w0", frame)  # the handoff snapshot is still in flight
         fleet.net.run()
         assert w0.processed == 8 and w0.forwarded == 8
         assert w1.processed == 8
@@ -220,7 +220,7 @@ class TestWhatEndsARun:
             + [subscribe]
             + [fleet.publish_wire(pub, channel_id, seq) for seq in (3, 4)]
         )
-        pub._send(fleet.fabric.directory.owner(channel_id), frame)
+        pub.reliable.send(fleet.fabric.directory.owner(channel_id), frame)
         fleet.net.run()
         assert got == [3, 4]
         assert [s for _c, _p, s, _r in fleet.logs["v0"]] == [1, 2, 3, 4]
@@ -244,10 +244,9 @@ class TestWhatEndsARun:
         owner = fleet.fabric.directory.worker(
             fleet.fabric.directory.owner(channel_id)
         )
-        send = owner._send
-        owner._send = lambda to, data: outbound.append((to, data)) or send(
-            to, data
-        )
+        send = owner.reliable.send
+        owner.reliable.send = lambda to, data: outbound.append(
+            (to, data)) or send(to, data)
         fleet.pubs[0].publish_batch(channel_id, RESPONSE_V2, [record] * 64)
         fleet.net.run()
         for name, _fmt in READERS:
@@ -273,11 +272,11 @@ class TestWhatEndsARun:
         frame = pack_batch(
             [fleet.publish_wire(pub, channel_id, seq) for seq in range(1, 17)]
         )
-        pub._send(owner.address, frame)
+        pub.reliable.send(owner.address, frame)
         fleet.net.run()
         journaled = (tmp_path / "j.jsonl").read_bytes()
         appends, deliveries = fleet.journal.appends, owner.deliveries
-        pub._send(owner.address, frame)  # a retransmit the ack outran
+        pub.reliable.send(owner.address, frame)  # a retransmit the ack outran
         fleet.net.run()
         assert owner.duplicates == 16
         assert fleet.journal.appends == appends
@@ -315,7 +314,7 @@ class TestPoisonedSegments:
                 poison,
                 fleet.publish_wire(pub, channel_id, first + 1),
             ])
-            pub._send(owner.address, frame)
+            pub.reliable.send(owner.address, frame)
             fleet.net.run()
             assert owner.errors == before + 1
             assert [s for _c, _p, s, _r in fleet.logs["v0"]][-2:] == [
@@ -326,12 +325,12 @@ class TestPoisonedSegments:
     def test_worker_counts_a_malformed_bare_datagram(self, tmp_path):
         fleet = Fleet(str(tmp_path / "j.jsonl"))
         (w0, _w1) = fleet.workers
-        fleet.pubs[0]._send("w0", b"\x00\x01")
+        fleet.pubs[0].reliable.send("w0", b"\x00\x01")
         fleet.net.run()
         assert w0.errors == 1
         pub = fleet.pubs[0]
         truncated = pack_batch([fleet.publish_wire(pub, "ch", 1)])[:-3]
-        pub._send("w0", truncated)
+        pub.reliable.send("w0", truncated)
         fleet.net.run()
         assert w0.errors == 2
         assert fleet.net.handler_errors == 0
@@ -342,7 +341,7 @@ class TestPoisonedSegments:
         owner = fleet.fabric.directory.worker(
             fleet.fabric.directory.owner(channel_id)
         )
-        send = owner._send
+        send = owner.reliable.send
 
         def poison_v0(to, data):
             if to == "sub-v0" and is_batch(data):
@@ -357,7 +356,7 @@ class TestPoisonedSegments:
                 data = pack_batch(parts)
             send(to, data)
 
-        owner._send = poison_v0
+        owner.reliable.send = poison_v0
         fleet.pubs[0].publish_batch(
             channel_id, RESPONSE_V2, [v2_record(channel_id) for _ in range(4)]
         )
@@ -386,7 +385,7 @@ class TestPoisonedSegments:
              RESPONSE_V2.name),
         ):
             before = host.errors
-            fleet.pubs[0]._send(host.address, wire)
+            fleet.pubs[0].reliable.send(host.address, wire)
             fleet.net.run()
             assert host.errors == before + 1
             assert isinstance(host.last_error, ReproError)
@@ -407,7 +406,7 @@ class TestPoisonedSegments:
                 format_id=min(f.format_id for _n, f in READERS),
                 epoch=fleet.fabric.directory.epoch,
             ))
-        fleet.pubs[0]._send(owner.address, ghost)
+        fleet.pubs[0].reliable.send(owner.address, ghost)
         fleet.net.run()
         for batch in (1, 8):
             before = owner.errors

@@ -101,7 +101,7 @@ class TestBrokenTransforms:
             RESPONSE_V2, RESPONSE_V1, "old.member_count = new.member_count;"
         )
         net = Network(seed=0)
-        fabric = EventFabric(net, registry=registry, reliable=True)
+        fabric = EventFabric(net, registry=registry)
         fabric.add_worker("w0")
         seen = []
         fabric.client("sub").subscribe(

@@ -113,7 +113,7 @@ def run_echo(net):
     fleet(net)
 
     def process(address: str, version: str) -> EChoProcess:
-        return EChoProcess(net, address, version=version, reliable=True,
+        return EChoProcess(net, address, version=version,
                            format_servers=["fs-a", "fs-b"])
 
     source = process("source", "2.0")
@@ -136,7 +136,7 @@ def run_echo(net):
 
 def run_fabric(net):
     fleet(net)
-    fabric = EventFabric(net, format_servers=["fs-a", "fs-b"], reliable=True)
+    fabric = EventFabric(net, format_servers=["fs-a", "fs-b"])
     workers = [fabric.add_worker("w1"), fabric.add_worker("w2")]
     pub = fabric.client("pub")
     pub.resolver.register(
@@ -181,8 +181,8 @@ class Endpoint(EndpointMixin):
 
     def __init__(self):
         self.fetches = []
-        self._open_endpoint(Network(), "e", FormatRegistry(), False, None,
-                            None, None, ReproError)
+        self._open_endpoint(Network(), "e", FormatRegistry(), None, None,
+                            None, ReproError)
         self.resolver = self
 
     def refresh(self, format_id, on_done):
@@ -268,7 +268,7 @@ def test_the_owner_fetches_payload_meta_data_for_every_group():
     delivered to every reader, in order, one fetch per revision."""
     net = Network(seed=5, default_link=LinkSpec(latency=0.001))
     fleet(net)
-    fabric = EventFabric(net, format_servers=["fs-a", "fs-b"], reliable=True)
+    fabric = EventFabric(net, format_servers=["fs-a", "fs-b"])
     worker = fabric.add_worker("w1")
     pub = fabric.client("pub")
     pub.resolver.register(RESPONSE_V2, RESPONSE_V1, RESPONSE_V0,
@@ -309,12 +309,10 @@ def test_echo_fetches_again_after_a_failed_fetch():
     reachable later: the later message is fetched and delivered."""
     net = Network(seed=6, default_link=LinkSpec(latency=0.001))
     fleet(net)
-    source = EChoProcess(net, "source", reliable=True,
-                         format_servers=["fs-a", "fs-b"])
+    source = EChoProcess(net, "source", format_servers=["fs-a", "fs-b"])
     source.create_channel("ch")
     partition(net, "sink:meta", up=False)
-    sink = EChoProcess(net, "sink", reliable=True,
-                       format_servers=["fs-a", "fs-b"])
+    sink = EChoProcess(net, "sink", format_servers=["fs-a", "fs-b"])
     sink.open_channel("ch", "source", as_sink=True)
     net.run()
     got = []
@@ -337,7 +335,7 @@ def test_worker_fetches_again_after_a_failed_fetch():
     the fleet is back, the re-subscription is fetched and served."""
     net = Network(seed=6, default_link=LinkSpec(latency=0.001))
     fleet(net)
-    fabric = EventFabric(net, format_servers=["fs-a", "fs-b"], reliable=True)
+    fabric = EventFabric(net, format_servers=["fs-a", "fs-b"])
     pub = fabric.client("pub")
     pub.resolver.register(RESPONSE_V2, RESPONSE_V1,
                           transforms=[V2_TO_V1_TRANSFORM])
@@ -364,7 +362,7 @@ def test_a_fetch_reply_after_a_crash_replays_nothing():
     reply must not install the subscriber into the dead worker."""
     net = Network(seed=8, default_link=LinkSpec(latency=0.01))
     fleet(net)
-    fabric = EventFabric(net, format_servers=["fs-a", "fs-b"], reliable=True)
+    fabric = EventFabric(net, format_servers=["fs-a", "fs-b"])
     worker = fabric.add_worker("w1")
     net.run()
     fabric.client("sub").subscribe("ch", RESPONSE_V1, lambda *a: None)
@@ -382,11 +380,9 @@ def warm_echo_pair(net):
     """A source and a sink behind the fleet: event 0 delivered, the
     revision registered; returns both and the sink's delivery log."""
     fleet(net)
-    source = EChoProcess(net, "source", reliable=True,
-                         format_servers=["fs-a", "fs-b"])
+    source = EChoProcess(net, "source", format_servers=["fs-a", "fs-b"])
     source.create_channel("ch")
-    sink = EChoProcess(net, "sink", reliable=True,
-                       format_servers=["fs-a", "fs-b"])
+    sink = EChoProcess(net, "sink", format_servers=["fs-a", "fs-b"])
     sink.open_channel("ch", "source", as_sink=True)
     net.run()
     got = []
@@ -469,16 +465,14 @@ def test_no_open_hold_costs_no_call_into_the_primitive(
     registry = FormatRegistry()
     register_protocol(registry, "2.0")
     net = Network(seed=9)
-    fabric = EventFabric(net, registry=registry, reliable=True)
+    fabric = EventFabric(net, registry=registry)
     fabric.add_worker("w1")
     pub = fabric.client("pub")
     fabric.client("sub").subscribe("ch", RESPONSE_V1, lambda *a: None)
     fleet(net)
-    source = EChoProcess(net, "source", reliable=True,
-                         format_servers=["fs-a", "fs-b"])
+    source = EChoProcess(net, "source", format_servers=["fs-a", "fs-b"])
     source.create_channel("ech")
-    sink = EChoProcess(net, "sink", reliable=True,
-                       format_servers=["fs-a", "fs-b"])
+    sink = EChoProcess(net, "sink", format_servers=["fs-a", "fs-b"])
     sink.open_channel("ech", "source", as_sink=True)
     net.run()
     sink.subscribe("ech", RESPONSE_V2, lambda r: None)

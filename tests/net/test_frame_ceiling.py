@@ -66,7 +66,7 @@ def assert_bounded(sent: List[bytes]) -> None:
 @pytest.mark.parametrize("kind", ["sim", "socket"])
 def test_fabric_publish_batch_of_large_events_fits_the_ceiling(kind):
     with transport(kind) as net:
-        fabric = EventFabric(net, registry=make_registry(), reliable=True)
+        fabric = EventFabric(net, registry=make_registry())
         fabric.add_worker("w0")
         pub = fabric.client("pub")
         got = []
@@ -94,7 +94,7 @@ def test_echo_submit_batch_of_large_events_fits_the_ceiling(kind, local):
     with transport(kind) as net:
         registry = FormatRegistry()
         creator, source, sink = (
-            EChoProcess(net, name, registry, version="2.0", reliable=True)
+            EChoProcess(net, name, registry, version="2.0")
             for name in ("creator", "source", "sink")
         )
         creator.create_channel("ch")

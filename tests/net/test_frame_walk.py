@@ -73,10 +73,8 @@ def echo_sink(kind):
     with transport(kind) as net:
         registry = FormatRegistry()
         registry.register_transform(V2_TO_V1)
-        creator = EChoProcess(net, "creator", registry, version="2.0",
-                              reliable=True)
-        sink = EChoProcess(net, "sink", registry, version="1.0",
-                           reliable=True)
+        creator = EChoProcess(net, "creator", registry, version="2.0")
+        sink = EChoProcess(net, "sink", registry, version="1.0")
         creator.create_channel("ch")
         sink.open_channel("ch", "creator", as_sink=True)
         settle(net)
@@ -97,7 +95,7 @@ def echo_sink(kind):
 @contextlib.contextmanager
 def fabric_worker(kind):
     with transport(kind) as net:
-        fabric = EventFabric(net, registry=make_registry(), reliable=True)
+        fabric = EventFabric(net, registry=make_registry())
         worker = fabric.add_worker("w0")
         pub = fabric.client("pub")
         got = []
@@ -112,14 +110,14 @@ def fabric_worker(kind):
             return (pub.pbio.encode(FABRIC_PUBLISH, envelope)
                     + pub.pbio.encode(RESPONSE_V2, members(n)))
 
-        yield Walk(net, worker, lambda data: pub._send("w0", data),
+        yield Walk(net, worker, lambda data: pub.reliable.send("w0", data),
                    message, got)
 
 
 @contextlib.contextmanager
 def fabric_client(kind):
     with transport(kind) as net:
-        fabric = EventFabric(net, registry=make_registry(), reliable=True)
+        fabric = EventFabric(net, registry=make_registry())
         worker = fabric.add_worker("w0")
         sub = fabric.client("sub")
         got = []
@@ -132,7 +130,7 @@ def fabric_client(kind):
             return (worker.pbio.encode(FABRIC_DELIVER, envelope)
                     + worker.pbio.encode(RESPONSE_V2, members(n)))
 
-        yield Walk(net, sub, lambda data: worker._send("sub", data),
+        yield Walk(net, sub, lambda data: worker.reliable.send("sub", data),
                    message, got)
 
 

@@ -230,12 +230,9 @@ class TestEchoOverSockets:
         with SocketNetwork(
             seed=5, default_link=LinkSpec(loss_rate=0.1)
         ) as net:
-            creator = EChoProcess(net, "C", registry, version="2.0",
-                                  reliable=True)
-            sink1 = EChoProcess(net, "S1", registry, version="1.0",
-                                reliable=True)
-            sink0 = EChoProcess(net, "S0", registry, version="0.0",
-                                reliable=True)
+            creator = EChoProcess(net, "C", registry, version="2.0")
+            sink1 = EChoProcess(net, "S1", registry, version="1.0")
+            sink0 = EChoProcess(net, "S0", registry, version="0.0")
             creator.create_channel("ch")
             sink1.open_channel("ch", "C", as_sink=True)
             sink0.open_channel("ch", "C", as_sink=True)

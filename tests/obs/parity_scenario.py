@@ -80,7 +80,7 @@ class Scenario:
         registry.register_transform(V2_TO_V1_TRANSFORM)
         registry.register_transform(V1_TO_V0_TRANSFORM)
         self.fabric = EventFabric(
-            self.net, registry=registry, reliable=True,
+            self.net, registry=registry,
             journal=JournalStore(path=journal_path),
         )
         self.workers = [self.fabric.add_worker(f"w{i}") for i in range(2)]

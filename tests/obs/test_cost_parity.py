@@ -365,9 +365,8 @@ def _echo_calls(_journal_path: str, call: str):
     net = Network()
     registry = FormatRegistry()
     registry.register_transform(parity_scenario.V2_TO_V1_TRANSFORM)
-    source = EChoProcess(net, "source", registry, version="2.0",
-                         reliable=True)
-    sink = EChoProcess(net, "sink", registry, version="1.0", reliable=True)
+    source = EChoProcess(net, "source", registry, version="2.0")
+    sink = EChoProcess(net, "sink", registry, version="1.0")
     source.create_channel("ch")
     sink.open_channel("ch", "source", as_sink=True)
     net.run()

@@ -43,10 +43,8 @@ class TestLossySocketTransport:
         with SocketNetwork(
             seed=9, default_link=LinkSpec(loss_rate=0.3)
         ) as net:
-            agent_proc = EChoProcess(net, "agent", registry,
-                                     reliable=True)
-            sink_proc = EChoProcess(net, "sink", registry,
-                                    reliable=True)
+            agent_proc = EChoProcess(net, "agent", registry)
+            sink_proc = EChoProcess(net, "sink", registry)
             agent_proc.create_channel(TELEMETRY_CHANNEL)
             sink_proc.open_channel(TELEMETRY_CHANNEL, "agent",
                                    as_sink=True)
@@ -104,7 +102,7 @@ class _TelemetryDeployment:
             ),
         )
         self.fabric = EventFabric(
-            self.net, registry=FormatRegistry(), reliable=True,
+            self.net, registry=FormatRegistry(),
             journal=JournalStore(), lease_timeout=lease_timeout,
         )
         self.workers = {

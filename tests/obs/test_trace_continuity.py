@@ -59,8 +59,8 @@ class TestReliableRetransmitContinuity:
         net = Network(
             seed=3, default_link=LinkSpec(latency=0.001, loss_rate=0.25)
         )
-        a = EChoProcess(net, "A", registry, reliable=True)
-        b = EChoProcess(net, "B", registry, reliable=True)
+        a = EChoProcess(net, "A", registry)
+        b = EChoProcess(net, "B", registry)
         a.create_channel("ch")
         b.open_channel("ch", "A", as_sink=True)
         net.run()
@@ -225,7 +225,7 @@ class TestReorderBufferIsolation:
         registry.register_transform(V2_TO_V1_TRANSFORM)
         registry.register_transform(V1_TO_V0_TRANSFORM)
         net = Network(default_link=LinkSpec(latency=0.001, bandwidth=1e5))
-        fabric = EventFabric(net, registry=registry, reliable=True)
+        fabric = EventFabric(net, registry=registry)
         owner = fabric.add_worker("w0")
         net.run()
         pub = fabric.client("pub")
@@ -318,10 +318,8 @@ class TestEndToEndAcceptance:
         net = Network(
             seed=5, default_link=LinkSpec(latency=0.001, loss_rate=0.10)
         )
-        writer = EChoProcess(net, "writer", registry, version="1.0",
-                             reliable=True)
-        sink = EChoProcess(net, "sink", registry, version="0.0",
-                           reliable=True)
+        writer = EChoProcess(net, "writer", registry, version="1.0")
+        sink = EChoProcess(net, "sink", registry, version="0.0")
         writer.create_channel("ch")
         sink.open_channel("ch", "writer", as_sink=True)
         net.run()

@@ -149,7 +149,8 @@ class TestByteIdenticalWhenDisabled:
         b.open_channel("ch", "A", as_sink=True)
         net.run()
         captured = []
-        b.node.set_handler(lambda src, data: captured.append(data))
+        # the reliable layer hands up each datagram without its framing
+        b.reliable.set_handler(lambda src, data: captured.append(data))
         a.submit("ch", FMT, FMT.make_record(n=1, label="x"))
         net.run()
         assert captured
