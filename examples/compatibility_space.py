@@ -67,7 +67,7 @@ REVISIONS = [V1, V2, V3, V4, V5]
 print("diff / Mr matrix (rows = incoming, cols = receiver's v1):")
 print(f"  {'rev':>4} {'diff(f,v1)':>11} {'diff(v1,f)':>11} {'Mr(f,v1)':>9}")
 for fmt in REVISIONS:
-    print(f"  v{fmt.version:>3} {diff(fmt, V1):>11} {diff(V1, fmt):>11} "
+    print(f"  v{fmt.version:>3} {diff(fmt, V1):>11g} {diff(V1, fmt):>11g} "
           f"{mismatch_ratio(fmt, V1):>9.2f}")
 
 # --- the writers attach transformations (v3->v2->... retro chain) -----------

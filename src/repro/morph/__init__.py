@@ -14,19 +14,12 @@ can accept message formats they were never written to understand:
 """
 
 from repro.morph.compat import coerce_record
-from repro.morph.diff import (
-    diff,
-    is_perfect_match,
-    mismatch_ratio,
-    weighted_diff,
-    weighted_mismatch_ratio,
-)
+from repro.morph.diff import diff, is_perfect_match, mismatch_ratio
 from repro.morph.maxmatch import (
     DEFAULT_DIFF_THRESHOLD,
     DEFAULT_MISMATCH_THRESHOLD,
     MatchResult,
     max_match,
-    perfect_matches,
     score_pair,
 )
 from repro.morph.dynamic import ECodeHandler
@@ -55,8 +48,5 @@ __all__ = [
     "is_perfect_match",
     "max_match",
     "mismatch_ratio",
-    "perfect_matches",
     "score_pair",
-    "weighted_diff",
-    "weighted_mismatch_ratio",
 ]

@@ -19,13 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from repro.morph.diff import (
-    diff,
-    is_perfect_match,
-    mismatch_ratio,
-    weighted_diff,
-    weighted_mismatch_ratio,
-)
+from repro.morph.diff import diff, mismatch_ratio_of
 from repro.pbio.format import IOFormat
 
 #: Default thresholds.  The paper leaves the constants system-specific;
@@ -53,25 +47,15 @@ class MatchResult:
         return (self.mismatch, self.diff_forward)
 
 
-def score_pair(f1: IOFormat, f2: IOFormat, weighted: bool = False) -> MatchResult:
-    """Compute the full score of one candidate pair.
-
-    ``weighted=True`` scores by field *importance* instead of field
-    count — the paper's future-work MaxMatch refinement."""
-    if weighted:
-        return MatchResult(
-            f1=f1,
-            f2=f2,
-            diff_forward=weighted_diff(f1, f2),
-            diff_reverse=weighted_diff(f2, f1),
-            mismatch=weighted_mismatch_ratio(f1, f2),
-        )
+def score_pair(f1: IOFormat, f2: IOFormat) -> MatchResult:
+    """Compute the full score of one candidate pair."""
+    reverse = diff(f2, f1)
     return MatchResult(
         f1=f1,
         f2=f2,
         diff_forward=diff(f1, f2),
-        diff_reverse=diff(f2, f1),
-        mismatch=mismatch_ratio(f1, f2),
+        diff_reverse=reverse,
+        mismatch=mismatch_ratio_of(reverse, f2),
     )
 
 
@@ -80,21 +64,23 @@ def max_match(
     targets: Sequence[IOFormat],
     diff_threshold: float = DEFAULT_DIFF_THRESHOLD,
     mismatch_threshold: float = DEFAULT_MISMATCH_THRESHOLD,
-    weighted: bool = False,
 ) -> Optional[MatchResult]:
     """``MaxMatch(F1, F2)`` over *candidates* x *targets*.
 
     Accepts a single format for *candidates* as a convenience (Algorithm 2
     line 11 calls ``MaxMatch(fm, Fr)``).  Returns ``None`` when no pair
-    satisfies both thresholds.  With ``weighted=True`` the thresholds
-    bound importance mass rather than field counts.
+    satisfies both thresholds.  ``diff`` and ``Mr`` weigh each field by
+    its ``importance`` (:func:`repro.morph.diff.diff`), so the diff
+    threshold bounds importance mass and the mismatch threshold its
+    share; at the default importance of 1.0 they are Algorithm 1's field
+    counts.
     """
     if isinstance(candidates, IOFormat):
         candidates = (candidates,)
     best: Optional[MatchResult] = None
     for f1 in candidates:
         for f2 in targets:
-            result = score_pair(f1, f2, weighted=weighted)
+            result = score_pair(f1, f2)
             if result.diff_forward > diff_threshold:
                 continue
             if result.mismatch > mismatch_threshold:
@@ -106,16 +92,3 @@ def max_match(
                 # pair in enumeration order (deterministic tie-break)
                 return best
     return best
-
-
-def perfect_matches(
-    candidates: Sequence[IOFormat], targets: Sequence[IOFormat]
-) -> "list[MatchResult]":
-    """All perfect pairs — used by tests and the compatibility-space
-    example to enumerate the zero-cost region."""
-    return [
-        score_pair(f1, f2)
-        for f1 in candidates
-        for f2 in targets
-        if is_perfect_match(f1, f2)
-    ]

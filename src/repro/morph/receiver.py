@@ -238,7 +238,12 @@ class MorphReceiver:
         writer-supplied transformations).  Shared or replicated with the
         sending side.
     diff_threshold / mismatch_threshold:
-        The MaxMatch acceptance constants.  ``diff_threshold=0,
+        The MaxMatch acceptance constants.  Both read field *importance*
+        (:attr:`repro.pbio.field.IOField.importance`): the diff
+        threshold bounds the importance mass the incoming format cannot
+        place, the mismatch threshold the share of the reader's mass it
+        cannot supply; at the default importance of 1.0 these are
+        Algorithm 1's field counts.  ``diff_threshold=0,
         mismatch_threshold=0.0`` admits only perfect matches.
     use_codegen:
         False switches both PBIO decoding and ECode transforms to their
@@ -252,11 +257,6 @@ class MorphReceiver:
         baseline and differential-test reference).  Fusion requires
         ``use_codegen``.  Neither pipeline re-checks transform output:
         the paper's system writes it straight into a C struct.
-    weighted:
-        True scores MaxMatch by field *importance*
-        (:func:`repro.morph.diff.weighted_diff`) instead of field counts —
-        the paper's future-work refinement.  Thresholds then bound
-        importance mass.
     contain_failures:
         True turns :meth:`process` and :meth:`process_batch` into total
         functions: instead of raising, a failed message (undecodable
@@ -290,10 +290,9 @@ class MorphReceiver:
     def __init__(
         self,
         registry: Optional[FormatRegistry] = None,
-        diff_threshold: int = DEFAULT_DIFF_THRESHOLD,
+        diff_threshold: float = DEFAULT_DIFF_THRESHOLD,
         mismatch_threshold: float = DEFAULT_MISMATCH_THRESHOLD,
         use_codegen: bool = True,
-        weighted: bool = False,
         use_fusion: Optional[bool] = None,
         contain_failures: bool = False,
         dlq_limit: int = 64,
@@ -304,7 +303,6 @@ class MorphReceiver:
         self.diff_threshold = diff_threshold
         self.mismatch_threshold = mismatch_threshold
         self.use_codegen = use_codegen
-        self.weighted = weighted
         if use_fusion is None:
             use_fusion = self.DEFAULT_USE_FUSION
         self.use_fusion = use_fusion and use_codegen
@@ -823,7 +821,6 @@ class MorphReceiver:
             reader_formats,
             self.diff_threshold,
             self.mismatch_threshold,
-            weighted=self.weighted,
         )
         if direct is not None and direct.is_perfect:
             self.stats.observe_mismatch(direct.mismatch)
@@ -852,7 +849,6 @@ class MorphReceiver:
                 reader_formats,
                 self.diff_threshold,
                 self.mismatch_threshold,
-                weighted=self.weighted,
             )
             if best is None:
                 return _Route(

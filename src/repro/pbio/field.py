@@ -16,7 +16,9 @@ is ``member_list`` counted by ``member_count``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import FormatError
@@ -74,13 +76,17 @@ class IOField:
         Value morphing fills in when this field is missing from an incoming
         message; falls back to the kind's zero value.
     importance:
-        Relative weight of this field for the *weighted* MaxMatch variant
-        (the paper's future-work extension: "the ability to weight
-        different fields and sub-fields based on some measure of
-        importance").  Defaults to 1.0; a field a deployment cannot live
-        without gets a high value, an optional annotation a low one.
-        Importance is matching policy, not wire structure, so it does not
-        participate in format fingerprints or equality.
+        Relative weight of this field in MaxMatch's ``diff``, weight and
+        Mismatch Ratio (the paper's future-work extension: "the ability
+        to weight different fields and sub-fields based on some measure
+        of importance"): a finite number >= 0.  Defaults to 1.0, and at
+        1.0 everywhere the scores are Algorithm 1's field counts; a field
+        a deployment cannot live without gets a high value, an optional
+        annotation a low one.  Importance is matching policy, not wire
+        structure, so it does not participate in format fingerprints or
+        equality.  ``diff(f1, f2)`` weighs by ``f1``'s importances, so a
+        writer's declaration (served with its format) bounds MaxMatch's
+        forward diff, and the reader's own bounds the Mismatch Ratio.
     """
 
     __slots__ = ("name", "kind", "size", "subformat", "array", "_default",
@@ -116,8 +122,15 @@ class IOField:
         self.subformat = subformat
         self.array = array
         self._default = default
-        if importance < 0:
-            raise FormatError(f"field {name!r} importance must be >= 0")
+        if (
+            not isinstance(importance, Real)
+            or isinstance(importance, bool)
+            or not 0 <= importance < math.inf
+        ):
+            raise FormatError(
+                f"field {name!r} importance must be a finite number >= 0, "
+                f"got {importance!r}"
+            )
         self.importance = float(importance)
 
     # ------------------------------------------------------------------

@@ -8,12 +8,14 @@ entire message record; nested complex fields carry their own
 
 The module also implements the paper's **weight** metric ``W_f`` — the
 total number of basic fields in a format, counting basic fields inside
-complex fields recursively — which normalizes the Mismatch Ratio.
+complex fields recursively, each weighed by its ``importance`` — which
+normalizes the Mismatch Ratio.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import FormatError
@@ -40,7 +42,7 @@ class IOFormat:
     """
 
     __slots__ = ("name", "fields", "version", "_by_name", "_weight",
-                 "_weighted_weight", "_format_id", "_min_wire_size")
+                 "_format_id", "_min_wire_size")
 
     def __init__(
         self,
@@ -80,12 +82,23 @@ class IOFormat:
                         f"count field {spec.length_field!r} must precede array "
                         f"{field.name!r} in format {name!r}"
                     )
+        weight = 0.0
+        for field in fields:
+            if field.is_basic:
+                weight += field.importance
+            else:
+                assert field.subformat is not None
+                weight += field.importance * field.subformat.weight
+        if not math.isfinite(weight):
+            # an overflowed mass would score every pair NaN or 0
+            raise FormatError(
+                f"format {name!r} importance mass is not finite: {weight!r}"
+            )
         self.name = name
         self.fields = tuple(fields)
         self.version = version
         self._by_name = by_name
-        self._weight: Optional[int] = None
-        self._weighted_weight: Optional[float] = None
+        self._weight = weight
         self._format_id: Optional[int] = None
         self._min_wire_size: Optional[int] = None
 
@@ -139,37 +152,14 @@ class IOFormat:
     # ------------------------------------------------------------------
 
     @property
-    def weight(self) -> int:
-        """``W_f``: total number of basic fields, recursing into complex
+    def weight(self) -> float:
+        """``W_f``: the importance mass of the basic fields, recursing
+        into complex fields — a basic field counts its ``importance``, a
+        complex field's importance scales its whole subtree.  At the
+        default importance of 1.0 this is the paper's count of basic
         fields.  Array-ness does not multiply weight — weight is a schema
         property, not a data property."""
-        if self._weight is None:
-            total = 0
-            for field in self.fields:
-                if field.is_basic:
-                    total += 1
-                else:
-                    assert field.subformat is not None
-                    total += field.subformat.weight
-            self._weight = total
         return self._weight
-
-    @property
-    def weighted_weight(self) -> float:
-        """Importance-weighted analogue of :attr:`weight`: the sum of
-        every basic field's ``importance``, with a complex field's
-        importance scaling its whole subtree.  Normalizes the weighted
-        Mismatch Ratio (the paper's future-work MaxMatch refinement)."""
-        if self._weighted_weight is None:
-            total = 0.0
-            for field in self.fields:
-                if field.is_basic:
-                    total += field.importance
-                else:
-                    assert field.subformat is not None
-                    total += field.importance * field.subformat.weighted_weight
-            self._weighted_weight = total
-        return self._weighted_weight
 
     @property
     def min_wire_size(self) -> int:

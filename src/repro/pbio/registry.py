@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import FormatError
 from repro.pbio.format import IOFormat
@@ -39,6 +39,31 @@ class TransformSpec:
     def __post_init__(self) -> None:
         if self.source == self.target:
             raise FormatError("a transform must change the format")
+
+
+def transform_chains(
+    start_id: int, transforms: Mapping[int, Sequence[Any]]
+) -> List[List[Any]]:
+    """All acyclic chains through *transforms* (source format id -> the
+    specs leaving it, each with a ``target`` format) that start at the
+    format *start_id*, shortest first; one chain per reachable target.
+    The one walk behind :meth:`FormatRegistry.transform_closure` and the
+    XSLT receiver's closure."""
+    chains: List[List[Any]] = []
+    frontier: List[List[Any]] = [[spec] for spec in transforms.get(start_id, ())]
+    visited = {start_id}
+    while frontier:
+        next_frontier: List[List[Any]] = []
+        for chain in frontier:
+            tail = chain[-1].target
+            if tail.format_id in visited:
+                continue
+            visited.add(tail.format_id)
+            chains.append(chain)
+            for spec in transforms.get(tail.format_id, ()):
+                next_frontier.append(chain + [spec])
+        frontier = next_frontier
+    return chains
 
 
 def _content_key(fmt: IOFormat) -> tuple:
@@ -197,23 +222,7 @@ class FormatRegistry:
         every reachable target with the spec sequence that reaches it,
         shortest chains first."""
         with self._lock:
-            chains: List[List[TransformSpec]] = []
-            frontier: List[List[TransformSpec]] = [
-                [spec] for spec in self._transforms.get(fmt.format_id, ())
-            ]
-            visited = {fmt.format_id}
-            while frontier:
-                next_frontier: List[List[TransformSpec]] = []
-                for chain in frontier:
-                    tail = chain[-1].target
-                    if tail.format_id in visited:
-                        continue
-                    visited.add(tail.format_id)
-                    chains.append(chain)
-                    for spec in self._transforms.get(tail.format_id, ()):
-                        next_frontier.append(chain + [spec])
-                frontier = next_frontier
-            return chains
+            return transform_chains(fmt.format_id, self._transforms)
 
     # ------------------------------------------------------------------
     # Replication (simulating the out-of-band format server protocol)

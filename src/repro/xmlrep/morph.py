@@ -30,6 +30,7 @@ from repro.morph.maxmatch import (
 )
 from repro.pbio.format import IOFormat
 from repro.pbio.record import Record
+from repro.pbio.registry import transform_chains
 from repro.xmlrep.decode import record_from_tree
 from repro.xmlrep.parse import parse_xml
 from repro.xmlrep.tree import XMLElement
@@ -135,8 +136,13 @@ class XMLMorphReceiver:
             incoming, targets, self.diff_threshold, self.mismatch_threshold
         )
         if direct is not None and direct.is_perfect:
-            return _XMLRoute(incoming, [], None, direct.f2)
-        chains = self._closure(incoming)
+            coercion = None
+            if direct.f2.format_id != incoming.format_id:
+                # a perfect score is not structural equality: a reader
+                # field of importance 0 may be missing or differently typed
+                coercion = (incoming, direct.f2)
+            return _XMLRoute(incoming, [], coercion, direct.f2)
+        chains = transform_chains(incoming.format_id, self._transforms)
         candidates = [incoming] + [chain[-1].target for chain in chains]
         best = max_match(
             candidates, targets, self.diff_threshold, self.mismatch_threshold
@@ -154,24 +160,6 @@ class XMLMorphReceiver:
         if not best.is_perfect or best.f1.format_id != best.f2.format_id:
             coercion = (best.f1, best.f2)
         return _XMLRoute(incoming, stylesheets, coercion, best.f2)
-
-    def _closure(self, fmt: IOFormat) -> List[List[XSLTTransformSpec]]:
-        """Acyclic stylesheet chains from *fmt*, shortest first."""
-        chains: List[List[XSLTTransformSpec]] = []
-        frontier = [[s] for s in self._transforms.get(fmt.format_id, ())]
-        visited = {fmt.format_id}
-        while frontier:
-            next_frontier: List[List[XSLTTransformSpec]] = []
-            for chain in frontier:
-                tail = chain[-1].target
-                if tail.format_id in visited:
-                    continue
-                visited.add(tail.format_id)
-                chains.append(chain)
-                for spec in self._transforms.get(tail.format_id, ()):
-                    next_frontier.append(chain + [spec])
-            frontier = next_frontier
-        return chains
 
     def _run(self, route: _XMLRoute, root: XMLElement) -> Any:
         if route.is_reject:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.morph.maxmatch import max_match, perfect_matches, score_pair
+from repro.morph.diff import is_perfect_match
+from repro.morph.maxmatch import max_match, score_pair
 from repro.pbio.field import IOField
 from repro.pbio.format import IOFormat
 
@@ -92,9 +93,12 @@ class TestSelection:
 
 class TestPerfectMatches:
     def test_enumeration(self):
-        results = perfect_matches([A, FAR], [A_CLONE, NEAR])
-        assert len(results) == 1
-        assert results[0].f1 is A and results[0].f2 is A_CLONE
+        pairs = [(f1, f2) for f1 in (A, FAR) for f2 in (A_CLONE, NEAR)
+                 if is_perfect_match(f1, f2)]
+        assert pairs == [(A, A_CLONE)]
+        best = max_match([A, FAR], [A_CLONE, NEAR], 0, 0.0)
+        assert best.f1 is A and best.f2 is A_CLONE
 
     def test_empty(self):
-        assert perfect_matches([A], [FAR]) == []
+        assert not is_perfect_match(A, FAR)
+        assert max_match([A], [FAR], 0, 0.0) is None

@@ -46,7 +46,7 @@ class TestFormatRoundtrip:
         clone = format_from_dict(format_to_dict(fmt))
         assert clone.field("a").default_instance() == 7
         assert clone.field("a").importance == 3.0
-        assert clone.weighted_weight == fmt.weighted_weight
+        assert clone.weight == fmt.weight == 4.0
 
     def test_arrays_survive(self):
         fmt = IOFormat(

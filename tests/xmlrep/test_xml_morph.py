@@ -111,6 +111,23 @@ class TestReconciliation:
         receiver.process(encode_xml(src, {"x": 5, "gone": "bye"}))
         assert got == [{"x": 5, "fresh": 0.0}]
 
+    def test_importance_zero_field_is_filled_on_a_perfect_score(self):
+        # the missing field weighs nothing, so the pair scores perfect —
+        # yet the document still lacks it and the handler needs its default
+        src = IOFormat("T", [IOField("x", "integer")], version="new")
+        dst = IOFormat(
+            "T",
+            [IOField("x", "integer"),
+             IOField("trace", "string", default="none", importance=0)],
+            version="old",
+        )
+        receiver = XMLMorphReceiver(diff_threshold=0, mismatch_threshold=0.0)
+        receiver.declare_format(src)
+        got = []
+        receiver.register_handler(dst, got.append)
+        receiver.process(encode_xml(src, {"x": 5}))
+        assert got == [{"x": 5, "trace": "none"}]
+
 
 class TestRejection:
     def test_undeclared_root_tag(self):
