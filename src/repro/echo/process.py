@@ -405,17 +405,22 @@ class EChoProcess(EndpointMixin):
         for receiver in self._event_receivers.values():
             receiver.invalidate_route(format_id)
 
-    def _maybe_announce(self, channel_id: str, payload: Any) -> None:
+    def _maybe_announce(
+        self, channel_id: str, payload: Any,
+        header: Optional[MessageHeader] = None,
+    ) -> None:
         """Sink side: on the first event of each wire format per channel,
         announce this subscriber's interest set — the receiver's fused
         backward-liveness result for the (parent) format, or ``None``
         (full format) when no liveness set is provable.  The format
         server unions announcements across the channel's subscriber
         group and derives the projection the sender encodes to."""
-        try:
-            format_id = unpack_header(payload).format_id
-        except Exception:  # noqa: BLE001 - hostile payload: nothing to announce
-            return
+        if header is None:
+            try:
+                header = unpack_header(payload)
+            except Exception:  # noqa: BLE001 - hostile payload: nothing to announce
+                return
+        format_id = header.format_id
         key = (channel_id, format_id)
         if key in self._announced:
             return
@@ -665,12 +670,14 @@ class EChoProcess(EndpointMixin):
         return pushed
 
     def _deliver_event(
-        self, channel_id: str, receiver: MorphReceiver, payload: bytes
+        self, channel_id: str, receiver: MorphReceiver, payload: bytes,
+        header: Optional[MessageHeader] = None,
     ) -> None:
-        """Hand one event payload to the channel's morphing receiver and
-        count the delivery per channel."""
+        """Hand one event payload — with its *header*, when dispatch
+        parsed it — to the channel's morphing receiver and count the
+        delivery per channel."""
         if self.resolver is not None:
-            self._maybe_announce(channel_id, payload)
+            self._maybe_announce(channel_id, payload, header)
         # A sampled payload carries its own trace block (attached at
         # submit), so delivery resumed from a DLQ retry or a format-fetch
         # replay re-joins the original trace even though the publishing
@@ -679,15 +686,18 @@ class EChoProcess(EndpointMixin):
             with activate(own), OBS.tracer.span(
                 "echo.deliver", channel=channel_id, process=self.address
             ):
-                self._process(receiver, payload)
+                self._process(receiver, payload, header)
         else:
-            self._process(receiver, payload)
+            self._process(receiver, payload, header)
         self._tally.delivered[channel_id] += 1
 
-    def _process(self, receiver: MorphReceiver, data: bytes) -> None:
+    def _process(
+        self, receiver: MorphReceiver, data: bytes,
+        header: Optional[MessageHeader] = None,
+    ) -> None:
         """Run *data* through the control or an event receiver; what
         the receiver contained counts here (:meth:`_account`)."""
-        receiver.process(data)
+        receiver.process(data, None, header)
         self._failed[receiver] = self._account(
             receiver, self._failed.get(receiver, 0))
 
@@ -785,25 +795,27 @@ class EChoProcess(EndpointMixin):
     ) -> None:
         body_end = header.body_offset + header.payload_length
         if name == DERIVED_INFO.name:
-            info = self.pbio.decode_as(fmt, data[:body_end])
+            info = self.pbio.decode_as(fmt, data[:body_end], header)
             self._handle_derived_info(source, info, data[body_end:])
             return
         if name != EVENT_ENVELOPE.name:
-            self._process(self.control, data)
+            self._process(self.control, data, header)
             return
-        envelope = self.pbio.decode_as(fmt, data[:body_end])
+        envelope = self.pbio.decode_as(fmt, data[:body_end], header)
         payload = data[body_end:]
         channel_id = envelope["channel_id"]
         receiver = self._event_receivers.get(channel_id)
         if receiver is None:
             return
+        payload_header = None
         if self.resolver is not None and len(payload) > HEADER_SIZE:
-            pid = unpack_header(payload).format_id
+            payload_header = unpack_header(payload)
+            pid = payload_header.format_id
             if self._needs_meta(pid, self.registry.lookup_id(pid), receiver):
                 self._hold(source, lambda: self._deliver_event(
-                    channel_id, receiver, payload), pid)
+                    channel_id, receiver, payload, payload_header), pid)
                 return
-        self._deliver_event(channel_id, receiver, payload)
+        self._deliver_event(channel_id, receiver, payload, payload_header)
 
     # ------------------------------------------------------------------
     # Control handlers

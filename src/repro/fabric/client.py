@@ -272,8 +272,9 @@ class FabricClient(EndpointMixin):
 
     def _on_segments(self, source: str, segments: List[bytes]) -> None:
         """Dispatch each message of a frame; the envelope format is
-        looked up when it changes, not per message, and envelope and
-        payload are sliced out of the shared buffer without a copy."""
+        looked up when it changes, not per message, envelope and payload
+        are sliced out of the shared buffer without a copy, and each
+        header is parsed once and handed to its decode."""
         format_id = fmt = None
         for data in segments:
             try:
@@ -286,7 +287,7 @@ class FabricClient(EndpointMixin):
                         f"unknown envelope format id {format_id:#x}")
                 view = memoryview(data)
                 body_end = header.body_offset + header.payload_length
-                record = self.pbio.decode_as(fmt, view[:body_end])
+                record = self.pbio.decode_as(fmt, view[:body_end], header)
                 if fmt.name == FABRIC_DELIVER.name:
                     self._on_deliver(record, view[body_end:])
                 elif fmt.name == FABRIC_REDIRECT.name:
@@ -338,6 +339,7 @@ class FabricClient(EndpointMixin):
             body_end = (
                 payload_header.body_offset + payload_header.payload_length
             )
-            event = self.pbio.decode_as(fmt, payload[:body_end])
+            event = self.pbio.decode_as(
+                fmt, payload[:body_end], payload_header)
             handler(channel_id, publisher, seq, event)
         self._tally.delivered[channel_id] += 1

@@ -81,6 +81,7 @@ from repro.obs.tracectx import (
     recording,
 )
 from repro.pbio.buffer import (
+    MessageHeader,
     attach_trace,
     canonical_format_id,
     peek_trace,
@@ -92,9 +93,12 @@ from repro.pbio.registry import FormatRegistry
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fabric.membership import FabricDirectory
 
-#: An admitted run: ``(publisher, seq, payload)`` of consecutive
-#: publishes of one channel that each passed their ledger.
-Run = List[Tuple[str, int, bytes]]
+#: An admitted run: ``(publisher, seq, payload, payload header)`` of
+#: consecutive publishes of one channel that each passed their ledger;
+#: the payload is cut to its declared length, and the header is the one
+#: admission parsed (``None`` for a journal tail replay: the receivers
+#: parse it).
+Run = List[Tuple[str, int, bytes, Optional[MessageHeader]]]
 
 #: Target size (JSON characters) of one FABRIC_HANDOFF part.  Channel
 #: state is split at channel granularity, so one oversized channel still
@@ -277,7 +281,8 @@ class FabricWorker(EndpointMixin):
             channel = self._channels.get(channel_id)
             if channel is None:
                 continue
-            run = [entry[1:] for entry in entries]
+            run = [(publisher, seq, payload, None)
+                   for _channel, publisher, seq, payload in entries]
             self.tail_replayed += len(run)
             self._fan_out(channel, run)
         # The recovered state is the new baseline: compact so the next
@@ -438,7 +443,10 @@ class FabricWorker(EndpointMixin):
         and takes the per-message route, so a frame that races a handoff
         can have some events delivered here and the rest forwarded.  A
         segment whose meta-data must be fetched holds *source* before its
-        ledger sees it."""
+        ledger sees it.  A publish to admit has its payload header parsed
+        here, once (a payload without a readable one is this segment's
+        failure), and its payload cut to the declared length; the run
+        carries both on (:data:`Run`)."""
         channel: Optional[FabricChannel] = None
         shard = -1
         run: Run = []
@@ -464,7 +472,7 @@ class FabricWorker(EndpointMixin):
                         f"unknown envelope format id {format_id:#x}")
                 view = memoryview(data)
                 body_end = header.body_offset + header.payload_length
-                record = self.pbio.decode_as(fmt, view[:body_end])
+                record = self.pbio.decode_as(fmt, view[:body_end], header)
                 name = fmt.name
                 if name != FABRIC_PUBLISH.name:
                     self._commit_run(shard, channel, run)
@@ -495,8 +503,15 @@ class FabricWorker(EndpointMixin):
                         shard, source, data, record["publisher"], channel_id
                     )
                     continue
+                # The payload is its declared bytes: what follows them is
+                # neither journaled nor forwarded.  Its header is parsed
+                # here, once, and travels with it to every group.
+                payload = view[body_end:]
+                payload_header = unpack_header(payload)
+                payload = payload[:payload_header.body_offset
+                                  + payload_header.payload_length]
                 if self.resolver is not None:
-                    pid = unpack_header(view[body_end:]).format_id
+                    pid = payload_header.format_id
                     pfmt = self.registry.lookup_id(pid)
                     if any(self._needs_meta(pid, pfmt, g.receiver)
                            for g in channel.groups.values() if g.contacts):
@@ -515,7 +530,8 @@ class FabricWorker(EndpointMixin):
                     if ledger is None:
                         ledger = channel.ledgers[publisher] = SeqLedger()
                 if ledger.admit(record["seq"]):
-                    run.append((publisher, record["seq"], view[body_end:]))
+                    run.append(
+                        (publisher, record["seq"], payload, payload_header))
                 else:
                     self.duplicates += 1
             except Exception as exc:  # noqa: BLE001 - contained per segment
@@ -601,7 +617,7 @@ class FabricWorker(EndpointMixin):
                 # the successor replays the run from the journal tail.
                 epoch = self._owned[shard]
                 with self.journal.group():
-                    for publisher, seq, payload in run:
+                    for publisher, seq, payload, _header in run:
                         self.journal.append_admit(
                             shard, epoch, channel.channel_id, publisher, seq,
                             payload,
@@ -633,9 +649,10 @@ class FabricWorker(EndpointMixin):
         tree they share: with more than one, each event carries a memo
         (:meth:`MorphReceiver.process`) through which its payload is
         decoded once and each retro-transform runs once; a lone group
-        keeps its fused route.  What a group's receiver dead-letters or
-        drops in quarantine is counted as the run ends
-        (:meth:`~repro.net.reliable.EndpointMixin._account`)."""
+        keeps its fused route.  Every group is handed the payload header
+        admission parsed, so none parses it again.  What a group's
+        receiver dead-letters or drops in quarantine is counted as the
+        run ends (:meth:`~repro.net.reliable.EndpointMixin._account`)."""
         groups = [
             group for _format_id, group in sorted(channel.groups.items())
             if group.contacts
@@ -648,7 +665,7 @@ class FabricWorker(EndpointMixin):
         outbox: Dict[str, List[bytes]] = {}
         channel_id = channel.channel_id
         try:
-            for publisher, seq, payload in run:
+            for publisher, seq, payload, header in run:
                 # A publish's own trace block is re-attached to its
                 # re-encoded deliveries (a forwarded payload still has
                 # it).  Batch-inner messages carry none: the frame-level
@@ -675,7 +692,7 @@ class FabricWorker(EndpointMixin):
                 with context, span:
                     shared = {} if sharing else None
                     for group in groups:
-                        group.receiver.process(payload, shared)
+                        group.receiver.process(payload, shared, header)
         finally:
             self._delivering = None
             for group in groups:

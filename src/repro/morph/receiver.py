@@ -60,7 +60,12 @@ from repro.morph.maxmatch import (
 from repro.morph.fusion import FusedRoute, plan_fusion
 from repro.morph.transform import TransformChain, Transformation, build_chain
 from repro.obs.tracectx import UNRECORDED, activate, current, recording
-from repro.pbio.buffer import FLAG_BIG_ENDIAN, MessageHeader, unpack_header
+from repro.pbio.buffer import (
+    FLAG_BIG_ENDIAN,
+    MessageHeader,
+    check_header,
+    unpack_header,
+)
 from repro.pbio.context import PBIOContext
 from repro.pbio.format import IOFormat
 from repro.pbio.projection import ProjectionFormat, widen_record
@@ -357,9 +362,17 @@ class MorphReceiver:
     # Processing
     # ------------------------------------------------------------------
 
-    def process(self, data: bytes, shared: Shared = None) -> Any:
+    def process(
+        self, data: bytes, shared: Shared = None,
+        header: Optional[MessageHeader] = None,
+    ) -> Any:
         """Process one wire message — a frame of one; returns whatever
         the handler returns.
+
+        *header* is the :func:`~repro.pbio.buffer.unpack_header` of
+        *data* when the caller already holds it: the receiver, and the
+        decode under it, then parse nothing (the decoder checks the
+        header against *data*, inside the message's containment).
 
         Raises :class:`UnknownFormatError` for unregistered wire ids and
         :class:`NoMatchError` for rejected messages when no default
@@ -375,7 +388,7 @@ class MorphReceiver:
         runs it, and fails, itself.  Handlers fed from one memo must not
         write their record, and the receivers must be configured alike
         (registry, ``use_codegen``)."""
-        return self._receive((data,), shared=shared)[0]
+        return self._receive((data,), shared=shared, header=header)[0]
 
     def process_batch(self, data: bytes) -> List[Any]:
         """Process one BATCH1 frame (:mod:`repro.net.batch`): validate
@@ -407,10 +420,11 @@ class MorphReceiver:
 
     def _receive(
         self, segments: Iterable[bytes], retrying: bool = False,
-        shared: Shared = None,
+        shared: Shared = None, header: Optional[MessageHeader] = None,
     ) -> List[Any]:
         """Algorithm 2 over the segments of one frame — the one receive
-        loop.  Per segment: parse the header (once), drop quarantined
+        loop.  Per segment: parse the header (once; a frame of one may
+        come with its *header* parsed by the caller), drop quarantined
         traffic at that peek, read the cached route — planned on a miss,
         and read per segment, never per run: a handler may register a
         better format in the middle of a frame — run the route's one
@@ -432,11 +446,16 @@ class MorphReceiver:
         routes = self._routes
         stats = self.stats
         results: List[Any] = []
+        given = header
         for data in segments:
             format_id: Optional[int] = None
             stage = "decode"
             try:
-                header = unpack_header(data)
+                if given is None:
+                    header = unpack_header(data)
+                else:
+                    check_header(data, given)
+                    header = given
                 format_id = header.format_id
                 if format_id in quarantined:
                     self.containment["quarantine_drops"] += 1
@@ -527,7 +546,8 @@ class MorphReceiver:
             self.stats.staged_messages += 1
             record = None if shared is None else shared.get(header.format_id)
             if record is None:
-                record = self.context.decode_as(route.wire_format, data)
+                record = self.context.decode_as(
+                    route.wire_format, data, header)
                 if shared is not None:
                     shared[header.format_id] = record
             return self._morph(route, record, tracing, shared)

@@ -111,11 +111,11 @@ def _record_entry(fmt: IOFormat) -> _RecordEntry:
 
 
 def _prototype(fmt: IOFormat) -> Optional[Dict[str, Any]]:
-    """What a default record of a flat *fmt* (scalars only) holds, or
-    ``None`` for any other format."""
-    if all(f.is_basic and not f.is_array for f in fmt.fields):
-        return {f.name: f.default_instance() for f in fmt.fields}
-    return None
+    """What a default record of a flat *fmt* (scalars only) holds — its
+    :attr:`~repro.pbio.format.IOFormat.template` — or ``None`` for any
+    other format."""
+    scalars, fresh = fmt.template
+    return None if fresh else scalars
 
 
 def _field_builder(field: IOField) -> Callable[[], Any]:

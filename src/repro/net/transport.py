@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict, deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import TransportError
 from repro.net.batch import peek_batch_trace
@@ -69,14 +68,14 @@ def _sniff_trace(data: bytes):
     return peek_frame_trace(data)
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     """One message outcome, as recorded in the network trace.  Messages
     arriving at a closed node are recorded with ``dropped=True`` instead
     of vanishing silently; deliveries whose handler raised are recorded
     with ``handler_error=True`` (the exception never unwinds out of
     :meth:`Network.run` — handler failures are an endpoint property, not
-    a fabric property)."""
+    a fabric property).  A tuple, built positionally: every datagram
+    makes one."""
 
     time: float
     source: str
@@ -216,9 +215,8 @@ class NodeTable:
         row[2] += 1
         row[3] += size
         if self.record_trace:
-            self.trace.append(Delivery(time=lost_at, source=source,
-                                       destination=destination, size=size,
-                                       dropped=True))
+            self.trace.append(
+                Delivery(lost_at, source, destination, size, True))
 
     def _arrived(self, node: Node, source: str, data: bytes) -> None:
         """Hand an arrived datagram to *node* and trace the outcome."""
@@ -226,8 +224,8 @@ class NodeTable:
         handler_error = node.deliver(source, data)
         if self.record_trace:
             self.trace.append(Delivery(
-                time=self.now, source=source, destination=node.address,
-                size=len(data), dropped=dropped, handler_error=handler_error,
+                self.now, source, node.address, len(data), dropped,
+                handler_error,
             ))
 
     def _total(self, *columns: int) -> int:

@@ -138,6 +138,25 @@ def unpack_header(data: bytes, offset: int = 0) -> MessageHeader:
     return MessageHeader(format_id, length, flags, version, trace, body)
 
 
+def check_header(data: bytes, header: MessageHeader) -> None:
+    """Refuse *header* as the parse of *data* (:class:`DecodeError`)
+    unless it can be: *data* must hold the declared payload, and its
+    flags byte — byte order and trace block, hence ``body_offset`` —
+    must be the header's.  What a decoder runs on the header its caller
+    already parsed instead of parsing it again; the format id is the
+    decoder's own check."""
+    if len(data) - header.body_offset < header.payload_length:
+        raise DecodeError(
+            f"truncated payload: header declares {header.payload_length} "
+            f"bytes, have {len(data) - header.body_offset}"
+        )
+    if data[_FLAGS_OFFSET] != header.flags:
+        raise DecodeError(
+            f"header flags {header.flags:#x} do not match the message's "
+            f"{data[_FLAGS_OFFSET]:#x}"
+        )
+
+
 def canonical_format_id(wire: bytes) -> Optional[int]:
     """The format id of *wire* when its bytes are what a repro encoder
     writes for it in native order (before a trace block is attached),

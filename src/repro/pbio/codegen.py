@@ -37,6 +37,8 @@ from repro.pbio.decode import ZERO_SIZE_ELEMENT_CAP
 from repro.pbio.buffer import (
     FLAG_BIG_ENDIAN,
     ORDER_PREFIX,
+    MessageHeader,
+    check_header,
     pack_header,
     unpack_header,
 )
@@ -45,7 +47,7 @@ from repro.pbio.format import IOFormat
 from repro.pbio.record import Record
 from repro.pbio.types import STRUCT_CODES, TypeKind
 
-DecoderFn = Callable[[bytes], Record]
+DecoderFn = Callable[[bytes, Optional[MessageHeader]], Record]
 EncoderFn = Callable[[Any], bytes]
 
 
@@ -523,7 +525,10 @@ def make_payload_decoder(
 
 def make_decoder(fmt: IOFormat) -> DecoderFn:
     """Compile a full-message decoder: checks the header, verifies the
-    format id, decodes the payload with the specialized routine.
+    format id, decodes the payload with the specialized routine.  Given
+    the header its caller already parsed, it checks that header against
+    the message (:func:`~repro.pbio.buffer.check_header`) instead of
+    parsing it again.
 
     The little-endian payload decoder is generated eagerly; a big-endian
     variant is generated lazily on first sight of the header flag
@@ -532,8 +537,11 @@ def make_decoder(fmt: IOFormat) -> DecoderFn:
     payload_decoders = {"<": make_payload_decoder(fmt, "<")}
     expected_id = fmt.format_id
 
-    def decode(data: bytes) -> Record:
-        header = unpack_header(data)
+    def decode(data: bytes, header: Optional[MessageHeader] = None) -> Record:
+        if header is None:
+            header = unpack_header(data)
+        else:
+            check_header(data, header)
         if header.format_id != expected_id:
             raise DecodeError(
                 f"message format id {header.format_id:#x} does not match "

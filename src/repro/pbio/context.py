@@ -22,7 +22,7 @@ from repro.obs import OBS
 from repro.obs.metrics import Handles, Tallies, collect, counter
 from repro.obs.tracectx import current, recording
 from repro.pbio import codegen
-from repro.pbio.buffer import unpack_header
+from repro.pbio.buffer import MessageHeader, unpack_header
 from repro.pbio.decode import decode_record as generic_decode_record
 from repro.pbio.encode import encode_record as generic_encode_record
 from repro.pbio.format import IOFormat
@@ -147,24 +147,37 @@ class PBIOContext:
         fmt = self.registry.lookup_id(header.format_id)
         if fmt is None:
             raise UnknownFormatError(header.format_id)
-        return fmt, self.decode_as(fmt, data)
+        return fmt, self.decode_as(fmt, data, header)
 
-    def decode_as(self, fmt: IOFormat, data: bytes) -> Record:
-        """Decode *data* with the (possibly generated) decoder for *fmt*."""
+    def decode_as(
+        self, fmt: IOFormat, data: bytes,
+        header: Optional[MessageHeader] = None,
+    ) -> Record:
+        """Decode *data* with the (possibly generated) decoder for *fmt*.
+
+        *header* is what :func:`~repro.pbio.buffer.unpack_header` gave
+        the caller for *data* (or for the buffer *data* is the front of):
+        the decoder checks it against *data* — flags and declared length
+        (:func:`~repro.pbio.buffer.check_header`), format id — instead of
+        parsing the header a second time, and accepts and refuses
+        exactly what it does without one.  A header of another message
+        is refused with :class:`~repro.errors.DecodeError`."""
         if OBS.enabled and recording(current()):
             seen = fmt.format_id in self._decoders
             with OBS.tracer.span("pbio.decode", format=fmt.name, path=(
                 "specialized" if seen else "generic"
             )) as active:
-                record = self._decode_as(fmt, data)
+                record = self._decode_as(fmt, data, header)
             self._decode_seconds().observe(active.span.duration)
         else:
-            record = self._decode_as(fmt, data)
+            record = self._decode_as(fmt, data, header)
         self._tally.decoded += 1
         self._tally.decoded_bytes += len(data)
         return record
 
-    def _decode_as(self, fmt: IOFormat, data: bytes) -> Record:
+    def _decode_as(
+        self, fmt: IOFormat, data: bytes, header: Optional[MessageHeader],
+    ) -> Record:
         decoder = self._decoders.get(fmt.format_id)
         if decoder is None or decoder is _SEEN_ONCE:
             decoder = self._second_sight(
@@ -172,10 +185,10 @@ class PBIOContext:
                 "pbio.codegen.decoders", "pbio.context.decoder_cache_size",
             )
             if decoder is None:
-                record = generic_decode_record(fmt, data)
+                record = generic_decode_record(fmt, data, header)
                 self._tally.decoded_generic += 1
                 return record
-        return decoder(data)
+        return decoder(data, header)
 
     def _second_sight(
         self, cache: Dict[int, Any], fmt: IOFormat,

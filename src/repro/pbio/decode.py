@@ -16,6 +16,7 @@ from repro.pbio.buffer import (
     HEADER_SIZE,
     MessageHeader,
     WireReader,
+    check_header,
     unpack_header,
 )
 from repro.pbio.field import IOField
@@ -54,9 +55,13 @@ def decode_message(
 def decode_record(
     fmt: IOFormat, data: bytes, header: Optional[MessageHeader] = None
 ) -> Record:
-    """Decode the payload of *data* as a record of *fmt*."""
+    """Decode the payload of *data* as a record of *fmt*; *header*, the
+    one its caller parsed, is checked against *data*
+    (:func:`~repro.pbio.buffer.check_header`), not parsed again."""
     if header is None:
         header = unpack_header(data)
+    else:
+        check_header(data, header)
     if header.format_id != fmt.format_id:
         # Mirrors the specialized decoder's guard: decoding a message
         # against the wrong meta-data silently misreads every field.

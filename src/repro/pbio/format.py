@@ -20,8 +20,12 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 
 from repro.errors import FormatError
 from repro.pbio.field import IOField
-from repro.pbio.record import Record
+from repro.pbio.record import Record, _convert
 from repro.pbio.types import TypeKind, coerce_value
+
+#: :attr:`IOFormat.template`: (scalar defaults by name, in declared
+#: order; the fields a record needs a fresh value for)
+Template = Tuple[Dict[str, Any], Tuple[IOField, ...]]
 
 
 class IOFormat:
@@ -42,7 +46,7 @@ class IOFormat:
     """
 
     __slots__ = ("name", "fields", "version", "_by_name", "_weight",
-                 "_format_id", "_min_wire_size")
+                 "_format_id", "_min_wire_size", "_template")
 
     def __init__(
         self,
@@ -101,6 +105,7 @@ class IOFormat:
         self._weight = weight
         self._format_id: Optional[int] = None
         self._min_wire_size: Optional[int] = None
+        self._template: Optional[Template] = None
 
     # ------------------------------------------------------------------
     # Lookup / iteration
@@ -247,19 +252,48 @@ class IOFormat:
     # Records
     # ------------------------------------------------------------------
 
+    @property
+    def template(self) -> Template:
+        """What every default record of this format is built from: the
+        declared-order dict of its immutable scalar defaults, and the
+        fields whose value must be fresh per record — arrays, subrecords
+        and a default that converts to one — each with ``None`` in the
+        dict until a record gets its own.  Built on first use; nothing
+        may write either part."""
+        template = self._template
+        if template is None:
+            scalars: Dict[str, Any] = {}
+            fresh: List[IOField] = []
+            for field in self.fields:
+                value = None
+                if field.is_basic and not field.is_array:
+                    value = _convert(field.default_instance())
+                if value is None or isinstance(value, (list, dict)):
+                    fresh.append(field)
+                    value = None
+                scalars[field.name] = value
+            template = self._template = (scalars, tuple(fresh))
+        return template
+
     def default_record(self) -> Record:
-        """A record of this format with every field at its default."""
-        rec = Record()
-        for field in self.fields:
-            rec[field.name] = field.default_instance()
+        """A record of this format with every field at its default, in
+        declared order: one ``dict.update`` from :attr:`template` and a
+        fresh value for each field that needs one — no ``Record``
+        constructor and no conversion per field."""
+        scalars, fresh = self._template or self.template
+        rec = dict.__new__(Record)
+        dict.update(rec, scalars)
+        for field in fresh:
+            dict.__setitem__(rec, field.name, _convert(field.default_instance()))
         return rec
 
     def make_record(self, **values: Any) -> Record:
         """Build a record with defaults overridden by *values*; unknown
         names raise :class:`FormatError`."""
         rec = self.default_record()
+        by_name = self._by_name
         for key, value in values.items():
-            if key not in self._by_name:
+            if key not in by_name:
                 raise FormatError(f"format {self.name!r} has no field {key!r}")
             rec[key] = value
         return rec

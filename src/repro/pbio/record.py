@@ -36,7 +36,9 @@ class Record(dict):
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         for key, value in list(self.items()):
-            self[key] = _convert(value)
+            # scalars are what most records hold: no conversion to ask for
+            if value.__class__ not in _SCALAR_TYPES:
+                dict.__setitem__(self, key, _convert(value))
 
     def __getattr__(self, name: str) -> Any:
         try:

@@ -162,9 +162,10 @@ def publish_payload(fleet, channel_id, payload):
 
 
 def test_a_payload_shorter_than_a_header_poisons_only_itself(fleet):
-    """A resolver-less owner admits a publish without reading its
-    payload: one too short to hold a header is dead-lettered by every
-    group while its neighbours in the frame still reach every reader."""
+    """The owner parses each payload header at admission, inside the
+    segment's containment: a payload too short to hold one is refused
+    there — one error, never admitted, journaled or fanned out — while
+    its neighbours in the frame still reach every reader."""
     channel_id = fleet.channels[0]
     pub = fleet.pubs[0]
     owner = fleet.fabric.directory.worker(
@@ -182,14 +183,16 @@ def test_a_payload_shorter_than_a_header_poisons_only_itself(fleet):
         fleet.publish_wire(pub, channel_id, first + 2),
     ]))
     fleet.net.run()
-    assert owner.errors == before + len(READERS)  # one dead letter a group
+    assert owner.errors == before + 1
     for name, _fmt in READERS:
         assert [s for c, _p, s, _r in fleet.logs[name] if c == channel_id][
             -2:] == [first, first + 2]
     assert fleet.net.handler_errors == 0
 
 
-@pytest.mark.parametrize("damage", ["reserved", "trailing"])
+# bytes past the declared end never reach a group: admission cuts them
+# (test_bytes_past_the_declared_payload_are_not_journaled_or_forwarded)
+@pytest.mark.parametrize("damage", ["reserved"])
 def test_a_wire_the_owner_would_not_write_is_reencoded(
     fleet, damage, sent, encodes
 ):
@@ -198,10 +201,7 @@ def test_a_wire_the_owner_would_not_write_is_reencoded(
         fleet.fabric.directory.owner(channel_id))
     payload = bytearray(fleet.pubs[0].pbio.encode(
         RESPONSE_V2, seeded_record(random.Random(5), channel_id)))
-    if damage == "reserved":
-        payload[7] = 0x80
-    else:
-        payload += b"\x00\x07"
+    payload[7] = 0x80
     sent.clear()
     before = payload_encodes(encodes, owner)
     publish_payload(fleet, channel_id, bytes(payload))
@@ -209,6 +209,37 @@ def test_a_wire_the_owner_would_not_write_is_reencoded(
     (out,) = delivered(sent, "sub-v2")
     assert out != payload
     assert out == reencoded(fleet.fabric.registry, RESPONSE_V2, payload)
+
+
+def test_bytes_past_the_declared_payload_are_not_journaled_or_forwarded(
+    fleet, sent, encodes
+):
+    """A publish whose payload is followed by junk is cut to the payload's
+    declared length at admission: the journal stores the bytes a clean
+    publish of the same record stores, every reader decodes the same
+    record, and the v2.0 group is forwarded the declared bytes — no
+    re-encode, since they are what the owner would write."""
+    channel_id = fleet.channels[0]
+    owner = fleet.fabric.directory.worker(
+        fleet.fabric.directory.owner(channel_id))
+    clean = fleet.pubs[0].pbio.encode(
+        RESPONSE_V2, seeded_record(random.Random(5), channel_id))
+    sent.clear()
+    before = payload_encodes(encodes, owner)
+    first = publish_payload(fleet, channel_id, clean)
+    second = publish_payload(fleet, channel_id, clean + bytes(range(256)) * 2)
+    assert owner.errors == 0
+    assert payload_encodes(encodes, owner) - before == 4  # v1.0, v0.0 each
+    assert delivered(sent, "sub-v2") == [clean, clean]
+    journaled = {
+        seq: payload
+        for _state, tail in fleet.recovered().values()
+        for c, _p, seq, payload in tail if c == channel_id
+    }
+    assert journaled[first] == journaled[second] == clean
+    for name, _fmt in READERS:
+        records = {s: r for c, _p, s, r in fleet.logs[name] if c == channel_id}
+        assert records[first] == records[second]
 
 
 def test_a_mapped_boolean_byte_is_forwarded_and_decodes_alike(

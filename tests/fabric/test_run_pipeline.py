@@ -435,8 +435,8 @@ class TestReadersOfOneWire:
         decode_as, apply = PBIOContext.decode_as, Transformation.apply
         monkeypatch.setattr(
             PBIOContext, "decode_as",
-            lambda ctx, fmt, data: decodes.append(ctx)
-            or decode_as(ctx, fmt, data),
+            lambda ctx, fmt, data, header=None: decodes.append(ctx)
+            or decode_as(ctx, fmt, data, header),
         )
         monkeypatch.setattr(
             Transformation, "apply",

@@ -487,4 +487,6 @@ def test_no_open_hold_costs_no_call_into_the_primitive(
         source.submit("ech", *v2_event(index))
     net.run()
     assert primitive_calls == {}
-    assert headers == {"unpack_header": 64}  # the envelope's, nothing more
+    # the envelope's and the payload's, once each: the payload header
+    # parsed at admission is the one every group receiver reads
+    assert headers == {"unpack_header": 128}

@@ -1,11 +1,13 @@
 """Unit tests for compiled Transformations and TransformChains."""
 
+import random
 import sys
 import threading
 
 import pytest
 
 from repro.bench.workloads import response_v1_from_v2, response_v2
+from repro.echo.process import EChoProcess
 from repro.echo.protocol import (
     RESPONSE_V0,
     RESPONSE_V1,
@@ -17,6 +19,7 @@ from repro.echo.protocol import (
 from repro.ecode import analyze
 from repro.ecode.runtime import AutoList
 from repro.errors import FormatError, TransformError
+from repro.fabric.protocol import FABRIC_DELIVER, FABRIC_PUBLISH
 from repro.morph import transform as transform_mod
 from repro.morph.fusion import FusedRoute
 from repro.morph.receiver import MorphReceiver
@@ -26,6 +29,8 @@ from repro.morph.transform import (
     build_chain,
     growable_record,
 )
+from repro.net.transport import Network
+from repro.pbio import buffer as pbio_buffer
 from repro.pbio import serialization
 from repro.pbio.buffer import unpack_header
 from repro.pbio.context import CODEC_CACHE_MAX, PBIOContext
@@ -34,6 +39,9 @@ from repro.pbio.format import IOFormat
 from repro.pbio.record import Record, records_equal
 from repro.pbio.registry import FormatRegistry, TransformSpec
 from repro.pbio.serialization import format_from_dict, format_to_dict
+
+from tests.fabric.test_run_pipeline import Fleet, seeded_record
+from tests.integration.test_hold import fleet as format_service, v2_event
 
 
 class TestGrowableRecord:
@@ -389,6 +397,94 @@ class TestDecodePrice:
         self._check(rec, self.MEMBERS)
         assert frames == ["<lambda>", "_fused_route"]
         assert self._fused(2 * self.MEMBERS, buffer)[1] == frames
+
+
+class TestEnvelopePrice:
+    """What a fabric event's envelopes cost, counted by wrapping module
+    globals (never timed).  Through a three-group channel each event
+    parses 8 headers — the owner's envelope and payload, then each of
+    three subscribers' envelope and payload, every one once per hop —
+    and builds its ``FABRIC_PUBLISH`` and ``FABRIC_DELIVER`` records
+    from their formats' templates, never entering ``Record.__init__``."""
+
+    @staticmethod
+    def parses(monkeypatch):
+        """Every ``unpack_header`` call from here on, wherever made."""
+        parses = []
+        unpack_header = pbio_buffer.unpack_header
+        for module in list(sys.modules.values()):  # ``from ... import`` copies
+            if getattr(module, "unpack_header", None) is unpack_header:
+                monkeypatch.setattr(
+                    module, "unpack_header",
+                    lambda *a: parses.append(1) or unpack_header(*a),
+                )
+        return parses
+
+    def count(self, monkeypatch, send):
+        fleet = Fleet()
+        channel_id = fleet.channels[0]
+        records = [seeded_record(random.Random(n), channel_id) for n in range(64)]
+        for record in records[:2]:  # plan the routes, generate the coders
+            fleet.pubs[0].publish(channel_id, RESPONSE_V2, record)
+        fleet.net.run()
+        parses = self.parses(monkeypatch)
+        inits, envelopes = [], []
+        init, make_record = Record.__init__, IOFormat.make_record
+        monkeypatch.setattr(
+            Record, "__init__",
+            lambda rec, *a, **k: inits.append(1) or init(rec, *a, **k),
+        )
+        monkeypatch.setattr(
+            IOFormat, "make_record",
+            lambda fmt, **k: envelopes.append(fmt.name) or make_record(fmt, **k),
+        )
+        events = send(fleet.pubs[0], channel_id, records)
+        fleet.net.run()
+        assert [len(log) for log in fleet.logs.values()] == [2 + events] * 3
+        assert sorted(envelopes) == (
+            [FABRIC_DELIVER.name] * events + [FABRIC_PUBLISH.name] * events)
+        return len(parses) / events, len(inits)
+
+    def test_one_publish(self, monkeypatch):
+        def send(pub, channel_id, records):
+            pub.publish(channel_id, RESPONSE_V2, records[2])
+            return 1
+
+        assert self.count(monkeypatch, send) == (8, 0)
+
+    def test_a_batch_of_64(self, monkeypatch):
+        def send(pub, channel_id, records):
+            pub.publish_batch(channel_id, RESPONSE_V2, records)
+            return 64
+
+        assert self.count(monkeypatch, send) == (8, 0)
+
+    def test_an_echo_sink_parses_each_message_once(self, monkeypatch):
+        """Envelope and payload, once each, at a sink that resolves
+        formats through the servers (its payload header also decides
+        hold and interest announcement) — in a v2.0 and a v1.0 sink."""
+        net = Network(seed=9)
+        format_service(net)
+        source = EChoProcess(net, "source", format_servers=["fs-a", "fs-b"])
+        source.create_channel("ech")
+        sinks = {}
+        for fmt in (RESPONSE_V2, RESPONSE_V1):
+            sink = sinks[fmt.version] = EChoProcess(
+                net, f"sink-{fmt.version}", format_servers=["fs-a", "fs-b"])
+            sink.open_channel("ech", "source", as_sink=True)
+        net.run()
+        got = []
+        for fmt in (RESPONSE_V2, RESPONSE_V1):
+            sinks[fmt.version].subscribe("ech", fmt, got.append)
+        for index in range(2):  # fetch, plan, generate
+            source.submit("ech", *v2_event(index))
+        net.run()
+        parses = self.parses(monkeypatch)
+        for index in range(2, 18):
+            source.submit("ech", *v2_event(index))
+        net.run()
+        assert len(got) == 2 * 18
+        assert len(parses) == 16 * 2 * 2
 
 
 def _ext_revision(k):

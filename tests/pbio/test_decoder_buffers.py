@@ -4,7 +4,9 @@ A generated decoder — ``make_decoder``'s, and a compiled fused route's
 decode fragment — takes a message as ``bytes``, as a ``bytearray`` or as
 a ``memoryview`` slice of a larger receive buffer.  Whatever the buffer,
 both build equal records, every one of class ``Record``, and reject the
-same wires with the same exception class.
+same wires with the same exception class.  Handed the header its caller
+already parsed, a decoder — generated or first-use — agrees with itself
+parsing it.
 """
 
 import random
@@ -15,9 +17,17 @@ import pytest
 from repro.check import gen
 from repro.check.mutate import mutate
 from repro.errors import DecodeError
+from repro.fabric.protocol import FABRIC_PUBLISH
 from repro.morph.fusion import FusedRoute
-from repro.pbio.buffer import FLAG_BIG_ENDIAN, HEADER_SIZE, unpack_header
+from repro.obs.tracectx import TraceContext
+from repro.pbio.buffer import (
+    FLAG_BIG_ENDIAN,
+    HEADER_SIZE,
+    attach_trace,
+    unpack_header,
+)
 from repro.pbio.codegen import make_decoder
+from repro.pbio.decode import decode_record
 from repro.pbio.encode import encode_record
 from repro.pbio.field import IOField
 from repro.pbio.format import IOFormat
@@ -137,3 +147,85 @@ class TestEveryBuffer:
         for decode in (make_decoder(self.TEXT), fused_decoder(self.TEXT)):
             with pytest.raises(DecodeError, match=message):
                 decode(as_buffer(wire, kind))
+
+
+def envelope_plus_payload(rng, fmt, byte_order):
+    """A fabric publish datagram: envelope, then a payload of *fmt*."""
+    envelope = FABRIC_PUBLISH.make_record(
+        channel_id=f"ch/{rng.randrange(100)}", publisher="pub",
+        seq=rng.randrange(1, 2**31), epoch=rng.randrange(5),
+    )
+    return (
+        encode_record(FABRIC_PUBLISH, envelope, byte_order=byte_order)
+        + encode_record(fmt, gen.random_record(rng, fmt), byte_order=byte_order)
+    )
+
+
+def messages(datagram):
+    """``(message, header)`` as a receiver slices them out of *datagram*:
+    the envelope and then the payload, each header parsed once."""
+    header = unpack_header(datagram)
+    body_end = header.body_offset + header.payload_length
+    payload = datagram[body_end:]
+    return [(datagram[:body_end], header), (payload, unpack_header(payload))]
+
+
+DECODERS = {
+    "generated": lambda fmt: make_decoder(fmt),
+    "first-use": lambda fmt: lambda data, header=None: decode_record(
+        fmt, data, header),
+}
+
+
+@pytest.mark.parametrize("decoder", sorted(DECODERS))
+@pytest.mark.parametrize("kind", BUFFERS)
+class TestTheCallersHeader:
+    """A decoder handed the header its caller parsed accepts and refuses
+    exactly what it does when it parses the header itself; a header of
+    another message is refused."""
+
+    def test_with_and_without_agree_on_mutants(self, decoder, kind):
+        decoded = refused = 0
+        for seed in range(CASES):
+            rng = random.Random(seed)
+            fmt = gen.random_format(rng)
+            formats = (FABRIC_PUBLISH, fmt)
+            wire = envelope_plus_payload(rng, fmt, rng.choice(sorted(ORDERS)))
+            for mutated in [wire] + [mutate(wire, rng)[1] for _ in range(4)]:
+                data = as_buffer(mutated, kind)
+                try:
+                    parsed = messages(data)
+                except DecodeError:
+                    continue  # the caller refuses it before any decode
+                for (message, header), message_fmt in zip(parsed, formats):
+                    decode = DECODERS[decoder](message_fmt)
+                    given = outcome(lambda m: decode(m, header), message)
+                    parsing = outcome(decode, message)
+                    assert given[0] == parsing[0], (seed, given, parsing)
+                    if given[0] == "ok":
+                        decoded += 1
+                        assert records_equal(given[1], parsing[1]), seed
+                    else:
+                        refused += 1
+                        assert given[1] is parsing[1], (seed, given, parsing)
+        assert decoded > CASES and refused > 0
+
+    def test_a_header_of_another_message_is_refused(self, decoder, kind):
+        text = TestEveryBuffer.TEXT
+        decode = DECODERS[decoder](text)
+        wire = encode_record(text, {"s": "abc", "x": 1})
+        others = [
+            # another format
+            encode_record(FABRIC_PUBLISH, FABRIC_PUBLISH.default_record()),
+            # the other byte order
+            encode_record(text, {"s": "abc", "x": 1}, byte_order="big"),
+            # a longer message of the same format
+            encode_record(text, {"s": "abcdef", "x": 1}),
+            # a traced message
+            attach_trace(wire, TraceContext(1, 2)),
+        ]
+        data = as_buffer(wire, kind)
+        assert decode(data, unpack_header(wire)) == {"s": "abc", "x": 1}
+        for other in others:
+            with pytest.raises(DecodeError):
+                decode(data, unpack_header(other))

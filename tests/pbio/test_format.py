@@ -4,8 +4,10 @@ records and validation."""
 import pytest
 
 from repro.errors import FormatError
+from repro.morph import transform as transform_mod
 from repro.pbio.field import ArraySpec, IOField
 from repro.pbio.format import IOFormat
+from repro.pbio.record import Record
 from repro.pbio.registry import FormatRegistry, TransformSpec
 
 
@@ -199,6 +201,72 @@ class TestRecords:
     def test_make_record_rejects_unknown(self):
         with pytest.raises(FormatError):
             point().make_record(z=1)
+
+
+class TestDefaultTemplate:
+    """Every default record comes from one per-format template: shared
+    immutable scalars, a fresh value for each array and subrecord."""
+
+    INNER = IOFormat("In", [IOField("a", "integer"), IOField("b", "string")])
+
+    def mixed(self, default=7):
+        inner = self.INNER
+        return IOFormat("Mixed", [
+            IOField("n", "integer"),
+            IOField("var", "integer", array=ArraySpec(length_field="n")),
+            IOField("sub", "complex", subformat=inner),
+            IOField("pick", "integer", default=default),
+            IOField("fixed", "float", array=ArraySpec(fixed_length=2)),
+            IOField("subs", "complex", subformat=inner,
+                    array=ArraySpec(fixed_length=2)),
+            IOField("tag", "string"),
+        ])
+
+    def test_declared_order_and_explicit_default(self):
+        fmt = self.mixed()
+        for rec in (fmt.default_record(), fmt.make_record(tag="t", n=0)):
+            assert type(rec) is Record
+            assert list(rec) == fmt.field_names()
+        assert fmt.default_record() == {
+            "n": 0, "var": [], "sub": {"a": 0, "b": ""}, "pick": 7,
+            "fixed": [0.0, 0.0], "subs": [{"a": 0, "b": ""}] * 2, "tag": "",
+        }
+
+    def test_arrays_and_subrecords_are_fresh_per_record(self):
+        fmt = self.mixed()
+        first, second = fmt.default_record(), fmt.default_record()
+        for name in ("var", "sub", "fixed", "subs"):
+            assert first[name] is not second[name], name
+        assert first["subs"][0] is not first["subs"][1]
+        assert type(first["sub"]) is type(first["subs"][0]) is Record
+        first["var"].append(1)
+        first["sub"]["a"] = 5
+        first["fixed"][0] = 1.5
+        first["subs"][1]["b"] = "x"
+        first["pick"] = 8
+        assert fmt.default_record() == second
+
+    def test_unknown_names_and_nested_mappings(self):
+        fmt = self.mixed()
+        with pytest.raises(FormatError, match="no field 'nope'"):
+            fmt.make_record(nope=1)
+        rec = fmt.make_record(sub={"a": 1, "b": "q"}, subs=[{"a": 2}, {"a": 3}])
+        assert type(rec["sub"]) is Record and rec["sub"].a == 1
+        assert [type(s) for s in rec["subs"]] == [Record, Record]
+
+    def test_a_replaced_format_brings_its_own_default(self):
+        registry = FormatRegistry()
+        old = self.mixed(default=7)
+        registry.register(old)
+        assert registry.lookup_id(old.format_id).default_record()["pick"] == 7
+        assert registry.replace(self.mixed(default=9))
+        assert registry.lookup_id(old.format_id).default_record()["pick"] == 9
+        assert old.default_record()["pick"] == 7
+
+    def test_the_transform_prototype_is_the_template(self):
+        flat = point()
+        assert transform_mod._prototype(flat) is flat.template[0]
+        assert transform_mod._prototype(self.mixed()) is None
 
 
 class TestValidation:

@@ -1,5 +1,7 @@
 """Unit tests for Record: attribute access, conversion, equality."""
 
+from enum import IntEnum
+
 import pytest
 
 from repro.ecode.runtime import AutoList
@@ -58,6 +60,23 @@ class TestConversion:
         rec = Record()
         rec["xs"] = auto
         assert rec["xs"] is auto
+
+    def test_the_constructor_converts_only_containers(self):
+        class Level(IntEnum):
+            HIGH = 2
+
+        auto = AutoList(lambda: 0)
+        inner = {"x": 1}
+        rec = Record(inner=inner, xs=[{"y": 2}, (3,)], ts=(1, {"z": 4}),
+                     auto=auto, level=Level.HIGH, flag=True, n=1)
+        assert type(rec["inner"]) is Record and rec["inner"] == inner
+        assert rec["inner"] is not inner
+        assert rec["xs"] == [{"y": 2}, [3]]
+        assert type(rec["xs"][0]) is Record and type(rec["xs"][1]) is list
+        assert rec["ts"] == [1, {"z": 4}] and type(rec["ts"][1]) is Record
+        assert rec["auto"] is auto
+        assert rec["level"] is Level.HIGH
+        assert rec["flag"] is True and rec["n"] == 1
 
     def test_scalar_fast_path(self):
         rec = Record()
