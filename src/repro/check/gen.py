@@ -214,6 +214,26 @@ def evolved_format_pair(
     return writer, reader
 
 
+def removed_fields(rng: random.Random, fmt: IOFormat) -> IOFormat:
+    """*fmt* after the "attribute removed" operator (Piccioni et al.,
+    PAPERS.md): an older revision of the same name keeping some of its
+    fields, declared as they are — each kept variable array with its
+    count — in their order, or with one moved to the end."""
+    kept = [field for field in fmt.fields if rng.random() < 0.6] or [
+        fmt.fields[-1]]
+    counts = {
+        field.array.length_field for field in kept
+        if field.array is not None and field.array.length_field is not None
+    }
+    kept = [field for field in fmt.fields
+            if field in kept or field.name in counts]
+    movable = [field for field in kept if field.name not in counts]
+    if len(kept) > 1 and movable and rng.random() < 0.3:
+        moved = rng.choice(movable)
+        kept = [field for field in kept if field is not moved] + [moved]
+    return IOFormat(fmt.name, kept, version="0.0")
+
+
 # ---------------------------------------------------------------------------
 # ECode program generation
 # ---------------------------------------------------------------------------
@@ -583,6 +603,37 @@ class _TransformWriter:
         self.emit("}")
         store_count(k or length(chosen))
 
+    def copy_record(self, dst_fmt: IOFormat, src_fmt: IOFormat) -> bool:
+        """The remove operator alone: every field of *dst_fmt* stored
+        verbatim from its equal namesake in *src_fmt* — a scalar by one
+        store, an array of scalars or of flat records by a loop over its
+        full count — if each one can be; else nothing is written."""
+        mine = {field.name: field for field in src_fmt.fields}
+        if not all(
+            mine.get(field.name) == field and not (
+                field.is_complex and (not field.is_array or any(
+                    inner.is_array or inner.is_complex
+                    for inner in field.subformat.fields)))
+            for field in dst_fmt.fields
+        ):
+            return False
+        for field in dst_fmt.fields:
+            if not field.is_array:
+                self.emit(f"old.{field.name} = new.{field.name};")
+                continue
+            i = self.local("i")
+            count = field.array.length_field
+            self.emit(f"for ({i} = 0; {i} < "
+                      f"{'new.' + count if count else field.array.fixed_length};"
+                      f" {i}++) {{")
+            element = f"{field.name}[{i}]"
+            for path in ([f"{element}.{inner.name}"
+                          for inner in field.subformat.fields]
+                         if field.is_complex else [element]):
+                self.emit(f"    old.{path} = new.{path};")
+            self.emit("}")
+        return True
+
     def fill_element(
         self, target: str, field: IOField, src: str, src_fmt: IOFormat,
         element: "Optional[tuple[str, IOField]]",
@@ -618,8 +669,19 @@ def random_transform(
     structure, so any record of *source_fmt* leaves ``old`` shaped like
     *target_fmt* — what a host that compiles against both formats relies
     on.  Loops are bounded by array lengths: every program terminates.
-    A store through ``new``, when there is one, starts its own line."""
+    A store through ``new``, when there is one, starts its own line.
+    When *target_fmt* only removes fields of *source_fmt*
+    (:func:`removed_fields`), the body is as often that and nothing else:
+    every kept field copied verbatim (:meth:`_TransformWriter.
+    copy_record`) — a wire projection."""
     writer = _TransformWriter(rng)
+    removes = all(
+        source_fmt.get_field(field.name) == field for field in target_fmt.fields
+    )
+    if removes and rng.random() < 0.5 and writer.copy_record(
+            target_fmt, source_fmt):
+        return "\n".join(
+            [f"int {name};" for name in writer.locals] + writer.lines) + "\n"
     writer.fill_record("old", target_fmt, "new", source_fmt)
     scalars = writer.scalars("new", source_fmt, text=False)
     if scalars and rng.random() < 0.25:

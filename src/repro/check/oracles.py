@@ -19,7 +19,7 @@ from repro.check.corpus import entry_for_wire
 from repro.check.mutate import mutate
 from repro.ecode import compile_procedure, interpret_procedure
 from repro.ecode.runtime import AutoList
-from repro.errors import ECodeError, ReproError
+from repro.errors import ECodeError, EncodeError, ReproError
 from repro.echo.protocol import (
     RESPONSE_V0,
     RESPONSE_V1,
@@ -458,7 +458,8 @@ def check_fusion_wires(
     tell.  A fused route runs staged on the first message of a byte
     order, so the ``fused`` arm's fused runs are counted: every wire it
     delivers through a fused route after the first of that route and
-    order must have run the fused routine."""
+    order must have run the fused routine.  Every wire projection the
+    queue ran through the memo is held to its cut (:func:`_cut_parity`)."""
     arms: Dict[str, Any] = {
         "fused": MorphReceiver(registry, use_fusion=True),
         "staged": MorphReceiver(registry, use_fusion=False),
@@ -523,6 +524,9 @@ def check_fusion_wires(
             outcome = _outcome(lambda: receiver.process(wire, memo))
             if receiver is arms["shared"]:
                 outcomes["shared"] = outcome
+        for receiver in queue:
+            for detail in _cut_parity(receiver, wire, memo):
+                flag(f"wire {index}: {detail}")
         for name, (kind, val) in outcomes.items():
             if kind == "dirty":
                 flag(f"{name} path leaked {type(val).__name__} on wire "
@@ -557,12 +561,51 @@ def check_fusion_wires(
     return findings
 
 
+def _cut_parity(
+    receiver: MorphReceiver, wire: bytes, memo: Dict[Any, Any]
+) -> Iterator[str]:
+    """cut ≡ step + encode, byte for byte and in both byte orders, for
+    each step of *receiver*'s route for *wire* that is a wire projection
+    and that ran through *memo*: its input's wire in an order, cut, must
+    be its output's encode in that order — and cut in the other order,
+    nothing.  A step whose input does not encode has no wire to cut."""
+    try:
+        fmt = receiver.context.peek_format(wire)
+    except ReproError:
+        return
+    route = None if fmt is None else receiver.route_for(fmt)
+    if (route is None or route.chain is None or route.pre_coercion is not None
+            or "stages" not in vars(route)):
+        return
+    key = route.wire_format.format_id
+    for stage, step, _writes in route.stages:
+        record, output, key = memo.get(key), memo.get(stage), stage
+        if step.projection is None or record is None or output is None:
+            continue
+        for order, other in (("little", "big"), ("big", "little")):
+            try:
+                source = encode_record(step.source, record, byte_order=order)
+            except EncodeError:
+                continue
+            kind, expected = _outcome(
+                lambda: encode_record(step.target, output, byte_order=order))
+            cut = _outcome(lambda: step.projection.cut(source, order))
+            if kind != "ok" or cut != ("ok", expected):
+                yield (f"{order}-endian cut of {step!r} is not its output's "
+                       f"encode: {cut[0]} {kind}")
+            if step.projection.cut(source, other) is not None:
+                yield f"{step!r} cut a {order}-endian wire into {other}-endian"
+
+
 def check_fusion(rng: random.Random, messages: int = 5) -> List[Finding]:
-    """Generate one evolving-format scenario (an ECho transform chain or
-    a random coercion-only pair), push a mixed valid/mutated wire stream
-    through fused, staged and interpreted receivers, and demand exact
-    agreement."""
-    if rng.random() < 0.5:
+    """Generate one evolving-format scenario (an ECho transform chain, a
+    writer whose retro-transform to an older revision removes fields —
+    :func:`gen.random_transform` mints a wire projection there as often
+    as not — or a random coercion-only pair), push a mixed valid/mutated
+    wire stream through fused, staged and interpreted receivers, and
+    demand exact agreement."""
+    roll = rng.random()
+    if roll < 0.4:
         reader_version = rng.choice(["0.0", "1.0"])
         handler_fmt = RESPONSE_V0 if reader_version == "0.0" else RESPONSE_V1
         wire_fmt = RESPONSE_V2
@@ -572,6 +615,19 @@ def check_fusion(rng: random.Random, messages: int = 5) -> List[Finding]:
         entry_base: Dict[str, Any] = {
             "kind": "fusion", "scenario": "echo",
             "reader_version": reader_version,
+        }
+    elif roll < 0.7:
+        wire_fmt = gen.random_format(rng, depth=1, name="Evo")
+        handler_fmt = gen.removed_fields(rng, wire_fmt)
+        program = gen.random_transform(rng, wire_fmt, handler_fmt)
+        registry = FormatRegistry()
+        registry.register_transform(
+            TransformSpec(wire_fmt, handler_fmt, program))
+        entry_base = {
+            "kind": "fusion", "scenario": "removed",
+            "writer_format": format_to_dict(wire_fmt),
+            "reader_format": format_to_dict(handler_fmt),
+            "program": program,
         }
     else:
         wire_fmt, handler_fmt = gen.evolved_format_pair(rng)

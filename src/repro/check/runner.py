@@ -330,7 +330,7 @@ def _replay_fusion(entry: Dict[str, Any]) -> List[Finding]:
         V1_TO_V0_TRANSFORM,
         V2_TO_V1_TRANSFORM,
     )
-    from repro.pbio.registry import FormatRegistry
+    from repro.pbio.registry import FormatRegistry, TransformSpec
 
     registry = FormatRegistry()
     if entry.get("scenario") == "echo":
@@ -340,8 +340,12 @@ def _replay_fusion(entry: Dict[str, Any]) -> List[Finding]:
             RESPONSE_V0 if entry["reader_version"] == "0.0" else RESPONSE_V1
         )
     else:
-        registry.register(format_from_dict(entry["writer_format"]))
+        writer = format_from_dict(entry["writer_format"])
+        registry.register(writer)
         handler_fmt = format_from_dict(entry["reader_format"])
+        if "program" in entry:  # "removed": the writer's retro-transform
+            registry.register_transform(
+                TransformSpec(writer, handler_fmt, entry["program"]))
     wires = [bytes.fromhex(h) for h in entry["wires_hex"]]
     return oracles.check_fusion_wires(registry, handler_fmt, wires)
 

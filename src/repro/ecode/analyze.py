@@ -19,7 +19,10 @@ The typed back-end (:mod:`repro.ecode.codegen`) asks two more:
 :func:`stores`, every store the program makes, with where it sits, and
 :func:`append_runs`, which output arrays the program fills densely — each
 element written by one run of stores, in index order — so that each can
-be built as one record literal and appended.
+be built as one record literal and appended.  The morph layer asks
+:func:`wire_projection`, built on :func:`stores`: does a transform only
+copy fields verbatim, so that its output's wire can be cut out of its
+input's?
 
 Pruning is equivalence-preserving only for statements whose evaluation
 cannot raise.  The pruner therefore refuses anything containing calls,
@@ -719,3 +722,146 @@ def _holds(stmts: Iterable[ast.Stmt], kinds: Tuple[type, ...]) -> bool:
     return any(
         isinstance(node, kinds) for stmt in stmts for node in ast.walk(stmt)
     )
+
+
+# ---------------------------------------------------------------------------
+# Wire projections
+# ---------------------------------------------------------------------------
+
+#: what a program made of copies holds nowhere: a branch, a jump, a call
+_NOT_A_COPY = (ast.If, ast.While, ast.DoWhile, ast.Switch, ast.Return,
+               ast.Break, ast.Continue, ast.Call, ast.TernaryOp)
+_LITERALS = (ast.IntLiteral, ast.FloatLiteral, ast.StringLiteral,
+             ast.CharLiteral)
+
+
+def wire_projection(
+    program: ast.Program, source: Any, target: Any,
+    new: str = "new", old: str = "old",
+) -> bool:
+    """Is *program*, run with *new* a record of format *source* and *old*
+    one of format *target*, a **wire projection** — does it make each
+    field of *old* the same-named field of *new*, and nothing else?  Then
+    *old*'s wire is bytes of *new*'s (the layout rule is
+    :func:`repro.pbio.buffer.projection_cut`).  Proven from the program's
+    :func:`stores` when all of these hold:
+
+    * each field of *target* is stored exactly once, from the same-named
+      field of *source*, and the two declarations are equal (type, size,
+      array spec, subformat);
+    * a field that is no array is a scalar stored by a top-level
+      ``old.f = new.f;``;
+    * an array is copied in full by one top-level loop ``for (k = 0;
+      k < N; k++)`` — ``N`` is ``new.`` its count field, or its fixed
+      length — whose body is one store ``old.A[k].m = new.A[k].m;`` per
+      member ``m`` of its (flat) element format, or ``old.A[k] =
+      new.A[k];`` for scalars, with ``k`` a dense cursor
+      (:func:`_dense_cursor`);
+    * nothing is computed, defaulted or conditional: no other statement,
+      no branch, jump or call, and no local but loop cursors and
+      literal-initialised declarations.
+
+    The formats are duck-typed — ``.fields`` whose items have ``.name``,
+    ``.is_array``, ``.is_complex``, ``.array`` and ``.subformat`` and
+    compare with ``==`` — because this module knows ECode, not PBIO."""
+    if {new, old} & declared_names(program) or any(
+        isinstance(node, _NOT_A_COPY) for node in ast.walk(program)
+    ):
+        return False
+    writes: Dict[str, List[Store]] = {}
+    for store in stores(program.body):
+        if isinstance(store.target, (ast.Identifier, ast.Declarator)):
+            writes.setdefault(store.target.name, []).append(store)
+    #: scalar field -> its top-level copies; array -> (loop bound, the
+    #: element paths its loop copies)
+    scalars: Counter = Counter()
+    loops: Dict[str, Tuple[ast.Expr, List[Tuple[str, ...]]]] = {}
+    for stmt in program.body:
+        if isinstance(stmt, ast.Declaration):
+            if any(d.init is not None and not isinstance(d.init, _LITERALS)
+                   for d in stmt.declarators):
+                return False
+        elif isinstance(stmt, ast.ExprStmt):
+            path = _copy_path(stmt.expr, new, old)
+            if path is None or len(path) != 1:
+                return False
+            scalars[path[0]] += 1
+        elif isinstance(stmt, ast.For):
+            cond = stmt.condition
+            if not (isinstance(cond, ast.BinaryOp) and cond.op == "<"
+                    and isinstance(cond.left, ast.Identifier)):
+                return False
+            k = cond.left.name
+            body = _statements(stmt.body)
+            paths = [
+                _copy_path(s.expr, new, old) if isinstance(s, ast.ExprStmt)
+                else None for s in body
+            ]
+            if not paths or any(
+                p is None or len(p) not in (2, 3) or p[1] != f"[{k}]"
+                or p[0] != paths[0][0] for p in paths
+            ) or paths[0][0] in loops or not _dense_cursor(
+                writes.get(k, []), k, program, body, 0, len(body), (stmt,),
+                True,
+            ):
+                return False
+            loops[paths[0][0]] = (cond.right, paths)
+        else:
+            return False
+    fields = {field.name: field for field in source.fields}
+    for field in target.fields:
+        if fields.get(field.name) != field:
+            return False
+        if not field.is_array:
+            if field.is_complex or scalars.pop(field.name, 0) != 1:
+                return False
+            continue
+        copy = loops.pop(field.name, None)
+        if copy is None or not _full_count(copy[0], field.array, new):
+            return False
+        members = sorted(path[2:] for path in copy[1])
+        if field.is_complex:
+            inner = field.subformat.fields
+            if any(f.is_array or f.is_complex for f in inner) or members != [
+                (name,) for name in sorted(f.name for f in inner)
+            ]:
+                return False
+        elif members != [()]:
+            return False
+    return not scalars and not loops
+
+
+def _copy_path(expr: ast.Expr, new: str, old: str) -> Optional[Tuple[str, ...]]:
+    """``P`` of a store ``old.P = new.P`` — field names, and ``[k]`` for
+    an index by local ``k`` — else ``None``."""
+    if not (isinstance(expr, ast.Assignment) and expr.op == "="):
+        return None
+    path = _path(expr.target, old)
+    return path if path is not None and path == _path(expr.value, new) else None
+
+
+def _path(expr: ast.Expr, root: str) -> Optional[Tuple[str, ...]]:
+    steps: List[str] = []
+    while True:
+        if isinstance(expr, ast.FieldAccess):
+            steps.append(expr.name)
+        elif isinstance(expr, ast.IndexAccess) and isinstance(
+            expr.index, ast.Identifier
+        ):
+            steps.append(f"[{expr.index.name}]")
+        elif isinstance(expr, ast.Identifier) and expr.name == root and steps:
+            return tuple(reversed(steps))
+        else:
+            return None
+        expr = expr.base
+
+
+def _full_count(bound: ast.Expr, spec: Any, new: str) -> bool:
+    """Does a loop ``k < bound`` visit every element of an array declared
+    with *spec*?"""
+    if spec.length_field is not None:
+        return (
+            isinstance(bound, ast.FieldAccess) and bound.name == spec.length_field
+            and isinstance(bound.base, ast.Identifier) and bound.base.name == new
+        )
+    return isinstance(bound, ast.IntLiteral) and bound.value == spec.fixed_length

@@ -42,7 +42,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
-from repro.errors import DecodeError, FabricError
+from repro.errors import DecodeError, EncodeError, FabricError
 from repro.fabric.hashing import shard_of
 from repro.fabric.journal import JournalStore
 from repro.fabric.protocol import (
@@ -61,7 +61,7 @@ from repro.fabric.state import (
     load_state,
     split_state,
 )
-from repro.morph.receiver import MorphReceiver
+from repro.morph.receiver import CUT_SOURCES, MorphReceiver, WireCut
 # unpack_batch stays for benchmarks/e2e/trace.py's patch list
 # MAX_FRAME_BYTES is re-exported for code that reads it from here
 from repro.net.batch import (
@@ -121,11 +121,13 @@ class _SubscriberGroup:
     """Subscribers of one channel sharing one event format.
 
     Each group owns a :class:`MorphReceiver` whose single handler
-    forwards or re-encodes the morphed record in the group format and
-    pushes it to every contact — one re-encode per *format group*, not
-    per subscriber, and none for the group in the publisher's own
-    format when the payload is native (the decode and the transforms are
-    paid per *event*: :meth:`FabricWorker._fan_out`)."""
+    forwards, cuts or re-encodes the morphed record in the group format
+    and pushes it to every contact — one payload per *format group*, not
+    per subscriber: the publisher's own when the group is in its format
+    and the payload is native, a cut of a wire the owner holds when the
+    group's last step only drops fields, else a re-encode (the decode
+    and the transforms are paid per *event*:
+    :meth:`FabricWorker._fan_out`)."""
 
     __slots__ = ("fmt", "contacts", "receiver", "failed")
 
@@ -196,7 +198,8 @@ class FabricWorker(EndpointMixin):
         #: set while one event of a run is morphed, read by the group
         #: handlers: (shared DELIVER envelope wire, trace context to
         #: attach, the payload's own one, contact -> the run's queued
-        #: datagrams, the payload)
+        #: datagrams, the payload, its canonical format id, the event's
+        #: stage memo and its wires — both None for a lone group)
         self._delivering: Optional[Tuple[Any, ...]] = None
         #: write-ahead ledger journal shared with whoever inherits our
         #: shards (None disables journaling — the crash-ablation arm)
@@ -648,11 +651,19 @@ class FabricWorker(EndpointMixin):
         The groups are readers of one wire and Figure 1's ladder is a
         tree they share: with more than one, each event carries a memo
         (:meth:`MorphReceiver.process`) through which its payload is
-        decoded once and each retro-transform runs once; a lone group
-        keeps its fused route.  Every group is handed the payload header
-        admission parsed, so none parses it again.  What a group's
-        receiver dead-letters or drops in quarantine is counted as the
-        run ends (:meth:`~repro.net.reliable.EndpointMixin._account`)."""
+        decoded once and each retro-transform runs once, and beside it
+        the wires encoded for the event, each once whichever group asks
+        first.  The memo offers the channel's group formats — and the
+        payload's own, when it is canonical — as cut sources
+        (:data:`~repro.morph.receiver.CUT_SOURCES`): a group whose chain
+        ends in a wire projection out of one of them does not run that
+        step, and :meth:`_deliver_group` cuts its payload from that
+        wire.  That is decided by the set of groups, not by their order.
+        A lone group keeps its fused route.  Every group is handed the
+        payload header admission parsed, so none parses it again.  What
+        a group's receiver dead-letters or drops in quarantine is
+        counted as the run ends
+        (:meth:`~repro.net.reliable.EndpointMixin._account`)."""
         groups = [
             group for _format_id, group in sorted(channel.groups.items())
             if group.contacts
@@ -661,6 +672,8 @@ class FabricWorker(EndpointMixin):
             return
         framed = len(run) > 1
         sharing = len(groups) > 1
+        held = frozenset(
+            group.fmt.format_id for group in groups) if sharing else None
         frame_ctx = current()
         outbox: Dict[str, List[bytes]] = {}
         channel_id = channel.channel_id
@@ -681,7 +694,14 @@ class FabricWorker(EndpointMixin):
                 )
                 if ctx is not None:
                     envelope = attach_trace(envelope, ctx)
-                self._delivering = (envelope, ctx, own, outbox, payload)
+                canonical = canonical_format_id(payload)
+                shared = wires = None
+                if sharing:
+                    wires = {}
+                    shared = {CUT_SOURCES: held if canonical in held
+                              or canonical is None else held | {canonical}}
+                self._delivering = (envelope, ctx, own, outbox, payload,
+                                    canonical, shared, wires)
                 context = span = UNRECORDED
                 if OBS.enabled and recording(own or frame_ctx):
                     context = activate(own)
@@ -690,7 +710,6 @@ class FabricWorker(EndpointMixin):
                         worker=self.address,
                     )
                 with context, span:
-                    shared = {} if sharing else None
                     for group in groups:
                         group.receiver.process(payload, shared, header)
         finally:
@@ -725,25 +744,69 @@ class FabricWorker(EndpointMixin):
         event's (already encoded, shared) ``FABRIC_DELIVER`` envelope,
         for every contact of the group: the publisher's payload bytes
         when they are in the group's format and canonical
-        (:func:`~repro.pbio.buffer.canonical_format_id`), otherwise a
-        re-encode of *morphed*.  The event's trace context goes on
-        either, unless the payload already carries its own block.  Runs
-        only on a payload the group decoded, inside its receiver's
+        (:func:`~repro.pbio.buffer.canonical_format_id`), a cut
+        (:meth:`_cut`) when the receiver handed over a
+        :class:`~repro.morph.receiver.WireCut`, otherwise the encode of
+        *morphed* (:meth:`_encoded`).  The event's trace context goes on
+        any of them, unless the payload already carries its own block.
+        Runs only on a payload the group decoded, inside its receiver's
         per-message containment."""
         assert self._delivering is not None
-        envelope, ctx, own, outbox, payload = self._delivering
-        if canonical_format_id(payload) == group.fmt.format_id:
+        envelope, ctx, own, outbox, payload, canonical = self._delivering[:6]
+        if canonical == group.fmt.format_id:
             out_payload = payload
             if ctx is not own:  # the payload carries no block of its own
                 out_payload = attach_trace(payload, ctx)
         else:
-            out_payload = self.pbio.encode(group.fmt, morphed)
+            if morphed.__class__ is WireCut:
+                out_payload = self._cut(morphed)
+            else:
+                out_payload = self._encoded(group.fmt, morphed)
             if ctx is not None:
                 out_payload = attach_trace(out_payload, ctx)
         datagram = envelope + out_payload
         for contact in group.contacts:
             outbox.setdefault(contact, []).append(datagram)
             self.deliveries += 1
+
+    def _encoded(self, fmt: IOFormat, record: Any) -> bytes:
+        """*record*'s wire in *fmt*, encoded once per event: the event's
+        wires (with more than one group) keep it beside its record."""
+        wires = self._delivering[7]
+        if wires is None:
+            return self.pbio.encode(fmt, record)
+        key = (fmt.format_id, id(record))
+        entry = wires.get(key)
+        if entry is None:
+            # the record rides along: its id stays its own for the event
+            entry = wires[key] = (self.pbio.encode(fmt, record), record)
+        return entry[0]
+
+    def _cut(self, cut: WireCut) -> bytes:
+        """The payload of a group whose last step is a wire projection
+        (``cut.step.projection``): cut from the payload itself when the
+        step's input is the payload's decode and the payload is
+        canonical, else from the input's encoded wire — which a group in
+        that format needs anyway, and which is encoded once whichever
+        group asks first.  An input that does not encode (a field the
+        step drops holds what its format cannot) runs the step and
+        encodes its output, as a group that cannot cut does."""
+        payload, canonical, shared = self._delivering[4:7]
+        step, record = cut.step, cut.record
+        wire = None
+        if canonical == step.source.format_id and record is shared.get(
+                canonical):
+            wire = step.projection.cut(payload, self.pbio.byte_order)
+        else:
+            try:
+                source = self._encoded(step.source, record)
+            except EncodeError:
+                pass
+            else:
+                wire = step.projection.cut(source, self.pbio.byte_order)
+        if wire is None:
+            wire = self.pbio.encode(step.target, step.apply(record))
+        return wire
 
     # ------------------------------------------------------------------
     # Subscriptions

@@ -38,6 +38,7 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
@@ -75,7 +76,21 @@ from repro.pbio.registry import FormatRegistry
 Handler = Callable[[Record], Any]
 DefaultHandler = Callable[[IOFormat, Record], Any]
 #: one event's memo of stage results (see :meth:`MorphReceiver.process`)
-Shared = Optional[Dict[Any, Record]]
+Shared = Optional[Dict[Any, Any]]
+#: the memo entry where its maker lists the formats (ids) whose wires of
+#: the event it holds or will encode: the sources it can cut from
+CUT_SOURCES = "cut sources"
+
+
+class WireCut(NamedTuple):
+    """What a memo-fed route hands its handler instead of running its
+    last step, a wire projection (``Transformation.projection``) out of
+    a format the memo's maker can cut from (:data:`CUT_SOURCES`): the
+    step and its input.  The step's output is ``step.apply(record)``;
+    its wire is ``step.projection`` cut from *record*'s wire."""
+
+    record: Record
+    step: Transformation
 
 
 #: The tallies every receiver keeps, read as ``stats.<name>`` and
@@ -216,16 +231,35 @@ class _Route:
             stages.append((key, step, writes_param(program, "new")))
         return stages
 
-    def run_chain(self, record: Record, shared: Shared) -> Record:
+    @cached_property
+    def cut_step(self) -> Optional[Transformation]:
+        """The chain's last step when a memo's maker may cut its output
+        instead of running it: a wire projection
+        (``Transformation.projection``) whose output the handler takes
+        as it is.  Asked, like :attr:`stages`, only under a memo."""
+        step = self.chain.steps[-1]
+        if self.coercion is None and step.projection is not None:
+            return step
+        return None
+
+    def run_chain(self, record: Record, shared: Shared) -> Any:
         """The transform chain — through one event's memo if there is
         one: a step some reader has run is looked up, the others run and
         are stored, unless they raise.  A step that may write its input
-        gets a copy of it (the input is in the memo too)."""
+        gets a copy of it (the input is in the memo too).  The
+        :attr:`cut_step`, when the memo lists its source among those its
+        maker can cut from (:data:`CUT_SOURCES`), is not run: the result
+        is a :class:`WireCut`.  (A chain is acyclic: a step occurs in it
+        once.)"""
         if shared is None:
             return self.chain.apply(record)
+        cut = self.cut_step
         for key, step, writes_input in self.stages:
             result = shared.get(key)
             if result is None:
+                if step is cut and step.source.format_id in shared.get(
+                        CUT_SOURCES, ()):
+                    return WireCut(record, step)
                 result = shared[key] = step.apply(
                     copy_value(record) if writes_input else record
                 )
@@ -387,7 +421,11 @@ class MorphReceiver:
         stays per reader, and a failing step stores nothing: each reader
         runs it, and fails, itself.  Handlers fed from one memo must not
         write their record, and the receivers must be configured alike
-        (registry, ``use_codegen``)."""
+        (registry, ``use_codegen``).  A caller that encodes what it is
+        handed may list under :data:`CUT_SOURCES` the formats whose
+        wires of the event it holds: a route whose last step is a wire
+        projection out of one of them then hands its handler a
+        :class:`WireCut` instead of running that step."""
         return self._receive((data,), shared=shared, header=header)[0]
 
     def process_batch(self, data: bytes) -> List[Any]:

@@ -20,10 +20,12 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.ecode import analyze
 from repro.ecode.codegen import SCALAR, Grows, Shape, compile_procedure
 from repro.ecode.interp import interpret_procedure
 from repro.ecode.runtime import AutoList
 from repro.errors import ECodeError, TransformError
+from repro.pbio.buffer import ProjectionCut, projection_cut
 from repro.pbio.field import IOField
 from repro.pbio.format import IOFormat
 from repro.pbio.record import Record
@@ -263,6 +265,22 @@ class Transformation:
                 self._facts.pop(next(iter(self._facts)))
             value = self._facts[key] = compute()
             return value
+
+    @property
+    def projection(self) -> Optional[ProjectionCut]:
+        """The step on bytes, when it is a wire projection
+        (:func:`~repro.ecode.analyze.wire_projection`): cutting the kept
+        fields out of a source message writes what applying the step and
+        encoding its output does.  ``None`` for any other step."""
+        return self.fact("projection", self._projection)
+
+    def _projection(self) -> Optional[ProjectionCut]:
+        program = getattr(self.procedure, "program", None)
+        if program is None or not analyze.wire_projection(
+            program, self.source, self.target
+        ):
+            return None
+        return projection_cut(self.source, self.target)
 
     @property
     def source(self) -> IOFormat:

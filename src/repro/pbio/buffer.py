@@ -23,7 +23,7 @@ Wire message layout::
 from __future__ import annotations
 
 import struct
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import DecodeError, EncodeError
 from repro.obs.tracectx import (
@@ -178,6 +178,97 @@ def canonical_format_id(wire: bytes) -> Optional[int]:
         return None
     body = HEADER_SIZE + TRACE_BLOCK_SIZE if flags else HEADER_SIZE
     return format_id if len(wire) == body + length else None
+
+
+# ---------------------------------------------------------------------------
+# Wire projections: a message cut out of a message
+# ---------------------------------------------------------------------------
+
+
+def projection_cut(source: Any, target: Any) -> Optional["ProjectionCut"]:
+    """The layout rule of a wire projection from format *source* to
+    format *target*: which bytes of a *source* payload, concatenated, are
+    the *target* payload carrying the same field values — ``None`` when
+    some field of *target* has no equal same-named field in *source*.
+
+    A field's bytes depend on nothing but its declaration, its value and
+    the byte order: a string carries its own length and a variable
+    array's count is the value of an earlier field, whose own bytes come
+    along.  So fields declared alike that hold the same values are the
+    same bytes, and the target payload is the source's bytes of those
+    fields in target order.  When they are a prefix of the source's
+    fields, in order (Figure 5's v1.0 -> v0.0), that is one leading
+    range; otherwise a gather of runs of adjacent fields."""
+    position = {field.name: index for index, field in enumerate(source.fields)}
+    runs: list = []
+    for field in target.fields:
+        index = position.get(field.name)
+        if index is None or source.fields[index] != field:
+            return None
+        if runs and runs[-1][1] == index:
+            runs[-1][1] = index + 1
+        else:
+            runs.append([index, index + 1])
+    return ProjectionCut(source, target.format_id,
+                         tuple((first, stop) for first, stop in runs))
+
+
+class ProjectionCut:
+    """Cuts messages of one format out of messages of another, by the
+    runs of fields :func:`projection_cut` found: a message's field
+    offsets come from a walker generated per byte order
+    (:func:`repro.pbio.codegen.make_walker`), which reads string lengths
+    and array counts and nothing else."""
+
+    __slots__ = ("source", "target_id", "runs", "_walkers")
+
+    def __init__(
+        self, source: Any, target_id: int, runs: Tuple[Tuple[int, int], ...]
+    ) -> None:
+        self.source = source
+        self.target_id = target_id
+        #: ``(first, stop)`` source field positions, in target order
+        self.runs = runs
+        self._walkers: dict = {}
+
+    def ranges(
+        self, wire: bytes, byte_order: str = "little"
+    ) -> Optional[List[Tuple[int, int]]]:
+        """The byte ranges of *wire* — one whole message of the source
+        format, as an encoder wrote it or as a reader decoded it, maybe
+        with a trace block — whose concatenation is the target payload
+        written in *byte_order*; ``None`` when *wire* is in the other
+        order (the payload would need converting, not cutting).  The
+        walk trusts the lengths it reads: the message is known good."""
+        flags = wire[_FLAGS_OFFSET]
+        order = ">" if flags & FLAG_BIG_ENDIAN else "<"
+        if order != ORDER_PREFIX[byte_order]:
+            return None
+        walk = self._walkers.get(order)
+        if walk is None:
+            from repro.pbio import codegen  # codegen imports this module
+
+            walk = self._walkers[order] = codegen.make_walker(
+                self.source, order, max(stop for _first, stop in self.runs))
+        bounds = walk(wire, HEADER_SIZE + TRACE_BLOCK_SIZE
+                      if flags & FLAG_TRACE else HEADER_SIZE)
+        if bounds[-1] > len(wire):
+            raise DecodeError("a projection cut walked past its message")
+        return [(bounds[first], bounds[stop]) for first, stop in self.runs]
+
+    def cut(self, wire: bytes, byte_order: str = "little") -> Optional[bytes]:
+        """The target message — header and the :meth:`ranges`' bytes of
+        *wire* — which is what encoding a target record of the same field
+        values in *byte_order* writes; ``None`` when :meth:`ranges` is."""
+        ranges = self.ranges(wire, byte_order)
+        if ranges is None:
+            return None
+        view = memoryview(wire)
+        return b"".join([
+            pack_header(self.target_id, sum(end - start for start, end in ranges),
+                        wire[_FLAGS_OFFSET] & FLAG_BIG_ENDIAN),
+            *[view[start:end] for start, end in ranges],
+        ])
 
 
 # ---------------------------------------------------------------------------

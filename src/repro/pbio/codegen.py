@@ -781,3 +781,129 @@ def make_encoder(fmt: IOFormat, byte_order: str = "little") -> EncoderFn:
 
     encode.__name__ = f"encode_{fmt.name}"
     return encode
+
+
+# ---------------------------------------------------------------------------
+# Field walker generation (where a payload's fields lie)
+# ---------------------------------------------------------------------------
+
+
+def _count_fields(fields: Tuple[IOField, ...]) -> Set[str]:
+    return {
+        f.array.length_field
+        for f in fields if f.array is not None and f.array.length_field
+    }
+
+
+class _Walker:
+    """Emits a walk over fields: the cursor ``off`` moves by what each
+    field occupies, reading only string lengths and array counts.  Fixed
+    widths accumulate in :attr:`pending` and join the next statement
+    that moves ``off`` (or end the loop body they close)."""
+
+    def __init__(self, em: _Emitter, order: str) -> None:
+        self.em = em
+        self.order = order
+        self.structs = _StructTable(order)
+        self.pending = 0
+
+    def at(self) -> str:
+        return f"off + {self.pending}" if self.pending else "off"
+
+    def flush(self) -> None:
+        if not self.pending:
+            return
+        em = self.em
+        last = em.lines[-1] if em.lines else ""
+        if last.startswith("    " * em.indent + "off += "):
+            em.lines[-1] = f"{last} + {self.pending}"
+        else:
+            em.emit(f"off += {self.pending}")
+        self.pending = 0
+
+    def skip_string(self) -> None:
+        self.em.emit(f"off += {self.pending + 4} + "
+                     f"_U32.unpack_from(data, {self.at()})[0]")
+        self.pending = 0
+
+    def record(self, fields: Tuple[IOField, ...]) -> None:
+        counts = _count_fields(fields)
+        values: Dict[str, str] = {}
+        for field in fields:
+            self.field(field, counts, values)
+
+    def field(
+        self, field: IOField, counts: Set[str], values: Dict[str, str]
+    ) -> None:
+        em = self.em
+        if field.is_array:
+            spec = field.array
+            count = (str(spec.fixed_length) if spec.fixed_length is not None
+                     else values[spec.length_field])
+            if _arith_skippable(field):
+                width = _element_width(field, self.structs)
+                em.emit(f"off += {self.pending} + {count} * {width}")
+                self.pending = 0
+                return
+            self.flush()
+            loop = em.fresh("i")
+            em.emit(f"for {loop} in range({count}):")
+            em.indent += 1
+            lines = len(em.lines)
+            self.element(field)
+            self.flush()
+            if len(em.lines) == lines:
+                em.emit("pass")
+            em.indent -= 1
+        elif field.is_complex:
+            self.record(field.subformat.fields)
+        elif field.kind is TypeKind.STRING:
+            self.skip_string()
+        else:
+            if field.name in counts:
+                var = values[field.name] = em.fresh("c")
+                idx, _size = _struct_for(
+                    STRUCT_CODES[(field.kind, field.size)], self.structs)
+                em.emit(f"{var}, = _S[{idx}].unpack_from(data, {self.at()})")
+            self.pending += _element_width(field, self.structs)
+
+    def element(self, field: IOField) -> None:
+        if field.is_complex:
+            self.record(field.subformat.fields)
+        else:
+            self.skip_string()
+
+
+def walker_source(
+    fmt: IOFormat, order: str, stop: int
+) -> Tuple[str, List[struct.Struct]]:
+    """The source of ``_walk(data, off)``: the ``stop + 1`` offsets at
+    which *fmt*'s first *stop* top-level fields start in a payload at
+    *off*, and the last of them ends.  It reads what locates a field —
+    string lengths, array counts — and checks nothing: its callers walk
+    messages they encoded, or decoded, themselves."""
+    em = _Emitter()
+    walker = _Walker(em, order)
+    em.emit("def _walk(data, off):")
+    em.indent += 1
+    counts = _count_fields(fmt.fields)
+    values: Dict[str, str] = {}
+    bounds = []
+    for field in fmt.fields[:stop]:
+        bounds.append(em.fresh("b"))
+        em.emit(f"{bounds[-1]} = {walker.at()}")
+        walker.field(field, counts, values)
+    em.emit(f"return ({', '.join(bounds)}, {walker.at()})")
+    return em.source(), walker.structs
+
+
+def make_walker(
+    fmt: IOFormat, order: str, stop: int
+) -> Callable[[bytes, int], Tuple[int, ...]]:
+    """Compile :func:`walker_source`'s ``_walk``."""
+    source, structs = walker_source(fmt, order, stop)
+    namespace: Dict[str, Any] = {
+        "_S": structs, "_U32": struct.Struct(order + "I"),
+    }
+    exec(compile(source, f"<pbio-walker:{fmt.name}:{order}>", "exec"), namespace)
+    return namespace["_walk"]

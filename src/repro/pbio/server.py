@@ -66,6 +66,28 @@ def _decode(data: bytes) -> Dict[str, Any]:
     return message
 
 
+def _listed(message: Dict[str, Any], key: str) -> List[Any]:
+    """A request's *key* entry, which must be a list when present."""
+    value = message.get(key, [])
+    if not isinstance(value, list):
+        raise TransportError(
+            f"format-server message's {key!r} must be a list, "
+            f"got {type(value).__name__}"
+        )
+    return value
+
+
+def _format_id(message: Dict[str, Any]) -> int:
+    """A request's ``format_id``: a wire id in decimal."""
+    raw = message.get("format_id")
+    if isinstance(raw, str) and raw.isdecimal():
+        return int(raw)
+    if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0:
+        return raw
+    raise TransportError(
+        f"format-server request needs a decimal 'format_id', got {raw!r}")
+
+
 class FormatServer:
     """A format server process on the reliable transport.
 
@@ -183,14 +205,16 @@ class FormatServer:
         # ``replace`` rather than ``register``: a client re-uploading
         # different content under a cached id (a re-derived projection, a
         # hostile writer) must refresh the entry, not crash the server.
-        for fmt_dict in message.get("formats", ()):
+        formats = _listed(message, "formats")
+        transforms = _listed(message, "transforms")
+        for fmt_dict in formats:
             self.registry.replace(format_from_dict(fmt_dict))
-        for spec_dict in message.get("transforms", ()):
+        for spec_dict in transforms:
             self.registry.register_transform(transform_from_dict(spec_dict))
 
     def _handle_lookup(self, source: str, message: Dict[str, Any]) -> None:
+        format_id = _format_id(message)
         self.stats["lookups"] += 1
-        format_id = int(message["format_id"])
         fmt = self.registry.lookup_id(format_id)
         reply: Dict[str, Any] = {
             "op": "lookup_reply",

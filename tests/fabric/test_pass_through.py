@@ -205,7 +205,8 @@ def test_a_wire_the_owner_would_not_write_is_reencoded(
     sent.clear()
     before = payload_encodes(encodes, owner)
     publish_payload(fleet, channel_id, bytes(payload))
-    assert payload_encodes(encodes, owner) - before == 3
+    # v2.0 and v1.0; v0.0 is cut from the v1.0 wire
+    assert payload_encodes(encodes, owner) - before == 2
     (out,) = delivered(sent, "sub-v2")
     assert out != payload
     assert out == reencoded(fleet.fabric.registry, RESPONSE_V2, payload)
@@ -229,7 +230,7 @@ def test_bytes_past_the_declared_payload_are_not_journaled_or_forwarded(
     first = publish_payload(fleet, channel_id, clean)
     second = publish_payload(fleet, channel_id, clean + bytes(range(256)) * 2)
     assert owner.errors == 0
-    assert payload_encodes(encodes, owner) - before == 4  # v1.0, v0.0 each
+    assert payload_encodes(encodes, owner) - before == 2  # v1.0 each
     assert delivered(sent, "sub-v2") == [clean, clean]
     journaled = {
         seq: payload
@@ -266,7 +267,7 @@ def test_a_mapped_boolean_byte_is_forwarded_and_decodes_alike(
     before = payload_encodes(encodes, owner)
     first = publish_payload(fleet, channel_id, canonical)
     second = publish_payload(fleet, channel_id, bytes(hostile))
-    assert payload_encodes(encodes, owner) - before == 4  # v1.0, v0.0 each
+    assert payload_encodes(encodes, owner) - before == 2  # v1.0 each
     assert delivered(sent, "sub-v2") == [canonical, hostile]
     for name, _fmt in READERS:
         records = {s: r for c, _p, s, r in fleet.logs[name] if c == channel_id}
@@ -274,9 +275,11 @@ def test_a_mapped_boolean_byte_is_forwarded_and_decodes_alike(
 
 
 @pytest.mark.parametrize("readers, order, owner_encodes", [
-    (READERS, "little", 2),  # v1.0 and v0.0; v2.0 forwards
+    # v1.0; v2.0 forwards and v0.0 is cut from the v1.0 wire
+    (READERS, "little", 1),
     (READERS[:1], "little", 0),  # a v2.0-only channel encodes nothing
-    (READERS, "big", 3),  # a big-endian publisher: every group re-encodes
+    # a big-endian publisher: v2.0 and v1.0 re-encode, v0.0 still cuts
+    (READERS, "big", 2),
 ], ids=["three-groups", "v2-only", "big-endian"])
 def test_payload_encodes_per_event_at_the_owner(
     tmp_path, readers, order, owner_encodes, encodes

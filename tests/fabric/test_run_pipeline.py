@@ -424,8 +424,9 @@ class TestPoisonedSegments:
 class TestReadersOfOneWire:
     """What one event costs at the owner, in calls: the payload is
     decoded once and each transform of Figure 1's ladder runs once,
-    shared by the groups through the event's memo; a channel with one
-    group keeps its fused route."""
+    shared by the groups through the event's memo — except V1→V0, a wire
+    projection the v0.0 group cuts from the v1.0 group's wire instead of
+    running; a channel with one group keeps its fused route."""
 
     def count_at_the_owner(self, fleet, monkeypatch):
         """(payload decodes by group receivers, ``Transformation.apply``
@@ -459,7 +460,7 @@ class TestReadersOfOneWire:
         self, tmp_path, monkeypatch
     ):
         fleet = Fleet(str(tmp_path / "j.jsonl"))
-        assert self.count_at_the_owner(fleet, monkeypatch) == (64, 128)
+        assert self.count_at_the_owner(fleet, monkeypatch) == (64, 64)
         assert [len(log) for log in fleet.logs.values()] == [64, 64, 64]
 
     def test_a_lone_group_stays_fused(self, tmp_path, monkeypatch):

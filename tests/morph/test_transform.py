@@ -1,5 +1,6 @@
 """Unit tests for compiled Transformations and TransformChains."""
 
+import itertools
 import random
 import sys
 import threading
@@ -485,6 +486,125 @@ class TestEnvelopePrice:
         net.run()
         assert len(got) == 2 * 18
         assert len(parses) == 16 * 2 * 2
+
+
+class TestProjectionCutPrice:
+    """What a three-group fabric event costs in transforms and encodes,
+    counted by wrapping globals (never timed).  V1→V0 is a wire
+    projection: the owner's v0.0 group cuts its payload out of the v1.0
+    wire the v1.0 group needs anyway, so the owner never applies V1→V0
+    and never encodes a v0.0 payload.  An event is then encoded 4 times
+    — publish envelope and payload, deliver envelope, the v1.0 payload
+    — and still parses 8 headers (:class:`TestEnvelopePrice`)."""
+
+    @staticmethod
+    def count(monkeypatch, fleet, send, formats=(RESPONSE_V2,) * 2):
+        """``(V1→V0 applies, the owner's payload encodes by format
+        version, encodes, header parses)`` per event of *send*, after two
+        events planned the routes and generated the coders."""
+        channel_id = fleet.channels[0]
+        records = [seeded_record(random.Random(n), channel_id) for n in range(66)]
+        for record in records[:2]:
+            fleet.pubs[0].publish(channel_id, RESPONSE_V2, record)
+        fleet.net.run()
+        owner = fleet.fabric.directory.worker(
+            fleet.fabric.directory.owner(channel_id))
+        parses = TestEnvelopePrice.parses(monkeypatch)
+        applies, encodes = [], []
+        apply, encode = Transformation.apply, PBIOContext.encode
+        monkeypatch.setattr(
+            Transformation, "apply",
+            lambda step, record: applies.append(step) or apply(step, record),
+        )
+        monkeypatch.setattr(
+            PBIOContext, "encode",
+            lambda ctx, fmt, rec: encodes.append((ctx, fmt))
+            or encode(ctx, fmt, rec),
+        )
+        events = send(fleet.pubs[0], channel_id, records[2:])
+        fleet.net.run()
+        assert [len(log) for log in fleet.logs.values()] == (
+            [2 + events] * len(fleet.logs))
+        projections = [step for step in applies
+                       if step.source == formats[0] and step.target == formats[1]]
+        owned = sorted(fmt.version for ctx, fmt in encodes
+                       if ctx is owner.pbio and fmt is not FABRIC_DELIVER)
+        return (len(projections) / events, owned[::events] if owned else [],
+                len(owned) / events, len(encodes) / events,
+                len(parses) / events)
+
+    @staticmethod
+    def one(pub, channel_id, records):
+        pub.publish(channel_id, RESPONSE_V2, records[0])
+        return 1
+
+    @staticmethod
+    def batch(pub, channel_id, records):
+        pub.publish_batch(channel_id, RESPONSE_V2, records)
+        return 64
+
+    @pytest.mark.parametrize("send", ["one", "batch"])
+    def test_v0_is_cut_from_the_v1_wire(self, monkeypatch, send):
+        fleet = Fleet()
+        assert self.count(
+            monkeypatch, fleet, getattr(self, send),
+            (RESPONSE_V1, RESPONSE_V0),
+        ) == (0, ["1.0"], 1, 4, 8)
+
+    def test_a_projection_group_that_sorts_first_still_cuts(self, monkeypatch):
+        # v0.0 under a version tag whose wire id sorts before v1.0's: its
+        # group asks for the v1.0 wire first, which is then encoded once
+        for n in itertools.count():
+            early = IOFormat(RESPONSE_V0.name, list(RESPONSE_V0.fields),
+                             version=f"0.{n}")
+            if early.format_id < RESPONSE_V1.format_id:
+                break
+        registry = FormatRegistry()
+        registry.register_transform(V2_TO_V1_TRANSFORM)
+        registry.register_transform(
+            TransformSpec(RESPONSE_V1, early, V1_TO_V0_TRANSFORM.code))
+        fleet = Fleet(readers=(("v1", RESPONSE_V1), ("v0", early)),
+                      registry=registry)
+        owner = fleet.fabric.directory.worker(
+            fleet.fabric.directory.owner(fleet.channels[0]))
+        assert self.count(
+            monkeypatch, fleet, self.one, (RESPONSE_V1, early)
+        ) == (0, ["1.0"], 1, 4, 6)
+        groups = owner._channels[fleet.channels[0]].groups
+        assert [g.fmt for _id, g in sorted(groups.items())] == [early, RESPONSE_V1]
+        v1_log, v0_log = fleet.logs.values()
+        assert v0_log[-1][3] == {
+            key: v1_log[-1][3][key]
+            for key in ("channel_id", "member_count", "member_list")}
+
+    def test_a_source_that_does_not_encode_runs_the_step(self, monkeypatch):
+        # Figure 5 that leaves a count the v1.0 format cannot hold in a
+        # field V1→V0 drops: the v1.0 group dead-letters, the v0.0 group
+        # cannot cut and delivers what the step and an encode write
+        registry = FormatRegistry()
+        registry.register_transform(TransformSpec(
+            RESPONSE_V2, RESPONSE_V1, V2_TO_V1_TRANSFORM.code.replace(
+                "old.sink_count = sink_count;", "old.sink_count = 1 << 40;")))
+        registry.register_transform(V1_TO_V0_TRANSFORM)
+        fleet = Fleet(readers=(("v1", RESPONSE_V1), ("v0", RESPONSE_V0)),
+                      registry=registry)
+        channel_id = fleet.channels[0]
+        owner = fleet.fabric.directory.worker(
+            fleet.fabric.directory.owner(channel_id))
+        record = seeded_record(random.Random(1), channel_id)
+        fleet.pubs[0].publish(channel_id, RESPONSE_V2, record)
+        fleet.net.run()
+        assert [len(log) for log in fleet.logs.values()] == [0, 1]
+        assert owner.errors == 1
+        v0 = Transformation(V1_TO_V0_TRANSFORM).apply(
+            Transformation(V2_TO_V1_TRANSFORM).apply(record))
+        assert fleet.logs["v0"][0][3] == v0
+
+    def test_without_a_v1_group_the_step_runs_and_encodes(self, monkeypatch):
+        fleet = Fleet(readers=(("v2", RESPONSE_V2), ("v0", RESPONSE_V0)))
+        assert self.count(
+            monkeypatch, fleet, self.one, (RESPONSE_V1, RESPONSE_V0)
+        ) == (1, ["0.0"], 1, 4, 6)
 
 
 def _ext_revision(k):

@@ -1,5 +1,7 @@
 """FormatServer fleet + CachingFormatResolver: failover, degraded mode."""
 
+import json
+
 import pytest
 
 from repro.errors import TransportError
@@ -8,6 +10,7 @@ from repro.net.transport import Network
 from repro.pbio.field import IOField
 from repro.pbio.format import IOFormat
 from repro.pbio.registry import TransformSpec
+from repro.pbio.serialization import transform_to_dict
 from repro.pbio.server import CachingFormatResolver, FormatServer
 
 EVT_V1 = IOFormat(
@@ -93,6 +96,38 @@ class TestRegistrationAndLookup:
     def test_resolver_requires_servers(self):
         with pytest.raises(TransportError):
             CachingFormatResolver(Network(), "lonely", servers=())
+
+
+class TestMalformedRequests:
+    """A request the server cannot read raises a ``ReproError`` naming
+    the key, before anything changes, and the next lookup is served."""
+
+    def refused(self, message, key):
+        net, primary, backup, writer, reader = build_fleet()
+        writer.register(EVT_V0)
+        net.run()
+        formats = list(primary.registry.formats())
+        stats = dict(primary.stats)
+        with pytest.raises(TransportError, match=key):
+            primary._on_message("reader", json.dumps(message).encode())
+        assert list(primary.registry.formats()) == formats
+        assert primary.stats == stats
+        results = []
+        reader.resolve(EVT_V0.format_id, results.append)
+        net.run()
+        assert [fmt.format_id for fmt in results] == [EVT_V0.format_id]
+        assert backup.stats["syncs"] == 1  # nothing was mirrored
+
+    def test_a_lookup_without_a_format_id(self):
+        self.refused({"op": "lookup", "id": 1}, "format_id")
+
+    def test_a_lookup_of_a_format_id_that_is_no_number(self):
+        self.refused({"op": "lookup", "id": 1, "format_id": "x"}, "format_id")
+
+    @pytest.mark.parametrize("op", ["register", "sync"])
+    def test_formats_that_are_no_list(self, op):
+        self.refused({"op": op, "id": 1, "formats": 5,
+                      "transforms": [transform_to_dict(V1_TO_V0)]}, "formats")
 
 
 class TestFailover:
