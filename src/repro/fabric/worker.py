@@ -198,8 +198,8 @@ class FabricWorker(EndpointMixin):
         #: set while one event of a run is morphed, read by the group
         #: handlers: (shared DELIVER envelope wire, trace context to
         #: attach, the payload's own one, contact -> the run's queued
-        #: datagrams, the payload, its canonical format id, the event's
-        #: stage memo and its wires — both None for a lone group)
+        #: datagrams, the payload, its canonical format id, the wires
+        #: encoded for the event — None for a lone group)
         self._delivering: Optional[Tuple[Any, ...]] = None
         #: write-ahead ledger journal shared with whoever inherits our
         #: shards (None disables journaling — the crash-ablation arm)
@@ -653,16 +653,15 @@ class FabricWorker(EndpointMixin):
         (:meth:`MorphReceiver.process`) through which its payload is
         decoded once and each retro-transform runs once, and beside it
         the wires encoded for the event, each once whichever group asks
-        first.  The memo offers the channel's group formats — and the
-        payload's own, when it is canonical — as cut sources
-        (:data:`~repro.morph.receiver.CUT_SOURCES`): a group whose chain
-        ends in a wire projection out of one of them does not run that
-        step, and :meth:`_deliver_group` cuts its payload from that
-        wire.  That is decided by the set of groups, not by their order.
-        A lone group keeps its fused route.  Every group is handed the
-        payload header admission parsed, so none parses it again.  What
-        a group's receiver dead-letters or drops in quarantine is
-        counted as the run ends
+        first.  The memo offers the channel's group formats as cut
+        sources (:data:`~repro.morph.receiver.CUT_SOURCES`): a group
+        whose chain ends in a wire projection out of one of them does
+        not run that step, and :meth:`_deliver_group` cuts its payload
+        from that format's wire.  That is decided by the set of groups,
+        not by their order.  A lone group keeps its fused route.  Every
+        group is handed the payload header admission parsed, so none
+        parses it again.  What a group's receiver dead-letters or drops
+        in quarantine is counted as the run ends
         (:meth:`~repro.net.reliable.EndpointMixin._account`)."""
         groups = [
             group for _format_id, group in sorted(channel.groups.items())
@@ -694,14 +693,11 @@ class FabricWorker(EndpointMixin):
                 )
                 if ctx is not None:
                     envelope = attach_trace(envelope, ctx)
-                canonical = canonical_format_id(payload)
                 shared = wires = None
                 if sharing:
-                    wires = {}
-                    shared = {CUT_SOURCES: held if canonical in held
-                              or canonical is None else held | {canonical}}
+                    shared, wires = {CUT_SOURCES: held}, {}
                 self._delivering = (envelope, ctx, own, outbox, payload,
-                                    canonical, shared, wires)
+                                    canonical_format_id(payload), wires)
                 context = span = UNRECORDED
                 if OBS.enabled and recording(own or frame_ctx):
                     context = activate(own)
@@ -772,7 +768,7 @@ class FabricWorker(EndpointMixin):
     def _encoded(self, fmt: IOFormat, record: Any) -> bytes:
         """*record*'s wire in *fmt*, encoded once per event: the event's
         wires (with more than one group) keep it beside its record."""
-        wires = self._delivering[7]
+        wires = self._delivering[6]
         if wires is None:
             return self.pbio.encode(fmt, record)
         key = (fmt.format_id, id(record))
@@ -784,29 +780,18 @@ class FabricWorker(EndpointMixin):
 
     def _cut(self, cut: WireCut) -> bytes:
         """The payload of a group whose last step is a wire projection
-        (``cut.step.projection``): cut from the payload itself when the
-        step's input is the payload's decode and the payload is
-        canonical, else from the input's encoded wire — which a group in
-        that format needs anyway, and which is encoded once whichever
-        group asks first.  An input that does not encode (a field the
-        step drops holds what its format cannot) runs the step and
-        encodes its output, as a group that cannot cut does."""
-        payload, canonical, shared = self._delivering[4:7]
+        (``cut.step.projection``), cut from the wire of the step's input
+        — which a group in that format needs anyway, and which is
+        encoded once whichever group asks first.  An input that does not
+        encode (a field the step drops holds what its format cannot)
+        runs the step and encodes its output, as a group that cannot
+        cut does."""
         step, record = cut.step, cut.record
-        wire = None
-        if canonical == step.source.format_id and record is shared.get(
-                canonical):
-            wire = step.projection.cut(payload, self.pbio.byte_order)
-        else:
-            try:
-                source = self._encoded(step.source, record)
-            except EncodeError:
-                pass
-            else:
-                wire = step.projection.cut(source, self.pbio.byte_order)
-        if wire is None:
-            wire = self.pbio.encode(step.target, step.apply(record))
-        return wire
+        try:
+            source = self._encoded(step.source, record)
+        except EncodeError:
+            return self.pbio.encode(step.target, step.apply(record))
+        return step.projection.cut(source)
 
     # ------------------------------------------------------------------
     # Subscriptions

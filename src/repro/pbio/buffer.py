@@ -185,11 +185,13 @@ def canonical_format_id(wire: bytes) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-def projection_cut(source: Any, target: Any) -> Optional["ProjectionCut"]:
+def projection_cut(source: Any, target: Any) -> "ProjectionCut":
     """The layout rule of a wire projection from format *source* to
-    format *target*: which bytes of a *source* payload, concatenated, are
-    the *target* payload carrying the same field values — ``None`` when
-    some field of *target* has no equal same-named field in *source*.
+    format *target* — proven by
+    :func:`repro.ecode.analyze.wire_projection`, so every field of
+    *target* has an equal same-named field in *source*: which bytes of a
+    *source* payload, concatenated, are the *target* payload carrying
+    the same field values.
 
     A field's bytes depend on nothing but its declaration, its value and
     the byte order: a string carries its own length and a variable
@@ -202,9 +204,7 @@ def projection_cut(source: Any, target: Any) -> Optional["ProjectionCut"]:
     position = {field.name: index for index, field in enumerate(source.fields)}
     runs: list = []
     for field in target.fields:
-        index = position.get(field.name)
-        if index is None or source.fields[index] != field:
-            return None
+        index = position[field.name]
         if runs and runs[-1][1] == index:
             runs[-1][1] = index + 1
         else:
@@ -231,19 +231,13 @@ class ProjectionCut:
         self.runs = runs
         self._walkers: dict = {}
 
-    def ranges(
-        self, wire: bytes, byte_order: str = "little"
-    ) -> Optional[List[Tuple[int, int]]]:
+    def ranges(self, wire: bytes) -> List[Tuple[int, int]]:
         """The byte ranges of *wire* — one whole message of the source
-        format, as an encoder wrote it or as a reader decoded it, maybe
-        with a trace block — whose concatenation is the target payload
-        written in *byte_order*; ``None`` when *wire* is in the other
-        order (the payload would need converting, not cutting).  The
+        format as an encoder wrote it, maybe with a trace block — whose
+        concatenation is the target payload in *wire*'s byte order.  The
         walk trusts the lengths it reads: the message is known good."""
         flags = wire[_FLAGS_OFFSET]
         order = ">" if flags & FLAG_BIG_ENDIAN else "<"
-        if order != ORDER_PREFIX[byte_order]:
-            return None
         walk = self._walkers.get(order)
         if walk is None:
             from repro.pbio import codegen  # codegen imports this module
@@ -256,13 +250,11 @@ class ProjectionCut:
             raise DecodeError("a projection cut walked past its message")
         return [(bounds[first], bounds[stop]) for first, stop in self.runs]
 
-    def cut(self, wire: bytes, byte_order: str = "little") -> Optional[bytes]:
+    def cut(self, wire: bytes) -> bytes:
         """The target message — header and the :meth:`ranges`' bytes of
         *wire* — which is what encoding a target record of the same field
-        values in *byte_order* writes; ``None`` when :meth:`ranges` is."""
-        ranges = self.ranges(wire, byte_order)
-        if ranges is None:
-            return None
+        values in *wire*'s byte order writes."""
+        ranges = self.ranges(wire)
         view = memoryview(wire)
         return b"".join([
             pack_header(self.target_id, sum(end - start for start, end in ranges),
