@@ -4,10 +4,18 @@
 with the recovery machinery real middleware runs on top of a lossy
 datagram fabric:
 
-* **sequence-numbered sends** with positive acknowledgements,
+* **sequence-numbered sends** with **cumulative acknowledgements**: a
+  receiver owes each peer one ``ACK`` per receive burst, meaning "every
+  seq below N", flushed by one zero-delay timer once the burst is over
+  (TCP's delayed cumulative ACK, RFC 1122 §4.2.3.2).  Frames still
+  buffered behind a hole ``base_timeout / 4`` later are reported as
+  ranges (QUIC's ACK ranges, RFC 9000 §19.3), before a same-configured
+  sender's first retransmission, so only the missing frame is resent,
 * **retransmission** on ack timeout, with exponential backoff and
-  seeded jitter (all timers ride the network's virtual-time event
-  queue, so every run is deterministic for a given seed),
+  seeded jitter per send, driven by **one timer per peer** armed at the
+  earliest pending deadline (RFC 6298 §5).  Every timer rides the
+  network's virtual-time event queue, so every run is deterministic for
+  a given seed,
 * **bounded retries** — a send that exhausts its retry budget is
   reported as failed, never retried forever,
 * **duplicate suppression** on the receive side (retransmits whose
@@ -23,20 +31,21 @@ datagram fabric:
   could still be retrying (the GAP itself was lost — e.g. the sender
   gave up while this node was down) skips it on a **stall timeout**,
   so crash recovery never wedges a peer's stream,
-* a per-peer **circuit breaker**: after N consecutive ack timeouts the
-  peer is declared down and new sends fail fast; after a cooldown one
-  half-open probe is admitted, and a successful ack closes the circuit.
+* a per-peer **circuit breaker**: after N consecutive expiries of the
+  peer's retransmission timer the peer is declared down and new sends
+  fail fast; after a cooldown one half-open probe is admitted, and a
+  successful ack closes the circuit.
 
 Framing: reliable traffic is prefixed with a 13-byte header (magic +
-frame type + sequence number).  Frames without the magic pass straight
-through to the application handler, so reliable and raw traffic can
-share one node.
+frame type + sequence number); an ``ACK`` may add a range list.  Frames
+without the magic pass straight through to the application handler, so
+reliable and raw traffic can share one node.
 
 Observability: every endpoint counts retries, duplicate drops, breaker
 openings and the rest locally (plain attributes, always on,
 :meth:`ReliableEndpoint.counters`); the four something reads as metrics
 (sends, acked, retries, dup_drops) are kept per peer and read — with
-the in-flight gauge, ``len`` of the pending sends — as
+the in-flight gauge, the number of pending sends — as
 ``net.reliable.*`` by whichever registry is read.
 """
 
@@ -50,6 +59,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 from repro.errors import TransportError
 from repro.net import batch
 from repro.net.batch import BatchFrame, is_batch
+from repro.net.scheduler import Timer
 from repro.net.transport import Network, Node, peek_frame_trace
 from repro.obs import OBS
 from repro.obs.metrics import Tallies, collect, counter, gauge
@@ -65,10 +75,19 @@ from repro.obs.tracectx import (
 #: the ``{``-prefixed JSON of the meta-data plane.
 MAGIC = b"RLP1"
 _FRAME_DATA = 0
-_FRAME_ACK = 1
+_FRAME_ACK = 1  # "every seq below this one", then optional ranges above it
 _FRAME_GAP = 2  # "I gave up on this seq; deliver around it"
 _HEADER = struct.Struct(">4sBQ")  # magic, frame type, sequence number
 HEADER_SIZE = _HEADER.size
+#: An ACK's optional tail: a range count, then that many half-open
+#: ``[start, end)`` runs of seqs received above the cumulative point,
+#: ascending and disjoint.
+_RANGE_COUNT = struct.Struct(">I")
+_RANGE = struct.Struct(">QQ")
+_RANGES_AT = HEADER_SIZE + _RANGE_COUNT.size
+#: Most ranges one ACK carries: 13 + 4 + 64 x 16 = 1041 bytes, one
+#: datagram under a 1500-byte MTU.  A receiver reports its lowest runs.
+ACK_RANGES_MAX = 64
 
 #: Reorder-buffer marker for a sequence number the sender abandoned.
 _SKIPPED = object()
@@ -172,7 +191,7 @@ class SendTicket:
     """
 
     __slots__ = ("destination", "seq", "payload", "state", "attempts",
-                 "retry_times", "on_result")
+                 "retry_times", "due", "on_result")
 
     def __init__(
         self,
@@ -189,6 +208,8 @@ class SendTicket:
         #: virtual times at which (re)transmissions happened — the
         #: backoff schedule, asserted deterministic by the tests
         self.retry_times: List[float] = []
+        #: when the latest transmission times out (its backoff + jitter)
+        self.due = 0.0
         self.on_result = on_result
 
     @property
@@ -217,14 +238,17 @@ class ReliableEndpoint:
     base_timeout:
         Ack timeout of the first transmission, in virtual seconds.
         Retry *k* waits ``base_timeout * backoff_factor**k`` plus jitter.
+        A quarter of it is the grace a receive hole gets before its
+        ack reports ranges.
     backoff_factor / retry_jitter:
         Exponential backoff multiplier and the maximum uniform jitter
         added per retry (drawn from this endpoint's own seeded RNG).
     max_retries:
         Retransmissions after the initial send before giving up.
     breaker_threshold / breaker_cooldown:
-        Consecutive ack timeouts that open a peer's circuit, and how
-        long the circuit stays open before a half-open probe.
+        Consecutive expiries of a peer's retransmission timer that open
+        its circuit (one per expiry, however many sends it retransmits),
+        and how long the circuit stays open before a half-open probe.
     stall_timeout:
         How long (virtual seconds) in-order delivery waits on an
         unfilled sequence hole before skipping it.  ``None`` derives a
@@ -281,13 +305,23 @@ class ReliableEndpoint:
         self._rng = random.Random(f"{seed}:{self.node.address}")
         self._handler: Optional[MessageHandler] = None
         self._next_seq: Dict[str, int] = {}
-        self._pending: Dict[Tuple[str, int], SendTicket] = {}
+        #: unacked sends per peer, in seq order
+        self._pending: Dict[str, Dict[int, SendTicket]] = {}
+        #: per-peer retransmission timer, armed at the earliest deadline
+        self._timers: Dict[str, Timer] = {}
+        #: peers owed an ack when this receive burst is over, in arrival
+        #: order (a seeded run sends its acks in a reproducible order),
+        #: and the one zero-delay timer that flushes them
+        self._ack_due: Dict[str, None] = {}
+        self._flush: Optional[Timer] = None
+        #: per-peer hole watch: (timer, expected-seq when scheduled)
+        self._hole_watch: Dict[str, Tuple[Timer, int]] = {}
         #: next sequence number to *deliver* from each peer
         self._expected: Dict[str, int] = {}
         #: frames received ahead of a gap, keyed peer -> seq -> payload
         self._reorder: Dict[str, Dict[int, object]] = {}
         #: per-peer stall watchdog: (timer, expected-seq when scheduled)
-        self._stall_watch: Dict[str, Tuple[object, int]] = {}
+        self._stall_watch: Dict[str, Tuple[Timer, int]] = {}
         #: sequence numbers this sender abandoned, per peer — their GAP
         #: frames ride along with every later transmit until the peer
         #: acknowledges them, so a receiver that was down when the
@@ -366,8 +400,12 @@ class ReliableEndpoint:
         self._next_seq[destination] = seq + 1
         ticket = SendTicket(destination, seq, payload, on_result)
         self._tally.sends[destination] += 1
-        self._pending[(destination, seq)] = ticket
+        pending = self._pending.get(destination)
+        if pending is None:
+            pending = self._pending[destination] = {}
+        pending[seq] = ticket
         self._transmit(ticket)
+        self._arm(destination, ticket.due)
         return ticket
 
     def _transmit(self, ticket: SendTicket) -> None:
@@ -403,47 +441,88 @@ class ReliableEndpoint:
         )
         if self.retry_jitter:
             timeout += self._rng.uniform(0.0, self.retry_jitter)
-        self.network.call_later(timeout, lambda: self._on_timeout(ticket))
+        ticket.due = self.network.now + timeout
+
+    def _arm(self, peer: str, due: float) -> None:
+        """Arm *peer*'s retransmission timer at *due*, unless the armed
+        one fires at most ``retry_jitter`` after it: an expiry
+        retransmits whatever is due within ``retry_jitter`` of it, so a
+        burst of sends shares one timer."""
+        timer = self._timers.get(peer)
+        if timer is not None:
+            if timer.when - self.retry_jitter <= due:
+                return
+            timer.cancel()
+        self._timers[peer] = self.network.call_at(
+            due, lambda: self._on_expiry(peer)
+        )
 
     def abort_in_flight(self) -> int:
         """Finish every pending ticket as ``failed`` without any wire
         traffic — the process-kill model.  A crashed process sends no
-        GAP farewell and schedules no retransmits; its already-armed
-        retry timers become no-ops because the tickets are final when
-        they fire.  Peers discover the holes through their own stall
-        watchdogs, exactly as with a real dead process.  Returns the
-        number of sends aborted."""
+        GAP farewell, no retransmit and no ack: its retransmission
+        timers, its pending ack flush and its hole watches are dropped.
+        Peers discover the holes through their own stall watchdogs,
+        exactly as with a real dead process.  Returns the number of
+        sends aborted."""
         aborted = 0
-        for ticket in list(self._pending.values()):
-            if ticket.final:
-                continue
-            aborted += 1
-            self.failed += 1
-            ticket._finish("failed")
+        for pending in list(self._pending.values()):
+            for ticket in list(pending.values()):
+                if ticket.final:
+                    continue
+                aborted += 1
+                self.failed += 1
+                ticket._finish("failed")
         self._pending.clear()
+        for timer in [*self._timers.values(), self._flush,
+                      *(timer for timer, _ in self._hole_watch.values())]:
+            if timer is not None:
+                timer.cancel()
+        self._timers.clear()
+        self._hole_watch.clear()
+        self._ack_due.clear()
+        self._flush = None
         return aborted
 
-    def _on_timeout(self, ticket: SendTicket) -> None:
-        if ticket.final:
-            return  # acked (or failed) before this timer fired
-        breaker = self.breaker(ticket.destination)
-        if breaker.record_failure(self.network.now):
-            self.breaker_opens += 1
-        if ticket.attempts > self.max_retries:
-            self._pending.pop((ticket.destination, ticket.seq), None)
-            self.failed += 1
-            # Tell the peer to deliver around this seq so its in-order
-            # pipeline doesn't stall on the hole; the hole is remembered
-            # and re-advertised with every later transmit until acked.
-            self._holes.setdefault(ticket.destination, set()).add(ticket.seq)
-            self.node.send(
-                ticket.destination,
-                _HEADER.pack(MAGIC, _FRAME_GAP, ticket.seq),
-            )
-            ticket._finish("failed")
+    def _on_expiry(self, peer: str) -> None:
+        """*peer*'s retransmission timer fired: one breaker failure,
+        then every send due within ``retry_jitter`` of now is
+        retransmitted (or, its budget spent, given up); the timer is
+        re-armed at the earliest deadline left."""
+        self._timers.pop(peer, None)
+        pending = self._pending.get(peer)
+        if not pending:
             return
-        self._tally.retries[ticket.destination] += 1
-        self._transmit(ticket)
+        now = self.network.now
+        horizon = now + self.retry_jitter
+        due = [ticket for ticket in pending.values() if ticket.due <= horizon]
+        if due:
+            if self.breaker(peer).record_failure(now):
+                self.breaker_opens += 1
+            for ticket in due:
+                if ticket.final:
+                    continue  # finished by an earlier one's callback
+                if ticket.attempts > self.max_retries:
+                    self._give_up(ticket)
+                else:
+                    self._tally.retries[peer] += 1
+                    self._transmit(ticket)
+        pending = self._pending.get(peer)
+        if pending:
+            self._arm(peer, min(ticket.due for ticket in pending.values()))
+
+    def _give_up(self, ticket: SendTicket) -> None:
+        """Fail *ticket*, its retry budget spent, and tell the peer to
+        deliver around its seq so the peer's in-order pipeline does not
+        stall on the hole; the hole is remembered and re-advertised with
+        every later transmit until acked."""
+        self._pending[ticket.destination].pop(ticket.seq, None)
+        self.failed += 1
+        self._holes.setdefault(ticket.destination, set()).add(ticket.seq)
+        self.node.send(
+            ticket.destination, _HEADER.pack(MAGIC, _FRAME_GAP, ticket.seq)
+        )
+        ticket._finish("failed")
 
     # ------------------------------------------------------------------
     # Receiving
@@ -457,18 +536,17 @@ class ReliableEndpoint:
                 self._handler(source, data)
             return
         magic, frame_type, seq = _HEADER.unpack_from(data)
-        payload = data[HEADER_SIZE:]
         if frame_type == _FRAME_ACK:
-            self._on_ack(source, seq)
+            self._on_ack(source, seq, data)
         elif frame_type == _FRAME_DATA:
-            self._on_data(source, seq, payload)
+            self._on_data(source, seq, data[HEADER_SIZE:])
         elif frame_type == _FRAME_GAP:
             self._on_gap(source, seq)
         # unknown frame types are dropped: forward compatibility
 
     def _on_data(self, source: str, seq: int, payload: bytes) -> None:
         # Always re-ack: the retransmit may mean our previous ack was lost.
-        self.node.send(source, _HEADER.pack(MAGIC, _FRAME_ACK, seq))
+        self._ack_later(source)
         buffered = self._reorder.setdefault(source, {})
         if seq < self._expected.get(source, 0) or seq in buffered:
             self._tally.dup_drops[source] += 1
@@ -481,7 +559,7 @@ class ReliableEndpoint:
     def _on_gap(self, source: str, seq: int) -> None:
         """The sender abandoned *seq*: mark the hole deliverable-around."""
         # Ack the gap too, so the sender can stop re-advertising it.
-        self.node.send(source, _HEADER.pack(MAGIC, _FRAME_ACK, seq))
+        self._ack_later(source)
         buffered = self._reorder.setdefault(source, {})
         if seq < self._expected.get(source, 0) or seq in buffered:
             return  # already delivered or already buffered (stale gap)
@@ -560,20 +638,108 @@ class ReliableEndpoint:
             self._expected[source] = target
         self._drain(source)
 
-    def _on_ack(self, source: str, seq: int) -> None:
+    def _ack_later(self, source: str) -> None:
+        """Owe *source* an ack, sent with every other ack owed once this
+        receive burst is over: one zero-delay timer flushes them all."""
+        self._ack_due[source] = None
+        if self._flush is None:
+            self._flush = self.network.call_later(0.0, self._flush_acks)
+
+    def _flush_acks(self) -> None:
+        """One cumulative ack per peer owed one.  Frames buffered behind
+        a hole get a grace of ``base_timeout / 4`` first: reordering
+        fills the hole within it, and a hole that outlives it is
+        reported as ranges (:meth:`_on_hole`) before a same-configured
+        sender's first retransmission."""
+        self._flush = None
+        owed, self._ack_due = self._ack_due, {}
+        for peer in owed:
+            self.node.send(peer, _HEADER.pack(
+                MAGIC, _FRAME_ACK, self._expected.get(peer, 0)))
+            if self._reorder.get(peer) and peer not in self._hole_watch:
+                self._watch_hole(peer)
+
+    def _watch_hole(self, peer: str) -> None:
+        timer = self.network.call_later(
+            self.base_timeout / 4, lambda: self._on_hole(peer)
+        )
+        self._hole_watch[peer] = (timer, self._expected.get(peer, 0))
+
+    def _on_hole(self, peer: str) -> None:
+        _timer, marked_expected = self._hole_watch.pop(peer)
+        buffered = self._reorder.get(peer)
+        if not buffered:
+            return  # the hole filled
+        if self._expected.get(peer, 0) != marked_expected:
+            # that hole filled; the one frames wait behind now gets a
+            # grace of its own
+            self._watch_hole(peer)
+            return
+        ranges: List[List[int]] = []
+        for seq in sorted(buffered):
+            if ranges and ranges[-1][1] == seq:
+                ranges[-1][1] = seq + 1
+            elif len(ranges) < ACK_RANGES_MAX:
+                ranges.append([seq, seq + 1])
+            else:
+                break
+        self.node.send(peer, b"".join([
+            _HEADER.pack(MAGIC, _FRAME_ACK, marked_expected),
+            _RANGE_COUNT.pack(len(ranges)),
+            *(_RANGE.pack(start, end) for start, end in ranges),
+        ]))
+
+    def _on_ack(self, source: str, floor: int, data: bytes) -> None:
+        """Retire every send and hole an ACK covers: each seq below
+        *floor*, and each seq in its ranges.  The frame is a peer's
+        bytes: a malformed range list refuses the whole frame, and what
+        it claims is clipped to the seqs this endpoint has sent — an ack
+        from a peer never sent to retires nothing.  The walk is over the
+        pending sends, never over the claimed seqs."""
+        sent = self._next_seq.get(source)
+        if sent is None:
+            return
+        ranges = _ack_ranges(data, floor)
+        if ranges is None:
+            return
+        floor = min(floor, sent)
+        ranges = [(start, min(end, sent)) for start, end in ranges
+                  if start < sent]
         holes = self._holes.get(source)
         if holes is not None:
-            # The peer saw this seq (as data or as a gap notice): the
-            # hole can no longer stall it, stop re-advertising.
-            holes.discard(seq)
+            # The peer saw these seqs (as data or as a gap notice): the
+            # holes can no longer stall it, stop re-advertising them.
+            holes.difference_update([
+                hole for hole in holes if hole < floor or any(
+                    start <= hole < end for start, end in ranges)
+            ])
             if not holes:
                 del self._holes[source]
-        ticket = self._pending.pop((source, seq), None)
-        if ticket is None or ticket.final:
+        pending = self._pending.get(source)
+        if not pending:
+            return
+        acked: List[SendTicket] = []
+        spans = iter(ranges + [(sent, sent)])  # every pending seq < sent
+        start, end = 0, floor
+        for seq, ticket in pending.items():
+            while seq >= end:
+                start, end = next(spans)
+            if start == sent:
+                break
+            if seq >= start:
+                acked.append(ticket)
+        if not acked:
             return  # duplicate or stale ack
-        self._tally.acked[source] += 1
+        for ticket in acked:
+            del pending[ticket.seq]
+        if not pending:
+            timer = self._timers.pop(source, None)
+            if timer is not None:
+                timer.cancel()
+        self._tally.acked[source] += len(acked)
         self.breaker(source).record_success()
-        ticket._finish("acked")
+        for ticket in acked:
+            ticket._finish("acked")
 
     # ------------------------------------------------------------------
     # Introspection
@@ -582,7 +748,7 @@ class ReliableEndpoint:
     @property
     def in_flight(self) -> int:
         """Sends still awaiting an ack."""
-        return len(self._pending)
+        return sum(len(pending) for pending in list(self._pending.values()))
 
     def counters(self) -> Dict[str, int]:
         """Snapshot of the endpoint's reliability counters."""
@@ -595,6 +761,26 @@ class ReliableEndpoint:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ReliableEndpoint({self.address!r}, sent={self.sent}, "
                 f"acked={self.acked}, in_flight={self.in_flight})")
+
+
+def _ack_ranges(data: bytes, floor: int) -> Optional[List[Tuple[int, int]]]:
+    """The ranges an ACK with cumulative point *floor* carries, or
+    ``None`` when its tail is not a whole list of at most
+    :data:`ACK_RANGES_MAX` non-empty runs, ascending, disjoint and above
+    *floor*."""
+    if len(data) == HEADER_SIZE:
+        return []
+    if len(data) < _RANGES_AT:
+        return None
+    (count,) = _RANGE_COUNT.unpack_from(data, HEADER_SIZE)
+    if count > ACK_RANGES_MAX or len(data) != _RANGES_AT + count * _RANGE.size:
+        return None
+    ranges = list(_RANGE.iter_unpack(memoryview(data)[_RANGES_AT:]))
+    for start, end in ranges:
+        if not floor <= start < end:
+            return None
+        floor = end
+    return ranges
 
 
 def refuse_removed_modes(**chosen: Any) -> None:

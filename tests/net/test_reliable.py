@@ -1,9 +1,18 @@
-"""ReliableEndpoint: ack/retry determinism, ordering, breaker states."""
+"""ReliableEndpoint: ack/retry determinism, ordering, breaker states,
+hostile ack frames and the counted price of a burst."""
+
+import inspect
+import struct
 
 import pytest
 
 from repro.net.link import LinkSpec
-from repro.net.reliable import CircuitBreaker, ReliableEndpoint
+from repro.net.reliable import (
+    ACK_RANGES_MAX,
+    HEADER_SIZE,
+    CircuitBreaker,
+    ReliableEndpoint,
+)
 from repro.net.transport import Network
 
 
@@ -245,3 +254,199 @@ class TestCircuitBreaker:
         assert counters["failed"] == 0
         assert counters["rejected"] == 0
         assert a.in_flight == 0
+
+
+def _ack(floor, ranges=(), count=None, tail=b""):
+    """An ACK frame as a peer could write it: *count* overrides the range
+    count the frame claims, *tail* is appended after the ranges."""
+    from repro.net.reliable import MAGIC, _FRAME_ACK, _HEADER
+
+    if not ranges and count is None and not tail:
+        return _HEADER.pack(MAGIC, _FRAME_ACK, floor)
+    claimed = len(ranges) if count is None else count
+    return (_HEADER.pack(MAGIC, _FRAME_ACK, floor)
+            + struct.pack(">I", claimed)
+            + b"".join(struct.pack(">QQ", *run) for run in ranges) + tail)
+
+
+def _frame_type(data):
+    return data[4] if data[:4] == b"RLP1" else None
+
+
+class TestAckFramesArePeerBytes:
+    """An ACK is a peer's bytes: a malformed one is refused whole, an
+    overreaching one is clipped to the seqs this endpoint has sent, and
+    nothing escapes ``_on_raw`` or walks the seqs an ack claims."""
+
+    @pytest.fixture
+    def sender(self):
+        net = Network(default_link=LinkSpec(latency=0.001))
+        a = ReliableEndpoint(net, "a")
+        net.add_node("b").close()  # nothing b really sends reaches a
+        tickets = [a.send("b", bytes([n])) for n in range(4)]
+        return a, tickets
+
+    def test_a_truncated_range_list_is_refused(self, sender):
+        a, tickets = sender
+        for frame in (
+            _ack(0, [(1, 3), (3, 4)])[:-8],       # the last range cut short
+            _ack(0, [(1, 3)], count=2),           # one range of two
+            _ack(0, [(1, 3)], tail=b"\x00"),      # a byte past the list
+            _ack(0)[:-1],                         # a header cut short
+            _ack(0) + b"\x00\x00",                # half a range count
+        ):
+            a._on_raw("b", frame)
+        assert [t.state for t in tickets] == ["pending"] * 4
+        assert a.acked == 0 and a.in_flight == 4
+
+    def test_disordered_or_empty_ranges_are_refused(self, sender):
+        a, tickets = sender
+        for ranges in ([(2, 3), (1, 2)], [(1, 3), (2, 4)], [(2, 2)],
+                       [(3, 1)]):
+            a._on_raw("b", _ack(0, ranges))
+        assert a.acked == 0 and a.in_flight == 4
+
+    def test_a_range_count_of_two_to_the_32_is_refused(self, sender):
+        a, tickets = sender
+        a._on_raw("b", _ack(0, [(1, 2)], count=2**32 - 1))
+        a._on_raw("b", _ack(0, count=2**32 - 1, tail=b"\x00" * 16 * 65))
+        assert a.acked == 0 and a.in_flight == 4
+
+    def test_a_point_or_range_past_what_was_sent_is_clipped(self, sender):
+        a, tickets = sender
+        # a range to the end of the seq space: clipped to seqs 2..3, and
+        # never walked (range(2, 2**64 - 1) would not finish)
+        a._on_raw("b", _ack(0, [(2, 2**64 - 1)]))
+        assert [t.state for t in tickets] == [
+            "pending", "pending", "acked", "acked"]
+        # a range wholly past what was sent retires nothing
+        a._on_raw("b", _ack(0, [(10, 2**63)]))
+        assert a.acked == 2
+        # a cumulative point past what was sent covers what was sent ...
+        a._on_raw("b", _ack(2**64 - 1))
+        assert [t.state for t in tickets] == ["acked"] * 4
+        # ... and nothing sent after it: that ack is not remembered
+        later = a.send("b", b"later")
+        a._on_raw("b", _ack(2**64 - 1))
+        assert later.state == "acked"  # the new point covers seq 4 ...
+        newest = a.send("b", b"newest")
+        assert newest.state == "pending"  # ... and not seq 5
+        assert a.acked == 5 and a.in_flight == 1
+
+    def test_an_ack_from_a_peer_never_sent_to_changes_nothing(self, sender):
+        a, tickets = sender
+        state = (dict(a._next_seq), dict(a._breakers), dict(a._holes))
+        for frame in (_ack(2**64 - 1), _ack(0, [(0, 2**64 - 1)]),
+                      _ack(5, count=2**32 - 1)):
+            a._on_raw("stranger", frame)
+        assert (dict(a._next_seq), dict(a._breakers), dict(a._holes)) == state
+        assert a.acked == 0 and a.in_flight == 4
+
+    def test_ranges_are_capped_to_fit_one_datagram(self):
+        # 200 frames with every other one lost: 100 runs behind the hole
+        net = Network(default_link=LinkSpec(latency=0.001))
+        a = ReliableEndpoint(net, "a")
+        b = ReliableEndpoint(net, "b")
+        b.set_handler(lambda _s, _d: None)
+        acks = []
+        send = net.send
+
+        def tap(source, destination, data):
+            if _frame_type(data) == 0 and data[12] % 2 == 0 and not a.retries:
+                return net.now  # every even seq's first transmission
+            if _frame_type(data) == 1:
+                acks.append(len(data))
+            return send(source, destination, data)
+
+        net.send = tap
+        for n in range(200):
+            a.send("b", bytes([n % 256]))
+        net.run()
+        assert a.acked == 200 and b.delivered == 200
+        assert max(acks) == HEADER_SIZE + 4 + 16 * ACK_RANGES_MAX <= 1500
+
+
+#: the hole grace of a default endpoint: ``base_timeout / 4``
+GRACE = inspect.signature(ReliableEndpoint).parameters["base_timeout"].default / 4
+
+
+class TestAckPrice:
+    """Counted, never timed: what a burst costs on the wire and on the
+    scheduler.  One cumulative ack per receive burst, one retransmission
+    timer per peer; ranges only for a hole that outlives the
+    ``base_timeout / 4`` grace, and then before the first
+    retransmission."""
+
+    @staticmethod
+    def tapped(hold=0.0):
+        """Two default endpoints on a lossless link, every datagram —
+        ``(time, frame type, size, seq)`` — and timer entry counted;
+        *hold* delays seq 0's first transmission (``None``: it is lost)."""
+        net = Network(default_link=LinkSpec(latency=0.001))
+        a = ReliableEndpoint(net, "a")
+        b = ReliableEndpoint(net, "b")
+        b.set_handler(lambda _s, _d: None)
+        wire = []
+        timers = {"call_at": 0, "call_later": 0}
+        send, later = net.send, net.call_later
+
+        def tapped_send(source, destination, data):
+            kind, seq = data[4], int.from_bytes(data[5:13], "big")
+            held = (kind, seq) == (0, 0) and not any(
+                (k, s) == (0, 0) for _t, k, _n, s in wire)
+            wire.append((net.now, kind, len(data), seq))
+            if held and hold is None:
+                return net.now
+            if held and hold:
+                later(hold, lambda: send(source, destination, data))
+                return net.now + hold
+            return send(source, destination, data)
+
+        def counting(name, original):
+            def timer(*args):
+                timers[name] += 1
+                return original(*args)
+            return timer
+
+        net.send = tapped_send
+        net.call_at = counting("call_at", net.call_at)
+        net.call_later = counting("call_later", later)
+        return net, a, b, wire, timers
+
+    def test_a_burst_costs_one_ack_and_one_timer(self):
+        net, a, b, wire, timers = self.tapped()
+        tickets = [a.send("b", bytes([n])) for n in range(64)]
+        net.run()
+        assert all(t.state == "acked" for t in tickets)
+        assert b.delivered == 64
+        assert [kind for _t, kind, _n, _s in wire].count(0) == 64
+        # one ack, without ranges
+        assert [size for _t, kind, size, _s in wire if kind == 1] == [
+            HEADER_SIZE]
+        # a's one retransmission timer, b's one ack flush
+        assert timers == {"call_at": 1, "call_later": 1}
+
+    def test_a_hole_that_fills_within_the_grace_sends_no_ranges(self):
+        net, a, b, wire, _timers = self.tapped(hold=GRACE / 2)
+        for n in range(64):
+            a.send("b", bytes([n]))
+        net.run()
+        assert b.delivered == 64 and a.retries == 0
+        assert {size for _t, kind, size, _s in wire if kind == 1} == {
+            HEADER_SIZE}
+
+    def test_a_hole_that_outlives_the_grace_sends_ranges_in_time(self):
+        net, a, b, wire, _timers = self.tapped(hold=None)
+        for n in range(64):
+            a.send("b", bytes([n]))
+        net.run()
+        assert b.delivered == 64 and a.acked == 64
+        data = [(at, seq) for at, kind, _n, seq in wire if kind == 0]
+        ranged = [(at, size) for at, kind, size, _s in wire
+                  if kind == 1 and size > HEADER_SIZE]
+        # one run, seqs 1..63, reported before the retransmission ...
+        assert ranged[0][1] == HEADER_SIZE + 4 + 16
+        assert ranged[0][0] < data[64][0]
+        # ... so only the lost frame went again
+        assert len(data) == 65 and data[64][1] == 0
+        assert a.retries == 1 and b.dup_drops == 0
