@@ -20,6 +20,9 @@ datagram fabric:
   reported as failed, never retried forever,
 * **duplicate suppression** on the receive side (retransmits whose
   original did arrive, or whose ack was lost, are dropped and counted),
+* a **receive window**: a frame whose seq lies :data:`RECEIVE_WINDOW`
+  or more past the next seq to deliver is refused, not buffered and not
+  acked — its source is only what the frame claims,
 * **in-order delivery** per peer: frames that arrive ahead of a gap are
   buffered and handed to the application strictly in send order.  A
   retransmitted *old* message can therefore never overtake (or, worse,
@@ -91,6 +94,14 @@ ACK_RANGES_MAX = 64
 
 #: Reorder-buffer marker for a sequence number the sender abandoned.
 _SKIPPED = object()
+
+#: Receive window: a ``DATA`` or ``GAP`` frame whose seq lies this far or
+#: further past the next seq to deliver is refused — not buffered, not
+#: acked — so a frame that only claims to come from a peer cannot park a
+#: far-future seq that a stall skip would later jump the stream to.  A
+#: real sender further ahead than this (past a hole) resends once the
+#: hole fills; no sender in the repository gets near it.
+RECEIVE_WINDOW = 1 << 12
 
 MessageHandler = Callable[[str, bytes], None]
 
@@ -545,23 +556,29 @@ class ReliableEndpoint:
         # unknown frame types are dropped: forward compatibility
 
     def _on_data(self, source: str, seq: int, payload: bytes) -> None:
+        expected = self._expected.get(source, 0)
+        if seq - expected >= RECEIVE_WINDOW:
+            return
         # Always re-ack: the retransmit may mean our previous ack was lost.
         self._ack_later(source)
         buffered = self._reorder.setdefault(source, {})
-        if seq < self._expected.get(source, 0) or seq in buffered:
+        if seq < expected or seq in buffered:
             self._tally.dup_drops[source] += 1
             return
-        if seq != self._expected.get(source, 0):
+        if seq != expected:
             self.reordered += 1
         buffered[seq] = payload
         self._drain(source)
 
     def _on_gap(self, source: str, seq: int) -> None:
         """The sender abandoned *seq*: mark the hole deliverable-around."""
+        expected = self._expected.get(source, 0)
+        if seq - expected >= RECEIVE_WINDOW:
+            return
         # Ack the gap too, so the sender can stop re-advertising it.
         self._ack_later(source)
         buffered = self._reorder.setdefault(source, {})
-        if seq < self._expected.get(source, 0) or seq in buffered:
+        if seq < expected or seq in buffered:
             return  # already delivered or already buffered (stale gap)
         self.gap_skips += 1
         buffered[seq] = _SKIPPED

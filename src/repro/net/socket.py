@@ -1,4 +1,4 @@
-"""Real-socket transport: asyncio UDP datagrams on loopback.
+"""Real-socket transport: UDP datagrams on loopback, read by the network.
 
 :class:`SocketNetwork` implements the same contract as the simulated
 :class:`~repro.net.transport.Network` — ``add_node`` returning objects
@@ -10,6 +10,20 @@ fabric workers) runs unchanged over real UDP sockets.  The differences
 are the clock (the asyncio loop's monotonic clock instead of virtual
 time) and :meth:`run` semantics (drive the loop until traffic and
 timers quiesce, instead of draining a deterministic queue).
+
+The asyncio loop is the clock and the timer heap; the sockets are the
+network's own.  Each node's non-blocking socket is registered with
+``loop.add_reader``, and on readiness one reader drains it: up to
+:data:`DRAIN_LIMIT` datagrams, each read with ``recv_into`` into one
+preallocated buffer the size of the largest UDP payload and copied out
+to ``bytes`` once.  A whole receive burst is so handed on in one loop
+pass — which is what lets a reliable endpoint answer it with one ack —
+and the bound keeps a handler that sends to its own node from holding
+the loop (timers, quiesce detection) forever.  Sends go straight to
+``sendto``; a datagram the kernel refuses is counted in
+:attr:`SocketNetwork.socket_errors` and lost, as on a wire.  A callback
+due now (a zero-delay ``call_later``) takes ``loop.call_soon``, not the
+timer heap: it runs once the readiness callbacks of this pass are done.
 
 Fault injection carries over: ``LinkSpec.loss_rate``/``jitter`` are
 applied *in user space* from a seeded RNG before the datagram reaches
@@ -46,9 +60,21 @@ _SRC_LEN = struct.Struct(">H")
 #: is slow (the bench's flow-control window assumes roughly this much).
 RECV_BUFFER = 1 << 20
 
+#: The one receive buffer's size: a UDP payload is at most 65507 bytes
+#: over IPv4, so every datagram fits whole.
+DATAGRAM_MAX = 1 << 16
+
+#: Datagrams one readiness callback reads from a socket before it hands
+#: the loop back (timers, other sockets, :meth:`SocketNetwork.run`'s
+#: loop protection).  Twice the largest burst one socket holds on the
+#: ``fabric_udp`` row (65 datagrams), so a burst is still read, and
+#: acked, in one pass.
+DRAIN_LIMIT = 128
+
 
 class SocketTimer(Timer):
-    """A :class:`Timer` backed by an asyncio ``call_later`` handle."""
+    """A :class:`Timer` backed by an asyncio handle: a ``call_at``
+    timer, or a ``call_soon`` handle when it was due at once."""
 
     __slots__ = ("_handle", "_network")
 
@@ -56,25 +82,13 @@ class SocketTimer(Timer):
                  network: "SocketNetwork") -> None:
         super().__init__(when, callback)
         self._network = network
-        self._handle: Optional[asyncio.TimerHandle] = None
+        self._handle: Optional[asyncio.Handle] = None
 
     def cancel(self) -> None:
         super().cancel()
         if self._handle is not None:
             self._handle.cancel()
         self._network._armed.discard(self)
-
-
-class _NodeProtocol(asyncio.DatagramProtocol):
-    def __init__(self, network: "SocketNetwork", node: Node) -> None:
-        self.network = network
-        self.node = node
-
-    def datagram_received(self, frame: bytes, addr) -> None:
-        self.network._on_datagram(self.node, frame)
-
-    def error_received(self, exc) -> None:  # pragma: no cover - kernel path
-        self.network.socket_errors += 1
 
 
 class SocketNetwork(NodeTable):
@@ -119,6 +133,8 @@ class SocketNetwork(NodeTable):
         self._closed = False
         self.delivered_total = 0
         self.socket_errors = 0
+        self._buffer = bytearray(DATAGRAM_MAX)
+        self._view = memoryview(self._buffer)
 
     # ------------------------------------------------------------------
     # Clock / timers (the Scheduler protocol)
@@ -132,8 +148,11 @@ class SocketNetwork(NodeTable):
         return self._loop.time() - self._t0
 
     def call_at(self, when: float, callback: Callable[[], None]) -> Timer:
-        """Schedule *callback* at network time *when* (clamped to now)."""
-        timer = SocketTimer(max(when, self.now), callback, self)
+        """Schedule *callback* at network time *when* (clamped to now).
+        One due already runs after the loop's current readiness
+        callbacks, before any timer due later."""
+        now = self.now
+        timer = SocketTimer(max(when, now), callback, self)
 
         def fire() -> None:
             self._armed.discard(timer)
@@ -141,7 +160,10 @@ class SocketNetwork(NodeTable):
             if not timer.cancelled:
                 timer.callback()
 
-        timer._handle = self._loop.call_at(timer.when + self._t0, fire)
+        if when <= now:
+            timer._handle = self._loop.call_soon(fire)
+        else:
+            timer._handle = self._loop.call_at(when + self._t0, fire)
         self._armed.add(timer)
         return timer
 
@@ -164,22 +186,20 @@ class SocketNetwork(NodeTable):
         if address in self._nodes:
             raise TransportError(f"address {address!r} already in use")
         node = Node(self, address)
-        transport, _proto = self._loop.run_until_complete(
-            self._loop.create_datagram_endpoint(
-                lambda: _NodeProtocol(self, node),
-                local_addr=(self.host, port),
+        family, kind, proto, _name, bind_to = _socketmod.getaddrinfo(
+            self.host, port, type=_socketmod.SOCK_DGRAM)[0]
+        sock = _socketmod.socket(family, kind, proto)
+        try:
+            sock.setsockopt(
+                _socketmod.SOL_SOCKET, _socketmod.SO_RCVBUF, RECV_BUFFER
             )
-        )
-        sock = transport.get_extra_info("socket")
-        if sock is not None:
-            try:
-                sock.setsockopt(
-                    _socketmod.SOL_SOCKET, _socketmod.SO_RCVBUF, RECV_BUFFER
-                )
-            except OSError:  # pragma: no cover - kernel limits
-                pass
-        node._transport = transport
-        node.port = transport.get_extra_info("sockname")[1]
+        except OSError:  # pragma: no cover - kernel limits
+            pass
+        sock.setblocking(False)
+        sock.bind(bind_to)
+        self._loop.add_reader(sock.fileno(), self._drain, node, sock)
+        node._sock = sock
+        node.port = sock.getsockname()[1]
         self._nodes[address] = node
         return node
 
@@ -214,7 +234,8 @@ class SocketNetwork(NodeTable):
                    self.now + delay if lost else None)
         if lost:
             return self.now + delay
-        frame = _SRC_LEN.pack(len(source)) + source.encode("utf-8") + data
+        prefix = source.encode("utf-8")
+        frame = _SRC_LEN.pack(len(prefix)) + prefix + data
         if delay > 0:
             self.call_later(delay, lambda: self._transmit(source, frame, target))
         else:
@@ -224,32 +245,48 @@ class SocketNetwork(NodeTable):
     def _transmit(self, source: str, frame: bytes,
                   target: Tuple[str, int]) -> None:
         node = self._nodes.get(source)
-        transport = node._transport if node is not None else None
-        if transport is None:
+        sock = node._sock if node is not None else None
+        if sock is None:
             # A source without a local socket (or after close()): borrow
             # any bound node — UDP does not care which socket sends.
             for other in self._nodes.values():
-                if other._transport is not None:
-                    transport = other._transport
+                if other._sock is not None:
+                    sock = other._sock
                     break
-        if transport is None:
+        if sock is None:
             raise TransportError("no bound socket to send from")
-        transport.sendto(frame, target)
+        try:
+            sock.sendto(frame, target)
+        except OSError:
+            # refused by the kernel (a full buffer, an unreachable
+            # address): lost, as on a wire — the reliable layer resends
+            self.socket_errors += 1
 
-    def _on_datagram(self, node: Node, frame: bytes) -> None:
-        self._activity += 1
-        if len(frame) < _SRC_LEN.size:
-            self.socket_errors += 1
-            return
-        (src_len,) = _SRC_LEN.unpack_from(frame)
-        if len(frame) < _SRC_LEN.size + src_len:
-            self.socket_errors += 1
-            return
-        source = frame[_SRC_LEN.size:_SRC_LEN.size + src_len].decode(
-            "utf-8", "replace"
-        )
-        self._arrived(node, source, frame[_SRC_LEN.size + src_len:])
-        self.delivered_total += 1
+    def _drain(self, node: Node, sock: _socketmod.socket) -> None:
+        """*sock* is readable: hand on what it holds, at most
+        :data:`DRAIN_LIMIT` datagrams.  Each is read into the one
+        buffer, and its payload copied out before any handler runs, so
+        a handler that sends (or reads) reuses the buffer safely."""
+        buffer, view = self._buffer, self._view
+        for _ in range(DRAIN_LIMIT):
+            try:
+                size = sock.recv_into(buffer)
+            except BlockingIOError:
+                return
+            except OSError:
+                self.socket_errors += 1
+                return
+            self._activity += 1
+            # a datagram shorter than the length field leaves a previous
+            # one's bytes where it is read, but any start is then past
+            # the datagram's end: refused all the same
+            start = _SRC_LEN.size + _SRC_LEN.unpack_from(buffer)[0]
+            if size < start:
+                self.socket_errors += 1
+                continue
+            source = str(view[_SRC_LEN.size:start], "utf-8", "replace")
+            self._arrived(node, source, view[start:size].tobytes())
+            self.delivered_total += 1
 
     # ------------------------------------------------------------------
     # Loop driving
@@ -319,11 +356,10 @@ class SocketNetwork(NodeTable):
         for timer in list(self._armed):
             timer.cancel()
         for node in self._nodes.values():
-            if node._transport is not None:
-                node._transport.close()
-                node._transport = None
-        # let the transports flush their close callbacks
-        self._loop.run_until_complete(asyncio.sleep(0))
+            if node._sock is not None:
+                self._loop.remove_reader(node._sock.fileno())
+                node._sock.close()
+                node._sock = None
         self._loop.close()
 
     def __enter__(self) -> "SocketNetwork":

@@ -10,6 +10,7 @@ from repro.net.link import LinkSpec
 from repro.net.reliable import (
     ACK_RANGES_MAX,
     HEADER_SIZE,
+    RECEIVE_WINDOW,
     CircuitBreaker,
     ReliableEndpoint,
 )
@@ -364,6 +365,72 @@ class TestAckFramesArePeerBytes:
         net.run()
         assert a.acked == 200 and b.delivered == 200
         assert max(acks) == HEADER_SIZE + 4 + 16 * ACK_RANGES_MAX <= 1500
+
+
+def _frame(kind, seq, payload=b""):
+    """A DATA (0) or GAP (2) frame as any sender could write it."""
+    from repro.net.reliable import MAGIC, _HEADER
+
+    return _HEADER.pack(MAGIC, kind, seq) + payload
+
+
+class TestReceiveWindow:
+    """A DATA or GAP frame is a peer's bytes too, and over UDP its source
+    is only a string inside the frame.  A seq ``RECEIVE_WINDOW`` or more
+    past the next one to deliver is refused: not buffered, not acked."""
+
+    @staticmethod
+    def pair():
+        """A lossless pair; b's deliveries and the acks b sends."""
+        net, a, b = lossy_pair()
+        got, acks = [], []
+        b.set_handler(lambda _s, data: got.append(data))
+        send = net.send
+
+        def tap(source, destination, data):
+            if source == "b" and _frame_type(data) == 1:
+                acks.append(data)
+            return send(source, destination, data)
+
+        net.send = tap
+        return net, a, b, got, acks
+
+    @pytest.mark.parametrize("kind", [0, 2])
+    def test_a_forged_far_future_seq_does_not_poison_the_stream(self, kind):
+        net, a, b, got, _acks = self.pair()
+        a.send("b", b"one")
+        net.run()
+        # "from a", though a never wrote it: a stall skip would jump the
+        # stream to it, and every later seq of a's would be a duplicate
+        net.send("a", "b", _frame(kind, 10**12, b"bogus"))
+        net.run()
+        two = a.send("b", b"two")
+        net.run()
+        assert two.state == "acked"
+        assert got == [b"one", b"two"]
+        assert b.stall_skips == 0 and b.dup_drops == 0
+
+    @pytest.mark.parametrize("kind", [0, 2])
+    @pytest.mark.parametrize("lead, kept", [(RECEIVE_WINDOW - 1, True),
+                                            (RECEIVE_WINDOW, False)])
+    def test_the_window_edge(self, kind, lead, kept):
+        net, _a, b, got, acks = self.pair()
+        b._on_raw("a", _frame(kind, lead, b"edge"))
+        net.run()
+        # inside the window: acked (every seq below 0, then as a range),
+        # and after the stall timeout delivered or skipped to; outside:
+        # nothing
+        assert bool(acks) == kept
+        assert b.stall_skips == (lead if kept else 0)
+        assert got == ([b"edge"] if kept and kind == 0 else [])
+
+    def test_the_window_slides_with_delivery(self):
+        net, a, b, got, _acks = self.pair()
+        for n in range(3):
+            a.send("b", bytes([n]))
+        net.run()
+        b._on_raw("a", _frame(0, 3 + RECEIVE_WINDOW - 1, b"edge"))
+        assert b.reordered == 1
 
 
 #: the hole grace of a default endpoint: ``base_timeout / 4``

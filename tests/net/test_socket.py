@@ -1,4 +1,4 @@
-"""Socket-transport tests: the asyncio UDP loopback fabric honors the
+"""Socket-transport tests: the UDP loopback fabric honors the
 same node/timer contract as the simulated network, so the layers above
 (reliable endpoints, ECho morphing) run unchanged over real datagrams.
 
@@ -6,12 +6,15 @@ Wall-clock budgets are kept tight: each test drives the loop for tens
 of milliseconds of real time.
 """
 
+import signal
+import socket
+
 import pytest
 
 from repro.errors import TransportError
 from repro.net.link import LinkSpec
-from repro.net.socket import SocketNetwork
-from repro.net.reliable import ReliableEndpoint
+from repro.net.socket import DRAIN_LIMIT, SocketNetwork
+from repro.net.reliable import HEADER_SIZE, ReliableEndpoint
 
 
 @pytest.fixture
@@ -51,6 +54,27 @@ class TestDelivery:
         net.send("a", "b", b"hello")
         net.run(max_time=2.0)
         assert got == [("a", b"hello")]
+
+    def test_a_non_ascii_source_arrives_whole(self, net):
+        """The source prefix counts the address's utf-8 bytes, not its
+        characters."""
+        net.add_node("knoten-ü")
+        b = net.add_node("b")
+        net.send("knoten-ü", "b", b"payload")
+        net.run(max_time=2.0)
+        assert b.received == [("knoten-ü", b"payload")]
+
+    def test_a_frame_shorter_than_its_prefix_is_counted_not_delivered(
+            self, net):
+        b = net.add_node("b")
+        net.send("b", "b", b"x" * 64)  # leaves bytes in the buffer
+        net.run(max_time=2.0)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as raw:
+            for frame in (b"", b"\x00", b"\x00\x05abc"):
+                raw.sendto(frame, ("127.0.0.1", b.port))
+            net.run(max_time=2.0)
+        assert net.socket_errors == 3
+        assert b.received == [("b", b"x" * 64)]
 
     def test_unhandled_messages_accumulate(self, net):
         net.add_node("a")
@@ -167,6 +191,62 @@ class TestTimers:
         with pytest.raises(TransportError, match="must be >= 0"):
             net.call_later(-0.1, lambda: None)
 
+    def test_a_zero_delay_callback_skips_the_timer_heap(self, net):
+        loop = net._loop
+        counts = {"call_at": 0, "call_soon": 0}
+
+        def counting(name):
+            original = getattr(loop, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in counts:
+            setattr(loop, name, counting(name))
+        try:
+            net.call_later(0.0, lambda: None)
+            net.call_at(net.now - 1.0, lambda: None)
+            assert counts == {"call_at": 0, "call_soon": 2}
+            net.call_later(0.01, lambda: None)
+            assert counts == {"call_at": 1, "call_soon": 2}
+        finally:
+            for name in counts:
+                delattr(loop, name)
+
+    def test_a_zero_delay_callback_runs_after_the_pass_before_a_timer(
+            self, net):
+        """Queued from a readiness callback, it runs once every socket
+        readable in that loop pass has been read, and before a timer
+        due later, even one armed earlier."""
+        order = []
+        net.add_node("a")
+        b = net.add_node("b")
+        c = net.add_node("c")
+        net.call_later(0.05, lambda: order.append("timer"))
+
+        def on_b(_src, _data):
+            order.append("b")
+            net.call_later(0.0, lambda: order.append("soon"))
+
+        b.set_handler(on_b)
+        c.set_handler(lambda _src, _data: order.append("c"))
+        net.send("a", "b", b"x")
+        net.send("a", "c", b"y")
+        net.run(max_time=2.0)
+        assert sorted(order[:2]) == ["b", "c"]
+        assert order[2:] == ["soon", "timer"]
+
+    def test_a_cancelled_zero_delay_callback_does_not_run(self, net):
+        fired = []
+        timer = net.call_later(0.0, lambda: fired.append(True))
+        assert net.pending == 1
+        timer.cancel()
+        assert net.pending == 0
+        net.run(max_time=0.3)
+        assert not fired
+
     def test_run_waits_for_armed_timers(self, net):
         """Quiesce detection must not declare idle while a timer is
         armed — retransmission schedules depend on it."""
@@ -174,6 +254,123 @@ class TestTimers:
         net.call_later(0.15, lambda: fired.append(True))
         net.run(max_time=5.0)
         assert fired
+
+
+class TestDrainBound:
+    """One readiness callback reads at most ``DRAIN_LIMIT`` datagrams
+    from a socket, then hands the loop back."""
+
+    @staticmethod
+    def passes(monkeypatch, datagrams):
+        """Datagrams read per readiness callback of the receiving node,
+        *datagrams* of them queued in its socket before the loop runs."""
+        reads = []
+        drain = SocketNetwork._drain
+
+        def counting(self, node, sock):
+            before = self.delivered_total
+            drain(self, node, sock)
+            reads.append(self.delivered_total - before)
+
+        monkeypatch.setattr(SocketNetwork, "_drain", counting)
+        with SocketNetwork() as net:
+            net.add_node("a")
+            b = net.add_node("b")
+            b.set_handler(lambda _src, _data: None)
+            for n in range(datagrams):
+                net.send("a", "b", b"%d" % n)
+            net.run(max_time=2.0)
+        return reads
+
+    def test_a_burst_of_the_bound_takes_one_pass(self, monkeypatch):
+        assert self.passes(monkeypatch, DRAIN_LIMIT) == [DRAIN_LIMIT]
+
+    def test_one_datagram_more_takes_two(self, monkeypatch):
+        assert self.passes(monkeypatch, DRAIN_LIMIT + 1) == [DRAIN_LIMIT, 1]
+
+    def test_a_handler_that_sends_to_its_own_node_trips_the_guard(self, net):
+        """Its socket is never empty, so only the bound returns the loop
+        to :meth:`SocketNetwork.run`'s event count; an alarm turns a hang
+        into a failure (a ``SystemExit``: asyncio logs and swallows any
+        other exception a callback raises)."""
+        a = net.add_node("a")
+        a.set_handler(lambda _src, data: net.send("a", "a", data))
+        net.send("a", "a", b"again")
+
+        class Hung(SystemExit):
+            pass
+
+        def hung(_signum, _frame):
+            raise Hung("the drain never handed the loop back")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            with pytest.raises(TransportError, match="did not quiesce"):
+                net.run(max_time=10.0, max_events=1000)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+
+class TestSocketReadPrice:
+    """Counted, never timed: what a burst costs on real sockets.  A
+    reliable burst is read in one pass and so answered with one ack;
+    every read goes into the one preallocated buffer."""
+
+    def test_a_burst_costs_one_ack_and_reads_into_one_buffer(
+            self, monkeypatch):
+        reads = []
+
+        class CountingSocket(socket.socket):
+            def recv_into(self, buffer, *args):
+                reads.append(("recv_into", id(buffer)))
+                return super().recv_into(buffer, *args)
+
+            def recvfrom(self, *args):
+                reads.append(("recvfrom", None))
+                return super().recvfrom(*args)
+
+        with SocketNetwork() as net:
+            monkeypatch.setattr(socket, "socket", CountingSocket)
+            a = ReliableEndpoint(net, address="a", base_timeout=1.0)
+            b = ReliableEndpoint(net, address="b", base_timeout=1.0)
+            monkeypatch.undo()
+            b.set_handler(lambda _src, _data: None)
+            wire = []
+            send = net.send
+
+            def tap(source, destination, data):
+                wire.append((data[4], len(data)))
+                return send(source, destination, data)
+
+            net.send = tap
+            tickets = [a.send("b", bytes([n])) for n in range(64)]
+            net.run(max_time=5.0)
+            assert all(t.state == "acked" for t in tickets)
+            assert b.delivered == 64
+            assert [kind for kind, _size in wire].count(0) == 64
+            assert [size for kind, size in wire if kind == 1] == [HEADER_SIZE]
+            # 65 datagrams, each read once, plus one empty read per pass
+            assert {name for name, _buffer in reads} == {"recv_into"}
+            assert {buffer for _name, buffer in reads} == {id(net._buffer)}
+            assert len(reads) >= 65
+
+    def test_a_refused_sendto_is_counted_and_lost(self, net):
+        class Refusing:
+            def sendto(self, _frame, _target):
+                raise BlockingIOError
+
+        a = net.add_node("a")
+        b = net.add_node("b")
+        real, a._sock = a._sock, Refusing()
+        try:
+            net.send("a", "b", b"x")
+        finally:
+            a._sock = real
+        net.run(max_time=0.5)
+        assert net.socket_errors == 1
+        assert not b.received
 
 
 class TestLifecycle:

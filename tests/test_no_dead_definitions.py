@@ -4,9 +4,8 @@ A consolidation that takes a caller off a path leaves the callee behind
 unless someone notices.  This test notices: every non-dunder ``def`` or
 ``class`` name in ``src/repro`` must appear, as a whole word, somewhere
 other than a ``def`` / ``class`` line — in the code, the tests, the
-benchmarks, the examples, the docs, the README or the CI workflow.  A
-name only the stdlib calls (an asyncio protocol callback) is listed in
-:data:`CALLED_BY_NAME`; nothing else is exempt.
+benchmarks, the examples, the docs, the README or the CI workflow.
+Nothing is exempt.
 """
 
 from __future__ import annotations
@@ -21,10 +20,6 @@ REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
 TREES = ("src", "tests", "benchmarks", "examples", "docs")
 FILES = ("README.md", ".github/workflows/ci.yml")
-
-#: ``SocketNetwork``'s ``asyncio.DatagramProtocol`` callbacks: asyncio
-#: calls them by name, so no file of this repo does
-CALLED_BY_NAME = frozenset({"datagram_received", "error_received"})
 
 WORD_RE = re.compile(r"\w+")
 DEFINITION_RE = re.compile(r"\b(?:def|class)\s+(\w+)")
@@ -71,6 +66,6 @@ def test_every_definition_is_named_somewhere():
         sites.update(DEFINITION_RE.findall(text))
     dead = sorted(
         name for name in _definitions()
-        if name not in CALLED_BY_NAME and words[name] <= sites[name]
+        if words[name] <= sites[name]
     )
     assert not dead, f"defined in src/repro and named nowhere else: {dead}"
