@@ -13,8 +13,10 @@ property the scaling bench measures.
 
 The data plane is run-oriented: whatever arrives (a bare publish is a
 frame of one) is turned into *admitted runs*, and each run is journaled
-write-ahead with one file append, morphed per format group, and sent as
-one BATCH1 frame per subscriber — see ``docs/FABRIC.md``.
+write-ahead with one file append and morphed per format group.  Its
+deliveries wait in a per-subscriber outbox until the receive burst is
+over, and then leave as one BATCH1 frame per subscriber — see
+``docs/FABRIC.md``.
 
 Exactly-once across rebalancing rests on three mechanisms:
 
@@ -99,6 +101,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: admission parsed (``None`` for a journal tail replay: the receivers
 #: parse it).
 Run = List[Tuple[str, int, bytes, Optional[MessageHeader]]]
+
+#: contact -> ``[trace context, datagram, ...]``: its held deliveries in
+#: processing order behind the context their runs share (:data:`MIXED`
+#: when they do not).  A datagram whose run's context it does not carry
+#: itself is ``(envelope, payload, context)`` until it leaves
+#: (:meth:`FabricWorker._flush`).
+Outbox = Dict[str, List[Any]]
+
+#: The context of held deliveries whose runs had different ones.
+MIXED = object()
 
 #: Target size (JSON characters) of one FABRIC_HANDOFF part.  Channel
 #: state is split at channel granularity, so one oversized channel still
@@ -196,11 +208,16 @@ class FabricWorker(EndpointMixin):
         self._forwarding: Dict[int, Tuple[str, int]] = {}
         self._channels: Dict[str, FabricChannel] = {}
         #: set while one event of a run is morphed, read by the group
-        #: handlers: (shared DELIVER envelope wire, trace context to
-        #: attach, the payload's own one, contact -> the run's queued
-        #: datagrams, the payload, its canonical format id, the wires
-        #: encoded for the event — None for a lone group)
+        #: handlers: (shared DELIVER envelope wire, the payload's own
+        #: trace context, the run's, whether the datagram is kept in
+        #: parts for the run's, the payload, its canonical format id,
+        #: the wires encoded for the event — None for a lone group)
         self._delivering: Optional[Tuple[Any, ...]] = None
+        #: deliveries held until this receive burst is over, and the
+        #: shards to snapshot once they left: shard -> whether the
+        #: snapshot is due whatever the journal's count says
+        self._outbox: Outbox = {}
+        self._compact_due: Dict[int, bool] = {}
         #: write-ahead ledger journal shared with whoever inherits our
         #: shards (None disables journaling — the crash-ablation arm)
         self.journal = journal
@@ -289,8 +306,10 @@ class FabricWorker(EndpointMixin):
             self.tail_replayed += len(run)
             self._fan_out(channel, run)
         # The recovered state is the new baseline: compact so the next
-        # crash replays from here, not from the predecessor's history.
-        self.journal.snapshot(shard, epoch, self._shard_state(shard))
+        # crash replays from here, not from the predecessor's history —
+        # once the replayed deliveries left, so a crash before then
+        # still finds them in the tail.
+        self._compact_later(shard, forced=True)
 
     # ------------------------------------------------------------------
     # Crash / restart / lease lifecycle
@@ -327,6 +346,8 @@ class FabricWorker(EndpointMixin):
         self._handoff_staging.clear()
         self._relay_seen.clear()
         self._delivering = None
+        self._outbox.clear()  # its flush went with the endpoint's
+        self._compact_due.clear()
 
     def restart(self) -> None:
         """Reopen the transport after a crash.  Shard state stays empty
@@ -627,26 +648,73 @@ class FabricWorker(EndpointMixin):
                         )
             self._tally.processed[shard] += len(run)
             self._fan_out(channel, run)
-            # Compaction is checked once per run, after its deliveries left.
-            if self.journal is not None and self.journal.should_compact(shard):
-                self._compact_shard(shard)
+            if self.journal is not None:
+                self._compact_later(shard)
         except Exception as exc:  # noqa: BLE001 - contained per run
             self._contain(exc)
 
-    def _compact_shard(self, shard: int) -> None:
-        self.journal.snapshot(
-            shard, self._owned[shard], self._shard_state(shard)
-        )
+    def _compact_later(self, shard: int, forced: bool = False) -> None:
+        """Check *shard* for compaction (snapshot it anyway if *forced*)
+        once this burst's deliveries left: a snapshot drops the
+        journal's tail, and a delivery still held may have only that
+        copy."""
+        self._compact_due[shard] = forced or self._compact_due.get(shard, False)
+        self.reliable.after_burst(self._flush)
+
+    def _flush(self) -> None:
+        """The burst is over: each contact's held deliveries leave, in
+        processing order, as one BATCH1 frame — split only at the
+        ceiling (:func:`~repro.net.batch.split_batch`) — or bare when
+        there is one.  The frame carries the trace context its messages'
+        runs share, once; a message whose run's context is not the
+        frame's carries its own block.  Then the shards the burst
+        touched are compacted if due."""
+        outbox, self._outbox = self._outbox, {}
+        for contact, held in outbox.items():
+            try:
+                ctx, datagrams = held[0], held[1:]
+                if len(datagrams) == 1 or ctx is MIXED:
+                    ctx = None
+                    datagrams = [
+                        attach_trace(wire[0], wire[2])
+                        + attach_trace(wire[1], wire[2])
+                        if wire.__class__ is tuple else wire
+                        for wire in datagrams
+                    ]
+                elif ctx is not None:
+                    datagrams = [
+                        wire[0] + wire[1] if wire.__class__ is tuple else wire
+                        for wire in datagrams
+                    ]
+                if len(datagrams) == 1:
+                    self.reliable.send(contact, datagrams[0])
+                    continue
+                for group in split_batch(datagrams):
+                    self.reliable.send(contact, pack_batch(group, ctx))
+            except Exception as exc:  # noqa: BLE001 - an unreachable
+                self._contain(exc)  # contact must not starve the others
+        due, self._compact_due = self._compact_due, {}
+        for shard, forced in due.items():
+            epoch = self._owned.get(shard)
+            try:
+                if epoch is not None and (
+                        forced or self.journal.should_compact(shard)):
+                    self.journal.snapshot(
+                        shard, epoch, self._shard_state(shard))
+            except Exception as exc:  # noqa: BLE001 - contained per shard
+                self._contain(exc)
 
     def _fan_out(self, channel: FabricChannel, run: Run) -> None:
         """Morph-at-owner for one run: each event goes through every
         format group's receiver (the group handler forwards or
-        re-encodes into the per-contact outbox), then each contact gets
-        the run as **one** BATCH1 frame — split only at the ceiling
-        (:func:`~repro.net.batch.split_batch`) — carrying the inbound
-        frame's trace context once.  A run of one leaves unframed, as a
-        single publish always has.  Bare publishes,
-        frames and recovery replay all end here.
+        re-encodes into the per-contact outbox), and the outbox leaves
+        when the receive burst is over (:meth:`_flush`, after the
+        endpoint's :meth:`~repro.net.reliable.ReliableEndpoint.
+        after_burst`): each contact gets the burst as **one** BATCH1
+        frame, which carries the runs' trace context once when they
+        share one, and a contact with one message gets it bare, as a
+        single publish always has.  Bare publishes, frames and recovery
+        replay all end here.
 
         The groups are readers of one wire and Figure 1's ladder is a
         tree they share: with more than one, each event carries a memo
@@ -669,12 +737,10 @@ class FabricWorker(EndpointMixin):
         ]
         if not groups:
             return
-        framed = len(run) > 1
         sharing = len(groups) > 1
         held = frozenset(
             group.fmt.format_id for group in groups) if sharing else None
         frame_ctx = current()
-        outbox: Dict[str, List[bytes]] = {}
         channel_id = channel.channel_id
         try:
             for publisher, seq, payload, header in run:
@@ -682,22 +748,23 @@ class FabricWorker(EndpointMixin):
                 # re-encoded deliveries (a forwarded payload still has
                 # it).  Batch-inner messages carry none: the frame-level
                 # context covers them, spliced once into the outbound
-                # frame (or the unframed message).
+                # frame — or onto the message, should it leave alone.
                 own = peek_trace(payload)
-                ctx = own if framed else own or frame_ctx
                 envelope = self.pbio.encode(
                     FABRIC_DELIVER,
                     FABRIC_DELIVER.make_record(
                         channel_id=channel_id, publisher=publisher, seq=seq
                     ),
                 )
-                if ctx is not None:
-                    envelope = attach_trace(envelope, ctx)
+                if own is not None:
+                    envelope = attach_trace(envelope, own)
                 shared = wires = None
                 if sharing:
                     shared, wires = {CUT_SOURCES: held}, {}
-                self._delivering = (envelope, ctx, own, outbox, payload,
-                                    canonical_format_id(payload), wires)
+                self._delivering = (
+                    envelope, own, frame_ctx,
+                    own is None and frame_ctx is not None, payload,
+                    canonical_format_id(payload), wires)
                 context = span = UNRECORDED
                 if OBS.enabled and recording(own or frame_ctx):
                     context = activate(own)
@@ -712,16 +779,8 @@ class FabricWorker(EndpointMixin):
             self._delivering = None
             for group in groups:
                 group.failed = self._account(group.receiver, group.failed)
-        for contact, datagrams in outbox.items():
-            try:
-                wires = [
-                    pack_batch(group, frame_ctx)
-                    for group in split_batch(datagrams)
-                ] if framed else datagrams
-                for wire in wires:
-                    self.reliable.send(contact, wire)
-            except Exception as exc:  # noqa: BLE001 - an unreachable
-                self._contain(exc)  # contact must not starve the others
+            if self._outbox:
+                self.reliable.after_burst(self._flush)
 
     def _make_group(
         self, channel: FabricChannel, fmt: IOFormat
@@ -743,26 +802,35 @@ class FabricWorker(EndpointMixin):
         (:func:`~repro.pbio.buffer.canonical_format_id`), a cut
         (:meth:`_cut`) when the receiver handed over a
         :class:`~repro.morph.receiver.WireCut`, otherwise the encode of
-        *morphed* (:meth:`_encoded`).  The event's trace context goes on
-        any of them, unless the payload already carries its own block.
-        Runs only on a payload the group decoded, inside its receiver's
+        *morphed* (:meth:`_encoded`).  The publish's own trace context
+        goes on any of them (a forwarded payload already carries it).
+        The run's trace context goes on the frame it leaves in, or on
+        the message when that frame has another (:meth:`_flush`).  Runs
+        only on a payload the group decoded, inside its receiver's
         per-message containment."""
         assert self._delivering is not None
-        envelope, ctx, own, outbox, payload, canonical = self._delivering[:6]
+        (envelope, own, ctx, parts, payload,
+         canonical) = self._delivering[:6]
         if canonical == group.fmt.format_id:
             out_payload = payload
-            if ctx is not own:  # the payload carries no block of its own
-                out_payload = attach_trace(payload, ctx)
         else:
             if morphed.__class__ is WireCut:
                 out_payload = self._cut(morphed)
             else:
                 out_payload = self._encoded(group.fmt, morphed)
-            if ctx is not None:
-                out_payload = attach_trace(out_payload, ctx)
-        datagram = envelope + out_payload
+            if own is not None:
+                out_payload = attach_trace(out_payload, own)
+        datagram = (
+            (envelope, out_payload, ctx) if parts else envelope + out_payload)
+        outbox = self._outbox
         for contact in group.contacts:
-            outbox.setdefault(contact, []).append(datagram)
+            held = outbox.get(contact)
+            if held is None:
+                outbox[contact] = [ctx, datagram]
+            else:
+                if held[0] is not ctx:
+                    held[0] = MIXED
+                held.append(datagram)
             self.deliveries += 1
 
     def _encoded(self, fmt: IOFormat, record: Any) -> bytes:
@@ -812,8 +880,7 @@ class FabricWorker(EndpointMixin):
                 shard, self._owned[shard], channel_id,
                 record["contact"], record["format_id"],
             )
-            if self.journal.should_compact(shard):
-                self._compact_shard(shard)
+            self._compact_later(shard)
 
     def _install_subscriber(
         self, key: Any, channel_id: str, contact: str, format_id: int

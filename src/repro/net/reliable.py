@@ -7,7 +7,9 @@ datagram fabric:
 * **sequence-numbered sends** with **cumulative acknowledgements**: a
   receiver owes each peer one ``ACK`` per receive burst, meaning "every
   seq below N", flushed by one zero-delay timer once the burst is over
-  (TCP's delayed cumulative ACK, RFC 1122 §4.2.3.2).  Frames still
+  (TCP's delayed cumulative ACK, RFC 1122 §4.2.3.2); what the
+  application holds for the burst's end
+  (:meth:`ReliableEndpoint.after_burst`) runs there first.  Frames still
   buffered behind a hole ``base_timeout / 4`` later are reported as
   ranges (QUIC's ACK ranges, RFC 9000 §19.3), before a same-configured
   sender's first retransmission, so only the missing frame is resent,
@@ -322,8 +324,10 @@ class ReliableEndpoint:
         self._timers: Dict[str, Timer] = {}
         #: peers owed an ack when this receive burst is over, in arrival
         #: order (a seeded run sends its acks in a reproducible order),
-        #: and the one zero-delay timer that flushes them
+        #: what runs before they leave (:meth:`after_burst`), and the one
+        #: zero-delay timer that flushes both
         self._ack_due: Dict[str, None] = {}
+        self._after: Dict[Callable[[], None], None] = {}
         self._flush: Optional[Timer] = None
         #: per-peer hole watch: (timer, expected-seq when scheduled)
         self._hole_watch: Dict[str, Tuple[Timer, int]] = {}
@@ -472,7 +476,8 @@ class ReliableEndpoint:
         """Finish every pending ticket as ``failed`` without any wire
         traffic — the process-kill model.  A crashed process sends no
         GAP farewell, no retransmit and no ack: its retransmission
-        timers, its pending ack flush and its hole watches are dropped.
+        timers, its pending ack flush (with what waits on it:
+        :meth:`after_burst`) and its hole watches are dropped.
         Peers discover the holes through their own stall watchdogs,
         exactly as with a real dead process.  Returns the number of
         sends aborted."""
@@ -492,6 +497,7 @@ class ReliableEndpoint:
         self._timers.clear()
         self._hole_watch.clear()
         self._ack_due.clear()
+        self._after.clear()
         self._flush = None
         return aborted
 
@@ -662,13 +668,27 @@ class ReliableEndpoint:
         if self._flush is None:
             self._flush = self.network.call_later(0.0, self._flush_acks)
 
+    def after_burst(self, fn: Callable[[], None]) -> None:
+        """Run *fn* once this receive burst is over, in the zero-delay
+        callback that flushes its acks, before they leave; outside a
+        burst that callback is scheduled now.  *fn* registered again
+        before then still runs once."""
+        self._after[fn] = None
+        if self._flush is None:
+            self._flush = self.network.call_later(0.0, self._flush_acks)
+
     def _flush_acks(self) -> None:
-        """One cumulative ack per peer owed one.  Frames buffered behind
-        a hole get a grace of ``base_timeout / 4`` first: reordering
-        fills the hole within it, and a hole that outlives it is
-        reported as ranges (:meth:`_on_hole`) before a same-configured
-        sender's first retransmission."""
+        """What waits on the burst (:meth:`after_burst`), then one
+        cumulative ack per peer owed one.  Frames buffered behind a hole
+        get a grace of ``base_timeout / 4`` first: reordering fills the
+        hole within it, and a hole that outlives it is reported as
+        ranges (:meth:`_on_hole`) before a same-configured sender's
+        first retransmission."""
         self._flush = None
+        if self._after:
+            after, self._after = self._after, {}
+            for fn in after:
+                fn()
         owed, self._ack_due = self._ack_due, {}
         for peer in owed:
             self.node.send(peer, _HEADER.pack(

@@ -214,6 +214,55 @@ class TestRunWriteAhead:
         assert d.sub.delivered == 64 and d.sub.duplicates == 0
 
 
+    @pytest.mark.parametrize("sent", [False, True])
+    def test_crash_around_the_burst_flush_replays_the_held_deliveries(
+        self, tmp_path, sent
+    ):
+        """Single publishes are admitted and journaled as they arrive;
+        their deliveries wait for the burst's flush.  Kill the owner in
+        that flush — before any delivery left, or right after they all
+        did — and the successor's tail replay gives each of two
+        subscribers every admitted event once: what had landed comes
+        back as duplicates, which the subscribers' ledgers count.  A
+        journal that compacts at every admission still holds the tail
+        of deliveries that never left: compaction waits for the flush."""
+        d = CrashDeployment(journal=JournalStore(
+            path=str(tmp_path / "fabric.journal"),
+            **({} if sent else {"compact_every": 1})))
+        channel_id = d.channels[0]
+        got2 = []
+        sub2 = d.fabric.client("sub2", reliable_options=dict(d.RELIABLE))
+        sub2.subscribe(channel_id, RESPONSE_V2,
+                       lambda c, p, s, r: got2.append((c, s)))
+        d.pump(4)
+        victim_address, victim = d.victim()
+        flush = victim._flush
+
+        def crash_in_flush():
+            if sent:
+                flush()
+            d.fabric.crash_worker(victim_address)
+
+        victim._flush = crash_in_flush
+        d.publish(8, only=channel_id)
+        d.pump(2)
+        assert victim.crashed
+        admitted = victim.processed
+        assert admitted >= 1
+        if not sent:
+            assert d.got == got2 == []
+        d.pump(18)  # lease expiry + successor recovery
+        d.net.run()
+        survivors = [w for w in d.workers.values() if w is not victim]
+        assert sum(w.tail_replayed for w in survivors) == admitted
+        every = [(channel_id, seq) for seq in range(1, 9)]
+        for sub, got in ((d.sub, d.got), (sub2, got2)):
+            assert sorted(got) == every
+            assert sub.delivered == 8
+            landed = sub.duplicates
+            assert (landed > 0) if sent else (landed == 0)
+
+
 class TestAblationContrast:
     def test_same_seed_journal_vs_no_journal(self):
         """The acceptance A/B: identical schedule and seed, only the

@@ -1,5 +1,6 @@
 """Unit tests for compiled Transformations and TransformChains."""
 
+import hashlib
 import itertools
 import random
 import sys
@@ -30,6 +31,9 @@ from repro.morph.transform import (
     build_chain,
     growable_record,
 )
+from repro.net.batch import is_batch, unpack_batch
+from repro.net.reliable import HEADER_SIZE as RELIABLE_HEADER_SIZE
+from repro.net.reliable import MAGIC as RELIABLE_MAGIC
 from repro.net.transport import Network
 from repro.pbio import buffer as pbio_buffer
 from repro.pbio import serialization
@@ -486,6 +490,81 @@ class TestEnvelopePrice:
         net.run()
         assert len(got) == 2 * 18
         assert len(parses) == 16 * 2 * 2
+
+
+#: The owner's three datagrams for a lone publish of
+#: :class:`TestDeliveryFramePrice`, and the network timers it scheduled,
+#: while each run was sent as it ended.
+LONE_PUBLISH_SHA256 = (
+    "b3ec2c8b445361d050f229ab4eaafd518f027a4a5d28e261edd5fde8dc4456c4")
+LONE_PUBLISH_TIMERS = 8
+
+
+class TestDeliveryFramePrice:
+    """What a three-group owner sends for the publishes of one receive
+    burst, counted by wrapping the network object (never timed): one
+    BATCH1 frame per subscriber however many publishes reached it at
+    that instant, and a lone publish exactly what it always was — three
+    bare datagrams, on no more timers."""
+
+    @staticmethod
+    def deliveries(monkeypatch, publishes):
+        """``(data datagrams the owner sent its subscribers, their
+        payloads, network timers scheduled)`` for *publishes* single
+        publishes of one record (one size: one arrival instant), after
+        two events planned the routes and generated the coders."""
+        fleet = Fleet()
+        channel_id = fleet.channels[0]
+        record = seeded_record(random.Random(0), channel_id)
+        for _ in range(2):
+            fleet.pubs[0].publish(channel_id, RESPONSE_V2, record)
+        fleet.net.run()
+        owner = fleet.fabric.directory.owner(channel_id)
+        sent, timers = [], []
+        send = fleet.net.send
+
+        def tap(source, destination, data):
+            if (source == owner and destination.startswith("sub-")
+                    and data[len(RELIABLE_MAGIC)] == 0):
+                sent.append(data[RELIABLE_HEADER_SIZE:])
+            return send(source, destination, data)
+
+        monkeypatch.setattr(fleet.net, "send", tap)
+        for name in ("call_at", "call_later"):
+            schedule = getattr(fleet.net, name)
+            monkeypatch.setattr(
+                fleet.net, name,
+                lambda *a, _schedule=schedule: timers.append(1)
+                or _schedule(*a),
+            )
+        for _ in range(publishes):
+            fleet.pubs[0].publish(channel_id, RESPONSE_V2, record)
+        fleet.net.run()
+        assert [len(log) for log in fleet.logs.values()] == [
+            2 + publishes] * 3
+        return sent, len(timers)
+
+    def test_sixteen_publishes_at_one_instant_are_one_frame_each(
+            self, monkeypatch):
+        sent, _timers = self.deliveries(monkeypatch, 16)
+        assert len(sent) == 3  # one datagram per delivery: 48
+        assert all(is_batch(wire) for wire in sent)
+        assert [unpack_batch(wire).count for wire in sent] == [16] * 3
+
+    def test_a_lone_publish_leaves_bare_and_unchanged(self, monkeypatch):
+        sent, _timers = self.deliveries(monkeypatch, 1)
+        assert len(sent) == 3
+        assert not any(is_batch(wire) for wire in sent)
+        # the owner's three datagrams while each run was sent as it ended
+        assert hashlib.sha256(b"".join(sent)).hexdigest() == (
+            LONE_PUBLISH_SHA256)
+
+    def test_a_lone_publish_schedules_no_more_timers(self, monkeypatch):
+        _sent, timers = self.deliveries(monkeypatch, 1)
+        # the publisher's retransmission timer, the owner's ack flush
+        # (which sends the deliveries too) and its three retransmission
+        # timers, the three subscribers' ack flushes
+        assert timers == LONE_PUBLISH_TIMERS
 
 
 class TestProjectionCutPrice:

@@ -14,7 +14,7 @@ import pytest
 from repro.errors import TransportError
 from repro.net.link import LinkSpec
 from repro.net.socket import DRAIN_LIMIT, SocketNetwork
-from repro.net.reliable import HEADER_SIZE, ReliableEndpoint
+from repro.net.reliable import HEADER_SIZE, MAGIC, ReliableEndpoint
 
 
 @pytest.fixture
@@ -355,6 +355,56 @@ class TestSocketReadPrice:
             assert {name for name, _buffer in reads} == {"recv_into"}
             assert {buffer for _name, buffer in reads} == {id(net._buffer)}
             assert len(reads) >= 65
+
+    def test_a_burst_is_answered_before_the_next_pass_reads(
+            self, monkeypatch):
+        """16 publishes read by one drain of a fabric owner leave it as
+        one frame to the subscriber and one ack to the publisher, both
+        sent by the zero-delay flush before the readiness callbacks of
+        the next loop pass run."""
+        from repro.echo.protocol import RESPONSE_V2
+        from repro.fabric import EventFabric
+        from repro.net.batch import is_batch, unpack_batch
+        from tests.fabric.test_recovery import make_registry
+
+        log = []
+        drain = SocketNetwork._drain
+        monkeypatch.setattr(
+            SocketNetwork, "_drain", lambda self, node, sock: log.append(
+                ("drain", node.address)) or drain(self, node, sock))
+        with SocketNetwork(seed=1) as net:
+            fabric = EventFabric(net, registry=make_registry())
+            fabric.add_worker("w0")
+            pub = fabric.client("pub")
+            got = []
+            fabric.client("sub").subscribe(
+                "ch", RESPONSE_V2, lambda c, p, s, r: got.append(s))
+            net.run(max_time=10.0)
+            select = net._loop._selector.select
+            monkeypatch.setattr(
+                net._loop._selector, "select",
+                lambda *a: log.append(("select",)) or select(*a))
+            send = net.send
+            net.send = lambda source, destination, data: log.append(
+                ("send", source, destination, data)) or send(
+                    source, destination, data)
+            record = RESPONSE_V2.make_record(
+                channel_id="ch", member_count=0, member_list=[])
+            del log[:]
+            seqs = [pub.publish("ch", RESPONSE_V2, record) for _ in range(16)]
+            net.run(max_time=10.0)
+        assert sorted(got) == seqs
+        read = log.index(("drain", "w0"))
+        next_pass = log.index(("select",), read)
+        later = next(i for i in range(next_pass, len(log))
+                     if log[i][0] == "drain")
+        sends = [entry[2:] for entry in log[read:later]
+                 if entry[0] == "send" and entry[1] == "w0"]
+        # (destination, frame type): the data frame, then the ack
+        assert [(to, data[len(MAGIC)]) for to, data in sends] == [
+            ("sub", 0), ("pub", 1)]
+        frame = sends[0][1][HEADER_SIZE:]
+        assert is_batch(frame) and unpack_batch(frame).count == 16
 
     def test_a_refused_sendto_is_counted_and_lost(self, net):
         class Refusing:

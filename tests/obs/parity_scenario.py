@@ -12,8 +12,9 @@ writes the fingerprint of that checkout.  ``cost_parity_golden.json``
 was written this way on the parent of the PR that made observation
 cheaper (and once more when the owner's groups began to share stage
 results and so to record the staged names instead of the fused ones,
-again when coders began to be generated on a format's second use, and
-again when acknowledgements became one per receive burst),
+again when coders began to be generated on a format's second use,
+again when acknowledgements became one per receive burst, and again
+when an owner's deliveries became one frame per subscriber per burst),
 and is the referee for "same counters, same spans".  It predates head
 sampling, so it is what ``sample_every=1`` must reproduce: a second
 argument sets the rate (``... OUT.json 1``; without one ``obs.enable()``

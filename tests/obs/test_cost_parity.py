@@ -22,7 +22,20 @@ counted and none timed:
   count datagrams — ``net.transport.messages`` / ``bytes`` on nine
   links, the untraced ``net.deliver`` spans 1318 → 1185,
   ``obs.trace.dropped`` 8103 → 7970 and ``recorded_total`` 12199 →
-  12066).
+  12066; and once more by the change that holds an owner's deliveries
+  until its receive burst is over: the two telemetry reports that reach
+  ``w0`` together leave for ``monitor`` as one frame, not two datagrams
+  — ``net.batch.*`` 8 → 9 frames and 128 → 130 messages, ``w0`` →
+  ``monitor`` 2 → 1 reliable sends and acks, 3 → 2 datagrams and 541 →
+  548 bytes; the frame has no trace context of its own (its reports'
+  differ), so 2 traced ``net.deliver``, ``net.reliable.deliver`` and
+  ``net.reliable.send`` spans became 1 untraced one each and the 2
+  reports' ``pbio.decode`` spans under it are untraced;
+  ``obs.trace.dropped`` 7970 → 7967 and ``recorded_total`` 12066 →
+  12063; and the owner's other 774 traced ``net.reliable.send`` spans
+  have their message's remote context as parent, not
+  ``net.reliable.deliver``: the burst's flush sends them, after that
+  span closed).
   Sampling is a test on the one path, not a fork of it;
 * **sampled parity** — the same scenario at the default rate: every
   counter and gauge is the golden's (byte counters less the 26-byte

@@ -219,6 +219,7 @@ class TestReorderBufferIsolation:
         )
         from repro.fabric import EventFabric
         from repro.fabric.protocol import FABRIC_DELIVER
+        from repro.net.batch import is_batch, unpack_batch
         from repro.net.reliable import HEADER_SIZE as RELIABLE_HEADER_SIZE
 
         registry = FormatRegistry()
@@ -244,12 +245,16 @@ class TestReorderBufferIsolation:
         def tap(source, destination, data):
             if source == "w0" and destination.startswith("sub"):
                 wire = data[RELIABLE_HEADER_SIZE:]
-                header = unpack_header(wire)
-                end = header.body_offset + header.payload_length
-                seq = PBIOContext(registry).decode_as(
-                    FABRIC_DELIVER, wire[:end])["seq"]
-                delivered.setdefault(seq, []).append(
-                    (header, unpack_header(wire, end)))
+                # both events are handed up in one receive burst, so each
+                # subscriber gets them in one frame
+                for message in (unpack_batch(wire).views(wire)
+                                if is_batch(wire) else [wire]):
+                    header = unpack_header(message)
+                    end = header.body_offset + header.payload_length
+                    seq = PBIOContext(registry).decode_as(
+                        FABRIC_DELIVER, message[:end])["seq"]
+                    delivered.setdefault(seq, []).append(
+                        (header, unpack_header(message, end)))
             return send(source, destination, data)
 
         net.send = tap
