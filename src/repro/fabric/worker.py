@@ -102,15 +102,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: parse it).
 Run = List[Tuple[str, int, bytes, Optional[MessageHeader]]]
 
-#: contact -> ``[trace context, datagram, ...]``: its held deliveries in
-#: processing order behind the context their runs share (:data:`MIXED`
-#: when they do not).  A datagram whose run's context it does not carry
-#: itself is ``(envelope, payload, context)`` until it leaves
-#: (:meth:`FabricWorker._flush`).
-Outbox = Dict[str, List[Any]]
-
-#: The context of held deliveries whose runs had different ones.
-MIXED = object()
+#: One delivery held until its receive burst is over: (``FABRIC_DELIVER``
+#: envelope, payload, the run's trace context when the message does not
+#: carry one of its own, the span open when its run was fanned out) —
+#: see :meth:`FabricWorker._flush`.
+Held = Tuple[bytes, bytes, Optional[Any], Optional[int]]
 
 #: Target size (JSON characters) of one FABRIC_HANDOFF part.  Channel
 #: state is split at channel granularity, so one oversized channel still
@@ -209,14 +205,14 @@ class FabricWorker(EndpointMixin):
         self._channels: Dict[str, FabricChannel] = {}
         #: set while one event of a run is morphed, read by the group
         #: handlers: (shared DELIVER envelope wire, the payload's own
-        #: trace context, the run's, whether the datagram is kept in
-        #: parts for the run's, the payload, its canonical format id,
-        #: the wires encoded for the event — None for a lone group)
+        #: trace context, the run's when the payload has none, the span
+        #: the run is fanned out under, the payload, its canonical format
+        #: id, the wires encoded for the event — None for a lone group)
         self._delivering: Optional[Tuple[Any, ...]] = None
         #: deliveries held until this receive burst is over, and the
         #: shards to snapshot once they left: shard -> whether the
         #: snapshot is due whatever the journal's count says
-        self._outbox: Outbox = {}
+        self._outbox: Dict[str, List[Held]] = {}
         self._compact_due: Dict[int, bool] = {}
         #: write-ahead ledger journal shared with whoever inherits our
         #: shards (None disables journaling — the crash-ablation arm)
@@ -665,32 +661,36 @@ class FabricWorker(EndpointMixin):
         """The burst is over: each contact's held deliveries leave, in
         processing order, as one BATCH1 frame — split only at the
         ceiling (:func:`~repro.net.batch.split_batch`) — or bare when
-        there is one.  The frame carries the trace context its messages'
-        runs share, once; a message whose run's context is not the
-        frame's carries its own block.  Then the shards the burst
-        touched are compacted if due."""
+        there is one.  A frame carries the trace context its messages
+        lack, once, when they all lack the same one; otherwise each
+        message that lacks its run's context carries it itself.  A send
+        is traced under the span its deliveries were queued in, when
+        they share one.  Then the shards the burst touched are
+        compacted if due."""
         outbox, self._outbox = self._outbox, {}
         for contact, held in outbox.items():
             try:
-                ctx, datagrams = held[0], held[1:]
-                if len(datagrams) == 1 or ctx is MIXED:
+                _envelope, _payload, ctx, parent = held[0]
+                if len(held) > 1 and all(entry[2] is ctx for entry in held):
+                    wires = [envelope + payload
+                             for envelope, payload, _ctx, _parent in held]
+                else:
                     ctx = None
-                    datagrams = [
-                        attach_trace(wire[0], wire[2])
-                        + attach_trace(wire[1], wire[2])
-                        if wire.__class__ is tuple else wire
-                        for wire in datagrams
+                    wires = [
+                        envelope + payload if lacks is None
+                        else attach_trace(envelope, lacks)
+                        + attach_trace(payload, lacks)
+                        for envelope, payload, lacks, _parent in held
                     ]
-                elif ctx is not None:
-                    datagrams = [
-                        wire[0] + wire[1] if wire.__class__ is tuple else wire
-                        for wire in datagrams
-                    ]
-                if len(datagrams) == 1:
-                    self.reliable.send(contact, datagrams[0])
-                    continue
-                for group in split_batch(datagrams):
-                    self.reliable.send(contact, pack_batch(group, ctx))
+                if any(entry[3] != parent for entry in held):
+                    parent = None
+                with OBS.tracer.resume(parent):
+                    if len(wires) == 1:
+                        self.reliable.send(contact, wires[0])
+                    else:
+                        for group in split_batch(wires):
+                            self.reliable.send(
+                                contact, pack_batch(group, ctx))
             except Exception as exc:  # noqa: BLE001 - an unreachable
                 self._contain(exc)  # contact must not starve the others
         due, self._compact_due = self._compact_due, {}
@@ -741,6 +741,7 @@ class FabricWorker(EndpointMixin):
         held = frozenset(
             group.fmt.format_id for group in groups) if sharing else None
         frame_ctx = current()
+        parent = OBS.tracer.innermost() if OBS.enabled else None
         channel_id = channel.channel_id
         try:
             for publisher, seq, payload, header in run:
@@ -762,9 +763,8 @@ class FabricWorker(EndpointMixin):
                 if sharing:
                     shared, wires = {CUT_SOURCES: held}, {}
                 self._delivering = (
-                    envelope, own, frame_ctx,
-                    own is None and frame_ctx is not None, payload,
-                    canonical_format_id(payload), wires)
+                    envelope, own, frame_ctx if own is None else None,
+                    parent, payload, canonical_format_id(payload), wires)
                 context = span = UNRECORDED
                 if OBS.enabled and recording(own or frame_ctx):
                     context = activate(own)
@@ -809,7 +809,7 @@ class FabricWorker(EndpointMixin):
         only on a payload the group decoded, inside its receiver's
         per-message containment."""
         assert self._delivering is not None
-        (envelope, own, ctx, parts, payload,
+        (envelope, own, lacks, parent, payload,
          canonical) = self._delivering[:6]
         if canonical == group.fmt.format_id:
             out_payload = payload
@@ -820,17 +820,10 @@ class FabricWorker(EndpointMixin):
                 out_payload = self._encoded(group.fmt, morphed)
             if own is not None:
                 out_payload = attach_trace(out_payload, own)
-        datagram = (
-            (envelope, out_payload, ctx) if parts else envelope + out_payload)
+        entry = (envelope, out_payload, lacks, parent)
         outbox = self._outbox
         for contact in group.contacts:
-            held = outbox.get(contact)
-            if held is None:
-                outbox[contact] = [ctx, datagram]
-            else:
-                if held[0] is not ctx:
-                    held[0] = MIXED
-                held.append(datagram)
+            outbox.setdefault(contact, []).append(entry)
             self.deliveries += 1
 
     def _encoded(self, fmt: IOFormat, record: Any) -> bytes:

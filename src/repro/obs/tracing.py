@@ -165,6 +165,25 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
+class _Resumed:
+    """Context manager making a span already closed the parent of the
+    spans its block opens (:meth:`SpanRecorder.resume`)."""
+
+    __slots__ = ("stack", "span_id")
+
+    def __init__(self, stack: List[int], span_id: int) -> None:
+        self.stack = stack
+        self.span_id = span_id
+
+    def __enter__(self) -> "_Resumed":
+        self.stack.append(self.span_id)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self.stack and self.stack[-1] == self.span_id:
+            self.stack.pop()
+
+
 class NullRecorder:
     """The disabled-tracing recorder: every span is the same no-op."""
 
@@ -172,6 +191,12 @@ class NullRecorder:
     dropped = 0
 
     def span(self, name: str, **attrs: Any) -> _NullSpan:
+        return _NULL_SPAN
+
+    def innermost(self) -> Optional[int]:
+        return None
+
+    def resume(self, span_id: Optional[int]) -> _NullSpan:
         return _NULL_SPAN
 
     def record(self, span: Span) -> None:
@@ -213,6 +238,21 @@ class SpanRecorder:
 
     def span(self, name: str, **attrs: Any) -> _ActiveSpan:
         return _ActiveSpan(self, name, attrs)
+
+    def innermost(self) -> Optional[int]:
+        """The id of this thread's innermost open span, or None."""
+        stack = self._stack()
+        return stack[-1] if stack else None
+
+    def resume(self, span_id: Optional[int]) -> Any:
+        """Context manager: the spans its block opens are children of
+        *span_id* (from :meth:`innermost`), a span that has closed while
+        work it started waited — a delivery the fabric owner holds until
+        its receive burst is over leaves under the span that queued it.
+        ``resume(None)`` is a no-op."""
+        if span_id is None:
+            return _NULL_SPAN
+        return _Resumed(self._stack(), span_id)
 
     def record(self, span: Span) -> None:
         with self._lock:

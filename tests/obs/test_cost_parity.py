@@ -32,10 +32,9 @@ counted and none timed:
   ``net.reliable.send`` spans became 1 untraced one each and the 2
   reports' ``pbio.decode`` spans under it are untraced;
   ``obs.trace.dropped`` 7970 → 7967 and ``recorded_total`` 12066 →
-  12063; and the owner's other 774 traced ``net.reliable.send`` spans
-  have their message's remote context as parent, not
-  ``net.reliable.deliver``: the burst's flush sends them, after that
-  span closed).
+  12063; the owner's other 774 traced ``net.reliable.send`` spans keep
+  ``net.reliable.deliver`` as parent, though the burst's flush sends
+  them after that span closed).
   Sampling is a test on the one path, not a fork of it;
 * **sampled parity** — the same scenario at the default rate: every
   counter and gauge is the golden's (byte counters less the 26-byte

@@ -57,6 +57,22 @@ class TestSpanNesting:
         assert [c["name"] for c in root["children"]] == ["first", "second"]
         assert root["children"][0]["children"][0]["name"] == "leaf"
 
+    def test_resume_parents_spans_under_a_closed_one(self):
+        recorder = SpanRecorder()
+        with recorder.span("queued"):
+            parent = recorder.innermost()
+        assert recorder.innermost() is None
+        with recorder.resume(parent):
+            with recorder.span("sent"):
+                pass
+        with recorder.resume(None):
+            with recorder.span("alone"):
+                pass
+        spans = {s.name: s for s in recorder.spans()}
+        assert spans["sent"].parent_id == spans["queued"].span_id == parent
+        assert spans["alone"].parent_id is None
+        assert recorder.innermost() is None
+
     def test_find_spans_searches_all_depths(self):
         recorder = SpanRecorder()
         with recorder.span("a"):
@@ -124,6 +140,8 @@ class TestNullRecorder:
         with span as active:
             active.set_attr("ignored", 1)
         assert recorder.spans() == []
+        assert recorder.innermost() is None
+        assert recorder.resume(7) is _NULL_SPAN
 
     def test_module_level_span_helper_respects_enable(self):
         assert not obs.is_enabled()
