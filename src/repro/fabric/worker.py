@@ -670,27 +670,31 @@ class FabricWorker(EndpointMixin):
         outbox, self._outbox = self._outbox, {}
         for contact, held in outbox.items():
             try:
-                _envelope, _payload, ctx, parent = held[0]
-                if len(held) > 1 and all(entry[2] is ctx for entry in held):
-                    wires = [envelope + payload
-                             for envelope, payload, _ctx, _parent in held]
+                envelope, payload, lacks, parent = held[0]
+                if len(held) == 1:
+                    if lacks is not None:
+                        envelope = attach_trace(envelope, lacks)
+                        payload = attach_trace(payload, lacks)
+                    frames = (envelope + payload,)
                 else:
-                    ctx = None
-                    wires = [
-                        envelope + payload if lacks is None
+                    ctx = lacks if all(
+                        entry[2] is lacks for entry in held) else None
+                    if parent is not None and any(
+                            entry[3] != parent for entry in held):
+                        parent = None
+                    frames = [pack_batch(group, ctx) for group in split_batch([
+                        envelope + payload if lacks is ctx
                         else attach_trace(envelope, lacks)
                         + attach_trace(payload, lacks)
                         for envelope, payload, lacks, _parent in held
-                    ]
-                if any(entry[3] != parent for entry in held):
-                    parent = None
+                    ])]
+                if parent is None:
+                    for frame in frames:
+                        self.reliable.send(contact, frame)
+                    continue
                 with OBS.tracer.resume(parent):
-                    if len(wires) == 1:
-                        self.reliable.send(contact, wires[0])
-                    else:
-                        for group in split_batch(wires):
-                            self.reliable.send(
-                                contact, pack_batch(group, ctx))
+                    for frame in frames:
+                        self.reliable.send(contact, frame)
             except Exception as exc:  # noqa: BLE001 - an unreachable
                 self._contain(exc)  # contact must not starve the others
         due, self._compact_due = self._compact_due, {}
@@ -711,10 +715,10 @@ class FabricWorker(EndpointMixin):
         when the receive burst is over (:meth:`_flush`, after the
         endpoint's :meth:`~repro.net.reliable.ReliableEndpoint.
         after_burst`): each contact gets the burst as **one** BATCH1
-        frame, which carries the runs' trace context once when they
-        share one, and a contact with one message gets it bare, as a
-        single publish always has.  Bare publishes, frames and recovery
-        replay all end here.
+        frame, which carries the trace context its messages lack once
+        when they lack the same one, and a contact with one message gets
+        it bare, as a single publish always has.  Bare publishes, frames
+        and recovery replay all end here.
 
         The groups are readers of one wire and Figure 1's ladder is a
         tree they share: with more than one, each event carries a memo
@@ -804,8 +808,9 @@ class FabricWorker(EndpointMixin):
         :class:`~repro.morph.receiver.WireCut`, otherwise the encode of
         *morphed* (:meth:`_encoded`).  The publish's own trace context
         goes on any of them (a forwarded payload already carries it).
-        The run's trace context goes on the frame it leaves in, or on
-        the message when that frame has another (:meth:`_flush`).  Runs
+        A payload without one lacks the run's, which goes on the frame
+        it leaves in, or on the message when that frame cannot carry it
+        (:meth:`_flush`).  Runs
         only on a payload the group decoded, inside its receiver's
         per-message containment."""
         assert self._delivering is not None
