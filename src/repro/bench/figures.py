@@ -65,6 +65,14 @@ class ComparisonRow:
         return self.xml.best / self.pbio.best if self.pbio.best else float("inf")
 
 
+def _no_dead_letters(*receivers: MorphReceiver) -> None:
+    """Fail the figure if a receiver it timed dead-lettered anything: a
+    figure must never time the failure path."""
+    for receiver in receivers:
+        if receiver.last_error is not None:
+            raise ReproError(f"a bench receiver dead-lettered {receiver.last_error!r}")
+
+
 def _workloads(sizes: Optional[Dict[str, int]]) -> List:
     chosen = sizes if sizes is not None else FIGURE_SIZES
     out = []
@@ -160,6 +168,7 @@ def fig10_morphing(
             return record_from_tree(RESPONSE_V1, transformed)
 
         pbio = measure(lambda: receiver.process(wire), rounds=rounds)
+        _no_dead_letters(receiver)
         xml = measure(xslt_path, rounds=rounds)
         rows.append(ComparisonRow(label, unencoded, pbio, xml))
     return rows
@@ -229,6 +238,7 @@ def fig_fusion_ablation(
                 ),
             )
         )
+        _no_dead_letters(fused_rx, staged_rx, interp_rx)
     return rows
 
 
@@ -304,7 +314,7 @@ def fig_design_ablations(rounds: int = 5) -> List[DesignAblationRow]:
         count: [_evolving_revision(r, 12) for r in range(count)]
         for count in (2, 32)
     }
-    return [
+    rows = [
         timed(
             "route cache, 1KB: replan every message / cached route",
             lambda: receiver.process(small_wire),
@@ -331,6 +341,8 @@ def fig_design_ablations(rounds: int = 5) -> List[DesignAblationRow]:
             partial(diff, _evolving_revision(1, 128), _evolving_revision(2, 128)),
         ),
     ]
+    _no_dead_letters(receiver)
+    return rows
 
 
 # ---------------------------------------------------------------------------

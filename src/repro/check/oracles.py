@@ -439,6 +439,21 @@ def check_ecode_records(
 # ---------------------------------------------------------------------------
 
 
+def _received(receiver: MorphReceiver, wire: bytes, shared: Any = None):
+    """Classify one message through *receiver* by the dead letter it
+    leaves (:meth:`~MorphReceiver.process_alone`: no arm quarantines, so
+    every wire runs the whole pipeline in every arm): ``("ok", result)``
+    without one; ``("clean", "<stage> <error class>")`` for a letter
+    whose ``last_error`` is a ReproError; ``("dirty", exc)`` for any
+    other error — the leak containment must not hide."""
+    result, letter = receiver.process_alone(wire, shared)
+    if letter is None:
+        return "ok", result
+    if isinstance(receiver.last_error, ReproError):
+        return "clean", f"{letter.stage} {type(receiver.last_error).__name__}"
+    return "dirty", receiver.last_error
+
+
 def check_fusion_wires(
     registry: FormatRegistry,
     handler_fmt,
@@ -448,8 +463,9 @@ def check_fusion_wires(
     """The core fusion invariant, shared with corpus replay: every wire
     through a ``use_fusion=True`` receiver, a ``use_fusion=False``
     receiver and a ``use_codegen=False`` one must end in the same outcome
-    class (same exception type when rejecting), deliver equal records,
-    and leave equal stats snapshots.  Fused and staged run the same
+    class (:func:`_received`; the same dead-letter stage and error class
+    when rejecting), deliver equal records, and leave equal stats
+    snapshots.  Fused and staged run the same
     generated transform code; the interpreted receiver is the arm that
     shares none of it.  The ``shared`` arm is a reader at a fabric owner:
     it takes each wire through one memo (``process(wire, shared)``) in a
@@ -500,9 +516,9 @@ def check_fusion_wires(
     delivered_by_route: Dict[Any, int] = {}
     for index, wire in enumerate(wires):
         with _observed() as metrics:  # counts the fused arm's fused runs
-            outcomes = {"fused": _outcome(lambda: fused.process(wire))}
+            outcomes = {"fused": _received(fused, wire)}
         outcomes.update(
-            (name, _outcome(lambda: receiver.process(wire)))
+            (name, _received(receiver, wire))
             for name, receiver in arms.items()
             if name not in ("fused", "shared")
         )
@@ -521,7 +537,7 @@ def check_fusion_wires(
         memo: Dict[Any, Record] = {}
         turn = index % len(queue)
         for receiver in queue[turn:] + queue[:turn]:
-            outcome = _outcome(lambda: receiver.process(wire, memo))
+            outcome = _received(receiver, wire, memo)
             if receiver is arms["shared"]:
                 outcomes["shared"] = outcome
         for receiver in queue:
@@ -539,10 +555,9 @@ def check_fusion_wires(
             if fused_kind != kind:
                 flag(f"outcome divergence on wire {index}: "
                      f"fused={fused_kind} {name}={kind}")
-            elif fused_kind == "clean" and type(fused_val) is not type(val):
-                flag(f"exception class divergence on wire {index}: "
-                     f"fused={type(fused_val).__name__} "
-                     f"{name}={type(val).__name__}")
+            elif fused_kind == "clean" and fused_val != val:
+                flag(f"dead letter divergence on wire {index}: "
+                     f"fused={fused_val} {name}={val}")
 
     for name in ("staged", "interpreted", "shared"):
         if len(delivered["fused"]) != len(delivered[name]):

@@ -166,7 +166,6 @@ class EChoProcess(EndpointMixin):
             registry,
             diff_threshold=diff_threshold,
             mismatch_threshold=mismatch_threshold,
-            contain_failures=True,
         )
         self.control.register_handler(OPEN_REQUEST, self._handle_open_request)
         self.control.register_handler(LEAVE_REQUEST, self._handle_leave_request)
@@ -374,7 +373,6 @@ class EChoProcess(EndpointMixin):
                 self.registry,
                 diff_threshold=self._diff_threshold,
                 mismatch_threshold=self._mismatch_threshold,
-                contain_failures=True,
             )
             self._event_receivers[channel_id] = receiver
         return receiver

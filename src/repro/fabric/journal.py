@@ -41,8 +41,9 @@ header also carries ``size``: the payload's raw bytes follow the header
 line, then one ``\\n``.  A header is serialised once, when its entry is
 appended, and kept beside the entry with the payload, so a compaction
 writes bytes the store already holds.  The loader reads by length, not
-by lines (a raw payload may contain ``\\n``), and still accepts the older
-admit line that carried its payload as hex in a ``payload`` field.
+by lines (a raw payload may contain ``\\n``).  An admit header without
+``size`` — the older line that carried its payload as hex — is a
+corrupt record.
 """
 
 from __future__ import annotations
@@ -116,15 +117,9 @@ def _parse_record(
         if data[end:end + 1] != _NEWLINE:
             raise ValueError(f"payload is not {size} bytes")
         return _Entry(fields, header, data[body:end]), end + 1
-    if kind != "admit":
-        return _Entry(fields, header, None), body
-    # the older admit line: its payload as hex inside the header
-    hexed = fields.pop("payload", "")
-    if not isinstance(hexed, str):
-        raise ValueError("undecodable payload")
-    payload = bytes.fromhex(hexed)
-    fields["size"] = len(payload)
-    return _Entry(fields, _header(fields), payload), body
+    if kind == "admit":
+        raise ValueError("admit header has no size")
+    return _Entry(fields, header, None), body
 
 
 class _ShardLog:

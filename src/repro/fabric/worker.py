@@ -789,7 +789,7 @@ class FabricWorker(EndpointMixin):
     def _make_group(
         self, channel: FabricChannel, fmt: IOFormat
     ) -> _SubscriberGroup:
-        receiver = MorphReceiver(self.registry, contain_failures=True)
+        receiver = MorphReceiver(self.registry)
         group = _SubscriberGroup(fmt, receiver)
 
         def deliver(morphed: Any, _group: _SubscriberGroup = group) -> None:

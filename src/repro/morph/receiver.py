@@ -17,7 +17,7 @@ between the wire and the application's handlers:
    fields and dropping unknown ones,
 6. the handler registered for the matched format is invoked; with no
    acceptable match the message goes to the default handler or is
-   rejected with :class:`~repro.errors.NoMatchError`.
+   dead-lettered as a :class:`~repro.errors.NoMatchError`.
 
 Every decision is cached per incoming format id, so the expensive steps
 run once per format, not once per message — the cost structure the
@@ -50,7 +50,7 @@ from repro.errors import NoMatchError, TransformError, UnknownFormatError
 from repro.morph.compat import coerce_record, reconcile_field_stats
 from repro.obs import OBS
 from repro.obs.metrics import (
-    RATIO_BUCKETS, Handles, Histogram, collect, counter, gauge,
+    RATIO_BUCKETS, Handles, collect, counter, gauge,
 )
 from repro.morph.maxmatch import (
     DEFAULT_DIFF_THRESHOLD,
@@ -110,13 +110,12 @@ STAT_COUNTERS = (
 
 class ReceiverStats:
     """Per-receiver tallies: nine plain integers (``stats.messages``,
-    ``stats.cache_hits``, ...), messages fused / staged, morphs and
-    deliveries per format, and the receiver's own ``mismatch_ratios``
-    histogram of its MaxMatch decisions.  An update is one integer add,
-    observed or not: a registry reads them (``_COLLECTED``)."""
+    ``stats.cache_hits``, ...), messages fused / staged, and morphs and
+    deliveries per format.  An update is one integer add, observed or
+    not: a registry reads them (``_COLLECTED``)."""
 
     __slots__ = STAT_COUNTERS + ("staged_messages", "fused_messages",
-                                 "applied", "delivered", "mismatch_ratios")
+                                 "applied", "delivered")
 
     def __init__(self) -> None:
         for name in STAT_COUNTERS:
@@ -126,13 +125,10 @@ class ReceiverStats:
         self.applied: Dict[str, int] = defaultdict(int)
         #: records handed to a handler, by handler format name
         self.delivered: Dict[str, int] = defaultdict(int)
-        self.mismatch_ratios = Histogram(
-            "morph.maxmatch.mismatch_ratio", bounds=RATIO_BUCKETS
-        )
 
     def observe_mismatch(self, ratio: float) -> None:
-        """Record one MaxMatch decision's mismatch ratio."""
-        self.mismatch_ratios.observe(ratio)
+        """Record one MaxMatch decision's mismatch ratio in the obs
+        registry's ``morph.maxmatch.mismatch_ratio`` histogram."""
         if OBS.enabled:
             OBS.metrics.histogram(
                 "morph.maxmatch.mismatch_ratio", bounds=RATIO_BUCKETS
@@ -270,6 +266,20 @@ class _Route:
 class MorphReceiver:
     """Morphing-aware message receiver for one endpoint.
 
+    Its entry points are total functions: a message that fails
+    (undecodable bytes, unknown format, broken transform, rejected
+    match, handler exception) lands in a bounded **dead-letter queue** of
+    :attr:`DLQ_LIMIT` entries (the oldest evicted, and counted, at
+    capacity) with its raw bytes, the stage it had reached and the error
+    (the exception itself kept as ``last_error``); its result is
+    ``None`` and the rest of its frame still delivers.  A format id that
+    fails :attr:`QUARANTINE_THRESHOLD` consecutive times is
+    **quarantined**: its messages are counted and dropped at the header
+    peek, so poison traffic stops paying pipeline costs.
+    :meth:`retry_dead_letters` re-processes the queue (e.g. after a late
+    format registration), lifting quarantines for the formats it
+    retries.
+
     Parameters
     ----------
     registry:
@@ -296,25 +306,6 @@ class MorphReceiver:
         baseline and differential-test reference).  Fusion requires
         ``use_codegen``.  Neither pipeline re-checks transform output:
         the paper's system writes it straight into a C struct.
-    contain_failures:
-        True turns :meth:`process` and :meth:`process_batch` into total
-        functions: instead of raising, a failed message (undecodable
-        bytes, unknown format, broken transform, rejected match, handler
-        exception) lands in a bounded **dead-letter queue** with the raw
-        bytes and error attached (the exception itself kept as
-        ``last_error``), its result is ``None``, and the rest of its
-        frame still delivers.  A format id
-        failing *quarantine_threshold* consecutive times is
-        **quarantined**: its messages are counted and dropped at the
-        header peek, so poison traffic stops paying pipeline costs.
-        :meth:`retry_dead_letters` re-processes the queue (e.g. after a
-        late format registration), lifting quarantines for the formats
-        it retries.
-    dlq_limit:
-        Dead-letter queue capacity; the oldest entry is evicted (and
-        counted) when a new failure arrives at capacity.
-    quarantine_threshold:
-        Consecutive failures of one format id before it is quarantined.
     """
 
     #: default for the ``use_fusion`` constructor argument; the test
@@ -325,6 +316,10 @@ class MorphReceiver:
     #: fused routines a receiver can hold): format churn through
     #: ``FormatRegistry.unregister`` must not leak generated code
     MAX_ROUTES = 256
+    #: dead-letter queue capacity
+    DLQ_LIMIT = 64
+    #: consecutive failures of one format id before it is quarantined
+    QUARANTINE_THRESHOLD = 3
 
     def __init__(
         self,
@@ -333,9 +328,6 @@ class MorphReceiver:
         mismatch_threshold: float = DEFAULT_MISMATCH_THRESHOLD,
         use_codegen: bool = True,
         use_fusion: Optional[bool] = None,
-        contain_failures: bool = False,
-        dlq_limit: int = 64,
-        quarantine_threshold: int = 3,
     ) -> None:
         self.registry = registry if registry is not None else FormatRegistry()
         self.context = PBIOContext(self.registry, use_codegen=use_codegen)
@@ -354,9 +346,7 @@ class MorphReceiver:
         self._handler_formats: List[IOFormat] = []
         self._default_handler: Optional[DefaultHandler] = None
         self._routes: Dict[int, _Route] = {}
-        self.contain_failures = contain_failures
-        self.quarantine_threshold = quarantine_threshold
-        self._dead_letters: Deque[DeadLetter] = deque(maxlen=dlq_limit)
+        self._dead_letters: Deque[DeadLetter] = deque(maxlen=self.DLQ_LIMIT)
         self._quarantined: Set[int] = set()
         self._failure_counts: Dict[int, int] = {}
         #: the exception of the newest dead letter
@@ -408,10 +398,10 @@ class MorphReceiver:
         decode under it, then parse nothing (the decoder checks the
         header against *data*, inside the message's containment).
 
-        Raises :class:`UnknownFormatError` for unregistered wire ids and
-        :class:`NoMatchError` for rejected messages when no default
-        handler is installed — unless ``contain_failures`` is set, in
-        which case failures dead-letter and ``None`` is returned.
+        A failure raises nothing: the message dead-letters (an
+        unregistered wire id under ``"unknown_format"``, a message no
+        match admits and no default handler takes under ``"no_match"``)
+        and ``None`` is returned.
 
         *shared* is a memo the caller makes (``{}``) for **one** event
         and passes to every receiver it feeds that event's bytes: a route
@@ -428,6 +418,22 @@ class MorphReceiver:
         :class:`WireCut` instead of running that step."""
         return self._receive((data,), shared=shared, header=header)[0]
 
+    def process_alone(
+        self, data: bytes, shared: Shared = None,
+    ) -> Tuple[Any, Optional[DeadLetter]]:
+        """:meth:`process` for a caller that judges every message on its
+        own (archive replay, the differential oracles): returns the
+        result and the message's dead letter, ``None`` when it left none
+        (the letter's exception is ``last_error``).  It bypasses the
+        quarantine, and a failure lifts its format's (count included):
+        no message is dropped unread, and none quarantines its format."""
+        letters = self.containment["dead_lettered"]
+        result = self._receive((data,), retrying=True, shared=shared)[0]
+        if self.containment["dead_lettered"] == letters:
+            return result, None
+        self.lift_quarantine(self._dead_letters[-1].format_id)
+        return result, self._dead_letters[-1]
+
     def process_batch(self, data: bytes) -> List[Any]:
         """Process one BATCH1 frame (:mod:`repro.net.batch`): validate
         the frame once, activate its frame-level trace context once, then
@@ -436,9 +442,9 @@ class MorphReceiver:
         for its frame of one.
 
         Containment is per *message*, as it is there: a poisoned message
-        dead-letters alone and the rest of the frame still delivers.  A
-        malformed *frame* dead-letters whole — there is no trustworthy
-        way to split it.  Without containment the first failure raises.
+        dead-letters alone, its result is ``None``, and the rest of the
+        frame still delivers.  A malformed *frame* dead-letters whole —
+        there is no trustworthy way to split it — and returns ``[]``.
 
         Returns the per-message handler results, in wire order."""
         # at call time: benchmarks/e2e/trace.py counts frames by patching it
@@ -447,10 +453,8 @@ class MorphReceiver:
         try:
             frame = unpack_batch(data)
         except Exception as exc:  # noqa: BLE001 - malformed frame
-            if self.contain_failures:
-                self._dead_letter(data, None, "decode", exc)
-                return []
-            raise
+            self._dead_letter(data, None, "decode", exc)
+            return []
         # one trace splice per frame: a message without a block of its
         # own keeps the frame's context (activate(None) is a passthrough)
         with activate(frame.trace):
@@ -472,14 +476,12 @@ class MorphReceiver:
         dead-lettered (its bytes copied out of the shared buffer only
         now) under the stage it had reached — a local, so a handler that
         re-enters the receiver cannot move it — its result is ``None``
-        and the loop goes on; without ``contain_failures`` the same
-        ``except`` re-raises.  *retrying* (:meth:`retry_dead_letters`)
-        bypasses the quarantine.  Observation wraps the same calls in
+        and the loop goes on.  *retrying* (:meth:`retry_dead_letters`,
+        :meth:`process_alone`) bypasses the quarantine.  Observation wraps the same calls in
         spans and selects nothing."""
-        contain = self.contain_failures
         # the live set (a format quarantined mid-frame is dropped from the
         # next segment on); nothing is quarantined for a retry
-        quarantined = self._quarantined if contain and not retrying else ()
+        quarantined = () if retrying else self._quarantined
         observing = OBS.enabled
         routes = self._routes
         stats = self.stats
@@ -534,8 +536,6 @@ class MorphReceiver:
                     # quarantine counts *consecutive* failures
                     self._failure_counts.pop(format_id, None)
             except Exception as exc:  # noqa: BLE001 - defined containment
-                if not contain:
-                    raise
                 if isinstance(exc, UnknownFormatError):
                     stage = "unknown_format"
                 elif isinstance(exc, NoMatchError):
@@ -683,10 +683,7 @@ class MorphReceiver:
         exc: BaseException,
     ) -> None:
         with self._lock:
-            if (
-                self._dead_letters.maxlen is not None
-                and len(self._dead_letters) == self._dead_letters.maxlen
-            ):
+            if len(self._dead_letters) == self._dead_letters.maxlen:
                 self.containment["evicted"] += 1
             self._dead_letters.append(
                 DeadLetter(
@@ -710,7 +707,7 @@ class MorphReceiver:
             count = self._failure_counts.get(format_id, 0) + 1
             self._failure_counts[format_id] = count
             if (
-                count >= self.quarantine_threshold
+                count >= self.QUARANTINE_THRESHOLD
                 and format_id not in self._quarantined
             ):
                 self._quarantined.add(format_id)
@@ -729,9 +726,6 @@ class MorphReceiver:
     def quarantined_formats(self) -> Set[int]:
         with self._lock:
             return set(self._quarantined)
-
-    def is_quarantined(self, format_id: int) -> bool:
-        return format_id in self._quarantined
 
     def lift_quarantine(self, format_id: int) -> bool:
         """Manually unquarantine a format id (its failure count resets;
@@ -758,8 +752,7 @@ class MorphReceiver:
                 if entry.format_id is not None:
                     self._quarantined.discard(entry.format_id)
                     self._failure_counts.pop(entry.format_id, None)
-        succeeded = 0
-        requeued = 0
+        succeeded = requeued = 0
         for entry in entries:
             depth_before = len(self._dead_letters)
             self._receive((entry.data,), retrying=True)

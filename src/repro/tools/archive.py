@@ -126,18 +126,24 @@ class ArchiveReader:
         The receiver's registry is first merged with the archive's
         snapshot (formats AND transformations), so morphing works even
         when the receiver was built long after the traffic was captured.
+
+        Every message is judged on its own
+        (:meth:`~MorphReceiver.process_alone`; nothing is quarantined):
+        one that dead-letters counts in ``failed``, its ``last_error``
+        joins ``errors`` and, with *stop_on_error*, is raised.
         """
         self.registry.replicate_to(receiver.registry)
         report = ReplayReport()
         for message in self:
-            try:
-                report.results.append(receiver.process(message))
+            result, letter = receiver.process_alone(message)
+            if letter is None:
+                report.results.append(result)
                 report.delivered += 1
-            except ReproError as exc:
-                report.failed += 1
-                report.errors.append(exc)
-                if stop_on_error:
-                    raise
+                continue
+            report.failed += 1
+            report.errors.append(receiver.last_error)
+            if stop_on_error:
+                raise receiver.last_error
         return report
 
     def close(self) -> None:
@@ -158,7 +164,7 @@ class ReplayReport:
         self.delivered = 0
         self.failed = 0
         self.results: List[object] = []
-        self.errors: List[Exception] = []
+        self.errors: List[BaseException] = []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ReplayReport(delivered={self.delivered}, failed={self.failed})"

@@ -16,6 +16,7 @@ from repro.check.oracles import check_fusion_wires, check_morph
 from repro.check.runner import CheckRunner, run_check
 from repro.echo.protocol import RESPONSE_V0, RESPONSE_V2
 from repro.errors import DecodeError
+from repro.morph.fusion import FusedRoute
 from repro.morph.receiver import _Route
 from repro.obs import tracectx
 from repro.pbio import codegen
@@ -85,6 +86,35 @@ class TestFusionOracleSharedArm:
         )
         findings = check_fusion_wires(echo_registry, RESPONSE_V0, self.wires())
         assert findings and all("shared" in f.detail for f in findings)
+
+    def test_an_unknown_format_is_clean_in_every_arm(self, echo_registry):
+        """Four wires whose format id nobody registered: every arm
+        dead-letters each under ``unknown_format`` (none quarantines
+        the fourth), so the arms agree and nothing is a finding."""
+        alien = bytearray(self.wires()[0])
+        alien[8:16] = bytes(8)  # the header's format id
+        wires = [bytes(alien)] * 4 + self.wires()
+        assert check_fusion_wires(echo_registry, RESPONSE_V0, wires) == []
+
+    def test_a_contained_leak_is_still_dirty(self, echo_registry, monkeypatch):
+        """The receiver dead-letters an IndexError out of a fused decode
+        as it does any failure; the oracle reads the dead letter and
+        still calls it a leak, on every wire."""
+
+        def leaking(route, order):
+            def fn(data, start, end):
+                raise IndexError("fused decode read past its buffer")
+            return fn
+
+        monkeypatch.setattr(FusedRoute, "fn_for", leaking)
+        wires = self.wires() * 2  # more leaks than the quarantine threshold
+        findings = check_fusion_wires(echo_registry, RESPONSE_V0, wires)
+        leaks = [f.detail for f in findings if "leaked" in f.detail]
+        # every wire is judged: no arm quarantines the leaking format
+        assert len(leaks) == len(wires) and all(
+            detail.startswith("fused path leaked IndexError")
+            for detail in leaks
+        )
 
 
 class TestOraclesRestoreObsState:

@@ -340,51 +340,26 @@ def _legacy_line(shard, entry):
 
 
 class TestHexLinesCompatibility:
-    """Files written before admits carried raw payloads still load."""
-
-    PAYLOADS = [b"line\none", b"{", b"\xff\xfe\x80", b""]
+    """Files written before admits carried raw payloads are refused: an
+    admit header without ``size`` is a corrupt record, named."""
 
     def test_a_hex_journal_recovers_like_the_same_admits_written_now(
         self, tmp_path
     ):
+        """Historical name: a hex journal no longer recovers; its admit
+        is refused by record number."""
         legacy = tmp_path / "legacy.journal"
         legacy.write_text("".join([
             _legacy_line(3, {"kind": "fence", "epoch": 2}),
             _legacy_line(3, {"kind": "subscribe", "epoch": 2,
                              "channel": "chan/a", "contact": "sub-1",
                              "format_id": 1}),
-            *(_legacy_line(3, {"kind": "admit", "epoch": 2,
-                               "channel": "chan/a", "publisher": "pub",
-                               "seq": seq, "payload": payload.hex()})
-              for seq, payload in enumerate(self.PAYLOADS, 1)),
+            _legacy_line(3, {"kind": "admit", "epoch": 2,
+                             "channel": "chan/a", "publisher": "pub",
+                             "seq": 1, "payload": b"line\none".hex()}),
         ]), encoding="utf-8")
-        current = JournalStore(path=str(tmp_path / "current.journal"))
-        current.fence(3, epoch=2)
-        current.append_subscribe(3, 2, "chan/a", "sub-1", 1)
-        for seq, payload in enumerate(self.PAYLOADS, 1):
-            current.append_admit(3, 2, "chan/a", "pub", seq, payload)
-
-        old = JournalStore(path=str(legacy))
-        new = JournalStore(path=current.path)
-        assert old.torn_tail == new.torn_tail == 0
-        assert old.fence_epoch(3) == new.fence_epoch(3) == 2
-        assert old.recover(3).state == new.recover(3).state
-        assert old.recover(3).tail == new.recover(3).tail
-        assert [e[3] for e in old.recover(3).tail] == self.PAYLOADS
-
-        # appends after the hex lines, then a compaction that rewrites
-        # the whole file in today's records
-        old.append_admit(3, 2, "chan/a", "pub", 5, b"\n\n")
-        reopened = JournalStore(path=str(legacy))
-        assert [e[2] for e in reopened.recover(3).tail] == [1, 2, 3, 4, 5]
-        reopened.snapshot(5, 2, {"channels": {}})
-        assert legacy.read_bytes() == b"".join(
-            b"".join(r) for r in _split(legacy.read_bytes())
-        )
-        assert b"payload" not in legacy.read_bytes()
-        rewritten = JournalStore(path=str(legacy))
-        assert rewritten.recover(3).tail == reopened.recover(3).tail
-        assert rewritten.recover(3).state == reopened.recover(3).state
+        with pytest.raises(JournalError, match="record 3.*has no size"):
+            JournalStore(path=str(legacy))
 
     def test_an_undecodable_hex_payload_is_a_journal_error(self, tmp_path):
         path = tmp_path / "legacy.journal"

@@ -133,6 +133,7 @@ class TestLossyLinksAndFailures:
         assert net.dropped >= 1
 
     def test_corrupted_wire_message_raises_cleanly(self):
+        """Historical name: the message dead-letters a DecodeError."""
         registry = FormatRegistry()
         registry.register_transform(V2_TO_V1_TRANSFORM)
         sender = PBIOContext(registry)
@@ -142,10 +143,12 @@ class TestLossyLinksAndFailures:
         wire[4] ^= 0xFF  # corrupt the header version byte
         from repro.errors import DecodeError
 
-        with pytest.raises(DecodeError):
-            receiver.process(bytes(wire))
+        assert receiver.process(bytes(wire)) is None
+        assert receiver.dead_letters[-1].stage == "decode"
+        assert isinstance(receiver.last_error, DecodeError)
 
     def test_truncated_wire_message_raises_cleanly(self):
+        """Historical name: the message dead-letters a DecodeError."""
         registry = FormatRegistry()
         sender = PBIOContext(registry)
         receiver = MorphReceiver(registry)
@@ -153,5 +156,6 @@ class TestLossyLinksAndFailures:
         wire = sender.encode(RESPONSE_V2, response_v2(2))
         from repro.errors import DecodeError
 
-        with pytest.raises(DecodeError):
-            receiver.process(wire[: len(wire) // 2])
+        assert receiver.process(wire[: len(wire) // 2]) is None
+        assert receiver.dead_letters[-1].stage == "decode"
+        assert isinstance(receiver.last_error, DecodeError)

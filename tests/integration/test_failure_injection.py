@@ -71,13 +71,15 @@ class TestBrokenTransforms:
         sender = PBIOContext(registry)
         receiver = MorphReceiver(registry, diff_threshold=0, mismatch_threshold=0.0)
         receiver.register_handler(b, lambda rec: rec)
-        with pytest.raises(NoMatchError):
-            receiver.process(sender.encode(a, {"x": 1}))
+        assert receiver.process(sender.encode(a, {"x": 1})) is None
+        assert receiver.dead_letters[-1].stage == "no_match"
+        assert isinstance(receiver.last_error, NoMatchError)
         assert receiver.stats.broken_transforms == 1
 
     def test_runtime_fault_in_transform_surfaces_per_message(self):
         """ECode that compiles but reads a missing field fails at message
-        time with TransformError (and keeps failing — no corrupt cache)."""
+        time with TransformError (and keeps failing — no corrupt cache):
+        each message dead-letters under ``transform``."""
         registry = FormatRegistry()
         registry.add_transform(
             RESPONSE_V2, RESPONSE_V0, "old.channel_id = new.no_such_field;"
@@ -86,9 +88,12 @@ class TestBrokenTransforms:
         receiver = MorphReceiver(registry)
         receiver.register_handler(RESPONSE_V0, lambda rec: rec)
         wire = sender.encode(RESPONSE_V2, response_v2(1))
-        for _ in range(2):
-            with pytest.raises(TransformError, match="runtime"):
-                receiver.process(wire)
+        for attempt in range(2):
+            assert receiver.process(wire) is None
+            assert len(receiver.dead_letters) == attempt + 1
+            assert receiver.dead_letters[-1].stage == "transform"
+            assert isinstance(receiver.last_error, TransformError)
+            assert "runtime" in str(receiver.last_error)
 
     def test_validation_mode_catches_bad_output_before_handler(self):
         """No morph-layer re-check: a transform that sets a count but

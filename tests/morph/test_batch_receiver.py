@@ -10,16 +10,16 @@ The core contracts:
 
 * a frame is observationally identical to its messages sent one by one —
   results, records, order, every ``morph.receiver.*`` counter, every
-  dead letter — whether or not failures are contained and whether or not
-  ``repro.obs`` is watching (the parity matrix);
+  dead letter — whether or not a repeat offender is quarantined and
+  whether or not ``repro.obs`` is watching (the parity matrix);
 * nothing is carried from one segment of a frame to the next: a route
   replaced or a format quarantined mid-frame takes effect at the next
   segment, as it does between two ``process`` calls;
 * records decoded from a shared frame buffer never alias it — mutating
   the buffer after decode must not change a delivered record;
-* hostile frames are clean :class:`~repro.errors.DecodeError`\\ s;
-* with containment on, a poisoned message dead-letters *alone* (with
-  its own copy of the bytes) while the rest of the batch delivers.
+* hostile frames dead-letter as clean :class:`~repro.errors.DecodeError`\\ s;
+* a poisoned message dead-letters *alone* (with its own copy of the
+  bytes) while the rest of the batch delivers.
 """
 
 import sys
@@ -79,11 +79,11 @@ def encode_all(registry, fmt, records):
 # ---------------------------------------------------------------------------
 
 
-def _matrix_wires(contain):
+def _matrix_wires():
     """Identity traffic, a V2 -> V1 -> V0 chain, the two interleaved, a
-    big-endian wire — and, when failures are contained, a truncated
-    segment, a format nobody registered and a record whose handler
-    raises."""
+    big-endian wire, a truncated segment, a record whose handler raises
+    and a format nobody registered, four times: the third of those
+    quarantines it when quarantine is on."""
     registry = FormatRegistry()
     little = PBIOContext(registry)
     big = PBIOContext(registry, byte_order="big")
@@ -94,18 +94,18 @@ def _matrix_wires(contain):
     wires.append(big.encode(EVT_V2, EVT_V2.make_record(n=40, extra=1)))
     wires.append(big.encode(EVT, EVT.make_record(n=41, tag="big")))
     wires.append(little.encode(EVT_V1, EVT_V1.make_record(n=50)))
-    if contain:
-        wires.insert(3, wires[2][:-2])
-        wires.insert(6, little.encode(STRANGER, {"x": 1}))
-        wires.insert(9, little.encode(EVT, EVT.make_record(n=13, tag="bad")))
+    wires.insert(3, wires[2][:-2])
+    wires.insert(6, little.encode(STRANGER, {"x": 1}))
+    wires.insert(9, little.encode(EVT, EVT.make_record(n=13, tag="bad")))
+    wires.extend(little.encode(STRANGER, {"x": x}) for x in range(2, 5))
     return wires
 
 
-def _matrix_arm(contain, wires, batched):
+def _matrix_arm(wires, batched):
     """A fresh receiver (identity handler + the end of the chain) fed
     *wires* one ``process`` at a time or as one ``process_batch`` frame
     whose buffer is overwritten afterwards."""
-    receiver = MorphReceiver(FormatRegistry(), contain_failures=contain)
+    receiver = MorphReceiver(FormatRegistry())
     receiver.registry.register_transform(V2_TO_V1)
     receiver.registry.register_transform(V1_TO_V0)
     delivered = []
@@ -146,18 +146,26 @@ def _matrix_arm(contain, wires, batched):
 class TestFrameEqualsOneByOne:
     @pytest.mark.parametrize("observe", [False, True], ids=["unobserved", "observed"])
     @pytest.mark.parametrize("contain", [False, True], ids=["raising", "contained"])
-    def test_parity_matrix(self, contain, observe):
-        wires = _matrix_wires(contain)
+    def test_parity_matrix(self, monkeypatch, contain, observe):
+        """The ids are historical (the receiver raises nothing): for
+        ``raising`` quarantine never trips, so every failure runs to the
+        dead letter; for ``contained`` the repeat offender is quarantined
+        and its last message dropped."""
+        if not contain:
+            monkeypatch.setattr(MorphReceiver, "QUARANTINE_THRESHOLD", 10**9)
+        wires = _matrix_wires()
         if observe:
             obs.enable(registry=obs.Registry(), capacity=4096)
         try:
-            single = _matrix_arm(contain, wires, batched=False)
-            batch = _matrix_arm(contain, wires, batched=True)
+            single = _matrix_arm(wires, batched=False)
+            batch = _matrix_arm(wires, batched=True)
         finally:
             obs.disable(reset=True)
         assert batch == single
         # ... and the arms did what the wire list says, not nothing twice
-        assert single["stats"]["messages"] == len(wires) - (1 if contain else 0)
+        dropped = 1 if contain else 0
+        assert single["stats"]["messages"] == len(wires) - 1 - dropped
+        assert single["containment"]["quarantine_drops"] == dropped
         assert single["stats"]["morphed"] == 6
         assert [r["m"] for r in single["delivered"] if "m" in r] == [
             0, 2, 4, 6, 80, 100,
@@ -169,15 +177,14 @@ class TestFrameEqualsOneByOne:
                            (41, "big"))
         ]
         assert bool(single["spans"]) == observe
-        if contain:
-            assert [stage for stage, _id, _data in single["dead_letters"]] == [
-                "decode", "unknown_format", "dispatch",
-            ]
-            # the letters own their bytes: the frame buffer is gone
-            assert [data for _stage, _id, data in batch["dead_letters"]] == [
-                wires[3], wires[6], wires[9],
-            ]
-            assert single["results"].count(None) == 3
+        assert [stage for stage, _id, _data in single["dead_letters"]] == [
+            "decode", "unknown_format", "dispatch",
+        ] + ["unknown_format"] * (3 - dropped)
+        # the letters own their bytes: the frame buffer is gone
+        assert [data for _stage, _id, data in batch["dead_letters"]] == [
+            wires[3], wires[6], wires[9], *wires[-3:][:3 - dropped],
+        ]
+        assert single["results"].count(None) == 6
 
     def test_a_route_replaced_mid_frame_serves_the_next_segment(self):
         """A handler that registers a better format on its first event
@@ -220,11 +227,13 @@ class TestFrameEqualsOneByOne:
         assert stats["reconciled"] == 2
         assert stats["cache_misses"] == 2
 
-    def test_a_format_quarantined_mid_frame_is_dropped_from_the_next_segment(self):
+    def test_a_format_quarantined_mid_frame_is_dropped_from_the_next_segment(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(MorphReceiver, "QUARANTINE_THRESHOLD", 2)
+
         def arm(batched):
-            receiver = make_receiver(
-                EVT, [], contain_failures=True, quarantine_threshold=2
-            )
+            receiver = make_receiver(EVT, [])
             wires = encode_all(FormatRegistry(), STRANGER, [{"x": i} for i in range(5)])
             if batched:
                 receiver.process_batch(pack_batch(wires))
@@ -249,9 +258,7 @@ class TestFrameEqualsOneByOne:
         the caller hands :meth:`process` is not parsed again."""
         registry = FormatRegistry()
         registry.register_transform(V2_TO_V1)
-        receiver = MorphReceiver(
-            registry, use_fusion=use_fusion, contain_failures=True
-        )
+        receiver = MorphReceiver(registry, use_fusion=use_fusion)
         receiver.register_handler(EVT_V1, lambda record: None)
         (wire,) = encode_all(registry, EVT_V2, [EVT_V2.make_record(n=1, extra=2)])
         receiver.process(wire)  # plan and compile off the count
@@ -374,42 +381,48 @@ class TestHostileBatchFrames:
         )
 
     def test_truncated_frame_raises_decode_error(self):
+        """Historical name: the frame dead-letters a DecodeError."""
         receiver, wires = self._wires()
         frame = pack_batch(wires)
-        with pytest.raises(DecodeError):
-            receiver.process_batch(frame[:-3])
+        assert receiver.process_batch(frame[:-3]) == []
+        (letter,) = receiver.dead_letters
+        assert letter.stage == "decode"
+        assert isinstance(receiver.last_error, DecodeError)
 
     def test_corrupt_inner_message_raises_decode_error(self):
+        """Historical name: the message dead-letters a DecodeError."""
         receiver, wires = self._wires()
         # truncate the middle message *before* framing: the frame itself
         # is valid, the contained message is not
         broken = [wires[0], wires[1][:-2], wires[2]]
-        with pytest.raises(DecodeError):
-            receiver.process_batch(pack_batch(broken))
+        assert receiver.process_batch(pack_batch(broken))[1] is None
+        (letter,) = receiver.dead_letters
+        assert (letter.stage, letter.data) == ("decode", broken[1])
+        assert isinstance(receiver.last_error, DecodeError)
 
     def test_counters_match_per_message_arm_up_to_the_failure(self):
         """A mid-batch decode failure leaves the same counter trail the
-        per-message loop would: the two good-then-failing messages are
-        counted, the never-reached tail is not."""
+        per-message loop would, up to the failure and past it: the
+        truncated message dead-letters uncounted (its header does not
+        check), the tail still delivers."""
         receiver, wires = self._wires()
         broken = [wires[0], wires[1][:-2], wires[2]]
-        with pytest.raises(DecodeError):
-            receiver.process_batch(pack_batch(broken))
+        receiver.process_batch(pack_batch(broken))
         reference = make_receiver(EVT, [])
-        reference.registry  # same planning inputs as `receiver`
         for wire in broken:
-            try:
-                reference.process(wire)
-            except DecodeError:
-                break
+            reference.process(wire)
         assert receiver.stats.snapshot() == reference.stats.snapshot()
+        assert receiver.stats.messages == 2
+        assert [type(r.last_error) for r in (receiver, reference)] == [
+            DecodeError, DecodeError,
+        ]
 
 
 class TestContainment:
     def test_poisoned_message_dead_letters_alone(self):
         records = [EVT.make_record(n=i, tag="c") for i in range(5)]
         got = []
-        receiver = make_receiver(EVT, got, contain_failures=True)
+        receiver = make_receiver(EVT, got)
         wires = encode_all(receiver.registry, EVT, records)
         wires[2] = wires[2][:-4]  # poison the middle message
         frame = bytearray(pack_batch(wires))
@@ -424,7 +437,7 @@ class TestContainment:
         """The DLQ must copy out of the shared frame buffer — a retry
         after the buffer is reused has to see the original bytes."""
         got = []
-        receiver = make_receiver(EVT, got, contain_failures=True)
+        receiver = make_receiver(EVT, got)
         wires = encode_all(
             receiver.registry, EVT, [EVT.make_record(n=7, tag="keep")]
         )
@@ -437,7 +450,7 @@ class TestContainment:
         assert bytes(letter.data) == saved == poisoned
 
     def test_malformed_frame_dead_letters_whole(self):
-        receiver = make_receiver(EVT, [], contain_failures=True)
+        receiver = make_receiver(EVT, [])
         wires = encode_all(
             receiver.registry, EVT, [EVT.make_record(n=1, tag="f")]
         )

@@ -1,8 +1,8 @@
-"""Dead-letter queue and poison-message quarantine (contain_failures).
+"""Dead-letter queue and poison-message quarantine.
 
-With containment on, :meth:`MorphReceiver.process` is a total function:
-every failure class lands in the bounded DLQ with its pipeline stage
-attached, repeat offenders are quarantined at the header peek, and
+:meth:`MorphReceiver.process` is a total function: every failure class
+lands in the bounded DLQ with its pipeline stage attached, repeat
+offenders are quarantined at the header peek, and
 :meth:`retry_dead_letters` drains the queue once the cause is fixed.
 """
 
@@ -24,11 +24,14 @@ EVT_WIDE = IOFormat(
 OTHER = IOFormat("DlqOther", [IOField("s", "string")], version="1.0")
 
 
-def make_receiver(**options):
+def make_receiver(monkeypatch=None, limits=(), **options):
+    """A sender and a receiver on one registry; *limits* set the
+    receiver's class constants (``DLQ_LIMIT``, ``QUARANTINE_THRESHOLD``)
+    for the test."""
+    for name, value in dict(limits).items():
+        monkeypatch.setattr(MorphReceiver, name, value)
     registry = FormatRegistry()
-    sender = PBIOContext(registry)
-    receiver = MorphReceiver(registry, contain_failures=True, **options)
-    return sender, receiver
+    return PBIOContext(registry), MorphReceiver(registry, **options)
 
 
 class TestContainment:
@@ -118,8 +121,9 @@ class TestContainment:
 
 
 class TestBoundedQueue:
-    def test_capacity_evicts_oldest_and_counts(self):
-        _sender, receiver = make_receiver(dlq_limit=3)
+    def test_capacity_evicts_oldest_and_counts(self, monkeypatch):
+        _sender, receiver = make_receiver(
+            monkeypatch, limits=dict(DLQ_LIMIT=3))
         foreign = PBIOContext()
         wires = [foreign.encode(EVT, {"n": n}) for n in range(5)]
         for wire in wires[:3]:  # stay under the quarantine threshold?
@@ -138,13 +142,16 @@ class TestBoundedQueue:
 
 
 class TestQuarantine:
-    def test_repeat_offender_is_quarantined_and_dropped_cheaply(self):
-        _sender, receiver = make_receiver(quarantine_threshold=3)
+    def test_repeat_offender_is_quarantined_and_dropped_cheaply(
+        self, monkeypatch
+    ):
+        _sender, receiver = make_receiver(
+            monkeypatch, limits=dict(QUARANTINE_THRESHOLD=3))
         foreign = PBIOContext()
         wire = foreign.encode(EVT, {"n": 7})
         for _ in range(3):
             receiver.process(wire)
-        assert receiver.is_quarantined(EVT.format_id)
+        assert EVT.format_id in receiver.quarantined_formats
         assert receiver.containment["quarantined_formats"] == 1
         dead_before = receiver.containment["dead_lettered"]
         for _ in range(10):
@@ -153,7 +160,9 @@ class TestQuarantine:
         assert receiver.containment["quarantine_drops"] == 10
         assert receiver.containment["dead_lettered"] == dead_before
 
-    def test_a_success_resets_the_count_failures_must_be_consecutive(self):
+    def test_a_success_resets_the_count_failures_must_be_consecutive(
+        self, monkeypatch
+    ):
         # three bad events in a reader's *lifetime* used to cut its
         # format off for good: the count was never reset by a success
         wide = IOFormat(
@@ -161,7 +170,8 @@ class TestQuarantine:
             version="2.0",
         )
         narrow = IOFormat("Ratio", [IOField("q", "integer")], version="1.0")
-        sender, receiver = make_receiver(quarantine_threshold=3)
+        sender, receiver = make_receiver(
+            monkeypatch, limits=dict(QUARANTINE_THRESHOLD=3))
         receiver.registry.register_transform(
             TransformSpec(wide, narrow, "old.q = new.x / new.d;")
         )
@@ -176,10 +186,11 @@ class TestQuarantine:
         # three in a row still quarantine
         for _ in range(3):
             receiver.process(sender.encode(wide, {"x": 6, "d": 0}))
-        assert receiver.is_quarantined(wide.format_id)
+        assert wide.format_id in receiver.quarantined_formats
 
-    def test_quarantine_does_not_disturb_healthy_formats(self):
-        sender, receiver = make_receiver(quarantine_threshold=2)
+    def test_quarantine_does_not_disturb_healthy_formats(self, monkeypatch):
+        sender, receiver = make_receiver(
+            monkeypatch, limits=dict(QUARANTINE_THRESHOLD=2))
         seen = []
         receiver.register_handler(OTHER, lambda record: seen.append(record.s))
         foreign = PBIOContext()
@@ -187,32 +198,54 @@ class TestQuarantine:
         receiver.process(poison)
         receiver.process(sender.encode(OTHER, {"s": "a"}))
         receiver.process(poison)
-        assert receiver.is_quarantined(EVT.format_id)
+        assert EVT.format_id in receiver.quarantined_formats
         receiver.process(sender.encode(OTHER, {"s": "b"}))
         assert seen == ["a", "b"]
 
-    def test_lift_quarantine_resets_the_failure_count(self):
-        _sender, receiver = make_receiver(quarantine_threshold=2)
+    def test_lift_quarantine_resets_the_failure_count(self, monkeypatch):
+        _sender, receiver = make_receiver(
+            monkeypatch, limits=dict(QUARANTINE_THRESHOLD=2))
         foreign = PBIOContext()
         wire = foreign.encode(EVT, {"n": 1})
         receiver.process(wire)
         receiver.process(wire)
         assert receiver.lift_quarantine(EVT.format_id)
-        assert not receiver.is_quarantined(EVT.format_id)
+        assert EVT.format_id not in receiver.quarantined_formats
         # the slate is clean: one more failure does not re-quarantine
         receiver.process(wire)
-        assert not receiver.is_quarantined(EVT.format_id)
+        assert EVT.format_id not in receiver.quarantined_formats
         assert not receiver.lift_quarantine(EVT.format_id)
+
+    def test_process_alone_judges_every_message(self, monkeypatch):
+        """Each message through ``process_alone`` runs the pipeline and
+        reports its own dead letter, past the threshold and through a
+        quarantine live traffic set; its failure leaves the format
+        unquarantined."""
+        _sender, receiver = make_receiver(
+            monkeypatch, limits=dict(QUARANTINE_THRESHOLD=2))
+        wire = PBIOContext().encode(EVT, {"n": 1})
+        for _ in range(3):
+            result, letter = receiver.process_alone(wire)
+            assert result is None and letter.stage == "unknown_format"
+        assert receiver.quarantined_formats == set()
+        receiver.process(wire)
+        receiver.process(wire)
+        assert EVT.format_id in receiver.quarantined_formats
+        _result, letter = receiver.process_alone(wire)
+        assert letter is receiver.dead_letters[-1]
+        assert receiver.containment["quarantine_drops"] == 0
+        assert receiver.quarantined_formats == set()
 
 
 class TestRetry:
-    def test_retry_succeeds_after_late_registration(self):
-        sender, receiver = make_receiver(quarantine_threshold=2)
+    def test_retry_succeeds_after_late_registration(self, monkeypatch):
+        sender, receiver = make_receiver(
+            monkeypatch, limits=dict(QUARANTINE_THRESHOLD=2))
         foreign = PBIOContext()
         wires = [foreign.encode(EVT, {"n": n}) for n in range(3)]
         for wire in wires:
             receiver.process(wire)
-        assert receiver.is_quarantined(EVT.format_id)
+        assert EVT.format_id in receiver.quarantined_formats
         assert len(receiver.dead_letters) == 2  # third copy was dropped
 
         # the fix arrives: the reader learns the format
@@ -222,7 +255,7 @@ class TestRetry:
         assert (succeeded, requeued) == (2, 0)
         assert seen == [0, 1]
         assert receiver.dead_letters == []
-        assert not receiver.is_quarantined(EVT.format_id)
+        assert EVT.format_id not in receiver.quarantined_formats
         # and live traffic for the format flows again
         receiver.process(sender.encode(EVT, {"n": 9}))
         assert seen == [0, 1, 9]
@@ -236,15 +269,18 @@ class TestRetry:
         assert letter.attempts == 2
         assert receiver.containment["retry_failures"] == 1
 
-    def test_retry_bypasses_quarantine_for_the_retried_entries_only(self):
+    def test_retry_bypasses_quarantine_for_the_retried_entries_only(
+        self, monkeypatch
+    ):
         # "retrying" is an argument of the loop, not receiver state: a
         # handler that re-enters process() during a retry pass is live
         # traffic, and a quarantined format is still dropped at its peek
-        sender, receiver = make_receiver(quarantine_threshold=2, dlq_limit=1)
+        sender, receiver = make_receiver(
+            monkeypatch, limits=dict(QUARANTINE_THRESHOLD=2, DLQ_LIMIT=1))
         poison = PBIOContext().encode(OTHER, {"s": "x"})  # never registered
         receiver.process(poison)
         receiver.process(poison)
-        assert receiver.is_quarantined(OTHER.format_id)
+        assert OTHER.format_id in receiver.quarantined_formats
         broken = [True]
 
         def handler(record):
@@ -258,7 +294,7 @@ class TestRetry:
         broken[0] = False
         assert receiver.retry_dead_letters() == (1, 0)
         assert receiver.dead_letters == []
-        assert receiver.is_quarantined(OTHER.format_id)
+        assert OTHER.format_id in receiver.quarantined_formats
         assert receiver.containment["quarantine_drops"] == 1
 
     def test_obs_counters_record_the_dlq_lifecycle(self):

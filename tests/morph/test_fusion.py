@@ -9,8 +9,6 @@ decoded.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench.workloads import response_v2
 from repro.errors import DecodeError
 from repro.morph import transform as transform_mod
@@ -191,8 +189,9 @@ class TestFusedStagedParity:
             _fused_receiver(echo_registry, v1, []),
             _staged_receiver(echo_registry, v1, []),
         ):
-            with pytest.raises(DecodeError):
-                receiver.process(bytes(truncated))
+            assert receiver.process(bytes(truncated)) is None
+            assert receiver.dead_letters[-1].stage == "decode"
+            assert isinstance(receiver.last_error, DecodeError)
 
     def test_reading_past_an_intermediate_array_fails_in_both(self):
         # every hop's output is frozen on both paths: hop 2 indexing one
@@ -223,8 +222,9 @@ class TestFusedStagedParity:
             _fused_receiver(registry, c, []),
             _staged_receiver(registry, c, []),
         ):
-            with pytest.raises(TransformError):
-                receiver.process(wire)
+            assert receiver.process(wire) is None
+            assert receiver.dead_letters[-1].stage == "transform"
+            assert isinstance(receiver.last_error, TransformError)
 
     def test_fused_route_survives_record_factory_eviction(
         self, echo_registry, v1, v2

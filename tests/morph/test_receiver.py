@@ -1,8 +1,6 @@
 """Unit tests for the Algorithm 2 receiver — every path through the
 pipeline: cache, perfect match, morph, chain, reconcile, reject."""
 
-import pytest
-
 from repro.bench.workloads import response_v1_from_v2, response_v2
 from repro.echo.protocol import (
     RESPONSE_V0,
@@ -121,12 +119,14 @@ class TestReconcilePath:
 
 class TestRejectPath:
     def test_no_match_raises(self):
+        """Historical name: a rejected match dead-letters a NoMatchError."""
         src = IOFormat("T", [IOField("a", "integer")], version="x")
         dst = IOFormat("T", [IOField("b", "string")], version="y")
         sender, receiver = make_pair()
         receiver.register_handler(dst, lambda rec: rec)
-        with pytest.raises(NoMatchError):
-            receiver.process(sender.encode(src, {"a": 1}))
+        assert receiver.process(sender.encode(src, {"a": 1})) is None
+        assert receiver.dead_letters[-1].stage == "no_match"
+        assert isinstance(receiver.last_error, NoMatchError)
         assert receiver.stats.rejected == 1
 
     def test_default_handler_catches_rejects(self):
@@ -145,16 +145,18 @@ class TestRejectPath:
         dst = IOFormat("Beta", [IOField("x", "integer")])
         sender, receiver = make_pair()
         receiver.register_handler(dst, lambda rec: rec)
-        with pytest.raises(NoMatchError):
-            receiver.process(sender.encode(src, {"x": 1}))
+        assert receiver.process(sender.encode(src, {"x": 1})) is None
+        assert receiver.dead_letters[-1].stage == "no_match"
+        assert isinstance(receiver.last_error, NoMatchError)
 
     def test_unknown_wire_format(self):
         fmt = IOFormat("T", [IOField("x", "integer")])
         foreign = PBIOContext()  # private registry
         wire = foreign.encode(fmt, {"x": 1})
         receiver = MorphReceiver()  # different empty registry
-        with pytest.raises(UnknownFormatError):
-            receiver.process(wire)
+        assert receiver.process(wire) is None
+        assert receiver.dead_letters[-1].stage == "unknown_format"
+        assert isinstance(receiver.last_error, UnknownFormatError)
 
     def test_strict_thresholds_reject_near_miss(self):
         src = IOFormat("T", [IOField("x", "integer"), IOField("y", "integer")],
@@ -165,8 +167,9 @@ class TestRejectPath:
         registry = sender.registry
         strict = MorphReceiver(registry, diff_threshold=0, mismatch_threshold=0.0)
         strict.register_handler(dst, lambda rec: rec)
-        with pytest.raises(NoMatchError):
-            strict.process(sender.encode(src, {"x": 1, "y": 2}))
+        assert strict.process(sender.encode(src, {"x": 1, "y": 2})) is None
+        assert strict.dead_letters[-1].stage == "no_match"
+        assert isinstance(strict.last_error, NoMatchError)
         lenient = MorphReceiver(registry, diff_threshold=5, mismatch_threshold=0.9)
         lenient.register_handler(dst, lambda rec: rec)
         assert lenient.process(sender.encode(src, {"x": 1, "y": 2})) == {"x": 1, "z": 0}

@@ -6,8 +6,8 @@ up in a memo before running it (the fabric owner is N readers of one
 wire).  Nothing a reader does or reports may depend on it:
 
 * over valid, big-endian, truncated, unknown-format, garbage and
-  runtime-failing wires — contained or not, observed or not, compiled or
-  interpreted — ``for r in readers: r.process(w, memo)`` makes the
+  runtime-failing wires — repeat offenders quarantined or not, observed
+  or not, compiled or interpreted — ``for r in readers: r.process(w, memo)`` makes the
   handler calls, in the order and with the records, of ``for r in
   readers: r.process(w)``, and leaves every reader with the same stats,
   containment counters, dead letters and quarantine set;
@@ -146,10 +146,18 @@ def observing(request):
 @pytest.mark.parametrize("contain", [True, False],
                          ids=["contained", "raising"])
 @pytest.mark.parametrize("readers", sorted(READER_SETS))
-def test_shared_equals_unshared(readers, contain, use_codegen, observing):
-    options = dict(contain_failures=contain, use_codegen=use_codegen)
-    plain = Fleet(READER_SETS[readers], make_registry(), **options)
-    shared = Fleet(READER_SETS[readers], make_registry(), **options)
+def test_shared_equals_unshared(
+    monkeypatch, readers, contain, use_codegen, observing
+):
+    """The ids are historical (the receiver raises nothing): for
+    ``raising`` quarantine never trips, so every failure runs to the
+    dead letter; for ``contained`` repeat offenders are quarantined."""
+    if not contain:
+        monkeypatch.setattr(MorphReceiver, "QUARANTINE_THRESHOLD", 10**9)
+    plain = Fleet(READER_SETS[readers], make_registry(),
+                  use_codegen=use_codegen)
+    shared = Fleet(READER_SETS[readers], make_registry(),
+                   use_codegen=use_codegen)
     for index, wire in enumerate(wires()):
         expected, _ = plain.feed(wire, sharing=False)
         got, _memo = shared.feed(wire, sharing=True)
@@ -159,16 +167,16 @@ def test_shared_equals_unshared(readers, contain, use_codegen, observing):
     # the stream did exercise what it claims to
     delivered = [version for version, _record in plain.calls]
     assert all(delivered.count(f.version) >= 6 for f in READER_SETS[readers])
-    if contain:
-        stages = {l.stage for r in plain.readers for l in r.dead_letters}
-        assert stages >= {"decode", "unknown_format"}
-        assert all(
-            FOREIGN.format_id in r.quarantined_formats for r in plain.readers
-        )
-        assert all(
-            RESPONSE_V2.format_id not in r.quarantined_formats
-            for r in plain.readers
-        )
+    stages = {l.stage for r in plain.readers for l in r.dead_letters}
+    assert stages >= {"decode", "unknown_format"}
+    assert all(
+        (FOREIGN.format_id in r.quarantined_formats) == contain
+        for r in plain.readers
+    )
+    assert all(
+        RESPONSE_V2.format_id not in r.quarantined_formats
+        for r in plain.readers
+    )
     if readers == "v1-reconciled":
         assert [r.stats.reconciled > 0 for r in plain.readers] == [
             False, True, False,
@@ -244,8 +252,7 @@ class TestAStepThatWritesItsInput:
 
 class TestFailuresAreNotShared:
     def test_each_reader_fails_in_the_stage_itself(self):
-        fleet = Fleet(READER_SETS["v1-v0"], make_registry(),
-                      contain_failures=True)
+        fleet = Fleet(READER_SETS["v1-v0"], make_registry())
         trap = wires()[1]
         outcomes, memo = fleet.feed(trap, sharing=True)
         assert outcomes == [("ok", None), ("ok", None)]
@@ -256,8 +263,7 @@ class TestFailuresAreNotShared:
         assert fleet.calls == []
 
     def test_a_failed_decode_stores_nothing(self):
-        fleet = Fleet(READER_SETS["v2-v1-v0"], make_registry(),
-                      contain_failures=True)
+        fleet = Fleet(READER_SETS["v2-v1-v0"], make_registry())
         _outcomes, memo = fleet.feed(wires()[4], sharing=True)
         assert memo == {}
         assert [
@@ -267,8 +273,7 @@ class TestFailuresAreNotShared:
     def test_a_reader_past_the_failure_still_uses_what_was_stored(self):
         # v2.0 needs no transform: it delivers from the decode the failed
         # v1.0 reader left in the memo
-        fleet = Fleet((RESPONSE_V1, RESPONSE_V2), make_registry(),
-                      contain_failures=True)
+        fleet = Fleet((RESPONSE_V1, RESPONSE_V2), make_registry())
         _outcomes, memo = fleet.feed(wires()[1], sharing=True)
         assert [version for version, _r in fleet.calls] == ["2.0"]
         assert fleet.calls[0][1] == memo[RESPONSE_V2.format_id]

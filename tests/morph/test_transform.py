@@ -567,6 +567,61 @@ class TestDeliveryFramePrice:
         assert timers == LONE_PUBLISH_TIMERS
 
 
+#: Python calls into ``repro`` from one paced publish through the
+#: three-group fabric of :class:`TestPacedPublishPrice` to its first
+#: subscriber delivery, since the owner framed its deliveries per burst;
+#: named functions only, so the count is one on every interpreter (the
+#: driver-built deployment of ``benchmarks/e2e``, counted from ``emit``
+#: + ``drain`` with every call into anything, makes 367).
+PACED_PUBLISH_CALLS = 296
+
+
+class TestPacedPublishPrice:
+    """What one publish on an idle three-group fabric costs its first
+    subscriber in Python calls (counted with ``sys.setprofile``, never
+    timed): the paced latency row's price.  Counts ``call`` events whose
+    code is in the ``repro`` package, from ``publish`` to the first
+    ``FabricClient._on_deliver``."""
+
+    def test_one_paced_publish(self):
+        import gc
+        import os
+
+        import repro
+
+        root = os.path.dirname(repro.__file__) + os.sep
+        fleet = Fleet()
+        channel_id = fleet.channels[0]
+        record = seeded_record(random.Random(0), channel_id)
+        for _ in range(2):  # plan the routes, generate the coders
+            fleet.pubs[0].publish(channel_id, RESPONSE_V2, record)
+        fleet.net.run()
+        calls = []
+
+        def profiler(frame, event, arg):
+            code = frame.f_code
+            # comprehensions are calls on 3.11 and inlined on 3.12
+            # (PEP 709): count named functions only
+            if (event == "call" and code.co_filename.startswith(root)
+                    and not code.co_name.startswith("<")):
+                calls.append(code.co_name)
+                if code.co_name == "_on_deliver":
+                    sys.setprofile(None)
+
+        gc.collect()
+        gc.disable()
+        sys.setprofile(profiler)
+        try:
+            fleet.pubs[0].publish(channel_id, RESPONSE_V2, record)
+            fleet.net.run()
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        assert [len(log) for log in fleet.logs.values()] == [3] * 3
+        assert calls[-1] == "_on_deliver"
+        assert len(calls) == PACED_PUBLISH_CALLS
+
+
 class TestProjectionCutPrice:
     """What a three-group fabric event costs in transforms and encodes,
     counted by wrapping globals (never timed).  V1→V0 is a wire

@@ -225,8 +225,9 @@ class TestWeightedReceiver:
         strict_by_count = MorphReceiver(registry, mismatch_threshold=0.3)
         strict_by_count.register_handler(reader(1.0, 1.0), lambda rec: rec)
         # default importances: missing 1 of 2 fields -> Mr 0.5 > 0.3 -> reject
-        with pytest.raises(NoMatchError):
-            strict_by_count.process(wire)
+        assert strict_by_count.process(wire) is None
+        assert strict_by_count.dead_letters[-1].stage == "no_match"
+        assert isinstance(strict_by_count.last_error, NoMatchError)
 
         weighted = MorphReceiver(registry, mismatch_threshold=0.3)
         weighted.register_handler(reader(10.0, 0.1), lambda rec: rec)

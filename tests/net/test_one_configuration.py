@@ -1,7 +1,8 @@
 """One endpoint configuration: every ECho and fabric endpoint runs on a
-:class:`~repro.net.reliable.ReliableEndpoint` and feeds only contained
-receivers; ``reliable=`` and ``contain_failures=``, where a signature
-still takes them, accept only ``True``.
+:class:`~repro.net.reliable.ReliableEndpoint` and feeds receivers that
+contain their failures (a :class:`~repro.morph.receiver.MorphReceiver`
+has no other mode); ``reliable=`` and ``contain_failures=``, where an
+endpoint signature still takes them, accept only ``True``.
 """
 
 import inspect
@@ -12,6 +13,7 @@ from repro.echo.process import EChoProcess
 from repro.fabric import EventFabric
 from repro.fabric.client import FabricClient
 from repro.fabric.worker import FabricWorker
+from repro.morph.receiver import MorphReceiver
 from repro.net.reliable import ReliableEndpoint
 from repro.net.transport import Network
 from repro.pbio.registry import FormatRegistry
@@ -49,4 +51,15 @@ def test_every_endpoint_is_reliable_and_every_echo_receiver_contained():
     echo.create_channel("b")
     receivers = [echo.control, echo.event_receiver("a"),
                  echo.event_receiver("b")]
-    assert all(receiver.contain_failures for receiver in receivers)
+    for receiver in receivers:
+        assert receiver.process(b"junk") is None
+        assert receiver.dead_letters[-1].stage == "decode"
+
+
+def test_the_receiver_has_one_mode():
+    assert list(inspect.signature(MorphReceiver).parameters) == [
+        "registry", "diff_threshold", "mismatch_threshold", "use_codegen",
+        "use_fusion",
+    ]
+    with pytest.raises(TypeError, match="contain_failures"):
+        MorphReceiver(FormatRegistry(), contain_failures=True)

@@ -93,7 +93,7 @@ class TestDlqRetryContinuity:
         original trace when retry_dead_letters replays it."""
         registry = FormatRegistry()
         registry.register(EVT_V1)
-        receiver = MorphReceiver(registry, contain_failures=True)
+        receiver = MorphReceiver(registry)
         obs.enable(capacity=4096)
         seed_ids(12)
         ctx = make_context()

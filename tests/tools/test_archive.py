@@ -79,6 +79,8 @@ class TestReplay:
         receiver.register_handler(RESPONSE_V1, lambda rec: rec)
         with pytest.raises(NoMatchError):
             open_archive(blob).replay_into(receiver)
+        (letter,) = receiver.dead_letters
+        assert letter.stage == "no_match"
 
     def test_replay_collects_errors_when_not_stopping(self):
         registry, _records, wires = build_traffic(2)
@@ -92,6 +94,28 @@ class TestReplay:
         assert report.delivered == 2
         assert report.failed == 1
         assert isinstance(report.errors[0], NoMatchError)
+        assert [letter.stage for letter in receiver.dead_letters] == ["no_match"]
+
+    def test_replay_judges_every_message_past_the_quarantine_threshold(self):
+        """Replay quarantines nothing: three messages of a format that
+        fail do not stop a fourth, good one from delivering."""
+        registry = FormatRegistry()
+        ctx = PBIOContext(registry)
+        reading = IOFormat("Reading", [IOField("x", "integer")])
+        wires = [ctx.encode(reading, {"x": x}) for x in range(4)]
+        receiver = MorphReceiver(registry)
+
+        def handler(record):
+            if record["x"] < MorphReceiver.QUARANTINE_THRESHOLD:
+                raise ValueError("not this one")
+            return record["x"]
+
+        receiver.register_handler(reading, handler)
+        report = open_archive(capture(registry, wires)).replay_into(
+            receiver, stop_on_error=False)
+        assert report.failed == MorphReceiver.QUARANTINE_THRESHOLD
+        assert report.delivered == 1 and report.results == [3]
+        assert receiver.quarantined_formats == set()
 
 
 class TestCorruption:
