@@ -1340,14 +1340,12 @@ def check_projection_pushdown(
                 )
             net.run()
 
-            counters = {
-                "projected_sends": obs.OBS.metrics.counter(
-                    "net.projection.messages").value,
-                "bytes_saved": obs.OBS.metrics.counter(
-                    "net.projection.bytes_saved_est").value,
-                "routes": obs.OBS.metrics.counter(
-                    "morph.projection.routes").value,
-            }
+            metrics = obs.OBS.metrics
+            counters = {key: metrics.counter(name).value for key, name in (
+                ("projected_sends", "net.projection.messages"),
+                ("bytes_saved", "net.projection.bytes_saved_est"),
+                ("routes", "morph.projection.routes"),
+            )}
         return (creator, source, sink0, sink1), (got0, got1), counters, net
 
     full_procs, full_got, full_counters, full_net = run_arm(negotiated=False)

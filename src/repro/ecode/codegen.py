@@ -51,6 +51,7 @@ cover is translated exactly as without them):
 from __future__ import annotations
 
 import math
+import threading
 import time
 from typing import (
     Any,
@@ -77,6 +78,13 @@ from repro.ecode.runtime import (
 )
 from repro.ecode.typecheck import checked_program
 from repro.errors import ECodeRuntimeError, ECodeTypeError
+from repro.obs import OBS
+from repro.obs.metrics import Tallies, collect, counter
+
+#: procedures compiled in this process (on any thread)
+_TALLY = Tallies(compiles=0)
+_TALLY_LOCK = threading.Lock()
+collect(None, _TALLY, (counter("ecode.codegen.compiles", "compiles"),))
 
 #: What a host may know, when it compiles a procedure, about the value a
 #: parameter will hold: ``SCALAR`` for an immutable leaf, ``{field:
@@ -871,15 +879,12 @@ def compile_procedure(
     that knows its parameters' formats passes their *shapes* (see
     :func:`generate_source`).
     """
-    from repro.obs import OBS
-
     if not OBS.enabled:
         return _compile_procedure(source, params, name, shapes)
     with OBS.tracer.span("ecode.codegen", procedure=name):
         start = time.perf_counter()
         procedure = _compile_procedure(source, params, name, shapes)
         elapsed = time.perf_counter() - start
-    OBS.metrics.counter("ecode.codegen.compiles").inc()
     OBS.metrics.histogram("ecode.codegen.seconds").observe(elapsed)
     return procedure
 
@@ -898,6 +903,8 @@ def _compile_procedure(
     namespace = runtime_namespace()
     code = compile(py_source, f"<ecode:{name}>", "exec")
     exec(code, namespace)
+    with _TALLY_LOCK:
+        _TALLY.compiles += 1
     return ECodeProcedure(
         name=name,
         params=tuple(params),

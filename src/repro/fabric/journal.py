@@ -154,14 +154,14 @@ class JournalRecovery(NamedTuple):
         return dump_state(self.channels)
 
 
-#: the tallies, and the journal lag ``--top`` renders (per shard; file size)
+#: the tallies, and the journal lag ``--top`` renders (summed over the
+#: store's shards; file size)
 _COLLECTED = (
     counter("fabric.journal.appends", "appends"),
     counter("fabric.journal.compactions", "compactions"),
-    gauge("fabric.journal.entries_since_snapshot", lambda store: {
-        shard: log.since_snapshot
-        for shard, log in list(store._shards.items()) if log.entries
-    }, "shard"),
+    gauge("fabric.journal.entries_since_snapshot", lambda store: sum(
+        log.since_snapshot for log in list(store._shards.values())
+    )),
     gauge("fabric.journal.disk_bytes",
           lambda store: store.path and store.disk_size_bytes()),
 )

@@ -24,11 +24,17 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from repro.errors import FabricError
 from repro.fabric.hashing import DEFAULT_NUM_SHARDS, HashRing, shard_of
 from repro.net.reliable import refuse_removed_modes
-from repro.obs import OBS
+from repro.obs.metrics import Tallies, collect, counter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fabric.journal import JournalStore
     from repro.fabric.worker import FabricWorker
+
+#: the failure detector's lease renewals and expiries
+_COLLECTED = (
+    counter("fabric.lease.renewals", "renewals"),
+    counter("fabric.lease.expired", "expirations"),
+)
 
 #: Default heartbeat-lease timeout (virtual seconds) when lease checking
 #: is enabled without an explicit value.
@@ -99,11 +105,14 @@ class FabricDirectory:
         self.deaths: List[Tuple[int, str]] = []
         #: worker address -> last heartbeat time
         self._leases: Dict[str, float] = {}
-        self.lease_renewals = 0
+        self._tally = Tallies(renewals=0, expirations=0)
+        collect(self, self._tally, _COLLECTED)
         self.lease_rejections = 0
-        self.lease_expirations = 0
         #: echo-hosted channels: channel id -> hosting contact string
         self._echo_channels: Dict[str, str] = {}
+
+    lease_renewals = property(lambda self: self._tally.renewals)
+    lease_expirations = property(lambda self: self._tally.expirations)
 
     # ------------------------------------------------------------------
     # Membership
@@ -206,9 +215,7 @@ class FabricDirectory:
             self.lease_rejections += 1
             return False
         self._leases[address] = self._now()
-        self.lease_renewals += 1
-        if OBS.enabled:
-            OBS.metrics.counter("fabric.lease.renewals").inc()
+        self._tally.renewals += 1
         return True
 
     def lease_remaining(self, address: str) -> Optional[float]:
@@ -244,9 +251,7 @@ class FabricDirectory:
                 break
             self.crash_leave(address)
             dead.append(address)
-            self.lease_expirations += 1
-            if OBS.enabled:
-                OBS.metrics.counter("fabric.lease.expired").inc()
+            self._tally.expirations += 1
         return dead
 
     def _rebalance(self) -> List[int]:

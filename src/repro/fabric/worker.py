@@ -60,7 +60,6 @@ from repro.fabric.state import (
     Channels,
     dump_state,
     load_part,
-    load_state,
     split_state,
 )
 from repro.morph.receiver import CUT_SOURCES, MorphReceiver, WireCut
@@ -904,10 +903,6 @@ class FabricWorker(EndpointMixin):
     # ------------------------------------------------------------------
     # Handoff receive side
     # ------------------------------------------------------------------
-
-    def _install_channel_state(self, channels_state: Dict[str, Any]) -> None:
-        """Validate a raw ``channels`` mapping and install it."""
-        self._install_channels(load_state({"channels": channels_state}))
 
     def _install_channels(self, channels: Channels) -> None:
         """Install parsed handoff/recovery state.  A ledger we already

@@ -48,6 +48,7 @@ from repro.ecode.codegen import ECODE_ESCAPES, generate_inline, runtime_namespac
 from repro.errors import ECodeError, TransformError
 from repro.morph.compat import _coerce_field
 from repro.morph.transform import Transformation, ecode_shapes
+from repro.obs.metrics import Tallies, collect, counter
 from repro.pbio.codegen import (
     _Emitter, _gen_decode_message, _StructTable, decode_namespace,
 )
@@ -63,6 +64,11 @@ def _make_fail(label: str) -> Callable[[BaseException], None]:
 
     return _fail
 
+
+#: fused routes compiled in this process (routes compile on any thread)
+_TALLY = Tallies(compiles=0)
+_TALLY_LOCK = threading.Lock()
+collect(None, _TALLY, (counter("morph.fusion.compiles", "compiles"),))
 
 #: what a step's consumer reads of its output: top-level field names, or
 #: None when it sees the whole record
@@ -207,8 +213,6 @@ class FusedRoute:
     # ------------------------------------------------------------------
 
     def _compile(self, order: str) -> Optional[FusedFn]:
-        from repro.obs import OBS
-
         try:
             source, namespace = self._emit(order)
             code = compile(source, f"<fused-route:{self.label}:{order}>", "exec")
@@ -216,8 +220,8 @@ class FusedRoute:
             fn = namespace["_fused_route"]
         except Exception:
             return None
-        if OBS.enabled:
-            OBS.metrics.counter("morph.fusion.compiles").inc()
+        with _TALLY_LOCK:
+            _TALLY.compiles += 1
         return fn
 
     def _emit(self, order: str) -> Tuple[str, Dict[str, Any]]:

@@ -110,12 +110,16 @@ STAT_COUNTERS = (
 
 class ReceiverStats:
     """Per-receiver tallies: nine plain integers (``stats.messages``,
-    ``stats.cache_hits``, ...), messages fused / staged, and morphs and
-    deliveries per format.  An update is one integer add, observed or
-    not: a registry reads them (``_COLLECTED``)."""
+    ``stats.cache_hits``, ...), messages fused / staged, morphs and
+    deliveries per format, dead letters per stage, projection routes and
+    fallbacks, and the receiver's ``containment``.  An update is one
+    integer add, observed or not: a registry reads them
+    (``_COLLECTED``)."""
 
-    __slots__ = STAT_COUNTERS + ("staged_messages", "fused_messages",
-                                 "applied", "delivered")
+    __slots__ = STAT_COUNTERS + (
+        "staged_messages", "fused_messages", "applied", "delivered",
+        "dead_letters", "projection_routes", "projection_fallbacks",
+        "containment")
 
     def __init__(self) -> None:
         for name in STAT_COUNTERS:
@@ -125,6 +129,12 @@ class ReceiverStats:
         self.applied: Dict[str, int] = defaultdict(int)
         #: records handed to a handler, by handler format name
         self.delivered: Dict[str, int] = defaultdict(int)
+        #: messages dead-lettered, by stage
+        self.dead_letters: Dict[str, int] = defaultdict(int)
+        self.projection_routes = self.projection_fallbacks = 0
+        self.containment = dict.fromkeys((
+            "dead_lettered", "evicted", "quarantined_formats",
+            "quarantine_drops", "retried", "retry_failures"), 0)
 
     def observe_mismatch(self, ratio: float) -> None:
         """Record one MaxMatch decision's mismatch ratio in the obs
@@ -148,6 +158,10 @@ _COLLECTED = (
     counter("morph.receiver.compiled_chains", "compiled_chains"),
     counter("morph.receiver.staged_messages", "staged_messages"),
     counter("morph.receiver.fused_messages", "fused_messages"),
+    counter("morph.receiver.dead_letters", "dead_letters", "stage"),
+    counter("morph.receiver.dlq_retried", lambda s: s.containment["retried"]),
+    counter("morph.projection.routes", "projection_routes"),
+    counter("morph.projection.fallbacks", "projection_fallbacks"),
     counter("morph.transform.applied", "applied", "format", bounded=True),
     counter("morph.dispatch.delivered", "delivered", "format", bounded=True),
     gauge("morph.receiver.route_cache_size",
@@ -351,14 +365,7 @@ class MorphReceiver:
         self._failure_counts: Dict[int, int] = {}
         #: the exception of the newest dead letter
         self.last_error: Optional[BaseException] = None
-        self.containment = {
-            "dead_lettered": 0,
-            "evicted": 0,
-            "quarantined_formats": 0,
-            "quarantine_drops": 0,
-            "retried": 0,
-            "retry_failures": 0,
-        }
+        self.containment = self.stats.containment
 
     # ------------------------------------------------------------------
     # Registration
@@ -697,11 +704,8 @@ class MorphReceiver:
                 )
             )
             self.containment["dead_lettered"] += 1
+            self.stats.dead_letters[stage] += 1
             self.last_error = exc
-            if OBS.enabled:
-                OBS.metrics.counter(
-                    "morph.receiver.dead_letters", stage=stage
-                ).inc()
             if format_id is None:
                 return
             count = self._failure_counts.get(format_id, 0) + 1
@@ -763,8 +767,6 @@ class MorphReceiver:
             else:
                 succeeded += 1
                 self.containment["retried"] += 1
-        if OBS.enabled and entries:
-            OBS.metrics.counter("morph.receiver.dlq_retried").inc(succeeded)
         return succeeded, requeued
 
     def has_exact_route(self, fmt: IOFormat) -> bool:
@@ -840,11 +842,9 @@ class MorphReceiver:
         )
         transmitted = {f.name for f in incoming.fields}
         if not needed <= transmitted:
-            if OBS.enabled:
-                OBS.metrics.counter("morph.projection.fallbacks").inc()
+            self.stats.projection_fallbacks += 1
             return None
-        if OBS.enabled:
-            OBS.metrics.counter("morph.projection.routes").inc()
+        self.stats.projection_routes += 1
         return _Route(
             wire_format=incoming,
             chain=parent_route.chain,

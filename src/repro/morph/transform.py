@@ -103,12 +103,6 @@ def _record_entry(fmt: IOFormat) -> _RecordEntry:
                 return rec
 
         entry = _record_factories[key] = (factory, _freezer(fmt))
-        from repro.obs import OBS
-
-        if OBS.enabled:
-            OBS.metrics.gauge("morph.transform.record_factory_cache_size").set(
-                len(_record_factories)
-            )
         return entry
 
 

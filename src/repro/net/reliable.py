@@ -49,9 +49,10 @@ reliable and raw traffic can share one node.
 Observability: every endpoint counts retries, duplicate drops, breaker
 openings and the rest locally (plain attributes, always on,
 :meth:`ReliableEndpoint.counters`); the four something reads as metrics
-(sends, acked, retries, dup_drops) are kept per peer and read — with
-the in-flight gauge, the number of pending sends — as
-``net.reliable.*`` by whichever registry is read.
+(sends, acked, retries, dup_drops) are plain integers per endpoint,
+read — with the in-flight gauge, the number of pending sends — as
+``net.reliable.*`` by whichever registry is read.  Per-peer detail is
+the ``net.reliable.send`` / ``.retransmit`` spans' ``peer``.
 """
 
 from __future__ import annotations
@@ -117,10 +118,10 @@ _REMOVED_MODES = {
 }
 
 _COLLECTED = (
-    counter("net.reliable.sends", "sends", "peer"),
-    counter("net.reliable.acked", "acked", "peer"),
-    counter("net.reliable.retries", "retries", "peer"),
-    counter("net.reliable.dup_drops", "dup_drops", "peer"),
+    counter("net.reliable.sends", "sends"),
+    counter("net.reliable.acked", "acked"),
+    counter("net.reliable.retries", "retries"),
+    counter("net.reliable.dup_drops", "dup_drops"),
     gauge("net.reliable.in_flight", "in_flight"),
 )
 
@@ -344,8 +345,8 @@ class ReliableEndpoint:
         #: waiting out its stall timeout
         self._holes: Dict[str, set] = {}
         self._breakers: Dict[str, CircuitBreaker] = {}
-        # -- counters (always-on attributes; four of them per peer) -----
-        self._tally = Tallies("sends", "acked", "retries", "dup_drops")
+        # -- counters (always-on attributes) ----------------------------
+        self._tally = Tallies(sends=0, acked=0, retries=0, dup_drops=0)
         collect(self, self._tally, _COLLECTED, endpoint=self.node.address)
         self.failed = 0
         self.rejected = 0
@@ -360,10 +361,10 @@ class ReliableEndpoint:
     def address(self) -> str:
         return self.node.address
 
-    sent = property(lambda self: sum(self._tally.sends.values()))
-    acked = property(lambda self: sum(self._tally.acked.values()))
-    retries = property(lambda self: sum(self._tally.retries.values()))
-    dup_drops = property(lambda self: sum(self._tally.dup_drops.values()))
+    sent = property(lambda self: self._tally.sends)
+    acked = property(lambda self: self._tally.acked)
+    retries = property(lambda self: self._tally.retries)
+    dup_drops = property(lambda self: self._tally.dup_drops)
 
     # ------------------------------------------------------------------
     # Sending
@@ -414,7 +415,7 @@ class ReliableEndpoint:
         seq = self._next_seq.get(destination, 0)
         self._next_seq[destination] = seq + 1
         ticket = SendTicket(destination, seq, payload, on_result)
-        self._tally.sends[destination] += 1
+        self._tally.sends += 1
         pending = self._pending.get(destination)
         if pending is None:
             pending = self._pending[destination] = {}
@@ -522,7 +523,7 @@ class ReliableEndpoint:
                 if ticket.attempts > self.max_retries:
                     self._give_up(ticket)
                 else:
-                    self._tally.retries[peer] += 1
+                    self._tally.retries += 1
                     self._transmit(ticket)
         pending = self._pending.get(peer)
         if pending:
@@ -569,7 +570,7 @@ class ReliableEndpoint:
         self._ack_later(source)
         buffered = self._reorder.setdefault(source, {})
         if seq < expected or seq in buffered:
-            self._tally.dup_drops[source] += 1
+            self._tally.dup_drops += 1
             return
         if seq != expected:
             self.reordered += 1
@@ -773,7 +774,7 @@ class ReliableEndpoint:
             timer = self._timers.pop(source, None)
             if timer is not None:
                 timer.cancel()
-        self._tally.acked[source] += len(acked)
+        self._tally.acked += len(acked)
         self.breaker(source).record_success()
         for ticket in acked:
             ticket._finish("acked")

@@ -31,7 +31,7 @@ import json
 from typing import Any, Callable, Dict, Optional
 
 from repro.obs import OBS
-from repro.obs.metrics import OVERFLOW_LABEL, Registry
+from repro.obs.metrics import OVERFLOW_LABEL, Registry, Tallies, collect, counter
 from repro.obs.protocol import (
     TELEMETRY_CHANNEL,
     TELEMETRY_V2,
@@ -56,6 +56,8 @@ def _allocate_boot() -> int:
 
 
 PublishFn = Callable[[IOFormat, Record], Any]
+
+_COLLECTED = (counter("obs.telemetry.agent.scrapes", "scrapes"),)
 
 
 class TelemetryAgent:
@@ -102,13 +104,16 @@ class TelemetryAgent:
         self.max_metrics = max_metrics
         self.boot = boot if boot is not None else _allocate_boot()
         self.clock = clock
-        self.seq = 0
-        self.scrapes = 0
+        self._tally = Tallies(scrapes=0)
+        collect(self, self._tally, _COLLECTED, process=process)
         self.dropped_total = 0
         self._prev: Optional[Dict[str, Dict[str, Any]]] = None
         self._last_scrape: Optional[float] = None
         self._timer: Optional[Any] = None
         self._network: Optional[Any] = None
+
+    #: scrapes taken; each one's record carries the count as its ``seq``
+    scrapes = seq = property(lambda self: self._tally.scrapes)
 
     # -- transport adapters ---------------------------------------------
 
@@ -179,8 +184,7 @@ class TelemetryAgent:
             if self._last_scrape is not None else self.interval
         )
         self._last_scrape = now
-        self.seq += 1
-        self.scrapes += 1
+        self._tally.scrapes += 1
         self.dropped_total += dropped
         record = TELEMETRY_V2.make_record(
             process=self.process,
@@ -193,10 +197,6 @@ class TelemetryAgent:
             metrics=json.dumps(delta, sort_keys=True, separators=(",", ":")),
         )
         self._publish(TELEMETRY_V2, record)
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "obs.telemetry.agent.scrapes", process=self.process
-            ).inc()
         return record
 
     def _bound(

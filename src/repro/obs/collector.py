@@ -39,8 +39,10 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net.ledger import SeqLedger
-from repro.obs import OBS
-from repro.obs.metrics import merge_snapshot_entries
+from repro.obs.metrics import (
+    collect, counter, merge_histogram_snapshots, merge_snapshot_entries,
+    percentile_from_buckets,
+)
 from repro.obs.protocol import (
     CLUSTER_STATE_SCHEMA,
     TELEMETRY_CHANNEL,
@@ -75,6 +77,13 @@ class SourceState:
         self.stale_marks = 0
 
 
+def _ingested(sources: Dict[str, SourceState]) -> int:
+    return sum(source.deltas for source in list(sources.values()))
+
+
+_COLLECTED = (counter("obs.telemetry.collector.deltas", _ingested),)
+
+
 class TelemetryCollector:
     """Aggregates telemetry deltas into cluster-level time series."""
 
@@ -93,9 +102,12 @@ class TelemetryCollector:
         self._ledgers: Dict[Tuple[str, int], SeqLedger] = {}
         #: (process, metric key) -> (metric name, labels, kind)
         self._meta: Dict[Tuple[str, str], Tuple[str, Dict[str, str], str]] = {}
-        self.ingested = 0
+        collect(self, self.sources, _COLLECTED)
         self.duplicates = 0
         self.rejected = 0
+
+    #: deltas admitted, from every source
+    ingested = property(lambda self: _ingested(self.sources))
 
     # -- subscription adapters ------------------------------------------
 
@@ -188,9 +200,6 @@ class TelemetryCollector:
             source.dropped += int(record["dropped"])
         if source.stale:
             source.stale = False
-        self.ingested += 1
-        if OBS.enabled:
-            OBS.metrics.counter("obs.telemetry.collector.deltas").inc()
         for key, entry in delta.items():
             if not isinstance(entry, dict):
                 continue
@@ -308,11 +317,6 @@ class TelemetryCollector:
     ) -> float:
         """Cluster-wide quantile over the merged histogram deltas of
         every matching series in the window."""
-        from repro.obs.metrics import (
-            merge_histogram_snapshots,
-            percentile_from_buckets,
-        )
-
         if now is None:
             now = self.clock.now if self.clock is not None else 0.0
         merged = None

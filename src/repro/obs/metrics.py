@@ -11,12 +11,13 @@ cheap enough to leave compiled into the hot paths.  Every instrument is
   numbers and pre-sized lists under that lock; nothing is formatted or
   sorted per event (an exemplar is a reference to the active trace
   context, rendered when somebody reads it), and
-* **read, not pushed, on a per-message path** — a layer's counts
-  (``stats.messages``, sends per peer) are plain tallies it keeps
-  always and declares once as metrics (:func:`collect`); a
+* **read, not pushed** — every count (``stats.messages``, an
+  endpoint's sends, a compile, a lease renewal) is a plain tally its
+  owner keeps always and declares once as a metric (:func:`collect`); a
   :class:`Registry` reads them when it is read, so a message pays one
-  integer add, watched or not.  A sampled message's durations go to a
-  histogram held in :class:`Handles`.
+  integer add, watched or not, and a label is kept only where a reader
+  groups by it.  A sampled message's durations go to a histogram held
+  in :class:`Handles`.
 
 Histograms use fixed bucket bounds chosen at creation.  Percentiles
 (p50/p95/p99) are estimated by linear interpolation inside the bucket
@@ -437,8 +438,9 @@ def gauge(name: str, read: Any, *varying: str) -> Reading:
 
 class Tallies:
     """An owner's plain counts, kept apart from it (see :func:`collect`):
-    ``Tallies("sends", appends=0)`` — a name alone is a per-label count,
-    a dict from label value to count."""
+    ``Tallies("processed", appends=0)`` — a name alone is a per-label
+    count, a dict from label value to count.  :func:`collect` holds them
+    strongly: an owner passed as its own tallies would never retire."""
 
     def __init__(self, *per_label: str, **counts: Any) -> None:
         self.__dict__.update(counts)
@@ -595,14 +597,6 @@ class Registry:
             self._get_or_create(Counter, "obs.labels.overflow",
                                 {"metric": name}).inc()
         return out
-
-    def bounded_counter(
-        self, name: str, limit: int = DEFAULT_LABEL_LIMIT, **labels: Any
-    ) -> Counter:
-        """Get-or-create a counter with its labels cardinality-guarded."""
-        return self._get_or_create(
-            Counter, name, self.bounded(name, limit=limit, **labels)
-        )
 
     # -- get-or-create -------------------------------------------------
 

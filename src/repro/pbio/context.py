@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import UnknownFormatError
 from repro.obs import OBS
-from repro.obs.metrics import Handles, Tallies, collect, counter
+from repro.obs.metrics import Handles, Tallies, collect, counter, gauge
 from repro.obs.tracectx import current, recording
 from repro.pbio import codegen
 from repro.pbio.buffer import MessageHeader, unpack_header
@@ -41,7 +41,8 @@ CODEC_CACHE_MAX = 1024
 #: generates the coder (it shares the table's bound and its FIFO)
 _SEEN_ONCE: Any = object()
 
-#: by path: a generated coder's, or ("generic") the first use's fallback
+#: by path: a generated coder's, or ("generic") the first use's fallback;
+#: coders generated, and the codec tables' sizes
 _COLLECTED = (
     counter("pbio.encode.messages", lambda t: {"generic": t.encoded_generic,
             "specialized": t.encoded - t.encoded_generic}, "path"),
@@ -49,6 +50,10 @@ _COLLECTED = (
     counter("pbio.decode.messages", lambda t: {"generic": t.decoded_generic,
             "specialized": t.decoded - t.decoded_generic}, "path"),
     counter("pbio.decode.bytes", "decoded_bytes"),
+    counter("pbio.codegen.encoders", "encoders"),
+    counter("pbio.codegen.decoders", "decoders"),
+    gauge("pbio.context.encoder_cache_size", lambda ctx: len(ctx._encoders)),
+    gauge("pbio.context.decoder_cache_size", lambda ctx: len(ctx._decoders)),
 )
 
 
@@ -90,7 +95,8 @@ class PBIOContext:
         self._encoders: Dict[int, Any] = {}
         self._decoders: Dict[int, Any] = {}
         self._tally = Tallies(encoded=0, encoded_generic=0, encoded_bytes=0,
-                              decoded=0, decoded_generic=0, decoded_bytes=0)
+                              decoded=0, decoded_generic=0, decoded_bytes=0,
+                              encoders=0, decoders=0)
         collect(self, self._tally, _COLLECTED)
         self._encode_seconds = Handles.histogram("pbio.encode.seconds")
         self._decode_seconds = Handles.histogram("pbio.decode.seconds")
@@ -124,7 +130,6 @@ class PBIOContext:
                 self._encoders, fmt,
                 # through the module: instrumentation patches it there
                 lambda: codegen.make_encoder(fmt, byte_order=self.byte_order),
-                "pbio.codegen.encoders", "pbio.context.encoder_cache_size",
             )
             if encoder is None:
                 wire = generic_encode_record(
@@ -182,7 +187,6 @@ class PBIOContext:
         if decoder is None or decoder is _SEEN_ONCE:
             decoder = self._second_sight(
                 self._decoders, fmt, lambda: codegen.make_decoder(fmt),
-                "pbio.codegen.decoders", "pbio.context.decoder_cache_size",
             )
             if decoder is None:
                 record = generic_decode_record(fmt, data, header)
@@ -192,13 +196,13 @@ class PBIOContext:
 
     def _second_sight(
         self, cache: Dict[int, Any], fmt: IOFormat,
-        generate: Callable[[], Any], counter: str, gauge: str,
+        generate: Callable[[], Any],
     ) -> Any:
         """The generated coder for a format's second use here (counted
-        in *counter*), or ``None`` — run the interpretive one — for its
+        in the tallies), or ``None`` — run the interpretive one — for its
         first (marked in *cache*) and always without ``use_codegen``.  A
         new entry evicts FIFO at :data:`CODEC_CACHE_MAX`, so format churn
-        cannot leak marks or compiled code; the size is the *gauge*."""
+        cannot leak marks or compiled code."""
         if not self.use_codegen:
             return None
         format_id = fmt.format_id
@@ -207,18 +211,17 @@ class PBIOContext:
             if codec is _SEEN_ONCE:
                 start = time.perf_counter()
                 codec = cache[format_id] = generate()
+                if cache is self._encoders:
+                    self._tally.encoders += 1
+                else:
+                    self._tally.decoders += 1
                 if OBS.enabled:
-                    metrics = OBS.metrics
-                    metrics.counter(counter).inc()
-                    metrics.histogram("pbio.codegen.seconds").observe(
-                        time.perf_counter() - start
-                    )
+                    OBS.metrics.histogram("pbio.codegen.seconds").observe(
+                        time.perf_counter() - start)
             elif codec is None:
                 while len(cache) >= CODEC_CACHE_MAX:
                     cache.pop(next(iter(cache)))
                 cache[format_id] = _SEEN_ONCE
-                if OBS.enabled:
-                    OBS.metrics.gauge(gauge).set(len(cache))
             return codec
 
     def peek_format(self, data: bytes) -> Optional[IOFormat]:

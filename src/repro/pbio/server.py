@@ -30,7 +30,7 @@ import itertools
 import json
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import FormatError, TransportError
+from repro.errors import FormatError, ReproError, TransportError
 from repro.net.reliable import ReliableEndpoint, SendTicket
 from repro.net.transport import Network
 from repro.obs import OBS
@@ -142,6 +142,9 @@ class FormatServer:
             "renegotiations": 0,
             "interest_expirations": 0,
         }
+        #: requests refused as malformed, and the last refusal
+        self.errors = 0
+        self.last_error: Optional[BaseException] = None
         #: per (parent format id, group): subscriber address -> announced
         #: field names (``None`` = needs the full format)
         self._interests: Dict[Tuple[int, str], Dict[str, Optional[List[str]]]] = {}
@@ -176,30 +179,34 @@ class FormatServer:
     # ------------------------------------------------------------------
 
     def _on_message(self, source: str, data: bytes) -> None:
-        message = _decode(data)
-        op = message["op"]
-        if op == "register":
-            self._ingest(message)
-            self.stats["registers"] += 1
-            self.endpoint.send(
-                source,
-                _encode({"op": "register_ok", "id": message.get("id")}),
-            )
-            if self.peer is not None:
-                mirror = dict(message)
-                mirror["op"] = "sync"
-                mirror.pop("id", None)
-                self.endpoint.send(self.peer, _encode(mirror))
-        elif op == "sync":
-            self._ingest(message)
-            self.stats["syncs"] += 1
-        elif op == "lookup":
-            self._handle_lookup(source, message)
-        elif op == "interest":
-            self._handle_interest(source, message)
-        elif op == "interest_lookup":
-            self._handle_interest_lookup(source, message)
-        # unknown ops are dropped: the server must tolerate newer clients
+        try:
+            message = _decode(data)
+            op = message["op"]
+            if op == "register":
+                self._ingest(message)
+                self.stats["registers"] += 1
+                self.endpoint.send(
+                    source,
+                    _encode({"op": "register_ok", "id": message.get("id")}),
+                )
+                if self.peer is not None:
+                    mirror = dict(message)
+                    mirror["op"] = "sync"
+                    mirror.pop("id", None)
+                    self.endpoint.send(self.peer, _encode(mirror))
+            elif op == "sync":
+                self._ingest(message)
+                self.stats["syncs"] += 1
+            elif op == "lookup":
+                self._handle_lookup(source, message)
+            elif op == "interest":
+                self._handle_interest(source, message)
+            elif op == "interest_lookup":
+                self._handle_interest_lookup(source, message)
+            # unknown ops are dropped: the server must tolerate newer clients
+        except ReproError as exc:  # a refused request: no reply
+            self.errors += 1
+            self.last_error = exc
 
     def _ingest(self, message: Dict[str, Any]) -> None:
         # ``replace`` rather than ``register``: a client re-uploading

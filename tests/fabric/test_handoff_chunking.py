@@ -5,7 +5,7 @@ ledgers; shipping that as one message made snapshot size unbounded.
 ``begin_handoff`` now splits the snapshot into bounded-size parts at
 channel granularity and the successor reassembles them, acking only
 when all parts of the epoch have landed.  The ingestion side
-(``SeqLedger.from_state`` and ``_install_channel_state``) turns every
+(``SeqLedger.from_state`` and ``load_state``) turns every
 structural surprise in network- or disk-derived state into a clean
 :class:`~repro.errors.FabricError` rather than a ``KeyError`` or a
 silently-merged bogus ledger — and no field of that state bounds a loop:
@@ -25,6 +25,7 @@ from repro.errors import FabricError
 from repro.fabric import EventFabric
 from repro.fabric.hashing import shard_of
 from repro.fabric.protocol import FABRIC_HANDOFF
+from repro.fabric.state import load_state
 from repro.fabric.worker import SeqLedger
 from repro.net.link import LinkSpec
 from repro.net.transport import Network
@@ -178,16 +179,17 @@ class TestSnapshotIngestionHardening:
     def test_malformed_snapshot_raises_fabric_error(self, channels_state):
         worker = self._worker()
         with pytest.raises(FabricError):
-            worker._install_channel_state(channels_state)
+            worker._install_channels(
+                load_state({"channels": channels_state}))
         assert worker._channels == {}
 
     def test_wellformed_snapshot_installs_and_merges(self):
         worker = self._worker()
         format_id = worker.registry.register(RESPONSE_V0)
-        worker._install_channel_state({"c/0": {
+        worker._install_channels(load_state({"channels": {"c/0": {
             "subscribers": [["sub-a", format_id]],
             "ledgers": {"pub": {"high": 2, "sparse": [4]}},
-        }})
+        }}}))
         channel = worker._channels["c/0"]
         assert ["sub-a", format_id] in [
             list(s) for s in channel.subscribers()

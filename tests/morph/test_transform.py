@@ -1,5 +1,6 @@
 """Unit tests for compiled Transformations and TransformChains."""
 
+import collections
 import hashlib
 import itertools
 import random
@@ -8,6 +9,7 @@ import threading
 
 import pytest
 
+from repro import obs
 from repro.bench.workloads import response_v1_from_v2, response_v2
 from repro.echo.process import EChoProcess
 from repro.echo.protocol import (
@@ -35,6 +37,7 @@ from repro.net.batch import is_batch, unpack_batch
 from repro.net.reliable import HEADER_SIZE as RELIABLE_HEADER_SIZE
 from repro.net.reliable import MAGIC as RELIABLE_MAGIC
 from repro.net.transport import Network
+from repro.obs.metrics import Counter, Gauge
 from repro.pbio import buffer as pbio_buffer
 from repro.pbio import serialization
 from repro.pbio.buffer import unpack_header
@@ -47,6 +50,7 @@ from repro.pbio.serialization import format_from_dict, format_to_dict
 
 from tests.fabric.test_run_pipeline import Fleet, seeded_record
 from tests.integration.test_hold import fleet as format_service, v2_event
+from tests.obs.parity_scenario import Scenario
 
 
 class TestGrowableRecord:
@@ -620,6 +624,70 @@ class TestPacedPublishPrice:
         assert [len(log) for log in fleet.logs.values()] == [3] * 3
         assert calls[-1] == "_on_deliver"
         assert len(calls) == PACED_PUBLISH_CALLS
+
+
+class TestCountGuard:
+    """Every count is kept once, by its owner, and collected: on the
+    observed fleet of ``tests/obs/parity_scenario.py`` no code of the
+    package outside ``repro.obs.metrics`` updates an instrument, and the
+    reliable layer's and the journal's families do not grow with the
+    fleet.  Counted by wrapping, never timed."""
+
+    UPDATES = ((Counter, "inc"), (Gauge, "set"), (Gauge, "inc"),
+               (Gauge, "dec"))
+
+    @staticmethod
+    def observed(journal, **fleet):
+        """The live registry's instruments after some traffic and one
+        scrape on a *fleet*-shaped scenario journaling to *journal*."""
+        obs.enable()
+        try:
+            scenario = Scenario(str(journal), **fleet)
+            scenario.publish(32)
+            scenario.publish_batches(1)
+            scenario.scrape()
+            return obs.OBS.metrics.instruments()
+        finally:
+            obs.disable(reset=True)
+
+    def test_no_count_is_pushed(self, monkeypatch, tmp_path):
+        pushed = collections.Counter()
+        for cls, name in self.UPDATES:
+            update = getattr(cls, name)
+
+            def counted(instrument, *args, _update=update,
+                        _name=f"{cls.__name__}.{name}", **kwargs):
+                module = sys._getframe(1).f_globals.get("__name__", "")
+                if (module.startswith("repro.")
+                        and module != "repro.obs.metrics"):
+                    pushed[_name, module] += 1
+                return _update(instrument, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+        instruments = self.observed(tmp_path / "journal.jsonl")
+        assert len(instruments) > 100
+        assert pushed == {}
+
+    @classmethod
+    def families(cls, journal, **fleet):
+        """``(net.reliable.* instruments per endpoint, as a set of
+        counts; fabric.journal.entries_since_snapshot instruments)``."""
+        instruments = cls.observed(journal, **fleet)
+        per_endpoint = collections.Counter(
+            dict(i.labels)["endpoint"] for i in instruments
+            if i.name.startswith("net.reliable.")
+        )
+        journal = sum(i.name == "fabric.journal.entries_since_snapshot"
+                      for i in instruments)
+        return set(per_endpoint.values()), journal
+
+    def test_families_do_not_grow_with_workers(self, tmp_path):
+        assert self.families(tmp_path / "2.jsonl", workers=2) == (
+            self.families(tmp_path / "3.jsonl", workers=3))
+
+    def test_families_do_not_grow_with_subscribers(self, tmp_path):
+        assert self.families(tmp_path / "3.jsonl", subscribers=3) == (
+            self.families(tmp_path / "5.jsonl", subscribers=5))
 
 
 class TestProjectionCutPrice:

@@ -13,8 +13,10 @@ was written this way on the parent of the PR that made observation
 cheaper (and once more when the owner's groups began to share stage
 results and so to record the staged names instead of the fused ones,
 again when coders began to be generated on a format's second use,
-again when acknowledgements became one per receive burst, and again
-when an owner's deliveries became one frame per subscriber per burst),
+again when acknowledgements became one per receive burst, again when
+an owner's deliveries became one frame per subscriber per burst, and
+again when the reliable layer's counts lost their ``peer`` label and the
+journal's replay debt its ``shard`` label),
 and is the referee for "same counters, same spans".  It predates head
 sampling, so it is what ``sample_every=1`` must reproduce: a second
 argument sets the rate (``... OUT.json 1``; without one ``obs.enable()``
@@ -69,9 +71,12 @@ def _records(rng: random.Random, count: int) -> List[Record]:
 
 
 class Scenario:
-    """One observed fleet.  The caller turns ``repro.obs`` on first."""
+    """One observed fleet.  The caller turns ``repro.obs`` on first;
+    *workers* and *subscribers* (the readers' formats taken in turn)
+    resize it, the golden's shape is the default."""
 
-    def __init__(self, journal_path: str, seed: int = 0) -> None:
+    def __init__(self, journal_path: str, seed: int = 0, workers: int = 2,
+                 subscribers: int = len(READERS)) -> None:
         obs.seed_ids(seed)
         self.rng = random.Random(seed)
         self.pool = _records(self.rng, 32)
@@ -85,15 +90,17 @@ class Scenario:
             self.net, registry=registry,
             journal=JournalStore(path=journal_path),
         )
-        self.workers = [self.fabric.add_worker(f"w{i}") for i in range(2)]
+        self.workers = [self.fabric.add_worker(f"w{i}")
+                        for i in range(workers)]
         self.net.run()
         self.publishers = [self.fabric.client(f"pub{i}") for i in range(2)]
         self.channels = [f"parity/{i}" for i in range(CHANNELS)]
         self.delivered = 0
-        for index, fmt in enumerate(READERS):
+        for index in range(subscribers):
             client = self.fabric.client(f"sub{index}")
             for channel in self.channels:
-                client.subscribe(channel, fmt, self._on_event)
+                client.subscribe(channel, READERS[index % len(READERS)],
+                                 self._on_event)
         collector = TelemetryCollector(clock=self.net)
         collector.subscribe_fabric(self.fabric.client("monitor"))
         # The agents ship a registry of their own, so the telemetry

@@ -34,7 +34,13 @@ counted and none timed:
   ``obs.trace.dropped`` 7970 → 7967 and ``recorded_total`` 12066 →
   12063; the owner's other 774 traced ``net.reliable.send`` spans keep
   ``net.reliable.deliver`` as parent, though the burst's flush sends
-  them after that span closed).
+  them after that span closed; and once more by the change that keeps
+  every count once, by its owner, labelled only where a reader groups
+  by it: each ``net.reliable.sends`` / ``.acked{endpoint}`` row is the
+  sum of that endpoint's former ``{endpoint,peer}`` rows (40 rows
+  became 20), the 67 ``fabric.journal.entries_since_snapshot{shard}``
+  rows became one, and ``morph.transform.record_factory_cache_size``
+  went; no other value and no span moved).
   Sampling is a test on the one path, not a fork of it;
 * **sampled parity** — the same scenario at the default rate: every
   counter and gauge is the golden's (byte counters less the 26-byte

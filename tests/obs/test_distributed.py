@@ -210,7 +210,8 @@ class TestLabelGuard:
     def test_overflow_collapses_and_counts(self):
         registry = Registry()
         for i in range(6):
-            registry.bounded_counter("m", limit=4, channel=f"ch-{i}").inc()
+            registry.counter("m", **registry.bounded(
+                "m", limit=4, channel=f"ch-{i}")).inc()
         names = {
             labels_value
             for instrument in registry.instruments()

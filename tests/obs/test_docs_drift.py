@@ -18,15 +18,13 @@ The catalog is a contract with three sides:
   catalogued metric or a span some site records (a ``ratio`` over a
   series that does not exist reads 0 for ever and never fires).
 
-Code-side extraction handles the two emission styles in the tree:
-
-* literal calls — ``counter("pbio.encode.bytes")``, a collected
-  ``counter("morph.transform.applied", ..., bounded=True)``, plus the
-  registry-internal ``_get_or_create(Counter, "obs.labels.overflow")``;
-* indirection — names passed as plain string arguments to a helper
-  (``_cache_codec(..., "pbio.context.encoder_cache_size")``), pinned
-  by the explicit ``INDIRECT_SITES`` list below, which also asserts
-  the literal still lives in the named file so the list cannot rot.
+Code-side extraction reads literal calls — a collected
+``counter("pbio.encode.bytes", ...)``, bounded or not, a
+``Handles.histogram(...)``, plus the registry-internal
+``_get_or_create(Counter, "obs.labels.overflow")``.
+Span names chosen into a variable first are pinned by the explicit
+``INDIRECT_SPANS`` list below, which also asserts the literal still
+lives in the named file so the list cannot rot.
 
 The half no regex can give is dynamic: whatever names a run actually
 leaves in the registry must be in the catalog too, however the site
@@ -50,7 +48,7 @@ DOCS = sorted((REPO / "docs").glob("*.md"))
 #: literal instrument constructions — the first string argument is the
 #: metric name (dotted names only; single-word names are test-local)
 CALL_RE = re.compile(
-    r'(?:counter|gauge|histogram|bounded_counter)'
+    r'(?:counter|gauge|histogram)'
     r'\(\s*f?["\']([a-z0-9_.]+)["\']'
 )
 #: the registry's internal create path (used for its own meta-metrics)
@@ -60,15 +58,8 @@ GET_OR_CREATE_RE = re.compile(
 #: span sites: ``OBS.tracer.span("morph.process", ...)``
 SPAN_RE = re.compile(r'\.span\(\s*["\']([a-z0-9_.]+)["\']')
 
-#: (path under src/repro, metric name) for names that reach their
-#: instrument call through a helper argument the regexes cannot see
-INDIRECT_SITES = [
-    ("pbio/context.py", "pbio.codegen.encoders"),
-    ("pbio/context.py", "pbio.codegen.decoders"),
-    ("pbio/context.py", "pbio.context.encoder_cache_size"),
-    ("pbio/context.py", "pbio.context.decoder_cache_size"),
-]
-#: the same for span names chosen into a variable before ``span(name)``
+#: (path under src/repro, span name) for span names chosen into a
+#: variable before ``span(name)``, which the regexes cannot see
 INDIRECT_SPANS = [
     ("net/reliable.py", "net.reliable.send"),
     ("net/reliable.py", "net.reliable.retransmit"),
@@ -124,8 +115,6 @@ def metric_emitters() -> Dict[str, Set[str]]:
             emitters.setdefault(name, set()).add(
                 path.relative_to(REPO).as_posix()
             )
-    for relative, name in _still_there(INDIRECT_SITES):
-        emitters.setdefault(name, set()).add(f"src/repro/{relative}")
     return emitters
 
 
@@ -299,7 +288,7 @@ class TestMetricCatalogDrift:
         unextracted = recorded - code_metric_names()
         assert not unextracted, (
             "metrics recorded at run time that the source extractors "
-            "above cannot see (extend CALL_RE / INDIRECT_SITES):\n  "
+            "above cannot see (extend CALL_RE):\n  "
             + "\n  ".join(sorted(unextracted))
         )
 
@@ -312,14 +301,14 @@ class TestMetricCatalogDrift:
         assert 60 < len(documented) <= 75
         assert len(span_names()) > 20
         for tricky in (
-            "net.reliable.retries",           # collected, per peer
+            "net.reliable.retries",           # collected, per endpoint
             "fabric.journal.compactions",     # collected, one per name
             "morph.receiver.cache_hits",      # collected from ReceiverStats
-            "morph.receiver.dlq_retried",     # cold path, asks the registry
+            "morph.receiver.dlq_retried",     # collected from containment
             "fabric.shard.processed",         # collected, label-guarded
             "obs.labels.overflow",            # _get_or_create path
-            "pbio.context.encoder_cache_size",  # INDIRECT_SITES
-            "obs.telemetry.collector.deltas",   # literal
+            "pbio.context.encoder_cache_size",  # a gauge read off its owner
+            "obs.telemetry.collector.deltas",   # collected
             "net.batch.unpacked_messages",    # `.suffix` shorthand row
         ):
             assert tricky in code, f"extractor lost {tricky!r}"

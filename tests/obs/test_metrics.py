@@ -217,7 +217,8 @@ class TestRegistry:
         keep consuming the per-(name, key) budget."""
         registry = Registry()
         for value in ("a", "b"):
-            registry.bounded_counter("msgs", limit=2, channel=value).inc()
+            registry.counter("msgs", **registry.bounded(
+                "msgs", limit=2, channel=value)).inc()
         assert registry.bounded("msgs", limit=2, channel="c") == {
             "channel": OVERFLOW_LABEL
         }
@@ -230,7 +231,8 @@ class TestRegistry:
     def test_reset_keeps_the_cardinality_guard(self):
         registry = Registry()
         for value in ("a", "b"):
-            registry.bounded_counter("msgs", limit=2, channel=value).inc()
+            registry.counter("msgs", **registry.bounded(
+                "msgs", limit=2, channel=value)).inc()
         registry.reset()
         assert registry.bounded("msgs", limit=2, channel="c") == {
             "channel": OVERFLOW_LABEL

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.errors import TransportError
+from repro.errors import ReproError, TransportError
 from repro.net.link import LinkSpec
 from repro.net.transport import Network
 from repro.pbio.field import IOField
@@ -99,8 +99,9 @@ class TestRegistrationAndLookup:
 
 
 class TestMalformedRequests:
-    """A request the server cannot read raises a ``ReproError`` naming
-    the key, before anything changes, and the next lookup is served."""
+    """A request the server cannot read is refused: counted in
+    ``errors``, its ``ReproError`` naming the key kept as ``last_error``,
+    before anything changes, and the next lookup is served."""
 
     def refused(self, message, key):
         net, primary, backup, writer, reader = build_fleet()
@@ -108,8 +109,10 @@ class TestMalformedRequests:
         net.run()
         formats = list(primary.registry.formats())
         stats = dict(primary.stats)
-        with pytest.raises(TransportError, match=key):
-            primary._on_message("reader", json.dumps(message).encode())
+        primary._on_message("reader", json.dumps(message).encode())
+        assert primary.errors == 1
+        assert isinstance(primary.last_error, TransportError)
+        assert key in str(primary.last_error)
         assert list(primary.registry.formats()) == formats
         assert primary.stats == stats
         results = []
@@ -128,6 +131,28 @@ class TestMalformedRequests:
     def test_formats_that_are_no_list(self, op):
         self.refused({"op": op, "id": 1, "formats": 5,
                       "transforms": [transform_to_dict(V1_TO_V0)]}, "formats")
+
+    def test_refusals_over_the_wire_are_counted_and_the_server_serves_on(
+            self):
+        net, primary, _backup, writer, reader = build_fleet()
+        writer.register(EVT_V0)
+        net.run()
+        for message in (
+            {"op": "lookup", "id": 1},
+            {"op": "lookup", "id": 2, "format_id": "x"},
+            {"op": "register", "id": 3, "formats": 5},
+            {"op": "register", "id": 4, "formats": [{"name": "Evt"}]},
+        ):
+            reader.endpoint.send("fs-a", json.dumps(message).encode())
+        net.run()
+        assert primary.errors == 4
+        assert isinstance(primary.last_error, ReproError)
+        assert "fields" in str(primary.last_error)
+        assert primary.node.handler_errors == 0
+        results = []
+        reader.resolve(EVT_V0.format_id, results.append)
+        net.run()
+        assert [fmt.format_id for fmt in results] == [EVT_V0.format_id]
 
 
 class TestFailover:
