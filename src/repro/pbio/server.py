@@ -20,17 +20,21 @@ that
   and registrations are queued for replay when a server answers again.
 
 The wire protocol is JSON (deliberately not PBIO: the meta-data
-channel must not depend on the meta-data it serves).  Both sides count
-what they do in a plain ``stats`` dict.
+channel must not depend on the meta-data it serves), declared once in
+:data:`PROTOCOL`.  Both sides read every message through that table and
+refuse one that does not fit, whole, before anything is stored: the
+refusal is counted in ``errors`` and kept in ``last_error``.  What they
+do is counted in a plain ``stats`` dict.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple)
 
-from repro.errors import FormatError, ReproError, TransportError
+from repro.errors import ReproError, TransportError
 from repro.net.reliable import ReliableEndpoint, SendTicket
 from repro.net.transport import Network
 from repro.obs import OBS
@@ -59,39 +63,134 @@ def _encode(message: Dict[str, Any]) -> bytes:
 def _decode(data: bytes) -> Dict[str, Any]:
     try:
         message = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise TransportError(f"malformed format-server message: {exc}") from None
-    if not isinstance(message, dict) or "op" not in message:
+    if not (isinstance(message, dict) and "op" in message
+            and isinstance(message["op"], str)):
         raise TransportError("format-server message missing 'op'")
     return message
 
 
-def _listed(message: Dict[str, Any], key: str) -> List[Any]:
-    """A request's *key* entry, which must be a list when present."""
-    value = message.get(key, [])
-    if not isinstance(value, list):
-        raise TransportError(
-            f"format-server message's {key!r} must be a list, "
-            f"got {type(value).__name__}"
-        )
-    return value
+# ----------------------------------------------------------------------
+# The protocol, declared once
+# ----------------------------------------------------------------------
 
 
-def _format_id(message: Dict[str, Any]) -> int:
-    """A request's ``format_id``: a wire id in decimal."""
-    raw = message.get("format_id")
-    if isinstance(raw, str) and raw.isdecimal():
-        return int(raw)
-    if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0:
-        return raw
-    raise TransportError(
-        f"format-server request needs a decimal 'format_id', got {raw!r}")
+def _typed(kind: type) -> Callable[[Any], Any]:
+    """Reads a value of exactly this JSON type (``true`` is no integer)."""
+    def parse(value: Any) -> Any:
+        if type(value) is not kind:
+            raise TypeError(f"must be {kind.__name__}, got {type(value).__name__}")
+        return value
+    return parse
+
+
+def _wire_id(value: Any) -> int:
+    if not _typed(str)(value).isdecimal():
+        raise ValueError(f"must be a decimal format id, got {value[:32]!r}")
+    return int(value)
+
+
+def _names(value: Any) -> List[str]:
+    return [_typed(str)(name) for name in _typed(list)(value)]
+
+
+def _formats(value: Any) -> List[IOFormat]:
+    return [format_from_dict(item) for item in _typed(list)(value)]
+
+
+def _transforms(value: Any) -> List[TransformSpec]:
+    return [transform_from_dict(item) for item in _typed(list)(value)]
+
+
+_REQUIRED = object()
+
+
+class _Key(NamedTuple):
+    """One key of one op: how its value is read, and its default when
+    absent (:data:`_REQUIRED`: none, the message is refused).  A key
+    whose default is ``None`` may also be sent as ``null``.  With *when*
+    ``(flag, value)`` the key is read only when that earlier flag key
+    read *value*, and reads ``None`` otherwise."""
+
+    parse: Callable[[Any], Any]
+    default: Any = _REQUIRED
+    when: Optional[Tuple[str, bool]] = None
+
+
+_ID = _Key(_typed(int))
+_FORMATS = {"formats": _Key(_formats, ()), "transforms": _Key(_transforms, ())}
+_INTEREST = {"id": _ID, "group": _Key(_typed(str), ""),
+             "parent": _Key(format_from_dict)}
+_STATE = {"group": _Key(_typed(str)), "parent_format_id": _Key(_wire_id),
+          "epoch": _Key(_typed(int)), "full": _Key(_typed(bool)),
+          "projection": _Key(format_from_dict, None)}
+_FOUND = ("found", True)
+
+#: Every op of the format-server protocol and its keys, in the order
+#: they are read (``id`` first, so a refused message whose id reads can
+#: still be answered or failed over).  Format and transform descriptions
+#: are parsed in the same read.
+PROTOCOL: Dict[str, Dict[str, _Key]] = {
+    # requests, read by FormatServer
+    "register": {"id": _ID, **_FORMATS},
+    "sync": _FORMATS,
+    "lookup": {"id": _ID, "format_id": _Key(_wire_id)},
+    "interest": {**_INTEREST, "fields": _Key(_names, None),
+                 "retract": _Key(_typed(bool), False)},
+    "interest_lookup": _INTEREST,
+    # replies, read by CachingFormatResolver
+    "register_ok": {"id": _ID},
+    "lookup_reply": {
+        "id": _ID, "format_id": _Key(_wire_id), "found": _Key(_typed(bool)),
+        "format": _Key(format_from_dict, when=_FOUND),
+        "parent": _Key(format_from_dict, None, _FOUND),
+        "transforms": _Key(_transforms, (), _FOUND),
+    },
+    "interest_state": {
+        "id": _ID, "malformed": _Key(_typed(bool), False),
+        **{key: spec._replace(when=("malformed", False))
+           for key, spec in _STATE.items()},
+    },
+    "projection_update": _STATE,
+}
+REPLIES = ("register_ok", "lookup_reply", "interest_state", "projection_update")
+#: the requests whose refusal is answered: by this op, with the request's
+#: id and ``"malformed": true`` (other refusals go unanswered)
+REFUSAL_REPLIES = {"interest": "interest_state",
+                   "interest_lookup": "interest_state"}
+
+
+def _check(message: Dict[str, Any], read: Dict[str, Any]) -> Dict[str, Any]:
+    """Read *message* against its op's row of :data:`PROTOCOL` into, and
+    return, *read*: every declared key, parsed or defaulted.  A message
+    that does not fit raises :class:`TransportError` naming the op and
+    the key, and *read* then holds the keys read before it."""
+    op = message["op"]
+    for key, (parse, default, when) in PROTOCOL[op].items():
+        value = message[key] if key in message else default
+        if when is not None and read[when[0]] is not when[1]:
+            read[key] = None
+        elif value is _REQUIRED:
+            raise TransportError(f"format-server {op!r} lacks {key!r}")
+        elif value is default:
+            read[key] = value
+        else:
+            try:
+                read[key] = parse(value)
+            except (ReproError, LookupError, TypeError, ValueError,
+                    AttributeError, RecursionError) as exc:
+                raise TransportError(
+                    f"format-server {op!r} has a bad {key!r}: {exc}"
+                ) from None
+    return read
 
 
 class FormatServer:
     """A format server process on the reliable transport.
 
-    Operations (JSON, request/reply correlated by ``id``):
+    Operations (JSON, request/reply correlated by ``id``; their keys are
+    in :data:`PROTOCOL`):
 
     * ``register`` — store formats + transforms; replied with
       ``register_ok``; mirrored to the standby *peer* when configured,
@@ -133,12 +232,9 @@ class FormatServer:
         #: the crashed-sink-never-retracts case.  ``None`` disables aging.
         self.interest_ttl = interest_ttl
         self.stats = {
-            "registers": 0,
             "lookups": 0,
             "misses": 0,
             "syncs": 0,
-            "interests": 0,
-            "interest_lookups": 0,
             "renegotiations": 0,
             "interest_expirations": 0,
         }
@@ -179,53 +275,53 @@ class FormatServer:
     # ------------------------------------------------------------------
 
     def _on_message(self, source: str, data: bytes) -> None:
+        request: Dict[str, Any] = {}
         try:
             message = _decode(data)
             op = message["op"]
-            if op == "register":
+            if op == "register" or op == "sync":
                 self._ingest(message)
-                self.stats["registers"] += 1
-                self.endpoint.send(
-                    source,
-                    _encode({"op": "register_ok", "id": message.get("id")}),
-                )
+                if op == "sync":
+                    self.stats["syncs"] += 1
+                    return
+                self.endpoint.send(source, _encode(
+                    {"op": "register_ok", "id": message["id"]}))
                 if self.peer is not None:
-                    mirror = dict(message)
-                    mirror["op"] = "sync"
-                    mirror.pop("id", None)
+                    mirror = dict(message, op="sync")
+                    del mirror["id"]
                     self.endpoint.send(self.peer, _encode(mirror))
-            elif op == "sync":
-                self._ingest(message)
-                self.stats["syncs"] += 1
             elif op == "lookup":
-                self._handle_lookup(source, message)
-            elif op == "interest":
-                self._handle_interest(source, message)
-            elif op == "interest_lookup":
-                self._handle_interest_lookup(source, message)
-            # unknown ops are dropped: the server must tolerate newer clients
-        except ReproError as exc:  # a refused request: no reply
+                self._handle_lookup(source, _check(message, request))
+            elif op == "interest" or op == "interest_lookup":
+                self._handle_interest(source, op, _check(message, request))
+            # other ops are dropped: the server must tolerate newer clients
+        except ReproError as exc:  # a refused request
             self.errors += 1
             self.last_error = exc
+            if "id" in request and op in REFUSAL_REPLIES:
+                self.endpoint.send(source, _encode({
+                    "op": REFUSAL_REPLIES[op], "id": request["id"],
+                    "malformed": True,
+                }))
 
     def _ingest(self, message: Dict[str, Any]) -> None:
-        # ``replace`` rather than ``register``: a client re-uploading
-        # different content under a cached id (a re-derived projection, a
-        # hostile writer) must refresh the entry, not crash the server.
-        formats = _listed(message, "formats")
-        transforms = _listed(message, "transforms")
-        for fmt_dict in formats:
-            self.registry.replace(format_from_dict(fmt_dict))
-        for spec_dict in transforms:
-            self.registry.register_transform(transform_from_dict(spec_dict))
+        # Read whole before anything is stored.  ``replace`` rather than
+        # ``register``: a client re-uploading different content under a
+        # cached id (a re-derived projection, a hostile writer) must
+        # refresh the entry, not crash the server.
+        request = _check(message, {})
+        for fmt in request["formats"]:
+            self.registry.replace(fmt)
+        for spec in request["transforms"]:
+            self.registry.register_transform(spec)
 
-    def _handle_lookup(self, source: str, message: Dict[str, Any]) -> None:
-        format_id = _format_id(message)
+    def _handle_lookup(self, source: str, request: Dict[str, Any]) -> None:
+        format_id = request["format_id"]
         self.stats["lookups"] += 1
         fmt = self.registry.lookup_id(format_id)
         reply: Dict[str, Any] = {
             "op": "lookup_reply",
-            "id": message.get("id"),
+            "id": request["id"],
             "format_id": str(format_id),
             "found": fmt is not None,
         }
@@ -251,61 +347,32 @@ class FormatServer:
     # Interest negotiation (projection push-down)
     # ------------------------------------------------------------------
 
-    def _handle_interest(self, source: str, message: Dict[str, Any]) -> None:
-        self.stats["interests"] += 1
-        group = str(message.get("group", ""))
-        try:
-            parent = format_from_dict(message.get("parent") or {})
-        except FormatError:
-            self.endpoint.send(source, _encode({
-                "op": "interest_state", "id": message.get("id"),
-                "malformed": True,
-            }))
-            return
-        self.registry.replace(parent)
-        key = (parent.format_id, group)
-        self._interest_parents[key] = parent
-        interests = self._interests.setdefault(key, {})
-        renewed = self._interest_renewed.setdefault(key, {})
-        if message.get("retract"):
-            interests.pop(source, None)
-            renewed.pop(source, None)
-        else:
-            fields = message.get("fields")
-            interests[source] = (
-                [str(name) for name in fields] if fields is not None else None
-            )
-            renewed[source] = self.endpoint.network.now
-        self._expire_interests(key, parent)
-        self._renegotiate(key, parent)
-        self.endpoint.send(
-            source,
-            _encode(self._state_reply(key, parent, message.get("id"))),
-        )
-
-    def _handle_interest_lookup(
-        self, source: str, message: Dict[str, Any]
+    def _handle_interest(
+        self, source: str, op: str, request: Dict[str, Any]
     ) -> None:
-        self.stats["interest_lookups"] += 1
-        group = str(message.get("group", ""))
-        try:
-            parent = format_from_dict(message.get("parent") or {})
-        except FormatError:
-            self.endpoint.send(source, _encode({
-                "op": "interest_state", "id": message.get("id"),
-                "malformed": True,
-            }))
-            return
+        parent = request["parent"]
         self.registry.replace(parent)
-        key = (parent.format_id, group)
+        key = (parent.format_id, request["group"])
         self._interest_parents[key] = parent
-        self._watchers.setdefault(key, set()).add(source)
-        if self._expire_interests(key, parent):
+        if op == "interest_lookup":
+            self._watchers.setdefault(key, set()).add(source)
+            if self._expire_interests(key, parent):
+                self._renegotiate(key, parent)
+        else:
+            interests = self._interests.setdefault(key, {})
+            renewed = self._interest_renewed.setdefault(key, {})
+            if request["retract"]:
+                interests.pop(source, None)
+                renewed.pop(source, None)
+            else:
+                interests[source] = request["fields"]
+                renewed[source] = self.endpoint.network.now
+            self._expire_interests(key, parent)
             self._renegotiate(key, parent)
         self.endpoint.send(
-            source,
-            _encode(self._state_reply(key, parent, message.get("id"))),
+            source, _encode(self._state_reply(key, parent, request["id"]))
         )
+
 
     def _expire_interests(
         self, key: Tuple[int, str], parent: IOFormat
@@ -455,6 +522,16 @@ class _Request:
         self.done = False
 
 
+
+
+def _interest(group: str, parent: IOFormat,
+              fields: Optional[Sequence[str]]) -> Dict[str, Any]:
+    """The ``interest`` request announcing *fields* of *parent* in
+    *group* (``None``: every field)."""
+    return {"op": "interest", "group": group, "parent": format_to_dict(parent),
+            "fields": sorted(fields) if fields is not None else None}
+
+
 class CachingFormatResolver:
     """A client of the format-server fleet with a local format cache.
 
@@ -527,23 +604,18 @@ class CachingFormatResolver:
             "lookups_sent": 0,
             "failovers": 0,
             "degraded_misses": 0,
-            "queued_registrations": 0,
             "replayed_registrations": 0,
             "invalidations": 0,
-            "interests_sent": 0,
-            "interest_lookups_sent": 0,
             "interest_reannounces": 0,
             "projection_updates": 0,
         }
+        #: replies refused as malformed, and the last refusal
+        self.errors = 0
+        self.last_error: Optional[BaseException] = None
 
     @property
     def address(self) -> str:
         return self.endpoint.address
-
-    @property
-    def cache(self) -> FormatRegistry:
-        """Alias for :attr:`registry` — the local replica."""
-        return self.registry
 
     @property
     def pending_registrations(self) -> int:
@@ -565,29 +637,24 @@ class CachingFormatResolver:
             self.registry.register(fmt)
         for spec in transforms:
             self.registry.register_transform(spec)
-        payload = {
-            "op": "register",
-            "formats": [format_to_dict(f) for f in formats],
-            "transforms": [transform_to_dict(s) for s in transforms],
-        }
-        if not formats and not transforms:
-            return
-        self._send_registration(payload)
+        if formats or transforms:
+            self._upload(formats, transforms)
 
     def publish(self) -> None:
         """Upload the entire local registry — what a writer does at
         startup (or after recovering from degraded mode)."""
         formats = self.registry.formats()
-        transforms = [
+        self._upload(formats, [
             spec
             for fmt in formats
             for spec in self.registry.transforms_from(fmt)
-        ]
+        ])
+
+    def _upload(self, formats: Sequence[IOFormat],
+                transforms: Sequence[TransformSpec]) -> None:
         self._send_registration({
-            "op": "register",
-            "formats": [format_to_dict(f) for f in formats],
-            "transforms": [transform_to_dict(s) for s in transforms],
-        })
+            "op": "register", "formats": [format_to_dict(f) for f in formats],
+            "transforms": [transform_to_dict(s) for s in transforms]})
 
     def _send_registration(self, payload: Dict[str, Any]) -> None:
         if self.degraded:
@@ -601,7 +668,6 @@ class CachingFormatResolver:
 
     def _queue_registration(self, payload: Dict[str, Any]) -> None:
         self._pending_registrations.append(payload)
-        self.stats["queued_registrations"] += 1
         self.degraded = True
 
     # ------------------------------------------------------------------
@@ -695,20 +761,15 @@ class CachingFormatResolver:
     def _finish_resolve(
         self, format_id: int, reply: Optional[Dict[str, Any]]
     ) -> None:
-        fmt: Optional[IOFormat] = None
-        if reply is not None and reply.get("found"):
-            fmt = format_from_dict(reply["format"])
+        fmt = None if reply is None else reply["format"]
+        if fmt is not None:
             self._ingest_format(fmt)
-            parent_dict = reply.get("parent")
-            if parent_dict is not None:
+            if reply["parent"] is not None:
                 # A projection lookup ships its parent alongside; cache
                 # it so the receiver can plan the projection route.
-                try:
-                    self._ingest_format(format_from_dict(parent_dict))
-                except FormatError:
-                    pass  # hostile or stale provenance: keep the format
-            for spec_dict in reply.get("transforms", ()):
-                self.registry.register_transform(transform_from_dict(spec_dict))
+                self._ingest_format(reply["parent"])
+            for spec in reply["transforms"]:
+                self.registry.register_transform(spec)
         for callback in self._inflight.pop(format_id, ()):
             callback(fmt)
 
@@ -744,7 +805,6 @@ class CachingFormatResolver:
         fleet is unreachable — projection is an optimization, degraded
         mode simply keeps full-format traffic)."""
         self.registry.register(parent)
-        self.stats["interests_sent"] += 1
         if retract:
             self._announced_interests.pop((group, parent.format_id), None)
         else:
@@ -755,12 +815,7 @@ class CachingFormatResolver:
             if on_state is not None:
                 on_state(None)
             return
-        payload: Dict[str, Any] = {
-            "op": "interest",
-            "group": group,
-            "parent": format_to_dict(parent),
-            "fields": sorted(fields) if fields is not None else None,
-        }
+        payload = _interest(group, parent, fields)
         if retract:
             payload["retract"] = True
         self._request(
@@ -788,13 +843,8 @@ class CachingFormatResolver:
             sent += 1
             self.stats["interest_reannounces"] += 1
             self._request(
-                {
-                    "op": "interest",
-                    "group": group,
-                    "parent": format_to_dict(parent),
-                    "fields": sorted(fields) if fields is not None else None,
-                },
-                on_reply=lambda reply: self._ingest_projection_state(reply),
+                _interest(group, parent, fields),
+                on_reply=self._ingest_projection_state,
                 on_fail=lambda: None,
             )
         return sent
@@ -813,7 +863,6 @@ class CachingFormatResolver:
         if on_update is not None:
             self._projection_watches.setdefault(key, []).append(on_update)
         self.registry.register(parent)
-        self.stats["interest_lookups_sent"] += 1
         if self.degraded:
             return
         self._request(
@@ -835,36 +884,20 @@ class CachingFormatResolver:
 
     def _ingest_projection_state(
         self,
-        message: Dict[str, Any],
+        reply: Dict[str, Any],
         on_state: Optional[ProjectionCallback] = None,
     ) -> None:
-        """Parse an ``interest_state`` reply or ``projection_update``
-        push, merge the projection format into the cache, remember the
-        state and fire the watchers.  Malformed messages yield ``None``
-        without touching cached state."""
+        """Merge an ``interest_state`` reply or ``projection_update``
+        push: cache its projection format, remember the state and fire
+        the watchers.  A ``malformed`` reply (the server refused the
+        request) carries no state: *on_state* gets ``None``."""
         state: Optional[ProjectionState] = None
-        key: Optional[Tuple[int, str]] = None
-        try:
-            parent_id = int(message["parent_format_id"])
-            epoch = int(message.get("epoch", 0))
-        except (KeyError, TypeError, ValueError):
-            parent_id = None
-        if parent_id is not None:
-            key = (parent_id, str(message.get("group", "")))
-            fmt: Optional[IOFormat] = None
-            proj_dict = message.get("projection")
-            try:
-                if proj_dict is not None:
-                    fmt = format_from_dict(proj_dict)
-                    self._ingest_format(fmt)
-                state = {
-                    "epoch": epoch,
-                    "format": fmt,
-                    "full": fmt is None,
-                }
-            except FormatError:
-                state = None  # hostile projection description: drop
-        if state is not None and key is not None:
+        if reply["parent_format_id"] is not None:
+            fmt = reply["projection"]
+            if fmt is not None:
+                self._ingest_format(fmt)
+            state = {"epoch": reply["epoch"], "format": fmt, "full": fmt is None}
+            key = (reply["parent_format_id"], reply["group"])
             self._projection_states[key] = state
             self.stats["projection_updates"] += 1
             for callback in list(self._projection_watches.get(key, ())):
@@ -920,32 +953,38 @@ class CachingFormatResolver:
 
     def _on_message(self, source: str, data: bytes) -> None:
         if data[:1] == b"{" and source in self.servers:
+            reply: Dict[str, Any] = {}
             try:
                 message = _decode(data)
-            except TransportError:
-                return  # hostile or truncated meta traffic: drop
-            op = message.get("op")
-            if op in ("lookup_reply", "register_ok", "interest_state"):
-                self._handle_reply(message)
+                if message["op"] in REPLIES:
+                    _check(message, reply)
+            except ReproError as exc:  # a refused reply
+                self.errors += 1
+                self.last_error = exc
+                # a failed attempt at that server, as a rejected ticket is
+                if "id" in reply and reply["id"] in self._requests:
+                    self._attempt(self._requests[reply["id"]])
                 return
-            if op == "projection_update":
+            if message["op"] == "projection_update":
                 # Unsolicited renegotiation push from the fleet — no
                 # request to correlate with.
-                self._ingest_projection_state(message)
+                self._ingest_projection_state(reply)
+                return
+            if reply:
+                self._handle_reply(reply)
                 return
         if self.data_handler is not None:
             self.data_handler(source, data)
 
-    def _handle_reply(self, message: Dict[str, Any]) -> None:
-        request = self._requests.pop(message.get("id"), None)
+    def _handle_reply(self, reply: Dict[str, Any]) -> None:
+        request = self._requests.pop(reply["id"], None)
         if request is None or request.done:
             return
         request.done = True
         if request.timer is not None:
             request.timer.cancel()
         self._exit_degraded()
-        request.on_reply(message)
-
+        request.on_reply(reply)
     # ------------------------------------------------------------------
     # Degraded mode
     # ------------------------------------------------------------------

@@ -10,8 +10,15 @@ from repro.net.transport import Network
 from repro.pbio.field import IOField
 from repro.pbio.format import IOFormat
 from repro.pbio.registry import TransformSpec
-from repro.pbio.serialization import transform_to_dict
-from repro.pbio.server import CachingFormatResolver, FormatServer
+from repro.net.reliable import ReliableEndpoint
+from repro.pbio.serialization import format_to_dict, transform_to_dict
+from repro.pbio.server import (
+    PROTOCOL,
+    REPLIES,
+    _REQUIRED,
+    CachingFormatResolver,
+    FormatServer,
+)
 
 EVT_V1 = IOFormat(
     "Evt", [IOField("n", "integer"), IOField("x", "integer")], version="1.0"
@@ -21,6 +28,41 @@ V1_TO_V0 = TransformSpec(
     source=EVT_V1, target=EVT_V0, code="old.n = new.n;",
     description="Evt 1.0 -> 0.0",
 )
+
+
+REQUESTS = [op for op in PROTOCOL if op not in REPLIES]
+
+
+def key_mutations(ops):
+    """``(op, key, how)`` for every key the protocol table declares for
+    *ops*: each key retyped, each required one also dropped."""
+    return [
+        (op, key, how) for op in ops
+        for key, spec in PROTOCOL[op].items()
+        for how in (("drop", "retype") if spec.default is _REQUIRED
+                    else ("retype",))
+    ]
+
+
+def mutate(message, key, how):
+    if how == "drop":
+        del message[key]
+    else:
+        message[key] = 5 if isinstance(message[key], dict) else {"a": 1}
+    return message
+
+
+def server_state(server):
+    """What a refused request must leave as it was."""
+    registry = server.registry
+    return (
+        [(fmt, registry.transforms_from(fmt)) for fmt in registry.formats()],
+        {key: dict(held) for key, held in server._interests.items()},
+        dict(server._interest_parents),
+        {key: dict(state) for key, state in server._projections.items()},
+        {key: set(held) for key, held in server._watchers.items()},
+        dict(server.stats),
+    )
 
 
 def build_fleet(loss_rate=0.0, standby=True, **resolver_options):
@@ -153,6 +195,112 @@ class TestMalformedRequests:
         reader.resolve(EVT_V0.format_id, results.append)
         net.run()
         assert [fmt.format_id for fmt in results] == [EVT_V0.format_id]
+
+    # -- every key of every request, read off the protocol table ----------
+
+    @staticmethod
+    def valid(op):
+        """A well-formed request naming every key the table declares."""
+        uploads = {"formats": [format_to_dict(EVT_V1)],
+                   "transforms": [transform_to_dict(V1_TO_V0)]}
+        interest = {"id": 7, "group": "grp",
+                    "parent": format_to_dict(EVT_V1)}
+        return {"op": op, **{
+            "register": {"id": 7, **uploads},
+            "sync": uploads,
+            "lookup": {"id": 7, "format_id": str(EVT_V0.format_id)},
+            "interest": {**interest, "fields": ["n"], "retract": False},
+            "interest_lookup": interest,
+        }[op]}
+
+    def refused_over_the_wire(self, message, key):
+        """*message* sent to a server that holds a registration, an
+        interest and a watcher: refused whole, and the server serves on.
+        Returns the fleet for further checks."""
+        net, primary, backup, writer, reader = build_fleet()
+        writer.register(EVT_V0)
+        announce(writer, ["n"], parent=EVT_V1)
+        writer.watch_projection("grp", EVT_V1)
+        net.run()
+        before, mirrored = server_state(primary), dict(backup.stats)
+        reader.endpoint.send("fs-a", json.dumps(message).encode())
+        net.run()
+        assert primary.node.handler_errors == 0
+        assert server_state(primary) == before
+        assert primary.errors == 1
+        assert isinstance(primary.last_error, ReproError)
+        assert repr(key) in str(primary.last_error)
+        results = []
+        reader.resolve(EVT_V0.format_id, results.append)
+        net.run()
+        assert [fmt.format_id for fmt in results] == [EVT_V0.format_id]
+        assert backup.stats == mirrored  # nothing was mirrored
+        return net, primary, reader
+
+    @pytest.mark.parametrize("op", REQUESTS)
+    def test_the_valid_request_names_every_key_and_is_served(self, op):
+        message = self.valid(op)
+        assert set(message) - {"op"} == set(PROTOCOL[op])
+        net, primary, _backup, _writer, reader = build_fleet()
+        reader.endpoint.send("fs-a", json.dumps(message).encode())
+        net.run()
+        assert primary.errors == 0 and primary.node.handler_errors == 0
+
+    @pytest.mark.parametrize("op, key, how", key_mutations(REQUESTS))
+    def test_a_dropped_or_retyped_key_is_refused_whole(self, op, key, how):
+        self.refused_over_the_wire(mutate(self.valid(op), key, how), key)
+
+    # -- the escapes these refusals close ---------------------------------
+
+    def test_interest_fields_that_are_a_number(self):
+        # raised a TypeError past the refusal after replacing the parent
+        # and opening the group's interest entries
+        message = {**self.valid("interest"), "fields": 5,
+                   "parent": format_to_dict(WIDE)}
+        _net, primary, _reader = self.refused_over_the_wire(
+            message, "fields")
+        assert primary.registry.lookup_id(WIDE.format_id) is None
+
+    def test_interest_fields_that_are_a_string(self):
+        # "nx" was read as the interest ["n", "x"]
+        self.refused_over_the_wire(
+            {**self.valid("interest"), "fields": "nx"}, "fields")
+
+    def test_a_group_that_is_no_string(self):
+        # {"a": 1} was read as the group "{'a': 1}"
+        self.refused_over_the_wire(
+            {**self.valid("interest"), "group": {"a": 1}}, "group")
+
+    @pytest.mark.parametrize("op", ["interest", "interest_lookup"])
+    def test_a_malformed_parent_is_counted_and_answered(self, op):
+        answers = []
+        net, _primary, reader = self.refused_over_the_wire(
+            {**self.valid(op), "parent": {"bogus": True}}, "parent")
+        reader.endpoint.set_handler(lambda _source, data: answers.append(
+            json.loads(data)))
+        reader.endpoint.send("fs-a", json.dumps(
+            {**self.valid(op), "id": 8, "parent": 5}).encode())
+        net.run()
+        assert answers == [
+            {"op": "interest_state", "id": 8, "malformed": True}]
+
+    def test_a_refused_lookup_is_not_answered(self):
+        answers = []
+        net, _primary, reader = self.refused_over_the_wire(
+            {"op": "lookup", "id": 7, "format_id": "x"}, "format_id")
+        reader.endpoint.set_handler(lambda _source, data: answers.append(
+            data))
+        reader.endpoint.send("fs-a", json.dumps(
+            {"op": "lookup", "id": 8}).encode())
+        net.run()
+        assert answers == []
+
+    def test_json_nested_past_the_recursion_limit(self):
+        net, primary, _backup, _writer, reader = build_fleet()
+        reader.endpoint.send("fs-a", b"[" * 60_000)
+        net.run()
+        assert primary.errors == 1
+        assert primary.node.handler_errors == 0
 
 
 class TestFailover:
@@ -485,3 +633,152 @@ class TestStaleEntryInvalidation:
         reader.refresh(EVT_V1.format_id)
         net.run()
         assert reader.stats["invalidations"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Replies the resolver cannot read
+# ---------------------------------------------------------------------------
+
+CRAFTED = IOFormat("Crafted", [IOField("c", "integer")], version="1")
+CRAFTED_PARENT = IOFormat(
+    "Crafted", [IOField("c", "integer"), IOField("d", "integer")],
+    version="2",
+)
+CRAFTED_DOWN = TransformSpec(
+    source=CRAFTED_PARENT, target=CRAFTED, code="old.c = new.c;",
+)
+#: a projection no real server derives here (the resolvers ask for "n")
+CRAFTED_STATE = {
+    "group": "grp", "parent_format_id": str(WIDE.format_id), "epoch": 7,
+    "full": False,
+    "projection": format_to_dict(project_format(WIDE, ["x"], epoch=7)),
+}
+
+
+def build_lying_fleet(answer):
+    """A resolver whose first server is a fake that answers every request
+    with ``answer(request_id)``, and whose second is a real server that
+    knows none of the crafted meta-data."""
+    net = Network(default_link=LinkSpec(latency=0.001))
+    big = 1_000_000
+    FormatServer(net, "fs-a", breaker_threshold=big)
+    fake = ReliableEndpoint(net, "fs-x", breaker_threshold=big)
+    fake.set_handler(lambda source, data: fake.send(
+        source, json.dumps(answer(json.loads(data)["id"])).encode()))
+    resolver = CachingFormatResolver(
+        net, "reader", ["fs-x", "fs-a"], request_timeout=0.5,
+        breaker_threshold=big,
+    )
+    return net, resolver
+
+
+def crafted_ids():
+    return {CRAFTED.format_id, CRAFTED_PARENT.format_id,
+            project_format(WIDE, ["x"], epoch=7).format_id}
+
+
+class TestMalformedReplies:
+    """A reply the resolver cannot read is refused whole: counted in
+    ``errors``, named in ``last_error``, nothing of it cached, and the
+    request fails over to the next server as on a rejected ticket."""
+
+    @staticmethod
+    def valid(op, request_id):
+        """A well-formed, crafted reply naming every key the table
+        declares."""
+        return {"op": op, **{
+            "register_ok": {"id": request_id},
+            "lookup_reply": {
+                "id": request_id, "format_id": str(CRAFTED.format_id),
+                "found": True, "format": format_to_dict(CRAFTED),
+                "parent": format_to_dict(CRAFTED_PARENT),
+                "transforms": [transform_to_dict(CRAFTED_DOWN)],
+            },
+            "interest_state": {
+                "id": request_id, "malformed": False, **CRAFTED_STATE},
+            "projection_update": CRAFTED_STATE,
+        }[op]}
+
+    @staticmethod
+    def ask(op, resolver, done):
+        """Send the request *op* answers; *done* gets its outcome."""
+        if op == "register_ok":
+            resolver.register(EVT_V0)
+        elif op == "lookup_reply":
+            resolver.resolve(CRAFTED.format_id, done)
+        elif op == "interest_state":
+            resolver.announce_interest("grp", WIDE, ["n"], on_state=done)
+        else:
+            resolver.watch_projection("grp", WIDE, done)
+
+    def refused(self, op, tamper, key):
+        net, resolver = build_lying_fleet(
+            lambda request_id: tamper(self.valid(op, request_id)))
+        outcomes = []
+        self.ask(op, resolver, outcomes.append)
+        net.run()
+        assert resolver.endpoint.node.handler_errors == 0
+        assert not resolver._inflight and not resolver._requests
+        assert not crafted_ids() & {
+            fmt.format_id for fmt in resolver.registry.formats()}
+        assert resolver.errors == 1
+        assert isinstance(resolver.last_error, ReproError)
+        assert repr(key) in str(resolver.last_error)
+        assert not resolver.degraded and not resolver.pending_registrations
+        # the real server answered the failed-over request
+        if op == "lookup_reply":
+            assert outcomes == [None]
+        elif op != "register_ok":
+            assert len(outcomes) == 1
+            assert outcomes[0]["epoch"] in (0, 1)
+        sent = resolver.stats["lookups_sent"]
+        resolver.resolve(CRAFTED.format_id)
+        assert resolver.stats["lookups_sent"] == sent + 1
+
+    @pytest.mark.parametrize("op", REPLIES)
+    def test_the_valid_reply_names_every_key_and_is_read(self, op):
+        assert set(self.valid(op, 1)) - {"op"} == set(PROTOCOL[op])
+        net, resolver = build_lying_fleet(
+            lambda request_id: self.valid(op, request_id))
+        outcomes = []
+        self.ask(op, resolver, outcomes.append)
+        net.run()
+        assert resolver.errors == 0
+        assert resolver.endpoint.node.handler_errors == 0
+        if op == "lookup_reply":
+            assert outcomes == [CRAFTED]
+            assert resolver.registry.transforms_from(CRAFTED_PARENT)
+
+    @pytest.mark.parametrize("op, key, how", key_mutations(REPLIES))
+    def test_a_dropped_or_retyped_key_is_refused_whole(self, op, key, how):
+        self.refused(op, lambda reply: mutate(reply, key, how), key)
+
+    # -- the escapes these refusals close ---------------------------------
+    # Each raised out of the resolver's handler after the request was
+    # popped, so the id's callbacks never fired and every later resolve
+    # of it coalesced onto the dead entry.
+
+    def test_found_without_a_format(self):
+        self.refused("lookup_reply",
+                     lambda reply: mutate(reply, "format", "drop"), "format")
+
+    def test_a_format_that_is_a_number(self):
+        self.refused("lookup_reply", lambda r: {**r, "format": 5}, "format")
+
+    def test_transforms_that_are_a_number_cache_nothing(self):
+        # the format used to be cached before the transforms raised
+        self.refused(
+            "lookup_reply", lambda r: {**r, "transforms": 7}, "transforms")
+
+    def test_a_reply_id_that_is_a_list(self):
+        # a TypeError (unhashable) in the reply correlation
+        self.refused("lookup_reply", lambda r: {**r, "id": [r["id"]]}, "id")
+
+    def test_a_malformed_answer_reports_no_state_and_no_error(self):
+        net, resolver = build_lying_fleet(lambda request_id: {
+            "op": "interest_state", "id": request_id, "malformed": True})
+        states = []
+        resolver.announce_interest("grp", WIDE, ["n"], on_state=states.append)
+        net.run()
+        assert states == [None]
+        assert resolver.errors == 0 and not resolver.degraded
