@@ -148,6 +148,55 @@ def check_roundtrip(rng: random.Random) -> List[Finding]:
                 fmt_dict=format_to_dict(fmt), expectation="decoders_agree",
             ),
         ))
+    flat = _flat_part(fmt)
+    if flat is not None:
+        findings.extend(_check_value_roundtrip(flat, rec, order))
+    return findings
+
+
+def _flat_part(fmt: IOFormat) -> Optional[IOFormat]:
+    """*fmt* when it is flat (:func:`~repro.pbio.codegen.is_flat`), else
+    the flat format of its top-level basic non-array fields, or ``None``
+    when it has none: what the value coders are checked on."""
+    if codegen.is_flat(fmt):
+        return fmt
+    fields = [f for f in fmt.fields if f.is_basic and not f.is_array]
+    if not fields:
+        return None
+    return IOFormat(f"{fmt.name}Flat", fields, version=fmt.version)
+
+
+def _check_value_roundtrip(flat: IOFormat, rec: Any, order: str) -> List[Finding]:
+    """The value coders against the interpretive ones on *rec*'s values:
+    the same bytes, the same values back."""
+    findings: List[Finding] = []
+    names = flat.field_names()
+    values = tuple(rec[name] for name in names)
+    wire = encode_record(flat, dict(zip(names, values)), byte_order=order)
+    kind, wire_values = _outcome(
+        lambda: codegen.make_value_encoder(flat, byte_order=order)(values))
+    if kind != "ok" or wire_values != wire:
+        findings.append(Finding(
+            oracle="roundtrip",
+            detail=f"value and generic encoders disagree for {flat.name!r}"
+                   + ("" if kind == "ok" else f": {wire_values!r}"),
+            entry=entry_for_wire(
+                "roundtrip", "value encoder byte divergence", wire,
+                fmt_dict=format_to_dict(flat), expectation="encoders_agree",
+                wire_spec_hex=wire_values.hex() if kind == "ok" else "",
+            ),
+        ))
+    kind, decoded = _outcome(lambda: codegen.make_value_decoder(flat)(wire))
+    if kind != "ok" or not records_equal(
+            dict(zip(names, decoded)), decode_record(flat, wire)):
+        findings.append(Finding(
+            oracle="roundtrip",
+            detail=f"value decode diverges from generic for {flat.name!r}",
+            entry=entry_for_wire(
+                "roundtrip", "value decoder divergence", wire,
+                fmt_dict=format_to_dict(flat), expectation="decoders_agree",
+            ),
+        ))
     return findings
 
 
@@ -160,16 +209,23 @@ def check_wire_hostility(
     fmt, wire: bytes, mutation: str = "direct"
 ) -> List[Finding]:
     """The core mutation invariant, shared with corpus replay: decoding
-    *wire* against *fmt* must end cleanly on both paths, and both paths
-    must agree on accept vs reject (and on the record when accepting)."""
+    *wire* against *fmt* must end cleanly on every path — interpretive,
+    generated and, for a flat format, the value decoder — and each must
+    agree with the interpretive one on accept vs reject (and on the
+    record when accepting)."""
     findings: List[Finding] = []
     generic_kind, generic_val = _outcome(lambda: decode_record(fmt, wire))
     spec_kind, spec_val = _outcome(lambda: codegen.make_decoder(fmt)(wire))
+    paths = [("generic", generic_kind, generic_val),
+             ("specialized", spec_kind, spec_val)]
+    if codegen.is_flat(fmt):
+        # a flat format's value decoder: the same outcome, as values
+        kind, val = _outcome(lambda: codegen.make_value_decoder(fmt)(wire))
+        if kind == "ok":
+            val = dict(zip(fmt.field_names(), val))
+        paths.append(("value", kind, val))
 
-    for path, kind, val in (
-        ("generic", generic_kind, generic_val),
-        ("specialized", spec_kind, spec_val),
-    ):
+    for path, kind, val in paths:
         if kind == "dirty":
             findings.append(Finding(
                 oracle="mutation",
@@ -182,30 +238,33 @@ def check_wire_hostility(
                     fmt_dict=format_to_dict(fmt), mutation=mutation,
                 ),
             ))
-    if "dirty" not in (generic_kind, spec_kind) and generic_kind != spec_kind:
-        findings.append(Finding(
-            oracle="mutation",
-            detail=(
-                f"decode paths disagree on {mutation}-mutated {fmt.name!r}: "
-                f"generic={generic_kind} specialized={spec_kind}"
-            ),
-            entry=entry_for_wire(
-                "mutation", "accept/reject divergence", wire,
-                fmt_dict=format_to_dict(fmt), mutation=mutation,
-                expectation="decoders_agree_on_reject",
-            ),
-        ))
-    if generic_kind == spec_kind == "ok" and not records_equal(generic_val, spec_val):
-        findings.append(Finding(
-            oracle="mutation",
-            detail=f"decode paths accept {mutation}-mutated {fmt.name!r} "
-                   f"but produce different records",
-            entry=entry_for_wire(
-                "mutation", "accepted-record divergence", wire,
-                fmt_dict=format_to_dict(fmt), mutation=mutation,
-                expectation="decoders_agree",
-            ),
-        ))
+    for path, kind, val in paths[1:]:
+        if "dirty" in (generic_kind, kind):
+            continue
+        if kind != generic_kind:
+            findings.append(Finding(
+                oracle="mutation",
+                detail=(
+                    f"decode paths disagree on {mutation}-mutated {fmt.name!r}: "
+                    f"generic={generic_kind} {path}={kind}"
+                ),
+                entry=entry_for_wire(
+                    "mutation", "accept/reject divergence", wire,
+                    fmt_dict=format_to_dict(fmt), mutation=mutation,
+                    expectation="decoders_agree_on_reject",
+                ),
+            ))
+        elif kind == "ok" and not records_equal(generic_val, val):
+            findings.append(Finding(
+                oracle="mutation",
+                detail=f"decode paths accept {mutation}-mutated {fmt.name!r} "
+                       f"but produce different records",
+                entry=entry_for_wire(
+                    "mutation", "accepted-record divergence", wire,
+                    fmt_dict=format_to_dict(fmt), mutation=mutation,
+                    expectation="decoders_agree",
+                ),
+            ))
     findings.extend(_check_batch_hostility(fmt, wire, mutation))
     return findings
 
@@ -251,7 +310,16 @@ def check_mutation(rng: random.Random, rounds: int = 4) -> "tuple[int, List[Find
     for _ in range(rounds):
         name, corrupted = mutate(wire, rng)
         findings.extend(check_wire_hostility(fmt, corrupted, mutation=name))
-    return rounds, findings
+    flat = _flat_part(fmt)
+    if flat is None or flat is fmt:
+        return rounds, findings
+    # the value decoder's arm: a flat message mutated the same way
+    wire = encode_record(flat, {name: rec[name] for name in flat.field_names()},
+                         byte_order=rng.choice(["little", "big"]))
+    for _ in range(rounds):
+        name, corrupted = mutate(wire, rng)
+        findings.extend(check_wire_hostility(flat, corrupted, mutation=name))
+    return 2 * rounds, findings
 
 
 # ---------------------------------------------------------------------------

@@ -609,12 +609,8 @@ class EChoProcess(EndpointMixin):
         datagrams: List[bytes] = []
         for record in records:
             payload = self.pbio.encode(wire_fmt, record)
-            envelope_wire = self.pbio.encode(
-                EVENT_ENVELOPE,
-                EVENT_ENVELOPE.make_record(
-                    channel_id=channel_id, seq=channel.next_seq()
-                ),
-            )
+            envelope_wire = self.pbio.encode_values(
+                EVENT_ENVELOPE, (channel_id, channel.next_seq()))
             if own is not None:
                 payload = attach_trace(payload, own)
                 envelope_wire = attach_trace(envelope_wire, own)
@@ -724,10 +720,8 @@ class EChoProcess(EndpointMixin):
             if not keep:
                 self.filtered_out += 1
                 continue
-            envelope = EVENT_ENVELOPE.make_record(
-                channel_id=derived.channel_id, seq=derived.next_seq()
-            )
-            envelope_wire = self.pbio.encode(EVENT_ENVELOPE, envelope)
+            envelope_wire = self.pbio.encode_values(
+                EVENT_ENVELOPE, (derived.channel_id, derived.next_seq()))
             if ctx is not None:
                 envelope_wire = attach_trace(envelope_wire, ctx)
             datagram = envelope_wire + payload
@@ -799,9 +793,9 @@ class EChoProcess(EndpointMixin):
         if name != EVENT_ENVELOPE.name:
             self._process(self.control, data, header)
             return
-        envelope = self.pbio.decode_as(fmt, data[:body_end], header)
+        channel_id, _seq = self.pbio.decode_values(
+            fmt, data[:body_end], header)
         payload = data[body_end:]
-        channel_id = envelope["channel_id"]
         receiver = self._event_receivers.get(channel_id)
         if receiver is None:
             return

@@ -217,13 +217,8 @@ class FabricClient(EndpointMixin):
             seq = self._next_seq.get(channel_id, 0) + 1
             self._next_seq[channel_id] = seq
             seqs.append(seq)
-            envelope = self.pbio.encode(
-                FABRIC_PUBLISH,
-                FABRIC_PUBLISH.make_record(
-                    channel_id=channel_id, publisher=self.address, seq=seq,
-                    epoch=epoch,
-                ),
-            )
+            envelope = self.pbio.encode_values(
+                FABRIC_PUBLISH, (channel_id, self.address, seq, epoch))
             payload = self.pbio.encode(fmt, record)
             if own is not None:
                 envelope = attach_trace(envelope, own)
@@ -287,11 +282,14 @@ class FabricClient(EndpointMixin):
                         f"unknown envelope format id {format_id:#x}")
                 view = memoryview(data)
                 body_end = header.body_offset + header.payload_length
-                record = self.pbio.decode_as(fmt, view[:body_end], header)
                 if fmt.name == FABRIC_DELIVER.name:
-                    self._on_deliver(record, view[body_end:])
+                    channel_id, publisher, seq = self.pbio.decode_values(
+                        fmt, view[:body_end], header)
+                    self._on_deliver(
+                        channel_id, publisher, seq, view[body_end:])
                 elif fmt.name == FABRIC_REDIRECT.name:
-                    self._on_redirect(record)
+                    self._on_redirect(
+                        self.pbio.decode_as(fmt, view[:body_end], header))
                 else:
                     raise FabricError(
                         f"unexpected {fmt.name!r} message at a client")
@@ -308,10 +306,9 @@ class FabricClient(EndpointMixin):
             self._routes[channel_id] = route
             self.redirects += 1
 
-    def _on_deliver(self, record: Record, payload: bytes) -> None:
-        channel_id = record["channel_id"]
-        publisher = record["publisher"]
-        seq = record["seq"]
+    def _on_deliver(
+        self, channel_id: str, publisher: str, seq: int, payload: bytes
+    ) -> None:
         subscription = self._subscriptions.get(channel_id)
         if subscription is None:
             raise FabricError(f"delivery on {channel_id!r} without a "

@@ -75,6 +75,22 @@ def _header(fields: Dict[str, Any]) -> bytes:
     return (json.dumps(fields) + "\n").encode()
 
 
+def _admit_header(log: "_ShardLog", fields: Dict[str, Any]) -> bytes:
+    """``_header(fields)`` of an admit, without a ``json.dumps`` per
+    record: the bytes before its ``seq`` value are kept per
+    ``(epoch, channel, publisher)`` in *log* (a shard's), and its two
+    integers — ``seq`` and ``size``, the last two keys of every admit's
+    fields — are formatted as ``json.dumps`` writes them."""
+    key = (fields["epoch"], fields["channel"], fields["publisher"])
+    prefix = log.admit_prefixes.get(key)
+    if prefix is None:
+        head = dict(fields)
+        del head["seq"], head["size"]
+        prefix = log.admit_prefixes[key] = (
+            json.dumps(head)[:-1] + ', "seq": ').encode()
+    return prefix + b'%d, "size": %d}\n' % (fields["seq"], fields["size"])
+
+
 class _Entry(NamedTuple):
     """One journaled entry, held once in the form each reader wants."""
 
@@ -125,7 +141,8 @@ def _parse_record(
 class _ShardLog:
     """One shard's journal: ordered entries plus fencing metadata."""
 
-    __slots__ = ("entries", "fence_epoch", "fence_header", "since_snapshot")
+    __slots__ = ("entries", "fence_epoch", "fence_header", "since_snapshot",
+                 "admit_prefixes")
 
     def __init__(self) -> None:
         self.entries: List[_Entry] = []
@@ -135,6 +152,10 @@ class _ShardLog:
         self.fence_header: Optional[bytes] = None
         #: appends since the last ``snapshot`` entry
         self.since_snapshot = 0
+        #: an admit header's bytes up to its ``seq`` value, by
+        #: ``(epoch, channel, publisher)`` (file only; emptied by each
+        #: snapshot, so it holds at most the keys appended since)
+        self.admit_prefixes: Dict[Tuple[int, str, str], bytes] = {}
 
 
 class JournalRecovery(NamedTuple):
@@ -229,7 +250,10 @@ class JournalStore:
         if fields["epoch"] < log.fence_epoch:
             self.fenced_appends += 1
             return False
-        header = None if self.path is None else _header(fields)
+        header = None
+        if self.path is not None:
+            header = (_admit_header(log, fields) if payload is not None
+                      else _header(fields))
         entry = _Entry(fields, header, payload)
         log.entries.append(entry)
         log.since_snapshot += 1
@@ -322,6 +346,7 @@ class JournalStore:
         header = None if self.path is None else _header(fields)
         log.entries = [_Entry(fields, header, None)]
         log.since_snapshot = 0
+        log.admit_prefixes = {}
         self._tally.compactions += 1
         if self.path is not None:
             self._rewrite()

@@ -491,9 +491,9 @@ class FabricWorker(EndpointMixin):
                         f"unknown envelope format id {format_id:#x}")
                 view = memoryview(data)
                 body_end = header.body_offset + header.payload_length
-                record = self.pbio.decode_as(fmt, view[:body_end], header)
                 name = fmt.name
                 if name != FABRIC_PUBLISH.name:
+                    record = self.pbio.decode_as(fmt, view[:body_end], header)
                     self._commit_run(shard, channel, run)
                     run, channel = [], None
                     if name == FABRIC_SUBSCRIBE.name:
@@ -506,7 +506,8 @@ class FabricWorker(EndpointMixin):
                         raise FabricError(
                             f"unexpected {name!r} message at a worker")
                     continue
-                channel_id = record["channel_id"]
+                channel_id, sender, seq, epoch = self.pbio.decode_values(
+                    fmt, view[:body_end], header)
                 if channel is None or channel_id != channel.channel_id:
                     self._commit_run(shard, channel, run)
                     run, publisher = [], None
@@ -518,9 +519,7 @@ class FabricWorker(EndpointMixin):
                         else None
                     )
                 if channel is None:
-                    self._reroute(
-                        shard, source, data, record["publisher"], channel_id
-                    )
+                    self._reroute(shard, source, data, sender, channel_id)
                     continue
                 # The payload is its declared bytes: what follows them is
                 # neither journaled nor forwarded.  Its header is parsed
@@ -539,18 +538,17 @@ class FabricWorker(EndpointMixin):
                         self._hold(source, lambda d=data: self._on_segments(
                             source, [d]), pid)
                         continue
-                if record["epoch"] != self.directory.epoch:
+                if epoch != self.directory.epoch:
                     # Stale route: deliver anyway (we own it), but correct
                     # the publisher's cache so it stops paying the extra hop.
-                    self._send_redirect(channel_id, record["publisher"])
-                if record["publisher"] != publisher:
-                    publisher = record["publisher"]
+                    self._send_redirect(channel_id, sender)
+                if sender != publisher:
+                    publisher = sender
                     ledger = channel.ledgers.get(publisher)
                     if ledger is None:
                         ledger = channel.ledgers[publisher] = SeqLedger()
-                if ledger.admit(record["seq"]):
-                    run.append(
-                        (publisher, record["seq"], payload, payload_header))
+                if ledger.admit(seq):
+                    run.append((publisher, seq, payload, payload_header))
                 else:
                     self.duplicates += 1
             except Exception as exc:  # noqa: BLE001 - contained per segment
@@ -754,12 +752,8 @@ class FabricWorker(EndpointMixin):
                 # context covers them, spliced once into the outbound
                 # frame — or onto the message, should it leave alone.
                 own = peek_trace(payload)
-                envelope = self.pbio.encode(
-                    FABRIC_DELIVER,
-                    FABRIC_DELIVER.make_record(
-                        channel_id=channel_id, publisher=publisher, seq=seq
-                    ),
-                )
+                envelope = self.pbio.encode_values(
+                    FABRIC_DELIVER, (channel_id, publisher, seq))
                 if own is not None:
                     envelope = attach_trace(envelope, own)
                 shared = wires = None

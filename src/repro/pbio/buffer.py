@@ -53,7 +53,7 @@ FLAG_BIG_ENDIAN = 0x01
 FLAG_TRACE = 0x02
 
 #: Byte offset of the flags field inside the packed header.
-_FLAGS_OFFSET = 5
+FLAGS_OFFSET = 5
 
 #: struct prefix characters per byte-order name.
 ORDER_PREFIX = {"little": "<", "big": ">"}
@@ -150,10 +150,10 @@ def check_header(data: bytes, header: MessageHeader) -> None:
             f"truncated payload: header declares {header.payload_length} "
             f"bytes, have {len(data) - header.body_offset}"
         )
-    if data[_FLAGS_OFFSET] != header.flags:
+    if data[FLAGS_OFFSET] != header.flags:
         raise DecodeError(
             f"header flags {header.flags:#x} do not match the message's "
-            f"{data[_FLAGS_OFFSET]:#x}"
+            f"{data[FLAGS_OFFSET]:#x}"
         )
 
 
@@ -236,7 +236,7 @@ class ProjectionCut:
         format as an encoder wrote it, maybe with a trace block — whose
         concatenation is the target payload in *wire*'s byte order.  The
         walk trusts the lengths it reads: the message is known good."""
-        flags = wire[_FLAGS_OFFSET]
+        flags = wire[FLAGS_OFFSET]
         order = ">" if flags & FLAG_BIG_ENDIAN else "<"
         walk = self._walkers.get(order)
         if walk is None:
@@ -258,7 +258,7 @@ class ProjectionCut:
         view = memoryview(wire)
         return b"".join([
             pack_header(self.target_id, sum(end - start for start, end in ranges),
-                        wire[_FLAGS_OFFSET] & FLAG_BIG_ENDIAN),
+                        wire[FLAGS_OFFSET] & FLAG_BIG_ENDIAN),
             *[view[start:end] for start, end in ranges],
         ])
 
@@ -275,11 +275,11 @@ def attach_trace(wire: bytes, ctx: TraceContext) -> bytes:
     (header flag set, 26 bytes inserted after the header)."""
     if len(wire) < HEADER_SIZE:
         raise EncodeError("cannot attach a trace block to a truncated message")
-    flags = wire[_FLAGS_OFFSET]
+    flags = wire[FLAGS_OFFSET]
     if flags & FLAG_TRACE:
         raise EncodeError("wire message already carries a trace block")
     out = bytearray(wire)
-    out[_FLAGS_OFFSET] = flags | FLAG_TRACE
+    out[FLAGS_OFFSET] = flags | FLAG_TRACE
     out[HEADER_SIZE:HEADER_SIZE] = encode_block(ctx)
     return bytes(out)
 
@@ -287,11 +287,11 @@ def attach_trace(wire: bytes, ctx: TraceContext) -> bytes:
 def strip_trace(wire: bytes) -> Tuple[bytes, Optional[TraceContext]]:
     """Split a wire message into its traceless form and the carried
     context (``(wire, None)`` when no block is present)."""
-    if len(wire) < HEADER_SIZE or not wire[_FLAGS_OFFSET] & FLAG_TRACE:
+    if len(wire) < HEADER_SIZE or not wire[FLAGS_OFFSET] & FLAG_TRACE:
         return wire, None
     ctx = decode_block(wire, HEADER_SIZE)
     out = bytearray(wire)
-    out[_FLAGS_OFFSET] &= ~FLAG_TRACE & 0xFF
+    out[FLAGS_OFFSET] &= ~FLAG_TRACE & 0xFF
     del out[HEADER_SIZE : HEADER_SIZE + TRACE_BLOCK_SIZE]
     return bytes(out), ctx
 
@@ -302,7 +302,7 @@ def peek_trace(data: bytes, offset: int = 0) -> Optional[TraceContext]:
     Never raises — the transport layers call this on arbitrary frames."""
     if len(data) - offset < HEADER_SIZE + TRACE_BLOCK_SIZE:
         return None
-    if not data[offset + _FLAGS_OFFSET] & FLAG_TRACE:
+    if not data[offset + FLAGS_OFFSET] & FLAG_TRACE:
         return None
     try:
         magic, version = struct.unpack_from("<IB", data, offset)

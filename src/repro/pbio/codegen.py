@@ -17,6 +17,11 @@ field-walking interpreter):
   or a scalar run) are one ``Struct`` call, so an array of
   ``[string, scalars]`` records costs one call per element each way,
 * the format tree is fully inlined — no per-field dispatch, no recursion,
+* the message is one call: an encoder reserves and packs its own
+  header, a decoder parses — or checks the header its caller parsed —
+  and tests format id, byte order and trailing bytes inline; a flat
+  format's value coders take or return the tuple of its field values,
+  so no record is built at all,
 * records are built frame-free: ``dict.__new__(Record)`` and one
   ``dict.update`` from a literal, two C calls and no conversion, and
   strings decode from ``bytes`` (a decoder copies a non-``bytes`` message
@@ -32,14 +37,18 @@ from __future__ import annotations
 import struct
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.errors import DecodeError, EncodeError
+from repro.errors import DecodeError, EncodeError, FormatError
 from repro.pbio.decode import ZERO_SIZE_ELEMENT_CAP
 from repro.pbio.buffer import (
     FLAG_BIG_ENDIAN,
+    FLAGS_OFFSET,
+    HEADER,
+    HEADER_SIZE,
+    MAGIC,
     ORDER_PREFIX,
+    WIRE_VERSION,
     MessageHeader,
     check_header,
-    pack_header,
     unpack_header,
 )
 from repro.pbio.field import IOField
@@ -152,8 +161,10 @@ def _gen_decode_format(
     live: Optional[Set[str]] = None,
     held: Optional[List[str]] = None,
     carry: bool = False,
+    values: bool = False,
 ) -> None:
-    """Emit code decoding one record of *fmt* into dict var *out_var*.
+    """Emit code decoding one record of *fmt* into dict var *out_var*
+    (with *values*, into a tuple of the field values in declared order).
 
     Uses the running local ``off`` as the cursor.  Field values land in
     fresh locals, then a single dict literal builds the record.
@@ -230,6 +241,9 @@ def _gen_decode_format(
             # dead complex fields still walked: their validation is part
             # of the accept/reject contract.
             _gen_decode_single(em, field, structs, data, end, var)
+    if values:
+        em.emit(f"{out_var} = ({''.join(value_vars[f.name] + ', ' for f in fmt.fields)})")
+        return
     items = ", ".join(
         f"{f.name!r}: {value_vars[f.name]}"
         for f in fmt.fields
@@ -261,6 +275,7 @@ def _gen_decode_message(
     structs: "_StructTable",
     out_var: str,
     live: Optional[Set[str]] = None,
+    values: bool = False,
 ) -> None:
     """Emit the decode of the record of *fmt* that the message ``data``
     carries between ``off`` and ``end`` into *out_var*: the one entry to
@@ -278,7 +293,8 @@ def _gen_decode_message(
     em.indent += 1
     em.emit("data = _bytes(data)")
     em.indent -= 1
-    _gen_decode_format(em, fmt, structs, "data", "end", out_var, live=live)
+    _gen_decode_format(em, fmt, structs, "data", "end", out_var, live=live,
+                       values=values)
 
 
 def decode_namespace(structs: "_StructTable") -> Dict[str, Any]:
@@ -487,93 +503,134 @@ def _gen_string_body(
 
 
 def decoder_source(
-    fmt: IOFormat,
-    order: str = "<",
-    live: Optional[Set[str]] = None,
+    fmt: IOFormat, order: str = "<", values: bool = False,
 ) -> Tuple[str, List[struct.Struct]]:
-    """Generate the Python source of a specialized decoder for *fmt*.
-
-    Returns ``(source, structs)`` where *structs* is the table of
-    precompiled Struct objects the source references as ``_S[i]``.
-    *order* is the payload byte order the routine is specialized for.
-    *live*, when given, restricts the materialized top-level fields (see
-    :func:`_gen_decode_format`); the full-record decoders used outside
-    route fusion always pass ``None``.
-    """
+    """The Python source of ``_decode(data, header=None)``, one whole
+    message of *fmt* whose payload is in *order*: the header parsed — or,
+    handed in, checked against *data* (payload length and flags byte,
+    :func:`~repro.pbio.buffer.check_header` raising when either fails) —
+    the format id, the byte order (the other order's decoder ``_swap``
+    takes the message), the payload and the trailing-bytes check, with
+    the payload decode's failures mapped to :class:`DecodeError`.  It
+    returns the record, or with *values* the tuple of the field values
+    in declared order (a flat format's, :func:`make_value_decoder`)."""
     structs = _StructTable(order)
     em = _Emitter()
-    em.emit(f"def _decode(data, off, end):")
+    em.emit("def _decode(data, header=None):")
     em.indent += 1
-    em.emit(f'"""Specialized decoder for format {fmt.name!r} '
-            f"(id {fmt.format_id:#x}).\"\"\"")
-    _gen_decode_message(em, fmt, structs, "_result", live=live)
-    em.emit("return _result, off")
+    kind = "value decoder" if values else "decoder"
+    em.emit(f'"""Specialized {kind} for format {fmt.name!r} '
+            f'(id {fmt.format_id:#x}), {order!r} payloads."""')
+    for line in (
+        "if header is None:",
+        "    header = _unpack_header(data)",
+        "elif (len(data) - header.body_offset < header.payload_length",
+        f"        or data[{FLAGS_OFFSET}] != header.flags):",
+        "    _check_header(data, header)",
+        f"if header.format_id != {fmt.format_id}:",
+        "    raise _mismatch(header.format_id)",
+        f"if header.flags & {FLAG_BIG_ENDIAN}"
+        f"{'' if order == '<' else ' == 0'}:",
+        "    return _swap(data, header)",
+        "off = header.body_offset",
+        "end = off + header.payload_length",
+        "try:",
+    ):
+        em.emit(line)
+    em.indent += 1
+    _gen_decode_message(em, fmt, structs, "_result", values=values)
+    em.indent -= 1
+    for line in (
+        "except _UNREADABLE as exc:",
+        "    raise _refuse(exc) from None",
+        "if off != end:",
+        "    raise _trailing(end - off)",
+        "return _result",
+    ):
+        em.emit(line)
     return em.source(), structs
 
 
-def make_payload_decoder(
-    fmt: IOFormat, order: str = "<"
-) -> Callable[[bytes, int, int], Tuple[Record, int]]:
-    """Compile and return ``decode(data, off, end) -> (record, new_off)``
-    specialized for payloads in *order*."""
-    source, structs = decoder_source(fmt, order)
+#: what a payload decode raises on bytes it cannot read, refused as
+#: :class:`DecodeError` (:func:`_decode_refusal`)
+_UNREADABLE = (struct.error, UnicodeDecodeError, IndexError, KeyError,
+               MemoryError, OverflowError)
+
+
+def _decode_refusal(name: str, exc: BaseException) -> DecodeError:
+    if isinstance(exc, struct.error):
+        return DecodeError(f"truncated message for {name!r}: {exc}")
+    if isinstance(exc, UnicodeDecodeError):
+        return DecodeError(f"invalid UTF-8 in string field of {name!r}: {exc}")
+    return DecodeError(f"corrupt message for {name!r}: {exc!r}")
+
+
+def _message_decoder(
+    fmt: IOFormat, order: str, values: bool, other: Optional[Callable] = None,
+) -> Callable:
+    """Compile :func:`decoder_source`'s ``_decode``.  Its
+    ``_swap`` is *other*, the opposite order's decoder, or — until a
+    message in that order arrives — a stub that generates it (with this
+    one as its ``_swap``) and hands the message on."""
+    source, structs = decoder_source(fmt, order, values)
+    name = fmt.name
+    expected = fmt.format_id
     namespace = decode_namespace(structs)
-    code = compile(source, f"<pbio-decoder:{fmt.name}:{order}>", "exec")
-    exec(code, namespace)
-    return namespace["_decode"]
+    namespace.update(
+        _unpack_header=unpack_header,
+        _check_header=check_header,
+        _UNREADABLE=_UNREADABLE,
+        _refuse=lambda exc: _decode_refusal(name, exc),
+        _mismatch=lambda found: DecodeError(
+            f"message format id {found:#x} does not match decoder for "
+            f"{name!r} ({expected:#x})"),
+        _trailing=lambda count: DecodeError(
+            f"{count} trailing bytes after decoding format {name!r}"),
+    )
+    kind = "value-decoder" if values else "decoder"
+    exec(compile(source, f"<pbio-{kind}:{name}:{order}>", "exec"), namespace)
+    decode = namespace["_decode"]
+
+    def swap(data: Any, header: MessageHeader) -> Any:
+        flipped = namespace["_swap"] = _message_decoder(
+            fmt, ">" if order == "<" else "<", values, decode)
+        return flipped(data, header)
+
+    namespace["_swap"] = swap if other is None else other
+    return decode
 
 
 def make_decoder(fmt: IOFormat) -> DecoderFn:
-    """Compile a full-message decoder: checks the header, verifies the
-    format id, decodes the payload with the specialized routine.  Given
-    the header its caller already parsed, it checks that header against
-    the message (:func:`~repro.pbio.buffer.check_header`) instead of
-    parsing it again.
+    """Compile a full-message decoder: one generated function that
+    checks the header — or the header its caller already parsed against
+    the message, instead of parsing it again — verifies the format id
+    and decodes the payload.
 
-    The little-endian payload decoder is generated eagerly; a big-endian
-    variant is generated lazily on first sight of the header flag
-    (receiver-makes-right: the conversion cost lands on the reader, and
-    only when orders actually differ)."""
-    payload_decoders = {"<": make_payload_decoder(fmt, "<")}
-    expected_id = fmt.format_id
+    It is specialized for little-endian payloads; the big-endian variant
+    is generated on first sight of the header flag (receiver-makes-right:
+    the conversion cost lands on the reader, and only when orders
+    actually differ)."""
+    return _message_decoder(fmt, "<", values=False)
 
-    def decode(data: bytes, header: Optional[MessageHeader] = None) -> Record:
-        if header is None:
-            header = unpack_header(data)
-        else:
-            check_header(data, header)
-        if header.format_id != expected_id:
-            raise DecodeError(
-                f"message format id {header.format_id:#x} does not match "
-                f"decoder for {fmt.name!r} ({expected_id:#x})"
-            )
-        order = ">" if header.flags & FLAG_BIG_ENDIAN else "<"
-        payload_decoder = payload_decoders.get(order)
-        if payload_decoder is None:
-            payload_decoder = make_payload_decoder(fmt, order)
-            payload_decoders[order] = payload_decoder
-        start = header.body_offset
-        end = start + header.payload_length
-        try:
-            record, off = payload_decoder(data, start, end)
-        except struct.error as exc:
-            raise DecodeError(f"truncated message for {fmt.name!r}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise DecodeError(
-                f"invalid UTF-8 in string field of {fmt.name!r}: {exc}"
-            ) from None
-        except (IndexError, KeyError, MemoryError, OverflowError) as exc:
-            raise DecodeError(
-                f"corrupt message for {fmt.name!r}: {exc!r}"
-            ) from None
-        if off != end:
-            raise DecodeError(
-                f"{end - off} trailing bytes after decoding format {fmt.name!r}"
-            )
-        return record
 
-    decode.__name__ = f"decode_{fmt.name}"
-    return decode
+def make_value_decoder(fmt: IOFormat) -> Callable[..., Tuple[Any, ...]]:
+    """:func:`make_decoder` for a flat format (:func:`is_flat`) that
+    returns the tuple of the field values in declared order instead of a
+    record — the same generated checks and the same accept / refuse."""
+    require_flat(fmt)
+    return _message_decoder(fmt, "<", values=True)
+
+
+def is_flat(fmt: IOFormat) -> bool:
+    """Whether every field of *fmt* is a basic non-array field (strings
+    and fixed-width scalars): a format a value coder serves."""
+    return all(field.is_basic and not field.is_array for field in fmt.fields)
+
+
+def require_flat(fmt: IOFormat) -> None:
+    if not is_flat(fmt):
+        raise FormatError(
+            f"format {fmt.name!r} has array or complex fields: no value coder")
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +645,11 @@ def _gen_encode_format(
     rec: str,
     held: Optional[str] = None,
     carry: Optional[str] = None,
+    loads: Optional[Dict[str, str]] = None,
 ) -> None:
-    """Emit code appending record *rec* of *fmt* to ``buf``.
+    """Emit code appending record *rec* of *fmt* to ``buf`` — or, given
+    *loads* (a flat format's value coder), the values in the locals it
+    names by field.
 
     *held* and *carry* serve an array element (see
     :func:`_gen_encode_array`): given *held*, the record's leading
@@ -606,7 +666,7 @@ def _gen_encode_format(
             continue
         if _fusable(field):
             codes = _run_codes(run)
-            args = [_coerced_load(rec, f) for f in run]
+            args = [_coerced_load(rec, f, loads) for f in run]
             if carry is not None and position == len(runs) - 1:
                 assert held is not None
                 next_codes, next_args = _gen_encode_head(em, fmt, carry, held)
@@ -618,7 +678,7 @@ def _gen_encode_format(
         if field.is_array:
             _gen_encode_array(em, field, structs, rec)
         else:
-            _gen_encode_single(em, field, structs, f"{rec}[{field.name!r}]")
+            _gen_encode_single(em, field, structs, _load(rec, field, loads))
 
 
 def _gen_encode_head(
@@ -633,8 +693,16 @@ def _gen_encode_head(
     return "I", [f"len({held})"]
 
 
-def _coerced_load(rec: str, field: IOField) -> str:
-    expr = f"{rec}[{field.name!r}]"
+def _load(rec: str, field: IOField, loads: Optional[Dict[str, str]]) -> str:
+    if loads is not None:
+        return loads[field.name]
+    return f"{rec}[{field.name!r}]"
+
+
+def _coerced_load(
+    rec: str, field: IOField, loads: Optional[Dict[str, str]] = None
+) -> str:
+    expr = _load(rec, field, loads)
     if field.kind is TypeKind.BOOLEAN:
         return f"bool({expr})"
     return expr
@@ -726,61 +794,97 @@ def _gen_encode_single(
         em.emit(f"_ext(_S[{idx}].pack({expr}))")
 
 
-def encoder_source(fmt: IOFormat, order: str = "<") -> Tuple[str, List[struct.Struct]]:
-    """Generate the Python source of a specialized payload encoder."""
+def encoder_source(
+    fmt: IOFormat, order: str = "<", values: bool = False,
+) -> Tuple[str, List[struct.Struct]]:
+    """The Python source of ``_encode(rec)``, one whole message of *fmt*
+    with its payload in *order*: it reserves the header, appends the
+    payload, maps a value the format cannot hold to
+    :class:`EncodeError`, then packs the header into the reserved bytes.
+    With *values* (a flat format's, :func:`make_value_encoder`) it takes
+    the tuple of the field values in declared order instead of a
+    record."""
     structs = _StructTable(order)
     em = _Emitter()
-    em.emit("def _encode(rec):")
+    em.emit(f"def _encode({'values' if values else 'rec'}):")
     em.indent += 1
-    em.emit(f'"""Specialized encoder for format {fmt.name!r} '
-            f"(id {fmt.format_id:#x}).\"\"\"")
-    em.emit("buf = bytearray()")
+    kind = "value encoder" if values else "encoder"
+    em.emit(f'"""Specialized {kind} for format {fmt.name!r} '
+            f'(id {fmt.format_id:#x}), {order!r} payloads."""')
+    em.emit(f"buf = bytearray({HEADER_SIZE})")
     em.emit("_ext = buf.extend")
-    _gen_encode_format(em, fmt, structs, "rec")
-    em.emit("return buf")
+    em.emit("try:")
+    em.indent += 1
+    loads = None
+    if values:
+        loads = {field.name: f"_a{index}"
+                 for index, field in enumerate(fmt.fields)}
+        em.emit(f"{''.join(name + ', ' for name in loads.values())}= values")
+    _gen_encode_format(em, fmt, structs, "rec", loads=loads)
+    em.indent -= 1
+    flags = FLAG_BIG_ENDIAN if order == ">" else 0
+    for line in (
+        "except _UNWRITABLE as exc:",
+        "    raise _refuse(exc) from None",
+        f"_pack_header(buf, 0, {MAGIC}, {WIRE_VERSION}, {flags}, 0, "
+        f"{fmt.format_id}, len(buf) - {HEADER_SIZE})",
+        "return _bytes(buf)",
+    ):
+        em.emit(line)
     return em.source(), structs
 
 
-def make_payload_encoder(fmt: IOFormat, order: str = "<") -> Callable[[Any], bytearray]:
-    source, structs = encoder_source(fmt, order)
-    namespace: Dict[str, Any] = {
-        "_S": structs,
-        "_U32": struct.Struct(order + "I"),
-        "_EncodeError": EncodeError,
-    }
-    code = compile(source, f"<pbio-encoder:{fmt.name}:{order}>", "exec")
-    exec(code, namespace)
-    return namespace["_encode"]
+#: what a payload encode raises on a value its format cannot hold,
+#: refused as :class:`EncodeError` (:func:`_encode_refusal`)
+_UNWRITABLE = (struct.error, KeyError, TypeError, AttributeError,
+               UnicodeEncodeError, OverflowError)
 
 
-def make_encoder(fmt: IOFormat, byte_order: str = "little") -> EncoderFn:
-    """Compile a full-message encoder (header + payload) for *fmt*,
-    writing payload scalars in the writer's *byte_order*."""
+def _encode_refusal(name: str, exc: BaseException) -> EncodeError:
+    if isinstance(exc, struct.error):
+        return EncodeError(f"cannot encode record of {name!r}: {exc}")
+    if isinstance(exc, (KeyError, TypeError)):
+        return EncodeError(
+            f"record does not conform to format {name!r}: {exc!r}")
+    return EncodeError(f"bad field value for format {name!r}: {exc}")
+
+
+def _message_encoder(fmt: IOFormat, byte_order: str, values: bool) -> Callable:
     try:
         order = ORDER_PREFIX[byte_order]
     except KeyError:
         raise EncodeError(f"unknown byte order {byte_order!r}") from None
-    payload_encoder = make_payload_encoder(fmt, order)
-    format_id = fmt.format_id
-    flags = FLAG_BIG_ENDIAN if byte_order == "big" else 0
+    source, structs = encoder_source(fmt, order, values)
+    name = fmt.name
+    namespace: Dict[str, Any] = {
+        "_S": structs,
+        "_U32": struct.Struct(order + "I"),
+        "_EncodeError": EncodeError,
+        "_UNWRITABLE": _UNWRITABLE,
+        "_refuse": lambda exc: _encode_refusal(name, exc),
+        "_pack_header": HEADER.pack_into,
+        "_bytes": bytes,
+    }
+    kind = "value-encoder" if values else "encoder"
+    exec(compile(source, f"<pbio-{kind}:{name}:{order}>", "exec"), namespace)
+    return namespace["_encode"]
 
-    def encode(rec: Any) -> bytes:
-        try:
-            payload = payload_encoder(rec)
-        except struct.error as exc:
-            raise EncodeError(f"cannot encode record of {fmt.name!r}: {exc}") from None
-        except (KeyError, TypeError) as exc:
-            raise EncodeError(
-                f"record does not conform to format {fmt.name!r}: {exc!r}"
-            ) from None
-        except (AttributeError, UnicodeEncodeError, OverflowError) as exc:
-            raise EncodeError(
-                f"bad field value for format {fmt.name!r}: {exc}"
-            ) from None
-        return pack_header(format_id, len(payload), flags=flags) + bytes(payload)
 
-    encode.__name__ = f"encode_{fmt.name}"
-    return encode
+def make_encoder(fmt: IOFormat, byte_order: str = "little") -> EncoderFn:
+    """Compile a full-message encoder for *fmt*: one generated function
+    writing the header and the payload, scalars in the writer's
+    *byte_order*."""
+    return _message_encoder(fmt, byte_order, values=False)
+
+
+def make_value_encoder(
+    fmt: IOFormat, byte_order: str = "little"
+) -> Callable[[Tuple[Any, ...]], bytes]:
+    """:func:`make_encoder` for a flat format (:func:`is_flat`) that
+    takes the tuple of the field values in declared order instead of a
+    record: the same bytes, the same refusals."""
+    require_flat(fmt)
+    return _message_encoder(fmt, byte_order, values=True)
 
 
 # ---------------------------------------------------------------------------

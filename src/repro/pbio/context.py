@@ -37,9 +37,13 @@ from repro.pbio.registry import FormatRegistry
 #: at two entries — "<" and ">".)
 CODEC_CACHE_MAX = 1024
 
-#: what a codec table holds for a format used once here: its next use
-#: generates the coder (it shares the table's bound and its FIFO)
-_SEEN_ONCE: Any = object()
+#: A codec table maps a format id to ``(format, coder)`` — a flat
+#: format's value coder sits under the id's bitwise complement — and a
+#: call runs the coder only for that very format object (an equal one,
+#: or a different format with a colliding id, takes the slow path).  A
+#: format used once here is marked with ``_UNSEEN``: its next use
+#: generates the coder (the mark shares the table's bound and FIFO).
+_UNSEEN: Tuple[None, None] = (None, None)
 
 #: by path: a generated coder's, or ("generic") the first use's fallback;
 #: coders generated, and the codec tables' sizes
@@ -91,7 +95,7 @@ class PBIOContext:
         self.use_codegen = use_codegen
         self.byte_order = byte_order
         self._lock = threading.Lock()
-        #: per format id: the generated coder, or ``_SEEN_ONCE``
+        #: per format id: ``(format, coder)``, or ``_UNSEEN``
         self._encoders: Dict[int, Any] = {}
         self._decoders: Dict[int, Any] = {}
         self._tally = Tallies(encoded=0, encoded_generic=0, encoded_bytes=0,
@@ -106,38 +110,72 @@ class PBIOContext:
     # ------------------------------------------------------------------
 
     def encode(self, fmt: IOFormat, rec: Mapping[str, Any]) -> bytes:
-        """Encode *rec* as a wire message of *fmt* (registering it)."""
+        """Encode *rec* as a wire message of *fmt* (registering it on
+        this context's first sight of it)."""
         if OBS.enabled and recording(current()):
-            # a format this context has not seen runs the interpretive path
-            seen = fmt.format_id in self._encoders
-            with OBS.tracer.span("pbio.encode", format=fmt.name, path=(
-                "specialized" if seen else "generic"
-            )) as active:
-                wire = self._encode(fmt, rec)
-            # the span already timed the call: one pair of clock reads
-            self._encode_seconds().observe(active.span.duration)
+            return self._observed_encode(fmt.format_id, fmt, rec, False)
+        entry = self._encoders.get(fmt.format_id, _UNSEEN)
+        if entry[0] is fmt:
+            wire = entry[1](rec)
         else:
-            wire = self._encode(fmt, rec)
+            wire = self._encode(fmt.format_id, fmt, rec, False)
         self._tally.encoded += 1
         self._tally.encoded_bytes += len(wire)
         return wire
 
-    def _encode(self, fmt: IOFormat, rec: Mapping[str, Any]) -> bytes:
-        self.registry.register(fmt)
-        encoder = self._encoders.get(fmt.format_id)
-        if encoder is None or encoder is _SEEN_ONCE:
-            encoder = self._second_sight(
-                self._encoders, fmt,
-                # through the module: instrumentation patches it there
-                lambda: codegen.make_encoder(fmt, byte_order=self.byte_order),
-            )
-            if encoder is None:
+    def encode_values(self, fmt: IOFormat, values: Tuple[Any, ...]) -> bytes:
+        """:meth:`encode` of the record of the flat *fmt* (strings and
+        fixed-width scalars, :func:`~repro.pbio.codegen.is_flat`) whose
+        field values, in declared order, are *values* — the same bytes,
+        counted and traced as an encode, with no record built."""
+        key = ~fmt.format_id
+        if OBS.enabled and recording(current()):
+            return self._observed_encode(key, fmt, values, True)
+        entry = self._encoders.get(key, _UNSEEN)
+        if entry[0] is fmt:
+            wire = entry[1](values)
+        else:
+            wire = self._encode(key, fmt, values, True)
+        self._tally.encoded += 1
+        self._tally.encoded_bytes += len(wire)
+        return wire
+
+    def _observed_encode(
+        self, key: int, fmt: IOFormat, rec: Any, values: bool
+    ) -> bytes:
+        # a format this context has not seen runs the interpretive path
+        seen = key in self._encoders
+        with OBS.tracer.span("pbio.encode", format=fmt.name, path=(
+            "specialized" if seen else "generic"
+        )) as active:
+            wire = self._encode(key, fmt, rec, values)
+        # the span already timed the call: one pair of clock reads
+        self._encode_seconds().observe(active.span.duration)
+        self._tally.encoded += 1
+        self._tally.encoded_bytes += len(wire)
+        return wire
+
+    def _encode(self, key: int, fmt: IOFormat, rec: Any, values: bool) -> bytes:
+        entry = self._encoders.get(key, _UNSEEN)
+        if entry[0] is not fmt:
+            # first sight here, or another object under this id: the
+            # registry refuses a different format with a colliding id
+            self.registry.register(fmt)
+            # through the module: instrumentation patches it there
+            make = codegen.make_value_encoder if values else codegen.make_encoder
+            entry = self._second_sight(
+                self._encoders, key, fmt,
+                lambda: make(fmt, byte_order=self.byte_order))
+            if entry[1] is None:
+                if values:
+                    codegen.require_flat(fmt)
+                    rec = dict(zip(fmt.field_names(), rec))
                 wire = generic_encode_record(
                     fmt, rec, byte_order=self.byte_order
                 )
                 self._tally.encoded_generic += 1
                 return wire
-        return encoder(rec)
+        return entry[1](rec)
 
     # ------------------------------------------------------------------
     # Decoding
@@ -168,49 +206,94 @@ class PBIOContext:
         exactly what it does without one.  A header of another message
         is refused with :class:`~repro.errors.DecodeError`."""
         if OBS.enabled and recording(current()):
-            seen = fmt.format_id in self._decoders
-            with OBS.tracer.span("pbio.decode", format=fmt.name, path=(
-                "specialized" if seen else "generic"
-            )) as active:
-                record = self._decode_as(fmt, data, header)
-            self._decode_seconds().observe(active.span.duration)
+            return self._observed_decode(
+                fmt.format_id, fmt, data, header, False)
+        entry = self._decoders.get(fmt.format_id, _UNSEEN)
+        if entry[0] is fmt:
+            record = entry[1](data, header)
         else:
-            record = self._decode_as(fmt, data, header)
+            record = self._decode(fmt.format_id, fmt, data, header, False)
         self._tally.decoded += 1
         self._tally.decoded_bytes += len(data)
         return record
 
-    def _decode_as(
-        self, fmt: IOFormat, data: bytes, header: Optional[MessageHeader],
-    ) -> Record:
-        decoder = self._decoders.get(fmt.format_id)
-        if decoder is None or decoder is _SEEN_ONCE:
-            decoder = self._second_sight(
-                self._decoders, fmt, lambda: codegen.make_decoder(fmt),
-            )
-            if decoder is None:
+    def decode_values(
+        self, fmt: IOFormat, data: bytes,
+        header: Optional[MessageHeader] = None,
+    ) -> Tuple[Any, ...]:
+        """:meth:`decode_as` of the flat *fmt* that returns the tuple of
+        the field values in declared order, with no record built: the
+        same checks, the same refusals, counted and traced as a
+        decode."""
+        key = ~fmt.format_id
+        if OBS.enabled and recording(current()):
+            return self._observed_decode(key, fmt, data, header, True)
+        entry = self._decoders.get(key, _UNSEEN)
+        if entry[0] is fmt:
+            values = entry[1](data, header)
+        else:
+            values = self._decode(key, fmt, data, header, True)
+        self._tally.decoded += 1
+        self._tally.decoded_bytes += len(data)
+        return values
+
+    def _observed_decode(
+        self, key: int, fmt: IOFormat, data: bytes,
+        header: Optional[MessageHeader], values: bool,
+    ) -> Any:
+        seen = key in self._decoders
+        with OBS.tracer.span("pbio.decode", format=fmt.name, path=(
+            "specialized" if seen else "generic"
+        )) as active:
+            decoded = self._decode(key, fmt, data, header, values)
+        self._decode_seconds().observe(active.span.duration)
+        self._tally.decoded += 1
+        self._tally.decoded_bytes += len(data)
+        return decoded
+
+    def _decode(
+        self, key: int, fmt: IOFormat, data: bytes,
+        header: Optional[MessageHeader], values: bool,
+    ) -> Any:
+        entry = self._decoders.get(key, _UNSEEN)
+        if entry[0] is not fmt:
+            make = codegen.make_value_decoder if values else codegen.make_decoder
+            entry = self._second_sight(
+                self._decoders, key, fmt, lambda: make(fmt))
+            if entry[1] is None:
+                if values:
+                    codegen.require_flat(fmt)
                 record = generic_decode_record(fmt, data, header)
                 self._tally.decoded_generic += 1
+                if values:
+                    return tuple(record[field.name] for field in fmt.fields)
                 return record
-        return decoder(data, header)
+        return entry[1](data, header)
 
     def _second_sight(
-        self, cache: Dict[int, Any], fmt: IOFormat,
+        self, cache: Dict[int, Any], key: int, fmt: IOFormat,
         generate: Callable[[], Any],
-    ) -> Any:
-        """The generated coder for a format's second use here (counted
-        in the tallies), or ``None`` — run the interpretive one — for its
-        first (marked in *cache*) and always without ``use_codegen``.  A
-        new entry evicts FIFO at :data:`CODEC_CACHE_MAX`, so format churn
-        cannot leak marks or compiled code."""
+    ) -> Tuple[Optional[IOFormat], Any]:
+        """The ``(format, coder)`` entry of *cache* for *fmt* on its
+        second use here (the coder generated then, and counted in the
+        tallies), or one whose coder is ``None`` — run the interpretive
+        one — for its first (marked in *cache*) and always without
+        ``use_codegen``.  An entry made for another object of the same
+        id serves *fmt* as it is.  A new entry evicts FIFO at
+        :data:`CODEC_CACHE_MAX`, so format churn cannot leak marks or
+        compiled code."""
         if not self.use_codegen:
-            return None
-        format_id = fmt.format_id
+            return _UNSEEN
         with self._lock:
-            codec = cache.get(format_id)
-            if codec is _SEEN_ONCE:
+            entry = cache.get(key)
+            if entry is None:
+                while len(cache) >= CODEC_CACHE_MAX:
+                    cache.pop(next(iter(cache)))
+                cache[key] = _UNSEEN
+                return _UNSEEN
+            if entry[1] is None:
                 start = time.perf_counter()
-                codec = cache[format_id] = generate()
+                entry = cache[key] = (fmt, generate())
                 if cache is self._encoders:
                     self._tally.encoders += 1
                 else:
@@ -218,11 +301,7 @@ class PBIOContext:
                 if OBS.enabled:
                     OBS.metrics.histogram("pbio.codegen.seconds").observe(
                         time.perf_counter() - start)
-            elif codec is None:
-                while len(cache) >= CODEC_CACHE_MAX:
-                    cache.pop(next(iter(cache)))
-                cache[format_id] = _SEEN_ONCE
-            return codec
+            return entry
 
     def peek_format(self, data: bytes) -> Optional[IOFormat]:
         """Resolve the format of a wire message without decoding it."""
@@ -242,4 +321,4 @@ class PBIOContext:
 
 
 def _generated(cache: Dict[int, Any]) -> int:
-    return sum(codec is not _SEEN_ONCE for codec in cache.values())
+    return sum(coder is not None for _fmt, coder in cache.values())

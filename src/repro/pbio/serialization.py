@@ -121,6 +121,9 @@ def _build_format(data: Dict[str, Any]) -> IOFormat:
         field_dicts = data["fields"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed format description: {exc!r}") from None
+    if not isinstance(field_dicts, list):
+        raise FormatError(
+            f"malformed format description: fields is {field_dicts!r}")
     fields = [_field_from_dict(fd) for fd in field_dicts]
     provenance = data.get("projection")
     if provenance is not None:
@@ -153,10 +156,17 @@ def _field_from_dict(data: Dict[str, Any]) -> IOField:
     array = None
     if "array" in data:
         spec = data["array"]
-        if "fixed_length" in spec:
-            array = ArraySpec(fixed_length=spec["fixed_length"])
-        else:
-            array = ArraySpec(length_field=spec.get("length_field"))
+        if not isinstance(spec, dict):
+            raise FormatError(
+                f"malformed field description: array is {spec!r}")
+        try:
+            if "fixed_length" in spec:
+                array = ArraySpec(fixed_length=spec["fixed_length"])
+            else:
+                array = ArraySpec(length_field=spec.get("length_field"))
+        except TypeError as exc:
+            raise FormatError(
+                f"malformed array description: {exc!r}") from None
     return IOField(
         name,
         kind,
@@ -220,17 +230,24 @@ def registry_to_dict(registry: FormatRegistry) -> Dict[str, Any]:
 
 
 def registry_from_dict(data: Dict[str, Any]) -> FormatRegistry:
-    """Re-hydrate a :func:`registry_to_dict` snapshot."""
+    """Re-hydrate a :func:`registry_to_dict` snapshot.  Raises
+    :class:`FormatError` on malformed input."""
+    if not isinstance(data, dict):
+        raise FormatError(f"registry snapshot is not an object: {data!r}")
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise FormatError(
             f"unsupported meta-data schema version {version!r} "
             f"(expected {SCHEMA_VERSION})"
         )
+    formats, transforms = data.get("formats", []), data.get("transforms", [])
+    if not isinstance(formats, list) or not isinstance(transforms, list):
+        raise FormatError("registry snapshot: formats and transforms "
+                          "must be lists")
     registry = FormatRegistry()
-    for fmt_dict in data.get("formats", ()):
+    for fmt_dict in formats:
         registry.register(format_from_dict(fmt_dict))
-    for spec_dict in data.get("transforms", ()):
+    for spec_dict in transforms:
         registry.register_transform(transform_from_dict(spec_dict))
     return registry
 

@@ -418,6 +418,9 @@ class TestPriceGuard:
     def test_an_append_serialises_its_header_once_and_never_hexes(
         self, tmp_path, monkeypatch
     ):
+        """An admit's header is serialised once per (epoch, channel,
+        publisher) between snapshots — later admits of that key format
+        only their ``seq`` and ``size`` — and its payload never hexed."""
         store = JournalStore(path=str(tmp_path / "fabric.journal"))
         payload = _CountedBytes(b"\x00\xff" * 150)
         calls = self._counting_dumps(monkeypatch)
@@ -425,11 +428,41 @@ class TestPriceGuard:
         assert store.append_admit(3, 2, "chan/a", "pub", 1, payload)
         with store.group():
             assert store.append_admit(3, 2, "chan/a", "pub", 2, payload)
+            assert store.append_admit(3, 2, "chan/a", "pub-2", 1, payload)
         assert [call["kind"] for call in calls] == ["admit", "admit"]
         assert _CountedBytes.hexed == 0
         monkeypatch.undo()
         tail = JournalStore(path=store.path).recover(3).tail
-        assert [e[3] for e in tail] == [payload, payload]
+        assert [e[3] for e in tail] == [payload] * 3
+
+    def test_an_admit_header_is_the_json_of_its_fields(self, tmp_path):
+        """Byte for byte what ``json.dumps`` of the record's fields
+        writes, over seeded values, non-ASCII and quoted names included,
+        across snapshots (which empty the kept prefixes)."""
+        import random
+
+        from repro.fabric.journal import _header
+
+        rng = random.Random(7)
+        names = ["chan/a", "çanal/ü", 'q"uote', "back\\slash", "日本", "x"]
+        store = JournalStore(path=str(tmp_path / "fabric.journal"))
+        for n in range(600):
+            shard, epoch = rng.randrange(4), rng.randrange(3, 5)
+            if n % 97 == 96:
+                assert store.snapshot(shard, epoch, {})
+                continue
+            fields = {"shard": shard, "kind": "admit", "epoch": epoch,
+                      "channel": rng.choice(names),
+                      "publisher": rng.choice(names),
+                      "seq": rng.randrange(2 ** 64),
+                      "size": rng.randrange(1, 40)}
+            assert store.append_admit(
+                shard, epoch, fields["channel"], fields["publisher"],
+                fields["seq"], bytes(fields["size"]))
+            assert store._shards[shard].entries[-1].header == _header(fields)
+        for shard in range(4):
+            assert JournalStore(path=store.path).recover(shard).tail == (
+                store.recover(shard).tail)
 
 
 class TestWriteGroup:

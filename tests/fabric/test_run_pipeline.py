@@ -21,10 +21,12 @@ import random
 import pytest
 
 from repro.echo.protocol import RESPONSE_V0, RESPONSE_V1, RESPONSE_V2
-from repro.errors import ReproError
+from repro.errors import DecodeError, ReproError
 from repro.fabric import EventFabric, JournalStore, shard_of
 from repro.fabric import worker as worker_module
-from repro.fabric.protocol import FABRIC_PUBLISH, FABRIC_SUBSCRIBE
+from repro.fabric.protocol import (
+    FABRIC_DELIVER, FABRIC_PUBLISH, FABRIC_SUBSCRIBE,
+)
 from repro.morph.transform import Transformation
 from repro.net.batch import is_batch, pack_batch, unpack_batch
 from repro.net.reliable import HEADER_SIZE as RELIABLE_HEADER_SIZE
@@ -59,8 +61,8 @@ class Fleet:
     subscriber per reader format on 8 channels."""
 
     def __init__(self, journal_path=None, workers=2, readers=READERS,
-                 registry=None):
-        self.net = Network(seed=3)
+                 registry=None, net=None):
+        self.net = net if net is not None else Network(seed=3)
         self.journal = JournalStore(path=journal_path)
         self.fabric = EventFabric(
             self.net, registry=registry or make_registry(),
@@ -370,6 +372,38 @@ class TestPoisonedSegments:
         sub._on_message("w0", pack_batch([b"\x00\x01"])[:-3])  # truncated
         assert sub.errors == 5
         assert fleet.net.handler_errors == 0
+
+    @pytest.mark.parametrize("endpoint", ["worker", "client"])
+    def test_a_refused_envelope_names_the_decode_as_cause(
+            self, tmp_path, endpoint):
+        """An envelope read from its values is refused, and contained,
+        with the error ``decode_as`` gives the same bytes at that use."""
+        fleet = Fleet(str(tmp_path / "j.jsonl"))
+        channel_id = fleet.channels[0]
+        for _ in range(2):  # both ends generate their envelope coders
+            fleet.pubs[0].publish(channel_id, RESPONSE_V2, v2_record(channel_id))
+        fleet.net.run()
+        owner = fleet.fabric.directory.worker(
+            fleet.fabric.directory.owner(channel_id))
+        if endpoint == "worker":
+            host, fmt = owner, FABRIC_PUBLISH
+            wire = fleet.publish_wire(fleet.pubs[0], channel_id, 99)
+            sender = fleet.pubs[0]
+        else:
+            host, fmt = fleet.subs["v0"], FABRIC_DELIVER
+            wire = owner.pbio.encode_values(fmt, (channel_id, "pub0", 99))
+            sender = owner
+        poison = self.corrupted(wire)
+        ctx = PBIOContext()
+        for _use in range(2):  # the generated decoder's refusal
+            with pytest.raises(DecodeError) as refused:
+                ctx.decode_as(fmt, poison)
+        before = host.errors
+        sender.reliable.send(host.address, poison)
+        fleet.net.run()
+        assert host.errors == before + 1
+        assert type(host.last_error) is DecodeError
+        assert str(host.last_error) == str(refused.value)
 
     @pytest.mark.parametrize("endpoint", ["worker", "client"])
     def test_each_failure_names_its_format(self, tmp_path, endpoint):

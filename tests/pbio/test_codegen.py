@@ -111,7 +111,7 @@ class TestGeneratedErrors:
     def test_fixed_array_mismatch(self):
         fmt = IOFormat("F", [IOField("xs", "integer", array=ArraySpec(fixed_length=2))])
         with pytest.raises(EncodeError, match="fixed array"):
-            codegen.make_payload_encoder(fmt)({"xs": [1, 2, 3]})
+            codegen.make_encoder(fmt)({"xs": [1, 2, 3]})
 
     def test_char_length_checked(self):
         fmt = IOFormat("C", [IOField("c", "char")])

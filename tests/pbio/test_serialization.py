@@ -78,6 +78,20 @@ class TestFormatRoundtrip:
         with pytest.raises(FormatError):
             format_from_dict(bad)
 
+    @pytest.mark.parametrize("bad", [
+        {"name": "x", "fields": 5},
+        {"name": "x", "fields": "ab"},
+        {"name": "x", "fields": [{"name": "a", "kind": "integer",
+                                  "array": [1]}]},
+        {"name": "x", "fields": [{"name": "a", "kind": "integer",
+                                  "array": {"fixed_length": "3"}}]},
+    ], ids=["fields-int", "fields-str", "array-list", "array-length-str"])
+    def test_a_wrongly_typed_part_is_a_format_error(self, bad):
+        """Not ``TypeError`` / ``AttributeError``: the promise is
+        ``FormatError`` whatever the input."""
+        with pytest.raises(FormatError):
+            format_from_dict(bad)
+
 
 class TestTransformRoundtrip:
     def test_paper_transform(self):
@@ -149,6 +163,15 @@ class TestRegistryRoundtrip:
     def test_invalid_json(self):
         with pytest.raises(FormatError, match="JSON"):
             load_registry("{nope")
+
+    @pytest.mark.parametrize("text", [
+        "[]", "5", '"x"', "null",
+        '{"schema_version": 1, "formats": 5}',
+        '{"schema_version": 1, "transforms": {}}',
+    ])
+    def test_json_that_is_not_a_snapshot_is_a_format_error(self, text):
+        with pytest.raises(FormatError):
+            load_registry(text)
 
     def test_schema_version_constant(self):
         assert registry_to_dict(self.build())["schema_version"] == SCHEMA_VERSION
