@@ -1526,9 +1526,12 @@ def check_crash_chaos(
     Three scenarios share one deployment (3 workers, V2 publisher, V1
     and V0 subscriber clients on 4 channels, everything reliable):
 
-    * ``kill`` — SIGKILL the owner of a hot channel mid-stream, let the
-      lease checker declare it dead, keep publishing through the outage
-      (client-side buffering + redrive), then restart and rejoin it.
+    * ``kill`` — SIGKILL the owner of a hot channel mid-stream, inside
+      the flush of the first receive burst the outage traffic brings it,
+      before that flush runs (its admits are in the journal; not one of
+      their deliveries or acks has left), let the lease checker declare
+      it dead, keep publishing through the outage (client-side buffering
+      + redrive), then restart and rejoin it.
     * ``partition`` — the victim keeps serving but stops renewing its
       lease (a directory partition); after expiry it is a *resurrected
       stale owner* and must be epoch-fenced out of admitting publishes.
@@ -1645,14 +1648,23 @@ def check_crash_chaos(
         victim_address = fabric.directory.owner(victim_channel)
         victim = workers[victim_address]
 
+        def crash_in_flush() -> None:
+            del victim._flush  # the restarted process flushes again
+            fabric.crash_worker(victim_address)
+
         publish_round(messages)          # healthy traffic
         pump(2)                          # partial drain: leave in-flight work
         if scenario == "partition":
             victim.heartbeats_suspended = True
         else:
-            fabric.crash_worker(victim_address)
+            victim._flush = crash_in_flush
         publish_round(messages, only=victim_channel)  # outage traffic
-        pump(18)                         # past the lease deadline + recovery
+        pump(1)
+        if not victim.crashed and scenario != "partition":
+            # no burst reached the victim in a beat: kill it between two
+            del victim._flush
+            fabric.crash_worker(victim_address)
+        pump(17)                         # past the lease deadline + recovery
         if victim_address in fabric.directory.workers:
             flag("lease checker never declared the victim dead")
         publish_round(messages)          # post-recovery traffic

@@ -17,9 +17,10 @@ process — as per-shard append-only logs:
   be able to re-fan-out the tail of admitted-but-possibly-undelivered
   events; subscriber-side ledgers suppress (and count) the re-delivery
   duplicates this creates.
-  The admits of one run are appended inside a write :meth:`~JournalStore.
-  group`: one call (fence check, return value) per event, one file
-  write for the run.
+  The admits of one receive burst are appended while the store's write
+  group is held (:meth:`~JournalStore.hold`): one call (fence check,
+  return value, in-memory entry) per event, one file write for the
+  burst (:meth:`~JournalStore.write`).
 * ``subscribe`` entries record channel membership changes.
 * ``snapshot`` entries are compaction points: the materialized channel
   state (the shape, and the reader, of :mod:`repro.fabric.state` — the
@@ -48,7 +49,6 @@ corrupt record.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 from typing import (
@@ -216,8 +216,8 @@ class JournalStore:
         self.path = path
         self.compact_every = compact_every
         self._shards: Dict[int, _ShardLog] = {}
-        #: record bytes buffered by an open write :meth:`group` (None
-        #: outside)
+        #: record bytes buffered while the write group is held
+        #: (:meth:`hold`; None when it is not)
         self._group: Optional[List[bytes]] = None
         self._tally = Tallies(appends=0, compactions=0)
         collect(self, self._tally, _COLLECTED)
@@ -264,31 +264,29 @@ class JournalStore:
 
     def _persist(self, parts: Iterable[bytes]) -> None:
         """Write one record's parts — straight to the file, or into the
-        open write group's buffer."""
+        held write group's buffer."""
         if self._group is not None:
             self._group.extend(parts)
             return
         with open(self.path, "ab") as handle:
             handle.writelines(parts)
 
-    @contextlib.contextmanager
-    def group(self) -> Iterator[None]:
-        """Write group: appends made inside keep their per-call fence
-        check, return value and in-memory entry, but a file-backed store
-        buffers their records and writes them with **one** ``open`` when
-        the group closes (also when the body raises — what is in memory
-        must reach the file).  The caller's write-ahead point is
-        therefore the end of the ``with`` block, not each append."""
-        if self._group is not None or self.path is None:
-            yield  # nested, or nothing to persist
-            return
-        self._group = parts = []
-        try:
-            yield
-        finally:
-            self._group = None
-            if parts:
-                self._persist(parts)
+    def hold(self) -> None:
+        """Hold the write group open until :meth:`write`: appends keep
+        their per-call fence check, return value and in-memory entry,
+        but a file-backed store buffers their records.  The caller's
+        write-ahead point is therefore its :meth:`write`, not each
+        append.  One group serves every writer of the store: whoever
+        writes first writes what all of them buffered."""
+        if self._group is None and self.path is not None:
+            self._group = []
+
+    def write(self) -> None:
+        """Close the write group: every record buffered since
+        :meth:`hold` reaches the file with **one** ``open``."""
+        parts, self._group = self._group, None
+        if parts:
+            self._persist(parts)
 
     def append_admit(
         self,

@@ -12,11 +12,11 @@ happens **at the owner** so adding workers adds morphing capacity — the
 property the scaling bench measures.
 
 The data plane is run-oriented: whatever arrives (a bare publish is a
-frame of one) is turned into *admitted runs*, and each run is journaled
-write-ahead with one file append and morphed per format group.  Its
-deliveries wait in a per-subscriber outbox until the receive burst is
-over, and then leave as one BATCH1 frame per subscriber — see
-``docs/FABRIC.md``.
+frame of one) is turned into *admitted runs*, each journaled as it is
+admitted and held per channel until the receive burst is over.  The
+burst's flush then writes the journal file once, morphs each channel's
+runs per format group once, and sends each subscriber one BATCH1 frame —
+see ``docs/FABRIC.md``.
 
 Exactly-once across rebalancing rests on three mechanisms:
 
@@ -79,6 +79,7 @@ from repro.obs.tracectx import (
     UNRECORDED,
     activate,
     current,
+    isolate,
     recording,
 )
 from repro.pbio.buffer import (
@@ -100,6 +101,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: admission parsed (``None`` for a journal tail replay: the receivers
 #: parse it).
 Run = List[Tuple[str, int, bytes, Optional[MessageHeader]]]
+
+#: A channel's admitted runs held until the burst's flush fans them out:
+#: (shard, the runs' events, the frame trace context they arrived under,
+#: the span open when they were admitted) — see
+#: :meth:`FabricWorker._commit_run`.
+Pending = Tuple[int, Run, Optional[Any], Optional[int]]
 
 #: One delivery held until its receive burst is over: (``FABRIC_DELIVER``
 #: envelope, payload, the run's trace context when the message does not
@@ -208,9 +215,12 @@ class FabricWorker(EndpointMixin):
         #: the run is fanned out under, the payload, its canonical format
         #: id, the wires encoded for the event — None for a lone group)
         self._delivering: Optional[Tuple[Any, ...]] = None
-        #: deliveries held until this receive burst is over, and the
-        #: shards to snapshot once they left: shard -> whether the
-        #: snapshot is due whatever the journal's count says
+        #: runs admitted in this receive burst, by channel, waiting for
+        #: its flush to fan them out; the deliveries held until the
+        #: burst is over; and the shards to snapshot once they left:
+        #: shard -> whether the snapshot is due whatever the journal's
+        #: count says
+        self._pending: Dict[str, Pending] = {}
         self._outbox: Dict[str, List[Held]] = {}
         self._compact_due: Dict[int, bool] = {}
         #: write-ahead ledger journal shared with whoever inherits our
@@ -265,6 +275,7 @@ class FabricWorker(EndpointMixin):
         predecessor's process crashed before it could hand off).  With a
         journal attached, crash-granted shards are rebuilt from the
         predecessor's journaled admissions before we serve traffic."""
+        self._commit()
         outran = self._holds.pop(shard, None)
         self._owned[shard] = epoch
         self._forwarding.pop(shard, None)
@@ -292,6 +303,8 @@ class FabricWorker(EndpointMixin):
         self._install_channels(recovery.channels)
         # The tail replays through the run path: consecutive admits of
         # one channel fan out (and leave) together.
+        frame_ctx = current()
+        parent = OBS.tracer.innermost() if OBS.enabled else None
         for channel_id, entries in groupby(recovery.tail, key=itemgetter(0)):
             channel = self._channels.get(channel_id)
             if channel is None:
@@ -299,7 +312,7 @@ class FabricWorker(EndpointMixin):
             run = [(publisher, seq, payload, None)
                    for _channel, publisher, seq, payload in entries]
             self.tail_replayed += len(run)
-            self._fan_out(channel, run)
+            self._fan_out(channel, run, frame_ctx, parent)
         # The recovered state is the new baseline: compact so the next
         # crash replays from here, not from the predecessor's history —
         # once the replayed deliveries left, so a crash before then
@@ -341,7 +354,10 @@ class FabricWorker(EndpointMixin):
         self._handoff_staging.clear()
         self._relay_seen.clear()
         self._delivering = None
-        self._outbox.clear()  # its flush went with the endpoint's
+        # the flush went with the endpoint's; the pending runs' admits
+        # are in the journal, whose tail a successor replays
+        self._pending.clear()
+        self._outbox.clear()
         self._compact_due.clear()
 
     def restart(self) -> None:
@@ -423,6 +439,7 @@ class FabricWorker(EndpointMixin):
         the shard's channels (subscribers + ledgers), ship the snapshot
         in bounded-size parts, stop owning, and forward stale traffic
         from here on."""
+        self._commit()
         if shard not in self._owned:
             # Stacked membership changes: the shard's snapshot is still
             # in flight to us from the previous owner.  Mark the relay —
@@ -496,6 +513,7 @@ class FabricWorker(EndpointMixin):
                     record = self.pbio.decode_as(fmt, view[:body_end], header)
                     self._commit_run(shard, channel, run)
                     run, channel = [], None
+                    self._commit()
                     if name == FABRIC_SUBSCRIBE.name:
                         self._on_subscribe(source, data, record)
                     elif name == FABRIC_HANDOFF.name:
@@ -609,6 +627,7 @@ class FabricWorker(EndpointMixin):
             return False
         if self.directory.shard_epoch(shard) <= owned_epoch:
             return False
+        self._commit()
         del self._owned[shard]
         for channel_id in [
             cid for cid in self._channels
@@ -621,30 +640,67 @@ class FabricWorker(EndpointMixin):
     def _commit_run(
         self, shard: int, channel: Optional[FabricChannel], run: Run
     ) -> None:
-        """Journal one admitted run write-ahead, then fan it out.
-        Contained: a failing run counts one error and does not take the
-        segment that closed it down too."""
+        """Admit one run: journal each event (its entry now, in the
+        store's write group; the file at the burst's flush, before any
+        delivery or ack of the burst leaves), count it, and hold it for
+        the flush's fan-out (:meth:`_commit`) — behind its channel's
+        pending run when both arrived under the same frame trace context
+        and parent span, else after that one was fanned out.  Contained:
+        a failing run counts one error and does not take the segment
+        that closed it down too."""
         if not run:
             return
         try:
+            channel_id = channel.channel_id
             if self.journal is not None:
-                # Write-ahead: every admission of the run is durable (one
-                # file append) before any delivery leaves, so a crash
-                # between here and the sends loses no admitted event —
-                # the successor replays the run from the journal tail.
+                self.journal.hold()
                 epoch = self._owned[shard]
-                with self.journal.group():
-                    for publisher, seq, payload, _header in run:
-                        self.journal.append_admit(
-                            shard, epoch, channel.channel_id, publisher, seq,
-                            payload,
-                        )
+                for publisher, seq, payload, _header in run:
+                    self.journal.append_admit(
+                        shard, epoch, channel_id, publisher, seq, payload)
             self._tally.processed[shard] += len(run)
-            self._fan_out(channel, run)
-            if self.journal is not None:
-                self._compact_later(shard)
+            frame_ctx = current()
+            parent = OBS.tracer.innermost() if OBS.enabled else None
+            pending = self._pending.get(channel_id)
+            if pending is not None and (
+                    pending[2] is not frame_ctx or pending[3] != parent):
+                self._commit()
+                pending = None
+            if pending is not None:
+                pending[1].extend(run)
+                return
+            if not self._pending:
+                self.reliable.after_burst(self._flush)
+            self._pending[channel_id] = (shard, run, frame_ctx, parent)
         except Exception as exc:  # noqa: BLE001 - contained per run
             self._contain(exc)
+
+    def _commit(self) -> None:
+        """Fan out every pending run, one :meth:`_fan_out` per channel,
+        in the order the channels were first admitted to.  The burst's
+        flush runs it, and so does whatever reads or moves shard state
+        before then: a subscribe, handoff or handoff ack segment,
+        :meth:`begin_handoff`, :meth:`grant_shard` and a fence
+        (:meth:`_fence_check`).  A channel's deliveries wait in the
+        outbox; its shard is checked for compaction at the flush."""
+        pending, self._pending = self._pending, {}
+        for channel_id, (shard, run, frame_ctx, parent) in pending.items():
+            if self._crashed:
+                return  # a fan-out crashed the worker: the rest died too
+            try:
+                channel = self._channels[channel_id]
+                if frame_ctx is None and parent is None and current() is None:
+                    self._fan_out(channel, run, None, None)
+                else:
+                    # traced as it was admitted: in the frame's context
+                    # (none, for an unsampled run committed while a
+                    # sampled message is handled), under the span open
+                    with isolate(frame_ctx), OBS.tracer.resume(parent):
+                        self._fan_out(channel, run, frame_ctx, parent)
+                if self.journal is not None:
+                    self._compact_due.setdefault(shard, False)
+            except Exception as exc:  # noqa: BLE001 - contained per run
+                self._contain(exc)
 
     def _compact_later(self, shard: int, forced: bool = False) -> None:
         """Check *shard* for compaction (snapshot it anyway if *forced*)
@@ -655,15 +711,22 @@ class FabricWorker(EndpointMixin):
         self.reliable.after_burst(self._flush)
 
     def _flush(self) -> None:
-        """The burst is over: each contact's held deliveries leave, in
-        processing order, as one BATCH1 frame — split only at the
-        ceiling (:func:`~repro.net.batch.split_batch`) — or bare when
-        there is one.  A frame carries the trace context its messages
-        lack, once, when they all lack the same one; otherwise each
-        message that lacks its run's context carries it itself.  A send
-        is traced under the span its deliveries were queued in, when
-        they share one.  Then the shards the burst touched are
+        """The burst is over.  First the journal's write group reaches
+        the file in one write (the write-ahead point: every admit of the
+        burst is on file before any of its deliveries or acks leaves),
+        then the pending runs are fanned out, one :meth:`_fan_out` per
+        channel (:meth:`_commit`).  Each contact's held deliveries then
+        leave, in processing order, as one BATCH1 frame — split only at
+        the ceiling (:func:`~repro.net.batch.split_batch`) — or bare
+        when there is one.  A frame carries the trace context its
+        messages lack, once, when they all lack the same one; otherwise
+        each message that lacks its run's context carries it itself.  A
+        send is traced under the span its deliveries were queued in,
+        when they share one.  Then the shards the burst touched are
         compacted if due."""
+        if self.journal is not None:
+            self.journal.write()
+        self._commit()
         outbox, self._outbox = self._outbox, {}
         for contact, held in outbox.items():
             try:
@@ -705,17 +768,22 @@ class FabricWorker(EndpointMixin):
             except Exception as exc:  # noqa: BLE001 - contained per shard
                 self._contain(exc)
 
-    def _fan_out(self, channel: FabricChannel, run: Run) -> None:
-        """Morph-at-owner for one run: each event goes through every
-        format group's receiver (the group handler forwards or
-        re-encodes into the per-contact outbox), and the outbox leaves
-        when the receive burst is over (:meth:`_flush`, after the
-        endpoint's :meth:`~repro.net.reliable.ReliableEndpoint.
-        after_burst`): each contact gets the burst as **one** BATCH1
+    def _fan_out(
+        self, channel: FabricChannel, run: Run, frame_ctx: Optional[Any],
+        parent: Optional[int],
+    ) -> None:
+        """Morph-at-owner for one run, which arrived under the frame
+        trace context *frame_ctx* and the span *parent*: each event goes
+        through every format group's receiver (the group handler
+        forwards or re-encodes into the per-contact outbox), and the
+        outbox leaves when the receive burst is over (:meth:`_flush`,
+        after the endpoint's :meth:`~repro.net.reliable.
+        ReliableEndpoint.after_burst`, which whoever queued the run
+        registered): each contact gets the burst as **one** BATCH1
         frame, which carries the trace context its messages lack once
         when they lack the same one, and a contact with one message gets
-        it bare, as a single publish always has.  Bare publishes, frames
-        and recovery replay all end here.
+        it bare, as a single publish always has.  A burst's runs of one
+        channel (:meth:`_commit`) and recovery replay all end here.
 
         The groups are readers of one wire and Figure 1's ladder is a
         tree they share: with more than one, each event carries a memo
@@ -741,8 +809,6 @@ class FabricWorker(EndpointMixin):
         sharing = len(groups) > 1
         held = frozenset(
             group.fmt.format_id for group in groups) if sharing else None
-        frame_ctx = current()
-        parent = OBS.tracer.innermost() if OBS.enabled else None
         channel_id = channel.channel_id
         try:
             for publisher, seq, payload, header in run:
@@ -776,8 +842,6 @@ class FabricWorker(EndpointMixin):
             self._delivering = None
             for group in groups:
                 group.failed = self._account(group.receiver, group.failed)
-            if self._outbox:
-                self.reliable.after_burst(self._flush)
 
     def _make_group(
         self, channel: FabricChannel, fmt: IOFormat

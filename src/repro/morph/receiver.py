@@ -63,6 +63,7 @@ from repro.morph.transform import TransformChain, Transformation, build_chain
 from repro.obs.tracectx import UNRECORDED, activate, current, recording
 from repro.pbio.buffer import (
     FLAG_BIG_ENDIAN,
+    FLAGS_OFFSET,
     MessageHeader,
     check_header,
     unpack_header,
@@ -501,8 +502,13 @@ class MorphReceiver:
                 if given is None:
                     header = unpack_header(data)
                 else:
-                    check_header(data, given)
+                    # the generated decoders' inline test: check_header
+                    # only raises, saying which of the two fails
                     header = given
+                    if (len(data) - header.body_offset
+                            < header.payload_length
+                            or data[FLAGS_OFFSET] != header.flags):
+                        check_header(data, header)
                 format_id = header.format_id
                 if format_id in quarantined:
                     self.containment["quarantine_drops"] += 1

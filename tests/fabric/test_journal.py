@@ -175,9 +175,10 @@ class TestPersistence:
         and must still load."""
         path = tmp_path / "fabric.journal"
         store = JournalStore(path=str(path))
-        with store.group():
-            for seq in (1, 2, 3):
-                store.append_admit(3, 2, "chan/a", "pub", seq, b"x" * 30_000)
+        store.hold()
+        for seq in (1, 2, 3):
+            store.append_admit(3, 2, "chan/a", "pub", seq, b"x" * 30_000)
+        store.write()
         whole = path.read_bytes()
         path.write_bytes(whole[:-20_000])
         reloaded = JournalStore(path=str(path))
@@ -426,9 +427,10 @@ class TestPriceGuard:
         calls = self._counting_dumps(monkeypatch)
         _CountedBytes.hexed = 0
         assert store.append_admit(3, 2, "chan/a", "pub", 1, payload)
-        with store.group():
-            assert store.append_admit(3, 2, "chan/a", "pub", 2, payload)
-            assert store.append_admit(3, 2, "chan/a", "pub-2", 1, payload)
+        store.hold()
+        assert store.append_admit(3, 2, "chan/a", "pub", 2, payload)
+        assert store.append_admit(3, 2, "chan/a", "pub-2", 1, payload)
+        store.write()
         assert [call["kind"] for call in calls] == ["admit", "admit"]
         assert _CountedBytes.hexed == 0
         monkeypatch.undo()
@@ -466,8 +468,10 @@ class TestPriceGuard:
 
 
 class TestWriteGroup:
-    """A write group buffers the records of the appends made inside it and
-    writes them with one ``open``; nothing else about an append changes."""
+    """A write group, held from :meth:`JournalStore.hold` to
+    :meth:`JournalStore.write`, buffers the records of the appends made
+    while it is held and writes them with one ``open``; nothing else
+    about an append changes."""
 
     def test_group_writes_once_and_loads_like_event_by_event(
         self, tmp_path, monkeypatch
@@ -484,14 +488,15 @@ class TestWriteGroup:
             "builtins.open",
             lambda *a, **k: opens.append(a[0]) or real_open(*a, **k),
         )
-        with grouped.group():
-            for seq in range(1, 65):
-                assert grouped.append_admit(
-                    3, 2, "chan/a", "pub", seq, b"payload-%d" % seq
-                ) is True
-            # buffered: in memory at once, on disk when the group closes
-            assert grouped.entry_count(3) == 65
-            assert opens == []
+        grouped.hold()
+        for seq in range(1, 65):
+            assert grouped.append_admit(
+                3, 2, "chan/a", "pub", seq, b"payload-%d" % seq
+            ) is True
+        # buffered: in memory at once, on disk when the group is written
+        assert grouped.entry_count(3) == 65
+        assert opens == []
+        grouped.write()
         assert opens == [grouped.path]
         monkeypatch.undo()
         assert (tmp_path / "grouped.journal").read_bytes() == (
@@ -510,26 +515,37 @@ class TestWriteGroup:
         store = JournalStore(path=str(path))
         store.fence(3, epoch=5)
         before = path.read_bytes()
-        with store.group():
-            assert store.append_admit(3, 4, "chan/a", "pub", 1, b"x") is False
+        store.hold()
+        assert store.append_admit(3, 4, "chan/a", "pub", 1, b"x") is False
+        store.write()
         assert path.read_bytes() == before
         assert store.fenced_appends == 1
         assert store.entry_count(3) == 0
 
-    def test_group_flushes_what_it_holds_when_the_body_raises(self, tmp_path):
+    def test_one_write_writes_what_every_writer_held(self, tmp_path):
+        """One group serves every writer of a shared store: a second
+        hold joins the group, and whoever writes first writes both
+        writers' records, in append order."""
         store = JournalStore(path=str(tmp_path / "fabric.journal"))
-        with pytest.raises(RuntimeError):
-            with store.group():
-                _admit(store, seq=1)
-                raise RuntimeError("mid-run failure")
-        assert [e[2] for e in JournalStore(path=store.path).recover(3).tail] == [1]
+        store.hold()
+        _admit(store, seq=1)
+        store.hold()  # a second writer's burst
+        _admit(store, seq=2)
+        assert not (tmp_path / "fabric.journal").exists()
+        store.write()
+        assert [e[2] for e in JournalStore(path=store.path).recover(3).tail] == [1, 2]
+        store.write()  # the other writer's: nothing left to write
+        _admit(store, seq=3)  # no group held: written at once
+        assert [e[2] for e in JournalStore(path=store.path).recover(3).tail] == [
+            1, 2, 3]
 
     def test_snapshot_inside_a_group_does_not_duplicate_lines(self, tmp_path):
         store = JournalStore(path=str(tmp_path / "fabric.journal"))
-        with store.group():
-            _admit(store, seq=1)
-            store.snapshot(3, 2, {"channels": {}})
-            _admit(store, seq=2)
+        store.hold()
+        _admit(store, seq=1)
+        store.snapshot(3, 2, {"channels": {}})
+        _admit(store, seq=2)
+        store.write()
         reloaded = JournalStore(path=store.path)
         assert reloaded.entry_count(3) == 2  # snapshot + the admit after it
         assert [e[2] for e in reloaded.recover(3).tail] == [2]

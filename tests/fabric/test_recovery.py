@@ -184,15 +184,15 @@ class TestRunWriteAhead:
     def test_crash_between_journal_group_and_sends_replays_the_run(
         self, tmp_path
     ):
-        """The write-ahead point of a run is the close of its journal
-        group.  Kill the owner right there — all 64 admissions durable,
-        not one delivery sent, the publisher's frame already acked — and
-        the successor's tail replay is the only copy left."""
+        """The write-ahead point of a run is the journal write that
+        opens its burst's flush.  Kill the owner right after it, in the
+        run's fan-out — all 64 admissions on file, not one delivery
+        sent — and the successor's tail replay is the only copy left."""
         path = tmp_path / "fabric.journal"
         d = CrashDeployment(journal=JournalStore(path=str(path)))
         victim_address, victim = d.victim()
         channel_id = d.channels[0]
-        victim._fan_out = lambda channel, run: d.fabric.crash_worker(
+        victim._fan_out = lambda channel, run, *trace: d.fabric.crash_worker(
             victim_address
         )
         seqs = d.pub.publish_batch(
@@ -261,6 +261,106 @@ class TestRunWriteAhead:
             assert sub.delivered == 8
             landed = sub.duplicates
             assert (landed > 0) if sent else (landed == 0)
+
+
+class TestBurstCommit:
+    """The owner journals and fans out a receive burst's runs at the
+    burst's flush: one file write holding every admit of the burst
+    before any of its deliveries or acks leaves, then one fan-out per
+    channel.  What reads or moves shard state before then — a
+    subscribe, a handoff — fans the pending runs out first."""
+
+    def test_the_file_holds_a_bursts_admits_before_its_first_send(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "fabric.journal")
+        d = CrashDeployment(journal=JournalStore(path=path))
+        victim_address, victim = d.victim()
+        channel_id = d.channels[0]
+        shard = shard_of(channel_id, d.fabric.directory.num_shards)
+        flush, send = victim._flush, victim.node.send
+        armed, checked = [], []
+
+        def flush_armed():
+            armed[:] = [victim.processed]  # every admit so far
+            flush()
+
+        def tap(destination, data):
+            # the burst's first delivery, or its ack when it has none
+            if armed:
+                durable = JournalStore(path=path).recover(shard).tail
+                checked.append(
+                    ([seq for _c, _p, seq, _r in durable], armed.pop()))
+            return send(destination, data)
+
+        victim._flush = flush_armed
+        victim.node.send = tap
+        d.publish(8, only=channel_id)
+        d.pump(4)
+        d.net.run()
+        assert sorted(d.got) == [(channel_id, seq) for seq in range(1, 9)]
+        assert max(admitted for _durable, admitted in checked) == 8
+        for durable, admitted in checked:
+            assert durable == list(range(1, admitted + 1))
+
+    def test_a_subscribe_after_publishes_in_one_burst_does_not_get_them(
+        self
+    ):
+        net = Network(seed=7, default_link=LinkSpec(latency=0.002,
+                                                    bandwidth=0))
+        fabric = EventFabric(net, registry=make_registry(),
+                             journal=JournalStore())
+        for address in ("w1", "w2"):
+            fabric.add_worker(address)
+        pub, sub, late = (fabric.client(address)
+                          for address in ("pub", "sub", "late"))
+        channel_id = "burst/0"
+        got, late_got = [], []
+        sub.subscribe(channel_id, RESPONSE_V0,
+                      lambda c, p, s, r: got.append(s))
+        net.run()
+        owner = fabric.directory.worker(fabric.directory.owner(channel_id))
+        on_subscribe, seen = owner._on_subscribe, []
+
+        def watch(*args):
+            seen.append((owner.processed, list(got)))
+            return on_subscribe(*args)
+
+        owner._on_subscribe = watch
+        for _ in range(4):
+            pub.publish(channel_id, RESPONSE_V2, v2_record(channel_id))
+        late.subscribe(channel_id, RESPONSE_V0,
+                       lambda c, p, s, r: late_got.append(s))
+        net.run()
+        # one burst: the four publishes were admitted, none had left
+        assert seen == [(4, [])]
+        for _ in range(2):
+            pub.publish(channel_id, RESPONSE_V2, v2_record(channel_id))
+        net.run()
+        assert got == [1, 2, 3, 4, 5, 6]
+        assert late_got == [5, 6]
+
+    def test_a_handoff_with_runs_pending_delivers_each_event_once(self):
+        d = CrashDeployment(journal=JournalStore())
+        victim_address, victim = d.victim()
+        channel_id = d.channels[0]
+        flush, pending = victim._flush, []
+
+        def leave_then_flush():
+            if not pending:
+                # the burst's runs wait for this flush when it leaves
+                pending.append(sorted(victim._pending))
+                d.fabric.remove_worker(victim_address)
+            flush()
+
+        victim._flush = leave_then_flush
+        d.publish(8, only=channel_id)
+        d.pump(6)
+        d.net.run()
+        assert pending == [[channel_id]]
+        assert victim.owned_shards() == []
+        assert sorted(d.got) == [(channel_id, seq) for seq in range(1, 9)]
+        assert d.sub.delivered == 8 and d.sub.duplicates == 0
 
 
 class TestAblationContrast:

@@ -23,6 +23,7 @@ from repro.echo.protocol import (
 from repro.ecode import analyze
 from repro.ecode.runtime import AutoList
 from repro.errors import FormatError, TransformError
+from repro.fabric import JournalStore, shard_of
 from repro.fabric.protocol import FABRIC_DELIVER
 from repro.morph import transform as transform_mod
 from repro.morph.fusion import FusedRoute
@@ -571,19 +572,67 @@ class TestDeliveryFramePrice:
         assert timers == LONE_PUBLISH_TIMERS
 
 
+class TestBurstCommitPrice:
+    """What a three-group owner on a file-backed journal pays per receive
+    burst, counted by wrapping (never timed): however many single
+    publishes of one channel reached it at one instant, their admits
+    reach the journal file in **one** write and the channel's runs are
+    fanned out by **one** ``_fan_out``, at the burst's flush (16 of each
+    while each run was journaled and fanned out as it arrived)."""
+
+    def test_sixteen_publishes_at_one_instant_commit_once(
+            self, monkeypatch, tmp_path):
+        import builtins
+
+        path = str(tmp_path / "fabric.journal")
+        fleet = Fleet(journal_path=path)
+        channel_id = fleet.channels[0]
+        record = seeded_record(random.Random(0), channel_id)
+        for _ in range(2):  # plan the routes, generate the coders
+            fleet.pubs[0].publish(channel_id, RESPONSE_V2, record)
+        fleet.net.run()
+        owner = next(w for w in fleet.workers if w.owns(channel_id))
+        writes, fan_outs = [], []
+        real_open = builtins.open
+        monkeypatch.setattr(
+            builtins, "open", lambda *a, **k: (
+                writes.append(a[0]) if a[0] == path else None
+            ) or real_open(*a, **k))
+        fan_out = owner._fan_out
+        monkeypatch.setattr(owner, "_fan_out", lambda channel, run, *trace: (
+            fan_outs.append((channel.channel_id, len(run)))
+            or fan_out(channel, run, *trace)))
+        for _ in range(16):
+            fleet.pubs[0].publish(channel_id, RESPONSE_V2, record)
+        fleet.net.run()
+        monkeypatch.undo()
+        assert [len(log) for log in fleet.logs.values()] == [18] * 3
+        assert writes == [path]  # 16 appends while each run wrote its own
+        assert fan_outs == [(channel_id, 16)]  # 16 runs of one
+        # the one write holds every admit: the file recovers all 18
+        tail = JournalStore(path=path).recover(
+            shard_of(channel_id, fleet.fabric.directory.num_shards)).tail
+        assert [seq for _c, _p, seq, _r in tail] == list(range(1, 19))
+
+
 #: Python calls into ``repro`` from one paced publish through the
 #: three-group fabric of :class:`TestPacedPublishPrice` to its first
 #: subscriber delivery, on the simulated network; named functions only,
-#: so the count is one on every interpreter.  296 while each codec use
-#: ran through ``PBIOContext._encode`` / ``_decode_as``, registered the
-#: format per encode and wrapped the generated routine in a closure with
-#: ``pack_header`` / ``check_header``, and the envelopes were records.
-PACED_PUBLISH_CALLS = 252
+#: so the count is one on every interpreter.  252 while the owner
+#: journaled and fanned out each run as it arrived (a journal group and a
+#: compaction check per run) and each group's receiver checked the
+#: handed payload header out of line (``check_header``); 296 while each
+#: codec use ran through ``PBIOContext._encode`` / ``_decode_as``,
+#: registered the format per encode and wrapped the generated routine in
+#: a closure with ``pack_header`` / ``check_header``, and the envelopes
+#: were records.
+PACED_PUBLISH_CALLS = 249
 
 #: The same count on :class:`~repro.net.socket.SocketNetwork` (UDP
 #: loopback), which is what a deployment pays instead of the sim's
-#: scheduler and link model (288 with the codec chain above).
-PACED_PUBLISH_CALLS_SOCKET = 244
+#: scheduler and link model (244 before the burst commit and the inline
+#: header check, 288 with the codec chain above).
+PACED_PUBLISH_CALLS_SOCKET = 241
 
 
 class TestPacedPublishPrice:

@@ -308,6 +308,59 @@ class TestReorderBufferIsolation:
         assert {handed_up[0]} == traces[1] and {handed_up[1]} == traces[2]
 
 
+class TestBurstNeighbourIsolation:
+    """The fabric owner fans out a receive burst's runs at its flush,
+    and earlier when a run under another trace context arrives: an
+    unsampled run fanned out while a sampled publish is handled runs
+    under no context, not under that neighbour's."""
+
+    def test_an_unsampled_run_committed_by_a_sampled_one_stays_untraced(
+        self
+    ):
+        from repro.echo.protocol import (
+            RESPONSE_V0, RESPONSE_V1, RESPONSE_V2,
+            V1_TO_V0_TRANSFORM, V2_TO_V1_TRANSFORM,
+        )
+        from repro.fabric import EventFabric
+
+        registry = FormatRegistry()
+        registry.register_transform(V2_TO_V1_TRANSFORM)
+        registry.register_transform(V1_TO_V0_TRANSFORM)
+        # no bandwidth term: both publishes reach the owner at one instant
+        net = Network(default_link=LinkSpec(latency=0.001, bandwidth=0))
+        fabric = EventFabric(net, registry=registry)
+        fabric.add_worker("w0")
+        net.run()
+        pub = fabric.client("pub")
+        seen = {}
+        for index, fmt in enumerate((RESPONSE_V2, RESPONSE_V1, RESPONSE_V0)):
+            fabric.client(f"sub{index}").subscribe(
+                "ch", fmt,
+                lambda c, p, seq, r: seen.setdefault(seq, []).append(current()),
+            )
+        net.run()
+        obs.enable(sample_every=2)
+        seed_ids(17)
+        record = RESPONSE_V2.make_record(
+            channel_id="ch", member_count=1, member_list=[
+                {"info": "host", "ID": 1, "is_Source": True, "is_Sink": False}])
+        pub.publish("ch", RESPONSE_V2, record)  # sampled: routes planned
+        net.run()
+        before = len(obs.get_tracer().spans())
+        pub.publish("ch", RESPONSE_V2, record)  # unsampled, pending first
+        pub.publish("ch", RESPONSE_V2, record)  # sampled: commits it
+        net.run()
+        assert seen[2] == [None, None, None]
+        spans = obs.get_tracer().spans()[before:]
+        (trace_id,) = {s.trace_id for s in spans if s.trace_id is not None}
+        assert {ctx.trace_id for ctx in seen[3]} == {trace_id}
+        # the sampled event's own: one fabric.morph and a morph.process
+        # per group at the owner (6 when the unsampled run's groups ran
+        # under the sampled publish's context)
+        assert sum(s.name == "fabric.morph" for s in spans) == 1
+        assert sum(s.name == "morph.process" for s in spans) == 3
+
+
 class TestEndToEndAcceptance:
     def test_lossy_two_process_chain_one_trace_per_message(self):
         """The acceptance scenario: V1 writer → V0 sink over a 10% lossy
