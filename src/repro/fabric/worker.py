@@ -335,7 +335,8 @@ class FabricWorker(EndpointMixin):
         abort_in_flight` — a dead process sends nothing), and all
         volatile shard state is wiped.  Two things survive, matching
         what a real deployment keeps off-heap: the journal (the durable
-        medium) and the endpoint's sequence-number session state — a
+        medium) and the endpoint's session state (seqs, the reorder
+        buffer, which waits for :meth:`restart`, holes and breakers) — a
         modeling simplification standing in for the session
         re-establishment handshake a production transport would run."""
         if self._crashed:
@@ -367,7 +368,7 @@ class FabricWorker(EndpointMixin):
         if not self._crashed:
             raise FabricError(f"worker {self.address} is not crashed")
         self._crashed = False
-        self.node.reopen()
+        self.reliable.reopen()
 
     def heartbeat(self) -> bool:
         """Renew our directory lease; piggy-back projection-interest

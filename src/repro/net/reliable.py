@@ -2,17 +2,16 @@
 
 :class:`ReliableEndpoint` wraps a :class:`~repro.net.transport.Node`
 with the recovery machinery real middleware runs on top of a lossy
-datagram fabric:
+datagram fabric.  Everything it keeps about a peer is one record
+(:class:`_Peer`), made on first contact and looked up once per send,
+data, gap or ack frame:
 
 * **sequence-numbered sends** with **cumulative acknowledgements**: a
   receiver owes each peer one ``ACK`` per receive burst, meaning "every
   seq below N", flushed by one zero-delay timer once the burst is over
   (TCP's delayed cumulative ACK, RFC 1122 §4.2.3.2); what the
   application holds for the burst's end
-  (:meth:`ReliableEndpoint.after_burst`) runs there first.  Frames still
-  buffered behind a hole ``base_timeout / 4`` later are reported as
-  ranges (QUIC's ACK ranges, RFC 9000 §19.3), before a same-configured
-  sender's first retransmission, so only the missing frame is resent,
+  (:meth:`ReliableEndpoint.after_burst`) runs there first,
 * **retransmission** on ack timeout, with exponential backoff and
   seeded jitter per send, driven by **one timer per peer** armed at the
   earliest pending deadline (RFC 6298 §5).  Every timer rides the
@@ -31,20 +30,33 @@ datagram fabric:
   follow and clobber) a newer one — last-writer-wins state like the
   channel membership replicas depends on this.  A sender that exhausts
   the retry budget for a sequence number emits a best-effort ``GAP``
-  frame so receivers can skip the hole instead of stalling; a receiver
-  whose hole stays unfilled longer than any same-configured sender
-  could still be retrying (the GAP itself was lost — e.g. the sender
-  gave up while this node was down) skips it on a **stall timeout**,
-  so crash recovery never wedges a peer's stream,
+  frame so receivers can skip the hole instead of stalling,
+* **one receive watch per peer**, a timer at the earlier of two
+  deadlines.  Frames still buffered behind a hole ``base_timeout / 4``
+  after the ack that found it are reported as ranges (QUIC's ACK
+  ranges, RFC 9000 §19.3), before a same-configured sender's first
+  retransmission, so only the missing frame is resent; a hole unfilled
+  longer than any same-configured sender could still be retrying (the
+  GAP itself was lost — e.g. the sender gave up while this node was
+  down) is skipped on a **stall timeout**, so crash recovery never
+  wedges a peer's stream,
 * a per-peer **circuit breaker**: after N consecutive expiries of the
   peer's retransmission timer the peer is declared down and new sends
   fail fast; after a cooldown one half-open probe is admitted, and a
   successful ack closes the circuit.
 
+A crash (:meth:`ReliableEndpoint.abort_in_flight` with the node closed)
+loses the pending sends, their timers and the burst's flush.  The rest
+of each record is session state and survives: the seqs, the reorder
+buffer and its watch, the holes and the breaker.  While the node is
+closed the watch neither delivers nor reports ranges; what it holds is
+delivered, in order, once :meth:`ReliableEndpoint.reopen` reopens it.
+
 Framing: reliable traffic is prefixed with a 13-byte header (magic +
-frame type + sequence number); an ``ACK`` may add a range list.  Frames
-without the magic pass straight through to the application handler, so
-reliable and raw traffic can share one node.
+frame type + sequence number, defined once in
+:mod:`repro.net.transport`, which sniffs data frames); an ``ACK`` may
+add a range list.  Frames without the magic pass straight through to
+the application handler, so reliable and raw traffic can share one node.
 
 Observability: every endpoint counts retries, duplicate drops, breaker
 openings and the rest locally (plain attributes, always on,
@@ -66,6 +78,8 @@ from repro.errors import TransportError
 from repro.net import batch
 from repro.net.batch import BatchFrame, is_batch
 from repro.net.scheduler import Timer
+from repro.net.transport import RELIABLE_HEADER as _HEADER
+from repro.net.transport import RELIABLE_MAGIC as MAGIC
 from repro.net.transport import Network, Node, peek_frame_trace
 from repro.obs import OBS
 from repro.obs.metrics import Tallies, collect, counter, gauge
@@ -77,13 +91,9 @@ from repro.obs.tracectx import (
     recording,
 )
 
-#: Frame magic: deliberately distinct from PBIO's header magic and from
-#: the ``{``-prefixed JSON of the meta-data plane.
-MAGIC = b"RLP1"
 _FRAME_DATA = 0
 _FRAME_ACK = 1  # "every seq below this one", then optional ranges above it
 _FRAME_GAP = 2  # "I gave up on this seq; deliver around it"
-_HEADER = struct.Struct(">4sBQ")  # magic, frame type, sequence number
 HEADER_SIZE = _HEADER.size
 #: An ACK's optional tail: a range count, then that many half-open
 #: ``[start, end)`` runs of seqs received above the cumulative point,
@@ -241,6 +251,43 @@ class SendTicket:
                 f"state={self.state!r}, attempts={self.attempts})")
 
 
+class _Peer:
+    """What an endpoint keeps about one peer (:attr:`address`).
+
+    Send side: the next seq to send, the unacked sends in seq order, the
+    one retransmission timer, the seqs this sender abandoned — their GAP
+    frames ride along with every later transmit until the peer acks
+    them, so a receiver that was down when the original GAP was sent
+    unstalls on the next contact instead of waiting out its stall
+    timeout — and the circuit breaker.
+
+    Receive side: the next seq to deliver, the frames received ahead of
+    a gap (seq -> payload, or :data:`_SKIPPED`), and the one receive
+    watch: a timer at the earlier of two deadlines, each with the next
+    seq to deliver when it was set — the hole grace (``hole_at``, set by
+    the ack that finds frames buffered) and the stall timeout
+    (``stall_at``, set when frames start to wait).
+    """
+
+    __slots__ = ("address", "next_seq", "pending", "timer", "holes",
+                 "breaker", "expected", "reorder", "watch", "hole_at",
+                 "hole_mark", "stall_at", "stall_mark")
+
+    def __init__(self, address: str, breaker: CircuitBreaker) -> None:
+        self.address = address
+        self.next_seq = 0
+        self.pending: Dict[int, SendTicket] = {}
+        self.timer: Optional[Timer] = None
+        self.holes: Set[int] = set()
+        self.breaker = breaker
+        self.expected = 0
+        self.reorder: Dict[int, object] = {}
+        self.watch: Optional[Timer] = None
+        self.hole_at: Optional[float] = None
+        self.stall_at: Optional[float] = None
+        self.hole_mark = self.stall_mark = 0
+
+
 class ReliableEndpoint:
     """Sequence/ack/retry reliability layered over one network node.
 
@@ -318,33 +365,15 @@ class ReliableEndpoint:
         self.stall_timeout = stall_timeout
         self._rng = random.Random(f"{seed}:{self.node.address}")
         self._handler: Optional[MessageHandler] = None
-        self._next_seq: Dict[str, int] = {}
-        #: unacked sends per peer, in seq order
-        self._pending: Dict[str, Dict[int, SendTicket]] = {}
-        #: per-peer retransmission timer, armed at the earliest deadline
-        self._timers: Dict[str, Timer] = {}
+        #: one record per peer, made on first contact (:meth:`_peer`)
+        self._peers: Dict[str, _Peer] = {}
         #: peers owed an ack when this receive burst is over, in arrival
         #: order (a seeded run sends its acks in a reproducible order),
         #: what runs before they leave (:meth:`after_burst`), and the one
         #: zero-delay timer that flushes both
-        self._ack_due: Dict[str, None] = {}
+        self._ack_due: Dict[_Peer, None] = {}
         self._after: Dict[Callable[[], None], None] = {}
         self._flush: Optional[Timer] = None
-        #: per-peer hole watch: (timer, expected-seq when scheduled)
-        self._hole_watch: Dict[str, Tuple[Timer, int]] = {}
-        #: next sequence number to *deliver* from each peer
-        self._expected: Dict[str, int] = {}
-        #: frames received ahead of a gap, keyed peer -> seq -> payload
-        self._reorder: Dict[str, Dict[int, object]] = {}
-        #: per-peer stall watchdog: (timer, expected-seq when scheduled)
-        self._stall_watch: Dict[str, Tuple[Timer, int]] = {}
-        #: sequence numbers this sender abandoned, per peer — their GAP
-        #: frames ride along with every later transmit until the peer
-        #: acknowledges them, so a receiver that was down when the
-        #: original GAP was sent unstalls on the next contact instead of
-        #: waiting out its stall timeout
-        self._holes: Dict[str, set] = {}
-        self._breakers: Dict[str, CircuitBreaker] = {}
         # -- counters (always-on attributes) ----------------------------
         self._tally = Tallies(sends=0, acked=0, retries=0, dup_drops=0)
         collect(self, self._tally, _COLLECTED, endpoint=self.node.address)
@@ -366,6 +395,12 @@ class ReliableEndpoint:
     retries = property(lambda self: self._tally.retries)
     dup_drops = property(lambda self: self._tally.dup_drops)
 
+    def _peer(self, address: str) -> _Peer:
+        """The record of a peer on first contact."""
+        peer = self._peers[address] = _Peer(address, CircuitBreaker(
+            self.breaker_threshold, self.breaker_cooldown))
+        return peer
+
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
@@ -375,14 +410,6 @@ class ReliableEndpoint:
         payload)`` — called exactly once per distinct reliable payload,
         and once per raw (non-reliable) message."""
         self._handler = handler
-
-    def breaker(self, peer: str) -> CircuitBreaker:
-        breaker = self._breakers.get(peer)
-        if breaker is None:
-            breaker = CircuitBreaker(self.breaker_threshold,
-                                     self.breaker_cooldown)
-            self._breakers[peer] = breaker
-        return breaker
 
     def send(
         self,
@@ -400,37 +427,28 @@ class ReliableEndpoint:
             # slice forwarded raw by the fabric) so framing can prepend
             # the RLP1 header and retransmits own their bytes
             payload = bytes(payload)
-        breaker = self.breaker(destination)
-        if not breaker.allow(self.network.now):
+        peer = self._peers.get(destination) or self._peer(destination)
+        seq = peer.next_seq
+        ticket = SendTicket(destination, seq, payload, on_result)
+        if not peer.breaker.allow(self.network.now):
             # Rejected before a sequence number is consumed: admitted
             # sends must stay gap-free or the peer's in-order delivery
             # would stall on a seq that was never transmitted.
-            ticket = SendTicket(
-                destination, self._next_seq.get(destination, 0), payload,
-                on_result,
-            )
             self.rejected += 1
             ticket._finish("rejected")
             return ticket
-        seq = self._next_seq.get(destination, 0)
-        self._next_seq[destination] = seq + 1
-        ticket = SendTicket(destination, seq, payload, on_result)
+        peer.next_seq = seq + 1
+        peer.pending[seq] = ticket
         self._tally.sends += 1
-        pending = self._pending.get(destination)
-        if pending is None:
-            pending = self._pending[destination] = {}
-        pending[seq] = ticket
-        self._transmit(ticket)
-        self._arm(destination, ticket.due)
+        self._transmit(peer, ticket)
+        self._arm(peer, ticket.due)
         return ticket
 
-    def _transmit(self, ticket: SendTicket) -> None:
+    def _transmit(self, peer: _Peer, ticket: SendTicket) -> None:
         ticket.attempts += 1
         ticket.retry_times.append(self.network.now)
-        for hole in sorted(self._holes.get(ticket.destination, ())):
-            self.node.send(
-                ticket.destination, _HEADER.pack(MAGIC, _FRAME_GAP, hole)
-            )
+        for hole in sorted(peer.holes):
+            self.node.send(peer.address, _HEADER.pack(MAGIC, _FRAME_GAP, hole))
         frame = _HEADER.pack(MAGIC, _FRAME_DATA, ticket.seq) + ticket.payload
         if OBS.enabled and recording(ctx := peek_frame_trace(ticket.payload)):
             # A traced payload makes every (re)transmission a span of its
@@ -443,15 +461,15 @@ class ReliableEndpoint:
             )
             with activate(ctx), OBS.tracer.span(
                 name,
-                peer=ticket.destination,
+                peer=peer.address,
                 process=self.address,
                 seq=ticket.seq,
                 attempt=ticket.attempts,
                 vtime=self.network.now,
             ):
-                self.node.send(ticket.destination, frame)
+                self.node.send(peer.address, frame)
         else:
-            self.node.send(ticket.destination, frame)
+            self.node.send(peer.address, frame)
         timeout = self.base_timeout * (
             self.backoff_factor ** (ticket.attempts - 1)
         )
@@ -459,87 +477,98 @@ class ReliableEndpoint:
             timeout += self._rng.uniform(0.0, self.retry_jitter)
         ticket.due = self.network.now + timeout
 
-    def _arm(self, peer: str, due: float) -> None:
+    def _arm(self, peer: _Peer, due: float) -> None:
         """Arm *peer*'s retransmission timer at *due*, unless the armed
         one fires at most ``retry_jitter`` after it: an expiry
         retransmits whatever is due within ``retry_jitter`` of it, so a
         burst of sends shares one timer."""
-        timer = self._timers.get(peer)
+        timer = peer.timer
         if timer is not None:
             if timer.when - self.retry_jitter <= due:
                 return
             timer.cancel()
-        self._timers[peer] = self.network.call_at(
-            due, lambda: self._on_expiry(peer)
-        )
+        peer.timer = self.network.call_at(due, lambda: self._on_expiry(peer))
 
     def abort_in_flight(self) -> int:
         """Finish every pending ticket as ``failed`` without any wire
         traffic — the process-kill model.  A crashed process sends no
-        GAP farewell, no retransmit and no ack: its retransmission
-        timers, its pending ack flush (with what waits on it:
-        :meth:`after_burst`) and its hole watches are dropped.
-        Peers discover the holes through their own stall watchdogs,
-        exactly as with a real dead process.  Returns the number of
-        sends aborted."""
+        GAP farewell, no retransmit and no ack: from each peer's record
+        its pending sends and its retransmission timer go, and so do the
+        pending ack flush and what waits on it (:meth:`after_burst`).
+        The rest of the record survives as session state: the seqs, the
+        reorder buffer and its watch (idle while the node is closed),
+        the holes and the breaker.  Peers discover the holes through
+        their own stall watches, exactly as with a real dead process.
+        Returns the number of sends aborted."""
         aborted = 0
-        for pending in list(self._pending.values()):
-            for ticket in list(pending.values()):
-                if ticket.final:
-                    continue
-                aborted += 1
-                self.failed += 1
-                ticket._finish("failed")
-        self._pending.clear()
-        for timer in [*self._timers.values(), self._flush,
-                      *(timer for timer, _ in self._hole_watch.values())]:
-            if timer is not None:
-                timer.cancel()
-        self._timers.clear()
-        self._hole_watch.clear()
+        for peer in list(self._peers.values()):
+            tickets, peer.pending = peer.pending, {}
+            if peer.timer is not None:
+                peer.timer.cancel()
+                peer.timer = None
+            if peer.watch is None:
+                # the flush that would arm it goes below: the deadline
+                # lapses, as an armed one does while the node is closed
+                peer.stall_at = None
+            for ticket in tickets.values():
+                if not ticket.final:
+                    aborted += 1
+                    self.failed += 1
+                    ticket._finish("failed")
+        if self._flush is not None:
+            self._flush.cancel()
+            self._flush = None
         self._ack_due.clear()
         self._after.clear()
-        self._flush = None
         return aborted
 
-    def _on_expiry(self, peer: str) -> None:
+    def reopen(self) -> None:
+        """Reopen the node after a crash.  A buffer whose watch lapsed
+        while the node was closed gets a fresh stall deadline: a hole its
+        sender still retries fills before it, one the sender gave up on
+        (the GAP lost with the crash) is skipped at it, and the frames
+        behind it are delivered in order."""
+        self.node.reopen()
+        for peer in self._peers.values():
+            if peer.reorder and peer.stall_at is None:
+                peer.stall_at = self.network.now + self.stall_timeout
+                peer.stall_mark = peer.expected
+                self._watch(peer)
+
+    def _on_expiry(self, peer: _Peer) -> None:
         """*peer*'s retransmission timer fired: one breaker failure,
         then every send due within ``retry_jitter`` of now is
         retransmitted (or, its budget spent, given up); the timer is
         re-armed at the earliest deadline left."""
-        self._timers.pop(peer, None)
-        pending = self._pending.get(peer)
-        if not pending:
-            return
+        peer.timer = None
         now = self.network.now
         horizon = now + self.retry_jitter
-        due = [ticket for ticket in pending.values() if ticket.due <= horizon]
+        due = [ticket for ticket in peer.pending.values()
+               if ticket.due <= horizon]
         if due:
-            if self.breaker(peer).record_failure(now):
+            if peer.breaker.record_failure(now):
                 self.breaker_opens += 1
             for ticket in due:
                 if ticket.final:
                     continue  # finished by an earlier one's callback
                 if ticket.attempts > self.max_retries:
-                    self._give_up(ticket)
+                    self._give_up(peer, ticket)
                 else:
                     self._tally.retries += 1
-                    self._transmit(ticket)
-        pending = self._pending.get(peer)
-        if pending:
-            self._arm(peer, min(ticket.due for ticket in pending.values()))
+                    self._transmit(peer, ticket)
+        if peer.pending:
+            self._arm(peer, min(t.due for t in peer.pending.values()))
 
-    def _give_up(self, ticket: SendTicket) -> None:
+    def _give_up(self, peer: _Peer, ticket: SendTicket) -> None:
         """Fail *ticket*, its retry budget spent, and tell the peer to
         deliver around its seq so the peer's in-order pipeline does not
         stall on the hole; the hole is remembered and re-advertised with
         every later transmit until acked."""
-        self._pending[ticket.destination].pop(ticket.seq, None)
+        peer.pending.pop(ticket.seq, None)
         self.failed += 1
-        self._holes.setdefault(ticket.destination, set()).add(ticket.seq)
-        self.node.send(
-            ticket.destination, _HEADER.pack(MAGIC, _FRAME_GAP, ticket.seq)
-        )
+        peer.holes.add(ticket.seq)
+        self.node.send(peer.address,
+                       _HEADER.pack(MAGIC, _FRAME_GAP, ticket.seq))
         ticket._finish("failed")
 
     # ------------------------------------------------------------------
@@ -553,121 +582,76 @@ class ReliableEndpoint:
             if self._handler is not None:
                 self._handler(source, data)
             return
-        magic, frame_type, seq = _HEADER.unpack_from(data)
-        if frame_type == _FRAME_ACK:
-            self._on_ack(source, seq, data)
-        elif frame_type == _FRAME_DATA:
-            self._on_data(source, seq, data[HEADER_SIZE:])
-        elif frame_type == _FRAME_GAP:
-            self._on_gap(source, seq)
-        # unknown frame types are dropped: forward compatibility
-
-    def _on_data(self, source: str, seq: int, payload: bytes) -> None:
-        expected = self._expected.get(source, 0)
-        if seq - expected >= RECEIVE_WINDOW:
+        _magic, kind, seq = _HEADER.unpack_from(data)
+        peer = self._peers.get(source)
+        if kind == _FRAME_ACK:
+            if peer is not None:  # a stranger's ack retires nothing
+                self._on_ack(peer, seq, data)
             return
-        # Always re-ack: the retransmit may mean our previous ack was lost.
-        self._ack_later(source)
-        buffered = self._reorder.setdefault(source, {})
-        if seq < expected or seq in buffered:
-            self._tally.dup_drops += 1
+        if kind != _FRAME_DATA and kind != _FRAME_GAP:
+            return  # unknown frame types are dropped: forward compatibility
+        if seq - (peer.expected if peer is not None else 0) >= RECEIVE_WINDOW:
             return
-        if seq != expected:
-            self.reordered += 1
-        buffered[seq] = payload
-        self._drain(source)
-
-    def _on_gap(self, source: str, seq: int) -> None:
-        """The sender abandoned *seq*: mark the hole deliverable-around."""
-        expected = self._expected.get(source, 0)
-        if seq - expected >= RECEIVE_WINDOW:
-            return
-        # Ack the gap too, so the sender can stop re-advertising it.
-        self._ack_later(source)
-        buffered = self._reorder.setdefault(source, {})
-        if seq < expected or seq in buffered:
-            return  # already delivered or already buffered (stale gap)
-        self.gap_skips += 1
-        buffered[seq] = _SKIPPED
-        self._drain(source)
-
-    def _drain(self, source: str) -> None:
-        """Deliver every consecutively-buffered frame, in seq order."""
-        buffered = self._reorder.get(source)
-        if buffered:
-            while True:
-                expected = self._expected.get(source, 0)
-                if expected not in buffered:
-                    break
-                payload = buffered.pop(expected)
-                self._expected[source] = expected + 1
-                if payload is _SKIPPED:
-                    continue
-                self.delivered += 1
-                if self._handler is not None:
-                    # The handler may send (and even receive, via
-                    # zero-delay deliveries) reentrantly; re-reading
-                    # _expected each iteration keeps the drain
-                    # consistent under that.
-                    # Under the payload's own context, None included:
-                    # it need not be the datagram whose arrival (and
-                    # active context) started this drain.
-                    if OBS.enabled and recording(
-                        ctx := peek_frame_trace(payload)
-                    ):
-                        with isolate(ctx), OBS.tracer.span(
-                            "net.reliable.deliver",
-                            peer=source,
-                            process=self.address,
-                            seq=expected,
-                            vtime=self.network.now,
-                        ):
-                            self._handler(source, payload)
-                    elif OBS.enabled and current() is not None:
-                        with isolate(None):
-                            self._handler(source, payload)
-                    else:
-                        self._handler(source, payload)
-        self._watch_stall(source)
-
-    def _watch_stall(self, source: str) -> None:
-        """Arm (or re-arm) the stall watchdog while frames sit behind an
-        unfilled hole; disarm it once the buffer is clear."""
-        buffered = self._reorder.get(source)
-        watch = self._stall_watch.get(source)
-        if not buffered:
-            if watch is not None:
-                watch[0].cancel()
-                del self._stall_watch[source]
-            return
-        if watch is not None:
-            return  # already armed; _on_stall re-arms after it fires
-        timer = self.network.call_later(
-            self.stall_timeout, lambda: self._on_stall(source)
-        )
-        self._stall_watch[source] = (timer, self._expected.get(source, 0))
-
-    def _on_stall(self, source: str) -> None:
-        _timer, marked_expected = self._stall_watch.pop(source)
-        buffered = self._reorder.get(source)
-        if not buffered:
-            return
-        expected = self._expected.get(source, 0)
-        if expected == marked_expected:
-            # No progress for a full stall_timeout: the hole can never
-            # fill (every retransmission window has passed).  Skip to
-            # the oldest buffered frame and deliver from there.
-            target = min(buffered)
-            self.stall_skips += target - expected
-            self._expected[source] = target
-        self._drain(source)
-
-    def _ack_later(self, source: str) -> None:
-        """Owe *source* an ack, sent with every other ack owed once this
-        receive burst is over: one zero-delay timer flushes them all."""
-        self._ack_due[source] = None
+        if peer is None:
+            peer = self._peer(source)
+        # Always ack, once this burst is over: a retransmit may mean our
+        # previous ack was lost, and an acked gap stops its re-advertising.
+        self._ack_due[peer] = None
         if self._flush is None:
             self._flush = self.network.call_later(0.0, self._flush_acks)
+        buffered = peer.reorder
+        if seq < peer.expected or seq in buffered:
+            if kind == _FRAME_DATA:
+                self._tally.dup_drops += 1
+            return  # a stale gap: already delivered or buffered
+        if kind == _FRAME_GAP:
+            # the sender abandoned seq: deliver around the hole
+            self.gap_skips += 1
+            buffered[seq] = _SKIPPED
+        else:
+            if seq != peer.expected:
+                self.reordered += 1
+            buffered[seq] = data[HEADER_SIZE:]
+        self._drain(peer)
+
+    def _drain(self, peer: _Peer) -> None:
+        """Deliver every consecutively-buffered frame, in seq order; a
+        buffer left waiting on a hole sets the stall deadline, and one
+        left empty clears it."""
+        buffered = peer.reorder
+        # The handler may send (and even receive, via zero-delay
+        # deliveries) reentrantly; re-reading expected each iteration
+        # keeps the drain consistent under that.
+        while (expected := peer.expected) in buffered:
+            payload = buffered.pop(expected)
+            peer.expected = expected + 1
+            if payload is _SKIPPED:
+                continue
+            self.delivered += 1
+            if self._handler is None:
+                continue
+            # Under the payload's own context, None included: it need not
+            # be the datagram whose arrival (and active context) started
+            # this drain.
+            if OBS.enabled and recording(ctx := peek_frame_trace(payload)):
+                with isolate(ctx), OBS.tracer.span(
+                    "net.reliable.deliver",
+                    peer=peer.address,
+                    process=self.address,
+                    seq=expected,
+                    vtime=self.network.now,
+                ):
+                    self._handler(peer.address, payload)
+            elif OBS.enabled and current() is not None:
+                with isolate(None):
+                    self._handler(peer.address, payload)
+            else:
+                self._handler(peer.address, payload)
+        if not buffered:
+            peer.stall_at = None
+        elif peer.stall_at is None:
+            peer.stall_at = self.network.now + self.stall_timeout
+            peer.stall_mark = peer.expected
 
     def after_burst(self, fn: Callable[[], None]) -> None:
         """Run *fn* once this receive burst is over, in the zero-delay
@@ -683,7 +667,7 @@ class ReliableEndpoint:
         cumulative ack per peer owed one.  Frames buffered behind a hole
         get a grace of ``base_timeout / 4`` first: reordering fills the
         hole within it, and a hole that outlives it is reported as
-        ranges (:meth:`_on_hole`) before a same-configured sender's
+        ranges (:meth:`_on_watch`) before a same-configured sender's
         first retransmission."""
         self._flush = None
         if self._after:
@@ -692,68 +676,100 @@ class ReliableEndpoint:
                 fn()
         owed, self._ack_due = self._ack_due, {}
         for peer in owed:
-            self.node.send(peer, _HEADER.pack(
-                MAGIC, _FRAME_ACK, self._expected.get(peer, 0)))
-            if self._reorder.get(peer) and peer not in self._hole_watch:
-                self._watch_hole(peer)
+            self.node.send(peer.address, _HEADER.pack(
+                MAGIC, _FRAME_ACK, peer.expected))
+            if peer.reorder:
+                if peer.hole_at is None:
+                    peer.hole_at = self.network.now + self.base_timeout / 4
+                    peer.hole_mark = peer.expected
+                self._watch(peer)
 
-    def _watch_hole(self, peer: str) -> None:
-        timer = self.network.call_later(
-            self.base_timeout / 4, lambda: self._on_hole(peer)
-        )
-        self._hole_watch[peer] = (timer, self._expected.get(peer, 0))
-
-    def _on_hole(self, peer: str) -> None:
-        _timer, marked_expected = self._hole_watch.pop(peer)
-        buffered = self._reorder.get(peer)
-        if not buffered:
-            return  # the hole filled
-        if self._expected.get(peer, 0) != marked_expected:
-            # that hole filled; the one frames wait behind now gets a
-            # grace of its own
-            self._watch_hole(peer)
+    def _watch(self, peer: _Peer) -> None:
+        """Arm *peer*'s receive watch at its earlier deadline, unless it
+        is armed at or before it."""
+        due = peer.hole_at
+        if due is None or (peer.stall_at is not None and peer.stall_at < due):
+            due = peer.stall_at
+        if due is None:
             return
+        watch = peer.watch
+        if watch is not None:
+            if watch.when <= due:
+                return
+            watch.cancel()
+        peer.watch = self.network.call_at(due, lambda: self._on_watch(peer))
+
+    def _on_watch(self, peer: _Peer) -> None:
+        """*peer*'s receive watch fired: act on each deadline due, then
+        re-arm at the next.  A hole still open since its grace began is
+        reported as ranges (one that filled gives the hole frames wait
+        behind now a grace of its own); a stall with no progress for a
+        full ``stall_timeout`` skips to the oldest buffered frame (every
+        retransmission window has passed).  While the node is closed
+        neither happens: the deadlines lapse and the buffer waits for
+        :meth:`reopen`."""
+        peer.watch = None
+        if self.node.closed:
+            peer.hole_at = peer.stall_at = None
+            return
+        now = self.network.now
+        buffered = peer.reorder
+        if peer.hole_at is not None and peer.hole_at <= now:
+            peer.hole_at = None
+            if buffered and peer.expected != peer.hole_mark:
+                peer.hole_at = now + self.base_timeout / 4
+                peer.hole_mark = peer.expected
+            elif buffered:
+                self._send_ranges(peer)
+        if peer.stall_at is not None and peer.stall_at <= now:
+            peer.stall_at = None
+            if buffered and peer.expected == peer.stall_mark:
+                target = min(buffered)
+                self.stall_skips += target - peer.expected
+                peer.expected = target
+            self._drain(peer)
+        self._watch(peer)
+
+    def _send_ranges(self, peer: _Peer) -> None:
+        """An ACK at the hole's mark with the lowest runs buffered above
+        it, at most :data:`ACK_RANGES_MAX`."""
         ranges: List[List[int]] = []
-        for seq in sorted(buffered):
+        for seq in sorted(peer.reorder):
             if ranges and ranges[-1][1] == seq:
                 ranges[-1][1] = seq + 1
             elif len(ranges) < ACK_RANGES_MAX:
                 ranges.append([seq, seq + 1])
             else:
                 break
-        self.node.send(peer, b"".join([
-            _HEADER.pack(MAGIC, _FRAME_ACK, marked_expected),
+        self.node.send(peer.address, b"".join([
+            _HEADER.pack(MAGIC, _FRAME_ACK, peer.hole_mark),
             _RANGE_COUNT.pack(len(ranges)),
             *(_RANGE.pack(start, end) for start, end in ranges),
         ]))
 
-    def _on_ack(self, source: str, floor: int, data: bytes) -> None:
+    def _on_ack(self, peer: _Peer, floor: int, data: bytes) -> None:
         """Retire every send and hole an ACK covers: each seq below
         *floor*, and each seq in its ranges.  The frame is a peer's
         bytes: a malformed range list refuses the whole frame, and what
         it claims is clipped to the seqs this endpoint has sent — an ack
         from a peer never sent to retires nothing.  The walk is over the
         pending sends, never over the claimed seqs."""
-        sent = self._next_seq.get(source)
-        if sent is None:
-            return
         ranges = _ack_ranges(data, floor)
         if ranges is None:
             return
+        sent = peer.next_seq
         floor = min(floor, sent)
         ranges = [(start, min(end, sent)) for start, end in ranges
                   if start < sent]
-        holes = self._holes.get(source)
-        if holes is not None:
+        holes = peer.holes
+        if holes:
             # The peer saw these seqs (as data or as a gap notice): the
             # holes can no longer stall it, stop re-advertising them.
             holes.difference_update([
                 hole for hole in holes if hole < floor or any(
                     start <= hole < end for start, end in ranges)
             ])
-            if not holes:
-                del self._holes[source]
-        pending = self._pending.get(source)
+        pending = peer.pending
         if not pending:
             return
         acked: List[SendTicket] = []
@@ -770,12 +786,11 @@ class ReliableEndpoint:
             return  # duplicate or stale ack
         for ticket in acked:
             del pending[ticket.seq]
-        if not pending:
-            timer = self._timers.pop(source, None)
-            if timer is not None:
-                timer.cancel()
+        if not pending and peer.timer is not None:
+            peer.timer.cancel()
+            peer.timer = None
         self._tally.acked += len(acked)
-        self.breaker(source).record_success()
+        peer.breaker.record_success()
         for ticket in acked:
             ticket._finish("acked")
 
@@ -786,7 +801,7 @@ class ReliableEndpoint:
     @property
     def in_flight(self) -> int:
         """Sends still awaiting an ack."""
-        return sum(len(pending) for pending in list(self._pending.values()))
+        return sum(len(peer.pending) for peer in list(self._peers.values()))
 
     def counters(self) -> Dict[str, int]:
         """Snapshot of the endpoint's reliability counters."""

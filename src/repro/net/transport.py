@@ -16,6 +16,7 @@ every test fully deterministic.
 from __future__ import annotations
 
 import random
+import struct
 from collections import defaultdict, deque
 from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
@@ -34,11 +35,14 @@ MessageHandler = Callable[[str, bytes], None]
 #: long-lived network's memory stays flat.
 TRACE_LIMIT = 4096
 
-#: Reliable-layer frame prefix (mirrors :data:`repro.net.reliable.MAGIC`
-#: without importing it — reliable sits *above* this module): a traced
-#: PBIO message inside a data frame starts after the 13-byte RLP1 header.
-_RELIABLE_MAGIC = b"RLP1"
-_RELIABLE_HEADER_SIZE = 13
+#: The reliable layer's frame header (magic, frame type, sequence
+#: number), defined here because :mod:`repro.net.reliable` sits *above*
+#: this module and :func:`_sniff_trace` must find a traced PBIO message
+#: inside a data frame; reliable imports both names.  The magic is
+#: distinct from PBIO's header magic and from the ``{``-prefixed JSON of
+#: the meta-data plane.
+RELIABLE_MAGIC = b"RLP1"
+RELIABLE_HEADER = struct.Struct(">4sBQ")
 
 
 #: :func:`repro.pbio.buffer.peek_trace`, bound on first use: pbio's
@@ -63,8 +67,8 @@ def peek_frame_trace(data: bytes, offset: int = 0):
 def _sniff_trace(data: bytes):
     """:func:`peek_frame_trace` for a raw datagram, which may wrap the
     frame in a reliable-layer data frame."""
-    if bytes(data[:4]) == _RELIABLE_MAGIC:
-        return peek_frame_trace(data, _RELIABLE_HEADER_SIZE)
+    if bytes(data[:4]) == RELIABLE_MAGIC:
+        return peek_frame_trace(data, RELIABLE_HEADER.size)
     return peek_frame_trace(data)
 
 

@@ -270,7 +270,7 @@ class FormatServer:
 
     def reopen(self) -> None:
         """Bring a crashed server back up."""
-        self.endpoint.node.reopen()
+        self.endpoint.reopen()
 
     # ------------------------------------------------------------------
 

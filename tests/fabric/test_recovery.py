@@ -133,6 +133,55 @@ class TestKillRecovery:
         fleet = d.workers.values()
         assert sum(w.recovered_shards for w in fleet) > 0
 
+    def test_a_crashed_owner_runs_no_publish_its_endpoint_buffered(
+            self, monkeypatch):
+        # Two publishes wait in the owner's reorder buffer behind a lost
+        # one — the publisher retired them on the range ack — when the
+        # owner crashes.  Its stall timeout (1.6 s here) falls while it is
+        # down: a dead process must neither handle nor forward them, and
+        # after restart and rejoin every publish reaches the subscriber
+        # exactly once.
+        d = CrashDeployment(journal=JournalStore())
+        d.net.default_link = LinkSpec(latency=0.002)  # lossless from here
+        victim_address, victim = d.victim()
+        handled = []
+        on_segments = victim._on_segments
+        monkeypatch.setattr(victim, "_on_segments", lambda source, segments: (
+            handled.append(victim.crashed) or on_segments(source, segments)))
+        send, lost = d.net.send, []
+
+        def lose_one_publish(source, destination, data):
+            if (source, destination) == ("pub", victim_address) and (
+                    data[:5] == b"RLP1\x00"):  # a data frame
+                if not lost:
+                    lost.append(data[5:13])  # the first publish's seq
+                if data[5:13] == lost[0]:
+                    return d.net.now  # every transmission of it
+            return send(source, destination, data)
+
+        monkeypatch.setattr(d.net, "send", lose_one_publish)
+        reordered = victim.reliable.reordered
+        d.publish(3, only=d.channels[0])
+        d.net.run(max_time=d.net.now + 0.01)
+        assert victim.reliable.reordered - reordered == 2
+        assert d.pub.reliable.in_flight == 1
+        handled.clear()
+        sent = victim.reliable.sent
+        d.fabric.crash_worker(victim_address)
+        d.pump(60)  # lease expiry, the successor, the publisher's redrive
+        assert handled == [] and victim.reliable.sent == sent
+        victim.restart()
+        d.fabric.directory.join(victim)
+        d.publish(8)
+        d.pump(40)
+        d.net.run()
+        assert handled and not any(handled)
+        assert d.sub.delivered == d.sent == 11
+        assert len(set(d.got)) == len(d.got)
+        for channel_id in d.channels:
+            seqs = sorted(s for c, s in d.got if c == channel_id)
+            assert seqs == list(range(1, len(seqs) + 1)), channel_id
+
     def test_lease_expiry_bumps_epoch_and_records_death(self):
         d = CrashDeployment(journal=JournalStore())
         victim_address, _ = d.victim()

@@ -618,7 +618,10 @@ class TestBurstCommitPrice:
 #: Python calls into ``repro`` from one paced publish through the
 #: three-group fabric of :class:`TestPacedPublishPrice` to its first
 #: subscriber delivery, on the simulated network; named functions only,
-#: so the count is one on every interpreter.  252 while the owner
+#: so the count is one on every interpreter.  249 while the reliable
+#: endpoint looked its per-peer state up in nine tables (a ``breaker``
+#: lookup per send and ack) and received each frame through
+#: ``_on_data`` / ``_ack_later`` / ``_watch_stall``; 252 while the owner
 #: journaled and fanned out each run as it arrived (a journal group and a
 #: compaction check per run) and each group's receiver checked the
 #: handed payload header out of line (``check_header``); 296 while each
@@ -626,13 +629,14 @@ class TestBurstCommitPrice:
 #: registered the format per encode and wrapped the generated routine in
 #: a closure with ``pack_header`` / ``check_header``, and the envelopes
 #: were records.
-PACED_PUBLISH_CALLS = 249
+PACED_PUBLISH_CALLS = 239
 
 #: The same count on :class:`~repro.net.socket.SocketNetwork` (UDP
 #: loopback), which is what a deployment pays instead of the sim's
-#: scheduler and link model (244 before the burst commit and the inline
-#: header check, 288 with the codec chain above).
-PACED_PUBLISH_CALLS_SOCKET = 241
+#: scheduler and link model (241 before the per-peer record, 244 before
+#: the burst commit and the inline header check, 288 with the codec
+#: chain above).
+PACED_PUBLISH_CALLS_SOCKET = 232
 
 
 class TestPacedPublishPrice:

@@ -159,7 +159,7 @@ class TestGapRecovery:
         assert b.gap_skips == 1
         assert b.stall_skips == 0
         # the gap-ack pruned the hole: no more re-advertising needed
-        assert not a._holes
+        assert not a._peers["b"].holes
 
     def test_stall_timeout_is_the_last_resort_unwedger(self):
         # A sender that crashes mid-stream never retransmits and never
@@ -202,6 +202,45 @@ class TestGapRecovery:
         assert seen[-1] == b"z"
 
 
+class TestCrashedEndpoint:
+    """A crash is the node closed and :meth:`abort_in_flight`: the
+    receive watch then neither delivers nor sends ranges, and the reorder
+    buffer — frames the sender already retired on a range ack — is kept
+    and delivered in order once the endpoint reopens."""
+
+    def test_a_closed_endpoint_delivers_its_buffer_only_after_reopen(self):
+        net = Network(default_link=LinkSpec(latency=0.001))
+        a = ReliableEndpoint(net, "a")
+        b = ReliableEndpoint(net, "b")
+        seen = []
+        b.set_handler(lambda _s, data: seen.append(data))
+        send = net.send
+
+        def lose_seq_0(source, destination, data):
+            if data[:13] == _frame(0, 0):  # every transmission of seq 0
+                return net.now
+            return send(source, destination, data)
+
+        net.send = lose_seq_0
+        for n in range(3):
+            a.send("b", bytes([n]))
+        net.run(max_time=2 * GRACE)
+        assert a.acked == 2  # seqs 1 and 2, on the ranges behind the hole
+        b.node.close()
+        b.abort_in_flight()
+        # a gives up on seq 0 (its GAP dies at the closed node), and b's
+        # stall timeout passes while b is down
+        net.run(max_time=2 * b.stall_timeout)
+        assert seen == [] and b.stall_skips == 0
+        b.reopen()
+        net.run()
+        assert seen == [b"\x01", b"\x02"] and b.stall_skips == 1
+        later = a.send("b", b"\x03")
+        net.run()
+        assert later.state == "acked"
+        assert seen == [b"\x01", b"\x02", b"\x03"]
+
+
 class TestCircuitBreaker:
     def test_state_machine_transitions(self):
         breaker = CircuitBreaker(threshold=2, cooldown=1.0)
@@ -237,7 +276,7 @@ class TestCircuitBreaker:
         net.run()
         a.send("down", b"2")
         net.run()
-        assert a.breaker("down").state == CircuitBreaker.OPEN
+        assert a._peers["down"].breaker.state == CircuitBreaker.OPEN
         assert a.breaker_opens == 1
         ticket = a.send("down", b"3")
         assert ticket.state == "rejected"
@@ -336,11 +375,17 @@ class TestAckFramesArePeerBytes:
 
     def test_an_ack_from_a_peer_never_sent_to_changes_nothing(self, sender):
         a, tickets = sender
-        state = (dict(a._next_seq), dict(a._breakers), dict(a._holes))
+
+        def state():
+            return {address: (peer.next_seq, peer.breaker.state,
+                              peer.breaker.failures, set(peer.holes))
+                    for address, peer in a._peers.items()}
+
+        before = state()
         for frame in (_ack(2**64 - 1), _ack(0, [(0, 2**64 - 1)]),
                       _ack(5, count=2**32 - 1)):
             a._on_raw("stranger", frame)
-        assert (dict(a._next_seq), dict(a._breakers), dict(a._holes)) == state
+        assert state() == before
         assert a.acked == 0 and a.in_flight == 4
 
     def test_ranges_are_capped_to_fit_one_datagram(self):
@@ -501,6 +546,17 @@ class TestAckPrice:
         assert b.delivered == 64 and a.retries == 0
         assert {size for _t, kind, size, _s in wire if kind == 1} == {
             HEADER_SIZE}
+
+    def test_a_hole_within_the_grace_arms_one_receive_watch(self):
+        # b: an ack flush per receive burst (the frames around the hole,
+        # then the late one) and one watch for the hole grace and the
+        # stall timeout; a: its one retransmission timer
+        net, a, b, _wire, timers = self.tapped(hold=GRACE / 2)
+        for n in range(64):
+            a.send("b", bytes([n]))
+        net.run()
+        assert b.delivered == 64 and a.retries == 0
+        assert timers == {"call_at": 2, "call_later": 2}
 
     def test_a_hole_that_outlives_the_grace_sends_ranges_in_time(self):
         net, a, b, wire, _timers = self.tapped(hold=None)
