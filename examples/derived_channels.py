@@ -49,7 +49,7 @@ pager.open_channel("telemetry.alerts", "creator", as_sink=True)
 net.run()
 
 print("filter compiled at the source:",
-      "telemetry.alerts" in source._filters)
+      source.channel("telemetry.alerts").filter_proc is not None)
 
 all_events, alerts = [], []
 dashboard.subscribe("telemetry", TELEMETRY, all_events.append)

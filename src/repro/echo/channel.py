@@ -6,16 +6,26 @@ every member keeps a replica updated from ``ChannelOpenResponse``
 messages — which is exactly where format morphing earns its keep, since
 the replica update code only ever sees the revision of the response its
 own release understands.
+
+:class:`ChannelState` is also everything else a process knows about the
+channel, in one record: its roles, its event receiver, the derived
+channels it filters for and the projection state of both ends, so
+leaving the channel resets one object (:meth:`ChannelState.leave`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ChannelError
 from repro.pbio.format import IOFormat
 from repro.pbio.record import Record
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.ecode.codegen import ECodeProcedure
+    from repro.morph.receiver import MorphReceiver
+    from repro.pbio.projection import ProjectionFormat
 
 
 @dataclass
@@ -26,6 +36,20 @@ class Member:
     member_id: int
     is_source: bool = False
     is_sink: bool = False
+
+
+class ProjectionSend:
+    """Source side: the negotiated projection one parent format is sent
+    in on a channel (Selective Field Transmission).  ``pending`` holds a
+    narrowing ``(format, epoch)`` until the next publish boundary, the
+    epoch fence."""
+
+    __slots__ = ("format", "epoch", "pending")
+
+    def __init__(self) -> None:
+        self.format: Optional["ProjectionFormat"] = None
+        self.epoch = 0
+        self.pending: Optional[Tuple[Optional["ProjectionFormat"], int]] = None
 
 
 class ChannelState:
@@ -44,17 +68,46 @@ class ChannelState:
         self.next_member_id = 1
         self.is_source = False
         self.is_sink = False
-        self.local_member_id: Optional[int] = None
         self.ready = False  # True once an open response arrived
         self.seq = 0
         #: derived channels (ECho's filtered sub-channels): the parent
-        #: channel id and the ECode filter applied at each source
+        #: channel id and the ECode filter applied at each source, that
+        #: filter compiled (at the creator and the parent's sources), and
+        #: this channel's own derived children
         self.parent_id = parent_id
         self.filter_code = filter_code
+        self.filter_proc: Optional["ECodeProcedure"] = None
+        self.children: List["ChannelState"] = []
+        #: sink side: the event receiver (made by the first subscribe)
+        #: and its failures already counted in the process's ``errors``
+        self.receiver: Optional["MorphReceiver"] = None
+        self.failed = 0
+        #: source side: the projection sent per parent format id
+        self.projections: Dict[int, ProjectionSend] = {}
+        #: sink side: wire format ids already examined for an interest
+        #: announcement, and the parent formats announced, by id
+        self.announced: Set[int] = set()
+        self.interest_parents: Dict[int, IOFormat] = {}
 
     @property
     def is_derived(self) -> bool:
         return self.parent_id is not None
+
+    def leave(self) -> List[IOFormat]:
+        """Drop this process's part in the channel: its roles, the event
+        receiver with its counted failures, and the projection state of
+        both ends.  Returns the parent formats whose interest was
+        announced, for retraction.  The membership replica, the filter
+        and the derived children stay: a source of the parent channel
+        forwards by them, member or not."""
+        parents = list(self.interest_parents.values())
+        self.is_source = self.is_sink = self.ready = False
+        self.receiver = None
+        self.failed = 0
+        self.projections = {}
+        self.announced = set()
+        self.interest_parents = {}
+        return parents
 
     # ------------------------------------------------------------------
     # Creator-side membership management

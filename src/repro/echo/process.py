@@ -11,6 +11,12 @@ Wraps a simulated-network node, through its
   ``EventEnvelope``; each channel has its own `MorphReceiver`, so
   application event formats evolve independently of the control plane.
 
+Everything the process knows about a channel is one
+:class:`~repro.echo.channel.ChannelState` in ``channels``: the
+membership replica, the roles, the event receiver, the derived channels
+it filters for, the projection it sends each format in and the interest
+it announced.  Leaving a channel resets that record.
+
 Event distribution is peer-to-peer: sources learn the sink set from the
 membership replica and push events directly, with the channel creator
 only brokering membership (the ECho model, not a hub-and-spoke bus).
@@ -18,9 +24,9 @@ only brokering membership (the ECho model, not a hub-and-spoke bus).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.echo.channel import ChannelState
+from repro.echo.channel import ChannelState, ProjectionSend
 from repro.echo.protocol import (
     DERIVED_INFO,
     EVENT_ENVELOPE,
@@ -29,7 +35,7 @@ from repro.echo.protocol import (
     RESPONSE_BY_VERSION,
     register_protocol,
 )
-from repro.ecode.codegen import ECodeProcedure, compile_procedure
+from repro.ecode.codegen import compile_procedure
 from repro.errors import ChannelError, ECodeError
 from repro.morph.maxmatch import (
     DEFAULT_DIFF_THRESHOLD,
@@ -172,13 +178,10 @@ class EChoProcess(EndpointMixin):
         self.control.register_handler(
             RESPONSE_BY_VERSION[version], self._handle_open_response
         )
-        self._event_receivers: Dict[str, MorphReceiver] = {}
-        #: receiver -> its failures already counted in ``errors``
-        self._failed: Dict[MorphReceiver, int] = {}
+        #: the control receiver's failures already counted in ``errors``
+        self._control_failed = 0
         self._diff_threshold = diff_threshold
         self._mismatch_threshold = mismatch_threshold
-        #: compiled source-side filters, keyed by derived channel id
-        self._filters: Dict[str, ECodeProcedure] = {}
         self.filter_errors = 0
         self.filtered_out = 0
         #: per channel: events pushed to sinks / delivered here; events
@@ -186,17 +189,6 @@ class EChoProcess(EndpointMixin):
         self._tally = Tallies("pushed", "delivered", "renegotiations",
                               projected=0, bytes_saved=0)
         collect(self, self._tally, _COLLECTED)
-        # --- projection push-down state -------------------------------
-        #: sender side: negotiated projection per (channel, parent format
-        #: id) — {"format", "epoch", "pending"}; "pending" holds a
-        #: narrowing until the next publish boundary (the epoch fence)
-        self._projection_send: Dict[Tuple[str, int], Dict[str, Any]] = {}
-        #: sink side: (channel, wire format id) pairs already examined
-        #: for an interest announcement
-        self._announced: Set[Tuple[str, int]] = set()
-        #: parent formats whose interest this process announced, per
-        #: (channel, parent format id) — retracted on leave_channel
-        self._interest_parents: Dict[Tuple[str, int], IOFormat] = {}
         if self.resolver is not None:
             # Chain (don't steal) the invalidation hook: a server reply
             # displacing cached format content must drop every morph
@@ -258,8 +250,9 @@ class EChoProcess(EndpointMixin):
             filter_code=filter_code,
         )
         channel.ready = True
+        channel.filter_proc = filter_proc
         self.channels[channel_id] = channel
-        self._filters[channel_id] = filter_proc
+        parent.children.append(channel)
         self._announce_derived(channel)
         return channel
 
@@ -325,28 +318,17 @@ class EChoProcess(EndpointMixin):
     def leave_channel(self, channel_id: str) -> None:
         """Leave a previously opened channel.  The creator removes this
         process from the membership and refreshes every remaining
-        member's replica; local subscriptions stop immediately."""
+        member's replica; local subscriptions stop immediately
+        (:meth:`ChannelState.leave`).  The creator is refused before
+        anything changes."""
         channel = self.channel(channel_id)
-        channel.is_source = False
-        channel.is_sink = False
-        channel.ready = False
-        self._failed.pop(self._event_receivers.pop(channel_id, None), None)
         if channel.creator_contact == self.address:
             raise ChannelError("the channel creator cannot leave its channel")
         # Retract every interest this subscriber announced, so the
         # group's union projection can narrow back down without it.
-        if self.resolver is not None:
-            for key, parent in list(self._interest_parents.items()):
-                chan, _pid = key
-                if chan != channel_id:
-                    continue
-                del self._interest_parents[key]
-                self.resolver.announce_interest(
-                    channel_id, parent, None, retract=True
-                )
-            self._announced = {
-                k for k in self._announced if k[0] != channel_id
-            }
+        for parent in channel.leave():
+            self.resolver.announce_interest(
+                channel_id, parent, None, retract=True)
         request = LEAVE_REQUEST.make_record(
             channel_id=channel_id, contact=self.address
         )
@@ -366,16 +348,16 @@ class EChoProcess(EndpointMixin):
     # ------------------------------------------------------------------
 
     def event_receiver(self, channel_id: str) -> MorphReceiver:
-        """The per-channel morphing receiver for application events."""
-        receiver = self._event_receivers.get(channel_id)
-        if receiver is None:
-            receiver = MorphReceiver(
+        """The morphing receiver for application events on a channel
+        this process has joined (made on first use)."""
+        channel = self.channel(channel_id)
+        if channel.receiver is None:
+            channel.receiver = MorphReceiver(
                 self.registry,
                 diff_threshold=self._diff_threshold,
                 mismatch_threshold=self._mismatch_threshold,
             )
-            self._event_receivers[channel_id] = receiver
-        return receiver
+        return channel.receiver
 
     def subscribe(
         self, channel_id: str, fmt: IOFormat, handler: EventHandler
@@ -390,7 +372,8 @@ class EChoProcess(EndpointMixin):
         self.event_receiver(channel_id).register_handler(fmt, handler)
         # A new handler can change the receiver's liveness set; refresh
         # any interest this process already announced for the channel.
-        self._reannounce(channel_id)
+        for parent in channel.interest_parents.values():
+            self._announce_interest(channel, parent)
 
     # ------------------------------------------------------------------
     # Projection push-down (negotiated selective field transmission)
@@ -400,11 +383,12 @@ class EChoProcess(EndpointMixin):
         """Resolver invalidation: drop every cached morph route planned
         against the displaced format content."""
         self.control.invalidate_route(format_id)
-        for receiver in self._event_receivers.values():
-            receiver.invalidate_route(format_id)
+        for channel in self.channels.values():
+            if channel.receiver is not None:
+                channel.receiver.invalidate_route(format_id)
 
     def _maybe_announce(
-        self, channel_id: str, payload: Any,
+        self, channel: ChannelState, payload: Any,
         header: Optional[MessageHeader] = None,
     ) -> None:
         """Sink side: on the first event of each wire format per channel,
@@ -419,10 +403,9 @@ class EChoProcess(EndpointMixin):
             except Exception:  # noqa: BLE001 - hostile payload: nothing to announce
                 return
         format_id = header.format_id
-        key = (channel_id, format_id)
-        if key in self._announced:
+        if format_id in channel.announced:
             return
-        self._announced.add(key)
+        channel.announced.add(format_id)
         fmt = self.registry.lookup_id(format_id)
         if fmt is None:
             return
@@ -433,36 +416,20 @@ class EChoProcess(EndpointMixin):
                 return
         if parent.name == EVENT_ENVELOPE.name:
             return  # protocol plumbing is never projected
-        parent_key = (channel_id, parent.format_id)
-        if parent_key in self._interest_parents:
+        if parent.format_id in channel.interest_parents:
             return
-        self._interest_parents[parent_key] = parent
-        receiver = self._event_receivers.get(channel_id)
-        if receiver is None:
-            return
-        interest = receiver.interest_for(parent)
-        assert self.resolver is not None
+        channel.interest_parents[parent.format_id] = parent
+        self._announce_interest(channel, parent)
+
+    def _announce_interest(
+        self, channel: ChannelState, parent: IOFormat
+    ) -> None:
+        """Announce the channel receiver's interest set for *parent*."""
+        interest = channel.receiver.interest_for(parent)
         self.resolver.announce_interest(
-            channel_id, parent,
+            channel.channel_id, parent,
             sorted(interest) if interest is not None else None,
         )
-
-    def _reannounce(self, channel_id: str) -> None:
-        """Re-announce every interest held for *channel_id* (after a new
-        handler registration changed the receiver's liveness set)."""
-        if self.resolver is None:
-            return
-        receiver = self._event_receivers.get(channel_id)
-        if receiver is None:
-            return
-        for (chan, _pid), parent in list(self._interest_parents.items()):
-            if chan != channel_id:
-                continue
-            interest = receiver.interest_for(parent)
-            self.resolver.announce_interest(
-                channel_id, parent,
-                sorted(interest) if interest is not None else None,
-            )
 
     def heartbeat(self) -> int:
         """Liveness tick: replay every interest announcement so the
@@ -476,72 +443,65 @@ class EChoProcess(EndpointMixin):
         return self.resolver.reannounce_interests()
 
     def _projection_for(
-        self, channel_id: str, fmt: IOFormat
+        self, channel: ChannelState, fmt: IOFormat
     ) -> Optional[ProjectionFormat]:
-        """Source side: the projection to encode *fmt* to on
-        *channel_id*, or ``None`` for full-format sends.  The first call
-        per (channel, format) starts watching the server's projection
-        state; pending narrowings are promoted here — the publish
-        boundary is the epoch fence, so a narrower format is never
-        applied retroactively to frames already encoded."""
+        """Source side: the projection to encode *fmt* to on *channel*,
+        or ``None`` for full-format sends.  The first call per (channel,
+        format) starts watching the server's projection state; pending
+        narrowings are promoted here — the publish boundary is the epoch
+        fence, so a narrower format is never applied retroactively to
+        frames already encoded."""
         if self.resolver is None or isinstance(fmt, ProjectionFormat):
             return None
-        key = (channel_id, fmt.format_id)
-        state = self._projection_send.get(key)
-        if state is None:
-            state = {"format": None, "epoch": 0, "pending": None}
-            self._projection_send[key] = state
+        send = channel.projections.get(fmt.format_id)
+        if send is None:
+            send = channel.projections[fmt.format_id] = ProjectionSend()
             self.resolver.watch_projection(
-                channel_id, fmt,
-                lambda update, _key=key, _fmt=fmt: self._on_projection_update(
-                    _key, _fmt, update
-                ),
+                channel.channel_id, fmt,
+                lambda update: self._on_projection_update(
+                    channel, fmt.format_id, send, update),
             )
-        pending = state["pending"]
-        if pending is not None:
-            state["format"] = pending["format"]
-            state["epoch"] = pending["epoch"]
-            state["pending"] = None
+        if send.pending is not None:
+            send.format, send.epoch = send.pending
+            send.pending = None
             self._tally.renegotiations["narrowed"] += 1
-        return state["format"]
+        return send.format
 
     def _on_projection_update(
         self,
-        key: Tuple[str, int],
-        parent: IOFormat,
+        channel: ChannelState,
+        format_id: int,
+        send: ProjectionSend,
         update: Optional[ProjectionState],
     ) -> None:
         """A new projection state arrived (interest_state reply or
-        projection_update push).  Widenings — including a return to the
-        full format — apply immediately: every live field a subscriber
-        could need is still transmitted.  Narrowings are epoch-fenced:
-        parked until the next publish boundary, so in-flight frames and
+        projection_update push) for *send*, unless leaving the channel
+        has dropped it.  Widenings — including a return to the full
+        format — apply immediately: every live field a subscriber could
+        need is still transmitted.  Narrowings are epoch-fenced: parked
+        until the next publish boundary, so in-flight frames and
         anything already encoded keep their (wider, still registered)
         format."""
-        state = self._projection_send.get(key)
-        if update is None or state is None:
+        if update is None or channel.projections.get(format_id) is not send:
             return
         epoch = update["epoch"]
-        if epoch <= state["epoch"] and not (
-            epoch == state["epoch"] == 0
-        ):
+        if epoch <= send.epoch and not (epoch == send.epoch == 0):
             return  # stale or duplicate state: epochs are monotonic
         new_fmt: Optional[ProjectionFormat] = update["format"]
-        current: Optional[ProjectionFormat] = state["format"]
         current_fields = (
-            None if current is None else set(current.field_names())
+            None if send.format is None else set(send.format.field_names())
         )
         new_fields = None if new_fmt is None else set(new_fmt.field_names())
         widening = new_fields is None or (
             current_fields is not None and new_fields >= current_fields
         )
         if widening:
-            state["format"] = new_fmt
-            state["epoch"] = epoch
-            state["pending"] = None
+            send.format = new_fmt
+            send.epoch = epoch
+            send.pending = None
             self._tally.renegotiations["widened"] += 1
         else:
-            state["pending"] = {"format": new_fmt, "epoch": epoch}
+            send.pending = (new_fmt, epoch)
 
     def _record_projected_send(
         self, parent: IOFormat, projection: ProjectionFormat, count: int
@@ -549,12 +509,6 @@ class EChoProcess(EndpointMixin):
         self._tally.projected += count
         self._tally.bytes_saved += count * max(
             0, parent.min_wire_size - projection.min_wire_size)
-
-    def _has_derived(self, channel_id: str) -> bool:
-        return any(
-            channel.parent_id == channel_id
-            for channel in self.channels.values()
-        )
 
     def submit(self, channel_id: str, fmt: IOFormat, record: Record) -> int:
         """Publish an event to the channel as a bare message; returns the
@@ -603,7 +557,7 @@ class EChoProcess(EndpointMixin):
         # Encode to the channel's negotiated projection when one is
         # active — the projection's generated encoder reads only its own
         # (live) fields straight out of the full record.
-        projection = self._projection_for(channel_id, fmt)
+        projection = self._projection_for(channel, fmt)
         wire_fmt = projection if projection is not None else fmt
         payloads: List[bytes] = []
         datagrams: List[bytes] = []
@@ -643,11 +597,10 @@ class EChoProcess(EndpointMixin):
             # per-event accounting, so the batching differential oracle
             # sees no divergence between the entries
             self._tally.pushed[channel_id] += pushed * len(records)
-            if channel.is_sink and channel_id in self._event_receivers:
-                receiver = self._event_receivers[channel_id]
+            if channel.is_sink and channel.receiver is not None:
                 for payload in payloads:
-                    self._deliver_event(channel_id, receiver, payload)
-            if self._has_derived(channel_id):
+                    self._deliver_event(channel, payload)
+            if channel.children:
                 # Derived-channel sinks negotiate per *derived* channel,
                 # not in the parent's subscriber group: forward the full
                 # format, never the parent group's projection.
@@ -659,45 +612,51 @@ class EChoProcess(EndpointMixin):
                         payloads = [attach_trace(p, own) for p in payloads]
                 for record, payload in zip(records, payloads):
                     pushed += self._submit_derived(
-                        channel_id, record, payload, ctx
+                        channel, record, payload, ctx
                     )
         return pushed
 
     def _deliver_event(
-        self, channel_id: str, receiver: MorphReceiver, payload: bytes,
+        self, channel: ChannelState, payload: bytes,
         header: Optional[MessageHeader] = None,
     ) -> None:
         """Hand one event payload — with its *header*, when dispatch
-        parsed it — to the channel's morphing receiver and count the
-        delivery per channel."""
+        parsed it — to the channel's morphing receiver, count the
+        delivery per channel and what the receiver contained
+        (:meth:`_account`).  A channel left since the payload arrived
+        (a replay after a format fetch) has no receiver: nothing runs."""
+        receiver = channel.receiver
+        if receiver is None:
+            return
         if self.resolver is not None:
-            self._maybe_announce(channel_id, payload, header)
+            self._maybe_announce(channel, payload, header)
         # A sampled payload carries its own trace block (attached at
         # submit), so delivery resumed from a DLQ retry or a format-fetch
         # replay re-joins the original trace even though the publishing
         # call stack is long gone.
         if OBS.enabled and recording((own := peek_trace(payload)) or current()):
             with activate(own), OBS.tracer.span(
-                "echo.deliver", channel=channel_id, process=self.address
+                "echo.deliver", channel=channel.channel_id,
+                process=self.address,
             ):
-                self._process(receiver, payload, header)
+                receiver.process(payload, None, header)
         else:
-            self._process(receiver, payload, header)
-        self._tally.delivered[channel_id] += 1
+            receiver.process(payload, None, header)
+        channel.failed = self._account(receiver, channel.failed)
+        self._tally.delivered[channel.channel_id] += 1
 
-    def _process(
-        self, receiver: MorphReceiver, data: bytes,
-        header: Optional[MessageHeader] = None,
+    def _control(
+        self, data: bytes, header: Optional[MessageHeader] = None
     ) -> None:
-        """Run *data* through the control or an event receiver; what
-        the receiver contained counts here (:meth:`_account`)."""
-        receiver.process(data, None, header)
-        self._failed[receiver] = self._account(
-            receiver, self._failed.get(receiver, 0))
+        """Run *data* through the control receiver; what it contained
+        counts here (:meth:`_account`)."""
+        self.control.process(data, None, header)
+        self._control_failed = self._account(
+            self.control, self._control_failed)
 
     def _submit_derived(
         self,
-        parent_id: str,
+        parent: ChannelState,
         record: Record,
         payload: bytes,
         ctx: Optional[TraceContext] = None,
@@ -706,10 +665,8 @@ class EChoProcess(EndpointMixin):
         source; forward the event to the derived sinks only when the
         filter keeps it (events that fail never touch the wire)."""
         pushed = 0
-        for derived in list(self.channels.values()):
-            if derived.parent_id != parent_id:
-                continue
-            filter_proc = self._filters.get(derived.channel_id)
+        for derived in parent.children:
+            filter_proc = derived.filter_proc
             if filter_proc is None:
                 continue
             try:
@@ -791,23 +748,24 @@ class EChoProcess(EndpointMixin):
             self._handle_derived_info(source, info, data[body_end:])
             return
         if name != EVENT_ENVELOPE.name:
-            self._process(self.control, data, header)
+            self._control(data, header)
             return
         channel_id, _seq = self.pbio.decode_values(
             fmt, data[:body_end], header)
         payload = data[body_end:]
-        receiver = self._event_receivers.get(channel_id)
-        if receiver is None:
+        channel = self.channels.get(channel_id)
+        if channel is None or channel.receiver is None:
             return
         payload_header = None
         if self.resolver is not None and len(payload) > HEADER_SIZE:
             payload_header = unpack_header(payload)
             pid = payload_header.format_id
-            if self._needs_meta(pid, self.registry.lookup_id(pid), receiver):
+            if self._needs_meta(
+                    pid, self.registry.lookup_id(pid), channel.receiver):
                 self._hold(source, lambda: self._deliver_event(
-                    channel_id, receiver, payload, payload_header), pid)
+                    channel, payload, payload_header), pid)
                 return
-        self._deliver_event(channel_id, receiver, payload, payload_header)
+        self._deliver_event(channel, payload, payload_header)
 
     # ------------------------------------------------------------------
     # Control handlers
@@ -817,29 +775,32 @@ class EChoProcess(EndpointMixin):
         self, source: str, info: Record, response_wire: bytes
     ) -> None:
         """A source's view of a derived channel: store the filter,
-        compile it (DCG, cached), and ingest the membership replica."""
+        compile it (DCG, cached), list the channel among its parent's
+        children, and ingest the membership replica."""
         channel_id = info["channel_id"]
+        parent_id = info["parent_id"]
         channel = self.channels.get(channel_id)
         if channel is None:
-            channel = ChannelState(
-                channel_id,
-                creator_contact=source,
-                parent_id=info["parent_id"],
-                filter_code=info["filter_code"],
-            )
-            self.channels[channel_id] = channel
-        else:
-            channel.parent_id = info["parent_id"]
-            channel.filter_code = info["filter_code"]
+            channel = self.channels[channel_id] = ChannelState(
+                channel_id, creator_contact=source)
+        elif channel.parent_id != parent_id:
+            old = self.channels.get(channel.parent_id or "")
+            if old is not None and channel in old.children:
+                old.children.remove(channel)
+        channel.parent_id = parent_id
+        channel.filter_code = info["filter_code"]
+        parent = self.channels.get(parent_id)
+        if parent is not None and channel not in parent.children:
+            parent.children.append(channel)
         try:
-            self._filters[channel_id] = compile_procedure(
+            channel.filter_proc = compile_procedure(
                 info["filter_code"], ("input",), f"filter_{channel_id}"
             )
         except ECodeError:
             self.filter_errors += 1
             return
         if response_wire:
-            self._process(self.control, response_wire)
+            self._control(response_wire)
 
     def _handle_open_request(self, record: Record) -> None:
         channel_id = record["channel_id"]
@@ -853,9 +814,8 @@ class EChoProcess(EndpointMixin):
         )
         if record["is_Source"]:
             # a new source must learn this channel's derived children
-            for child in self.channels.values():
-                if child.parent_id == channel_id:
-                    self._announce_derived(child, only=record["contact"])
+            for child in channel.children:
+                self._announce_derived(child, only=record["contact"])
         if channel.is_derived:
             # derived membership changed: refresh the parent's sources
             self._announce_derived(channel)
@@ -892,13 +852,5 @@ class EChoProcess(EndpointMixin):
 
     def _handle_open_response(self, record: Record) -> None:
         channel = self.channels.get(record["channel_id"])
-        if channel is None:
-            return
-        channel.update_from_response(record)
-        # keep our own declared roles (the response reflects them anyway,
-        # but a racing update may predate our join)
-        if channel.local_member_id is None:
-            for member in channel.member_list():
-                if member.contact == self.address:
-                    channel.local_member_id = member.member_id
-                    break
+        if channel is not None:
+            channel.update_from_response(record)

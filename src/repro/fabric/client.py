@@ -1,11 +1,13 @@
 """Fabric client — publish/subscribe against the sharded worker fleet.
 
-Clients cache a ``(owner, epoch)`` route per channel: the directory is
-consulted once on first use, then the cache is maintained entirely by
+A client keeps one record per channel (:class:`_Channel`): the cached
+``(owner, epoch)`` route, the next publish sequence number, the local
+subscription and one receive ledger per publisher.  The route is asked
+of the directory once on first use, then maintained entirely by
 :data:`FABRIC_REDIRECT` corrections from workers.  A stale route is not
 an error — the old owner forwards, the redirect catches the cache up,
-and the per-``(channel, publisher)`` receive ledger keeps delivery
-exactly-once regardless of how many hops a message took.
+and the publisher's ledger keeps delivery exactly-once regardless of
+how many hops a message took.
 """
 
 from __future__ import annotations
@@ -51,6 +53,22 @@ _COLLECTED = (
 )
 
 
+class _Channel:
+    """What a client knows of one channel."""
+
+    __slots__ = ("route", "seq", "subscription", "ledgers")
+
+    def __init__(self) -> None:
+        #: ``(owner, epoch)``; ``None`` until asked, or after a failed send
+        self.route: Optional[Tuple[str, int]] = None
+        #: the last publish sequence number used
+        self.seq = 0
+        #: ``(fmt, handler)`` once subscribed
+        self.subscription: Optional[Tuple[IOFormat, EventHandler]] = None
+        #: publisher address -> receive-side exactly-once ledger
+        self.ledgers: Dict[str, SeqLedger] = {}
+
+
 class FabricClient(EndpointMixin):
     """One application endpoint on the fabric.
 
@@ -77,14 +95,7 @@ class FabricClient(EndpointMixin):
         register_fabric_protocol(self.registry)
         if self.resolver is not None:
             self.resolver.publish()
-        #: channel -> (owner, epoch) route cache
-        self._routes: Dict[str, Tuple[str, int]] = {}
-        #: channel -> next publish sequence number
-        self._next_seq: Dict[str, int] = {}
-        #: channel -> (fmt, handler) local subscription
-        self._subscriptions: Dict[str, Tuple[IOFormat, EventHandler]] = {}
-        #: (channel, publisher) -> receive-side exactly-once ledger
-        self.received: Dict[Tuple[str, str], SeqLedger] = {}
+        self._channels: Dict[str, _Channel] = {}
         #: publishes whose reliable send failed (dead owner, open
         #: breaker) awaiting redrive once the successor is live
         self._publish_buffer: List[Tuple[str, bytes]] = []
@@ -126,7 +137,7 @@ class FabricClient(EndpointMixin):
     def _buffer_publish(self, channel_id: str, data: bytes) -> None:
         # Drop the cached route: the owner we just failed against is
         # gone (or unreachable); the redrive must ask the directory.
-        self._routes.pop(channel_id, None)
+        self._channels[channel_id].route = None
         if len(self._publish_buffer) >= PUBLISH_BUFFER_LIMIT:
             self.dropped += 1
             return
@@ -156,7 +167,7 @@ class FabricClient(EndpointMixin):
         self.redrives += 1
         for channel_id, data in batch:
             try:
-                owner, _epoch = self._route(channel_id)
+                owner, _epoch = self._routed(channel_id).route
             except FabricError:
                 self._publish_buffer.append((channel_id, data))
                 continue
@@ -166,15 +177,17 @@ class FabricClient(EndpointMixin):
         if self._publish_buffer:
             self._schedule_redrive()
 
-    def _route(self, channel_id: str) -> Tuple[str, int]:
-        route = self._routes.get(channel_id)
-        if route is None:
-            # First use: one directory lookup.  From here on the cache
-            # is maintained only by worker redirects, so a membership
+    def _routed(self, channel_id: str) -> _Channel:
+        """The channel's record, made on first use, with a route."""
+        channel = self._channels.get(channel_id)
+        if channel is None:
+            channel = self._channels[channel_id] = _Channel()
+        if channel.route is None:
+            # One directory lookup.  From here on the cache is
+            # maintained only by worker redirects, so a membership
             # change after this point exercises the stale-route path.
-            route = self.directory.route(channel_id)
-            self._routes[channel_id] = route
-        return route
+            channel.route = self.directory.route(channel_id)
+        return channel
 
     # ------------------------------------------------------------------
     # Publish / subscribe
@@ -205,7 +218,10 @@ class FabricClient(EndpointMixin):
     def _publish(
         self, channel_id: str, fmt: IOFormat, records: List[Record], span: str
     ) -> List[int]:
-        owner, epoch = self._route(channel_id)
+        channel = self._channels.get(channel_id)
+        if channel is None or channel.route is None:
+            channel = self._routed(channel_id)
+        owner, epoch = channel.route
         ctx = mint() if OBS.enabled else None
         # One record leaves bare with its trace block on envelope and
         # payload; more leave as frames carrying the block once each.
@@ -214,8 +230,7 @@ class FabricClient(EndpointMixin):
         seqs: List[int] = []
         datagrams: List[bytes] = []
         for record in records:
-            seq = self._next_seq.get(channel_id, 0) + 1
-            self._next_seq[channel_id] = seq
+            seq = channel.seq = channel.seq + 1
             seqs.append(seq)
             envelope = self.pbio.encode_values(
                 FABRIC_PUBLISH, (channel_id, self.address, seq, epoch))
@@ -251,8 +266,9 @@ class FabricClient(EndpointMixin):
             # Make the subscription format resolvable by whichever
             # worker ends up owning (or inheriting) the shard.
             self.resolver.publish()
-        self._subscriptions[channel_id] = (fmt, handler)
-        owner, epoch = self._route(channel_id)
+        channel = self._routed(channel_id)
+        channel.subscription = (fmt, handler)
+        owner, epoch = channel.route
         record = FABRIC_SUBSCRIBE.make_record(
             channel_id=channel_id,
             contact=self.address,
@@ -297,30 +313,28 @@ class FabricClient(EndpointMixin):
                 self._contain(exc)
 
     def _on_redirect(self, record: Record) -> None:
-        channel_id = record["channel_id"]
-        current = self._routes.get(channel_id)
+        channel = self._channels.setdefault(record["channel_id"], _Channel())
         route = (record["owner"], record["epoch"])
         # Epochs are monotonic; never let a late redirect roll the
         # cache backwards.
-        if current is None or route[1] >= current[1]:
-            self._routes[channel_id] = route
+        if channel.route is None or route[1] >= channel.route[1]:
+            channel.route = route
             self.redirects += 1
 
     def _on_deliver(
         self, channel_id: str, publisher: str, seq: int, payload: bytes
     ) -> None:
-        subscription = self._subscriptions.get(channel_id)
-        if subscription is None:
+        channel = self._channels.get(channel_id)
+        if channel is None or channel.subscription is None:
             raise FabricError(f"delivery on {channel_id!r} without a "
                               "subscription")
-        key = (channel_id, publisher)
-        ledger = self.received.get(key)
+        ledger = channel.ledgers.get(publisher)
         if ledger is None:
-            ledger = self.received[key] = SeqLedger()
+            ledger = channel.ledgers[publisher] = SeqLedger()
         if not ledger.admit(seq):
             self.duplicates += 1
             return
-        fmt, handler = subscription
+        fmt, handler = channel.subscription
         context = span = UNRECORDED
         if OBS.enabled:
             own = peek_trace(payload)

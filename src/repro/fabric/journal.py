@@ -462,8 +462,12 @@ class JournalStore:
                         f"journal subscribe for shard {shard} has bad "
                         f"format id {format_id!r}"
                     )
+                # A contact holds one format per channel: its last
+                # subscribe wins, as at the owner.
                 subscribers = channels.setdefault(channel_id, ([], {}))[0]
                 if (contact, format_id) not in subscribers:
+                    subscribers[:] = [
+                        entry for entry in subscribers if entry[0] != contact]
                     subscribers.append((contact, format_id))
             elif kind == "fence":
                 continue

@@ -941,8 +941,10 @@ class FabricWorker(EndpointMixin):
     def _install_subscriber(
         self, key: Any, channel_id: str, contact: str, format_id: int
     ) -> None:
-        """Add *contact* to the channel's group for *format_id*; *key*
-        (the subscribing peer, or the shard for state) waits on a fetch."""
+        """Put *contact* in the channel's group for *format_id*, and in
+        no other: a contact holds one format per channel, so a
+        re-subscribe moves it.  *key* (the subscribing peer, or the
+        shard for state) waits on a fetch."""
         fmt = self.registry.lookup_id(format_id)
         if key in self._holds or fmt is None and self._needs_meta(
                 format_id, fmt):
@@ -953,6 +955,9 @@ class FabricWorker(EndpointMixin):
             self.errors += 1
             return
         channel = self._channel(channel_id)
+        for other_id, other in channel.groups.items():
+            if other_id != format_id and contact in other.contacts:
+                other.contacts.remove(contact)
         group = channel.groups.get(format_id)
         if group is None:
             group = channel.groups[format_id] = self._make_group(channel, fmt)

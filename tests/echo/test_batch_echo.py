@@ -192,8 +192,8 @@ class TestOneSendBody:
         sent = recorded_sends(source.reliable)
         with observed(mode):
             call(source, fmt, events)
-        state = source._projection_send.get(("ch", fmt.format_id))
-        wire_fmt = state["format"] if state else fmt
+        state = source.channel("ch").projections.get(fmt.format_id)
+        wire_fmt = state.format if state else fmt
         assert (case == "projected") == (wire_fmt.field_names() == ["n"])
         wires = [
             source.pbio.encode(EVENT_ENVELOPE, EVENT_ENVELOPE.make_record(

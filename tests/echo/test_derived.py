@@ -73,8 +73,8 @@ class TestFiltering:
 
     def test_source_compiled_the_filter_via_dcg(self):
         _net, _creator, source, _a, _h = build()
-        assert "raw.hot" in source._filters
-        assert "input" in source._filters["raw.hot"].params
+        assert source.channel("raw.hot").filter_proc is not None
+        assert "input" in source.channel("raw.hot").filter_proc.params
 
     def test_late_joining_source_learns_filters(self):
         net, creator, _source, _all_sink, hot_sink = build()

@@ -227,6 +227,26 @@ class TestLeave:
         with pytest.raises(ChannelError, match="creator"):
             creator.leave_channel("c")
 
+    def test_the_creators_refused_leave_keeps_its_subscription(self):
+        net, registry, creator, _subs = build()
+        creator.create_channel("c")
+        creator.open_channel("c", "creator", as_sink=True)
+        pub = EChoProcess(net, "pub", registry, version="2.0")
+        pub.open_channel("c", "creator", as_source=True)
+        net.run()
+        got = []
+        creator.subscribe("c", EVT_V1, got.append)
+        pub.submit("c", EVT_V1, EVT_V1.make_record(t=1.0, load=1))
+        net.run()
+        with pytest.raises(ChannelError, match="creator"):
+            creator.leave_channel("c")
+        channel = creator.channel("c")
+        assert channel.is_sink and channel.ready
+        pub.submit("c", EVT_V1, EVT_V1.make_record(t=2.0, load=2))
+        net.run()
+        assert [event["load"] for event in got] == [1, 2]
+        assert creator.errors == 0
+
     def test_leave_unknown_member_is_noop(self):
         net, registry, creator, (sub,) = build("2.0", ("2.0",))
         creator.create_channel("c")

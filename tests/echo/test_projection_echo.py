@@ -97,15 +97,15 @@ class TestNegotiatedNarrowing:
         net, _creator, source, _sink0, got0 = build_fleet()
         send_range(net, source, 0, 3)
         assert got0 == [0, 1, 2]
-        state = source._projection_send[("ch", EVT_V2.format_id)]
+        state = source.channel("ch").projections[EVT_V2.format_id]
         # narrowing is epoch-fenced: parked until the next publish
-        assert state["format"] is None and state["pending"] is not None
-        assert state["pending"]["format"].field_names() == ["n"]
+        assert state.format is None and state.pending is not None
+        assert state.pending[0].field_names() == ["n"]
 
         send_range(net, source, 3, 6)  # first submit promotes the fence
         assert got0 == list(range(6))
-        assert state["format"].field_names() == ["n"]
-        assert state["pending"] is None
+        assert state.format.field_names() == ["n"]
+        assert state.pending is None
         assert metrics.counter("net.projection.messages").value == 3
         assert metrics.counter("net.projection.bytes_saved_est").value > 0
 
@@ -113,7 +113,7 @@ class TestNegotiatedNarrowing:
         net, _creator, source, _sink0, _got0 = build_fleet()
         send_range(net, source, 0, 2)
         send_range(net, source, 2, 3)
-        proj = source._projection_send[("ch", EVT_V2.format_id)]["format"]
+        proj = source.channel("ch").projections[EVT_V2.format_id].format
         rec = event(9)
         assert len(source.pbio.encode(proj, rec)) < len(
             source.pbio.encode(EVT_V2, rec)
@@ -139,7 +139,7 @@ class TestNegotiatedNarrowing:
             source.submit("ch", EVT_V2, event(n))
         net.run()
         assert got == [0, 1, 2, 3]
-        assert not source._projection_send
+        assert not source.channel("ch").projections
 
 
 class TestBatchFastPath:
@@ -147,7 +147,7 @@ class TestBatchFastPath:
         net, _creator, source, _sink0, got0 = build_fleet()
         send_range(net, source, 0, 2)   # negotiate
         send_range(net, source, 2, 3)   # promote the fence
-        proj = source._projection_send[("ch", EVT_V2.format_id)]["format"]
+        proj = source.channel("ch").projections[EVT_V2.format_id].format
         first = source.channel("ch").seq + 1
         sent = []
         send = source.reliable.send
@@ -174,8 +174,8 @@ class TestChurn:
         net, _creator, source, _sink0, got0 = build_fleet()
         send_range(net, source, 0, 3)   # negotiate {n}
         send_range(net, source, 3, 5)   # promote
-        state = source._projection_send[("ch", EVT_V2.format_id)]
-        assert state["format"].field_names() == ["n"]
+        state = source.channel("ch").projections[EVT_V2.format_id]
+        assert state.format.field_names() == ["n"]
 
         sink1 = EChoProcess(
             net, "sink1", version="1.0",
@@ -191,7 +191,7 @@ class TestChurn:
         # announce rides back during net.run
         send_range(net, source, 5, 6)
         send_range(net, source, 6, 9)
-        assert set(state["format"].field_names()) >= {"n", "extra"}
+        assert set(state.format.field_names()) >= {"n", "extra"}
         tail = [pair for pair in got1 if pair[0] >= 6]
         assert tail == [(n, 2 * n) for n in range(6, 9)]
 
@@ -199,7 +199,7 @@ class TestChurn:
         net.run()
         send_range(net, source, 9, 10)   # promotes the narrowing
         send_range(net, source, 10, 11)
-        assert state["format"].field_names() == ["n"]
+        assert state.format.field_names() == ["n"]
         assert got0 == list(range(11))
         widened = metrics.counter(
             "net.projection.renegotiations", kind="widened"
@@ -212,11 +212,11 @@ class TestChurn:
     def test_leave_retracts_the_interest_on_the_server(self):
         net, _creator, source, sink0, _got0 = build_fleet()
         send_range(net, source, 0, 2)
-        assert sink0._interest_parents
+        assert sink0.channel("ch").interest_parents
         sink0.leave_channel("ch")
         net.run()
-        assert not sink0._interest_parents
-        assert not sink0._announced
+        assert not sink0.channel("ch").interest_parents
+        assert not sink0.channel("ch").announced
 
 
 class TestDerivedChannels:

@@ -75,7 +75,7 @@ class TestBatchedPublishExactlyOnce:
             assert sub.delivered == total
             assert sub.duplicates == 0
             assert sorted(got) == list(range(1, total + 1))
-            ledger = sub.received[("batch/ch", "pub")]
+            ledger = sub._channels["batch/ch"].ledgers["pub"]
             assert ledger.high == total
             assert not ledger.sparse
 

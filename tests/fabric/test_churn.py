@@ -102,7 +102,7 @@ class TestChurnExactlyOnce:
             assert sub.delivered == total
             assert sub.duplicates == 0
             for channel_id in channels:
-                ledger = sub.received.get((channel_id, "pub"))
+                ledger = sub._channels[channel_id].ledgers.get("pub")
                 if published[channel_id] == 0:
                     assert ledger is None
                     continue
@@ -149,7 +149,7 @@ class TestChurnExactlyOnce:
         net.run()
         for _ in range(3):
             # force the stale route every time: always hit the old owner
-            pub._routes[channel_id] = (old_owner, 2)
+            pub._channels[channel_id].route = (old_owner, 2)
             pub.publish(channel_id, RESPONSE_V2, v2_record(channel_id))
             net.run()
         assert got == [1, 2, 3, 4]

@@ -216,6 +216,32 @@ class TestPubSubMorphing:
         channel = worker._channels["ch"]
         assert len(channel.groups) == 1  # one format group, one morph
 
+    def test_a_resubscribe_in_another_format_moves_the_contact(
+        self, fabric, net
+    ):
+        """A contact holds one format per channel at the owner: after
+        subscribing in v1.0 and then v0.0, each event reaches it once,
+        in v0.0, and decodes."""
+        fabric.add_worker("w1")
+        pub = fabric.client("pub")
+        sub = fabric.client("sub")
+        got = []
+        sub.subscribe("ch", RESPONSE_V1, lambda c, p, s, r: got.append(s))
+        net.run()
+        sub.subscribe("ch", RESPONSE_V0,
+                      lambda c, p, s, r: got.append((s, sorted(r))))
+        net.run()
+        for _ in range(3):
+            pub.publish("ch", RESPONSE_V2, v2_record())
+        net.run()
+        fields = sorted(RESPONSE_V0.field_names())
+        assert got == [(seq, fields) for seq in (1, 2, 3)]
+        assert (sub.errors, sub.duplicates) == (0, 0)
+        worker = fabric.directory.worker(fabric.directory.owner("ch"))
+        assert worker.deliveries == 3
+        assert worker._channels["ch"].subscribers() == [
+            ("sub", RESPONSE_V0.format_id)]
+
     def test_publisher_seq_is_per_channel(self, fabric, net):
         fabric.add_worker("w1")
         pub = fabric.client("pub")
@@ -237,7 +263,7 @@ class TestPubSubMorphing:
         pub.publish("ch", RESPONSE_V2, v2_record())
         net.run()
         # replay the exact publish wire (seq not advanced)
-        pub._next_seq["ch"] -= 1
+        pub._channels["ch"].seq -= 1
         pub.publish("ch", RESPONSE_V2, v2_record())
         net.run()
         worker = fabric.directory.worker(fabric.directory.owner("ch"))
@@ -316,7 +342,7 @@ class TestHandoff:
         assert got == [1, 2]
         assert old_owner.forwarded >= 1
         assert pub.redirects >= 1
-        assert pub._routes[channel_id][0] == fabric.directory.owner(
+        assert pub._channels[channel_id].route[0] == fabric.directory.owner(
             channel_id)
 
     def test_graceful_leave_preserves_subscriptions(self, fabric, net):
@@ -342,13 +368,13 @@ class TestHandoff:
     def test_redirect_never_rolls_back_epoch(self, fabric, net):
         fabric.add_worker("w1")
         client = fabric.client("c")
-        client._routes["ch"] = ("w9", 5)
+        client._routed("ch").route = ("w9", 5)
         client._on_redirect(
             type("R", (), {"__getitem__": lambda self, k: {
                 "channel_id": "ch", "owner": "w1", "epoch": 3,
             }[k]})()
         )
-        assert client._routes["ch"] == ("w9", 5)
+        assert client._channels["ch"].route == ("w9", 5)
 
 
 class TestEchoDirectoryIntegration:

@@ -67,6 +67,17 @@ class TestAppendRecover:
             list(entry) for entry in channel["subscribers"]
         ]
 
+    def test_a_resubscribe_keeps_the_contacts_last_format(self):
+        """A contact holds one format per channel, as at the owner: a
+        re-subscribe in another format replaces its entry."""
+        store = JournalStore()
+        for contact, format_id in (("sub-1", 1), ("sub-2", 1),
+                                   ("sub-1", 2), ("sub-2", 1)):
+            store.append_subscribe(3, 2, "chan/a", contact, format_id)
+        channel = store.recover(3).state["channels"]["chan/a"]
+        assert sorted(map(tuple, channel["subscribers"])) == [
+            ("sub-1", 2), ("sub-2", 1)]
+
     @pytest.mark.parametrize("on_disk", [False, True])
     def test_a_payload_view_is_copied_not_pinned(self, tmp_path, on_disk):
         """The worker hands over a view into the received frame; the

@@ -147,8 +147,8 @@ def fleet(tmp_path):
 def publish_payload(fleet, channel_id, payload):
     """Send one FABRIC_PUBLISH carrying *payload* as ``pub0`` would."""
     pub = fleet.pubs[0]
-    seq = pub._next_seq.get(channel_id, 0) + 1
-    pub._next_seq[channel_id] = seq
+    channel = pub._routed(channel_id)
+    seq = channel.seq = channel.seq + 1
     envelope = FABRIC_PUBLISH.make_record(
         channel_id=channel_id, publisher=pub.address, seq=seq,
         epoch=fleet.fabric.directory.epoch,
@@ -170,8 +170,9 @@ def test_a_payload_shorter_than_a_header_poisons_only_itself(fleet):
     pub = fleet.pubs[0]
     owner = fleet.fabric.directory.worker(
         fleet.fabric.directory.owner(channel_id))
-    first = pub._next_seq.get(channel_id, 0) + 1
-    pub._next_seq[channel_id] = first + 2
+    channel = pub._routed(channel_id)
+    first = channel.seq + 1
+    channel.seq = first + 2
     envelope = FABRIC_PUBLISH.make_record(
         channel_id=channel_id, publisher=pub.address, seq=first + 1,
         epoch=fleet.fabric.directory.epoch,

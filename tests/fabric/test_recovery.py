@@ -17,7 +17,12 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.echo.protocol import RESPONSE_V0, RESPONSE_V2, register_protocol
+from repro.echo.protocol import (
+    RESPONSE_V0,
+    RESPONSE_V1,
+    RESPONSE_V2,
+    register_protocol,
+)
 from repro.errors import FabricError
 from repro.fabric import EventFabric, JournalStore, shard_of
 from repro.fabric import client as client_module
@@ -181,6 +186,29 @@ class TestKillRecovery:
         for channel_id in d.channels:
             seqs = sorted(s for c, s in d.got if c == channel_id)
             assert seqs == list(range(1, len(seqs) + 1)), channel_id
+
+    def test_a_resubscribe_survives_journaled_recovery(self):
+        """The successor replays the journal's subscribe entries: the
+        contact that moved from v0.0 to v1.0 is in the v1.0 group only,
+        so each later event reaches it once and decodes."""
+        d = CrashDeployment(journal=JournalStore())
+        channel_id = d.channels[0]
+        d.sub.subscribe(channel_id, RESPONSE_V1,
+                        lambda c, p, s, r: d.got.append((c, s, "v1")))
+        d.pump(4)
+        victim_address, _victim = d.victim()
+        d.fabric.crash_worker(victim_address)
+        d.pump(18)  # lease expiry + successor recovery
+        assert victim_address not in d.fabric.directory.workers
+        d.publish(3, only=channel_id)
+        d.pump(10)
+        d.net.run()
+        assert d.got == [(channel_id, seq, "v1") for seq in (1, 2, 3)]
+        assert (d.sub.errors, d.sub.duplicates) == (0, 0)
+        owner = d.workers[d.fabric.directory.owner(channel_id)]
+        assert owner.recovered_shards > 0
+        assert owner._channels[channel_id].subscribers() == [
+            ("sub", RESPONSE_V1.format_id)]
 
     def test_lease_expiry_bumps_epoch_and_records_death(self):
         d = CrashDeployment(journal=JournalStore())
@@ -472,7 +500,7 @@ class TestPartitionFencing:
         d.pump(18)
         assert victim_address not in d.fabric.directory.workers
         # stale route: hit the partitioned owner directly post-expiry
-        d.pub._routes[d.channels[0]] = (victim_address, 0)
+        d.pub._channels[d.channels[0]].route = (victim_address, 0)
         d.publish(2, only=d.channels[0])
         d.pump(6)
         victim.heartbeats_suspended = False

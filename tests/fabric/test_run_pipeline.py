@@ -209,7 +209,7 @@ class TestWhatEndsARun:
         channel_id = fleet.channels[0]
         late = fleet.fabric.client("late")
         got = []
-        late._subscriptions[channel_id] = (
+        late._routed(channel_id).subscription = (
             RESPONSE_V0, lambda c, p, s, r: got.append(s),
         )
         subscribe = late.pbio.encode(FABRIC_SUBSCRIBE, FABRIC_SUBSCRIBE.make_record(
@@ -309,8 +309,9 @@ class TestPoisonedSegments:
             pack_batch([fleet.publish_wire(pub, channel_id, 98)]),  # nested
         ):
             before = owner.errors
-            first = pub._next_seq.get(channel_id, 0) + 1
-            pub._next_seq[channel_id] = first + 1
+            channel = pub._routed(channel_id)
+            first = channel.seq + 1
+            channel.seq = first + 1
             frame = pack_batch([
                 fleet.publish_wire(pub, channel_id, first),
                 poison,

@@ -618,7 +618,9 @@ class TestBurstCommitPrice:
 #: Python calls into ``repro`` from one paced publish through the
 #: three-group fabric of :class:`TestPacedPublishPrice` to its first
 #: subscriber delivery, on the simulated network; named functions only,
-#: so the count is one on every interpreter.  249 while the reliable
+#: so the count is one on every interpreter.  239 while the client
+#: looked its route up through ``_route``, beside its other per-channel
+#: tables; 249 while the reliable
 #: endpoint looked its per-peer state up in nine tables (a ``breaker``
 #: lookup per send and ack) and received each frame through
 #: ``_on_data`` / ``_ack_later`` / ``_watch_stall``; 252 while the owner
@@ -629,14 +631,15 @@ class TestBurstCommitPrice:
 #: registered the format per encode and wrapped the generated routine in
 #: a closure with ``pack_header`` / ``check_header``, and the envelopes
 #: were records.
-PACED_PUBLISH_CALLS = 239
+PACED_PUBLISH_CALLS = 238
 
 #: The same count on :class:`~repro.net.socket.SocketNetwork` (UDP
 #: loopback), which is what a deployment pays instead of the sim's
-#: scheduler and link model (241 before the per-peer record, 244 before
+#: scheduler and link model (232 before the client's per-channel
+#: record, 241 before the per-peer record, 244 before
 #: the burst commit and the inline header check, 288 with the codec
 #: chain above).
-PACED_PUBLISH_CALLS_SOCKET = 232
+PACED_PUBLISH_CALLS_SOCKET = 231
 
 
 class TestPacedPublishPrice:
@@ -694,6 +697,70 @@ class TestPacedPublishPrice:
         with SocketNetwork(seed=3) as net:
             calls = self.calls(Fleet(net=net))
         assert len(calls) == PACED_PUBLISH_CALLS_SOCKET, calls
+
+
+#: Named ``repro`` calls of one ECho ``submit`` on a warmed creator /
+#: source / two-sink fleet, to the end of ``net.run()`` (a v1.0 event
+#: to two v1.0 sinks).  182 while each submit asked ``_has_derived``
+#: (a scan of every channel) and each sink delivery ran through
+#: ``_process`` to reach its receiver, kept in a table of its own.
+ECHO_SUBMIT_CALLS = 179
+
+
+class TestEchoSubmitPrice:
+    """What one ECho event costs in Python calls (``sys.setprofile``,
+    never timed): from ``submit`` at the source through both sinks'
+    handlers, counting ``call`` events of named functions in the
+    ``repro`` package."""
+
+    EVENT = IOFormat(
+        "Telemetry", [IOField("t", "float"), IOField("load", "integer")],
+        version="1.0",
+    )
+
+    def test_one_submit_to_two_sinks(self):
+        import gc
+        import os
+
+        import repro
+
+        net = Network()
+        registry = FormatRegistry()
+        creator = EChoProcess(net, "creator", registry)
+        creator.create_channel("c")
+        source = EChoProcess(net, "source", registry)
+        source.open_channel("c", "creator", as_source=True)
+        sinks = [EChoProcess(net, f"sink-{i}", registry) for i in range(2)]
+        for sink in sinks:
+            sink.open_channel("c", "creator", as_sink=True)
+        net.run()
+        got = []
+        for sink in sinks:
+            sink.subscribe("c", self.EVENT, got.append)
+        record = self.EVENT.make_record(t=1.0, load=2)
+        for _ in range(2):  # plan the routes, generate the coders
+            source.submit("c", self.EVENT, record)
+        net.run()
+        root = os.path.dirname(repro.__file__) + os.sep
+        calls = []
+
+        def profiler(frame, event, arg):
+            code = frame.f_code
+            if (event == "call" and code.co_filename.startswith(root)
+                    and not code.co_name.startswith("<")):
+                calls.append(code.co_name)
+
+        gc.collect()
+        gc.disable()
+        sys.setprofile(profiler)
+        try:
+            source.submit("c", self.EVENT, record)
+            net.run()
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        assert len(got) == 6
+        assert len(calls) == ECHO_SUBMIT_CALLS, calls
 
 
 class TestCountGuard:
