@@ -34,6 +34,7 @@ from repro.net.transport import Network
 from repro.obs.metrics import Registry
 from repro.pbio import codegen
 from repro.pbio.buffer import FLAG_BIG_ENDIAN, unpack_header
+from repro.pbio.context import PBIOContext
 from repro.pbio.decode import decode_record
 from repro.pbio.encode import encode_record
 from repro.pbio.field import IOField
@@ -507,14 +508,14 @@ def check_ecode_records(
 # ---------------------------------------------------------------------------
 
 
-def _received(receiver: MorphReceiver, wire: bytes, shared: Any = None):
+def _received(receiver: MorphReceiver, wire: bytes, wires: Any = None):
     """Classify one message through *receiver* by the dead letter it
     leaves (:meth:`~MorphReceiver.process_alone`: no arm quarantines, so
     every wire runs the whole pipeline in every arm): ``("ok", result)``
     without one; ``("clean", "<stage> <error class>")`` for a letter
     whose ``last_error`` is a ReproError; ``("dirty", exc)`` for any
     other error — the leak containment must not hide."""
-    result, letter = receiver.process_alone(wire, shared)
+    result, letter = receiver.process_alone(wire, wires)
     if letter is None:
         return "ok", result
     if isinstance(receiver.last_error, ReproError):
@@ -535,28 +536,43 @@ def check_fusion_wires(
     when rejecting), deliver equal records, and leave equal stats
     snapshots.  Fused and staged run the same
     generated transform code; the interpreted receiver is the arm that
-    shares none of it.  The ``shared`` arm is a reader at a fabric owner:
-    it takes each wire through one memo (``process(wire, shared)``) in a
-    queue of sibling readers — one for the wire's own format and one for
-    every other format its transforms reach — and must not be able to
-    tell.  A fused route runs staged on the first message of a byte
-    order, so the ``fused`` arm's fused runs are counted: every wire it
-    delivers through a fused route after the first of that route and
-    order must have run the fused routine.  Every wire projection the
-    queue ran through the memo is held to its cut (:func:`_cut_parity`)."""
+    shares none of it.  A fused route runs staged on the first message
+    of a byte order, so the ``fused`` arm's fused runs are counted: every
+    wire it delivers through a fused route after the first of that route
+    and order must have run the fused routine.
+
+    Wire route ≡ staged + encode: the ``wire`` arm is a reader at a
+    fabric owner — it takes each wire through one table of wires
+    (``process(wire, wires)``) in a queue of sibling readers, one for the
+    wire's own format and one for every other format its transforms
+    reach, its place in the queue moving from wire to wire — and must
+    hand its handler, byte for byte, what the ``encoded`` arm's handler
+    writes: a staged receiver's record encoded in native order, inside
+    the handler (so a record its format cannot hold is a ``dispatch
+    EncodeError`` in both).  No sibling may take a wire the staged
+    receiver refuses as a ``DecodeError``: the payload is checked once,
+    whichever reader goes first.  Every wire projection of the wire
+    arm's chain is held to cut ≡ step + encode (:func:`_cut_parity`)."""
     arms: Dict[str, Any] = {
         "fused": MorphReceiver(registry, use_fusion=True),
         "staged": MorphReceiver(registry, use_fusion=False),
         "interpreted": MorphReceiver(registry, use_codegen=False),
-        "shared": MorphReceiver(registry),
     }
-    delivered: Dict[str, List[Record]] = {name: [] for name in arms}
+    delivered: Dict[str, List[Any]] = {name: [] for name in arms}
     for name, receiver in arms.items():
         receiver.register_handler(handler_fmt, delivered[name].append)
+    writer = PBIOContext(registry)
+    arms["encoded"] = MorphReceiver(registry, use_fusion=False)
+    arms["wire"] = MorphReceiver(registry)
+    delivered["encoded"], delivered["wire"] = [], []
+    arms["encoded"].register_handler(
+        handler_fmt, lambda record: delivered["encoded"].append(
+            writer.encode(handler_fmt, record)))
+    arms["wire"].register_handler(handler_fmt, delivered["wire"].append)
     siblings: Dict[int, MorphReceiver] = {}
     for wire in wires:
         try:
-            fmt = arms["shared"].context.peek_format(wire)
+            fmt = arms["wire"].context.peek_format(wire)
         except ReproError:
             continue
         if fmt is not None and fmt.format_id not in siblings:
@@ -566,7 +582,8 @@ def check_fusion_wires(
                 siblings[other.format_id] = MorphReceiver(registry)
                 siblings[other.format_id].register_handler(other, id)
     siblings.pop(handler_fmt.format_id, None)
-    queue = [arms["shared"], *siblings.values()]
+    queue = [arms["wire"], *siblings.values()]
+    formats = [handler_fmt.format_id, *siblings]
 
     findings: List[Finding] = []
 
@@ -579,6 +596,7 @@ def check_fusion_wires(
             entry["expectation"] = "fused_matches_staged"
         findings.append(Finding(oracle="fusion", detail=detail, entry=entry))
 
+    forwarded = set(wires)
     fused = arms["fused"]
     #: wires the fused arm delivered, per (fused route, byte order)
     delivered_by_route: Dict[Any, int] = {}
@@ -588,7 +606,7 @@ def check_fusion_wires(
         outcomes.update(
             (name, _received(receiver, wire))
             for name, receiver in arms.items()
-            if name not in ("fused", "shared")
+            if name not in ("fused", "wire")
         )
         route = None
         if outcomes["fused"][0] == "ok":
@@ -600,82 +618,95 @@ def check_fusion_wires(
             if delivered_by_route[key] > 1 and not ran:
                 flag(f"fused arm ran staged on wire {index}, valid and "
                      f"not the first of its route and byte order")
-        # the arm's place in the queue moves: it fills the memo on some
+        # the arm's place in the queue moves: it fills the table on some
         # wires and is served from it on others
-        memo: Dict[Any, Record] = {}
+        table = dict.fromkeys(formats)
         turn = index % len(queue)
+        taken = []
         for receiver in queue[turn:] + queue[:turn]:
-            outcome = _received(receiver, wire, memo)
-            if receiver is arms["shared"]:
-                outcomes["shared"] = outcome
-        for receiver in queue:
-            for detail in _cut_parity(receiver, wire, memo):
+            outcome = _received(receiver, wire, table)
+            if receiver is arms["wire"]:
+                outcomes["wire"] = outcome
+            elif outcome[0] == "ok":
+                taken.append(receiver)
+        if taken and outcomes["encoded"][1] == "decode DecodeError":
+            flag(f"wire {index} does not decode, yet {len(taken)} sibling "
+                 f"reader(s) took it")
+        if outcomes["staged"][0] == "ok":
+            for detail in _cut_parity(arms["staged"], wire):
                 flag(f"wire {index}: {detail}")
         for name, (kind, val) in outcomes.items():
             if kind == "dirty":
                 flag(f"{name} path leaked {type(val).__name__} on wire "
                      f"{index}: {val!r}")
-        fused_kind, fused_val = outcomes["fused"]
-        for name in ("staged", "interpreted", "shared"):
+        for reference, name in (("fused", "staged"), ("fused", "interpreted"),
+                                ("encoded", "wire")):
+            ref_kind, ref_val = outcomes[reference]
             kind, val = outcomes[name]
-            if "dirty" in (fused_kind, kind):
+            if "dirty" in (ref_kind, kind):
                 continue
-            if fused_kind != kind:
+            if ref_kind != kind:
                 flag(f"outcome divergence on wire {index}: "
-                     f"fused={fused_kind} {name}={kind}")
-            elif fused_kind == "clean" and fused_val != val:
+                     f"{reference}={ref_kind} {name}={kind}")
+            elif ref_kind == "clean" and ref_val != val:
                 flag(f"dead letter divergence on wire {index}: "
-                     f"fused={fused_val} {name}={val}")
+                     f"{reference}={ref_val} {name}={val}")
 
-    for name in ("staged", "interpreted", "shared"):
-        if len(delivered["fused"]) != len(delivered[name]):
-            flag(f"delivery count divergence: fused={len(delivered['fused'])} "
-                 f"{name}={len(delivered[name])}")
+    for reference, name in (("fused", "staged"), ("fused", "interpreted"),
+                            ("encoded", "wire")):
+        if len(delivered[reference]) != len(delivered[name]):
+            flag(f"delivery count divergence: {reference}="
+                 f"{len(delivered[reference])} {name}={len(delivered[name])}")
             continue
-        for index, (fused_rec, other_rec) in enumerate(
-            zip(delivered["fused"], delivered[name])
+        for index, (ref, other) in enumerate(
+            zip(delivered[reference], delivered[name])
         ):
-            if not records_equal(fused_rec, other_rec):
-                flag(f"delivered record {index} diverges between fused "
-                     f"and {name} paths")
-        if arms["fused"].stats.snapshot() != arms[name].stats.snapshot():
-            flag(f"stats divergence: fused={arms['fused'].stats.snapshot()} "
+            if name != "wire":
+                same = records_equal(ref, other)
+            else:
+                # a payload handed on as it came is its format's wire as
+                # an encoder writes it, but for bytes the decoder maps to
+                # one value (a boolean 0x02): it must read as the encode
+                same = ref == other or other in forwarded and records_equal(
+                    decode_record(handler_fmt, ref),
+                    decode_record(handler_fmt, other))
+            if not same:
+                flag(f"delivered {'wire' if name == 'wire' else 'record'} "
+                     f"{index} diverges between {reference} and {name} paths")
+        if arms[reference].stats.snapshot() != arms[name].stats.snapshot():
+            flag(f"stats divergence: {reference}="
+                 f"{arms[reference].stats.snapshot()} "
                  f"{name}={arms[name].stats.snapshot()}")
     return findings
 
 
-def _cut_parity(
-    receiver: MorphReceiver, wire: bytes, memo: Dict[Any, Any]
-) -> Iterator[str]:
+def _cut_parity(receiver: MorphReceiver, wire: bytes) -> Iterator[str]:
     """cut ≡ step + encode, byte for byte and in both byte orders, for
-    each step of *receiver*'s route for *wire* that is a wire projection
-    and that ran through *memo*: its input's wire in an order, cut, must
-    be its output's encode in that order.  A step whose input does not
-    encode has no wire to cut."""
-    try:
-        fmt = receiver.context.peek_format(wire)
-    except ReproError:
-        return
+    each step of *receiver*'s route for *wire* that is a wire projection:
+    its input's wire in an order, cut, must be its output's encode in
+    that order.  The records are the staged chain's, run again on the
+    decoded *wire*; a step whose input does not encode has no wire to
+    cut."""
+    fmt = receiver.context.peek_format(wire)
     route = None if fmt is None else receiver.route_for(fmt)
-    if (route is None or route.chain is None or route.pre_coercion is not None
-            or "stages" not in vars(route)):
+    if route is None or route.chain is None or route.pre_coercion is not None:
         return
-    key = route.wire_format.format_id
-    for stage, step, _writes in route.stages:
-        record, output, key = memo.get(key), memo.get(stage), stage
-        if step.projection is None or record is None or output is None:
-            continue
-        for order in ("little", "big"):
-            try:
-                source = encode_record(step.source, record, byte_order=order)
-            except EncodeError:
-                continue
-            kind, expected = _outcome(
-                lambda: encode_record(step.target, output, byte_order=order))
-            cut = _outcome(lambda: step.projection.cut(source))
-            if kind != "ok" or cut != ("ok", expected):
-                yield (f"{order}-endian cut of {step!r} is not its output's "
-                       f"encode: {cut[0]} {kind}")
+    record = decode_record(route.wire_format, wire)
+    for step in route.chain.steps:
+        output = step.apply(record)
+        if step.projection is not None:
+            for order in ("little", "big"):
+                try:
+                    source = encode_record(step.source, record, byte_order=order)
+                except EncodeError:
+                    continue
+                kind, expected = _outcome(
+                    lambda: encode_record(step.target, output, byte_order=order))
+                cut = _outcome(lambda: step.projection.cut(source))
+                if kind != "ok" or cut != ("ok", expected):
+                    yield (f"{order}-endian cut of {step!r} is not its "
+                           f"output's encode: {cut[0]} {kind}")
+        record = output
 
 
 def check_fusion(rng: random.Random, messages: int = 5) -> List[Finding]:

@@ -775,7 +775,9 @@ class EChoProcess(EndpointMixin):
         self, source: str, info: Record, response_wire: bytes
     ) -> None:
         """A source's view of a derived channel: store the filter,
-        compile it (DCG, cached), list the channel among its parent's
+        compile it (DCG) unless the channel's compiled filter is of the
+        same text — the creator re-announces the channel on each change
+        of its membership — list the channel among its parent's
         children, and ingest the membership replica."""
         channel_id = info["channel_id"]
         parent_id = info["parent_id"]
@@ -788,17 +790,18 @@ class EChoProcess(EndpointMixin):
             if old is not None and channel in old.children:
                 old.children.remove(channel)
         channel.parent_id = parent_id
-        channel.filter_code = info["filter_code"]
+        code = channel.filter_code = info["filter_code"]
         parent = self.channels.get(parent_id)
         if parent is not None and channel not in parent.children:
             parent.children.append(channel)
-        try:
-            channel.filter_proc = compile_procedure(
-                info["filter_code"], ("input",), f"filter_{channel_id}"
-            )
-        except ECodeError:
-            self.filter_errors += 1
-            return
+        if channel.filter_proc is None or channel.filter_proc.source != code:
+            try:
+                channel.filter_proc = compile_procedure(
+                    code, ("input",), f"filter_{channel_id}"
+                )
+            except ECodeError:
+                self.filter_errors += 1
+                return
         if response_wire:
             self._control(response_wire)
 
@@ -842,6 +845,10 @@ class EChoProcess(EndpointMixin):
         removed = channel.remove_member(record["contact"])
         if removed is None:
             return
+        if channel.is_derived:
+            # derived membership changed: refresh the parent's sources,
+            # whose replicas decide where filtered events go
+            self._announce_derived(channel)
         response_format = RESPONSE_BY_VERSION[self.version]
         wire = self.pbio.encode(
             response_format, channel.to_response_record(response_format)

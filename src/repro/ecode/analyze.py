@@ -4,7 +4,7 @@ The morph layer's route compiler (:mod:`repro.morph.fusion`) inlines
 transform bodies into one generated function.  Before it can do that it
 needs three facts about each program, all derivable from the AST the
 compiler keeps on every :class:`~repro.ecode.codegen.ECodeProcedure`
-(:func:`writes_param` is the receiver's: may readers share an input?):
+(:func:`writes_param` asks whether a program may change its input):
 
 * :func:`has_return` — a transform with an explicit ``return`` cannot be
   spliced into a larger function body,

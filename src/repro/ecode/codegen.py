@@ -119,6 +119,24 @@ class Grows(list):
         self.empty = empty
 
 
+class Row(dict):
+    """The shape of a flat record the host holds as a **row**: the tuple
+    of its field values in this shape's key order (the format's declared
+    order).  The typed back-end reads a row's field as ``row[k]`` and
+    builds the rows of an array it fills densely as tuples (the append
+    form, where the array's :class:`Grows` element is a ``Row``); code
+    that would write a row, read one back from an array it fills, or
+    hand one on whole cannot be translated so (:class:`NotRows`)."""
+
+    __slots__ = ()
+
+
+class NotRows(Exception):
+    """The program needs its records as records: it writes a row, reads
+    an array it fills other than in the append form, or uses a row (or
+    an array of rows) as a value."""
+
+
 #: The Python exceptions a faulty program (or a record that does not fit
 #: it) can raise out of generated code; every host of generated code maps
 #: exactly these to its ECode error.
@@ -209,8 +227,13 @@ class _CodeGenerator:
         shapes: Optional[Mapping[str, Shape]] = None,
         indent: int = 1,
         params: Sequence[str] = (),
+        rows: bool = False,
     ) -> None:
         self.program = program
+        #: records of arrays are rows (:class:`Row`), and the arrays a
+        #: record's shape says grow (:class:`Grows`) are plain lists
+        #: filled only in the append form
+        self.rows = rows
         #: identifier substitution applied to every name the program
         #: mentions (parameters *and* locals) — the route fuser maps
         #: ``new``/``old`` to its own record variables and prefixes locals
@@ -241,6 +264,8 @@ class _CodeGenerator:
             for param, shape in (shapes or {}).items()
             if param not in assigned
         }
+        if rows and len(self.shapes) != len(shapes or {}):
+            raise NotRows("a parameter is assigned whole")
         #: locals only ever assigned scalars, to a fixpoint (``j = i + 1``
         #: is scalar while ``i`` is)
         self.scalar_locals: Set[str] = {
@@ -377,11 +402,18 @@ class _CodeGenerator:
             return self._name(expr.name), self.shapes.get(expr.name), _NO_VARS
         if isinstance(expr, ast.FieldAccess):
             base, shape, deps = self._gen_path(expr.base)
-            text = f"{base}[{expr.name!r}]"
+            if isinstance(shape, Row):
+                if expr.name not in shape:
+                    raise NotRows(f"a row has no field {expr.name!r}")
+                text = f"{base}[{list(shape).index(expr.name)}]"
+            else:
+                text = f"{base}[{expr.name!r}]"
             shape = shape.get(expr.name) if isinstance(shape, dict) else None
             growth = None
         elif isinstance(expr, ast.IndexAccess):
             base, shape, deps = self._gen_path(expr.base)
+            if self.rows and isinstance(shape, Grows):
+                raise NotRows("an array it fills is indexed")
             index = self.gen_expr(expr.index)
             text = f"{base}[{index}]"
             growth = self._growth(expr, shape, base, index)
@@ -714,6 +746,13 @@ class _CodeGenerator:
                 values[name] = self.em.fresh("t")
                 self.em.emit(f"{values[name]} = {text}")
         append = self._constant(f"{self._gen_path(path)[0]}.append")
+        if isinstance(shape[0], Row):
+            row = ", ".join(
+                values[name] if name in values else repr(value)
+                for name, value in shape.prototype.items()
+            )
+            self.em.emit(f"{append}(({row},))")
+            return
         cls = self._constant(f"{self._name(path.base.name)}.__class__")
         literal = ", ".join(
             f"{name!r}: {values[name] if name in values else repr(value)}"
@@ -749,6 +788,7 @@ class _CodeGenerator:
     def _gen_store(self, target: Any, value: str, scalar: bool) -> None:
         """One store of Python expression *value*, which the program's
         types prove scalar or not."""
+        self._check_store(target)
         if (
             scalar
             and isinstance(target, ast.FieldAccess)
@@ -761,6 +801,21 @@ class _CodeGenerator:
             self.em.emit(f"{self._gen_place(target)} = {stored}")
         self._invalidate(target)
 
+    def _check_store(self, target: Any) -> None:
+        """A store into a row, of a whole element of an array of rows or
+        into an array a record's shape says grows cannot be translated
+        for rows (outside the append form)."""
+        if not self.rows:
+            return
+        if isinstance(target, ast.FieldAccess):
+            if isinstance(self._shape_of(target.base), Row):
+                raise NotRows("a row is written")
+        elif isinstance(target, ast.IndexAccess):
+            base = self._shape_of(target.base)
+            if isinstance(base, Grows) or (
+                    isinstance(base, list) and isinstance(base[0], Row)):
+                raise NotRows("an element of an array of rows is stored")
+
     def _gen_place(self, target: Any) -> str:
         """Python text naming the slot *target* (not the value in it)."""
         if isinstance(target, (ast.Identifier, ast.Declarator)):
@@ -772,6 +827,7 @@ class _CodeGenerator:
 
     def _gen_update(self, target: ast.Expr, op: str, value: ast.Expr) -> None:
         """``target op= value`` (``++``/``--`` included)."""
+        self._check_store(target)
         rhs = self.gen_expr(value)
         place = self._gen_place(target)
         if not (self._scalar(target) and self._scalar(value)):
@@ -798,7 +854,11 @@ class _CodeGenerator:
         if isinstance(expr, ast.Identifier):
             return self._name(expr.name)
         if isinstance(expr, (ast.FieldAccess, ast.IndexAccess)):
-            return self._gen_path(expr)[0]
+            text, shape, _deps = self._gen_path(expr)
+            if self.rows and (isinstance(shape, Row) or (
+                    isinstance(shape, list) and isinstance(shape[0], Row))):
+                raise NotRows("a row is used whole")
+            return text
         if isinstance(expr, ast.UnaryOp):
             operand = self.gen_expr(expr.operand)
             if expr.op == "!":
@@ -851,6 +911,7 @@ def generate_inline(
     rename: Optional[Dict[str, str]] = None,
     indent: int = 1,
     shapes: Optional[Mapping[str, Shape]] = None,
+    rows: bool = False,
 ) -> List[str]:
     """Translate a checked program into indented statement lines suitable
     for splicing into a larger generated function (whole-route fusion).
@@ -860,8 +921,10 @@ def generate_inline(
     *shapes* is keyed by the program's own parameter names, as for
     :func:`generate_source`.  The caller is responsible for ensuring the
     program has no ``return``
-    (see :func:`repro.ecode.analyze.has_return`)."""
-    lines = _CodeGenerator(program, rename, shapes, indent).generate()
+    (see :func:`repro.ecode.analyze.has_return`).  With *rows* the
+    records of arrays are rows (:class:`Row`): :class:`NotRows` when
+    the program needs them as records."""
+    lines = _CodeGenerator(program, rename, shapes, indent, rows=rows).generate()
     return lines or ["    " * indent + "pass"]
 
 

@@ -44,7 +44,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
-from repro.errors import DecodeError, EncodeError, FabricError
+from repro.errors import DecodeError, FabricError
 from repro.fabric.hashing import shard_of
 from repro.fabric.journal import JournalStore
 from repro.fabric.protocol import (
@@ -62,7 +62,7 @@ from repro.fabric.state import (
     load_part,
     split_state,
 )
-from repro.morph.receiver import CUT_SOURCES, MorphReceiver, WireCut
+from repro.morph.receiver import MorphReceiver
 # unpack_batch stays for benchmarks/e2e/trace.py's patch list
 # MAX_FRAME_BYTES is re-exported for code that reads it from here
 from repro.net.batch import (
@@ -85,7 +85,6 @@ from repro.obs.tracectx import (
 from repro.pbio.buffer import (
     MessageHeader,
     attach_trace,
-    canonical_format_id,
     peek_trace,
     unpack_header,
 )
@@ -134,14 +133,13 @@ _PER_WORKER = (
 class _SubscriberGroup:
     """Subscribers of one channel sharing one event format.
 
-    Each group owns a :class:`MorphReceiver` whose single handler
-    forwards, cuts or re-encodes the morphed record in the group format
-    and pushes it to every contact — one payload per *format group*, not
-    per subscriber: the publisher's own when the group is in its format
-    and the payload is native, a cut of a wire the owner holds when the
-    group's last step only drops fields, else a re-encode (the decode
-    and the transforms are paid per *event*:
-    :meth:`FabricWorker._fan_out`)."""
+    Each group owns a :class:`MorphReceiver` that makes the event's wire
+    in the group format, and whose single handler pushes it to every
+    contact — one payload per *format group*, not per subscriber: the
+    publisher's own when the group is in its format and the payload is
+    native, a cut of another group's wire when the group's last step
+    only drops fields, else the output of the group's wire-to-wire
+    routine (:meth:`FabricWorker._fan_out`)."""
 
     __slots__ = ("fmt", "contacts", "receiver", "failed")
 
@@ -212,8 +210,7 @@ class FabricWorker(EndpointMixin):
         #: set while one event of a run is morphed, read by the group
         #: handlers: (shared DELIVER envelope wire, the payload's own
         #: trace context, the run's when the payload has none, the span
-        #: the run is fanned out under, the payload, its canonical format
-        #: id, the wires encoded for the event — None for a lone group)
+        #: the run is fanned out under, the payload)
         self._delivering: Optional[Tuple[Any, ...]] = None
         #: runs admitted in this receive burst, by channel, waiting for
         #: its flush to fan them out; the deliveries held until the
@@ -786,30 +783,26 @@ class FabricWorker(EndpointMixin):
         it bare, as a single publish always has.  A burst's runs of one
         channel (:meth:`_commit`) and recovery replay all end here.
 
-        The groups are readers of one wire and Figure 1's ladder is a
-        tree they share: with more than one, each event carries a memo
-        (:meth:`MorphReceiver.process`) through which its payload is
-        decoded once and each retro-transform runs once, and beside it
-        the wires encoded for the event, each once whichever group asks
-        first.  The memo offers the channel's group formats as cut
-        sources (:data:`~repro.morph.receiver.CUT_SOURCES`): a group
-        whose chain ends in a wire projection out of one of them does
-        not run that step, and :meth:`_deliver_group` cuts its payload
-        from that format's wire.  That is decided by the set of groups,
-        not by their order.  A lone group keeps its fused route.  Every
-        group is handed the payload header admission parsed, so none
-        parses it again.  What a group's receiver dead-letters or drops
-        in quarantine is counted as the run ends
-        (:meth:`~repro.net.reliable.EndpointMixin._account`)."""
+        The groups are readers of one wire, and nobody at the owner reads
+        a record: each event carries one table of wires, keyed by format
+        id and listing the channel's group formats
+        (:meth:`MorphReceiver.process`), which the first group that asks
+        for a format's wire fills.  A group's receiver hands its handler
+        its format's wire: the payload, checked, when it is that wire; a
+        cut of a listed format's wire when its last step is a wire
+        projection out of that format (decided by the set of groups, not
+        by their order); else the output of its one generated
+        wire-to-wire routine.  Every group is handed the payload header
+        admission parsed, so none parses it again.  What a group's
+        receiver dead-letters or drops in quarantine is counted as the
+        run ends (:meth:`~repro.net.reliable.EndpointMixin._account`)."""
         groups = [
             group for _format_id, group in sorted(channel.groups.items())
             if group.contacts
         ]
         if not groups:
             return
-        sharing = len(groups) > 1
-        held = frozenset(
-            group.fmt.format_id for group in groups) if sharing else None
+        formats = [group.fmt.format_id for group in groups]
         channel_id = channel.channel_id
         try:
             for publisher, seq, payload, header in run:
@@ -823,12 +816,10 @@ class FabricWorker(EndpointMixin):
                     FABRIC_DELIVER, (channel_id, publisher, seq))
                 if own is not None:
                     envelope = attach_trace(envelope, own)
-                shared = wires = None
-                if sharing:
-                    shared, wires = {CUT_SOURCES: held}, {}
+                wires = dict.fromkeys(formats)
                 self._delivering = (
                     envelope, own, frame_ctx if own is None else None,
-                    parent, payload, canonical_format_id(payload), wires)
+                    parent, payload)
                 context = span = UNRECORDED
                 if OBS.enabled and recording(own or frame_ctx):
                     context = activate(own)
@@ -838,7 +829,7 @@ class FabricWorker(EndpointMixin):
                     )
                 with context, span:
                     for group in groups:
-                        group.receiver.process(payload, shared, header)
+                        group.receiver.process(payload, wires, header)
         finally:
             self._delivering = None
             for group in groups:
@@ -856,66 +847,24 @@ class FabricWorker(EndpointMixin):
         receiver.register_handler(fmt, deliver)
         return group
 
-    def _deliver_group(self, group: _SubscriberGroup, morphed: Any) -> None:
-        """Queue one morphed event in the group's format, behind the
+    def _deliver_group(self, group: _SubscriberGroup, wire: bytes) -> None:
+        """Queue the event's *wire* in the group's format, behind the
         event's (already encoded, shared) ``FABRIC_DELIVER`` envelope,
-        for every contact of the group: the publisher's payload bytes
-        when they are in the group's format and canonical
-        (:func:`~repro.pbio.buffer.canonical_format_id`), a cut
-        (:meth:`_cut`) when the receiver handed over a
-        :class:`~repro.morph.receiver.WireCut`, otherwise the encode of
-        *morphed* (:meth:`_encoded`).  The publish's own trace context
-        goes on any of them (a forwarded payload already carries it).
-        A payload without one lacks the run's, which goes on the frame
-        it leaves in, or on the message when that frame cannot carry it
-        (:meth:`_flush`).  Runs
-        only on a payload the group decoded, inside its receiver's
-        per-message containment."""
+        for every contact of the group.  The publish's own trace context
+        goes on it unless it is the publisher's payload, which already
+        carries it.  A payload without one lacks the run's, which goes
+        on the frame it leaves in, or on the message when that frame
+        cannot carry it (:meth:`_flush`).  Runs only on a payload the
+        group's receiver checked, inside its per-message containment."""
         assert self._delivering is not None
-        (envelope, own, lacks, parent, payload,
-         canonical) = self._delivering[:6]
-        if canonical == group.fmt.format_id:
-            out_payload = payload
-        else:
-            if morphed.__class__ is WireCut:
-                out_payload = self._cut(morphed)
-            else:
-                out_payload = self._encoded(group.fmt, morphed)
-            if own is not None:
-                out_payload = attach_trace(out_payload, own)
-        entry = (envelope, out_payload, lacks, parent)
+        envelope, own, lacks, parent, payload = self._delivering
+        if own is not None and wire is not payload:
+            wire = attach_trace(wire, own)
+        entry = (envelope, wire, lacks, parent)
         outbox = self._outbox
         for contact in group.contacts:
             outbox.setdefault(contact, []).append(entry)
             self.deliveries += 1
-
-    def _encoded(self, fmt: IOFormat, record: Any) -> bytes:
-        """*record*'s wire in *fmt*, encoded once per event: the event's
-        wires (with more than one group) keep it beside its record."""
-        wires = self._delivering[6]
-        if wires is None:
-            return self.pbio.encode(fmt, record)
-        key = (fmt.format_id, id(record))
-        entry = wires.get(key)
-        if entry is None:
-            # the record rides along: its id stays its own for the event
-            entry = wires[key] = (self.pbio.encode(fmt, record), record)
-        return entry[0]
-
-    def _cut(self, cut: WireCut) -> bytes:
-        """The payload of a group whose last step is a wire projection
-        (``cut.step.projection``), cut from the wire of the step's input
-        — which a group in that format needs anyway, and which is
-        encoded once whichever group asks first.  An input that does not
-        encode (a field the step drops holds what its format cannot)
-        runs the step and encodes its output, as a group that cannot
-        cut does."""
-        step, record = cut.step, cut.record
-        try:
-            source = self._encoded(step.source, record)
-        except EncodeError:
-            return self.pbio.encode(step.target, step.apply(record))
-        return step.projection.cut(source)
 
     # ------------------------------------------------------------------
     # Subscriptions

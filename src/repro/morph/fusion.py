@@ -24,6 +24,16 @@ What fusion buys over the staged path:
   fragment skips dead fixed-width fields arithmetically instead of
   unpacking them (`live=` support in :mod:`repro.pbio.codegen`).
 
+At the fabric owner nobody reads a record: each subscriber group wants
+its format's bytes.  There a route goes **wire to wire**
+(:class:`WireRoute`): the decode fragment holds the elements of an array
+of records as rows (tuples in declared field order), the inlined chain
+reads a row's field by position and appends each element it builds as a
+row, and the target format's encoder is the tail, reading those rows —
+no :class:`Record` is built.  One routine is generated per process for
+each content key (source format content, each step's code, target format
+content and byte order), whichever route asks for it.
+
 The staged path remains both the ablation baseline and the runtime
 fallback: :func:`plan_fusion` returns ``None`` whenever a route uses a
 feature fusion does not support (interpreter procedures, ``return``
@@ -44,13 +54,22 @@ from typing import (
 )
 
 from repro.ecode import analyze
-from repro.ecode.codegen import ECODE_ESCAPES, generate_inline, runtime_namespace
+from repro.ecode.codegen import (
+    ECODE_ESCAPES, NotRows, generate_inline, runtime_namespace,
+)
 from repro.errors import ECodeError, TransformError
 from repro.morph.compat import _coerce_field
-from repro.morph.transform import Transformation, ecode_shapes
+from repro.morph.transform import Transformation, ecode_shapes, rows_format
 from repro.obs.metrics import Tallies, collect, counter
+from repro.pbio.buffer import ProjectionCut
 from repro.pbio.codegen import (
-    _Emitter, _gen_decode_message, _StructTable, decode_namespace,
+    _Emitter,
+    _gen_decode_message,
+    _gen_encode_message,
+    _StructTable,
+    byte_order_prefix,
+    decode_namespace,
+    encode_namespace,
 )
 from repro.pbio.format import IOFormat
 from repro.pbio.record import Record
@@ -120,20 +139,46 @@ def _inlinable(step: Transformation) -> bool:
     )
 
 
-def _inlined(step: Transformation, live: Live, k: int, indent: int) -> List[str]:
+def _inlined(
+    step: Transformation, live: Live, k: int, indent: int, rows: bool = False,
+) -> Optional[List[str]]:
     """*step*'s body as the *k*-th of a fused chain: ``_r{k}`` in,
-    ``_r{k+1}`` out, its locals prefixed so steps cannot collide."""
+    ``_r{k+1}`` out, its locals prefixed so steps cannot collide; with
+    *rows*, over rows — ``None`` when the program needs its records
+    (:class:`~repro.ecode.codegen.NotRows`)."""
 
-    def generate() -> List[str]:
+    def generate() -> Optional[List[str]]:
         facts = _facts(step, live)
         rename = {"new": f"_r{k}", "old": f"_r{k + 1}"}
         for local in facts.declared:
             rename[local] = f"_s{k}_{local}"
-        return generate_inline(
-            facts.program, rename, indent, ecode_shapes(step.spec)
-        )
+        try:
+            return generate_inline(
+                facts.program, rename, indent,
+                ecode_shapes(step.spec, rows), rows,
+            )
+        except NotRows:
+            return None
 
-    return step.fact(("inlined", live, k, indent), generate)
+    return step.fact(("inlined", live, k, indent, rows), generate)
+
+
+def _compile_routine(
+    emit: Callable[[str], Tuple[str, Dict[str, Any]]], name: str, label: str,
+    order: str,
+) -> Optional[Callable]:
+    """Compile the function *name* that *emit* writes for payloads in
+    *order* (counted in the compile tally); ``None`` when it fails."""
+    try:
+        source, namespace = emit(order)
+        kind = name.strip("_").replace("_", "-")
+        exec(compile(source, f"<{kind}:{label}:{order}>", "exec"), namespace)
+        fn = namespace[name]
+    except Exception:
+        return None
+    with _TALLY_LOCK:
+        _TALLY.compiles += 1
+    return fn
 
 
 #: what ``FusedRoute._fns`` holds for a byte order the route has carried
@@ -213,71 +258,18 @@ class FusedRoute:
     # ------------------------------------------------------------------
 
     def _compile(self, order: str) -> Optional[FusedFn]:
-        try:
-            source, namespace = self._emit(order)
-            code = compile(source, f"<fused-route:{self.label}:{order}>", "exec")
-            exec(code, namespace)
-            fn = namespace["_fused_route"]
-        except Exception:
-            return None
-        with _TALLY_LOCK:
-            _TALLY.compiles += 1
-        return fn
+        return _compile_routine(self._emit, "_fused_route", self.label, order)
 
     def _emit(self, order: str) -> Tuple[str, Dict[str, Any]]:
         em = _Emitter()
         structs = _StructTable(order)
-        namespace = runtime_namespace()
-        namespace.update(decode_namespace(structs))
-        namespace.update({
-            "_struct_error": struct.error,
-            "_ECodeError": ECodeError,
-            "_ecode_escapes": ECODE_ESCAPES,
-        })
+        namespace = _namespace(structs)
 
         em.emit("def _fused_route(data, off, end):")
         em.indent += 1
         em.emit(f'"""Fused route for {self.label} (payload order {order!r})."""')
-
-        # -- decode (dead fields skipped) ------------------------------
-        em.emit("try:")
-        em.indent += 1
-        _gen_decode_message(
-            em, self.wire_format, structs, "_r0", live=self.wire_live
-        )
-        em.emit("if off != end:")
-        em.indent += 1
-        em.emit(
-            "raise _DecodeError('%d trailing bytes after decoding format "
-            f"{self.wire_format.name}' % (end - off,))"
-        )
-        em.indent -= 2
-        em.emit("except _struct_error as exc:")
-        em.indent += 1
-        em.emit(
-            f"raise _DecodeError('truncated message for {self.wire_format.name}:"
-            " %s' % (exc,)) from None"
-        )
-        em.indent -= 1
-        em.emit("except UnicodeDecodeError as exc:")
-        em.indent += 1
-        em.emit(
-            "raise _DecodeError('invalid UTF-8 in string field of "
-            f"{self.wire_format.name}: %s' % (exc,)) from None"
-        )
-        em.indent -= 1
-        em.emit("except (IndexError, KeyError, MemoryError, OverflowError) as exc:")
-        em.indent += 1
-        em.emit(
-            f"raise _DecodeError('corrupt message for {self.wire_format.name}:"
-            " %r' % (exc,)) from None"
-        )
-        em.indent -= 1
-
-        # -- inlined transform chain -----------------------------------
-        result = "_r0"
-        if self._steps:
-            result = self._emit_steps(em, namespace)
+        _emit_decode(em, self.wire_format, structs, self.wire_live, False)
+        result = _emit_chain(em, namespace, self.label, self._steps, False)
 
         # -- structural reconcile (total: no try region needed) --------
         if self._walker_coercion is not None:
@@ -287,32 +279,6 @@ class FusedRoute:
         # successive records from one shared buffer can advance a cursor
         em.emit(f"return {result}, off")
         return em.source(), namespace
-
-    def _emit_steps(self, em: _Emitter, namespace: Dict[str, Any]) -> str:
-        """Inline the transform chain inside one try region whose
-        failures all surface as :class:`TransformError`, like a staged
-        step's."""
-        namespace["_chain_fail"] = _make_fail(self.label)
-        em.emit("try:")
-        em.indent += 1
-        for k, (step, live) in enumerate(self._steps):
-            out = f"_r{k + 1}"
-            namespace[f"_gr{k}"] = step.new_output
-            em.emit(f"{out} = _gr{k}()")
-            em.lines.extend(_inlined(step, live, k, em.indent))
-            if step.freeze is not None:
-                namespace[f"_frz{k}"] = step.freeze
-                em.emit(f"_frz{k}({out})")
-        em.indent -= 1
-        em.emit("except _ECodeError as exc:")
-        em.indent += 1
-        em.emit("_chain_fail(exc)")
-        em.indent -= 1
-        em.emit("except _ecode_escapes as exc:")
-        em.indent += 1
-        em.emit("_chain_fail(exc)")
-        em.indent -= 1
-        return f"_r{len(self._steps)}"
 
     def _emit_walker(
         self, em: _Emitter, namespace: Dict[str, Any], rec: str
@@ -343,6 +309,267 @@ class FusedRoute:
                     f"_out[{spec.length_field!r}] = len(_out[{field.name!r}])"
                 )
         return "_out"
+
+
+def _emit_decode(
+    em: _Emitter, fmt: IOFormat, structs: _StructTable, live: Live, rows: bool,
+) -> None:
+    """The decode fragment into ``_r0`` (dead fields skipped), its
+    failures mapped to :class:`DecodeError`."""
+    em.emit("try:")
+    em.indent += 1
+    _gen_decode_message(em, fmt, structs, "_r0", live=live, rows=rows)
+    em.emit("if off != end:")
+    em.indent += 1
+    em.emit(
+        "raise _DecodeError('%d trailing bytes after decoding format "
+        f"{fmt.name}' % (end - off,))"
+    )
+    em.indent -= 2
+    em.emit("except _struct_error as exc:")
+    em.indent += 1
+    em.emit(
+        f"raise _DecodeError('truncated message for {fmt.name}:"
+        " %s' % (exc,)) from None"
+    )
+    em.indent -= 1
+    em.emit("except UnicodeDecodeError as exc:")
+    em.indent += 1
+    em.emit(
+        "raise _DecodeError('invalid UTF-8 in string field of "
+        f"{fmt.name}: %s' % (exc,)) from None"
+    )
+    em.indent -= 1
+    em.emit("except (IndexError, KeyError, MemoryError, OverflowError) as exc:")
+    em.indent += 1
+    em.emit(
+        f"raise _DecodeError('corrupt message for {fmt.name}:"
+        " %r' % (exc,)) from None"
+    )
+    em.indent -= 1
+
+
+def _emit_chain(
+    em: _Emitter, namespace: Dict[str, Any], label: str,
+    steps: List[Tuple[Transformation, Live]], rows: bool,
+) -> str:
+    """Inline the transform chain inside one try region whose failures
+    all surface as :class:`TransformError`, like a staged step's; the
+    name of its result.  A step's output is its growable record
+    (frozen after the step), or over *rows* a plain ``dict`` of the
+    target's defaults with an empty list per array."""
+    if not steps:
+        return "_r0"
+    namespace["_chain_fail"] = _make_fail(label)
+    em.emit("try:")
+    em.indent += 1
+    for k, (step, live) in enumerate(steps):
+        out = f"_r{k + 1}"
+        if rows:
+            scalars, fresh = step.target.template
+            namespace[f"_tpl{k}"] = scalars
+            lists = "".join(f", {field.name!r}: []" for field in fresh)
+            em.emit(f"{out} = {{**_tpl{k}{lists}}}")
+        else:
+            namespace[f"_gr{k}"] = step.new_output
+            em.emit(f"{out} = _gr{k}()")
+        em.lines.extend(_inlined(step, live, k, em.indent, rows))
+        if step.freeze is not None and not rows:
+            namespace[f"_frz{k}"] = step.freeze
+            em.emit(f"_frz{k}({out})")
+    em.indent -= 1
+    em.emit("except _ECodeError as exc:")
+    em.indent += 1
+    em.emit("_chain_fail(exc)")
+    em.indent -= 1
+    em.emit("except _ecode_escapes as exc:")
+    em.indent += 1
+    em.emit("_chain_fail(exc)")
+    em.indent -= 1
+    return f"_r{len(steps)}"
+
+
+def _namespace(structs: _StructTable) -> Dict[str, Any]:
+    """The globals of a routine that decodes a payload in *structs*'
+    order and runs a chain."""
+    namespace = runtime_namespace()
+    namespace.update(decode_namespace(structs))
+    namespace.update({
+        "_struct_error": struct.error,
+        "_ECodeError": ECodeError,
+        "_ecode_escapes": ECODE_ESCAPES,
+    })
+    return namespace
+
+
+#: a wire routine: ``(data, body offset, end) -> the target's wire``
+#: (``None`` for a check, which has no target)
+WireFn = Callable[[bytes, int, int], Optional[bytes]]
+
+
+class WireRoute:
+    """One routine from a payload of :attr:`source` to a message of
+    :attr:`target`: the decode fragment holding rows, the chain over
+    rows, the target's encoder as its tail.  With no target it is the
+    payload's check (a decode that keeps nothing and returns ``None``);
+    with no step and the source as target, a re-encode in
+    :attr:`byte_order`.
+
+    There is one per content key per process (:func:`wire_route`),
+    compiled per payload byte order when a route first asks for that
+    order (on its own second message — :class:`FusedRoute`'s second
+    sight, kept by the route); a compile failure is remembered as
+    ``None``.  Errors are the staged path's classes: a payload it cannot
+    read is a :class:`DecodeError`, a step that fails a
+    :class:`TransformError`, an output the target cannot hold an
+    :class:`EncodeError`."""
+
+    __slots__ = ("source", "target", "byte_order", "label", "_steps",
+                 "_live", "_fns", "_lock")
+
+    def __init__(
+        self, source: IOFormat, steps: List[Tuple[Transformation, Live]],
+        live: Live, target: Optional[IOFormat], byte_order: str,
+    ) -> None:
+        self.source = source
+        self.target = target
+        self.byte_order = byte_order
+        self._steps = steps
+        self._live = live
+        self.label = (
+            f"{source.name}.v{source.version}->"
+            + ("check" if target is None
+               else f"{target.name}.v{target.version}")
+        )
+        self._fns: Dict[str, Optional[WireFn]] = {}
+        self._lock = threading.Lock()
+
+    def fn_for(self, order: str) -> Optional[WireFn]:
+        """The routine for payloads in *order*, compiled now if no
+        route asked for that order before; ``None`` if it failed to."""
+        try:
+            return self._fns[order]
+        except KeyError:
+            pass
+        with self._lock:
+            if order not in self._fns:
+                self._fns[order] = self._compile(order)
+            return self._fns[order]
+
+    def source_text(self, order: str = "<") -> str:
+        """The generated Python source for *order* (``source`` names
+        the payload's format here)."""
+        return self._emit(order)[0]
+
+    def _compile(self, order: str) -> Optional[WireFn]:
+        return _compile_routine(self._emit, "_wire_route", self.label, order)
+
+    def _emit(self, order: str) -> Tuple[str, Dict[str, Any]]:
+        em = _Emitter()
+        structs = _StructTable(order)
+        namespace = _namespace(structs)
+        em.emit("def _wire_route(data, off, end):")
+        em.indent += 1
+        em.emit(f'"""Wire route {self.label} (payload order {order!r})."""')
+        _emit_decode(em, self.source, structs, self._live, True)
+        result = _emit_chain(em, namespace, self.label, self._steps, True)
+        if self.target is None:
+            em.emit("return None")
+        else:
+            tail = _StructTable(byte_order_prefix(self.byte_order), "_T")
+            _gen_encode_message(em, self.target, tail, result, rows=True)
+            namespace.update(encode_namespace(self.target, tail))
+        return em.source(), namespace
+
+
+#: the process's wire routes, by content key (FIFO at
+#: :data:`WIRE_ROUTE_CACHE_MAX`; an evicted key is made again when
+#: next asked for)
+_wire_routes: Dict[tuple, Optional[WireRoute]] = {}
+WIRE_ROUTE_CACHE_MAX = 256
+_wire_lock = threading.Lock()
+_MISSING: Any = object()
+
+
+def wire_route(
+    source: IOFormat, steps: List[Transformation],
+    target: Optional[IOFormat], byte_order: str,
+) -> Optional[WireRoute]:
+    """The process's one :class:`WireRoute` for its content key — source
+    format content, each step's code, target format content with byte
+    order — or ``None`` when the route cannot take rows: an interpreter
+    procedure or a step fusion cannot inline, a format along it whose
+    records are not rows (:func:`~repro.morph.transform.rows_format`),
+    or a program that writes a row, reads back an array it fills or
+    uses a row whole (:class:`~repro.ecode.codegen.NotRows`)."""
+    formats = [source] + [step.target for step in steps]
+    if not all(_inlinable(step) for step in steps) or not all(
+            rows_format(fmt) for fmt in formats):
+        return None
+    key = (
+        source.content_key(),
+        tuple((step.spec.code, step.target.content_key()) for step in steps),
+        None if target is None else target.content_key(),
+        byte_order,
+    )
+    with _wire_lock:
+        found = _wire_routes.get(key, _MISSING)
+    if found is not _MISSING:
+        return found
+    live_after: Live = None if target is not None else frozenset()
+    planned: List[Tuple[Transformation, Live]] = []
+    for step in reversed(steps):
+        planned.append((step, live_after))
+        live_after = _facts(step, live_after).reads
+    planned.reverse()
+    made: Optional[WireRoute] = None
+    if all(_inlined(step, live, k, 2, True) is not None
+           for k, (step, live) in enumerate(planned)):
+        made = WireRoute(source, planned, live_after, target, byte_order)
+    with _wire_lock:
+        while len(_wire_routes) >= WIRE_ROUTE_CACHE_MAX:
+            _wire_routes.pop(next(iter(_wire_routes)))
+        return _wire_routes.setdefault(key, made)
+
+
+class WirePlan(NamedTuple):
+    """How a route makes its handler format's wire of an event
+    (:func:`plan_wire`): by its routines, or — with none, or on a
+    route's first message — decoding, applying the steps and encoding
+    (staged)."""
+
+    #: the payload's format, the steps from it and the wire's format
+    source: IOFormat
+    steps: Tuple[Transformation, ...]
+    target: IOFormat
+    #: payload to target in one routine (``None``: staged)
+    full: Optional[WireRoute]
+    #: with no step: the payload's check, for a payload that is already
+    #: the target's wire
+    check: Optional[WireRoute]
+    #: the last step on bytes, when it is a wire projection after other
+    #: steps: its wire can be cut from its source format's wire
+    cut: Optional[ProjectionCut]
+    #: how that source format's wire is made
+    prefix: Optional["WirePlan"]
+
+
+def plan_wire(
+    source: IOFormat, steps: List[Transformation], byte_order: str,
+    rows: bool,
+) -> WirePlan:
+    """The wire plan of a route from payloads of *source* through
+    *steps* (no reconcile), encoding in *byte_order*.  It has no
+    routines when *rows* is false (a receiver that does not fuse) or
+    the route cannot take rows (:func:`wire_route`)."""
+    target = steps[-1].target if steps else source
+    full = wire_route(source, steps, target, byte_order) if rows else None
+    check = (wire_route(source, [], None, byte_order)
+             if full is not None and not steps else None)
+    cut = steps[-1].projection if len(steps) > 1 else None
+    prefix = (plan_wire(source, steps[:-1], byte_order, rows)
+              if cut is not None else None)
+    return WirePlan(source, tuple(steps), target, full, check, cut, prefix)
 
 
 # ---------------------------------------------------------------------------

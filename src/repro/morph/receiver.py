@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict, deque
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -38,15 +37,15 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
-    NamedTuple,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
 
-from repro.ecode.analyze import writes_param
-from repro.ecode.runtime import copy_value
-from repro.errors import NoMatchError, TransformError, UnknownFormatError
+from repro.errors import (
+    EncodeError, NoMatchError, TransformError, UnknownFormatError,
+)
 from repro.morph.compat import coerce_record, reconcile_field_stats
 from repro.obs import OBS
 from repro.obs.metrics import (
@@ -58,13 +57,16 @@ from repro.morph.maxmatch import (
     MatchResult,
     max_match,
 )
-from repro.morph.fusion import FusedRoute, plan_fusion
-from repro.morph.transform import TransformChain, Transformation, build_chain
+from repro.morph.fusion import FusedRoute, WirePlan, plan_fusion, plan_wire
+from repro.morph.transform import (
+    TransformChain, Transformation, build_chain,
+)
 from repro.obs.tracectx import UNRECORDED, activate, current, recording
 from repro.pbio.buffer import (
     FLAG_BIG_ENDIAN,
     FLAGS_OFFSET,
     MessageHeader,
+    canonical_format_id,
     check_header,
     unpack_header,
 )
@@ -76,22 +78,10 @@ from repro.pbio.registry import FormatRegistry
 
 Handler = Callable[[Record], Any]
 DefaultHandler = Callable[[IOFormat, Record], Any]
-#: one event's memo of stage results (see :meth:`MorphReceiver.process`)
-Shared = Optional[Dict[Any, Any]]
-#: the memo entry where its maker lists the formats (ids) whose wires of
-#: the event it holds or will encode: the sources it can cut from
-CUT_SOURCES = "cut sources"
-
-
-class WireCut(NamedTuple):
-    """What a memo-fed route hands its handler instead of running its
-    last step, a wire projection (``Transformation.projection``) out of
-    a format the memo's maker can cut from (:data:`CUT_SOURCES`): the
-    step and its input.  The step's output is ``step.apply(record)``;
-    its wire is ``step.projection`` cut from *record*'s wire."""
-
-    record: Record
-    step: Transformation
+#: one event's wires by format id (see :meth:`MorphReceiver.process`)
+Wires = Optional[Dict[int, Optional[bytes]]]
+#: a route's wire plan before it is asked for
+_UNPLANNED: Any = object()
 
 
 #: The tallies every receiver keeps, read as ``stats.<name>`` and
@@ -211,6 +201,11 @@ class _Route:
     #: transform chain runs, since the chain's ECode was compiled against
     #: the parent's field set
     pre_coercion: Optional[Tuple[IOFormat, IOFormat]] = None
+    #: :meth:`plan_wire`'s plan once made, and the payload byte orders
+    #: whose first message under a table of wires ran staged (second
+    #: sight: the next one goes wire to wire)
+    wire: Any = _UNPLANNED
+    wire_seen: Set[str] = field(default_factory=set)
 
     def __post_init__(self) -> None:
         #: top-level fields dropped / default-filled by the reconcile step,
@@ -223,59 +218,21 @@ class _Route:
     def is_reject(self) -> bool:
         return self.handler_format is None
 
-    @cached_property
-    def stages(self) -> List[Tuple[Any, Transformation, bool]]:
-        """The chain as ``(memo key, step, may it write its input)``,
-        made when the route first meets a memo (a lone reader never pays
-        for the analysis).  A key names a value — the record under the
-        input's key run through this code into this target, from the
-        wire format id down (a ``pre_coercion``-widened record is not
-        the raw decode) — so routes agree on keys as far as their chains
-        agree.  Ids and the code string: no spec is hashed per event."""
-        stages = []
-        key: Any = self.wire_format.format_id
-        if self.pre_coercion is not None:
-            key = (key, self.pre_coercion[1].format_id)
-        for step in self.chain.steps:
-            key = (key, step.target.format_id, step.spec.code)
-            program = getattr(step.procedure, "program", None)
-            stages.append((key, step, writes_param(program, "new")))
-        return stages
-
-    @cached_property
-    def cut_step(self) -> Optional[Transformation]:
-        """The chain's last step when a memo's maker may cut its output
-        instead of running it: a wire projection
-        (``Transformation.projection``) whose output the handler takes
-        as it is.  Asked, like :attr:`stages`, only under a memo."""
-        step = self.chain.steps[-1]
-        if self.coercion is None and step.projection is not None:
-            return step
-        return None
-
-    def run_chain(self, record: Record, shared: Shared) -> Any:
-        """The transform chain — through one event's memo if there is
-        one: a step some reader has run is looked up, the others run and
-        are stored, unless they raise.  A step that may write its input
-        gets a copy of it (the input is in the memo too).  The
-        :attr:`cut_step`, when the memo lists its source among those its
-        maker can cut from (:data:`CUT_SOURCES`), is not run: the result
-        is a :class:`WireCut`.  (A chain is acyclic: a step occurs in it
-        once.)"""
-        if shared is None:
-            return self.chain.apply(record)
-        cut = self.cut_step
-        for key, step, writes_input in self.stages:
-            result = shared.get(key)
-            if result is None:
-                if step is cut and step.source.format_id in shared.get(
-                        CUT_SOURCES, ()):
-                    return WireCut(record, step)
-                result = shared[key] = step.apply(
-                    copy_value(record) if writes_input else record
-                )
-            record = result
-        return record
+    def plan_wire(self, fused: bool, byte_order: str) -> Optional[WirePlan]:
+        """How the route makes its handler format's wire of an event
+        (:func:`~repro.morph.fusion.plan_wire`; with routines when the
+        receiver *fused*), kept as :attr:`wire`: planned on the route's
+        first message under a table of wires, so a reader that is handed
+        records never pays for it.  ``None`` for a reconcile or a
+        widened projection, whose wire is its own."""
+        self.wire = None
+        if self.coercion is None and self.pre_coercion is None:
+            self.wire = plan_wire(
+                self.wire_format,
+                list(self.chain.steps) if self.chain is not None else [],
+                byte_order, fused,
+            )
+        return self.wire
 
 
 class MorphReceiver:
@@ -395,7 +352,7 @@ class MorphReceiver:
     # ------------------------------------------------------------------
 
     def process(
-        self, data: bytes, shared: Shared = None,
+        self, data: bytes, wires: Wires = None,
         header: Optional[MessageHeader] = None,
     ) -> Any:
         """Process one wire message — a frame of one; returns whatever
@@ -411,23 +368,26 @@ class MorphReceiver:
         match admits and no default handler takes under ``"no_match"``)
         and ``None`` is returned.
 
-        *shared* is a memo the caller makes (``{}``) for **one** event
-        and passes to every receiver it feeds that event's bytes: a route
-        then runs its staged steps and looks each result up first — the
-        payload decode, each transform of the chain — so the readers of
-        one wire pay once for what they have in common.  Everything else
-        stays per reader, and a failing step stores nothing: each reader
-        runs it, and fails, itself.  Handlers fed from one memo must not
-        write their record, and the receivers must be configured alike
-        (registry, ``use_codegen``).  A caller that encodes what it is
-        handed may list under :data:`CUT_SOURCES` the formats whose
-        wires of the event it holds: a route whose last step is a wire
-        projection out of one of them then hands its handler a
-        :class:`WireCut` instead of running that step."""
-        return self._receive((data,), shared=shared, header=header)[0]
+        *wires* is a table the caller makes for **one** event — format
+        id to that format's wire of the event, ``None`` until one is
+        made — and passes to every receiver it feeds that event's bytes
+        (the fabric owner's format groups): the handler is then handed
+        its format's *wire*, not a record, and the route makes it wire
+        to wire (:class:`~repro.morph.fusion.WireRoute`: no record is
+        built) unless a sibling already put it in the table.  A route
+        whose last step is a wire projection out of a format the table
+        lists cuts its wire from that format's (:meth:`_wire_of`); a
+        payload that is its format's wire as an encoder writes it
+        (:func:`~repro.pbio.buffer.canonical_format_id`) is handed on,
+        checked; a route that cannot go wire to wire decodes, morphs
+        and encodes (staged).  An output its format cannot hold is a
+        dead letter under ``"dispatch"`` (an :class:`EncodeError`),
+        where a handler encoding its record would have raised it.  The
+        receivers must be configured alike (registry, ``use_codegen``)."""
+        return self._receive((data,), wires=wires, header=header)[0]
 
     def process_alone(
-        self, data: bytes, shared: Shared = None,
+        self, data: bytes, wires: Wires = None,
     ) -> Tuple[Any, Optional[DeadLetter]]:
         """:meth:`process` for a caller that judges every message on its
         own (archive replay, the differential oracles): returns the
@@ -436,7 +396,7 @@ class MorphReceiver:
         quarantine, and a failure lifts its format's (count included):
         no message is dropped unread, and none quarantines its format."""
         letters = self.containment["dead_lettered"]
-        result = self._receive((data,), retrying=True, shared=shared)[0]
+        result = self._receive((data,), retrying=True, wires=wires)[0]
         if self.containment["dead_lettered"] == letters:
             return result, None
         self.lift_quarantine(self._dead_letters[-1].format_id)
@@ -470,7 +430,7 @@ class MorphReceiver:
 
     def _receive(
         self, segments: Iterable[bytes], retrying: bool = False,
-        shared: Shared = None, header: Optional[MessageHeader] = None,
+        wires: Wires = None, header: Optional[MessageHeader] = None,
     ) -> List[Any]:
         """Algorithm 2 over the segments of one frame — the one receive
         loop.  Per segment: parse the header (once; a frame of one may
@@ -536,7 +496,7 @@ class MorphReceiver:
                             raise UnknownFormatError(format_id)
                         stats.cache_misses += 1
                         route = self._planned(incoming)
-                    record = self._decode(route, header, data, tracing, shared)
+                    record = self._decode(route, header, data, tracing, wires)
                     if route.chain is not None:
                         stats.morphed += 1
                     if route.coercion is not None:
@@ -555,6 +515,17 @@ class MorphReceiver:
                     stage = "no_match"
                 elif isinstance(exc, TransformError):
                     stage = "transform"
+                elif isinstance(exc, EncodeError) and stage == "decode":
+                    # a wire's encoder refused the route's output: where a
+                    # handler encoding its record would have raised, and
+                    # counted as the route's messages are on the way there
+                    stage = "dispatch"
+                    if route.chain is not None:
+                        stats.morphed += 1
+                    if route.coercion is not None:
+                        stats.reconciled += 1
+                    else:
+                        stats.perfect_matches += 1
                 self._dead_letter(data, format_id, stage, exc)
                 results.append(None)
         return results
@@ -579,29 +550,25 @@ class MorphReceiver:
 
     def _decode(
         self, route: _Route, header: MessageHeader, data: bytes,
-        tracing: bool, shared: Shared,
-    ) -> Record:
-        """The route's one decode step, from wire bytes to the record its
-        handler takes: the fused routine compiled for the payload's byte
-        order, else ``PBIOContext.decode_as`` and the staged steps.  A
-        fused routine has nothing to share: with a *shared* memo the
-        route runs staged, and decodes only if no reader has.
+        tracing: bool, wires: Wires,
+    ) -> Any:
+        """The route's one decode step, from wire bytes to what its
+        handler takes: the record — by the fused routine compiled for the
+        payload's byte order, else ``PBIOContext.decode_as`` and the
+        staged steps — or, given a table of *wires*, the handler
+        format's wire (:meth:`_wire`).
 
         *tracing* (:func:`~repro.obs.tracectx.recording`) adds, here and
         down the route, the spans and durations of a sampled message."""
+        order = ">" if header.flags & FLAG_BIG_ENDIAN else "<"
+        if wires is not None and route.handler_format is not None:
+            return self._wire(route, header, data, tracing, wires, order)
         fused = route.fused
-        fn = None if fused is None or shared is not None else fused.fn_for(
-            ">" if header.flags & FLAG_BIG_ENDIAN else "<"
-        )
+        fn = None if fused is None else fused.fn_for(order)
         if fn is None:
             self.stats.staged_messages += 1
-            record = None if shared is None else shared.get(header.format_id)
-            if record is None:
-                record = self.context.decode_as(
-                    route.wire_format, data, header)
-                if shared is not None:
-                    shared[header.format_id] = record
-            return self._morph(route, record, tracing, shared)
+            record = self.context.decode_as(route.wire_format, data, header)
+            return self._morph(route, record, tracing)
         body = header.body_offset
         end = body + header.payload_length
         stats = self.stats
@@ -622,9 +589,106 @@ class MorphReceiver:
             stats.applied[wire_format.name] += 1
         return record
 
+    def _wire(
+        self, route: _Route, header: MessageHeader, data: bytes,
+        tracing: bool, wires: Dict[int, Optional[bytes]], order: str,
+    ) -> bytes:
+        """The handler format's wire of the event, by the route's plan
+        (:meth:`_wire_of`): wire to wire from the route's second message
+        of a byte order on, staged on its first or with no routine.  A
+        route that reconciles or widens decodes, morphs and encodes a
+        wire of its own; every other route makes the one a sibling of
+        its format would, so it takes the table's and puts its own
+        there."""
+        plan = route.wire
+        if plan is _UNPLANNED:
+            plan = route.plan_wire(self.use_fusion, self.context.byte_order)
+        stats = self.stats
+        if plan is None:
+            stats.staged_messages += 1
+            record = self.context.decode_as(route.wire_format, data, header)
+            return self.context.encode(
+                route.handler_format, self._morph(route, record, tracing))
+        staged = plan.full is None or order not in route.wire_seen
+        if staged:
+            route.wire_seen.add(order)
+            stats.staged_messages += 1
+            wire = self._wire_of(plan, header, data, wires, order, True,
+                                 tracing)
+        elif tracing:
+            wire_format = route.wire_format
+            with OBS.tracer.span(
+                "morph.fused", format=wire_format.name,
+                version=wire_format.version,
+            ) as active:
+                wire = self._wire_of(plan, header, data, wires, order,
+                                     False, tracing)
+            self._fused_seconds().observe(active.span.duration)
+            stats.fused_messages += 1
+        else:
+            wire = self._wire_of(plan, header, data, wires, order, False,
+                                 tracing)
+            stats.fused_messages += 1
+        if route.chain is not None:
+            stats.applied[route.wire_format.name] += 1
+        return wire
+
+    def _wire_of(
+        self, plan: WirePlan, header: MessageHeader, data: bytes,
+        wires: Dict[int, Optional[bytes]], order: str, staged: bool,
+        tracing: bool,
+    ) -> bytes:
+        """*plan*'s target wire of the event: the table's when a sibling
+        made it, else made here and put in the table.  It is cut from
+        the wire of the format the plan's last step projects out of,
+        when the table lists that format (made here if no sibling has,
+        and when it encodes: a step input whose format cannot hold a
+        field the step drops has no wire).  Else it is made: the payload
+        itself when it needs no step and is its format's wire as an
+        encoder writes it (:func:`~repro.pbio.buffer.canonical_format_id`),
+        checked; else the plan's one routine, or — *staged*, with no
+        routine or one that failed to compile — ``decode_as``, the steps
+        and ``PBIOContext.encode``.  A payload that is its own format's
+        wire is then in the table as checked."""
+        target = plan.target.format_id
+        wire = wires.get(target)
+        if wire is not None:
+            return wire
+        cut = plan.cut
+        if cut is not None and plan.prefix.target.format_id in wires:
+            try:
+                source = self._wire_of(plan.prefix, header, data, wires,
+                                       order, staged, tracing)
+            except EncodeError:
+                source = None
+            if source is not None:
+                wire = wires[target] = cut.cut(source)
+                return wire
+        payload = header.format_id
+        canonical = canonical_format_id(data) == payload
+        routine = None if staged else (
+            plan.check if canonical and plan.check is not None else plan.full)
+        fn = None if routine is None else routine.fn_for(order)
+        if fn is not None:
+            wire = fn(data, header.body_offset,
+                      header.body_offset + header.payload_length)
+            if wire is None:  # the check's: the payload, checked
+                wire = data
+        else:
+            record = self.context.decode_as(plan.source, data, header)
+            if plan.steps:
+                wire = self.context.encode(plan.target, self._transform(
+                    plan.source, plan.steps, record, tracing))
+            else:
+                wire = data if canonical else self.context.encode(
+                    plan.target, record)
+        if canonical and wires.get(payload, data) is None:
+            wires[payload] = data  # decoded whole: checked
+        wires[target] = wire
+        return wire
+
     def _morph(
         self, route: _Route, record: Record, tracing: bool,
-        shared: Shared = None,
     ) -> Record:
         """The staged pipeline after decode, one pass each: widen a
         projected record, run the transform chain, reconcile (what a
@@ -633,17 +697,8 @@ class MorphReceiver:
             record = widen_record(*route.pre_coercion, record)
         chain = route.chain
         if chain is not None:
-            if tracing:
-                with OBS.tracer.span(
-                    "morph.transform",
-                    source=route.wire_format.version,
-                    target=chain.target.version,
-                    steps=len(chain),
-                ) as active:
-                    record = route.run_chain(record, shared)
-                self._transform_seconds().observe(active.span.duration)
-            else:
-                record = route.run_chain(record, shared)
+            record = self._transform(
+                route.wire_format, chain.steps, record, tracing)
             self.stats.applied[route.wire_format.name] += 1
         if route.coercion is not None:
             if tracing:
@@ -655,6 +710,24 @@ class MorphReceiver:
                     record = coerce_record(*route.coercion, record)
             else:
                 record = coerce_record(*route.coercion, record)
+        return record
+
+    def _transform(
+        self, source: IOFormat, steps: Sequence[Transformation],
+        record: Record, tracing: bool,
+    ) -> Record:
+        """*steps* over *record*, a record of *source*: one pass each."""
+        if not tracing:
+            for step in steps:
+                record = step.apply(record)
+            return record
+        with OBS.tracer.span(
+            "morph.transform", source=source.version,
+            target=steps[-1].target.version, steps=len(steps),
+        ) as active:
+            for step in steps:
+                record = step.apply(record)
+        self._transform_seconds().observe(active.span.duration)
         return record
 
     def _dispatch(self, route: _Route, record: Record, tracing: bool) -> Any:

@@ -21,7 +21,7 @@ import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ecode import analyze
-from repro.ecode.codegen import SCALAR, Grows, Shape, compile_procedure
+from repro.ecode.codegen import SCALAR, Grows, Row, Shape, compile_procedure
 from repro.ecode.interp import interpret_procedure
 from repro.ecode.runtime import AutoList
 from repro.errors import ECodeError, TransformError
@@ -173,29 +173,52 @@ def _freezer(fmt: IOFormat) -> Optional[Callable[[Record], None]]:
     return freeze
 
 
-def _shape(fmt: IOFormat, output: bool = False) -> Dict[str, Shape]:
+def _shape(
+    fmt: IOFormat, output: bool = False, rows: bool = False
+) -> Dict[str, Shape]:
     """*fmt* as the ECode compiler wants to hear of it; an *output*
     record's (:func:`growable_record`'s) arrays of flat records say how
-    they grow."""
+    they grow.  With *rows* (:func:`rows_format` holds), the elements of
+    arrays of records are rows (:class:`~repro.ecode.codegen.Row`) and
+    every output array is a :class:`~repro.ecode.codegen.Grows`."""
     shape: Dict[str, Shape] = {}
     for field in fmt.fields:
         inner = _shape(field.subformat) if field.is_complex else SCALAR
+        if rows and field.is_complex:
+            inner = Row(inner)
         prototype = (
             _prototype(field.subformat)
             if output and field.is_array and field.is_complex else None
         )
-        if prototype is not None:
+        if prototype is not None or output and rows and field.is_array:
             shape[field.name] = Grows(
-                inner, prototype, empty=field.array.fixed_length is None
+                inner, prototype or {}, empty=field.array.fixed_length is None
             )
         else:
             shape[field.name] = [inner] if field.is_array else inner
     return shape
 
 
-def ecode_shapes(spec: TransformSpec) -> Dict[str, Shape]:
-    """The shapes of a transform's ``(new, old)`` parameters."""
-    return {"new": _shape(spec.source), "old": _shape(spec.target, True)}
+def ecode_shapes(spec: TransformSpec, rows: bool = False) -> Dict[str, Shape]:
+    """The shapes of a transform's ``(new, old)`` parameters (*rows*:
+    as :func:`_shape` says)."""
+    return {"new": _shape(spec.source, rows=rows),
+            "old": _shape(spec.target, True, rows)}
+
+
+def rows_format(fmt: IOFormat) -> bool:
+    """Whether records of *fmt* can be held as a plain dict whose arrays
+    of records hold rows: every record-typed field is a variable-length
+    array of flat records (basic, non-array fields), and no array has a
+    fixed length."""
+    for field in fmt.fields:
+        if field.is_array and field.array.fixed_length is not None:
+            return False
+        if field.is_complex and not (field.is_array and all(
+                sub.is_basic and not sub.is_array
+                for sub in field.subformat.fields)):
+            return False
+    return True
 
 
 class Transformation:

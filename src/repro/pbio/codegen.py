@@ -139,11 +139,15 @@ def _head_codes(fmt: IOFormat) -> Optional[str]:
 
 class _StructTable(list):
     """The per-routine table of precompiled Structs, tagged with the
-    byte-order prefix its entries were built with."""
+    byte-order prefix its entries were built with and the global names
+    the encode emitters give it and its ``u32`` packer (a routine with
+    a decode and an encode in two orders holds two tables)."""
 
-    def __init__(self, order: str) -> None:
+    def __init__(self, order: str, name: str = "_S") -> None:
         super().__init__()
         self.order = order
+        self.name = name
+        self.u32 = "_U32" if name == "_S" else f"{name}_U32"
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +166,13 @@ def _gen_decode_format(
     held: Optional[List[str]] = None,
     carry: bool = False,
     values: bool = False,
+    rows: bool = False,
 ) -> None:
     """Emit code decoding one record of *fmt* into dict var *out_var*
-    (with *values*, into a tuple of the field values in declared order).
+    (with *values*, into a tuple of the field values in declared order;
+    with *rows*, into a plain ``dict`` whose arrays of records hold
+    **rows** — each element the tuple of its field values in declared
+    order — so no :class:`Record` is built).
 
     Uses the running local ``off`` as the cursor.  Field values land in
     fresh locals, then a single dict literal builds the record.
@@ -232,7 +240,8 @@ def _gen_decode_format(
             if dead and _arith_skippable(field):
                 _gen_skip_array(em, field, structs, data, end, value_vars)
             else:
-                _gen_decode_array(em, field, structs, data, end, var, value_vars)
+                _gen_decode_array(em, field, structs, data, end, var,
+                                  value_vars, rows)
         elif dead and field.kind is TypeKind.CHAR:
             _gen_skip_bytes(em, "1", data, end,
                             f"truncated char field {field.name}")
@@ -249,6 +258,9 @@ def _gen_decode_format(
         for f in fmt.fields
         if f.name in value_vars and (live is None or f.name in live)
     )
+    if rows:
+        em.emit(f"{out_var} = {{{items}}}")
+        return
     em.emit(f"{out_var} = _new(_R)")
     em.emit(f"_upd({out_var}, {{{items}}})")
 
@@ -276,6 +288,7 @@ def _gen_decode_message(
     out_var: str,
     live: Optional[Set[str]] = None,
     values: bool = False,
+    rows: bool = False,
 ) -> None:
     """Emit the decode of the record of *fmt* that the message ``data``
     carries between ``off`` and ``end`` into *out_var*: the one entry to
@@ -294,7 +307,7 @@ def _gen_decode_message(
     em.emit("data = _bytes(data)")
     em.indent -= 1
     _gen_decode_format(em, fmt, structs, "data", "end", out_var, live=live,
-                       values=values)
+                       values=values, rows=rows)
 
 
 def decode_namespace(structs: "_StructTable") -> Dict[str, Any]:
@@ -389,7 +402,10 @@ def _gen_decode_array(
     end: str,
     var: str,
     value_vars: Dict[str, str],
+    rows: bool = False,
 ) -> None:
+    """An array field into list *var*; with *rows*, an element record is
+    the tuple of its field values."""
     spec = field.array
     assert spec is not None
     if spec.fixed_length is not None:
@@ -426,7 +442,7 @@ def _gen_decode_array(
         em.emit(f"for {loop} in range({count_expr}):")
         em.indent += 1
         element = em.fresh("e")
-        _gen_decode_single(em, field, structs, data, end, element)
+        _gen_decode_single(em, field, structs, data, end, element, rows)
         em.emit(f"{append}({element})")
         em.indent -= 1
         return
@@ -446,7 +462,7 @@ def _gen_decode_array(
     def element(carry: bool) -> None:
         out = em.fresh("e")
         _gen_decode_format(em, sub, structs, data, end, out,
-                           held=held, carry=carry)
+                           held=held, carry=carry, values=rows)
         em.emit(f"{append}({out})")
 
     loop = em.fresh("i")
@@ -466,11 +482,13 @@ def _gen_decode_single(
     data: str,
     end: str,
     var: str,
+    values: bool = False,
 ) -> None:
     kind = field.kind
     if kind is TypeKind.COMPLEX:
         assert field.subformat is not None
-        _gen_decode_format(em, field.subformat, structs, data, end, var)
+        _gen_decode_format(em, field.subformat, structs, data, end, var,
+                           values=values)
         return
     if kind is TypeKind.STRING:
         length = em.fresh("n")
@@ -646,10 +664,12 @@ def _gen_encode_format(
     held: Optional[str] = None,
     carry: Optional[str] = None,
     loads: Optional[Dict[str, str]] = None,
+    rows: bool = False,
 ) -> None:
     """Emit code appending record *rec* of *fmt* to ``buf`` — or, given
-    *loads* (a flat format's value coder), the values in the locals it
-    names by field.
+    *loads* (a flat format's value coder, a row), the values in the
+    expressions it names by field.  With *rows*, the elements of its
+    arrays of records are rows (:func:`_gen_decode_format`).
 
     *held* and *carry* serve an array element (see
     :func:`_gen_encode_array`): given *held*, the record's leading
@@ -669,27 +689,41 @@ def _gen_encode_format(
             args = [_coerced_load(rec, f, loads) for f in run]
             if carry is not None and position == len(runs) - 1:
                 assert held is not None
-                next_codes, next_args = _gen_encode_head(em, fmt, carry, held)
+                next_codes, next_args = _gen_encode_head(
+                    em, fmt, carry, held,
+                    _row_loads(fmt, carry, loads is not None))
                 codes += next_codes
                 args += next_args
             idx, _size = _struct_for(codes, structs)
-            em.emit(f"_ext(_S[{idx}].pack({', '.join(args)}))")
+            em.emit(f"_ext({structs.name}[{idx}].pack({', '.join(args)}))")
             continue
         if field.is_array:
-            _gen_encode_array(em, field, structs, rec)
+            _gen_encode_array(em, field, structs, rec, rows)
         else:
             _gen_encode_single(em, field, structs, _load(rec, field, loads))
 
 
+def _row_loads(
+    fmt: IOFormat, row: str, rows: bool
+) -> Optional[Dict[str, str]]:
+    """The loads of a record of *fmt* held as the tuple *row*, when
+    *rows* says records are held so; else ``None``."""
+    if not rows:
+        return None
+    return {field.name: f"{row}[{index}]"
+            for index, field in enumerate(fmt.fields)}
+
+
 def _gen_encode_head(
-    em: _Emitter, fmt: IOFormat, rec: str, held: str
+    em: _Emitter, fmt: IOFormat, rec: str, held: str,
+    loads: Optional[Dict[str, str]] = None,
 ) -> Tuple[str, List[str]]:
     """The struct codes and ``pack`` arguments of record *rec*'s leading
     fixed-width write; a leading string is encoded into *held* first."""
     run = _scalar_runs(fmt.fields)[0]
     if _fusable(run[0]):
-        return _run_codes(run), [_coerced_load(rec, f) for f in run]
-    em.emit(f"{held} = {rec}[{run[0].name!r}].encode('utf-8')")
+        return _run_codes(run), [_coerced_load(rec, f, loads) for f in run]
+    em.emit(f"{held} = {_load(rec, run[0], loads)}.encode('utf-8')")
     return "I", [f"len({held})"]
 
 
@@ -709,7 +743,8 @@ def _coerced_load(
 
 
 def _gen_encode_array(
-    em: _Emitter, field: IOField, structs: List[struct.Struct], rec: str
+    em: _Emitter, field: IOField, structs: List[struct.Struct], rec: str,
+    rows: bool = False,
 ) -> None:
     spec = field.array
     assert spec is not None
@@ -736,7 +771,7 @@ def _gen_encode_array(
         element = em.fresh("el")
         em.emit(f"for {element} in {lst}:")
         em.indent += 1
-        _gen_encode_single(em, field, structs, element)
+        _gen_encode_single(em, field, structs, element, rows)
         em.indent -= 1
         return
     # the struct run across element boundaries, as the decoder reads it
@@ -749,33 +784,38 @@ def _gen_encode_array(
     it, cur, nxt, held = (em.fresh(p) for p in ("it", "cur", "nx", "b"))
     em.emit(f"{it} = iter({lst})")
     em.emit(f"{cur} = next({it})")
-    codes, args = _gen_encode_head(em, sub, cur, held)
+    codes, args = _gen_encode_head(em, sub, cur, held,
+                                   _row_loads(sub, cur, rows))
     idx, _size = _struct_for(codes, structs)
-    em.emit(f"_ext(_S[{idx}].pack({', '.join(args)}))")
+    em.emit(f"_ext({structs.name}[{idx}].pack({', '.join(args)}))")
     em.emit(f"for {nxt} in {it}:")
     em.indent += 1
-    _gen_encode_format(em, sub, structs, cur, held=held, carry=nxt)
+    _gen_encode_format(em, sub, structs, cur, held=held, carry=nxt,
+                       loads=_row_loads(sub, cur, rows))
     em.emit(f"{cur} = {nxt}")
     em.indent -= 1
-    _gen_encode_format(em, sub, structs, cur, held=held)
+    _gen_encode_format(em, sub, structs, cur, held=held,
+                       loads=_row_loads(sub, cur, rows))
     if guarded:
         em.indent -= 1
 
 
 def _gen_encode_single(
-    em: _Emitter, field: IOField, structs: List[struct.Struct], expr: str
+    em: _Emitter, field: IOField, structs: List[struct.Struct], expr: str,
+    rows: bool = False,
 ) -> None:
     kind = field.kind
     if kind is TypeKind.COMPLEX:
         assert field.subformat is not None
         sub = em.fresh("sub")
         em.emit(f"{sub} = {expr}")
-        _gen_encode_format(em, field.subformat, structs, sub)
+        _gen_encode_format(em, field.subformat, structs, sub,
+                           loads=_row_loads(field.subformat, sub, rows))
         return
     if kind is TypeKind.STRING:
         raw = em.fresh("b")
         em.emit(f"{raw} = {expr}.encode('utf-8')")
-        em.emit(f"_ext(_U32.pack(len({raw})))")
+        em.emit(f"_ext({structs.u32}.pack(len({raw})))")
         em.emit(f"_ext({raw})")
         return
     if kind is TypeKind.CHAR:
@@ -789,40 +829,32 @@ def _gen_encode_single(
         return
     idx, _size = _struct_for(_run_codes([field]), structs)
     if kind is TypeKind.BOOLEAN:
-        em.emit(f"_ext(_S[{idx}].pack(bool({expr})))")
+        em.emit(f"_ext({structs.name}[{idx}].pack(bool({expr})))")
     else:
-        em.emit(f"_ext(_S[{idx}].pack({expr}))")
+        em.emit(f"_ext({structs.name}[{idx}].pack({expr}))")
 
 
-def encoder_source(
-    fmt: IOFormat, order: str = "<", values: bool = False,
-) -> Tuple[str, List[struct.Struct]]:
-    """The Python source of ``_encode(rec)``, one whole message of *fmt*
-    with its payload in *order*: it reserves the header, appends the
-    payload, maps a value the format cannot hold to
-    :class:`EncodeError`, then packs the header into the reserved bytes.
-    With *values* (a flat format's, :func:`make_value_encoder`) it takes
-    the tuple of the field values in declared order instead of a
-    record."""
-    structs = _StructTable(order)
-    em = _Emitter()
-    em.emit(f"def _encode({'values' if values else 'rec'}):")
-    em.indent += 1
-    kind = "value encoder" if values else "encoder"
-    em.emit(f'"""Specialized {kind} for format {fmt.name!r} '
-            f'(id {fmt.format_id:#x}), {order!r} payloads."""')
+def _gen_encode_message(
+    em: _Emitter,
+    fmt: IOFormat,
+    structs: "_StructTable",
+    rec: str,
+    loads: Optional[Dict[str, str]] = None,
+    rows: bool = False,
+) -> None:
+    """Emit the encode of record *rec* of *fmt* as one whole message,
+    returned: reserve the header, append the payload, map a value the
+    format cannot hold to :class:`EncodeError`, pack the header into
+    the reserved bytes.  The one tail of :func:`encoder_source` and of
+    the fabric owner's wire routes (:mod:`repro.morph.fusion`); the
+    names it uses are :func:`encode_namespace`'s."""
     em.emit(f"buf = bytearray({HEADER_SIZE})")
     em.emit("_ext = buf.extend")
     em.emit("try:")
     em.indent += 1
-    loads = None
-    if values:
-        loads = {field.name: f"_a{index}"
-                 for index, field in enumerate(fmt.fields)}
-        em.emit(f"{''.join(name + ', ' for name in loads.values())}= values")
-    _gen_encode_format(em, fmt, structs, "rec", loads=loads)
+    _gen_encode_format(em, fmt, structs, rec, loads=loads, rows=rows)
     em.indent -= 1
-    flags = FLAG_BIG_ENDIAN if order == ">" else 0
+    flags = FLAG_BIG_ENDIAN if structs.order == ">" else 0
     for line in (
         "except _UNWRITABLE as exc:",
         "    raise _refuse(exc) from None",
@@ -831,6 +863,42 @@ def encoder_source(
         "return _bytes(buf)",
     ):
         em.emit(line)
+
+
+def encode_namespace(fmt: IOFormat, structs: "_StructTable") -> Dict[str, Any]:
+    """The globals :func:`_gen_encode_message`'s code runs against."""
+    name = fmt.name
+    return {
+        structs.name: structs,
+        structs.u32: struct.Struct(structs.order + "I"),
+        "_EncodeError": EncodeError,
+        "_UNWRITABLE": _UNWRITABLE,
+        "_refuse": lambda exc: _encode_refusal(name, exc),
+        "_pack_header": HEADER.pack_into,
+        "_bytes": bytes,
+    }
+
+
+def encoder_source(
+    fmt: IOFormat, order: str = "<", values: bool = False,
+) -> Tuple[str, List[struct.Struct]]:
+    """The Python source of ``_encode(rec)``, one whole message of *fmt*
+    with its payload in *order* (:func:`_gen_encode_message`).  With
+    *values* (a flat format's, :func:`make_value_encoder`) it takes the
+    tuple of the field values in declared order instead of a record."""
+    structs = _StructTable(order)
+    em = _Emitter()
+    em.emit(f"def _encode({'values' if values else 'rec'}):")
+    em.indent += 1
+    kind = "value encoder" if values else "encoder"
+    em.emit(f'"""Specialized {kind} for format {fmt.name!r} '
+            f'(id {fmt.format_id:#x}), {order!r} payloads."""')
+    loads = None
+    if values:
+        loads = {field.name: f"_a{index}"
+                 for index, field in enumerate(fmt.fields)}
+        em.emit(f"{''.join(name + ', ' for name in loads.values())}= values")
+    _gen_encode_message(em, fmt, structs, "rec", loads=loads)
     return em.source(), structs
 
 
@@ -849,24 +917,20 @@ def _encode_refusal(name: str, exc: BaseException) -> EncodeError:
     return EncodeError(f"bad field value for format {name!r}: {exc}")
 
 
-def _message_encoder(fmt: IOFormat, byte_order: str, values: bool) -> Callable:
+def byte_order_prefix(byte_order: str) -> str:
+    """The ``struct`` prefix of *byte_order* (``"little"`` / ``"big"``)."""
     try:
-        order = ORDER_PREFIX[byte_order]
+        return ORDER_PREFIX[byte_order]
     except KeyError:
         raise EncodeError(f"unknown byte order {byte_order!r}") from None
+
+
+def _message_encoder(fmt: IOFormat, byte_order: str, values: bool) -> Callable:
+    order = byte_order_prefix(byte_order)
     source, structs = encoder_source(fmt, order, values)
-    name = fmt.name
-    namespace: Dict[str, Any] = {
-        "_S": structs,
-        "_U32": struct.Struct(order + "I"),
-        "_EncodeError": EncodeError,
-        "_UNWRITABLE": _UNWRITABLE,
-        "_refuse": lambda exc: _encode_refusal(name, exc),
-        "_pack_header": HEADER.pack_into,
-        "_bytes": bytes,
-    }
+    namespace = encode_namespace(fmt, structs)
     kind = "value-encoder" if values else "encoder"
-    exec(compile(source, f"<pbio-{kind}:{name}:{order}>", "exec"), namespace)
+    exec(compile(source, f"<pbio-{kind}:{fmt.name}:{order}>", "exec"), namespace)
     return namespace["_encode"]
 
 

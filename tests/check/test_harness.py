@@ -17,10 +17,9 @@ from repro.check.runner import CheckRunner, run_check
 from repro.echo.protocol import RESPONSE_V0, RESPONSE_V2
 from repro.errors import DecodeError
 from repro.morph.fusion import FusedRoute
-from repro.morph.receiver import _Route
 from repro.obs import tracectx
 from repro.pbio import codegen
-from repro.pbio.buffer import HEADER_SIZE
+from repro.pbio.buffer import HEADER_SIZE, ProjectionCut
 from repro.pbio.decode import decode_record
 from repro.pbio.encode import encode_record
 from repro.pbio.field import ArraySpec, IOField
@@ -64,8 +63,11 @@ class TestCLI:
 
 
 class TestFusionOracleSharedArm:
-    """The fusion oracle's fourth arm reads each wire through a memo it
-    shares with sibling readers, and is held to the fused arm."""
+    """The fusion oracle's wire arm reads each wire through a table of
+    wires it shares with sibling readers, wire to wire, and is held to
+    a staged receiver whose handler encodes (the class and its first
+    test keep the names they had when the arm read through a shared
+    stage memo)."""
 
     def wires(self):
         return [
@@ -77,15 +79,14 @@ class TestFusionOracleSharedArm:
         self, echo_registry, monkeypatch
     ):
         assert check_fusion_wires(echo_registry, RESPONSE_V0, self.wires()) == []
-        run_chain = _Route.run_chain
-        # a memo that forgets the last hop: invisible to the other arms
+        # a cut that loses the last member: invisible to the other arms
+        cut = ProjectionCut.cut
         monkeypatch.setattr(
-            _Route, "run_chain",
-            lambda route, record, shared: run_chain(route, record, None)
-            if shared is None else route.stages[0][1].apply(record),
+            ProjectionCut, "cut",
+            lambda self, wire: cut(self, wire)[:-4],
         )
         findings = check_fusion_wires(echo_registry, RESPONSE_V0, self.wires())
-        assert findings and all("shared" in f.detail for f in findings)
+        assert findings and all("wire" in f.detail for f in findings)
 
     def test_an_unknown_format_is_clean_in_every_arm(self, echo_registry):
         """Four wires whose format id nobody registered: every arm

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.ecode import codegen
 from repro.echo import process as process_module
 from repro.echo.process import EChoProcess
 from repro.errors import ChannelError
@@ -116,6 +117,42 @@ class TestFiltering:
                       loads=[80, 10, 99])
         assert [e.load for e in got["hot-sink"]] == [80, 99]
         assert len(compiled) == 1
+
+
+    def test_a_source_compiles_a_derived_filter_once(self):
+        """The creator re-announces the derived channel to the parent's
+        sources on each join; a source keeps its compiled filter while
+        the text is the same (it compiled once per announce before)."""
+        net = Network()
+        registry = FormatRegistry()
+        creator = EChoProcess(net, "creator", registry, version="2.0")
+        source = EChoProcess(net, "source", registry, version="2.0")
+        creator.create_channel("raw")
+        source.open_channel("raw", "creator", as_source=True)
+        net.run()
+        creator.create_derived_channel("raw", "hot", HIGH_LOAD_FILTER)
+        before = codegen._TALLY.compiles  # the creator's own compile is in
+        for index in range(3):
+            sink = EChoProcess(net, f"hot-{index}", registry, version="2.0")
+            sink.open_channel("hot", "creator", as_sink=True)
+            net.run()
+        assert len(source.channel("hot").sinks()) == 3
+        assert codegen._TALLY.compiles - before == 1
+
+
+class TestLeave:
+    def test_leaving_a_derived_channel_stops_its_sources_pushing(self):
+        """A leave refreshes the parent's sources as a join does: the
+        source's replica loses the sink, and the next matching event
+        sends it no data frame (it was still pushed one, and dropped)."""
+        net, _creator, source, all_sink, hot_sink = build()
+        hot_sink.leave_channel("raw.hot")
+        net.run()
+        assert source.channel("raw.hot").sinks() == []
+        before = source.reliable.sent
+        got = publish(net, source, [(all_sink, "raw")], loads=[80])
+        assert [e.load for e in got["all-sink"]] == [80]
+        assert source.reliable.sent - before == 1  # all-sink's only
 
 
 class TestLifecycleErrors:

@@ -12,21 +12,31 @@ re-encode would have given.  Counted, never timed."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from repro import obs
 from repro.check import gen
-from repro.echo.protocol import RESPONSE_V2
+from repro.echo.protocol import (
+    RESPONSE_V0,
+    RESPONSE_V1,
+    RESPONSE_V2,
+    V1_TO_V0_TRANSFORM,
+    V2_TO_V1_CODE,
+)
+from repro.errors import DecodeError
 from repro.fabric import EventFabric
 from repro.fabric.protocol import FABRIC_DELIVER, FABRIC_PUBLISH
+from repro.morph.fusion import WireRoute
 from repro.net.batch import is_batch, pack_batch, unpack_batch
 from repro.net.reliable import ReliableEndpoint
 from repro.net.transport import Network
 from repro.pbio.buffer import attach_trace, strip_trace, unpack_header
 from repro.pbio.context import PBIOContext
-from repro.pbio.registry import FormatRegistry
+from repro.pbio.format import IOFormat
+from repro.pbio.registry import FormatRegistry, TransformSpec
 
 from tests.fabric.test_run_pipeline import READERS, Fleet, seeded_record
 
@@ -46,20 +56,36 @@ def sent(monkeypatch):
 
 @pytest.fixture
 def encodes(monkeypatch):
-    """Every ``(context, format)`` encoded, in order."""
+    """Every ``(context, format)`` encoded, in order, and every wire
+    routine that writes a message (``(WireRoute, its target)``): only
+    an owner runs those."""
     calls = []
     encode = PBIOContext.encode
     monkeypatch.setattr(
         PBIOContext, "encode",
         lambda ctx, fmt, rec: calls.append((ctx, fmt)) or encode(ctx, fmt, rec),
     )
+    fn_for = WireRoute.fn_for
+
+    def counted(route, order):
+        fn = fn_for(route, order)
+        if fn is None or route.target is None:
+            return fn
+        return lambda *args: calls.append((route, route.target)) or fn(*args)
+
+    monkeypatch.setattr(WireRoute, "fn_for", counted)
     return calls
 
 
 def payload_encodes(encodes, worker):
-    """The payload (not envelope) encodes *worker* made."""
-    return sum(ctx is worker.pbio and fmt is not FABRIC_DELIVER
-               for ctx, fmt in encodes)
+    """The payloads (not envelopes) *worker* wrote: encoded through its
+    own or a group receiver's context, or by a wire routine."""
+    writers = [worker.pbio] + [
+        group.receiver.context
+        for channel in worker._channels.values()
+        for group in channel.groups.values()]
+    return sum((ctx.__class__ is WireRoute or any(ctx is w for w in writers))
+               and fmt is not FABRIC_DELIVER for ctx, fmt in encodes)
 
 
 def delivered(sent, contact):
@@ -291,11 +317,86 @@ def test_payload_encodes_per_event_at_the_owner(
     channel_id = fleet.channels[0]
     owner = fleet.fabric.directory.worker(
         fleet.fabric.directory.owner(channel_id))
-    records = [seeded_record(random.Random(n), channel_id) for n in range(64)]
+    records = [seeded_record(random.Random(n), channel_id) for n in range(66)]
+    for record in records[64:]:  # each route's first event runs staged
+        fleet.pubs[0].publish(channel_id, RESPONSE_V2, record)
+    fleet.net.run()
     before = payload_encodes(encodes, owner)
     for record in records[:32]:
         fleet.pubs[0].publish(channel_id, RESPONSE_V2, record)
-    fleet.pubs[1].publish_batch(channel_id, RESPONSE_V2, records[32:])
+    fleet.pubs[1].publish_batch(channel_id, RESPONSE_V2, records[32:64])
     fleet.net.run()
     assert payload_encodes(encodes, owner) - before == 64 * owner_encodes
-    assert [len(log) for log in fleet.logs.values()] == [64] * len(readers)
+    assert [len(log) for log in fleet.logs.values()] == [66] * len(readers)
+
+
+
+def hostile_payloads(pbio, channel_id):
+    """A v2.0 payload with invalid UTF-8 in ``member_list[3].info`` and
+    one whose member array is cut short (its count claims one member
+    more than it holds): both have a header the owner would write, so
+    only a full decode refuses them."""
+    members = [{"info": f"host-{n:04d}", "ID": n, "is_Source": True,
+                "is_Sink": n % 2 == 0} for n in range(5)]
+    record = RESPONSE_V2.make_record(
+        channel_id=channel_id, member_count=5, member_list=members)
+    wire = pbio.encode(RESPONSE_V2, record)
+    utf8 = bytearray(wire)
+    at = wire.index(b"host-0003")
+    utf8[at:at + 4] = b"\xff\xfe\xfd\xfc"
+    short = bytearray(pbio.encode(
+        RESPONSE_V2, RESPONSE_V2.make_record(
+            channel_id=channel_id, member_count=4, member_list=members[:4])))
+    at = short.index(b"host-0000") - 8  # the count, then info's length
+    short[at:at + 4] = (5).to_bytes(4, "little")
+    return {"utf-8": bytes(utf8), "truncated": bytes(short)}
+
+
+@pytest.mark.parametrize("order", ["v2-last", "v2-first"])
+@pytest.mark.parametrize("warm", [False, True], ids=["first", "warm"])
+@pytest.mark.parametrize("damage", ["utf-8", "truncated"])
+def test_the_owner_forwards_no_unchecked_bytes(
+    tmp_path, damage, warm, order, sent
+):
+    """A payload the owner would write byte for byte but that does not
+    decode reaches no contact — the group in its own format included —
+    and each group dead-letters it under ``decode``, as when every group
+    decoded it into records; the worker's ``errors`` / ``last_error``
+    name the :class:`DecodeError`.  On a route's first event (staged)
+    and warm (wire to wire), with the v2.0 group sorting after the
+    groups that transform and before them."""
+    registry, v2 = None, RESPONSE_V2
+    if order == "v2-first":
+        for n in itertools.count():
+            v2 = IOFormat(RESPONSE_V2.name, list(RESPONSE_V2.fields),
+                          version=f"2.{n + 1}")
+            if v2.format_id < min(RESPONSE_V1.format_id,
+                                  RESPONSE_V0.format_id):
+                break
+        registry = FormatRegistry()
+        registry.register_transform(TransformSpec(v2, RESPONSE_V1, V2_TO_V1_CODE))
+        registry.register_transform(V1_TO_V0_TRANSFORM)
+    fleet = Fleet(str(tmp_path / "j.jsonl"), registry=registry,
+                  readers=(("v2", v2), ("v1", RESPONSE_V1), ("v0", RESPONSE_V0)))
+    channel_id = fleet.channels[0]
+    owner = fleet.fabric.directory.worker(
+        fleet.fabric.directory.owner(channel_id))
+    if warm:  # each route's first event runs staged
+        for n in range(2):
+            fleet.pubs[0].publish(
+                channel_id, v2, seeded_record(random.Random(n), channel_id))
+        fleet.net.run()
+    payload = hostile_payloads(fleet.pubs[0].pbio, channel_id)[damage]
+    if v2 is not RESPONSE_V2:
+        payload = payload[:8] + v2.format_id.to_bytes(8, "little") + payload[16:]
+    assert unpack_header(payload).format_id == v2.format_id
+    errors = owner.errors
+    sent.clear()
+    publish_payload(fleet, channel_id, payload)
+    assert [destination for destination, _wire in sent
+            if destination.startswith("sub-")] == []
+    assert owner.errors == errors + 3
+    assert isinstance(owner.last_error, DecodeError)
+    for group in owner._channels[channel_id].groups.values():
+        assert group.receiver.dead_letters[-1].stage == "decode"
+        assert isinstance(group.receiver.last_error, DecodeError)

@@ -457,11 +457,13 @@ class TestPoisonedSegments:
 
 
 class TestReadersOfOneWire:
-    """What one event costs at the owner, in calls: the payload is
-    decoded once and each transform of Figure 1's ladder runs once,
-    shared by the groups through the event's memo — except V1→V0, a wire
-    projection the v0.0 group cuts from the v1.0 group's wire instead of
-    running; a channel with one group keeps its fused route."""
+    """What events cost at the owner, in calls: no payload
+    ``decode_as`` and no ``Transformation.apply`` once each group's
+    route carried its first event (which runs staged: second sight).
+    From then on the v1.0 group runs its one wire-to-wire routine, the
+    v0.0 group cuts its wire from the v1.0 group's (V1→V0 is a wire
+    projection) and the v2.0 group hands the payload on, checked by that
+    routine; a channel with one group runs its own routine."""
 
     def count_at_the_owner(self, fleet, monkeypatch):
         """(payload decodes by group receivers, ``Transformation.apply``
@@ -494,14 +496,19 @@ class TestReadersOfOneWire:
     def test_three_groups_one_decode_and_each_transform_once(
         self, tmp_path, monkeypatch
     ):
+        """The id is historical: the first event, staged, decodes once
+        and applies V2→V1 once (the v1.0 group), the v0.0 group cuts its
+        wire from the v1.0 wire and the v2.0 group takes the payload
+        that decode checked; the other 63 events decode and apply
+        nothing."""
         fleet = Fleet(str(tmp_path / "j.jsonl"))
-        assert self.count_at_the_owner(fleet, monkeypatch) == (64, 64)
+        assert self.count_at_the_owner(fleet, monkeypatch) == (1, 1)
         assert [len(log) for log in fleet.logs.values()] == [64, 64, 64]
 
     def test_a_lone_group_stays_fused(self, tmp_path, monkeypatch):
-        # fused from the route's second event: its first runs staged —
-        # one payload decode and the ladder's two steps — so that a
-        # format sent once never pays a compile()
+        # wire to wire from the route's second event: its first runs
+        # staged — one payload decode and the ladder's two steps — so
+        # that a format sent once never pays a compile()
         fleet = Fleet(str(tmp_path / "j.jsonl"), readers=READERS[2:])
         assert self.count_at_the_owner(fleet, monkeypatch) == (1, 2)
         assert [len(log) for log in fleet.logs.values()] == [64]

@@ -25,8 +25,9 @@ from repro.ecode.runtime import AutoList
 from repro.errors import FormatError, TransformError
 from repro.fabric import JournalStore, shard_of
 from repro.fabric.protocol import FABRIC_DELIVER
+from repro.morph import fusion
 from repro.morph import transform as transform_mod
-from repro.morph.fusion import FusedRoute
+from repro.morph.fusion import FusedRoute, WireRoute
 from repro.morph.receiver import MorphReceiver
 from repro.morph.transform import (
     TransformChain,
@@ -618,7 +619,12 @@ class TestBurstCommitPrice:
 #: Python calls into ``repro`` from one paced publish through the
 #: three-group fabric of :class:`TestPacedPublishPrice` to its first
 #: subscriber delivery, on the simulated network; named functions only,
-#: so the count is one on every interpreter.  239 while the client
+#: so the count is one on every interpreter.  238 while the owner's
+#: groups shared a record memo: a payload ``decode_as``, V2→V1's
+#: ``apply``, the v1.0 ``encode`` and the cut's ``WireCut`` where one
+#: wire routine now runs (with staged receivers — ``use_fusion`` off,
+#: the ablation arm — those three still run, once per event, with no
+#: memo: :data:`PACED_PUBLISH_CALLS_STAGED`).  239 while the client
 #: looked its route up through ``_route``, beside its other per-channel
 #: tables; 249 while the reliable
 #: endpoint looked its per-peer state up in nine tables (a ``breaker``
@@ -631,15 +637,18 @@ class TestBurstCommitPrice:
 #: registered the format per encode and wrapped the generated routine in
 #: a closure with ``pack_header`` / ``check_header``, and the envelopes
 #: were records.
-PACED_PUBLISH_CALLS = 238
+PACED_PUBLISH_CALLS = 222
+PACED_PUBLISH_CALLS_STAGED = 233
 
 #: The same count on :class:`~repro.net.socket.SocketNetwork` (UDP
 #: loopback), which is what a deployment pays instead of the sim's
-#: scheduler and link model (232 before the client's per-channel
+#: scheduler and link model (231 before the owner's wire table,
+#: 232 before the client's per-channel
 #: record, 241 before the per-peer record, 244 before
 #: the burst commit and the inline header check, 288 with the codec
 #: chain above).
-PACED_PUBLISH_CALLS_SOCKET = 231
+PACED_PUBLISH_CALLS_SOCKET = 215
+PACED_PUBLISH_CALLS_SOCKET_STAGED = 226
 
 
 class TestPacedPublishPrice:
@@ -688,15 +697,19 @@ class TestPacedPublishPrice:
         assert calls[-1] == "_on_deliver"
         return calls
 
-    def test_one_paced_publish(self):
-        assert len(self.calls(Fleet())) == PACED_PUBLISH_CALLS
+    def test_one_paced_publish(self, pipeline_mode):
+        assert len(self.calls(Fleet())) == (
+            PACED_PUBLISH_CALLS if pipeline_mode == "fused"
+            else PACED_PUBLISH_CALLS_STAGED)
 
-    def test_one_paced_publish_over_udp(self):
+    def test_one_paced_publish_over_udp(self, pipeline_mode):
         from repro.net.socket import SocketNetwork
 
         with SocketNetwork(seed=3) as net:
             calls = self.calls(Fleet(net=net))
-        assert len(calls) == PACED_PUBLISH_CALLS_SOCKET, calls
+        assert len(calls) == (
+            PACED_PUBLISH_CALLS_SOCKET if pipeline_mode == "fused"
+            else PACED_PUBLISH_CALLS_SOCKET_STAGED), calls
 
 
 #: Named ``repro`` calls of one ECho ``submit`` on a warmed creator /
@@ -827,20 +840,117 @@ class TestCountGuard:
             self.families(tmp_path / "5.jsonl", subscribers=5))
 
 
+class TestOwnerWirePrice:
+    """What one publish costs a warmed three-group owner, counted with
+    ``sys.setprofile`` (never timed): no ``PBIOContext.decode_as``, no
+    payload ``PBIOContext.encode`` and no ``Transformation.apply`` at
+    the owner — the event's one generated routine is V2→V1's, wire to
+    wire, which the v1.0 group runs and whose wire the v0.0 group cuts
+    (no group runs more than one); the v2.0 group hands the payload on,
+    checked by that routine.  Across the fleet's 8 channels the routine
+    is compiled once: its content key, not the route, owns it."""
+
+    @staticmethod
+    def calls(fleet, channel_id, record):
+        """``(name, the frame's self)`` of every ``decode_as``,
+        ``encode``, ``apply`` and generated wire routine call while one
+        publish runs to the end of ``net.run()``."""
+        names = {"decode_as", "encode", "apply", "_wire_route"}
+        calls = []
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code.co_name in names:
+                calls.append((frame.f_code.co_name,
+                              frame.f_locals.get("self"),
+                              frame.f_code.co_filename))
+
+        sys.setprofile(profiler)
+        try:
+            fleet.pubs[0].publish(channel_id, RESPONSE_V2, record)
+            fleet.net.run()
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_one_publish_builds_no_record_at_the_owner(
+            self, monkeypatch, pipeline_mode):
+        monkeypatch.setattr(fusion, "_wire_routes", {})
+        compiles = fusion._TALLY.compiles
+        fleet = Fleet()
+        records = {channel_id: seeded_record(random.Random(n), channel_id)
+                   for n, channel_id in enumerate(fleet.channels)}
+        for channel_id in fleet.channels:  # plan, then compile, the routes
+            for _ in range(2):
+                fleet.pubs[0].publish(channel_id, RESPONSE_V2,
+                                      records[channel_id])
+        fleet.net.run()
+        channel_id = fleet.channels[0]
+        owner = fleet.fabric.directory.worker(
+            fleet.fabric.directory.owner(channel_id))
+        groups = owner._channels[channel_id].groups.values()
+        contexts = [owner.pbio] + [group.receiver.context for group in groups]
+        calls = self.calls(fleet, channel_id, records[channel_id])
+        assert [len(log) for log in fleet.logs.values()] == [
+            2 * len(fleet.channels) + 1] * 3
+        at_owner = collections.Counter(
+            name for name, this, _file in calls
+            if any(this is context for context in contexts))
+        routines = [filename for name, _this, filename in calls
+                    if name == "_wire_route"]
+        applies = [this for name, this, _file in calls
+                   if name == "apply" and isinstance(this, Transformation)]
+        if pipeline_mode == "staged":  # the ablation: records per group
+            assert at_owner == {"decode_as": 1, "encode": 1}
+            assert (routines, len(applies)) == ([], 1)
+            return
+        assert at_owner == {}  # no decode_as, no payload encode
+        assert applies == []
+        assert routines == [f"<wire-route:{V2_V1}:<>"]
+        # one compile for the one content key the fleet's 24 groups ran
+        assert fusion._TALLY.compiles - compiles == 1
+        assert [key for key, route in fusion._wire_routes.items()
+                if route is not None and route._fns] == [
+            next(iter(fusion._wire_routes))]
+
+
+#: the labels of the owner's wire routines of the three-group fleet
+V2_V1 = "ChannelOpenResponse.v2.0->ChannelOpenResponse.v1.0"
+V2_V0 = "ChannelOpenResponse.v2.0->ChannelOpenResponse.v0.0"
+
+
+def wire_routines(monkeypatch):
+    """The label of every generated wire routine run from now on, in
+    order (each routine is wrapped as a route asks for it)."""
+    runs = []
+    fn_for = WireRoute.fn_for
+
+    def counted(route, order):
+        fn = fn_for(route, order)
+        if fn is None:
+            return None
+        return lambda *args: runs.append(route.label) or fn(*args)
+
+    monkeypatch.setattr(WireRoute, "fn_for", counted)
+    return runs
+
+
 class TestProjectionCutPrice:
-    """What a three-group fabric event costs in transforms and encodes,
-    counted by wrapping globals (never timed).  V1→V0 is a wire
-    projection: the owner's v0.0 group cuts its payload out of the v1.0
-    wire the v1.0 group needs anyway, so the owner never applies V1→V0
-    and never encodes a v0.0 payload.  An event is then encoded 4 times
-    — publish envelope and payload, deliver envelope, the v1.0 payload
-    — and still parses 8 headers (:class:`TestEnvelopePrice`)."""
+    """What a three-group fabric event costs in transforms, encodes and
+    wire routines, counted by wrapping globals (never timed).  V1→V0 is
+    a wire projection: the owner's v0.0 group cuts its payload out of
+    the v1.0 wire the v1.0 group needs anyway, so the owner never runs
+    V1→V0, and its one routine per event is V2→V1's, wire to wire: no
+    ``Transformation.apply`` and no ``PBIOContext.encode`` of a payload
+    at the owner.  An event is then encoded 3 times through a context —
+    publish envelope and payload, deliver envelope — and still parses 8
+    headers (:class:`TestEnvelopePrice`)."""
 
     @staticmethod
     def count(monkeypatch, fleet, send, formats=(RESPONSE_V2,) * 2):
         """``(V1→V0 applies, the owner's payload encodes by format
-        version, encodes, header parses)`` per event of *send*, after two
-        events planned the routes and generated the coders."""
+        version, owner payload encodes, encodes, header parses, the wire
+        routines run)`` per event of *send*, after two events planned the
+        routes, generated the coders and compiled the routines."""
         channel_id = fleet.channels[0]
         records = [seeded_record(random.Random(n), channel_id) for n in range(66)]
         for record in records[:2]:
@@ -848,6 +958,9 @@ class TestProjectionCutPrice:
         fleet.net.run()
         owner = fleet.fabric.directory.worker(
             fleet.fabric.directory.owner(channel_id))
+        contexts = [owner.pbio] + [
+            group.receiver.context
+            for group in owner._channels[channel_id].groups.values()]
         parses = TestEnvelopePrice.parses(monkeypatch)
         applies, encodes = [], []
         apply = Transformation.apply
@@ -862,6 +975,7 @@ class TestProjectionCutPrice:
                 lambda ctx, fmt, rec, _encode=getattr(PBIOContext, name):
                 encodes.append((ctx, fmt)) or _encode(ctx, fmt, rec),
             )
+        routines = wire_routines(monkeypatch)
         events = send(fleet.pubs[0], channel_id, records[2:])
         fleet.net.run()
         assert [len(log) for log in fleet.logs.values()] == (
@@ -869,10 +983,11 @@ class TestProjectionCutPrice:
         projections = [step for step in applies
                        if step.source == formats[0] and step.target == formats[1]]
         owned = sorted(fmt.version for ctx, fmt in encodes
-                       if ctx is owner.pbio and fmt is not FABRIC_DELIVER)
+                       if ctx in contexts and fmt is not FABRIC_DELIVER)
         return (len(projections) / events, owned[::events] if owned else [],
                 len(owned) / events, len(encodes) / events,
-                len(parses) / events)
+                len(parses) / events, sorted(set(routines)),
+                len(routines) / events)
 
     @staticmethod
     def one(pub, channel_id, records):
@@ -885,14 +1000,18 @@ class TestProjectionCutPrice:
         return 64
 
     @pytest.mark.parametrize("send", ["one", "batch"])
-    def test_v0_is_cut_from_the_v1_wire(self, monkeypatch, send):
+    def test_v0_is_cut_from_the_v1_wire(self, monkeypatch, send, pipeline_mode):
         fleet = Fleet()
+        expected = (0, [], 0, 3, 8, [V2_V1], 1)
+        if pipeline_mode == "staged":  # records, and the v1.0 encode
+            expected = (0, ["1.0"], 1, 4, 8, [], 0)
         assert self.count(
             monkeypatch, fleet, getattr(self, send),
             (RESPONSE_V1, RESPONSE_V0),
-        ) == (0, ["1.0"], 1, 4, 8)
+        ) == expected
 
-    def test_a_projection_group_that_sorts_first_still_cuts(self, monkeypatch):
+    def test_a_projection_group_that_sorts_first_still_cuts(
+            self, monkeypatch, pipeline_mode):
         # v0.0 under a version tag whose wire id sorts before v1.0's: its
         # group asks for the v1.0 wire first, which is then encoded once
         for n in itertools.count():
@@ -908,9 +1027,12 @@ class TestProjectionCutPrice:
                       registry=registry)
         owner = fleet.fabric.directory.worker(
             fleet.fabric.directory.owner(fleet.channels[0]))
+        expected = (0, [], 0, 3, 6, [V2_V1], 1)
+        if pipeline_mode == "staged":  # records, and the v1.0 encode
+            expected = (0, ["1.0"], 1, 4, 6, [], 0)
         assert self.count(
             monkeypatch, fleet, self.one, (RESPONSE_V1, early)
-        ) == (0, ["1.0"], 1, 4, 6)
+        ) == expected
         groups = owner._channels[fleet.channels[0]].groups
         assert [g.fmt for _id, g in sorted(groups.items())] == [early, RESPONSE_V1]
         v1_log, v0_log = fleet.logs.values()
@@ -932,20 +1054,33 @@ class TestProjectionCutPrice:
         channel_id = fleet.channels[0]
         owner = fleet.fabric.directory.worker(
             fleet.fabric.directory.owner(channel_id))
-        record = seeded_record(random.Random(1), channel_id)
-        fleet.pubs[0].publish(channel_id, RESPONSE_V2, record)
+        # the first event runs staged, the next two wire to wire
+        records = [seeded_record(random.Random(n), channel_id)
+                   for n in (1, 2, 3)]
+        for record in records:
+            fleet.pubs[0].publish(channel_id, RESPONSE_V2, record)
         fleet.net.run()
-        assert [len(log) for log in fleet.logs.values()] == [0, 1]
-        assert owner.errors == 1
-        v0 = Transformation(V1_TO_V0_TRANSFORM).apply(
-            Transformation(V2_TO_V1_TRANSFORM).apply(record))
-        assert fleet.logs["v0"][0][3] == v0
+        assert [len(log) for log in fleet.logs.values()] == [0, 3]
+        assert owner.errors == 3
+        letters = owner._channels[channel_id].groups[
+            RESPONSE_V1.format_id].receiver.dead_letters
+        assert [letter.stage for letter in letters] == ["dispatch"] * 3
+        for record, delivered in zip(records, fleet.logs["v0"]):
+            v0 = Transformation(V1_TO_V0_TRANSFORM).apply(
+                Transformation(V2_TO_V1_TRANSFORM).apply(record))
+            assert delivered[3] == v0
 
-    def test_without_a_v1_group_the_step_runs_and_encodes(self, monkeypatch):
+    def test_without_a_v1_group_the_step_runs_and_encodes(
+            self, monkeypatch, pipeline_mode):
+        """No group needs the v1.0 wire: the v0.0 group's routine runs
+        both steps and encodes v0.0 (rows, no ``apply``)."""
         fleet = Fleet(readers=(("v2", RESPONSE_V2), ("v0", RESPONSE_V0)))
+        expected = (0, [], 0, 3, 6, [V2_V0], 1)
+        if pipeline_mode == "staged":
+            expected = (1, ["0.0"], 1, 4, 6, [], 0)
         assert self.count(
             monkeypatch, fleet, self.one, (RESPONSE_V1, RESPONSE_V0)
-        ) == (1, ["0.0"], 1, 4, 6)
+        ) == expected
 
 
 def _ext_revision(k):

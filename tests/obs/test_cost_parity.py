@@ -160,7 +160,8 @@ class TestGoldenParity:
 #: what times its own span (the histogram takes the span's duration)
 TIMED = {"pbio.encode.seconds": "pbio.encode",
          "pbio.decode.seconds": "pbio.decode",
-         "morph.transform.seconds": "morph.transform"}
+         "morph.transform.seconds": "morph.transform",
+         "morph.fused.seconds": "morph.fused"}
 #: planning: recorded whichever message first needs the route
 SET_UP = {"morph.maxmatch", "ecode.codegen"}
 
@@ -537,7 +538,7 @@ class TestHandlesFollowTheRegistry:
         # records — codec generation, route planning — is not re-run)
         steady = {i.name for i in OBS.metrics.instruments()}
         assert steady <= names_before
-        assert {"pbio.encode.seconds", "morph.transform.seconds",
+        assert {"pbio.encode.seconds", "morph.fused.seconds",
                 "net.transport.queue_depth", "fabric.shard.processed",
                 "morph.dispatch.delivered"} <= steady
 
