@@ -1337,8 +1337,8 @@ def check_projection_pushdown(
     widening prime (the V1 sink's first event, which triggers its
     interest announcement) is still narrow on the wire, so its ``extra``
     arrives default-filled in the negotiated arm.  The negotiated arm
-    must also actually project (every send after the first handshake)
-    and every endpoint must reconcile."""
+    must also actually project (every send after the two handshake
+    primes) and every endpoint must reconcile."""
     from repro.echo.process import EChoProcess
     from repro.pbio.server import FormatServer
 
@@ -1401,17 +1401,20 @@ def check_projection_pushdown(
                     _EVT_V2.make_record(n=n, extra=2 * n, flag=1),
                 )
 
-            # Phase 1 — narrow group.  The first event primes sink0's
-            # interest announcement; the fence lets the narrowing
-            # negotiate, and the next publish boundary promotes it.
+            # Phase 1 — narrow group.  Two events prime sink0's
+            # interest announcement (a narrowing waits for its format's
+            # second event); the fence lets the narrowing negotiate, and
+            # the next publish boundary promotes it.
             publish(0)
             net.run()
-            for n in range(1, messages):
+            publish(1)
+            net.run()
+            for n in range(2, messages):
                 publish(n)
             net.run()
 
             # Phase 2 — widening join.  sink1's prime event reaches it
-            # still narrow (its interest is announced on first
+            # still narrow (a projected event announces on its first
             # delivery); the fence widens the group union.
             sink1.open_channel("ch", "creator", as_sink=True)
             net.run()
@@ -1470,10 +1473,10 @@ def check_projection_pushdown(
              f"expected {expected1_proj[:8]}")
 
     # The negotiated arm must actually project: every event after the
-    # full-format handshake prime rides a derived projection format.
-    if proj_counters["projected_sends"] != total - 1:
+    # two full-format handshake primes rides a derived projection format.
+    if proj_counters["projected_sends"] != total - 2:
         flag(f"negotiated arm projected {proj_counters['projected_sends']} "
-             f"of {total - 1} expected sends")
+             f"of {total - 2} expected sends")
     if proj_counters["projected_sends"] and not proj_counters["bytes_saved"]:
         flag("projection carried no estimated byte savings")
     if not proj_counters["routes"]:

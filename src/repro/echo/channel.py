@@ -85,7 +85,8 @@ class ChannelState:
         #: source side: the projection sent per parent format id
         self.projections: Dict[int, ProjectionSend] = {}
         #: sink side: wire format ids already examined for an interest
-        #: announcement, and the parent formats announced, by id
+        #: announcement — on their second event, or their first when
+        #: projected — and the parent formats announced, by id
         self.announced: Set[int] = set()
         self.interest_parents: Dict[int, IOFormat] = {}
 

@@ -391,12 +391,21 @@ class EChoProcess(EndpointMixin):
         self, channel: ChannelState, payload: Any,
         header: Optional[MessageHeader] = None,
     ) -> None:
-        """Sink side: on the first event of each wire format per channel,
-        announce this subscriber's interest set — the receiver's fused
-        backward-liveness result for the (parent) format, or ``None``
-        (full format) when no liveness set is provable.  The format
-        server unions announcements across the channel's subscriber
-        group and derives the projection the sender encodes to."""
+        """Sink side: announce this subscriber's interest set for a
+        wire format's parent — the receiver's fused backward-liveness
+        result, or ``None`` (full format) when no liveness set is
+        provable.  The format server unions announcements across the
+        channel's subscriber group and derives the projection the sender
+        encodes to.
+
+        A format announces on its second event on the channel: narrowing
+        a format sent once saves nothing, so a one-shot revision costs no
+        fusion plan, no negotiation and no entry here.  The first-sight
+        mark is the format's route in the channel receiver
+        (:meth:`~repro.morph.receiver.MorphReceiver.has_seen`), bounded
+        as the route cache is.  Widening never waits: an event that
+        arrives projected announces on the first, since this subscriber
+        may need fields the group's projection drops."""
         if header is None:
             try:
                 header = unpack_header(payload)
@@ -405,17 +414,15 @@ class EChoProcess(EndpointMixin):
         format_id = header.format_id
         if format_id in channel.announced:
             return
-        channel.announced.add(format_id)
         fmt = self.registry.lookup_id(format_id)
-        if fmt is None:
-            return
         parent = fmt
         if isinstance(fmt, ProjectionFormat):
             parent = self.registry.lookup_id(fmt.parent_format_id)
-            if parent is None:
-                return
-        if parent.name == EVENT_ENVELOPE.name:
-            return  # protocol plumbing is never projected
+        elif not channel.receiver.has_seen(format_id):
+            return
+        channel.announced.add(format_id)
+        if parent is None or parent.name == EVENT_ENVELOPE.name:
+            return  # unknown, or protocol plumbing: never projected
         if parent.format_id in channel.interest_parents:
             return
         channel.interest_parents[parent.format_id] = parent

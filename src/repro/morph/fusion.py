@@ -7,8 +7,9 @@ another pass.  This module extends the paper's dynamic-code-generation
 idea from single conversions to the *complete* retro-transformation
 chain: the decode fragment, every transform body and the reconcile
 logic are emitted into a single specialized Python function and
-compiled once — planned with the route, compiled when the route carries
-its second message of a byte order.
+compiled once — planned and compiled when the route carries its second
+message of a byte order (the receiver keeps that mark on the route), or
+planned earlier when the route's liveness set is asked for.
 
 What fusion buys over the staged path:
 
@@ -72,7 +73,6 @@ from repro.pbio.codegen import (
     encode_namespace,
 )
 from repro.pbio.format import IOFormat
-from repro.pbio.record import Record
 
 
 def _make_fail(label: str) -> Callable[[BaseException], None]:
@@ -163,52 +163,60 @@ def _inlined(
     return step.fact(("inlined", live, k, indent, rows), generate)
 
 
-def _compile_routine(
-    emit: Callable[[str], Tuple[str, Dict[str, Any]]], name: str, label: str,
-    order: str,
-) -> Optional[Callable]:
-    """Compile the function *name* that *emit* writes for payloads in
-    *order* (counted in the compile tally); ``None`` when it fails."""
-    try:
-        source, namespace = emit(order)
-        kind = name.strip("_").replace("_", "-")
-        exec(compile(source, f"<{kind}:{label}:{order}>", "exec"), namespace)
-        fn = namespace[name]
-    except Exception:
-        return None
-    with _TALLY_LOCK:
-        _TALLY.compiles += 1
-    return fn
+class _Routine:
+    """A generated function per payload byte order (receiver-makes-right:
+    most receivers only ever see their native order), compiled when
+    first asked for — the receiver asks on a route's *second* message of
+    the order, as the first runs the staged path, which costs a fraction
+    of a ``compile()`` and is all a format sent once ever needs.  A
+    compile failure is remembered as ``None``: the staged path for good.
+    A subclass's ``_emit(order)`` writes the function :attr:`NAME`."""
+
+    __slots__ = ("label", "_fns", "_lock")
+    NAME = ""
+
+    def __init__(self, label: str) -> None:
+        self.label = label
+        self._fns: Dict[str, Optional[Callable]] = {}
+        self._lock = threading.Lock()
+
+    def fn_for(self, order: str) -> Optional[Callable]:
+        """The routine for payloads in *order* (``"<"``/``">"``),
+        compiled now if nobody asked for that order before; ``None`` if
+        it failed to."""
+        try:
+            return self._fns[order]
+        except KeyError:
+            pass
+        with self._lock:
+            if order not in self._fns:
+                self._fns[order] = self._compile(order)
+            return self._fns[order]
+
+    def _compile(self, order: str) -> Optional[Callable]:
+        """Compile the routine for payloads in *order* (counted in the
+        compile tally); ``None`` when it fails."""
+        try:
+            source, namespace = self._emit(order)
+            kind = self.NAME.strip("_").replace("_", "-")
+            exec(compile(source, f"<{kind}:{self.label}:{order}>", "exec"),
+                 namespace)
+            fn = namespace[self.NAME]
+        except Exception:
+            return None
+        with _TALLY_LOCK:
+            _TALLY.compiles += 1
+        return fn
 
 
-#: what ``FusedRoute._fns`` holds for a byte order the route has carried
-#: one message of: the next one compiles
-_SEEN_ONCE: Any = object()
+class FusedRoute(_Routine):
+    """The compiled form of one receiver route: its routine, called as
+    ``fn(data, body offset, end)``, returns ``(record, consumed
+    offset)`` — the offset lets batch receivers walk successive records
+    through one shared buffer."""
 
-#: a fused routine: ``(data, body offset, end) -> (record, consumed offset)``
-FusedFn = Callable[[bytes, int, int], Tuple[Record, int]]
-
-
-class FusedRoute:
-    """The compiled form of one receiver route.
-
-    Function objects are generated lazily per byte order
-    (receiver-makes-right: most receivers only ever see their native
-    order), on the order's *second* message: the first runs the staged
-    path, which costs a fraction of a ``compile()`` and is all a format
-    sent once ever needs.  A compile failure marks the order as fallen
-    back — the receiver keeps using the staged path for it.
-    """
-
-    __slots__ = (
-        "wire_format",
-        "wire_live",
-        "label",
-        "_steps",
-        "_walker_coercion",
-        "_fns",
-        "_lock",
-    )
+    __slots__ = ("wire_format", "wire_live", "_steps", "_walker_coercion")
+    NAME = "_fused_route"
 
     def __init__(
         self,
@@ -218,47 +226,17 @@ class FusedRoute:
         steps: List[Tuple[Transformation, Live]],
         walker_coercion: Optional[Tuple[IOFormat, IOFormat]],
     ) -> None:
+        super().__init__(label)
         self.wire_format = wire_format
         self.wire_live = wire_live
-        self.label = label
         self._steps = steps
         self._walker_coercion = walker_coercion
-        #: per byte order: the compiled routine, ``None`` when the compile
-        #: failed, or ``_SEEN_ONCE``
-        self._fns: Dict[str, Any] = {}
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-
-    def fn_for(self, order: str) -> Optional[FusedFn]:
-        """The fused routine for payloads in *order* (``"<"``/``">"``),
-        compiled on the order's second message; ``None`` — run the staged
-        path — on its first, and for good when compilation failed.  The
-        routine returns ``(record, consumed_offset)`` — the offset lets
-        batch receivers walk successive records through one shared
-        buffer."""
-        try:
-            fn = self._fns[order]
-        except KeyError:
-            self._fns.setdefault(order, _SEEN_ONCE)
-            return None
-        if fn is _SEEN_ONCE:
-            with self._lock:
-                if self._fns[order] is _SEEN_ONCE:
-                    self._fns[order] = self._compile(order)
-                fn = self._fns[order]
-        return fn
 
     def source(self, order: str = "<") -> str:
         """The generated Python source for *order* (audited by tests):
         emitted again on request — emission is deterministic — so that a
         route does not hold its text for life."""
         return self._emit(order)[0]
-
-    # ------------------------------------------------------------------
-
-    def _compile(self, order: str) -> Optional[FusedFn]:
-        return _compile_routine(self._emit, "_fused_route", self.label, order)
 
     def _emit(self, order: str) -> Tuple[str, Dict[str, Any]]:
         em = _Emitter()
@@ -402,67 +380,42 @@ def _namespace(structs: _StructTable) -> Dict[str, Any]:
     return namespace
 
 
-#: a wire routine: ``(data, body offset, end) -> the target's wire``
-#: (``None`` for a check, which has no target)
-WireFn = Callable[[bytes, int, int], Optional[bytes]]
-
-
-class WireRoute:
+class WireRoute(_Routine):
     """One routine from a payload of :attr:`source` to a message of
     :attr:`target`: the decode fragment holding rows, the chain over
     rows, the target's encoder as its tail.  With no target it is the
     payload's check (a decode that keeps nothing and returns ``None``);
     with no step and the source as target, a re-encode in
-    :attr:`byte_order`.
+    :attr:`byte_order`.  Its routine, called as ``fn(data, body offset,
+    end)``, returns the target's wire (``None`` for a check).
 
     There is one per content key per process (:func:`wire_route`),
-    compiled per payload byte order when a route first asks for that
-    order (on its own second message — :class:`FusedRoute`'s second
-    sight, kept by the route); a compile failure is remembered as
-    ``None``.  Errors are the staged path's classes: a payload it cannot
-    read is a :class:`DecodeError`, a step that fails a
-    :class:`TransformError`, an output the target cannot hold an
+    whichever route asks for it.  Errors are the staged path's classes:
+    a payload it cannot read is a :class:`DecodeError`, a step that
+    fails a :class:`TransformError`, an output the target cannot hold an
     :class:`EncodeError`."""
 
-    __slots__ = ("source", "target", "byte_order", "label", "_steps",
-                 "_live", "_fns", "_lock")
+    __slots__ = ("source", "target", "byte_order", "_steps", "_live")
+    NAME = "_wire_route"
 
     def __init__(
         self, source: IOFormat, steps: List[Tuple[Transformation, Live]],
         live: Live, target: Optional[IOFormat], byte_order: str,
     ) -> None:
+        super().__init__(
+            f"{source.name}.v{source.version}->"
+            + ("check" if target is None
+               else f"{target.name}.v{target.version}"))
         self.source = source
         self.target = target
         self.byte_order = byte_order
         self._steps = steps
         self._live = live
-        self.label = (
-            f"{source.name}.v{source.version}->"
-            + ("check" if target is None
-               else f"{target.name}.v{target.version}")
-        )
-        self._fns: Dict[str, Optional[WireFn]] = {}
-        self._lock = threading.Lock()
-
-    def fn_for(self, order: str) -> Optional[WireFn]:
-        """The routine for payloads in *order*, compiled now if no
-        route asked for that order before; ``None`` if it failed to."""
-        try:
-            return self._fns[order]
-        except KeyError:
-            pass
-        with self._lock:
-            if order not in self._fns:
-                self._fns[order] = self._compile(order)
-            return self._fns[order]
 
     def source_text(self, order: str = "<") -> str:
         """The generated Python source for *order* (``source`` names
         the payload's format here)."""
         return self._emit(order)[0]
-
-    def _compile(self, order: str) -> Optional[WireFn]:
-        return _compile_routine(self._emit, "_wire_route", self.label, order)
 
     def _emit(self, order: str) -> Tuple[str, Dict[str, Any]]:
         em = _Emitter()
@@ -578,13 +531,13 @@ def plan_wire(
 
 
 def plan_fusion(route: Any) -> Optional[FusedRoute]:
-    """Build the fusion plan for a freshly planned ``_Route``, or ``None``
-    when the route must stay staged.
+    """Build the fusion plan for a planned ``_Route``, or ``None`` when
+    the route must stay staged.
 
     Runs the backward liveness pass here, over analyses each step keeps
     (:func:`_facts`: AST work done once per shared step, not per route);
-    source emission and ``compile()`` happen lazily per byte order, on
-    its second message, in :meth:`FusedRoute.fn_for`.
+    source emission and ``compile()`` happen per byte order, when
+    :meth:`FusedRoute.fn_for` is first asked for it.
     """
     if route.is_reject or route.handler_format is None:
         return None

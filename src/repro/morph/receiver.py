@@ -80,8 +80,10 @@ Handler = Callable[[Record], Any]
 DefaultHandler = Callable[[IOFormat, Record], Any]
 #: one event's wires by format id (see :meth:`MorphReceiver.process`)
 Wires = Optional[Dict[int, Optional[bytes]]]
-#: a route's wire plan before it is asked for
+#: a route's fusion or wire plan before it is asked for
 _UNPLANNED: Any = object()
+#: held while a route's fusion plan is made (routes plan on any thread)
+_planning = threading.Lock()
 
 
 #: The tallies every receiver keeps, read as ``stats.<name>`` and
@@ -192,20 +194,21 @@ class _Route:
     coercion: Optional[Tuple[IOFormat, IOFormat]]  # (from, to) for reconcile
     handler_format: Optional[IOFormat]  # None -> default handler / reject
     match: Optional[MatchResult] = None
-    #: whole-route fusion plan (decode + chain + reconcile compiled into
-    #: one function); None keeps the route on the staged pipeline
-    fused: Optional[FusedRoute] = None
+    #: the whole-route fusion plan as made (:attr:`fused`), ``None`` for
+    #: a route that stays staged, or unplanned
+    fusion: Any = _UNPLANNED
     #: set on projection routes that fall back to the staged pipeline:
     #: (projection, parent) — the projected record is widened back to the
     #: full parent shape (defaults for dead fields) before the parent's
     #: transform chain runs, since the chain's ECode was compiled against
     #: the parent's field set
     pre_coercion: Optional[Tuple[IOFormat, IOFormat]] = None
-    #: :meth:`plan_wire`'s plan once made, and the payload byte orders
-    #: whose first message under a table of wires ran staged (second
-    #: sight: the next one goes wire to wire)
+    #: :meth:`plan_wire`'s plan once made
     wire: Any = _UNPLANNED
-    wire_seen: Set[str] = field(default_factory=set)
+    #: the payload byte orders whose first message the route ran, staged
+    #: (second sight: the next one runs fused or wire to wire); the mark
+    #: goes with the route when the cache evicts it
+    seen: Set[str] = field(default_factory=set)
 
     def __post_init__(self) -> None:
         #: top-level fields dropped / default-filled by the reconcile step,
@@ -217,6 +220,20 @@ class _Route:
     @property
     def is_reject(self) -> bool:
         return self.handler_format is None
+
+    @property
+    def fused(self) -> Optional[FusedRoute]:
+        """The whole-route fusion plan (decode + chain + reconcile
+        compiled into one function; ``None`` keeps the route staged),
+        made on first demand: the route's second message of a byte
+        order, an interest announce (:meth:`MorphReceiver.interest_for`)
+        or a projection route's coverage test — never for a format sent
+        once."""
+        if self.fusion is _UNPLANNED:
+            with _planning:
+                if self.fusion is _UNPLANNED:
+                    self.fusion = plan_fusion(self)
+        return self.fusion
 
     def plan_wire(self, fused: bool, byte_order: str) -> Optional[WirePlan]:
         """How the route makes its handler format's wire of an event
@@ -553,18 +570,28 @@ class MorphReceiver:
         tracing: bool, wires: Wires,
     ) -> Any:
         """The route's one decode step, from wire bytes to what its
-        handler takes: the record — by the fused routine compiled for the
-        payload's byte order, else ``PBIOContext.decode_as`` and the
-        staged steps — or, given a table of *wires*, the handler
-        format's wire (:meth:`_wire`).
+        handler takes: the record — by the fused routine for the
+        payload's byte order from the route's second message of that
+        order on (planned then, if nothing demanded the plan before, and
+        compiled), else ``PBIOContext.decode_as`` and the staged steps —
+        or, given a table of *wires*, the handler format's wire
+        (:meth:`_wire`).
 
         *tracing* (:func:`~repro.obs.tracectx.recording`) adds, here and
         down the route, the spans and durations of a sampled message."""
         order = ">" if header.flags & FLAG_BIG_ENDIAN else "<"
         if wires is not None and route.handler_format is not None:
             return self._wire(route, header, data, tracing, wires, order)
-        fused = route.fused
-        fn = None if fused is None else fused.fn_for(order)
+        fn = None
+        seen = route.seen
+        if order not in seen:
+            seen.add(order)
+        else:
+            fused = route.fusion
+            if fused is _UNPLANNED:
+                fused = route.fused  # planned now, compiled just below
+            if fused is not None:
+                fn = fused.fn_for(order)
         if fn is None:
             self.stats.staged_messages += 1
             record = self.context.decode_as(route.wire_format, data, header)
@@ -609,9 +636,9 @@ class MorphReceiver:
             record = self.context.decode_as(route.wire_format, data, header)
             return self.context.encode(
                 route.handler_format, self._morph(route, record, tracing))
-        staged = plan.full is None or order not in route.wire_seen
+        staged = plan.full is None or order not in route.seen
         if staged:
-            route.wire_seen.add(order)
+            route.seen.add(order)
             stats.staged_messages += 1
             wire = self._wire_of(plan, header, data, wires, order, True,
                                  tracing)
@@ -868,17 +895,24 @@ class MorphReceiver:
     # ------------------------------------------------------------------
 
     def _plan_route(self, incoming: IOFormat) -> _Route:
+        """Plan *incoming*'s route; its fusion plan waits for a demand
+        (:attr:`_Route.fused`), and a receiver that does not fuse, or a
+        reject, has none."""
         if not OBS.enabled:
-            return self._attach_fusion(self._plan_any(incoming))
-        with OBS.tracer.span(
-            "morph.maxmatch", format=incoming.name, version=incoming.version
-        ) as active:
             route = self._plan_any(incoming)
-            if route.match is not None:
-                active.set_attr("mismatch", route.match.mismatch)
-                active.set_attr("diff", route.match.diff_forward)
-            active.set_attr("rejected", route.is_reject)
-            return self._attach_fusion(route)
+        else:
+            with OBS.tracer.span(
+                "morph.maxmatch", format=incoming.name,
+                version=incoming.version,
+            ) as active:
+                route = self._plan_any(incoming)
+                if route.match is not None:
+                    active.set_attr("mismatch", route.match.mismatch)
+                    active.set_attr("diff", route.match.diff_forward)
+                active.set_attr("rejected", route.is_reject)
+        if not self.use_fusion or route.is_reject:
+            route.fusion = None
+        return route
 
     def _plan_any(self, incoming: IOFormat) -> _Route:
         """Projection-aware planning entry: a projection format whose
@@ -899,7 +933,8 @@ class MorphReceiver:
         field declarations are identical to the parent's, so the parent's
         transform chain, reconcile step and handler apply unchanged —
         provided the projection covers every wire field the parent route
-        actually reads (its fused liveness set).  When it does, the
+        actually reads (its fused liveness set, the parent's fusion plan
+        made now if nothing demanded it before).  When it does, the
         projection route reuses the parent's pipeline with the projection
         as wire format: fusion re-plans against the narrower decode, and
         the staged fallback widens the record back to the parent shape
@@ -932,13 +967,6 @@ class MorphReceiver:
             match=parent_route.match,
             pre_coercion=(incoming, parent),
         )
-
-    def _attach_fusion(self, route: _Route) -> _Route:
-        """Plan whole-route fusion for a freshly planned route (liveness
-        analysis now, per-order source emission and compile lazily)."""
-        if self.use_fusion and not route.is_reject:
-            route.fused = plan_fusion(route)
-        return route
 
     def _plan_route_inner(self, incoming: IOFormat) -> _Route:
         # Line 4: Fr -- reader formats with the same name as fm
@@ -1021,12 +1049,21 @@ class MorphReceiver:
         to assert which pipeline a message took)."""
         return self._routes.get(fmt.format_id)
 
+    def has_seen(self, format_id: int) -> bool:
+        """Whether a message of *format_id* already ran through this
+        receiver's cached route — the route's first-sight mark, which
+        goes with the route (evicted at :attr:`MAX_ROUTES`, invalidated,
+        or cleared by a new handler)."""
+        route = self._routes.get(format_id)
+        return route is not None and bool(route.seen)
+
     def interest_for(self, fmt: IOFormat) -> Optional[FrozenSet[str]]:
         """The top-level wire fields of *fmt* this receiver's pipeline
         can ever observe — the interest set it announces for projection
         push-down — or ``None`` when it needs the full format.
 
-        The set is the route's fused backward-liveness result; a route
+        The set is the route's fused backward-liveness result (the
+        fusion plan made now if nothing demanded it before); a route
         without a provable liveness set (rejects, identity dispatch,
         interpreter chains, fusion disabled) conservatively reports
         ``None``, which negotiates full-format traffic."""

@@ -100,7 +100,8 @@ class TestFusionOracleSharedArm:
     def test_a_contained_leak_is_still_dirty(self, echo_registry, monkeypatch):
         """The receiver dead-letters an IndexError out of a fused decode
         as it does any failure; the oracle reads the dead letter and
-        still calls it a leak, on every wire."""
+        still calls it a leak, on every wire the fused routine reads —
+        all but the first of each byte order, which run staged."""
 
         def leaking(route, order):
             def fn(data, start, end):
@@ -112,7 +113,7 @@ class TestFusionOracleSharedArm:
         findings = check_fusion_wires(echo_registry, RESPONSE_V0, wires)
         leaks = [f.detail for f in findings if "leaked" in f.detail]
         # every wire is judged: no arm quarantines the leaking format
-        assert len(leaks) == len(wires) and all(
+        assert len(leaks) == len(wires) - len({"little", "big"}) and all(
             detail.startswith("fused path leaked IndexError")
             for detail in leaks
         )

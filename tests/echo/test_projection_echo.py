@@ -1,7 +1,8 @@
 """End-to-end projection push-down over ECho channels.
 
 The full negotiated loop: sinks announce their fused interest sets on
-first delivery, the format-server fleet unions them per channel and
+a format's second delivery (its first when it arrives projected), the
+format-server fleet unions them per channel and
 derives a :class:`ProjectionFormat`, sources encode only the live
 fields, and subscriber churn widens immediately / narrows behind the
 publish-boundary epoch fence.
@@ -94,6 +95,10 @@ class TestNegotiatedNarrowing:
     def test_interest_announced_on_first_delivery_then_projected(
         self, metrics
     ):
+        """The id predates second sight: the announce now rides a
+        format's second delivery (event 1 here), as a format sent once
+        has nothing to narrow.  The three events still negotiate within
+        one run, so the counts are unchanged."""
         net, _creator, source, _sink0, got0 = build_fleet()
         send_range(net, source, 0, 3)
         assert got0 == [0, 1, 2]
@@ -208,6 +213,39 @@ class TestChurn:
             "net.projection.renegotiations", kind="narrowed"
         ).value
         assert widened >= 1 and narrowed >= 1
+
+    def test_widening_never_waits(self):
+        """A sink that joins a narrowed channel gets its first event
+        projected: it announces on that first event, since it may need
+        the union widened, and routes the event through the parent's
+        fusion plan, made on demand."""
+        net, _creator, source, _sink0, got0 = build_fleet()
+        send_range(net, source, 0, 2)   # negotiate {n}
+        send_range(net, source, 2, 3)   # promote
+        state = source.channel("ch").projections[EVT_V2.format_id]
+        assert state.format.field_names() == ["n"]
+
+        sink2 = EChoProcess(
+            net, "sink2", version="0.0",
+            format_servers=["fs-a", "fs-b"],
+            resolver_options={"request_timeout": 0.5},
+        )
+        sink2.open_channel("ch", "creator", as_sink=True)
+        net.run()
+        got2 = []
+        sink2.subscribe("ch", EVT_V0, lambda r: got2.append(r["n"]))
+        net.run()
+        announced = []
+        announce = sink2.resolver.announce_interest
+        sink2.resolver.announce_interest = (
+            lambda group, parent, *args, **kwargs:
+            announced.append(parent) or announce(group, parent, *args,
+                                                 **kwargs))
+        send_range(net, source, 3, 4)
+        assert got2 == [3] and got0 == list(range(4))
+        assert announced == [EVT_V2]
+        stats = sink2.channel("ch").receiver.stats
+        assert (stats.projection_routes, stats.projection_fallbacks) == (1, 0)
 
     def test_leave_retracts_the_interest_on_the_server(self):
         net, _creator, source, sink0, _got0 = build_fleet()

@@ -9,6 +9,10 @@ decoded.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 from repro.bench.workloads import response_v2
 from repro.errors import DecodeError
 from repro.morph import transform as transform_mod
@@ -242,6 +246,60 @@ class TestFusedStagedParity:
 # ---------------------------------------------------------------------------
 # Cache bounds
 # ---------------------------------------------------------------------------
+
+
+class TestPlanOnDemand:
+    def test_threads_on_one_route_make_one_plan_and_one_compile(
+        self, echo_registry, v1, v2, monkeypatch
+    ):
+        """A route's second message makes its fusion plan and compiles
+        it; threads that carry that message together share both."""
+        from repro.morph import receiver as receiver_mod
+        from repro.morph.fusion import FusedRoute
+
+        made = {"plan": [], "compile": []}
+        plan, compile_ = receiver_mod.plan_fusion, FusedRoute._compile
+
+        def planning(route):
+            made["plan"].append(route)
+            time.sleep(0.01)  # a slow plan: the other threads run meanwhile
+            return plan(route)
+
+        def compiling(route, order):
+            made["compile"].append(order)
+            return compile_(route, order)
+
+        monkeypatch.setattr(receiver_mod, "plan_fusion", planning)
+        monkeypatch.setattr(FusedRoute, "_compile", compiling)
+        got = []
+        receiver = _fused_receiver(echo_registry, v1, got)
+        wire = PBIOContext(echo_registry).encode(v2, response_v2(3))
+        receiver.process(wire)  # the first message: staged, no plan
+        assert made == {"plan": [], "compile": []}
+        barrier = threading.Barrier(8)
+        failures = []
+
+        def second():
+            try:
+                barrier.wait(timeout=10)
+                receiver.process(wire)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=second) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures and not any(t.is_alive() for t in threads)
+        assert made == {"plan": [receiver.route_for(v2)], "compile": ["<"]}
+        assert receiver.stats.fused_messages == 8
+        assert all(records_equal(record, got[0]) for record in got)
 
 
 class TestCacheBounds:

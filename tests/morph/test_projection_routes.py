@@ -104,6 +104,23 @@ class TestProjectionRoute:
         assert route is not None and route.pre_coercion is not None
         assert got and got[0]["seq"] == 1
 
+    def test_coverage_makes_the_parent_plan_it_reads(self, pipeline_mode):
+        """A projected wire as the receiver's first message, with no
+        interest asked for: the parent's fusion plan does not exist yet,
+        so the coverage test makes it, and the projection rides the
+        parent route instead of falling back."""
+        if pipeline_mode != "fused":
+            pytest.skip("liveness-based route reuse needs fusion")
+        registry, receiver, got = build()
+        proj = project_format(WIDE, ["seq", "value"], epoch=1)
+        registry.register(proj)
+        ctx = PBIOContext(registry)
+        receiver.process(ctx.encode(proj, project_record(proj, full_record())))
+        stats = receiver.stats
+        assert (stats.projection_routes, stats.projection_fallbacks) == (1, 0)
+        assert receiver.route_for(WIDE).fused.wire_live == {"seq", "value"}
+        assert got and got[0]["value"] == 1.5
+
     def test_uncovered_projection_falls_back_to_maxmatch(self, pipeline_mode):
         if pipeline_mode != "fused":
             pytest.skip("the coverage guard compares against fused liveness")

@@ -384,7 +384,6 @@ class TestDecodePrice:
     def _fused(self, members, buffer):
         # a route with no chain and no reconcile: its decode fragment alone
         route = FusedRoute(RESPONSE_V2, None, "decode", [], None)
-        assert route.fn_for("<") is None  # first message: staged
         fn = route.fn_for("<")
         wire = PBIOContext().encode(RESPONSE_V2, response_v2(members))
         header = unpack_header(wire)
@@ -1559,6 +1558,142 @@ class TestSecondSightPrice:
         assert not failures and len(built) == 8
         assert len(serialization._declarations) == 1
         assert len({id(fmt) for fmt in built}) == 1
+
+
+class TestColdRevisionPrice:
+    """What a revision sent once costs the ECho sinks of a negotiated
+    channel, counted by wrapping (never timed): the four reader classes
+    of an evolving deployment — v2.0, v1.0, v0.0 and a narrow reader —
+    make no fusion plan and start no negotiation for it.  Its second
+    event makes one plan per reader and one announce per sink, and
+    interest state holds only the formats seen twice."""
+
+    READERS = (("2.0", RESPONSE_V2), ("1.0", RESPONSE_V1),
+               ("0.0", RESPONSE_V0), ("2.0", NARROW))
+
+    @pytest.fixture
+    def census(self, monkeypatch):
+        """Calls of the receivers' ``plan_fusion`` and of the resolvers'
+        ``announce_interest``."""
+        from repro.morph import receiver as receiver_mod
+        from repro.pbio.server import CachingFormatResolver
+
+        calls = {"plan_fusion": [], "announce": []}
+        plan = receiver_mod.plan_fusion
+        announce = CachingFormatResolver.announce_interest
+
+        def planning(route):
+            calls["plan_fusion"].append(route.wire_format)
+            return plan(route)
+
+        def announcing(resolver, group, parent, *args, **kwargs):
+            calls["announce"].append(parent)
+            return announce(resolver, group, parent, *args, **kwargs)
+
+        monkeypatch.setattr(receiver_mod, "plan_fusion", planning)
+        monkeypatch.setattr(
+            CachingFormatResolver, "announce_interest", announcing)
+        return calls
+
+    def _fleet(self):
+        """A v2.0 source owning the channel and the four sinks, every
+        process resolving through two format servers, warmed on v2.0
+        events until the channel's projection is negotiated."""
+        from repro.pbio.server import FormatServer
+
+        net = Network()
+        big = 1_000_000
+        servers = [
+            FormatServer(net, "fs-a", peer="fs-b", seed=1,
+                         breaker_threshold=big),
+            FormatServer(net, "fs-b", seed=2, breaker_threshold=big),
+        ]
+
+        def process(address, version):
+            return EChoProcess(
+                net, address, version=version,
+                format_servers=["fs-a", "fs-b"],
+                resolver_options={"request_timeout": 0.5},
+            )
+
+        source = process("source", "2.0")
+        source.create_channel("evolve")
+        sinks, got = [], []
+        for k, (version, fmt) in enumerate(self.READERS):
+            sink = process(f"sink-{k}", version)
+            sink.open_channel("evolve", "source", as_sink=True)
+            net.run()
+            got.append([])
+            sink.subscribe("evolve", fmt, got[-1].append)
+            net.run()
+            sinks.append(sink)
+        for _ in range(3):
+            source.submit("evolve", RESPONSE_V2, response_v2(3))
+            net.run()
+        return net, servers, source, sinks, got
+
+    @staticmethod
+    def _send_revision(net, source, k, times=1):
+        fmt, spec = _ext_revision(k)
+        source.resolver.register(fmt, transforms=[spec])
+        net.run()
+        record = response_v2(3)
+        record[f"ext_{k}"] = k
+        for _ in range(times):
+            source.submit("evolve", fmt, record)
+            net.run()
+        return fmt
+
+    @staticmethod
+    def _renegotiations(servers):
+        return sum(server.stats["renegotiations"] for server in servers)
+
+    def test_a_revision_sent_once_plans_and_negotiates_nothing(
+        self, census
+    ):
+        net, servers, source, sinks, got = self._fleet()
+        before = self._renegotiations(servers)
+        for calls in census.values():
+            calls.clear()
+        self._send_revision(net, source, 21)
+        assert [len(g) for g in got] == [4] * len(sinks)
+        assert census == {"plan_fusion": [], "announce": []}
+        assert self._renegotiations(servers) == before
+
+    def test_its_second_event_plans_once_per_reader_and_announces(
+        self, census, pipeline_mode
+    ):
+        net, _servers, source, sinks, got = self._fleet()
+        fmt = self._send_revision(net, source, 22)
+        for calls in census.values():
+            calls.clear()
+        record = response_v2(3)
+        record["ext_22"] = 22
+        source.submit("evolve", fmt, record)
+        net.run()
+        assert [len(g) for g in got] == [5] * len(sinks)
+        # a staged receiver (the ablation) never plans fusion
+        fused = pipeline_mode == "fused"
+        assert census["plan_fusion"] == [fmt] * len(self.READERS) * fused
+        assert census["announce"] == [fmt] * len(sinks)
+
+    def test_one_shot_revisions_leave_no_interest_state(self):
+        net, servers, source, sinks, got = self._fleet()
+        revisions = [self._send_revision(net, source, k)
+                     for k in range(30, 36)]
+        source.submit("evolve", RESPONSE_V2, response_v2(3))
+        net.run()
+        assert [len(g) for g in got] == [3 + len(revisions) + 1] * len(sinks)
+        one_shot = {fmt.format_id for fmt in revisions}
+        for sink in sinks:
+            channel = sink.channel("evolve")
+            assert set(channel.interest_parents) == {RESPONSE_V2.format_id}
+            assert channel.announced.isdisjoint(one_shot)
+            # one replay per format seen twice: v2.0
+            assert sink.heartbeat() == 1
+        for server in servers:
+            assert not {parent for parent, _group in server._interests} \
+                & one_shot
 
 
 class TestTransformChain:
